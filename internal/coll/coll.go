@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"gompi/internal/core"
-	"gompi/internal/dtype"
 )
 
 // Comm is the collective layer's view of a communicator: the rank's
@@ -185,9 +184,9 @@ func decodeBundle(data []byte, into map[int][]byte) error {
 			return fmt.Errorf("coll: truncated bundle header")
 		}
 		vr := int(binary.LittleEndian.Uint32(data))
-		ln := int(binary.LittleEndian.Uint32(data[4:]))
+		ln := binary.LittleEndian.Uint32(data[4:])
 		data = data[8:]
-		if len(data) < ln {
+		if uint64(len(data)) < uint64(ln) { // compared unsigned: int(ln) may wrap on 32-bit hosts
 			return fmt.Errorf("coll: truncated bundle block")
 		}
 		into[vr] = data[:ln:ln]
@@ -340,289 +339,6 @@ func (c *Comm) addAlltoallStepsFam(s *sched, family int, parts [][]byte, out *[]
 			func(in []byte) error { res[src] = in; return nil })
 	}
 	s.step(func() error { res[c.Rank] = parts[c.Rank]; *out = res; return nil })
-}
-
-// addReduceSteps schedules the reduction of *mine toward root (the
-// pointed-to dense slice must be valid at build time, and is re-read on
-// each activation); at completion *out (root only) holds the folded
-// dense slice. Commutative ops fold up a binomial tree; non-commutative
-// ops gather at root and fold in strict rank order.
-func (c *Comm) addReduceSteps(s *sched, root int, mine *any, op *Op, out *any) {
-	if !op.Commutative {
-		c.addOrderedReduceSteps(s, root, mine, op, out)
-		return
-	}
-	tag := s.tag(tagReduce)
-	vr := rel(c.Rank, root, c.Size)
-	cls, _ := dtype.ClassOf(*mine)
-	var acc any
-	s.onReset(func() { acc = dtype.CloneDense(*mine) })
-	for mask := 1; mask < c.Size; mask <<= 1 {
-		mask := mask
-		if vr&mask != 0 {
-			s.step(func() error {
-				wire, err := dtype.EncodeDense(acc)
-				if err != nil {
-					return err
-				}
-				return s.isend(unrel(vr-mask, root, c.Size), tag, wire)
-			})
-			return // contribution forwarded; this member is done
-		}
-		if vr+mask < c.Size {
-			s.recvStep(unrel(vr+mask, root, c.Size), tag, func(got []byte) error {
-				partial, err := dtype.DecodeDense(got, cls)
-				if err != nil {
-					return err
-				}
-				// acc holds lower-rank contributions: fold acc into
-				// partial, then adopt partial as the accumulator.
-				if err := op.Apply(acc, partial); err != nil {
-					return err
-				}
-				acc = partial
-				return nil
-			})
-		}
-	}
-	s.step(func() error { *out = acc; return nil })
-}
-
-// addOrderedReduceSteps gathers all contributions at root and folds
-// them in strict rank order, as required for non-commutative
-// operations.
-func (c *Comm) addOrderedReduceSteps(s *sched, root int, mine *any, op *Op, out *any) {
-	var wire []byte
-	var blocks [][]byte
-	s.step(func() error {
-		w, err := dtype.EncodeDense(*mine)
-		wire = w
-		return err
-	})
-	c.addGatherSteps(s, root, &wire, &blocks)
-	if rel(c.Rank, root, c.Size) != 0 {
-		return
-	}
-	s.step(func() error {
-		cls, _ := dtype.ClassOf(*mine)
-		acc, err := dtype.DecodeDense(blocks[0], cls)
-		if err != nil {
-			return err
-		}
-		for r := 1; r < c.Size; r++ {
-			next, err := dtype.DecodeDense(blocks[r], cls)
-			if err != nil {
-				return err
-			}
-			if err := op.Apply(acc, next); err != nil {
-				return err
-			}
-			acc = next
-		}
-		*out = acc
-		return nil
-	})
-}
-
-// addAllreduceSteps schedules the all-reduction of *mine (valid at
-// build, re-read per activation); at completion *out holds the folded
-// dense slice on every member. Commutative ops use recursive doubling
-// with the standard non-power-of-two pre/post folding; non-commutative
-// ops reduce to rank 0 and broadcast.
-func (c *Comm) addAllreduceSteps(s *sched, mine *any, op *Op, out *any) {
-	cls, _ := dtype.ClassOf(*mine)
-	if !op.Commutative {
-		var res any
-		c.addReduceSteps(s, 0, mine, op, &res)
-		var wire []byte
-		s.step(func() error {
-			if c.Rank != 0 {
-				return nil
-			}
-			w, err := dtype.EncodeDense(res)
-			wire = w
-			return err
-		})
-		c.addBcastSteps(s, 0, &wire)
-		s.step(func() error {
-			v, err := dtype.DecodeDense(wire, cls)
-			if err != nil {
-				return err
-			}
-			*out = v
-			return nil
-		})
-		return
-	}
-
-	tag := s.tag(tagReduce)
-	var acc any
-	s.onReset(func() { acc = dtype.CloneDense(*mine) })
-	p2 := 1
-	for p2*2 <= c.Size {
-		p2 *= 2
-	}
-	remainder := c.Size - p2
-
-	newRank := -1
-	switch {
-	case c.Rank < 2*remainder && c.Rank%2 == 0:
-		// Fold into the odd neighbour, then idle until the post-fold.
-		s.step(func() error {
-			wire, err := dtype.EncodeDense(acc)
-			if err != nil {
-				return err
-			}
-			return s.isend(c.Rank+1, tag, wire)
-		})
-	case c.Rank < 2*remainder:
-		s.recvStep(c.Rank-1, tag, func(got []byte) error {
-			lower, err := dtype.DecodeDense(got, cls)
-			if err != nil {
-				return err
-			}
-			return op.Apply(lower, acc)
-		})
-		newRank = c.Rank / 2
-	default:
-		newRank = c.Rank - remainder
-	}
-
-	realOf := func(nr int) int {
-		if nr < remainder {
-			return nr*2 + 1
-		}
-		return nr + remainder
-	}
-
-	if newRank >= 0 {
-		for mask := 1; mask < p2; mask <<= 1 {
-			partner := newRank ^ mask
-			s.exchStep(realOf(partner), realOf(partner), tag,
-				func() ([]byte, error) { return dtype.EncodeDense(acc) },
-				func(got []byte) error {
-					theirs, err := dtype.DecodeDense(got, cls)
-					if err != nil {
-						return err
-					}
-					if partner < newRank {
-						return op.Apply(theirs, acc)
-					}
-					if err := op.Apply(acc, theirs); err != nil {
-						return err
-					}
-					acc = theirs
-					return nil
-				})
-		}
-	}
-
-	// Post-fold: odd members of the front block return results to the
-	// idled even members.
-	if c.Rank < 2*remainder {
-		if c.Rank%2 == 0 {
-			s.recvStep(c.Rank+1, tag, func(got []byte) error {
-				v, err := dtype.DecodeDense(got, cls)
-				if err != nil {
-					return err
-				}
-				acc = v
-				return nil
-			})
-		} else {
-			s.step(func() error {
-				wire, err := dtype.EncodeDense(acc)
-				if err != nil {
-					return err
-				}
-				return s.isend(c.Rank-1, tag, wire)
-			})
-		}
-	}
-	s.step(func() error { *out = acc; return nil })
-}
-
-// addScanSteps schedules the rank-order prefix chain shared by Scan and
-// Exscan (family selects the tag family, exclusive the variant): at
-// completion *out holds the inclusive prefix (Scan) or the prefix of
-// ranks 0..r-1 (Exscan; nil at rank 0, whose result is undefined per
-// the standard). The chain preserves non-commutative operation order by
-// construction.
-func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, mine *any, op *Op, out *any) {
-	tag := s.tag(family)
-	cls, _ := dtype.ClassOf(*mine)
-	var prefix, incl any
-	if c.Rank > 0 {
-		s.recvStep(c.Rank-1, tag, func(got []byte) error {
-			var err error
-			prefix, err = dtype.DecodeDense(got, cls)
-			return err
-		})
-	}
-	// The last rank's inclusive prefix is neither forwarded nor, in
-	// exclusive mode, published — skip the clone-and-fold there.
-	if !exclusive || c.Rank < c.Size-1 {
-		s.step(func() error {
-			incl = dtype.CloneDense(*mine)
-			if c.Rank == 0 {
-				return nil
-			}
-			return op.Apply(prefix, incl)
-		})
-	}
-	if c.Rank < c.Size-1 {
-		s.step(func() error {
-			wire, err := dtype.EncodeDense(incl)
-			if err != nil {
-				return err
-			}
-			return s.isend(c.Rank+1, tag, wire)
-		})
-	}
-	s.step(func() error {
-		if exclusive {
-			*out = prefix
-		} else {
-			*out = incl
-		}
-		return nil
-	})
-}
-
-// addReduceScatterSteps schedules the fold-then-scatter: member r ends
-// up with counts[r] elements of the result in *out.
-func (c *Comm) addReduceScatterSteps(s *sched, mine *any, counts []int, op *Op, out *any) {
-	var res any
-	c.addReduceSteps(s, 0, mine, op, &res)
-	var parts [][]byte
-	s.step(func() error {
-		if c.Rank != 0 {
-			return nil
-		}
-		parts = make([][]byte, c.Size)
-		lo := 0
-		for r, n := range counts {
-			seg := dtype.SliceDense(res, lo, lo+n)
-			w, err := dtype.EncodeDense(seg)
-			if err != nil {
-				return err
-			}
-			parts[r] = w
-			lo += n
-		}
-		return nil
-	})
-	var wire []byte
-	c.addScatterSteps(s, 0, &parts, &wire)
-	s.step(func() error {
-		cls, _ := dtype.ClassOf(*mine)
-		v, err := dtype.DecodeDense(wire, cls)
-		if err != nil {
-			return err
-		}
-		*out = v
-		return nil
-	})
 }
 
 // ---------------------------------------------------------------------
@@ -815,125 +531,6 @@ func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
 		return nil, err
 	}
 	return res.([][]byte), nil
-}
-
-func (c *Comm) reduceSched(root int, mine any, op *Op) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	in := mine
-	var res any
-	c.addReduceSteps(s, root, &in, op, &res)
-	s.publish(func() any { return res })
-	return s, nil
-}
-
-// Ireduce starts a nonblocking reduction toward root; the completed
-// request's result is the folded dense slice at root, nil elsewhere.
-func (c *Comm) Ireduce(root int, mine any, op *Op) (*Request, error) {
-	s, err := c.reduceSched(root, mine, op)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(), nil
-}
-
-// Reduce folds every member's dense slice with op, leaving the result
-// at root (returned there; nil elsewhere).
-func (c *Comm) Reduce(root int, mine any, op *Op) (any, error) {
-	s, err := c.reduceSched(root, mine, op)
-	if err != nil {
-		return nil, err
-	}
-	return s.runInline()
-}
-
-func (c *Comm) allreduceSched(mine any, op *Op) *sched {
-	s := c.newSched()
-	in := mine
-	var res any
-	c.addAllreduceSteps(s, &in, op, &res)
-	s.publish(func() any { return res })
-	return s
-}
-
-// Iallreduce starts a nonblocking all-reduction; the completed
-// request's result is the folded dense slice on every member.
-func (c *Comm) Iallreduce(mine any, op *Op) *Request {
-	return c.allreduceSched(mine, op).start()
-}
-
-// Allreduce folds every member's dense slice with op and returns the
-// result at every member.
-func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
-	return c.allreduceSched(mine, op).runInline()
-}
-
-func (c *Comm) scanSched(family int, exclusive bool, mine any, op *Op) *sched {
-	s := c.newSched()
-	in := mine
-	var res any
-	c.addScanSteps(s, family, exclusive, &in, op, &res)
-	s.publish(func() any { return res })
-	return s
-}
-
-// Iscan starts a nonblocking inclusive prefix reduction in rank order;
-// the completed request's result is member r's fold over ranks 0..r.
-func (c *Comm) Iscan(mine any, op *Op) *Request {
-	return c.scanSched(tagScan, false, mine, op).start()
-}
-
-// Scan computes the inclusive prefix reduction in rank order along a
-// chain.
-func (c *Comm) Scan(mine any, op *Op) (any, error) {
-	return c.scanSched(tagScan, false, mine, op).runInline()
-}
-
-// Iexscan starts a nonblocking exclusive prefix reduction in rank
-// order; member r's result is the fold over ranks 0..r-1 (nil at rank
-// 0, whose result is undefined).
-func (c *Comm) Iexscan(mine any, op *Op) *Request {
-	return c.scanSched(tagExscan, true, mine, op).start()
-}
-
-// Exscan computes the exclusive prefix reduction in rank order (the
-// MPI-2 extension the paper's §5.3 targets).
-func (c *Comm) Exscan(mine any, op *Op) (any, error) {
-	return c.scanSched(tagExscan, true, mine, op).runInline()
-}
-
-func (c *Comm) reduceScatterSched(mine any, counts []int, op *Op) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
-	if len(counts) != c.Size {
-		return nil, fmt.Errorf("coll: reduce_scatter with %d counts for %d ranks", len(counts), c.Size)
-	}
-	in := mine
-	var res any
-	c.addReduceScatterSteps(s, &in, counts, op, &res)
-	s.publish(func() any { return res })
-	return s, nil
-}
-
-// IreduceScatter starts a nonblocking fold-and-scatter; the completed
-// request's result is member r's counts[r]-element segment.
-func (c *Comm) IreduceScatter(mine any, counts []int, op *Op) (*Request, error) {
-	s, err := c.reduceScatterSched(mine, counts, op)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(), nil
-}
-
-// ReduceScatter folds with op, then scatters consecutive segments of
-// the result: member r receives counts[r] elements.
-func (c *Comm) ReduceScatter(mine any, counts []int, op *Op) (any, error) {
-	s, err := c.reduceScatterSched(mine, counts, op)
-	if err != nil {
-		return nil, err
-	}
-	return s.runInline()
 }
 
 // AgreeContextBase agrees on a context-id base for a new communicator:

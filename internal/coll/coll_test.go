@@ -2,6 +2,7 @@ package coll
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing/quick"
 
 	"gompi/internal/core"
+	"gompi/internal/dtype"
 	"gompi/internal/transport"
 )
 
@@ -345,12 +347,28 @@ func TestLogicalAndBitwiseOps(t *testing.T) {
 }
 
 func TestOpClassErrors(t *testing.T) {
-	if err := Band.Apply([]float64{1}, []float64{2}); err == nil {
-		t.Fatal("bitwise op on floats must error")
+	if _, err := Band.Kernel(dtype.F64); !errors.Is(err, ErrUndefined) {
+		t.Fatalf("bitwise op on floats: %v", err)
 	}
-	if err := Sum.Apply([]bool{true}, []bool{false}); err == nil {
-		t.Fatal("sum on booleans must error")
+	if _, err := Sum.Kernel(dtype.Bool); !errors.Is(err, ErrUndefined) {
+		t.Fatalf("sum on booleans: %v", err)
 	}
+	if _, err := MaxLoc.Kernel(dtype.Obj); !errors.Is(err, ErrUndefined) {
+		t.Fatalf("maxloc on objects: %v", err)
+	}
+	user := NewOp("user", true, func(in, inout any) error { return nil })
+	for cls := dtype.U8; cls <= dtype.Obj; cls++ {
+		if _, err := user.Kernel(cls); err != nil {
+			t.Fatalf("user op on %s: %v", cls, err)
+		}
+	}
+	// The collective refuses before any message moves.
+	runGroup(t, 2, func(c *Comm) (any, error) {
+		if _, err := c.Allreduce([]float64{1}, Band); !errors.Is(err, ErrUndefined) {
+			return nil, fmt.Errorf("allreduce(BAND, float64): %v", err)
+		}
+		return c.Allreduce([]int32{1}, Band) // instance numbers still aligned
+	})
 }
 
 func TestAgreeContextBase(t *testing.T) {

@@ -1,0 +1,323 @@
+package coll
+
+import (
+	"fmt"
+	"unsafe"
+
+	"gompi/internal/dtype"
+)
+
+// Kernel folds two reduction operands held in wire format: elementwise
+// op(lo, hi), where lo is the contribution of the lower-ranked process
+// (the MPI operand order, which non-commutative operations and the
+// NaN/±0 behaviour of MIN/MAX depend on). The result is written over lo
+// when intoLo is set and over hi otherwise, and the slice holding it is
+// returned: the overwritten operand itself for the fixed-size classes,
+// a fresh encoding for OBJECT operands, whose gob size changes with
+// their value. Both operands must be exclusively owned by the caller —
+// a user operation may use the one that is not the result as scratch.
+type Kernel func(lo, hi []byte, intoLo bool) ([]byte, error)
+
+// Arithmetic reductions accept every fixed-size class (dtype.Fixed);
+// integer covers the classes bitwise and logical reductions accept.
+type integer interface {
+	byte | int16 | int32 | int64
+}
+
+// The typed loops: dst[i] = op(a[i], b[i]), dst aliasing a or b. They
+// are generic over the element type only, so every (operation, class)
+// pair compiles to its own monomorphic loop — no per-element call, no
+// interface. MIN and MAX keep b unless a compares strictly better,
+// which fixes their result on NaN and ±0 for a given operand order.
+
+func sum[T dtype.Fixed](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] + b[i]
+	}
+}
+
+func prod[T dtype.Fixed](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] * b[i]
+	}
+}
+
+func maxOf[T dtype.Fixed](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		if a[i] > b[i] {
+			dst[i] = a[i]
+		} else {
+			dst[i] = b[i]
+		}
+	}
+}
+
+func minOf[T dtype.Fixed](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		if a[i] < b[i] {
+			dst[i] = a[i]
+		} else {
+			dst[i] = b[i]
+		}
+	}
+}
+
+// loc folds (value, index) pairs; on equal values MPI selects the
+// minimum index.
+func loc[T dtype.Fixed](a, b, dst []T, max bool) {
+	for i := 0; i+1 < len(dst); i += 2 {
+		better := a[i] > b[i]
+		if !max {
+			better = a[i] < b[i]
+		}
+		if better || (a[i] == b[i] && a[i+1] < b[i+1]) {
+			dst[i], dst[i+1] = a[i], a[i+1]
+		} else {
+			dst[i], dst[i+1] = b[i], b[i+1]
+		}
+	}
+}
+
+func maxLoc[T dtype.Fixed](a, b, dst []T) { loc(a, b, dst, true) }
+func minLoc[T dtype.Fixed](a, b, dst []T) { loc(a, b, dst, false) }
+
+func truth[T integer](v bool) T {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+func land[T integer](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = truth[T](a[i] != 0 && b[i] != 0)
+	}
+}
+
+func lor[T integer](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = truth[T](a[i] != 0 || b[i] != 0)
+	}
+}
+
+func lxor[T integer](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = truth[T]((a[i] != 0) != (b[i] != 0))
+	}
+}
+
+func band[T integer](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] & b[i]
+	}
+}
+
+func bor[T integer](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] | b[i]
+	}
+}
+
+func bxor[T integer](a, b, dst []T) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		dst[i] = a[i] ^ b[i]
+	}
+}
+
+// arith instantiates one of the arithmetic family's loops on T.
+func arith[T dtype.Fixed](k kind) Kernel {
+	switch k {
+	case kSum:
+		return fixed(sum[T])
+	case kProd:
+		return fixed(prod[T])
+	case kMax:
+		return fixed(maxOf[T])
+	case kMin:
+		return fixed(minOf[T])
+	case kMaxLoc:
+		return fixed(maxLoc[T])
+	case kMinLoc:
+		return fixed(minLoc[T])
+	}
+	panic(fmt.Sprintf("coll: kind %d is not arithmetic", k))
+}
+
+// bits instantiates one of the logical or bitwise loops on T.
+func bits[T integer](k kind) Kernel {
+	switch k {
+	case kLand:
+		return fixed(land[T])
+	case kLor:
+		return fixed(lor[T])
+	case kLxor:
+		return fixed(lxor[T])
+	case kBand:
+		return fixed(band[T])
+	case kBor:
+		return fixed(bor[T])
+	case kBxor:
+		return fixed(bxor[T])
+	}
+	panic(fmt.Sprintf("coll: kind %d is not logical or bitwise", k))
+}
+
+// checkOperands refuses operand pairs a kernel cannot fold elementwise:
+// members that disagree on the count, or a torn trailing element.
+func checkOperands(lo, hi []byte, es int) error {
+	if len(lo) != len(hi) || len(lo)%es != 0 {
+		return fmt.Errorf("coll: reduction operands of %d and %d bytes (element size %d)", len(lo), len(hi), es)
+	}
+	return nil
+}
+
+// stageElems is the staged path's chunk, in elements: even, so a chunk
+// never splits a MINLOC/MAXLOC pair, and small enough that both staging
+// arrays live on the stack.
+const stageElems = 64
+
+// fixed lifts a typed loop to a Kernel over wire bytes. Operands that
+// are aligned for T on a little-endian host — the caller's own slices,
+// pooled frames — are folded in place through typed views. Anything
+// else (a payload behind a TCP frame header, a block inside a bundle,
+// a big-endian host) is staged chunk-wise through aligned stack arrays.
+func fixed[T dtype.Fixed](f func(a, b, dst []T)) Kernel {
+	var z T
+	es := int(unsafe.Sizeof(z))
+	return func(lo, hi []byte, intoLo bool) ([]byte, error) {
+		if err := checkOperands(lo, hi, es); err != nil {
+			return nil, err
+		}
+		dst := hi
+		if intoLo {
+			dst = lo
+		}
+		a, okA := dtype.WireView[T](lo)
+		b, okB := dtype.WireView[T](hi)
+		if okA && okB {
+			if intoLo {
+				f(a, b, a)
+			} else {
+				f(a, b, b)
+			}
+			return dst, nil
+		}
+		var x, y [stageElems]T
+		for off := 0; off < len(dst); off += stageElems * es {
+			n := min(stageElems, (len(dst)-off)/es)
+			dtype.WireDecode(x[:n], lo[off:])
+			dtype.WireDecode(y[:n], hi[off:])
+			f(x[:n], y[:n], y[:n])
+			dtype.WireEncode(dst[off:], y[:n])
+		}
+		return dst, nil
+	}
+}
+
+// userKernel adapts a user function to the kernel contract: fn sees
+// typed views of the two operands (decoded copies where a view is
+// impossible: misaligned bytes, BOOLEAN, OBJECT), folds into the
+// hi view, and the result is moved to wherever the caller wants it.
+func userKernel(fn ApplyFn, cls dtype.Class) Kernel {
+	switch cls {
+	case dtype.U8:
+		return userFixed[byte](fn)
+	case dtype.I16:
+		return userFixed[int16](fn)
+	case dtype.I32:
+		return userFixed[int32](fn)
+	case dtype.I64:
+		return userFixed[int64](fn)
+	case dtype.F32:
+		return userFixed[float32](fn)
+	case dtype.F64:
+		return userFixed[float64](fn)
+	case dtype.Bool:
+		return userBool(fn)
+	}
+	return userObj(fn)
+}
+
+func userFixed[T dtype.Fixed](fn ApplyFn) Kernel {
+	var z T
+	es := int(unsafe.Sizeof(z))
+	return func(lo, hi []byte, intoLo bool) ([]byte, error) {
+		if err := checkOperands(lo, hi, es); err != nil {
+			return nil, err
+		}
+		a, okA := dtype.WireView[T](lo)
+		if !okA {
+			a = make([]T, len(lo)/es)
+			dtype.WireDecode(a, lo)
+		}
+		b, okB := dtype.WireView[T](hi)
+		if !okB {
+			b = make([]T, len(hi)/es)
+			dtype.WireDecode(b, hi)
+		}
+		if err := fn(a, b); err != nil {
+			return nil, err
+		}
+		if !okB {
+			dtype.WireEncode(hi, b)
+		}
+		if intoLo {
+			copy(lo, hi)
+			return lo, nil
+		}
+		return hi, nil
+	}
+}
+
+func userBool(fn ApplyFn) Kernel {
+	return func(lo, hi []byte, intoLo bool) ([]byte, error) {
+		if err := checkOperands(lo, hi, 1); err != nil {
+			return nil, err
+		}
+		a, b := make([]bool, len(lo)), make([]bool, len(hi))
+		for i := range a {
+			a[i], b[i] = lo[i] != 0, hi[i] != 0
+		}
+		if err := fn(a, b); err != nil {
+			return nil, err
+		}
+		dst := hi
+		if intoLo {
+			dst = lo
+		}
+		for i, v := range b {
+			dst[i] = truth[byte](v)
+		}
+		return dst, nil
+	}
+}
+
+func userObj(fn ApplyFn) Kernel {
+	return func(lo, hi []byte, _ bool) ([]byte, error) {
+		a, err := dtype.DecodeObjects(lo)
+		if err != nil {
+			return nil, err
+		}
+		b, err := dtype.DecodeObjects(hi)
+		if err != nil {
+			return nil, err
+		}
+		if len(a) != len(b) {
+			return nil, fmt.Errorf("coll: reduction operands of %d and %d objects", len(a), len(b))
+		}
+		if err := fn(a, b); err != nil {
+			return nil, err
+		}
+		return dtype.EncodeObjects(b)
+	}
+}

@@ -1,0 +1,254 @@
+package coll
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"gompi/internal/dtype"
+)
+
+// window returns a copy of wire placed off bytes into a fresh
+// allocation: off 0 is aligned for every class, an odd off for none
+// wider than a byte.
+func window(wire []byte, off int) []byte {
+	buf := make([]byte, off+len(wire))
+	copy(buf[off:], wire)
+	return buf[off:]
+}
+
+func packDense[T dtype.Fixed](t *testing.T, cls dtype.Class, v []T) []byte {
+	t.Helper()
+	wire, err := dtype.Pack(nil, v, 0, len(v), dtype.BasicType(cls))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
+// sameWire compares two payloads of T elements bit for bit, except that
+// any NaN matches any NaN (payload bits are the FPU's business).
+func sameWire[T dtype.Fixed](got, want []byte) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d bytes, want %d", len(got), len(want))
+	}
+	var g, w [1]T
+	size := int(reflect.TypeOf(g[0]).Size())
+	for i := 0; i+size <= len(got); i += size {
+		if bytes.Equal(got[i:i+size], want[i:i+size]) {
+			continue
+		}
+		dtype.WireDecode(g[:], got[i:])
+		dtype.WireDecode(w[:], want[i:])
+		if g[0] != g[0] && w[0] != w[0] {
+			continue
+		}
+		return fmt.Errorf("element %d: %v (% x), want %v (% x)", i/size, g[0], got[i:i+size], w[0], want[i:i+size])
+	}
+	return nil
+}
+
+// kernelVsOracle checks one class of one operation: the kernel table
+// and the oracle must agree on whether the pair is defined, and where
+// it is, the kernel's bytes must equal the oracle's for every length,
+// window alignment and result side.
+func kernelVsOracle[T dtype.Fixed](cls dtype.Class, specials []T, full func(*rand.Rand) T) func(*testing.T, *Op, ApplyFn) {
+	return func(t *testing.T, op *Op, ref ApplyFn) {
+		k, err := op.Kernel(cls)
+		if undefined := ref(make([]T, 2), make([]T, 2)) != nil; undefined != (err != nil) {
+			t.Fatalf("oracle undefined=%v but Kernel err=%v", undefined, err)
+		}
+		if op.DefinedOn(cls) != (err == nil) {
+			t.Fatalf("DefinedOn=%v but Kernel err=%v", op.DefinedOn(cls), err)
+		}
+		if err != nil {
+			return
+		}
+		rng := rand.New(rand.NewSource(int64(cls) + 1))
+		// Half the values come from a small set, so MINLOC/MAXLOC see
+		// ties, the logical family sees zeros, and MIN/MAX/SUM see
+		// NaN, ±0 and ±Inf on either side.
+		gen := func(n int) []T {
+			v := make([]T, n)
+			for i := range v {
+				if rng.Intn(2) == 0 {
+					v[i] = specials[rng.Intn(len(specials))]
+				} else {
+					v[i] = full(rng)
+				}
+			}
+			return v
+		}
+		lens := []int{0, 1, 7, 64 << 10}
+		if op == MaxLoc || op == MinLoc {
+			lens = []int{0, 2, 14, 64 << 10} // whole (value, index) pairs
+		}
+		for _, n := range lens {
+			a, b := gen(n), gen(n)
+			want := append([]T(nil), b...)
+			if err := ref(a, want); err != nil {
+				t.Fatal(err)
+			}
+			wa, wb, ww := packDense(t, cls, a), packDense(t, cls, b), packDense(t, cls, want)
+			for _, off := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {1, 1}} {
+				for _, intoLo := range []bool{false, true} {
+					lo, hi := window(wa, off[0]), window(wb, off[1])
+					res, err := k(lo, hi, intoLo)
+					if err != nil {
+						t.Fatalf("n=%d off=%v intoLo=%v: %v", n, off, intoLo, err)
+					}
+					dst, other, otherWant := hi, lo, wa
+					if intoLo {
+						dst, other, otherWant = lo, hi, wb
+					}
+					if n > 0 && &res[0] != &dst[0] {
+						t.Fatalf("n=%d off=%v intoLo=%v: result is not the destination operand", n, off, intoLo)
+					}
+					if err := sameWire[T](res, ww); err != nil {
+						t.Fatalf("n=%d off=%v intoLo=%v: %v", n, off, intoLo, err)
+					}
+					if !bytes.Equal(other, otherWant) {
+						t.Fatalf("n=%d off=%v intoLo=%v: the other operand was written", n, off, intoLo)
+					}
+				}
+			}
+		}
+		if _, err := k(make([]byte, 16), make([]byte, 32), false); err == nil {
+			t.Fatal("operands of different lengths must be refused")
+		}
+	}
+}
+
+func TestKernelsMatchOracle(t *testing.T) {
+	nan32, inf32 := float32(math.NaN()), float32(math.Inf(1))
+	negZero := math.Copysign(0, -1)
+	classes := []struct {
+		cls dtype.Class
+		run func(*testing.T, *Op, ApplyFn)
+	}{
+		{dtype.U8, kernelVsOracle(dtype.U8, []byte{0, 1, 2, 255},
+			func(r *rand.Rand) byte { return byte(r.Uint32()) })},
+		{dtype.I16, kernelVsOracle(dtype.I16, []int16{0, 1, -1, math.MaxInt16, math.MinInt16},
+			func(r *rand.Rand) int16 { return int16(r.Uint32()) })},
+		{dtype.I32, kernelVsOracle(dtype.I32, []int32{0, 1, -1, math.MaxInt32, math.MinInt32},
+			func(r *rand.Rand) int32 { return int32(r.Uint32()) })},
+		{dtype.I64, kernelVsOracle(dtype.I64, []int64{0, 1, -1, math.MaxInt64, math.MinInt64},
+			func(r *rand.Rand) int64 { return int64(r.Uint64()) })},
+		{dtype.F32, kernelVsOracle(dtype.F32, []float32{0, float32(negZero), 1, -1, nan32, inf32, -inf32, math.MaxFloat32, math.SmallestNonzeroFloat32},
+			func(r *rand.Rand) float32 { return float32(r.NormFloat64() * 1e6) })},
+		{dtype.F64, kernelVsOracle(dtype.F64, []float64{0, negZero, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64},
+			func(r *rand.Rand) float64 { return r.NormFloat64() * 1e12 })},
+	}
+	for _, o := range oracle {
+		for _, c := range classes {
+			t.Run(fmt.Sprintf("%s/%s", o.op, c.cls), func(t *testing.T) { c.run(t, o.op, o.ref) })
+		}
+	}
+}
+
+// TestKernelsBooleanAndObject covers the two classes with no typed
+// view: BOOLEAN rides the byte loops of the logical family only, and
+// OBJECT has no predefined operation at all.
+func TestKernelsBooleanAndObject(t *testing.T) {
+	vals := []bool{false, false, true, true, false}
+	other := []bool{false, true, false, true, true}
+	pack := func(v []bool) []byte {
+		wire, err := dtype.Pack(nil, v, 0, len(v), dtype.BasicType(dtype.Bool))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire
+	}
+	for _, o := range oracle {
+		if o.op.DefinedOn(dtype.Obj) {
+			t.Fatalf("%s must not be defined on OBJECT", o.op)
+		}
+		want := append([]bool(nil), other...)
+		undefined := o.ref(vals, want) != nil
+		if undefined == o.op.DefinedOn(dtype.Bool) {
+			t.Fatalf("%s: oracle undefined=%v on BOOLEAN, table says defined=%v", o.op, undefined, !undefined)
+		}
+		if undefined {
+			continue
+		}
+		k, _ := o.op.Kernel(dtype.Bool)
+		for _, intoLo := range []bool{false, true} {
+			res, err := k(window(pack(vals), 1), window(pack(other), 0), intoLo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res, pack(want)) {
+				t.Fatalf("%s intoLo=%v: % x, want % x", o.op, intoLo, res, pack(want))
+			}
+		}
+	}
+}
+
+// TestUserKernelViews: a user function sees typed slices of the right
+// type and length on every class — views where the bytes allow, decoded
+// copies where they do not — and its result lands on the requested
+// side.
+func TestUserKernelViews(t *testing.T) {
+	// inout = 10*in + inout: order-sensitive, so a swapped operand
+	// pair cannot pass.
+	digits := NewOp("digits", false, func(in, inout any) error {
+		switch io := inout.(type) {
+		case []int32:
+			for i, a := range in.([]int32) {
+				io[i] += 10 * a
+			}
+		case []float64:
+			for i, a := range in.([]float64) {
+				io[i] += 10 * a
+			}
+		case []bool:
+			for i, a := range in.([]bool) {
+				io[i] = a && !io[i]
+			}
+		case []any:
+			for i, a := range in.([]any) {
+				io[i] = a.(string) + io[i].(string)
+			}
+		default:
+			return fmt.Errorf("unexpected operand type %T", inout)
+		}
+		return nil
+	})
+	cases := []struct {
+		cls          dtype.Class
+		lo, hi, want any
+	}{
+		{dtype.I32, []int32{1, 2, 3}, []int32{4, 5, 6}, []int32{14, 25, 36}},
+		{dtype.F64, []float64{1, 2}, []float64{0.5, 0.25}, []float64{10.5, 20.25}},
+		{dtype.Bool, []bool{true, true, false}, []bool{false, true, false}, []bool{true, false, false}},
+		{dtype.Obj, []any{"a", "b"}, []any{"x", "y"}, []any{"ax", "by"}},
+	}
+	for _, tc := range cases {
+		bt := dtype.BasicType(tc.cls)
+		n := reflect.ValueOf(tc.lo).Len()
+		k, err := digits.Kernel(tc.cls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, off := range []int{0, 1} {
+			for _, intoLo := range []bool{false, true} {
+				lo, _ := dtype.Pack(nil, tc.lo, 0, n, bt)
+				hi, _ := dtype.Pack(nil, tc.hi, 0, n, bt)
+				res, err := k(window(lo, off), window(hi, off), intoLo)
+				if err != nil {
+					t.Fatalf("%s off=%d intoLo=%v: %v", tc.cls, off, intoLo, err)
+				}
+				got := dtype.MakeDense(tc.cls, n)
+				if _, err := dtype.Unpack(res, got, 0, n, bt); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, tc.want) {
+					t.Fatalf("%s off=%d intoLo=%v: %v, want %v", tc.cls, off, intoLo, got, tc.want)
+				}
+			}
+		}
+	}
+}

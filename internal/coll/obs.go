@@ -16,6 +16,7 @@ type commObs struct {
 	started *obs.Counter // schedule activations armed
 	parked  *obs.Counter // times a schedule gave its worker back
 	resumed *obs.Counter // times a parked schedule was re-enqueued
+	reduced *obs.Counter // bytes folded by reduction kernels, one bump per kernel call
 	schedNs *obs.Timing  // activation wall time, arm to finish
 }
 
@@ -32,6 +33,7 @@ func (c *Comm) vars() *commObs {
 		c.obs.started = reg.Counter("coll.scheds_started")
 		c.obs.parked = reg.Counter("coll.scheds_parked")
 		c.obs.resumed = reg.Counter("coll.scheds_resumed")
+		c.obs.reduced = reg.Counter("coll.bytes_reduced")
 		c.obs.schedNs = reg.Timing("coll.sched_ns")
 		// The pool is process-wide; each rank's registry gets a cvar
 		// handle onto the one shared cap.

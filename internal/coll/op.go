@@ -2,218 +2,145 @@
 // runtime over the core point-to-point engine: dissemination barrier,
 // binomial broadcast/gather/scatter/reduce, ring allgather, pairwise
 // alltoall, recursive-doubling allreduce, linear-chain scan, and the
-// reduction operation kernels they share.
+// reduction kernels they share.
 //
-// Every algorithm is expressed as a schedule of isend/irecv/compute
-// steps (sched.go) executed by a per-operation progress runner, so each
-// collective has both a blocking entry point and a nonblocking I* form
-// returning a *Request with Wait/Test/WaitCtx — cancellation points
-// live inside the algorithm rounds, not just the point-to-point wait
-// path. Tags carry a per-instance sequence number, letting any number
-// of collectives on one communicator overlap in flight without
-// cross-matching.
+// Every algorithm is compiled into a schedule of post/consume/compute
+// steps (sched.go). Blocking entry points run the schedule inline on the
+// caller's goroutine; nonblocking and persistent ones hand it to a
+// process-wide progress pool (pool.go), where a schedule that reaches
+// an unarrived message parks — occupying no goroutine — until the
+// engine's completion callback re-enqueues it. Cancellation points
+// therefore live inside the algorithm rounds, not just the
+// point-to-point wait path. Tags carry a per-instance sequence number,
+// letting any number of collectives on one communicator overlap in
+// flight without cross-matching.
+//
+// Reductions are byte-native: operands stay in wire format from the
+// caller's buffer to the result, and each schedule folds them with a
+// kernel resolved once from the (operation, storage class) table below
+// (kernel.go).
 package coll
 
 import (
+	"errors"
 	"fmt"
+
+	"gompi/internal/dtype"
 )
 
-// ApplyFn folds one dense operand slice into another:
-// inout[i] = op(in[i], inout[i]), where in is the operand contributed by
-// the LOWER-ranked process. This matches the MPI user-function contract,
-// so non-commutative user operations reduce in rank order.
+// ApplyFn is a user-defined reduction: it folds one dense operand slice
+// into another, inout[i] = op(in[i], inout[i]), where in is the operand
+// contributed by the LOWER-ranked process — the MPI user-function
+// contract, so non-commutative operations reduce in rank order. Both
+// arguments are slices of the operand class's element type ([]int32,
+// []float64, []any, …); they may be views of runtime-owned memory and
+// must not be retained.
 type ApplyFn func(in, inout any) error
+
+// ErrUndefined reports a predefined operation applied to a storage
+// class it is not defined on (a bitwise op on floats, arithmetic on
+// booleans, …).
+var ErrUndefined = errors.New("coll: reduction operation undefined on operand class")
 
 // Op is a reduction operation.
 type Op struct {
 	Name        string
 	Commutative bool
-	apply       ApplyFn
+
+	// Exactly one of the two is set: the predefined operations carry
+	// their kernel table, user operations the function to adapt.
+	kernels [dtype.Obj + 1]Kernel
+	user    ApplyFn
 }
 
-// NewOp wraps a user-defined reduction function (MPI_Op_create).
+// NewOp wraps a user-defined reduction function (MPI_Op_create). It is
+// defined on every storage class; fn sees typed views of the operands.
 func NewOp(name string, commutative bool, fn ApplyFn) *Op {
-	return &Op{Name: name, Commutative: commutative, apply: fn}
+	return &Op{Name: name, Commutative: commutative, user: fn}
 }
 
-// Apply folds in into inout.
-func (o *Op) Apply(in, inout any) error { return o.apply(in, inout) }
+// DefinedOn reports whether the operation has a kernel for operands of
+// class cls.
+func (o *Op) DefinedOn(cls dtype.Class) bool {
+	return int(cls) < len(o.kernels) && (o.user != nil || o.kernels[cls] != nil)
+}
+
+// Kernel resolves the operation's kernel for operands of class cls, or
+// ErrUndefined. Schedules resolve once per plan, never per fold.
+func (o *Op) Kernel(cls dtype.Class) (Kernel, error) {
+	switch {
+	case !o.DefinedOn(cls):
+		return nil, fmt.Errorf("%w: %s on %s", ErrUndefined, o.Name, cls)
+	case o.user != nil:
+		return userKernel(o.user, cls), nil
+	}
+	return o.kernels[cls], nil
+}
 
 func (o *Op) String() string { return o.Name }
 
-// numeric covers the storage classes arithmetic reductions accept.
-type numeric interface {
-	~byte | ~int16 | ~int32 | ~int64 | ~float32 | ~float64
-}
+// kind enumerates the predefined operations' typed loops, grouped by
+// family — arithmetic (through kMinLoc), logical (through kLxor),
+// bitwise — which is the order predefined relies on.
+type kind uint8
 
-// integer covers the classes bitwise reductions accept.
-type integer interface {
-	~byte | ~int16 | ~int32 | ~int64
-}
+const (
+	kSum kind = iota
+	kProd
+	kMax
+	kMin
+	kMaxLoc
+	kMinLoc
+	kLand
+	kLor
+	kLxor
+	kBand
+	kBor
+	kBxor
+)
 
-func applyNum[T numeric](in, inout []T, f func(a, b T) T) {
-	for i := range inout {
-		inout[i] = f(in[i], inout[i])
-	}
-}
-
-func applyBool(in, inout []bool, f func(a, b bool) bool) {
-	for i := range inout {
-		inout[i] = f(in[i], inout[i])
-	}
-}
-
-// numOp builds an op defined on all numeric classes.
-func numOp(name string, commutative bool, fi func(a, b int64) int64, ff func(a, b float64) float64) *Op {
-	return NewOp(name, commutative, func(in, inout any) error {
-		switch io := inout.(type) {
-		case []byte:
-			applyNum(in.([]byte), io, func(a, b byte) byte { return byte(fi(int64(a), int64(b))) })
-		case []int16:
-			applyNum(in.([]int16), io, func(a, b int16) int16 { return int16(fi(int64(a), int64(b))) })
-		case []int32:
-			applyNum(in.([]int32), io, func(a, b int32) int32 { return int32(fi(int64(a), int64(b))) })
-		case []int64:
-			applyNum(in.([]int64), io, fi)
-		case []float32:
-			applyNum(in.([]float32), io, func(a, b float32) float32 { return float32(ff(float64(a), float64(b))) })
-		case []float64:
-			applyNum(in.([]float64), io, ff)
-		default:
-			return fmt.Errorf("coll: op %s undefined on %T", name, inout)
-		}
-		return nil
-	})
-}
-
-// intOp builds an op defined on integer classes only (bitwise family).
-func intOp(name string, fi func(a, b int64) int64) *Op {
-	return NewOp(name, true, func(in, inout any) error {
-		switch io := inout.(type) {
-		case []byte:
-			applyNum(in.([]byte), io, func(a, b byte) byte { return byte(fi(int64(a), int64(b))) })
-		case []int16:
-			applyNum(in.([]int16), io, func(a, b int16) int16 { return int16(fi(int64(a), int64(b))) })
-		case []int32:
-			applyNum(in.([]int32), io, func(a, b int32) int32 { return int32(fi(int64(a), int64(b))) })
-		case []int64:
-			applyNum(in.([]int64), io, fi)
-		default:
-			return fmt.Errorf("coll: op %s undefined on %T", name, inout)
-		}
-		return nil
-	})
-}
-
-// logicalOp builds an op defined on booleans and, following the C
-// binding's convention (non-zero is true), on integer classes.
-func logicalOp(name string, fb func(a, b bool) bool) *Op {
-	toI := func(v bool) int64 {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	fi := func(a, b int64) int64 { return toI(fb(a != 0, b != 0)) }
-	return NewOp(name, true, func(in, inout any) error {
-		switch io := inout.(type) {
-		case []bool:
-			applyBool(in.([]bool), io, fb)
-		case []byte:
-			applyNum(in.([]byte), io, func(a, b byte) byte { return byte(fi(int64(a), int64(b))) })
-		case []int16:
-			applyNum(in.([]int16), io, func(a, b int16) int16 { return int16(fi(int64(a), int64(b))) })
-		case []int32:
-			applyNum(in.([]int32), io, func(a, b int32) int32 { return int32(fi(int64(a), int64(b))) })
-		case []int64:
-			applyNum(in.([]int64), io, fi)
-		default:
-			return fmt.Errorf("coll: op %s undefined on %T", name, inout)
-		}
-		return nil
-	})
-}
-
-func applyLoc[T numeric](in, inout []T, max bool) {
-	for i := 0; i+1 < len(inout); i += 2 {
-		a, ai := in[i], in[i+1]
-		b, bi := inout[i], inout[i+1]
-		better := a > b
-		if !max {
-			better = a < b
-		}
-		// On equal values MPI selects the minimum index.
-		if better || (a == b && ai < bi) {
-			inout[i], inout[i+1] = a, ai
+// predefined builds a predefined operation over the classes its family
+// is defined on: arithmetic and MINLOC/MAXLOC on the six numeric
+// classes; bitwise on the four integer classes; logical on the integer
+// classes (the C binding's non-zero-is-true convention) and on BOOLEAN,
+// whose wire form — a normative 0/1 byte — the byte loop serves as is.
+func predefined(name string, k kind) *Op {
+	o := &Op{Name: name, Commutative: true}
+	switch {
+	case k <= kMinLoc:
+		o.kernels[dtype.U8] = arith[byte](k)
+		o.kernels[dtype.I16] = arith[int16](k)
+		o.kernels[dtype.I32] = arith[int32](k)
+		o.kernels[dtype.I64] = arith[int64](k)
+		o.kernels[dtype.F32] = arith[float32](k)
+		o.kernels[dtype.F64] = arith[float64](k)
+	default:
+		o.kernels[dtype.U8] = bits[byte](k)
+		o.kernels[dtype.I16] = bits[int16](k)
+		o.kernels[dtype.I32] = bits[int32](k)
+		o.kernels[dtype.I64] = bits[int64](k)
+		if k <= kLxor {
+			o.kernels[dtype.Bool] = o.kernels[dtype.U8]
 		}
 	}
-}
-
-// locOp builds MINLOC/MAXLOC, operating on (value, index) pairs laid out
-// as consecutive elements of one of the pair datatypes.
-func locOp(name string, max bool) *Op {
-	return NewOp(name, true, func(in, inout any) error {
-		switch io := inout.(type) {
-		case []byte:
-			applyLoc(in.([]byte), io, max)
-		case []int16:
-			applyLoc(in.([]int16), io, max)
-		case []int32:
-			applyLoc(in.([]int32), io, max)
-		case []int64:
-			applyLoc(in.([]int64), io, max)
-		case []float32:
-			applyLoc(in.([]float32), io, max)
-		case []float64:
-			applyLoc(in.([]float64), io, max)
-		default:
-			return fmt.Errorf("coll: op %s undefined on %T", name, inout)
-		}
-		return nil
-	})
+	return o
 }
 
 // Predefined reduction operations (MPI §4.9.2).
 var (
-	Sum  = numOp("MPI_SUM", true, func(a, b int64) int64 { return a + b }, func(a, b float64) float64 { return a + b })
-	Prod = numOp("MPI_PROD", true, func(a, b int64) int64 { return a * b }, func(a, b float64) float64 { return a * b })
-	Max  = numOp("MPI_MAX", true, maxI, maxF)
-	Min  = numOp("MPI_MIN", true, minI, minF)
-	Land = logicalOp("MPI_LAND", func(a, b bool) bool { return a && b })
-	Lor  = logicalOp("MPI_LOR", func(a, b bool) bool { return a || b })
-	Lxor = logicalOp("MPI_LXOR", func(a, b bool) bool { return a != b })
-	Band = intOp("MPI_BAND", func(a, b int64) int64 { return a & b })
-	Bor  = intOp("MPI_BOR", func(a, b int64) int64 { return a | b })
-	Bxor = intOp("MPI_BXOR", func(a, b int64) int64 { return a ^ b })
+	Sum  = predefined("MPI_SUM", kSum)
+	Prod = predefined("MPI_PROD", kProd)
+	Max  = predefined("MPI_MAX", kMax)
+	Min  = predefined("MPI_MIN", kMin)
+	Land = predefined("MPI_LAND", kLand)
+	Lor  = predefined("MPI_LOR", kLor)
+	Lxor = predefined("MPI_LXOR", kLxor)
+	Band = predefined("MPI_BAND", kBand)
+	Bor  = predefined("MPI_BOR", kBor)
+	Bxor = predefined("MPI_BXOR", kBxor)
 
-	MaxLoc = locOp("MPI_MAXLOC", true)
-	MinLoc = locOp("MPI_MINLOC", false)
+	// MaxLoc and MinLoc operate on (value, index) pairs laid out as
+	// consecutive elements of one of the pair datatypes.
+	MaxLoc = predefined("MPI_MAXLOC", kMaxLoc)
+	MinLoc = predefined("MPI_MINLOC", kMinLoc)
 )
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -114,46 +114,3 @@ func (c *Comm) AllgatherInit(mine *[]byte) *Persistent {
 	s.publish(func() any { return blocks })
 	return &Persistent{s: s}
 }
-
-// ReduceInit builds a persistent reduction of *mine toward root. The
-// pointed-to dense slice must already be valid at Init time (its class
-// fixes the algorithm) and is re-read on every activation.
-func (c *Comm) ReduceInit(root int, mine *any, op *Op) (*Persistent, error) {
-	s := c.newSched() // mint the instance before validation
-	if err := c.check(root); err != nil {
-		return nil, err
-	}
-	var res any
-	c.addReduceSteps(s, root, mine, op, &res)
-	s.publish(func() any { return res })
-	return &Persistent{s: s}, nil
-}
-
-// AllreduceInit builds a persistent all-reduction of *mine (valid at
-// Init, re-read per activation); each activation completes with the
-// folded dense slice on every member.
-func (c *Comm) AllreduceInit(mine *any, op *Op) *Persistent {
-	s := c.newSched()
-	var res any
-	c.addAllreduceSteps(s, mine, op, &res)
-	s.publish(func() any { return res })
-	return &Persistent{s: s}
-}
-
-// ScanInit builds a persistent inclusive prefix reduction.
-func (c *Comm) ScanInit(mine *any, op *Op) *Persistent {
-	s := c.newSched()
-	var res any
-	c.addScanSteps(s, tagScan, false, mine, op, &res)
-	s.publish(func() any { return res })
-	return &Persistent{s: s}
-}
-
-// ExscanInit builds a persistent exclusive prefix reduction.
-func (c *Comm) ExscanInit(mine *any, op *Op) *Persistent {
-	s := c.newSched()
-	var res any
-	c.addScanSteps(s, tagExscan, true, mine, op, &res)
-	s.publish(func() any { return res })
-	return &Persistent{s: s}
-}

@@ -43,8 +43,8 @@ func (p *Plan) nextFam() int {
 }
 
 // Step appends a local compute step. Steps run in order on the
-// schedule's executor (the caller for Run, the runner goroutine for
-// Start); an error aborts the schedule.
+// schedule's executor (the caller for Run, a pool worker for Start); an
+// error aborts the schedule.
 func (p *Plan) Step(fn func() error) { p.s.step(fn) }
 
 // Alltoall appends a pairwise exchange round: parts[j] reaches member
@@ -75,7 +75,14 @@ func (p *Plan) Publish(get func() any) { p.s.publish(get) }
 // calling goroutine (the blocking form).
 func (p *Plan) Run() (any, error) { return p.s.runInline() }
 
-// Start launches the composed schedule on its own progress goroutine
-// and returns its request (the nonblocking form), with cancellation
-// points at every exchange wait.
+// Start launches the composed schedule on the shared progress pool and
+// returns its request (the nonblocking form), with cancellation points
+// at every exchange wait.
 func (p *Plan) Start() *Request { return p.s.start() }
+
+// Persist freezes the composed schedule into a persistent operation
+// (the MPI-4 *_init form): every Start of the result re-runs it, with
+// the plan's pre-minted tags, against whatever its steps read through
+// their bound pointers at that time. A persisted plan must not also be
+// Run or Started directly.
+func (p *Plan) Persist() *Persistent { return &Persistent{s: p.s} }

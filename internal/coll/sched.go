@@ -9,6 +9,7 @@ import (
 
 	"gompi/internal/core"
 	"gompi/internal/obs"
+	"gompi/internal/transport"
 )
 
 // ErrCancelled is the completion error of a collective schedule that was
@@ -108,12 +109,17 @@ func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 	}
 }
 
-// fut is the seam between a step that posts a nonblocking operation and
+// fut is the seam between a step that posts a nonblocking receive and
 // the later step that consumes it: the posting step fills req, the
 // consuming step is gated on its completion and empties it again (so a
 // persistent schedule can refill it on the next activation).
 type fut struct {
 	req *core.Request
+	// lend marks a payload its consumer only reads while the step runs:
+	// the frame stays with the request and returns to the pool when the
+	// step ends. Otherwise ownership moves to the consumer, for
+	// algorithms that stash or forward what they receive.
+	lend bool
 }
 
 // step is one unit of a collective schedule. run posts nonblocking
@@ -234,69 +240,81 @@ func (s *sched) publish(get func() any) {
 // transferred out of the engine — only once it has completed, without
 // ever blocking an executor.
 func (s *sched) recvStep(src, tag int, fn func([]byte) error) {
-	f := &fut{}
-	s.steps = append(s.steps, step{run: func() error {
-		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
-		return nil
-	}})
-	s.steps = append(s.steps, step{gate: f, run: func() error {
-		b, err := s.takeRecv(f)
-		if err != nil {
-			return err
-		}
-		return fn(b)
-	}})
+	s.postRecv(&fut{}, src, tag, nil, fn)
+}
+
+// foldRecvStep is recvStep for a reduction operand: fn reads the
+// payload in place, straight out of the frame it arrived in, and the
+// frame is recycled when fn returns.
+func (s *sched) foldRecvStep(src, tag int, fn func([]byte) error) {
+	s.postRecv(&fut{lend: true}, src, tag, nil, fn)
 }
 
 // exchStep appends a concurrent exchange with two (possibly distinct)
 // partners, the building block of the symmetric algorithms: one step
-// posts the send (payload computed at post time by out) and the
-// receive, a gated step consumes the received payload. The send's
-// completion is left to the drain.
+// posts the receive and then the send (payload computed at post time by
+// out), a gated step consumes the received payload. The receive goes
+// first so that a partner's message — or its rendezvous request — finds
+// it posted whenever this member got here first. The send's completion
+// is left to the drain.
 func (s *sched) exchStep(dst, src, tag int, out func() ([]byte, error), fn func([]byte) error) {
-	f := &fut{}
-	s.steps = append(s.steps, step{run: func() error {
+	s.postRecv(&fut{}, src, tag, func() error {
 		b, err := out()
 		if err != nil {
 			return err
 		}
-		if err := s.isend(dst, tag, b); err != nil {
-			return err
-		}
-		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
-		return nil
-	}})
-	s.steps = append(s.steps, step{gate: f, run: func() error {
-		b, err := s.takeRecv(f)
-		if err != nil {
-			return err
-		}
-		return fn(b)
-	}})
+		return s.isend(dst, tag, b)
+	}, fn)
 }
 
-// takeRecv consumes a completed gated receive: surfaces its completion
-// error, transfers the payload out of the engine, and recycles the
-// request (emptying the future for the next activation).
-func (s *sched) takeRecv(f *fut) ([]byte, error) {
-	req := f.req
-	f.req = nil
-	st := &req.Stat
-	if st.Cancelled {
+// foldExchStep is the reduction exchange with one partner: it ships a
+// private copy of *acc and lends the partner's operand to fn.
+func (s *sched) foldExchStep(peer, tag int, acc *[]byte, fn func([]byte) error) {
+	s.postRecv(&fut{lend: true}, peer, tag, func() error {
+		return s.isendCopy(peer, tag, *acc)
+	}, fn)
+}
+
+// postRecv appends the two steps behind the four forms above: post the
+// receive (then run send, if any), and — gated on the receive — consume
+// it with fn.
+func (s *sched) postRecv(f *fut, src, tag int, send func() error, fn func([]byte) error) {
+	s.steps = append(s.steps, step{run: func() error {
+		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
+		if send == nil {
+			return nil
+		}
+		err := send()
+		if err != nil {
+			s.dropRecv(f) // the consume step will never run
+		}
+		return err
+	}})
+	s.steps = append(s.steps, step{gate: f, run: func() error {
+		req := f.req
+		f.req = nil
+		st := &req.Stat
+		if st.Cancelled {
+			req.Recycle()
+			return errors.New("coll: receive cancelled")
+		}
+		if rerr := st.Err; rerr != nil {
+			// A peer died or the communicator was revoked mid-schedule:
+			// surface it rather than fold a nil payload into the algorithm.
+			req.Recycle()
+			return rerr
+		}
+		if f.lend {
+			err := fn(req.Payload)
+			req.Recycle() // releases the frame
+			return err
+		}
+		// The consumer keeps the payload for an unbounded time, so take
+		// it out of the request before recycling.
+		b := req.TakePayload()
 		req.Recycle()
-		return nil, errors.New("coll: receive cancelled")
-	}
-	if rerr := st.Err; rerr != nil {
-		// A peer died or the communicator was revoked mid-schedule:
-		// surface it rather than fold a nil payload into the algorithm.
-		req.Recycle()
-		return nil, rerr
-	}
-	// Payload lifetime is unbounded here (algorithms forward and stash
-	// blocks), so take it out of the request before recycling.
-	b := req.TakePayload()
-	req.Recycle()
-	return b, nil
+		return fn(b)
+	}})
 }
 
 // start launches the schedule on the shared progress pool and returns
@@ -494,19 +512,22 @@ func (s *sched) fail(err error) {
 	s.finish(err)
 }
 
-// abortGate disposes of the current step's gated receive, if any: a
+// abortGate disposes of the current step's gated receive, if any.
+func (s *sched) abortGate() {
+	if s.pc < len(s.steps) && s.steps[s.pc].gate != nil {
+		s.dropRecv(s.steps[s.pc].gate)
+	}
+}
+
+// dropRecv disposes of a posted receive nobody will consume: a
 // completed one is recycled, an in-flight one is cancelled when the
 // engine still can (and otherwise left to complete in the background,
 // reclaimed by the garbage collector).
-func (s *sched) abortGate() {
-	if s.pc >= len(s.steps) {
-		return
-	}
-	f := s.steps[s.pc].gate
-	if f == nil || f.req == nil {
-		return
-	}
+func (s *sched) dropRecv(f *fut) {
 	r := f.req
+	if r == nil {
+		return
+	}
 	f.req = nil
 	if s.c.P.Cancel(r) {
 		r.Recycle()
@@ -544,11 +565,28 @@ func (s *sched) await(r *core.Request) error {
 }
 
 // isend posts a standard-mode send on the schedule's context and tracks
-// it for the completion drain. Collective payloads never carry the
-// exclusive-ownership recycle promise: algorithms fan one buffer out to
-// several destinations and forward received payloads.
+// it for the completion drain. b stays shared: algorithms fan one buffer
+// out to several destinations and forward received payloads, so it
+// cannot carry the exclusive-ownership recycle promise and must never
+// be written again.
 func (s *sched) isend(dst, tag int, b []byte) error {
-	req, err := s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard, false)
+	return s.post(dst, tag, b, false)
+}
+
+// isendCopy sends a private copy of b, for buffers the schedule goes on
+// writing (a reduction's accumulator: the chan and shm devices pass
+// frames by reference, and a partner reads its copy with no
+// happens-before to this member's next fold). The copy has exactly one
+// destination, so it lives in a pooled frame and carries the recycle
+// promise: whoever consumes it returns it to the pool.
+func (s *sched) isendCopy(dst, tag int, b []byte) error {
+	out := transport.GetBuf(len(b))
+	copy(out, b)
+	return s.post(dst, tag, out, true)
+}
+
+func (s *sched) post(dst, tag int, b []byte, recycle bool) error {
+	req, err := s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard, recycle)
 	if err != nil {
 		return err
 	}

@@ -30,6 +30,21 @@ func CheckBuf(buf any, t *Type) (int, error) {
 	return n, nil
 }
 
+// CheckSection verifies that count items of t starting at element
+// offset lie inside buf — everything Pack and Unpack validate before
+// they touch data — so a receive section can be rejected before any
+// message is sent. It returns buf's length in elements.
+func CheckSection(buf any, offset, count int, t *Type) (int, error) {
+	if !t.committed {
+		return 0, ErrUncommitted
+	}
+	n, err := CheckBuf(buf, t)
+	if err != nil {
+		return 0, err
+	}
+	return n, t.checkBounds(n, offset, count)
+}
+
 func sliceInfo(buf any) (n int, c Class, ok bool) {
 	switch s := buf.(type) {
 	case []byte:
@@ -385,13 +400,7 @@ func MakeDense(c Class, n int) any {
 	return nil
 }
 
-// DenseLen returns the length of a dense slice.
-func DenseLen(dense any) int {
-	n, _, _ := sliceInfo(dense)
-	return n
-}
-
-// basicOf caches one anonymous basic Type per class for dense codecs.
+// basicOf caches one anonymous basic Type per class.
 var basicOf = func() [numClasses]*Type {
 	var a [numClasses]*Type
 	for c := Class(0); c < numClasses; c++ {
@@ -401,60 +410,5 @@ var basicOf = func() [numClasses]*Type {
 }()
 
 // BasicType returns the cached basic datatype for a storage class
-// (used internally for dense transfers).
+// (used internally for whole-slice transfers).
 func BasicType(c Class) *Type { return basicOf[c] }
-
-// EncodeDense encodes an entire dense slice to wire bytes.
-func EncodeDense(dense any) ([]byte, error) {
-	n, c, ok := sliceInfo(dense)
-	if !ok {
-		return nil, fmt.Errorf("%w: got %T", ErrClassMismatch, dense)
-	}
-	return Pack(nil, dense, 0, n, basicOf[c])
-}
-
-// DecodeDense decodes wire bytes into a fresh dense slice of class c.
-// For Obj the object count is taken from the payload header.
-func DecodeDense(data []byte, c Class) (any, error) {
-	if c == Obj {
-		cnt, err := objectCount(data)
-		if err != nil {
-			return nil, err
-		}
-		dense := make([]any, cnt)
-		if _, err := Unpack(data, dense, 0, cnt, basicOf[Obj]); err != nil {
-			return nil, err
-		}
-		return dense, nil
-	}
-	n := Elements(len(data), c)
-	if n < 0 {
-		return nil, ErrFormat
-	}
-	dense := MakeDense(c, n)
-	if _, err := Unpack(data, dense, 0, n, basicOf[c]); err != nil {
-		return nil, err
-	}
-	return dense, nil
-}
-
-// Extract gathers count items of t from buf/offset into a fresh dense
-// slice of t's class (used by the reduction collectives).
-func Extract(buf any, offset, count int, t *Type) (any, error) {
-	wire, err := Pack(nil, buf, offset, count, t)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeDense(wire, t.class)
-}
-
-// Deposit scatters a dense slice back through t's typemap into
-// buf/offset (inverse of Extract).
-func Deposit(dense any, buf any, offset, count int, t *Type) error {
-	wire, err := EncodeDense(dense)
-	if err != nil {
-		return err
-	}
-	_, err = Unpack(wire, buf, offset, count, t)
-	return err
-}

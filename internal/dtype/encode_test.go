@@ -226,55 +226,22 @@ func randomType(rng *rand.Rand, depth int) *Type {
 	return ty
 }
 
-func TestDenseHelpers(t *testing.T) {
-	d := []float32{1, 2, 3, 4}
-	c := CloneDense(d).([]float32)
-	c[0] = 99
-	if d[0] != 1 {
-		t.Fatal("CloneDense must copy")
-	}
-	s := SliceDense(d, 1, 3).([]float32)
-	if len(s) != 2 || s[0] != 2 {
-		t.Fatalf("SliceDense = %v", s)
-	}
-	dst := make([]float32, 4)
-	if n := CopyDense(dst, d); n != 4 || dst[3] != 4 {
-		t.Fatalf("CopyDense: n=%d dst=%v", n, dst)
-	}
-	if DenseLen(d) != 4 {
-		t.Fatal("DenseLen wrong")
-	}
-	wire, err := EncodeDense(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeDense(wire, F32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, d) {
-		t.Fatalf("dense roundtrip: %v != %v", back, d)
-	}
-}
-
-func TestExtractDeposit(t *testing.T) {
+func TestCheckSection(t *testing.T) {
 	v, _ := Vector(3, 1, 2, Basic(I32, "INT")) // elements 0,2,4
+	if _, err := CheckSection(make([]int32, 6), 0, 1, v); !errors.Is(err, ErrUncommitted) {
+		t.Fatalf("uncommitted: %v", err)
+	}
 	v.Commit()
-	buf := []int32{10, 0, 20, 0, 30, 0}
-	dense, err := Extract(buf, 0, 1, v)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := CheckSection(make([]int32, 5), 0, 1, v); err != nil {
+		t.Fatalf("exact fit: %v", err)
 	}
-	ds := dense.([]int32)
-	if !reflect.DeepEqual(ds, []int32{10, 20, 30}) {
-		t.Fatalf("extract = %v", ds)
+	if _, err := CheckSection(make([]int32, 4), 0, 1, v); !errors.Is(err, ErrBounds) {
+		t.Fatalf("short buffer: %v", err)
 	}
-	ds[0], ds[1], ds[2] = 1, 2, 3
-	out := make([]int32, 6)
-	if err := Deposit(dense, out, 0, 1, v); err != nil {
-		t.Fatal(err)
+	if _, err := CheckSection(make([]int64, 8), 0, 1, v); !errors.Is(err, ErrClassMismatch) {
+		t.Fatalf("wrong class: %v", err)
 	}
-	if !reflect.DeepEqual(out, []int32{1, 0, 2, 0, 3, 0}) {
-		t.Fatalf("deposit = %v", out)
+	if _, err := CheckSection(make([]int32, 1), 0, 0, v); err != nil {
+		t.Fatalf("count 0: %v", err)
 	}
 }

@@ -73,6 +73,30 @@ func objectCount(data []byte) (int, error) {
 	return int(binary.LittleEndian.Uint32(data)), nil
 }
 
+// EncodeObjects serializes a whole object slice to an Obj payload.
+func EncodeObjects(objs []any) ([]byte, error) {
+	return packObjects(nil, objs, 0, len(objs), basicOf[Obj])
+}
+
+// DecodeObjects deserializes every object of an Obj payload; the count
+// comes from the payload header. The count is bounded by the payload
+// size (each object costs at least its length word), so a corrupt
+// header cannot force a large allocation.
+func DecodeObjects(data []byte) ([]any, error) {
+	n, err := objectCount(data)
+	if err != nil {
+		return nil, err
+	}
+	if n > (len(data)-4)/4 {
+		return nil, ErrFormat
+	}
+	objs := make([]any, n)
+	if _, err := unpackObjects(data, objs, 0, n, basicOf[Obj]); err != nil {
+		return nil, err
+	}
+	return objs, nil
+}
+
 func unpackObjects(data []byte, s []any, offset, count int, t *Type) (int, error) {
 	avail, err := objectCount(data)
 	if err != nil {

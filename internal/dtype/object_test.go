@@ -95,18 +95,22 @@ func TestObjectWithOffsetsAndNil(t *testing.T) {
 	}
 }
 
-func TestObjectDenseDecode(t *testing.T) {
+func TestObjectSliceCodec(t *testing.T) {
 	buf := []any{"x", "y"}
-	wire, err := EncodeDense(buf)
+	wire, err := EncodeObjects(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeDense(wire, Obj)
+	back, err := DecodeObjects(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, buf) {
 		t.Fatalf("got %#v", back)
+	}
+	// A count the payload cannot possibly hold must not be allocated.
+	if _, err := DecodeObjects([]byte{0xff, 0xff, 0xff, 0x7f}); !errors.Is(err, ErrFormat) {
+		t.Fatalf("oversized count: %v", err)
 	}
 }
 

@@ -158,3 +158,70 @@ func ByteViewRange(buf any, off, n int) ([]byte, bool) {
 	nv, _ := NativeView(buf)
 	return byteView(nv, off, n)
 }
+
+// Fixed is the set of element types whose wire encoding is their
+// little-endian memory image. bool is deliberately absent: its wire
+// form is a normative 0/1 byte, and foreign bytes must never be
+// reinterpreted as Go bools.
+type Fixed interface {
+	byte | int16 | int32 | int64 | float32 | float64
+}
+
+// WireView is byteView's inverse: it reinterprets wire bytes as a []T
+// sharing their storage. ok is false when the fast path does not apply
+// — a big-endian host, or a window not aligned for T (a payload behind
+// a frame header, a block inside a bundle) — and callers must stage
+// through WireDecode/WireEncode instead. Trailing bytes short of a
+// whole element are not part of the view.
+func WireView[T Fixed](wire []byte) ([]T, bool) {
+	var z T
+	n := len(wire) / int(unsafe.Sizeof(z))
+	if n == 0 {
+		return nil, true
+	}
+	p := unsafe.Pointer(unsafe.SliceData(wire))
+	if !hostLE || uintptr(p)%unsafe.Alignof(z) != 0 {
+		return nil, false
+	}
+	return unsafe.Slice((*T)(p), n), true
+}
+
+// WireDecode fills dst from the first len(dst) elements of wire,
+// wherever wire sits in memory and whatever the host byte order.
+func WireDecode[T Fixed](dst []T, wire []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	raw := rawBytes(dst)
+	copy(raw, wire)
+	if !hostLE {
+		swapElems(raw, len(raw)/len(dst))
+	}
+}
+
+// WireEncode writes src to the front of wire in wire format.
+func WireEncode[T Fixed](wire []byte, src []T) {
+	if len(src) == 0 {
+		return
+	}
+	raw := rawBytes(src)
+	n := copy(wire, raw)
+	if !hostLE {
+		swapElems(wire[:n], len(raw)/len(src))
+	}
+}
+
+// rawBytes is the memory image of a non-empty native slice.
+func rawBytes[T Fixed](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(s[0])))
+}
+
+// swapElems reverses the bytes of every es-byte element of b in place
+// (the big-endian host's conversion to and from wire order).
+func swapElems(b []byte, es int) {
+	for ; len(b) >= es; b = b[es:] {
+		for i, j := 0, es-1; i < j; i, j = i+1, j-1 {
+			b[i], b[j] = b[j], b[i]
+		}
+	}
+}

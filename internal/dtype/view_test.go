@@ -2,6 +2,7 @@ package dtype
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -151,5 +152,50 @@ func TestCheckBufNamedPrimitive(t *testing.T) {
 	}
 	if c, ok := ClassOf([]seq{}); !ok || c != I16 {
 		t.Fatalf("ClassOf named int16 = %v, %v", c, ok)
+	}
+}
+
+func TestWireViewAlignment(t *testing.T) {
+	backing := make([]float64, 5)
+	raw := rawBytes(backing)
+	if v, ok := WireView[float64](raw[8:24]); hostLE && (!ok || len(v) != 2) {
+		t.Fatalf("aligned window: ok=%v len=%d", ok, len(v))
+	} else if ok {
+		v[0] = 7
+		if backing[1] != 7 {
+			t.Fatal("view must alias the wire bytes")
+		}
+	}
+	if _, ok := WireView[float64](raw[3:19]); ok {
+		t.Fatal("misaligned window must not be viewed")
+	}
+	if v, ok := WireView[int32](nil); !ok || v != nil {
+		t.Fatal("empty wire is trivially viewable")
+	}
+}
+
+func TestWireDecodeEncodeMisaligned(t *testing.T) {
+	want := []int32{1 << 20, -5, 7}
+	wire, err := Pack([]byte{0xee}, want, 0, 3, BasicType(I32)) // payload at offset 1
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]int32, 3)
+	WireDecode(got, wire[1:])
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decode = %v", got)
+	}
+	out := make([]byte, 13)
+	WireEncode(out[1:], got)
+	if !bytes.Equal(out[1:], wire[1:]) {
+		t.Fatalf("encode = %x, want %x", out[1:], wire[1:])
+	}
+}
+
+func TestSwapElems(t *testing.T) {
+	b := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	swapElems(b, 4)
+	if !bytes.Equal(b, []byte{4, 3, 2, 1, 8, 7, 6, 5}) {
+		t.Fatalf("swapElems = %v", b)
 	}
 }

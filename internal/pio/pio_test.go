@@ -405,7 +405,7 @@ func TestTwoPhaseInterleavedStridedViews(t *testing.T) {
 		for i := range mine {
 			mine[i] = float64(c.Rank*10000 + i)
 		}
-		wire, err := dtype.EncodeDense(mine)
+		wire, err := dtype.Pack(nil, mine, 0, len(mine), dtype.BasicType(dtype.F64))
 		if err != nil {
 			return nil, err
 		}

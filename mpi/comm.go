@@ -225,10 +225,13 @@ func (c *Comm) pack(buf any, offset, count int, d *Datatype) (payload []byte, po
 	return payload, pooled, nil
 }
 
-// packColl packs for the collective layer, which fans one buffer out to
-// several peers and forwards received payloads: no slice can carry the
-// exclusive-ownership recycle promise, so collective payloads stay on
-// the allocator.
+// packColl packs for the data-movement collectives (broadcast, gather,
+// scatter, allgather, alltoall), which fan one buffer out to several
+// peers by reference and forward received payloads: such a slice cannot
+// carry the exclusive-ownership recycle promise, so these payloads stay
+// on the allocator. Reductions do not come through here — their
+// operands live in an accumulator (accum.go), and what they send are
+// single-destination copies in pooled frames.
 func (c *Comm) packColl(buf any, offset, count int, d *Datatype) ([]byte, error) {
 	payload, err := dtype.Pack(nil, buf, offset, count, d.t)
 	if err != nil {

@@ -210,6 +210,9 @@ type EngineStats struct {
 	CollSchedsStarted uint64
 	CollSchedsParked  uint64
 	CollSchedsResumed uint64
+	// CollBytesReduced counts the wire bytes this rank's reduction
+	// kernels folded, one increment per kernel call.
+	CollBytesReduced uint64
 
 	// Shared progress-pool occupancy (process-wide: one pool serves
 	// every in-process rank): workers currently executing a schedule,
@@ -249,6 +252,7 @@ func (e *Env) EngineStats() EngineStats {
 	started, _ := reg.Value("coll.scheds_started")
 	parked, _ := reg.Value("coll.scheds_parked")
 	resumed, _ := reg.Value("coll.scheds_resumed")
+	reduced, _ := reg.Value("coll.bytes_reduced")
 	po := coll.PoolStats()
 	devs := make([]DeviceStats, 0, len(s.Devices))
 	for _, d := range s.Devices {
@@ -279,6 +283,7 @@ func (e *Env) EngineStats() EngineStats {
 		CollSchedsStarted: uint64(started),
 		CollSchedsParked:  uint64(parked),
 		CollSchedsResumed: uint64(resumed),
+		CollBytesReduced:  uint64(reduced),
 		PoolWorkersBusy:   po.Busy,
 		PoolWorkersPeak:   po.PeakBusy,
 		PoolWorkersMax:    po.Max,

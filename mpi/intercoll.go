@@ -110,27 +110,29 @@ func (ic *Intercomm) Allreduce(
 	if err := checkOp(op, d); err != nil {
 		return ic.raise(err)
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
+	if _, err := dtype.CheckSection(recvbuf, roffset, count, d.t); err != nil {
+		return ic.raise(mapDataErr(err))
+	}
+	// The local reduction lands in rank 0's accumulator, which the
+	// leader exchange then ships by reference: an ordinary slice, never
+	// written again, rather than pooled or caller memory.
+	acc, err := dtype.Pack(nil, sendbuf, soffset, count, d.t)
 	if err != nil {
 		return ic.raise(mapDataErr(err))
 	}
-	red, err := ic.cl.Reduce(0, dense, op.op)
+	p, err := ic.cl.ReducePlan(0, &acc, op.op, d.t.Class())
+	if err == nil {
+		_, err = p.Run()
+	}
 	if err != nil {
 		return ic.raise(mapEngineErr(err))
 	}
-	var mine []byte
-	if ic.rank == 0 {
-		if mine, err = dtype.EncodeDense(red); err != nil {
-			return ic.raise(mapDataErr(err))
-		}
-	}
-	remoteWire, err := ic.interExchange(mine)
+	remote, err := ic.interExchange(acc)
 	if err != nil {
 		return ic.raise(mapEngineErr(err))
 	}
-	remoteDense, err := dtype.DecodeDense(remoteWire, d.t.Class())
-	if err != nil {
+	if _, err := dtype.Unpack(remote, recvbuf, roffset, count, d.t); err != nil {
 		return ic.raise(mapDataErr(err))
 	}
-	return ic.raise(depositFin(recvbuf, roffset, count, d)(remoteDense))
+	return nil
 }

@@ -709,29 +709,13 @@ func (c *Intracomm) planReduce(
 	if err := checkOp(op, d); err != nil {
 		return collPlan{}, err
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
+	a, err := c.reduceAccum(c.rank == root, sendbuf, soffset, recvbuf, roffset, count, count, d)
 	if err != nil {
-		return collPlan{}, mapDataErr(err)
+		return collPlan{}, err
 	}
-	p := collPlan{
-		run:  func() (any, error) { return c.cl.Reduce(root, dense, op.op) },
-		irun: func() (*coll.Request, error) { return c.cl.Ireduce(root, dense, op.op) },
-	}
-	if c.rank == root {
-		p.fin = depositFin(recvbuf, roffset, count, d)
-	}
-	return p, nil
-}
-
-// depositFin builds the completion deposit shared by the reduction
-// family: the folded dense result lands in the receive section.
-func depositFin(recvbuf any, roffset, count int, d *Datatype) func(res any) error {
-	return func(res any) error {
-		if err := dtype.Deposit(res, recvbuf, roffset, count, d.t); err != nil {
-			return mapDataErr(err)
-		}
-		return nil
-	}
+	return planOf(func() (*coll.Plan, error) {
+		return c.cl.ReducePlan(root, &a.b, op.op, d.t.Class())
+	}, a.fin), nil
 }
 
 // Allreduce folds count items with op, leaving the result everywhere
@@ -780,15 +764,13 @@ func (c *Intracomm) planAllreduce(
 	if err := checkOp(op, d); err != nil {
 		return collPlan{}, err
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
+	a, err := c.reduceAccum(true, sendbuf, soffset, recvbuf, roffset, count, count, d)
 	if err != nil {
-		return collPlan{}, mapDataErr(err)
+		return collPlan{}, err
 	}
-	return collPlan{
-		run:  func() (any, error) { return c.cl.Allreduce(dense, op.op) },
-		irun: func() (*coll.Request, error) { return c.cl.Iallreduce(dense, op.op), nil },
-		fin:  depositFin(recvbuf, roffset, count, d),
-	}, nil
+	return planOf(func() (*coll.Plan, error) {
+		return c.cl.AllreducePlan(&a.b, op.op, d.t.Class())
+	}, a.fin), nil
 }
 
 // ReduceScatter folds with op and scatters segments of the result:
@@ -849,15 +831,13 @@ func (c *Intracomm) planReduceScatter(
 		total += n
 		elemCounts[i] = n * d.Size()
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, total, d.t)
+	a, err := c.reduceAccum(true, sendbuf, soffset, recvbuf, roffset, recvcounts[c.rank], total, d)
 	if err != nil {
-		return collPlan{}, mapDataErr(err)
+		return collPlan{}, err
 	}
-	return collPlan{
-		run:  func() (any, error) { return c.cl.ReduceScatter(dense, elemCounts, op.op) },
-		irun: func() (*coll.Request, error) { return c.cl.IreduceScatter(dense, elemCounts, op.op) },
-		fin:  depositFin(recvbuf, roffset, recvcounts[c.rank], d),
-	}, nil
+	return planOf(func() (*coll.Plan, error) {
+		return c.cl.ReduceScatterPlan(&a.b, elemCounts, op.op, d.t.Class())
+	}, a.fin), nil
 }
 
 // Scan computes the inclusive prefix reduction in rank order (MPI_Scan).
@@ -925,8 +905,8 @@ func (c *Intracomm) Iexscan(
 }
 
 // planScan is the shared plan of Scan and Exscan; exclusive selects the
-// variant. Rank 0's Exscan result is undefined and its buffer is left
-// untouched (the schedule reports a nil result there).
+// variant. Rank 0's Exscan result is undefined: its receive buffer is
+// neither validated nor touched.
 func (c *Intracomm) planScan(
 	exclusive bool,
 	sendbuf any, soffset int, recvbuf any, roffset int,
@@ -942,31 +922,13 @@ func (c *Intracomm) planScan(
 	if err := checkOp(op, d); err != nil {
 		return collPlan{}, err
 	}
-	dense, err := dtype.Extract(sendbuf, soffset, count, d.t)
+	a, err := c.reduceAccum(!exclusive || c.rank > 0, sendbuf, soffset, recvbuf, roffset, count, count, d)
 	if err != nil {
-		return collPlan{}, mapDataErr(err)
+		return collPlan{}, err
 	}
-	deposit := depositFin(recvbuf, roffset, count, d)
-	return collPlan{
-		run: func() (any, error) {
-			if exclusive {
-				return c.cl.Exscan(dense, op.op)
-			}
-			return c.cl.Scan(dense, op.op)
-		},
-		irun: func() (*coll.Request, error) {
-			if exclusive {
-				return c.cl.Iexscan(dense, op.op), nil
-			}
-			return c.cl.Iscan(dense, op.op), nil
-		},
-		fin: func(res any) error {
-			if res == nil {
-				return nil // Exscan at rank 0
-			}
-			return deposit(res)
-		},
-	}, nil
+	return planOf(func() (*coll.Plan, error) {
+		return c.cl.ScanPlan(exclusive, &a.b, op.op, d.t.Class())
+	}, a.fin), nil
 }
 
 // Dup duplicates the communicator with fresh contexts (MPI_Comm_dup).

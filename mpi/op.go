@@ -32,6 +32,9 @@ var (
 // inout elementwise — inout[i] = op(in[i], inout[i]) — where in is the
 // operand contributed by the lower-ranked process. Both arguments are
 // dense slices of the buffer's element type ([]int32, []float64, …).
+// They may be views of library memory — a message frame, the caller's
+// own receive buffer — so the function must write only inout and must
+// not retain either slice past its return.
 type UserFunction func(in, inout any)
 
 // NewOp wraps a user-defined reduction (MPI_Op_create). Declare
@@ -44,13 +47,19 @@ func NewOp(fn UserFunction, commute bool) *Op {
 	})}
 }
 
-// checkOp validates an op against the datatype it is applied to.
+// checkOp validates an op against the datatype it is applied to —
+// including that the op's kernel table covers the datatype's storage
+// class, so a bitwise op on floats or arithmetic on BOOLEAN is refused
+// at the call, before any message moves.
 func checkOp(op *Op, d *Datatype) error {
 	if op == nil || op.op == nil {
 		return errf(ErrOp, "nil reduction operation")
 	}
 	if op.pairOnly && !d.t.IsPair() {
 		return errf(ErrOp, "MINLOC/MAXLOC require a pair datatype, got %s", d.Name())
+	}
+	if !op.op.DefinedOn(d.t.Class()) {
+		return errf(ErrOp, "%s is not defined on %s", op.op, d.Name())
 	}
 	return nil
 }

@@ -148,18 +148,31 @@ func (c *Intracomm) AllgatherInit(
 	}, nil
 }
 
-// reduceRefresh builds the per-activation re-extract of a reduction
-// family send section. The first extraction also fixes the operand
-// class the cached schedule folds with.
-func (c *Intracomm) reduceRefresh(sendbuf any, soffset, count int, d *Datatype, dense *any) func() error {
-	return func() error {
-		dv, err := dtype.Extract(sendbuf, soffset, count, d.t)
-		if err != nil {
-			return mapDataErr(err)
+// reduceInit is the shared tail of the reduction family's constructors,
+// past validation: the accumulator is built (and the receive section
+// checked) once, re-loaded from the send section at every Start, and
+// deposited at every completion; the buffers behind it are reused by
+// all activations.
+func (c *Intracomm) reduceInit(
+	recv bool, sendbuf any, soffset int, recvbuf any, roffset int,
+	count int, d *Datatype, build func(acc *[]byte) (*coll.Plan, error),
+) (*PersistentRequest, error) {
+	a, err := c.newAccum(recv, recvbuf, roffset, count, count, d, true)
+	if err == nil {
+		// Init only validates the send section; Start reads it.
+		if _, serr := dtype.CheckSection(sendbuf, soffset, count, d.t); serr != nil {
+			err = mapDataErr(serr)
 		}
-		*dense = dv
-		return nil
 	}
+	if err != nil {
+		return c.skipInit(err)
+	}
+	p, err := build(&a.b)
+	if err != nil {
+		return nil, c.raise(mapEngineErr(err))
+	}
+	refresh := func() error { return a.load(sendbuf, soffset, count) }
+	return &PersistentRequest{comm: &c.Comm, pcol: p.Persist(), refresh: refresh, fin: a.fin}, nil
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
@@ -177,20 +190,8 @@ func (c *Intracomm) ReduceInit(
 	if err != nil {
 		return c.skipInit(err)
 	}
-	var dense any
-	refresh := c.reduceRefresh(sendbuf, soffset, count, d, &dense)
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	pcol, perr := c.cl.ReduceInit(root, &dense, op.op)
-	if perr != nil {
-		return nil, c.raise(mapEngineErr(perr))
-	}
-	var fin func(res any) error
-	if c.rank == root {
-		fin = depositFin(recvbuf, roffset, count, d)
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: pcol, refresh: refresh, fin: fin}, nil
+	return c.reduceInit(c.rank == root, sendbuf, soffset, recvbuf, roffset, count, d,
+		func(acc *[]byte) (*coll.Plan, error) { return c.cl.ReducePlan(root, acc, op.op, d.t.Class()) })
 }
 
 // checkReduceInit is the shared validation of the rootless reduction
@@ -216,15 +217,8 @@ func (c *Intracomm) AllreduceInit(
 	if err := c.checkReduceInit(d, op); err != nil {
 		return c.skipInit(err)
 	}
-	var dense any
-	refresh := c.reduceRefresh(sendbuf, soffset, count, d, &dense)
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	return &PersistentRequest{
-		comm: &c.Comm, pcol: c.cl.AllreduceInit(&dense, op.op),
-		refresh: refresh, fin: depositFin(recvbuf, roffset, count, d),
-	}, nil
+	return c.reduceInit(true, sendbuf, soffset, recvbuf, roffset, count, d,
+		func(acc *[]byte) (*coll.Plan, error) { return c.cl.AllreducePlan(acc, op.op, d.t.Class()) })
 }
 
 // ScanInit builds a persistent inclusive prefix reduction
@@ -255,23 +249,6 @@ func (c *Intracomm) scanInit(
 	if err := c.checkReduceInit(d, op); err != nil {
 		return c.skipInit(err)
 	}
-	var dense any
-	refresh := c.reduceRefresh(sendbuf, soffset, count, d, &dense)
-	if err := refresh(); err != nil {
-		return c.skipInit(err)
-	}
-	var pcol *coll.Persistent
-	if exclusive {
-		pcol = c.cl.ExscanInit(&dense, op.op)
-	} else {
-		pcol = c.cl.ScanInit(&dense, op.op)
-	}
-	deposit := depositFin(recvbuf, roffset, count, d)
-	fin := func(res any) error {
-		if res == nil {
-			return nil // Exscan at rank 0
-		}
-		return deposit(res)
-	}
-	return &PersistentRequest{comm: &c.Comm, pcol: pcol, refresh: refresh, fin: fin}, nil
+	return c.reduceInit(!exclusive || c.rank > 0, sendbuf, soffset, recvbuf, roffset, count, d,
+		func(acc *[]byte) (*coll.Plan, error) { return c.cl.ScanPlan(exclusive, acc, op.op, d.t.Class()) })
 }

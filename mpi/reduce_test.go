@@ -1,0 +1,377 @@
+package mpi_test
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+
+	"gompi/mpi"
+)
+
+// reductionEntryPoints calls every reduction entry point — blocking,
+// nonblocking and persistent — with the given operands (root 0, count
+// items per ReduceScatter segment), and returns each call's error by
+// name. A nonblocking or persistent call that is accepted is driven to
+// completion, so the communicator is left clean.
+func reductionEntryPoints(w *mpi.Intracomm, send, recv any, count int, d *mpi.Datatype, op *mpi.Op) map[string]error {
+	counts := make([]int, w.Size())
+	for i := range counts {
+		counts[i] = count
+	}
+	errs := map[string]error{
+		"Reduce":        w.Reduce(send, 0, recv, 0, count, d, op, 0),
+		"Allreduce":     w.Allreduce(send, 0, recv, 0, count, d, op),
+		"Scan":          w.Scan(send, 0, recv, 0, count, d, op),
+		"ReduceScatter": w.ReduceScatter(send, 0, recv, 0, counts, d, op),
+	}
+	settle := func(name string, req mpi.AnyRequest, err error) {
+		if err == nil {
+			_, err = req.Wait()
+		}
+		errs[name] = err
+	}
+	ireq, err := w.Ireduce(send, 0, recv, 0, count, d, op, 0)
+	settle("Ireduce", ireq, err)
+	ireq, err = w.Iallreduce(send, 0, recv, 0, count, d, op)
+	settle("Iallreduce", ireq, err)
+	ireq, err = w.Iscan(send, 0, recv, 0, count, d, op)
+	settle("Iscan", ireq, err)
+	ireq, err = w.IreduceScatter(send, 0, recv, 0, counts, d, op)
+	settle("IreduceScatter", ireq, err)
+	errs["Exscan"] = w.Exscan(send, 0, recv, 0, count, d, op)
+	ireq, err = w.Iexscan(send, 0, recv, 0, count, d, op)
+	settle("Iexscan", ireq, err)
+	persist := func(name string, p *mpi.PersistentRequest, err error) {
+		if err == nil {
+			if err = p.Start(); err == nil {
+				_, err = p.Wait()
+			}
+			p.Free() //nolint:errcheck // Free never fails
+		}
+		errs[name] = err
+	}
+	p, err := w.ReduceInit(send, 0, recv, 0, count, d, op, 0)
+	persist("ReduceInit", p, err)
+	p, err = w.AllreduceInit(send, 0, recv, 0, count, d, op)
+	persist("AllreduceInit", p, err)
+	p, err = w.ScanInit(send, 0, recv, 0, count, d, op)
+	persist("ScanInit", p, err)
+	p, err = w.ExscanInit(send, 0, recv, 0, count, d, op)
+	persist("ExscanInit", p, err)
+	return errs
+}
+
+// expectAll requires every entry point to have failed with class want
+// (ErrSuccess: to have succeeded). exscan, when given, is the class
+// expected of the Exscan family instead.
+func expectAll(rank int, errs map[string]error, want mpi.ErrClass, exscan ...mpi.ErrClass) error {
+	for name, err := range errs {
+		class := want
+		if len(exscan) > 0 && (name == "Exscan" || name == "Iexscan" || name == "ExscanInit") {
+			class = exscan[0]
+		}
+		if mpi.ClassOf(err) != class {
+			return fmt.Errorf("rank %d %s: %v, want class %v", rank, name, err, class)
+		}
+	}
+	return nil
+}
+
+// TestReductionOpClassCheckedAtCall: an operation outside its kernel
+// table's classes is MPI_ERR_OP on every reduction entry point and on
+// every member, raised at the call — the boxed path ran the first
+// exchange and then failed mid-schedule with MPI_ERR_INTERN — and the
+// instance numbering stays aligned for the collectives that follow.
+func TestReductionOpClassCheckedAtCall(t *testing.T) {
+	err := mpi.Run(3, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		cases := []struct {
+			send, recv any
+			d          *mpi.Datatype
+			op         *mpi.Op
+		}{
+			{[]float64{1}, []float64{0}, mpi.DOUBLE, mpi.BAND},
+			{[]float32{1}, []float32{0}, mpi.FLOAT, mpi.BXOR},
+			{[]float64{1}, []float64{0}, mpi.DOUBLE, mpi.LOR},
+			{[]bool{true}, []bool{false}, mpi.BOOLEAN, mpi.SUM},
+			{[]bool{true}, []bool{false}, mpi.BOOLEAN, mpi.MAX},
+			{[]any{"x"}, []any{nil}, mpi.OBJECT, mpi.PROD},
+		}
+		for i, tc := range cases {
+			errs := reductionEntryPoints(w, tc.send, tc.recv, 1, tc.d, tc.op)
+			if err := expectAll(w.Rank(), errs, mpi.ErrOp); err != nil {
+				return fmt.Errorf("case %d (%s): %w", i, tc.d.Name(), err)
+			}
+		}
+		in, out := []int32{int32(w.Rank())}, []int32{0}
+		if err := w.Allreduce(in, 0, out, 0, 1, mpi.INT, mpi.BOR); err != nil {
+			return err
+		}
+		if out[0] != 3 {
+			return fmt.Errorf("rank %d: allreduce after refused calls = %d", w.Rank(), out[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReductionRecvSectionCheckedAtCall: a receive section too small
+// for the result is MPI_ERR_BUFFER at the call on every entry point
+// where the section is significant, not after the rounds have run. The
+// probes run on COMM_SELF, where every member is the root and a refused
+// call leaves no peer waiting; Exscan, whose rank 0 has no result and so
+// accepts any section, is also probed on the world: ranks ≥ 1 refuse,
+// rank 0 only ever sends.
+func TestReductionRecvSectionCheckedAtCall(t *testing.T) {
+	err := mpi.Run(3, func(env *mpi.Env) error {
+		w, self := env.CommWorld(), env.CommSelf()
+		send := []float64{1, 2, 3, 4}
+		if err := expectAll(w.Rank(), reductionEntryPoints(self, send, make([]float64, 2), 4, mpi.DOUBLE, mpi.SUM), mpi.ErrBuffer, mpi.ErrSuccess); err != nil {
+			return err
+		}
+		if err := expectAll(w.Rank(), reductionEntryPoints(self, send, []int32{0, 0, 0, 0}, 4, mpi.DOUBLE, mpi.SUM), mpi.ErrType, mpi.ErrSuccess); err != nil {
+			return err
+		}
+		want := mpi.ErrBuffer
+		if w.Rank() == 0 {
+			want = mpi.ErrSuccess
+		}
+		if err := w.Exscan(send, 0, make([]float64, 2), 0, 4, mpi.DOUBLE, mpi.SUM); mpi.ClassOf(err) != want {
+			return fmt.Errorf("rank %d exscan into a short section: %v, want class %v", w.Rank(), err, want)
+		}
+		// Where the section is not significant it is not looked at:
+		// non-roots of Reduce and rank 0 of Exscan may pass anything.
+		if err := w.Reduce(send, 0, nil, 0, 4, mpi.DOUBLE, mpi.SUM, 0); w.Rank() != 0 && err != nil {
+			return fmt.Errorf("rank %d reduce with nil recvbuf: %v", w.Rank(), err)
+		}
+		if err := w.Exscan(send, 0, nil, 0, 4, mpi.DOUBLE, mpi.SUM); w.Rank() == 0 && err != nil {
+			return fmt.Errorf("rank 0 exscan with nil recvbuf: %v", err)
+		}
+		out := make([]float64, 4)
+		if err := w.Allreduce(send, 0, out, 0, 4, mpi.DOUBLE, mpi.SUM); err != nil {
+			return err
+		}
+		if out[3] != 12 {
+			return fmt.Errorf("rank %d: allreduce after refused calls = %v", w.Rank(), out)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReductionInPlaceAndEmpty: the send and receive sections may be
+// the same memory (the accumulator is the receive section itself), and
+// a zero-count reduction completes on every entry point.
+func TestReductionInPlaceAndEmpty(t *testing.T) {
+	err := mpi.Run(4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		buf := []float64{9, float64(w.Rank()), 1, 9}
+		if err := w.Allreduce(buf, 1, buf, 1, 2, mpi.DOUBLE, mpi.SUM); err != nil {
+			return err
+		}
+		if buf[0] != 9 || buf[1] != 6 || buf[2] != 4 || buf[3] != 9 {
+			return fmt.Errorf("rank %d: in-place allreduce = %v", w.Rank(), buf)
+		}
+		scan := []int32{int32(w.Rank() + 1)}
+		if err := w.Scan(scan, 0, scan, 0, 1, mpi.INT, mpi.PROD); err != nil {
+			return err
+		}
+		want := int32(1)
+		for r := 1; r <= w.Rank()+1; r++ {
+			want *= int32(r)
+		}
+		if scan[0] != want {
+			return fmt.Errorf("rank %d: in-place scan = %d, want %d", w.Rank(), scan[0], want)
+		}
+		// A strided receive section cannot be the accumulator; the
+		// deposit goes through the typemap and leaves the holes alone.
+		col, err := mpi.TypeVector(2, 1, 2, mpi.DOUBLE)
+		if err != nil {
+			return err
+		}
+		col.Commit()
+		strided := []float64{float64(w.Rank()), -1, 1, -1}
+		if err := w.Allreduce(strided, 0, strided, 0, 1, col, mpi.MAX); err != nil {
+			return err
+		}
+		if strided[0] != 3 || strided[1] != -1 || strided[2] != 1 || strided[3] != -1 {
+			return fmt.Errorf("rank %d: strided in-place allreduce = %v", w.Rank(), strided)
+		}
+		empty := []float64{}
+		return expectAll(w.Rank(), reductionEntryPoints(w, empty, empty, 0, mpi.DOUBLE, mpi.SUM), mpi.ErrSuccess)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAllreduceAllocationBudget: after warm-up a blocking 256 KiB
+// allreduce allocates a few kilobytes of bookkeeping per op across all
+// four ranks — no operand-sized buffer anywhere (the any-boxed path
+// allocated 8.4 MB here).
+func TestAllreduceAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled frames at random")
+	}
+	const count, warm, ops = 32 << 10, 10, 50
+	var before, after runtime.MemStats
+	err := mpi.Run(4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		send, recv := make([]float64, count), make([]float64, count)
+		loop := func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+					return err
+				}
+			}
+			return w.Barrier()
+		}
+		if err := loop(warm); err != nil {
+			return err
+		}
+		if w.Rank() == 0 {
+			runtime.ReadMemStats(&before)
+		}
+		if err := loop(ops); err != nil {
+			return err
+		}
+		if w.Rank() == 0 {
+			runtime.ReadMemStats(&after)
+		}
+		return w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// TotalAlloc is process-wide: every rank's allocations, plus one
+	// barrier's, land in the delta.
+	if perOp := (after.TotalAlloc - before.TotalAlloc) / ops; perOp > 16<<10 {
+		t.Fatalf("allreduce of %d doubles allocates %d B/op over 4 ranks, budget 16 KiB", count, perOp)
+	}
+}
+
+// TestAllreduceBackToBackSlowRank: 200 allreduces with one rank
+// dawdling between calls, so its partners are always a call ahead — the
+// interleaving in which a sent-by-reference accumulator would be folded
+// into while the slow rank still reads it. Run under -race; the values
+// change every call so a stale or torn operand shows in the sums too.
+func TestAllreduceBackToBackSlowRank(t *testing.T) {
+	const count, calls = 4 << 10, 200
+	err := mpi.Run(4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		buf := make([]float64, count)
+		for call := 0; call < calls; call++ {
+			for i := range buf {
+				buf[i] = float64(call + w.Rank())
+			}
+			if w.Rank() == 2 && call%8 == 0 {
+				time.Sleep(200 * time.Microsecond)
+			}
+			if err := w.Allreduce(buf, 0, buf, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+				return err
+			}
+			if want := float64(4*call + 6); buf[0] != want || buf[count-1] != want {
+				return fmt.Errorf("rank %d call %d: %v … %v, want %v", w.Rank(), call, buf[0], buf[count-1], want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBytesReducedPerfVar: one 4-rank 256 KiB allreduce folds the
+// operand twice on every rank (two rounds of recursive doubling), and
+// the count surfaces through both PerfVar and EngineStats.
+func TestBytesReducedPerfVar(t *testing.T) {
+	const count = 32 << 10
+	err := mpi.Run(4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		send, recv := make([]float64, count), make([]float64, count)
+		before := env.EngineStats().CollBytesReduced
+		if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+			return err
+		}
+		after := env.EngineStats().CollBytesReduced
+		if got := after - before; got != 2*8*count {
+			return fmt.Errorf("rank %d: coll.bytes_reduced grew by %d, want %d", w.Rank(), got, 2*8*count)
+		}
+		if v, ok := env.PerfVar("coll.bytes_reduced"); !ok || uint64(v) != after {
+			return fmt.Errorf("rank %d: PerfVar(coll.bytes_reduced) = %d, %v; EngineStats says %d", w.Rank(), v, ok, after)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestObjectReductions: OBJECT operands (gob on the wire, so every fold
+// changes the payload's size) ride the same schedules through the
+// user-operation adaptor — here string concatenation, non-commutative,
+// so rank order shows in the result.
+func TestObjectReductions(t *testing.T) {
+	concat := mpi.NewOp(func(in, inout any) {
+		a, b := in.([]any), inout.([]any)
+		for i := range b {
+			b[i] = a[i].(string) + b[i].(string)
+		}
+	}, false)
+	err := mpi.Run(4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		tagOf := func(r int) string { return string(rune('a' + r)) }
+		mine := []any{tagOf(w.Rank()), tagOf(w.Rank()) + "!", tagOf(w.Rank()) + "?", "-"}
+		all := "abcd"
+		upTo := all[:w.Rank()+1]
+
+		out := make([]any, 4)
+		if err := w.Allreduce(mine, 0, out, 0, 4, mpi.OBJECT, concat); err != nil {
+			return err
+		}
+		if out[0] != all || out[1] != "a!b!c!d!" || out[3] != "----" {
+			return fmt.Errorf("rank %d: object allreduce = %v", w.Rank(), out)
+		}
+		out = make([]any, 4)
+		if err := w.Reduce(mine, 0, out, 0, 4, mpi.OBJECT, concat, 2); err != nil {
+			return err
+		}
+		if w.Rank() == 2 && out[0] != all {
+			return fmt.Errorf("object reduce at root = %v", out)
+		}
+		out = make([]any, 4)
+		if err := w.Scan(mine, 0, out, 0, 4, mpi.OBJECT, concat); err != nil {
+			return err
+		}
+		if out[0] != upTo {
+			return fmt.Errorf("rank %d: object scan = %v, want %q", w.Rank(), out, upTo)
+		}
+		out = make([]any, 4)
+		if err := w.Exscan(mine, 0, out, 0, 4, mpi.OBJECT, concat); err != nil {
+			return err
+		}
+		if w.Rank() > 0 && out[0] != all[:w.Rank()] {
+			return fmt.Errorf("rank %d: object exscan = %v", w.Rank(), out)
+		}
+		if w.Rank() == 0 && out[0] != nil {
+			return fmt.Errorf("rank 0: exscan touched the receive buffer: %v", out)
+		}
+		seg := make([]any, 1)
+		if err := w.ReduceScatter(mine, 0, seg, 0, []int{1, 1, 1, 1}, mpi.OBJECT, concat); err != nil {
+			return err
+		}
+		want := []string{all, "a!b!c!d!", "a?b?c?d?", "----"}[w.Rank()]
+		if seg[0] != want {
+			return fmt.Errorf("rank %d: object reduce_scatter = %v, want %q", w.Rank(), seg, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

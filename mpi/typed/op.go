@@ -58,10 +58,11 @@ func BXor[T Integer]() Op[T] { return Op[T]{mpi.BXOR} }
 // OpFunc wraps a user-defined reduction over typed dense slices
 // (MPI_Op_create): fn must fold in into inout elementwise,
 // inout[i] = op(in[i], inout[i]), with in contributed by the
-// lower-ranked process. The slices reach fn without boxing — they are
-// the runtime's dense operand buffers, type-asserted once per fold.
-// Declare commutativity honestly: non-commutative operations reduce
-// strictly in rank order, at extra cost.
+// lower-ranked process. The slices reach fn without copying — they are
+// typed views of the runtime's operand bytes (a message frame, your own
+// receive buffer), type-asserted once per fold — so write only inout
+// and retain neither. Declare commutativity honestly: non-commutative
+// operations reduce strictly in rank order, at extra cost.
 func OpFunc[T Primitive](fn func(in, inout []T), commute bool) Op[T] {
 	return Op[T]{mpi.NewOp(func(in, inout any) {
 		fn(in.([]T), inout.([]T))

@@ -212,8 +212,9 @@ func BcastInit[T any](c CommInit, buf []T, root int) (*PersistentRequest[T], err
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
 // activation folds the members' send slices, re-read at Start, into
 // root's recv slice at completion. The Primitive constraint keeps
-// reductions on dense native buffers — no boxing, so a steady-state
-// activation allocates nothing beyond the runtime's wire buffers.
+// reductions on native buffers — no boxing, and the runtime folds
+// straight into recv's memory, so a steady-state activation allocates
+// only schedule bookkeeping.
 func ReduceInit[T Primitive](c CommInit, send, recv []T, op Op[T], root int) (*PersistentRequest[T], error) {
 	p, err := c.ReduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
 	if err != nil {

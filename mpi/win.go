@@ -220,10 +220,6 @@ func (w *Win) checkTarget(kind byte, disp, count, payloadLen int) error {
 }
 
 func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
-	incoming, err := dtype.DecodeDense(payload, w.dt.t.Class())
-	if err != nil {
-		return err
-	}
 	w.winMu.Lock()
 	defer w.winMu.Unlock()
 	if code == accCodes[REPLACE] {
@@ -234,14 +230,23 @@ func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
 	if !ok {
 		return errf(ErrOp, "unknown accumulate op code %d", code)
 	}
-	section, err := dtype.Extract(w.base, disp, count, w.dt.t)
+	k, err := op.op.Kernel(w.dt.t.Class())
+	if err != nil {
+		return errf(ErrOp, "%v", err)
+	}
+	// The window section is both operand and destination: an
+	// accumulator over it (the section's own memory wherever that is
+	// its wire image), folded with the origin's contribution.
+	a, err := w.comm.reduceAccum(true, w.base, disp, w.base, disp, count, count, w.dt)
 	if err != nil {
 		return err
 	}
-	if err := op.op.Apply(incoming, section); err != nil {
+	res, err := k(payload, a.b, false)
+	if err != nil {
+		a.release()
 		return err
 	}
-	return dtype.Deposit(section, w.base, disp, count, w.dt.t)
+	return a.fin(res)
 }
 
 func (w *Win) ack(targetGroupRank int, id uint32, payload []byte) {
@@ -323,6 +328,11 @@ func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, tar
 	code, ok := accCodes[op]
 	if !ok {
 		return w.comm.raise(errf(ErrOp, "Accumulate requires a predefined operation or REPLACE"))
+	}
+	if op != REPLACE {
+		if err := checkOp(op, d); err != nil {
+			return w.comm.raise(err)
+		}
 	}
 	payload, err := dtype.Pack(nil, origin, offset, count, d.t)
 	if err != nil {
