@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -232,9 +233,9 @@ func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
 // addScatterSteps schedules the binomial-tree scatter of *parts
 // (indexed by group rank, significant at root); at completion *out
 // holds this member's block. Blocks may have different sizes, so the
-// same schedule serves Scatterv. The public entry points validate the
-// root's parts length at build time; composed schedules construct
-// *parts mid-run, so the root step re-checks.
+// same schedule serves Scatterv. *parts is read when the schedule runs
+// (composed schedules construct it mid-run), so that is when the root
+// step checks its length.
 func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte) {
 	tag := s.tag(tagScatter)
 	vr := rel(c.Rank, root, c.Size)
@@ -342,195 +343,125 @@ func (c *Comm) addAlltoallStepsFam(s *sched, family int, parts [][]byte, out *[]
 }
 
 // ---------------------------------------------------------------------
-// Entry points. Every collective has a nonblocking I* form returning a
-// *Request and a blocking form that runs the identical schedule inline.
+// Entry points: one plan constructor per collective (the reduction
+// family's are in reduce.go). The returned Plan runs blocking (Run),
+// nonblocking (Start) or persistently (Persist). Inputs are bound by
+// reference and re-read by every activation; each constructor mints the
+// collective's instance before validating, like every collective call.
 // ---------------------------------------------------------------------
 
-// Ibarrier starts a nonblocking barrier: the returned request completes
-// once every member has entered the matching Ibarrier/Barrier call.
-func (c *Comm) Ibarrier() *Request {
-	s := c.newSched()
-	c.addBarrierSteps(s)
-	return s.start()
+// BarrierPlan builds the barrier: it completes once every member has
+// entered its matching barrier.
+func (c *Comm) BarrierPlan() *Plan {
+	p := c.NewPlan()
+	c.addBarrierSteps(p.s)
+	return p
 }
 
-// Barrier blocks until every member has entered it.
-func (c *Comm) Barrier() error {
-	s := c.newSched()
-	c.addBarrierSteps(s)
-	_, err := s.runInline()
-	return err
-}
-
-func (c *Comm) bcastSched(root int, data []byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+// BcastPlan builds the broadcast of root's *data along a binomial tree;
+// the plan's result is the payload ([]byte) on every member (the root
+// gets its own slice back).
+func (c *Comm) BcastPlan(root int, data *[]byte) (*Plan, error) {
+	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	buf := data
-	c.addBcastSteps(s, root, &buf)
-	s.publish(func() any { return buf })
-	return s, nil
+	c.addBcastSteps(p.s, root, data)
+	p.Publish(func() any { return *data })
+	return p, nil
 }
 
-// Ibcast starts a nonblocking broadcast of root's payload; the
-// completed request's result is the payload ([]byte) on every member.
-func (c *Comm) Ibcast(root int, data []byte) (*Request, error) {
-	s, err := c.bcastSched(root, data)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(), nil
-}
-
-// Bcast distributes root's payload to every member along a binomial
-// tree and returns it (the root gets its own slice back).
-func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	s, err := c.bcastSched(root, data)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.runInline()
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
-func (c *Comm) gatherSched(root int, mine []byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+// GatherPlan builds the gather of every member's *mine toward root
+// along a binomial tree; the plan's result is the blocks indexed by
+// group rank ([][]byte) at root, nil elsewhere.
+func (c *Comm) GatherPlan(root int, mine *[]byte) (*Plan, error) {
+	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	in := mine
 	var blocks [][]byte
-	c.addGatherSteps(s, root, &in, &blocks)
-	s.publish(func() any { return blocks })
-	return s, nil
+	c.addGatherSteps(p.s, root, mine, &blocks)
+	p.Publish(func() any { return blocks })
+	return p, nil
 }
 
-// Igather starts a nonblocking gather; the completed request's result
-// is the per-rank blocks ([][]byte) at root, nil elsewhere.
-func (c *Comm) Igather(root int, mine []byte) (*Request, error) {
-	s, err := c.gatherSched(root, mine)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(), nil
-}
-
-// Gather collects every member's block at root along a binomial tree.
-// At root the result is indexed by group rank; other ranks get nil.
-func (c *Comm) Gather(root int, mine []byte) ([][]byte, error) {
-	s, err := c.gatherSched(root, mine)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.runInline()
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]byte), nil
-}
-
-func (c *Comm) scatterSched(root int, parts [][]byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+// ScatterPlan builds the scatter of *parts (indexed by group rank,
+// significant at root only) along a binomial tree; the plan's result is
+// this member's block ([]byte); a root whose *parts does not hold one
+// block per member fails the activation. Blocks may have different
+// sizes, so the plan doubles as Scatterv.
+func (c *Comm) ScatterPlan(root int, parts *[][]byte) (*Plan, error) {
+	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	if c.Rank == root && len(parts) != c.Size {
-		return nil, fmt.Errorf("coll: scatter with %d parts for %d ranks", len(parts), c.Size)
-	}
-	p := parts
 	var out []byte
-	c.addScatterSteps(s, root, &p, &out)
-	s.publish(func() any { return out })
-	return s, nil
+	c.addScatterSteps(p.s, root, parts, &out)
+	p.Publish(func() any { return out })
+	return p, nil
 }
 
-// Iscatter starts a nonblocking scatter of parts (indexed by group
-// rank, significant at root only); the completed request's result is
-// this member's block ([]byte).
-func (c *Comm) Iscatter(root int, parts [][]byte) (*Request, error) {
-	s, err := c.scatterSched(root, parts)
-	if err != nil {
-		return nil, err
-	}
-	return s.start(), nil
-}
-
-// Scatter distributes parts along a binomial tree; every member returns
-// its own block. Blocks may have different sizes, so Scatter doubles as
-// Scatterv.
-func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	s, err := c.scatterSched(root, parts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.runInline()
-	if err != nil {
-		return nil, err
-	}
-	return res.([]byte), nil
-}
-
-func (c *Comm) allgatherSched(mine []byte) *sched {
-	s := c.newSched()
-	in := mine
+// AllgatherPlan builds the ring allgather of every member's *mine; the
+// plan's result is every member's block ([][]byte). Blocks may differ
+// in size (Allgatherv).
+func (c *Comm) AllgatherPlan(mine *[]byte) *Plan {
+	p := c.NewPlan()
 	var blocks [][]byte
-	c.addAllgatherSteps(s, &in, &blocks)
-	s.publish(func() any { return blocks })
-	return s
+	c.addAllgatherSteps(p.s, mine, &blocks)
+	p.Publish(func() any { return blocks })
+	return p
 }
 
-// Iallgather starts a nonblocking allgather; the completed request's
-// result is every member's block ([][]byte).
-func (c *Comm) Iallgather(mine []byte) *Request {
-	return c.allgatherSched(mine).start()
-}
-
-// Allgather collects every member's block at every member.
-func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
-	res, err := c.allgatherSched(mine).runInline()
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]byte), nil
-}
-
-func (c *Comm) alltoallSched(parts [][]byte) (*sched, error) {
-	s := c.newSched() // mint the instance before validation
+// AlltoallPlan builds the pairwise exchange: parts[j] reaches member j,
+// and the plan's result is the blocks received from every member
+// ([][]byte). parts must be sized to the communicator; its elements are
+// read when the schedule runs. Block sizes may vary (Alltoallv).
+func (c *Comm) AlltoallPlan(parts [][]byte) (*Plan, error) {
+	p := c.NewPlan() // mint the instance before validation
 	if len(parts) != c.Size {
 		return nil, fmt.Errorf("coll: alltoall with %d parts for %d ranks", len(parts), c.Size)
 	}
 	var out [][]byte
-	c.addAlltoallSteps(s, parts, &out)
-	s.publish(func() any { return out })
-	return s, nil
+	c.addAlltoallSteps(p.s, parts, &out)
+	p.Publish(func() any { return out })
+	return p, nil
 }
 
-// Ialltoall starts a nonblocking alltoall; the completed request's
-// result is the blocks received from every member ([][]byte).
-func (c *Comm) Ialltoall(parts [][]byte) (*Request, error) {
-	s, err := c.alltoallSched(parts)
+// runAs runs a freshly built plan on the calling goroutine and returns
+// its result as a T: the body of the byte-level blocking conveniences
+// below, which the runtime uses for its own agreements (communicator
+// construction, file open/close, dynamic-process joins, Finalize).
+func runAs[T any](p *Plan, err error) (res T, _ error) {
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	return s.start(), nil
+	v, err := p.Run(context.Background())
+	if err == nil {
+		res, _ = v.(T)
+	}
+	return res, err
 }
 
-// Alltoall delivers parts[j] to member j and returns the blocks
-// received from every member.
-func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	s, err := c.alltoallSched(parts)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.runInline()
-	if err != nil {
-		return nil, err
-	}
-	return res.([][]byte), nil
+// Barrier blocks until every member has entered it.
+func (c *Comm) Barrier() error {
+	_, err := runAs[any](c.BarrierPlan(), nil)
+	return err
+}
+
+// Bcast distributes root's payload to every member and returns it.
+func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
+	return runAs[[]byte](c.BcastPlan(root, &data))
+}
+
+// Gather collects every member's block at root, indexed by group rank;
+// other ranks get nil.
+func (c *Comm) Gather(root int, mine []byte) ([][]byte, error) {
+	return runAs[[][]byte](c.GatherPlan(root, &mine))
+}
+
+// Allgather collects every member's block at every member.
+func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
+	return runAs[[][]byte](c.AllgatherPlan(&mine), nil)
 }
 
 // AgreeContextBase agrees on a context-id base for a new communicator:

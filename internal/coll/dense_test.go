@@ -1,11 +1,17 @@
 package coll
 
-import "gompi/internal/dtype"
+import (
+	"context"
 
-// Dense-slice conveniences over the byte-native reduction plans, for
-// tests that think in []int32 and []float64: pack the contribution,
-// build the plan, and republish its wire result as a fresh dense slice
-// (nil where the collective defines no result).
+	"gompi/internal/dtype"
+)
+
+// Test-only entry points over the plan constructors. The reduction
+// family's are dense-slice conveniences for tests that think in []int32
+// and []float64: pack the contribution, build the plan, and republish
+// its wire result as a fresh dense slice (nil where the collective
+// defines no result). The data-movement family's are the blocking and
+// I* forms the runtime itself has no caller for.
 
 func densePlan(c *Comm, mine any, build func(acc *[]byte, cls dtype.Class) (*Plan, error)) (*Plan, error) {
 	cls, _ := dtype.ClassOf(mine)
@@ -68,7 +74,7 @@ func run(p *Plan, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Run()
+	return p.Run(context.Background())
 }
 
 func start(p *Plan, err error) *Request {
@@ -97,3 +103,23 @@ func (c *Comm) Iallreduce(mine any, op *Op) *Request { return start(c.allreduceP
 func (c *Comm) Iscan(mine any, op *Op) *Request { return start(c.scanPlanDense(false, mine, op)) }
 
 func (c *Comm) Iexscan(mine any, op *Op) *Request { return start(c.scanPlanDense(true, mine, op)) }
+
+func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
+	return runAs[[]byte](c.ScatterPlan(root, &parts))
+}
+
+func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
+	return runAs[[][]byte](c.AlltoallPlan(parts))
+}
+
+func (c *Comm) Ibarrier() *Request { return c.BarrierPlan().Start() }
+
+func (c *Comm) Ibcast(root int, data []byte) (*Request, error) {
+	p, err := c.BcastPlan(root, &data)
+	if err != nil {
+		return nil, err
+	}
+	return p.Start(), nil
+}
+
+func (c *Comm) Iallgather(mine []byte) *Request { return c.AllgatherPlan(&mine).Start() }

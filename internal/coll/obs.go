@@ -14,8 +14,8 @@ import (
 type commObs struct {
 	once    sync.Once
 	started *obs.Counter // schedule activations armed
-	parked  *obs.Counter // times a schedule gave its worker back
-	resumed *obs.Counter // times a parked schedule was re-enqueued
+	parked  *obs.Counter // times an activation had to wait for a message, whoever drives it
+	resumed *obs.Counter // times a parked activation was woken again
 	reduced *obs.Counter // bytes folded by reduction kernels, one bump per kernel call
 	schedNs *obs.Timing  // activation wall time, arm to finish
 }

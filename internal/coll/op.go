@@ -4,16 +4,22 @@
 // alltoall, recursive-doubling allreduce, linear-chain scan, and the
 // reduction kernels they share.
 //
-// Every algorithm is compiled into a schedule of post/consume/compute
-// steps (sched.go). Blocking entry points run the schedule inline on the
-// caller's goroutine; nonblocking and persistent ones hand it to a
-// process-wide progress pool (pool.go), where a schedule that reaches
-// an unarrived message parks — occupying no goroutine — until the
-// engine's completion callback re-enqueues it. Cancellation points
-// therefore live inside the algorithm rounds, not just the
-// point-to-point wait path. Tags carry a per-instance sequence number,
-// letting any number of collectives on one communicator overlap in
-// flight without cross-matching.
+// Every collective is declared once, as a constructor returning a Plan
+// (BarrierPlan, BcastPlan, GatherPlan, ScatterPlan, AllgatherPlan,
+// AlltoallPlan, ReducePlan, AllreducePlan, ScanPlan, ReduceScatterPlan;
+// NewPlan composes custom ones), and a Plan has three forms: Run
+// (blocking), Start (nonblocking) and Persist (re-runnable).
+//
+// One executor runs them all. The algorithm is compiled into a schedule
+// of post/consume/compute steps (sched.go) that never blocks: where it
+// reaches an unarrived message it parks, and the engine's completion
+// callback resumes it. Run resumes it on the goroutine that called,
+// which sleeps meanwhile; Start and Persist resume it on a process-wide
+// progress pool (pool.go), so a waiting schedule occupies no goroutine.
+// Cancellation points therefore live inside the algorithm rounds, not
+// just the point-to-point wait path. Tags carry a per-instance sequence
+// number, letting any number of collectives on one communicator overlap
+// in flight without cross-matching.
 //
 // Reductions are byte-native: operands stay in wire format from the
 // caller's buffer to the result, and each schedule folds them with a

@@ -1,11 +1,18 @@
 package coll
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
-// Plan composes a custom collective schedule from the engine's
-// primitives: local compute steps interleaved with collective exchange
-// rounds, all running as one schedule instance — so the composition
-// inherits the engine's nonblocking Start form, cancellation points and
+// Plan is a collective, compiled but not yet run: one schedule instance
+// with three ways to execute it — Run (blocking, on the caller), Start
+// (nonblocking, on the shared progress pool) and Persist (re-runnable).
+// Every collective of this package is declared once, as a constructor
+// returning its Plan (BarrierPlan … ReduceScatterPlan); NewPlan composes
+// custom ones from the same primitives — local compute steps
+// interleaved with collective exchange rounds — and the composition
+// inherits the three forms, the cancellation points and the
 // per-instance tag isolation for free. The parallel I/O layer builds
 // its two-phase collective reads and writes this way.
 //
@@ -42,9 +49,9 @@ func (p *Plan) nextFam() int {
 	return f
 }
 
-// Step appends a local compute step. Steps run in order on the
-// schedule's executor (the caller for Run, a pool worker for Start); an
-// error aborts the schedule.
+// Step appends a local compute step. Steps run in order on whichever
+// goroutine drives the schedule (the caller for Run, a pool worker for
+// Start); an error aborts the schedule.
 func (p *Plan) Step(fn func() error) { p.s.step(fn) }
 
 // Alltoall appends a pairwise exchange round: parts[j] reaches member
@@ -71,16 +78,19 @@ func (p *Plan) Allgather(mine []byte, out *[][]byte) {
 // what Run returns and what a started Request completes with.
 func (p *Plan) Publish(get func() any) { p.s.publish(get) }
 
-// Run executes the composed schedule inline to completion on the
-// calling goroutine (the blocking form).
-func (p *Plan) Run() (any, error) { return p.s.runInline() }
+// Run executes the schedule to completion, driven by the calling
+// goroutine (the blocking form): the caller sleeps wherever the schedule
+// waits for a message. When ctx fires first the schedule is cancelled
+// at its next cancellation point and Run returns ctx's error, under the
+// contract Request.WaitCtx documents.
+func (p *Plan) Run(ctx context.Context) (any, error) { return p.s.drive(ctx) }
 
-// Start launches the composed schedule on the shared progress pool and
-// returns its request (the nonblocking form), with cancellation points
-// at every exchange wait.
+// Start launches the schedule on the shared progress pool and returns
+// its request (the nonblocking form); a waiting schedule occupies no
+// goroutine.
 func (p *Plan) Start() *Request { return p.s.start() }
 
-// Persist freezes the composed schedule into a persistent operation
+// Persist freezes the schedule into a persistent operation
 // (the MPI-4 *_init form): every Start of the result re-runs it, with
 // the plan's pre-minted tags, against whatever its steps read through
 // their bound pointers at that time. A persisted plan must not also be

@@ -1,20 +1,13 @@
 package coll
 
 import (
-	"os"
 	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// forcePool routes the blocking collective entry points through the
-// shared progress pool too (instead of their inline executor), so one
-// environment switch drives every collective test through the
-// park/resume machinery. CI runs the conformance suite this way.
-var forcePool = os.Getenv("GOMPI_COLL_POOL") == "force"
-
-// progressPool executes collective schedules on a small shared set of
-// workers, O(cores) for the whole process no matter how many
+// progressPool executes started and persistent collective schedules on
+// a small shared set of workers, O(cores) for the whole process no matter how many
 // communicators or in-flight collectives exist. Schedules never block a
 // worker waiting for a message: they park (see sched.park) and are
 // re-enqueued by the engine's completion callback, so a bounded worker

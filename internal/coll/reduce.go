@@ -254,10 +254,8 @@ func splitWire(wire []byte, counts []int, cls dtype.Class) ([][]byte, error) {
 }
 
 // ---------------------------------------------------------------------
-// Entry points: one plan constructor per collective. The returned Plan
-// runs inline (Run), nonblocking (Start) or persistently (Persist).
-// Each constructor mints the collective's instance before validating,
-// like every collective call.
+// Entry points: one plan constructor per reduction collective, under
+// the same conventions as the data-movement constructors in coll.go.
 // ---------------------------------------------------------------------
 
 // ReducePlan builds the reduction of every member's *acc toward root
@@ -370,11 +368,7 @@ func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 		c.SkipInstance()
 		return nil, err
 	}
-	p, err := c.AllreducePlan(&acc, op, cls)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.Run(); err != nil {
+	if _, err := runAs[any](c.AllreducePlan(&acc, op, cls)); err != nil {
 		return nil, err
 	}
 	if !direct {

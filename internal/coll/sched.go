@@ -23,13 +23,12 @@ var ErrActive = errors.New("coll: previous activation still in progress")
 // Request is a handle on an in-flight collective schedule. It completes
 // exactly once, with the algorithm's result (shape depends on the
 // collective) or an error; Wait, Test and WaitCtx may be called from any
-// goroutine, concurrently. Requests handed out by the nonblocking entry
-// points always carry their channels; schedules run inline keep them
-// nil and never escape.
+// goroutine, concurrently. Requests handed out by Start always carry
+// their done channel; a schedule driven by Plan.Run keeps it nil — that
+// request never escapes.
 type Request struct {
-	done     chan struct{}
-	cancelCh chan struct{}
-	cancel   sync.Once
+	done      chan struct{}
+	cancelled atomic.Bool
 
 	// s is the schedule this request completes; cancellation pokes it so
 	// a parked schedule wakes up and observes the cancel.
@@ -88,12 +87,7 @@ func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 	case <-r.done:
 		return r.res, r.err
 	case <-ctx.Done():
-		r.cancel.Do(func() {
-			close(r.cancelCh)
-			if r.s != nil {
-				r.s.cancelGated()
-			}
-		})
+		r.cancel()
 		<-r.done
 		switch {
 		case r.err == nil:
@@ -106,6 +100,15 @@ func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 			// mask it as a clean timeout.
 			return nil, r.err
 		}
+	}
+}
+
+// cancel marks the activation cancelled and pokes whatever its schedule
+// is parked on, so the executor wakes, observes the mark at its next
+// cancellation point and tears the schedule down.
+func (r *Request) cancel() {
+	if r.cancelled.CompareAndSwap(false, true) {
+		r.s.cancelGated()
 	}
 }
 
@@ -136,9 +139,14 @@ type step struct {
 // algorithm compiled into, the progress state they share, and the sends
 // still in flight. A schedule is built synchronously inside the
 // collective call (so tag allocation happens in program order on every
-// member) and then executed either inline (blocking entry points) or on
-// the shared progress pool (nonblocking and persistent entry points),
-// parking — not blocking a worker — whenever it waits for a message.
+// member) and executed by run, the one step loop. Where the schedule
+// must wait for a message it parks (see park), and what parking means
+// is the only thing that differs between the forms: a started or
+// persistent schedule gives its pool worker back — it occupies no
+// goroutine until the completion callback of the last operation it
+// waits for re-enqueues it, and run continues at the same program
+// counter — while a schedule driven by Plan.Run simply puts the
+// goroutine that called to sleep on those operations.
 type sched struct {
 	c      *Comm
 	inst   uint32 // this collective instance's sequence number
@@ -149,15 +157,21 @@ type sched struct {
 	pend   []*core.Request // outstanding isends, drained at the end
 	res    any             // published to req on successful completion
 
-	// Parking state. While the schedule is parked on the pool, gated
-	// holds the incomplete operations it waits for (guarded by gmu, so a
-	// cancelling goroutine can poke them without racing the executor)
-	// and waits counts the completions still owed before the schedule
-	// becomes runnable again.
+	// Parking state. While the schedule is parked, gated holds the
+	// incomplete operations it waits for (guarded by gmu, so a cancelling
+	// goroutine can poke them without racing the executor) and waits
+	// counts the completions still owed before the schedule becomes
+	// runnable again.
 	gmu   sync.Mutex
 	gated []*core.Request
+	one   [1]*core.Request // backs gated when parking on a single gate
 	waits atomic.Int32
-	wake  func() // bound once; decrements waits, enqueues at zero
+	wake  func() // bound once; decrements waits, re-enqueues at zero
+
+	// driven marks a schedule executed by the goroutine that called
+	// Plan.Run: park blocks that goroutine instead of handing the
+	// schedule to the pool.
+	driven bool
 
 	// t0 is the activation's arm time, feeding the "coll.sched_ns"
 	// timing variable on finish.
@@ -167,10 +181,9 @@ type sched struct {
 // newSched builds an empty schedule and mints its instance number —
 // unconditionally, before any validation, so the sequence advances by
 // exactly one per collective call on every member regardless of local
-// outcomes. The request's channels stay nil until start(): the blocking
-// entry points run inline, never select on them, and a nil cancelCh
-// behaves like "never cancelled" in both cancellation points — so a
-// blocking collective pays no channel allocations.
+// outcomes. The request's done channel stays nil until start(): a
+// caller-driven schedule's request never escapes, so a blocking
+// collective pays no channel allocation.
 func (c *Comm) newSched() *sched {
 	s := &sched{c: c, inst: c.seq.Add(1) - 1}
 	s.req = &Request{s: s}
@@ -178,8 +191,7 @@ func (c *Comm) newSched() *sched {
 		// Runs under the engine lock (completion callback); counter
 		// bump and trace record are single atomic operations.
 		if s.waits.Add(-1) == 0 {
-			s.c.vars().resumed.Inc()
-			s.c.P.Recorder().Instant(obs.EvCollResume, s.inst, int64(sharedPool.busy.Load()))
+			s.resumed()
 			sharedPool.enqueue(s)
 		}
 	}
@@ -204,8 +216,8 @@ func (s *sched) onReset(fn func()) { s.resets = append(s.resets, fn) }
 
 // arm runs the registered resets, initializing the activation's state.
 // Every activation passes through here exactly once — one-shot or
-// persistent, inline or pooled — so it is also where the activation's
-// span opens.
+// persistent, caller-driven or pooled — so it is also where the
+// activation's span opens.
 func (s *sched) arm() {
 	for _, fn := range s.resets {
 		fn()
@@ -223,7 +235,7 @@ func (s *sched) arm() {
 // each member completes activation k before starting k+1, so round k+1
 // traffic can never cross-match round k's.
 func (s *sched) rearm() {
-	s.req = &Request{s: s, done: make(chan struct{}), cancelCh: make(chan struct{})}
+	s.req = &Request{s: s, done: make(chan struct{})}
 	s.pc = 0
 	s.pend = nil
 	s.res = nil
@@ -318,68 +330,46 @@ func (s *sched) postRecv(f *fut, src, tag int, send func() error, fn func([]byte
 }
 
 // start launches the schedule on the shared progress pool and returns
-// the request (the nonblocking entry points). The completion and
-// cancellation channels are created here, before the schedule is
-// enqueued, so every escaping request has them.
+// its request (Plan.Start). The completion channel is created here,
+// before the schedule is enqueued, so every escaping request has one.
 func (s *sched) start() *Request {
 	s.req.done = make(chan struct{})
-	s.req.cancelCh = make(chan struct{})
 	s.arm()
 	sharedPool.enqueue(s)
 	return s.req
 }
 
-// runInline executes the schedule to completion on the calling goroutine
-// (the blocking entry points: same schedule, no pool handoff), blocking
-// at each gate instead of parking. With the pool forced (GOMPI_COLL_POOL
-// =force), blocking entry points run through the pool too, exercising
-// the park/resume machinery under every collective test.
-func (s *sched) runInline() (any, error) {
-	if forcePool {
-		s.req.done = make(chan struct{})
-		s.req.cancelCh = make(chan struct{})
-		s.arm()
-		sharedPool.enqueue(s)
-		return s.req.Wait()
+// drive executes the schedule to completion on the calling goroutine
+// (Plan.Run): the same run loop a pool worker executes, except that
+// where a pooled schedule gives its worker back, the caller sleeps.
+// ctx cancels the schedule the way Request.WaitCtx cancels a started
+// one — mark it, poke the gated operations — so the loop's one
+// cancellation point serves both; a context that can never fire costs
+// nothing.
+func (s *sched) drive(ctx context.Context) (any, error) {
+	s.driven = true
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, s.req.cancel)
+		defer stop()
 	}
 	s.arm()
-	for s.pc < len(s.steps) {
-		if s.cancelled() {
-			s.fail(ErrCancelled)
-			return nil, s.req.err
-		}
-		st := s.steps[s.pc]
-		if st.gate != nil && st.gate.req != nil {
-			if err := s.await(st.gate.req); err != nil {
-				s.fail(err)
-				return nil, s.req.err
-			}
-		}
-		if err := st.run(); err != nil {
-			s.fail(err)
-			return nil, s.req.err
-		}
-		s.pc++
+	s.run()
+	if errors.Is(s.req.err, ErrCancelled) {
+		// Only ctx can cancel a request that never escaped.
+		return nil, ctx.Err()
 	}
-	if err := s.drainInline(); err != nil {
-		s.fail(err)
-		return nil, s.req.err
-	}
-	s.finish(nil)
 	return s.req.res, s.req.err
 }
 
-// run executes the schedule on a pool worker until it completes or
-// parks. A parked schedule is re-enqueued by the completion callback of
-// the last operation it gates on; run then resumes at the same program
+// run executes the schedule until it completes or, on the pool, parks.
+// A parked schedule is re-enqueued by the completion callback of the
+// last operation it waits for; run then resumes at the same program
 // counter.
 func (s *sched) run() {
 	// The previous park's gate list is stale the moment we are running
 	// again; clear it before any gated request can be consumed, so a
 	// concurrent canceller never pokes a recycled request.
-	s.gmu.Lock()
-	s.gated = nil
-	s.gmu.Unlock()
+	s.ungate()
 	for {
 		if s.cancelled() {
 			s.fail(ErrCancelled)
@@ -389,9 +379,11 @@ func (s *sched) run() {
 			st := s.steps[s.pc]
 			if st.gate != nil && st.gate.req != nil {
 				if _, done := st.gate.req.Test(); !done {
-					if s.park(st.gate.req) {
+					s.one[0] = st.gate.req
+					if s.park(s.one[:]) {
 						return
 					}
+					continue // the wait is over; re-check from the top
 				}
 			}
 			if err := st.run(); err != nil {
@@ -401,18 +393,21 @@ func (s *sched) run() {
 			s.pc++
 			continue
 		}
-		// Steps exhausted: drain the outstanding sends.
-		var waitFor []*core.Request
-		for _, r := range s.pend {
+		// Steps exhausted: drain the outstanding sends, parking on the
+		// incomplete ones (moved to the front of pend; its order carries
+		// no meaning).
+		n := 0
+		for i, r := range s.pend {
 			if _, done := r.Test(); !done {
-				waitFor = append(waitFor, r)
+				s.pend[i], s.pend[n] = s.pend[n], r
+				n++
 			}
 		}
-		if len(waitFor) > 0 {
-			if s.park(waitFor...) {
+		if n > 0 {
+			if s.park(s.pend[:n]) {
 				return
 			}
-			continue // completed while parking; re-check from the top
+			continue
 		}
 		var err error
 		for _, r := range s.pend {
@@ -432,34 +427,67 @@ func (s *sched) run() {
 }
 
 // park suspends the schedule until every request in reqs has completed.
-// It returns true when the schedule is genuinely parked — the executor
-// must return, and the last completion callback re-enqueues the
-// schedule — or false when everything completed while parking, in which
-// case the executor just continues. The +1 guard below makes the
-// resume decision race-free: the callbacks and the final Add together
-// reach zero exactly once, wherever the completions land.
-func (s *sched) park(reqs ...*core.Request) bool {
+// The gate list is published first, so a canceller can end the wait by
+// completing the gated operations as cancelled; the cancel may also
+// have arrived before that, so park looks once more and pokes them
+// itself, which bounds the wait either way.
+//
+// A caller-driven schedule has no worker to give back: the caller
+// sleeps on the requests right here, and park returns false — continue.
+// On the pool, park returns true when the schedule is genuinely parked:
+// the executor must return, and the last completion callback
+// re-enqueues the schedule. When everything completed while parking it
+// returns false; the +1 guard makes that decision race-free — the
+// callbacks and the final Add together reach zero exactly once,
+// wherever the completions land.
+func (s *sched) park(reqs []*core.Request) bool {
 	s.gmu.Lock()
 	s.gated = reqs
 	s.gmu.Unlock()
+	if s.driven {
+		if s.cancelled() {
+			s.cancelGated()
+		}
+		s.parked(len(reqs))
+		for _, r := range reqs {
+			r.Wait()
+		}
+		s.resumed()
+		s.ungate()
+		return false
+	}
 	s.waits.Store(int32(len(reqs)) + 1)
 	for _, r := range reqs {
 		r.OnDone(s.wake)
 	}
 	if s.cancelled() {
-		// The cancel may have arrived before gated was published; poke
-		// the gated operations ourselves so the park is bounded.
 		s.cancelGated()
 	}
 	if s.waits.Add(-1) == 0 {
-		s.gmu.Lock()
-		s.gated = nil
-		s.gmu.Unlock()
+		s.ungate()
 		return false
 	}
-	s.c.vars().parked.Inc()
-	s.c.P.Recorder().Instant(obs.EvCollPark, s.inst, int64(len(reqs)))
+	s.parked(len(reqs))
 	return true
+}
+
+// parked and resumed account for the two ends of a wait, whichever
+// goroutine drives the schedule.
+func (s *sched) parked(n int) {
+	s.c.vars().parked.Inc()
+	s.c.P.Recorder().Instant(obs.EvCollPark, s.inst, int64(n))
+}
+
+func (s *sched) resumed() {
+	s.c.vars().resumed.Inc()
+	s.c.P.Recorder().Instant(obs.EvCollResume, s.inst, int64(sharedPool.busy.Load()))
+}
+
+// ungate retires the gate list of a park that is over.
+func (s *sched) ungate() {
+	s.gmu.Lock()
+	s.gated = nil
+	s.gmu.Unlock()
 }
 
 // cancelGated pokes a parked schedule's gated operations: still-
@@ -478,14 +506,7 @@ func (s *sched) cancelGated() {
 	s.gmu.Unlock()
 }
 
-func (s *sched) cancelled() bool {
-	select {
-	case <-s.req.cancelCh:
-		return true
-	default:
-		return false
-	}
-}
+func (s *sched) cancelled() bool { return s.req.cancelled.Load() }
 
 // finish completes the activation's request.
 func (s *sched) finish(err error) {
@@ -538,32 +559,6 @@ func (s *sched) dropRecv(f *fut) {
 	}
 }
 
-// await blocks until r completes or the schedule is cancelled — the
-// inline executor's cancellation point. On cancellation it revokes r
-// when the engine still can (an unmatched receive); an operation past
-// that point is consumed so the engine's bookkeeping stays balanced,
-// but the wait still reports cancellation: the schedule is being torn
-// down.
-func (s *sched) await(r *core.Request) error {
-	if _, done := r.Test(); done {
-		return nil
-	}
-	if s.req.cancelCh == nil {
-		r.Wait()
-		return nil
-	}
-	done := r.Done()
-	select {
-	case <-done:
-		return nil
-	case <-s.req.cancelCh:
-	}
-	if !s.c.P.Cancel(r) {
-		<-done
-	}
-	return ErrCancelled
-}
-
 // isend posts a standard-mode send on the schedule's context and tracks
 // it for the completion drain. b stays shared: algorithms fan one buffer
 // out to several destinations and forward received payloads, so it
@@ -591,26 +586,6 @@ func (s *sched) post(dst, tag int, b []byte, recycle bool) error {
 		return err
 	}
 	s.pend = append(s.pend, req)
-	return nil
-}
-
-// drainInline waits (cancellably) for the schedule's outstanding sends
-// and recycles their requests (the inline executor's drain; the pooled
-// executor parks on them instead).
-func (s *sched) drainInline() error {
-	for i, r := range s.pend {
-		err := s.await(r)
-		if err == nil && r.Stat.Err != nil {
-			err = r.Stat.Err // send completed with a failure (peer loss, revocation)
-		}
-		if err != nil {
-			r.Recycle()
-			s.pend = s.pend[i+1:]
-			return err
-		}
-		r.Recycle()
-	}
-	s.pend = nil
 	return nil
 }
 

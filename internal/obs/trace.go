@@ -54,7 +54,7 @@ const (
 	EvCtsRecv        // instant; arg=send id (low 32)
 	EvPeerLost       // instant; arg=lost world rank
 	EvRevoke         // instant; arg=revoked context base
-	// coll: schedule lifecycle on the shared progress pool.
+	// coll: schedule lifecycle, caller-driven or on the progress pool.
 	EvCollSched  // span; arg=collective instance; one per activation
 	EvCollPark   // instant; arg=instance, val=operations parked on
 	EvCollResume // instant; arg=instance, val=busy pool workers

@@ -2,6 +2,7 @@ package pio
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -323,7 +324,7 @@ func TestTwoPhaseWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.Run(); err != nil {
+		if _, err := p.Run(context.Background()); err != nil {
 			return nil, err
 		}
 
@@ -331,7 +332,7 @@ func TestTwoPhaseWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run()
+		res, err := p.Run(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -366,7 +367,7 @@ func TestTwoPhaseReadPastEOF(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run()
+		res, err := p.Run(context.Background())
 		if err != nil {
 			return nil, err
 		}
@@ -413,14 +414,14 @@ func TestTwoPhaseInterleavedStridedViews(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.Run(); err != nil {
+		if _, err := p.Run(context.Background()); err != nil {
 			return nil, err
 		}
 		p, err = f.ReadAllPlan(c, 0, len(mine))
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run()
+		res, err := p.Run(context.Background())
 		if err != nil {
 			return nil, err
 		}

@@ -12,29 +12,35 @@ import (
 // receive section is a contiguous fixed-size section of a native slice
 // on a little-endian host, the accumulator IS that section's memory and
 // the result needs no deposit; otherwise it is a pooled frame (an
-// ordinary slice for OBJECT data, whose wire size is unknown) unpacked
-// into the section at completion.
+// ordinary slice for OBJECT data, whose wire size is unknown), drawn by
+// load and returned by fin once the result is unpacked into the section.
 type accum struct {
 	b      []byte
 	direct bool // b aliases the receive section
 	pooled bool // b came from the frame pool and goes back after the deposit
 
+	d *Datatype
+
+	// The send section: this rank's contribution, elems items.
+	sbuf        any
+	soff, elems int
+
 	// The receive section; recv is false on ranks the collective
 	// delivers nothing to (non-roots of Reduce, rank 0 of Exscan).
-	recv       bool
-	buf        any
-	off, count int
-	d          *Datatype
+	recv        bool
+	rbuf        any
+	roff, count int
 }
 
-// newAccum validates the receive section — before any message moves,
-// like the send-side checks — and sizes the accumulator for elems items
-// of d. elems differs from the section's count only for ReduceScatter,
-// which folds every rank's segment and receives one. persistent
-// accumulators are reused by every activation, so they stay out of the
-// pool's circulation.
-func (c *Comm) newAccum(recv bool, recvbuf any, roffset, count, elems int, d *Datatype, persistent bool) (*accum, error) {
-	a := &accum{recv: recv, buf: recvbuf, off: roffset, count: count, d: d}
+// newAccum validates both sections — before any message moves — and
+// binds the accumulator to them. elems differs from the receive
+// section's count only for ReduceScatter, which folds every rank's
+// segment and receives one.
+func (c *Comm) newAccum(recv bool, sendbuf any, soffset int, recvbuf any, roffset, count, elems int, d *Datatype) (*accum, error) {
+	a := &accum{d: d, sbuf: sendbuf, soff: soffset, elems: elems, recv: recv, rbuf: recvbuf, roff: roffset, count: count}
+	if err := checkSection(sendbuf, soffset, elems, d); err != nil {
+		return nil, err
+	}
 	if recv {
 		n, err := dtype.CheckSection(recvbuf, roffset, count, d.t)
 		if err != nil {
@@ -44,20 +50,24 @@ func (c *Comm) newAccum(recv bool, recvbuf any, roffset, count, elems int, d *Da
 			a.b, a.direct = c.intoView(recvbuf, roffset, count, n, d)
 		}
 	}
-	switch n := d.t.WireBytes(elems); {
-	case a.direct || n < 0:
-	case persistent:
-		a.b = make([]byte, n)
-	default:
-		a.b, a.pooled = transport.GetBuf(n), true
-	}
 	return a, nil
 }
 
-// load packs this rank's contribution into the accumulator.
-func (a *accum) load(sendbuf any, soffset, elems int) error {
-	b, err := dtype.Pack(a.b[:0], sendbuf, soffset, elems, a.d.t)
+// plan wraps the reduction schedule built over &a.b as a collPlan: load
+// and fin are its two hooks.
+func (a *accum) plan(p *coll.Plan, err error) collPlan {
+	return collPlan{plan: p, err: mapEngineErr(err), refresh: a.load, fin: a.fin}
+}
+
+// load packs this rank's contribution into the accumulator, drawing its
+// frame first where it is not the receive section itself.
+func (a *accum) load() error {
+	if n := a.d.t.WireBytes(a.elems); !a.direct && n >= 0 {
+		a.b, a.pooled = transport.GetBuf(n), true
+	}
+	b, err := dtype.Pack(a.b[:0], a.sbuf, a.soff, a.elems, a.d.t)
 	if err != nil {
+		a.release()
 		return mapDataErr(err)
 	}
 	a.b = b
@@ -81,46 +91,8 @@ func (a *accum) fin(res any) error {
 	if !a.recv || wire == nil || inPlace {
 		return nil
 	}
-	if _, err := dtype.Unpack(wire, a.buf, a.off, a.count, a.d.t); err != nil {
+	if _, err := dtype.Unpack(wire, a.rbuf, a.roff, a.count, a.d.t); err != nil {
 		return mapDataErr(err)
 	}
 	return nil
-}
-
-// reduceAccum builds a one-shot reduction's accumulator and loads it
-// with this rank's contribution: the part of plan construction every
-// member of the reduction family shares.
-func (c *Comm) reduceAccum(recv bool, sendbuf any, soffset int, recvbuf any, roffset, count, elems int, d *Datatype) (*accum, error) {
-	a, err := c.newAccum(recv, recvbuf, roffset, count, elems, d, false)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.load(sendbuf, soffset, elems); err != nil {
-		a.release()
-		return nil, err
-	}
-	return a, nil
-}
-
-// planOf wraps a collective-layer plan constructor as a collPlan. The
-// constructor runs (and mints the collective's instance number) only
-// once the call is past local validation.
-func planOf(build func() (*coll.Plan, error), fin func(res any) error) collPlan {
-	return collPlan{
-		run: func() (any, error) {
-			p, err := build()
-			if err != nil {
-				return nil, err
-			}
-			return p.Run()
-		},
-		irun: func() (*coll.Request, error) {
-			p, err := build()
-			if err != nil {
-				return nil, err
-			}
-			return p.Start(), nil
-		},
-		fin: fin,
-	}
 }

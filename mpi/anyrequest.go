@@ -13,9 +13,9 @@ import "context"
 //
 // so heterogeneous sets can be completed together with WaitAllAny and
 // TestAllAny, the way MPI_Waitall accepts mixed request kinds. The
-// concrete helpers (WaitAll over []*Request, WaitAllP over persistent
-// requests) remain for homogeneous sets, where they avoid the interface
-// boxing and keep their richer semantics (WaitAny, WaitSome).
+// concrete helpers over []*Request (WaitAll, WaitAny, WaitSome) remain
+// for homogeneous point-to-point sets, where they avoid the interface
+// boxing and keep their richer semantics.
 //
 // For request kinds that carry no per-operation status (collectives,
 // persistent collective activations), Wait/WaitCtx/Test return the

@@ -52,23 +52,35 @@ func (r *CollRequest) settle(res any, schedErr error) error {
 			r.err = ErrCollectiveCancelled
 			return
 		case schedErr != nil:
-			// Fault-tolerance outcomes first (a member died or revoked
-			// mid-collective), then mapPioErr classifies file-schedule
-			// failures (ErrFile, ErrArg, ErrAccess, ErrIO) and wraps
-			// everything else as ErrIntern — exactly the classic
-			// collective behaviour.
-			var lost *transport.PeerLostError
-			if errors.As(schedErr, &lost) || errors.Is(schedErr, core.ErrCommRevoked) {
-				err = mapEngineErr(schedErr)
-			} else {
-				err = mapPioErr(schedErr)
-			}
+			err = mapSchedErr(schedErr)
 		case r.fin != nil:
 			err = r.fin(res)
 		}
 		r.err = r.comm.raise(err)
 	})
 	return r.err
+}
+
+// mapSchedErr classifies a failed collective schedule: fault-tolerance
+// outcomes first (a member died or revoked mid-collective), then
+// mapPioErr classifies file-schedule failures (ErrFile, ErrArg,
+// ErrAccess, ErrIO) and wraps everything else as ErrIntern.
+func mapSchedErr(err error) error {
+	var lost *transport.PeerLostError
+	if errors.As(err, &lost) || errors.Is(err, core.ErrCommRevoked) {
+		return mapEngineErr(err)
+	}
+	return mapPioErr(err)
+}
+
+// raiseSched reports the failure of a schedule the caller drove
+// (Plan.Run): a fired context is control flow and bypasses the error
+// handler; anything else is raised under its MPI class.
+func (c *Comm) raiseSched(err error) error {
+	if isCtxErr(err) {
+		return err
+	}
+	return c.raise(mapSchedErr(err))
 }
 
 // stat is the status a completed collective reports: collective file
@@ -108,7 +120,7 @@ func (r *CollRequest) Wait() (*Status, error) {
 // every member (see coll.Request.WaitCtx).
 func (r *CollRequest) WaitCtx(ctx context.Context) (*Status, error) {
 	res, err := r.creq.WaitCtx(ctx)
-	if err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
+	if isCtxErr(err) {
 		return nullStatus(), err
 	}
 	serr := r.settle(res, err)

@@ -4,7 +4,8 @@
 //
 //	MPI (module)  -> package mpi + the per-rank *Env handle
 //	Comm          -> Comm, with Intracomm, Intercomm, Cartcomm, Graphcomm
-//	Group, Datatype, Status, Request, Prequest, Op -> same-named types
+//	Group, Datatype, Status, Request, Op -> same-named types
+//	Prequest      -> PersistentRequest
 //
 // Communication calls keep the binding's (buf, offset, count, datatype,
 // rank, tag) signatures over one-dimensional slices of primitive types.
@@ -204,9 +205,10 @@ type EngineStats struct {
 	PeersLost                        uint64
 	PoolHitRate                      float64
 
-	// Collective-layer counters (this rank): schedule activations, and
-	// how often the progress-pool executor parked a schedule waiting
-	// for a message versus re-enqueued one whose wait completed.
+	// Collective-layer counters (this rank): schedule activations, how
+	// often one had to park waiting for a message, and how often a
+	// parked one was resumed — whichever goroutine drives it, the
+	// caller of a blocking collective or the progress pool.
 	CollSchedsStarted uint64
 	CollSchedsParked  uint64
 	CollSchedsResumed uint64

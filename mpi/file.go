@@ -568,15 +568,7 @@ func (f *File) Read(buf any, offset, count int, d *Datatype) (*Status, error) {
 // contiguous filesystem writes. Every member must call it (counts may
 // differ, including zero).
 func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	f.comm.env.enterCall()
-	plan, st, err := f.planWriteAll(foff, buf, offset, count, d)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := plan.Run(); err != nil {
-		return nil, f.comm.raise(mapPioErr(err))
-	}
-	return st, nil
+	return f.WriteAtAllCtx(context.Background(), foff, buf, offset, count, d)
 }
 
 // WriteAtAllCtx is WriteAtAll under a context: cancellation points sit
@@ -588,9 +580,8 @@ func (f *File) WriteAtAllCtx(ctx context.Context, foff int64, buf any, offset, c
 	if err != nil {
 		return nil, err
 	}
-	req := newCollRequest(&f.comm.Comm, plan.Start(), nil)
-	if _, err := req.WaitCtx(ctx); err != nil {
-		return nil, err
+	if _, err := plan.Run(ctx); err != nil {
+		return nil, f.comm.raiseSched(err)
 	}
 	return st, nil
 }
@@ -629,30 +620,23 @@ func (f *File) planWriteAll(foff int64, buf any, offset, count int, d *Datatype)
 // filesystem reads for their stripes and the data is exchanged back
 // through the collective schedule engine. Every member must call it.
 func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
+	return f.ReadAtAllCtx(context.Background(), foff, buf, offset, count, d)
+}
+
+// ReadAtAllCtx is ReadAtAll under a context (see WriteAtAllCtx).
+func (f *File) ReadAtAllCtx(ctx context.Context, foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
 	f.comm.env.enterCall()
 	plan, err := f.planReadAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.Run()
+	res, err := plan.Run(ctx)
 	if err != nil {
-		return nil, f.comm.raise(mapPioErr(err))
+		return nil, f.comm.raiseSched(err)
 	}
 	rr := res.(*pio.ReadResult)
 	st, derr := f.depositRead(rr.Wire, rr.Got, buf, offset, count, d)
 	return st, f.comm.raise(derr)
-}
-
-// ReadAtAllCtx is ReadAtAll under a context (see WriteAtAllCtx).
-func (f *File) ReadAtAllCtx(ctx context.Context, foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	req, err := f.IreadAtAll(foff, buf, offset, count, d)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := req.WaitCtx(ctx); err != nil {
-		return nil, err
-	}
-	return req.fileStatus, nil
 }
 
 // IreadAtAll starts a nonblocking collective read at an explicit

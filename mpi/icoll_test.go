@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -241,6 +242,90 @@ func TestCollectiveWaitCtxCancelAndRecover(t *testing.T) {
 			t.Errorf("rank %d: bcast after cancellation %d", w.Rank(), buf[0])
 		}
 		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCtxCollectiveAbsentPeerCallerDriven: the *Ctx forms run their
+// schedule on the calling goroutine, so it is the caller's own sleep
+// that a fired context must end. With the peer absent, BarrierCtx and
+// AllreduceCtx return ctx's error promptly and revoke the receive they
+// were parked on (the engine counts the cancellation) rather than leave
+// it posted; the late peer's matching calls then complete on their own,
+// and the communicator still lines up afterwards.
+func TestCtxCollectiveAbsentPeerCallerDriven(t *testing.T) {
+	err := mpi.Run(2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		in, out := []float64{float64(w.Rank() + 1)}, []float64{0}
+		if w.Rank() == 1 {
+			abandoned := env.EngineStats().Cancelled
+			calls := map[string]func(context.Context) error{
+				"BarrierCtx": w.BarrierCtx,
+				"AllreduceCtx": func(ctx context.Context) error {
+					return w.AllreduceCtx(ctx, in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM)
+				},
+			}
+			for _, name := range []string{"BarrierCtx", "AllreduceCtx"} {
+				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+				start := time.Now()
+				err := calls[name](ctx)
+				cancel()
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("%s with an absent peer: %v, want deadline exceeded", name, err)
+				}
+				if waited := time.Since(start); waited > 5*time.Second {
+					t.Errorf("%s took %v, not prompt", name, waited)
+				}
+				if now := env.EngineStats().Cancelled; now != abandoned+1 {
+					t.Errorf("%s left its gated receive behind: %d receives cancelled, want %d", name, now, abandoned+1)
+				} else {
+					abandoned = now
+				}
+			}
+		} else {
+			time.Sleep(200 * time.Millisecond)
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+			if err := w.Allreduce(in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM); err != nil {
+				return err
+			}
+		}
+		if err := w.Allreduce(in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM); err != nil {
+			return err
+		}
+		if out[0] != 3 {
+			t.Errorf("rank %d: allreduce after the cancelled calls = %v, want 3", w.Rank(), out[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBlockingCollectivesSpawnNoGoroutines: a blocking collective is
+// driven by the rank that called it — 1000 back-to-back barriers on 4
+// ranks leave the process with no more goroutines than it had.
+func TestBlockingCollectivesSpawnNoGoroutines(t *testing.T) {
+	err := mpi.Run(4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		if err := w.Barrier(); err != nil { // every rank is up and warm
+			return err
+		}
+		before := runtime.NumGoroutine()
+		for i := 0; i < 1000; i++ {
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+		}
+		// No rank has left yet: each still owes the barrier below.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("rank %d: %d goroutines after 1000 barriers, %d before", w.Rank(), after, before)
+		}
+		return w.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,8 @@ package mpi
 // same pattern Merge and Dup already use for their exchanges.
 
 import (
+	"context"
+
 	"gompi/internal/core"
 	"gompi/internal/dtype"
 )
@@ -122,7 +124,7 @@ func (ic *Intercomm) Allreduce(
 	}
 	p, err := ic.cl.ReducePlan(0, &acc, op.op, d.t.Class())
 	if err == nil {
-		_, err = p.Run()
+		_, err = p.Run(context.Background())
 	}
 	if err != nil {
 		return ic.raise(mapEngineErr(err))

@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"sort"
 
 	"gompi/internal/coll"
@@ -13,13 +14,14 @@ import (
 // adds the collective operations and the communicator/topology
 // constructors to Comm.
 //
-// Every collective comes in three forms backed by one schedule in
-// internal/coll: the nonblocking I* variant returning a *CollRequest
-// (MPI-3 nonblocking collectives), the *Ctx variant that waits under a
-// context.Context with cancellation points inside the algorithm, and
-// the classic blocking form — semantically the *Ctx form under
-// context.Background(), executed inline on the caller's goroutine so a
-// blocking collective pays no runner-goroutine or channel overhead.
+// Every collective is declared once, as a planX method that validates
+// the call and compiles its schedule in internal/coll, and has up to
+// four entry points derived from that plan: the classic blocking form
+// X (XCtx under context.Background()), XCtx (the calling goroutine
+// drives the schedule, with cancellation points inside the algorithm),
+// the nonblocking IX returning a *CollRequest (MPI-3; the shared
+// progress pool drives the schedule) and, for the collectives that have
+// one, the persistent XInit (MPI-4; see persistent.go).
 type Intracomm struct {
 	Comm
 }
@@ -37,6 +39,9 @@ func (c *Intracomm) checkRoot(root int) error {
 	return nil
 }
 
+// collChecks is the validation every collective starts with: a live
+// communicator, a usable datatype and, for the rooted ones, a root in
+// range (rootless callers pass 0).
 func (c *Intracomm) collChecks(d *Datatype, root int) error {
 	if err := c.ok(); err != nil {
 		return err
@@ -47,30 +52,61 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 	return c.checkRoot(root)
 }
 
-// collPlan is one collective call, prepared (validated and packed) but
-// not yet run: the shared substance behind the blocking, *Ctx and I*
-// entry points. run executes the schedule inline on the caller's
-// goroutine; irun starts it on its own runner; fin deposits the result
-// into the caller's receive buffers at completion (nil when this rank
-// receives nothing).
-type collPlan struct {
-	run  func() (any, error)
-	irun func() (*coll.Request, error)
-	fin  func(res any) error
+// checkSection rejects a buffer section Pack or Unpack would reject, so
+// both sides of a collective are validated at the call, before any
+// message moves.
+func checkSection(buf any, offset, count int, d *Datatype) error {
+	_, err := dtype.CheckSection(buf, offset, count, d.t)
+	return mapDataErr(err)
 }
 
-// runColl drives a prepared plan to completion inline: the blocking
-// entry points. A plan that failed local validation never reaches the
-// schedule layer, so the collective's instance number is skipped to
-// stay tag-aligned with members whose matching call proceeded.
-func (c *Intracomm) runColl(p collPlan, err error) error {
-	if err != nil {
-		c.cl.SkipInstance()
+// collPlan is one collective call past local validation: its schedule
+// in internal/coll — instance minted, nothing sent yet — plus the two
+// hooks that tie the schedule's wire-format inputs and result to the
+// caller's buffers. refresh packs the send section (once for a one-shot
+// call, at every Start of a persistent one; nil when this rank sends
+// nothing), fin deposits the result into the receive section at
+// completion (nil when this rank receives nothing). A call that failed
+// validation carries only err.
+type collPlan struct {
+	plan    *coll.Plan
+	refresh func() error
+	fin     func(res any) error
+	err     error
+}
+
+// noColl is planX's exit for a call that fails local validation. The
+// call never reaches the schedule layer, so the collective's instance
+// number is skipped here to stay tag-aligned with members whose
+// matching call proceeded.
+func (c *Intracomm) noColl(err error) collPlan {
+	c.cl.SkipInstance()
+	return collPlan{err: err}
+}
+
+// load runs the refresh hook of a validated plan.
+func (p *collPlan) load() error {
+	if p.err != nil || p.refresh == nil {
+		return p.err
+	}
+	return p.refresh()
+}
+
+// runColl drives a plan to completion on the calling goroutine: the
+// blocking and *Ctx entry points. When ctx fires first the schedule is
+// cancelled at its next internal send/receive boundary — so a
+// collective stalled on an absent peer unblocks promptly — and ctx's
+// error is returned, bypassing the communicator's error handler (a
+// cancelled wait is control flow, not an MPI error) with the receive
+// buffers untouched. See CollRequest.WaitCtx for what cancellation
+// leaves behind on the communicator.
+func (c *Intracomm) runColl(ctx context.Context, p collPlan) error {
+	if err := p.load(); err != nil {
 		return c.raise(err)
 	}
-	res, rerr := p.run()
-	if rerr != nil {
-		return c.raise(mapEngineErr(rerr))
+	res, err := p.plan.Run(ctx)
+	if err != nil {
+		return c.raiseSched(err)
 	}
 	if p.fin != nil {
 		return c.raise(p.fin(res))
@@ -78,19 +114,17 @@ func (c *Intracomm) runColl(p collPlan, err error) error {
 	return nil
 }
 
-// startColl launches a prepared plan on its own schedule runner: the
-// nonblocking entry points. Like runColl, a plan-level failure skips
-// the collective's instance number.
-func (c *Intracomm) startColl(p collPlan, err error) (*CollRequest, error) {
-	if err != nil {
-		c.cl.SkipInstance()
+// startColl starts a plan on the shared progress pool: the nonblocking
+// entry points. fin runs inside the Wait/Test that observes completion.
+func (c *Intracomm) startColl(p collPlan) (*CollRequest, error) {
+	if err := p.load(); err != nil {
 		return nil, c.raise(err)
 	}
-	creq, rerr := p.irun()
-	if rerr != nil {
-		return nil, c.raise(mapEngineErr(rerr))
-	}
-	return newCollRequest(&c.Comm, creq, p.fin), nil
+	return newCollRequest(&c.Comm, p.plan.Start(), p.fin), nil
+}
+
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // SkipColl consumes one collective instance number without
@@ -102,20 +136,109 @@ func (c *Intracomm) startColl(p collPlan, err error) (*CollRequest, error) {
 // validation.
 func (c *Intracomm) SkipColl() { c.cl.SkipInstance() }
 
+// packInto returns the refresh hook of a collective that contributes
+// one section: it packs the section into *wire, the schedule's bound
+// input.
+func (c *Intracomm) packInto(wire *[]byte, buf any, offset, count int, d *Datatype) func() error {
+	return func() (err error) {
+		*wire, err = c.packColl(buf, offset, count, d)
+		return err
+	}
+}
+
+// unpackInto returns the fin hook of a collective that delivers one
+// section: the schedule's result is its wire image.
+func unpackInto(buf any, offset, count int, d *Datatype) func(res any) error {
+	return func(res any) error {
+		_, err := dtype.Unpack(res.([]byte), buf, offset, count, d.t)
+		return mapDataErr(err)
+	}
+}
+
+// blocks is a buffer cut into one section per rank: uniformly (rank r's
+// count items at offset + r*count*extent(d)) or, for the v-variants, by
+// explicit per-rank counts and displacements (in units of d's extent).
+type blocks struct {
+	buf     any
+	offset  int
+	count   int
+	varying bool
+	counts  []int
+	displs  []int
+	d       *Datatype
+}
+
+func uniform(buf any, offset, count int, d *Datatype) blocks {
+	return blocks{buf: buf, offset: offset, count: count, d: d}
+}
+
+func varying(buf any, offset int, counts, displs []int, d *Datatype) blocks {
+	return blocks{buf: buf, offset: offset, varying: true, counts: counts, displs: displs, d: d}
+}
+
+// section returns rank r's offset and item count.
+func (b *blocks) section(r int) (offset, count int) {
+	if b.varying {
+		return b.offset + b.displs[r]*b.d.Extent(), b.counts[r]
+	}
+	return b.offset + r*b.count*b.d.Extent(), b.count
+}
+
+// checkBlocks validates a layout where it is significant: the datatype,
+// a v-variant's counts and displacements (nil slices are caught as
+// wrong-length) and every rank's section.
+func (c *Intracomm) checkBlocks(name string, b *blocks) error {
+	if err := c.checkType(b.d); err != nil {
+		return err
+	}
+	if b.varying && (len(b.counts) != c.Size() || len(b.displs) != c.Size()) {
+		return errf(ErrArg, "%s needs %d counts and displs", name, c.Size())
+	}
+	for r := 0; r < c.Size(); r++ {
+		at, n := b.section(r)
+		if err := checkSection(b.buf, at, n, b.d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// packBlocks returns the refresh hook of a collective that sends a
+// block to every rank: it packs each rank's section into parts, the
+// schedule's bound input.
+func (c *Intracomm) packBlocks(b *blocks, parts [][]byte) func() error {
+	return func() (err error) {
+		for r := range parts {
+			at, n := b.section(r)
+			if parts[r], err = c.packColl(b.buf, at, n, b.d); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// deposit is the fin hook of a collective that receives a block from
+// every rank ([][]byte): each lands in its rank's section.
+func (b *blocks) deposit(res any) error {
+	for r, wire := range res.([][]byte) {
+		at, n := b.section(r)
+		if _, err := dtype.Unpack(wire, b.buf, at, n, b.d.t); err != nil {
+			return mapDataErr(err)
+		}
+	}
+	return nil
+}
+
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Intracomm) Barrier() error {
-	return c.runColl(c.planBarrier())
+	return c.BarrierCtx(context.Background())
 }
 
 // BarrierCtx is Barrier with cancellation: if ctx fires while peers are
 // still missing, the wait unblocks promptly with ctx's error.
 func (c *Intracomm) BarrierCtx(ctx context.Context) error {
-	req, err := c.Ibarrier()
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planBarrier())
 }
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier): the request
@@ -124,31 +247,23 @@ func (c *Intracomm) Ibarrier() (*CollRequest, error) {
 	return c.startColl(c.planBarrier())
 }
 
-func (c *Intracomm) planBarrier() (collPlan, error) {
+func (c *Intracomm) planBarrier() collPlan {
 	c.env.enterCall()
 	if err := c.ok(); err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
 	}
-	return collPlan{
-		run:  func() (any, error) { return nil, c.cl.Barrier() },
-		irun: func() (*coll.Request, error) { return c.cl.Ibarrier(), nil },
-	}, nil
+	return collPlan{plan: c.cl.BarrierPlan()}
 }
 
 // Bcast broadcasts the buffer section from root to all members
 // (MPI_Bcast).
 func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	return c.runColl(c.planBcast(buf, offset, count, d, root))
+	return c.BcastCtx(context.Background(), buf, offset, count, d, root)
 }
 
 // BcastCtx is Bcast under a context.
 func (c *Intracomm) BcastCtx(ctx context.Context, buf any, offset, count int, d *Datatype, root int) error {
-	req, err := c.Ibcast(buf, offset, count, d, root)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planBcast(buf, offset, count, d, root))
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
@@ -158,78 +273,25 @@ func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*
 	return c.startColl(c.planBcast(buf, offset, count, d, root))
 }
 
-func (c *Intracomm) planBcast(buf any, offset, count int, d *Datatype, root int) (collPlan, error) {
+// planBcast is the plan of Bcast; its one section is the send side at
+// root and the receive side everywhere else, validated alike.
+func (c *Intracomm) planBcast(buf any, offset, count int, d *Datatype, root int) collPlan {
 	c.env.enterCall()
 	if err := c.collChecks(d, root); err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
+	}
+	if err := checkSection(buf, offset, count, d); err != nil {
+		return c.noColl(err)
 	}
 	var wire []byte
+	plan, err := c.cl.BcastPlan(root, &wire)
+	p := collPlan{plan: plan, err: mapEngineErr(err)}
 	if c.rank == root {
-		var err error
-		if wire, err = c.packColl(buf, offset, count, d); err != nil {
-			return collPlan{}, err
-		}
+		p.refresh = c.packInto(&wire, buf, offset, count, d)
+	} else {
+		p.fin = unpackInto(buf, offset, count, d)
 	}
-	p := collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Bcast(root, wire)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Ibcast(root, wire) },
-	}
-	if c.rank != root {
-		p.fin = func(res any) error {
-			if _, err := dtype.Unpack(res.([]byte), buf, offset, count, d.t); err != nil {
-				return mapDataErr(err)
-			}
-			return nil
-		}
-	}
-	return p, nil
-}
-
-// blocksFin builds the completion deposit for collectives returning one
-// block per rank in a uniform layout: rank r's block lands at
-// roffset + r*rcount*extent(rdt).
-func blocksFin(recvbuf any, roffset, rcount int, rdt *Datatype) func(res any) error {
-	return func(res any) error {
-		for r, b := range res.([][]byte) {
-			at := roffset + r*rcount*rdt.Extent()
-			if _, err := dtype.Unpack(b, recvbuf, at, rcount, rdt.t); err != nil {
-				return mapDataErr(err)
-			}
-		}
-		return nil
-	}
-}
-
-// blocksvFin is blocksFin for the v-variants: rank r's block lands at
-// displacement displs[r] with recvcounts[r] items expected.
-func blocksvFin(recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype) func(res any) error {
-	return func(res any) error {
-		for r, b := range res.([][]byte) {
-			at := roffset + displs[r]*rdt.Extent()
-			if _, err := dtype.Unpack(b, recvbuf, at, recvcounts[r], rdt.t); err != nil {
-				return mapDataErr(err)
-			}
-		}
-		return nil
-	}
-}
-
-// vLayout marks a call that came through a v-variant entry point and
-// carries its per-rank receive or send layout. A non-nil vLayout is
-// validated unconditionally where it is significant — nil slices inside
-// it are caught as wrong-length, exactly like the classic checks.
-type vLayout struct {
-	counts, displs []int
-}
-
-func (v *vLayout) check(name string, size int) error {
-	if len(v.counts) != size || len(v.displs) != size {
-		return errf(ErrArg, "%s needs %d counts and displs", name, size)
-	}
-	return nil
+	return p
 }
 
 // Gather collects equal-size contributions at root (MPI_Gather): member
@@ -238,8 +300,7 @@ func (c *Intracomm) Gather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(sendbuf, soffset, scount, sdt, rdt, root, nil,
-		blocksFin(recvbuf, roffset, rcount, rdt)))
+	return c.GatherCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt, root)
 }
 
 // GatherCtx is Gather under a context.
@@ -248,12 +309,7 @@ func (c *Intracomm) GatherCtx(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	req, err := c.Igather(sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt, root)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
 }
 
 // Igather starts a nonblocking gather (MPI_Igather); root's recvbuf is
@@ -262,8 +318,7 @@ func (c *Intracomm) Igather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*CollRequest, error) {
-	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, rdt, root, nil,
-		blocksFin(recvbuf, roffset, rcount, rdt)))
+	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
 }
 
 // Gatherv collects varying-size contributions at root (MPI_Gatherv):
@@ -273,8 +328,7 @@ func (c *Intracomm) Gatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(sendbuf, soffset, scount, sdt, rdt, root,
-		&vLayout{recvcounts, displs}, blocksvFin(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.GathervCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, recvcounts, displs, rdt, root)
 }
 
 // GathervCtx is Gatherv under a context.
@@ -283,12 +337,7 @@ func (c *Intracomm) GathervCtx(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	req, err := c.Igatherv(sendbuf, soffset, scount, sdt, recvbuf, roffset, recvcounts, displs, rdt, root)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // Igatherv starts a nonblocking varying-size gather (MPI_Igatherv).
@@ -296,46 +345,31 @@ func (c *Intracomm) Igatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) (*CollRequest, error) {
-	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, rdt, root,
-		&vLayout{recvcounts, displs}, blocksvFin(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
-// planGather is the shared plan of Gather and Gatherv: deposit is the
-// root-side unpack; v is the v-variant's receive layout, validated at
-// root.
-func (c *Intracomm) planGather(
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	rdt *Datatype, root int, v *vLayout, deposit func(res any) error,
-) (collPlan, error) {
+// planGather is the plan of Gather and Gatherv; the receive layout is
+// significant (and validated) at root only.
+func (c *Intracomm) planGather(sendbuf any, soffset, scount int, sdt *Datatype, recv blocks, root int) collPlan {
 	c.env.enterCall()
 	if err := c.collChecks(sdt, root); err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
+	}
+	if err := checkSection(sendbuf, soffset, scount, sdt); err != nil {
+		return c.noColl(err)
 	}
 	if c.rank == root {
-		if err := c.checkType(rdt); err != nil {
-			return collPlan{}, err
-		}
-		if v != nil {
-			if err := v.check("Gatherv", c.Size()); err != nil {
-				return collPlan{}, err
-			}
+		if err := c.checkBlocks("Gatherv", &recv); err != nil {
+			return c.noColl(err)
 		}
 	}
-	mine, err := c.packColl(sendbuf, soffset, scount, sdt)
-	if err != nil {
-		return collPlan{}, err
-	}
-	p := collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Gather(root, mine)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Igather(root, mine) },
-	}
+	var mine []byte
+	plan, err := c.cl.GatherPlan(root, &mine)
+	p := collPlan{plan: plan, err: mapEngineErr(err), refresh: c.packInto(&mine, sendbuf, soffset, scount, sdt)}
 	if c.rank == root {
-		p.fin = deposit
+		p.fin = recv.deposit
 	}
-	return p, nil
+	return p
 }
 
 // Scatter distributes equal-size sections from root (MPI_Scatter):
@@ -345,7 +379,7 @@ func (c *Intracomm) Scatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(sendbuf, soffset, scount, sdt, nil, recvbuf, roffset, rcount, rdt, root))
+	return c.ScatterCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt, root)
 }
 
 // ScatterCtx is Scatter under a context.
@@ -354,12 +388,7 @@ func (c *Intracomm) ScatterCtx(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	req, err := c.Iscatter(sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt, root)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -367,7 +396,7 @@ func (c *Intracomm) Iscatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*CollRequest, error) {
-	return c.startColl(c.planScatter(sendbuf, soffset, scount, sdt, nil, recvbuf, roffset, rcount, rdt, root))
+	return c.startColl(c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
 // Scatterv distributes varying-size sections from root (MPI_Scatterv).
@@ -375,8 +404,7 @@ func (c *Intracomm) Scatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(sendbuf, soffset, 0, sdt,
-		&vLayout{sendcounts, displs}, recvbuf, roffset, rcount, rdt, root))
+	return c.ScattervCtx(context.Background(), sendbuf, soffset, sendcounts, displs, sdt, recvbuf, roffset, rcount, rdt, root)
 }
 
 // ScattervCtx is Scatterv under a context.
@@ -385,12 +413,7 @@ func (c *Intracomm) ScattervCtx(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	req, err := c.Iscatterv(sendbuf, soffset, sendcounts, displs, sdt, recvbuf, roffset, rcount, rdt, root)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
 // Iscatterv starts a nonblocking varying-size scatter (MPI_Iscatterv).
@@ -398,57 +421,30 @@ func (c *Intracomm) Iscatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*CollRequest, error) {
-	return c.startColl(c.planScatter(sendbuf, soffset, 0, sdt,
-		&vLayout{sendcounts, displs}, recvbuf, roffset, rcount, rdt, root))
+	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
-// planScatter is the shared plan of Scatter (v nil, uniform scount
-// sections) and Scatterv (v carries the per-rank send layout,
-// significant and validated at root).
-func (c *Intracomm) planScatter(
-	sendbuf any, soffset, scount int, sdt *Datatype, v *vLayout,
-	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) (collPlan, error) {
+// planScatter is the plan of Scatter and Scatterv; the send layout is
+// significant (and validated) at root only.
+func (c *Intracomm) planScatter(send blocks, recvbuf any, roffset, rcount int, rdt *Datatype, root int) collPlan {
 	c.env.enterCall()
 	if err := c.collChecks(rdt, root); err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
+	}
+	if err := checkSection(recvbuf, roffset, rcount, rdt); err != nil {
+		return c.noColl(err)
 	}
 	var parts [][]byte
+	var refresh func() error
 	if c.rank == root {
-		if err := c.checkType(sdt); err != nil {
-			return collPlan{}, err
-		}
-		if v != nil {
-			if err := v.check("Scatterv", c.Size()); err != nil {
-				return collPlan{}, err
-			}
+		if err := c.checkBlocks("Scatterv", &send); err != nil {
+			return c.noColl(err)
 		}
 		parts = make([][]byte, c.Size())
-		for r := range parts {
-			at, n := soffset+r*scount*sdt.Extent(), scount
-			if v != nil {
-				at, n = soffset+v.displs[r]*sdt.Extent(), v.counts[r]
-			}
-			wire, err := c.packColl(sendbuf, at, n, sdt)
-			if err != nil {
-				return collPlan{}, err
-			}
-			parts[r] = wire
-		}
+		refresh = c.packBlocks(&send, parts)
 	}
-	return collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Scatter(root, parts)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Iscatter(root, parts) },
-		fin: func(res any) error {
-			if _, err := dtype.Unpack(res.([]byte), recvbuf, roffset, rcount, rdt.t); err != nil {
-				return mapDataErr(err)
-			}
-			return nil
-		},
-	}, nil
+	plan, err := c.cl.ScatterPlan(root, &parts)
+	return collPlan{plan: plan, err: mapEngineErr(err), refresh: refresh, fin: unpackInto(recvbuf, roffset, rcount, rdt)}
 }
 
 // Allgather gathers equal-size contributions at every member
@@ -457,8 +453,7 @@ func (c *Intracomm) Allgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(sendbuf, soffset, scount, sdt, rdt, nil,
-		blocksFin(recvbuf, roffset, rcount, rdt)))
+	return c.AllgatherCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt)
 }
 
 // AllgatherCtx is Allgather under a context.
@@ -467,12 +462,7 @@ func (c *Intracomm) AllgatherCtx(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	req, err := c.Iallgather(sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -480,8 +470,7 @@ func (c *Intracomm) Iallgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*CollRequest, error) {
-	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, rdt, nil,
-		blocksFin(recvbuf, roffset, rcount, rdt)))
+	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
 }
 
 // Allgatherv gathers varying-size contributions at every member
@@ -490,8 +479,7 @@ func (c *Intracomm) Allgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(sendbuf, soffset, scount, sdt, rdt,
-		&vLayout{recvcounts, displs}, blocksvFin(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.AllgathervCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, recvcounts, displs, rdt)
 }
 
 // AllgathervCtx is Allgatherv under a context.
@@ -500,12 +488,7 @@ func (c *Intracomm) AllgathervCtx(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	req, err := c.Iallgatherv(sendbuf, soffset, scount, sdt, recvbuf, roffset, recvcounts, displs, rdt)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // Iallgatherv starts a nonblocking varying-size allgather
@@ -514,44 +497,28 @@ func (c *Intracomm) Iallgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) (*CollRequest, error) {
-	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, rdt,
-		&vLayout{recvcounts, displs}, blocksvFin(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
-// planAllgather is the shared plan of Allgather and Allgatherv; the
-// v-variant's receive layout is significant (and validated) on every
-// member.
-func (c *Intracomm) planAllgather(
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	rdt *Datatype, v *vLayout, deposit func(res any) error,
-) (collPlan, error) {
+// planAllgather is the plan of Allgather and Allgatherv; the receive
+// layout is significant (and validated) on every member.
+func (c *Intracomm) planAllgather(sendbuf any, soffset, scount int, sdt *Datatype, recv blocks) collPlan {
 	c.env.enterCall()
-	if err := c.ok(); err != nil {
-		return collPlan{}, err
+	if err := c.collChecks(sdt, 0); err != nil {
+		return c.noColl(err)
 	}
-	if err := c.checkType(sdt); err != nil {
-		return collPlan{}, err
+	if err := checkSection(sendbuf, soffset, scount, sdt); err != nil {
+		return c.noColl(err)
 	}
-	if err := c.checkType(rdt); err != nil {
-		return collPlan{}, err
+	if err := c.checkBlocks("Allgatherv", &recv); err != nil {
+		return c.noColl(err)
 	}
-	if v != nil {
-		if err := v.check("Allgatherv", c.Size()); err != nil {
-			return collPlan{}, err
-		}
-	}
-	mine, err := c.packColl(sendbuf, soffset, scount, sdt)
-	if err != nil {
-		return collPlan{}, err
-	}
+	var mine []byte
 	return collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Allgather(mine)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Iallgather(mine), nil },
-		fin:  deposit,
-	}, nil
+		plan:    c.cl.AllgatherPlan(&mine),
+		refresh: c.packInto(&mine, sendbuf, soffset, scount, sdt),
+		fin:     recv.deposit,
+	}
 }
 
 // Alltoall exchanges equal-size sections between all pairs
@@ -560,8 +527,7 @@ func (c *Intracomm) Alltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(sendbuf, soffset, scount, sdt, nil, rdt, nil,
-		blocksFin(recvbuf, roffset, rcount, rdt)))
+	return c.AlltoallCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt)
 }
 
 // AlltoallCtx is Alltoall under a context.
@@ -570,12 +536,7 @@ func (c *Intracomm) AlltoallCtx(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	req, err := c.Ialltoall(sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -583,8 +544,7 @@ func (c *Intracomm) Ialltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*CollRequest, error) {
-	return c.startColl(c.planAlltoall(sendbuf, soffset, scount, sdt, nil, rdt, nil,
-		blocksFin(recvbuf, roffset, rcount, rdt)))
+	return c.startColl(c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
 }
 
 // Alltoallv exchanges varying-size sections between all pairs
@@ -593,8 +553,7 @@ func (c *Intracomm) Alltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(sendbuf, soffset, 0, sdt, &vLayout{sendcounts, sdispls},
-		rdt, &vLayout{recvcounts, rdispls}, blocksvFin(recvbuf, roffset, recvcounts, rdispls, rdt)))
+	return c.AlltoallvCtx(context.Background(), sendbuf, soffset, sendcounts, sdispls, sdt, recvbuf, roffset, recvcounts, rdispls, rdt)
 }
 
 // AlltoallvCtx is Alltoallv under a context.
@@ -603,12 +562,7 @@ func (c *Intracomm) AlltoallvCtx(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) error {
-	req, err := c.Ialltoallv(sendbuf, soffset, sendcounts, sdispls, sdt, recvbuf, roffset, recvcounts, rdispls, rdt)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
 }
 
 // Ialltoallv starts a nonblocking varying-size alltoall
@@ -617,53 +571,25 @@ func (c *Intracomm) Ialltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) (*CollRequest, error) {
-	return c.startColl(c.planAlltoall(sendbuf, soffset, 0, sdt, &vLayout{sendcounts, sdispls},
-		rdt, &vLayout{recvcounts, rdispls}, blocksvFin(recvbuf, roffset, recvcounts, rdispls, rdt)))
+	return c.startColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
 }
 
-// planAlltoall is the shared plan of Alltoall (uniform scount sections;
-// sendV/recvV nil) and Alltoallv (per-rank layouts on both sides, both
-// validated on every member).
-func (c *Intracomm) planAlltoall(
-	sendbuf any, soffset, scount int, sdt *Datatype, sendV *vLayout,
-	rdt *Datatype, recvV *vLayout, deposit func(res any) error,
-) (collPlan, error) {
+// planAlltoall is the plan of Alltoall and Alltoallv; both layouts are
+// significant (and validated) on every member.
+func (c *Intracomm) planAlltoall(send, recv blocks) collPlan {
 	c.env.enterCall()
 	if err := c.ok(); err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
 	}
-	if err := c.checkType(sdt); err != nil {
-		return collPlan{}, err
+	if err := c.checkBlocks("Alltoallv", &send); err != nil {
+		return c.noColl(err)
 	}
-	if err := c.checkType(rdt); err != nil {
-		return collPlan{}, err
+	if err := c.checkBlocks("Alltoallv", &recv); err != nil {
+		return c.noColl(err)
 	}
-	n := c.Size()
-	if sendV != nil {
-		if sendV.check("", n) != nil || recvV.check("", n) != nil {
-			return collPlan{}, errf(ErrArg, "Alltoallv needs %d counts and displacements on both sides", n)
-		}
-	}
-	parts := make([][]byte, n)
-	for r := range parts {
-		at, cnt := soffset+r*scount*sdt.Extent(), scount
-		if sendV != nil {
-			at, cnt = soffset+sendV.displs[r]*sdt.Extent(), sendV.counts[r]
-		}
-		wire, err := c.packColl(sendbuf, at, cnt, sdt)
-		if err != nil {
-			return collPlan{}, err
-		}
-		parts[r] = wire
-	}
-	return collPlan{
-		run: func() (any, error) {
-			res, err := c.cl.Alltoall(parts)
-			return res, err
-		},
-		irun: func() (*coll.Request, error) { return c.cl.Ialltoall(parts) },
-		fin:  deposit,
-	}, nil
+	parts := make([][]byte, c.Size())
+	plan, err := c.cl.AlltoallPlan(parts)
+	return collPlan{plan: plan, err: mapEngineErr(err), refresh: c.packBlocks(&send, parts), fin: recv.deposit}
 }
 
 // Reduce folds count items with op, leaving the result at root
@@ -672,7 +598,7 @@ func (c *Intracomm) Reduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	return c.runColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
+	return c.ReduceCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op, root)
 }
 
 // ReduceCtx is Reduce under a context.
@@ -681,12 +607,7 @@ func (c *Intracomm) ReduceCtx(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	req, err := c.Ireduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce); root's recvbuf
@@ -698,24 +619,28 @@ func (c *Intracomm) Ireduce(
 	return c.startColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
 }
 
+// reduceChecks is collChecks for the reduction family: op must also be
+// defined on d.
+func (c *Intracomm) reduceChecks(d *Datatype, op *Op, root int) error {
+	if err := c.collChecks(d, root); err != nil {
+		return err
+	}
+	return checkOp(op, d)
+}
+
 func (c *Intracomm) planReduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
-) (collPlan, error) {
+) collPlan {
 	c.env.enterCall()
-	if err := c.collChecks(d, root); err != nil {
-		return collPlan{}, err
+	if err := c.reduceChecks(d, op, root); err != nil {
+		return c.noColl(err)
 	}
-	if err := checkOp(op, d); err != nil {
-		return collPlan{}, err
-	}
-	a, err := c.reduceAccum(c.rank == root, sendbuf, soffset, recvbuf, roffset, count, count, d)
+	a, err := c.newAccum(c.rank == root, sendbuf, soffset, recvbuf, roffset, count, count, d)
 	if err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
 	}
-	return planOf(func() (*coll.Plan, error) {
-		return c.cl.ReducePlan(root, &a.b, op.op, d.t.Class())
-	}, a.fin), nil
+	return a.plan(c.cl.ReducePlan(root, &a.b, op.op, d.t.Class()))
 }
 
 // Allreduce folds count items with op, leaving the result everywhere
@@ -724,7 +649,7 @@ func (c *Intracomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.AllreduceCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op)
 }
 
 // AllreduceCtx is Allreduce under a context.
@@ -733,12 +658,7 @@ func (c *Intracomm) AllreduceCtx(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	req, err := c.Iallreduce(sendbuf, soffset, recvbuf, roffset, count, d, op)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce); every
@@ -753,24 +673,16 @@ func (c *Intracomm) Iallreduce(
 func (c *Intracomm) planAllreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
-) (collPlan, error) {
+) collPlan {
 	c.env.enterCall()
-	if err := c.ok(); err != nil {
-		return collPlan{}, err
+	if err := c.reduceChecks(d, op, 0); err != nil {
+		return c.noColl(err)
 	}
-	if err := c.checkType(d); err != nil {
-		return collPlan{}, err
-	}
-	if err := checkOp(op, d); err != nil {
-		return collPlan{}, err
-	}
-	a, err := c.reduceAccum(true, sendbuf, soffset, recvbuf, roffset, count, count, d)
+	a, err := c.newAccum(true, sendbuf, soffset, recvbuf, roffset, count, count, d)
 	if err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
 	}
-	return planOf(func() (*coll.Plan, error) {
-		return c.cl.AllreducePlan(&a.b, op.op, d.t.Class())
-	}, a.fin), nil
+	return a.plan(c.cl.AllreducePlan(&a.b, op.op, d.t.Class()))
 }
 
 // ReduceScatter folds with op and scatters segments of the result:
@@ -779,7 +691,7 @@ func (c *Intracomm) ReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
+	return c.ReduceScatterCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, recvcounts, d, op)
 }
 
 // ReduceScatterCtx is ReduceScatter under a context.
@@ -788,12 +700,7 @@ func (c *Intracomm) ReduceScatterCtx(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	req, err := c.IreduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter
@@ -808,36 +715,28 @@ func (c *Intracomm) IreduceScatter(
 func (c *Intracomm) planReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
-) (collPlan, error) {
+) collPlan {
 	c.env.enterCall()
-	if err := c.ok(); err != nil {
-		return collPlan{}, err
-	}
-	if err := c.checkType(d); err != nil {
-		return collPlan{}, err
-	}
-	if err := checkOp(op, d); err != nil {
-		return collPlan{}, err
+	if err := c.reduceChecks(d, op, 0); err != nil {
+		return c.noColl(err)
 	}
 	if len(recvcounts) != c.Size() {
-		return collPlan{}, errf(ErrArg, "ReduceScatter needs %d recvcounts", c.Size())
+		return c.noColl(errf(ErrArg, "ReduceScatter needs %d recvcounts", c.Size()))
 	}
 	total := 0
 	elemCounts := make([]int, len(recvcounts))
 	for i, n := range recvcounts {
 		if n < 0 {
-			return collPlan{}, errf(ErrCount, "negative recvcount %d", n)
+			return c.noColl(errf(ErrCount, "negative recvcount %d", n))
 		}
 		total += n
 		elemCounts[i] = n * d.Size()
 	}
-	a, err := c.reduceAccum(true, sendbuf, soffset, recvbuf, roffset, recvcounts[c.rank], total, d)
+	a, err := c.newAccum(true, sendbuf, soffset, recvbuf, roffset, recvcounts[c.rank], total, d)
 	if err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
 	}
-	return planOf(func() (*coll.Plan, error) {
-		return c.cl.ReduceScatterPlan(&a.b, elemCounts, op.op, d.t.Class())
-	}, a.fin), nil
+	return a.plan(c.cl.ReduceScatterPlan(&a.b, elemCounts, op.op, d.t.Class()))
 }
 
 // Scan computes the inclusive prefix reduction in rank order (MPI_Scan).
@@ -845,7 +744,7 @@ func (c *Intracomm) Scan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.ScanCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op)
 }
 
 // ScanCtx is Scan under a context.
@@ -854,12 +753,7 @@ func (c *Intracomm) ScanCtx(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	req, err := c.Iscan(sendbuf, soffset, recvbuf, roffset, count, d, op)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
@@ -878,7 +772,7 @@ func (c *Intracomm) Exscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.ExscanCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op)
 }
 
 // ExscanCtx is Exscan under a context.
@@ -887,12 +781,7 @@ func (c *Intracomm) ExscanCtx(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	req, err := c.Iexscan(sendbuf, soffset, recvbuf, roffset, count, d, op)
-	if err != nil {
-		return err
-	}
-	_, err = req.WaitCtx(ctx)
-	return err
+	return c.runColl(ctx, c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction
@@ -904,31 +793,23 @@ func (c *Intracomm) Iexscan(
 	return c.startColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
-// planScan is the shared plan of Scan and Exscan; exclusive selects the
+// planScan is the plan of Scan and Exscan; exclusive selects the
 // variant. Rank 0's Exscan result is undefined: its receive buffer is
 // neither validated nor touched.
 func (c *Intracomm) planScan(
 	exclusive bool,
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
-) (collPlan, error) {
+) collPlan {
 	c.env.enterCall()
-	if err := c.ok(); err != nil {
-		return collPlan{}, err
+	if err := c.reduceChecks(d, op, 0); err != nil {
+		return c.noColl(err)
 	}
-	if err := c.checkType(d); err != nil {
-		return collPlan{}, err
-	}
-	if err := checkOp(op, d); err != nil {
-		return collPlan{}, err
-	}
-	a, err := c.reduceAccum(!exclusive || c.rank > 0, sendbuf, soffset, recvbuf, roffset, count, count, d)
+	a, err := c.newAccum(!exclusive || c.rank > 0, sendbuf, soffset, recvbuf, roffset, count, count, d)
 	if err != nil {
-		return collPlan{}, err
+		return c.noColl(err)
 	}
-	return planOf(func() (*coll.Plan, error) {
-		return c.cl.ScanPlan(exclusive, &a.b, op.op, d.t.Class())
-	}, a.fin), nil
+	return a.plan(c.cl.ScanPlan(exclusive, &a.b, op.op, d.t.Class()))
 }
 
 // Dup duplicates the communicator with fresh contexts (MPI_Comm_dup).

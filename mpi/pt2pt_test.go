@@ -419,10 +419,10 @@ func TestPersistentBsendAndSsendInit(t *testing.T) {
 			}
 			for i := 0; i < 3; i++ {
 				buf[0] = int32(i)
-				if err := mpi.StartAll([]*mpi.Prequest{pb, ps}); err != nil {
+				if err := mpi.StartAll([]*mpi.PersistentRequest{pb, ps}); err != nil {
 					return err
 				}
-				if _, err := mpi.WaitAllP([]*mpi.Prequest{pb, ps}); err != nil {
+				if _, err := mpi.WaitAllAny([]mpi.AnyRequest{pb, ps}); err != nil {
 					return err
 				}
 			}

@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -156,6 +157,160 @@ func TestReductionRecvSectionCheckedAtCall(t *testing.T) {
 		}
 		if out[3] != 12 {
 			return fmt.Errorf("rank %d: allreduce after refused calls = %v", w.Rank(), out)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// movementEntryPoints calls every data-movement entry point — blocking,
+// *Ctx, nonblocking and persistent, uniform and v-variant — moving count
+// DOUBLEs per rank from send into recv (root 0), and returns each
+// call's error by name. Accepted nonblocking and persistent calls are
+// driven to completion, so the communicator is left clean.
+func movementEntryPoints(w *mpi.Intracomm, send, recv any, count int) map[string]error {
+	ctx, d := context.Background(), mpi.DOUBLE
+	counts, displs := make([]int, w.Size()), make([]int, w.Size())
+	for r := range counts {
+		counts[r], displs[r] = count, r*count
+	}
+	errs := map[string]error{
+		"Gather":        w.Gather(send, 0, count, d, recv, 0, count, d, 0),
+		"GatherCtx":     w.GatherCtx(ctx, send, 0, count, d, recv, 0, count, d, 0),
+		"Gatherv":       w.Gatherv(send, 0, count, d, recv, 0, counts, displs, d, 0),
+		"GathervCtx":    w.GathervCtx(ctx, send, 0, count, d, recv, 0, counts, displs, d, 0),
+		"Scatter":       w.Scatter(send, 0, count, d, recv, 0, count, d, 0),
+		"ScatterCtx":    w.ScatterCtx(ctx, send, 0, count, d, recv, 0, count, d, 0),
+		"Scatterv":      w.Scatterv(send, 0, counts, displs, d, recv, 0, count, d, 0),
+		"ScattervCtx":   w.ScattervCtx(ctx, send, 0, counts, displs, d, recv, 0, count, d, 0),
+		"Allgather":     w.Allgather(send, 0, count, d, recv, 0, count, d),
+		"AllgatherCtx":  w.AllgatherCtx(ctx, send, 0, count, d, recv, 0, count, d),
+		"Allgatherv":    w.Allgatherv(send, 0, count, d, recv, 0, counts, displs, d),
+		"AllgathervCtx": w.AllgathervCtx(ctx, send, 0, count, d, recv, 0, counts, displs, d),
+		"Alltoall":      w.Alltoall(send, 0, count, d, recv, 0, count, d),
+		"AlltoallCtx":   w.AlltoallCtx(ctx, send, 0, count, d, recv, 0, count, d),
+		"Alltoallv":     w.Alltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d),
+		"AlltoallvCtx":  w.AlltoallvCtx(ctx, send, 0, counts, displs, d, recv, 0, counts, displs, d),
+	}
+	settle := func(name string, req mpi.AnyRequest, err error) {
+		if err == nil {
+			_, err = req.Wait()
+		}
+		errs[name] = err
+	}
+	ireq, err := w.Igather(send, 0, count, d, recv, 0, count, d, 0)
+	settle("Igather", ireq, err)
+	ireq, err = w.Igatherv(send, 0, count, d, recv, 0, counts, displs, d, 0)
+	settle("Igatherv", ireq, err)
+	ireq, err = w.Iscatter(send, 0, count, d, recv, 0, count, d, 0)
+	settle("Iscatter", ireq, err)
+	ireq, err = w.Iscatterv(send, 0, counts, displs, d, recv, 0, count, d, 0)
+	settle("Iscatterv", ireq, err)
+	ireq, err = w.Iallgather(send, 0, count, d, recv, 0, count, d)
+	settle("Iallgather", ireq, err)
+	ireq, err = w.Iallgatherv(send, 0, count, d, recv, 0, counts, displs, d)
+	settle("Iallgatherv", ireq, err)
+	ireq, err = w.Ialltoall(send, 0, count, d, recv, 0, count, d)
+	settle("Ialltoall", ireq, err)
+	ireq, err = w.Ialltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d)
+	settle("Ialltoallv", ireq, err)
+	persist := func(name string, p *mpi.PersistentRequest, err error) {
+		if err == nil {
+			if err = p.Start(); err == nil {
+				_, err = p.Wait()
+			}
+			p.Free() //nolint:errcheck // Free never fails
+		}
+		errs[name] = err
+	}
+	p, err := w.GatherInit(send, 0, count, d, recv, 0, count, d, 0)
+	persist("GatherInit", p, err)
+	p, err = w.AllgatherInit(send, 0, count, d, recv, 0, count, d)
+	persist("AllgatherInit", p, err)
+	return errs
+}
+
+// bcastEntryPoints is movementEntryPoints for the broadcast family,
+// whose one section is the send side at root 0 and the receive side
+// elsewhere.
+func bcastEntryPoints(w *mpi.Intracomm, buf any, count int) map[string]error {
+	errs := map[string]error{
+		"Bcast":    w.Bcast(buf, 0, count, mpi.DOUBLE, 0),
+		"BcastCtx": w.BcastCtx(context.Background(), buf, 0, count, mpi.DOUBLE, 0),
+	}
+	req, err := w.Ibcast(buf, 0, count, mpi.DOUBLE, 0)
+	if err == nil {
+		_, err = req.Wait()
+	}
+	errs["Ibcast"] = err
+	p, err := w.BcastInit(buf, 0, count, mpi.DOUBLE, 0)
+	if err == nil {
+		if err = p.Start(); err == nil {
+			_, err = p.Wait()
+		}
+		p.Free() //nolint:errcheck // Free never fails
+	}
+	errs["BcastInit"] = err
+	return errs
+}
+
+// TestMovementRecvSectionCheckedAtCall: the data-movement half of
+// TestReductionRecvSectionCheckedAtCall. A receive section too small
+// for what the collective delivers is MPI_ERR_BUFFER at the call on
+// every entry point — the deposit used to report it after the schedule
+// had run — and no schedule is armed for a refused call. Rooted probes
+// run on COMM_SELF, where every member is the root; the broadcast's
+// non-root section is probed on the world, where every member refuses
+// alike (the root for its send side).
+func TestMovementRecvSectionCheckedAtCall(t *testing.T) {
+	err := mpi.Run(3, func(env *mpi.Env) error {
+		w, self := env.CommWorld(), env.CommSelf()
+		send := []float64{1, 2, 3, 4}
+		started := func() uint64 {
+			v, _ := env.PerfVar("coll.scheds_started")
+			return uint64(v)
+		}
+		if err := w.Barrier(); err != nil { // registers the coll.* variables
+			return err
+		}
+		before := started()
+		if err := expectAll(w.Rank(), movementEntryPoints(self, send, make([]float64, 2), 4), mpi.ErrBuffer); err != nil {
+			return err
+		}
+		if err := expectAll(w.Rank(), movementEntryPoints(self, send, []int32{0, 0, 0, 0}, 4), mpi.ErrType); err != nil {
+			return err
+		}
+		if err := expectAll(w.Rank(), bcastEntryPoints(w, make([]float64, 2), 4), mpi.ErrBuffer); err != nil {
+			return err
+		}
+		// A v-variant's sections are validated rank by rank: a
+		// displacement that pushes the last one out of bounds.
+		if err := self.Gatherv(send, 0, 4, mpi.DOUBLE, make([]float64, 4), 0, []int{4}, []int{1}, mpi.DOUBLE, 0); mpi.ClassOf(err) != mpi.ErrBuffer {
+			return fmt.Errorf("rank %d gatherv past the end: %v", w.Rank(), err)
+		}
+		if got := started(); got != before {
+			return fmt.Errorf("rank %d: refused calls armed %d schedules", w.Rank(), got-before)
+		}
+		// Accepted calls still work, on every entry point, and the
+		// instance numbering stayed aligned for the world.
+		recv := make([]float64, 4)
+		if err := expectAll(w.Rank(), movementEntryPoints(self, send, recv, 4), mpi.ErrSuccess); err != nil {
+			return err
+		}
+		if recv[3] != 4 {
+			return fmt.Errorf("rank %d: self movement delivered %v", w.Rank(), recv)
+		}
+		buf := make([]float64, 4)
+		if w.Rank() == 0 {
+			copy(buf, send)
+		}
+		if err := expectAll(w.Rank(), bcastEntryPoints(w, buf, 4), mpi.ErrSuccess); err != nil {
+			return err
+		}
+		if buf[3] != 4 {
+			return fmt.Errorf("rank %d: bcast after refused calls = %v", w.Rank(), buf)
 		}
 		return nil
 	})

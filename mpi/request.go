@@ -392,11 +392,6 @@ type PersistentRequest struct {
 	activeColl *CollRequest // current collective activation
 }
 
-// Prequest is the persistent request's pre-MPI-4 name.
-//
-// Deprecated: use PersistentRequest; Prequest remains as an alias.
-type Prequest = PersistentRequest
-
 // Start activates the persistent request (MPI_Start). The previous
 // activation must have completed, and the communicator must not have
 // been revoked — Start is a fresh operation, so unlike Wait on an
@@ -518,26 +513,6 @@ func StartAll(ps []*PersistentRequest) error {
 		}
 	}
 	return nil
-}
-
-// WaitAllP waits on the current activations of persistent requests and
-// returns their statuses in order, Index fields set.
-//
-// Deprecated: WaitAllAny accepts mixed request kinds; WaitAllP remains
-// for homogeneous persistent sets.
-func WaitAllP(ps []*PersistentRequest) ([]*Status, error) {
-	sts := make([]*Status, len(ps))
-	var firstErr error
-	for i, p := range ps {
-		st, err := p.Wait()
-		cp := *st
-		cp.Index = i
-		sts[i] = &cp
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return sts, firstErr
 }
 
 // mapEngineErr converts engine- and schedule-layer failures into MPI

@@ -237,7 +237,10 @@ func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
 	// The window section is both operand and destination: an
 	// accumulator over it (the section's own memory wherever that is
 	// its wire image), folded with the origin's contribution.
-	a, err := w.comm.reduceAccum(true, w.base, disp, w.base, disp, count, count, w.dt)
+	a, err := w.comm.newAccum(true, w.base, disp, w.base, disp, count, count, w.dt)
+	if err == nil {
+		err = a.load()
+	}
 	if err != nil {
 		return err
 	}
