@@ -79,12 +79,14 @@ type inMsg struct {
 // outFrame is a frame produced by the matching engine to be sent after
 // the engine lock is released (sending under the lock can deadlock with
 // the peer's flow control; see the ordering argument in DESIGN.md). hdr
-// is pool-born; payload (rendezvous DATA only) is shipped by reference.
+// is pool-born; payload (rendezvous DATA only) is shipped by reference,
+// and a non-nil loan marks it as the sending caller's own memory.
 type outFrame struct {
 	dst     int32
 	hdr     []byte
 	payload []byte
 	recycle bool
+	loan    transport.Loan
 }
 
 // Proc is one rank's progress engine. All methods are safe for
@@ -455,7 +457,16 @@ func (p *Proc) sendAsync(outs []outFrame) {
 	for _, o := range outs {
 		go func(o outFrame) {
 			defer p.doneSend()
-			p.dev.Sendv(int(o.dst), o.hdr, o.payload, o.recycle) //nolint:errcheck // peer teardown races are benign
+			// Peer teardown races make either send's error benign. (No
+			// helper around the pair: this goroutine is born on a
+			// minimal stack, and every frame between here and the
+			// device's blocking point is one more to copy when it
+			// grows.)
+			if o.loan != nil {
+				transport.SendLent(p.dev, int(o.dst), o.hdr, o.payload, o.loan) //nolint:errcheck
+			} else {
+				p.dev.Sendv(int(o.dst), o.hdr, o.payload, o.recycle) //nolint:errcheck
+			}
 		}(o)
 	}
 }
@@ -556,12 +567,25 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, fresh bool) {
 }
 
 // handle runs the matching engine on one frame. It owns f.frame: the
-// frame is either transferred to the matching request or unexpected
-// queue, or released before handle returns. It returns frames to
-// transmit and requests to complete once those frames are sent.
+// frame is transferred to the matching request or the unexpected queue,
+// or released here — after the engine lock is dropped, because
+// releasing a lent rendezvous payload completes its sender's request
+// under the *sender's* engine lock, and two ranks delivering to each
+// other (or one rank sending to itself) must never nest those locks.
+// It returns frames to transmit and requests to complete once those
+// frames are sent.
 func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 	p.mu.Lock()
-	defer p.mu.Unlock()
+	outs, after = p.handleLocked(&f)
+	p.mu.Unlock()
+	f.frame.Release()
+	return outs, after
+}
+
+// handleLocked is handle under the engine lock. Where ownership of
+// f.frame moves on it is cleared; whatever is left in it the caller
+// releases.
+func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 	switch f.kind {
 	case kEager, kEagerSync:
 		req := p.takeMatchLocked(f.env)
@@ -570,6 +594,7 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 				kind: f.kind, env: f.env, id: f.id,
 				payload: f.payload, frame: f.frame,
 			})
+			f.frame = transport.Frame{}
 			p.rec.Instant(obs.EvRecvUnexpected, uint32(f.env.srcGroup), int64(len(f.payload)))
 			p.unexpDepth.Set(int64(len(p.arrived)))
 			p.cond.Broadcast()
@@ -578,7 +603,7 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 		p.stats.RecvsMatched.Add(1)
 		p.stats.BytesRecv.Add(uint64(len(f.payload)))
 		p.rec.Instant(obs.EvRecvMatched, uint32(f.env.srcGroup), int64(len(f.payload)))
-		p.deliverLocked(req, f.payload, f.frame, Status{
+		p.deliverLocked(req, f.payload, &f.frame, Status{
 			SourceGroup: int(f.env.srcGroup),
 			Tag:         int(f.env.tag),
 		})
@@ -587,7 +612,6 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 		}
 	case kRts:
 		req := p.takeMatchLocked(f.env)
-		f.frame.Release() // RTS carries no payload; nothing to retain
 		p.rec.Instant(obs.EvRtsRecv, uint32(f.env.srcGroup), int64(f.size))
 		if req == nil {
 			p.arrived = append(p.arrived, &inMsg{kind: kRts, env: f.env, id: f.id, size: f.size})
@@ -599,7 +623,6 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 		p.stats.BytesRecv.Add(uint64(f.size))
 		outs = append(outs, p.grantRtsLocked(req, f.env, f.id))
 	case kCts:
-		defer f.frame.Release()
 		req, ok := p.sent[f.id]
 		if !ok {
 			return nil, nil // cancelled or duplicate
@@ -607,30 +630,36 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 		delete(p.sent, f.id)
 		p.rec.Instant(obs.EvCtsRecv, uint32(f.id), 0)
 		p.rec.End(obs.EvSendRndv, uint32(f.id), 0)
-		outs = append(outs, outFrame{
+		data := outFrame{
 			dst:     f.env.srcWorld,
 			hdr:     buildDataHdr(int32(p.Rank()), f.recvID),
 			payload: req.data,
 			recycle: req.recycle,
-		})
+		}
 		req.data = nil
-		after = append(after, lateComplete{req: req, st: Status{Bytes: req.size}})
+		if req.lent {
+			// From here the request is in no table: cancel, peer loss
+			// and revocation cannot reach it, and only the loan's
+			// return — the last reader letting go — completes it.
+			data.loan = (*lentSend)(req)
+		} else {
+			after = append(after, lateComplete{req: req, st: Status{Bytes: req.size}})
+		}
+		outs = append(outs, data)
 	case kData:
 		req, ok := p.recving[f.recvID]
 		if !ok {
-			f.frame.Release()
 			return nil, nil
 		}
 		delete(p.recving, f.recvID)
-		// The posted request owns the incoming frame outright: the
-		// payload lands in the caller's buffer (receive-into) or is
-		// handed over by reference — never cloned.
-		p.deliverLocked(req, f.payload, f.frame, Status{
+		// The payload lands in the caller's buffer (receive-into) or
+		// the posted request takes the frame over by reference — never
+		// cloned, unless it is on loan.
+		p.deliverLocked(req, f.payload, &f.frame, Status{
 			SourceGroup: int(req.Stat.SourceGroup),
 			Tag:         req.Stat.Tag,
 		})
 	case kAck:
-		f.frame.Release()
 		req, ok := p.sent[f.id]
 		if !ok {
 			return nil, nil
@@ -638,7 +667,6 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 		delete(p.sent, f.id)
 		after = append(after, lateComplete{req: req, st: Status{Bytes: req.size}})
 	case kRevoke:
-		f.frame.Release()
 		// First receipt poisons the pair and re-floods the notice: the
 		// flood is what makes revocation reliable when the revoker dies
 		// mid-broadcast (every member that hears it tells everyone).
@@ -652,35 +680,43 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 
 // deliverLocked completes a receive request with an arrived payload,
 // following the ownership protocol: a receive-into request gets the
-// bytes copied straight into its caller-owned buffer and the frame is
-// released; an ordinary receive takes ownership of the frame and sees
-// the payload by reference, with release deferred to the request's
-// consumer. st carries SourceGroup/Tag; Bytes and Err are filled here.
-func (p *Proc) deliverLocked(req *Request, payload []byte, frame transport.Frame, st Status) {
+// bytes copied straight into its caller-owned buffer and the frame
+// stays with the caller of deliverLocked, to release once the engine
+// lock is dropped; an ordinary receive takes the frame over (clearing
+// *frame) and sees the payload by reference, with release deferred to
+// the request's consumer. A lent payload cannot wait for that consumer
+// — the sender's completion would hinge on the receiving *user*
+// reaching its Wait, which MPI does not promise — so an ordinary
+// receive gets a private pooled copy of it instead. st carries
+// SourceGroup/Tag; Bytes and Err are filled here.
+func (p *Proc) deliverLocked(req *Request, payload []byte, frame *transport.Frame, st Status) {
+	st.Bytes = len(payload) // full incoming size, on either path
 	if req.into != nil {
-		// Deposit whole elements only: a payload that is not an exact
-		// multiple of the element size must not tear the final element
-		// (the binding reports the format error; classic unpack
-		// rejects such payloads before depositing anything).
+		// Deposit whole messages only: a payload that is not an exact
+		// multiple of the element size is a wire-format error the
+		// binding reports, and like the unpack of an ordinary receive
+		// it deposits nothing.
 		avail := payload
-		if es := req.intoES; es > 1 {
-			if rem := len(avail) % es; rem != 0 {
-				avail = avail[:len(avail)-rem]
-			}
+		if es := req.intoES; es > 1 && len(avail)%es != 0 {
+			avail = nil
 		}
 		n := copy(req.into, avail)
 		p.stats.BytesCopied.Add(uint64(n))
-		st.Bytes = len(payload) // full incoming size, like an ordinary receive
 		if len(avail) > len(req.into) {
 			st.Err = ErrTruncated
 		}
-		frame.Release()
 		p.completeLocked(req, nil, st)
 		return
 	}
-	p.stats.RecvsZeroCopy.Add(1)
-	req.frame = frame
-	st.Bytes = len(payload)
+	if frame.Lent() {
+		own := transport.GetBuf(len(payload))
+		p.stats.BytesCopied.Add(uint64(copy(own, payload)))
+		req.frame = transport.PooledFrame(nil, own, false, true)
+		payload = own
+	} else {
+		p.stats.RecvsZeroCopy.Add(1)
+		req.frame, *frame = *frame, transport.Frame{}
+	}
 	p.completeLocked(req, payload, st)
 }
 
@@ -743,6 +779,26 @@ func matchesMsg(m *inMsg, ctx, src, tag int32) bool {
 // buffers should pass true; shared or caller-retained buffers must pass
 // false).
 func (p *Proc) Isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []byte, mode Mode, recycle bool) (*Request, error) {
+	return p.isend(ctx, srcGroup, dstWorld, tag, payload, mode, recycle, false)
+}
+
+// IsendLent starts a send whose payload stays the caller's memory, on
+// loan to the engine: nothing is copied on this side, the rendezvous
+// DATA frame carries the caller's bytes in place, and the request
+// completes when the loan is returned — once the device has serialised
+// them or the receiving engine has copied them out (transport.Lender).
+// The caller must leave payload untouched until then, which is MPI's
+// own rule for a send buffer. A lent send always takes the rendezvous
+// protocol, whatever its size: an eager frame may sit in the receiver's
+// unexpected queue long after the send completed, which a loan cannot
+// allow. Until the receiver grants the rendezvous the payload has gone
+// nowhere, so cancellation, peer loss and revocation complete the
+// request as they do any other; afterwards only the loan's return does.
+func (p *Proc) IsendLent(ctx int32, srcGroup int, dstWorld int, tag int, payload []byte, mode Mode) (*Request, error) {
+	return p.isend(ctx, srcGroup, dstWorld, tag, payload, mode, false, true)
+}
+
+func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []byte, mode Mode, recycle, lent bool) (*Request, error) {
 	env := envelope{
 		srcWorld: int32(p.Rank()),
 		ctx:      ctx,
@@ -785,7 +841,7 @@ func (p *Proc) Isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	}
 
 	eager := int(p.eagerLim.Load())
-	small := eager >= 0 && len(payload) <= eager
+	small := !lent && eager >= 0 && len(payload) <= eager
 
 	p.stats.BytesSent.Add(uint64(len(payload)))
 	switch {
@@ -815,12 +871,17 @@ func (p *Proc) Isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	default:
 		// Rendezvous: advertise, ship payload on CTS.
 		p.stats.SendsRndv.Add(1)
+		if lent {
+			p.stats.SendsLent.Add(1)
+			p.stats.BytesLent.Add(uint64(len(payload)))
+		}
 		p.mu.Lock()
 		p.nextID++
 		id := p.nextID
 		req.id = id
 		req.data = payload
 		req.recycle = recycle
+		req.lent = lent
 		p.sent[id] = req
 		p.mu.Unlock()
 		// The rendezvous span opens at the RTS and closes when the CTS
@@ -845,12 +906,12 @@ func (p *Proc) Irecv(ctx int32, src, tag int32) *Request {
 // IrecvInto posts a receive like Irecv, but the payload is deposited
 // directly into buf — the caller's buffer — with no intermediate
 // allocation or handed-over frame. elemSize is the wire element size
-// (<= 1 means byte granularity): the deposit is floored to whole
-// elements, so a trailing partial element never tears the buffer. If
-// the incoming message holds more whole elements than buf, buf is
-// filled and the completion status carries ErrTruncated; Status.Bytes
-// always reports the full incoming size. buf must stay untouched until
-// the request completes.
+// (<= 1 means byte granularity): a message that is not a whole number
+// of elements is a wire-format error for the binding to report and
+// deposits nothing, like the unpack of an ordinary receive. If the
+// incoming message is larger than buf, buf is filled and the completion
+// status carries ErrTruncated; Status.Bytes always reports the full
+// incoming size. buf must stay untouched until the request completes.
 func (p *Proc) IrecvInto(ctx int32, src, tag int32, buf []byte, elemSize int) *Request {
 	if buf == nil {
 		// A receive-into with no buffer is a zero-length receive; keep
@@ -916,7 +977,7 @@ func (p *Proc) irecvInto(ctx, src, tag int32, into []byte, elemSize int) *Reques
 	var out *outFrame
 	switch m.kind {
 	case kEager, kEagerSync:
-		p.deliverLocked(req, m.payload, m.frame, Status{
+		p.deliverLocked(req, m.payload, &m.frame, Status{
 			SourceGroup: int(m.env.srcGroup),
 			Tag:         int(m.env.tag),
 		})
@@ -929,6 +990,7 @@ func (p *Proc) irecvInto(ctx, src, tag int32, into []byte, elemSize int) *Reques
 		out = &o
 	}
 	p.mu.Unlock()
+	m.frame.Release() // a receive-into left the queued frame behind
 	if out != nil {
 		p.dev.Sendv(int(out.dst), out.hdr, out.payload, out.recycle) //nolint:errcheck // teardown race
 	}

@@ -1,0 +1,283 @@
+package core
+
+import (
+	"bytes"
+	"errors"
+	"sync"
+	"testing"
+	"time"
+
+	"gompi/internal/transport"
+)
+
+func pattern(n int, seed byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = seed + byte(i*7)
+	}
+	return b
+}
+
+// TestLentSendSingleCopy is the tentpole end to end on bare engines: a
+// lent send met by a receive-into moves the bytes once, sender memory
+// to receiver memory, with no payload-sized pool traffic, and the send
+// completes by the loan's return.
+func TestLentSendSingleCopy(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	const size = 256 << 10
+	src, dst := pattern(size, 3), make([]byte, size)
+
+	rreq := p1.IrecvInto(0, 0, 9, dst, 1)
+	pool := transport.PoolStats()
+	before := p1.StatsSnapshot()
+	sreq, err := p0.IsendLent(0, 0, 1, 9, src, ModeStandard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStatus(t, sreq); st.Err != nil || st.Bytes != size {
+		t.Fatalf("lent send: %+v", st)
+	}
+	// The loan came back, so the receiver's engine has the bytes home.
+	if st := waitStatus(t, rreq); st.Err != nil || st.Bytes != size || !bytes.Equal(dst, src) {
+		t.Fatalf("receive-into of a lent send: %+v, intact=%v", st, bytes.Equal(dst, src))
+	}
+	if got := p1.StatsSnapshot().BytesCopied - before.BytesCopied; got != size {
+		t.Fatalf("BytesCopied delta %d, want the one copy of %d", got, size)
+	}
+	s0 := p0.StatsSnapshot()
+	if s0.SendsLent != 1 || s0.BytesLent != size || s0.SendsRndv != 1 {
+		t.Fatalf("sends_lent=%d bytes_lent=%d sends_rndv=%d", s0.SendsLent, s0.BytesLent, s0.SendsRndv)
+	}
+	// RTS, CTS and DATA headers: three small buffers, nothing else.
+	if gets := transport.PoolStats().Gets - pool.Gets; gets != 3 {
+		t.Fatalf("pool gets for one lent rendezvous = %d, want 3 headers", gets)
+	}
+}
+
+// TestLentSendAlwaysRendezvous: an eager frame can outlive its send in
+// the receiver's unexpected queue, so a loan never travels in one — not
+// even when it is small.
+func TestLentSendAlwaysRendezvous(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	src := []byte("small but lent")
+	sreq, err := p0.IsendLent(0, 0, 1, 2, src, ModeStandard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p1.PendingUnexpected() == 0 {
+	}
+	if _, done := sreq.Test(); done {
+		t.Fatal("lent send completed before any receive was posted")
+	}
+	if s := p0.StatsSnapshot(); s.SendsEager != 0 || s.SendsRndv != 1 {
+		t.Fatalf("sends_eager=%d sends_rndv=%d", s.SendsEager, s.SendsRndv)
+	}
+	dst := make([]byte, 32)
+	st := waitStatus(t, p1.IrecvInto(0, 0, 2, dst, 1))
+	waitStatus(t, sreq)
+	if !bytes.Equal(dst[:st.Bytes], src) {
+		t.Fatalf("got %q", dst[:st.Bytes])
+	}
+}
+
+// TestLentSendByReferenceRecvGetsPrivateCopy: an ordinary receive of a
+// lent payload must not keep the sender waiting on the receiving user —
+// each rank here finishes its send before it looks at its receive,
+// which would deadlock if the loan rode the request to ReleaseFrame —
+// and what it gets is a pooled copy it may keep.
+func TestLentSendByReferenceRecvGetsPrivateCopy(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	const size = 128 << 10
+	procs := []*Proc{p0, p1}
+	var wg sync.WaitGroup
+	for me := range procs {
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			p, peer := procs[me], 1-me
+			src := pattern(size, byte(me))
+			rreq := p.Irecv(0, int32(peer), 4)
+			sreq, err := p.IsendLent(0, me, peer, 4, src, ModeStandard)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			waitStatus(t, sreq)
+			clear(src) // ours again
+			waitStatus(t, rreq)
+			got := rreq.TakePayload()
+			rreq.Recycle()
+			if !bytes.Equal(got, pattern(size, byte(peer))) {
+				t.Errorf("rank %d: by-reference receive of a lent payload corrupted", me)
+			}
+		}(me)
+	}
+	wg.Wait()
+}
+
+// TestLentSendToSelf: the loan's return takes the sender's engine lock,
+// so a rank delivering to itself must return it outside its own.
+func TestLentSendToSelf(t *testing.T) {
+	p0, _ := newPair(t, Config{})
+	src, dst := pattern(96<<10, 9), make([]byte, 96<<10)
+	rreq := p0.IrecvInto(0, 0, 1, dst, 1)
+	sreq, err := p0.IsendLent(0, 0, 0, 1, src, ModeStandard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, sreq)
+	waitStatus(t, rreq)
+	if !bytes.Equal(dst, src) {
+		t.Fatal("self-delivery of a lent payload corrupted")
+	}
+}
+
+// TestLentSendsCrossing: two ranks lending to each other at once; each
+// engine returns the other's loan while the other returns its own, the
+// lock-order hazard the deferred release in handle exists for.
+func TestLentSendsCrossing(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	const size, rounds = 80 << 10, 200
+	procs := []*Proc{p0, p1}
+	var wg sync.WaitGroup
+	for me := range procs {
+		wg.Add(1)
+		go func(me int) {
+			defer wg.Done()
+			p, peer := procs[me], 1-me
+			src, dst := make([]byte, size), make([]byte, size)
+			for k := 0; k < rounds; k++ {
+				for i := range src {
+					src[i] = byte(me + k)
+				}
+				rreq := p.IrecvInto(0, int32(peer), int32(k), dst, 1)
+				sreq, err := p.IsendLent(0, me, peer, k, src, ModeStandard)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				waitStatus(t, sreq)
+				waitStatus(t, rreq)
+				if dst[0] != byte(peer+k) || dst[size-1] != byte(peer+k) {
+					t.Errorf("rank %d round %d: got %d, want %d", me, k, dst[0], byte(peer+k))
+					return
+				}
+				sreq.Recycle()
+				rreq.Recycle()
+			}
+		}(me)
+	}
+	wg.Wait()
+}
+
+// TestLentSendBeforeGrant: until the receiver grants the rendezvous the
+// payload has gone nowhere, so cancellation, revocation and peer loss
+// complete a lent send like any other.
+func TestLentSendBeforeGrant(t *testing.T) {
+	src := pattern(4096, 1)
+	t.Run("cancel", func(t *testing.T) {
+		p0, _ := newPair(t, Config{})
+		sreq, err := p0.IsendLent(0, 0, 1, 1, src, ModeStandard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !p0.Cancel(sreq) {
+			t.Fatal("cancel of an ungranted lent send failed")
+		}
+		if st := waitStatus(t, sreq); !st.Cancelled {
+			t.Fatalf("status %+v, want cancelled", st)
+		}
+	})
+	t.Run("revoke", func(t *testing.T) {
+		p0, _ := newPair(t, Config{})
+		sreq, err := p0.IsendLent(0, 0, 1, 1, src, ModeStandard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0.Revoke(0)
+		if st := waitStatus(t, sreq); !errors.Is(st.Err, ErrCommRevoked) {
+			t.Fatalf("status error %v, want ErrCommRevoked", st.Err)
+		}
+	})
+	t.Run("peer lost", func(t *testing.T) {
+		p0, _ := newPair(t, Config{})
+		sreq, err := p0.IsendLent(0, 0, 1, 1, src, ModeStandard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p0.failPeer(&transport.PeerLostError{Peer: 1})
+		var pl *transport.PeerLostError
+		if st := waitStatus(t, sreq); !errors.As(st.Err, &pl) {
+			t.Fatalf("status error %v, want PeerLostError", st.Err)
+		}
+	})
+}
+
+// heldLoans is a device that parks every lent frame instead of sending
+// it: the reader that still holds the view.
+type heldLoans struct {
+	transport.Device
+	mu    sync.Mutex
+	loans []transport.Loan
+	seen  chan struct{}
+}
+
+func (h *heldLoans) SendvLent(dst int, hdr, payload []byte, loan transport.Loan) error {
+	transport.PutBuf(hdr)
+	h.mu.Lock()
+	h.loans = append(h.loans, loan)
+	h.mu.Unlock()
+	h.seen <- struct{}{}
+	return nil
+}
+
+// TestLentSendAfterGrantCompletesOnlyByLoanReturn: once the DATA frame
+// is out, a reader may be looking at the caller's buffer; cancel,
+// revocation, peer loss and even the death of the local endpoint must
+// leave the request pending until the loan is back.
+func TestLentSendAfterGrantCompletesOnlyByLoanReturn(t *testing.T) {
+	devs := transport.NewShmJob(2, 0)
+	held := &heldLoans{Device: devs[0], seen: make(chan struct{}, 1)}
+	p0 := NewProc(held, Config{})
+	p1 := NewProc(devs[1], Config{})
+	defer p1.Close()
+
+	p1.IrecvInto(0, 0, 1, make([]byte, 4096), 1)
+	sreq, err := p0.IsendLent(0, 0, 1, 1, pattern(4096, 5), ModeStandard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held.seen:
+	case <-time.After(10 * time.Second):
+		t.Fatal("DATA frame never reached the device")
+	}
+	if p0.Cancel(sreq) {
+		t.Fatal("cancel of a granted lent send succeeded")
+	}
+	p0.Revoke(0)
+	p0.failPeer(&transport.PeerLostError{Peer: 1})
+	p0.Close() // failAll: the local endpoint is gone
+	if st, done := sreq.Test(); done {
+		t.Fatalf("lent send completed (%+v) while its payload was still held", st)
+	}
+	held.mu.Lock()
+	loan := held.loans[0]
+	held.mu.Unlock()
+	loan.Returned()
+	if st := waitStatus(t, sreq); st.Err != nil || st.Cancelled || st.Bytes != 4096 {
+		t.Fatalf("status after the loan's return: %+v", st)
+	}
+}
+
+// TestLentDataFrameUnmatched: a DATA frame nobody waits for (its
+// receive was revoked away) still returns its loan.
+func TestLentDataFrameUnmatched(t *testing.T) {
+	p0, _ := newPair(t, Config{})
+	loan := &lentSend{proc: p0, kind: reqSend, size: 7}
+	hdr := buildDataHdr(0, 12345) // no such granted receive on p1
+	if err := transport.SendLent(p0.dev, 1, hdr, []byte("orphans"), loan); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, (*Request)(loan))
+}

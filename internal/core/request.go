@@ -98,9 +98,21 @@ type Request struct {
 	data     []byte // retained payload for rendezvous
 	size     int    // payload length at Isend time
 	recycle  bool   // payload is exclusively owned; pool it downstream
+	lent     bool   // payload is the caller's memory, on loan (IsendLent)
 	dstWorld int32
 	ctxS     int32 // send-side context (for revocation poisoning)
 	tagS     int32 // send-side tag (recovery traffic is revoke-exempt)
+}
+
+// lentSend is a lent rendezvous send seen as the transport.Loan riding
+// its DATA frame: the loan's return is the request's completion. A
+// pointer conversion rather than a closure, so lending allocates
+// nothing.
+type lentSend Request
+
+func (l *lentSend) Returned() {
+	r := (*Request)(l)
+	r.proc.complete(r, nil, Status{Bytes: r.size})
 }
 
 // reqPool recycles Request allocations for the zero-allocation hot path;

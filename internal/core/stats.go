@@ -20,6 +20,11 @@ type Stats struct {
 	SendsSync *obs.Counter
 	// SendsRndv counts messages that took the RTS/CTS/DATA path.
 	SendsRndv *obs.Counter
+	// SendsLent counts the rendezvous sends (a subset of SendsRndv)
+	// whose payload stayed the caller's memory, on loan, instead of
+	// travelling as a packed copy; BytesLent totals their payloads.
+	SendsLent *obs.Counter
+	BytesLent *obs.Counter
 	// BytesSent totals payload bytes handed to the device.
 	BytesSent *obs.Counter
 	// RecvsMatched counts receives satisfied from the posted queue
@@ -31,10 +36,12 @@ type Stats struct {
 	// BytesRecv totals payload bytes delivered to receives.
 	BytesRecv *obs.Counter
 	// BytesCopied totals payload bytes the engine copied on the
-	// receive side (receive-into deposits). Ordinary receives hand the
-	// frame over by reference and copy nothing here, so BytesCopied
-	// against BytesRecv measures how much of the traffic still pays an
-	// engine-side copy.
+	// receive side: receive-into deposits, and the private copy an
+	// ordinary receive gets of a lent payload. Other ordinary receives
+	// hand the frame over by reference and copy nothing here, so
+	// BytesCopied against BytesRecv measures how much of the traffic
+	// pays an engine-side copy — for a lent send met by a receive-into,
+	// the only copy the message pays anywhere.
 	BytesCopied *obs.Counter
 	// RecvsZeroCopy counts receives completed by transferring frame
 	// ownership instead of copying the payload.
@@ -52,6 +59,8 @@ func newStats(reg *obs.Registry) Stats {
 		SendsEager:      reg.Counter("core.sends_eager"),
 		SendsSync:       reg.Counter("core.sends_sync"),
 		SendsRndv:       reg.Counter("core.sends_rndv"),
+		SendsLent:       reg.Counter("core.sends_lent"),
+		BytesLent:       reg.Counter("core.bytes_lent"),
 		BytesSent:       reg.Counter("core.bytes_sent"),
 		RecvsMatched:    reg.Counter("core.recvs_matched"),
 		RecvsUnexpected: reg.Counter("core.recvs_unexpected"),
@@ -67,6 +76,7 @@ func newStats(reg *obs.Registry) Stats {
 // process-wide frame-pool counters at snapshot time.
 type Snapshot struct {
 	SendsEager, SendsSync, SendsRndv uint64
+	SendsLent, BytesLent             uint64
 	BytesSent                        uint64
 	RecvsMatched, RecvsUnexpected    uint64
 	BytesRecv                        uint64
@@ -106,6 +116,8 @@ func (p *Proc) StatsSnapshot() Snapshot {
 		SendsEager:      s.SendsEager.Load(),
 		SendsSync:       s.SendsSync.Load(),
 		SendsRndv:       s.SendsRndv.Load(),
+		SendsLent:       s.SendsLent.Load(),
+		BytesLent:       s.BytesLent.Load(),
 		BytesSent:       s.BytesSent.Load(),
 		RecvsMatched:    s.RecvsMatched.Load(),
 		RecvsUnexpected: s.RecvsUnexpected.Load(),

@@ -164,19 +164,28 @@ func TestRecvAfterCloseWithPooledFrames(t *testing.T) {
 	}
 }
 
-// TestPooledPingPongZeroAllocs is the allocation-regression guard for
-// the tentpole: a steady-state 1 KiB shm ping-pong with pool-recycled
-// payloads, receive-into buffers and recycled requests must not allocate
-// at all.
-func TestPooledPingPongZeroAllocs(t *testing.T) {
+// pingPongAllocs measures the steady-state allocations of one shm
+// ping-pong round trip with receive-into buffers and recycled requests.
+// The payload goes out pool-recycled (packed once outside the measured
+// path, as the binding's pack does) or, with lent, straight from a
+// fixed caller-owned buffer on loan.
+func pingPongAllocs(t *testing.T, size int, cfg Config, lent bool) float64 {
+	t.Helper()
 	devs := transport.NewShmJob(2, 0)
-	p0 := NewProc(devs[0], Config{})
-	p1 := NewProc(devs[1], Config{})
+	p0 := NewProc(devs[0], cfg)
+	p1 := NewProc(devs[1], cfg)
 	defer p0.Close()
 	defer p1.Close()
 
-	const size = 1024
 	const tag = 11
+	send := func(p *Proc, me, peer int, fixed []byte) (*Request, error) {
+		if lent {
+			return p.IsendLent(0, me, peer, tag, fixed, ModeStandard)
+		}
+		out := transport.GetBuf(size)
+		copy(out, fixed)
+		return p.Isend(0, me, peer, tag, out, ModeStandard, true)
+	}
 	stop := make(chan struct{})
 	echoDone := make(chan struct{})
 	go func() {
@@ -191,9 +200,7 @@ func TestPooledPingPongZeroAllocs(t *testing.T) {
 				return
 			default:
 			}
-			out := transport.GetBuf(size)
-			copy(out, buf)
-			sreq, err := p1.Isend(0, 1, 0, tag, out, ModeStandard, true)
+			sreq, err := send(p1, 1, 0, buf)
 			if err != nil {
 				return
 			}
@@ -202,10 +209,9 @@ func TestPooledPingPongZeroAllocs(t *testing.T) {
 		}
 	}()
 
-	recvBuf := make([]byte, size)
+	sendBuf, recvBuf := make([]byte, size), make([]byte, size)
 	roundTrip := func() {
-		out := transport.GetBuf(size)
-		sreq, err := p0.Isend(0, 0, 1, tag, out, ModeStandard, true)
+		sreq, err := send(p0, 0, 1, sendBuf)
 		if err != nil {
 			t.Error(err)
 			return
@@ -224,12 +230,20 @@ func TestPooledPingPongZeroAllocs(t *testing.T) {
 	close(stop)
 	// Release the echo loop from its posted receive; it observes stop
 	// and exits without replying, so only send.
-	if sreq, err := p0.Isend(0, 0, 1, tag, transport.GetBuf(size), ModeStandard, true); err == nil {
+	if sreq, err := send(p0, 0, 1, sendBuf); err == nil {
 		sreq.Wait()
 		sreq.Recycle()
 	}
 	<-echoDone
+	return allocs
+}
 
+// TestPooledPingPongZeroAllocs is the allocation-regression guard for
+// the zero-copy hot path: a steady-state 1 KiB shm ping-pong with
+// pool-recycled payloads, receive-into buffers and recycled requests
+// must not allocate at all.
+func TestPooledPingPongZeroAllocs(t *testing.T) {
+	allocs := pingPongAllocs(t, 1024, Config{}, false)
 	// Hard budget: the steady-state hot path is allocation-free. The
 	// race detector's sync.Pool instrumentation allocates, so the
 	// strict budget only holds on uninstrumented builds.
@@ -238,6 +252,49 @@ func TestPooledPingPongZeroAllocs(t *testing.T) {
 	}
 	if raceEnabled && allocs > 4 {
 		t.Fatalf("pooled ping-pong allocates %.1f allocs/op under -race, want <= 4", allocs)
+	}
+}
+
+// TestLentPingPongAllocs is the same guard above the eager limit, where
+// the loan lives: lending must not allocate — the loan is the request
+// itself, not a closure — so a lent 256 KiB rendezvous round trip costs
+// no more allocations than the pool-recycled one (whose own few are the
+// goroutines that carry CTS and DATA frames off the progress loop).
+func TestLentPingPongAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool instrumentation allocates")
+	}
+	const size = 256 << 10
+	pooled := pingPongAllocs(t, size, Config{}, false)
+	lent := pingPongAllocs(t, size, Config{}, true)
+	if lent > pooled+0.5 {
+		t.Fatalf("lent round trip allocates %.1f/op, pool-recycled %.1f/op", lent, pooled)
+	}
+}
+
+// TestIrecvIntoMisalignedDepositsNothing: a message that is not a whole
+// number of elements is a wire-format error for the binding to report;
+// like the unpack of an ordinary receive, the engine deposits none of
+// it, whole leading elements included.
+func TestIrecvIntoMisalignedDepositsNothing(t *testing.T) {
+	for name, cfg := range map[string]Config{"eager": {}, "rndv": {EagerLimit: 4}} {
+		t.Run(name, func(t *testing.T) {
+			p0, p1 := newPair(t, cfg)
+			buf := bytes.Repeat([]byte{0xee}, 16)
+			rreq := p1.IrecvInto(0, 0, 7, buf, 8)
+			sreq, err := p0.Isend(0, 0, 1, 7, []byte("nine-byte"), ModeStandard, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := rreq.Wait()
+			sreq.Wait()
+			if st.Err != nil || st.Bytes != 9 {
+				t.Fatalf("status %+v, want the full 9 bytes and no engine error", st)
+			}
+			if !bytes.Equal(buf, bytes.Repeat([]byte{0xee}, 16)) {
+				t.Fatalf("misaligned payload deposited: %q", buf)
+			}
+		})
 	}
 }
 

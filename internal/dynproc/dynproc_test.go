@@ -1,8 +1,10 @@
 package dynproc
 
 import (
+	"bytes"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -241,5 +243,54 @@ func TestDeviceStatsGrowDynEntry(t *testing.T) {
 			names = append(names, ds.Name)
 		}
 		t.Fatalf("no dyn device entry in stats (have %s)", strings.Join(names, ", "))
+	}
+}
+
+// loanCount counts how often a loan comes back.
+type loanCount struct{ n atomic.Int32 }
+
+func (l *loanCount) Returned() { l.n.Add(1) }
+
+// TestFabricForwardsLoans: toward the launch-time world the fabric
+// hands a lent payload to the base device's own capability and its pump
+// carries the by-reference frame, loan and all, up to the engine;
+// toward a dynamic peer the payload is written to the link and the loan
+// is back when SendvLent returns.
+func TestFabricForwardsLoans(t *testing.T) {
+	fa, fb := twoFabrics(t)
+	worldsA, _, _, _ := join(t, fa, fb, 0, 0)
+	payload := bytes.Repeat([]byte("loan"), 1024)
+
+	base := &loanCount{}
+	if err := fa.SendvLent(0, transport.GetBuf(8), payload, base); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fa.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !f.Lent() || base.n.Load() != 0 {
+		t.Fatalf("self frame through the pump: lent=%v, loan returned %d times before Release", f.Lent(), base.n.Load())
+	}
+	f.Release()
+	if n := base.n.Load(); n != 1 {
+		t.Fatalf("loan returned %d times after Release, want 1", n)
+	}
+
+	dyn := &loanCount{}
+	if err := fa.SendvLent(worldsA[0], transport.GetBuf(8), payload, dyn); err != nil {
+		t.Fatal(err)
+	}
+	if n := dyn.n.Load(); n != 1 {
+		t.Fatalf("loan over a dynamic link returned %d times by SendvLent's return, want 1", n)
+	}
+	if f, err = fb.Recv(); err != nil || f.Lent() || !bytes.Equal(f.Data[8:], payload) {
+		t.Fatalf("dynamic peer got lent=%v err=%v", f.Lent(), err)
+	}
+	f.Release()
+
+	gone := &loanCount{}
+	if err := fa.SendvLent(9, transport.GetBuf(8), payload, gone); err == nil || gone.n.Load() != 1 {
+		t.Fatalf("send to an unknown peer: err=%v, loan returned %d times", err, gone.n.Load())
 	}
 }

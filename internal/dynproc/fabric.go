@@ -212,6 +212,19 @@ func (f *Fabric) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 	return nil
 }
 
+// SendvLent forwards a lent payload: to the original world through the
+// base device's own loan capability (the pump carries a by-reference
+// frame, loan and all, on to the engine), and to a dynamic peer as a
+// socket write, after which the loan is returned.
+func (f *Fabric) SendvLent(dst int, hdr, payload []byte, loan transport.Loan) error {
+	if dst < f.baseSize {
+		return transport.SendLent(f.base, dst, hdr, payload, loan)
+	}
+	err := f.Sendv(dst, hdr, payload, false)
+	loan.Returned()
+	return err
+}
+
 // Recv returns the next frame from the whole world — base device or any
 // dynamic link — or a PeerLostError when either half loses a peer.
 func (f *Fabric) Recv() (transport.Frame, error) {
@@ -427,6 +440,7 @@ func (f *Fabric) DeviceStats() []transport.DevStats {
 
 var (
 	_ transport.Device        = (*Fabric)(nil)
+	_ transport.Lender        = (*Fabric)(nil)
 	_ transport.StatsReporter = (*Fabric)(nil)
 	_ transport.Unwrapper     = (*Fabric)(nil)
 )

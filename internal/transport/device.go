@@ -49,20 +49,36 @@ func (e *PeerLostError) Unwrap() error { return e.Err }
 // reference over shm, so the receiver reads the sender's buffer with no
 // intermediate copy). The receiver owns the frame and must call Release
 // exactly once when every reference into Data/Payload is dead; Release
-// returns pooled storage to the frame pool and is idempotent on the same
-// Frame value.
+// is idempotent on the same Frame value.
+//
+// What Release does with the storage is its disposition, fixed by the
+// send that produced the frame:
+//
+//   - pooled: the sender vouched for exclusive ownership (Sendv with
+//     recycle, or a buffer the device staged itself); Release returns
+//     it to the frame pool.
+//   - shared: the sender keeps, or fans out, the buffer (Sendv without
+//     recycle); Release leaves it to the garbage collector, and the
+//     receiver may keep its alias for as long as it likes.
+//   - lent: the payload is a window of the sending caller's own memory
+//     (SendvLent); Release hands it back through the Loan, which is
+//     what lets the sender's request complete. A receiver must copy
+//     what it wants to keep — a lent payload cannot be detached — and
+//     must not Release under a lock the lender's completion may need.
 type Frame struct {
 	Data    []byte
 	Payload []byte
 
 	pooledData    bool
 	pooledPayload bool
+	loan          Loan
 }
 
-// Release returns the frame's pooled storage (if any) to the frame pool
-// and clears the frame. Calling Release again on the same Frame value is
-// a no-op; releasing two copies of one Frame is a caller bug, as it
-// would double-free the storage into the pool.
+// Release disposes of the frame's storage — pooled buffers return to
+// the frame pool, a lent payload returns to its lender — and clears the
+// frame. Calling Release again on the same Frame value is a no-op;
+// releasing two copies of one Frame is a caller bug, as it would
+// double-free the storage into the pool (or return a loan twice).
 func (f *Frame) Release() {
 	if f.pooledData {
 		PutBuf(f.Data)
@@ -70,12 +86,19 @@ func (f *Frame) Release() {
 	if f.pooledPayload {
 		PutBuf(f.Payload)
 	}
+	if f.loan != nil {
+		f.loan.Returned()
+	}
 	*f = Frame{}
 }
 
 // PayloadPooled reports whether Release will return the payload to the
 // frame pool (diagnostics and tests).
 func (f *Frame) PayloadPooled() bool { return f.pooledPayload }
+
+// Lent reports whether the payload is on loan from the sending caller
+// (see the dispositions on Frame).
+func (f *Frame) Lent() bool { return f.loan != nil }
 
 // PooledFrame assembles a received frame for a device implementation
 // living outside this package (e.g. transport/shmipc): data and payload
@@ -89,8 +112,12 @@ func PooledFrame(data, payload []byte, pooledData, pooledPayload bool) Frame {
 // frame the header buffer returns to the pool immediately, while an
 // inline payload shares the frame's storage, so everything stays with
 // the caller's alias and nothing is pooled. Either way the frame is
-// cleared and a later Release is a no-op.
+// cleared and a later Release is a no-op. A lent payload has an owner
+// already — the sending caller — so detaching one is a bug and panics.
 func (f *Frame) DetachPayload() {
+	if f.loan != nil {
+		panic("transport: DetachPayload on a lent payload")
+	}
 	if f.Payload != nil {
 		f.Payload = nil
 		f.pooledPayload = false
@@ -100,8 +127,50 @@ func (f *Frame) DetachPayload() {
 	*f = Frame{}
 }
 
+// Loan is the lender's side of a lent payload: the claim the sending
+// caller keeps on memory it let a device read in place.
+type Loan interface {
+	// Returned is called exactly once, when nothing below the lender
+	// holds a reference into the lent payload any more — whether the
+	// bytes were delivered, serialised, or dropped. It may take the
+	// lender's locks, so it is never called under a device lock.
+	Returned()
+}
+
+// Lender is the optional loan capability of a Device or decorator: a
+// scatter-gather send whose payload stays the caller's memory instead
+// of changing owner. Devices without it are reached through SendLent,
+// which stages a pooled copy, so lending is never unsafe by default.
+type Lender interface {
+	// SendvLent is Sendv for a payload on loan. hdr follows the Sendv
+	// contract. The device reads payload in place and returns the loan
+	// exactly once on every path: after the bytes are serialised
+	// (devices that copy onto a wire or into a segment return it before
+	// SendvLent does), when the consumer Releases the frame (devices
+	// that deliver by reference), or at the point the frame is dropped
+	// — including every error return.
+	SendvLent(dst int, hdr, payload []byte, loan Loan) error
+}
+
+// SendLent sends a lent payload through d: by d's own loan capability
+// when it has one, else as a pooled copy handed over with recycle — the
+// cost of the pack pass the loan would have saved, and safe on any
+// device. Either way the loan is returned exactly once.
+func SendLent(d Device, dst int, hdr, payload []byte, loan Loan) error {
+	if l, ok := d.(Lender); ok {
+		return l.SendvLent(dst, hdr, payload, loan)
+	}
+	staged := GetBuf(len(payload))
+	copy(staged, payload)
+	loan.Returned()
+	return d.Sendv(dst, hdr, staged, true)
+}
+
 // Device is one endpoint of a job-wide message fabric. Frames are
-// delivered reliably and in order per (sender, receiver) pair.
+// delivered reliably and in order per (sender, receiver) pair. A send
+// fixes what becomes of the payload's storage (the dispositions on
+// Frame): Sendv with recycle hands it over to be pooled, Sendv without
+// shares it, and a device that also implements Lender can borrow it.
 type Device interface {
 	// Rank returns this endpoint's world rank.
 	Rank() int

@@ -212,3 +212,15 @@ func (f *Faulty) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 	}
 	return f.Device.Sendv(dst, hdr, payload, recycle)
 }
+
+// SendvLent applies the plan, then forwards the loan — through the
+// inner device's own capability when it has one. A dropped frame has no
+// consumer, so its loan goes straight back.
+func (f *Faulty) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
+	if !f.deliver(dst) {
+		PutBuf(hdr)
+		loan.Returned()
+		return nil
+	}
+	return SendLent(f.Device, dst, hdr, payload, loan)
+}

@@ -76,9 +76,15 @@ func (d *ShmDevice) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 	})
 }
 
+// SendvLent delivers a lent payload by reference like Sendv; the loan
+// rides the frame and is returned when the consumer Releases it.
+func (d *ShmDevice) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
+	return d.deliver(dst, Frame{Data: hdr, Payload: payload, pooledData: true, loan: loan})
+}
+
 // deliver enqueues f at rank dst. On failure the frame was not handed
-// to anyone, so its pooled storage is released here — undelivered
-// frames must not leak out of the pool.
+// to anyone, so it is released here — undelivered frames must not leak
+// out of the pool, and an undelivered loan must go back to its lender.
 func (d *ShmDevice) deliver(dst int, f Frame) error {
 	if err := checkDst(dst, d.Size()); err != nil {
 		f.Release()
@@ -98,6 +104,9 @@ func (d *ShmDevice) deliver(dst int, f Frame) error {
 	select {
 	case d.job.inboxes[dst] <- f:
 		d.countSend(len(f.Data) + len(f.Payload))
+		if f.loan != nil {
+			releaseIfClosed(d.job.inboxes[dst], theirs)
+		}
 		return nil
 	case <-mine:
 		f.Release()
@@ -105,6 +114,29 @@ func (d *ShmDevice) deliver(dst int, f Frame) error {
 	case <-theirs:
 		f.Release()
 		return ErrClosed
+	}
+}
+
+// releaseIfClosed covers the window in which a frame is enqueued on an
+// endpoint that closed meanwhile: its consumer may already have seen
+// the inbox empty and left, and a loan stranded there would hang its
+// lender for ever. Once the endpoint is closed, whatever still sits in
+// the inbox is undeliverable, so the sender that may have raced
+// releases it all; the departing consumer, if still draining, shares
+// the frames with it one receive at a time.
+func releaseIfClosed(inbox chan Frame, done <-chan struct{}) {
+	select {
+	case <-done:
+	default:
+		return
+	}
+	for {
+		select {
+		case f := <-inbox:
+			f.Release()
+		default:
+			return
+		}
 	}
 }
 
@@ -144,4 +176,7 @@ func (d *ShmDevice) DeviceStats() []DevStats {
 	return []DevStats{d.devCounters.stats("chan", PoolStats())}
 }
 
-var _ Device = (*ShmDevice)(nil)
+var (
+	_ Device = (*ShmDevice)(nil)
+	_ Lender = (*ShmDevice)(nil)
+)

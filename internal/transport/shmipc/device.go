@@ -242,6 +242,16 @@ func (d *Device) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 	return err
 }
 
+// SendvLent sends a lent payload. Without the recycle licence Sendv
+// always copies — inline into the ring slot or into an arena block — so
+// the caller's memory is read once and the loan is returned before
+// SendvLent does, whether or not the frame was published.
+func (d *Device) SendvLent(dst int, hdr, payload []byte, loan transport.Loan) error {
+	err := d.Sendv(dst, hdr, payload, false)
+	loan.Returned()
+	return err
+}
+
 func (d *Device) checkSend(dst int) error {
 	if d.closed.Load() {
 		return transport.ErrClosed

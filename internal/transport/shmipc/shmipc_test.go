@@ -458,3 +458,47 @@ func TestHybridOverProcJob(t *testing.T) {
 		t.Fatalf("hybrid stats missing a medium: %+v", st)
 	}
 }
+
+// onceLoan counts how often a loan comes back.
+type onceLoan struct{ n atomic.Int32 }
+
+func (l *onceLoan) Returned() { l.n.Add(1) }
+
+// TestLoanReturnsAtSendvLentReturn: the segment device copies a lent
+// payload — inline into the slot or into an arena block — so the loan
+// is back exactly once by the time SendvLent returns, on success and on
+// every failure return, and the receiver never sees the lender's
+// memory.
+func TestLoanReturnsAtSendvLentReturn(t *testing.T) {
+	devs := newPair(t, Config{})
+	send := func(d transport.Device, dst int, payload []byte) (error, int32) {
+		loan := &onceLoan{}
+		err := d.(transport.Lender).SendvLent(dst, transport.GetBuf(8), payload, loan)
+		return err, loan.n.Load()
+	}
+	for _, size := range []int{16, 256 << 10} { // inline slot, arena block
+		payload := bytes.Repeat([]byte{0xa5}, size)
+		if err, n := send(devs[0], 1, payload); err != nil || n != 1 {
+			t.Fatalf("%d-byte lent send: err=%v, loan returned %d times", size, err, n)
+		}
+		f, err := devs[1].Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := f.Payload
+		if got == nil {
+			got = f.Data[8:]
+		}
+		if f.Lent() || !bytes.Equal(got, payload) || &got[0] == &payload[0] {
+			t.Fatalf("%d-byte frame: lent=%v, copy intact=%v", size, f.Lent(), bytes.Equal(got, payload))
+		}
+		f.Release()
+	}
+	if err, n := send(devs[0], 5, []byte("x")); err == nil || n != 1 {
+		t.Fatalf("bad destination: err=%v, loan returned %d times", err, n)
+	}
+	devs[0].Close()
+	if err, n := send(devs[0], 1, []byte("x")); !errors.Is(err, transport.ErrClosed) || n != 1 {
+		t.Fatalf("closed device: err=%v, loan returned %d times", err, n)
+	}
+}

@@ -266,30 +266,37 @@ func (d *TCPDevice) Send(dst int, frame []byte) error {
 // the bytes are on the wire (the payload only when the sender vouched
 // for exclusive ownership).
 func (d *TCPDevice) Sendv(dst int, hdr, payload []byte, recycle bool) error {
+	return d.sendFrame(dst, Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle})
+}
+
+// SendvLent writes a lent payload straight from the caller's memory.
+// The loan is returned as soon as the bytes are on the wire — before
+// SendvLent returns — except on self-delivery, which is by reference:
+// there it rides the frame to the consumer's Release.
+func (d *TCPDevice) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
+	return d.sendFrame(dst, Frame{Data: hdr, Payload: payload, pooledData: true, loan: loan})
+}
+
+// sendFrame ships the gather f describes. The device is done with f's
+// storage on every path but a successful self-delivery, so Release —
+// pool return for owned buffers, loan return for a lent payload — is
+// the single exit.
+func (d *TCPDevice) sendFrame(dst int, f Frame) error {
 	if err := checkDst(dst, d.size); err != nil {
-		PutBuf(hdr)
-		if recycle {
-			PutBuf(payload)
-		}
+		f.Release()
 		return err
 	}
 	if dst == d.rank {
-		return d.selfDeliver(Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle})
+		return d.selfDeliver(f)
 	}
 	p := d.peers[dst]
 	if p == nil {
-		PutBuf(hdr)
-		if recycle {
-			PutBuf(payload)
-		}
+		f.Release()
 		return ErrClosed
 	}
-	err := p.writeFrame(hdr, payload)
-	n := len(hdr) + len(payload)
-	PutBuf(hdr)
-	if recycle {
-		PutBuf(payload)
-	}
+	err := p.writeFrame(f.Data, f.Payload)
+	n := len(f.Data) + len(f.Payload)
+	f.Release()
 	if err != nil {
 		return fmt.Errorf("transport: send to rank %d: %w", dst, err)
 	}
@@ -297,14 +304,17 @@ func (d *TCPDevice) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 	return nil
 }
 
-// selfDeliver enqueues f on the local inbox, releasing its pooled
-// storage if the device is already closed and nobody will consume it.
+// selfDeliver enqueues f on the local inbox, releasing it if the device
+// is already closed and nobody will consume it.
 func (d *TCPDevice) selfDeliver(f Frame) error {
 	n := len(f.Data) + len(f.Payload)
 	select {
 	case d.inbox <- f:
 		d.countSend(n)
 		d.countRecv(n)
+		if f.loan != nil {
+			releaseIfClosed(d.inbox, d.done)
+		}
 		return nil
 	case <-d.done:
 		f.Release()
@@ -400,4 +410,7 @@ func (d *TCPDevice) DeviceStats() []DevStats {
 	return []DevStats{d.devCounters.stats("tcp", PoolStats())}
 }
 
-var _ Device = (*TCPDevice)(nil)
+var (
+	_ Device = (*TCPDevice)(nil)
+	_ Lender = (*TCPDevice)(nil)
+)

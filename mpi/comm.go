@@ -240,9 +240,28 @@ func (c *Comm) packColl(buf any, offset, count int, d *Datatype) ([]byte, error)
 	return payload, nil
 }
 
-// startSend runs validation, packing and the core send; the shared
-// engine under every send-mode entry point. It returns a nil request
-// for ProcNull destinations.
+// lendView returns the raw-byte window of a send section that can go
+// out on loan instead of being packed: larger than the eager limit (an
+// eager message is buffered at the receiver, so it must own its bytes)
+// and of the shape the receive side deposits in place — see intoView.
+// Everything else, argument errors included, is left to pack.
+func (c *Comm) lendView(buf any, offset, count int, d *Datatype) ([]byte, bool) {
+	if !d.t.IsContiguous() || d.t.WireBytes(count) <= c.env.proc.EagerLimit() {
+		return nil, false
+	}
+	n, err := dtype.CheckBuf(buf, d.t)
+	if err != nil {
+		return nil, false
+	}
+	return c.intoView(buf, offset, count, n, d)
+}
+
+// startSend runs validation and the core send; the shared engine under
+// every send-mode entry point but the buffered ones. A large contiguous
+// section goes out on loan — the engine reads the caller's buffer in
+// place and the request completes when the loan is returned — and
+// anything else is packed into a pooled frame first. It returns a nil
+// request for ProcNull destinations.
 func (c *Comm) startSend(buf any, offset, count int, d *Datatype, dest, tag int, mode core.Mode) (*core.Request, error) {
 	c.env.enterCall()
 	if err := c.sendChecks(d, dest, tag); err != nil {
@@ -251,11 +270,17 @@ func (c *Comm) startSend(buf any, offset, count int, d *Datatype, dest, tag int,
 	if dest == ProcNull {
 		return nil, nil
 	}
-	payload, pooled, err := c.pack(buf, offset, count, d)
-	if err != nil {
-		return nil, err
+	var creq *core.Request
+	var err error
+	if view, ok := c.lendView(buf, offset, count, d); ok {
+		creq, err = c.env.proc.IsendLent(c.ptpCtx, c.rank, c.remote[dest], tag, view, mode)
+	} else {
+		payload, pooled, perr := c.pack(buf, offset, count, d)
+		if perr != nil {
+			return nil, perr
+		}
+		creq, err = c.env.proc.Isend(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode, pooled)
 	}
-	creq, err := c.env.proc.Isend(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode, pooled)
 	if err != nil {
 		return nil, mapEngineErr(err)
 	}
@@ -320,7 +345,10 @@ func (c *Comm) Bsend(buf any, offset, count int, d *Datatype, dest, tag int) err
 	return c.raise(err)
 }
 
-// Isend starts a non-blocking standard-mode send (MPI_Isend).
+// Isend starts a non-blocking standard-mode send (MPI_Isend). The
+// buffer section must stay unmodified until the request completes: a
+// large contiguous section is sent from where it lies, not copied at
+// the call.
 func (c *Comm) Isend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
 	return c.isendMode(buf, offset, count, d, dest, tag, core.ModeStandard)
 }
@@ -364,10 +392,7 @@ func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 	}
 	n := len(payload)
 	env := c.env
-	go func() {
-		creq.Wait()
-		env.releaseBuffer(n)
-	}()
+	creq.OnDone(func() { env.releaseBuffer(n) })
 	st := nullStatus()
 	st.bytes = n
 	return preCompleted(c.env, st), nil
@@ -401,29 +426,12 @@ func (c *Comm) startRecv(buf any, d *Datatype, source, tag int) (src, tg int32, 
 	return src, tg, n, false, nil
 }
 
-// Irecv starts a non-blocking receive (MPI_Irecv). The buffer section
-// is filled when the request completes.
-func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
-	src, tg, _, procNull, err := c.startRecv(buf, d, source, tag)
-	if err != nil {
-		return nil, c.raise(err)
-	}
-	if procNull {
-		return preCompleted(c.env, nullStatus()), nil
-	}
-	creq := c.env.proc.Irecv(c.ptpCtx, src, tg)
-	return &Request{
-		env: c.env, creq: creq, isRecv: true,
-		buf: buf, offset: offset, count: count, dt: d,
-	}, nil
-}
-
-// intoView returns the raw-byte window of buf's section when the
-// receive-into fast path applies: a contiguous fixed-size datatype over
-// a native (or named-primitive) slice on a little-endian host. n is the
-// buffer length already validated by startRecv. The returned bytes
-// alias buf, so the engine deposits the payload directly in the
-// caller's memory.
+// intoView returns the raw-byte window of buf's section when it can
+// travel as it lies in memory: a contiguous fixed-size datatype over a
+// native (or named-primitive) slice on a little-endian host. n is the
+// buffer length already validated by CheckBuf. The returned bytes alias
+// buf: a receive has the engine deposit the payload directly in the
+// caller's memory, a large send lends them out (lendView).
 func (c *Comm) intoView(buf any, offset, count, n int, d *Datatype) ([]byte, bool) {
 	t := d.t
 	if !t.IsContiguous() || t.Class() == dtype.Obj {
@@ -436,15 +444,26 @@ func (c *Comm) intoView(buf any, offset, count, n int, d *Datatype) ([]byte, boo
 	return dtype.ByteViewRange(buf, offset, elems)
 }
 
-// IrecvInto starts a non-blocking receive that lands the incoming
-// payload directly in the buffer section — no staging buffer, no unpack
-// copy — when the datatype is contiguous and fixed-size on a
-// little-endian host; other shapes fall back to the classic staging
-// path transparently. If the message is longer than the section, the
-// section is filled and the request completes with an ErrTruncate-class
-// error (MPI_ERR_TRUNCATE semantics). The buffer must not be touched
-// until the request completes.
-func (c *Comm) IrecvInto(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
+// postRecv posts the core receive for a validated section: straight
+// into the caller's memory where intoView applies — the engine's
+// progress goroutine then copies sender memory to receiver memory once,
+// with no staging frame and no unpack pass — and by reference, to be
+// unpacked at completion, for every other shape.
+func (c *Comm) postRecv(buf any, offset, count, n int, d *Datatype, src, tg int32) (creq *core.Request, into bool) {
+	if view, ok := c.intoView(buf, offset, count, n, d); ok {
+		return c.env.proc.IrecvInto(c.ptpCtx, src, tg, view, d.t.Class().WireSize()), true
+	}
+	return c.env.proc.Irecv(c.ptpCtx, src, tg), false
+}
+
+// Irecv starts a non-blocking receive (MPI_Irecv). The buffer section
+// is filled by the time the request completes — for a contiguous
+// fixed-size datatype on a little-endian host the engine lands the
+// payload in it directly; other shapes are staged and unpacked at
+// completion — and must not be touched before. If the message is longer
+// than the section, the section is filled and the request completes
+// with an ErrTruncate-class error (MPI_ERR_TRUNCATE semantics).
+func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
 	src, tg, n, procNull, err := c.startRecv(buf, d, source, tag)
 	if err != nil {
 		return nil, c.raise(err)
@@ -452,27 +471,29 @@ func (c *Comm) IrecvInto(buf any, offset, count int, d *Datatype, source, tag in
 	if procNull {
 		return preCompleted(c.env, nullStatus()), nil
 	}
-	view, ok := c.intoView(buf, offset, count, n, d)
-	if !ok {
-		creq := c.env.proc.Irecv(c.ptpCtx, src, tg)
-		return &Request{
-			env: c.env, creq: creq, isRecv: true,
-			buf: buf, offset: offset, count: count, dt: d,
-		}, nil
-	}
-	creq := c.env.proc.IrecvInto(c.ptpCtx, src, tg, view, d.t.Class().WireSize())
+	creq, into := c.postRecv(buf, offset, count, n, d, src, tg)
 	return &Request{
-		env: c.env, creq: creq, isRecv: true, into: true,
+		env: c.env, creq: creq, isRecv: true, into: into,
 		buf: buf, offset: offset, count: count, dt: d,
 	}, nil
 }
 
-// recvBlocking is the shared engine of the blocking receives: no
-// mpi.Request handle is built and the core request is recycled, so the
-// only steady-state allocation is the returned Status. wantInto selects
-// the receive-into path (payload deposited directly in the caller's
-// memory) where the datatype allows; other shapes stage and unpack.
-func (c *Comm) recvBlocking(buf any, offset, count int, d *Datatype, source, tag int, wantInto bool) (*Status, error) {
+// IrecvInto is Irecv: every receive takes the receive-into path where
+// the datatype allows. The name is kept for callers written when the
+// two differed.
+func (c *Comm) IrecvInto(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
+	return c.Irecv(buf, offset, count, d, source, tag)
+}
+
+// Recv is the blocking receive (MPI_Recv; paper §2):
+//
+//	public Status Recv(Object buf, int offset, int count,
+//	                   Datatype datatype, int source, int tag)
+//
+// No mpi.Request handle is built and the core request is recycled, so
+// the only steady-state allocation is the returned Status. See Irecv
+// for where the payload lands.
+func (c *Comm) Recv(buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
 	src, tg, n, procNull, err := c.startRecv(buf, d, source, tag)
 	if err != nil {
 		return nil, c.raise(err)
@@ -480,35 +501,17 @@ func (c *Comm) recvBlocking(buf any, offset, count int, d *Datatype, source, tag
 	if procNull {
 		return nullStatus(), nil
 	}
-	var view []byte
-	if wantInto {
-		view, _ = c.intoView(buf, offset, count, n, d)
-	}
-	var creq *core.Request
-	if view != nil {
-		creq = c.env.proc.IrecvInto(c.ptpCtx, src, tg, view, d.t.Class().WireSize())
-	} else {
-		creq = c.env.proc.Irecv(c.ptpCtx, src, tg)
-	}
+	creq, into := c.postRecv(buf, offset, count, n, d, src, tg)
 	cst := creq.Wait()
-	st, opErr := recvStatus(cst, view != nil, creq.Payload, buf, offset, count, d)
+	st, opErr := recvStatus(cst, into, creq.Payload, buf, offset, count, d)
 	creq.Recycle() // releases the frame too
 	return st, c.raise(opErr)
 }
 
-// Recv is the blocking receive (MPI_Recv; paper §2):
-//
-//	public Status Recv(Object buf, int offset, int count,
-//	                   Datatype datatype, int source, int tag)
-func (c *Comm) Recv(buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
-	return c.recvBlocking(buf, offset, count, d, source, tag, false)
-}
-
-// RecvInto is the blocking receive-into (see IrecvInto): the payload is
-// deposited directly in the caller's buffer section where the datatype
-// allows, with MPI_ERR_TRUNCATE semantics on overflow.
+// RecvInto is Recv; the name is kept for callers written when the two
+// differed (see IrecvInto).
 func (c *Comm) RecvInto(buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
-	return c.recvBlocking(buf, offset, count, d, source, tag, true)
+	return c.Recv(buf, offset, count, d, source, tag)
 }
 
 // Sendrecv executes a send and a receive concurrently, with distinct
@@ -676,15 +679,12 @@ func (c *Comm) RecvInit(buf any, offset, count int, d *Datatype, source, tag int
 	return &PersistentRequest{comm: c, isRecv: true, buf: buf, offset: offset, count: count, dt: d, rank: source, tag: tag}, nil
 }
 
-// RecvIntoInit creates a persistent zero-copy receive request: each
-// activation deposits the payload directly into the buffer section, on
-// the IrecvInto path. Use it with a preallocated landing buffer on hot
-// loops — a steady-state activation allocates nothing.
+// RecvIntoInit is RecvInit: every activation of a persistent receive
+// takes the receive-into path where the datatype allows, so with a
+// preallocated landing buffer a steady-state activation allocates
+// nothing. The name is kept for callers written when the two differed.
 func (c *Comm) RecvIntoInit(buf any, offset, count int, d *Datatype, source, tag int) (*PersistentRequest, error) {
-	if err := c.recvChecks(d, source, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, isRecv: true, recvInto: true, buf: buf, offset: offset, count: count, dt: d, rank: source, tag: tag}, nil
+	return c.RecvInit(buf, offset, count, d, source, tag)
 }
 
 // Pack incrementally packs a buffer section into outbuf starting at

@@ -190,13 +190,17 @@ func (e *Env) Finalize() error {
 
 // EngineStats is a point-in-time copy of the rank's progress-engine and
 // frame-pool counters: the runtime observability surface for the
-// zero-copy hot path. BytesCopied against BytesRecv measures how much
-// receive traffic still pays an engine-side copy (receive-into
-// deposits); RecvsZeroCopy counts receives completed by frame handover;
-// PoolHitRate is the fraction of frame-buffer requests served by
-// recycling rather than allocation (process-wide).
+// zero-copy hot path. SendsLent / BytesLent count the rendezvous sends
+// that lent the caller's buffer instead of packing it; BytesCopied
+// against BytesRecv measures how much receive traffic pays an
+// engine-side copy (receive-into deposits — for a lent send, the one
+// copy the message pays anywhere); RecvsZeroCopy counts receives
+// completed by frame handover; PoolHitRate is the fraction of
+// frame-buffer requests served by recycling rather than allocation
+// (process-wide).
 type EngineStats struct {
 	SendsEager, SendsSync, SendsRndv uint64
+	SendsLent, BytesLent             uint64
 	BytesSent, BytesRecv             uint64
 	RecvsMatched, RecvsUnexpected    uint64
 	BytesCopied                      uint64
@@ -271,6 +275,8 @@ func (e *Env) EngineStats() EngineStats {
 		SendsEager:      s.SendsEager,
 		SendsSync:       s.SendsSync,
 		SendsRndv:       s.SendsRndv,
+		SendsLent:       s.SendsLent,
+		BytesLent:       s.BytesLent,
 		BytesSent:       s.BytesSent,
 		BytesRecv:       s.BytesRecv,
 		RecvsMatched:    s.RecvsMatched,

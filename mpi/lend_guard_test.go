@@ -1,0 +1,114 @@
+package mpi_test
+
+import (
+	"testing"
+
+	"gompi/internal/transport"
+	"gompi/mpi"
+)
+
+// classicPingPong runs fn on rank 0 of a 2-rank chan job whose rank 1
+// echoes size-byte classic Send/Recv round trips until rank 0 is done.
+// fn gets the round trip as a closure.
+func classicPingPong(size int, fn func(env *mpi.Env, roundTrip func() error) error) error {
+	const tagPing, tagStop = 5, 6
+	return mpi.Run(2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		send, recv := make([]byte, size), make([]byte, size)
+		if w.Rank() == 1 {
+			for {
+				st, err := w.Recv(recv, 0, size, mpi.BYTE, 0, mpi.AnyTag)
+				if err != nil || st.Tag == tagStop {
+					return err
+				}
+				if err := w.Send(recv, 0, size, mpi.BYTE, 0, tagPing); err != nil {
+					return err
+				}
+			}
+		}
+		err := fn(env, func() error {
+			if err := w.Send(send, 0, size, mpi.BYTE, 1, tagPing); err != nil {
+				return err
+			}
+			_, err := w.Recv(recv, 0, size, mpi.BYTE, 1, tagPing)
+			return err
+		})
+		if serr := w.Send(send, 0, 0, mpi.BYTE, 1, tagStop); err == nil {
+			err = serr
+		}
+		return err
+	})
+}
+
+// BenchmarkClassicPingPong256K is the p2p.256KiB.chan loop of the repo
+// benchmark as a go-test benchmark: a blocking classic Send/Recv round
+// trip of 256 KiB between two in-process ranks.
+func BenchmarkClassicPingPong256K(b *testing.B) {
+	const size = 256 << 10
+	err := classicPingPong(size, func(_ *mpi.Env, roundTrip func() error) error {
+		b.SetBytes(2 * size)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := roundTrip(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestClassicRendezvousTakesNoPayloadFrame is the copy-accounting guard
+// of the single-copy rendezvous: a blocking 256 KiB classic Send/Recv
+// round trip on chan lends and receives in place, so the only buffers
+// it takes from the frame pool are frame headers — one per frame sent,
+// never a payload-sized pack or staging frame — and it allocates no
+// more than the packing path did.
+func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
+	const size, rounds = 256 << 10, 100
+	// What the packing path allocated per round trip on this loop
+	// (Status values, the goroutines carrying CTS and DATA frames off
+	// the progress loops): the loan must not add to it.
+	const parentAllocs = 20
+	err := classicPingPong(size, func(env *mpi.Env, roundTrip func() error) error {
+		for i := 0; i < 20; i++ { // warm pools and requests
+			if err := roundTrip(); err != nil {
+				return err
+			}
+		}
+		frames := func() (n uint64) {
+			// Every frame is sent once and received once, and rank 0
+			// has received all its replies.
+			for _, d := range env.EngineStats().DeviceStats {
+				n += d.FramesSent + d.FramesRecv
+			}
+			return n
+		}
+		gets, sent, lent := transport.PoolStats().Gets, frames(), env.EngineStats().SendsLent
+		var rtErr error
+		allocs := testing.AllocsPerRun(rounds, func() {
+			if err := roundTrip(); err != nil {
+				rtErr = err
+			}
+		})
+		if rtErr != nil {
+			return rtErr
+		}
+		gets, sent = transport.PoolStats().Gets-gets, frames()-sent
+		if got := env.EngineStats().SendsLent - lent; got != rounds+1 {
+			t.Errorf("%d of %d sends went out on loan", got, rounds+1)
+		}
+		if gets != sent {
+			t.Errorf("%d buffers taken from the frame pool for %d frames: something staged a payload", gets, sent)
+		}
+		if !raceEnabled && allocs > parentAllocs {
+			t.Errorf("round trip allocates %.1f/op, the packing path allocated %d", allocs, parentAllocs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -53,21 +53,18 @@ func recvStatus(cst *core.Status, into bool, payload []byte, buf any, offset, co
 		st.Source = ProcNull
 		st.Tag = AnyTag
 	case into:
-		// Bytes carries the full incoming message size (matching the
-		// classic path); the deposited element count is capped by the
-		// posted section. A payload that is not a whole number of
-		// elements is the same wire-format error the classic unpack
-		// reports — whole elements stay deposited.
-		if es := d.t.Class().WireSize(); es > 0 {
-			deposited := cst.Bytes / es
-			if m := count * d.t.Size(); deposited > m {
-				deposited = m
-			}
-			st.elements = deposited
-			if cst.Bytes%es != 0 {
-				err = errf(ErrIntern, "%v: %d bytes not a multiple of element size %d", dtype.ErrFormat, cst.Bytes, es)
-				st.Error = ClassOf(err)
-			}
+		// The engine already placed the bytes. Bytes carries the full
+		// incoming message size; the deposited element count is capped
+		// by the posted section. A payload that is not a whole number
+		// of elements is the wire-format error unpack reports below,
+		// and like there nothing was deposited.
+		es := d.t.Class().WireSize()
+		if cst.Bytes%es != 0 {
+			st.elements = 0
+			err = errf(ErrIntern, "%v: %d bytes not a multiple of element size %d", dtype.ErrFormat, cst.Bytes, es)
+			st.Error = ClassOf(err)
+		} else {
+			st.elements = min(cst.Bytes/es, count*d.t.Size())
 		}
 		if err == nil && cst.Err != nil {
 			err = mapDataErr(cst.Err)
@@ -371,16 +368,15 @@ type PersistentRequest struct {
 	comm *Comm
 
 	// Point-to-point arm: the frozen envelope.
-	isRecv   bool
-	recvInto bool // zero-copy receive (RecvIntoInit)
-	mode     core.Mode
-	buffed   bool // buffered mode
-	buf      any
-	offset   int
-	count    int
-	dt       *Datatype
-	rank     int // dest or source
-	tag      int
+	isRecv bool
+	mode   core.Mode
+	buffed bool // buffered mode
+	buf    any
+	offset int
+	count  int
+	dt     *Datatype
+	rank   int // dest or source
+	tag    int
 
 	// Collective arm: the cached schedule plus the per-activation
 	// re-pack of the user buffers and the completion deposit.
@@ -413,9 +409,7 @@ func (p *PersistentRequest) Start() error {
 	}
 	var req *Request
 	var err error
-	if p.isRecv && p.recvInto {
-		req, err = p.comm.IrecvInto(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
-	} else if p.isRecv {
+	if p.isRecv {
 		req, err = p.comm.Irecv(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
 	} else if p.buffed {
 		req, err = p.comm.Ibsend(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)

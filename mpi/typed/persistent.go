@@ -31,7 +31,6 @@ type PeerInit interface {
 	Peer
 	SendInit(buf any, offset, count int, d *mpi.Datatype, dest, tag int) (*mpi.PersistentRequest, error)
 	RecvInit(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.PersistentRequest, error)
-	RecvIntoInit(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.PersistentRequest, error)
 }
 
 // CommInit is the collective persistent surface; *mpi.Intracomm
@@ -174,16 +173,11 @@ func RecvInit[T any](c PeerInit, buf []T, source, tag int) (*PersistentRequest[T
 	return &PersistentRequest[T]{p: p, unbox: unbox}, nil
 }
 
-// RecvIntoInit builds a persistent zero-copy receive (see RecvInto):
-// native-element activations land directly in buf with no staging
-// copy; other element types fall back to RecvInit semantics.
+// RecvIntoInit is RecvInit: native-element activations of every
+// persistent receive land directly in buf with no staging copy. The
+// name is kept for callers written when the two differed.
 func RecvIntoInit[T any](c PeerInit, buf []T, source, tag int) (*PersistentRequest[T], error) {
-	raw, d, _, unbox := viewInit(buf)
-	p, err := c.RecvIntoInit(raw, 0, len(buf), d, source, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentRequest[T]{p: p, unbox: unbox}, nil
+	return RecvInit(c, buf, source, tag)
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init). There is

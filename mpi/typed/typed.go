@@ -45,10 +45,8 @@ type Peer interface {
 	Size() int
 	Send(buf any, offset, count int, d *mpi.Datatype, dest, tag int) error
 	Recv(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Status, error)
-	RecvInto(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Status, error)
 	Isend(buf any, offset, count int, d *mpi.Datatype, dest, tag int) (*mpi.Request, error)
 	Irecv(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Request, error)
-	IrecvInto(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Request, error)
 }
 
 // Comm is the communicator surface the typed collectives compile
@@ -225,7 +223,12 @@ func Send[T any](c Peer, buf []T, dest, tag int) error {
 
 // Recv is the blocking receive into a whole slice (MPI_Recv). The
 // source and tag arguments accept the mpi.AnySource and mpi.AnyTag
-// wildcards.
+// wildcards. The incoming payload lands directly in buf — no staging
+// buffer, no unpack copy — whenever the element type is a native or
+// named primitive on a little-endian host, so with a preallocated
+// buffer a steady-state Recv allocates nothing but its Status. If the
+// message holds more elements than buf, buf is filled and an
+// ErrTruncate-class error is returned (MPI_ERR_TRUNCATE semantics).
 func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
 	raw, d, unbox := view(buf)
 	st, err := c.Recv(raw, 0, len(buf), d, source, tag)
@@ -240,36 +243,15 @@ func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
 	return st, err
 }
 
-// RecvInto is the blocking zero-copy receive: the incoming payload
-// lands directly in buf — no staging buffer, no unpack copy — whenever
-// the element type is a native or named primitive on a little-endian
-// host (other types fall back to Recv semantics transparently). If the
-// message holds more elements than buf, buf is filled and an
-// ErrTruncate-class error is returned (MPI_ERR_TRUNCATE semantics). Use
-// it with preallocated buffers on hot paths: a steady-state RecvInto
-// allocates nothing.
+// RecvInto is Recv; the name is kept for callers written when only it
+// took the zero-copy path.
 func RecvInto[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
-	raw, d, unbox := view(buf)
-	st, err := c.RecvInto(raw, 0, len(buf), d, source, tag)
-	// Unbox even on error (see Recv): truncated receives deposit whole
-	// elements.
-	if unbox != nil {
-		if uerr := unbox(); err == nil {
-			err = uerr
-		}
-	}
-	return st, err
+	return Recv(c, buf, source, tag)
 }
 
-// IrecvInto starts a non-blocking zero-copy receive (see RecvInto). The
-// buffer must not be touched until the returned request completes.
+// IrecvInto is Irecv (see RecvInto).
 func IrecvInto[T any](c Peer, buf []T, source, tag int) (*Request[T], error) {
-	raw, d, unbox := view(buf)
-	r, err := c.IrecvInto(raw, 0, len(buf), d, source, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{r: r, unbox: unbox}, nil
+	return Irecv(c, buf, source, tag)
 }
 
 // RecvCtx is Recv with cancellation: it posts the receive and waits
@@ -296,7 +278,8 @@ func Isend[T any](c Peer, buf []T, dest, tag int) (*Request[T], error) {
 }
 
 // Irecv starts a non-blocking receive (MPI_Irecv). The buffer is filled
-// when the returned request completes.
+// by the time the returned request completes (see Recv for where the
+// payload lands) and must not be touched before.
 func Irecv[T any](c Peer, buf []T, source, tag int) (*Request[T], error) {
 	raw, d, unbox := view(buf)
 	r, err := c.Irecv(raw, 0, len(buf), d, source, tag)
