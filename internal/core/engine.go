@@ -463,7 +463,7 @@ func (p *Proc) sendAsync(outs []outFrame) {
 			// device's blocking point is one more to copy when it
 			// grows.)
 			if o.loan != nil {
-				transport.SendLent(p.dev, int(o.dst), o.hdr, o.payload, o.loan) //nolint:errcheck
+				p.dev.SendvLent(int(o.dst), o.hdr, o.payload, o.loan) //nolint:errcheck
 			} else {
 				p.dev.Sendv(int(o.dst), o.hdr, o.payload, o.recycle) //nolint:errcheck
 			}
@@ -786,7 +786,8 @@ func (p *Proc) Isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 // loan to the engine: nothing is copied on this side, the rendezvous
 // DATA frame carries the caller's bytes in place, and the request
 // completes when the loan is returned — once the device has serialised
-// them or the receiving engine has copied them out (transport.Lender).
+// them or the receiving engine has copied them out
+// (transport.Device.SendvLent).
 // The caller must leave payload untouched until then, which is MPI's
 // own rule for a send buffer. A lent send always takes the rendezvous
 // protocol, whatever its size: an eager frame may sit in the receiver's

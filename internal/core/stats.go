@@ -127,6 +127,6 @@ func (p *Proc) StatsSnapshot() Snapshot {
 		Cancelled:       s.Cancelled.Load(),
 		PeersLost:       s.PeersLost.Load(),
 		Pool:            transport.PoolStats(),
-		Devices:         transport.DeviceStatsOf(p.dev),
+		Devices:         p.dev.DeviceStats(),
 	}
 }

@@ -1,30 +1,31 @@
 // Package dynproc implements MPI-2 dynamic process management under the
 // public mpi binding: out-of-band rendezvous ports (MPI_Open_port /
 // MPI_Close_port), the leader handshake behind MPI_Comm_connect /
-// MPI_Comm_accept, and the peer-admission fabric that lets two running
-// worlds — or a world and the children it spawned — flood each other's
+// MPI_Comm_accept, and the peer admission that lets two running worlds
+// — or a world and the children it spawned — flood each other's
 // endpoint tables so every rank pair becomes reachable.
 //
 // The design splits into two halves:
 //
-//   - Fabric is a transport.Device decorator. It passes traffic for the
-//     original world straight through to the wrapped base device and
-//     gives every admitted late joiner a fresh local peer index at
-//     baseSize, baseSize+1, ... — existing ranks are never renumbered,
-//     so the engine's live tag space, posted receives and peer-death
-//     bookkeeping survive world growth. Because the two processes on a
-//     dynamic link each number the other in their own local space, the
-//     fabric rewrites the sender-stamped source rank of every inbound
-//     frame (core.PatchFrameSource) to the receiver's index for that
-//     peer; reply routing through the engine then just works.
+//   - The device half is not here: every rank's engine reads one
+//     transport.Mux, and an admitted late joiner becomes a member of it
+//     (Mux.Join) at world rank baseSize, baseSize+1, ... — existing
+//     ranks are never renumbered, so the engine's live tag space,
+//     posted receives and peer-death bookkeeping survive world growth.
+//     Because the two processes on a joined link each number the other
+//     in their own local space, the mux rewrites the sender-stamped
+//     source rank of every inbound frame (core.PatchFrameSource, handed
+//     over at Join) to the receiver's index for that peer; reply
+//     routing through the engine then just works.
 //
-//   - The join protocol (join.go) is deliberately MatlabMPI-simple: one
-//     leader-to-leader connection exchanges both sides' member tables
-//     and context candidates, then every pair of processes dials one
-//     TCP connection (connect side dials, accept side parks the inbound
-//     socket until its local Admit catches up). There is no retry
-//     cleverness; errors and timeouts surface to the caller, which maps
-//     them onto the MPI_ERR_PORT / MPI_ERR_SPAWN classes.
+//   - The join protocol (Fabric, join.go) is deliberately
+//     MatlabMPI-simple: one leader-to-leader connection exchanges both
+//     sides' member tables and context candidates, then every pair of
+//     processes dials one TCP connection (connect side dials, accept
+//     side parks the inbound socket until its local Admit catches up).
+//     There is no retry cleverness; errors and timeouts surface to the
+//     caller, which maps them onto the MPI_ERR_PORT / MPI_ERR_SPAWN
+//     classes.
 //
 // Port names encode everything a stranger needs to dial in:
 //
@@ -40,8 +41,7 @@
 // cannot be grown after launch, so the per-pair medium choice the
 // transport registry makes at boot (shm same-node, tcp off-node) is
 // fixed for the original world, and late joiners always ride the socket
-// path. The seam is linkDialer/acceptConn, which carry no mesh
-// assumptions, so a future shm dial-in only touches this package.
+// path.
 package dynproc
 
 import (

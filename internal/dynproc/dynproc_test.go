@@ -1,10 +1,8 @@
 package dynproc
 
 import (
-	"bytes"
+	"encoding/binary"
 	"errors"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -39,19 +37,34 @@ func TestPortNameRejectsGarbage(t *testing.T) {
 	}
 }
 
-// twoFabrics builds two independent single-rank worlds, each wrapped in
-// a dynamic-process fabric, and registers cleanup.
-func twoFabrics(t *testing.T) (*Fabric, *Fabric) {
+// endpoint is one single-rank world: the mux its engine would read and
+// the join side that admits peers to it.
+type endpoint struct {
+	*Fabric
+	mux *transport.Mux
+}
+
+func (e endpoint) shutdown() {
+	e.mux.Close()
+	e.Fabric.Close()
+}
+
+// twoFabrics builds two independent single-rank worlds and registers
+// cleanup.
+func twoFabrics(t *testing.T) (endpoint, endpoint) {
 	t.Helper()
-	fa := NewFabric(transport.NewShmJob(1, 0)[0])
-	fb := NewFabric(transport.NewShmJob(1, 0)[0])
-	t.Cleanup(func() { fa.Close(); fb.Close() })
+	world := func() endpoint {
+		mux := transport.MuxOver(transport.NewShmJob(1, 0)[0])
+		return endpoint{NewFabric(mux), mux}
+	}
+	fa, fb := world(), world()
+	t.Cleanup(func() { fa.shutdown(); fb.shutdown() })
 	return fa, fb
 }
 
 // join runs the full leader handshake plus both sides' admission and
 // returns each side's local peer indices for the other world.
-func join(t *testing.T, fa, fb *Fabric, ctxA, ctxB int32) (worldsA, worldsB []int, tktA, tktB *Ticket) {
+func join(t *testing.T, fa, fb endpoint, ctxA, ctxB int32) (worldsA, worldsB []int, tktA, tktB *Ticket) {
 	t.Helper()
 	port, err := fa.OpenPort()
 	if err != nil {
@@ -124,58 +137,48 @@ func TestLeaderHandshakeAndAdmit(t *testing.T) {
 	if len(worldsA) != 1 || worldsA[0] != 1 || len(worldsB) != 1 || worldsB[0] != 1 {
 		t.Fatalf("admitted peer indices: A=%v B=%v", worldsA, worldsB)
 	}
-	if fa.Size() != 2 || fb.Size() != 2 {
-		t.Fatalf("fabric sizes after admit: A=%d B=%d", fa.Size(), fb.Size())
+	if fa.mux.Size() != 2 || fb.mux.Size() != 2 {
+		t.Fatalf("world sizes after admit: A=%d B=%d", fa.mux.Size(), fb.mux.Size())
 	}
 	if fa.Epoch() == 0 || fb.Epoch() == 0 {
 		t.Fatalf("epochs did not advance: A=%d B=%d", fa.Epoch(), fb.Epoch())
 	}
 }
 
-func TestFrameSourceRewrittenAcrossLink(t *testing.T) {
+// TestAdmittedLinkIsWiredIntoTheMux: what Admit hands the mux is a
+// working link — frames cross it with their source rank rewritten to
+// the receiver's index for the sender (core.PatchFrameSource), and the
+// peer's death surfaces as its loss, which Admit then refuses to reuse.
+// The link's own behaviour is transport's mux_test.
+func TestAdmittedLinkIsWiredIntoTheMux(t *testing.T) {
 	fa, fb := twoFabrics(t)
-	_, worldsB, _, _ := join(t, fa, fb, 0, 0)
+	_, worldsB, tktA, _ := join(t, fa, fb, 0, 0)
 
 	// B sends a frame stamped with its own world rank (0 in its world);
 	// A must receive it stamped with B's local index in A's numbering.
-	frame := transport.GetBuf(16)[:16]
-	for i := range frame {
-		frame[i] = 0
-	}
+	frame := make([]byte, 16)
 	frame[0] = 6 // an arbitrary kind byte; [1:5) is the source rank
-	if err := fb.Send(worldsB[0], frame); err != nil {
-		t.Fatalf("Send over dyn link: %v", err)
+	if err := fb.mux.Send(worldsB[0], frame); err != nil {
+		t.Fatalf("Send over the admitted link: %v", err)
 	}
-	got, err := fa.Recv()
+	got, err := fa.mux.Recv()
 	if err != nil {
 		t.Fatalf("Recv: %v", err)
 	}
-	defer got.Release()
-	if len(got.Data) != 16 {
-		t.Fatalf("frame length %d, want 16", len(got.Data))
+	if src := binary.LittleEndian.Uint32(got.Data[1:5]); len(got.Data) != 16 || src != 1 {
+		t.Fatalf("received %d bytes from source %d, want 16 from the sender's local index 1", len(got.Data), src)
 	}
-	src := int(uint32(got.Data[1]) | uint32(got.Data[2])<<8 | uint32(got.Data[3])<<16 | uint32(got.Data[4])<<24)
-	if src != 1 {
-		t.Fatalf("received frame source %d, want the sender's local index 1", src)
-	}
-}
+	got.Release()
 
-func TestPeerLossSurfacesAsPeerLostError(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	join(t, fa, fb, 0, 0)
-
-	fb.Close()
-	got, err := fa.Recv()
-	if err == nil {
-		got.Release()
-		t.Fatalf("Recv returned a frame after peer close; want PeerLostError")
-	}
+	fb.shutdown()
+	got, err = fa.mux.Recv()
 	var pl *transport.PeerLostError
-	if !errors.As(err, &pl) {
-		t.Fatalf("Recv error %v, want PeerLostError", err)
+	if !errors.As(err, &pl) || pl.Peer != 1 {
+		got.Release()
+		t.Fatalf("Recv after the peer closed: %v, want PeerLostError for local index 1", err)
 	}
-	if pl.Peer != 1 {
-		t.Fatalf("lost peer %d, want local index 1", pl.Peer)
+	if _, err := fa.Admit(tktA, time.Second); !errors.As(err, &pl) || pl.Peer != 1 {
+		t.Fatalf("Admit of a member whose link died: %v, want PeerLostError", err)
 	}
 }
 
@@ -208,89 +211,5 @@ func TestDialRejectedOnStaleEpochAndBadKey(t *testing.T) {
 	// Closed port: refused.
 	if _, err := fb.DialLeader(port.Name(), memB, 0, 2*time.Second); err == nil {
 		t.Fatalf("dial to a closed port succeeded")
-	}
-}
-
-func TestDeviceStatsGrowDynEntry(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	_, worldsB, _, _ := join(t, fa, fb, 0, 0)
-
-	frame := transport.GetBuf(8)[:8]
-	for i := range frame {
-		frame[i] = 0
-	}
-	if err := fb.Send(worldsB[0], frame); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	got, err := fa.Recv()
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	got.Release()
-
-	found := false
-	for _, ds := range fa.DeviceStats() {
-		if ds.Name == "dyn" {
-			found = true
-			if ds.FramesRecv == 0 {
-				t.Fatalf("dyn stats counted no received frames: %+v", ds)
-			}
-		}
-	}
-	if !found {
-		names := []string{}
-		for _, ds := range fa.DeviceStats() {
-			names = append(names, ds.Name)
-		}
-		t.Fatalf("no dyn device entry in stats (have %s)", strings.Join(names, ", "))
-	}
-}
-
-// loanCount counts how often a loan comes back.
-type loanCount struct{ n atomic.Int32 }
-
-func (l *loanCount) Returned() { l.n.Add(1) }
-
-// TestFabricForwardsLoans: toward the launch-time world the fabric
-// hands a lent payload to the base device's own capability and its pump
-// carries the by-reference frame, loan and all, up to the engine;
-// toward a dynamic peer the payload is written to the link and the loan
-// is back when SendvLent returns.
-func TestFabricForwardsLoans(t *testing.T) {
-	fa, fb := twoFabrics(t)
-	worldsA, _, _, _ := join(t, fa, fb, 0, 0)
-	payload := bytes.Repeat([]byte("loan"), 1024)
-
-	base := &loanCount{}
-	if err := fa.SendvLent(0, transport.GetBuf(8), payload, base); err != nil {
-		t.Fatal(err)
-	}
-	f, err := fa.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Lent() || base.n.Load() != 0 {
-		t.Fatalf("self frame through the pump: lent=%v, loan returned %d times before Release", f.Lent(), base.n.Load())
-	}
-	f.Release()
-	if n := base.n.Load(); n != 1 {
-		t.Fatalf("loan returned %d times after Release, want 1", n)
-	}
-
-	dyn := &loanCount{}
-	if err := fa.SendvLent(worldsA[0], transport.GetBuf(8), payload, dyn); err != nil {
-		t.Fatal(err)
-	}
-	if n := dyn.n.Load(); n != 1 {
-		t.Fatalf("loan over a dynamic link returned %d times by SendvLent's return, want 1", n)
-	}
-	if f, err = fb.Recv(); err != nil || f.Lent() || !bytes.Equal(f.Data[8:], payload) {
-		t.Fatalf("dynamic peer got lent=%v err=%v", f.Lent(), err)
-	}
-	f.Release()
-
-	gone := &loanCount{}
-	if err := fa.SendvLent(9, transport.GetBuf(8), payload, gone); err == nil || gone.n.Load() != 1 {
-		t.Fatalf("send to an unknown peer: err=%v, loan returned %d times", err, gone.n.Load())
 	}
 }

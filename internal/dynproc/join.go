@@ -71,15 +71,13 @@ func writePreamble(c net.Conn, kind uint32) error {
 
 func writeMsg(c net.Conn, v any) error {
 	var buf bytes.Buffer
+	buf.Write(make([]byte, 4)) // the length prefix, filled in below
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		return err
 	}
-	var lp [4]byte
-	binary.LittleEndian.PutUint32(lp[:], uint32(buf.Len()))
-	if _, err := c.Write(lp[:]); err != nil {
-		return err
-	}
-	_, err := c.Write(buf.Bytes())
+	msg := buf.Bytes()
+	binary.LittleEndian.PutUint32(msg, uint32(len(msg)-4)) // readMsg refuses > maxMsg
+	_, err := c.Write(msg)
 	return err
 }
 
@@ -164,17 +162,6 @@ func (f *Fabric) OpenPort() (*Port, error) {
 	}
 	f.ports[key] = p
 	return p, nil
-}
-
-// LookupPort resolves an open port of this process by its full name.
-func (f *Fabric) LookupPort(name string) *Port {
-	_, _, key, err := ParsePortName(name)
-	if err != nil {
-		return nil
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.ports[key]
 }
 
 func (f *Fabric) acceptLoop(ln net.Listener) {
@@ -419,43 +406,6 @@ func (f *Fabric) dialJoin(addr string, id uint64, deadline time.Time) (net.Conn,
 	}
 	c.SetDeadline(time.Time{})
 	return c, nil
-}
-
-// lookupGUID reports whether a peer is already admitted, and if so at
-// which index and whether its link is still alive.
-func (f *Fabric) lookupGUID(guid string) (idx int, alive, known bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	idx, known = f.byGUID[guid]
-	if !known {
-		return 0, false, false
-	}
-	return idx, !f.peers[idx-f.baseSize].dead.Load(), true
-}
-
-// attach admits one connection as the next dynamic peer and starts its
-// read loop.
-func (f *Fabric) attach(guid string, c net.Conn) (int, error) {
-	f.mu.Lock()
-	select {
-	case <-f.done:
-		f.mu.Unlock()
-		c.Close()
-		return 0, transport.ErrClosed
-	default:
-	}
-	l := newLink(c, guid)
-	idx := f.baseSize + len(f.peers)
-	f.peers = append(f.peers, l)
-	if f.byGUID == nil {
-		f.byGUID = map[string]int{}
-	}
-	f.byGUID[guid] = idx
-	f.size.Store(int64(f.baseSize + len(f.peers)))
-	f.wg.Add(1)
-	f.mu.Unlock()
-	go f.readLoop(idx, l)
-	return idx, nil
 }
 
 // Admit links this process to every member of the joining remote world

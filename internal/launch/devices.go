@@ -114,7 +114,7 @@ func joinMesh(s transport.JobSpec, skip []bool) (*transport.TCPDevice, error) {
 
 // newHybridDevice composes the per-peer fabric of a multi-node rank:
 // the shared-memory island for same-node peers, a partial socket mesh
-// for everyone else, one Device to the engine.
+// for everyone else, both members of the one Mux the engine reads.
 func newHybridDevice(s transport.JobSpec) (transport.Device, error) {
 	seg, err := shmipc.Open(s.Segment, 10*time.Second)
 	if err != nil {
@@ -142,7 +142,7 @@ func newHybridDevice(s transport.JobSpec) (transport.Device, error) {
 			route[r] = mesh
 		}
 	}
-	return transport.NewHybrid(s.Rank, s.Size, route)
+	return transport.NewMux(s.Rank, route), nil
 }
 
 // newAutoDevice picks the fastest fabric the launcher provisioned: a

@@ -2,15 +2,23 @@
 // the analogue of MPICH's abstract device interface / the p4 layer under
 // WMPI in the paper. A Device moves opaque, framed byte messages between
 // the processes of a job with reliable, per-(sender,receiver) FIFO
-// ordering. Two devices are provided:
+// ordering. Three media implement it:
 //
-//   - shm: in-process channels; the paper's Shared Memory (SM) mode,
-//     multiple ranks within one machine (here: one address space).
-//   - tcp: a socket mesh; the paper's Distributed Memory (DM) mode.
+//   - ShmDevice ("chan"): in-process channels; the paper's Shared
+//     Memory (SM) mode with every rank in one address space.
+//   - shmipc.Device ("shm"): a cross-process shared-memory segment.
+//   - TCPDevice ("tcp"): a socket mesh; the paper's Distributed Memory
+//     (DM) mode.
 //
-// A Shaped wrapper adds per-message software cost, link latency and a
-// bandwidth cap so benchmarks can emulate the paper's 1999 testbed
-// (10BaseT Ethernet, WMPI-vs-MPICH software paths). See DESIGN.md.
+// One composite stands over them: every rank's engine reads a Mux, which
+// merges the receive streams of its static members (one whole-world
+// device, or an shm island plus a partial mesh in a hybrid job) and of
+// the links joined after launch into one inbox, and routes each send by
+// destination rank. Two decorators embed a Device and override only
+// what they change: Shaped charges per-message cost, latency and a
+// bandwidth cap so benchmarks can emulate the paper's 1999 testbed, and
+// Faulty drops frames or kills the endpoint on a schedule. Media are
+// built by name through the registry (NewDevice).
 package transport
 
 import (
@@ -26,7 +34,9 @@ var ErrClosed = errors.New("transport: device closed")
 // disappeared while frames were outstanding. Recv returns it (once per
 // lost peer) without closing the device, so the progress engine can
 // fail the operations pending on that peer and keep serving the rest —
-// the error-class-instead-of-hang half of fault tolerance.
+// the error-class-instead-of-hang half of fault tolerance. A send whose
+// connection to the peer fails returns it too, which may be before Recv
+// has had the report.
 type PeerLostError struct {
 	// Peer is the lost endpoint's world rank.
 	Peer int
@@ -137,40 +147,11 @@ type Loan interface {
 	Returned()
 }
 
-// Lender is the optional loan capability of a Device or decorator: a
-// scatter-gather send whose payload stays the caller's memory instead
-// of changing owner. Devices without it are reached through SendLent,
-// which stages a pooled copy, so lending is never unsafe by default.
-type Lender interface {
-	// SendvLent is Sendv for a payload on loan. hdr follows the Sendv
-	// contract. The device reads payload in place and returns the loan
-	// exactly once on every path: after the bytes are serialised
-	// (devices that copy onto a wire or into a segment return it before
-	// SendvLent does), when the consumer Releases the frame (devices
-	// that deliver by reference), or at the point the frame is dropped
-	// — including every error return.
-	SendvLent(dst int, hdr, payload []byte, loan Loan) error
-}
-
-// SendLent sends a lent payload through d: by d's own loan capability
-// when it has one, else as a pooled copy handed over with recycle — the
-// cost of the pack pass the loan would have saved, and safe on any
-// device. Either way the loan is returned exactly once.
-func SendLent(d Device, dst int, hdr, payload []byte, loan Loan) error {
-	if l, ok := d.(Lender); ok {
-		return l.SendvLent(dst, hdr, payload, loan)
-	}
-	staged := GetBuf(len(payload))
-	copy(staged, payload)
-	loan.Returned()
-	return d.Sendv(dst, hdr, staged, true)
-}
-
 // Device is one endpoint of a job-wide message fabric. Frames are
 // delivered reliably and in order per (sender, receiver) pair. A send
 // fixes what becomes of the payload's storage (the dispositions on
 // Frame): Sendv with recycle hands it over to be pooled, Sendv without
-// shares it, and a device that also implements Lender can borrow it.
+// shares it, and SendvLent borrows it.
 type Device interface {
 	// Rank returns this endpoint's world rank.
 	Rank() int
@@ -191,6 +172,15 @@ type Device interface {
 	// pool; pass false when the payload is shared (e.g. one buffer
 	// fanned out to several destinations) or must outlive delivery.
 	Sendv(dst int, hdr, payload []byte, recycle bool) error
+	// SendvLent is Sendv for a payload on loan: it stays the caller's
+	// memory instead of changing owner. hdr follows the Sendv contract.
+	// The device reads payload in place and returns the loan exactly
+	// once on every path: after the bytes are serialised (devices that
+	// copy onto a wire or into a segment return it before SendvLent
+	// does), when the consumer Releases the frame (devices that deliver
+	// by reference), or at the point the frame is dropped — including
+	// every error return.
+	SendvLent(dst int, hdr, payload []byte, loan Loan) error
 	// Recv returns the next incoming frame from any source, blocking
 	// until one arrives or the device is closed. The caller owns the
 	// returned frame and must Release it.
@@ -198,6 +188,9 @@ type Device interface {
 	// Close shuts the endpoint down; blocked Recv calls return
 	// ErrClosed.
 	Close() error
+	// DeviceStats reports the endpoint's traffic counters, one entry
+	// per medium behind it.
+	DeviceStats() []DevStats
 }
 
 func checkDst(dst, size int) error {

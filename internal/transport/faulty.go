@@ -123,8 +123,8 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 	return plan, nil
 }
 
-// Faulty decorates a Device with the plan's failure triggers. Like
-// Shaped it is transparent to stats queries via Unwrap.
+// Faulty decorates a Device with the plan's failure triggers;
+// everything else passes through by embedding.
 type Faulty struct {
 	Device
 	plan FaultPlan
@@ -146,9 +146,6 @@ func NewFaulty(dev Device, plan FaultPlan) Device {
 	}
 	return &Faulty{Device: dev, plan: plan}
 }
-
-// Unwrap exposes the inner device to stats queries.
-func (f *Faulty) Unwrap() Device { return f.Device }
 
 // Killed reports whether the kill trigger has fired.
 func (f *Faulty) Killed() bool { return f.dead.Load() }
@@ -213,14 +210,13 @@ func (f *Faulty) Sendv(dst int, hdr, payload []byte, recycle bool) error {
 	return f.Device.Sendv(dst, hdr, payload, recycle)
 }
 
-// SendvLent applies the plan, then forwards the loan — through the
-// inner device's own capability when it has one. A dropped frame has no
-// consumer, so its loan goes straight back.
+// SendvLent applies the plan, then forwards the loan. A dropped frame
+// has no consumer, so its loan goes straight back.
 func (f *Faulty) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
 	if !f.deliver(dst) {
 		PutBuf(hdr)
 		loan.Returned()
 		return nil
 	}
-	return SendLent(f.Device, dst, hdr, payload, loan)
+	return f.Device.SendvLent(dst, hdr, payload, loan)
 }

@@ -145,35 +145,6 @@ type DevStats struct {
 	Pool PoolSnapshot
 }
 
-// StatsReporter is implemented by devices that expose per-medium
-// counters. A composite device (hybrid routing) returns one entry per
-// underlying medium.
-type StatsReporter interface {
-	DeviceStats() []DevStats
-}
-
-// Unwrapper is implemented by decorating devices (Shaped) so stats
-// queries can reach the underlying endpoint.
-type Unwrapper interface {
-	Unwrap() Device
-}
-
-// DeviceStatsOf returns the per-medium counters of d, looking through
-// decorators. Devices predating the counter surface report nothing.
-func DeviceStatsOf(d Device) []DevStats {
-	for d != nil {
-		if sr, ok := d.(StatsReporter); ok {
-			return sr.DeviceStats()
-		}
-		u, ok := d.(Unwrapper)
-		if !ok {
-			return nil
-		}
-		d = u.Unwrap()
-	}
-	return nil
-}
-
 // devCounters is the embeddable atomic counter block behind DevStats.
 type devCounters struct {
 	framesSent, framesRecv atomic.Uint64

@@ -9,7 +9,7 @@ import (
 
 // LinkProfile describes the artificial costs a Shaped device injects per
 // frame. It is the knob set the benchmark calibration uses to emulate the
-// paper's 1999 testbed (DESIGN.md §2): per-message software cost models
+// paper's 1999 testbed: per-message software cost models
 // the MPI implementation's send path (WMPI optimized vs MPICH portable),
 // StagingCopy models MPICH's extra buffer copy, and Latency/BytesPerSec
 // model the 10BaseT Ethernet link of DM mode.
@@ -35,8 +35,8 @@ func (p LinkProfile) Zero() bool {
 	return p.PerMessage == 0 && p.Latency == 0 && p.BytesPerSec == 0 && p.PerByte == 0 && !p.StagingCopy
 }
 
-// Shaped wraps a Device, charging LinkProfile costs on every Send. Recv,
-// Rank, Size and Close pass through.
+// Shaped wraps a Device, charging LinkProfile costs on every send;
+// everything else passes through by embedding.
 type Shaped struct {
 	Device
 	Profile LinkProfile
@@ -69,22 +69,30 @@ func (s *Shaped) Send(dst int, frame []byte) error {
 }
 
 // Sendv charges the profile's costs for the whole gather, then forwards.
-// The staging copy models a portable implementation's bounce buffer: the
-// bytes are copied (and the cost paid) but the original scatter-gather
-// frame travels on, preserving the ownership protocol.
 func (s *Shaped) Sendv(dst int, hdr, payload []byte, recycle bool) error {
+	s.chargeGather(hdr, payload)
+	return s.Device.Sendv(dst, hdr, payload, recycle)
+}
+
+// SendvLent charges exactly what Sendv does, then forwards the loan: a
+// shaped link still reads the caller's buffer in place.
+func (s *Shaped) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
+	s.chargeGather(hdr, payload)
+	return s.Device.SendvLent(dst, hdr, payload, loan)
+}
+
+// chargeGather pays for one scatter-gather frame. The staging copy
+// models a portable implementation's bounce buffer: the bytes are
+// copied (and the cost paid) but the original gather travels on,
+// preserving the ownership protocol.
+func (s *Shaped) chargeGather(hdr, payload []byte) {
 	n := len(hdr) + len(payload)
 	if s.Profile.StagingCopy {
 		staged := make([]byte, n)
 		copy(staged[copy(staged, hdr):], payload)
 	}
 	s.charge(n)
-	return s.Device.Sendv(dst, hdr, payload, recycle)
 }
-
-// Unwrap exposes the inner device so stats queries (DeviceStatsOf) look
-// through the shaping decorator.
-func (s *Shaped) Unwrap() Device { return s.Device }
 
 // charge spins for the profile's software and link costs of an n-byte
 // frame.

@@ -127,9 +127,14 @@ func (d *ShmDevice) deliver(dst int, f Frame) error {
 func releaseIfClosed(inbox chan Frame, done <-chan struct{}) {
 	select {
 	case <-done:
+		drainFrames(inbox)
 	default:
-		return
 	}
+}
+
+// drainFrames releases whatever inbox holds right now; a lent frame
+// queued there goes back to its lender.
+func drainFrames(inbox chan Frame) {
 	for {
 		select {
 		case f := <-inbox:
@@ -176,7 +181,4 @@ func (d *ShmDevice) DeviceStats() []DevStats {
 	return []DevStats{d.devCounters.stats("chan", PoolStats())}
 }
 
-var (
-	_ Device = (*ShmDevice)(nil)
-	_ Lender = (*ShmDevice)(nil)
-)
+var _ Device = (*ShmDevice)(nil)

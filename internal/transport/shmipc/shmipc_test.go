@@ -347,7 +347,7 @@ func TestRegistry(t *testing.T) {
 	}
 	f.Release()
 
-	st := transport.DeviceStatsOf(devs[0])
+	st := devs[0].DeviceStats()
 	if len(st) != 1 || st[0].Name != "shm" || st[0].FramesSent != 1 {
 		t.Fatalf("bad device stats: %+v", st)
 	}
@@ -362,10 +362,10 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestHybridOverProcJob routes a 4-rank world over two 2-rank shm
+// TestMuxOverShmIslands routes a 4-rank world over two 2-rank shm
 // islands bridged per-pair by the in-process channel device — the same
 // composition shape launch uses for multi-node jobs, minus sockets.
-func TestHybridOverProcJob(t *testing.T) {
+func TestMuxOverShmIslands(t *testing.T) {
 	island0, err := NewProcJob(2, Config{ArenaBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -404,11 +404,7 @@ func TestHybridOverProcJob(t *testing.T) {
 				route[p] = bridge[r]
 			}
 		}
-		h, err := transport.NewHybrid(r, 4, route)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hybrids[r] = h
+		hybrids[r] = transport.NewMux(r, route)
 	}
 	defer func() {
 		for _, h := range hybrids {
@@ -449,7 +445,7 @@ func TestHybridOverProcJob(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := transport.DeviceStatsOf(hybrids[0])
+	st := hybrids[0].DeviceStats()
 	names := map[string]bool{}
 	for _, s := range st {
 		names[s.Name] = true
@@ -473,7 +469,7 @@ func TestLoanReturnsAtSendvLentReturn(t *testing.T) {
 	devs := newPair(t, Config{})
 	send := func(d transport.Device, dst int, payload []byte) (error, int32) {
 		loan := &onceLoan{}
-		err := d.(transport.Lender).SendvLent(dst, transport.GetBuf(8), payload, loan)
+		err := d.SendvLent(dst, transport.GetBuf(8), payload, loan)
 		return err, loan.n.Load()
 	}
 	for _, size := range []int{16, 256 << 10} { // inline slot, arena block

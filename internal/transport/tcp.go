@@ -3,8 +3,10 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -16,59 +18,144 @@ import (
 // TCP's byte-stream ordering plus a per-connection writer lock.
 type TCPDevice struct {
 	rank, size int
-	peers      []*peerConn // indexed by rank; nil at own rank
+	peers      []*frameConn // indexed by rank; nil at own rank
 	ln         net.Listener
 	ownsLn     bool
 
-	inbox chan Frame
-	// fail carries peer-loss reports out of the read loops: a
-	// connection that dies mid-stream surfaces as PeerLostError from
-	// Recv instead of a silent stall, so receives pending on that peer
-	// fail with an MPI error class rather than hanging.
-	fail      chan error
-	done      chan struct{}
+	mailbox
 	closeOnce sync.Once
-	readers   sync.WaitGroup
 
 	devCounters
 }
 
-// peerWriterSize is the per-peer staging buffer: a length prefix, header
-// and small payload coalesce into one buffered write and flush as a
-// single syscall, while writes larger than the buffer stream through
+// connWriterSize is the per-connection staging buffer: a length prefix,
+// header and small payload coalesce into one buffered write and flush as
+// a single syscall, while writes larger than the buffer stream through
 // bufio's large-write bypass without an extra copy.
-const peerWriterSize = 16 << 10
+const connWriterSize = 16 << 10
 
-type peerConn struct {
+// frameConn is one connection carrying frames behind a 4-byte
+// little-endian length prefix: the one wire framing, shared by mesh
+// connections (TCPDevice) and a Mux's joined links.
+type frameConn struct {
 	mu sync.Mutex // serializes frame writes
 	c  net.Conn
 	w  *bufio.Writer
 }
 
-func newPeerConn(c net.Conn) *peerConn {
-	return &peerConn{c: c, w: bufio.NewWriterSize(c, peerWriterSize)}
+func newFrameConn(c net.Conn) *frameConn {
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true) //nolint:errcheck // latency matters more than throughput here
+	}
+	return &frameConn{c: c, w: bufio.NewWriterSize(c, connWriterSize)}
 }
 
-// writeFrame writes one length-prefixed frame as the gather of hdr and
-// payload through the peer's buffered writer, flushing before return so
-// no progress logic is needed to push stragglers out.
-func (p *peerConn) writeFrame(hdr, payload []byte) error {
-	var lp [4]byte
-	binary.LittleEndian.PutUint32(lp[:], uint32(len(hdr)+len(payload)))
+// errFrameTooLarge refuses a frame the 32-bit length prefix cannot
+// describe. It is the sender's error, not the connection's: the stream
+// is untouched and the peer is not lost.
+var errFrameTooLarge = errors.New("transport: frame exceeds the 32-bit length prefix")
+
+// framePrefix is the length prefix of a frame of n bytes. A truncated
+// length would leave the reader parsing payload bytes as the next prefix.
+func framePrefix(n int) (lp [4]byte, err error) {
+	if uint64(n) > math.MaxUint32 {
+		return lp, fmt.Errorf("%w (%d bytes)", errFrameTooLarge, n)
+	}
+	binary.LittleEndian.PutUint32(lp[:], uint32(n))
+	return lp, nil
+}
+
+// send writes f as one length-prefixed frame — the gather of header and
+// payload through the buffered writer, flushed before return so no
+// progress logic is needed to push stragglers out — and releases it: a
+// byte stream is done with the storage (pooled or lent) once the bytes
+// are written or refused.
+func (p *frameConn) send(f Frame) error {
+	defer f.Release() // after the unlock: a loan's return may take its lender's locks
+	lp, err := framePrefix(len(f.Data) + len(f.Payload))
+	if err != nil {
+		return err
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if _, err := p.w.Write(lp[:]); err != nil {
 		return err
 	}
-	if _, err := p.w.Write(hdr); err != nil {
+	if _, err := p.w.Write(f.Data); err != nil {
 		return err
 	}
-	if len(payload) > 0 {
-		if _, err := p.w.Write(payload); err != nil {
+	if len(f.Payload) > 0 {
+		if _, err := p.w.Write(f.Payload); err != nil {
 			return err
 		}
 	}
 	return p.w.Flush()
+}
+
+// readFrames drains a connection into inbox until the stream fails
+// (the error is returned: the peer is lost) or done closes (nil). Each
+// frame is staged whole in one pooled buffer, which the engine parses
+// in place, and which goes back to the pool on every path that does not
+// deliver it. stamp, if set, edits the frame first; its error ends the
+// stream.
+func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devCounters, stamp func([]byte) error) error {
+	var lp [4]byte
+	for {
+		if _, err := io.ReadFull(r, lp[:]); err != nil {
+			return err
+		}
+		frame, err := readBody(r, int(binary.LittleEndian.Uint32(lp[:])))
+		if err == nil && stamp != nil {
+			if err = stamp(frame); err != nil {
+				PutBuf(frame)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		cnt.countRecv(len(frame))
+		select {
+		case inbox <- Frame{Data: frame, pooledData: true}:
+		case <-done:
+			PutBuf(frame)
+			return nil
+		}
+	}
+}
+
+const (
+	// trustedFrame is the largest frame whose length prefix is believed
+	// before any of the body has arrived.
+	trustedFrame = 64 << 20
+	// frameDeposit is how much of a larger frame must arrive before the
+	// rest is reserved.
+	frameDeposit = 64 << 10
+)
+
+// readBody reads an n-byte frame body into one buffer of exactly that
+// size: one allocation, one pass. Only a frame beyond trustedFrame pays
+// a deposit first — its head is staged in a pooled buffer and copied
+// over once it has really come — so a garbage prefix that nothing
+// follows costs this process 64 MiB at most, not the 4 GiB it can claim.
+func readBody(r io.Reader, n int) ([]byte, error) {
+	head := n
+	if n > trustedFrame {
+		head = frameDeposit
+	}
+	buf := GetBuf(head)
+	_, err := io.ReadFull(r, buf)
+	if err == nil && head < n {
+		full := GetBuf(n)
+		copy(full, buf)
+		PutBuf(buf)
+		buf = full
+		_, err = io.ReadFull(r, buf[head:])
+	}
+	if err != nil {
+		PutBuf(buf)
+		return nil, err
+	}
+	return buf, nil
 }
 
 const meshMagic = 0x6d706a31 // "mpj1"
@@ -93,14 +180,12 @@ func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsLis
 	}
 	skipped := func(r int) bool { return skip != nil && r < len(skip) && skip[r] }
 	d := &TCPDevice{
-		rank:   rank,
-		size:   size,
-		peers:  make([]*peerConn, size),
-		ln:     ln,
-		ownsLn: ownsListener,
-		inbox:  make(chan Frame, DefaultInboxDepth),
-		fail:   make(chan error, size),
-		done:   make(chan struct{}),
+		rank:    rank,
+		size:    size,
+		peers:   make([]*frameConn, size),
+		ln:      ln,
+		ownsLn:  ownsListener,
+		mailbox: newMailbox(),
 	}
 	// Dial lower ranks.
 	for j := 0; j < rank; j++ {
@@ -112,7 +197,7 @@ func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsLis
 			d.Close()
 			return nil, fmt.Errorf("transport: rank %d dialing rank %d: %w", rank, j, err)
 		}
-		d.peers[j] = newPeerConn(c)
+		d.peers[j] = newFrameConn(c)
 	}
 	// Accept higher ranks.
 	need := 0
@@ -132,11 +217,10 @@ func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsLis
 			d.Close()
 			return nil, fmt.Errorf("transport: rank %d got bad handshake from claimed rank %d", rank, peer)
 		}
-		d.peers[peer] = newPeerConn(c)
+		d.peers[peer] = newFrameConn(c)
 	}
 	for r, p := range d.peers {
 		if p != nil {
-			d.readers.Add(1)
 			go d.readLoop(r, p.c)
 		}
 	}
@@ -158,7 +242,6 @@ func dialPeer(addr string, myRank int) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	tuneConn(c)
 	var hs [8]byte
 	binary.LittleEndian.PutUint32(hs[0:], meshMagic)
 	binary.LittleEndian.PutUint32(hs[4:], uint32(myRank))
@@ -174,7 +257,6 @@ func acceptPeer(ln net.Listener) (net.Conn, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	tuneConn(c)
 	var hs [8]byte
 	if _, err := io.ReadFull(c, hs[:]); err != nil {
 		c.Close()
@@ -185,12 +267,6 @@ func acceptPeer(ln net.Listener) (net.Conn, int, error) {
 		return nil, 0, fmt.Errorf("bad mesh handshake magic")
 	}
 	return c, int(binary.LittleEndian.Uint32(hs[4:])), nil
-}
-
-func tuneConn(c net.Conn) {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // latency matters more than throughput here
-	}
 }
 
 // NewLoopbackJob creates an n-rank DM-mode job entirely in-process over
@@ -244,21 +320,7 @@ func (d *TCPDevice) Size() int { return d.size }
 // not returned to the frame pool: a legacy contiguous send carries no
 // exclusivity promise.
 func (d *TCPDevice) Send(dst int, frame []byte) error {
-	if err := checkDst(dst, d.size); err != nil {
-		return err
-	}
-	if dst == d.rank {
-		return d.selfDeliver(Frame{Data: frame})
-	}
-	p := d.peers[dst]
-	if p == nil {
-		return ErrClosed
-	}
-	if err := p.writeFrame(frame, nil); err != nil {
-		return fmt.Errorf("transport: send to rank %d: %w", dst, err)
-	}
-	d.countSend(len(frame))
-	return nil
+	return d.sendFrame(dst, Frame{Data: frame})
 }
 
 // Sendv writes the (hdr, payload) gather to rank dst without assembling
@@ -294,11 +356,9 @@ func (d *TCPDevice) sendFrame(dst int, f Frame) error {
 		f.Release()
 		return ErrClosed
 	}
-	err := p.writeFrame(f.Data, f.Payload)
 	n := len(f.Data) + len(f.Payload)
-	f.Release()
-	if err != nil {
-		return fmt.Errorf("transport: send to rank %d: %w", dst, err)
+	if err := p.send(f); err != nil {
+		return d.sendErr(dst, err)
 	}
 	d.countSend(n)
 	return nil
@@ -323,67 +383,14 @@ func (d *TCPDevice) selfDeliver(f Frame) error {
 }
 
 // Recv returns the next frame addressed to this rank, or a
-// PeerLostError when a mesh connection died mid-stream (the device
-// stays usable for the surviving peers).
-func (d *TCPDevice) Recv() (Frame, error) {
-	// Frames already received win over failure reports.
-	select {
-	case f := <-d.inbox:
-		return f, nil
-	default:
-	}
-	select {
-	case f := <-d.inbox:
-		return f, nil
-	case err := <-d.fail:
-		return Frame{}, err
-	case <-d.done:
-		select {
-		case f := <-d.inbox:
-			return f, nil
-		default:
-			return Frame{}, ErrClosed
-		}
-	}
-}
-
-// peerLost reports a dead mesh connection, unless the read error is
-// just this endpoint's own shutdown tearing connections down.
-func (d *TCPDevice) peerLost(peer int, err error) {
-	select {
-	case <-d.done:
-		return
-	default:
-	}
-	select {
-	case d.fail <- &PeerLostError{Peer: peer, Err: err}:
-	default:
-	}
-}
+// PeerLostError when a mesh connection died mid-stream: receives
+// pending on that peer then fail with an MPI error class instead of
+// hanging, and the device stays usable for the surviving peers.
+func (d *TCPDevice) Recv() (Frame, error) { return d.recv(nil) }
 
 func (d *TCPDevice) readLoop(peer int, c net.Conn) {
-	defer d.readers.Done()
-	var hdr [4]byte
-	for {
-		if _, err := io.ReadFull(c, hdr[:]); err != nil {
-			d.peerLost(peer, err)
-			return
-		}
-		n := binary.LittleEndian.Uint32(hdr[:])
-		// Stage the whole frame in one pooled buffer; the engine
-		// parses the header in place and hands the payload tail to the
-		// matching receive without another copy.
-		frame := GetBuf(int(n))
-		if _, err := io.ReadFull(c, frame); err != nil {
-			d.peerLost(peer, err)
-			return
-		}
-		d.countRecv(int(n))
-		select {
-		case d.inbox <- Frame{Data: frame, pooledData: true}:
-		case <-d.done:
-			return
-		}
+	if err := readFrames(c, d.inbox, d.done, &d.devCounters, nil); err != nil {
+		d.report(&PeerLostError{Peer: peer, Err: err})
 	}
 }
 
@@ -410,7 +417,4 @@ func (d *TCPDevice) DeviceStats() []DevStats {
 	return []DevStats{d.devCounters.stats("tcp", PoolStats())}
 }
 
-var (
-	_ Device = (*TCPDevice)(nil)
-	_ Lender = (*TCPDevice)(nil)
-)
+var _ Device = (*TCPDevice)(nil)

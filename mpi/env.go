@@ -94,19 +94,21 @@ type Env struct {
 	closers   []func() error // extra teardown (launch plumbing)
 }
 
-// newEnv assembles an environment over a device. The device is wrapped
-// in the dynamic-process fabric, so the engine above can reach peers
-// admitted after launch (Connect/Accept/Spawn) exactly like launch-time
-// ones.
+// newEnv assembles an environment over a device. The engine reads it
+// through a transport.Mux — the device itself when the launcher already
+// built one (a hybrid job), so no frame crosses two pumps — and peers
+// admitted after launch (Connect/Accept/Spawn) join that same mux, where
+// the engine reaches them exactly like launch-time ones.
 func newEnv(dev transport.Device, cfg core.Config) *Env {
 	host, _ := os.Hostname()
 	if host == "" {
 		host = "localhost"
 	}
-	fab := dynproc.NewFabric(dev)
+	mux := transport.MuxOver(dev)
+	fab := dynproc.NewFabric(mux)
 	fab.SetRecorder(cfg.Recorder)
 	e := &Env{
-		proc:     core.NewProc(fab, cfg),
+		proc:     core.NewProc(mux, cfg),
 		fab:      fab,
 		start:    time.Now(),
 		procName: fmt.Sprintf("%s:rank%d", host, dev.Rank()),
@@ -166,7 +168,8 @@ func (e *Env) Finalize() error {
 		barrierErr = e.world.cl.Barrier()
 	}
 	e.proc.Recorder().Instant(obs.EvFinalize, uint32(e.proc.Rank()), 0)
-	err := e.proc.Close()
+	err := e.proc.Close() // closes the mux under the engine
+	e.fab.Close()
 	for _, c := range e.closers {
 		if cerr := c(); err == nil {
 			err = cerr
@@ -227,17 +230,18 @@ type EngineStats struct {
 	PoolWorkersPeak int
 	PoolWorkersMax  int
 
-	// Devices breaks the traffic down by transport medium — one entry
-	// per device behind this rank's endpoint ("shm", "tcp", "chan"),
-	// each carrying its own frame/byte counters and buffer-pool hit
-	// rate (the shared-segment arena for "shm", the process pool
-	// otherwise). A hybrid run reports one entry per medium.
+	// DeviceStats breaks the traffic down by medium: one entry per
+	// static member of the rank's transport.Mux ("chan", "tcp" or
+	// "shm"; a hybrid run reports "shm" and "tcp"), plus "dyn" for the
+	// links joined after launch once there is one. Each carries its own
+	// frame/byte counters and buffer-pool hit rate (the shared-segment
+	// arena for "shm", the process pool otherwise).
 	DeviceStats []DeviceStats
 }
 
 // DeviceStats is one transport medium's counter snapshot.
 type DeviceStats struct {
-	// Device names the medium ("shm", "tcp", "chan").
+	// Device names the medium ("shm", "tcp", "chan", "dyn").
 	Device string
 	// FramesSent/FramesRecv count frames through the endpoint.
 	FramesSent, FramesRecv uint64

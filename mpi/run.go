@@ -126,6 +126,7 @@ func RunWith(opt RunOptions, fn func(*Env) error) error {
 		for _, e := range envs {
 			e.finalized.Store(true)
 			e.proc.Close()
+			e.fab.Close()
 		}
 	} else {
 		// Ranks that did not call Finalize themselves get a proper
