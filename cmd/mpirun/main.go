@@ -30,7 +30,6 @@ import (
 
 	"gompi/internal/launch"
 	"gompi/internal/obs"
-	"gompi/internal/transport"
 	"gompi/internal/transport/shmipc"
 )
 
@@ -139,12 +138,12 @@ func main() {
 	}
 
 	// Decide the fabric. workerDev is what the workers are told to
-	// construct through the device registry. A faulty: prefix is the
+	// construct (launch.NewDevice). A faulty: prefix is the
 	// chaos-testing decorator: provisioning decisions are made on the
 	// underlying fabric name, and the prefix is re-applied to the
-	// worker-side device so the registry wraps each endpoint with the
+	// worker-side device so each endpoint is wrapped with the
 	// GOMPI_FAULT plan.
-	fabric, injectFaults := strings.CutPrefix(*device, transport.FaultyPrefix)
+	fabric, injectFaults := strings.CutPrefix(*device, launch.FaultyPrefix)
 	var islands []island
 	workerDev := ""
 	needCoord := false
@@ -228,7 +227,7 @@ func main() {
 	rankEnv := func(r int) []string {
 		dev := workerDev
 		if injectFaults {
-			dev = transport.FaultyPrefix + dev
+			dev = launch.FaultyPrefix + dev
 		}
 		env := append(os.Environ(),
 			launch.EnvRank+"="+strconv.Itoa(r),

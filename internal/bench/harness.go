@@ -204,10 +204,12 @@ func bindingPingPong(s Spec) ([]Point, error) {
 	var mu sync.Mutex
 	opt := mpi.RunOptions{
 		NP:              2,
-		TCP:             s.Mode == DM,
 		EagerLimit:      s.EagerLimit,
-		Link:            toEmu(linkProfile(s.Impl, s.Platform, s.Mode, s.Paper1999)),
+		Link:            linkProfile(s.Impl, s.Platform, s.Mode, s.Paper1999),
 		BindingOverhead: overheadFor(s),
+	}
+	if s.Mode == DM {
+		opt.Device = "tcp"
 	}
 	err := mpi.RunWith(opt, func(env *mpi.Env) error {
 		world := env.CommWorld()
@@ -257,16 +259,6 @@ func bindingPingPong(s Spec) ([]Point, error) {
 		return nil, err
 	}
 	return results, nil
-}
-
-func toEmu(lp transport.LinkProfile) mpi.LinkEmulation {
-	return mpi.LinkEmulation{
-		PerMessage:  lp.PerMessage,
-		Latency:     lp.Latency,
-		BytesPerSec: lp.BytesPerSec,
-		PerByte:     lp.PerByte,
-		StagingCopy: lp.StagingCopy,
-	}
 }
 
 // Table1Row holds one environment's 1-byte latencies in both modes.

@@ -78,9 +78,10 @@ type inMsg struct {
 
 // outFrame is a frame produced by the matching engine to be sent after
 // the engine lock is released (sending under the lock can deadlock with
-// the peer's flow control; see the ordering argument in DESIGN.md). hdr
-// is pool-born; payload (rendezvous DATA only) is shipped by reference,
-// and a non-nil loan marks it as the sending caller's own memory.
+// the peer's flow control: a full inbox blocks the sender until the
+// peer's engine drains it, which may need this lock). hdr is pool-born;
+// payload (rendezvous DATA only) is shipped by reference, and a non-nil
+// loan marks it as the sending caller's own memory.
 type outFrame struct {
 	dst     int32
 	hdr     []byte

@@ -91,8 +91,8 @@ type Snapshot struct {
 	Pool transport.PoolSnapshot
 
 	// Devices breaks traffic down by transport medium: one entry per
-	// device this rank's endpoint is composed of ("shm", "tcp",
-	// "chan"), each with its own frame/byte counters and — for media
+	// medium this rank's endpoint routes over ("shm", "tcp", "chan",
+	// "dyn"), each with its own frame/byte counters and — for media
 	// with their own buffer pool, like the shared-memory arena — a
 	// per-medium pool snapshot.
 	Devices []transport.DevStats

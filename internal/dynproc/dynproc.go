@@ -8,10 +8,11 @@
 // The design splits into two halves:
 //
 //   - The device half is not here: every rank's engine reads one
-//     transport.Mux, and an admitted late joiner becomes a member of it
-//     (Mux.Join) at world rank baseSize, baseSize+1, ... — existing
-//     ranks are never renumbered, so the engine's live tag space,
-//     posted receives and peer-death bookkeeping survive world growth.
+//     transport.Mux, and an admitted late joiner becomes one more
+//     route of it (Mux.Join) at world rank baseSize, baseSize+1, ... —
+//     existing ranks are never renumbered, so the engine's live tag
+//     space, posted receives and peer-death bookkeeping survive world
+//     growth.
 //     Because the two processes on a joined link each number the other
 //     in their own local space, the mux rewrites the sender-stamped
 //     source rank of every inbound frame (core.PatchFrameSource, handed
@@ -38,10 +39,9 @@
 // is unreachable even while the listener lives on.
 //
 // Dynamic links are TCP today: a cross-process shared-memory segment
-// cannot be grown after launch, so the per-pair medium choice the
-// transport registry makes at boot (shm same-node, tcp off-node) is
-// fixed for the original world, and late joiners always ride the socket
-// path.
+// cannot be grown after launch, so the per-pair medium choice made at
+// boot (launch.NewDevice: shm same-node, tcp off-node) is fixed for the
+// original world, and late joiners always ride the socket path.
 package dynproc
 
 import (

@@ -13,13 +13,6 @@ import (
 	"gompi/internal/transport/shmipc"
 )
 
-// Device-registry factories: this file turns the launcher's environment
-// (coordinator address, shared segment) into transport devices. The
-// "shm" medium registers itself in package shmipc; here live the media
-// that need the rendezvous machinery — "tcp", "hybrid" (shm island +
-// socket mesh to everyone else) and "auto" (pick the fastest fabric the
-// launcher provisioned).
-
 // Environment variables naming the fabric mpirun provisioned.
 const (
 	// EnvDevice selects the transport medium ("auto", "shm", "tcp",
@@ -33,10 +26,28 @@ const (
 	EnvShmRanks = "GOMPI_SHM_RANKS"
 )
 
-// SpecFromEnv assembles the JobSpec a registry factory needs from the
-// environment mpirun set up.
-func SpecFromEnv(rank, size int) transport.JobSpec {
-	spec := transport.JobSpec{
+// JobSpec describes one rank's place in a job: the world geometry plus
+// whatever fabric resources the launcher prepared (a rendezvous
+// coordinator for socket meshes, a shared-memory segment for same-node
+// ranks).
+type JobSpec struct {
+	// Rank and Size are the world geometry.
+	Rank, Size int
+	// Coord is the launch coordinator's address, used by socket media
+	// to exchange per-rank listener addresses. Empty when the launcher
+	// provided no coordinator (e.g. a pure shared-memory job).
+	Coord string
+	// Segment is the path of the shared-memory segment this rank may
+	// attach, or empty if the launcher created none.
+	Segment string
+	// SegmentRanks lists the world ranks attached to Segment (this
+	// rank's same-node peer set), in slot order.
+	SegmentRanks []int
+}
+
+// SpecFromEnv assembles the JobSpec from the environment mpirun set up.
+func SpecFromEnv(rank, size int) JobSpec {
+	spec := JobSpec{
 		Rank:    rank,
 		Size:    size,
 		Coord:   os.Getenv(EnvCoord),
@@ -61,104 +72,122 @@ func DeviceFromEnv() string {
 	return "auto"
 }
 
-func init() {
-	transport.Register(transport.Entry{
-		Name: "tcp",
-		Probe: func(s transport.JobSpec) error {
-			if s.Coord == "" {
-				return errors.New("no rendezvous coordinator (run under mpirun)")
+// FaultyPrefix is the medium-name decorator that wraps any medium with
+// the fault-injection layer: "faulty:shm" builds the shm endpoint, then
+// applies the FaultPlan from the GOMPI_FAULT environment variable (see
+// transport.ParseFaultPlan). Ranks outside the plan's rank filter get
+// the inner device untouched, so one exported variable injects a fault
+// into exactly one rank of a whole job.
+const FaultyPrefix = "faulty:"
+
+// NewDevice probes for what the named medium needs of spec and builds
+// this rank's endpoint of it: "shm" (a segment covering the whole
+// world), "tcp" (the socket mesh), "hybrid" (one Mux: the shared-memory
+// island, a member device, carries the same-node peers and the rank
+// itself, everyone else gets a mesh connection) or "auto" (the fastest
+// of those the launcher provisioned for). A FaultyPrefix on the name
+// decorates the endpoint with the plan from the environment.
+func NewDevice(name string, s JobSpec) (transport.Device, error) {
+	if inner, ok := strings.CutPrefix(name, FaultyPrefix); ok {
+		plan, err := transport.ParseFaultPlan(os.Getenv(transport.EnvFault))
+		if err != nil {
+			return nil, err
+		}
+		dev, err := NewDevice(inner, s)
+		if err != nil {
+			return nil, err
+		}
+		return transport.NewFaulty(dev, plan), nil
+	}
+	whole := s.Segment != "" && len(s.SegmentRanks) >= s.Size
+	if name == "auto" {
+		switch {
+		case whole && shmipc.Supported:
+			name = "shm"
+		case s.Segment != "" && s.Coord != "":
+			name = "hybrid"
+		case s.Coord != "":
+			name = "tcp"
+		default:
+			return nil, errors.New("launch: no usable fabric (need a coordinator or a shared segment; run under mpirun)")
+		}
+	}
+	var missing error
+	switch name {
+	case "shm":
+		switch {
+		case !shmipc.Supported:
+			missing = shmipc.ErrUnsupported
+		case s.Segment == "":
+			missing = errors.New("launcher provided no shared segment")
+		case !whole:
+			missing = fmt.Errorf("segment covers %d of %d ranks (hybrid job needs -device auto)",
+				len(s.SegmentRanks), s.Size)
+		}
+	case "tcp":
+		if s.Coord == "" {
+			missing = errors.New("no rendezvous coordinator (run under mpirun)")
+		}
+	case "hybrid":
+		switch {
+		case s.Segment == "":
+			missing = errors.New("no shared segment for the local island")
+		case s.Coord == "":
+			missing = errors.New("no rendezvous coordinator for the remote ranks")
+		}
+	default:
+		return nil, fmt.Errorf("launch: unknown device %q (have auto, hybrid, shm, tcp)", name)
+	}
+	if missing != nil {
+		return nil, fmt.Errorf("launch: device %q unavailable: %w", name, missing)
+	}
+
+	// members[r] is the device that carries world rank r before the
+	// mesh is connected: the island, or nothing.
+	members := make([]transport.Device, s.Size)
+	if name != "tcp" {
+		seg, err := shmipc.Open(s.Segment, 10*time.Second)
+		if err != nil {
+			return nil, err
+		}
+		island, err := shmipc.Attach(seg, s.Rank, s.Size)
+		if err != nil {
+			return nil, err
+		}
+		if name == "shm" {
+			return island, nil
+		}
+		members[s.Rank] = island
+		for _, r := range s.SegmentRanks {
+			if r >= 0 && r < s.Size {
+				members[r] = island
 			}
-			return nil
-		},
-		New: func(s transport.JobSpec) (transport.Device, error) {
-			return joinMesh(s, nil)
-		},
-	})
-	transport.Register(transport.Entry{
-		Name: "hybrid",
-		Probe: func(s transport.JobSpec) error {
-			if s.Segment == "" {
-				return errors.New("no shared segment for the local island")
-			}
-			if s.Coord == "" {
-				return errors.New("no rendezvous coordinator for the remote ranks")
-			}
-			return nil
-		},
-		New: newHybridDevice,
-	})
-	transport.Register(transport.Entry{
-		Name: "auto",
-		New:  newAutoDevice,
-	})
+		}
+	}
+	return joinMesh(s, members)
 }
 
-// joinMesh is the worker side of the socket rendezvous, optionally
-// skipping peers another medium reaches.
-func joinMesh(s transport.JobSpec, skip []bool) (*transport.TCPDevice, error) {
+// joinMesh is the worker side of the socket rendezvous: it opens this
+// rank's mesh listener, registers it with the coordinator, waits for
+// the address table and connects every rank members leaves uncovered.
+// It owns members, also when it fails.
+func joinMesh(s JobSpec, members []transport.Device) (transport.Device, error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("launch: mesh listener: %w", err)
+	var addrs []string
+	if err == nil {
+		if addrs, err = rendezvous(s.Coord, s.Rank, s.Size, ln.Addr().String()); err != nil {
+			ln.Close()
+		}
 	}
-	addrs, err := rendezvous(s.Coord, s.Rank, s.Size, ln.Addr().String())
 	if err != nil {
-		ln.Close()
-		return nil, err
+		if island := members[s.Rank]; island != nil {
+			island.Close()
+		}
+		return nil, fmt.Errorf("launch: mesh rendezvous: %w", err)
 	}
-	dev, err := transport.ConnectPartialMesh(s.Rank, s.Size, addrs, ln, true, skip)
+	m, err := transport.ConnectMesh(s.Rank, members, addrs, ln)
 	if err != nil {
 		return nil, fmt.Errorf("launch: mesh: %w", err)
 	}
-	return dev, nil
-}
-
-// newHybridDevice composes the per-peer fabric of a multi-node rank:
-// the shared-memory island for same-node peers, a partial socket mesh
-// for everyone else, both members of the one Mux the engine reads.
-func newHybridDevice(s transport.JobSpec) (transport.Device, error) {
-	seg, err := shmipc.Open(s.Segment, 10*time.Second)
-	if err != nil {
-		return nil, err
-	}
-	island, err := shmipc.Attach(seg, s.Rank, s.Size)
-	if err != nil {
-		return nil, err
-	}
-	local := s.LocalPeers()
-	skip := make([]bool, s.Size)
-	for r := range skip {
-		skip[r] = local[r]
-	}
-	mesh, err := joinMesh(s, skip)
-	if err != nil {
-		island.Close()
-		return nil, err
-	}
-	route := make([]transport.Device, s.Size)
-	for r := range route {
-		if local[r] || r == s.Rank {
-			route[r] = island
-		} else {
-			route[r] = mesh
-		}
-	}
-	return transport.NewMux(s.Rank, route), nil
-}
-
-// newAutoDevice picks the fastest fabric the launcher provisioned: a
-// segment covering the whole world means pure shared memory, a segment
-// plus a coordinator means hybrid, a coordinator alone means sockets.
-func newAutoDevice(s transport.JobSpec) (transport.Device, error) {
-	if s.Segment != "" && len(s.SegmentRanks) >= s.Size {
-		if e, ok := transport.Lookup("shm"); ok && (e.Probe == nil || e.Probe(s) == nil) {
-			return e.New(s)
-		}
-	}
-	if s.Segment != "" && s.Coord != "" {
-		return newHybridDevice(s)
-	}
-	if s.Coord != "" {
-		return joinMesh(s, nil)
-	}
-	return nil, errors.New("launch: no usable fabric (need a coordinator or a shared segment; run under mpirun)")
+	return m, nil
 }

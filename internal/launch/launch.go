@@ -9,8 +9,6 @@ import (
 	"fmt"
 	"net"
 	"time"
-
-	"gompi/internal/transport"
 )
 
 // Environment variables carrying the job geometry from mpirun to the
@@ -92,11 +90,4 @@ func rendezvous(coordAddr string, rank, size int, addr string) ([]string, error)
 		return nil, fmt.Errorf("launch: coordinator sent %d addresses for size %d", len(t.Addrs), size)
 	}
 	return t.Addrs, nil
-}
-
-// Join runs the worker side: it opens this rank's mesh listener,
-// registers with the coordinator, waits for the address table and builds
-// the mesh device.
-func Join(coordAddr string, rank, size int) (*transport.TCPDevice, error) {
-	return joinMesh(transport.JobSpec{Rank: rank, Size: size, Coord: coordAddr}, nil)
 }

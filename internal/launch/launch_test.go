@@ -4,10 +4,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"gompi/internal/transport"
+	"gompi/internal/transport/shmipc"
 )
 
 func TestCoordinateAndJoin(t *testing.T) {
@@ -27,7 +30,7 @@ func TestCoordinateAndJoin(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			d, err := Join(ln.Addr().String(), r, n)
+			d, err := NewDevice("tcp", JobSpec{Rank: r, Size: n, Coord: ln.Addr().String()})
 			if err != nil {
 				errs[r] = err
 				return
@@ -114,7 +117,59 @@ func TestJoinSizeMismatch(t *testing.T) {
 		gob.NewDecoder(c).Decode(&h)                            //nolint:errcheck
 		gob.NewEncoder(c).Encode(table{Addrs: []string{"one"}}) //nolint:errcheck
 	}()
-	if _, err := Join(ln.Addr().String(), 0, 3); err == nil {
-		t.Fatal("Join accepted a short address table")
+	if _, err := NewDevice("tcp", JobSpec{Rank: 0, Size: 3, Coord: ln.Addr().String()}); err == nil {
+		t.Fatal("the mesh rendezvous accepted a short address table")
+	}
+}
+
+// TestNewDeviceShm builds segment endpoints by name, the way a launched
+// rank does, and checks what the probe refuses.
+func TestNewDeviceShm(t *testing.T) {
+	path := filepath.Join(t.TempDir(), shmipc.SegPrefix+"reg.seg")
+	seg, err := shmipc.Create(path, []int{0, 1}, shmipc.Config{ArenaBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Unlink() //nolint:errcheck // best-effort test cleanup
+	var devs [2]transport.Device
+	for r, name := range []string{"shm", "auto"} { // a whole-world segment is what auto picks
+		devs[r], err = NewDevice(name, JobSpec{Rank: r, Size: 2, Segment: path, SegmentRanks: []int{0, 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer devs[r].Close()
+	}
+	if err := devs[0].Send(1, []byte("hi")); err != nil {
+		t.Fatal(err)
+	}
+	f, err := devs[1].Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(f.Data) != "hi" {
+		t.Fatalf("got %q", f.Data)
+	}
+	f.Release()
+
+	st := devs[0].DeviceStats()
+	if len(st) != 1 || st[0].Name != "shm" || st[0].FramesSent != 1 {
+		t.Fatalf("bad device stats: %+v", st)
+	}
+
+	for _, refuse := range []struct {
+		name, want string
+		spec       JobSpec
+	}{
+		{"shm", "launcher provided no shared segment", JobSpec{Rank: 0, Size: 2}},
+		{"shm", "segment covers 2 of 4 ranks", JobSpec{Rank: 0, Size: 4, Segment: path, SegmentRanks: []int{0, 1}}},
+		{"tcp", "no rendezvous coordinator", JobSpec{Rank: 0, Size: 2}},
+		{"hybrid", "no rendezvous coordinator for the remote ranks", JobSpec{Rank: 0, Size: 4, Segment: path, SegmentRanks: []int{0, 1}}},
+		{"faulty:hybrid", "no shared segment for the local island", JobSpec{Rank: 0, Size: 2}},
+		{"auto", "no usable fabric", JobSpec{Rank: 0, Size: 2}},
+		{"carrier-pigeon", "unknown device", JobSpec{Rank: 0, Size: 2}},
+	} {
+		if _, err := NewDevice(refuse.name, refuse.spec); err == nil || !strings.Contains(err.Error(), refuse.want) {
+			t.Errorf("NewDevice(%q, %+v) = %v, want an error saying %q", refuse.name, refuse.spec, err, refuse.want)
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package spin provides microsecond-accurate delay primitives.
 //
-// The benchmark calibration profiles (see DESIGN.md) inject artificial
-// per-call and per-message costs — the JNI-crossing cost model and the
-// 10BaseT link emulation — whose magnitudes are a few tens to a few
-// hundreds of microseconds. time.Sleep alone is too coarse at that scale
+// The benchmark calibration profiles (transport.LinkProfile,
+// Env.SetBindingOverhead) inject artificial per-call and per-message
+// costs — the JNI-crossing cost model and the 10BaseT link emulation —
+// whose magnitudes are a few tens to a few hundreds of microseconds. time.Sleep alone is too coarse at that scale
 // on most kernels, so Wait uses a hybrid strategy: sleep for the bulk of
 // long delays, then busy-wait the remainder against the monotonic clock.
 package spin

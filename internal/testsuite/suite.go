@@ -70,7 +70,11 @@ type Result struct {
 
 // RunProgram executes one program under the selected transport.
 func RunProgram(p Program, tcp bool) error {
-	return mpi.RunWith(mpi.RunOptions{NP: p.NP, TCP: tcp}, p.Run)
+	opt := mpi.RunOptions{NP: p.NP}
+	if tcp {
+		opt.Device = "tcp"
+	}
+	return mpi.RunWith(opt, p.Run)
 }
 
 // RunProgramOpt executes one program with explicit run options (used to

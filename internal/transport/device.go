@@ -2,23 +2,28 @@
 // the analogue of MPICH's abstract device interface / the p4 layer under
 // WMPI in the paper. A Device moves opaque, framed byte messages between
 // the processes of a job with reliable, per-(sender,receiver) FIFO
-// ordering. Three media implement it:
+// ordering.
 //
-//   - ShmDevice ("chan"): in-process channels; the paper's Shared
-//     Memory (SM) mode with every rank in one address space.
-//   - shmipc.Device ("shm"): a cross-process shared-memory segment.
-//   - TCPDevice ("tcp"): a socket mesh; the paper's Distributed Memory
-//     (DM) mode.
+// One endpoint type carries every job: a Mux owns the one mailbox of a
+// rank, and its route table says how each world rank is reached —
 //
-// One composite stands over them: every rank's engine reads a Mux, which
-// merges the receive streams of its static members (one whole-world
-// device, or an shm island plus a partial mesh in a hybrid job) and of
-// the links joined after launch into one inbox, and routes each send by
-// destination rank. Two decorators embed a Device and override only
-// what they change: Shaped charges per-message cost, latency and a
-// bandwidth cap so benchmarks can emulate the paper's 1999 testbed, and
-// Faulty drops frames or kills the endpoint on a schedule. Media are
-// built by name through the registry (NewDevice).
+//   - by reference ("chan"): the peer's mailbox lives in this address
+//     space; the paper's Shared Memory (SM) mode with every rank in one
+//     process, and any rank's route to itself.
+//   - by connection ("tcp", "dyn"): a socket carrying length-prefixed
+//     frames, read straight into the mailbox; the paper's Distributed
+//     Memory (DM) mode. A mesh connection made at launch and a link
+//     admitted later (Spawn, Connect, Accept) are the same thing.
+//   - by member Device: another medium's endpoint, pumped into the
+//     mailbox — shmipc.Device ("shm", a cross-process shared-memory
+//     segment, whole-world or the island of a hybrid job) or a
+//     decorated device.
+//
+// Two decorators embed a Device and override only what they change:
+// Shaped charges per-message cost, latency and a bandwidth cap so
+// benchmarks can emulate the paper's 1999 testbed, and Faulty drops
+// frames or kills the endpoint on a schedule. Package launch turns the
+// fabric mpirun provisioned into the endpoint of a named medium.
 package transport
 
 import (
@@ -191,11 +196,4 @@ type Device interface {
 	// DeviceStats reports the endpoint's traffic counters, one entry
 	// per medium behind it.
 	DeviceStats() []DevStats
-}
-
-func checkDst(dst, size int) error {
-	if dst < 0 || dst >= size {
-		return fmt.Errorf("transport: destination rank %d out of range [0,%d)", dst, size)
-	}
-	return nil
 }

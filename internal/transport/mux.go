@@ -9,160 +9,172 @@ import (
 	"sync/atomic"
 )
 
-// mailbox is the receive half of an endpoint whose frames arrive on
-// goroutines of its own (socket read loops, member pumps): the one
-// inbox, the one channel of loss reports and the one Recv select.
-type mailbox struct {
-	inbox chan Frame
-	// fail is unbuffered: a reporter waits for recv to take its report
-	// (or for Close), having forwarded all its peer's frames first.
-	fail chan error
-	done chan struct{} // the endpoint was closed
+// DefaultInboxDepth is the per-rank flow-control window, in frames.
+const DefaultInboxDepth = 1024
+
+// medium names the counters a frame moves when it travels a route of
+// the mux's own: one DeviceStats entry each.
+type medium uint8
+
+const (
+	viaChan medium = iota // by reference, within the address space
+	viaTCP                // a mesh connection; a meshed rank's route to itself
+	viaDyn                // a link joined after launch
+	nMedia
+)
+
+var mediumNames = [nMedia]string{"chan", "tcp", "dyn"}
+
+// route says how one world rank is reached; exactly one of to, conn and
+// dev is set.
+type route struct {
+	// to is the peer's endpoint in this address space: frames are
+	// enqueued on its mailbox by reference, loan and all.
+	to *Mux
+	// conn carries length-prefixed frames to the peer; the frames it
+	// brings are read straight into the mailbox.
+	conn *frameConn
+	// dev is a member device — another medium's endpoint, pumped into
+	// the mailbox. It keeps its own counters.
+	dev Device
+	// med is whose counters a frame over to or conn moves, on both ends.
+	med medium
 }
 
-func newMailbox() mailbox {
-	return mailbox{inbox: make(chan Frame, DefaultInboxDepth), fail: make(chan error), done: make(chan struct{})}
-}
+func (r route) covered() bool { return r.to != nil || r.conn != nil || r.dev != nil }
 
-// recv returns the next frame or loss report. Frames already in the
-// inbox win over reports: a stream is forwarded in order and its
-// reporter speaks only afterwards, so a peer's last frames all come
-// before its loss. Once done (or ended, if set) closes, what arrived
-// before is handed out, then ErrClosed, persistently.
-func (b *mailbox) recv(ended <-chan struct{}) (Frame, error) {
-	select {
-	case f := <-b.inbox:
-		return f, nil
-	default:
-	}
-	select {
-	case f := <-b.inbox:
-		return f, nil
-	case err := <-b.fail:
-		return Frame{}, err
-	case <-ended:
-	case <-b.done:
-	}
-	select {
-	case f := <-b.inbox:
-		return f, nil
-	default:
-		return Frame{}, ErrClosed
-	}
-}
-
-// report hands a peer's loss to recv — unless the endpoint is closing:
-// its own shutdown tearing connections down is not the peer's death.
-func (b *mailbox) report(err error) {
-	select {
-	case <-b.done:
-		return
-	default:
-	}
-	select {
-	case b.fail <- err:
-	case <-b.done:
-	}
-}
-
-// sendErr classifies a failed frame write toward peer. A frame refused
-// before the stream was touched, or this endpoint's own shutdown, is not
-// the peer's death; any other failure of its connection is, whether or
-// not the reader has noticed yet.
-func (b *mailbox) sendErr(peer int, err error) error {
-	if errors.Is(err, errFrameTooLarge) {
-		return fmt.Errorf("transport: send to rank %d: %w", peer, err)
-	}
-	select {
-	case <-b.done:
-		return ErrClosed
-	default:
-		return &PeerLostError{Peer: peer, Err: err}
-	}
-}
-
-// Mux is the one composite device: whatever media a rank's traffic
-// travels, its engine reads one Mux.
+// Mux is the one endpoint type: it owns the one mailbox of a rank —
+// whatever media the rank's traffic travels, its engine reads this
+// inbox — and a route table saying how each world rank is reached.
+// Per-pair FIFO order is each route's own: a pair's frames all travel
+// one route, and merging routes into one channel never reorders them.
 //
-// Static members are Devices fixed at construction, each carrying the
-// world ranks the route table assigns it: the whole-world device of a
-// chan/tcp/shm job, or the shared-memory island plus a partial socket
-// mesh of a hybrid job. One pump per member forwards its receive stream
-// into the inbox; merging never reorders a pair, whose frames all
-// travel one member.
-//
-// Joined members are connections admitted after launch (Spawn, Connect,
-// Accept). Each gets the next world rank past the static ones (existing
-// ranks are never renumbered), speaks the tcp wire framing and is
-// drained by the shared read loop straight into the same inbox.
+// A peer's loss travels through the inbox too, as a marked frame behind
+// the last frame the peer's route delivered, so Recv is one receive and
+// a peer's frames always come before its loss.
 type Mux struct {
-	rank    int
-	route   []Device // world rank → static member carrying it
-	members []Device // distinct static members, pump order
+	rank  int
+	inbox chan Frame
+	done  chan struct{} // closed with the endpoint, see shut
 
-	mu    sync.Mutex
-	links []*frameConn // joined members; world rank = len(route) + index
-	// lost dedupes loss reports: several members may see a peer die,
+	// routes is the one table, indexed by world rank. Entries made at
+	// launch never change; Join publishes a longer copy, so every send
+	// reads the table without a lock and existing ranks are never
+	// renumbered.
+	routes  atomic.Pointer[[]route]
+	members []Device // the distinct member devices, in pump order
+
+	mu     sync.Mutex // guards closed, lost and the growth of routes
+	closed bool       // done is closed
+	// lost dedupes loss reports: several routes may see a peer die,
 	// the engine must see exactly one PeerLostError for it.
 	lost map[int]bool
-	size atomic.Int64
 
-	mailbox
-	// eos closes when a static member reaches end-of-stream on its own
-	// (e.g. fault injection closing the endpoint under the mux).
-	eos     chan struct{}
-	eosOnce sync.Once
-	wg      sync.WaitGroup
-
-	dyn devCounters // joined-link traffic, the "dyn" stats entry
+	wg  sync.WaitGroup // read loops and pumps
+	cnt [nMedia]devCounters
 
 	closeOnce sync.Once
 	closeErr  error
 }
 
-// NewMux builds the composite endpoint of world rank rank over static
-// members: route[r] is the member carrying traffic to and from world
-// rank r; a rank nobody carries is a bug in the caller and panics. The
-// mux owns its members and closes them on Close.
-func NewMux(rank int, route []Device) *Mux {
-	m := &Mux{rank: rank, route: route, lost: make(map[int]bool), mailbox: newMailbox(), eos: make(chan struct{})}
-	for r, d := range route {
-		if d == nil {
-			panic(fmt.Sprintf("transport: mux route missing rank %d", r))
+// newMux makes the endpoint of world rank rank in a size-rank world,
+// with no rank reachable yet. It is the one place a mailbox is made.
+func newMux(rank, size, depth int) *Mux {
+	if depth <= 0 {
+		depth = DefaultInboxDepth
+	}
+	m := &Mux{rank: rank, inbox: make(chan Frame, depth), done: make(chan struct{}), lost: make(map[int]bool)}
+	table := make([]route, size)
+	m.routes.Store(&table)
+	return m
+}
+
+func (m *Mux) table() []route { return *m.routes.Load() }
+
+// NewShmJob creates an n-rank in-process job — the paper's SM mode —
+// and returns its endpoints: every rank reaches every rank, itself
+// included, by reference. Channel semantics give exactly the ordering a
+// device must provide, and the per-rank progress engine drains the
+// inbox continuously, so senders only block transiently on flow
+// control. depth is the per-rank inbox capacity in frames; depth <= 0
+// selects DefaultInboxDepth.
+func NewShmJob(n, depth int) []*Mux {
+	job := make([]*Mux, n)
+	for i := range job {
+		job[i] = newMux(i, n, depth)
+	}
+	for _, m := range job {
+		for r, to := range job {
+			m.table()[r] = route{to: to, med: viaChan}
 		}
+	}
+	return job
+}
+
+// NewMux builds the endpoint of world rank rank over member devices:
+// members[r] is the device carrying traffic to and from world rank r; a
+// rank nobody carries is a bug in the caller and panics. The mux owns
+// its members and closes them on Close.
+func NewMux(rank int, members []Device) *Mux {
+	if r := slices.Index(members, nil); r >= 0 {
+		panic(fmt.Sprintf("transport: mux route missing rank %d", r))
+	}
+	m := newMux(rank, len(members), 0)
+	m.adopt(members)
+	m.start()
+	return m
+}
+
+// adopt routes every rank members names a device for through it.
+func (m *Mux) adopt(members []Device) {
+	for r, d := range members {
+		if d == nil {
+			continue
+		}
+		m.table()[r] = route{dev: d}
 		if !slices.Contains(m.members, d) {
 			m.members = append(m.members, d)
 		}
 	}
-	m.size.Store(int64(len(route)))
+}
+
+// start begins draining what the finished launch-time table names: one
+// read loop per connection, one pump per member device. By-reference
+// routes need neither.
+func (m *Mux) start() {
+	for peer, r := range m.table() {
+		if r.conn != nil {
+			m.wg.Add(1)
+			go m.serve(peer, r, nil)
+		}
+	}
 	for _, d := range m.members {
 		m.wg.Add(1)
 		go m.pump(d)
 	}
-	return m
 }
 
 // MuxOver returns the mux an engine should read dev through: dev itself
-// when it already is one (a hybrid job's composite is not pumped a
-// second time), else a mux whose single member dev carries the whole
-// world.
+// when it already is one (a chan, tcp or hybrid job's endpoint), else a
+// mux whose single member dev — a segment device, or a decorated one —
+// carries the whole world.
 func MuxOver(dev Device) *Mux {
 	if m, ok := dev.(*Mux); ok {
 		return m
 	}
-	route := make([]Device, dev.Size())
-	for r := range route {
-		route[r] = dev
+	members := make([]Device, dev.Size())
+	for r := range members {
+		members[r] = dev
 	}
-	return NewMux(dev.Rank(), route)
+	return NewMux(dev.Rank(), members)
 }
 
 // Rank returns this endpoint's world rank.
 func (m *Mux) Rank() int { return m.rank }
 
-// Size returns the world size as this endpoint sees it: the static
-// ranks plus every member joined so far.
-func (m *Mux) Size() int { return int(m.size.Load()) }
+// Size returns the world size as this endpoint sees it: the launch-time
+// ranks plus every peer joined so far.
+func (m *Mux) Size() int { return len(m.table()) }
 
 // Join admits the peer at the far end of c as the next world rank and
 // starts draining it; the mux owns c from here on. The two ends of a
@@ -170,29 +182,82 @@ func (m *Mux) Size() int { return int(m.size.Load()) }
 // sender-stamped source rank of every inbound frame to the returned
 // rank before the frame reaches the inbox.
 func (m *Mux) Join(c net.Conn, stamp func(frame []byte, src int32) error) (int, error) {
-	l := newFrameConn(c)
+	r := route{conn: newFrameConn(c), med: viaDyn}
 	m.mu.Lock()
-	select {
-	case <-m.done:
+	if m.closed {
 		m.mu.Unlock()
 		c.Close()
 		return 0, ErrClosed
-	default:
 	}
-	peer := len(m.route) + len(m.links)
-	m.links = append(m.links, l)
-	m.size.Store(int64(peer + 1))
+	old := m.table()
+	peer := len(old)
+	grown := append(old[:peer:peer], r)
+	m.routes.Store(&grown)
 	m.wg.Add(1)
 	m.mu.Unlock()
-	go func() {
-		defer m.wg.Done()
-		err := readFrames(c, m.inbox, m.done, &m.dyn, func(b []byte) error { return stamp(b, int32(peer)) })
-		c.Close() // fail writers fast instead of filling a dead socket
-		if err != nil {
-			m.lose(peer, &PeerLostError{Peer: peer, Err: err})
-		}
-	}()
+	go m.serve(peer, r, func(b []byte) error { return stamp(b, int32(peer)) })
 	return peer, nil
+}
+
+// serve reads peer's connection into the inbox until the stream fails,
+// which is the peer's loss, or the endpoint shuts down.
+func (m *Mux) serve(peer int, r route, stamp func([]byte) error) {
+	defer m.wg.Done()
+	err := readFrames(r.conn.c, m.inbox, m.done, &m.cnt[r.med], stamp)
+	r.conn.c.Close() // fail writers fast instead of filling a dead socket
+	if err != nil {
+		m.lose(&PeerLostError{Peer: peer, Err: err})
+	}
+}
+
+// pump forwards one member device's receive stream into the inbox. The
+// member stays usable for its surviving peers after a loss report;
+// anything else it returns is its end of stream, which ends the
+// endpoint as it would end the bare device: Recv hands out what
+// arrived, then ErrClosed.
+func (m *Mux) pump(d Device) {
+	defer m.wg.Done()
+	for {
+		f, err := d.Recv()
+		var pl *PeerLostError
+		switch {
+		case err == nil:
+			select {
+			case m.inbox <- f:
+			case <-m.done:
+				f.Release()
+				return
+			}
+		case errors.As(err, &pl):
+			// Only the route carrying a rank speaks for it: an island
+			// may share its segment with ranks reached over the mesh,
+			// and a medium losing a peer it does not carry must not
+			// fail that peer's healthy route.
+			if t := m.table(); uint(pl.Peer) < uint(len(t)) && t[pl.Peer].dev == d {
+				m.lose(pl)
+			}
+		default:
+			m.shut()
+			return
+		}
+	}
+}
+
+// lose queues a peer's loss behind whatever its route delivered, once
+// per peer — and never for a closed endpoint: its own shutdown tearing
+// connections down is not the peer's death.
+func (m *Mux) lose(pl *PeerLostError) {
+	m.mu.Lock()
+	skip := m.closed || m.lost[pl.Peer]
+	m.lost[pl.Peer] = true
+	m.mu.Unlock()
+	if skip {
+		return
+	}
+	select {
+	case m.inbox <- Frame{loan: lossReport{pl}}:
+	case <-m.done:
+	}
 }
 
 // Lost reports whether peer's loss has been admitted.
@@ -202,113 +267,194 @@ func (m *Mux) Lost(peer int) bool {
 	return m.lost[peer]
 }
 
-// pump forwards one static member's receive stream into the inbox. The
-// member stays usable for its surviving peers after a loss report;
-// anything else it returns is its end of stream.
-func (m *Mux) pump(d Device) {
-	defer m.wg.Done()
-	for {
-		f, err := d.Recv()
-		if err != nil {
-			var pl *PeerLostError
-			if errors.As(err, &pl) {
-				// Only the member routing a rank speaks for it: an
-				// island may share its segment with ranks reached
-				// over the mesh, and a medium losing a peer it does not
-				// carry must not fail that peer's healthy route.
-				if uint(pl.Peer) < uint(len(m.route)) && m.route[pl.Peer] == d {
-					m.lose(pl.Peer, err)
-				}
-				continue
-			}
-			m.eosOnce.Do(func() { close(m.eos) })
-			return
-		}
-		select {
-		case m.inbox <- f:
-		case <-m.done:
-			f.Release()
-			return
-		}
-	}
-}
-
-// lose hands a loss report to Recv, once per peer.
-func (m *Mux) lose(peer int, report error) {
-	m.mu.Lock()
-	dup := m.lost[peer]
-	m.lost[peer] = true
-	m.mu.Unlock()
-	if !dup {
-		m.report(report)
-	}
-}
-
-// Send routes a contiguous frame by destination. Toward a joined peer
-// the frame is not returned to the pool: a contiguous send carries no
+// Send routes a contiguous frame by destination. It is not returned to
+// the pool once written to a connection: a contiguous send carries no
 // exclusivity promise.
 func (m *Mux) Send(dst int, frame []byte) error {
-	if uint(dst) < uint(len(m.route)) {
-		return m.route[dst].Send(dst, frame)
-	}
-	return m.sendLink(dst, Frame{Data: frame})
+	return m.send(dst, Frame{Data: frame})
 }
 
-// Sendv routes a scatter-gather frame by destination.
+// Sendv routes a scatter-gather frame by destination. By reference the
+// receiver reads the sender's buffers directly — no copy or contiguous
+// assembly anywhere on the path — and recycles them at its Release; a
+// connection recycles them once the bytes are written.
 func (m *Mux) Sendv(dst int, hdr, payload []byte, recycle bool) error {
-	if uint(dst) < uint(len(m.route)) {
-		return m.route[dst].Sendv(dst, hdr, payload, recycle)
-	}
-	return m.sendLink(dst, Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle})
+	return m.send(dst, Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle})
 }
 
-// SendvLent routes a lent payload like Sendv. A static member decides
-// when the loan returns (a by-reference frame rides the pump, loan and
-// all, up to the engine); a joined link serialises, so there it is back
-// before SendvLent returns.
+// SendvLent routes a lent payload like Sendv. By reference the loan
+// rides the frame and returns at the consumer's Release; a connection
+// serialises, so there it is back before SendvLent returns; a member
+// device decides for itself.
 func (m *Mux) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
-	if uint(dst) < uint(len(m.route)) {
-		return m.route[dst].SendvLent(dst, hdr, payload, loan)
-	}
-	return m.sendLink(dst, Frame{Data: hdr, Payload: payload, pooledData: true, loan: loan})
+	return m.send(dst, Frame{Data: hdr, Payload: payload, pooledData: true, loan: loan})
 }
 
-// sendLink writes f to the joined peer dst, releasing it on every path.
-func (m *Mux) sendLink(dst int, f Frame) error {
-	m.mu.Lock()
-	var l *frameConn
-	if i := dst - len(m.route); i >= 0 && i < len(m.links) {
-		l = m.links[i]
+// send ships f over dst's route. The mux is done with f's storage on
+// every path that does not hand it to a consumer, so Release — pool
+// return for owned buffers, loan return for a lent payload — is the
+// single exit of those.
+func (m *Mux) send(dst int, f Frame) error {
+	var r route
+	if t := m.table(); uint(dst) < uint(len(t)) {
+		r = t[dst]
 	}
-	m.mu.Unlock()
-	if l == nil {
+	switch {
+	case r.to != nil:
+		return m.deliver(r, f)
+	case r.conn != nil:
+		n := len(f.Data) + len(f.Payload)
+		if err := r.conn.send(f); err != nil {
+			return m.sendErr(dst, err)
+		}
+		m.cnt[r.med].countSend(n)
+		return nil
+	case r.dev == nil:
 		f.Release()
 		return fmt.Errorf("transport: no route to rank %d (world size %d)", dst, m.Size())
+	case f.loan != nil:
+		return r.dev.SendvLent(dst, f.Data, f.Payload, f.loan)
+	case f.pooledData:
+		return r.dev.Sendv(dst, f.Data, f.Payload, f.pooledPayload)
+	default:
+		return r.dev.Send(dst, f.Data)
 	}
-	n := len(f.Data) + len(f.Payload)
-	if err := l.send(f); err != nil {
-		return m.sendErr(dst, err)
-	}
-	m.dyn.countSend(n)
-	return nil
 }
 
-// Recv returns the next frame from any member, or the next admitted
-// loss report. A static member ending on its own ends the mux as it
-// would end the bare device: what arrived is handed out, then ErrClosed.
-func (m *Mux) Recv() (Frame, error) { return m.recv(m.eos) }
+// deliver enqueues f on the mailbox of the peer r reaches by reference.
+// It fails with ErrClosed when either endpoint has shut down, so a
+// sender can never block for ever on a dead receiver, and a full inbox
+// blocks it only until the peer's engine drains. On failure the frame
+// was handed to no one and is released here.
+func (m *Mux) deliver(r route, f Frame) error {
+	to := r.to
+	select {
+	case <-m.done:
+		f.Release()
+		return ErrClosed
+	case <-to.done:
+		f.Release()
+		return ErrClosed
+	default:
+	}
+	n := len(f.Data) + len(f.Payload)
+	select {
+	case to.inbox <- f:
+		m.cnt[r.med].countSend(n)
+		to.cnt[r.med].countRecv(n)
+		if f.loan != nil {
+			releaseIfClosed(to.inbox, to.done)
+		}
+		return nil
+	case <-m.done:
+		f.Release()
+		return ErrClosed
+	case <-to.done:
+		f.Release()
+		return ErrClosed
+	}
+}
 
-// Close shuts every member down, waits for the pumps and read loops and
-// releases what the inbox still holds. Blocked Recv calls return
-// ErrClosed.
+// releaseIfClosed covers the window in which a frame is enqueued on an
+// endpoint that closed meanwhile: its consumer may already have seen
+// the inbox empty and left, and a loan stranded there would hang its
+// lender for ever. Once the endpoint is closed, whatever still sits in
+// the inbox is undeliverable, so the sender that may have raced
+// releases it all; the departing consumer, if still draining, shares
+// the frames with it one receive at a time.
+func releaseIfClosed(inbox chan Frame, done <-chan struct{}) {
+	select {
+	case <-done:
+		drainFrames(inbox)
+	default:
+	}
+}
+
+// drainFrames releases whatever inbox holds right now; a lent frame
+// queued there goes back to its lender.
+func drainFrames(inbox chan Frame) {
+	for {
+		select {
+		case f := <-inbox:
+			f.Release()
+		default:
+			return
+		}
+	}
+}
+
+// sendErr classifies a failed frame write toward peer. A frame refused
+// before the stream was touched, or this endpoint's own shutdown, is not
+// the peer's death; any other failure of its connection is, whether or
+// not the reader has noticed yet.
+func (m *Mux) sendErr(peer int, err error) error {
+	if errors.Is(err, errFrameTooLarge) {
+		return fmt.Errorf("transport: send to rank %d: %w", peer, err)
+	}
+	select {
+	case <-m.done:
+		return ErrClosed
+	default:
+		return &PeerLostError{Peer: peer, Err: err}
+	}
+}
+
+// Recv returns the next frame from any route, or the next peer's loss.
+// Once the endpoint is closed, what arrived before is handed out, then
+// ErrClosed, persistently.
+func (m *Mux) Recv() (Frame, error) {
+	select {
+	case f := <-m.inbox:
+		return f.received()
+	case <-m.done:
+	}
+	select {
+	case f := <-m.inbox:
+		return f.received()
+	default:
+		return Frame{}, ErrClosed
+	}
+}
+
+// lossReport marks a frame as a peer's loss travelling through a mailbox
+// behind that peer's last frame. The mark is explicit because an empty
+// Frame is a legal message; it rides the loan slot, with nothing to
+// return, so that Frame — which every request and every queued
+// unexpected message embeds — stays the size it is.
+type lossReport struct{ *PeerLostError }
+
+func (lossReport) Returned() {}
+
+// received unwraps what came out of an inbox: a message, or the loss
+// report of a peer.
+func (f Frame) received() (Frame, error) {
+	if l, ok := f.loan.(lossReport); ok {
+		return Frame{}, l.PeerLostError
+	}
+	return f, nil
+}
+
+// shut closes done, once.
+func (m *Mux) shut() {
+	m.mu.Lock()
+	if !m.closed {
+		m.closed = true
+		close(m.done)
+	}
+	m.mu.Unlock()
+}
+
+// Close shuts the endpoint down: connections and member devices close,
+// the read loops and pumps are waited for, and what the inbox still
+// holds is released. Blocked Recv calls return ErrClosed; other ranks'
+// endpoints are unaffected.
 func (m *Mux) Close() error {
 	m.closeOnce.Do(func() {
-		m.mu.Lock()
-		close(m.done) // under mu: Join admits no link Close will not see
-		links := m.links
-		m.mu.Unlock()
-		for _, l := range links {
-			l.c.Close()
+		m.shut() // first: Join admits no link the loop below will not see
+		for _, r := range m.table() {
+			if r.conn != nil {
+				r.conn.c.Close()
+			}
 		}
 		for _, d := range m.members {
 			m.closeErr = errors.Join(m.closeErr, d.Close())
@@ -319,15 +465,25 @@ func (m *Mux) Close() error {
 	return m.closeErr
 }
 
-// DeviceStats concatenates the static members' counters, one entry per
-// medium, plus a "dyn" entry once any peer has joined.
+// DeviceStats reports one entry per medium in use: the member devices'
+// own, then one for each kind of route of the mux's own that the table
+// holds ("chan", "tcp", and "dyn" once any peer has joined), counted
+// where a frame leaves the sender and where it enters the mailbox.
 func (m *Mux) DeviceStats() []DevStats {
 	var out []DevStats
 	for _, d := range m.members {
 		out = append(out, d.DeviceStats()...)
 	}
-	if m.Size() > len(m.route) {
-		out = append(out, m.dyn.stats("dyn", PoolStats()))
+	var used [nMedia]bool
+	for _, r := range m.table() {
+		if r.to != nil || r.conn != nil {
+			used[r.med] = true
+		}
+	}
+	for med, ok := range used {
+		if ok {
+			out = append(out, m.cnt[med].stats(mediumNames[med], PoolStats()))
+		}
 	}
 	return out
 }

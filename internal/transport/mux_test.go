@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
 	"runtime"
 	"sync"
@@ -10,12 +11,14 @@ import (
 	"time"
 )
 
-// One script, three shapes of mux. The test plays every peer: behind a
-// scripted static member it feeds the member's receive stream and reads
-// what was sent through it; behind a joined link it holds the far end of
-// the connection. Frames are {source rank, sequence number, ...}.
+// One script, every kind of route. The test plays every peer: behind a
+// scripted member device it feeds the member's receive stream and reads
+// what was sent through it; behind a by-reference route or a mesh
+// connection it drives the peer's own endpoint; behind a joined link it
+// holds the far end of the connection. Frames are {source rank,
+// sequence number, ...}.
 
-// member is a scripted static member. Like the in-process devices it
+// member is a scripted member device. Like the by-reference routes it
 // passes frames by reference, so a lent frame sent through it still
 // carries its loan when the test loops it back.
 type member struct {
@@ -87,41 +90,53 @@ func (d *member) Close() error {
 	return nil
 }
 
-// muxWorld is one shape of mux at world rank 0 plus the handles the
-// script drives it with.
+// muxWorld is the mux at world rank 0 of one shape plus the handles the
+// script drives it with. Rank 1 is the healthy bystander; peer is the
+// rank the script converses with and then loses.
 type muxWorld struct {
-	mux *Mux
-	// home carries ranks 0 and 1: self traffic loops back through it,
-	// and rank 1 is the healthy bystander.
-	home *member
-	// peer is the rank the script converses with and then loses.
+	mux  *Mux
 	peer int
-	// say delivers one frame from peer; heard returns the next frame the
-	// mux sent toward peer, as its bytes and the frame to release.
-	say   func(b []byte)
-	heard func() ([]byte, Frame)
-	// die makes the member routing peer report it lost; rumour has a
-	// member that does not route peer claim the same (no-op when the
-	// shape has no such member).
-	die, rumour func()
-	// settle releases whatever the mux has sent out and nobody read.
+	// say and bystander deliver one frame from peer and from rank 1;
+	// heard and heard1 return the next frame the mux sent toward each,
+	// as its bytes and the frame to release.
+	say, bystander func(b []byte)
+	heard, heard1  func() ([]byte, Frame)
+	// loop completes a send of the mux to itself: a member that routes
+	// rank 0 hands the frame back as a by-reference device would.
+	loop func()
+	// serialises: the route to peer writes the bytes out, so a loan is
+	// back when the send returns, not at the consumer's Release.
+	serialises bool
+	// die kills peer. reports says the death surfaces as a
+	// PeerLostError; by reference it does not — sends just fail.
+	die     func()
+	reports bool
+	// rumour has a route that does not carry peer claim it lost (no-op
+	// when the shape has no such route).
+	rumour func()
+	// endMember makes a member device reach end-of-stream on its own;
+	// nil when the shape has none.
+	endMember func()
+	// settle closes every other endpoint and releases whatever was
+	// sent and nobody read.
 	settle func()
 }
 
-func (w *muxWorld) bystander(b []byte) {
-	b[0] = 1
-	w.home.deliver(Frame{Data: b})
-}
-
-func drainSent(ms ...*member) func() {
-	return func() {
-		for _, m := range ms {
-			for len(m.out) > 0 { // the test is the only reader
-				s := <-m.out
-				s.f.Release()
-			}
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
 	}
+}
+
+// homeMember scripts ranks 0 and 1 of w through member home.
+func (w *muxWorld) homeMember(t *testing.T, home *member) {
+	w.bystander = func(b []byte) { b[0] = 1; home.deliver(Frame{Data: b}) }
+	w.heard1 = heardFrom(t, home, 1)
+	w.loop = func() { home.deliver((<-home.out).f) }
+	w.endMember = func() { home.Close() }
 }
 
 func heardFrom(t *testing.T, m *member, peer int) func() ([]byte, Frame) {
@@ -134,40 +149,101 @@ func heardFrom(t *testing.T, m *member, peer int) func() ([]byte, Frame) {
 			}
 			return append(append([]byte(nil), s.f.Data...), s.f.Payload...), s.f
 		case <-time.After(5 * time.Second):
-			t.Fatal("nothing was sent toward the peer")
+			t.Fatalf("nothing was sent toward rank %d", peer)
 			return nil, Frame{}
 		}
 	}
+}
+
+func drainSent(ms ...*member) {
+	for _, m := range ms {
+		for len(m.out) > 0 { // the test is the only reader
+			s := <-m.out
+			s.f.Release()
+		}
+	}
+}
+
+// A real endpoint playing a remote rank: it says by sending to rank 0
+// and hears by receiving.
+func sayVia(t *testing.T, from *Mux) func(b []byte) {
+	return func(b []byte) {
+		b[0] = byte(from.Rank())
+		if err := from.Send(0, b); err != nil {
+			t.Errorf("rank %d: %v", from.Rank(), err)
+		}
+	}
+}
+
+func heardAt(t *testing.T, at *Mux) func() ([]byte, Frame) {
+	return func() ([]byte, Frame) {
+		t.Helper()
+		waitFor(t, fmt.Sprintf("a frame at rank %d", at.Rank()), func() bool { return len(at.inbox) > 0 })
+		f, err := at.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append([]byte(nil), f.Data...), f.Payload...), f
+	}
+}
+
+// jobWorld scripts a three-rank job of real endpoints.
+func jobWorld(t *testing.T, job []*Mux) *muxWorld {
+	return &muxWorld{
+		mux: job[0], peer: 2,
+		say: sayVia(t, job[2]), heard: heardAt(t, job[2]),
+		bystander: sayVia(t, job[1]), heard1: heardAt(t, job[1]),
+		loop:   func() {},
+		die:    func() { job[2].Close() },
+		rumour: func() {},
+		settle: func() { job[1].Close(); job[2].Close() },
+	}
+}
+
+// listeners opens n loopback listeners for a mesh.
+func listeners(t *testing.T, n int) ([]net.Listener, []string) {
+	t.Helper()
+	lns, addrs := make([]net.Listener, n), make([]string, n)
+	for r := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[r], addrs[r] = ln, ln.Addr().String()
+	}
+	return lns, addrs
 }
 
 var muxShapes = []struct {
 	name  string
 	build func(t *testing.T) *muxWorld
 }{
-	{"one static member", func(t *testing.T) *muxWorld {
+	{"by reference", func(t *testing.T) *muxWorld {
+		return jobWorld(t, NewShmJob(3, 0))
+	}},
+	{"mesh connection", func(t *testing.T) *muxWorld {
+		job, err := NewLoopbackJob(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := jobWorld(t, job)
+		w.serialises, w.reports = true, true
+		return w
+	}},
+	{"member device", func(t *testing.T) *muxWorld {
 		a := newMember(0, 3)
-		return &muxWorld{
-			mux: MuxOver(a), home: a, peer: 2,
+		w := &muxWorld{
+			mux: MuxOver(a), peer: 2, reports: true,
 			say:    func(b []byte) { b[0] = 2; a.deliver(Frame{Data: b}) },
 			heard:  heardFrom(t, a, 2),
 			die:    func() { a.lose(2) },
 			rumour: func() {},
-			settle: drainSent(a),
+			settle: func() { drainSent(a) },
 		}
+		w.homeMember(t, a)
+		return w
 	}},
-	{"island + mesh", func(t *testing.T) *muxWorld {
-		island, mesh := newMember(0, 4), newMember(0, 4)
-		mux := NewMux(0, []Device{island, island, mesh, mesh})
-		return &muxWorld{
-			mux: mux, home: island, peer: 2,
-			say:    func(b []byte) { b[0] = 2; mesh.deliver(Frame{Data: b}) },
-			heard:  heardFrom(t, mesh, 2),
-			die:    func() { mesh.lose(2) },
-			rumour: func() { island.lose(2) },
-			settle: drainSent(island, mesh),
-		}
-	}},
-	{"static + one joined link", func(t *testing.T) *muxWorld {
+	{"joined link", func(t *testing.T) *muxWorld {
 		a := newMember(0, 2)
 		mux := MuxOver(a)
 		near, far := net.Pipe()
@@ -188,8 +264,8 @@ var muxShapes = []struct {
 		var cnt devCounters
 		go readFrames(far, got, nil, &cnt, nil) //nolint:errcheck // ends when the pipe closes
 		t.Cleanup(func() { far.Close() })
-		return &muxWorld{
-			mux: mux, home: a, peer: peer,
+		w := &muxWorld{
+			mux: mux, peer: peer, serialises: true, reports: true,
 			say: func(b []byte) {
 				b[0] = 0xff // the sender's own idea of its rank: must be rewritten
 				if err := fc.send(Frame{Data: b}); err != nil {
@@ -209,10 +285,40 @@ var muxShapes = []struct {
 			die:    func() { far.Close() },
 			rumour: func() { a.lose(peer) },
 			settle: func() {
-				drainSent(a)()
+				drainSent(a)
 				drainFrames(got)
 			},
 		}
+		w.homeMember(t, a)
+		return w
+	}},
+	{"island member + mesh", func(t *testing.T) *muxWorld {
+		// Ranks 0 and 1 share a scripted island; rank 2 is a real
+		// endpoint across a real mesh connection, which believes rank 1
+		// covered by an island of its own so that it dials rank 0 only.
+		lns, addrs := listeners(t, 3)
+		lns[1].Close()
+		island := newMember(0, 3)
+		var far *Mux
+		var farErr error
+		dialled := make(chan struct{})
+		go func() {
+			defer close(dialled)
+			far, farErr = ConnectMesh(2, []Device{nil, newMember(2, 3), nil}, addrs, lns[2])
+		}()
+		mux, err := ConnectMesh(0, []Device{island, island, nil}, addrs, lns[0])
+		if <-dialled; err != nil || farErr != nil {
+			t.Fatalf("mesh: rank 0 %v, rank 2 %v", err, farErr)
+		}
+		w := &muxWorld{
+			mux: mux, peer: 2, serialises: true, reports: true,
+			say: sayVia(t, far), heard: heardAt(t, far),
+			die:    func() { far.Close() },
+			rumour: func() { island.lose(2) },
+			settle: func() { far.Close(); drainSent(island) },
+		}
+		w.homeMember(t, island)
+		return w
 	}},
 }
 
@@ -280,15 +386,10 @@ func wantQuiet(t *testing.T, ch <-chan muxEvent) {
 }
 
 // queued waits until n frames sit in the mux inbox, so what Recv does
-// next does not depend on how far the pumps have got.
+// next does not depend on how far the pumps and read loops have got.
 func (w *muxWorld) queued(t *testing.T, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); len(w.mux.inbox) != n; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d frames in the inbox, want %d", len(w.mux.inbox), n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, fmt.Sprintf("%d frames in the inbox", n), func() bool { return len(w.mux.inbox) == n })
 }
 
 func TestMux(t *testing.T) {
@@ -333,14 +434,17 @@ func TestMux(t *testing.T) {
 					t.Fatalf("peer heard %v, want {9 %d}", b, i)
 				}
 				f.Release()
-				s := <-w.home.out
-				if s.dst != 1 || !bytes.Equal(s.f.Data, []byte{8, i}) {
-					t.Fatalf("bystander's member got %v for rank %d", s.f.Data, s.dst)
+				b, f = w.heard1()
+				if !bytes.Equal(b, []byte{8, i}) {
+					t.Fatalf("bystander heard %v, want {8 %d}", b, i)
 				}
-				s.f.Release()
+				f.Release()
 			}
 		}},
-		{"loss reported once, and only by the routing member", func(t *testing.T, w *muxWorld) {
+		{"loss reported once, and only by the route that carries the rank", func(t *testing.T, w *muxWorld) {
+			if !w.reports {
+				t.Skip("a by-reference peer's death is no report: sends to it fail")
+			}
 			ch := w.receive()
 			w.rumour()
 			w.bystander([]byte{0, 0})
@@ -361,23 +465,29 @@ func TestMux(t *testing.T) {
 			wantFrame(t, ch, 1, 1)
 		}},
 		{"a peer's frames come before its loss", func(t *testing.T, w *muxWorld) {
+			if !w.reports {
+				t.Skip("a by-reference peer's death is no report")
+			}
 			const n = 8
 			for i := byte(0); i < n; i++ {
 				w.say([]byte{0, i})
 			}
 			w.die()
-			w.queued(t, n)
+			w.queued(t, n+1) // the report travels the inbox behind them
 			ch := w.receive()
 			for i := byte(0); i < n; i++ {
 				wantFrame(t, ch, byte(w.peer), i)
 			}
 			wantLoss(t, ch, w.peer)
 		}},
-		{"a static member ending on its own ends the mux, after a drain", func(t *testing.T, w *muxWorld) {
+		{"a member device ending on its own ends the mux, after a drain", func(t *testing.T, w *muxWorld) {
+			if w.endMember == nil {
+				t.Skip("no member device in this shape")
+			}
 			w.say([]byte{0, 0})
 			w.say([]byte{0, 1})
 			w.queued(t, 2)
-			w.home.Close()
+			w.endMember()
 			for i := byte(0); i < 2; i++ {
 				f, err := w.mux.Recv()
 				if err != nil || f.Data[1] != i {
@@ -398,42 +508,57 @@ func TestMux(t *testing.T) {
 				loan := &countLoan{}
 				return loan, w.mux.SendvLent(dst, append(GetBuf(0), 7, 7), payload, loan)
 			}
-			// Delivered by reference: to self through the home member,
-			// whose frame the test loops back as a chan device would.
+			// To itself a rank delivers by reference, whatever carries
+			// its peers: the consumer reads the lender's own bytes.
 			self, err := lend(0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.home.deliver((<-w.home.out).f)
+			w.loop()
 			ev := nextEvent(t, ch)
-			if ev.err != nil || !ev.f.Lent() || &ev.f.Payload[0] != &payload[0] {
-				t.Fatalf("looped-back frame: lent=%v err=%v", ev.f.Lent(), ev.err)
+			if ev.err != nil || !ev.f.Lent() || ev.f.PayloadPooled() || &ev.f.Payload[0] != &payload[0] {
+				t.Fatalf("frame to self: lent=%v pooled=%v err=%v", ev.f.Lent(), ev.f.PayloadPooled(), ev.err)
 			}
 			self.want(t, 0, "before the consumer's Release")
 			ev.f.Release()
-			ev.f.Release()
+			ev.f.Release() // idempotent on the same Frame value
 			self.want(t, 1, "after the consumer's Release")
 
-			// Delivered to the peer, by reference or serialised.
+			// To the peer: a route that serialises is done with the
+			// loan when the send returns, one that delivers by
+			// reference when the consumer is.
 			sent, err := lend(w.peer)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if w.serialises {
+				sent.want(t, 1, "the bytes are written")
 			}
 			b, f := w.heard()
 			if !bytes.Equal(b, append([]byte{7, 7}, payload...)) {
 				t.Fatalf("peer heard %d bytes, want header + %d", len(b), len(payload))
 			}
+			if f.Lent() == w.serialises {
+				t.Fatalf("frame at the peer lent=%v over a route with serialises=%v", f.Lent(), w.serialises)
+			}
+			if !w.serialises {
+				sent.want(t, 0, "before the peer's Release")
+			}
 			f.Release()
 			sent.want(t, 1, "peer consumed the frame")
 
 			// Dropped: no such rank, then a peer that died.
-			nowhere, err := lend(99)
-			if err == nil {
-				t.Fatal("lent send to rank 99 succeeded")
+			for _, dst := range []int{99, -1} {
+				nowhere, err := lend(dst)
+				if err == nil {
+					t.Fatalf("lent send to rank %d succeeded", dst)
+				}
+				nowhere.want(t, 1, "no route")
 			}
-			nowhere.want(t, 1, "no route")
 			w.die()
-			wantLoss(t, ch, w.peer)
+			if w.reports {
+				wantLoss(t, ch, w.peer)
+			}
 			dead, _ := lend(w.peer) // an error, or sent into a member nobody reads
 			w.settle()
 			dead.want(t, 1, "dead peer")
@@ -444,8 +569,11 @@ func TestMux(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w.home.deliver((<-w.home.out).f)
-			ev = nextEvent(t, ch)
+			w.loop()
+			for ev = nextEvent(t, ch); ev.err != nil; ev = nextEvent(t, ch) {
+				// Settling closed the bystander too, which a mesh
+				// reports as one more loss.
+			}
 			w.mux.Close()
 			held.want(t, 0, "frame with the consumer across Close")
 			ev.f.Release()
@@ -456,7 +584,7 @@ func TestMux(t *testing.T) {
 			if err := w.mux.SendvLent(0, append(GetBuf(0), 7, 7), lentPayload(), loan); err != nil {
 				t.Fatal(err)
 			}
-			w.home.deliver((<-w.home.out).f)
+			w.loop()
 			w.queued(t, 1)
 			loan.want(t, 0, "frame queued in the inbox")
 			w.mux.Close()
@@ -465,11 +593,13 @@ func TestMux(t *testing.T) {
 			if _, err := w.mux.Recv(); !errors.Is(err, ErrClosed) {
 				t.Fatalf("Recv after Close: %v", err)
 			}
-			after := &countLoan{}
-			if err := w.mux.SendvLent(w.peer, append(GetBuf(0), 7, 7), lentPayload(), after); err == nil {
-				w.settle()
+			for _, dst := range []int{w.peer, 0} {
+				after := &countLoan{}
+				if err := w.mux.SendvLent(dst, append(GetBuf(0), 7, 7), lentPayload(), after); err == nil {
+					w.settle()
+				}
+				after.want(t, 1, "send after Close")
 			}
-			after.want(t, 1, "send after Close")
 		}},
 	}
 	for _, shape := range muxShapes {
@@ -477,21 +607,86 @@ func TestMux(t *testing.T) {
 			t.Run(shape.name+"/"+step.name, func(t *testing.T) {
 				before := runtime.NumGoroutine()
 				w := shape.build(t)
-				step.run(t, w)
-				w.mux.Close()
-				w.die() // the far end of a link, if the step left it open
-				w.settle()
-				// No goroutine left: pumps, read loops, the far end's
-				// reader and the step's receiver have all returned.
-				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
-					if time.Now().After(deadline) {
-						buf := make([]byte, 1<<16)
-						t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+				defer func() {
+					w.mux.Close()
+					w.die() // the far end of a link, if the step left it open
+					w.settle()
+					// No goroutine left: pumps, read loops, the other
+					// endpoints' and the step's receiver have all returned.
+					for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+						if time.Now().After(deadline) {
+							buf := make([]byte, 1<<16)
+							t.Fatalf("%d goroutines before, %d after Close:\n%s", before, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+						}
+						time.Sleep(time.Millisecond)
 					}
-					time.Sleep(time.Millisecond)
-				}
+				}()
+				step.run(t, w)
 			})
 		}
+	}
+}
+
+// TestLossReportTravelsBehindThePeersFrames: a reader that pushes k
+// frames and then fails is seen as exactly those k frames, in order,
+// then one PeerLostError — never the report first — also when the inbox
+// already holds frames from another route.
+func TestLossReportTravelsBehindThePeersFrames(t *testing.T) {
+	iterations := 10000
+	if testing.Short() {
+		iterations = 500
+	}
+	for it := 0; it < iterations; it++ {
+		k, busy := byte(it%5), it%2 == 1
+		job := NewShmJob(2, 16)
+		mux := job[0]
+		if busy {
+			for i := 0; i < 3; i++ {
+				if err := job[1].Send(0, []byte{1, byte(i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		near, far := net.Pipe()
+		peer, err := mux.Join(near, func(b []byte, src int32) error { b[0] = byte(src); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			fc := newFrameConn(far)
+			for i := byte(0); i < k; i++ {
+				fc.send(Frame{Data: []byte{0xff, i}}) //nolint:errcheck // the receiver counts what arrived
+			}
+			far.Close()
+		}()
+		var got, other byte
+		for {
+			f, err := mux.Recv()
+			if err != nil {
+				var pl *PeerLostError
+				if !errors.As(err, &pl) || pl.Peer != peer {
+					t.Fatalf("iteration %d: %v, want rank %d lost", it, err, peer)
+				}
+				break
+			}
+			switch src := f.Data[0]; {
+			case src == 1:
+				other++
+			case int(src) != peer || f.Data[1] != got:
+				t.Fatalf("iteration %d: frame %v where {%d %d} was due", it, f.Data, peer, got)
+			default:
+				got++
+			}
+			f.Release()
+		}
+		if got != k || (busy && other != 3) {
+			t.Fatalf("iteration %d: loss reported after %d of the peer's %d frames (%d from the other route)", it, got, k, other)
+		}
+		if len(mux.inbox) != 0 {
+			t.Fatalf("iteration %d: %d events queued behind the loss", it, len(mux.inbox))
+		}
+		mux.Close()
+		job[1].Close()
 	}
 }
 

@@ -449,9 +449,8 @@ func (d *Device) DeviceStats() []transport.DevStats {
 	}}
 }
 
-// errUnsupported is what the probe reports on platforms without a
-// shared mmap.
-var errUnsupported = errors.New("shmipc: shared memory transport unsupported on this platform")
+// ErrUnsupported is what platforms without a shared mmap report.
+var ErrUnsupported = errors.New("shmipc: shared memory transport unsupported on this platform")
 
 var procJobSeq atomic.Uint64
 
@@ -484,30 +483,4 @@ func NewProcJob(n int, cfg Config) ([]transport.Device, error) {
 		devs[i] = dev
 	}
 	return devs, nil
-}
-
-func init() {
-	transport.Register(transport.Entry{
-		Name: "shm",
-		Probe: func(spec transport.JobSpec) error {
-			if !shmSupported {
-				return errUnsupported
-			}
-			if spec.Segment == "" {
-				return errors.New("launcher provided no shared segment")
-			}
-			if len(spec.SegmentRanks) < spec.Size {
-				return fmt.Errorf("segment covers %d of %d ranks (hybrid job needs -device auto)",
-					len(spec.SegmentRanks), spec.Size)
-			}
-			return nil
-		},
-		New: func(spec transport.JobSpec) (transport.Device, error) {
-			seg, err := Open(spec.Segment, 10*time.Second)
-			if err != nil {
-				return nil, err
-			}
-			return Attach(seg, spec.Rank, spec.Size)
-		},
-	})
 }

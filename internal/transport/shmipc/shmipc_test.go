@@ -314,54 +314,6 @@ func deadPID(t *testing.T) int {
 	return 0
 }
 
-// TestRegistry constructs devices through the transport registry, the
-// way a launched rank does.
-func TestRegistry(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, SegPrefix+"reg.seg")
-	seg, err := Create(path, []int{0, 1}, Config{ArenaBytes: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Unlink() //nolint:errcheck // best-effort test cleanup
-	var devs [2]transport.Device
-	for r := 0; r < 2; r++ {
-		devs[r], err = transport.NewDevice("shm", transport.JobSpec{
-			Rank: r, Size: 2, Segment: path, SegmentRanks: []int{0, 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	defer devs[0].Close()
-	defer devs[1].Close()
-	if err := devs[0].Send(1, []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	f, err := devs[1].Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(f.Data) != "hi" {
-		t.Fatalf("got %q", f.Data)
-	}
-	f.Release()
-
-	st := devs[0].DeviceStats()
-	if len(st) != 1 || st[0].Name != "shm" || st[0].FramesSent != 1 {
-		t.Fatalf("bad device stats: %+v", st)
-	}
-
-	if _, err := transport.NewDevice("shm", transport.JobSpec{Rank: 0, Size: 2}); err == nil {
-		t.Fatal("probe must reject a spec without a segment")
-	}
-	if _, err := transport.NewDevice("shm", transport.JobSpec{
-		Rank: 0, Size: 4, Segment: path, SegmentRanks: []int{0, 1},
-	}); err == nil {
-		t.Fatal("probe must reject a segment covering only part of the world")
-	}
-}
-
 // TestMuxOverShmIslands routes a 4-rank world over two 2-rank shm
 // islands bridged per-pair by the in-process channel device — the same
 // composition shape launch uses for multi-node jobs, minus sockets.

@@ -4,12 +4,12 @@ package shmipc
 
 import "os"
 
-// shmSupported gates the registry probe off: no shared mmap here, so
-// device selection falls back to sockets.
-const shmSupported = false
+// Supported is false here: no shared mmap, so device selection falls
+// back to sockets.
+const Supported = false
 
-func mmapFile(f *os.File, size int) ([]byte, error) { return nil, errUnsupported }
+func mmapFile(f *os.File, size int) ([]byte, error) { return nil, ErrUnsupported }
 
-func munmapFile(b []byte) error { return errUnsupported }
+func munmapFile(b []byte) error { return ErrUnsupported }
 
 func pidAlive(pid int) bool { return true }

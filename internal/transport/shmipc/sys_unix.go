@@ -8,8 +8,8 @@ import (
 	"syscall"
 )
 
-// shmSupported gates the registry probe: this platform has MAP_SHARED.
-const shmSupported = true
+// Supported reports that this platform has MAP_SHARED.
+const Supported = true
 
 // mmapFile maps the file's first size bytes shared read-write.
 func mmapFile(f *os.File, size int) ([]byte, error) {

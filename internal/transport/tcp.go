@@ -12,22 +12,6 @@ import (
 	"time"
 )
 
-// TCPDevice is one endpoint of a socket-mesh job: the paper's Distributed
-// Memory (DM) mode. Every pair of ranks shares one TCP connection
-// carrying length-prefixed frames; per-pair FIFO ordering follows from
-// TCP's byte-stream ordering plus a per-connection writer lock.
-type TCPDevice struct {
-	rank, size int
-	peers      []*frameConn // indexed by rank; nil at own rank
-	ln         net.Listener
-	ownsLn     bool
-
-	mailbox
-	closeOnce sync.Once
-
-	devCounters
-}
-
 // connWriterSize is the per-connection staging buffer: a length prefix,
 // header and small payload coalesce into one buffered write and flush as
 // a single syscall, while writes larger than the buffer stream through
@@ -35,8 +19,9 @@ type TCPDevice struct {
 const connWriterSize = 16 << 10
 
 // frameConn is one connection carrying frames behind a 4-byte
-// little-endian length prefix: the one wire framing, shared by mesh
-// connections (TCPDevice) and a Mux's joined links.
+// little-endian length prefix: the one wire framing, of mesh connections
+// and joined links alike. Per-pair FIFO ordering follows from TCP's
+// byte-stream ordering plus the writer lock.
 type frameConn struct {
 	mu sync.Mutex // serializes frame writes
 	c  net.Conn
@@ -160,71 +145,64 @@ func readBody(r io.Reader, n int) ([]byte, error) {
 
 const meshMagic = 0x6d706a31 // "mpj1"
 
-// ConnectMesh builds the full connection mesh for one rank of a size-rank
-// job. addrs[i] is the listen address of rank i's listener; ln is this
-// rank's own listener (retained and closed by the device if ownsListener
-// is true). Rank r dials every lower rank and accepts from every higher
-// rank, identifying peers through a handshake frame, so the procedure is
-// deadlock-free regardless of scheduling.
-func ConnectMesh(rank, size int, addrs []string, ln net.Listener, ownsListener bool) (*TCPDevice, error) {
-	return ConnectPartialMesh(rank, size, addrs, ln, ownsListener, nil)
-}
+// handshakeTimeout bounds how long an accepted connection may take to
+// introduce itself (a variable so a test need not wait it out).
+var handshakeTimeout = 5 * time.Second
 
-// ConnectPartialMesh is ConnectMesh restricted to a peer subset: ranks
-// with skip[r] set get no connection (a hybrid job reaches them through
-// another medium). A nil skip connects everyone. Sends toward a skipped
-// rank fail with ErrClosed.
-func ConnectPartialMesh(rank, size int, addrs []string, ln net.Listener, ownsListener bool, skip []bool) (*TCPDevice, error) {
+// ConnectMesh builds the endpoint of one rank of a socket-mesh job — the
+// paper's Distributed Memory (DM) mode, whole or in part. members[r],
+// where set, is the device that already carries world rank r (the
+// shared-memory island of a hybrid job); every rank it leaves uncovered
+// gets a connection, except the rank itself, which it reaches by
+// reference. addrs[i] is the listen address of rank i and ln this
+// rank's own listener, closed before ConnectMesh returns. Rank r dials
+// every uncovered lower rank and accepts from every uncovered higher
+// one, identifying peers through a handshake frame, so the procedure is
+// deadlock-free regardless of scheduling; both ends of a pair must agree
+// on whether it is covered. The mux owns members, also when it fails.
+func ConnectMesh(rank int, members []Device, addrs []string, ln net.Listener) (*Mux, error) {
+	defer ln.Close() // every peer due has been accepted, or the mesh has failed
+	size := len(members)
+	m := newMux(rank, size, 0)
+	m.adopt(members)
+	fail := func(err error) (*Mux, error) {
+		m.Close()
+		return nil, err
+	}
 	if len(addrs) != size {
-		return nil, fmt.Errorf("transport: %d addresses for job size %d", len(addrs), size)
+		return fail(fmt.Errorf("transport: %d addresses for job size %d", len(addrs), size))
 	}
-	skipped := func(r int) bool { return skip != nil && r < len(skip) && skip[r] }
-	d := &TCPDevice{
-		rank:    rank,
-		size:    size,
-		peers:   make([]*frameConn, size),
-		ln:      ln,
-		ownsLn:  ownsListener,
-		mailbox: newMailbox(),
+	t := m.table()
+	if !t[rank].covered() {
+		t[rank] = route{to: m, med: viaTCP}
 	}
-	// Dial lower ranks.
-	for j := 0; j < rank; j++ {
-		if skipped(j) {
-			continue
-		}
-		c, err := dialPeer(addrs[j], rank)
-		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("transport: rank %d dialing rank %d: %w", rank, j, err)
-		}
-		d.peers[j] = newFrameConn(c)
-	}
-	// Accept higher ranks.
 	need := 0
-	for r := rank + 1; r < size; r++ {
-		if !skipped(r) {
+	for r := range t {
+		switch {
+		case t[r].covered():
+		case r > rank:
 			need++
+		default:
+			c, err := dialPeer(addrs[r], rank)
+			if err != nil {
+				return fail(fmt.Errorf("transport: rank %d dialing rank %d: %w", rank, r, err))
+			}
+			t[r] = route{conn: newFrameConn(c), med: viaTCP}
 		}
 	}
 	for ; need > 0; need-- {
 		c, peer, err := acceptPeer(ln)
 		if err != nil {
-			d.Close()
-			return nil, fmt.Errorf("transport: rank %d accepting: %w", rank, err)
+			return fail(fmt.Errorf("transport: rank %d accepting: %w", rank, err))
 		}
-		if peer <= rank || peer >= size || skipped(peer) || d.peers[peer] != nil {
+		if peer <= rank || peer >= size || t[peer].covered() {
 			c.Close()
-			d.Close()
-			return nil, fmt.Errorf("transport: rank %d got bad handshake from claimed rank %d", rank, peer)
+			return fail(fmt.Errorf("transport: rank %d got bad handshake from claimed rank %d", rank, peer))
 		}
-		d.peers[peer] = newFrameConn(c)
+		t[peer] = route{conn: newFrameConn(c), med: viaTCP}
 	}
-	for r, p := range d.peers {
-		if p != nil {
-			go d.readLoop(r, p.c)
-		}
-	}
-	return d, nil
+	m.start()
+	return m, nil
 }
 
 func dialPeer(addr string, myRank int) (net.Conn, error) {
@@ -252,27 +230,32 @@ func dialPeer(addr string, myRank int) (net.Conn, error) {
 	return c, nil
 }
 
+// acceptPeer returns the next connection that introduces itself as a
+// mesh peer, with the rank it claims. A dial-in that says anything
+// else, or nothing within handshakeTimeout, is a stranger, not a peer:
+// it is dropped and the wait goes on, so it can neither wedge nor fail
+// the mesh.
 func acceptPeer(ln net.Listener) (net.Conn, int, error) {
-	c, err := ln.Accept()
-	if err != nil {
-		return nil, 0, err
-	}
-	var hs [8]byte
-	if _, err := io.ReadFull(c, hs[:]); err != nil {
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			return nil, 0, err
+		}
+		var hs [8]byte
+		c.SetReadDeadline(time.Now().Add(handshakeTimeout)) //nolint:errcheck // an unarmed deadline only restores the old wait
+		_, err = io.ReadFull(c, hs[:])
+		if err == nil && binary.LittleEndian.Uint32(hs[0:]) == meshMagic {
+			c.SetReadDeadline(time.Time{}) //nolint:errcheck // a stale deadline would surface as the peer's loss
+			return c, int(binary.LittleEndian.Uint32(hs[4:])), nil
+		}
 		c.Close()
-		return nil, 0, err
 	}
-	if binary.LittleEndian.Uint32(hs[0:]) != meshMagic {
-		c.Close()
-		return nil, 0, fmt.Errorf("bad mesh handshake magic")
-	}
-	return c, int(binary.LittleEndian.Uint32(hs[4:])), nil
 }
 
 // NewLoopbackJob creates an n-rank DM-mode job entirely in-process over
 // 127.0.0.1, for tests and benchmarks: real sockets, real wire framing,
 // no separate OS processes.
-func NewLoopbackJob(n int) ([]*TCPDevice, error) {
+func NewLoopbackJob(n int) ([]*Mux, error) {
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -286,135 +269,24 @@ func NewLoopbackJob(n int) ([]*TCPDevice, error) {
 		lns[i] = ln
 		addrs[i] = ln.Addr().String()
 	}
-	devs := make([]*TCPDevice, n)
+	devs := make([]*Mux, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			devs[i], errs[i] = ConnectMesh(i, n, addrs, lns[i], true)
+			devs[i], errs[i] = ConnectMesh(i, make([]Device, n), addrs, lns[i])
 		}(i)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, d := range devs {
-				if d != nil {
-					d.Close()
-				}
+	if err := errors.Join(errs...); err != nil {
+		for _, d := range devs {
+			if d != nil {
+				d.Close()
 			}
-			return nil, err
 		}
+		return nil, err
 	}
 	return devs, nil
 }
-
-// Rank returns this endpoint's world rank.
-func (d *TCPDevice) Rank() int { return d.rank }
-
-// Size returns the number of ranks in the job.
-func (d *TCPDevice) Size() int { return d.size }
-
-// Send writes frame to rank dst over its mesh connection. The frame is
-// not returned to the frame pool: a legacy contiguous send carries no
-// exclusivity promise.
-func (d *TCPDevice) Send(dst int, frame []byte) error {
-	return d.sendFrame(dst, Frame{Data: frame})
-}
-
-// Sendv writes the (hdr, payload) gather to rank dst without assembling
-// a contiguous frame; both slices are recycled into the frame pool once
-// the bytes are on the wire (the payload only when the sender vouched
-// for exclusive ownership).
-func (d *TCPDevice) Sendv(dst int, hdr, payload []byte, recycle bool) error {
-	return d.sendFrame(dst, Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle})
-}
-
-// SendvLent writes a lent payload straight from the caller's memory.
-// The loan is returned as soon as the bytes are on the wire — before
-// SendvLent returns — except on self-delivery, which is by reference:
-// there it rides the frame to the consumer's Release.
-func (d *TCPDevice) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
-	return d.sendFrame(dst, Frame{Data: hdr, Payload: payload, pooledData: true, loan: loan})
-}
-
-// sendFrame ships the gather f describes. The device is done with f's
-// storage on every path but a successful self-delivery, so Release —
-// pool return for owned buffers, loan return for a lent payload — is
-// the single exit.
-func (d *TCPDevice) sendFrame(dst int, f Frame) error {
-	if err := checkDst(dst, d.size); err != nil {
-		f.Release()
-		return err
-	}
-	if dst == d.rank {
-		return d.selfDeliver(f)
-	}
-	p := d.peers[dst]
-	if p == nil {
-		f.Release()
-		return ErrClosed
-	}
-	n := len(f.Data) + len(f.Payload)
-	if err := p.send(f); err != nil {
-		return d.sendErr(dst, err)
-	}
-	d.countSend(n)
-	return nil
-}
-
-// selfDeliver enqueues f on the local inbox, releasing it if the device
-// is already closed and nobody will consume it.
-func (d *TCPDevice) selfDeliver(f Frame) error {
-	n := len(f.Data) + len(f.Payload)
-	select {
-	case d.inbox <- f:
-		d.countSend(n)
-		d.countRecv(n)
-		if f.loan != nil {
-			releaseIfClosed(d.inbox, d.done)
-		}
-		return nil
-	case <-d.done:
-		f.Release()
-		return ErrClosed
-	}
-}
-
-// Recv returns the next frame addressed to this rank, or a
-// PeerLostError when a mesh connection died mid-stream: receives
-// pending on that peer then fail with an MPI error class instead of
-// hanging, and the device stays usable for the surviving peers.
-func (d *TCPDevice) Recv() (Frame, error) { return d.recv(nil) }
-
-func (d *TCPDevice) readLoop(peer int, c net.Conn) {
-	if err := readFrames(c, d.inbox, d.done, &d.devCounters, nil); err != nil {
-		d.report(&PeerLostError{Peer: peer, Err: err})
-	}
-}
-
-// Close tears down the mesh endpoint: the listener (if owned), all peer
-// connections, and any blocked Recv calls.
-func (d *TCPDevice) Close() error {
-	d.closeOnce.Do(func() {
-		close(d.done)
-		if d.ownsLn && d.ln != nil {
-			d.ln.Close()
-		}
-		for _, p := range d.peers {
-			if p != nil && p.c != nil {
-				p.c.Close()
-			}
-		}
-	})
-	return nil
-}
-
-// DeviceStats reports this endpoint's traffic; its payload buffers come
-// from the process-private pool.
-func (d *TCPDevice) DeviceStats() []DevStats {
-	return []DevStats{d.devCounters.stats("tcp", PoolStats())}
-}
-
-var _ Device = (*TCPDevice)(nil)

@@ -2,8 +2,8 @@ package transport
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -62,69 +62,22 @@ func testFIFOPerPair(t *testing.T, devs []Device) {
 	wg.Wait()
 }
 
-func TestShmFIFO(t *testing.T) {
-	devs := NewShmJob(3, 0)
-	ds := make([]Device, len(devs))
-	for i, d := range devs {
-		ds[i] = d
-	}
-	testFIFOPerPair(t, ds)
-	for _, d := range devs {
-		d.Close()
-	}
-}
-
-func TestTCPFIFO(t *testing.T) {
-	devs, err := NewLoopbackJob(3)
+// TestJobFIFO floods a three-rank job from every rank at once, by
+// reference and over the mesh.
+func TestJobFIFO(t *testing.T) {
+	tcp, err := NewLoopbackJob(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := make([]Device, len(devs))
-	for i, d := range devs {
-		ds[i] = d
-	}
-	testFIFOPerPair(t, ds)
-	for _, d := range devs {
-		d.Close()
-	}
-}
-
-func TestShmCloseUnblocksRecv(t *testing.T) {
-	devs := NewShmJob(2, 0)
-	done := make(chan error, 1)
-	go func() {
-		_, err := devs[0].Recv()
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	devs[0].Close()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("got %v, want ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Recv did not unblock on Close")
-	}
-}
-
-func TestTCPSelfSend(t *testing.T) {
-	devs, err := NewLoopbackJob(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer devs[0].Close()
-	defer devs[1].Close()
-	want := []byte("self")
-	if err := devs[0].Send(0, want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := devs[0].Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Data, want) {
-		t.Fatalf("got %q", got.Data)
+	for name, job := range map[string][]*Mux{"chan": NewShmJob(3, 0), "tcp": tcp} {
+		t.Run(name, func(t *testing.T) {
+			devs := make([]Device, len(job))
+			for i, d := range job {
+				devs[i] = d
+				defer d.Close()
+			}
+			testFIFOPerPair(t, devs)
+		})
 	}
 }
 
@@ -231,14 +184,49 @@ func TestShapedStagingCopyIsolation(t *testing.T) {
 	}
 }
 
-func TestMeshHandshakeRejectsGarbage(t *testing.T) {
-	// A listener fed a garbage handshake must reject the connection.
-	devs, err := NewLoopbackJob(2)
+// TestMeshIgnoresStrangers: dial-ins that connect and never speak, or
+// speak garbage, beside a well-behaved job neither wedge its mesh
+// construction nor fail it — each is dropped once the handshake
+// deadline passes or the magic is wrong, and the mesh comes up.
+func TestMeshIgnoresStrangers(t *testing.T) {
+	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
+	handshakeTimeout = 50 * time.Millisecond
+	lns, addrs := listeners(t, 2)
+	silent, err := net.Dial("tcp", addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range devs {
-		d.Close()
+	defer silent.Close()
+	garbage, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer garbage.Close()
+	if _, err := garbage.Write([]byte("GET / HTTP/1.1\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// Both strangers sit in rank 0's backlog ahead of rank 1.
+	type built struct {
+		m   *Mux
+		err error
+	}
+	up := make(chan built, 2)
+	for r := range lns {
+		go func(r int) {
+			m, err := ConnectMesh(r, make([]Device, 2), addrs, lns[r])
+			up <- built{m, err}
+		}(r)
+	}
+	for range lns {
+		select {
+		case b := <-up:
+			if b.err != nil {
+				t.Fatal(b.err)
+			}
+			defer b.m.Close()
+		case <-time.After(10 * time.Second):
+			t.Fatal("a silent dial-in wedged mesh construction")
+		}
 	}
 }
 
@@ -257,7 +245,7 @@ func TestLoopbackJobSizes(t *testing.T) {
 		var wg sync.WaitGroup
 		for _, d := range devs {
 			wg.Add(1)
-			go func(d *TCPDevice) {
+			go func(d *Mux) {
 				defer wg.Done()
 				for j := 0; j < n; j++ {
 					if j != d.Rank() {

@@ -95,10 +95,10 @@ type Env struct {
 }
 
 // newEnv assembles an environment over a device. The engine reads it
-// through a transport.Mux — the device itself when the launcher already
-// built one (a hybrid job), so no frame crosses two pumps — and peers
-// admitted after launch (Connect/Accept/Spawn) join that same mux, where
-// the engine reaches them exactly like launch-time ones.
+// through a transport.Mux — the device itself when it already is one (a
+// chan, tcp or hybrid job's endpoint), so no frame crosses two channels
+// — and peers admitted after launch (Connect/Accept/Spawn) join that
+// same mux, where the engine reaches them exactly like launch-time ones.
 func newEnv(dev transport.Device, cfg core.Config) *Env {
 	host, _ := os.Hostname()
 	if host == "" {
@@ -230,10 +230,11 @@ type EngineStats struct {
 	PoolWorkersPeak int
 	PoolWorkersMax  int
 
-	// DeviceStats breaks the traffic down by medium: one entry per
-	// static member of the rank's transport.Mux ("chan", "tcp" or
-	// "shm"; a hybrid run reports "shm" and "tcp"), plus "dyn" for the
-	// links joined after launch once there is one. Each carries its own
+	// DeviceStats breaks the traffic down by medium: one entry per kind
+	// of route in the rank's transport.Mux — "chan" (by reference),
+	// "tcp" (mesh connections) or a member device's own ("shm"; a
+	// hybrid run reports "shm" and "tcp") — plus "dyn" for the links
+	// joined after launch once there is one. Each carries its own
 	// frame/byte counters and buffer-pool hit rate (the shared-segment
 	// arena for "shm", the process pool otherwise).
 	DeviceStats []DeviceStats

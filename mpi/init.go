@@ -36,10 +36,10 @@ func Init(args []string) (*Env, []string, error) {
 			cfg.EagerLimit = v
 		}
 	}
-	// The medium comes from the device registry: mpirun names one
-	// ("shm", "tcp", "hybrid") or leaves "auto" to pick the fastest
-	// fabric it provisioned (segment, coordinator, or both).
-	dev, err := transport.NewDevice(launch.DeviceFromEnv(), launch.SpecFromEnv(rank, size))
+	// mpirun names the medium ("shm", "tcp", "hybrid") or leaves "auto"
+	// to pick the fastest fabric it provisioned (segment, coordinator,
+	// or both).
+	dev, err := launch.NewDevice(launch.DeviceFromEnv(), launch.SpecFromEnv(rank, size))
 	if err != nil {
 		return nil, args, errf(ErrIntern, "%v", err)
 	}

@@ -13,56 +13,85 @@ import (
 	"gompi/internal/transport"
 )
 
-// pumps counts the live mux pump goroutines the calling goroutine
-// started, by the one place that starts them (a goroutine that has not
-// run yet shows only its creator). Naming the creator keeps every other
-// test's muxes, live or dying, out of the count.
-func pumps() int {
+// muxGoroutines counts the live goroutines the transport muxes of this
+// process run, by what they are: member-device pumps and connection
+// read loops. By-reference routes need neither.
+func muxGoroutines() (pumps, readLoops int) {
 	buf := make([]byte, 1<<20)
-	all := string(buf[:runtime.Stack(buf, true)]) // the caller's own stack comes first
-	self := all[len("goroutine "):strings.Index(all, " [")]
-	return strings.Count(all, "created by gompi/internal/transport.NewMux in goroutine "+self+"\n")
+	all := string(buf[:runtime.Stack(buf, true)])
+	return strings.Count(all, "transport.(*Mux).pump("), strings.Count(all, "transport.(*Mux).serve(")
 }
 
-// TestEnvAdoptsAMux: an environment over a bare device reads it through
-// a mux of its own — one pump — and one handed a device that already is
-// a mux (what the hybrid launcher builds) adds none: between any member
-// and the engine there is exactly one pump.
-func TestEnvAdoptsAMux(t *testing.T) {
-	bare := newEnv(transport.NewShmJob(1, 0)[0], core.Config{})
-	if got := pumps(); got != 1 {
-		t.Fatalf("environment over a bare device runs %d pumps, want 1", got)
-	}
-	mux := transport.MuxOver(transport.NewShmJob(1, 0)[0])
-	adopted := newEnv(mux, core.Config{})
-	if got := pumps(); got != 2 {
-		t.Fatalf("two environments, one over a ready-made mux, run %d pumps, want 2", got)
-	}
-	for _, e := range []*Env{bare, adopted} {
-		if err := e.Finalize(); err != nil {
-			t.Fatal(err)
+// awaitMuxGoroutines waits for the counts to settle at what is wanted:
+// a goroutine shows its own frames only once it has run, and goes away
+// only once it has noticed its mux closing.
+func awaitMuxGoroutines(t *testing.T, when string, wantPumps, wantReadLoops int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		pumps, readLoops := muxGoroutines()
+		if pumps == wantPumps && readLoops == wantReadLoops {
+			return
 		}
-	}
-	if _, err := mux.Recv(); err != transport.ErrClosed {
-		t.Fatalf("Finalize left the adopted mux open: Recv err %v", err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); pumps() != 0; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d pumps outlived Finalize", pumps())
+			t.Fatalf("%s: %d pumps and %d read loops, want %d and %d", when, pumps, readLoops, wantPumps, wantReadLoops)
 		}
 	}
+}
+
+// TestEnvAdoptsAMux: an environment adopts the endpoint it is handed
+// when that already is a mux, so between a sender (or a socket) and the
+// engine a frame crosses one channel: a chan rank runs no transport
+// goroutine at all, a loopback tcp rank one read loop per peer and no
+// pump. Only a device that is not a mux — a decorated one — is read
+// through a mux of the environment's own, with exactly one pump.
+func TestEnvAdoptsAMux(t *testing.T) {
+	awaitMuxGoroutines(t, "before", 0, 0)
+	var envs []*Env
+	for _, d := range transport.NewShmJob(2, 0) {
+		envs = append(envs, newEnv(d, core.Config{}))
+	}
+	awaitMuxGoroutines(t, "two chan ranks", 0, 0)
+
+	const size = 3
+	mesh, err := transport.NewLoopbackJob(size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range mesh {
+		envs = append(envs, newEnv(d, core.Config{}))
+	}
+	awaitMuxGoroutines(t, "three loopback tcp ranks", 0, size*(size-1))
+
+	bare := transport.NewShmJob(2, 0)
+	shaped := transport.NewShaped(bare[0], transport.LinkProfile{PerMessage: time.Nanosecond})
+	faulty := transport.NewFaulty(bare[1], transport.FaultPlan{Rank: 1, SendDelay: time.Nanosecond})
+	envs = append(envs, newEnv(shaped, core.Config{}), newEnv(faulty, core.Config{}))
+	awaitMuxGoroutines(t, "plus a shaped and a faulty rank", 2, size*(size-1))
+
+	for _, e := range envs {
+		// Not Finalize: its barrier needs every rank of a job at once.
+		e.finalized.Store(true)
+		e.proc.Close()
+		e.fab.Close()
+	}
+	for _, m := range append(mesh, bare...) {
+		if _, err := m.Recv(); err != transport.ErrClosed {
+			t.Fatalf("closing the environment left its mux open: Recv err %v", err)
+		}
+	}
+	awaitMuxGoroutines(t, "after closing every environment", 0, 0)
 }
 
 // twoMediaJob builds the endpoints of a 4-rank hybrid job inside one
-// process: ranks {0,1} and {2,3} are chan islands, bridged by a partial
-// socket mesh over loopback, one Mux per rank — the composition mpirun
+// process: ranks {0,1} and {2,3} are chan islands, bridged by mesh
+// connections over loopback, one Mux per rank — the composition mpirun
 // -nodes 2 gives OS-process ranks, minus the shared segment.
 func twoMediaJob(t *testing.T) []*transport.Mux {
 	t.Helper()
 	const n = 4
 	// Each island is a whole-world chan job of which only its own two
 	// ranks are used, so its endpoints carry their world ranks.
-	islands := [][]*transport.ShmDevice{transport.NewShmJob(n, 0), transport.NewShmJob(n, 0)}
+	islands := [][]*transport.Mux{transport.NewShmJob(n, 0), transport.NewShmJob(n, 0)}
 	lns, addrs := make([]net.Listener, n), make([]string, n)
 	for r := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -77,24 +106,13 @@ func twoMediaJob(t *testing.T) []*transport.Mux {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			sameIsland := make([]bool, n)
-			for p := range sameIsland {
-				sameIsland[p] = p/2 == r/2
-			}
-			mesh, err := transport.ConnectPartialMesh(r, n, addrs, lns[r], true, sameIsland)
-			if err != nil {
-				errs[r] = err
-				return
-			}
-			route := make([]transport.Device, n)
-			for p := range route {
-				if sameIsland[p] {
-					route[p] = islands[r/2][r]
-				} else {
-					route[p] = mesh
+			members := make([]transport.Device, n)
+			for p := range members {
+				if p/2 == r/2 {
+					members[p] = islands[r/2][r]
 				}
 			}
-			muxes[r] = transport.NewMux(r, route)
+			muxes[r], errs[r] = transport.ConnectMesh(r, members, addrs, lns[r])
 		}(r)
 	}
 	wg.Wait()

@@ -13,49 +13,25 @@ import (
 )
 
 // LinkEmulation configures artificial per-message costs for benchmark
-// calibration (DESIGN.md §2): software cost per message, link latency,
-// a bandwidth cap (the 10BaseT model for DM mode) and a staging copy
-// (the portable-implementation model). The zero value injects nothing.
-type LinkEmulation struct {
-	// PerMessage is MPI software overhead charged per frame.
-	PerMessage time.Duration
-	// Latency is one-way link latency per frame.
-	Latency time.Duration
-	// BytesPerSec caps throughput (0 = unlimited).
-	BytesPerSec float64
-	// PerByte charges protocol-stack copy cost per byte.
-	PerByte time.Duration
-	// StagingCopy adds one full buffer copy per frame on the send path.
-	StagingCopy bool
-}
-
-func (l LinkEmulation) profile() transport.LinkProfile {
-	return transport.LinkProfile{
-		PerMessage:  l.PerMessage,
-		Latency:     l.Latency,
-		BytesPerSec: l.BytesPerSec,
-		PerByte:     l.PerByte,
-		StagingCopy: l.StagingCopy,
-	}
-}
+// calibration: software cost per message, link latency, a bandwidth cap
+// (the 10BaseT model for DM mode) and a staging copy (the
+// portable-implementation model). The zero value injects nothing.
+type LinkEmulation = transport.LinkProfile
 
 // RunOptions configures an in-process SPMD job.
 type RunOptions struct {
 	// NP is the number of ranks.
 	NP int
-	// TCP selects the loopback-socket device (the paper's Distributed
-	// Memory mode) instead of the in-process shared-memory device
-	// (Shared Memory mode).
-	TCP bool
-	// Device names the transport medium explicitly, overriding TCP:
-	// "chan" (in-process channels), "shm" (the cross-process
-	// shared-memory segment, exercised in-process) or "tcp" (loopback
-	// sockets). Empty defers to the TCP flag.
+	// Device names the transport medium: "chan" (in-process channels,
+	// the paper's Shared Memory mode, and the default), "shm" (the
+	// cross-process shared-memory segment, exercised in-process) or
+	// "tcp" (loopback sockets, the paper's Distributed Memory mode).
 	Device string
 	// EagerLimit overrides the eager/rendezvous threshold in bytes
 	// (0 = default, negative = always rendezvous).
 	EagerLimit int
-	// InboxDepth overrides the per-rank flow-control window in frames.
+	// InboxDepth overrides the per-rank flow-control window in frames
+	// ("chan" only).
 	InboxDepth int
 	// Link injects benchmark link emulation into every device.
 	Link LinkEmulation
@@ -158,43 +134,33 @@ func RunWith(opt RunOptions, fn func(*Env) error) error {
 }
 
 func buildDevices(opt RunOptions) ([]transport.Device, error) {
-	profile := opt.Link.profile()
-	out := make([]transport.Device, opt.NP)
-	device := opt.Device
-	if device == "" {
-		if opt.TCP {
-			device = "tcp"
-		} else {
-			device = "chan"
-		}
-	}
-	switch device {
+	out := make([]transport.Device, 0, opt.NP)
+	switch opt.Device {
 	case "tcp":
 		devs, err := transport.NewLoopbackJob(opt.NP)
 		if err != nil {
 			return nil, errf(ErrIntern, "loopback job: %v", err)
 		}
-		for i, d := range devs {
-			out[i] = transport.NewShaped(d, profile)
+		for _, d := range devs {
+			out = append(out, d)
 		}
 	case "shm":
 		devs, err := shmipc.NewProcJob(opt.NP, shmipc.Config{})
 		if err != nil {
 			return nil, errf(ErrIntern, "shm job: %v", err)
 		}
-		for i, d := range devs {
-			out[i] = transport.NewShaped(d, profile)
-		}
-	case "chan":
-		for i, d := range transport.NewShmJob(opt.NP, opt.InboxDepth) {
-			out[i] = transport.NewShaped(d, profile)
+		out = devs
+	case "", "chan":
+		for _, d := range transport.NewShmJob(opt.NP, opt.InboxDepth) {
+			out = append(out, d)
 		}
 	default:
-		return nil, errf(ErrArg, "RunWith: unknown device %q (want chan, shm or tcp)", device)
+		return nil, errf(ErrArg, "RunWith: unknown device %q (want chan, shm or tcp)", opt.Device)
 	}
-	if opt.WrapDevice != nil {
-		for i, d := range out {
-			out[i] = opt.WrapDevice(i, d)
+	for i, d := range out {
+		out[i] = transport.NewShaped(d, opt.Link)
+		if opt.WrapDevice != nil {
+			out[i] = opt.WrapDevice(i, out[i])
 		}
 	}
 	return out, nil

@@ -62,7 +62,7 @@ func TestSmokeCollectives(t *testing.T) {
 }
 
 func TestSmokeTCP(t *testing.T) {
-	err := mpi.RunWith(mpi.RunOptions{NP: 3, TCP: true}, func(env *mpi.Env) error {
+	err := mpi.RunWith(mpi.RunOptions{NP: 3, Device: "tcp"}, func(env *mpi.Env) error {
 		world := env.CommWorld()
 		rank := world.Rank()
 		next := (rank + 1) % world.Size()
