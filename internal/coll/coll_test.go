@@ -19,10 +19,17 @@ import (
 // per-rank results.
 func runGroup(t *testing.T, n int, fn func(c *Comm) (any, error)) []any {
 	t.Helper()
+	return runGroupEager(t, n, 256, fn)
+}
+
+// runGroupEager is runGroup under a chosen eager limit — which is also
+// where a large allreduce changes schedule.
+func runGroupEager(t *testing.T, n, eager int, fn func(c *Comm) (any, error)) []any {
+	t.Helper()
 	devs := transport.NewShmJob(n, 0)
 	procs := make([]*core.Proc, n)
 	for i, d := range devs {
-		procs[i] = core.NewProc(d, core.Config{EagerLimit: 256})
+		procs[i] = core.NewProc(d, core.Config{EagerLimit: eager})
 	}
 	defer func() {
 		for _, p := range procs {
@@ -191,30 +198,95 @@ func TestReduceSumMatchesReference(t *testing.T) {
 	}
 }
 
+// scribbledSum is a commutative user operation that, having folded,
+// overwrites the operand that is not its result — which a kernel's
+// caller must allow for (see Kernel): in a large allreduce that operand
+// is a window a partner lent, exclusively the borrower's until released
+// and dead to its owner until the allgather refills it.
+var scribbledSum = NewOp("scribbled-sum", true, func(in, inout any) error {
+	if err := oracle[0].ref(in, inout); err != nil {
+		return err
+	}
+	v := reflect.ValueOf(in)
+	for i := 0; i < v.Len(); i++ {
+		v.Index(i).SetZero()
+	}
+	return nil
+})
+
+// TestAllreduceMatchesReferenceProperty: on every fixed-size class,
+// every operation defined on it — the predefined twelve and a user
+// operation — gives, at every member, what folding the contributions in
+// rank order through the reference implementation gives; for operands on
+// both sides of the eager limit (256 bytes here), where the schedule
+// changes, at group sizes 1…9. Values are small integers, so the
+// reference's association does not matter.
 func TestAllreduceMatchesReferenceProperty(t *testing.T) {
+	classes := []dtype.Class{dtype.U8, dtype.I16, dtype.I32, dtype.I64, dtype.F32, dtype.F64, dtype.Bool}
+	ops := append([]struct {
+		op  *Op
+		ref ApplyFn
+	}{{scribbledSum, oracle[0].ref}}, oracle...)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(6)
-		vals := make([][]float64, n)
+		n := 1 + rng.Intn(9)
+		cls := classes[rng.Intn(len(classes))]
+		o := ops[rng.Intn(len(ops))]
+		for !o.op.DefinedOn(cls) || o.ref(dtype.MakeDense(cls, 2), dtype.MakeDense(cls, 2)) != nil {
+			o = ops[rng.Intn(len(ops))]
+		}
+		// Whole (value, index) pairs; from a few bytes to a few eager limits.
+		count := 2 * (1 + rng.Intn(3*256/cls.WireSize()))
+		if rng.Intn(4) == 0 {
+			count = 2 * (1 + rng.Intn(8))
+		}
+		vals := make([]any, n)
 		for r := range vals {
-			vals[r] = []float64{float64(rng.Intn(100)) - 50, float64(rng.Intn(100))}
+			v := reflect.ValueOf(dtype.MakeDense(cls, count))
+			for i := 0; i < count; i++ {
+				switch e := v.Index(i); e.Kind() {
+				case reflect.Bool:
+					e.SetBool(rng.Intn(2) == 0)
+				case reflect.Float32, reflect.Float64:
+					e.SetFloat(float64(rng.Intn(4) - 1))
+				case reflect.Uint8:
+					e.SetUint(uint64(rng.Intn(3)))
+				default:
+					e.SetInt(int64(rng.Intn(4) - 1))
+				}
+			}
+			vals[r] = v.Interface()
+		}
+		clone := func(v any) any {
+			c := reflect.ValueOf(dtype.MakeDense(cls, count))
+			reflect.Copy(c, reflect.ValueOf(v))
+			return c.Interface()
+		}
+		want := clone(vals[0])
+		for _, v := range vals[1:] {
+			next := clone(v)
+			if err := o.ref(want, next); err != nil {
+				t.Fatal(err)
+			}
+			want = next
 		}
 		results := runGroup(t, n, func(c *Comm) (any, error) {
-			return c.Allreduce(append([]float64(nil), vals[c.Rank]...), Sum)
+			mine := clone(vals[c.Rank])
+			res, err := c.Allreduce(mine, o.op)
+			if err == nil && o.op != scribbledSum && !reflect.DeepEqual(mine, vals[c.Rank]) {
+				err = fmt.Errorf("%s on %s: the contribution was written", o.op, cls)
+			}
+			return res, err
 		})
-		want := []float64{0, 0}
-		for _, v := range vals {
-			want[0] += v[0]
-			want[1] += v[1]
-		}
-		for _, res := range results {
+		for r, res := range results {
 			if !reflect.DeepEqual(res, want) {
+				t.Logf("%s on %d×%s, n=%d, rank %d: %v, want %v", o.op, count, cls, n, r, res, want)
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
 	}
 }

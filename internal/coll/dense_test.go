@@ -60,7 +60,8 @@ func (c *Comm) reducePlanDense(root int, mine any, op *Op) (*Plan, error) {
 
 func (c *Comm) allreducePlanDense(mine any, op *Op) (*Plan, error) {
 	return densePlan(c, mine, func(acc *[]byte, cls dtype.Class) (*Plan, error) {
-		return c.AllreducePlan(acc, op, cls)
+		units, unit := denseUnits(dtype.Elements(len(*acc), cls), cls, op)
+		return c.AllreducePlan(acc, nil, units, unit, op, cls)
 	})
 }
 

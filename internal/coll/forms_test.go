@@ -48,7 +48,8 @@ func reduction(n int, plan func(c *Comm, acc *[]byte) (*Plan, error)) func(c *Co
 }
 
 // planForms lists all ten plan constructors. Payloads straddle the test
-// engine's 256-byte eager limit, so both protocols are driven.
+// engine's 256-byte eager limit, so both protocols — and both allreduce
+// schedules — are driven.
 var planForms = []planForm{
 	{"Barrier", func(c *Comm) (*Plan, func(), error) {
 		return c.BarrierPlan(), func() {}, nil
@@ -96,7 +97,18 @@ var planForms = []planForm{
 		return c.ReducePlan(c.Size-1, acc, Sum, dtype.I64)
 	})},
 	{"Allreduce", reduction(64, func(c *Comm, acc *[]byte) (*Plan, error) {
-		return c.AllreducePlan(acc, Sum, dtype.I64)
+		return c.AllreducePlan(acc, nil, 64, 8, Sum, dtype.I64)
+	})},
+	// The contribution left where it lies (a buffer the schedule only
+	// reads), a length the halving splits unevenly; then (value, index)
+	// pairs, which no split may tear.
+	{"AllreduceFromSrc", func(c *Comm) (*Plan, func(), error) {
+		var acc, src []byte
+		p, err := c.AllreducePlan(&acc, &src, 97, 8, Sum, dtype.I64)
+		return p, func() { src, acc = operand(c.Rank, 97), make([]byte, 8*97) }, err
+	}},
+	{"AllreducePairs", reduction(2*45, func(c *Comm, acc *[]byte) (*Plan, error) {
+		return c.AllreducePlan(acc, nil, 45, 16, MaxLoc, dtype.I64)
 	})},
 	{"Scan", reduction(5, func(c *Comm, acc *[]byte) (*Plan, error) {
 		return c.ScanPlan(false, acc, Sum, dtype.I64)

@@ -10,13 +10,19 @@ import (
 // Kernel folds two reduction operands held in wire format: elementwise
 // op(lo, hi), where lo is the contribution of the lower-ranked process
 // (the MPI operand order, which non-commutative operations and the
-// NaN/±0 behaviour of MIN/MAX depend on). The result is written over lo
-// when intoLo is set and over hi otherwise, and the slice holding it is
-// returned: the overwritten operand itself for the fixed-size classes,
-// a fresh encoding for OBJECT operands, whose gob size changes with
-// their value. Both operands must be exclusively owned by the caller —
-// a user operation may use the one that is not the result as scratch.
-type Kernel func(lo, hi []byte, intoLo bool) ([]byte, error)
+// NaN/±0 behaviour of MIN/MAX depend on). The result is written to dst —
+// lo itself, hi itself, or a third buffer of their length — and the
+// slice holding it is returned: dst for the fixed-size classes, a fresh
+// encoding for OBJECT operands, whose gob size changes with their value.
+// The predefined kernels read lo and hi and write dst, nothing else. A
+// user operation folds in place, so its kernel may use hi as scratch
+// when the result goes elsewhere: hand it only operands the caller owns
+// exclusively — which a window borrowed from a partner is, from the
+// moment it arrives until it is released.
+type Kernel func(lo, hi, dst []byte) ([]byte, error)
+
+// aliases reports whether two equally long operands are the same memory.
+func aliases(a, b []byte) bool { return len(a) > 0 && &a[0] == &b[0] }
 
 // Arithmetic reductions accept every fixed-size class (dtype.Fixed);
 // integer covers the classes bitwise and logical reductions accept.
@@ -172,11 +178,12 @@ func bits[T integer](k kind) Kernel {
 	panic(fmt.Sprintf("coll: kind %d is not logical or bitwise", k))
 }
 
-// checkOperands refuses operand pairs a kernel cannot fold elementwise:
-// members that disagree on the count, or a torn trailing element.
-func checkOperands(lo, hi []byte, es int) error {
-	if len(lo) != len(hi) || len(lo)%es != 0 {
-		return fmt.Errorf("coll: reduction operands of %d and %d bytes (element size %d)", len(lo), len(hi), es)
+// checkOperands refuses operands a kernel cannot fold elementwise:
+// members that disagree on the count, a destination of another size, or
+// a torn trailing element.
+func checkOperands(lo, hi, dst []byte, es int) error {
+	if len(lo) != len(hi) || len(dst) != len(lo) || len(lo)%es != 0 {
+		return fmt.Errorf("coll: reduction operands of %d and %d bytes into %d (element size %d)", len(lo), len(hi), len(dst), es)
 	}
 	return nil
 }
@@ -194,22 +201,15 @@ const stageElems = 64
 func fixed[T dtype.Fixed](f func(a, b, dst []T)) Kernel {
 	var z T
 	es := int(unsafe.Sizeof(z))
-	return func(lo, hi []byte, intoLo bool) ([]byte, error) {
-		if err := checkOperands(lo, hi, es); err != nil {
+	return func(lo, hi, dst []byte) ([]byte, error) {
+		if err := checkOperands(lo, hi, dst, es); err != nil {
 			return nil, err
-		}
-		dst := hi
-		if intoLo {
-			dst = lo
 		}
 		a, okA := dtype.WireView[T](lo)
 		b, okB := dtype.WireView[T](hi)
-		if okA && okB {
-			if intoLo {
-				f(a, b, a)
-			} else {
-				f(a, b, b)
-			}
+		d, okD := dtype.WireView[T](dst)
+		if okA && okB && okD {
+			f(a, b, d)
 			return dst, nil
 		}
 		var x, y [stageElems]T
@@ -226,8 +226,9 @@ func fixed[T dtype.Fixed](f func(a, b, dst []T)) Kernel {
 
 // userKernel adapts a user function to the kernel contract: fn sees
 // typed views of the two operands (decoded copies where a view is
-// impossible: misaligned bytes, BOOLEAN, OBJECT), folds into the
-// hi view, and the result is moved to wherever the caller wants it.
+// impossible: misaligned bytes, BOOLEAN, OBJECT) and folds into the
+// second — dst itself, primed with hi, unless dst is lo: then hi takes
+// the fold and the result is moved over.
 func userKernel(fn ApplyFn, cls dtype.Class) Kernel {
 	switch cls {
 	case dtype.U8:
@@ -251,9 +252,13 @@ func userKernel(fn ApplyFn, cls dtype.Class) Kernel {
 func userFixed[T dtype.Fixed](fn ApplyFn) Kernel {
 	var z T
 	es := int(unsafe.Sizeof(z))
-	return func(lo, hi []byte, intoLo bool) ([]byte, error) {
-		if err := checkOperands(lo, hi, es); err != nil {
+	return func(lo, hi, dst []byte) ([]byte, error) {
+		if err := checkOperands(lo, hi, dst, es); err != nil {
 			return nil, err
+		}
+		if !aliases(dst, lo) && !aliases(dst, hi) {
+			copy(dst, hi)
+			hi = dst
 		}
 		a, okA := dtype.WireView[T](lo)
 		if !okA {
@@ -271,17 +276,16 @@ func userFixed[T dtype.Fixed](fn ApplyFn) Kernel {
 		if !okB {
 			dtype.WireEncode(hi, b)
 		}
-		if intoLo {
-			copy(lo, hi)
-			return lo, nil
+		if !aliases(dst, hi) {
+			copy(dst, hi)
 		}
-		return hi, nil
+		return dst, nil
 	}
 }
 
 func userBool(fn ApplyFn) Kernel {
-	return func(lo, hi []byte, intoLo bool) ([]byte, error) {
-		if err := checkOperands(lo, hi, 1); err != nil {
+	return func(lo, hi, dst []byte) ([]byte, error) {
+		if err := checkOperands(lo, hi, dst, 1); err != nil {
 			return nil, err
 		}
 		a, b := make([]bool, len(lo)), make([]bool, len(hi))
@@ -291,10 +295,6 @@ func userBool(fn ApplyFn) Kernel {
 		if err := fn(a, b); err != nil {
 			return nil, err
 		}
-		dst := hi
-		if intoLo {
-			dst = lo
-		}
 		for i, v := range b {
 			dst[i] = truth[byte](v)
 		}
@@ -303,7 +303,7 @@ func userBool(fn ApplyFn) Kernel {
 }
 
 func userObj(fn ApplyFn) Kernel {
-	return func(lo, hi []byte, _ bool) ([]byte, error) {
+	return func(lo, hi, _ []byte) ([]byte, error) {
 		a, err := dtype.DecodeObjects(lo)
 		if err != nil {
 			return nil, err

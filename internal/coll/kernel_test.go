@@ -94,30 +94,43 @@ func kernelVsOracle[T dtype.Fixed](cls dtype.Class, specials []T, full func(*ran
 			}
 			wa, wb, ww := packDense(t, cls, a), packDense(t, cls, b), packDense(t, cls, want)
 			for _, off := range [][2]int{{0, 0}, {1, 0}, {0, 3}, {1, 1}} {
-				for _, intoLo := range []bool{false, true} {
+				// The result goes over either operand or into a third
+				// buffer (aligned, then not); what is not the destination
+				// is never written.
+				for _, into := range []string{"hi", "lo", "third", "third+1"} {
 					lo, hi := window(wa, off[0]), window(wb, off[1])
-					res, err := k(lo, hi, intoLo)
-					if err != nil {
-						t.Fatalf("n=%d off=%v intoLo=%v: %v", n, off, intoLo, err)
+					var dst []byte
+					switch into {
+					case "hi":
+						dst = hi
+					case "lo":
+						dst = lo
+					case "third":
+						dst = window(make([]byte, len(wa)), 0)
+					default:
+						dst = window(make([]byte, len(wa)), 1)
 					}
-					dst, other, otherWant := hi, lo, wa
-					if intoLo {
-						dst, other, otherWant = lo, hi, wb
+					res, err := k(lo, hi, dst)
+					if err != nil {
+						t.Fatalf("n=%d off=%v into=%s: %v", n, off, into, err)
 					}
 					if n > 0 && &res[0] != &dst[0] {
-						t.Fatalf("n=%d off=%v intoLo=%v: result is not the destination operand", n, off, intoLo)
+						t.Fatalf("n=%d off=%v into=%s: result is not the destination", n, off, into)
 					}
 					if err := sameWire[T](res, ww); err != nil {
-						t.Fatalf("n=%d off=%v intoLo=%v: %v", n, off, intoLo, err)
+						t.Fatalf("n=%d off=%v into=%s: %v", n, off, into, err)
 					}
-					if !bytes.Equal(other, otherWant) {
-						t.Fatalf("n=%d off=%v intoLo=%v: the other operand was written", n, off, intoLo)
+					if into != "lo" && !bytes.Equal(lo, wa) || into != "hi" && !bytes.Equal(hi, wb) {
+						t.Fatalf("n=%d off=%v into=%s: an operand that is not the destination was written", n, off, into)
 					}
 				}
 			}
 		}
-		if _, err := k(make([]byte, 16), make([]byte, 32), false); err == nil {
+		if _, err := k(make([]byte, 16), make([]byte, 32), make([]byte, 32)); err == nil {
 			t.Fatal("operands of different lengths must be refused")
+		}
+		if _, err := k(make([]byte, 16), make([]byte, 16), make([]byte, 32)); err == nil {
+			t.Fatal("a destination of another length must be refused")
 		}
 	}
 }
@@ -176,7 +189,8 @@ func TestKernelsBooleanAndObject(t *testing.T) {
 		}
 		k, _ := o.op.Kernel(dtype.Bool)
 		for _, intoLo := range []bool{false, true} {
-			res, err := k(window(pack(vals), 1), window(pack(other), 0), intoLo)
+			lo, hi := window(pack(vals), 1), window(pack(other), 0)
+			res, err := k(lo, hi, pick(intoLo, lo, hi))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,21 +248,34 @@ func TestUserKernelViews(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, off := range []int{0, 1} {
-			for _, intoLo := range []bool{false, true} {
+			for _, into := range []string{"hi", "lo", "third"} {
 				lo, _ := dtype.Pack(nil, tc.lo, 0, n, bt)
 				hi, _ := dtype.Pack(nil, tc.hi, 0, n, bt)
-				res, err := k(window(lo, off), window(hi, off), intoLo)
+				lo, hi = window(lo, off), window(hi, off)
+				dst := pick(into == "lo", lo, hi)
+				if into == "third" {
+					dst = window(make([]byte, len(hi)), off)
+				}
+				res, err := k(lo, hi, dst)
 				if err != nil {
-					t.Fatalf("%s off=%d intoLo=%v: %v", tc.cls, off, intoLo, err)
+					t.Fatalf("%s off=%d into=%s: %v", tc.cls, off, into, err)
 				}
 				got := dtype.MakeDense(tc.cls, n)
 				if _, err := dtype.Unpack(res, got, 0, n, bt); err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, tc.want) {
-					t.Fatalf("%s off=%d intoLo=%v: %v, want %v", tc.cls, off, intoLo, got, tc.want)
+					t.Fatalf("%s off=%d into=%s: %v, want %v", tc.cls, off, into, got, tc.want)
 				}
 			}
 		}
 	}
+}
+
+// pick is the destination operand of the two-operand forms.
+func pick(lo bool, a, b []byte) []byte {
+	if lo {
+		return a
+	}
+	return b
 }

@@ -11,17 +11,34 @@ import (
 // schedule owns exactly one accumulator, *acc: the caller fills it with
 // this member's contribution before every activation (the pointer is
 // re-read, so a persistent operation may re-pack or re-point it) and
-// finds the result there where the collective defines one. The
-// accumulator itself is never sent — what goes out is a private copy in
-// a pooled frame (isendCopy) — and a partner's operand is folded into
-// it straight out of the frame it arrived in (foldRecvStep), so a round
-// produces no garbage. For the fixed-size classes *acc keeps pointing at
-// the caller's buffer throughout; OBJECT operands change size as they
-// fold, and the kernel re-points *acc at each fresh encoding.
+// finds the result there where the collective defines one. A partner's
+// operand is folded into it straight out of the frame it arrived in
+// (foldRecvStep), so a round produces no garbage.
+//
+// What a round sends follows one ownership rule: memory this member
+// goes on writing while the message is in flight travels as a private
+// copy in a pooled frame (isendCopy — the whole accumulator of a tree
+// reduction, a scan, the odd-size pre/post fold, a recursive-doubling
+// round); a window of the accumulator this member is done with travels
+// on loan, uncopied (isendLent — the halves a large allreduce gives
+// away, and gathers back). A lent window is exclusively the borrower's
+// until it is released: its owner neither reads nor writes it, the
+// borrower folds out of it in place, and it is written again only by
+// the deposit that refills it from that same borrower. The windows a
+// round lends and the windows it writes are disjoint by construction.
+//
+// For the fixed-size classes *acc keeps pointing at the caller's buffer
+// throughout; OBJECT operands change size as they fold, and the kernel
+// re-points *acc at each fresh encoding.
 
 // folder binds the kernel resolved for a plan to its accumulator.
 type folder struct {
-	acc     *[]byte
+	acc *[]byte
+	// src, when set, is where the caller left this member's contribution
+	// instead of loading it into *acc: read-only memory (a send buffer),
+	// possibly *acc's own. A schedule either reads it where it lies or
+	// starts by copying it (preload).
+	src     *[]byte
 	k       Kernel
 	reduced *obs.Counter
 }
@@ -34,9 +51,19 @@ func (c *Comm) newFolder(acc *[]byte, op *Op, cls dtype.Class) (*folder, error) 
 	return &folder{acc: acc, k: k, reduced: c.vars().reduced}, nil
 }
 
+// preload has every activation start by copying the contribution into
+// the accumulator, for schedules that fold in place from the first step.
+func (f *folder) preload(s *sched) {
+	s.onReset(func() {
+		if !aliases(*f.acc, *f.src) {
+			copy(*f.acc, *f.src)
+		}
+	})
+}
+
 // fold runs the kernel once and accounts for the bytes it folded.
-func (f *folder) fold(lo, hi []byte, intoLo bool) ([]byte, error) {
-	res, err := f.k(lo, hi, intoLo)
+func (f *folder) fold(lo, hi, dst []byte) ([]byte, error) {
+	res, err := f.k(lo, hi, dst)
 	if err == nil {
 		f.reduced.Add(uint64(len(res)))
 	}
@@ -46,14 +73,28 @@ func (f *folder) fold(lo, hi []byte, intoLo bool) ([]byte, error) {
 // below folds in an operand that covers lower ranks than the
 // accumulator: acc = op(theirs, acc).
 func (f *folder) below(theirs []byte) (err error) {
-	*f.acc, err = f.fold(theirs, *f.acc, false)
+	*f.acc, err = f.fold(theirs, *f.acc, *f.acc)
 	return err
 }
 
 // above folds in an operand that covers higher ranks: acc = op(acc,
 // theirs).
 func (f *folder) above(theirs []byte) (err error) {
-	*f.acc, err = f.fold(*f.acc, theirs, true)
+	*f.acc, err = f.fold(*f.acc, theirs, *f.acc)
+	return err
+}
+
+// window folds a partner's operand for the window w into that window of
+// the accumulator — fixed-size classes only, whose kernels write where
+// they are told. This member's own operand for w is read from *mine
+// (the accumulator itself, or a contribution not loaded into it); lower
+// says the partner's covers the lower ranks.
+func (f *folder) window(mine *[]byte, w span, theirs []byte, lower bool) (err error) {
+	if lower {
+		_, err = f.fold(theirs, w.of(mine), w.of(f.acc))
+	} else {
+		_, err = f.fold(w.of(mine), theirs, w.of(f.acc))
+	}
 	return err
 }
 
@@ -109,7 +150,7 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 		cur := blocks[0]
 		for _, next := range blocks[1:] {
 			var err error
-			if cur, err = f.fold(cur, next, false); err != nil {
+			if cur, err = f.fold(cur, next, next); err != nil {
 				return err
 			}
 		}
@@ -118,11 +159,34 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 }
 
 // addAllreduceSteps schedules the all-reduction; at completion every
-// member's accumulator holds the result. Commutative ops use recursive
-// doubling with the standard non-power-of-two pre/post folding;
-// non-commutative ops reduce to rank 0 and broadcast.
-func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative bool) {
+// member's accumulator holds the result. Non-commutative ops reduce to
+// rank 0 and broadcast. Commutative ops fold among the largest power of
+// two of members, p2, with the standard pre/post fold bringing the rest
+// in and out, by one of two schedules that associate every element
+// identically — partners at distance 1 first, then 2, 4, …, the lower
+// rank's operand on the left — so the result bits depend on neither:
+//
+//   - recursive doubling: log2(p2) exchanges of the whole vector, each
+//     folded whole. Latency-optimal; every byte is sent and folded
+//     log2(p2) times.
+//   - recursive halving + doubling (reduce-scatter, then allgather),
+//     when the operand is units indivisible groups of unit wire bytes,
+//     at least p2 groups long and large in all (halves: over the
+//     engine's eager limit, among members of one address space): each exchange of the first phase gives half of what is left
+//     away and folds only the half it keeps, the second phase mirrors it
+//     back. Twice the messages, but each byte is sent 2(1-1/p2) times
+//     and folded 1-1/p2 times, on loan and into place (see the ownership
+//     rule above). Members must agree on the eager limit, like on any
+//     setting an algorithm is chosen by.
+//
+// unit is 0 for operands whose wire size is not fixed (OBJECT). pure
+// says the kernel writes its destination and nothing else, so an
+// operand may be memory this member must not modify.
+func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, units, unit int) {
 	if !commutative {
+		if f.src != nil {
+			f.preload(s)
+		}
 		c.addReduceSteps(s, 0, f, false)
 		var wire []byte
 		s.step(func() error {
@@ -145,14 +209,39 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative bool) {
 		p2 *= 2
 	}
 	remainder := c.Size - p2
+	halving := p2 > 1 && unit > 0 && units >= p2 && c.halves(units*unit)
+
+	// mine is where this member's running value stands until a fold has
+	// written the accumulator: the halving schedule reads a contribution
+	// left in place (f.src) where it lies — its first fold writes one half
+	// of the accumulator and the allgather the other, so no load pass is
+	// ever made — provided the kernel leaves its operands alone.
+	mine := f.acc
+	if f.src != nil {
+		if halving && pure {
+			mine = f.src
+		} else {
+			f.preload(s)
+		}
+	}
 
 	newRank := -1
 	switch {
 	case c.Rank < 2*remainder && c.Rank%2 == 0:
 		// Fold into the odd neighbour, then idle until the post-fold.
-		s.step(func() error { return s.isendCopy(c.Rank+1, tag, *f.acc) })
+		if mine == f.src {
+			// Memory nobody writes: nothing to protect it from.
+			s.step(func() error { return s.isendLent(c.Rank+1, tag, *f.src) })
+		} else {
+			s.step(func() error { return s.isendCopy(c.Rank+1, tag, *f.acc) })
+		}
 	case c.Rank < 2*remainder:
-		s.foldRecvStep(c.Rank-1, tag, f.below)
+		from := mine
+		s.foldRecvStep(c.Rank-1, tag, func(theirs []byte) (err error) {
+			*f.acc, err = f.fold(theirs, *from, *f.acc)
+			return err
+		})
+		mine = f.acc
 		newRank = c.Rank / 2
 	default:
 		newRank = c.Rank - remainder
@@ -165,7 +254,11 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative bool) {
 		return nr + remainder
 	}
 
-	if newRank >= 0 {
+	switch {
+	case newRank < 0:
+	case halving:
+		c.addHalvingSteps(s, f, mine, tag, newRank, p2, realOf, units, unit)
+	default:
 		for mask := 1; mask < p2; mask <<= 1 {
 			partner := newRank ^ mask
 			fold := f.above
@@ -184,6 +277,96 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative bool) {
 		} else {
 			s.step(func() error { return s.isendCopy(c.Rank-1, tag, *f.acc) })
 		}
+	}
+}
+
+// farHalvingFactor places the switch to halving + doubling, in eager
+// limits, for a communicator with members out of this address space
+// (halves). Measured, not tuned: BenchmarkAllreduceSwitch, DOUBLE SUM on
+// the 2-vCPU box, this schedule's µs/op over recursive doubling's at an
+// eager limit of 64 KiB, medians of 3 to 8 alternating runs per cell
+// (loopback tcp is noisy there: single cells move ±10 %):
+//
+//	operand       64K+8  128K  256K  512K   1M
+//	chan     np4   0.86  0.80  0.65  0.61  0.47
+//	chan     np3   0.74  0.79  0.80  0.87  0.93
+//	tcp      np4   1.35  1.25  1.03  0.92  0.74
+//	tcp      np3   1.22  1.08  0.75  0.94  0.92
+//
+// By reference the extra rounds are paid for as soon as the operand is
+// a rendezvous message at all; over a socket every one of twice as many
+// messages is three more trips through the kernel, and at four members
+// the bytes saved only outweigh them from eight eager limits up.
+const farHalvingFactor = 8
+
+// halves reports whether a commutative allreduce of wire bytes is large
+// enough for the halving + doubling schedule: anything above the
+// engine's eager limit when every member is reached by reference, eight
+// eager limits and up otherwise. Every member answers alike: a member
+// out of one's address space is out of everyone's.
+func (c *Comm) halves(wire int) bool {
+	eager := c.P.EagerLimit()
+	if wire <= eager || wire >= farHalvingFactor*eager {
+		return wire > eager // a negative limit (all-rendezvous) makes every operand large
+	}
+	for r := 0; r < c.Size; r++ {
+		if !c.P.ByReference(c.World(r)) {
+			return false
+		}
+	}
+	return true
+}
+
+// addHalvingSteps schedules member newRank's part of the halving +
+// doubling allreduce among p2 members (see addAllreduceSteps). In round
+// k of the reduce-scatter the two partners, whose ranks differ in bit k,
+// hold partial results for the same window — the choices that narrowed
+// it were made by the bits below k, which they share: the one with the
+// bit clear keeps the lower half, the other the upper, each lends the
+// half it gives up and folds the partner's copy of the half it keeps.
+// After log2(p2) rounds every member holds one finished window (at
+// least one group: units >= p2), and the allgather retraces the rounds
+// from the last: lend what is finished, have the partner's sibling
+// window deposited beside it — the very window this member lent that
+// partner on the way down, which the partner released, at the latest,
+// when its fold of it returned.
+func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, tag, newRank, p2 int, realOf func(int) int, units, unit int) {
+	wire := units * unit
+	s.step(func() error {
+		if len(*f.acc) != wire || len(*mine) != wire {
+			return fmt.Errorf("coll: allreduce operand of %d bytes into %d, planned for %d", len(*mine), len(*f.acc), wire)
+		}
+		return nil
+	})
+	type round struct {
+		peer       int
+		keep, give span
+	}
+	var rounds []round
+	lo, hi := 0, units
+	for mask := 1; mask < p2; mask <<= 1 {
+		mid := lo + (hi-lo)/2
+		r := round{peer: realOf(newRank ^ mask)}
+		lower := newRank&mask != 0 // the partner's rank is the lower one
+		if lower {
+			r.keep, r.give = span{mid * unit, hi * unit}, span{lo * unit, mid * unit}
+			lo = mid
+		} else {
+			r.keep, r.give = span{lo * unit, mid * unit}, span{mid * unit, hi * unit}
+			hi = mid
+		}
+		rounds = append(rounds, r)
+		from := f.acc
+		if mask == 1 {
+			from = mine // only the first round can find the operand outside the accumulator
+		}
+		s.foldExchLentStep(r.peer, tag, from, r.give, func(theirs []byte) error {
+			return f.window(from, r.keep, theirs, lower)
+		})
+	}
+	for k := len(rounds) - 1; k >= 0; k-- {
+		r := rounds[k]
+		s.fillExchLentStep(r.peer, tag, f.acc, r.keep, r.give)
 	}
 }
 
@@ -281,14 +464,23 @@ func (c *Comm) ReducePlan(root int, acc *[]byte, op *Op, cls dtype.Class) (*Plan
 }
 
 // AllreducePlan builds the all-reduction of every member's *acc; the
-// plan's result is the accumulator ([]byte) on every member.
-func (c *Comm) AllreducePlan(acc *[]byte, op *Op, cls dtype.Class) (*Plan, error) {
+// plan's result is the accumulator ([]byte) on every member. The
+// operand is units indivisible groups (items of the caller's datatype)
+// of unit wire bytes each — what a large reduction may be cut between —
+// and every activation's *acc must hold exactly that; pass unit 0 for
+// OBJECT operands, whose wire size no one knows in advance. A non-nil
+// src says the contribution is not in *acc but in *src, memory of the
+// same size the schedule only reads (it may be *acc's own): a large
+// reduction then folds out of it where it lies and never makes the load
+// pass; any other starts by copying it.
+func (c *Comm) AllreducePlan(acc, src *[]byte, units, unit int, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	f, err := c.newFolder(acc, op, cls)
 	if err != nil {
 		return nil, err
 	}
-	c.addAllreduceSteps(p.s, f, op.Commutative)
+	f.src = src
+	c.addAllreduceSteps(p.s, f, op.Commutative, op.user == nil, units, unit)
 	p.Publish(func() any { return *acc })
 	return p, nil
 }
@@ -347,10 +539,24 @@ func (c *Comm) ReduceScatterPlan(acc *[]byte, counts []int, op *Op, cls dtype.Cl
 	return p, nil
 }
 
+// denseUnits is AllreducePlan's view of a dense slice of n elements:
+// elements fold independently, except MINLOC/MAXLOC's pairs.
+func denseUnits(n int, cls dtype.Class, op *Op) (units, unit int) {
+	unit = cls.WireSize()
+	if op != MaxLoc && op != MinLoc {
+		return n, unit
+	}
+	if n%2 != 0 {
+		return n, 0 // a torn pair: the kernel's to refuse, not the planner's to cut
+	}
+	return n / 2, 2 * unit
+}
+
 // Allreduce folds every member's dense slice ([]int32, []float64, …)
 // with op and returns the result, a fresh slice of the same type, at
 // every member: the typed convenience over AllreducePlan for the
-// runtime's own small agreements and for benchmarks.
+// runtime's own small agreements and for benchmarks. A user operation
+// passed here must fold element by element.
 func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 	cls, _ := dtype.ClassOf(mine)
 	t := dtype.BasicType(cls)
@@ -360,15 +566,19 @@ func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 		return nil, err
 	}
 	// The result slice doubles as the accumulator wherever its memory
-	// is its wire image.
+	// is its wire image — and the contribution is then read where it
+	// lies.
 	out := dtype.MakeDense(cls, n)
-	view, direct := dtype.ByteViewRange(out, 0, n)
-	acc, err := dtype.Pack(view[:0], mine, 0, n, t)
-	if err != nil {
+	acc, direct := dtype.ByteViewRange(out, 0, n)
+	var src *[]byte
+	if in, ok := dtype.ByteViewRange(mine, 0, n); ok && direct {
+		src = &in
+	} else if acc, err = dtype.Pack(acc[:0], mine, 0, n, t); err != nil {
 		c.SkipInstance()
 		return nil, err
 	}
-	if _, err := runAs[any](c.AllreducePlan(&acc, op, cls)); err != nil {
+	units, unit := denseUnits(n, cls, op)
+	if _, err := runAs[any](c.AllreducePlan(&acc, src, units, unit, op, cls)); err != nil {
 		return nil, err
 	}
 	if !direct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -80,10 +81,19 @@ func TestNonCommutativeOrderEveryCollective(t *testing.T) {
 	}
 }
 
-// doublingSum computes, serially, what recursive doubling with the
+// doublingFold computes, serially, what recursive doubling with the
 // non-power-of-two pre-fold leaves on every member: the same partners
-// and the same (lower, higher) operand order as addAllreduceSteps.
-func doublingSum(vals []float64) float64 {
+// and the same (lower, higher) operand order as addAllreduceSteps —
+// partners at distance 1 first, then 2, 4, …. The halving + doubling
+// schedule of large operands must associate every element the same way.
+func doublingFold(vals []float64, op func(lo, hi float64) float64) float64 {
+	return pairwiseFold(vals, op, false)
+}
+
+// pairwiseFold is doublingFold with the order of the distances as a
+// parameter: farFirst pairs partners at distance p2/2 first — the
+// textbook recursive halving, which is NOT what the schedules do.
+func pairwiseFold(vals []float64, op func(lo, hi float64) float64, farFirst bool) float64 {
 	n := len(vals)
 	p2 := 1
 	for p2*2 <= n {
@@ -95,21 +105,31 @@ func doublingSum(vals []float64) float64 {
 		switch {
 		case r < 2*rem && r%2 == 0: // folds into its odd neighbour
 		case r < 2*rem:
-			acc = append(acc, vals[r-1]+vals[r])
+			acc = append(acc, op(vals[r-1], vals[r]))
 		default:
 			acc = append(acc, vals[r])
 		}
 	}
+	var masks []int
 	for mask := 1; mask < p2; mask <<= 1 {
+		masks = append(masks, mask)
+	}
+	if farFirst {
+		slices.Reverse(masks)
+	}
+	for _, mask := range masks {
 		next := make([]float64, p2)
 		for nr := range acc {
 			lo, hi := nr&^mask, nr|mask
-			next[nr] = acc[lo] + acc[hi]
+			next[nr] = op(acc[lo], acc[hi])
 		}
 		acc = next
 	}
 	return acc[0]
 }
+
+func addF(a, b float64) float64 { return a + b }
+func mulF(a, b float64) float64 { return a * b }
 
 // TestAllreduceSumBitExact: a float SUM allreduce is bit-identical on
 // every member to the recursive-doubling association computed serially
@@ -122,7 +142,7 @@ func TestAllreduceSumBitExact(t *testing.T) {
 		{1e16, 3, -1e16, 5, 0.3, 1e-3},
 	} {
 		n := len(vals)
-		want := doublingSum(vals)
+		want := doublingFold(vals, addF)
 		var leftToRight, rightToLeft float64
 		for i := range vals {
 			leftToRight += vals[i]
@@ -143,20 +163,101 @@ func TestAllreduceSumBitExact(t *testing.T) {
 	}
 }
 
+// sensitive are values whose float sum and product round differently
+// under different associations; element e of rank r's operand in the
+// test below is one of them, chosen by (e, r).
+var sensitive = []float64{1e16, 3, -1e16, 5, 0.3, 1e-3, 0.1, -0.7, 1 + 1e-9}
+
+func sensitiveAt(e, r int) float64 {
+	v := sensitive[(r+e)%len(sensitive)]
+	if e%3 == 2 {
+		v = -v
+	}
+	return v
+}
+
+// TestAllreduceBitExactAboveTheSwitch: above the eager limit, where the
+// schedule is reduce-scatter + allgather, every element of a float SUM
+// or PROD is still bit-identical, on every member, to the
+// recursive-doubling association — for every group size 2…9, vector
+// lengths that the halving splits evenly, unevenly and primely, and
+// lengths too short to split (fewer elements than p2: the doubling
+// schedule itself must run). The reference with the distances in the
+// textbook order (p2/2 first) differs on these values, so a schedule
+// that halved that way round would fail here.
+func TestAllreduceBitExactAboveTheSwitch(t *testing.T) {
+	for _, fam := range []struct {
+		op  *Op
+		ref func(a, b float64) float64
+	}{{Sum, addF}, {Prod, mulF}} {
+		for n := 2; n <= 9; n++ {
+			p2 := 1
+			for p2*2 <= n {
+				p2 *= 2
+			}
+			// eager 16: even the vectors shorter than p2 are "large".
+			for _, count := range []int{5 * p2, 5*p2 + 1, 61, p2 - 1, 3} {
+				want := make([]float64, count)
+				distinguishes := false
+				for e := range want {
+					vals := make([]float64, n)
+					for r := range vals {
+						vals[r] = sensitiveAt(e, r)
+					}
+					want[e] = doublingFold(vals, fam.ref)
+					if pairwiseFold(vals, fam.ref, true) != want[e] {
+						distinguishes = true
+					}
+				}
+				if p2 >= 4 && count >= p2 && !distinguishes {
+					t.Fatalf("%s n=%d count=%d: no element tells distance-1-first from distance-p2/2-first", fam.op, n, count)
+				}
+				results := runGroupEager(t, n, 16, func(c *Comm) (any, error) {
+					mine := make([]float64, count)
+					for e := range mine {
+						mine[e] = sensitiveAt(e, c.Rank)
+					}
+					before := c.P.StatsSnapshot().SendsLent
+					res, err := c.Allreduce(mine, fam.op)
+					if halved := c.P.StatsSnapshot().SendsLent > before; err == nil && c.Rank == n-1 && halved != (count >= p2) {
+						err = fmt.Errorf("count %d, p2 %d: halving schedule ran = %v", count, p2, halved)
+					}
+					return res, err
+				})
+				for r, res := range results {
+					for e, got := range res.([]float64) {
+						if math.Float64bits(got) != math.Float64bits(want[e]) {
+							t.Fatalf("%s n=%d count=%d rank %d element %d: %v, want %v", fam.op, n, count, r, e, got, want[e])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBytesReducedCounter: the pvar grows by exactly the bytes each
-// kernel call folded — two rounds of recursive doubling at 4 ranks fold
-// the operand twice per member.
+// kernel call folded. Among a power of two of members, p2, recursive
+// doubling folds the whole operand log2(p2) times on every member; above
+// the eager limit the reduce-scatter folds half of what is left each
+// round, (1 - 1/p2) of the operand in all.
 func TestBytesReducedCounter(t *testing.T) {
-	const n, elems = 4, 32 << 10
-	runGroup(t, n, func(c *Comm) (any, error) {
-		mine := make([]float64, elems)
-		before := c.vars().reduced.Load()
-		if _, err := c.Allreduce(mine, Sum); err != nil {
-			return nil, err
-		}
-		if got, want := c.vars().reduced.Load()-before, uint64(2*8*elems); got != want {
-			return nil, fmt.Errorf("coll.bytes_reduced grew by %d, want %d", got, want)
-		}
-		return nil, nil
-	})
+	for _, tc := range []struct{ n, elems, want int }{
+		{4, 32 << 10, 8 * (32 << 10) * 3 / 4},
+		{8, 32 << 10, 8 * (32 << 10) * 7 / 8},
+		{4, 16, 2 * 8 * 16}, // 128 bytes: below the switch
+		{8, 16, 3 * 8 * 16},
+	} {
+		runGroup(t, tc.n, func(c *Comm) (any, error) {
+			mine := make([]float64, tc.elems)
+			before := c.vars().reduced.Load()
+			if _, err := c.Allreduce(mine, Sum); err != nil {
+				return nil, err
+			}
+			if got := c.vars().reduced.Load() - before; got != uint64(tc.want) {
+				return nil, fmt.Errorf("n=%d, %d elements: coll.bytes_reduced grew by %d, want %d", tc.n, tc.elems, got, tc.want)
+			}
+			return nil, nil
+		})
+	}
 }

@@ -3,6 +3,7 @@ package coll
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -63,8 +64,10 @@ func (r *Request) Test() (any, bool, error) {
 // returns ctx's error promptly, even when a peer never shows up.
 //
 // Cancellation abandons this member's participation in the collective
-// instance: sends already posted stay with the engine (peers that
-// progressed past them are unaffected), unposted rounds never run. Later
+// instance: what a peer has already matched is seen through (that peer
+// is unaffected), what no peer has matched yet is withdrawn, unposted
+// rounds never run — and only then does the wait return, so the
+// buffers bound to the collective are the caller's again. Later
 // collectives on the same communicator are isolated from the abandoned
 // instance by its per-instance tag, but the MPI ordering rule still
 // stands: every member must eventually make the same collective call,
@@ -73,8 +76,10 @@ func (r *Request) Test() (any, bool, error) {
 // One caveat bounds the recovery guarantee: the abandoned member posts
 // no further receives for the instance, so a payload above the eager
 // limit still owed to it leaves the late sender's rendezvous — and with
-// it that rank's matching (blocking) call — stalled forever. Ranks that
-// mix cancellation into a communicator should use the cancellable *Ctx
+// it that rank's matching (blocking) call — stalled forever. (The other
+// direction resolves itself: a late member's receive that matches a
+// withdrawn send fails with core.ErrWithdrawn.) Ranks that mix
+// cancellation into a communicator should use the cancellable *Ctx
 // forms on every member, or keep cancellable collectives' payloads
 // within the eager limit.
 func (r *Request) WaitCtx(ctx context.Context) (any, error) {
@@ -119,11 +124,31 @@ func (r *Request) cancel() {
 type fut struct {
 	req *core.Request
 	// lend marks a payload its consumer only reads while the step runs:
-	// the frame stays with the request and returns to the pool when the
-	// step ends. Otherwise ownership moves to the consumer, for
-	// algorithms that stash or forward what they receive.
+	// the frame stays with the request and is released when the step
+	// ends — back to the pool, or back to the partner that lent it, whose
+	// memory such a receive may read in place (core.Proc.IrecvBorrow):
+	// the schedule, not the user, bounds how long it is held. Otherwise
+	// ownership moves to the consumer, for algorithms that stash or
+	// forward what they receive.
 	lend bool
+	// into, when set, makes the receive a receive-into: the payload is
+	// deposited in that window (read at post time), which it must fill
+	// exactly, and the consumer is handed nothing.
+	into *bufSpan
 }
+
+// bufSpan is a span of a buffer bound by pointer.
+type bufSpan struct {
+	buf *[]byte
+	span
+}
+
+// span is a byte range of a schedule's accumulator. Schedules name
+// windows by range, not by slice: the accumulator is bound by pointer
+// and may be a different buffer at every activation.
+type span struct{ lo, hi int }
+
+func (w span) of(acc *[]byte) []byte { return (*acc)[w.lo:w.hi:w.hi] }
 
 // step is one unit of a collective schedule. run posts nonblocking
 // operations and folds received data into the algorithm's state; a step
@@ -154,7 +179,7 @@ type sched struct {
 	steps  []step
 	resets []func()        // per-activation state initializers, run by arm
 	pc     int             // index of the next step to run
-	pend   []*core.Request // outstanding isends, drained at the end
+	pend   []*core.Request // outstanding isends, drained at the end; in a teardown, everything still posted
 	res    any             // published to req on successful completion
 
 	// Parking state. While the schedule is parked, gated holds the
@@ -287,20 +312,42 @@ func (s *sched) foldExchStep(peer, tag int, acc *[]byte, fn func([]byte) error) 
 	}, fn)
 }
 
-// postRecv appends the two steps behind the four forms above: post the
-// receive (then run send, if any), and — gated on the receive — consume
-// it with fn.
+// foldExchLentStep is foldExchStep for a window this member neither
+// writes nor hands back to its caller while the partner holds it: give,
+// a window of *from, goes out on loan — no copy.
+func (s *sched) foldExchLentStep(peer, tag int, from *[]byte, give span, fn func([]byte) error) {
+	s.postRecv(&fut{lend: true}, peer, tag, func() error {
+		return s.isendLent(peer, tag, give.of(from))
+	}, fn)
+}
+
+// fillExchLentStep lends the window give of *acc to the partner and has
+// the partner's message deposited straight into the window fill — the
+// allgather exchange; the two windows are disjoint.
+func (s *sched) fillExchLentStep(peer, tag int, acc *[]byte, give, fill span) {
+	s.postRecv(&fut{into: &bufSpan{acc, fill}}, peer, tag, func() error {
+		return s.isendLent(peer, tag, give.of(acc))
+	}, nil)
+}
+
+// postRecv appends the two steps behind the forms above: post the
+// receive — a receive-into of f's window, a borrowing receive for a
+// payload that is only read, an ordinary one otherwise — then run send,
+// if any; and, gated on the receive, consume it with fn.
 func (s *sched) postRecv(f *fut, src, tag int, send func() error, fn func([]byte) error) {
 	s.steps = append(s.steps, step{run: func() error {
-		f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
+		switch {
+		case f.into != nil:
+			f.req = s.c.P.IrecvInto(s.c.Ctx, int32(src), int32(tag), f.into.of(f.into.buf), 1)
+		case f.lend:
+			f.req = s.c.P.IrecvBorrow(s.c.Ctx, int32(src), int32(tag))
+		default:
+			f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
+		}
 		if send == nil {
 			return nil
 		}
-		err := send()
-		if err != nil {
-			s.dropRecv(f) // the consume step will never run
-		}
-		return err
+		return send() // on failure the teardown finds f posted behind this step
 	}})
 	s.steps = append(s.steps, step{gate: f, run: func() error {
 		req := f.req
@@ -316,9 +363,17 @@ func (s *sched) postRecv(f *fut, src, tag int, send func() error, fn func([]byte
 			req.Recycle()
 			return rerr
 		}
+		if f.into != nil {
+			got := st.Bytes
+			req.Recycle()
+			if want := f.into.hi - f.into.lo; got != want {
+				return fmt.Errorf("coll: %d bytes arrived for a window of %d", got, want)
+			}
+			return nil
+		}
 		if f.lend {
 			err := fn(req.Payload)
-			req.Recycle() // releases the frame
+			req.Recycle() // releases the frame, or returns the loan
 			return err
 		}
 		// The consumer keeps the payload for an unbounded time, so take
@@ -371,6 +426,10 @@ func (s *sched) run() {
 	// concurrent canceller never pokes a recycled request.
 	s.ungate()
 	for {
+		if err := s.req.err; err != nil {
+			s.fail(err) // resumed mid-teardown
+			return
+		}
 		if s.cancelled() {
 			s.fail(ErrCancelled)
 			return
@@ -394,17 +453,9 @@ func (s *sched) run() {
 			continue
 		}
 		// Steps exhausted: drain the outstanding sends, parking on the
-		// incomplete ones (moved to the front of pend; its order carries
-		// no meaning).
-		n := 0
-		for i, r := range s.pend {
-			if _, done := r.Test(); !done {
-				s.pend[i], s.pend[n] = s.pend[n], r
-				n++
-			}
-		}
-		if n > 0 {
-			if s.park(s.pend[:n]) {
+		// incomplete ones.
+		if owed := s.incomplete(); len(owed) > 0 {
+			if s.park(owed) {
 				return
 			}
 			continue
@@ -525,38 +576,54 @@ func (s *sched) finish(err error) {
 	}
 }
 
-// fail tears the schedule down after an error or cancellation and
-// completes the request with err.
+// incomplete moves the operations in pend that have not completed to
+// its front (pend's order carries no meaning) and returns them.
+func (s *sched) incomplete() []*core.Request {
+	n := 0
+	for i, r := range s.pend {
+		if _, done := r.Test(); !done {
+			s.pend[i], s.pend[n] = s.pend[n], r
+			n++
+		}
+	}
+	return s.pend[:n]
+}
+
+// fail tears the activation down after an error or cancellation and
+// completes the request with err — once nothing of the activation is
+// left in flight. Every operation the engine still can revoke (an
+// unmatched receive, an ungranted rendezvous send) is cancelled on the
+// spot. The rest are matched, and their completion is owed within
+// bounded time whatever the peers' users do: a granted send completes
+// when its payload is with the device, or — on loan — when the reader
+// lets go of it; a matched receive when the DATA frame, or the sender's
+// withdrawal, arrives. The schedule waits for them (parking like any
+// other wait; run re-enters here), because until then the engine may
+// yet write a receive-into window or a partner may yet read a lent one,
+// and the accumulator they live in is the caller's again the moment
+// this returns. Everything is then recycled, which releases a frame
+// that arrived after all and returns its loan.
 func (s *sched) fail(err error) {
-	s.abortGate()
-	s.abort()
-	s.finish(err)
-}
-
-// abortGate disposes of the current step's gated receive, if any.
-func (s *sched) abortGate() {
-	if s.pc < len(s.steps) && s.steps[s.pc].gate != nil {
-		s.dropRecv(s.steps[s.pc].gate)
+	if s.req.err == nil {
+		s.req.err = err // marks the teardown begun, for a run resumed in its middle
+		for _, st := range s.steps[s.pc:] {
+			if f := st.gate; f != nil && f.req != nil {
+				s.pend = append(s.pend, f.req) // posted, never to be consumed
+				f.req = nil
+			}
+		}
+		for _, r := range s.pend {
+			s.c.P.Cancel(r)
+		}
 	}
-}
-
-// dropRecv disposes of a posted receive nobody will consume: a
-// completed one is recycled, an in-flight one is cancelled when the
-// engine still can (and otherwise left to complete in the background,
-// reclaimed by the garbage collector).
-func (s *sched) dropRecv(f *fut) {
-	r := f.req
-	if r == nil {
+	if owed := s.incomplete(); len(owed) > 0 && s.park(owed) {
 		return
 	}
-	f.req = nil
-	if s.c.P.Cancel(r) {
-		r.Recycle()
-		return
-	}
-	if _, done := r.Test(); done {
+	for _, r := range s.pend {
 		r.Recycle()
 	}
+	s.pend = nil
+	s.finish(s.req.err)
 }
 
 // isend posts a standard-mode send on the schedule's context and tracks
@@ -568,42 +635,38 @@ func (s *sched) isend(dst, tag int, b []byte) error {
 	return s.post(dst, tag, b, false)
 }
 
-// isendCopy sends a private copy of b, for buffers the schedule goes on
-// writing (a reduction's accumulator: the chan and shm devices pass
-// frames by reference, and a partner reads its copy with no
-// happens-before to this member's next fold). The copy has exactly one
-// destination, so it lives in a pooled frame and carries the recycle
-// promise: whoever consumes it returns it to the pool.
+// isendCopy sends a private copy of b, for a buffer the schedule goes on
+// writing while the message is in flight (the whole accumulator of a
+// tree reduction, a scan, or the odd-size pre/post fold: the chan and
+// shm devices pass frames by reference, and a partner reads its copy
+// with no happens-before to this member's next fold). The copy has
+// exactly one destination, so it lives in a pooled frame and carries
+// the recycle promise: whoever consumes it returns it to the pool.
 func (s *sched) isendCopy(dst, tag int, b []byte) error {
 	out := transport.GetBuf(len(b))
 	copy(out, b)
 	return s.post(dst, tag, out, true)
 }
 
+// isendLent sends b on loan (core.Proc.IsendLent): nothing is copied on
+// this side, the partner reads b in place, and the send completes — in
+// the drain, or in the teardown — when the partner has let go of it. It
+// is for a window this member neither writes nor hands back to its
+// caller before then.
+func (s *sched) isendLent(dst, tag int, b []byte) error {
+	req, err := s.c.P.IsendLent(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard)
+	return s.track(req, err)
+}
+
 func (s *sched) post(dst, tag int, b []byte, recycle bool) error {
-	req, err := s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard, recycle)
+	return s.track(s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard, recycle))
+}
+
+// track files a posted send for the completion drain.
+func (s *sched) track(req *core.Request, err error) error {
 	if err != nil {
 		return err
 	}
 	s.pend = append(s.pend, req)
 	return nil
-}
-
-// abort tears down the outstanding sends after an error or
-// cancellation: still-revocable sends (ungranted rendezvous) are
-// cancelled and recycled; sends already with the engine are left to
-// complete in the background (eager sends already have).
-func (s *sched) abort() {
-	for _, r := range s.pend {
-		if s.c.P.Cancel(r) {
-			r.Recycle()
-			continue
-		}
-		if _, done := r.Test(); done {
-			r.Recycle()
-		}
-		// Else: in flight; the engine completes it later and the
-		// request is reclaimed by the garbage collector.
-	}
-	s.pend = nil
 }

@@ -29,6 +29,12 @@ var ErrTruncated = errors.New("core: receive buffer too small, message truncated
 // every member the revocation reaches.
 var ErrCommRevoked = errors.New("core: communicator revoked")
 
+// ErrWithdrawn is the completion error of a receive that matched a
+// rendezvous send whose sender gave it up — cancelled it, or had it
+// failed by a revocation — before the grant arrived: the match stands
+// (matching order is already committed), but no payload will follow.
+var ErrWithdrawn = errors.New("core: matched send was withdrawn by its sender")
+
 // RecoveryTag is the tag bit reserved for communicator-repair traffic
 // (the fault-tolerant agreement under Shrink). Operations whose tag
 // carries it keep working on a revoked context: revocation must not
@@ -94,6 +100,8 @@ type outFrame struct {
 // concurrent use by the rank's user goroutine and its progress goroutine.
 type Proc struct {
 	dev transport.Device
+	// try is dev's never-blocking send, where it has one.
+	try trySender
 	cfg Config
 
 	mu       sync.Mutex
@@ -143,6 +151,17 @@ type Proc struct {
 	inflightN int
 }
 
+// trySender is what an endpoint that reaches peers in its own address
+// space (transport.Mux) can do for them: hand a frame over without ever
+// blocking, and say which peers those are. It is deliberately not part
+// of transport.Device: a decorator that embeds a Device would forward
+// TrySendv past its own Sendv, and an endpoint without it loses nothing
+// but a shortcut.
+type trySender interface {
+	TrySendv(dst int, hdr, payload []byte, recycle bool, loan transport.Loan) bool
+	ByReference(dst int) bool
+}
+
 // NewProc wraps a device with a progress engine and starts its progress
 // goroutine.
 func NewProc(dev transport.Device, cfg Config) *Proc {
@@ -155,6 +174,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		recving: make(map[uint64]*Request),
 		nextCtx: 2, // 0 and 1 belong to COMM_WORLD
 	}
+	p.try, _ = dev.(trySender)
 	p.cond = sync.NewCond(&p.mu)
 	p.stats = newStats(p.reg)
 	p.unexpDepth = p.reg.Gauge("core.unexpected_depth")
@@ -179,6 +199,11 @@ func (p *Proc) Size() int { return p.dev.Size() }
 // EagerLimit reports the live eager/rendezvous threshold (the
 // "core.eager_limit" control variable).
 func (p *Proc) EagerLimit() int { return int(p.eagerLim.Load()) }
+
+// ByReference reports whether frames to world rank w change hands
+// inside this address space — no wire, no segment copy — which is where
+// a lent payload is read in place and a message's fixed cost is lowest.
+func (p *Proc) ByReference(w int) bool { return p.try != nil && p.try.ByReference(w) }
 
 // Close shuts the engine down: the device is closed and the progress
 // goroutine joined. Outstanding requests never complete after Close; the
@@ -239,9 +264,10 @@ func (p *Proc) progress() {
 		}
 		outs, after := p.handle(f)
 		// Control frames (CTS/ACK/DATA) are keyed by unique ids and
-		// order-insensitive, so they are sent asynchronously: a
-		// blocking send here could form a progress↔progress
-		// flow-control cycle between two ranks flooding each other.
+		// order-insensitive, so they go out without ever blocking this
+		// loop (sendAsync): a blocking send here could form a
+		// progress↔progress flow-control cycle between two ranks
+		// flooding each other.
 		// Matching-relevant frames (eager, RTS) are only ever sent
 		// from user goroutines, preserving MPI's non-overtaking rule.
 		p.sendAsync(outs)
@@ -446,11 +472,26 @@ func (p *Proc) ctxErrLocked(ctx, tag int32) error {
 	return nil
 }
 
-// sendAsync ships engine-produced control frames off the caller's
-// goroutine, tracked by inflightN so Close drains them.
+// sendAsync ships engine-produced control frames without ever blocking
+// the caller: at once where the device can (trySender), else off the
+// caller's goroutine, tracked by inflightN so Close drains them.
 func (p *Proc) sendAsync(outs []outFrame) {
 	if len(outs) == 0 {
 		return
+	}
+	if p.try != nil {
+		// A peer reached by reference takes the frame here and now, as
+		// long as its mailbox has room: no goroutine, no handoff. Only
+		// what could block goes the long way.
+		kept := outs[:0]
+		for _, o := range outs {
+			if !p.try.TrySendv(int(o.dst), o.hdr, o.payload, o.recycle, o.loan) {
+				kept = append(kept, o)
+			}
+		}
+		if outs = kept; len(outs) == 0 {
+			return
+		}
 	}
 	p.mu.Lock()
 	p.inflightN += len(outs)
@@ -626,7 +667,10 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 	case kCts:
 		req, ok := p.sent[f.id]
 		if !ok {
-			return nil, nil // cancelled or duplicate
+			// The send left the table after its RTS went out (cancelled,
+			// revoked). The receiver has matched it and can no longer
+			// cancel: tell it that no DATA will come, or it waits for ever.
+			return []outFrame{{dst: f.env.srcWorld, hdr: buildWithdrawn(int32(p.Rank()), f.recvID)}}, nil
 		}
 		delete(p.sent, f.id)
 		p.rec.Instant(obs.EvCtsRecv, uint32(f.id), 0)
@@ -655,11 +699,18 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 		delete(p.recving, f.recvID)
 		// The payload lands in the caller's buffer (receive-into) or
 		// the posted request takes the frame over by reference — never
-		// cloned, unless it is on loan.
+		// cloned, unless it is on loan and the receive does not borrow.
 		p.deliverLocked(req, f.payload, &f.frame, Status{
 			SourceGroup: int(req.Stat.SourceGroup),
 			Tag:         req.Stat.Tag,
 		})
+	case kWithdrawn:
+		req, ok := p.recving[f.recvID]
+		if !ok {
+			return nil, nil
+		}
+		delete(p.recving, f.recvID)
+		p.completeLocked(req, nil, Status{SourceGroup: req.Stat.SourceGroup, Tag: req.Stat.Tag, Err: ErrWithdrawn})
 	case kAck:
 		req, ok := p.sent[f.id]
 		if !ok {
@@ -685,11 +736,13 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 // stays with the caller of deliverLocked, to release once the engine
 // lock is dropped; an ordinary receive takes the frame over (clearing
 // *frame) and sees the payload by reference, with release deferred to
-// the request's consumer. A lent payload cannot wait for that consumer
-// — the sender's completion would hinge on the receiving *user*
-// reaching its Wait, which MPI does not promise — so an ordinary
-// receive gets a private pooled copy of it instead. st carries
-// SourceGroup/Tag; Bytes and Err are filled here.
+// the request's consumer. A lent payload cannot wait for a consumer
+// that is the receiving *user* — the sender's completion would hinge on
+// that user reaching its Wait, which MPI does not promise — so an
+// ordinary receive gets a private pooled copy of it instead; a
+// borrowing receive (IrecvBorrow), whose consumer is a library schedule
+// that releases within bounded time, takes the lent frame over like any
+// other. st carries SourceGroup/Tag; Bytes and Err are filled here.
 func (p *Proc) deliverLocked(req *Request, payload []byte, frame *transport.Frame, st Status) {
 	st.Bytes = len(payload) // full incoming size, on either path
 	if req.into != nil {
@@ -709,7 +762,7 @@ func (p *Proc) deliverLocked(req *Request, payload []byte, frame *transport.Fram
 		p.completeLocked(req, nil, st)
 		return
 	}
-	if frame.Lent() {
+	if frame.Lent() && !req.borrow {
 		own := transport.GetBuf(len(payload))
 		p.stats.BytesCopied.Add(uint64(copy(own, payload)))
 		req.frame = transport.PooledFrame(nil, own, false, true)
@@ -902,7 +955,19 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 // arrives by reference in Request.Payload; release it with
 // Request.ReleaseFrame (or Recycle) once consumed.
 func (p *Proc) Irecv(ctx int32, src, tag int32) *Request {
-	return p.irecvInto(ctx, src, tag, nil, 0)
+	return p.irecv(ctx, src, tag, nil, 0, false)
+}
+
+// IrecvBorrow posts a receive like Irecv whose consumer undertakes to
+// Recycle the request within bounded time of its completion, whatever
+// the user does: a lent payload (IsendLent) is then handed over by
+// reference instead of through a private copy, and the sender's request
+// completes at that Recycle. Until then Payload is the sender's memory,
+// exclusively the borrower's. It is for library schedules that read an
+// operand once (a reduction's fold); never for a receive a user waits
+// on.
+func (p *Proc) IrecvBorrow(ctx int32, src, tag int32) *Request {
+	return p.irecv(ctx, src, tag, nil, 0, true)
 }
 
 // IrecvInto posts a receive like Irecv, but the payload is deposited
@@ -920,18 +985,19 @@ func (p *Proc) IrecvInto(ctx int32, src, tag int32, buf []byte, elemSize int) *R
 		// the into marker non-nil so delivery stays on the into path.
 		buf = emptyInto
 	}
-	return p.irecvInto(ctx, src, tag, buf, elemSize)
+	return p.irecv(ctx, src, tag, buf, elemSize, false)
 }
 
 // emptyInto marks a zero-capacity receive-into buffer (into == nil means
 // "ordinary receive", so nil buffers need a distinct sentinel).
 var emptyInto = make([]byte, 0, 1)
 
-func (p *Proc) irecvInto(ctx, src, tag int32, into []byte, elemSize int) *Request {
+func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool) *Request {
 	req := newRequest(p, reqRecv)
 	req.ctx, req.src, req.tag = ctx, src, tag
 	req.into = into
 	req.intoES = elemSize
+	req.borrow = borrow
 
 	p.mu.Lock()
 	// A receive on a revoked context can never complete normally; fail

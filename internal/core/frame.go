@@ -22,6 +22,7 @@ const (
 	kData                  // rendezvous payload
 	kAck                   // matched-ack for kEagerSync
 	kRevoke                // communicator revocation (ULFM MPI_Comm_revoke)
+	kWithdrawn             // answer to a CTS whose send is gone: no DATA will follow
 )
 
 // Wildcards used in receive matching. The public binding maps its own
@@ -50,6 +51,7 @@ type envelope struct {
 //	kData:             srcWorld(4) recvID(8) | payload
 //	kAck:              srcWorld(4) id(8)
 //	kRevoke:           srcWorld(4) ctx(4)
+//	kWithdrawn:        srcWorld(4) recvID(8)
 const envLen = 16
 
 func putEnv(b []byte, e envelope) {
@@ -102,8 +104,17 @@ func buildCts(srcWorld int32, id, recvID uint64) []byte {
 // buildDataHdr builds the header of a rendezvous DATA frame; the payload
 // travels separately through Sendv.
 func buildDataHdr(srcWorld int32, recvID uint64) []byte {
+	return buildRecvIDFrame(kData, srcWorld, recvID)
+}
+
+// buildWithdrawn builds the answer to a CTS that found its send gone.
+func buildWithdrawn(srcWorld int32, recvID uint64) []byte {
+	return buildRecvIDFrame(kWithdrawn, srcWorld, recvID)
+}
+
+func buildRecvIDFrame(kind byte, srcWorld int32, recvID uint64) []byte {
 	f := transport.GetBuf(1 + 4 + 8)
-	f[0] = kData
+	f[0] = kind
 	binary.LittleEndian.PutUint32(f[1:], uint32(srcWorld))
 	binary.LittleEndian.PutUint64(f[5:], recvID)
 	return f
@@ -130,7 +141,7 @@ func buildRevoke(srcWorld, ctx int32) []byte {
 // PatchFrameSource overwrites the sender world rank a frame carries.
 // Every frame kind stores it in the same place — the four bytes after
 // the kind byte (the envelope's srcWorld for kEager/kEagerSync/kRts,
-// the bare srcWorld field for kCts/kData/kAck/kRevoke) — so a boundary
+// the bare srcWorld field for every other kind) — so a boundary
 // that renumbers peers (the dynamic-process fabric, where each process
 // assigns late-joining peers its own local indices) can rewrite the
 // sender's self-assigned rank to the receiver's index for that peer
@@ -201,6 +212,12 @@ func parseFrame(f transport.Frame) (parsed, error) {
 		p.env.srcWorld = int32(binary.LittleEndian.Uint32(body))
 		p.recvID = binary.LittleEndian.Uint64(body[4:])
 		p.payload = inline(12)
+	case kWithdrawn:
+		if len(body) < 12 {
+			return p, fmt.Errorf("core: short withdrawn frame (%d bytes)", len(hdr))
+		}
+		p.env.srcWorld = int32(binary.LittleEndian.Uint32(body))
+		p.recvID = binary.LittleEndian.Uint64(body[4:])
 	case kAck:
 		if len(body) < 12 {
 			return p, fmt.Errorf("core: short ack frame (%d bytes)", len(hdr))

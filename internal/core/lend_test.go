@@ -281,3 +281,82 @@ func TestLentDataFrameUnmatched(t *testing.T) {
 	}
 	waitStatus(t, (*Request)(loan))
 }
+
+// TestBorrowingReceiveReadsTheLentFrameInPlace: a borrowing receive is
+// handed the sender's own memory — no pooled copy, no engine-side copy —
+// and the lent send completes exactly when the borrower recycles its
+// request; an ordinary receive of the same send still gets its private
+// copy and completes the send at delivery.
+func TestBorrowingReceiveReadsTheLentFrameInPlace(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	const size = 4096
+	src := pattern(size, 9)
+
+	rreq := p1.IrecvBorrow(0, 0, 4)
+	before := p1.StatsSnapshot()
+	sreq, err := p0.IsendLent(0, 0, 1, 4, src, ModeStandard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitStatus(t, rreq)
+	if st.Err != nil || st.Bytes != size || &rreq.Payload[0] != &src[0] {
+		t.Fatalf("borrowed delivery: %+v, in place=%v", st, &rreq.Payload[0] == &src[0])
+	}
+	if got := p1.StatsSnapshot().BytesCopied - before.BytesCopied; got != 0 {
+		t.Fatalf("BytesCopied grew by %d for a borrowed payload", got)
+	}
+	if _, done := sreq.Test(); done {
+		t.Fatal("lent send completed while its payload was still borrowed")
+	}
+	rreq.Recycle()
+	waitStatus(t, sreq)
+
+	rreq = p1.Irecv(0, 0, 5)
+	if sreq, err = p0.IsendLent(0, 0, 1, 5, src, ModeStandard); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, sreq) // no consumer in sight: the private copy let the loan go
+	if st := waitStatus(t, rreq); st.Err != nil || &rreq.Payload[0] == &src[0] || !bytes.Equal(rreq.Payload, src) {
+		t.Fatalf("ordinary receive of a lent send: %+v", st)
+	}
+	rreq.Recycle()
+}
+
+// TestWithdrawnSendFailsItsMatchedReceive: a rendezvous send cancelled
+// after its RTS went out leaves the advertisement behind. The receive
+// that matches it can no longer be cancelled, so the sender's engine
+// answers the grant with a withdrawal and the receive fails instead of
+// waiting for DATA for ever — whether it was posted first or found the
+// dead RTS queued.
+func TestWithdrawnSendFailsItsMatchedReceive(t *testing.T) {
+	p0, p1 := newPair(t, Config{EagerLimit: -1})
+	for _, lent := range []bool{false, true} {
+		send := func() *Request {
+			if lent {
+				sreq, err := p0.IsendLent(0, 0, 1, 6, pattern(64, 1), ModeStandard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sreq
+			}
+			sreq, err := p0.Isend(0, 0, 1, 6, pattern(64, 1), ModeStandard, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sreq
+		}
+		sreq := send()
+		for p1.PendingUnexpected() == 0 {
+		}
+		if !p0.Cancel(sreq) {
+			t.Fatal("cancel of an ungranted rendezvous send failed")
+		}
+		rreq := p1.IrecvInto(0, 0, 6, make([]byte, 64), 1)
+		if st := waitStatus(t, rreq); !errors.Is(st.Err, ErrWithdrawn) {
+			t.Fatalf("lent=%v: receive matched to a withdrawn send completed with %+v", lent, st)
+		}
+		if p1.Cancel(rreq) {
+			t.Fatal("a completed receive cancelled")
+		}
+	}
+}

@@ -99,6 +99,7 @@ type Request struct {
 	size     int    // payload length at Isend time
 	recycle  bool   // payload is exclusively owned; pool it downstream
 	lent     bool   // payload is the caller's memory, on loan (IsendLent)
+	borrow   bool   // receive side, parked in this padding: take a lent payload by reference (IrecvBorrow)
 	dstWorld int32
 	ctxS     int32 // send-side context (for revocation poisoning)
 	tagS     int32 // send-side tag (recovery traffic is revoke-exempt)

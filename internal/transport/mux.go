@@ -91,6 +91,15 @@ func newMux(rank, size, depth int) *Mux {
 
 func (m *Mux) table() []route { return *m.routes.Load() }
 
+// routeTo returns dst's route; the zero route, which covers nothing,
+// for a rank outside the table.
+func (m *Mux) routeTo(dst int) route {
+	if t := m.table(); uint(dst) < uint(len(t)) {
+		return t[dst]
+	}
+	return route{}
+}
+
 // NewShmJob creates an n-rank in-process job — the paper's SM mode —
 // and returns its endpoints: every rank reaches every rank, itself
 // included, by reference. Channel semantics give exactly the ordering a
@@ -290,15 +299,45 @@ func (m *Mux) SendvLent(dst int, hdr, payload []byte, loan Loan) error {
 	return m.send(dst, Frame{Data: hdr, Payload: payload, pooledData: true, loan: loan})
 }
 
+// TrySendv is Sendv — SendvLent, when loan is set — for a caller that
+// must never wait, like an engine's progress loop answering a frame: the
+// frame is handed over only where that takes no waiting — to a peer
+// reached by reference whose mailbox has room — and otherwise TrySendv
+// reports false, having taken nothing: hdr, payload and loan are still
+// the caller's, to send the blocking way from somewhere that may block.
+func (m *Mux) TrySendv(dst int, hdr, payload []byte, recycle bool, loan Loan) bool {
+	r := m.routeTo(dst)
+	if r.to == nil {
+		return false
+	}
+	select {
+	case <-m.done:
+		return false
+	case <-r.to.done:
+		return false
+	default:
+	}
+	f := Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle, loan: loan}
+	select {
+	case r.to.inbox <- f:
+		m.delivered(r, f)
+		return true
+	default:
+		return false
+	}
+}
+
+// ByReference reports whether dst is reached by reference: its mailbox
+// is in this address space, so a frame — and a loan — changes hands
+// without its bytes being copied or serialised on the way.
+func (m *Mux) ByReference(dst int) bool { return m.routeTo(dst).to != nil }
+
 // send ships f over dst's route. The mux is done with f's storage on
 // every path that does not hand it to a consumer, so Release — pool
 // return for owned buffers, loan return for a lent payload — is the
 // single exit of those.
 func (m *Mux) send(dst int, f Frame) error {
-	var r route
-	if t := m.table(); uint(dst) < uint(len(t)) {
-		r = t[dst]
-	}
+	r := m.routeTo(dst)
 	switch {
 	case r.to != nil:
 		return m.deliver(r, f)
@@ -337,14 +376,9 @@ func (m *Mux) deliver(r route, f Frame) error {
 		return ErrClosed
 	default:
 	}
-	n := len(f.Data) + len(f.Payload)
 	select {
 	case to.inbox <- f:
-		m.cnt[r.med].countSend(n)
-		to.cnt[r.med].countRecv(n)
-		if f.loan != nil {
-			releaseIfClosed(to.inbox, to.done)
-		}
+		m.delivered(r, f)
 		return nil
 	case <-m.done:
 		f.Release()
@@ -355,10 +389,20 @@ func (m *Mux) deliver(r route, f Frame) error {
 	}
 }
 
+// delivered accounts for a frame just enqueued on r.to's mailbox, and
+// sees to it that a frame enqueued on an endpoint that closed meanwhile
+// is not stranded there.
+func (m *Mux) delivered(r route, f Frame) {
+	n := len(f.Data) + len(f.Payload)
+	m.cnt[r.med].countSend(n)
+	r.to.cnt[r.med].countRecv(n)
+	releaseIfClosed(r.to.inbox, r.to.done)
+}
+
 // releaseIfClosed covers the window in which a frame is enqueued on an
 // endpoint that closed meanwhile: its consumer may already have seen
 // the inbox empty and left, and a loan stranded there would hang its
-// lender for ever. Once the endpoint is closed, whatever still sits in
+// lender for ever (a pooled buffer would merely miss the pool). Once the endpoint is closed, whatever still sits in
 // the inbox is undeliverable, so the sender that may have raced
 // releases it all; the departing consumer, if still draining, shares
 // the frames with it one receive at a time.

@@ -1,0 +1,199 @@
+package mpi_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"gompi/internal/transport"
+	"gompi/mpi"
+)
+
+// A large allreduce lends windows of the caller's buffers to its
+// partners and has the engine deposit into others. The two tests below
+// abandon one in the middle of the reduce-scatter — by cancellation, by
+// a peer's death — and hold the runtime to what makes that safe: every
+// member comes back with an error in bounded time, and once it has,
+// nothing of the abandoned schedule is left behind — no partner still
+// reads a lent window, no deposit is still to land (the buffers are
+// overwritten the moment the call returns; under -race a late reader or
+// writer is a reported race), no goroutine, and no pooled frame.
+
+// abandonJob runs body as a job under a watchdog and checks that it left
+// no goroutine behind. settled, which every rank calls once its part in
+// the abandoned collective is over, is where the frame pool is audited:
+// between job start and the moment the last rank has settled, every
+// buffer drawn has come back. (Not later: a barrier's empty frames are
+// left to the garbage collector by design, and Finalize runs one.)
+func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settled func() error) error) error {
+	t.Helper()
+	goroutines, pool := runtime.NumGoroutine(), transport.PoolStats()
+	var arrived sync.WaitGroup
+	arrived.Add(opt.NP)
+	audit := sync.OnceValue(func() error {
+		arrived.Wait()
+		var gets, back uint64
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			now := transport.PoolStats()
+			if gets, back = now.Gets-pool.Gets, now.Puts-pool.Puts+now.Drops-pool.Drops; gets == back {
+				return nil
+			}
+		}
+		return fmt.Errorf("frame pool: %d buffers drawn, %d returned", gets, back)
+	})
+	settled := func() error {
+		arrived.Done()
+		return audit()
+	}
+	done := make(chan error, 1)
+	go func() { done <- mpi.RunWith(opt, func(env *mpi.Env) error { return body(env, settled) }) }()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(60 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("job hung:\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines before the job, %d after:\n%s", goroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+		}
+	}
+	return err
+}
+
+// scribble overwrites buffers a returned call has given back.
+func scribble(bufs ...[]float64) {
+	for _, b := range bufs {
+		for i := range b {
+			b[i] = -1
+		}
+	}
+}
+
+// TestAllreduceAbandonedByCancel: rank 3 is late, so ranks 0 and 1 get
+// through the first round of the reduce-scatter and stall in the second
+// with a window on loan to a partner that has not asked for it yet, and
+// rank 2 stalls in the first. Their contexts fire. The late rank then
+// makes its call, finds its partner's request to send withdrawn, and
+// fails instead of waiting for data nobody will send. The communicator
+// carries the next allreduce as if nothing had happened.
+func TestAllreduceAbandonedByCancel(t *testing.T) {
+	const np, count = 4, 64 << 10 // 512 KiB: the halving schedule on either medium
+	for _, device := range []string{"chan", "tcp"} {
+		t.Run(device, func(t *testing.T) {
+			gone := make(chan struct{}, np-1)
+			err := abandonJob(t, mpi.RunOptions{NP: np, Device: device}, func(env *mpi.Env, settled func() error) error {
+				w := env.CommWorld()
+				send, recv := make([]float64, count), make([]float64, count)
+				start := time.Now()
+				if w.Rank() == np-1 {
+					for i := 0; i < np-1; i++ {
+						<-gone
+					}
+					err := w.AllreduceCtx(context.Background(), send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					if err == nil {
+						return errors.New("late rank: an allreduce its partners abandoned succeeded")
+					}
+				} else {
+					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+					defer cancel()
+					lent := env.EngineStats().SendsLent
+					err := w.AllreduceCtx(ctx, send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					if !errors.Is(err, context.DeadlineExceeded) {
+						return fmt.Errorf("rank %d: %v, want the deadline", w.Rank(), err)
+					}
+					// Ranks 0 and 1 lent a window in each of two rounds, rank 2 in one.
+					if got, want := env.EngineStats().SendsLent-lent, uint64(2-w.Rank()/2); got != want {
+						return fmt.Errorf("rank %d: cancelled with %d windows lent, want %d (not mid reduce-scatter)", w.Rank(), got, want)
+					}
+					scribble(send, recv)
+					gone <- struct{}{}
+				}
+				if took := time.Since(start); took > 20*time.Second {
+					return fmt.Errorf("rank %d: abandoned allreduce took %v to return", w.Rank(), took)
+				}
+				if err := settled(); err != nil {
+					return err
+				}
+				for i := range send {
+					send[i] = float64(w.Rank() + i%3)
+				}
+				if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+					return fmt.Errorf("rank %d: allreduce after the abandoned one: %w", w.Rank(), err)
+				}
+				if recv[0] != 6 || recv[count-1] != float64(6+np*((count-1)%3)) {
+					return fmt.Errorf("rank %d: allreduce after the abandoned one = %v … %v", w.Rank(), recv[0], recv[count-1])
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestAllreduceAbandonedByPeerDeath: rank 3's endpoint dies a fixed
+// number of frames into a loop of large allreduces — partway through a
+// reduce-scatter, with windows lent to it and by it. Whoever notices
+// first revokes the communicator, as a fault-tolerant program does, and
+// every survivor's call fails. Calls carry a deadline, as they must on a
+// medium that reports no peer's loss (in process there is no connection
+// to break): there a survivor learns of the death only by sending to
+// the dead rank, and the ones that were waiting for it wait on.
+func TestAllreduceAbandonedByPeerDeath(t *testing.T) {
+	const np, count, victim = 4, 64 << 10, 3
+	// The victim sends three frames per round (RTS, CTS, DATA), four
+	// rounds per allreduce: frame 41 is in the fourth call's second round.
+	for _, device := range []string{"chan", "tcp"} {
+		t.Run(device, func(t *testing.T) {
+			err := abandonJob(t, mpi.RunOptions{NP: np, Device: device, WrapDevice: faultOn(victim, 40)}, func(env *mpi.Env, settled func() error) error {
+				w := env.CommWorld()
+				send, recv := make([]float64, count), make([]float64, count)
+				var ferr error
+				start := time.Now()
+				for iter := 0; iter < 100 && ferr == nil; iter++ {
+					for i := range send {
+						send[i] = float64(iter)
+					}
+					start = time.Now()
+					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+					ferr = w.AllreduceCtx(ctx, send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					cancel()
+					if ferr == nil && (recv[0] != float64(np*iter) || recv[count-1] != float64(np*iter)) {
+						return fmt.Errorf("rank %d call %d: %v … %v", w.Rank(), iter, recv[0], recv[count-1])
+					}
+				}
+				if ferr == nil {
+					return fmt.Errorf("rank %d never saw the failure", w.Rank())
+				}
+				scribble(send, recv)
+				if w.Rank() != victim {
+					if err := w.Revoke(); err != nil {
+						return err
+					}
+				}
+				if took := time.Since(start); took > 20*time.Second {
+					return fmt.Errorf("rank %d: the failed allreduce took %v to return", w.Rank(), took)
+				}
+				if err := settled(); err != nil {
+					return err
+				}
+				if w.Rank() == victim {
+					return errVictimDown
+				}
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), errVictimDown.Error()) || strings.Count(err.Error(), "rank ") != 1 {
+				t.Fatalf("job error = %v, want only the victim's sentinel", err)
+			}
+		})
+	}
+}

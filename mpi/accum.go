@@ -21,9 +21,12 @@ type accum struct {
 
 	d *Datatype
 
-	// The send section: this rank's contribution, elems items.
+	// The send section: this rank's contribution, elems items. src is
+	// its memory where that is its wire image and the schedule reads it
+	// in place (sendView); load then packs nothing.
 	sbuf        any
 	soff, elems int
+	src         []byte
 
 	// The receive section; recv is false on ranks the collective
 	// delivers nothing to (non-roots of Reduce, rank 0 of Exscan).
@@ -59,11 +62,28 @@ func (a *accum) plan(p *coll.Plan, err error) collPlan {
 	return collPlan{plan: p, err: mapEngineErr(err), refresh: a.load, fin: a.fin}
 }
 
+// sendView offers the schedule this rank's contribution where it lies —
+// the send section's own memory, never written — on the terms a send
+// would go out on loan (lendView: above the eager limit, and its wire
+// image as it stands); nil when it is to be packed into the
+// accumulator.
+func (a *accum) sendView(c *Comm) *[]byte {
+	view, ok := c.lendView(a.sbuf, a.soff, a.elems, a.d)
+	if !ok {
+		return nil
+	}
+	a.src = view
+	return &a.src
+}
+
 // load packs this rank's contribution into the accumulator, drawing its
 // frame first where it is not the receive section itself.
 func (a *accum) load() error {
 	if n := a.d.t.WireBytes(a.elems); !a.direct && n >= 0 {
 		a.b, a.pooled = transport.GetBuf(n), true
+	}
+	if a.src != nil {
+		return nil
 	}
 	b, err := dtype.Pack(a.b[:0], a.sbuf, a.soff, a.elems, a.d.t)
 	if err != nil {

@@ -682,7 +682,7 @@ func (c *Intracomm) planAllreduce(
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.AllreducePlan(&a.b, op.op, d.t.Class()))
+	return a.plan(c.cl.AllreducePlan(&a.b, a.sendView(&c.Comm), count, max(d.t.WireBytes(1), 0), op.op, d.t.Class()))
 }
 
 // ReduceScatter folds with op and scatters segments of the result:

@@ -441,9 +441,10 @@ func TestAllreduceBackToBackSlowRank(t *testing.T) {
 	}
 }
 
-// TestBytesReducedPerfVar: one 4-rank 256 KiB allreduce folds the
-// operand twice on every rank (two rounds of recursive doubling), and
-// the count surfaces through both PerfVar and EngineStats.
+// TestBytesReducedPerfVar: one 4-rank 256 KiB allreduce folds three
+// quarters of the operand on every rank (the reduce-scatter halves what
+// is left each round: 1/2 + 1/4), and the count surfaces through both
+// PerfVar and EngineStats.
 func TestBytesReducedPerfVar(t *testing.T) {
 	const count = 32 << 10
 	err := mpi.Run(4, func(env *mpi.Env) error {
@@ -454,8 +455,8 @@ func TestBytesReducedPerfVar(t *testing.T) {
 			return err
 		}
 		after := env.EngineStats().CollBytesReduced
-		if got := after - before; got != 2*8*count {
-			return fmt.Errorf("rank %d: coll.bytes_reduced grew by %d, want %d", w.Rank(), got, 2*8*count)
+		if got := after - before; got != 8*count*3/4 {
+			return fmt.Errorf("rank %d: coll.bytes_reduced grew by %d, want %d", w.Rank(), got, 8*count*3/4)
 		}
 		if v, ok := env.PerfVar("coll.bytes_reduced"); !ok || uint64(v) != after {
 			return fmt.Errorf("rank %d: PerfVar(coll.bytes_reduced) = %d, %v; EngineStats says %d", w.Rank(), v, ok, after)
@@ -464,6 +465,167 @@ func TestBytesReducedPerfVar(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAllreduceFormsAboveTheSwitch: above the eager limit, where the
+// schedule lends windows of the accumulator and has windows of it filled
+// in place, every form of the call — blocking, under a context,
+// nonblocking, persistent (restarted, with new values each time) —
+// gives the same sums, whatever memory the accumulator is: the receive
+// section itself with the contribution read out of a separate send
+// buffer, the one buffer of an in-place call, or a pooled frame packed
+// from and unpacked into strided sections (which can be neither lent
+// from nor deposited into). Power-of-two and odd sizes.
+func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
+	const count = 70001 // 560 KB of DOUBLE — above the switch on either medium — and odd: every split is uneven
+	strided, err := mpi.TypeVector(count, 1, 2, mpi.DOUBLE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	strided.Commit()
+	for _, device := range []string{"chan", "tcp"} {
+		for _, np := range []int{4, 3} {
+			err := mpi.RunWith(mpi.RunOptions{NP: np, Device: device}, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				round := 0
+				fill := func(buf []float64, stride int) {
+					for i := 0; i < count; i++ {
+						buf[i*stride] = float64((w.Rank()+1)*(i%7) + round)
+					}
+				}
+				check := func(where string, buf []float64, stride int) error {
+					for i := 0; i < count; i++ {
+						if want := float64(np*(np+1)/2*(i%7) + np*round); buf[i*stride] != want {
+							return fmt.Errorf("%s/np%d rank %d %s round %d: element %d = %v, want %v", device, np, w.Rank(), where, round, i, buf[i*stride], want)
+						}
+					}
+					return nil
+				}
+				for _, sh := range []struct {
+					name    string
+					inPlace bool
+				}{{"separate", false}, {"in place", true}} {
+					send, recv := make([]float64, count), make([]float64, count)
+					if sh.inPlace {
+						send = recv
+					}
+					forms := map[string]func() error{
+						"Allreduce": func() error { return w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM) },
+						"AllreduceCtx": func() error {
+							return w.AllreduceCtx(context.Background(), send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+						},
+						"Iallreduce": func() error {
+							req, err := w.Iallreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+							if err == nil {
+								_, err = req.Wait()
+							}
+							return err
+						},
+					}
+					for _, name := range []string{"Allreduce", "AllreduceCtx", "Iallreduce"} {
+						round++
+						fill(send, 1)
+						if err := forms[name](); err != nil {
+							return err
+						}
+						if err := check(sh.name+" "+name, recv, 1); err != nil {
+							return err
+						}
+						if !sh.inPlace && send[1] != float64((w.Rank()+1)+round) {
+							return fmt.Errorf("%s %s: the send buffer was written", sh.name, name)
+						}
+					}
+					p, err := w.AllreduceInit(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					if err != nil {
+						return err
+					}
+					for i := 0; i < 4; i++ {
+						round++
+						fill(send, 1)
+						if err := p.Start(); err != nil {
+							return err
+						}
+						if _, err := p.Wait(); err != nil {
+							return err
+						}
+						if err := check(sh.name+" AllreduceInit", recv, 1); err != nil {
+							return err
+						}
+					}
+					if err := p.Free(); err != nil {
+						return err
+					}
+				}
+				// One strided datatype on both sides: the contribution is
+				// packed into a pooled accumulator, the result unpacked out
+				// of it, and the holes of the receive buffer left alone.
+				send, recv := make([]float64, 2*count), make([]float64, 2*count)
+				for i := range recv {
+					recv[i] = -1
+				}
+				p, err := w.AllreduceInit(send, 0, recv, 0, 1, strided, mpi.SUM)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < 3; i++ {
+					round++
+					fill(send, 2)
+					if i == 0 {
+						err = w.Allreduce(send, 0, recv, 0, 1, strided, mpi.SUM)
+					} else if err = p.Start(); err == nil {
+						_, err = p.Wait()
+					}
+					if err != nil {
+						return err
+					}
+					if err := check("strided", recv, 2); err != nil {
+						return err
+					}
+					if recv[1] != -1 || recv[2*count-1] != -1 {
+						return fmt.Errorf("strided: a hole of the receive buffer was written")
+					}
+				}
+				if err := p.Free(); err != nil {
+					return err
+				}
+				if lent := env.EngineStats().SendsLent; lent == 0 {
+					return fmt.Errorf("rank %d: no window ever went out on loan", w.Rank())
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestAllreduceSwitchPoint: which schedule runs is a property of the
+// call and of where the members live, nothing anyone sets — halving +
+// doubling (the only schedule that lends) from just above the eager
+// limit when every member is reached by reference, from eight eager
+// limits when some are behind a socket; recursive doubling below.
+func TestAllreduceSwitchPoint(t *testing.T) {
+	const eager = 64 << 10
+	for device, floor := range map[string]int{"chan": eager + 8, "tcp": 8 * eager} {
+		err := mpi.RunWith(mpi.RunOptions{NP: 4, Device: device}, func(env *mpi.Env) error {
+			w := env.CommWorld()
+			for _, size := range []int{eager, eager + 8, 8*eager - 8, 8 * eager} {
+				buf := make([]float64, size/8)
+				lent := env.EngineStats().SendsLent
+				if err := w.Allreduce(buf, 0, buf, 0, len(buf), mpi.DOUBLE, mpi.SUM); err != nil {
+					return err
+				}
+				if halved := env.EngineStats().SendsLent > lent; halved != (size >= floor) {
+					return fmt.Errorf("%s, %d bytes: halving schedule ran = %v, floor %d", device, size, halved, floor)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

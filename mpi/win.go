@@ -244,7 +244,7 @@ func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
 	if err != nil {
 		return err
 	}
-	res, err := k(payload, a.b, false)
+	res, err := k(payload, a.b, a.b)
 	if err != nil {
 		a.release()
 		return err
