@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"time"
-
-	"gompi/internal/transport"
-)
+import "time"
 
 // The 1999 calibration (DESIGN.md §2): per-environment cost constants
 // chosen so the emulated stack reproduces the paper's published
@@ -39,13 +35,13 @@ func bindingCost(p Platform) time.Duration {
 	return 113 * time.Microsecond
 }
 
-// linkProfile assembles the Shaped-device profile of one environment.
+// linkProfile assembles the shaped-device profile of one environment.
 // For the Wsock rows only the wire part applies (no MPI software path).
-func linkProfile(impl Impl, p Platform, m Mode, paper bool) transport.LinkProfile {
+func linkProfile(impl Impl, p Platform, m Mode, paper bool) profile {
 	if !paper {
-		return transport.LinkProfile{}
+		return profile{}
 	}
-	var lp transport.LinkProfile
+	var lp profile
 	if m == DM {
 		// 10BaseT: 10 Mbps at ~92 % efficiency, plus wire+stack
 		// latency calibrated against the Wsock DM row.

@@ -14,19 +14,18 @@ import (
 // loopback TCP for DM mode, with the spec's calibration profile applied.
 func devicePair(s Spec) ([]transport.Device, error) {
 	lp := linkProfile(s.Impl, s.Platform, s.Mode, s.Paper1999)
-	out := make([]transport.Device, 2)
+	var devs []*transport.Mux
 	if s.Mode == DM {
-		devs, err := transport.NewLoopbackJob(2)
-		if err != nil {
+		var err error
+		if devs, err = transport.NewLoopbackJob(2); err != nil {
 			return nil, err
 		}
-		for i, d := range devs {
-			out[i] = transport.NewShaped(d, lp)
-		}
-		return out, nil
+	} else {
+		devs = transport.NewShmJob(2, 0)
 	}
-	for i, d := range transport.NewShmJob(2, 0) {
-		out[i] = transport.NewShaped(d, lp)
+	out := make([]transport.Device, 2)
+	for i, d := range devs {
+		out[i] = shape(d, lp)
 	}
 	return out, nil
 }
@@ -202,11 +201,12 @@ func nativePingPong(s Spec) ([]Point, error) {
 func bindingPingPong(s Spec) ([]Point, error) {
 	results := make([]Point, 0, len(s.Sizes))
 	var mu sync.Mutex
+	lp, jni := linkProfile(s.Impl, s.Platform, s.Mode, s.Paper1999), overheadFor(s)
+	const tag = 5
 	opt := mpi.RunOptions{
-		NP:              2,
-		EagerLimit:      s.EagerLimit,
-		Link:            linkProfile(s.Impl, s.Platform, s.Mode, s.Paper1999),
-		BindingOverhead: overheadFor(s),
+		NP:         2,
+		EagerLimit: s.EagerLimit,
+		WrapDevice: func(_ int, dev transport.Device) transport.Device { return shape(dev, lp) },
 	}
 	if s.Mode == DM {
 		opt.Device = "tcp"
@@ -214,37 +214,46 @@ func bindingPingPong(s Spec) ([]Point, error) {
 	err := mpi.RunWith(opt, func(env *mpi.Env) error {
 		world := env.CommWorld()
 		rank := world.Rank()
-		const tag = 5
+		// The crossing is paid where mpiJava pays its JNI prologue:
+		// once on entry to every Send and every Recv.
+		send := func(buf []byte, peer int) error {
+			spinWait(jni)
+			return world.Send(buf, 0, len(buf), mpi.BYTE, peer, tag)
+		}
+		recv := func(buf []byte, peer int) error {
+			spinWait(jni)
+			_, err := world.Recv(buf, 0, len(buf), mpi.BYTE, peer, tag)
+			return err
+		}
 		for _, size := range s.Sizes {
 			reps := repsFor(s.Reps, size, s.Paper1999, s.Mode)
 			warm := s.warmupFor(reps)
 			buf := make([]byte, size)
-			total := warm + reps
 			if rank == 1 {
-				for r := 0; r < total; r++ {
-					if _, err := world.Recv(buf, 0, size, mpi.BYTE, 0, tag); err != nil {
+				for r := 0; r < warm+reps; r++ {
+					if err := recv(buf, 0); err != nil {
 						return err
 					}
-					if err := world.Send(buf, 0, size, mpi.BYTE, 0, tag); err != nil {
+					if err := send(buf, 0); err != nil {
 						return err
 					}
 				}
 				continue
 			}
-			for w := 0; w < warm; w++ {
-				if err := world.Send(buf, 0, size, mpi.BYTE, 1, tag); err != nil {
+			roundTrip := func() error {
+				if err := send(buf, 1); err != nil {
 					return err
 				}
-				if _, err := world.Recv(buf, 0, size, mpi.BYTE, 1, tag); err != nil {
+				return recv(buf, 1)
+			}
+			for w := 0; w < warm; w++ {
+				if err := roundTrip(); err != nil {
 					return err
 				}
 			}
 			start := time.Now()
 			for r := 0; r < reps; r++ {
-				if err := world.Send(buf, 0, size, mpi.BYTE, 1, tag); err != nil {
-					return err
-				}
-				if _, err := world.Recv(buf, 0, size, mpi.BYTE, 1, tag); err != nil {
+				if err := roundTrip(); err != nil {
 					return err
 				}
 			}

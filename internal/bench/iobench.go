@@ -12,19 +12,9 @@ import (
 // collective path, and the aggregate bandwidth across all ranks is
 // reported.
 type IOPoint struct {
-	Size      int     `json:"bytes_per_rank"`
-	WriteMBps float64 `json:"write_mbps"`
-	ReadMBps  float64 `json:"read_mbps"`
-}
-
-// IOSizes returns the per-rank transfer sweep for the I/O benchmark:
-// powers of four from 4 KiB to max.
-func IOSizes(max int) []int {
-	var out []int
-	for s := 4 << 10; s <= max; s *= 4 {
-		out = append(out, s)
-	}
-	return out
+	Size      int
+	WriteMBps float64
+	ReadMBps  float64
 }
 
 // IOBandwidth measures collective WriteAtAll/ReadAtAll bandwidth at np

@@ -257,8 +257,12 @@ func (p *Proc) progress() {
 		}
 		f, err := parseFrame(raw)
 		if err != nil {
-			// A malformed frame indicates a wire-level bug, not a
-			// user error; drop it loudly in debug builds.
+			// Not a frame: a bug at the peer or a stranger on a link,
+			// not a user error. It can only be dropped, and what it
+			// was meant to complete now waits, so leave the cause
+			// where a hang gets looked into.
+			p.stats.FramesMalformed.Inc()
+			p.rec.Instant(obs.EvFrameMalformed, uint32(f.kind), int64(len(raw.Data)))
 			f.frame.Release()
 			continue
 		}

@@ -51,6 +51,11 @@ type Stats struct {
 	// PeersLost counts peer processes whose loss the engine has
 	// observed and converted into per-operation failures.
 	PeersLost *obs.Counter
+	// FramesMalformed counts frames a peer put on the wire that
+	// parseFrame rejected; each is dropped, so whatever it was meant
+	// to complete still waits — a nonzero count is the first thing to
+	// look for behind a hang.
+	FramesMalformed *obs.Counter
 }
 
 // newStats registers the engine's counters in reg.
@@ -69,6 +74,7 @@ func newStats(reg *obs.Registry) Stats {
 		RecvsZeroCopy:   reg.Counter("core.recvs_zero_copy"),
 		Cancelled:       reg.Counter("core.cancelled"),
 		PeersLost:       reg.Counter("core.peers_lost"),
+		FramesMalformed: reg.Counter("core.frames_malformed"),
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"gompi/internal/obs"
 	"gompi/internal/transport"
 )
 
@@ -168,12 +169,17 @@ func TestRecvAfterCloseWithPooledFrames(t *testing.T) {
 // ping-pong round trip with receive-into buffers and recycled requests.
 // The payload goes out pool-recycled (packed once outside the measured
 // path, as the binding's pack does) or, with lent, straight from a
-// fixed caller-owned buffer on loan.
-func pingPongAllocs(t *testing.T, size int, cfg Config, lent bool) float64 {
+// fixed caller-owned buffer on loan. With armed, both ranks record
+// every protocol event into a flight recorder.
+func pingPongAllocs(t *testing.T, size int, armed, lent bool) float64 {
 	t.Helper()
 	devs := transport.NewShmJob(2, 0)
-	p0 := NewProc(devs[0], cfg)
-	p1 := NewProc(devs[1], cfg)
+	var cfg [2]Config
+	if armed {
+		cfg[0].Recorder, cfg[1].Recorder = obs.NewRecorder(0, 0), obs.NewRecorder(1, 0)
+	}
+	p0 := NewProc(devs[0], cfg[0])
+	p1 := NewProc(devs[1], cfg[1])
 	defer p0.Close()
 	defer p1.Close()
 
@@ -241,17 +247,21 @@ func pingPongAllocs(t *testing.T, size int, cfg Config, lent bool) float64 {
 // TestPooledPingPongZeroAllocs is the allocation-regression guard for
 // the zero-copy hot path: a steady-state 1 KiB shm ping-pong with
 // pool-recycled payloads, receive-into buffers and recycled requests
-// must not allocate at all.
+// must not allocate at all — with the flight recorder disarmed (a nil
+// pointer and a branch) and armed (a cursor bump and three stores into
+// a ring allocated up front) alike.
 func TestPooledPingPongZeroAllocs(t *testing.T) {
-	allocs := pingPongAllocs(t, 1024, Config{}, false)
-	// Hard budget: the steady-state hot path is allocation-free. The
-	// race detector's sync.Pool instrumentation allocates, so the
-	// strict budget only holds on uninstrumented builds.
-	if !raceEnabled && allocs > 0 {
-		t.Fatalf("pooled ping-pong allocates %.1f allocs/op, want 0", allocs)
-	}
-	if raceEnabled && allocs > 4 {
-		t.Fatalf("pooled ping-pong allocates %.1f allocs/op under -race, want <= 4", allocs)
+	for _, armed := range []bool{false, true} {
+		allocs := pingPongAllocs(t, 1024, armed, false)
+		// Hard budget: the steady-state hot path is allocation-free. The
+		// race detector's sync.Pool instrumentation allocates, so the
+		// strict budget only holds on uninstrumented builds.
+		if !raceEnabled && allocs > 0 {
+			t.Fatalf("pooled ping-pong (recorder armed=%v) allocates %.1f allocs/op, want 0", armed, allocs)
+		}
+		if raceEnabled && allocs > 4 {
+			t.Fatalf("pooled ping-pong (recorder armed=%v) allocates %.1f allocs/op under -race, want <= 4", armed, allocs)
+		}
 	}
 }
 
@@ -265,8 +275,8 @@ func TestLentPingPongAllocs(t *testing.T) {
 		t.Skip("the race detector's sync.Pool instrumentation allocates")
 	}
 	const size = 256 << 10
-	pooled := pingPongAllocs(t, size, Config{}, false)
-	lent := pingPongAllocs(t, size, Config{}, true)
+	pooled := pingPongAllocs(t, size, false, false)
+	lent := pingPongAllocs(t, size, false, true)
 	if lent > pooled+0.5 {
 		t.Fatalf("lent round trip allocates %.1f/op, pool-recycled %.1f/op", lent, pooled)
 	}

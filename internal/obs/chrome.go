@@ -39,6 +39,7 @@ var kindInfo = [evMax]struct{ name, cat string }{
 	EvAdmit:          {"dynproc.admit", "dynproc"},
 	EvSpawn:          {"dynproc.spawn", "dynproc"},
 	EvFinalize:       {"finalize", "core"},
+	EvFrameMalformed: {"fault.frame_malformed", "core"},
 }
 
 // Name returns the kind's display name.

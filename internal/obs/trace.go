@@ -67,6 +67,8 @@ const (
 	EvAdmit    // span; val=cross-world links built
 	EvSpawn    // span; val=ranks requested
 	EvFinalize // instant
+	// core again, appended so the kinds above keep their wire values.
+	EvFrameMalformed // instant; arg=kind byte, val=header bytes; the frame was dropped
 	evMax
 )
 

@@ -19,11 +19,10 @@
 //     segment, whole-world or the island of a hybrid job) or a
 //     decorated device.
 //
-// Two decorators embed a Device and override only what they change:
-// Shaped charges per-message cost, latency and a bandwidth cap so
-// benchmarks can emulate the paper's 1999 testbed, and Faulty drops
-// frames or kills the endpoint on a schedule. Package launch turns the
-// fabric mpirun provisioned into the endpoint of a named medium.
+// One decorator, Faulty, embeds a Device and overrides only what it
+// changes: it drops frames or kills the endpoint on a schedule. Package
+// launch turns the fabric mpirun provisioned into the endpoint of a
+// named medium.
 package transport
 
 import (

@@ -17,10 +17,9 @@ import (
 const EnvFault = "GOMPI_FAULT"
 
 // FaultPlan configures deterministic fault injection on one endpoint.
-// The zero value injects nothing. Plans are the chaos-testing
-// counterpart of LinkProfile: where Shaped charges costs, Faulty makes
-// the endpoint misbehave on a schedule chosen in advance, so a failure
-// scenario reproduces exactly — including under the race detector.
+// The zero value injects nothing. Faulty makes the endpoint misbehave
+// on a schedule chosen in advance, so a failure scenario reproduces
+// exactly — including under the race detector.
 type FaultPlan struct {
 	// Rank restricts the plan to one world rank; -1 (or the rank the
 	// device reports) applies it. On other ranks NewFaulty returns the

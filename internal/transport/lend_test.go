@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // countLoan counts how often a loan comes back; every path of every
@@ -80,35 +79,6 @@ func TestFaultyLoanReturns(t *testing.T) {
 		t.Fatal("second frame did not trip the kill")
 	}
 	killed.want(t, 1, "frame dropped by the kill")
-}
-
-// TestShapedLoanRidesThrough: shaping charges a lent send like any
-// other and then forwards the loan — the staging copy models a cost, it
-// does not replace the frame — so over chan the consumer still reads
-// the sender's own bytes and its Release is what returns the loan.
-func TestShapedLoanRidesThrough(t *testing.T) {
-	devs := NewShmJob(2, 0)
-	defer devs[0].Close()
-	defer devs[1].Close()
-	shaped := NewShaped(devs[0], LinkProfile{PerMessage: time.Millisecond, StagingCopy: true})
-	payload, loan := lentPayload(), &countLoan{}
-	start := time.Now()
-	if err := shaped.SendvLent(1, GetBuf(8), payload, loan); err != nil {
-		t.Fatal(err)
-	}
-	if took := time.Since(start); took < time.Millisecond {
-		t.Fatalf("lent send through a 1 ms/message profile took %v", took)
-	}
-	f, err := devs[1].Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.Lent() || &f.Payload[0] != &payload[0] {
-		t.Fatalf("shaped frame lent=%v, want the sender's own bytes on loan", f.Lent())
-	}
-	loan.want(t, 0, "before the consumer's Release")
-	f.Release()
-	loan.want(t, 1, "after the consumer's Release")
 }
 
 // TestDetachLentPayloadPanics: a lent payload has an owner already.

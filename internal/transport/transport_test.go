@@ -115,75 +115,6 @@ func TestBadDestination(t *testing.T) {
 	}
 }
 
-func TestShapedZeroProfilePassThrough(t *testing.T) {
-	devs := NewShmJob(2, 0)
-	defer devs[0].Close()
-	defer devs[1].Close()
-	if got := NewShaped(devs[0], LinkProfile{}); got != Device(devs[0]) {
-		t.Fatal("zero profile must return the inner device")
-	}
-}
-
-func TestShapedLatency(t *testing.T) {
-	devs := NewShmJob(2, 0)
-	defer devs[0].Close()
-	defer devs[1].Close()
-	const lat = 2 * time.Millisecond
-	s := NewShaped(devs[0], LinkProfile{Latency: lat})
-	start := time.Now()
-	if err := s.Send(1, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < lat {
-		t.Fatalf("latency not charged: %v < %v", d, lat)
-	}
-}
-
-func TestShapedBandwidth(t *testing.T) {
-	devs := NewShmJob(2, 64)
-	defer devs[0].Close()
-	defer devs[1].Close()
-	// 1 MB/s: a 10 KB frame must take >= ~10 ms.
-	s := NewShaped(devs[0], LinkProfile{BytesPerSec: 1e6})
-	frame := make([]byte, 10_000)
-	start := time.Now()
-	if err := s.Send(1, frame); err != nil {
-		t.Fatal(err)
-	}
-	if d := time.Since(start); d < 9*time.Millisecond {
-		t.Fatalf("serialization not charged: %v", d)
-	}
-	// Back-to-back frames queue behind each other.
-	start = time.Now()
-	for i := 0; i < 3; i++ {
-		if err := s.Send(1, frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := time.Since(start); d < 27*time.Millisecond {
-		t.Fatalf("link queueing not modelled: %v", d)
-	}
-}
-
-func TestShapedStagingCopyIsolation(t *testing.T) {
-	devs := NewShmJob(2, 0)
-	defer devs[0].Close()
-	defer devs[1].Close()
-	s := NewShaped(devs[0], LinkProfile{StagingCopy: true})
-	frame := []byte{1, 2, 3}
-	if err := s.Send(1, frame); err != nil {
-		t.Fatal(err)
-	}
-	frame[0] = 99 // mutate after send; receiver must see the staged copy
-	got, err := devs[1].Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Data[0] != 1 {
-		t.Fatalf("staging copy missing: got %v", got.Data)
-	}
-}
-
 // TestMeshIgnoresStrangers: dial-ins that connect and never speak, or
 // speak garbage, beside a well-behaved job neither wedge its mesh
 // construction nor fail it — each is dropped once the handshake

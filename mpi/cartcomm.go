@@ -40,7 +40,6 @@ func DimsCreate(nnodes int, dims []int) ([]int, error) {
 // order is always preserved in this implementation. Collective over the
 // communicator.
 func (c *Intracomm) CreateCart(dims []int, periods []bool, reorder bool) (*Cartcomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -145,7 +144,6 @@ func (cc *Cartcomm) Shift(direction, disp int) (*ShiftParms, error) {
 // returning this process's sub-grid communicator (MPI_Cart_sub).
 // Collective over the communicator.
 func (cc *Cartcomm) Sub(remain []bool) (*Cartcomm, error) {
-	cc.env.enterCall()
 	if err := cc.ok(); err != nil {
 		return nil, cc.raise(err)
 	}

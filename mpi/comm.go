@@ -263,7 +263,6 @@ func (c *Comm) lendView(buf any, offset, count int, d *Datatype) ([]byte, bool) 
 // anything else is packed into a pooled frame first. It returns a nil
 // request for ProcNull destinations.
 func (c *Comm) startSend(buf any, offset, count int, d *Datatype, dest, tag int, mode core.Mode) (*core.Request, error) {
-	c.env.enterCall()
 	if err := c.sendChecks(d, dest, tag); err != nil {
 		return nil, err
 	}
@@ -368,7 +367,6 @@ func (c *Comm) Irsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 // request completes immediately, and the space is released when the
 // underlying transfer finishes.
 func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	c.env.enterCall()
 	if err := c.sendChecks(d, dest, tag); err != nil {
 		return nil, c.raise(err)
 	}
@@ -402,7 +400,6 @@ func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 // source/tag wildcards; procNull reports a null-process receive and n
 // is the validated buffer length in elements.
 func (c *Comm) startRecv(buf any, d *Datatype, source, tag int) (src, tg int32, n int, procNull bool, err error) {
-	c.env.enterCall()
 	if err := c.recvChecks(d, source, tag); err != nil {
 		return 0, 0, 0, false, err
 	}
@@ -543,7 +540,6 @@ func (c *Comm) SendrecvReplace(
 	buf any, offset, count int, d *Datatype,
 	dest, stag, source, rtag int,
 ) (*Status, error) {
-	c.env.enterCall()
 	if err := c.sendChecks(d, dest, stag); err != nil {
 		return nil, c.raise(err)
 	}
@@ -579,7 +575,6 @@ func (c *Comm) SendrecvReplace(
 // Probe blocks until a matching message is pending and returns its
 // status without receiving it (MPI_Probe).
 func (c *Comm) Probe(source, tag int) (*Status, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -610,7 +605,6 @@ func (c *Comm) Probe(source, tag int) (*Status, error) {
 // Iprobe checks for a matching pending message without blocking
 // (MPI_Iprobe); it returns nil when none is pending.
 func (c *Comm) Iprobe(source, tag int) (*Status, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}

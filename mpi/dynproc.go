@@ -129,7 +129,6 @@ func (c *Intracomm) Connect(portName string, root int) (*Intercomm, error) {
 }
 
 func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Intercomm, error) {
-	c.env.enterCall()
 	verb := "connect"
 	if acceptSide {
 		verb = "accept"
@@ -242,7 +241,6 @@ type spawnWire struct {
 // The children always form a TCP world of their own and link back to
 // every parent rank during the join.
 func (c *Intracomm) Spawn(command string, args []string, maxprocs int) (*Intercomm, error) {
-	c.env.enterCall()
 	defer c.env.span(obs.EvSpawn, int64(maxprocs))()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)

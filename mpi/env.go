@@ -32,7 +32,6 @@ import (
 	"gompi/internal/core"
 	"gompi/internal/dynproc"
 	"gompi/internal/obs"
-	"gompi/internal/spin"
 	"gompi/internal/transport"
 )
 
@@ -79,8 +78,7 @@ type Env struct {
 	start    time.Time
 	procName string
 
-	pool     attachPool
-	overhead atomic.Int64 // emulated binding-crossing cost, ns/call
+	pool attachPool
 
 	// Dynamic-process state (dynproc.go): open rendezvous ports by
 	// name, and the cached connection to a spawning parent world.
@@ -300,26 +298,6 @@ func (e *Env) EngineStats() EngineStats {
 		PoolWorkersBusy:   po.Busy,
 		PoolWorkersPeak:   po.PeakBusy,
 		PoolWorkersMax:    po.Max,
-	}
-}
-
-// SetBindingOverhead injects an artificial cost into every communication
-// call on this environment — the benchmark model of the JNI/JVM crossing
-// the paper identifies as the dominant source of mpiJava's constant
-// per-call overhead (§4.6). Zero (the default) disables it.
-func (e *Env) SetBindingOverhead(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	e.overhead.Store(int64(d))
-}
-
-// enterCall charges the emulated binding-crossing cost. It sits at the
-// top of every public communication method, where mpiJava's JNI stub
-// prologue would run.
-func (e *Env) enterCall() {
-	if ns := e.overhead.Load(); ns > 0 {
-		spin.Wait(time.Duration(ns))
 	}
 }
 

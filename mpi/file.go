@@ -145,7 +145,6 @@ func fileStatus(rank, bytes, elements int) *Status {
 // filesystem. The file starts with the identity view (displacement 0,
 // etype and filetype MPI.BYTE).
 func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -280,7 +279,6 @@ func (f *File) SetStripe(bytes int) {
 // may install a different view — and it resets the individual file
 // pointer to zero.
 func (f *File) SetView(disp int, etype, filetype *Datatype) error {
-	f.comm.env.enterCall()
 	if err := f.ok(); err != nil {
 		return f.comm.raise(err)
 	}
@@ -310,7 +308,6 @@ func (f *File) GetView() (disp int, etype, filetype *Datatype) {
 
 // Size returns the file's size in bytes (MPI_File_get_size).
 func (f *File) Size() (int64, error) {
-	f.comm.env.enterCall()
 	if err := f.ok(); err != nil {
 		return 0, f.comm.raise(err)
 	}
@@ -321,7 +318,6 @@ func (f *File) Size() (int64, error) {
 // SetSize truncates or extends the file to n bytes
 // (MPI_File_set_size). Collective.
 func (f *File) SetSize(n int64) error {
-	f.comm.env.enterCall()
 	if err := f.ok(); err != nil {
 		return f.comm.raise(err)
 	}
@@ -352,7 +348,6 @@ func (f *File) SetSize(n int64) error {
 // Sync flushes every member's writes to stable storage
 // (MPI_File_sync). Collective.
 func (f *File) Sync() error {
-	f.comm.env.enterCall()
 	if err := f.ok(); err != nil {
 		return f.comm.raise(err)
 	}
@@ -389,7 +384,6 @@ func (f *File) Close() error {
 // elements, and returns the new position. SeekEnd measures the current
 // end of file in view elements.
 func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.comm.env.enterCall()
 	if err := f.ok(); err != nil {
 		return 0, f.comm.raise(err)
 	}
@@ -510,7 +504,6 @@ func (f *File) depositRead(wire []byte, got int, buf any, offset, count int, d *
 // independently of other ranks (MPI_File_write_at). The individual
 // file pointer is not used or updated.
 func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	f.comm.env.enterCall()
 	wire, _, st, err := f.prepWrite(buf, offset, count, d, foff)
 	if err != nil {
 		return nil, f.comm.raise(err)
@@ -526,7 +519,6 @@ func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*St
 // file delivers the available prefix; the status's GetCount reports
 // the elements actually read.
 func (f *File) ReadAt(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	f.comm.env.enterCall()
 	n, err := f.prepRead(buf, offset, count, d, foff)
 	if err != nil {
 		return nil, f.comm.raise(err)
@@ -575,7 +567,6 @@ func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (
 // inside the exchange rounds, so a collective stalled on an absent
 // peer unblocks promptly with ctx's error.
 func (f *File) WriteAtAllCtx(ctx context.Context, foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	f.comm.env.enterCall()
 	plan, st, err := f.planWriteAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
@@ -590,7 +581,6 @@ func (f *File) WriteAtAllCtx(ctx context.Context, foff int64, buf any, offset, c
 // offset (MPI_File_iwrite_at_all); both the exchange and the
 // filesystem writes proceed in the background.
 func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*FileCollRequest, error) {
-	f.comm.env.enterCall()
 	plan, _, err := f.planWriteAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
@@ -625,7 +615,6 @@ func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*
 
 // ReadAtAllCtx is ReadAtAll under a context (see WriteAtAllCtx).
 func (f *File) ReadAtAllCtx(ctx context.Context, foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	f.comm.env.enterCall()
 	plan, err := f.planReadAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
@@ -643,7 +632,6 @@ func (f *File) ReadAtAllCtx(ctx context.Context, foff int64, buf any, offset, co
 // offset (MPI_File_iread_at_all). The buffer is filled when the
 // request completes; it must not be touched before then.
 func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*FileCollRequest, error) {
-	f.comm.env.enterCall()
 	plan, err := f.planReadAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err

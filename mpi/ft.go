@@ -26,7 +26,6 @@ package mpi
 // (MPIX_Comm_failure_ack). Acknowledged failures stop Agree from
 // raising ErrProcFailed for them, and FailedGroup reports them.
 func (c *Comm) FailureAck() error {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return c.raise(err)
 	}
@@ -51,7 +50,6 @@ func (c *Comm) FailureAck() error {
 // acknowledged (MPIX_Comm_failure_get_acked). The group grows
 // monotonically across FailureAck calls.
 func (c *Comm) FailedGroup() (*Group, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -89,7 +87,6 @@ func (c *Comm) ackedView() []bool {
 // way forward is Shrink (or Agree, whose recovery-tagged traffic is
 // exempt from the poisoning).
 func (c *Comm) Revoke() error {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return c.raise(err)
 	}
@@ -116,7 +113,6 @@ func (c *Comm) Revoked() bool {
 // collective, all live members must call Agree in the same program
 // order.
 func (c *Comm) Agree(flags uint32) (uint32, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return flags, c.raise(err)
 	}
@@ -149,7 +145,6 @@ func (c *Comm) Agree(flags uint32) (uint32, error) {
 // shrunken communicator reports the stale member as failed, and the
 // application shrinks again).
 func (c *Intracomm) Shrink() (*Intracomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}

@@ -21,7 +21,6 @@ type GraphParms struct {
 // nil. reorder is accepted for API fidelity and ignored. Collective over
 // the communicator.
 func (c *Intracomm) CreateGraph(index, edges []int, reorder bool) (*Graphcomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}

@@ -31,7 +31,6 @@ const tagInterColl = 0x7fe1
 // fact across, and its trailing broadcast releases the local group only
 // after the remote group is complete too.
 func (ic *Intercomm) Barrier() error {
-	ic.env.enterCall()
 	if err := ic.ok(); err != nil {
 		return ic.raise(err)
 	}
@@ -49,7 +48,6 @@ func (ic *Intercomm) Barrier() error {
 // passes Root at the root and ProcNull elsewhere; the destination group
 // passes the root's rank within its remote group.
 func (ic *Intercomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	ic.env.enterCall()
 	if err := ic.ok(); err != nil {
 		return ic.raise(err)
 	}
@@ -102,7 +100,6 @@ func (ic *Intercomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	ic.env.enterCall()
 	if err := ic.ok(); err != nil {
 		return ic.raise(err)
 	}

@@ -26,7 +26,6 @@ const tagInter = 0x7fe0
 // of the local communicator call it; peer and remoteLeader are
 // significant at the local leader only.
 func (c *Intracomm) CreateIntercomm(peer *Comm, localLeader, remoteLeader, tag int) (*Intercomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -150,7 +149,6 @@ func (ic *Intercomm) interExchange(mine []byte) ([]byte, error) {
 // lower leader world rank at creation comes first. Collective over both
 // sides.
 func (ic *Intercomm) Merge(high bool) (*Intracomm, error) {
-	ic.env.enterCall()
 	if err := ic.ok(); err != nil {
 		return nil, ic.raise(err)
 	}
@@ -205,7 +203,6 @@ func (ic *Intercomm) Merge(high bool) (*Intracomm, error) {
 // Dup duplicates the intercommunicator with fresh contexts
 // (MPI_Comm_dup on an intercommunicator). Collective over both sides.
 func (ic *Intercomm) Dup() (*Intercomm, error) {
-	ic.env.enterCall()
 	if err := ic.ok(); err != nil {
 		return nil, ic.raise(err)
 	}

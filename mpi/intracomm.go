@@ -248,7 +248,6 @@ func (c *Intracomm) Ibarrier() (*CollRequest, error) {
 }
 
 func (c *Intracomm) planBarrier() collPlan {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
@@ -276,7 +275,6 @@ func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*
 // planBcast is the plan of Bcast; its one section is the send side at
 // root and the receive side everywhere else, validated alike.
 func (c *Intracomm) planBcast(buf any, offset, count int, d *Datatype, root int) collPlan {
-	c.env.enterCall()
 	if err := c.collChecks(d, root); err != nil {
 		return c.noColl(err)
 	}
@@ -351,7 +349,6 @@ func (c *Intracomm) Igatherv(
 // planGather is the plan of Gather and Gatherv; the receive layout is
 // significant (and validated) at root only.
 func (c *Intracomm) planGather(sendbuf any, soffset, scount int, sdt *Datatype, recv blocks, root int) collPlan {
-	c.env.enterCall()
 	if err := c.collChecks(sdt, root); err != nil {
 		return c.noColl(err)
 	}
@@ -427,7 +424,6 @@ func (c *Intracomm) Iscatterv(
 // planScatter is the plan of Scatter and Scatterv; the send layout is
 // significant (and validated) at root only.
 func (c *Intracomm) planScatter(send blocks, recvbuf any, roffset, rcount int, rdt *Datatype, root int) collPlan {
-	c.env.enterCall()
 	if err := c.collChecks(rdt, root); err != nil {
 		return c.noColl(err)
 	}
@@ -503,7 +499,6 @@ func (c *Intracomm) Iallgatherv(
 // planAllgather is the plan of Allgather and Allgatherv; the receive
 // layout is significant (and validated) on every member.
 func (c *Intracomm) planAllgather(sendbuf any, soffset, scount int, sdt *Datatype, recv blocks) collPlan {
-	c.env.enterCall()
 	if err := c.collChecks(sdt, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -577,7 +572,6 @@ func (c *Intracomm) Ialltoallv(
 // planAlltoall is the plan of Alltoall and Alltoallv; both layouts are
 // significant (and validated) on every member.
 func (c *Intracomm) planAlltoall(send, recv blocks) collPlan {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
@@ -632,7 +626,6 @@ func (c *Intracomm) planReduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) collPlan {
-	c.env.enterCall()
 	if err := c.reduceChecks(d, op, root); err != nil {
 		return c.noColl(err)
 	}
@@ -674,7 +667,6 @@ func (c *Intracomm) planAllreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) collPlan {
-	c.env.enterCall()
 	if err := c.reduceChecks(d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -716,7 +708,6 @@ func (c *Intracomm) planReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) collPlan {
-	c.env.enterCall()
 	if err := c.reduceChecks(d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -801,7 +792,6 @@ func (c *Intracomm) planScan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) collPlan {
-	c.env.enterCall()
 	if err := c.reduceChecks(d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -815,7 +805,6 @@ func (c *Intracomm) planScan(
 // Dup duplicates the communicator with fresh contexts (MPI_Comm_dup).
 // Collective over the communicator.
 func (c *Intracomm) Dup() (*Intracomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -832,7 +821,6 @@ func (c *Intracomm) Dup() (*Intracomm, error) {
 // by (key, old rank); colour Undefined yields a nil communicator
 // (MPI_Comm_split). Collective over the communicator.
 func (c *Intracomm) Split(colour, key int) (*Intracomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -883,7 +871,6 @@ func (c *Intracomm) Split(colour, key int) (*Intracomm, error) {
 // communicator, non-members nil (MPI_Comm_create). Collective over the
 // parent.
 func (c *Intracomm) Create(g *Group) (*Intracomm, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}

@@ -38,6 +38,10 @@ func awaitMuxGoroutines(t *testing.T, when string, wantPumps, wantReadLoops int)
 	}
 }
 
+// decorated is some decorator: a device that is not a Mux and overrides
+// nothing of the one it embeds.
+type decorated struct{ transport.Device }
+
 // TestEnvAdoptsAMux: an environment adopts the endpoint it is handed
 // when that already is a mux, so between a sender (or a socket) and the
 // engine a frame crosses one channel: a chan rank runs no transport
@@ -63,10 +67,9 @@ func TestEnvAdoptsAMux(t *testing.T) {
 	awaitMuxGoroutines(t, "three loopback tcp ranks", 0, size*(size-1))
 
 	bare := transport.NewShmJob(2, 0)
-	shaped := transport.NewShaped(bare[0], transport.LinkProfile{PerMessage: time.Nanosecond})
 	faulty := transport.NewFaulty(bare[1], transport.FaultPlan{Rank: 1, SendDelay: time.Nanosecond})
-	envs = append(envs, newEnv(shaped, core.Config{}), newEnv(faulty, core.Config{}))
-	awaitMuxGoroutines(t, "plus a shaped and a faulty rank", 2, size*(size-1))
+	envs = append(envs, newEnv(decorated{bare[0]}, core.Config{}), newEnv(faulty, core.Config{}))
+	awaitMuxGoroutines(t, "plus two decorated ranks", 2, size*(size-1))
 
 	for _, e := range envs {
 		// Not Finalize: its barrier needs every rank of a job at once.
@@ -201,12 +204,13 @@ func TestTwoMediaJobLendsAcrossEachMedium(t *testing.T) {
 	}
 }
 
-// TestShapedRunLends: link emulation charges a lent send and forwards
-// the loan; it does not fall back to packing.
-func TestShapedRunLends(t *testing.T) {
+// TestDecoratedRunLends: a decorator that embeds its device forwards a
+// lent send with the loan; the run does not fall back to packing.
+func TestDecoratedRunLends(t *testing.T) {
 	const size = 256 << 10
 	var lent, copied uint64
-	err := RunWith(RunOptions{NP: 2, Link: LinkEmulation{PerMessage: time.Microsecond, StagingCopy: true}}, func(env *Env) error {
+	wrap := func(_ int, dev transport.Device) transport.Device { return decorated{dev} }
+	err := RunWith(RunOptions{NP: 2, WrapDevice: wrap}, func(env *Env) error {
 		w := env.CommWorld()
 		buf := make([]byte, size)
 		if w.Rank() == 0 {
@@ -224,6 +228,6 @@ func TestShapedRunLends(t *testing.T) {
 		t.Fatal(err)
 	}
 	if lent != 1 || copied != size {
-		t.Fatalf("shaped 256 KiB send: sends_lent=%d, receiver bytes_copied=%d; want 1 and %d", lent, copied, size)
+		t.Fatalf("decorated 256 KiB send: sends_lent=%d, receiver bytes_copied=%d; want 1 and %d", lent, copied, size)
 	}
 }

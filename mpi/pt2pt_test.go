@@ -447,44 +447,6 @@ func TestPersistentBsendAndSsendInit(t *testing.T) {
 	})
 }
 
-func TestBindingOverheadInjection(t *testing.T) {
-	const overhead = 200 * time.Microsecond
-	err := mpi.RunWith(mpi.RunOptions{NP: 2, BindingOverhead: overhead}, func(env *mpi.Env) error {
-		w := env.CommWorld()
-		const reps = 20
-		buf := []byte{0}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if w.Rank() == 0 {
-				if err := w.Send(buf, 0, 1, mpi.BYTE, 1, 1); err != nil {
-					return err
-				}
-				if _, err := w.Recv(buf, 0, 1, mpi.BYTE, 1, 1); err != nil {
-					return err
-				}
-			} else {
-				if _, err := w.Recv(buf, 0, 1, mpi.BYTE, 0, 1); err != nil {
-					return err
-				}
-				if err := w.Send(buf, 0, 1, mpi.BYTE, 0, 1); err != nil {
-					return err
-				}
-			}
-		}
-		elapsed := time.Since(start)
-		// Each round trip crosses the binding 4 times (2 sends + 2
-		// receives); at least the two send-side crossings per round
-		// trip are strictly serialized on the critical path.
-		if floor := reps * 2 * overhead; elapsed < floor {
-			t.Errorf("binding overhead not charged: %v < %v", elapsed, floor)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunPanicIsReported(t *testing.T) {
 	err := mpi.Run(2, func(env *mpi.Env) error {
 		if env.Rank() == 1 {

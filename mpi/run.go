@@ -5,18 +5,11 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
-	"time"
 
 	"gompi/internal/core"
 	"gompi/internal/transport"
 	"gompi/internal/transport/shmipc"
 )
-
-// LinkEmulation configures artificial per-message costs for benchmark
-// calibration: software cost per message, link latency, a bandwidth cap
-// (the 10BaseT model for DM mode) and a staging copy (the
-// portable-implementation model). The zero value injects nothing.
-type LinkEmulation = transport.LinkProfile
 
 // RunOptions configures an in-process SPMD job.
 type RunOptions struct {
@@ -33,18 +26,13 @@ type RunOptions struct {
 	// InboxDepth overrides the per-rank flow-control window in frames
 	// ("chan" only).
 	InboxDepth int
-	// Link injects benchmark link emulation into every device.
-	Link LinkEmulation
-	// BindingOverhead injects the emulated JNI-crossing cost into
-	// every communication call (see Env.SetBindingOverhead).
-	BindingOverhead time.Duration
 	// Trace arms each rank's flight recorder (see Env.DumpTrace for
 	// retrieving the rings; GOMPI_TRACE=1 arms it too, and additionally
 	// auto-dumps on Finalize).
 	Trace bool
-	// WrapDevice, when set, decorates each rank's device after shaping
-	// — the hook the fault-injection tests use to interpose
-	// transport.Faulty deterministically on one rank.
+	// WrapDevice, when set, decorates each rank's device — the hook a
+	// fault-injection test uses to interpose transport.Faulty on one
+	// rank, and a harness to put its own cost model on the wire.
 	WrapDevice func(rank int, dev transport.Device) transport.Device
 }
 
@@ -70,7 +58,6 @@ func RunWith(opt RunOptions, fn func(*Env) error) error {
 	for i := range envs {
 		cfg := core.Config{EagerLimit: opt.EagerLimit, Recorder: newRecorder(i, opt.Trace)}
 		envs[i] = newEnv(devs[i], cfg)
-		envs[i].SetBindingOverhead(opt.BindingOverhead)
 	}
 
 	errs := make([]error, opt.NP)
@@ -157,10 +144,9 @@ func buildDevices(opt RunOptions) ([]transport.Device, error) {
 	default:
 		return nil, errf(ErrArg, "RunWith: unknown device %q (want chan, shm or tcp)", opt.Device)
 	}
-	for i, d := range out {
-		out[i] = transport.NewShaped(d, opt.Link)
-		if opt.WrapDevice != nil {
-			out[i] = opt.WrapDevice(i, out[i])
+	if opt.WrapDevice != nil {
+		for i, d := range out {
+			out[i] = opt.WrapDevice(i, d)
 		}
 	}
 	return out, nil

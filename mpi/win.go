@@ -91,7 +91,6 @@ func accOpOf(code byte) (*Op, bool) {
 // CreateWin exposes base (a slice of d's element type) for one-sided
 // access by all members of the communicator (MPI_Win_create). Collective.
 func (c *Intracomm) CreateWin(base any, d *Datatype) (*Win, error) {
-	c.env.enterCall()
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -299,7 +298,6 @@ func (w *Win) issue(kind byte, target, disp, count int, accOp byte, payload []by
 // target rank's window at element displacement targetDisp (MPI_Put).
 // Completion is deferred to the next Fence.
 func (w *Win) Put(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	w.comm.env.enterCall()
 	payload, err := dtype.Pack(nil, origin, offset, count, d.t)
 	if err != nil {
 		return w.comm.raise(mapDataErr(err))
@@ -312,7 +310,6 @@ func (w *Win) Put(origin any, offset, count int, d *Datatype, target, targetDisp
 // displacement targetDisp into the origin buffer section (MPI_Get).
 // The origin buffer is valid after the next Fence.
 func (w *Win) Get(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	w.comm.env.enterCall()
 	if _, err := dtype.CheckBuf(origin, d.t); err != nil {
 		return w.comm.raise(mapDataErr(err))
 	}
@@ -327,7 +324,6 @@ func (w *Win) Get(origin any, offset, count int, d *Datatype, target, targetDisp
 // window with op — one of the predefined operations or REPLACE
 // (MPI_Accumulate).
 func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, targetDisp int, op *Op) error {
-	w.comm.env.enterCall()
 	code, ok := accCodes[op]
 	if !ok {
 		return w.comm.raise(errf(ErrOp, "Accumulate requires a predefined operation or REPLACE"))
@@ -350,7 +346,6 @@ func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, tar
 // Get buffers are filled and remote Put/Accumulate effects are visible
 // everywhere.
 func (w *Win) Fence() error {
-	w.comm.env.enterCall()
 	w.pending.Wait()
 	if err := w.comm.Barrier(); err != nil {
 		return err
