@@ -870,10 +870,20 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	req.tagS = int32(tag)
 	req.size = len(payload)
 
+	eager := int(p.eagerLim.Load())
+	small := !lent && eager >= 0 && len(payload) <= eager
+	std := small && mode != ModeSync
+
 	p.mu.Lock()
 	ctxErr := p.ctxErrLocked(ctx, int32(tag))
 	lost := p.peerDown[dstWorld]
 	fatal := p.fatal
+	if std && fatal == nil && ctxErr == nil && lost == nil {
+		// Eager standard/ready: the payload is with the device once the
+		// send below returns, so the request completes at once — under
+		// the hold that found nothing barring it.
+		p.completeLocked(req, nil, Status{Bytes: len(payload)})
+	}
 	p.mu.Unlock()
 	if fatal != nil {
 		// The local endpoint is dead (fault-injected or device failure):
@@ -899,22 +909,16 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 		return req, fmt.Errorf("core: send to rank %d: %w", dstWorld, lost)
 	}
 
-	eager := int(p.eagerLim.Load())
-	small := !lent && eager >= 0 && len(payload) <= eager
-
 	p.stats.BytesSent.Add(uint64(len(payload)))
 	switch {
-	case mode != ModeSync && small:
-		// Eager standard/ready: the payload is with the device once
-		// Sendv returns (and recycled downstream); the request
-		// completes immediately.
+	case std:
+		// Eager standard/ready: completed above.
 		p.stats.SendsEager.Add(1)
 		p.rec.Instant(obs.EvSendEager, uint32(dstWorld), int64(len(payload)))
-		p.complete(req, nil, Status{Bytes: len(payload)})
-		if err := p.dev.Sendv(dstWorld, buildEagerHdr(false, env, 0), payload, recycle); err != nil {
+		if err := p.sendEager(dstWorld, buildEagerHdr(false, env, 0), payload, recycle); err != nil {
 			return req, fmt.Errorf("core: eager send: %w", err)
 		}
-	case mode == ModeSync && small:
+	case small:
 		// Eager synchronous: ship payload now, complete on matched ack.
 		p.stats.SendsSync.Add(1)
 		p.rec.Instant(obs.EvSendSync, uint32(dstWorld), int64(len(payload)))
@@ -924,7 +928,7 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 		req.id = id
 		p.sent[id] = req
 		p.mu.Unlock()
-		if err := p.dev.Sendv(dstWorld, buildEagerHdr(true, env, id), payload, recycle); err != nil {
+		if err := p.sendEager(dstWorld, buildEagerHdr(true, env, id), payload, recycle); err != nil {
 			return req, fmt.Errorf("core: sync eager send: %w", err)
 		}
 	default:
@@ -952,6 +956,24 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 		}
 	}
 	return req, nil
+}
+
+// sendEager ships an eager frame. A payload that fits the room left in
+// the header's pooled buffer rides there — one buffer crosses to the
+// receiver instead of two, and the frame is the contiguous one every
+// socket receive produces, so parseFrame and the wire are as they were.
+// The bound is the pool's, not a setting: the smallest class minus the
+// eager header.
+func (p *Proc) sendEager(dst int, hdr, payload []byte, recycle bool) error {
+	if len(payload) <= cap(hdr)-len(hdr) {
+		hdr = append(hdr, payload...)
+		p.stats.BytesInlined.Add(uint64(len(payload)))
+		if recycle {
+			transport.PutBuf(payload)
+		}
+		payload, recycle = nil, false
+	}
+	return p.dev.Sendv(dst, hdr, payload, recycle)
 }
 
 // Irecv posts a receive on context ctx for (src, tag), either of which
@@ -1058,6 +1080,12 @@ func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool
 			out = &o
 		}
 	case kRts:
+		if lost := p.peerDown[int(m.env.srcWorld)]; lost != nil {
+			// The match stands, but the advertised payload died with
+			// its sender: a grant would wait for DATA that never comes.
+			p.completeLocked(req, nil, Status{SourceGroup: int(m.env.srcGroup), Tag: int(m.env.tag), Err: lost})
+			break
+		}
 		o := p.grantRtsLocked(req, m.env, m.id)
 		out = &o
 	}

@@ -1,0 +1,388 @@
+package core
+
+import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"gompi/internal/transport"
+)
+
+// The matching rules as a reference: two lists searched front to back,
+// correct by inspection — the oldest posted receive an arriving message
+// fits takes it, a new receive takes the oldest arrived message it fits
+// (messages of one sender are never overtaken, a wildcard takes whoever
+// came first), revocation and peer loss fail what can no longer complete.
+// The engine is driven beside it and must agree on which receive every
+// message completes and on every Status. Whoever restructures posted and
+// arrived has this to answer to.
+
+type refEnv struct{ ctx, src, tag int32 }
+
+// admits reports whether a receive for e takes a message sent as got.
+func (e refEnv) admits(got refEnv) bool {
+	return e.ctx == got.ctx && (e.src == AnySource || e.src == got.src) && (e.tag == AnyTag || e.tag == got.tag)
+}
+
+type refRecv struct {
+	id int
+	refEnv
+}
+
+type refMsg struct {
+	id int
+	refEnv
+	size int
+	rts  bool // advertised only: the payload is still at its sender
+}
+
+// refDone is one receive's completion: by msg, or failed with why.
+type refDone struct {
+	recv refRecv
+	msg  *refMsg
+	why  error // nil, ErrCommRevoked, errRefLost or errRefCancelled
+}
+
+var (
+	errRefLost      = errors.New("peer lost")
+	errRefCancelled = errors.New("cancelled")
+)
+
+type refMatcher struct {
+	posted  []refRecv
+	arrived []refMsg
+	revoked map[int32]bool // by context
+	lost    map[int32]bool // by rank
+}
+
+func (m *refMatcher) barred(e refEnv) bool {
+	return m.revoked[e.ctx] && !(e.tag >= 0 && e.tag&RecoveryTag != 0)
+}
+
+func (m *refMatcher) post(r refRecv) *refDone {
+	if m.barred(r.refEnv) {
+		return &refDone{recv: r, why: ErrCommRevoked}
+	}
+	for i, g := range m.arrived {
+		if r.admits(g.refEnv) {
+			m.arrived = slices.Delete(m.arrived, i, i+1)
+			if g.rts && m.lost[g.src] {
+				return &refDone{recv: r, msg: &g, why: errRefLost} // matched; the payload died with its sender
+			}
+			return &refDone{recv: r, msg: &g}
+		}
+	}
+	if r.src != AnySource && m.lost[r.src] {
+		return &refDone{recv: r, why: errRefLost}
+	}
+	m.posted = append(m.posted, r)
+	return nil
+}
+
+func (m *refMatcher) arrive(g refMsg) *refDone {
+	for i, r := range m.posted {
+		if r.admits(g.refEnv) {
+			m.posted = slices.Delete(m.posted, i, i+1)
+			return &refDone{recv: r, msg: &g}
+		}
+	}
+	m.arrived = append(m.arrived, g)
+	return nil
+}
+
+func (m *refMatcher) probe(e refEnv) *refMsg {
+	if i := slices.IndexFunc(m.arrived, func(g refMsg) bool { return e.admits(g.refEnv) }); i >= 0 {
+		return &m.arrived[i]
+	}
+	return nil
+}
+
+func (m *refMatcher) cancel(id int) *refDone {
+	i := slices.IndexFunc(m.posted, func(r refRecv) bool { return r.id == id })
+	if i < 0 {
+		return nil
+	}
+	r := m.posted[i]
+	m.posted = slices.Delete(m.posted, i, i+1)
+	return &refDone{recv: r, why: errRefCancelled}
+}
+
+// sweep fails, in post order, the posted receives gone reports gone.
+func (m *refMatcher) sweep(why error, gone func(refEnv) bool) (done []refDone) {
+	m.posted = slices.DeleteFunc(m.posted, func(r refRecv) bool {
+		if gone(r.refEnv) {
+			done = append(done, refDone{recv: r, why: why})
+			return true
+		}
+		return false
+	})
+	return done
+}
+
+func (m *refMatcher) revoke(base int32) []refDone {
+	m.revoked[base], m.revoked[base+1] = true, true
+	m.arrived = slices.DeleteFunc(m.arrived, func(g refMsg) bool { return m.barred(g.refEnv) })
+	return m.sweep(ErrCommRevoked, m.barred)
+}
+
+func (m *refMatcher) lose(rank int32) []refDone {
+	m.lost[rank] = true
+	return m.sweep(errRefLost, func(e refEnv) bool { return e.src == rank })
+}
+
+// The driver: rank 0's engine is the subject, ranks 1 and 2 are its
+// senders, all on one by-reference job so every frame crosses a real
+// mailbox. ops is decoded four bytes to an operation (the seeded test
+// draws them, the fuzzer mutates them); each operation is applied to the
+// reference first, and the engine is then held to what the reference
+// said: the predicted completions must happen, with the predicted
+// message and Status, and nothing still posted may complete.
+
+const (
+	oracleEager = 48 // the job's eager limit: payloads of 2..48 B go eager (inline up to 39), 49..64 B rendezvous
+	oracleOps   = 256
+)
+
+var (
+	oracleCtx      = [...]int32{0, 2, 3} // 2 and 3 are one pair: revoking base 2 takes both
+	oracleSendTags = [...]int32{0, 1, 2, RecoveryTag | 1}
+	oracleRecvTags = [...]int32{0, 1, 2, AnyTag, RecoveryTag | 1}
+	oracleRecvSrcs = [...]int32{1, 2, AnySource}
+)
+
+type oracleRecv struct {
+	req  *Request
+	into []byte
+}
+
+type oracleRun struct {
+	t     *testing.T
+	procs [3]*Proc
+	ref   refMatcher
+	recvs []oracleRecv
+	nmsg  int
+	log   []string
+}
+
+func (o *oracleRun) fail(format string, args ...any) {
+	o.t.Helper()
+	o.t.Fatalf("%s\nafter:\n  %s", fmt.Sprintf(format, args...), strings.Join(o.log, "\n  "))
+}
+
+// eventually waits for something the reference says must happen.
+func (o *oracleRun) eventually(what string, cond func() bool) {
+	o.t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(20 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			o.fail("engine never got to: %s", what)
+		}
+	}
+}
+
+// body is message id's payload: its id, then a pattern.
+func oracleBody(id, size int) []byte {
+	b := pattern(size, byte(id))
+	binary.LittleEndian.PutUint16(b, uint16(id))
+	return b
+}
+
+// settled checks one predicted completion against the engine.
+func (o *oracleRun) settled(d refDone) {
+	o.t.Helper()
+	r := o.recvs[d.recv.id]
+	o.eventually(fmt.Sprintf("receive #%d completing", d.recv.id), func() bool { _, ok := r.req.Test(); return ok })
+	st := r.req.Stat
+	want := Status{SourceGroup: int(d.recv.src), Tag: int(d.recv.tag)}
+	if d.msg != nil {
+		want = Status{SourceGroup: int(d.msg.src), Tag: int(d.msg.tag), Bytes: d.msg.size}
+	}
+	var pl *transport.PeerLostError
+	switch d.why {
+	case errRefCancelled:
+		want = Status{Cancelled: true}
+	case errRefLost:
+		want.Bytes = 0
+		if !errors.As(st.Err, &pl) {
+			o.fail("receive #%d: error %v, want the peer's loss", d.recv.id, st.Err)
+		}
+	case ErrCommRevoked:
+		if !errors.Is(st.Err, ErrCommRevoked) {
+			o.fail("receive #%d: error %v, want revoked", d.recv.id, st.Err)
+		}
+	default:
+		if st.Err != nil {
+			o.fail("receive #%d: error %v, want message #%d", d.recv.id, st.Err, d.msg.id)
+		}
+		got := r.req.Payload
+		if r.into != nil {
+			got = r.into[:min(st.Bytes, len(r.into))]
+		}
+		if !bytes.Equal(got, oracleBody(d.msg.id, d.msg.size)) {
+			o.fail("receive #%d completed by %x, want message #%d", d.recv.id, got, d.msg.id)
+		}
+	}
+	st.Err = nil
+	if st != want {
+		o.fail("receive #%d: status %+v, want %+v", d.recv.id, st, want)
+	}
+	r.req.ReleaseFrame()
+}
+
+func (o *oracleRun) step(op [4]byte) {
+	p0 := o.procs[0]
+	ctx := oracleCtx[int(op[3]&3)%len(oracleCtx)]
+	flag := op[3]&4 != 0
+	kind := op[0] % 16
+	switch {
+	case kind == 14 && op[1]%4 != 0:
+		kind = 0 // revocation and loss end traffic: keep them rare
+	case kind == 15 && op[1]%4 != 0:
+		kind = 5
+	}
+	switch {
+	case kind <= 4: // post a receive; flag: receive-into
+		e := refEnv{ctx, oracleRecvSrcs[int(op[1])%len(oracleRecvSrcs)], oracleRecvTags[int(op[2])%len(oracleRecvTags)]}
+		r := refRecv{len(o.recvs), e}
+		o.log = append(o.log, fmt.Sprintf("post #%d %+v into=%v", r.id, e, flag))
+		var live oracleRecv
+		if flag {
+			live.into = make([]byte, 64)
+			live.req = p0.IrecvInto(e.ctx, e.src, e.tag, live.into, 1)
+		} else {
+			live.req = p0.Irecv(e.ctx, e.src, e.tag)
+		}
+		o.recvs = append(o.recvs, live)
+		if d := o.ref.post(r); d != nil {
+			o.settled(*d)
+		}
+	case kind <= 10: // a message arrives: eager (flag: synchronous) or advertised (flag: lent)
+		src := 1 + int32(op[1]%2)
+		g := refMsg{id: o.nmsg, refEnv: refEnv{ctx, src, oracleSendTags[int(op[2])%len(oracleSendTags)]}, rts: kind >= 9}
+		g.size = 2 + int(op[3]>>3)%(oracleEager-1)
+		if g.rts {
+			g.size = oracleEager + 1 + int(op[3]>>3)%(64-oracleEager)
+		}
+		if o.ref.lost[src] || o.ref.barred(g.refEnv) {
+			return // a dead rank sends nothing; a revoked context refuses the send at its sender
+		}
+		o.nmsg++
+		o.log = append(o.log, fmt.Sprintf("arrive #%d %+v", g.id, g))
+		var err error
+		switch {
+		case g.rts && flag:
+			_, err = o.procs[src].IsendLent(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard)
+		case !g.rts && flag:
+			_, err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeSync, false)
+		default:
+			_, err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard, false)
+		}
+		if err != nil {
+			o.fail("send of #%d: %v", g.id, err)
+		}
+		if d := o.ref.arrive(g); d != nil {
+			o.settled(*d)
+		} else {
+			o.eventually(fmt.Sprintf("message #%d queued unexpected", g.id), func() bool {
+				return p0.PendingUnexpected() == len(o.ref.arrived)
+			})
+		}
+	case kind <= 12: // Iprobe
+		e := refEnv{ctx, oracleRecvSrcs[int(op[1])%len(oracleRecvSrcs)], oracleRecvTags[int(op[2])%len(oracleRecvTags)]}
+		o.log = append(o.log, fmt.Sprintf("iprobe %+v", e))
+		st, ok := p0.Iprobe(e.ctx, e.src, e.tag)
+		g := o.ref.probe(e)
+		if ok != (g != nil) || ok && st != (Status{SourceGroup: int(g.src), Tag: int(g.tag), Bytes: g.size}) {
+			o.fail("Iprobe = %+v, %v; the reference sees %+v", st, ok, g)
+		}
+	case kind == 13: // cancel any receive ever posted
+		if len(o.recvs) == 0 {
+			return
+		}
+		id := int(op[1]) % len(o.recvs)
+		o.log = append(o.log, fmt.Sprintf("cancel #%d", id))
+		d := o.ref.cancel(id)
+		if took := p0.Cancel(o.recvs[id].req); took != (d != nil) {
+			o.fail("Cancel(#%d) = %v, the reference says %v", id, took, d != nil)
+		}
+		if d != nil {
+			o.settled(*d)
+		}
+	case kind == 14: // revoke a pair at rank 0; the notice floods to the senders
+		base := ctx &^ 1
+		o.log = append(o.log, fmt.Sprintf("revoke %d", base))
+		p0.Revoke(base)
+		for _, d := range o.ref.revoke(base) {
+			o.settled(d)
+		}
+		for rank := int32(1); rank <= 2; rank++ {
+			if !o.ref.lost[rank] {
+				o.eventually("the revocation reaching a sender", func() bool { return o.procs[rank].ContextRevoked(base) })
+			}
+		}
+		o.eventually("revoked messages dropped", func() bool { return p0.PendingUnexpected() == len(o.ref.arrived) })
+	case kind == 15: // a sender dies; by reference nobody notices, so its loss is reported as a launcher would
+		rank := 1 + int32(op[2]%2)
+		if o.ref.lost[rank] {
+			return
+		}
+		o.log = append(o.log, fmt.Sprintf("lose %d", rank))
+		o.procs[rank].Close()
+		p0.failPeer(&transport.PeerLostError{Peer: int(rank)})
+		for _, d := range o.ref.lose(rank) {
+			o.settled(d)
+		}
+	}
+	for _, r := range o.ref.posted {
+		if _, done := o.recvs[r.id].req.Test(); done {
+			o.fail("receive #%d completed (%+v); the reference still has it posted", r.id, o.recvs[r.id].req.Stat)
+		}
+	}
+}
+
+func runMatchOps(t *testing.T, ops []byte) {
+	devs := transport.NewShmJob(3, 0)
+	o := &oracleRun{t: t, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
+	for i, d := range devs {
+		o.procs[i] = NewProc(d, Config{EagerLimit: oracleEager})
+		o.procs[i].RegisterGroup(2, []int{0, 1, 2})
+		defer o.procs[i].Close()
+	}
+	for n := 0; len(ops) >= 4 && n < oracleOps; ops, n = ops[4:], n+1 {
+		o.step([4]byte(ops))
+	}
+}
+
+// TestMatchOrderAgainstReference drives seed-reproducible random
+// interleavings of post / eager arrival / rendezvous arrival / Iprobe /
+// Cancel / revoke / peer loss, wildcards included, through the engine
+// and the reference. A failure prints the operations that led to it.
+func TestMatchOrderAgainstReference(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 10
+	}
+	for seed := 1; seed <= seeds; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			ops := make([]byte, 4*oracleOps)
+			rand.New(rand.NewSource(int64(seed))).Read(ops)
+			runMatchOps(t, ops)
+		})
+	}
+}
+
+// FuzzMatchOrder lets the fuzzer choose the interleaving.
+func FuzzMatchOrder(f *testing.F) {
+	f.Add([]byte{0, 2, 3, 0, 5, 0, 0, 0, 5, 1, 1, 0, 0, 0, 1, 4, 9, 0, 0, 4, 11, 2, 3, 0, 13, 0, 0, 0, 14, 0, 0, 0, 15, 0, 1, 0})
+	for seed := int64(1); seed <= 3; seed++ {
+		ops := make([]byte, 4*64)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		f.Add(ops)
+	}
+	f.Fuzz(runMatchOps)
+}

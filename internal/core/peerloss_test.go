@@ -119,3 +119,35 @@ func TestPeerLossSparesSurvivors(t *testing.T) {
 		rreq.Recycle()
 	}
 }
+
+// TestAdvertisedSendOfALostPeerFailsItsReceive: a rendezvous send that
+// was advertised, sat unexpected and lost its sender is matched by a later
+// receive like any message — matching order is committed — but nobody is
+// left to grant, so the receive completes with the loss instead of
+// waiting for DATA for ever. (Found by TestMatchOrderAgainstReference.)
+func TestAdvertisedSendOfALostPeerFailsItsReceive(t *testing.T) {
+	procs := loopbackProcs(t, 2)
+	if _, err := procs[1].Isend(0, 1, 0, 9, make([]byte, DefaultEagerLimit+1), ModeStandard, false); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for procs[0].PendingUnexpected() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the advertisement never arrived")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	procs[1].Close()
+	for !procs[0].PeerDown(1) {
+		if time.Now().After(deadline) {
+			t.Fatal("engine never observed peer loss")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	rreq := procs[0].Irecv(0, AnySource, 9)
+	st, ok := rreq.Test()
+	var pl *transport.PeerLostError
+	if !ok || !errors.As(st.Err, &pl) || st.SourceGroup != 1 || st.Tag != 9 {
+		t.Fatalf("receive matching a dead peer's advertisement: completed=%v status %+v, want its loss", ok, st)
+	}
+}

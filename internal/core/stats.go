@@ -43,6 +43,10 @@ type Stats struct {
 	// pays an engine-side copy — for a lent send met by a receive-into,
 	// the only copy the message pays anywhere.
 	BytesCopied *obs.Counter
+	// BytesInlined totals the eager payload bytes the engine copied on
+	// the send side, into the room their header's pooled buffer had
+	// left, so that one buffer crosses to the receiver instead of two.
+	BytesInlined *obs.Counter
 	// RecvsZeroCopy counts receives completed by transferring frame
 	// ownership instead of copying the payload.
 	RecvsZeroCopy *obs.Counter
@@ -71,6 +75,7 @@ func newStats(reg *obs.Registry) Stats {
 		RecvsUnexpected: reg.Counter("core.recvs_unexpected"),
 		BytesRecv:       reg.Counter("core.bytes_recv"),
 		BytesCopied:     reg.Counter("core.bytes_copied"),
+		BytesInlined:    reg.Counter("core.bytes_inlined"),
 		RecvsZeroCopy:   reg.Counter("core.recvs_zero_copy"),
 		Cancelled:       reg.Counter("core.cancelled"),
 		PeersLost:       reg.Counter("core.peers_lost"),
@@ -86,7 +91,7 @@ type Snapshot struct {
 	BytesSent                        uint64
 	RecvsMatched, RecvsUnexpected    uint64
 	BytesRecv                        uint64
-	BytesCopied                      uint64
+	BytesCopied, BytesInlined        uint64
 	RecvsZeroCopy                    uint64
 	Cancelled                        uint64
 	PeersLost                        uint64
@@ -129,6 +134,7 @@ func (p *Proc) StatsSnapshot() Snapshot {
 		RecvsUnexpected: s.RecvsUnexpected.Load(),
 		BytesRecv:       s.BytesRecv.Load(),
 		BytesCopied:     s.BytesCopied.Load(),
+		BytesInlined:    s.BytesInlined.Load(),
 		RecvsZeroCopy:   s.RecvsZeroCopy.Load(),
 		Cancelled:       s.Cancelled.Load(),
 		PeersLost:       s.PeersLost.Load(),

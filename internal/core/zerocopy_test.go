@@ -245,22 +245,24 @@ func pingPongAllocs(t *testing.T, size int, armed, lent bool) float64 {
 }
 
 // TestPooledPingPongZeroAllocs is the allocation-regression guard for
-// the zero-copy hot path: a steady-state 1 KiB shm ping-pong with
+// the zero-copy hot path: a steady-state 8 B and 1 KiB shm ping-pong with
 // pool-recycled payloads, receive-into buffers and recycled requests
 // must not allocate at all — with the flight recorder disarmed (a nil
 // pointer and a branch) and armed (a cursor bump and three stores into
 // a ring allocated up front) alike.
 func TestPooledPingPongZeroAllocs(t *testing.T) {
-	for _, armed := range []bool{false, true} {
-		allocs := pingPongAllocs(t, 1024, armed, false)
-		// Hard budget: the steady-state hot path is allocation-free. The
-		// race detector's sync.Pool instrumentation allocates, so the
-		// strict budget only holds on uninstrumented builds.
-		if !raceEnabled && allocs > 0 {
-			t.Fatalf("pooled ping-pong (recorder armed=%v) allocates %.1f allocs/op, want 0", armed, allocs)
-		}
-		if raceEnabled && allocs > 4 {
-			t.Fatalf("pooled ping-pong (recorder armed=%v) allocates %.1f allocs/op under -race, want <= 4", armed, allocs)
+	for _, size := range []int{8, 1024} { // riding in the header's buffer, and beside it
+		for _, armed := range []bool{false, true} {
+			allocs := pingPongAllocs(t, size, armed, false)
+			// Hard budget: the steady-state hot path is allocation-free. The
+			// race detector's sync.Pool instrumentation allocates, so the
+			// strict budget only holds on uninstrumented builds.
+			if !raceEnabled && allocs > 0 {
+				t.Fatalf("pooled %d B ping-pong (recorder armed=%v) allocates %.1f allocs/op, want 0", size, armed, allocs)
+			}
+			if raceEnabled && allocs > 4 {
+				t.Fatalf("pooled %d B ping-pong (recorder armed=%v) allocates %.1f allocs/op under -race, want <= 4", size, armed, allocs)
+			}
 		}
 	}
 }

@@ -231,9 +231,7 @@ func (m *Mux) pump(d Device) {
 		var pl *PeerLostError
 		switch {
 		case err == nil:
-			select {
-			case m.inbox <- f:
-			case <-m.done:
+			if !enqueue(m.inbox, m.done, nil, f, nil) {
 				f.Release()
 				return
 			}
@@ -263,10 +261,7 @@ func (m *Mux) lose(pl *PeerLostError) {
 	if skip {
 		return
 	}
-	select {
-	case m.inbox <- Frame{loan: lossReport{pl}}:
-	case <-m.done:
-	}
+	enqueue(m.inbox, m.done, nil, Frame{loan: lossReport{pl}}, nil)
 }
 
 // Lost reports whether peer's loss has been admitted.
@@ -310,12 +305,8 @@ func (m *Mux) TrySendv(dst int, hdr, payload []byte, recycle bool, loan Loan) bo
 	if r.to == nil {
 		return false
 	}
-	select {
-	case <-m.done:
+	if isClosed(m.done) || isClosed(r.to.done) {
 		return false
-	case <-r.to.done:
-		return false
-	default:
 	}
 	f := Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle, loan: loan}
 	select {
@@ -366,26 +357,53 @@ func (m *Mux) send(dst int, f Frame) error {
 // blocks it only until the peer's engine drains. On failure the frame
 // was handed to no one and is released here.
 func (m *Mux) deliver(r route, f Frame) error {
-	to := r.to
+	if !enqueue(r.to.inbox, r.to.done, m.done, f, &m.cnt[r.med]) {
+		f.Release()
+		return ErrClosed
+	}
+	m.delivered(r, f)
+	return nil
+}
+
+// isClosed reports whether done is closed. A select with one case and a
+// default compiles to a non-blocking channel receive: no selectgo, no
+// channel lock while the channel is open.
+func isClosed(done <-chan struct{}) bool {
 	select {
-	case <-m.done:
-		f.Release()
-		return ErrClosed
-	case <-to.done:
-		f.Release()
-		return ErrClosed
+	case <-done:
+		return true
 	default:
+		return false
+	}
+}
+
+// enqueue is the one way a frame enters a mailbox: it reports false,
+// having handed f to no one, when the mailbox's endpoint (done) or the
+// producer's (from; nil for a producer that is the endpoint's own read
+// loop or pump) has shut down. A mailbox with room takes the frame
+// through non-blocking channel operations alone; the multi-case select —
+// three channel locks, sorted, per frame — is reached only when the
+// mailbox is full and the producer must wait for the engine to drain it
+// (flow control), which cnt, if set, counts.
+func enqueue(inbox chan<- Frame, done, from <-chan struct{}, f Frame, cnt *devCounters) bool {
+	if isClosed(done) || isClosed(from) {
+		return false
 	}
 	select {
-	case to.inbox <- f:
-		m.delivered(r, f)
-		return nil
-	case <-m.done:
-		f.Release()
-		return ErrClosed
-	case <-to.done:
-		f.Release()
-		return ErrClosed
+	case inbox <- f:
+		return true
+	default:
+	}
+	if cnt != nil {
+		cnt.sendWaits.Add(1)
+	}
+	select { // a nil from never fires
+	case inbox <- f:
+		return true
+	case <-done:
+		return false
+	case <-from:
+		return false
 	}
 }
 
@@ -407,10 +425,8 @@ func (m *Mux) delivered(r route, f Frame) {
 // releases it all; the departing consumer, if still draining, shares
 // the frames with it one receive at a time.
 func releaseIfClosed(inbox chan Frame, done <-chan struct{}) {
-	select {
-	case <-done:
+	if isClosed(done) {
 		drainFrames(inbox)
-	default:
 	}
 }
 
@@ -435,18 +451,21 @@ func (m *Mux) sendErr(peer int, err error) error {
 	if errors.Is(err, errFrameTooLarge) {
 		return fmt.Errorf("transport: send to rank %d: %w", peer, err)
 	}
-	select {
-	case <-m.done:
+	if isClosed(m.done) {
 		return ErrClosed
-	default:
-		return &PeerLostError{Peer: peer, Err: err}
 	}
+	return &PeerLostError{Peer: peer, Err: err}
 }
 
 // Recv returns the next frame from any route, or the next peer's loss.
 // Once the endpoint is closed, what arrived before is handed out, then
 // ErrClosed, persistently.
 func (m *Mux) Recv() (Frame, error) {
+	select { // a waiting frame is taken without entering selectgo
+	case f := <-m.inbox:
+		return f.received()
+	default:
+	}
 	select {
 	case f := <-m.inbox:
 		return f.received()

@@ -14,6 +14,12 @@ type DevStats struct {
 	FramesSent, FramesRecv uint64
 	// BytesSent/BytesRecv total frame bytes (header + payload).
 	BytesSent, BytesRecv uint64
+	// SendWaits counts the frames whose producer found the destination
+	// mailbox full and had to wait for the engine to drain it: how often
+	// the inbox depth engaged as flow control on this medium. Counted on
+	// the sending endpoint by reference, on the reading one for a
+	// connection.
+	SendWaits uint64
 	// Pool is the medium's buffer-pool counter snapshot.
 	Pool PoolSnapshot
 }
@@ -22,6 +28,7 @@ type DevStats struct {
 type devCounters struct {
 	framesSent, framesRecv atomic.Uint64
 	bytesSent, bytesRecv   atomic.Uint64
+	sendWaits              atomic.Uint64
 }
 
 func (c *devCounters) countSend(n int) {
@@ -41,6 +48,7 @@ func (c *devCounters) stats(name string, pool PoolSnapshot) DevStats {
 		FramesRecv: c.framesRecv.Load(),
 		BytesSent:  c.bytesSent.Load(),
 		BytesRecv:  c.bytesRecv.Load(),
+		SendWaits:  c.sendWaits.Load(),
 		Pool:       pool,
 	}
 }

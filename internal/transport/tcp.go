@@ -99,9 +99,7 @@ func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devC
 			return err
 		}
 		cnt.countRecv(len(frame))
-		select {
-		case inbox <- Frame{Data: frame, pooledData: true}:
-		case <-done:
+		if !enqueue(inbox, done, nil, Frame{Data: frame, pooledData: true}, cnt) {
 			PutBuf(frame)
 			return nil
 		}

@@ -246,6 +246,10 @@ type DeviceStats struct {
 	FramesSent, FramesRecv uint64
 	// BytesSent/BytesRecv total frame bytes (header + payload).
 	BytesSent, BytesRecv uint64
+	// SendWaits counts the frames that found the destination mailbox
+	// full and waited for its engine to drain: how often
+	// RunOptions.InboxDepth engaged as flow control.
+	SendWaits uint64
 	// PoolHitRate is the fraction of the medium's buffer-pool requests
 	// served by recycling rather than allocation.
 	PoolHitRate float64
@@ -271,6 +275,7 @@ func (e *Env) EngineStats() EngineStats {
 			FramesRecv:  d.FramesRecv,
 			BytesSent:   d.BytesSent,
 			BytesRecv:   d.BytesRecv,
+			SendWaits:   d.SendWaits,
 			PoolHitRate: d.Pool.HitRate(),
 		})
 	}
