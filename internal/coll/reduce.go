@@ -290,8 +290,14 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 //	operand       64K+8  128K  256K  512K   1M
 //	chan     np4   0.86  0.80  0.65  0.61  0.47
 //	chan     np3   0.74  0.79  0.80  0.87  0.93
-//	tcp      np4   1.35  1.25  1.03  0.92  0.74
-//	tcp      np3   1.22  1.08  0.75  0.94  0.92
+//	tcp      np4   1.53  1.16  1.09  0.77  0.65
+//	tcp      np3   1.06  1.00  0.89  0.98  0.95
+//
+// (The tcp rows were re-measured, 5 alternating runs per cell, once a
+// connection's read loop started reading the allgather's deposits
+// straight into the receive buffer; before that they read 1.35 1.25
+// 1.03 0.92 0.74 and 1.22 1.08 0.75 0.94 0.92. The large side got
+// cheaper; the crossing at four members did not move.)
 //
 // By reference the extra rounds are paid for as soon as the operand is
 // a rendezvous message at all; over a socket every one of twice as many

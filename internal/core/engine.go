@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -162,6 +163,14 @@ type trySender interface {
 	ByReference(dst int) bool
 }
 
+// landerSetter is an endpoint whose connections' read loops ask where a
+// long frame lands (transport.Mux). Like trySender it is found by type
+// assertion and is not part of transport.Device: a decorated device or a
+// segment member is never asked, and keeps delivering staged frames.
+type landerSetter interface {
+	SetLander(transport.Lander)
+}
+
 // NewProc wraps a device with a progress engine and starts its progress
 // goroutine.
 func NewProc(dev transport.Device, cfg Config) *Proc {
@@ -175,6 +184,9 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		nextCtx: 2, // 0 and 1 belong to COMM_WORLD
 	}
 	p.try, _ = dev.(trySender)
+	if l, ok := dev.(landerSetter); ok {
+		l.SetLander(p)
+	}
 	p.cond = sync.NewCond(&p.mu)
 	p.stats = newStats(p.reg)
 	p.unexpDepth = p.reg.Gauge("core.unexpected_depth")
@@ -261,8 +273,7 @@ func (p *Proc) progress() {
 			// not a user error. It can only be dropped, and what it
 			// was meant to complete now waits, so leave the cause
 			// where a hang gets looked into.
-			p.stats.FramesMalformed.Inc()
-			p.rec.Instant(obs.EvFrameMalformed, uint32(f.kind), int64(len(raw.Data)))
+			p.malformed(f.kind, len(raw.Data))
 			f.frame.Release()
 			continue
 		}
@@ -282,6 +293,13 @@ func (p *Proc) progress() {
 			p.complete(c.req, nil, c.st)
 		}
 	}
+}
+
+// malformed counts and traces a frame that can only be dropped: one
+// parseFrame rejected, or one answering a grant made to another rank.
+func (p *Proc) malformed(kind byte, n int) {
+	p.stats.FramesMalformed.Inc()
+	p.rec.Instant(obs.EvFrameMalformed, uint32(kind), int64(n))
 }
 
 type lateComplete struct {
@@ -335,7 +353,7 @@ func (p *Proc) failPeer(pl *transport.PeerLostError) {
 		p.completeLocked(r, nil, Status{Bytes: r.size, Err: pl})
 	}
 	for id, r := range p.recving {
-		if p.worldOfLocked(r.ctx, int32(r.Stat.SourceGroup)) == peer {
+		if int(r.dstWorld) == peer {
 			delete(p.recving, id)
 			p.completeLocked(r, nil, Status{SourceGroup: r.Stat.SourceGroup, Tag: r.Stat.Tag, Err: pl})
 		}
@@ -700,6 +718,10 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 		if !ok {
 			return nil, nil
 		}
+		if req.dstWorld != f.env.srcWorld {
+			p.malformed(f.kind, len(f.frame.Data))
+			return nil, nil
+		}
 		delete(p.recving, f.recvID)
 		// The payload lands in the caller's buffer (receive-into) or
 		// the posted request takes the frame over by reference — never
@@ -711,6 +733,10 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 	case kWithdrawn:
 		req, ok := p.recving[f.recvID]
 		if !ok {
+			return nil, nil
+		}
+		if req.dstWorld != f.env.srcWorld {
+			p.malformed(f.kind, len(f.frame.Data))
 			return nil, nil
 		}
 		delete(p.recving, f.recvID)
@@ -778,14 +804,65 @@ func (p *Proc) deliverLocked(req *Request, payload []byte, frame *transport.Fram
 	p.completeLocked(req, payload, st)
 }
 
+// Land is the engine's answer to a connection's read loop holding the
+// head of a long frame from world rank peer (transport.Lander): a
+// rendezvous DATA frame from the rank its receive was granted to, whose
+// payload the receive's own buffer takes whole, is read off the socket
+// straight into that buffer. The request leaves recving here, and from
+// there it is in no table — the rule a lent send follows after its CTS —
+// so Cancel, failPeer, revokeLocked and failAll cannot complete it while
+// the read loop is writing the caller's memory: Landed is its only
+// completion. Land matches nothing, it looks up an id; whatever it
+// declines (truncating, ragged, by-reference, from another rank) is
+// staged and reaches the one kData handler.
+func (p *Proc) Land(peer int, head []byte, frameLen int) (int, []byte, transport.Landing) {
+	if len(head) < dataHdrLen || head[0] != kData {
+		return 0, nil, nil
+	}
+	src := int32(binary.LittleEndian.Uint32(head[1:]))
+	recvID := binary.LittleEndian.Uint64(head[5:])
+	n := frameLen - dataHdrLen
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	req := p.recving[recvID]
+	if req == nil || req.into == nil || n > len(req.into) || (req.intoES > 1 && n%req.intoES != 0) ||
+		req.dstWorld != src || int(src) != peer {
+		return 0, nil, nil
+	}
+	delete(p.recving, recvID)
+	req.Stat.Bytes = n
+	return dataHdrLen, req.into[:n], (*landing)(req)
+}
+
+// landing is a granted receive-into seen as the transport.Landing of the
+// DATA frame being read into its buffer. A pointer conversion rather
+// than a closure, so landing allocates nothing.
+type landing Request
+
+func (l *landing) Landed(err error) {
+	r := (*Request)(l)
+	p, st := r.proc, r.Stat
+	if err != nil {
+		// The stream broke mid-body: the peer is gone, and its own loss
+		// report follows through the inbox.
+		st.Bytes, st.Err = 0, &transport.PeerLostError{Peer: int(r.dstWorld), Err: err}
+	} else {
+		p.stats.BytesLanded.Add(uint64(st.Bytes))
+	}
+	p.complete(r, nil, st)
+}
+
 // grantRtsLocked matches a receive request to an RTS: it registers the
 // pending data delivery and emits the CTS. The request's status source
-// and tag are pre-filled so the kData handler can preserve them.
+// and tag are pre-filled so the kData handler can preserve them, and the
+// rank the grant goes to is remembered: only that rank's DATA or
+// withdrawal answers it, and only that rank's loss fails it.
 func (p *Proc) grantRtsLocked(req *Request, env envelope, senderID uint64) outFrame {
 	p.nextID++
 	recvID := p.nextID
 	req.Stat.SourceGroup = int(env.srcGroup)
 	req.Stat.Tag = int(env.tag)
+	req.dstWorld = env.srcWorld
 	p.recving[recvID] = req
 	return outFrame{dst: env.srcWorld, hdr: buildCts(int32(p.Rank()), senderID, recvID)}
 }

@@ -101,6 +101,9 @@ func buildCts(srcWorld int32, id, recvID uint64) []byte {
 	return f
 }
 
+// dataHdrLen is the length of a kData header: kind, srcWorld, recvID.
+const dataHdrLen = 1 + 4 + 8
+
 // buildDataHdr builds the header of a rendezvous DATA frame; the payload
 // travels separately through Sendv.
 func buildDataHdr(srcWorld int32, recvID uint64) []byte {
@@ -113,7 +116,7 @@ func buildWithdrawn(srcWorld int32, recvID uint64) []byte {
 }
 
 func buildRecvIDFrame(kind byte, srcWorld int32, recvID uint64) []byte {
-	f := transport.GetBuf(1 + 4 + 8)
+	f := transport.GetBuf(dataHdrLen)
 	f[0] = kind
 	binary.LittleEndian.PutUint32(f[1:], uint32(srcWorld))
 	binary.LittleEndian.PutUint64(f[5:], recvID)

@@ -100,9 +100,9 @@ type Request struct {
 	recycle  bool   // payload is exclusively owned; pool it downstream
 	lent     bool   // payload is the caller's memory, on loan (IsendLent)
 	borrow   bool   // receive side, parked in this padding: take a lent payload by reference (IrecvBorrow)
-	dstWorld int32
-	ctxS     int32 // send-side context (for revocation poisoning)
-	tagS     int32 // send-side tag (recovery traffic is revoke-exempt)
+	dstWorld int32  // send: the destination; granted receive: the rank the CTS went to
+	ctxS     int32  // send-side context (for revocation poisoning)
+	tagS     int32  // send-side tag (recovery traffic is revoke-exempt)
 }
 
 // lentSend is a lent rendezvous send seen as the transport.Loan riding

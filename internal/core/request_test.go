@@ -5,6 +5,9 @@ import (
 	"errors"
 	"testing"
 	"time"
+	"unsafe"
+
+	"gompi/internal/transport"
 )
 
 func TestWaitCtxCompleted(t *testing.T) {
@@ -63,5 +66,18 @@ func TestWaitCtxDeadlineOnMatchedRecvDelivers(t *testing.T) {
 	}
 	if st.Cancelled || string(rreq.Payload) != "racer" {
 		t.Fatalf("status %+v payload %q", st, rreq.Payload)
+	}
+}
+
+// TestHotStructSizes pins the allocator size classes of the three
+// structs every message touches (ROADMAP ground rule: one more pointer
+// in Request showed up as spread in a whole-program workload). A field
+// a receive needs goes where a send-only field already is.
+func TestHotStructSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are for 64-bit platforms")
+	}
+	if f, r, m := unsafe.Sizeof(transport.Frame{}), unsafe.Sizeof(Request{}), unsafe.Sizeof(inMsg{}); f != 72 || r != 288 || m != 136 {
+		t.Fatalf("transport.Frame / Request / inMsg are %d / %d / %d bytes, want 72 / 288 / 136", f, r, m)
 	}
 }

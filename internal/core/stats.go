@@ -43,6 +43,12 @@ type Stats struct {
 	// pays an engine-side copy — for a lent send met by a receive-into,
 	// the only copy the message pays anywhere.
 	BytesCopied *obs.Counter
+	// BytesLanded totals the rendezvous payload bytes a connection's
+	// read loop read off the socket straight into the receive's own
+	// buffer (Proc.Land): bytes that were never staged and that the
+	// engine never copied. With BytesCopied it says which way every
+	// received byte went.
+	BytesLanded *obs.Counter
 	// BytesInlined totals the eager payload bytes the engine copied on
 	// the send side, into the room their header's pooled buffer had
 	// left, so that one buffer crosses to the receiver instead of two.
@@ -75,6 +81,7 @@ func newStats(reg *obs.Registry) Stats {
 		RecvsUnexpected: reg.Counter("core.recvs_unexpected"),
 		BytesRecv:       reg.Counter("core.bytes_recv"),
 		BytesCopied:     reg.Counter("core.bytes_copied"),
+		BytesLanded:     reg.Counter("core.bytes_landed"),
 		BytesInlined:    reg.Counter("core.bytes_inlined"),
 		RecvsZeroCopy:   reg.Counter("core.recvs_zero_copy"),
 		Cancelled:       reg.Counter("core.cancelled"),
@@ -91,7 +98,8 @@ type Snapshot struct {
 	BytesSent                        uint64
 	RecvsMatched, RecvsUnexpected    uint64
 	BytesRecv                        uint64
-	BytesCopied, BytesInlined        uint64
+	BytesCopied, BytesLanded         uint64
+	BytesInlined                     uint64
 	RecvsZeroCopy                    uint64
 	Cancelled                        uint64
 	PeersLost                        uint64
@@ -134,6 +142,7 @@ func (p *Proc) StatsSnapshot() Snapshot {
 		RecvsUnexpected: s.RecvsUnexpected.Load(),
 		BytesRecv:       s.BytesRecv.Load(),
 		BytesCopied:     s.BytesCopied.Load(),
+		BytesLanded:     s.BytesLanded.Load(),
 		BytesInlined:    s.BytesInlined.Load(),
 		RecvsZeroCopy:   s.RecvsZeroCopy.Load(),
 		Cancelled:       s.Cancelled.Load(),

@@ -102,7 +102,7 @@ func TestReadLoopWaitsOnAFullMailbox(t *testing.T) {
 		wire = append(wire, prefixed(1, []byte(body))...)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- readFrames(feed(wire), inbox, done, &cnt, nil) }()
+	go func() { errc <- readFrames(feed(wire), inbox, done, &cnt, nil, nil) }()
 	waitFor(t, "b to find the mailbox full", func() bool { return cnt.sendWaits.Load() == 1 })
 	f := <-inbox
 	if !bytes.Equal(f.Data, []byte("a")) {

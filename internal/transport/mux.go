@@ -72,6 +72,8 @@ type Mux struct {
 
 	wg  sync.WaitGroup // read loops and pumps
 	cnt [nMedia]devCounters
+	// lander, once set, is offered every long frame a connection brings.
+	lander atomic.Pointer[Lander]
 
 	closeOnce sync.Once
 	closeErr  error
@@ -208,11 +210,24 @@ func (m *Mux) Join(c net.Conn, stamp func(frame []byte, src int32) error) (int, 
 	return peer, nil
 }
 
+// SetLander names the engine that says where long frames read off this
+// endpoint's connections land (see Lander). The read loops are already
+// running: frames they took before were staged, which is always right.
+// Only connections ask — a member device, decorated or not, pumps staged
+// frames — which is why this is a method of the mux and not of Device.
+func (m *Mux) SetLander(l Lander) { m.lander.Store(&l) }
+
 // serve reads peer's connection into the inbox until the stream fails,
 // which is the peer's loss, or the endpoint shuts down.
 func (m *Mux) serve(peer int, r route, stamp func([]byte) error) {
 	defer m.wg.Done()
-	err := readFrames(r.conn.c, m.inbox, m.done, &m.cnt[r.med], stamp)
+	land := func(head []byte, frameLen int) (int, []byte, Landing) {
+		if l := m.lander.Load(); l != nil {
+			return (*l).Land(peer, head, frameLen)
+		}
+		return 0, nil, nil
+	}
+	err := readFrames(r.conn.c, m.inbox, m.done, &m.cnt[r.med], stamp, land)
 	r.conn.c.Close() // fail writers fast instead of filling a dead socket
 	if err != nil {
 		m.lose(&PeerLostError{Peer: peer, Err: err})

@@ -262,7 +262,7 @@ var muxShapes = []struct {
 		fc := newFrameConn(far)
 		got := make(chan Frame, 64)
 		var cnt devCounters
-		go readFrames(far, got, nil, &cnt, nil) //nolint:errcheck // ends when the pipe closes
+		go readFrames(far, got, nil, &cnt, nil, nil) //nolint:errcheck // ends when the pipe closes
 		t.Cleanup(func() { far.Close() })
 		w := &muxWorld{
 			mux: mux, peer: peer, serialises: true, reports: true,

@@ -77,20 +77,86 @@ func (p *frameConn) send(f Frame) error {
 	return p.w.Flush()
 }
 
+// connReaderSize is the per-connection read buffer, the writer's size:
+// a control frame — prefix, header, small payload — costs one read, and
+// a body longer than the buffer is read around it, straight into where
+// it is going.
+const connReaderSize = connWriterSize
+
+// landPeek is how much of a long frame the lander is shown: the smallest
+// pool class, which every frame header fits.
+const landPeek = 64
+
+// Lander is asked where a frame read off a connection should land. An
+// engine that knows, from the frame's head alone, that the body belongs
+// in a buffer it already holds has it read there straight off the
+// socket, instead of staged in a pooled buffer and copied out. It is
+// deliberately not part of Device (see Mux.SetLander): only a Mux's own
+// read loops ask.
+type Lander interface {
+	// Land is shown head, the first bytes of a frameLen-byte frame from
+	// world rank peer, before the rest has been read. To take the frame
+	// it returns the number of leading bytes of head that are header,
+	// the buffer the bytes after them are to be read into — what it has
+	// no room for is discarded, and the frame is not delivered through
+	// the mailbox — and the landing to settle once they have been. A nil
+	// landing declines: the frame is staged and delivered like any
+	// other. Land must not block on the network and must not keep head.
+	Land(peer int, head []byte, frameLen int) (hdrLen int, dst []byte, landing Landing)
+}
+
+// Landing is one accepted frame on its way into the buffer Land named.
+type Landing interface {
+	// Landed is called exactly once, from the connection's read loop:
+	// with nil when the buffer holds the frame's bytes, else with the
+	// error that ended the stream mid-frame, in which case any prefix of
+	// the buffer may have been written. Either way nothing writes the
+	// buffer afterwards.
+	Landed(err error)
+}
+
+// landFunc is a Lander's Land for one connection's peer.
+type landFunc func(head []byte, frameLen int) (hdrLen int, dst []byte, landing Landing)
+
 // readFrames drains a connection into inbox until the stream fails
-// (the error is returned: the peer is lost) or done closes (nil). Each
+// (the error is returned: the peer is lost) or done closes (nil). A
 // frame is staged whole in one pooled buffer, which the engine parses
 // in place, and which goes back to the pool on every path that does not
-// deliver it. stamp, if set, edits the frame first; its error ends the
-// stream.
-func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devCounters, stamp func([]byte) error) error {
+// deliver it — unless it is longer than the read buffer and land, if
+// set, takes it: then its body is read into the buffer land names and
+// the frame never enters the inbox. stamp, if set, edits the frame
+// first — the head land is shown included; its error ends the stream.
+func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devCounters, stamp func([]byte) error, land landFunc) error {
+	br := bufio.NewReaderSize(r, connReaderSize)
 	var lp [4]byte
 	for {
-		if _, err := io.ReadFull(r, lp[:]); err != nil {
+		if _, err := io.ReadFull(br, lp[:]); err != nil {
 			return err
 		}
-		frame, err := readBody(r, int(binary.LittleEndian.Uint32(lp[:])))
-		if err == nil && stamp != nil {
+		n := int(binary.LittleEndian.Uint32(lp[:]))
+		stamped := false
+		if land != nil && n > connReaderSize {
+			// A failed Peek is left for readBody to meet again and report.
+			if head, err := br.Peek(landPeek); err == nil {
+				if stamp != nil {
+					if err := stamp(head); err != nil {
+						return err
+					}
+					stamped = true // in the read buffer: the edit goes where the bytes go
+				}
+				if hdrLen, dst, landing := land(head, n); landing != nil {
+					err := readInto(br, n, hdrLen, dst)
+					landing.Landed(err)
+					if err != nil {
+						return err
+					}
+					cnt.countRecv(n)
+					continue
+				}
+			}
+		}
+		frame, err := readBody(br, n)
+		if err == nil && stamp != nil && !stamped {
 			if err = stamp(frame); err != nil {
 				PutBuf(frame)
 			}
@@ -104,6 +170,21 @@ func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devC
 			return nil
 		}
 	}
+}
+
+// readInto consumes an n-byte frame whose first hdrLen bytes the lander
+// has already seen: the rest is read into dst, and whatever dst has no
+// room for is discarded.
+func readInto(br *bufio.Reader, n, hdrLen int, dst []byte) error {
+	dst = dst[:min(len(dst), n-hdrLen)]
+	_, err := br.Discard(hdrLen)
+	if err == nil {
+		_, err = io.ReadFull(br, dst)
+	}
+	if err == nil {
+		_, err = br.Discard(n - hdrLen - len(dst))
+	}
+	return err
 }
 
 const (

@@ -195,7 +195,8 @@ func (e *Env) Finalize() error {
 // that lent the caller's buffer instead of packing it; BytesCopied
 // against BytesRecv measures how much receive traffic pays an
 // engine-side copy (receive-into deposits — for a lent send, the one
-// copy the message pays anywhere); RecvsZeroCopy counts receives
+// copy the message pays anywhere) and BytesLanded how much was read off
+// a socket straight into the receive's buffer instead; RecvsZeroCopy counts receives
 // completed by frame handover; PoolHitRate is the fraction of
 // frame-buffer requests served by recycling rather than allocation
 // (process-wide).
@@ -204,7 +205,7 @@ type EngineStats struct {
 	SendsLent, BytesLent             uint64
 	BytesSent, BytesRecv             uint64
 	RecvsMatched, RecvsUnexpected    uint64
-	BytesCopied                      uint64
+	BytesCopied, BytesLanded         uint64
 	RecvsZeroCopy                    uint64
 	Cancelled                        uint64
 	PeersLost                        uint64
@@ -290,6 +291,7 @@ func (e *Env) EngineStats() EngineStats {
 		RecvsMatched:    s.RecvsMatched,
 		RecvsUnexpected: s.RecvsUnexpected,
 		BytesCopied:     s.BytesCopied,
+		BytesLanded:     s.BytesLanded,
 		RecvsZeroCopy:   s.RecvsZeroCopy,
 		Cancelled:       s.Cancelled,
 		PeersLost:       s.PeersLost,
