@@ -5,12 +5,13 @@
 //	BenchmarkFig5_*     — Figure 5: PingPong bandwidth vs size, SM mode
 //	BenchmarkFig6_*     — Figure 6: PingPong bandwidth vs size, DM mode
 //	BenchmarkLinpack_*  — §4.6: native vs interpreted LINPACK Mflop/s
-//	BenchmarkAblation_* — design-choice ablations (DESIGN.md §6)
+//	BenchmarkAblation_* — design-choice ablations
 //
 // Benchmarks run the bare modern stack by default; set GOMPI_BENCH_PAPER=1
 // to apply the 1999 testbed calibration (JNI cost model, WMPI/MPICH
 // software profiles, 10BaseT shaping). cmd/pingpong prints the same
-// artifacts as full tables; EXPERIMENTS.md records paper-vs-measured.
+// artifacts as full tables. The benchmark a change is judged by is the
+// module under benchmark/ (benchmark/README.md), not this file.
 package gompi
 
 import (
@@ -162,8 +163,7 @@ func BenchmarkLinpack_Interpreted(b *testing.B) {
 }
 
 // BenchmarkAblation_EagerLimit sweeps the eager/rendezvous threshold at a
-// fixed 256 KB message — where the protocol switch lands on the curve
-// (DESIGN.md §6).
+// fixed 256 KB message — where the protocol switch lands on the curve.
 func BenchmarkAblation_EagerLimit(b *testing.B) {
 	for _, limit := range []int{-1, 1 << 10, 1 << 16, 1 << 20} {
 		limit := limit
@@ -206,7 +206,7 @@ func BenchmarkAblation_BindingOverhead(b *testing.B) {
 
 // BenchmarkAblation_Allreduce compares the recursive-doubling allreduce
 // against the gather-fold-broadcast path the runtime uses for
-// non-commutative operations (DESIGN.md §6).
+// non-commutative operations.
 func BenchmarkAblation_Allreduce(b *testing.B) {
 	sumNC := mpi.NewOp(func(in, inout any) {
 		a := in.([]float64)

@@ -11,8 +11,9 @@
 //	pingpong -fig 6 -paper1999    # Figure 6 curves (DM)
 //	pingpong -linpack             # §4.6 LINPACK comparison
 //
-// The -paper1999 flag enables the calibration described in DESIGN.md:
-// the JNI-crossing cost model, the WMPI/MPICH software-path profiles and
+// The -paper1999 flag enables the calibration of internal/bench
+// (calib.go holds the constants, shaped.go charges them): the
+// JNI-crossing cost model, the WMPI/MPICH software-path profiles and
 // the 10BaseT link shaping that recover the published magnitudes.
 package main
 

@@ -4,7 +4,7 @@
 // here the core engine called directly) and the OO binding
 // ("WMPI-J"/"MPICH-J", the mpi package) — in both Shared Memory and
 // Distributed Memory modes, plus the 1999 calibration profiles that
-// recover the published magnitudes (DESIGN.md §2, §5).
+// recover the published magnitudes (calib.go, shaped.go).
 package bench
 
 import (

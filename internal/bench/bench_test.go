@@ -6,7 +6,8 @@ import (
 )
 
 // The harness tests run tiny unshaped sweeps: they validate plumbing and
-// invariants, not 1999 magnitudes (EXPERIMENTS.md records those).
+// invariants, not 1999 magnitudes (`pingpong -table1 -paper1999` prints
+// those).
 
 func TestSpecLabels(t *testing.T) {
 	cases := map[string]Spec{

@@ -2,7 +2,7 @@ package bench
 
 import "time"
 
-// The 1999 calibration (DESIGN.md §2): per-environment cost constants
+// The 1999 calibration: per-environment cost constants
 // chosen so the emulated stack reproduces the paper's published
 // magnitudes on Table 1 and the curve shapes of Figures 5 and 6.
 //

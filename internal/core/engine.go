@@ -105,12 +105,18 @@ type Proc struct {
 	try trySender
 	cfg Config
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	posted   []*Request // posted receives, post order
-	arrived  []*inMsg   // unexpected messages, arrival order
-	sent     map[uint64]*Request
-	recving  map[uint64]*Request
+	mu      sync.Mutex
+	cond    *sync.Cond
+	posted  []*Request // receives no message has met yet, post order
+	arrived []*inMsg   // unexpected messages, arrival order
+	// pending holds, by id, every operation a peer's next frame settles:
+	// a send awaiting its CTS or ACK and a granted receive awaiting its
+	// DATA. Both draw their ids from nextID, and Request.kind says which
+	// frames may name one. posted and pending are all that
+	// failWhereLocked and Cancel can reach: an operation in neither (a
+	// lent send after its CTS, a receive handed to a read loop) has one
+	// completion left, and it is not theirs.
+	pending  map[uint64]*Request
 	peerDown map[int]error // world rank -> loss report, once per peer
 	// groups maps a registered context to its group-rank→world-rank
 	// table, letting failPeer and the fail-fast paths attribute peer
@@ -179,8 +185,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		cfg:     cfg,
 		reg:     obs.NewRegistry(),
 		rec:     cfg.Recorder,
-		sent:    make(map[uint64]*Request),
-		recving: make(map[uint64]*Request),
+		pending: make(map[uint64]*Request),
 		nextCtx: 2, // 0 and 1 belong to COMM_WORLD
 	}
 	p.try, _ = dev.(trySender)
@@ -307,13 +312,57 @@ type lateComplete struct {
 	st  Status
 }
 
+// failWhereLocked is the one loop that fails operations: every posted
+// receive (posted = true, in post order) and every pending operation
+// hit selects completes with err. Peer loss, endpoint death and
+// revocation are each a predicate over it; whatever it cannot reach is
+// in neither table, by the rule on Proc.pending. Probe waiters are woken
+// to re-read the state that made the sweep.
+func (p *Proc) failWhereLocked(err error, hit func(r *Request, posted bool) bool) {
+	kept := p.posted[:0]
+	for _, r := range p.posted {
+		if hit(r, true) {
+			p.completeLocked(r, nil, Status{SourceGroup: int(r.src), Tag: int(r.tag), Err: err})
+			continue
+		}
+		kept = append(kept, r)
+	}
+	clear(p.posted[len(kept):])
+	p.posted = kept
+	for _, r := range p.pending {
+		if hit(r, false) {
+			p.dropPendingLocked(r, Status{Err: err})
+		}
+	}
+	p.cond.Broadcast()
+}
+
+// dropPendingLocked takes r out of pending and completes it with st, to
+// which it adds what the request alone knows: a send's size, or the
+// source and tag of the message a granted receive matched. A rendezvous
+// payload that never shipped goes back to the pool if it came from there
+// (a lent one is simply the caller's again).
+func (p *Proc) dropPendingLocked(r *Request, st Status) {
+	delete(p.pending, r.id)
+	if r.kind == reqSend {
+		if r.data != nil && r.recycle {
+			transport.PutBuf(r.data)
+		}
+		r.data = nil
+		st.Bytes = r.size
+	} else {
+		st.SourceGroup, st.Tag = r.Stat.SourceGroup, r.Stat.Tag
+	}
+	p.completeLocked(r, nil, st)
+}
+
 // failPeer records that world rank pl.Peer is gone and completes, with
 // the loss as the status error, every operation only that peer could
 // satisfy: posted receives pinned to it (world contexts map group ranks
 // directly; derived communicators resolve through their registered
-// group tables), rendezvous sends awaiting its CTS/ACK, and granted
-// receives awaiting its DATA. Later sends to the peer fail fast in
-// Isend. Reported once per peer.
+// group tables), sends awaiting its CTS/ACK, and granted receives
+// awaiting its DATA. Later sends to the peer fail fast in Isend.
+// Reported once per peer.
 func (p *Proc) failPeer(pl *transport.PeerLostError) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -326,39 +375,12 @@ func (p *Proc) failPeer(pl *transport.PeerLostError) {
 	p.peerDown[pl.Peer] = pl
 	p.stats.PeersLost.Add(1)
 	p.rec.Instant(obs.EvPeerLost, uint32(pl.Peer), 0)
-	peer := pl.Peer
-
-	kept := p.posted[:0]
-	for _, r := range p.posted {
-		if r.src != AnySource && p.worldOfLocked(r.ctx, r.src) == peer {
-			p.completeLocked(r, nil, Status{SourceGroup: int(r.src), Tag: int(r.tag), Err: pl})
-			continue
+	p.failWhereLocked(pl, func(r *Request, posted bool) bool {
+		if posted {
+			return r.src != AnySource && p.worldOfLocked(r.ctx, r.src) == pl.Peer
 		}
-		kept = append(kept, r)
-	}
-	for i := len(kept); i < len(p.posted); i++ {
-		p.posted[i] = nil
-	}
-	p.posted = kept
-
-	for id, r := range p.sent {
-		if int(r.dstWorld) != peer {
-			continue
-		}
-		delete(p.sent, id)
-		if r.data != nil && r.recycle {
-			transport.PutBuf(r.data)
-		}
-		r.data = nil
-		p.completeLocked(r, nil, Status{Bytes: r.size, Err: pl})
-	}
-	for id, r := range p.recving {
-		if int(r.dstWorld) == peer {
-			delete(p.recving, id)
-			p.completeLocked(r, nil, Status{SourceGroup: r.Stat.SourceGroup, Tag: r.Stat.Tag, Err: pl})
-		}
-	}
-	p.cond.Broadcast() // wake Probe waiters pinned to the lost peer
+		return int(r.dstWorld) == pl.Peer
+	})
 }
 
 // failAll marks the engine closed and completes every pending operation
@@ -369,30 +391,17 @@ func (p *Proc) failAll(err error) {
 	defer p.mu.Unlock()
 	p.closed = true
 	p.fatal = err
-	for _, r := range p.posted {
-		p.completeLocked(r, nil, Status{SourceGroup: int(r.src), Tag: int(r.tag), Err: err})
-	}
-	p.posted = nil
-	for id, r := range p.sent {
-		delete(p.sent, id)
-		if r.data != nil && r.recycle {
-			transport.PutBuf(r.data)
-		}
-		r.data = nil
-		p.completeLocked(r, nil, Status{Bytes: r.size, Err: err})
-	}
-	for id, r := range p.recving {
-		delete(p.recving, id)
-		p.completeLocked(r, nil, Status{SourceGroup: r.Stat.SourceGroup, Tag: r.Stat.Tag, Err: err})
-	}
-	p.cond.Broadcast()
+	p.failWhereLocked(err, func(*Request, bool) bool { return true })
 }
 
-// peerLoss returns the recorded loss report for world rank dst, if any.
-func (p *Proc) peerLoss(dst int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.peerDown[dst]
+// lostSrcLocked returns the loss report of the rank a receive for group
+// rank src on ctx is pinned to, or nil: a wildcard is pinned to nobody,
+// and an unknown mapping (-1) is no rank.
+func (p *Proc) lostSrcLocked(ctx, src int32) error {
+	if src == AnySource {
+		return nil
+	}
+	return p.peerDown[p.worldOfLocked(ctx, src)]
 }
 
 // worldOfLocked maps a group rank on a registered context to its world
@@ -562,52 +571,20 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, fresh bool) {
 	p.revoked[base+1] = err
 	p.rec.Instant(obs.EvRevoke, uint32(base), 0)
 
-	onPair := func(ctx int32) bool { return ctx == base || ctx == base+1 }
-
-	kept := p.posted[:0]
-	for _, r := range p.posted {
-		if onPair(r.ctx) && !isRecoveryTag(r.tag) {
-			p.completeLocked(r, nil, Status{SourceGroup: int(r.src), Tag: int(r.tag), Err: err})
-			continue
-		}
-		kept = append(kept, r)
-	}
-	for i := len(kept); i < len(p.posted); i++ {
-		p.posted[i] = nil
-	}
-	p.posted = kept
-
-	for id, r := range p.sent {
-		if !onPair(r.ctxS) || isRecoveryTag(r.tagS) {
-			continue
-		}
-		delete(p.sent, id)
-		if r.data != nil && r.recycle {
-			transport.PutBuf(r.data)
-		}
-		r.data = nil
-		p.completeLocked(r, nil, Status{Bytes: r.size, Err: err})
-	}
-	for id, r := range p.recving {
-		if onPair(r.ctx) && !isRecoveryTag(r.tag) {
-			delete(p.recving, id)
-			p.completeLocked(r, nil, Status{SourceGroup: r.Stat.SourceGroup, Tag: r.Stat.Tag, Err: err})
-		}
-	}
+	barred := func(ctx, tag int32) bool { return (ctx == base || ctx == base+1) && !isRecoveryTag(tag) }
+	p.failWhereLocked(err, func(r *Request, _ bool) bool { return barred(r.ctx, r.tag) })
 	// Unexpected messages for the pair will never be matched; release
 	// their frames rather than hold them until Close.
-	keptMsgs := p.arrived[:0]
+	kept := p.arrived[:0]
 	for _, m := range p.arrived {
-		if onPair(m.env.ctx) && !isRecoveryTag(m.env.tag) {
+		if barred(m.env.ctx, m.env.tag) {
 			m.frame.Release()
 			continue
 		}
-		keptMsgs = append(keptMsgs, m)
+		kept = append(kept, m)
 	}
-	for i := len(keptMsgs); i < len(p.arrived); i++ {
-		p.arrived[i] = nil
-	}
-	p.arrived = keptMsgs
+	clear(p.arrived[len(kept):])
+	p.arrived = kept
 	p.unexpDepth.Set(int64(len(p.arrived)))
 
 	me := p.Rank()
@@ -626,7 +603,6 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, fresh bool) {
 		}
 		outs = append(outs, outFrame{dst: int32(w), hdr: buildRevoke(int32(me), base)})
 	}
-	p.cond.Broadcast() // wake Probe waiters on the revoked pair
 	return outs, true
 }
 
@@ -651,50 +627,42 @@ func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 // releases.
 func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 	switch f.kind {
-	case kEager, kEagerSync:
+	case kEager, kEagerSync, kRts:
+		if f.kind == kRts {
+			p.rec.Instant(obs.EvRtsRecv, uint32(f.env.srcGroup), int64(f.size))
+		}
 		req := p.takeMatchLocked(f.env)
 		if req == nil {
-			p.arrived = append(p.arrived, &inMsg{
-				kind: f.kind, env: f.env, id: f.id,
-				payload: f.payload, frame: f.frame,
-			})
-			f.frame = transport.Frame{}
-			p.rec.Instant(obs.EvRecvUnexpected, uint32(f.env.srcGroup), int64(len(f.payload)))
+			m := &inMsg{kind: f.kind, env: f.env, id: f.id, size: f.size, payload: f.payload}
+			if f.kind != kRts {
+				// The entry owns the frame its payload lives in. An RTS is
+				// all header and everything of it is in m already: its
+				// frame goes back to the pool now, not at a teardown that
+				// never empties arrived.
+				m.frame, f.frame = f.frame, transport.Frame{}
+				p.rec.Instant(obs.EvRecvUnexpected, uint32(f.env.srcGroup), int64(len(f.payload)))
+			}
+			p.arrived = append(p.arrived, m)
 			p.unexpDepth.Set(int64(len(p.arrived)))
 			p.cond.Broadcast()
 			return nil, nil
 		}
 		p.stats.RecvsMatched.Add(1)
-		p.stats.BytesRecv.Add(uint64(len(f.payload)))
-		p.rec.Instant(obs.EvRecvMatched, uint32(f.env.srcGroup), int64(len(f.payload)))
-		p.deliverLocked(req, f.payload, &f.frame, Status{
-			SourceGroup: int(f.env.srcGroup),
-			Tag:         int(f.env.tag),
-		})
-		if f.kind == kEagerSync {
-			outs = append(outs, outFrame{dst: f.env.srcWorld, hdr: buildAck(int32(p.Rank()), f.id)})
+		if f.kind != kRts {
+			p.rec.Instant(obs.EvRecvMatched, uint32(f.env.srcGroup), int64(len(f.payload)))
 		}
-	case kRts:
-		req := p.takeMatchLocked(f.env)
-		p.rec.Instant(obs.EvRtsRecv, uint32(f.env.srcGroup), int64(f.size))
-		if req == nil {
-			p.arrived = append(p.arrived, &inMsg{kind: kRts, env: f.env, id: f.id, size: f.size})
-			p.unexpDepth.Set(int64(len(p.arrived)))
-			p.cond.Broadcast()
-			return nil, nil
+		if reply := p.meetLocked(req, f.kind, f.env, f.id, f.size, f.payload, &f.frame); reply != nil {
+			outs = append(outs, outFrame{dst: f.env.srcWorld, hdr: reply})
 		}
-		p.stats.RecvsMatched.Add(1)
-		p.stats.BytesRecv.Add(uint64(f.size))
-		outs = append(outs, p.grantRtsLocked(req, f.env, f.id))
 	case kCts:
-		req, ok := p.sent[f.id]
-		if !ok {
+		req := p.pending[f.id]
+		if req == nil || req.kind != reqSend {
 			// The send left the table after its RTS went out (cancelled,
 			// revoked). The receiver has matched it and can no longer
 			// cancel: tell it that no DATA will come, or it waits for ever.
 			return []outFrame{{dst: f.env.srcWorld, hdr: buildWithdrawn(int32(p.Rank()), f.recvID)}}, nil
 		}
-		delete(p.sent, f.id)
+		delete(p.pending, f.id)
 		p.rec.Instant(obs.EvCtsRecv, uint32(f.id), 0)
 		p.rec.End(obs.EvSendRndv, uint32(f.id), 0)
 		data := outFrame{
@@ -714,40 +682,23 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 		}
 		outs = append(outs, data)
 	case kData:
-		req, ok := p.recving[f.recvID]
-		if !ok {
-			return nil, nil
-		}
-		if req.dstWorld != f.env.srcWorld {
-			p.malformed(f.kind, len(f.frame.Data))
-			return nil, nil
-		}
-		delete(p.recving, f.recvID)
 		// The payload lands in the caller's buffer (receive-into) or
 		// the posted request takes the frame over by reference — never
 		// cloned, unless it is on loan and the receive does not borrow.
-		p.deliverLocked(req, f.payload, &f.frame, Status{
-			SourceGroup: int(req.Stat.SourceGroup),
-			Tag:         req.Stat.Tag,
-		})
+		if req := p.takeGrantedLocked(f); req != nil {
+			p.deliverLocked(req, f.payload, &f.frame, req.Stat)
+		}
 	case kWithdrawn:
-		req, ok := p.recving[f.recvID]
-		if !ok {
-			return nil, nil
+		if req := p.takeGrantedLocked(f); req != nil {
+			st := req.Stat
+			st.Err = ErrWithdrawn
+			p.completeLocked(req, nil, st)
 		}
-		if req.dstWorld != f.env.srcWorld {
-			p.malformed(f.kind, len(f.frame.Data))
-			return nil, nil
-		}
-		delete(p.recving, f.recvID)
-		p.completeLocked(req, nil, Status{SourceGroup: req.Stat.SourceGroup, Tag: req.Stat.Tag, Err: ErrWithdrawn})
 	case kAck:
-		req, ok := p.sent[f.id]
-		if !ok {
-			return nil, nil
+		if req := p.pending[f.id]; req != nil && req.kind == reqSend {
+			delete(p.pending, f.id)
+			p.completeLocked(req, nil, Status{Bytes: req.size})
 		}
-		delete(p.sent, f.id)
-		after = append(after, lateComplete{req: req, st: Status{Bytes: req.size}})
 	case kRevoke:
 		// First receipt poisons the pair and re-floods the notice: the
 		// flood is what makes revocation reliable when the revoker dies
@@ -808,13 +759,13 @@ func (p *Proc) deliverLocked(req *Request, payload []byte, frame *transport.Fram
 // head of a long frame from world rank peer (transport.Lander): a
 // rendezvous DATA frame from the rank its receive was granted to, whose
 // payload the receive's own buffer takes whole, is read off the socket
-// straight into that buffer. The request leaves recving here, and from
-// there it is in no table — the rule a lent send follows after its CTS —
-// so Cancel, failPeer, revokeLocked and failAll cannot complete it while
-// the read loop is writing the caller's memory: Landed is its only
-// completion. Land matches nothing, it looks up an id; whatever it
-// declines (truncating, ragged, by-reference, from another rank) is
-// staged and reaches the one kData handler.
+// straight into that buffer. The request leaves pending here and goes to
+// no other table — the rule a lent send follows after its CTS — so
+// neither failWhereLocked nor Cancel can complete it while the read loop
+// is writing the caller's memory: Landed is its only completion. Land
+// matches nothing, it looks up an id; whatever it declines (truncating,
+// ragged, by-reference, from another rank) is staged and reaches the one
+// kData handler.
 func (p *Proc) Land(peer int, head []byte, frameLen int) (int, []byte, transport.Landing) {
 	if len(head) < dataHdrLen || head[0] != kData {
 		return 0, nil, nil
@@ -824,12 +775,12 @@ func (p *Proc) Land(peer int, head []byte, frameLen int) (int, []byte, transport
 	n := frameLen - dataHdrLen
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	req := p.recving[recvID]
+	req := p.pending[recvID] // a send has no into
 	if req == nil || req.into == nil || n > len(req.into) || (req.intoES > 1 && n%req.intoES != 0) ||
 		req.dstWorld != src || int(src) != peer {
 		return 0, nil, nil
 	}
-	delete(p.recving, recvID)
+	delete(p.pending, recvID)
 	req.Stat.Bytes = n
 	return dataHdrLen, req.into[:n], (*landing)(req)
 }
@@ -852,26 +803,62 @@ func (l *landing) Landed(err error) {
 	p.complete(r, nil, st)
 }
 
-// grantRtsLocked matches a receive request to an RTS: it registers the
-// pending data delivery and emits the CTS. The request's status source
-// and tag are pre-filled so the kData handler can preserve them, and the
-// rank the grant goes to is remembered: only that rank's DATA or
-// withdrawal answers it, and only that rank's loss fails it.
-func (p *Proc) grantRtsLocked(req *Request, env envelope, senderID uint64) outFrame {
+// meetLocked is where a matched message meets its receive, whichever of
+// the two came first: the arrival arm of handleLocked and irecv both end
+// here. An eager message is delivered, and a synchronous one owes its
+// sender the ACK. An RTS is granted — the receive moves to pending under
+// a fresh id, remembering the source and tag it matched and the rank the
+// CTS goes to, so that only that rank's DATA or withdrawal answers it and
+// only that rank's loss fails it — unless its sender is already known to
+// be lost: the match stands, but the advertised payload died with it and
+// a grant would wait for DATA that never comes. The message is taken by
+// its fields so that a matched arrival never builds an inMsg; frame is
+// cleared if the receive took it over. reply, when not nil, is the ACK
+// or CTS owed to env.srcWorld, to be sent once the engine lock is
+// dropped.
+func (p *Proc) meetLocked(req *Request, kind byte, env envelope, id uint64, size int, payload []byte, frame *transport.Frame) (reply []byte) {
+	st := Status{SourceGroup: int(env.srcGroup), Tag: int(env.tag)}
+	if kind != kRts {
+		p.stats.BytesRecv.Add(uint64(len(payload)))
+		p.deliverLocked(req, payload, frame, st)
+		if kind == kEagerSync {
+			reply = buildAck(int32(p.Rank()), id)
+		}
+		return reply
+	}
+	p.stats.BytesRecv.Add(uint64(size))
+	if st.Err = p.peerDown[int(env.srcWorld)]; st.Err != nil {
+		p.completeLocked(req, nil, st)
+		return nil
+	}
 	p.nextID++
-	recvID := p.nextID
-	req.Stat.SourceGroup = int(env.srcGroup)
-	req.Stat.Tag = int(env.tag)
-	req.dstWorld = env.srcWorld
-	p.recving[recvID] = req
-	return outFrame{dst: env.srcWorld, hdr: buildCts(int32(p.Rank()), senderID, recvID)}
+	req.id, req.Stat, req.dstWorld = p.nextID, st, env.srcWorld
+	p.pending[req.id] = req
+	return buildCts(int32(p.Rank()), id, req.id)
+}
+
+// takeGrantedLocked removes and returns the granted receive a DATA or
+// WITHDRAWN frame answers, or nil: the id may be gone (cancelled sender,
+// swept receive) or name a send, and an answer from any rank but the one
+// the grant went to is dropped and counted.
+func (p *Proc) takeGrantedLocked(f *parsed) *Request {
+	req := p.pending[f.recvID]
+	if req == nil || req.kind != reqRecv {
+		return nil
+	}
+	if req.dstWorld != f.env.srcWorld {
+		p.malformed(f.kind, len(f.frame.Data))
+		return nil
+	}
+	delete(p.pending, f.recvID)
+	return req
 }
 
 // takeMatchLocked removes and returns the oldest posted receive matching
 // the envelope, or nil.
 func (p *Proc) takeMatchLocked(env envelope) *Request {
 	for i, r := range p.posted {
-		if matches(r, env) {
+		if matches(r.ctx, r.src, r.tag, env) {
 			p.posted = append(p.posted[:i], p.posted[i+1:]...)
 			return r
 		}
@@ -879,27 +866,16 @@ func (p *Proc) takeMatchLocked(env envelope) *Request {
 	return nil
 }
 
-func matches(r *Request, env envelope) bool {
-	if r.ctx != env.ctx {
+// matches reports whether a receive for (ctx, src, tag) — src and tag may
+// be wildcards — takes a message sent as env.
+func matches(ctx, src, tag int32, env envelope) bool {
+	if ctx != env.ctx {
 		return false
 	}
-	if r.src != AnySource && r.src != env.srcGroup {
+	if src != AnySource && src != env.srcGroup {
 		return false
 	}
-	if r.tag != AnyTag && r.tag != env.tag {
-		return false
-	}
-	return true
-}
-
-func matchesMsg(m *inMsg, ctx, src, tag int32) bool {
-	if ctx != m.env.ctx {
-		return false
-	}
-	if src != AnySource && src != m.env.srcGroup {
-		return false
-	}
-	if tag != AnyTag && tag != m.env.tag {
+	if tag != AnyTag && tag != env.tag {
 		return false
 	}
 	return true
@@ -943,8 +919,7 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	}
 	req := newRequest(p, reqSend)
 	req.dstWorld = int32(dstWorld)
-	req.ctxS = ctx
-	req.tagS = int32(tag)
+	req.ctx, req.tag = ctx, int32(tag)
 	req.size = len(payload)
 
 	eager := int(p.eagerLim.Load())
@@ -952,85 +927,79 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	std := small && mode != ModeSync
 
 	p.mu.Lock()
-	ctxErr := p.ctxErrLocked(ctx, int32(tag))
-	lost := p.peerDown[dstWorld]
-	fatal := p.fatal
-	if std && fatal == nil && ctxErr == nil && lost == nil {
+	// What bars the send: the local endpoint is dead (fault-injected or
+	// device failure), the context is revoked, or the destination is lost.
+	bar := p.fatal
+	if bar == nil {
+		bar = p.ctxErrLocked(ctx, int32(tag))
+	}
+	if bar == nil {
+		bar = p.peerDown[dstWorld]
+	}
+	switch {
+	case bar != nil:
+		p.completeLocked(req, nil, Status{Err: bar})
+	case std:
 		// Eager standard/ready: the payload is with the device once the
 		// send below returns, so the request completes at once — under
 		// the hold that found nothing barring it.
 		p.completeLocked(req, nil, Status{Bytes: len(payload)})
+	default:
+		// Synchronous eager completes on the matched ACK, rendezvous
+		// ships its payload on the CTS: either waits in pending.
+		p.nextID++
+		req.id = p.nextID
+		if !small {
+			req.data, req.recycle, req.lent = payload, recycle, lent
+		}
+		p.pending[req.id] = req
 	}
 	p.mu.Unlock()
-	if fatal != nil {
-		// The local endpoint is dead (fault-injected or device failure):
-		// nothing posted from here on can ever complete normally.
+	if bar != nil {
 		if recycle {
 			transport.PutBuf(payload)
 		}
-		p.complete(req, nil, Status{Err: fatal})
-		return req, fmt.Errorf("core: send on dead endpoint: %w", fatal)
-	}
-	if ctxErr != nil {
-		if recycle {
-			transport.PutBuf(payload)
-		}
-		p.complete(req, nil, Status{Err: ctxErr})
-		return req, fmt.Errorf("core: send on revoked context %d: %w", ctx, ctxErr)
-	}
-	if lost != nil {
-		if recycle {
-			transport.PutBuf(payload)
-		}
-		p.complete(req, nil, Status{Err: lost})
-		return req, fmt.Errorf("core: send to rank %d: %w", dstWorld, lost)
+		return req, fmt.Errorf("core: send to rank %d on context %d: %w", dstWorld, ctx, bar)
 	}
 
 	p.stats.BytesSent.Add(uint64(len(payload)))
-	switch {
-	case std:
-		// Eager standard/ready: completed above.
+	if std {
 		p.stats.SendsEager.Add(1)
 		p.rec.Instant(obs.EvSendEager, uint32(dstWorld), int64(len(payload)))
 		if err := p.sendEager(dstWorld, buildEagerHdr(false, env, 0), payload, recycle); err != nil {
 			return req, fmt.Errorf("core: eager send: %w", err)
 		}
-	case small:
-		// Eager synchronous: ship payload now, complete on matched ack.
+		return req, nil
+	}
+	var err error
+	if small {
 		p.stats.SendsSync.Add(1)
 		p.rec.Instant(obs.EvSendSync, uint32(dstWorld), int64(len(payload)))
-		p.mu.Lock()
-		p.nextID++
-		id := p.nextID
-		req.id = id
-		p.sent[id] = req
-		p.mu.Unlock()
-		if err := p.sendEager(dstWorld, buildEagerHdr(true, env, id), payload, recycle); err != nil {
-			return req, fmt.Errorf("core: sync eager send: %w", err)
-		}
-	default:
-		// Rendezvous: advertise, ship payload on CTS.
+		err = p.sendEager(dstWorld, buildEagerHdr(true, env, req.id), payload, recycle)
+	} else {
 		p.stats.SendsRndv.Add(1)
 		if lent {
 			p.stats.SendsLent.Add(1)
 			p.stats.BytesLent.Add(uint64(len(payload)))
 		}
-		p.mu.Lock()
-		p.nextID++
-		id := p.nextID
-		req.id = id
-		req.data = payload
-		req.recycle = recycle
-		req.lent = lent
-		p.sent[id] = req
-		p.mu.Unlock()
 		// The rendezvous span opens at the RTS and closes when the CTS
 		// grant arrives (both on this, the sender's, timeline): its
 		// width is the receiver-matching stall the eager path avoids.
-		p.rec.Begin(obs.EvSendRndv, uint32(id), int64(len(payload)))
-		if err := p.dev.Sendv(dstWorld, buildRts(env, id, len(payload)), nil, false); err != nil {
-			return req, fmt.Errorf("core: rts send: %w", err)
+		p.rec.Begin(obs.EvSendRndv, uint32(req.id), int64(len(payload)))
+		err = p.dev.Sendv(dstWorld, buildRts(env, req.id, len(payload)), nil, false)
+	}
+	if err != nil {
+		// The device refused the frame the peer's answer depends on, so
+		// no CTS or ACK will come, and nothing else sweeps the request: a
+		// peer reached by reference is closed without a loss report. If
+		// it is still pending (a sweep may have been quicker) it fails
+		// here, and its unshipped payload is reclaimed.
+		p.mu.Lock()
+		if p.pending[req.id] == req {
+			p.dropPendingLocked(req, Status{Err: err})
 		}
+		p.mu.Unlock()
+		return req, fmt.Errorf("core: send to rank %d: %w", dstWorld, err)
 	}
 	return req, nil
 }
@@ -1105,71 +1074,39 @@ func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool
 	p.mu.Lock()
 	// A receive on a revoked context can never complete normally; fail
 	// it now (revocation already purged the pair's unexpected queue).
-	if rerr := p.ctxErrLocked(ctx, tag); rerr != nil {
-		p.completeLocked(req, nil, Status{SourceGroup: int(src), Tag: int(tag), Err: rerr})
-		p.mu.Unlock()
-		return req
+	bar := p.ctxErrLocked(ctx, tag)
+	var m *inMsg
+	var idx int
+	if bar == nil {
+		m, idx = p.findArrivedLocked(ctx, src, tag)
 	}
-	m, idx := p.findArrivedLocked(ctx, src, tag)
 	if m == nil {
-		// No queued match, and the local endpoint is dead: parking the
-		// receive would hang the caller on an engine with no progress.
-		// (Checked after the queue so frames delivered before death stay
-		// readable.)
-		if p.fatal != nil {
-			p.completeLocked(req, nil, Status{SourceGroup: int(src), Tag: int(tag), Err: p.fatal})
-			p.mu.Unlock()
-			return req
+		// No queued match. On a dead endpoint parking the receive would
+		// hang the caller on an engine with no progress (checked after
+		// the queue so frames delivered before death stay readable), and
+		// one pinned to an already-lost peer can never match either.
+		if bar == nil {
+			bar = p.fatal
 		}
-		// A receive pinned to an already-lost peer can never match;
-		// fail it now rather than park it forever. Derived contexts
-		// resolve through their registered group tables.
-		if src != AnySource {
-			if w := p.worldOfLocked(ctx, src); w >= 0 {
-				if lost := p.peerDown[w]; lost != nil {
-					p.completeLocked(req, nil, Status{SourceGroup: int(src), Tag: int(tag), Err: lost})
-					p.mu.Unlock()
-					return req
-				}
-			}
+		if bar == nil {
+			bar = p.lostSrcLocked(ctx, src)
 		}
-		p.posted = append(p.posted, req)
+		if bar != nil {
+			p.completeLocked(req, nil, Status{SourceGroup: int(src), Tag: int(tag), Err: bar})
+		} else {
+			p.posted = append(p.posted, req)
+		}
 		p.mu.Unlock()
 		return req
 	}
 	p.arrived = append(p.arrived[:idx], p.arrived[idx+1:]...)
 	p.unexpDepth.Set(int64(len(p.arrived)))
 	p.stats.RecvsUnexpected.Add(1)
-	if m.kind == kRts {
-		p.stats.BytesRecv.Add(uint64(m.size))
-	} else {
-		p.stats.BytesRecv.Add(uint64(len(m.payload)))
-	}
-	var out *outFrame
-	switch m.kind {
-	case kEager, kEagerSync:
-		p.deliverLocked(req, m.payload, &m.frame, Status{
-			SourceGroup: int(m.env.srcGroup),
-			Tag:         int(m.env.tag),
-		})
-		if m.kind == kEagerSync {
-			o := outFrame{dst: m.env.srcWorld, hdr: buildAck(int32(p.Rank()), m.id)}
-			out = &o
-		}
-	case kRts:
-		if lost := p.peerDown[int(m.env.srcWorld)]; lost != nil {
-			// The match stands, but the advertised payload died with
-			// its sender: a grant would wait for DATA that never comes.
-			p.completeLocked(req, nil, Status{SourceGroup: int(m.env.srcGroup), Tag: int(m.env.tag), Err: lost})
-			break
-		}
-		o := p.grantRtsLocked(req, m.env, m.id)
-		out = &o
-	}
+	reply := p.meetLocked(req, m.kind, m.env, m.id, m.size, m.payload, &m.frame)
 	p.mu.Unlock()
 	m.frame.Release() // a receive-into left the queued frame behind
-	if out != nil {
-		p.dev.Sendv(int(out.dst), out.hdr, out.payload, out.recycle) //nolint:errcheck // teardown race
+	if reply != nil {
+		p.dev.Sendv(int(m.env.srcWorld), reply, nil, false) //nolint:errcheck // teardown race
 	}
 	return req
 }
@@ -1178,7 +1115,7 @@ func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool
 // (ctx, src, tag) and its index.
 func (p *Proc) findArrivedLocked(ctx, src, tag int32) (*inMsg, int) {
 	for i, m := range p.arrived {
-		if matchesMsg(m, ctx, src, tag) {
+		if matches(ctx, src, tag, m.env) {
 			return m, i
 		}
 	}
@@ -1198,12 +1135,8 @@ func (p *Proc) Probe(ctx, src, tag int32) (Status, error) {
 		if rerr := p.ctxErrLocked(ctx, tag); rerr != nil {
 			return Status{SourceGroup: int(src), Tag: int(tag)}, rerr
 		}
-		if src != AnySource {
-			if w := p.worldOfLocked(ctx, src); w >= 0 {
-				if lost := p.peerDown[w]; lost != nil {
-					return Status{SourceGroup: int(src), Tag: int(tag)}, lost
-				}
-			}
+		if lost := p.lostSrcLocked(ctx, src); lost != nil {
+			return Status{SourceGroup: int(src), Tag: int(tag)}, lost
 		}
 		if p.closed {
 			return Status{}, transport.ErrClosed
@@ -1239,27 +1172,21 @@ func (p *Proc) Cancel(r *Request) bool {
 	if r.completed {
 		return false
 	}
-	if r.kind == reqRecv {
-		for i, q := range p.posted {
-			if q == r {
-				p.posted = append(p.posted[:i], p.posted[i+1:]...)
-				p.stats.Cancelled.Add(1)
-				p.completeLocked(r, nil, Status{Cancelled: true})
-				return true
-			}
+	if r.kind == reqSend {
+		if p.pending[r.id] != r {
+			return false
 		}
-		return false
-	}
-	if _, ok := p.sent[r.id]; ok {
-		delete(p.sent, r.id)
 		p.stats.Cancelled.Add(1)
-		if r.data != nil && r.recycle {
-			// The rendezvous payload was never shipped; reclaim it.
-			transport.PutBuf(r.data)
-		}
-		r.data = nil
-		p.completeLocked(r, nil, Status{Cancelled: true})
+		p.dropPendingLocked(r, Status{Cancelled: true})
 		return true
+	}
+	for i, q := range p.posted {
+		if q == r {
+			p.posted = append(p.posted[:i], p.posted[i+1:]...)
+			p.stats.Cancelled.Add(1)
+			p.completeLocked(r, nil, Status{Cancelled: true})
+			return true
+		}
 	}
 	return false
 }

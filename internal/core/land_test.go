@@ -386,10 +386,10 @@ func TestLandingAllocatesNothing(t *testing.T) {
 	head := buildDataHdr(1, 7)
 	defer transport.PutBuf(head)
 	req := newRequest(p0, reqRecv)
-	req.into, req.dstWorld = into, 1
+	req.into, req.dstWorld, req.id = into, 1, 7
 	allocs := testing.AllocsPerRun(200, func() {
 		req.completed = false
-		p0.recving[7] = req
+		p0.pending[7] = req
 		hdrLen, dst, l := p0.Land(1, head, dataHdrLen+len(into))
 		if l == nil || hdrLen != dataHdrLen || len(dst) != len(into) {
 			t.Fatal("Land declined a frame it should take")

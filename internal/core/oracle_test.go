@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,9 +20,13 @@ import (
 // fits takes it, a new receive takes the oldest arrived message it fits
 // (messages of one sender are never overtaken, a wildcard takes whoever
 // came first), revocation and peer loss fail what can no longer complete.
+// A message meets its receive in post or in arrive, and either way the
+// same things follow: a synchronous one owes its sender one ACK, an
+// advertised one whose sender is known lost fails the receive it matched.
 // The engine is driven beside it and must agree on which receive every
-// message completes and on every Status. Whoever restructures posted and
-// arrived has this to answer to.
+// message completes, on every Status and on the ACKs sent. Whoever
+// restructures posted and arrived, or the place the two meet, has this
+// to answer to.
 
 type refEnv struct{ ctx, src, tag int32 }
 
@@ -40,6 +45,7 @@ type refMsg struct {
 	refEnv
 	size int
 	rts  bool // advertised only: the payload is still at its sender
+	sync bool // eager, and its sender waits for the ACK of the match
 }
 
 // refDone is one receive's completion: by msg, or failed with why.
@@ -59,6 +65,18 @@ type refMatcher struct {
 	arrived []refMsg
 	revoked map[int32]bool // by context
 	lost    map[int32]bool // by rank
+	acks    int            // owed so far: one per synchronous message matched
+}
+
+// meet is what a match comes to, whichever side came second.
+func (m *refMatcher) meet(r refRecv, g refMsg) *refDone {
+	if g.rts && m.lost[g.src] {
+		return &refDone{recv: r, msg: &g, why: errRefLost} // matched; the payload died with its sender
+	}
+	if g.sync {
+		m.acks++
+	}
+	return &refDone{recv: r, msg: &g}
 }
 
 func (m *refMatcher) barred(e refEnv) bool {
@@ -72,10 +90,7 @@ func (m *refMatcher) post(r refRecv) *refDone {
 	for i, g := range m.arrived {
 		if r.admits(g.refEnv) {
 			m.arrived = slices.Delete(m.arrived, i, i+1)
-			if g.rts && m.lost[g.src] {
-				return &refDone{recv: r, msg: &g, why: errRefLost} // matched; the payload died with its sender
-			}
-			return &refDone{recv: r, msg: &g}
+			return m.meet(r, g)
 		}
 	}
 	if r.src != AnySource && m.lost[r.src] {
@@ -89,7 +104,7 @@ func (m *refMatcher) arrive(g refMsg) *refDone {
 	for i, r := range m.posted {
 		if r.admits(g.refEnv) {
 			m.posted = slices.Delete(m.posted, i, i+1)
-			return &refDone{recv: r, msg: &g}
+			return m.meet(r, g)
 		}
 	}
 	m.arrived = append(m.arrived, g)
@@ -142,7 +157,8 @@ func (m *refMatcher) lose(rank int32) []refDone {
 // draws them, the fuzzer mutates them); each operation is applied to the
 // reference first, and the engine is then held to what the reference
 // said: the predicted completions must happen, with the predicted
-// message and Status, and nothing still posted may complete.
+// message and Status, nothing still posted may complete, and rank 0 has
+// sent exactly the ACKs owed.
 
 const (
 	oracleEager = 48 // the job's eager limit: payloads of 2..48 B go eager (inline up to 39), 49..64 B rendezvous
@@ -161,13 +177,39 @@ type oracleRecv struct {
 	into []byte
 }
 
+// ackCounter is rank 0's endpoint, counting the ACK frames its engine
+// sends on either way out.
+type ackCounter struct {
+	*transport.Mux
+	acks atomic.Int64
+}
+
+func (a *ackCounter) Sendv(dst int, hdr, payload []byte, recycle bool) error {
+	if hdr[0] == kAck {
+		a.acks.Add(1)
+	}
+	return a.Mux.Sendv(dst, hdr, payload, recycle)
+}
+
+func (a *ackCounter) TrySendv(dst int, hdr, payload []byte, recycle bool, loan transport.Loan) bool {
+	ack := hdr[0] == kAck // read first: a frame handed over is the receiver's
+	took := a.Mux.TrySendv(dst, hdr, payload, recycle, loan)
+	if took && ack {
+		a.acks.Add(1)
+	}
+	return took
+}
+
 type oracleRun struct {
-	t     *testing.T
-	procs [3]*Proc
-	ref   refMatcher
-	recvs []oracleRecv
-	nmsg  int
-	log   []string
+	t      *testing.T
+	procs  [3]*Proc
+	dev0   *ackCounter
+	closed [3]bool // a lost rank that is also gone; one merely reported lost still has frames in flight
+	ref    refMatcher
+	recvs  []oracleRecv
+	syncs  map[int]*Request // by message id: the synchronous sends
+	nmsg   int
+	log    []string
 }
 
 func (o *oracleRun) fail(format string, args ...any) {
@@ -232,6 +274,13 @@ func (o *oracleRun) settled(d refDone) {
 		o.fail("receive #%d: status %+v, want %+v", d.recv.id, st, want)
 	}
 	r.req.ReleaseFrame()
+	if d.why == nil && d.msg.sync && !o.closed[d.msg.src] { // a sender that closed has failed its own sends
+		sreq := o.syncs[d.msg.id]
+		o.eventually(fmt.Sprintf("the synchronous send of #%d completing on its ACK", d.msg.id), func() bool { _, ok := sreq.Test(); return ok })
+		if sreq.Stat != (Status{Bytes: d.msg.size}) {
+			o.fail("synchronous send of #%d: status %+v", d.msg.id, sreq.Stat)
+		}
+	}
 }
 
 func (o *oracleRun) step(op [4]byte) {
@@ -268,7 +317,8 @@ func (o *oracleRun) step(op [4]byte) {
 		if g.rts {
 			g.size = oracleEager + 1 + int(op[3]>>3)%(64-oracleEager)
 		}
-		if o.ref.lost[src] || o.ref.barred(g.refEnv) {
+		g.sync = !g.rts && flag
+		if o.closed[src] || o.ref.barred(g.refEnv) {
 			return // a dead rank sends nothing; a revoked context refuses the send at its sender
 		}
 		o.nmsg++
@@ -277,8 +327,8 @@ func (o *oracleRun) step(op [4]byte) {
 		switch {
 		case g.rts && flag:
 			_, err = o.procs[src].IsendLent(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard)
-		case !g.rts && flag:
-			_, err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeSync, false)
+		case g.sync:
+			o.syncs[g.id], err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeSync, false)
 		default:
 			_, err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard, false)
 		}
@@ -291,6 +341,11 @@ func (o *oracleRun) step(op [4]byte) {
 			o.eventually(fmt.Sprintf("message #%d queued unexpected", g.id), func() bool {
 				return p0.PendingUnexpected() == len(o.ref.arrived)
 			})
+			if g.sync {
+				if _, done := o.syncs[g.id].Test(); done {
+					o.fail("synchronous send of #%d completed (%+v) with nobody receiving it", g.id, o.syncs[g.id].Stat)
+				}
+			}
 		}
 	case kind <= 12: // Iprobe
 		e := refEnv{ctx, oracleRecvSrcs[int(op[1])%len(oracleRecvSrcs)], oracleRecvTags[int(op[2])%len(oracleRecvTags)]}
@@ -326,13 +381,18 @@ func (o *oracleRun) step(op [4]byte) {
 			}
 		}
 		o.eventually("revoked messages dropped", func() bool { return p0.PendingUnexpected() == len(o.ref.arrived) })
-	case kind == 15: // a sender dies; by reference nobody notices, so its loss is reported as a launcher would
+	case kind == 15: // a sender is lost; by reference nobody notices, so its loss is reported as a launcher would
+		// flag: by hearsay only — the rank is still up, and what it sends
+		// from here on is what a dead rank had in flight.
 		rank := 1 + int32(op[2]%2)
 		if o.ref.lost[rank] {
 			return
 		}
-		o.log = append(o.log, fmt.Sprintf("lose %d", rank))
-		o.procs[rank].Close()
+		o.log = append(o.log, fmt.Sprintf("lose %d hearsay=%v", rank, flag))
+		if !flag {
+			o.closed[rank] = true
+			o.procs[rank].Close()
+		}
 		p0.failPeer(&transport.PeerLostError{Peer: int(rank)})
 		for _, d := range o.ref.lose(rank) {
 			o.settled(d)
@@ -343,12 +403,15 @@ func (o *oracleRun) step(op [4]byte) {
 			o.fail("receive #%d completed (%+v); the reference still has it posted", r.id, o.recvs[r.id].req.Stat)
 		}
 	}
+	// One ACK per synchronous message matched, whichever of the two came
+	// first; one too many never comes back down, and fails the next step.
+	o.eventually(fmt.Sprintf("rank 0 having sent %d ACKs", o.ref.acks), func() bool { return o.dev0.acks.Load() == int64(o.ref.acks) })
 }
 
 func runMatchOps(t *testing.T, ops []byte) {
-	devs := transport.NewShmJob(3, 0)
-	o := &oracleRun{t: t, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
-	for i, d := range devs {
+	muxes := transport.NewShmJob(3, 0)
+	o := &oracleRun{t: t, dev0: &ackCounter{Mux: muxes[0]}, syncs: map[int]*Request{}, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
+	for i, d := range []transport.Device{o.dev0, muxes[1], muxes[2]} {
 		o.procs[i] = NewProc(d, Config{EagerLimit: oracleEager})
 		o.procs[i].RegisterGroup(2, []int{0, 1, 2})
 		defer o.procs[i].Close()
@@ -359,9 +422,10 @@ func runMatchOps(t *testing.T, ops []byte) {
 }
 
 // TestMatchOrderAgainstReference drives seed-reproducible random
-// interleavings of post / eager arrival / rendezvous arrival / Iprobe /
-// Cancel / revoke / peer loss, wildcards included, through the engine
-// and the reference. A failure prints the operations that led to it.
+// interleavings of post / eager, synchronous and rendezvous arrival /
+// Iprobe / Cancel / revoke / peer loss (with and without frames still in
+// flight), wildcards included, through the engine and the reference. A
+// failure prints the operations that led to it.
 func TestMatchOrderAgainstReference(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
@@ -379,6 +443,11 @@ func TestMatchOrderAgainstReference(t *testing.T) {
 // FuzzMatchOrder lets the fuzzer choose the interleaving.
 func FuzzMatchOrder(f *testing.F) {
 	f.Add([]byte{0, 2, 3, 0, 5, 0, 0, 0, 5, 1, 1, 0, 0, 0, 1, 4, 9, 0, 0, 4, 11, 2, 3, 0, 13, 0, 0, 0, 14, 0, 0, 0, 15, 0, 1, 0})
+	// A synchronous message before its receive and one after it.
+	f.Add([]byte{5, 0, 0, 4, 0, 0, 0, 0, 0, 1, 1, 0, 5, 1, 1, 4})
+	// Rank 1 reported lost with an RTS still in flight: it meets a posted
+	// wildcard receive, then one is posted to meet the next.
+	f.Add([]byte{0, 2, 3, 0, 15, 0, 0, 4, 9, 0, 0, 0, 10, 0, 1, 4, 0, 2, 1, 0})
 	for seed := int64(1); seed <= 3; seed++ {
 		ops := make([]byte, 4*64)
 		rand.New(rand.NewSource(seed)).Read(ops)

@@ -84,7 +84,8 @@ type Request struct {
 	// request owns it until ReleaseFrame.
 	frame transport.Frame
 
-	// Receive matching parameters.
+	// Receive: the matching parameters. Send: the context and tag sent
+	// on (src unused), which is what lets one sweep read either kind.
 	ctx, src, tag int32
 
 	// into, when non-nil, is the caller-owned buffer a receive-into
@@ -93,7 +94,8 @@ type Request struct {
 	into   []byte
 	intoES int
 
-	// Send protocol state.
+	// Protocol state. id keys the request in Proc.pending: a send's from
+	// Isend on, a receive's from its grant.
 	id       uint64
 	data     []byte // retained payload for rendezvous
 	size     int    // payload length at Isend time
@@ -101,8 +103,6 @@ type Request struct {
 	lent     bool   // payload is the caller's memory, on loan (IsendLent)
 	borrow   bool   // receive side, parked in this padding: take a lent payload by reference (IrecvBorrow)
 	dstWorld int32  // send: the destination; granted receive: the rank the CTS went to
-	ctxS     int32  // send-side context (for revocation poisoning)
-	tagS     int32  // send-side tag (recovery traffic is revoke-exempt)
 }
 
 // lentSend is a lent rendezvous send seen as the transport.Loan riding
@@ -236,9 +236,6 @@ func (r *Request) Test() (*Status, bool) {
 	}
 	return &r.Stat, true
 }
-
-// IsRecv reports whether this is a receive request.
-func (r *Request) IsRecv() bool { return r.kind == reqRecv }
 
 // OnDone arranges for fn to run exactly once when the request completes.
 // If the request has already completed, fn runs immediately on the

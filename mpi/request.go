@@ -384,8 +384,9 @@ type PersistentRequest struct {
 	refresh func() error
 	fin     func(res any) error
 
-	active     *Request     // current point-to-point activation
-	activeColl *CollRequest // current collective activation
+	// active is the current activation of either arm (a *Request or a
+	// *CollRequest); nil — never a typed nil — before the first Start.
+	active AnyRequest
 }
 
 // Start activates the persistent request (MPI_Start). The previous
@@ -399,13 +400,13 @@ func (p *PersistentRequest) Start() error {
 	if p.comm.Revoked() {
 		return p.comm.raise(errf(ErrRevoked, "Start on revoked communicator %q", p.comm.name))
 	}
-	if p.pcol != nil {
-		return p.startColl()
-	}
 	if p.active != nil {
 		if _, done, _ := p.active.Test(); !done {
 			return errf(ErrRequest, "Start on a still-active persistent request")
 		}
+	}
+	if p.pcol != nil {
+		return p.startColl()
 	}
 	var req *Request
 	var err error
@@ -427,11 +428,6 @@ func (p *PersistentRequest) Start() error {
 // the schedule's bound inputs, then hand the cached schedule to the
 // shared progress pool.
 func (p *PersistentRequest) startColl() error {
-	if p.activeColl != nil {
-		if _, done, _ := p.activeColl.Test(); !done {
-			return errf(ErrRequest, "Start on a still-active persistent request")
-		}
-	}
 	if p.refresh != nil {
 		if err := p.refresh(); err != nil {
 			return p.comm.raise(err)
@@ -444,16 +440,13 @@ func (p *PersistentRequest) startColl() error {
 		}
 		return p.comm.raise(mapEngineErr(err))
 	}
-	p.activeColl = newCollRequest(p.comm, creq, p.fin)
+	p.active = newCollRequest(p.comm, creq, p.fin)
 	return nil
 }
 
 // Wait waits for the current activation (MPI_Wait on a started
 // persistent request).
 func (p *PersistentRequest) Wait() (*Status, error) {
-	if p.activeColl != nil {
-		return p.activeColl.Wait()
-	}
 	if p.active == nil {
 		return nullStatus(), nil
 	}
@@ -464,9 +457,6 @@ func (p *PersistentRequest) Wait() (*Status, error) {
 // Request.WaitCtx and CollRequest.WaitCtx for the cancellation
 // contracts of the two arms.
 func (p *PersistentRequest) WaitCtx(ctx context.Context) (*Status, error) {
-	if p.activeColl != nil {
-		return p.activeColl.WaitCtx(ctx)
-	}
 	if p.active == nil {
 		return nullStatus(), nil
 	}
@@ -475,9 +465,6 @@ func (p *PersistentRequest) WaitCtx(ctx context.Context) (*Status, error) {
 
 // Test polls the current activation.
 func (p *PersistentRequest) Test() (*Status, bool, error) {
-	if p.activeColl != nil {
-		return p.activeColl.Test()
-	}
 	if p.active == nil {
 		return nullStatus(), true, nil
 	}
@@ -492,7 +479,6 @@ func (p *PersistentRequest) Free() error {
 		p.pcol.Free()
 	}
 	p.active = nil
-	p.activeColl = nil
 	p.pcol = nil
 	p.comm = nil
 	return nil
