@@ -304,6 +304,8 @@ func BenchmarkTypedVsClassic(b *testing.B) {
 			}
 			b.SetBytes(int64(elems * 8 * 2))
 		})
+		// typed: the preallocated-buffer hot path — the payload lands
+		// directly in buf with no staging allocation or unpack copy.
 		b.Run(fmt.Sprintf("typed/elems=%d", elems), func(b *testing.B) {
 			err := mpi.Run(2, func(env *mpi.Env) error {
 				w := env.CommWorld()
@@ -319,37 +321,6 @@ func BenchmarkTypedVsClassic(b *testing.B) {
 						}
 					} else {
 						if _, err := typed.Recv(w, buf, peer, 3); err != nil {
-							return err
-						}
-						if err := typed.Send(w, buf, peer, 3); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(elems * 8 * 2))
-		})
-		// recvinto: the preallocated-buffer hot path — the payload lands
-		// directly in buf with no staging allocation or unpack copy.
-		b.Run(fmt.Sprintf("recvinto/elems=%d", elems), func(b *testing.B) {
-			err := mpi.Run(2, func(env *mpi.Env) error {
-				w := env.CommWorld()
-				buf := make([]float64, elems)
-				peer := 1 - w.Rank()
-				for i := 0; i < b.N; i++ {
-					if w.Rank() == 0 {
-						if err := typed.Send(w, buf, peer, 3); err != nil {
-							return err
-						}
-						if _, err := typed.RecvInto(w, buf, peer, 3); err != nil {
-							return err
-						}
-					} else {
-						if _, err := typed.RecvInto(w, buf, peer, 3); err != nil {
 							return err
 						}
 						if err := typed.Send(w, buf, peer, 3); err != nil {

@@ -418,7 +418,7 @@ func solve(env *mpi.Env, world *mpi.Intracomm, p params, restore string) error {
 	}
 
 	// Preallocated contiguous halo landing zones: incoming columns are
-	// deposited here directly off the wire (RecvInto), then scattered
+	// deposited here directly off the wire (receive-into), then scattered
 	// into the strided halo column. The buffers live for the whole
 	// solve — the halo exchange allocates nothing per iteration.
 	haloL := make([]float64, n)

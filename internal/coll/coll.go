@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"sync/atomic"
@@ -435,7 +434,7 @@ func runAs[T any](p *Plan, err error) (res T, _ error) {
 	if err != nil {
 		return res, err
 	}
-	v, err := p.Run(context.Background())
+	v, err := p.Run()
 	if err == nil {
 		res, _ = v.(T)
 	}

@@ -1,10 +1,6 @@
 package coll
 
-import (
-	"context"
-
-	"gompi/internal/dtype"
-)
+import "gompi/internal/dtype"
 
 // Test-only entry points over the plan constructors. The reduction
 // family's are dense-slice conveniences for tests that think in []int32
@@ -75,7 +71,7 @@ func run(p *Plan, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(context.Background())
+	return p.Run()
 }
 
 func start(p *Plan, err error) *Request {

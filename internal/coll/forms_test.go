@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"reflect"
@@ -161,7 +160,7 @@ func TestPlanFormsAgree(t *testing.T) {
 					return nil, fmt.Errorf("%s: %w", where, err)
 				}
 				load()
-				res, err := p.Run(context.Background())
+				res, err := p.Run()
 				if err != nil {
 					return nil, fmt.Errorf("%s Run: %w", where, err)
 				}

@@ -1,9 +1,6 @@
 package coll
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // Plan is a collective, compiled but not yet run: one schedule instance
 // with three ways to execute it — Run (blocking, on the caller), Start
@@ -80,10 +77,9 @@ func (p *Plan) Publish(get func() any) { p.s.publish(get) }
 
 // Run executes the schedule to completion, driven by the calling
 // goroutine (the blocking form): the caller sleeps wherever the schedule
-// waits for a message. When ctx fires first the schedule is cancelled
-// at its next cancellation point and Run returns ctx's error, under the
-// contract Request.WaitCtx documents.
-func (p *Plan) Run(ctx context.Context) (any, error) { return p.s.drive(ctx) }
+// waits for a message. A Run is not cancellable; a collective that must
+// be is Started and waited with Request.WaitCtx.
+func (p *Plan) Run() (any, error) { return p.s.drive() }
 
 // Start launches the schedule on the shared progress pool and returns
 // its request (the nonblocking form); a waiting schedule occupies no

@@ -79,9 +79,8 @@ func (r *Request) Test() (any, bool, error) {
 // it that rank's matching (blocking) call — stalled forever. (The other
 // direction resolves itself: a late member's receive that matches a
 // withdrawn send fails with core.ErrWithdrawn.) Ranks that mix
-// cancellation into a communicator should use the cancellable *Ctx
-// forms on every member, or keep cancellable collectives' payloads
-// within the eager limit.
+// cancellation into a communicator should use WaitCtx on every member,
+// or keep cancellable collectives' payloads within the eager limit.
 func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 	select {
 	case <-r.done:
@@ -396,23 +395,12 @@ func (s *sched) start() *Request {
 
 // drive executes the schedule to completion on the calling goroutine
 // (Plan.Run): the same run loop a pool worker executes, except that
-// where a pooled schedule gives its worker back, the caller sleeps.
-// ctx cancels the schedule the way Request.WaitCtx cancels a started
-// one — mark it, poke the gated operations — so the loop's one
-// cancellation point serves both; a context that can never fire costs
-// nothing.
-func (s *sched) drive(ctx context.Context) (any, error) {
+// where a pooled schedule gives its worker back, the caller sleeps. Its
+// request never escapes, so nothing can cancel it.
+func (s *sched) drive() (any, error) {
 	s.driven = true
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, s.req.cancel)
-		defer stop()
-	}
 	s.arm()
 	s.run()
-	if errors.Is(s.req.err, ErrCancelled) {
-		// Only ctx can cancel a request that never escaped.
-		return nil, ctx.Err()
-	}
 	return s.req.res, s.req.err
 }
 
@@ -478,35 +466,31 @@ func (s *sched) run() {
 }
 
 // park suspends the schedule until every request in reqs has completed.
-// The gate list is published first, so a canceller can end the wait by
-// completing the gated operations as cancelled; the cancel may also
-// have arrived before that, so park looks once more and pokes them
-// itself, which bounds the wait either way.
 //
-// A caller-driven schedule has no worker to give back: the caller
-// sleeps on the requests right here, and park returns false — continue.
-// On the pool, park returns true when the schedule is genuinely parked:
-// the executor must return, and the last completion callback
-// re-enqueues the schedule. When everything completed while parking it
-// returns false; the +1 guard makes that decision race-free — the
-// callbacks and the final Add together reach zero exactly once,
-// wherever the completions land.
+// A caller-driven schedule has no worker to give back and no canceller:
+// the caller sleeps on the requests right here, and park returns false
+// — continue. On the pool, the gate list is published first, so a
+// canceller can end the wait by completing the gated operations as
+// cancelled; the cancel may also have arrived before that, so park
+// looks once more and pokes them itself, which bounds the wait either
+// way. park returns true when the schedule is genuinely parked: the
+// executor must return, and the last completion callback re-enqueues
+// the schedule. When everything completed while parking it returns
+// false; the +1 guard makes that decision race-free — the callbacks and
+// the final Add together reach zero exactly once, wherever the
+// completions land.
 func (s *sched) park(reqs []*core.Request) bool {
-	s.gmu.Lock()
-	s.gated = reqs
-	s.gmu.Unlock()
 	if s.driven {
-		if s.cancelled() {
-			s.cancelGated()
-		}
 		s.parked(len(reqs))
 		for _, r := range reqs {
 			r.Wait()
 		}
 		s.resumed()
-		s.ungate()
 		return false
 	}
+	s.gmu.Lock()
+	s.gated = reqs
+	s.gmu.Unlock()
 	s.waits.Store(int32(len(reqs)) + 1)
 	for _, r := range reqs {
 		r.OnDone(s.wake)

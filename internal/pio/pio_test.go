@@ -2,7 +2,6 @@ package pio
 
 import (
 	"bytes"
-	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -324,7 +323,7 @@ func TestTwoPhaseWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.Run(context.Background()); err != nil {
+		if _, err := p.Run(); err != nil {
 			return nil, err
 		}
 
@@ -332,7 +331,7 @@ func TestTwoPhaseWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run(context.Background())
+		res, err := p.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -367,7 +366,7 @@ func TestTwoPhaseReadPastEOF(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run(context.Background())
+		res, err := p.Run()
 		if err != nil {
 			return nil, err
 		}
@@ -414,14 +413,14 @@ func TestTwoPhaseInterleavedStridedViews(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.Run(context.Background()); err != nil {
+		if _, err := p.Run(); err != nil {
 			return nil, err
 		}
 		p, err = f.ReadAllPlan(c, 0, len(mine))
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run(context.Background())
+		res, err := p.Run()
 		if err != nil {
 			return nil, err
 		}

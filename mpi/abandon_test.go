@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gompi/internal/coll"
 	"gompi/internal/transport"
 	"gompi/mpi"
 )
@@ -25,14 +26,15 @@ import (
 // writer is a reported race), no goroutine, and no pooled frame.
 
 // abandonJob runs body as a job under a watchdog and checks that it left
-// no goroutine behind. settled, which every rank calls once its part in
+// no goroutine behind — none but the collective progress pool's workers,
+// which are spawned on demand and live for the whole process. settled, which every rank calls once its part in
 // the abandoned collective is over, is where the frame pool is audited:
 // between job start and the moment the last rank has settled, every
 // buffer drawn has come back. (Not later: a barrier's empty frames are
 // left to the garbage collector by design, and Finalize runs one.)
 func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settled func() error) error) error {
 	t.Helper()
-	goroutines, pool := runtime.NumGoroutine(), transport.PoolStats()
+	goroutines, pool, workers := runtime.NumGoroutine(), transport.PoolStats(), coll.PoolStats().Workers
 	var arrived sync.WaitGroup
 	arrived.Add(opt.NP)
 	audit := sync.OnceValue(func() error {
@@ -59,13 +61,20 @@ func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settle
 		buf := make([]byte, 1<<20)
 		t.Fatalf("job hung:\n%s", buf[:runtime.Stack(buf, true)])
 	}
-	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+	left := func() int { return runtime.NumGoroutine() - (coll.PoolStats().Workers - workers) }
+	for deadline := time.Now().Add(10 * time.Second); left() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines before the job, %d after:\n%s", goroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines before the job, %d after (pool workers excluded):\n%s", goroutines, left(), buf[:runtime.Stack(buf, true)])
 		}
 	}
 	return err
+}
+
+// iallreduce is the cancellable large allreduce the tests abandon:
+// Iallreduce of DOUBLE/SUM, waited under ctx.
+func iallreduce(ctx context.Context, w *mpi.Intracomm, send, recv []float64) error {
+	return waitCtx(ctx)(w.Iallreduce(send, 0, recv, 0, len(send), mpi.DOUBLE, mpi.SUM))
 }
 
 // scribble overwrites buffers a returned call has given back.
@@ -97,7 +106,7 @@ func TestAllreduceAbandonedByCancel(t *testing.T) {
 					for i := 0; i < np-1; i++ {
 						<-gone
 					}
-					err := w.AllreduceCtx(context.Background(), send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
 					if err == nil {
 						return errors.New("late rank: an allreduce its partners abandoned succeeded")
 					}
@@ -105,7 +114,7 @@ func TestAllreduceAbandonedByCancel(t *testing.T) {
 					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 					defer cancel()
 					lent := env.EngineStats().SendsLent
-					err := w.AllreduceCtx(ctx, send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					err := iallreduce(ctx, w, send, recv)
 					if !errors.Is(err, context.DeadlineExceeded) {
 						return fmt.Errorf("rank %d: %v, want the deadline", w.Rank(), err)
 					}
@@ -165,7 +174,7 @@ func TestAllreduceAbandonedByPeerDeath(t *testing.T) {
 					}
 					start = time.Now()
 					ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-					ferr = w.AllreduceCtx(ctx, send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					ferr = iallreduce(ctx, w, send, recv)
 					cancel()
 					if ferr == nil && (recv[0] != float64(np*iter) || recv[count-1] != float64(np*iter)) {
 						return fmt.Errorf("rank %d call %d: %v … %v", w.Rank(), iter, recv[0], recv[count-1])

@@ -73,14 +73,8 @@ func mapSchedErr(err error) error {
 	return mapPioErr(err)
 }
 
-// raiseSched reports the failure of a schedule the caller drove
-// (Plan.Run): a fired context is control flow and bypasses the error
-// handler; anything else is raised under its MPI class.
-func (c *Comm) raiseSched(err error) error {
-	if isCtxErr(err) {
-		return err
-	}
-	return c.raise(mapSchedErr(err))
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // stat is the status a completed collective reports: collective file
@@ -116,8 +110,8 @@ func (r *CollRequest) Wait() (*Status, error) {
 // eventually makes the same sequence of collective calls, cancelled or
 // not — with one caveat: a payload above the eager limit still owed to
 // the cancelled member stalls the late sender's rendezvous, so ranks
-// mixing cancellation into a communicator should use the *Ctx forms on
-// every member (see coll.Request.WaitCtx).
+// mixing cancellation into a communicator should use WaitCtx on every
+// member (see coll.Request.WaitCtx).
 func (r *CollRequest) WaitCtx(ctx context.Context) (*Status, error) {
 	res, err := r.creq.WaitCtx(ctx)
 	if isCtxErr(err) {

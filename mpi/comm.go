@@ -475,13 +475,6 @@ func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (
 	}, nil
 }
 
-// IrecvInto is Irecv: every receive takes the receive-into path where
-// the datatype allows. The name is kept for callers written when the
-// two differed.
-func (c *Comm) IrecvInto(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
-	return c.Irecv(buf, offset, count, d, source, tag)
-}
-
 // Recv is the blocking receive (MPI_Recv; paper §2):
 //
 //	public Status Recv(Object buf, int offset, int count,
@@ -503,12 +496,6 @@ func (c *Comm) Recv(buf any, offset, count int, d *Datatype, source, tag int) (*
 	st, opErr := recvStatus(cst, into, creq.Payload, buf, offset, count, d)
 	creq.Recycle() // releases the frame too
 	return st, c.raise(opErr)
-}
-
-// RecvInto is Recv; the name is kept for callers written when the two
-// differed (see IrecvInto).
-func (c *Comm) RecvInto(buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
-	return c.Recv(buf, offset, count, d, source, tag)
 }
 
 // Sendrecv executes a send and a receive concurrently, with distinct

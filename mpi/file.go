@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"context"
 	"errors"
 	"os"
 
@@ -18,8 +17,8 @@ import (
 // positioned and file-pointer I/O, and collective two-phase I/O
 // (ReadAtAll/WriteAtAll and the individual-pointer ReadAll/WriteAll)
 // built on the collective schedule engine — so every collective form
-// also has a nonblocking I* variant returning a *FileCollRequest and a
-// *Ctx variant with cancellation points inside the exchange rounds.
+// also has a nonblocking I* variant returning a *FileCollRequest, whose
+// WaitCtx cancels it at the exchange rounds' send/receive boundaries.
 //
 // All offsets and displacements are in elements, following the
 // binding's convention: view displacements and file offsets count
@@ -560,19 +559,12 @@ func (f *File) Read(buf any, offset, count int, d *Datatype) (*Status, error) {
 // contiguous filesystem writes. Every member must call it (counts may
 // differ, including zero).
 func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	return f.WriteAtAllCtx(context.Background(), foff, buf, offset, count, d)
-}
-
-// WriteAtAllCtx is WriteAtAll under a context: cancellation points sit
-// inside the exchange rounds, so a collective stalled on an absent
-// peer unblocks promptly with ctx's error.
-func (f *File) WriteAtAllCtx(ctx context.Context, foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
 	plan, st, err := f.planWriteAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := plan.Run(ctx); err != nil {
-		return nil, f.comm.raiseSched(err)
+	if _, err := plan.Run(); err != nil {
+		return nil, f.comm.raise(mapSchedErr(err))
 	}
 	return st, nil
 }
@@ -610,18 +602,13 @@ func (f *File) planWriteAll(foff int64, buf any, offset, count int, d *Datatype)
 // filesystem reads for their stripes and the data is exchanged back
 // through the collective schedule engine. Every member must call it.
 func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	return f.ReadAtAllCtx(context.Background(), foff, buf, offset, count, d)
-}
-
-// ReadAtAllCtx is ReadAtAll under a context (see WriteAtAllCtx).
-func (f *File) ReadAtAllCtx(ctx context.Context, foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
 	plan, err := f.planReadAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
 	}
-	res, err := plan.Run(ctx)
+	res, err := plan.Run()
 	if err != nil {
-		return nil, f.comm.raiseSched(err)
+		return nil, f.comm.raise(mapSchedErr(err))
 	}
 	rr := res.(*pio.ReadResult)
 	st, derr := f.depositRead(rr.Wire, rr.Got, buf, offset, count, d)

@@ -283,8 +283,9 @@ func TestFileNonblockingCollective(t *testing.T) {
 }
 
 // TestFileCollectiveCtxCancel checks that a collective file write
-// stalled on an absent peer unblocks promptly under a context, and the
-// communicator recovers once the late member catches up.
+// stalled on an absent peer unblocks promptly when its WaitCtx's
+// context fires, and the communicator recovers once the late member
+// catches up.
 func TestFileCollectiveCtxCancel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cancel.bin")
 	err := mpi.Run(2, func(env *mpi.Env) error {
@@ -298,8 +299,11 @@ func TestFileCollectiveCtxCancel(t *testing.T) {
 		if w.Rank() == 0 {
 			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 			defer cancel()
-			_, err := f.WriteAtAllCtx(ctx, 0, data, 0, len(data), mpi.BYTE)
-			if !errors.Is(err, context.DeadlineExceeded) {
+			req, err := f.IwriteAtAll(0, data, 0, len(data), mpi.BYTE)
+			if err != nil {
+				return err
+			}
+			if _, err := req.WaitCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
 				return fmt.Errorf("stalled collective write returned %v, want deadline", err)
 			}
 			// Catch up with rank 1's pending collective so the pair

@@ -140,51 +140,64 @@ func TestNonblockingRootedCollectives(t *testing.T) {
 	}
 }
 
-// TestCollectiveCtxVariantsComplete: the *Ctx forms under a background
-// (never-cancelled) context are exactly the blocking collectives.
+// waitCtx completes a nonblocking collective under ctx — the one way a
+// collective is cancelled — passing a refused call's error on:
+// waitCtx(ctx)(w.Ibarrier()).
+func waitCtx(ctx context.Context) func(*mpi.CollRequest, error) error {
+	return func(req *mpi.CollRequest, err error) error {
+		if err == nil {
+			_, err = req.WaitCtx(ctx)
+		}
+		return err
+	}
+}
+
+// TestCollectiveCtxVariantsComplete: a nonblocking collective waited
+// with WaitCtx under a background (never-cancelled) context is exactly
+// the blocking collective.
 func TestCollectiveCtxVariantsComplete(t *testing.T) {
 	err := mpi.Run(3, func(env *mpi.Env) error {
 		w := env.CommWorld()
 		rank, size := w.Rank(), w.Size()
-		ctx := context.Background()
+		wait := waitCtx(context.Background())
 
-		if err := w.BarrierCtx(ctx); err != nil {
+		if err := wait(w.Ibarrier()); err != nil {
 			return err
 		}
 		buf := []int32{0}
 		if rank == 0 {
 			buf[0] = 42
 		}
-		if err := w.BcastCtx(ctx, buf, 0, 1, mpi.INT, 0); err != nil {
+		if err := wait(w.Ibcast(buf, 0, 1, mpi.INT, 0)); err != nil {
 			return err
 		}
 		if buf[0] != 42 {
-			t.Errorf("rank %d: BcastCtx %d", rank, buf[0])
+			t.Errorf("rank %d: Ibcast %d", rank, buf[0])
 		}
 		out := []int32{0}
-		if err := w.AllreduceCtx(ctx, []int32{int32(rank + 1)}, 0, out, 0, 1, mpi.INT, mpi.SUM); err != nil {
+		if err := wait(w.Iallreduce([]int32{int32(rank + 1)}, 0, out, 0, 1, mpi.INT, mpi.SUM)); err != nil {
 			return err
 		}
 		if want := int32(size * (size + 1) / 2); out[0] != want {
-			t.Errorf("rank %d: AllreduceCtx %d, want %d", rank, out[0], want)
+			t.Errorf("rank %d: Iallreduce %d, want %d", rank, out[0], want)
 		}
 		scan := []int32{0}
-		if err := w.ScanCtx(ctx, []int32{int32(rank + 1)}, 0, scan, 0, 1, mpi.INT, mpi.SUM); err != nil {
+		if err := wait(w.Iscan([]int32{int32(rank + 1)}, 0, scan, 0, 1, mpi.INT, mpi.SUM)); err != nil {
 			return err
 		}
 		if want := int32((rank + 1) * (rank + 2) / 2); scan[0] != want {
-			t.Errorf("rank %d: ScanCtx %d, want %d", rank, scan[0], want)
+			t.Errorf("rank %d: Iscan %d, want %d", rank, scan[0], want)
 		}
 		ex := []int32{-7}
-		if err := w.ExscanCtx(ctx, []int32{int32(rank + 1)}, 0, ex, 0, 1, mpi.INT, mpi.SUM); err != nil {
+		if err := wait(w.Iexscan([]int32{int32(rank + 1)}, 0, ex, 0, 1, mpi.INT, mpi.SUM)); err != nil {
 			return err
 		}
 		if rank == 0 {
 			if ex[0] != -7 {
-				t.Errorf("rank 0: ExscanCtx touched the buffer: %d", ex[0])
+				t.Errorf("rank 0: Iexscan touched the buffer: %d", ex[0])
 			}
 		} else if want := int32(rank * (rank + 1) / 2); ex[0] != want {
-			t.Errorf("rank %d: ExscanCtx %d, want %d", rank, ex[0], want)
+			t.Errorf("rank %d: Iexscan %d, want %d", rank, ex[0], want)
 		}
 		return nil
 	})
@@ -205,15 +218,15 @@ func TestCollectiveWaitCtxCancelAndRecover(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 			defer cancel()
 			start := time.Now()
-			err := w.BcastCtx(ctx, buf, 0, 1, mpi.INT, 0)
+			err := waitCtx(ctx)(w.Ibcast(buf, 0, 1, mpi.INT, 0))
 			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Errorf("BcastCtx on absent root: %v, want deadline exceeded", err)
+				t.Errorf("Ibcast on absent root: %v, want deadline exceeded", err)
 			}
 			if waited := time.Since(start); waited > 5*time.Second {
-				t.Errorf("BcastCtx took %v, not prompt", waited)
+				t.Errorf("Ibcast's WaitCtx took %v, not prompt", waited)
 			}
 			if buf[0] != -1 {
-				t.Errorf("cancelled BcastCtx touched the buffer: %d", buf[0])
+				t.Errorf("cancelled Ibcast touched the buffer: %d", buf[0])
 			}
 		} else {
 			// The root shows up late, after rank 1 abandoned the
@@ -248,26 +261,27 @@ func TestCollectiveWaitCtxCancelAndRecover(t *testing.T) {
 	}
 }
 
-// TestCtxCollectiveAbsentPeerCallerDriven: the *Ctx forms run their
-// schedule on the calling goroutine, so it is the caller's own sleep
-// that a fired context must end. With the peer absent, BarrierCtx and
-// AllreduceCtx return ctx's error promptly and revoke the receive they
-// were parked on (the engine counts the cancellation) rather than leave
-// it posted; the late peer's matching calls then complete on their own,
-// and the communicator still lines up afterwards.
-func TestCtxCollectiveAbsentPeerCallerDriven(t *testing.T) {
+// TestWaitCtxCollectiveAbsentPeerPooled: a cancellable collective is
+// IX + WaitCtx, so its schedule is parked on the shared progress pool,
+// and it is that park a fired context must end. With the peer absent,
+// Ibarrier and Iallreduce return ctx's error promptly from WaitCtx and
+// revoke the receive they were parked on (the engine counts the
+// cancellation) rather than leave it posted; the late peer's matching
+// calls then complete on their own, and the communicator still lines up
+// afterwards.
+func TestWaitCtxCollectiveAbsentPeerPooled(t *testing.T) {
 	err := mpi.Run(2, func(env *mpi.Env) error {
 		w := env.CommWorld()
 		in, out := []float64{float64(w.Rank() + 1)}, []float64{0}
 		if w.Rank() == 1 {
 			abandoned := env.EngineStats().Cancelled
 			calls := map[string]func(context.Context) error{
-				"BarrierCtx": w.BarrierCtx,
-				"AllreduceCtx": func(ctx context.Context) error {
-					return w.AllreduceCtx(ctx, in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM)
+				"Ibarrier": func(ctx context.Context) error { return waitCtx(ctx)(w.Ibarrier()) },
+				"Iallreduce": func(ctx context.Context) error {
+					return waitCtx(ctx)(w.Iallreduce(in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM))
 				},
 			}
-			for _, name := range []string{"BarrierCtx", "AllreduceCtx"} {
+			for _, name := range []string{"Ibarrier", "Iallreduce"} {
 				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 				start := time.Now()
 				err := calls[name](ctx)
@@ -546,12 +560,13 @@ func TestSeqAlignedAfterAsymmetricError(t *testing.T) {
 		// a context so a regression fails fast instead of hanging.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := w.BarrierCtx(ctx); err != nil {
+		wait := waitCtx(ctx)
+		if err := wait(w.Ibarrier()); err != nil {
 			t.Errorf("barrier after asymmetric error: %v", err)
 			return nil
 		}
 		out := []int32{0}
-		if err := w.AllreduceCtx(ctx, []int32{int32(w.Rank() + 1)}, 0, out, 0, 1, mpi.INT, mpi.SUM); err != nil {
+		if err := wait(w.Iallreduce([]int32{int32(w.Rank() + 1)}, 0, out, 0, 1, mpi.INT, mpi.SUM)); err != nil {
 			t.Errorf("allreduce after asymmetric error: %v", err)
 			return nil
 		}

@@ -9,8 +9,6 @@ package mpi
 // same pattern Merge and Dup already use for their exchanges.
 
 import (
-	"context"
-
 	"gompi/internal/core"
 	"gompi/internal/dtype"
 )
@@ -121,7 +119,7 @@ func (ic *Intercomm) Allreduce(
 	}
 	p, err := ic.cl.ReducePlan(0, &acc, op.op, d.t.Class())
 	if err == nil {
-		_, err = p.Run(context.Background())
+		_, err = p.Run()
 	}
 	if err != nil {
 		return ic.raise(mapEngineErr(err))

@@ -1,9 +1,7 @@
 package mpi
 
 import (
-	"context"
 	"encoding/binary"
-	"errors"
 	"sort"
 
 	"gompi/internal/coll"
@@ -16,12 +14,12 @@ import (
 //
 // Every collective is declared once, as a planX method that validates
 // the call and compiles its schedule in internal/coll, and has up to
-// four entry points derived from that plan: the classic blocking form
-// X (XCtx under context.Background()), XCtx (the calling goroutine
-// drives the schedule, with cancellation points inside the algorithm),
-// the nonblocking IX returning a *CollRequest (MPI-3; the shared
-// progress pool drives the schedule) and, for the collectives that have
-// one, the persistent XInit (MPI-4; see persistent.go).
+// three entry points derived from that plan: the classic blocking form
+// X (the calling goroutine drives the schedule), the nonblocking IX
+// returning a *CollRequest (MPI-3; the shared progress pool drives the
+// schedule, and CollRequest.WaitCtx is how a collective is cancelled)
+// and, for the collectives that have one, the persistent XInit (MPI-4;
+// see persistent.go).
 type Intracomm struct {
 	Comm
 }
@@ -93,20 +91,14 @@ func (p *collPlan) load() error {
 }
 
 // runColl drives a plan to completion on the calling goroutine: the
-// blocking and *Ctx entry points. When ctx fires first the schedule is
-// cancelled at its next internal send/receive boundary — so a
-// collective stalled on an absent peer unblocks promptly — and ctx's
-// error is returned, bypassing the communicator's error handler (a
-// cancelled wait is control flow, not an MPI error) with the receive
-// buffers untouched. See CollRequest.WaitCtx for what cancellation
-// leaves behind on the communicator.
-func (c *Intracomm) runColl(ctx context.Context, p collPlan) error {
+// blocking entry points.
+func (c *Intracomm) runColl(p collPlan) error {
 	if err := p.load(); err != nil {
 		return c.raise(err)
 	}
-	res, err := p.plan.Run(ctx)
+	res, err := p.plan.Run()
 	if err != nil {
-		return c.raiseSched(err)
+		return c.raise(mapSchedErr(err))
 	}
 	if p.fin != nil {
 		return c.raise(p.fin(res))
@@ -121,10 +113,6 @@ func (c *Intracomm) startColl(p collPlan) (*CollRequest, error) {
 		return nil, c.raise(err)
 	}
 	return newCollRequest(&c.Comm, p.plan.Start(), p.fin), nil
-}
-
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // SkipColl consumes one collective instance number without
@@ -232,13 +220,7 @@ func (b *blocks) deposit(res any) error {
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Intracomm) Barrier() error {
-	return c.BarrierCtx(context.Background())
-}
-
-// BarrierCtx is Barrier with cancellation: if ctx fires while peers are
-// still missing, the wait unblocks promptly with ctx's error.
-func (c *Intracomm) BarrierCtx(ctx context.Context) error {
-	return c.runColl(ctx, c.planBarrier())
+	return c.runColl(c.planBarrier())
 }
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier): the request
@@ -257,12 +239,7 @@ func (c *Intracomm) planBarrier() collPlan {
 // Bcast broadcasts the buffer section from root to all members
 // (MPI_Bcast).
 func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	return c.BcastCtx(context.Background(), buf, offset, count, d, root)
-}
-
-// BcastCtx is Bcast under a context.
-func (c *Intracomm) BcastCtx(ctx context.Context, buf any, offset, count int, d *Datatype, root int) error {
-	return c.runColl(ctx, c.planBcast(buf, offset, count, d, root))
+	return c.runColl(c.planBcast(buf, offset, count, d, root))
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
@@ -298,16 +275,7 @@ func (c *Intracomm) Gather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.GatherCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt, root)
-}
-
-// GatherCtx is Gather under a context.
-func (c *Intracomm) GatherCtx(
-	ctx context.Context,
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) error {
-	return c.runColl(ctx, c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
+	return c.runColl(c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
 }
 
 // Igather starts a nonblocking gather (MPI_Igather); root's recvbuf is
@@ -326,16 +294,7 @@ func (c *Intracomm) Gatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	return c.GathervCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, recvcounts, displs, rdt, root)
-}
-
-// GathervCtx is Gatherv under a context.
-func (c *Intracomm) GathervCtx(
-	ctx context.Context,
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
-) error {
-	return c.runColl(ctx, c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.runColl(c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // Igatherv starts a nonblocking varying-size gather (MPI_Igatherv).
@@ -376,16 +335,7 @@ func (c *Intracomm) Scatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.ScatterCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt, root)
-}
-
-// ScatterCtx is Scatter under a context.
-func (c *Intracomm) ScatterCtx(
-	ctx context.Context,
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) error {
-	return c.runColl(ctx, c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
+	return c.runColl(c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -401,16 +351,7 @@ func (c *Intracomm) Scatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.ScattervCtx(context.Background(), sendbuf, soffset, sendcounts, displs, sdt, recvbuf, roffset, rcount, rdt, root)
-}
-
-// ScattervCtx is Scatterv under a context.
-func (c *Intracomm) ScattervCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
-	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) error {
-	return c.runColl(ctx, c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
+	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
 // Iscatterv starts a nonblocking varying-size scatter (MPI_Iscatterv).
@@ -449,16 +390,7 @@ func (c *Intracomm) Allgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.AllgatherCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt)
-}
-
-// AllgatherCtx is Allgather under a context.
-func (c *Intracomm) AllgatherCtx(
-	ctx context.Context,
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	recvbuf any, roffset, rcount int, rdt *Datatype,
-) error {
-	return c.runColl(ctx, c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
+	return c.runColl(c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -475,16 +407,7 @@ func (c *Intracomm) Allgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	return c.AllgathervCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, recvcounts, displs, rdt)
-}
-
-// AllgathervCtx is Allgatherv under a context.
-func (c *Intracomm) AllgathervCtx(
-	ctx context.Context,
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
-) error {
-	return c.runColl(ctx, c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.runColl(c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // Iallgatherv starts a nonblocking varying-size allgather
@@ -522,16 +445,7 @@ func (c *Intracomm) Alltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.AlltoallCtx(context.Background(), sendbuf, soffset, scount, sdt, recvbuf, roffset, rcount, rdt)
-}
-
-// AlltoallCtx is Alltoall under a context.
-func (c *Intracomm) AlltoallCtx(
-	ctx context.Context,
-	sendbuf any, soffset, scount int, sdt *Datatype,
-	recvbuf any, roffset, rcount int, rdt *Datatype,
-) error {
-	return c.runColl(ctx, c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
+	return c.runColl(c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -548,16 +462,7 @@ func (c *Intracomm) Alltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) error {
-	return c.AlltoallvCtx(context.Background(), sendbuf, soffset, sendcounts, sdispls, sdt, recvbuf, roffset, recvcounts, rdispls, rdt)
-}
-
-// AlltoallvCtx is Alltoallv under a context.
-func (c *Intracomm) AlltoallvCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
-	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
-) error {
-	return c.runColl(ctx, c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
+	return c.runColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
 }
 
 // Ialltoallv starts a nonblocking varying-size alltoall
@@ -592,16 +497,7 @@ func (c *Intracomm) Reduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	return c.ReduceCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op, root)
-}
-
-// ReduceCtx is Reduce under a context.
-func (c *Intracomm) ReduceCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op, root int,
-) error {
-	return c.runColl(ctx, c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
+	return c.runColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce); root's recvbuf
@@ -642,16 +538,7 @@ func (c *Intracomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.AllreduceCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op)
-}
-
-// AllreduceCtx is Allreduce under a context.
-func (c *Intracomm) AllreduceCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op,
-) error {
-	return c.runColl(ctx, c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.runColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce); every
@@ -683,16 +570,7 @@ func (c *Intracomm) ReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	return c.ReduceScatterCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, recvcounts, d, op)
-}
-
-// ReduceScatterCtx is ReduceScatter under a context.
-func (c *Intracomm) ReduceScatterCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	recvcounts []int, d *Datatype, op *Op,
-) error {
-	return c.runColl(ctx, c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
+	return c.runColl(c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter
@@ -735,16 +613,7 @@ func (c *Intracomm) Scan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.ScanCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op)
-}
-
-// ScanCtx is Scan under a context.
-func (c *Intracomm) ScanCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op,
-) error {
-	return c.runColl(ctx, c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.runColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
@@ -763,16 +632,7 @@ func (c *Intracomm) Exscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.ExscanCtx(context.Background(), sendbuf, soffset, recvbuf, roffset, count, d, op)
-}
-
-// ExscanCtx is Exscan under a context.
-func (c *Intracomm) ExscanCtx(
-	ctx context.Context,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op,
-) error {
-	return c.runColl(ctx, c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.runColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction

@@ -10,9 +10,9 @@ import (
 )
 
 // Recv, Irecv and RecvInit take the receive-into path wherever the
-// datatype allows, which is all RecvInto, IrecvInto and RecvIntoInit
-// ever were; the table below pins that the six names are one receive —
-// same Status, same buffer contents — on the completions where the
+// datatype allows (RecvIntoInit is RecvInit under its older name); the
+// table below pins that the four names are one receive — same Status,
+// same buffer contents — on the completions where the
 // staging and the in-place paths used to differ: a payload that is not
 // a whole number of elements, a truncating message, a cancelled receive
 // and a peer lost mid-receive. Each runs over both receive shapes, the
@@ -75,9 +75,7 @@ func persistentForm(name string, init func(*mpi.Intracomm, any, int, int, *mpi.D
 
 var recvForms = []recvForm{
 	blockingForm("Recv", (*mpi.Intracomm).Recv),
-	blockingForm("RecvInto", (*mpi.Intracomm).RecvInto),
 	nonblockingForm("Irecv", (*mpi.Intracomm).Irecv),
-	nonblockingForm("IrecvInto", (*mpi.Intracomm).IrecvInto),
 	persistentForm("RecvInit", (*mpi.Intracomm).RecvInit),
 	persistentForm("RecvIntoInit", (*mpi.Intracomm).RecvIntoInit),
 }

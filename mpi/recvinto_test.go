@@ -6,6 +6,11 @@ import (
 	"gompi/mpi"
 )
 
+// The receive-into path: Recv, Irecv and RecvInit land a contiguous
+// fixed-size section straight in the caller's buffer wherever the
+// datatype allows, and stage and unpack every other shape. The tests
+// below are named after it.
+
 type fahrenheit float64
 
 func TestRecvIntoBasic(t *testing.T) {
@@ -15,12 +20,12 @@ func TestRecvIntoBasic(t *testing.T) {
 			return w.Send([]float64{1.5, 2.5, 3.5}, 0, 3, mpi.DOUBLE, 1, 1)
 		}
 		buf := make([]float64, 3)
-		st, err := w.RecvInto(buf, 0, 3, mpi.DOUBLE, 0, 1)
+		st, err := w.Recv(buf, 0, 3, mpi.DOUBLE, 0, 1)
 		if err != nil {
 			return err
 		}
 		if buf[0] != 1.5 || buf[2] != 3.5 {
-			t.Errorf("RecvInto buffer %v", buf)
+			t.Errorf("Recv buffer %v", buf)
 		}
 		if n := st.GetCount(mpi.DOUBLE); n != 3 {
 			t.Errorf("GetCount %d, want 3", n)
@@ -36,9 +41,9 @@ func TestRecvIntoTruncateSemantics(t *testing.T) {
 			return w.Send(make([]int32, 8), 0, 8, mpi.INT, 1, 2)
 		}
 		buf := make([]int32, 4)
-		st, err := w.RecvInto(buf, 0, 4, mpi.INT, 0, 2)
+		st, err := w.Recv(buf, 0, 4, mpi.INT, 0, 2)
 		if err == nil || mpi.ClassOf(err) != mpi.ErrTruncate {
-			t.Errorf("RecvInto overflow error %v, want ErrTruncate class", err)
+			t.Errorf("Recv overflow error %v, want ErrTruncate class", err)
 		}
 		// The buffer section is filled to capacity; Bytes reports the
 		// full incoming message, matching the classic path.
@@ -62,9 +67,9 @@ func TestRecvIntoMisalignedPayload(t *testing.T) {
 			return w.Send(make([]byte, 9), 0, 9, mpi.BYTE, 1, 9)
 		}
 		buf := make([]float64, 2)
-		_, err := w.RecvInto(buf, 0, 2, mpi.DOUBLE, 0, 9)
+		_, err := w.Recv(buf, 0, 2, mpi.DOUBLE, 0, 9)
 		if err == nil || mpi.ClassOf(err) != mpi.ErrIntern {
-			t.Errorf("misaligned RecvInto error %v, want ErrIntern class", err)
+			t.Errorf("misaligned Recv error %v, want ErrIntern class", err)
 		}
 		return nil
 	})
@@ -77,7 +82,7 @@ func TestIrecvIntoOffsetSection(t *testing.T) {
 			return w.Send([]int64{7, 8}, 0, 2, mpi.LONG, 1, 3)
 		}
 		buf := []int64{-1, -1, -1, -1}
-		req, err := w.IrecvInto(buf, 1, 2, mpi.LONG, 0, 3)
+		req, err := w.Irecv(buf, 1, 2, mpi.LONG, 0, 3)
 		if err != nil {
 			return err
 		}
@@ -109,11 +114,11 @@ func TestRecvIntoStridedFallback(t *testing.T) {
 			return w.Send([]float64{1, 2, 3}, 0, 3, mpi.DOUBLE, 1, 4)
 		}
 		buf := make([]float64, 6)
-		if _, err := w.RecvInto(buf, 0, 1, col, 0, 4); err != nil {
+		if _, err := w.Recv(buf, 0, 1, col, 0, 4); err != nil {
 			return err
 		}
 		if buf[0] != 1 || buf[2] != 2 || buf[4] != 3 {
-			t.Errorf("strided RecvInto %v", buf)
+			t.Errorf("strided Recv %v", buf)
 		}
 		return nil
 	})
@@ -159,11 +164,11 @@ func TestRecvIntoNamedPrimitive(t *testing.T) {
 			return w.Send([]float64{451}, 0, 1, mpi.DOUBLE, 1, 7)
 		}
 		buf := make([]fahrenheit, 1)
-		if _, err := w.RecvInto(buf, 0, 1, mpi.DOUBLE, 0, 7); err != nil {
+		if _, err := w.Recv(buf, 0, 1, mpi.DOUBLE, 0, 7); err != nil {
 			return err
 		}
 		if buf[0] != 451 {
-			t.Errorf("named RecvInto %v", buf)
+			t.Errorf("named Recv %v", buf)
 		}
 		return nil
 	})

@@ -166,33 +166,34 @@ func TestReductionRecvSectionCheckedAtCall(t *testing.T) {
 }
 
 // movementEntryPoints calls every data-movement entry point — blocking,
-// *Ctx, nonblocking and persistent, uniform and v-variant — moving count
+// nonblocking (waited with Wait and with WaitCtx) and persistent,
+// uniform and v-variant — moving count
 // DOUBLEs per rank from send into recv (root 0), and returns each
 // call's error by name. Accepted nonblocking and persistent calls are
 // driven to completion, so the communicator is left clean.
 func movementEntryPoints(w *mpi.Intracomm, send, recv any, count int) map[string]error {
-	ctx, d := context.Background(), mpi.DOUBLE
+	wait, d := waitCtx(context.Background()), mpi.DOUBLE
 	counts, displs := make([]int, w.Size()), make([]int, w.Size())
 	for r := range counts {
 		counts[r], displs[r] = count, r*count
 	}
 	errs := map[string]error{
-		"Gather":        w.Gather(send, 0, count, d, recv, 0, count, d, 0),
-		"GatherCtx":     w.GatherCtx(ctx, send, 0, count, d, recv, 0, count, d, 0),
-		"Gatherv":       w.Gatherv(send, 0, count, d, recv, 0, counts, displs, d, 0),
-		"GathervCtx":    w.GathervCtx(ctx, send, 0, count, d, recv, 0, counts, displs, d, 0),
-		"Scatter":       w.Scatter(send, 0, count, d, recv, 0, count, d, 0),
-		"ScatterCtx":    w.ScatterCtx(ctx, send, 0, count, d, recv, 0, count, d, 0),
-		"Scatterv":      w.Scatterv(send, 0, counts, displs, d, recv, 0, count, d, 0),
-		"ScattervCtx":   w.ScattervCtx(ctx, send, 0, counts, displs, d, recv, 0, count, d, 0),
-		"Allgather":     w.Allgather(send, 0, count, d, recv, 0, count, d),
-		"AllgatherCtx":  w.AllgatherCtx(ctx, send, 0, count, d, recv, 0, count, d),
-		"Allgatherv":    w.Allgatherv(send, 0, count, d, recv, 0, counts, displs, d),
-		"AllgathervCtx": w.AllgathervCtx(ctx, send, 0, count, d, recv, 0, counts, displs, d),
-		"Alltoall":      w.Alltoall(send, 0, count, d, recv, 0, count, d),
-		"AlltoallCtx":   w.AlltoallCtx(ctx, send, 0, count, d, recv, 0, count, d),
-		"Alltoallv":     w.Alltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d),
-		"AlltoallvCtx":  w.AlltoallvCtx(ctx, send, 0, counts, displs, d, recv, 0, counts, displs, d),
+		"Gather":              w.Gather(send, 0, count, d, recv, 0, count, d, 0),
+		"Igather+WaitCtx":     wait(w.Igather(send, 0, count, d, recv, 0, count, d, 0)),
+		"Gatherv":             w.Gatherv(send, 0, count, d, recv, 0, counts, displs, d, 0),
+		"Igatherv+WaitCtx":    wait(w.Igatherv(send, 0, count, d, recv, 0, counts, displs, d, 0)),
+		"Scatter":             w.Scatter(send, 0, count, d, recv, 0, count, d, 0),
+		"Iscatter+WaitCtx":    wait(w.Iscatter(send, 0, count, d, recv, 0, count, d, 0)),
+		"Scatterv":            w.Scatterv(send, 0, counts, displs, d, recv, 0, count, d, 0),
+		"Iscatterv+WaitCtx":   wait(w.Iscatterv(send, 0, counts, displs, d, recv, 0, count, d, 0)),
+		"Allgather":           w.Allgather(send, 0, count, d, recv, 0, count, d),
+		"Iallgather+WaitCtx":  wait(w.Iallgather(send, 0, count, d, recv, 0, count, d)),
+		"Allgatherv":          w.Allgatherv(send, 0, count, d, recv, 0, counts, displs, d),
+		"Iallgatherv+WaitCtx": wait(w.Iallgatherv(send, 0, count, d, recv, 0, counts, displs, d)),
+		"Alltoall":            w.Alltoall(send, 0, count, d, recv, 0, count, d),
+		"Ialltoall+WaitCtx":   wait(w.Ialltoall(send, 0, count, d, recv, 0, count, d)),
+		"Alltoallv":           w.Alltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d),
+		"Ialltoallv+WaitCtx":  wait(w.Ialltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d)),
 	}
 	settle := func(name string, req mpi.AnyRequest, err error) {
 		if err == nil {
@@ -237,8 +238,8 @@ func movementEntryPoints(w *mpi.Intracomm, send, recv any, count int) map[string
 // elsewhere.
 func bcastEntryPoints(w *mpi.Intracomm, buf any, count int) map[string]error {
 	errs := map[string]error{
-		"Bcast":    w.Bcast(buf, 0, count, mpi.DOUBLE, 0),
-		"BcastCtx": w.BcastCtx(context.Background(), buf, 0, count, mpi.DOUBLE, 0),
+		"Bcast":          w.Bcast(buf, 0, count, mpi.DOUBLE, 0),
+		"Ibcast+WaitCtx": waitCtx(context.Background())(w.Ibcast(buf, 0, count, mpi.DOUBLE, 0)),
 	}
 	req, err := w.Ibcast(buf, 0, count, mpi.DOUBLE, 0)
 	if err == nil {
@@ -512,8 +513,8 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 					}
 					forms := map[string]func() error{
 						"Allreduce": func() error { return w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM) },
-						"AllreduceCtx": func() error {
-							return w.AllreduceCtx(context.Background(), send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+						"Iallreduce+WaitCtx": func() error {
+							return waitCtx(context.Background())(w.Iallreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM))
 						},
 						"Iallreduce": func() error {
 							req, err := w.Iallreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
@@ -523,7 +524,7 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 							return err
 						},
 					}
-					for _, name := range []string{"Allreduce", "AllreduceCtx", "Iallreduce"} {
+					for _, name := range []string{"Allreduce", "Iallreduce+WaitCtx", "Iallreduce"} {
 						round++
 						fill(send, 1)
 						if err := forms[name](); err != nil {

@@ -19,13 +19,12 @@ type Request struct {
 	creq *core.Request // nil once freed, or for pre-completed requests
 
 	// Receive completion parameters.
-	isRecv  bool
-	into    bool // receive-into: payload already in buf, no unpack
-	buf     any
-	offset  int
-	count   int
-	dt      *Datatype
-	recvNul bool // receive from ProcNull: complete immediately, empty
+	isRecv bool
+	into   bool // receive-into: payload already in buf, no unpack
+	buf    any
+	offset int
+	count  int
+	dt     *Datatype
 
 	pre *Status // pre-completed (ProcNull ops, buffered sends)
 

@@ -19,6 +19,16 @@ import "fmt"
 // call; receive buffers are filled by the first Wait/WaitCtx/Test that
 // observes completion and must not be touched before then.
 
+// done is the tail of the blocking collectives: a completed call copies
+// Obj-routed results into the typed buffer; a failed one returns its
+// error.
+func done(err error, unbox func() error) error {
+	if err != nil || unbox == nil {
+		return err
+	}
+	return unbox()
+}
+
 // Barrier blocks until every member has entered it (MPI_Barrier).
 func Barrier(c Comm) error { return c.Barrier() }
 
@@ -26,23 +36,14 @@ func Barrier(c Comm) error { return c.Barrier() }
 // members pass a buffer of the same length.
 func Bcast[T any](c Comm, buf []T, root int) error {
 	raw, d, unbox := view(buf)
-	if err := c.Bcast(raw, 0, len(buf), d, root); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Bcast(raw, 0, len(buf), d, root), unbox)
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast).
 func Ibcast[T any](c Comm, buf []T, root int) (*Request[T], error) {
 	raw, d, unbox := view(buf)
 	cr, err := c.Ibcast(raw, 0, len(buf), d, root)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr, unbox: unbox}, nil
+	return started[T](cr, err, unbox)
 }
 
 // BcastOne broadcasts a single value from root, returning the value on
@@ -59,27 +60,21 @@ func BcastOne[T any](c Comm, v T, root int) (T, error) {
 func Gather[T any](c Comm, send, recv []T, root int) error {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
-	if err := c.Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root); err != nil {
-		return err
+	if c.Rank() != root {
+		unbox = nil
 	}
-	if unbox != nil && c.Rank() == root {
-		return unbox()
-	}
-	return nil
+	return done(c.Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root), unbox)
 }
 
 // Igather starts a nonblocking gather (MPI_Igather).
 func Igather[T any](c Comm, send, recv []T, root int) (*Request[T], error) {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
-	cr, err := c.Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
-	if err != nil {
-		return nil, err
-	}
 	if c.Rank() != root {
 		unbox = nil
 	}
-	return &Request[T]{cr: cr, unbox: unbox}, nil
+	cr, err := c.Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
+	return started[T](cr, err, unbox)
 }
 
 // Gatherv collects varying-length contributions at root (MPI_Gatherv):
@@ -98,14 +93,10 @@ func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
 			c.SkipColl() // stay tag-aligned with members whose call proceeds
 			return fmt.Errorf("typed: Gatherv recv length %d, want sum(counts) = %d", len(recv), total)
 		}
+	} else {
+		unbox = nil
 	}
-	if err := c.Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root); err != nil {
-		return err
-	}
-	if unbox != nil && c.Rank() == root {
-		return unbox()
-	}
-	return nil
+	return done(c.Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root), unbox)
 }
 
 // Allgather is Gather with the result delivered to every member
@@ -113,13 +104,7 @@ func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
 func Allgather[T any](c Comm, send, recv []T) error {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
-	if err := c.Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd), unbox)
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -127,10 +112,7 @@ func Iallgather[T any](c Comm, send, recv []T) (*Request[T], error) {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
 	cr, err := c.Iallgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr, unbox: unbox}, nil
+	return started[T](cr, err, unbox)
 }
 
 // Allgatherv is Gatherv with the result delivered to every member
@@ -149,13 +131,7 @@ func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
 		c.SkipColl()
 		return fmt.Errorf("typed: Allgatherv send length %d, want counts[%d] = %d", len(send), r, counts[r])
 	}
-	if err := c.Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd), unbox)
 }
 
 // Scatter distributes root's send slice over the members (MPI_Scatter):
@@ -164,13 +140,7 @@ func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
 func Scatter[T any](c Comm, send, recv []T, root int) error {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
-	if err := c.Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root), unbox)
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -178,10 +148,7 @@ func Iscatter[T any](c Comm, send, recv []T, root int) (*Request[T], error) {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
 	cr, err := c.Iscatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr, unbox: unbox}, nil
+	return started[T](cr, err, unbox)
 }
 
 // Scatterv distributes varying-length blocks from root (MPI_Scatterv):
@@ -201,13 +168,7 @@ func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
 			return fmt.Errorf("typed: Scatterv send length %d, want sum(counts) = %d", len(send), total)
 		}
 	}
-	if err := c.Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root), unbox)
 }
 
 // Alltoall exchanges equal-size blocks between all pairs (MPI_Alltoall):
@@ -220,13 +181,7 @@ func Alltoall[T any](c Comm, send, recv []T) error {
 	}
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
-	if err := c.Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd), unbox)
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -238,10 +193,7 @@ func Ialltoall[T any](c Comm, send, recv []T) (*Request[T], error) {
 	sraw, sd, _ := view(send)
 	rraw, rd, unbox := view(recv)
 	cr, err := c.Ialltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr, unbox: unbox}, nil
+	return started[T](cr, err, unbox)
 }
 
 // checkBlocks rejects alltoall buffers that do not divide evenly into
@@ -271,13 +223,7 @@ func Alltoallv[T any](c Comm, send []T, sendcounts []int, recv []T, recvcounts [
 		return fmt.Errorf("typed: Alltoallv buffer lengths %d/%d, want sum(counts) = %d/%d",
 			len(send), len(recv), stotal, rtotal)
 	}
-	if err := c.Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd); err != nil {
-		return err
-	}
-	if unbox != nil {
-		return unbox()
-	}
-	return nil
+	return done(c.Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd), unbox)
 }
 
 // displsOf derives back-to-back displacements from per-rank counts.
@@ -300,10 +246,7 @@ func Reduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) error {
 // Ireduce starts a nonblocking reduction (MPI_Ireduce).
 func Ireduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) (*Request[T], error) {
 	cr, err := c.Ireduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr}, nil
+	return started[T](cr, err, nil)
 }
 
 // ReduceOne folds a single value with op; the reduced value is returned
@@ -325,10 +268,7 @@ func Allreduce[T Primitive](c Comm, send, recv []T, op Op[T]) error {
 // compute, then Wait (or WaitCtx) before reading recv.
 func Iallreduce[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], error) {
 	cr, err := c.Iallreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr}, nil
+	return started[T](cr, err, nil)
 }
 
 // AllreduceOne folds a single value with op and returns the reduced
@@ -348,10 +288,7 @@ func Scan[T Primitive](c Comm, send, recv []T, op Op[T]) error {
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
 func Iscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], error) {
 	cr, err := c.Iscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr}, nil
+	return started[T](cr, err, nil)
 }
 
 // Exscan computes the exclusive prefix reduction in rank order
@@ -365,8 +302,5 @@ func Exscan[T Primitive](c Comm, send, recv []T, op Op[T]) error {
 // (MPI_Iexscan).
 func Iexscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], error) {
 	cr, err := c.Iexscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{cr: cr}, nil
+	return started[T](cr, err, nil)
 }

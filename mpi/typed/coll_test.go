@@ -463,7 +463,11 @@ func TestTypedValidationKeepsRanksAligned(t *testing.T) {
 		// with a deadline instead of hanging the suite.
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if err := w.BarrierCtx(ctx); err != nil {
+		req, err := w.Ibarrier()
+		if err == nil {
+			_, err = req.WaitCtx(ctx)
+		}
+		if err != nil {
 			t.Errorf("barrier after typed-layer rejection: %v", err)
 			return nil
 		}

@@ -1,7 +1,6 @@
 package typed
 
 import (
-	"context"
 	"fmt"
 
 	"gompi/mpi"
@@ -108,19 +107,6 @@ func (f *File[T]) WriteAllAt(buf []T, foff int) (*mpi.Status, error) {
 func (f *File[T]) ReadAllAt(buf []T, foff int) (*mpi.Status, error) {
 	raw, d := wbuf(buf)
 	return f.F.ReadAtAll(int64(foff), raw, 0, len(buf), d)
-}
-
-// WriteAllAtCtx is WriteAllAt under a context: a collective stalled on
-// an absent peer unblocks promptly with ctx's error.
-func (f *File[T]) WriteAllAtCtx(ctx context.Context, buf []T, foff int) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
-	return f.F.WriteAtAllCtx(ctx, int64(foff), raw, 0, len(buf), d)
-}
-
-// ReadAllAtCtx is ReadAllAt under a context.
-func (f *File[T]) ReadAllAtCtx(ctx context.Context, buf []T, foff int) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
-	return f.F.ReadAtAllCtx(ctx, int64(foff), raw, 0, len(buf), d)
 }
 
 // IwriteAllAt starts the nonblocking collective write of buf at view

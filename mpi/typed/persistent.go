@@ -1,11 +1,6 @@
 package typed
 
-import (
-	"context"
-	"sync"
-
-	"gompi/mpi"
-)
+import "gompi/mpi"
 
 // Typed persistent operations (MPI-4 *Init/Start), generic over the
 // classic persistent surface: bind the buffers and plan the operation
@@ -53,16 +48,22 @@ type CommInit interface {
 // element types the typed buffer is only filled by completing through
 // this handle, not the raw one.
 type PersistentRequest[T any] struct {
-	p     *mpi.PersistentRequest
-	rebox func()       // re-snapshot the typed send buffer; nil for native
-	unbox func() error // deposit into the typed recv buffer; nil for native
-	mu    sync.Mutex
-	armed bool // an activation's unbox is still pending
+	completion
+	rebox func() // re-snapshot the typed send buffer; nil for native
+}
+
+// persistent wraps a classic persistent request, or passes the *Init
+// call's error on.
+func persistent[T any](p *mpi.PersistentRequest, err error, rebox func(), unbox func() error) (*PersistentRequest[T], error) {
+	if err != nil {
+		return nil, err
+	}
+	return &PersistentRequest[T]{completion{req: p, unbox: unbox}, rebox}, nil
 }
 
 // Raw exposes the underlying classic persistent request, for mixing
 // typed handles into mpi.StartAll / mpi.WaitAllAny sets.
-func (r *PersistentRequest[T]) Raw() *mpi.PersistentRequest { return r.p }
+func (r *PersistentRequest[T]) Raw() *mpi.PersistentRequest { return r.req.(*mpi.PersistentRequest) }
 
 // Start begins a new activation (MPI_Start): the send-side buffer is
 // re-read as of this call. The previous activation must have completed.
@@ -70,69 +71,16 @@ func (r *PersistentRequest[T]) Start() error {
 	if r.rebox != nil {
 		r.rebox()
 	}
-	if err := r.p.Start(); err != nil {
+	if err := r.Raw().Start(); err != nil {
 		return err
 	}
-	if r.unbox != nil {
-		r.mu.Lock()
-		r.armed = true
-		r.mu.Unlock()
-	}
+	r.arm()
 	return nil
-}
-
-// settle runs the unbox step at most once per activation; safe under
-// concurrent Wait/Test.
-func (r *PersistentRequest[T]) settle() error {
-	if r.unbox == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.armed {
-		return nil
-	}
-	r.armed = false
-	return r.unbox()
-}
-
-// Wait blocks until the current activation completes (MPI_Wait). As
-// with one-shot typed requests, the unbox step runs even when the
-// operation completed in error, and the operation's error takes
-// precedence over an unbox error.
-func (r *PersistentRequest[T]) Wait() (*mpi.Status, error) {
-	st, err := r.p.Wait()
-	if uerr := r.settle(); err == nil {
-		err = uerr
-	}
-	return st, err
-}
-
-// WaitCtx blocks until the current activation completes or ctx is
-// done; a cancelled wait leaves the typed buffer untouched.
-func (r *PersistentRequest[T]) WaitCtx(ctx context.Context) (*mpi.Status, error) {
-	st, err := r.p.WaitCtx(ctx)
-	if err != nil {
-		return st, err
-	}
-	return st, r.settle()
-}
-
-// Test polls the current activation for completion (MPI_Test).
-func (r *PersistentRequest[T]) Test() (*mpi.Status, bool, error) {
-	st, done, err := r.p.Test()
-	if !done {
-		return st, done, err
-	}
-	if uerr := r.settle(); err == nil {
-		err = uerr
-	}
-	return st, true, err
 }
 
 // Free releases the persistent operation (MPI_Request_free on an
 // inactive persistent request).
-func (r *PersistentRequest[T]) Free() error { return r.p.Free() }
+func (r *PersistentRequest[T]) Free() error { return r.Raw().Free() }
 
 // viewInit resolves a buffer for a persistent binding. Unlike view,
 // which snapshots Obj-routed buffers once, it returns a rebox that
@@ -156,28 +104,16 @@ func viewInit[T any](buf []T) (raw any, d *mpi.Datatype, rebox func(), unbox fun
 func SendInit[T any](c PeerInit, buf []T, dest, tag int) (*PersistentRequest[T], error) {
 	raw, d, rebox, _ := viewInit(buf)
 	p, err := c.SendInit(raw, 0, len(buf), d, dest, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentRequest[T]{p: p, rebox: rebox}, nil
+	return persistent[T](p, err, rebox, nil)
 }
 
 // RecvInit builds a persistent receive (MPI_Recv_init) bound to buf;
-// each activation fills buf when completed through this handle.
+// each activation fills buf when completed through this handle —
+// native-element activations land directly in buf with no staging copy.
 func RecvInit[T any](c PeerInit, buf []T, source, tag int) (*PersistentRequest[T], error) {
 	raw, d, _, unbox := viewInit(buf)
 	p, err := c.RecvInit(raw, 0, len(buf), d, source, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentRequest[T]{p: p, unbox: unbox}, nil
-}
-
-// RecvIntoInit is RecvInit: native-element activations of every
-// persistent receive land directly in buf with no staging copy. The
-// name is kept for callers written when the two differed.
-func RecvIntoInit[T any](c PeerInit, buf []T, source, tag int) (*PersistentRequest[T], error) {
-	return RecvInit(c, buf, source, tag)
+	return persistent[T](p, err, nil, unbox)
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init). There is
@@ -192,15 +128,12 @@ func BarrierInit(c CommInit) (*mpi.PersistentRequest, error) {
 func BcastInit[T any](c CommInit, buf []T, root int) (*PersistentRequest[T], error) {
 	raw, d, rebox, unbox := viewInit(buf)
 	p, err := c.BcastInit(raw, 0, len(buf), d, root)
-	if err != nil {
-		return nil, err
-	}
 	if c.Rank() == root {
 		unbox = nil // root's buffer is the source; nothing arrives
 	} else {
 		rebox = nil
 	}
-	return &PersistentRequest[T]{p: p, rebox: rebox, unbox: unbox}, nil
+	return persistent[T](p, err, rebox, unbox)
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
@@ -211,10 +144,7 @@ func BcastInit[T any](c CommInit, buf []T, root int) (*PersistentRequest[T], err
 // only schedule bookkeeping.
 func ReduceInit[T Primitive](c CommInit, send, recv []T, op Op[T], root int) (*PersistentRequest[T], error) {
 	p, err := c.ReduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentRequest[T]{p: p}, nil
+	return persistent[T](p, err, nil, nil)
 }
 
 // AllreduceInit builds a persistent all-reduction
@@ -222,8 +152,5 @@ func ReduceInit[T Primitive](c CommInit, send, recv []T, op Op[T], root int) (*P
 // Init once, then per iteration Start, compute, Wait.
 func AllreduceInit[T Primitive](c CommInit, send, recv []T, op Op[T]) (*PersistentRequest[T], error) {
 	p, err := c.AllreduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	if err != nil {
-		return nil, err
-	}
-	return &PersistentRequest[T]{p: p}, nil
+	return persistent[T](p, err, nil, nil)
 }

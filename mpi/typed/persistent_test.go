@@ -1,6 +1,10 @@
 package typed_test
 
 import (
+	"context"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 
 	"gompi/mpi"
@@ -148,6 +152,143 @@ func TestTypedPersistentBcast(t *testing.T) {
 			}
 			if _, err := bar.Wait(); err != nil {
 				return err
+			}
+		}
+		return nil
+	})
+}
+
+// settleProbe is the Obj-routed element type of
+// TestTypedCompletionSettlesOncePerActivation.
+type settleProbe struct{ N int64 }
+
+// completer is the completion surface every typed request shares.
+type completer interface {
+	Wait() (*mpi.Status, error)
+	WaitCtx(ctx context.Context) (*mpi.Status, error)
+	Test() (*mpi.Status, bool, error)
+}
+
+// settleRow binds one receiving operation: recv on rank 1 (over the
+// typed buffer), feed on rank 0 (over a classic []any stage); each
+// returns the step that makes one activation on its side.
+type settleRow struct {
+	name string
+	recv func(w *mpi.Intracomm, buf []settleProbe, tag int) (func() (completer, error), error)
+	feed func(w *mpi.Intracomm, stage []any, tag int) (func() error, error)
+}
+
+var settleRows = []settleRow{
+	{"Irecv",
+		func(w *mpi.Intracomm, buf []settleProbe, tag int) (func() (completer, error), error) {
+			return func() (completer, error) { return typed.Irecv(w, buf, 0, tag) }, nil
+		},
+		func(w *mpi.Intracomm, stage []any, tag int) (func() error, error) {
+			return func() error { return w.Send(stage, 0, len(stage), mpi.OBJECT, 1, tag) }, nil
+		}},
+	{"Ibcast",
+		func(w *mpi.Intracomm, buf []settleProbe, _ int) (func() (completer, error), error) {
+			return func() (completer, error) { return typed.Ibcast(w, buf, 0) }, nil
+		},
+		func(w *mpi.Intracomm, stage []any, _ int) (func() error, error) {
+			return func() error { return w.Bcast(stage, 0, len(stage), mpi.OBJECT, 0) }, nil
+		}},
+	{"RecvInit",
+		func(w *mpi.Intracomm, buf []settleProbe, tag int) (func() (completer, error), error) {
+			p, err := typed.RecvInit(w, buf, 0, tag)
+			return func() (completer, error) { return p, p.Start() }, err
+		},
+		func(w *mpi.Intracomm, stage []any, tag int) (func() error, error) {
+			return func() error { return w.Send(stage, 0, len(stage), mpi.OBJECT, 1, tag) }, nil
+		}},
+	{"BcastInit",
+		func(w *mpi.Intracomm, buf []settleProbe, _ int) (func() (completer, error), error) {
+			p, err := typed.BcastInit(w, buf, 0)
+			return func() (completer, error) { return p, p.Start() }, err
+		},
+		func(w *mpi.Intracomm, stage []any, _ int) (func() error, error) {
+			p, err := w.BcastInit(stage, 0, len(stage), mpi.OBJECT, 0)
+			return func() error {
+				if err := p.Start(); err != nil {
+					return err
+				}
+				_, err := p.Wait()
+				return err
+			}, err
+		}},
+}
+
+var settleModes = []struct {
+	name     string
+	complete func(completer) error
+}{
+	{"Wait", func(c completer) error { _, err := c.Wait(); return err }},
+	{"WaitCtx", func(c completer) error { _, err := c.WaitCtx(context.Background()); return err }},
+	{"Test", func(c completer) error {
+		for {
+			if _, done, err := c.Test(); done {
+				return err
+			}
+			runtime.Gosched()
+		}
+	}},
+}
+
+// TestTypedCompletionSettlesOncePerActivation: one-shot and persistent,
+// point-to-point and collective typed requests complete through the same
+// settle. Each activation delivers an Obj-routed element followed by a
+// stray string the typed buffer cannot hold: the first completion call
+// fills the element and reports the unbox error; a second call reports
+// the same error and does not unbox again (an element scribbled in
+// between stays scribbled). Two activations per request.
+func TestTypedCompletionSettlesOncePerActivation(t *testing.T) {
+	run(t, 2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		typed.TypeOf[settleProbe]() // registers the type before rank 0 encodes it
+		tag := 0
+		for _, row := range settleRows {
+			for _, mode := range settleModes {
+				tag++
+				where := row.name + "/" + mode.name
+				if w.Rank() == 0 {
+					stage := make([]any, 2)
+					feed, err := row.feed(w, stage, tag)
+					if err != nil {
+						return err
+					}
+					for k := int64(1); k <= 2; k++ {
+						stage[0], stage[1] = settleProbe{N: k}, "stray"
+						if err := feed(); err != nil {
+							return fmt.Errorf("%s: feed %d: %w", where, k, err)
+						}
+					}
+					continue
+				}
+				buf := make([]settleProbe, 2)
+				activate, err := row.recv(w, buf, tag)
+				if err != nil {
+					return err
+				}
+				for k := int64(1); k <= 2; k++ {
+					req, err := activate()
+					if err != nil {
+						return fmt.Errorf("%s: activation %d: %w", where, k, err)
+					}
+					first := mode.complete(req)
+					if first == nil || !strings.Contains(first.Error(), "arrived as string") {
+						t.Errorf("%s activation %d: first completion %v, want the unbox error", where, k, first)
+					}
+					if buf[0] != (settleProbe{N: k}) {
+						t.Errorf("%s activation %d: buf[0] = %+v, want N=%d", where, k, buf[0], k)
+					}
+					buf[0] = settleProbe{N: -7}
+					if again := mode.complete(req); again == nil || first == nil || again.Error() != first.Error() {
+						t.Errorf("%s activation %d: second completion %v, want %v again", where, k, again, first)
+					}
+					if buf[0] != (settleProbe{N: -7}) {
+						t.Errorf("%s activation %d: the unbox ran twice: buf[0] = %+v", where, k, buf[0])
+					}
+				}
 			}
 		}
 		return nil

@@ -7,6 +7,10 @@ import (
 	"gompi/mpi/typed"
 )
 
+// The receive-into path: Recv, Irecv and RecvInit land a slice of a
+// native or named-primitive element type straight in the caller's
+// buffer, and unbox Obj-routed ones. The tests below are named after it.
+
 func TestTypedRecvInto(t *testing.T) {
 	run(t, 2, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -14,12 +18,12 @@ func TestTypedRecvInto(t *testing.T) {
 			return typed.Send(w, []int32{10, 20, 30}, 1, 1)
 		}
 		buf := make([]int32, 3)
-		st, err := typed.RecvInto(w, buf, 0, 1)
+		st, err := typed.Recv(w, buf, 0, 1)
 		if err != nil {
 			return err
 		}
 		if buf[0] != 10 || buf[2] != 30 {
-			t.Errorf("RecvInto %v", buf)
+			t.Errorf("Recv %v", buf)
 		}
 		if n := typed.Count[int32](st); n != 3 {
 			t.Errorf("count %d", n)
@@ -34,7 +38,7 @@ func TestTypedIrecvIntoPreposted(t *testing.T) {
 		if w.Rank() == 1 {
 			// Pre-post the zero-copy receive, then signal readiness.
 			buf := make([]float64, 4)
-			req, err := typed.IrecvInto(w, buf, 0, 2)
+			req, err := typed.Irecv(w, buf, 0, 2)
 			if err != nil {
 				return err
 			}
@@ -45,7 +49,7 @@ func TestTypedIrecvIntoPreposted(t *testing.T) {
 				return err
 			}
 			if buf[3] != 4.5 {
-				t.Errorf("preposted IrecvInto %v", buf)
+				t.Errorf("preposted Irecv %v", buf)
 			}
 			return nil
 		}
@@ -63,7 +67,7 @@ func TestTypedRecvIntoTruncate(t *testing.T) {
 			return typed.Send(w, []int64{1, 2, 3, 4}, 1, 4)
 		}
 		small := make([]int64, 2)
-		_, err := typed.RecvInto(w, small, 0, 4)
+		_, err := typed.Recv(w, small, 0, 4)
 		if err == nil || mpi.ClassOf(err) != mpi.ErrTruncate {
 			t.Errorf("truncate error %v", err)
 		}
@@ -85,7 +89,7 @@ func TestTypedTruncateUnboxesObjects(t *testing.T) {
 			return typed.Send(w, []pt{{1, 2}, {3, 4}, {5, 6}}, 1, 7)
 		}
 		small := make([]pt, 2)
-		_, err := typed.RecvInto(w, small, 0, 7)
+		_, err := typed.Recv(w, small, 0, 7)
 		if err == nil || mpi.ClassOf(err) != mpi.ErrTruncate {
 			t.Errorf("truncate error %v", err)
 		}
@@ -108,11 +112,11 @@ func TestTypedNamedPrimitiveWire(t *testing.T) {
 			}
 			// Receive native into named through the zero-copy path.
 			got := make([]celsius, 2)
-			if _, err := typed.RecvInto(w, got, 1, 6); err != nil {
+			if _, err := typed.Recv(w, got, 1, 6); err != nil {
 				return err
 			}
 			if got[0] != 100 || got[1] != 0 {
-				t.Errorf("celsius RecvInto %v", got)
+				t.Errorf("celsius Recv %v", got)
 			}
 			return nil
 		}

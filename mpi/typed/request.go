@@ -2,22 +2,96 @@ package typed
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"gompi/mpi"
 )
 
+// completion is what every typed request completes through: the classic
+// request it wraps and, for receives of Obj-routed element types, the
+// unbox step that copies the boxed elements back into the caller's typed
+// buffer. The unbox runs at most once per activation (a one-shot request
+// has one; a persistent one re-arms at every Start), and its error is
+// reported by every completion call of that activation. Safe under
+// concurrent Wait/Test, like the classic requests.
+type completion struct {
+	req   mpi.AnyRequest
+	unbox func() error // nil for sends, native receives and reductions
+	mu    sync.Mutex
+	armed bool  // this activation's unbox has not run yet
+	uerr  error // this activation's unbox error
+}
+
+// arm opens an activation: its unbox is owed again.
+func (c *completion) arm() {
+	c.mu.Lock()
+	c.armed, c.uerr = true, nil
+	c.mu.Unlock()
+}
+
+// settle runs the activation's unbox once and folds its error into the
+// operation's. The unbox runs even when the operation completed in
+// error — a truncated receive has deposited whole elements that must
+// still reach the typed buffer — and the operation's error takes
+// precedence.
+func (c *completion) settle(err error) error {
+	if c.unbox == nil {
+		return err
+	}
+	c.mu.Lock()
+	if c.armed {
+		c.armed = false
+		c.uerr = c.unbox()
+	}
+	uerr := c.uerr
+	c.mu.Unlock()
+	if err == nil {
+		err = uerr
+	}
+	return err
+}
+
+// Wait blocks until the operation completes (MPI_Wait).
+func (c *completion) Wait() (*mpi.Status, error) {
+	st, err := c.req.Wait()
+	return st, c.settle(err)
+}
+
+// WaitCtx blocks until the operation completes or ctx is done; see
+// mpi.Request.WaitCtx and mpi.CollRequest.WaitCtx for the cancellation
+// contracts. A cancelled wait leaves the typed buffer untouched.
+func (c *completion) WaitCtx(ctx context.Context) (*mpi.Status, error) {
+	st, err := c.req.WaitCtx(ctx)
+	if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+		return st, err
+	}
+	return st, c.settle(err)
+}
+
+// Test polls the operation for completion (MPI_Test).
+func (c *completion) Test() (*mpi.Status, bool, error) {
+	st, done, err := c.req.Test()
+	if !done {
+		return st, false, err
+	}
+	return st, true, c.settle(err)
+}
+
 // Request is a typed handle on a pending non-blocking operation —
-// point-to-point (Isend/Irecv) or collective (Ibcast/Iallreduce/…). It
-// wraps the corresponding classic request and, for receives of
-// Obj-routed element types, copies the boxed elements back into the
-// caller's typed buffer at completion.
-type Request[T any] struct {
-	r     *mpi.Request     // point-to-point; nil for collectives
-	cr    *mpi.CollRequest // collective; nil for point-to-point
-	unbox func() error     // nil for sends and zero-copy receives
-	once  sync.Once
-	uerr  error
+// point-to-point (Isend/Irecv) or collective (Ibcast/Iallreduce/…). Its
+// Wait, WaitCtx and Test return the classic request's status: for a
+// collective that is the empty *Status of mpi.CollRequest — not nil, as
+// typed collectives once returned.
+type Request[T any] struct{ completion }
+
+// started is the tail of every nonblocking typed call: wrap the classic
+// request, or pass the call's error on.
+func started[T any](req mpi.AnyRequest, err error, unbox func() error) (*Request[T], error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Request[T]{completion{req: req, unbox: unbox, armed: true}}, nil
 }
 
 // Raw exposes the underlying classic point-to-point request, for mixing
@@ -25,88 +99,24 @@ type Request[T any] struct {
 // collective requests (see Coll). For Obj-routed receives the typed
 // buffer is only filled by Wait/WaitCtx/Test on this handle, not by
 // completing the raw request directly.
-func (r *Request[T]) Raw() *mpi.Request { return r.r }
+func (r *Request[T]) Raw() *mpi.Request {
+	p, _ := r.req.(*mpi.Request)
+	return p
+}
 
 // Coll exposes the underlying classic collective request; it is nil for
 // point-to-point requests.
-func (r *Request[T]) Coll() *mpi.CollRequest { return r.cr }
-
-// settle runs the unbox step exactly once after completion; like the
-// classic request's finish, it is safe under concurrent Wait/Test.
-func (r *Request[T]) settle() error {
-	r.once.Do(func() {
-		if r.unbox != nil {
-			r.uerr = r.unbox()
-		}
-	})
-	return r.uerr
-}
-
-// Wait blocks until the operation completes (MPI_Wait). The unbox step
-// runs even when the operation completed in error: a truncated receive
-// has deposited its whole elements and they must still reach the typed
-// buffer. The operation's error takes precedence over an unbox error.
-// Collective completions carry no Status; their Wait returns nil.
-func (r *Request[T]) Wait() (*mpi.Status, error) {
-	if r.cr != nil {
-		_, err := r.cr.Wait()
-		if uerr := r.settle(); err == nil {
-			err = uerr
-		}
-		return nil, err
-	}
-	st, err := r.r.Wait()
-	if uerr := r.settle(); err == nil {
-		err = uerr
-	}
-	return st, err
-}
-
-// WaitCtx blocks until the operation completes or ctx is done; see
-// mpi.Request.WaitCtx and mpi.CollRequest.WaitCtx for the cancellation
-// contracts. A cancelled wait leaves the typed buffer untouched.
-func (r *Request[T]) WaitCtx(ctx context.Context) (*mpi.Status, error) {
-	if r.cr != nil {
-		if _, err := r.cr.WaitCtx(ctx); err != nil {
-			return nil, err
-		}
-		return nil, r.settle()
-	}
-	st, err := r.r.WaitCtx(ctx)
-	if err != nil {
-		return st, err
-	}
-	return st, r.settle()
-}
-
-// Test polls the operation for completion (MPI_Test).
-func (r *Request[T]) Test() (*mpi.Status, bool, error) {
-	if r.cr != nil {
-		_, done, err := r.cr.Test()
-		if !done {
-			return nil, false, nil
-		}
-		if uerr := r.settle(); err == nil {
-			err = uerr
-		}
-		return nil, true, err
-	}
-	st, ok, err := r.r.Test()
-	if !ok {
-		return st, ok, err
-	}
-	if uerr := r.settle(); err == nil {
-		err = uerr
-	}
-	return st, true, err
+func (r *Request[T]) Coll() *mpi.CollRequest {
+	cr, _ := r.req.(*mpi.CollRequest)
+	return cr
 }
 
 // Cancel attempts to cancel a pending point-to-point operation
 // (MPI_Cancel). Collectives have no standalone cancel: cancellation is
 // driven through WaitCtx, so Cancel is a no-op for them.
 func (r *Request[T]) Cancel() error {
-	if r.r == nil {
-		return nil
+	if p := r.Raw(); p != nil {
+		return p.Cancel()
 	}
-	return r.r.Cancel()
+	return nil
 }

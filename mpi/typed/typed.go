@@ -60,7 +60,6 @@ type Comm interface {
 	Peer
 	SkipColl()
 	Barrier() error
-	BarrierCtx(ctx context.Context) error
 	Ibarrier() (*mpi.CollRequest, error)
 	Bcast(buf any, offset, count int, d *mpi.Datatype, root int) error
 	Ibcast(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.CollRequest, error)
@@ -243,17 +242,6 @@ func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
 	return st, err
 }
 
-// RecvInto is Recv; the name is kept for callers written when only it
-// took the zero-copy path.
-func RecvInto[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
-	return Recv(c, buf, source, tag)
-}
-
-// IrecvInto is Irecv (see RecvInto).
-func IrecvInto[T any](c Peer, buf []T, source, tag int) (*Request[T], error) {
-	return Irecv(c, buf, source, tag)
-}
-
 // RecvCtx is Recv with cancellation: it posts the receive and waits
 // under ctx. If ctx fires while the message is still unmatched the
 // receive is cancelled (MPI_Cancel semantics), the status reports
@@ -271,10 +259,7 @@ func RecvCtx[T any](ctx context.Context, c Peer, buf []T, source, tag int) (*mpi
 func Isend[T any](c Peer, buf []T, dest, tag int) (*Request[T], error) {
 	raw, d, _ := view(buf)
 	r, err := c.Isend(raw, 0, len(buf), d, dest, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{r: r}, nil
+	return started[T](r, err, nil)
 }
 
 // Irecv starts a non-blocking receive (MPI_Irecv). The buffer is filled
@@ -283,10 +268,7 @@ func Isend[T any](c Peer, buf []T, dest, tag int) (*Request[T], error) {
 func Irecv[T any](c Peer, buf []T, source, tag int) (*Request[T], error) {
 	raw, d, unbox := view(buf)
 	r, err := c.Irecv(raw, 0, len(buf), d, source, tag)
-	if err != nil {
-		return nil, err
-	}
-	return &Request[T]{r: r, unbox: unbox}, nil
+	return started[T](r, err, unbox)
 }
 
 // SendOne sends a single value (a one-element message).
