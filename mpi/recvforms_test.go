@@ -15,9 +15,12 @@ import (
 // same buffer contents — on the completions where the
 // staging and the in-place paths used to differ: a payload that is not
 // a whole number of elements, a truncating message, a cancelled receive
-// and a peer lost mid-receive. Each runs over both receive shapes, the
-// contiguous one the engine deposits in place and a strided one that is
-// still staged and unpacked, which must agree too.
+// and a peer lost mid-receive. The RecvInto and IrecvInto rows are Recv
+// and Irecv into a section that starts past the head of the caller's
+// buffer, so every completion also pins that the deposit lands at the
+// offset and leaves the head alone. Each runs over both receive shapes,
+// the contiguous one the engine deposits in place and a strided one that
+// is still staged and unpacked, which must agree too.
 
 // recvOutcome is everything a caller can observe of a completed receive.
 type recvOutcome struct {
@@ -30,23 +33,24 @@ type recvOutcome struct {
 	buf       string
 }
 
-// recvForm runs one receive to completion; with a non-nil ctx the wait
-// is WaitCtx, which the blocking forms do not have.
+// recvForm runs one receive to completion into buf[offset:]; with a
+// non-nil ctx the wait is WaitCtx, which the blocking forms do not have.
 type recvForm struct {
 	name     string
 	blocking bool
+	offset   int // in doubles
 	recv     func(ctx context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error)
 }
 
-func blockingForm(name string, recv func(*mpi.Intracomm, any, int, int, *mpi.Datatype, int, int) (*mpi.Status, error)) recvForm {
-	return recvForm{name, true, func(_ context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error) {
-		return recv(w, buf, 0, count, d, src, tag)
+func blockingForm(name string, offset int, recv func(*mpi.Intracomm, any, int, int, *mpi.Datatype, int, int) (*mpi.Status, error)) recvForm {
+	return recvForm{name, true, offset, func(_ context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error) {
+		return recv(w, buf, offset, count, d, src, tag)
 	}}
 }
 
-func nonblockingForm(name string, post func(*mpi.Intracomm, any, int, int, *mpi.Datatype, int, int) (*mpi.Request, error)) recvForm {
-	return recvForm{name, false, func(ctx context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error) {
-		req, err := post(w, buf, 0, count, d, src, tag)
+func nonblockingForm(name string, offset int, post func(*mpi.Intracomm, any, int, int, *mpi.Datatype, int, int) (*mpi.Request, error)) recvForm {
+	return recvForm{name, false, offset, func(ctx context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error) {
+		req, err := post(w, buf, offset, count, d, src, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -58,7 +62,7 @@ func nonblockingForm(name string, post func(*mpi.Intracomm, any, int, int, *mpi.
 }
 
 func persistentForm(name string, init func(*mpi.Intracomm, any, int, int, *mpi.Datatype, int, int) (*mpi.PersistentRequest, error)) recvForm {
-	return recvForm{name, false, func(ctx context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error) {
+	return recvForm{name, false, 0, func(ctx context.Context, w *mpi.Intracomm, buf []float64, count int, d *mpi.Datatype, src, tag int) (*mpi.Status, error) {
 		p, err := init(w, buf, 0, count, d, src, tag)
 		if err != nil {
 			return nil, err
@@ -73,9 +77,14 @@ func persistentForm(name string, init func(*mpi.Intracomm, any, int, int, *mpi.D
 	}}
 }
 
+// intoOffset is where the RecvInto and IrecvInto rows' section starts.
+const intoOffset = 3
+
 var recvForms = []recvForm{
-	blockingForm("Recv", (*mpi.Intracomm).Recv),
-	nonblockingForm("Irecv", (*mpi.Intracomm).Irecv),
+	blockingForm("Recv", 0, (*mpi.Intracomm).Recv),
+	blockingForm("RecvInto", intoOffset, (*mpi.Intracomm).Recv),
+	nonblockingForm("Irecv", 0, (*mpi.Intracomm).Irecv),
+	nonblockingForm("IrecvInto", intoOffset, (*mpi.Intracomm).Irecv),
 	persistentForm("RecvInit", (*mpi.Intracomm).RecvInit),
 	persistentForm("RecvIntoInit", (*mpi.Intracomm).RecvIntoInit),
 }
@@ -125,7 +134,7 @@ func outcomeOf(st *mpi.Status, err error, buf []float64) recvOutcome {
 // runRecvForms runs every form × shape receive on rank 1 of a job whose
 // rank 0 runs feed once per receive (each under its own tag), and
 // checks each outcome against want.
-func runRecvForms(t *testing.T, opt mpi.RunOptions, ctx context.Context, feed func(w *mpi.Intracomm, tag int) error, want func(s recvShape, tag int) recvOutcome) {
+func runRecvForms(t *testing.T, opt mpi.RunOptions, ctx context.Context, feed func(w *mpi.Intracomm, tag int) error, want func(s recvShape, offset, tag int) recvOutcome) {
 	t.Helper()
 	opt.NP = 2
 	err := mpi.RunWith(opt, func(env *mpi.Env) error {
@@ -149,9 +158,9 @@ func runRecvForms(t *testing.T, opt mpi.RunOptions, ctx context.Context, feed fu
 					}
 					continue
 				}
-				buf := freshBuf(shape.span)
+				buf := freshBuf(form.offset + shape.span)
 				st, err := form.recv(ctx, w, buf, shape.count, d, 0, tag)
-				if got, exp := outcomeOf(st, err, buf), want(shape, tag); got != exp {
+				if got, exp := outcomeOf(st, err, buf), want(shape, form.offset, tag); got != exp {
 					t.Errorf("%s, %s section:\n got  %+v (err %v)\n want %+v", form.name, shape.name, got, err, exp)
 				}
 			}
@@ -164,10 +173,10 @@ func runRecvForms(t *testing.T, opt mpi.RunOptions, ctx context.Context, feed fu
 }
 
 func TestRecvFormsAgree(t *testing.T) {
-	image := func(s recvShape, vals ...float64) string {
-		b := freshBuf(s.span)
+	image := func(s recvShape, offset int, vals ...float64) string {
+		b := freshBuf(offset + s.span)
 		for i, v := range vals {
-			b[s.at[i]] = v
+			b[offset+s.at[i]] = v
 		}
 		return fmt.Sprint(b)
 	}
@@ -178,8 +187,8 @@ func TestRecvFormsAgree(t *testing.T) {
 		// either — is deposited.
 		runRecvForms(t, mpi.RunOptions{}, nil,
 			func(w *mpi.Intracomm, tag int) error { return w.Send(make([]byte, 9), 0, 9, mpi.BYTE, 1, tag) },
-			func(s recvShape, tag int) recvOutcome {
-				return recvOutcome{class: mpi.ErrIntern, source: 0, tag: tag, bytes: 9, elements: 0, buf: image(s)}
+			func(s recvShape, off, tag int) recvOutcome {
+				return recvOutcome{class: mpi.ErrIntern, source: 0, tag: tag, bytes: 9, elements: 0, buf: image(s, off)}
 			})
 	})
 
@@ -190,8 +199,8 @@ func TestRecvFormsAgree(t *testing.T) {
 			func(w *mpi.Intracomm, tag int) error {
 				return w.Send([]float64{1, 2, 3, 4}, 0, 4, mpi.DOUBLE, 1, tag)
 			},
-			func(s recvShape, tag int) recvOutcome {
-				return recvOutcome{class: mpi.ErrTruncate, source: 0, tag: tag, bytes: 32, elements: 2, buf: image(s, 1, 2)}
+			func(s recvShape, off, tag int) recvOutcome {
+				return recvOutcome{class: mpi.ErrTruncate, source: 0, tag: tag, bytes: 32, elements: 2, buf: image(s, off, 1, 2)}
 			})
 	})
 
@@ -203,8 +212,8 @@ func TestRecvFormsAgree(t *testing.T) {
 			func(w *mpi.Intracomm, tag int) error {
 				return w.Send([]float64{1, 2, 3, 4}, 0, 4, mpi.DOUBLE, 1, tag)
 			},
-			func(s recvShape, tag int) recvOutcome {
-				return recvOutcome{class: mpi.ErrTruncate, source: 0, tag: tag, bytes: 32, elements: 2, buf: image(s, 1, 2)}
+			func(s recvShape, off, tag int) recvOutcome {
+				return recvOutcome{class: mpi.ErrTruncate, source: 0, tag: tag, bytes: 32, elements: 2, buf: image(s, off, 1, 2)}
 			})
 	})
 
@@ -214,8 +223,8 @@ func TestRecvFormsAgree(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
 		runRecvForms(t, mpi.RunOptions{}, ctx, nil,
-			func(s recvShape, tag int) recvOutcome {
-				return recvOutcome{class: -1, cancelled: true, source: mpi.ProcNull, tag: mpi.AnyTag, elements: 0, buf: image(s)}
+			func(s recvShape, off, tag int) recvOutcome {
+				return recvOutcome{class: -1, cancelled: true, source: mpi.ProcNull, tag: mpi.AnyTag, elements: 0, buf: image(s, off)}
 			})
 	})
 }
@@ -242,9 +251,9 @@ func TestRecvFormsAgreeOnPeerLoss(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					buf := freshBuf(shape.span)
+					buf := freshBuf(form.offset + shape.span)
 					st, err := form.recv(nil, w, buf, shape.count, d, 0, 5)
-					want := recvOutcome{class: mpi.ErrProcFailed, source: 0, tag: 5, buf: fmt.Sprint(freshBuf(shape.span))}
+					want := recvOutcome{class: mpi.ErrProcFailed, source: 0, tag: 5, buf: fmt.Sprint(freshBuf(form.offset + shape.span))}
 					if got := outcomeOf(st, err, buf); got != want {
 						t.Errorf("got  %+v (err %v)\nwant %+v", got, err, want)
 					}
