@@ -262,7 +262,7 @@ func writeCheckpoint(world *mpi.Intracomm, path string, grid []float64, n, cols,
 type asyncCkpt struct {
 	world *mpi.Intracomm
 	f     *mpi.File
-	req   *mpi.FileCollRequest
+	req   *mpi.Request
 	tmp   string
 	path  string
 }

@@ -47,6 +47,9 @@ func (r *Request) Wait() (any, error) {
 	return r.res, r.err
 }
 
+// Done returns a channel closed when the collective completes.
+func (r *Request) Done() <-chan struct{} { return r.done }
+
 // Test reports whether the collective has completed, returning the
 // result if so.
 func (r *Request) Test() (any, bool, error) {

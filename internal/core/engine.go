@@ -1191,36 +1191,6 @@ func (p *Proc) Cancel(r *Request) bool {
 	return false
 }
 
-// WaitAny blocks until one of the non-nil, non-completed-yet requests
-// completes and returns its index. Requests already completed are
-// returned immediately (lowest index first). Returns -1 if every entry
-// is nil.
-func (p *Proc) WaitAny(reqs []*Request) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	all := true
-	for _, r := range reqs {
-		if r != nil {
-			all = false
-			break
-		}
-	}
-	if all {
-		return -1
-	}
-	for {
-		for i, r := range reqs {
-			if r != nil && r.completed {
-				return i
-			}
-		}
-		if p.closed {
-			return -1
-		}
-		p.cond.Wait()
-	}
-}
-
 // AllocContexts runs the local half of collective context-id allocation:
 // it returns this rank's candidate pair base. The binding layer agrees on
 // the max across the group and reports it back via CommitContexts.

@@ -238,14 +238,22 @@ func TestWaitAny(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		p0.Isend(0, 0, 1, 22, []byte("two"), ModeStandard, false) //nolint:errcheck
 	}()
-	idx := p1.WaitAny([]*Request{r1, r2})
-	if idx != 1 {
-		t.Fatalf("WaitAny = %d, want 1", idx)
+	// Waiting for any of several requests is one select over their Done
+	// channels.
+	select {
+	case <-r1.Done():
+		t.Fatal("r1 completed; only r2's message was sent")
+	case <-r2.Done():
 	}
-	if idx := p1.WaitAny([]*Request{nil, nil}); idx != -1 {
-		t.Fatalf("WaitAny(nil,nil) = %d, want -1", idx)
+	if st, ok := r2.Test(); !ok || st.Tag != 22 {
+		t.Fatalf("r2 after its Done: ok=%v st=%+v", ok, st)
 	}
 	p1.Cancel(r1)
+	select {
+	case <-r1.Done():
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled r1's Done channel never closed")
+	}
 }
 
 func TestConcurrentTraffic(t *testing.T) {

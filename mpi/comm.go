@@ -294,9 +294,9 @@ func (c *Comm) isendMode(buf any, offset, count int, d *Datatype, dest, tag int,
 		return nil, c.raise(err)
 	}
 	if creq == nil {
-		return preCompleted(c.env, nullStatus()), nil
+		return preCompleted(nullStatus()), nil
 	}
-	return &Request{env: c.env, creq: creq}, nil
+	return &Request{comm: c, creq: creq}, nil
 }
 
 // sendBlocking is the shared engine of the blocking send modes: the
@@ -371,7 +371,7 @@ func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 		return nil, c.raise(err)
 	}
 	if dest == ProcNull {
-		return preCompleted(c.env, nullStatus()), nil
+		return preCompleted(nullStatus()), nil
 	}
 	payload, pooled, err := c.pack(buf, offset, count, d)
 	if err != nil {
@@ -393,7 +393,7 @@ func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 	creq.OnDone(func() { env.releaseBuffer(n) })
 	st := nullStatus()
 	st.bytes = n
-	return preCompleted(c.env, st), nil
+	return preCompleted(st), nil
 }
 
 // startRecv runs the shared receive-side validation and translates the
@@ -466,11 +466,11 @@ func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (
 		return nil, c.raise(err)
 	}
 	if procNull {
-		return preCompleted(c.env, nullStatus()), nil
+		return preCompleted(nullStatus()), nil
 	}
 	creq, into := c.postRecv(buf, offset, count, n, d, src, tg)
 	return &Request{
-		env: c.env, creq: creq, isRecv: true, into: into,
+		comm: c, creq: creq, isRecv: true, into: into,
 		buf: buf, offset: offset, count: count, dt: d,
 	}, nil
 }
@@ -619,37 +619,34 @@ func (c *Comm) Iprobe(source, tag int) (*Status, error) {
 	return probeStatus(cst.SourceGroup, cst.Tag, cst.Bytes), nil
 }
 
-// SendInit creates a persistent standard-mode send request
-// (MPI_Send_init).
-func (c *Comm) SendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
+// sendInit freezes a validated send envelope into a persistent request:
+// the shared body of the four persistent send modes.
+func (c *Comm) sendInit(mode core.Mode, buffed bool, buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
 	if err := c.sendChecks(d, dest, tag); err != nil {
 		return nil, c.raise(err)
 	}
-	return &PersistentRequest{comm: c, mode: core.ModeStandard, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return &PersistentRequest{comm: c, mode: mode, buffed: buffed, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+}
+
+// SendInit creates a persistent standard-mode send request
+// (MPI_Send_init).
+func (c *Comm) SendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
+	return c.sendInit(core.ModeStandard, false, buf, offset, count, d, dest, tag)
 }
 
 // SsendInit creates a persistent synchronous-mode send request.
 func (c *Comm) SsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, mode: core.ModeSync, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.sendInit(core.ModeSync, false, buf, offset, count, d, dest, tag)
 }
 
 // RsendInit creates a persistent ready-mode send request.
 func (c *Comm) RsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, mode: core.ModeReady, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.sendInit(core.ModeReady, false, buf, offset, count, d, dest, tag)
 }
 
 // BsendInit creates a persistent buffered-mode send request.
 func (c *Comm) BsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
-		return nil, c.raise(err)
-	}
-	return &PersistentRequest{comm: c, buffed: true, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return c.sendInit(core.ModeStandard, true, buf, offset, count, d, dest, tag)
 }
 
 // RecvInit creates a persistent receive request (MPI_Recv_init).

@@ -17,8 +17,9 @@ import (
 // positioned and file-pointer I/O, and collective two-phase I/O
 // (ReadAtAll/WriteAtAll and the individual-pointer ReadAll/WriteAll)
 // built on the collective schedule engine — so every collective form
-// also has a nonblocking I* variant returning a *FileCollRequest, whose
-// WaitCtx cancels it at the exchange rounds' send/receive boundaries.
+// also has a nonblocking I* variant returning a *Request, whose WaitCtx
+// cancels it at the exchange rounds' send/receive boundaries and whose
+// completion status is the transfer status the blocking form returns.
 //
 // All offsets and displacements are in elements, following the
 // binding's convention: view displacements and file offsets count
@@ -571,13 +572,14 @@ func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (
 
 // IwriteAtAll starts a nonblocking collective write at an explicit
 // offset (MPI_File_iwrite_at_all); both the exchange and the
-// filesystem writes proceed in the background.
-func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*FileCollRequest, error) {
-	plan, _, err := f.planWriteAll(foff, buf, offset, count, d)
+// filesystem writes proceed in the background. The request completes
+// with the status WriteAtAll returns.
+func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
+	plan, st, err := f.planWriteAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
 	}
-	return &FileCollRequest{newCollRequest(&f.comm.Comm, plan.Start(), nil)}, nil
+	return &Request{comm: &f.comm.Comm, cr: plan.Start(), pre: st}, nil
 }
 
 // planWriteAll validates, packs and builds the two-phase write
@@ -617,20 +619,22 @@ func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*
 
 // IreadAtAll starts a nonblocking collective read at an explicit
 // offset (MPI_File_iread_at_all). The buffer is filled when the
-// request completes; it must not be touched before then.
-func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*FileCollRequest, error) {
+// request completes; it must not be touched before then. The request
+// completes with the status ReadAtAll returns: GetCount reports the
+// elements the file actually held, so a short read at end-of-file is
+// detectable on this path too.
+func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
 	plan, err := f.planReadAll(foff, buf, offset, count, d)
 	if err != nil {
 		return nil, err
 	}
-	req := newCollRequest(&f.comm.Comm, plan.Start(), nil)
-	req.fin = func(res any) error {
+	req := &Request{comm: &f.comm.Comm, cr: plan.Start()}
+	req.fin = func(res any) (err error) {
 		rr := res.(*pio.ReadResult)
-		st, derr := f.depositRead(rr.Wire, rr.Got, buf, offset, count, d)
-		req.fileStatus = st
-		return derr
+		req.pre, err = f.depositRead(rr.Wire, rr.Got, buf, offset, count, d)
+		return err
 	}
-	return &FileCollRequest{req}, nil
+	return req, nil
 }
 
 func (f *File) planReadAll(foff int64, buf any, offset, count int, d *Datatype) (*coll.Plan, error) {
@@ -658,7 +662,7 @@ func (f *File) WriteAll(buf any, offset, count int, d *Datatype) (*Status, error
 // IwriteAll starts a nonblocking collective write at the individual
 // file pointer (MPI_File_iwrite_all); the pointer advances by the
 // requested elements at the call, not at completion.
-func (f *File) IwriteAll(buf any, offset, count int, d *Datatype) (*FileCollRequest, error) {
+func (f *File) IwriteAll(buf any, offset, count int, d *Datatype) (*Request, error) {
 	return f.IwriteAtAll(f.advanceFor(buf, offset, count, d), buf, offset, count, d)
 }
 
@@ -672,7 +676,7 @@ func (f *File) ReadAll(buf any, offset, count int, d *Datatype) (*Status, error)
 // IreadAll starts a nonblocking collective read at the individual file
 // pointer (MPI_File_iread_all); the pointer advances by the requested
 // elements at the call, not at completion.
-func (f *File) IreadAll(buf any, offset, count int, d *Datatype) (*FileCollRequest, error) {
+func (f *File) IreadAll(buf any, offset, count int, d *Datatype) (*Request, error) {
 	return f.IreadAtAll(f.advanceFor(buf, offset, count, d), buf, offset, count, d)
 }
 

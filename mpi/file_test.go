@@ -365,8 +365,9 @@ func TestFileAppendAndDeleteOnClose(t *testing.T) {
 
 // TestFileEtypeMatchAndIreadStatus covers the file-interface
 // typematch rule (buffer class must agree with the view's etype, with
-// MPI.BYTE matching anything) and the FileStatus accessor that makes
-// EOF short reads detectable on the nonblocking collective path.
+// MPI.BYTE matching anything) and the transfer status a nonblocking
+// collective completes with: an EOF short read reports its short count,
+// and a write reports what it wrote, as the blocking forms do.
 func TestFileEtypeMatchAndIreadStatus(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "etype.bin")
 	err := mpi.Run(1, func(env *mpi.Env) error {
@@ -389,18 +390,35 @@ func TestFileEtypeMatchAndIreadStatus(t *testing.T) {
 			return fmt.Errorf("byte buffer through double view: %v", err)
 		}
 		// 16 bytes = 2 doubles; a 5-double nonblocking collective read
-		// must report the short count through FileStatus.
+		// must report the short count in the status Wait returns.
 		buf := make([]float64, 5)
 		req, err := f.IreadAtAll(0, buf, 0, 5, mpi.DOUBLE)
 		if err != nil {
 			return err
 		}
-		if _, err := req.Wait(); err != nil {
+		st, err := req.Wait()
+		if err != nil {
 			return err
 		}
-		st := req.FileStatus()
-		if st == nil || st.GetCount(mpi.DOUBLE) != 2 {
-			return fmt.Errorf("FileStatus after EOF Iread = %+v, want count 2", st)
+		if st.GetCount(mpi.DOUBLE) != 2 {
+			return fmt.Errorf("status after EOF IreadAtAll = %+v, want count 2", st)
+		}
+		// A 3-double collective write reports 3, blocking or not.
+		st, err = f.WriteAtAll(2, []float64{1, 2, 3}, 0, 3, mpi.DOUBLE)
+		if err != nil {
+			return err
+		}
+		if st.GetCount(mpi.DOUBLE) != 3 {
+			return fmt.Errorf("status of WriteAtAll = %+v, want count 3", st)
+		}
+		if req, err = f.IwriteAtAll(5, []float64{4, 5, 6}, 0, 3, mpi.DOUBLE); err != nil {
+			return err
+		}
+		if st, err = req.Wait(); err != nil {
+			return err
+		}
+		if st.GetCount(mpi.DOUBLE) != 3 {
+			return fmt.Errorf("status of IwriteAtAll = %+v, want count 3", st)
 		}
 		return nil
 	})

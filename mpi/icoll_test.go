@@ -143,8 +143,8 @@ func TestNonblockingRootedCollectives(t *testing.T) {
 // waitCtx completes a nonblocking collective under ctx — the one way a
 // collective is cancelled — passing a refused call's error on:
 // waitCtx(ctx)(w.Ibarrier()).
-func waitCtx(ctx context.Context) func(*mpi.CollRequest, error) error {
-	return func(req *mpi.CollRequest, err error) error {
+func waitCtx(ctx context.Context) func(*mpi.Request, error) error {
+	return func(req *mpi.Request, err error) error {
 		if err == nil {
 			_, err = req.WaitCtx(ctx)
 		}

@@ -16,10 +16,10 @@ import (
 // the call and compiles its schedule in internal/coll, and has up to
 // three entry points derived from that plan: the classic blocking form
 // X (the calling goroutine drives the schedule), the nonblocking IX
-// returning a *CollRequest (MPI-3; the shared progress pool drives the
-// schedule, and CollRequest.WaitCtx is how a collective is cancelled)
-// and, for the collectives that have one, the persistent XInit (MPI-4;
-// see persistent.go).
+// returning a *Request (MPI-3; the shared progress pool drives the
+// schedule, and Request.WaitCtx is how a collective is cancelled) and,
+// for the collectives that have one, the persistent XInit (MPI-4; see
+// persistent.go).
 type Intracomm struct {
 	Comm
 }
@@ -108,11 +108,11 @@ func (c *Intracomm) runColl(p collPlan) error {
 
 // startColl starts a plan on the shared progress pool: the nonblocking
 // entry points. fin runs inside the Wait/Test that observes completion.
-func (c *Intracomm) startColl(p collPlan) (*CollRequest, error) {
+func (c *Intracomm) startColl(p collPlan) (*Request, error) {
 	if err := p.load(); err != nil {
 		return nil, c.raise(err)
 	}
-	return newCollRequest(&c.Comm, p.plan.Start(), p.fin), nil
+	return &Request{comm: &c.Comm, cr: p.plan.Start(), fin: p.fin}, nil
 }
 
 // SkipColl consumes one collective instance number without
@@ -225,7 +225,7 @@ func (c *Intracomm) Barrier() error {
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier): the request
 // completes once every member has entered its matching barrier call.
-func (c *Intracomm) Ibarrier() (*CollRequest, error) {
+func (c *Intracomm) Ibarrier() (*Request, error) {
 	return c.startColl(c.planBarrier())
 }
 
@@ -245,7 +245,7 @@ func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) err
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
 // are filled when the request completes; no buffer may be touched
 // before then.
-func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*CollRequest, error) {
+func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*Request, error) {
 	return c.startColl(c.planBcast(buf, offset, count, d, root))
 }
 
@@ -283,7 +283,7 @@ func (c *Intracomm) Gather(
 func (c *Intracomm) Igather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
 }
 
@@ -301,7 +301,7 @@ func (c *Intracomm) Gatherv(
 func (c *Intracomm) Igatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
@@ -342,7 +342,7 @@ func (c *Intracomm) Scatter(
 func (c *Intracomm) Iscatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
@@ -358,7 +358,7 @@ func (c *Intracomm) Scatterv(
 func (c *Intracomm) Iscatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
 }
 
@@ -397,7 +397,7 @@ func (c *Intracomm) Allgather(
 func (c *Intracomm) Iallgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
 }
 
@@ -415,7 +415,7 @@ func (c *Intracomm) Allgatherv(
 func (c *Intracomm) Iallgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
@@ -452,7 +452,7 @@ func (c *Intracomm) Alltoall(
 func (c *Intracomm) Ialltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
 }
 
@@ -470,7 +470,7 @@ func (c *Intracomm) Alltoallv(
 func (c *Intracomm) Ialltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
 }
 
@@ -505,7 +505,7 @@ func (c *Intracomm) Reduce(
 func (c *Intracomm) Ireduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
 }
 
@@ -546,7 +546,7 @@ func (c *Intracomm) Allreduce(
 func (c *Intracomm) Iallreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
@@ -578,7 +578,7 @@ func (c *Intracomm) ReduceScatter(
 func (c *Intracomm) IreduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
 }
 
@@ -620,7 +620,7 @@ func (c *Intracomm) Scan(
 func (c *Intracomm) Iscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 
@@ -640,7 +640,7 @@ func (c *Intracomm) Exscan(
 func (c *Intracomm) Iexscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
-) (*CollRequest, error) {
+) (*Request, error) {
 	return c.startColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
 }
 

@@ -112,8 +112,9 @@ func TestPersistentStartBeforeCompleteRejected(t *testing.T) {
 
 // TestPersistentMixedWithOneShot: persistent collectives interleaved
 // with one-shot blocking and nonblocking collectives and persistent
-// point-to-point on the same communicator, all tag-aligned. Completes
-// with WaitAllAny over the mixed request kinds.
+// point-to-point on the same communicator, all tag-aligned. One WaitAll
+// settles the mixed set: the persistent requests join it through their
+// current activations.
 func TestPersistentMixedWithOneShot(t *testing.T) {
 	const rounds = 20
 	err := mpi.Run(3, func(env *mpi.Env) error {
@@ -164,7 +165,7 @@ func TestPersistentMixedWithOneShot(t *testing.T) {
 				return err
 			}
 
-			if _, err := mpi.WaitAllAny([]mpi.AnyRequest{ibc, red, precv, psend}); err != nil {
+			if _, err := mpi.WaitAll([]*mpi.Request{ibc, red.Request, precv.Request, psend.Request}); err != nil {
 				return err
 			}
 
@@ -273,7 +274,7 @@ func TestProgressPoolGoroutineBound(t *testing.T) {
 			// Rank 0 holds back so rank 1's collectives park waiting for
 			// our contributions; the pause bounds how long they idle.
 			time.Sleep(300 * time.Millisecond)
-			reqs := make([]*mpi.CollRequest, inFlight)
+			reqs := make([]*mpi.Request, inFlight)
 			for i := 0; i < inFlight; i++ {
 				r, err := comms[i].Iallreduce([]int64{1}, 0, []int64{0}, 0, 1, mpi.LONG, mpi.SUM)
 				if err != nil {
@@ -290,7 +291,7 @@ func TestProgressPoolGoroutineBound(t *testing.T) {
 		}
 
 		before := runtime.NumGoroutine()
-		reqs := make([]*mpi.CollRequest, inFlight)
+		reqs := make([]*mpi.Request, inFlight)
 		for i := 0; i < inFlight; i++ {
 			r, err := comms[i].Iallreduce([]int64{1}, 0, []int64{0}, 0, 1, mpi.LONG, mpi.SUM)
 			if err != nil {

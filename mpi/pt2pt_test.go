@@ -2,8 +2,10 @@ package mpi_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"gompi/mpi"
 )
@@ -401,6 +403,81 @@ func TestTestAllAndFreedRequests(t *testing.T) {
 	})
 }
 
+// TestRequestSize: Irecv allocates one Request per call, so the struct
+// must stay inside the 128-byte allocator class.
+func TestRequestSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if n := unsafe.Sizeof(mpi.Request{}); n > 128 {
+		t.Fatalf("unsafe.Sizeof(mpi.Request{}) = %d, want <= 128", n)
+	}
+}
+
+// TestMixedRequestSet: one set holding a collective and a receive
+// completes through WaitAny, TestAny and TestAll alike. The collective's
+// peer enters late, so the receive completes first; the collective's
+// buffer is filled exactly once, by whichever call reaps it first.
+func TestMixedRequestSet(t *testing.T) {
+	late := make(chan struct{})
+	admitLate := sync.OnceFunc(func() { close(late) })
+	run2(t, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		if w.Rank() == 1 {
+			if err := w.Send([]int32{7}, 0, 1, mpi.INT, 0, 5); err != nil {
+				return err
+			}
+			<-late
+			return w.Bcast([]float64{42}, 0, 1, mpi.DOUBLE, 1)
+		}
+		defer admitLate() // never strand the late peer, even on an early return
+		bc := []float64{0}
+		in := []int32{0}
+		coll, err := w.Ibcast(bc, 0, 1, mpi.DOUBLE, 1)
+		if err != nil {
+			return err
+		}
+		recv, err := w.Irecv(in, 0, 1, mpi.INT, 1, 5)
+		if err != nil {
+			return err
+		}
+		reqs := []*mpi.Request{coll, recv}
+		if _, done, err := mpi.TestAll(reqs); done || err != nil {
+			t.Errorf("TestAll before the late peer: done=%v err=%v", done, err)
+		}
+		st, err := mpi.WaitAny(reqs)
+		if err != nil {
+			return err
+		}
+		if st.Index != 1 || in[0] != 7 {
+			t.Errorf("first WaitAny: index %d, received %d; want the receive (1) with 7", st.Index, in[0])
+		}
+		if st, done, _ := mpi.TestAny(reqs); !done || st.Index != 1 {
+			t.Errorf("TestAny with the receive done: done=%v st=%+v, want index 1", done, st)
+		}
+		recv.Free()
+		if _, done, _ := mpi.TestAny(reqs); done {
+			t.Error("TestAny reported the collective done before its peer entered")
+		}
+		admitLate()
+		if st, err = mpi.WaitAny(reqs); err != nil {
+			return err
+		}
+		if st.Index != 0 || bc[0] != 42 {
+			t.Errorf("second WaitAny: index %d, bcast %v; want the collective (0) with 42", st.Index, bc[0])
+		}
+		bc[0] = -1 // a second deposit would overwrite this
+		sts, done, err := mpi.TestAll(reqs)
+		if !done || err != nil || len(sts) != 2 || sts[0].Index != 0 || sts[1].Index != 1 {
+			t.Errorf("TestAll after both: done=%v err=%v sts=%v", done, err, sts)
+		}
+		if _, err := coll.Wait(); err != nil || bc[0] != -1 {
+			t.Errorf("collective re-deposited: bcast %v err %v, want -1 untouched", bc[0], err)
+		}
+		return nil
+	})
+}
+
 func TestPersistentBsendAndSsendInit(t *testing.T) {
 	run2(t, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -422,7 +499,7 @@ func TestPersistentBsendAndSsendInit(t *testing.T) {
 				if err := mpi.StartAll([]*mpi.PersistentRequest{pb, ps}); err != nil {
 					return err
 				}
-				if _, err := mpi.WaitAllAny([]mpi.AnyRequest{pb, ps}); err != nil {
+				if _, err := mpi.WaitAll([]*mpi.Request{pb.Request, ps.Request}); err != nil {
 					return err
 				}
 			}

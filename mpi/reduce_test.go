@@ -26,7 +26,7 @@ func reductionEntryPoints(w *mpi.Intracomm, send, recv any, count int, d *mpi.Da
 		"Scan":          w.Scan(send, 0, recv, 0, count, d, op),
 		"ReduceScatter": w.ReduceScatter(send, 0, recv, 0, counts, d, op),
 	}
-	settle := func(name string, req mpi.AnyRequest, err error) {
+	settle := func(name string, req *mpi.Request, err error) {
 		if err == nil {
 			_, err = req.Wait()
 		}
@@ -195,7 +195,7 @@ func movementEntryPoints(w *mpi.Intracomm, send, recv any, count int) map[string
 		"Alltoallv":           w.Alltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d),
 		"Ialltoallv+WaitCtx":  wait(w.Ialltoallv(send, 0, counts, displs, d, recv, 0, counts, displs, d)),
 	}
-	settle := func(name string, req mpi.AnyRequest, err error) {
+	settle := func(name string, req *mpi.Request, err error) {
 		if err == nil {
 			_, err = req.Wait()
 		}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 
 	"gompi/internal/coll"
@@ -11,12 +12,28 @@ import (
 	"gompi/internal/transport"
 )
 
-// Request is a handle on a pending non-blocking operation. Following the
-// paper (§2.1), Request — like Comm — keeps an explicit Free; all other
-// classes leave resource release to the garbage collector.
+// ErrCollectiveCancelled reports a collective whose schedule was torn
+// down by a WaitCtx cancellation: a later Wait/Test on the same request
+// returns it (it is control flow, not an MPI error, and never routes
+// through the communicator's error handler).
+var ErrCollectiveCancelled = coll.ErrCancelled
+
+// Request is a handle on a pending non-blocking operation — the paper's
+// one request class (§2.1), and MPI-4's. It carries either a
+// point-to-point operation or a collective schedule (IX on Intracomm,
+// the I* collectives on File, a persistent collective's activation), so
+// WaitAll, WaitAny, TestAll and friends take any mix of them.
+// Completion side effects — unpacking a receive's payload, depositing a
+// collective's result into the caller's buffers — run exactly once,
+// inside the first Wait/WaitCtx/Test that observes completion: MPI
+// permits touching the buffers only after the operation completes.
+// Following the paper, Request — like Comm — keeps an explicit Free;
+// all other classes leave resource release to the garbage collector.
 type Request struct {
-	env  *Env
-	creq *core.Request // nil once freed, or for pre-completed requests
+	comm *Comm
+	creq *core.Request       // point-to-point arm; nil once freed, or for pre-completed requests
+	cr   *coll.Request       // collective arm; nil once freed
+	fin  func(res any) error // collective completion: deposit into the caller's buffers
 
 	// Receive completion parameters.
 	isRecv bool
@@ -26,15 +43,17 @@ type Request struct {
 	count  int
 	dt     *Datatype
 
-	pre *Status // pre-completed (ProcNull ops, buffered sends)
+	// pre is the status of a pre-completed request (ProcNull ops,
+	// buffered sends) and a file collective's transfer status.
+	pre *Status
 
 	once sync.Once
 	st   *Status
 	err  error
 }
 
-func preCompleted(e *Env, st *Status) *Request {
-	return &Request{env: e, pre: st}
+func preCompleted(st *Status) *Request {
+	return &Request{pre: st}
 }
 
 // recvStatus builds the user-visible status of a completed core
@@ -92,15 +111,16 @@ func recvStatus(cst *core.Status, into bool, payload []byte, buf any, offset, co
 // buffer only after completion, so unpacking here preserves semantics.
 // Receive-into requests skip the unpack (the engine already deposited
 // the bytes in place). Either way the pooled frame backing the payload
-// is released once the bytes are home.
+// is released once the bytes are home. A collective settles instead.
 func (r *Request) finish() {
 	r.once.Do(func() {
-		if r.pre != nil {
+		switch {
+		case r.cr != nil:
+			r.settle()
+		case r.pre != nil:
 			r.st = r.pre
-			return
-		}
-		cst := &r.creq.Stat
-		if !r.isRecv {
+		case !r.isRecv:
+			cst := &r.creq.Stat
 			st := &Status{Source: cst.SourceGroup, Tag: cst.Tag, bytes: cst.Bytes, elements: -1}
 			if cst.Cancelled {
 				st.cancelled = true
@@ -112,16 +132,61 @@ func (r *Request) finish() {
 				st.Error = ClassOf(r.err)
 			}
 			r.st = st
-			return
+		default:
+			r.st, r.err = recvStatus(&r.creq.Stat, r.into, r.creq.Payload, r.buf, r.offset, r.count, r.dt)
+			r.creq.ReleaseFrame()
 		}
-		r.st, r.err = recvStatus(cst, r.into, r.creq.Payload, r.buf, r.offset, r.count, r.dt)
-		r.creq.ReleaseFrame()
 	})
+}
+
+// settle finishes a collective, waiting for its schedule if need be: a
+// schedule a WaitCtx cancelled is control flow and bypasses the error
+// handler, any other failure is classified and raised, and a completed
+// schedule's result is deposited. The status is empty except for a file
+// collective, which reports its transfer status.
+func (r *Request) settle() {
+	res, err := r.cr.Wait()
+	switch {
+	case errors.Is(err, coll.ErrCancelled):
+		r.err = ErrCollectiveCancelled
+	case err != nil:
+		r.err = r.comm.raise(mapSchedErr(err))
+	case r.fin != nil:
+		r.err = r.comm.raise(r.fin(res))
+	}
+	if r.st = r.pre; r.st == nil || r.err != nil {
+		r.st = nullStatus()
+	}
+}
+
+// mapSchedErr classifies a failed collective schedule: fault-tolerance
+// outcomes first (a member died or revoked mid-collective), then
+// mapPioErr classifies file-schedule failures (ErrFile, ErrArg,
+// ErrAccess, ErrIO) and wraps everything else as ErrIntern.
+func mapSchedErr(err error) error {
+	var lost *transport.PeerLostError
+	if errors.As(err, &lost) || errors.Is(err, core.ErrCommRevoked) {
+		return mapEngineErr(err)
+	}
+	return mapPioErr(err)
 }
 
 // active reports whether the request has an operation attached.
 func (r *Request) active() bool {
-	return r != nil && (r.creq != nil || r.pre != nil)
+	return r != nil && (r.creq != nil || r.cr != nil || r.pre != nil)
+}
+
+// done reports whether the operation has completed, without reaping it.
+func (r *Request) done() bool {
+	switch {
+	case r.creq != nil:
+		_, ok := r.creq.Test()
+		return ok
+	case r.cr != nil:
+		_, ok, _ := r.cr.Test()
+		return ok
+	}
+	return true
 }
 
 // Wait blocks until the operation completes (MPI_Wait). Waiting on an
@@ -137,15 +202,30 @@ func (r *Request) Wait() (*Status, error) {
 	return r.st, r.err
 }
 
-// WaitCtx blocks until the operation completes or ctx is done. When ctx
-// fires while the operation is still cancellable (an unmatched receive,
-// or a send whose rendezvous has not been granted), the operation is
-// cancelled, the returned status reports TestCancelled() == true, and
-// ctx's error is returned so callers can errors.Is it against
-// context.Canceled / context.DeadlineExceeded. Once the operation has
-// matched, it is past the point of no return and WaitCtx behaves like
-// Wait. Context errors bypass the communicator's error handler: a
-// cancelled wait is control flow, not an MPI error.
+// WaitCtx blocks until the operation completes or ctx is done, and
+// returns ctx's error when ctx wins. Context errors bypass the
+// communicator's error handler: a cancelled wait is control flow, not
+// an MPI error.
+//
+// A point-to-point operation is cancelled when ctx fires while it still
+// can be (an unmatched receive, or a send whose rendezvous has not been
+// granted), and the returned status reports TestCancelled() == true;
+// once it has matched it is past the point of no return and WaitCtx
+// behaves like Wait.
+//
+// A collective's schedule is cancelled at its next internal
+// send/receive boundary — so a collective stalled on an absent peer
+// unblocks promptly — and its receive buffers are left untouched; a
+// later Wait/Test returns ErrCollectiveCancelled. Cancellation abandons
+// this member's participation in that collective instance only;
+// per-instance tags keep later collectives on the same communicator
+// from ever matching its traffic. The MPI ordering rule still applies:
+// the communicator stays usable provided every member eventually makes
+// the same sequence of collective calls, cancelled or not — with one
+// caveat: a payload above the eager limit still owed to the cancelled
+// member stalls the late sender's rendezvous, so ranks mixing
+// cancellation into a communicator should use WaitCtx on every member
+// (see coll.Request.WaitCtx).
 func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
 	if !r.active() {
 		return nullStatus(), nil
@@ -154,6 +234,11 @@ func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
 		if _, ctxErr := r.creq.WaitCtx(ctx); ctxErr != nil {
 			r.finish()
 			return r.st, ctxErr
+		}
+	}
+	if r.cr != nil {
+		if _, err := r.cr.WaitCtx(ctx); err != nil && errors.Is(err, ctx.Err()) {
+			return nullStatus(), err
 		}
 	}
 	r.finish()
@@ -166,10 +251,8 @@ func (r *Request) Test() (*Status, bool, error) {
 	if !r.active() {
 		return nullStatus(), true, nil
 	}
-	if r.creq != nil {
-		if _, done := r.creq.Test(); !done {
-			return nil, false, nil
-		}
+	if !r.done() {
+		return nil, false, nil
 	}
 	r.finish()
 	return r.st, true, r.err
@@ -177,21 +260,26 @@ func (r *Request) Test() (*Status, bool, error) {
 
 // Cancel attempts to cancel the pending operation (MPI_Cancel). Receives
 // cancel if unmatched; sends cancel if the payload has not been claimed.
+// A collective has no standalone cancel — WaitCtx is how one is
+// cancelled — so Cancel leaves it alone.
 func (r *Request) Cancel() error {
 	if !r.active() || r.creq == nil {
 		return nil
 	}
-	r.env.proc.Cancel(r.creq)
+	r.comm.env.proc.Cancel(r.creq)
 	return nil
 }
 
 // Free releases the request handle (MPI_Request_free). The operation, if
-// still pending, is allowed to complete in the background.
+// still pending, is allowed to complete in the background; a
+// collective's result is then discarded and its receive buffers are
+// never filled.
 func (r *Request) Free() error {
 	if r == nil {
 		return errf(ErrRequest, "Free on nil request")
 	}
 	r.creq = nil
+	r.cr = nil
 	r.pre = nil
 	return nil
 }
@@ -200,44 +288,45 @@ func (r *Request) Free() error {
 // of comparing against MPI_REQUEST_NULL).
 func (r *Request) IsNull() bool { return !r.active() }
 
+// indexed returns a copy of st whose Index names request i.
+func indexed(st *Status, i int) *Status {
+	cp := *st
+	cp.Index = i
+	return &cp
+}
+
 // WaitAny blocks until one of the requests completes and returns its
 // status, with Status.Index identifying which (MPI_Waitany; paper §2.1).
-// If every request is inactive it returns (Undefined, empty status).
+// One select waits on every operation's completion channel, whatever
+// its kind. If every request is inactive it returns (Undefined, empty
+// status).
 func WaitAny(reqs []*Request) (*Status, error) {
-	// Fast path: pre-completed or already-finished requests.
+	var cases []reflect.SelectCase
+	var at []int
 	for i, r := range reqs {
-		if r.active() && r.creq == nil {
-			r.finish()
-			st := *r.st
-			st.Index = i
-			return &st, r.err
+		var ch <-chan struct{}
+		switch {
+		case !r.active():
+			continue
+		case r.creq != nil:
+			ch = r.creq.Done()
+		case r.cr != nil:
+			ch = r.cr.Done()
+		default: // pre-completed
+			st, err := r.Wait()
+			return indexed(st, i), err
 		}
+		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
+		at = append(at, i)
 	}
-	var env *Env
-	creqs := make([]*core.Request, len(reqs))
-	for i, r := range reqs {
-		if r.active() {
-			creqs[i] = r.creq
-			env = r.env
-		}
-	}
-	if env == nil {
+	if len(cases) == 0 {
 		st := nullStatus()
 		st.Index = Undefined
 		return st, nil
 	}
-	idx := env.proc.WaitAny(creqs)
-	if idx < 0 {
-		st := nullStatus()
-		st.Index = Undefined
-		return st, nil
-	}
-	r := reqs[idx]
-	r.creq.Wait()
-	r.finish()
-	st := *r.st
-	st.Index = idx
-	return &st, r.err
+	chosen, _, _ := reflect.Select(cases)
+	st, err := reqs[at[chosen]].Wait()
+	return indexed(st, at[chosen]), err
 }
 
 // TestAny polls the requests for a completion (MPI_Testany).
@@ -248,11 +337,8 @@ func TestAny(reqs []*Request) (*Status, bool, error) {
 			continue
 		}
 		anyActive = true
-		st, done, err := r.Test()
-		if done {
-			cp := *st
-			cp.Index = i
-			return &cp, true, err
+		if st, done, err := r.Test(); done {
+			return indexed(st, i), true, err
 		}
 	}
 	if !anyActive {
@@ -264,11 +350,9 @@ func TestAny(reqs []*Request) (*Status, bool, error) {
 }
 
 // WaitAll waits for every request and returns their statuses in order
-// (MPI_Waitall). The first operation error is returned (wrapped as
-// ErrInStatus when several requests are involved, with per-request
-// classes in the statuses). For sets mixing request kinds (collectives,
-// persistent operations) use WaitAllAny; WaitAll remains the concrete
-// path for homogeneous point-to-point sets.
+// (MPI_Waitall), each with its Index set. Waiting continues past a
+// failure, so every request is reaped; the first operation error is
+// returned, and each status carries its own request's error class.
 func WaitAll(reqs []*Request) ([]*Status, error) {
 	sts := make([]*Status, len(reqs))
 	var firstErr error
@@ -287,13 +371,8 @@ func WaitAll(reqs []*Request) ([]*Status, error) {
 // only returned when all have completed.
 func TestAll(reqs []*Request) ([]*Status, bool, error) {
 	for _, r := range reqs {
-		if !r.active() {
-			continue
-		}
-		if r.creq != nil {
-			if _, done := r.creq.Test(); !done {
-				return nil, false, nil
-			}
+		if r.active() && !r.done() {
+			return nil, false, nil
 		}
 	}
 	sts, err := WaitAll(reqs)
@@ -320,9 +399,7 @@ func WaitSome(reqs []*Request) ([]*Status, error) {
 			return out, err
 		}
 		if done {
-			cp := *st
-			cp.Index = i
-			out = append(out, &cp)
+			out = append(out, indexed(st, i))
 		}
 	}
 	return out, nil
@@ -341,9 +418,7 @@ func TestSome(reqs []*Request) ([]*Status, error) {
 			return out, err
 		}
 		if done {
-			cp := *st
-			cp.Index = i
-			out = append(out, &cp)
+			out = append(out, indexed(st, i))
 		}
 	}
 	return out, nil
@@ -355,15 +430,20 @@ func TestSome(reqs []*Request) ([]*Status, error) {
 // Start activates repeatedly. Point-to-point persistents freeze a send
 // or receive envelope; collective persistents hold a cached re-runnable
 // schedule with pre-minted tags in the runtime, so an activation pays
-// no validation, planning or tag-allocation cost. Both kinds share this
-// one type, so StartAll and the AnyRequest helpers work over mixed
-// sets.
+// no validation, planning or tag-allocation cost.
+//
+// Like mpiJava's Prequest, it is a Request: the embedded *Request is
+// the current activation (nil before the first Start, which Wait, Test
+// and WaitCtx treat as an inactive request), so its Wait/WaitCtx/Test
+// are the activation's, and p.Request joins any WaitAll/WaitAny set.
 //
 // The buffer contract is MPI's: the operation re-reads (and for
 // receives, re-fills) the buffers bound at *Init time on every
 // activation. A previous activation must have completed — locally, via
 // Wait/Test on this request — before the next Start.
 type PersistentRequest struct {
+	*Request
+
 	comm *Comm
 
 	// Point-to-point arm: the frozen envelope.
@@ -382,10 +462,6 @@ type PersistentRequest struct {
 	pcol    *coll.Persistent
 	refresh func() error
 	fin     func(res any) error
-
-	// active is the current activation of either arm (a *Request or a
-	// *CollRequest); nil — never a typed nil — before the first Start.
-	active AnyRequest
 }
 
 // Start activates the persistent request (MPI_Start). The previous
@@ -399,10 +475,8 @@ func (p *PersistentRequest) Start() error {
 	if p.comm.Revoked() {
 		return p.comm.raise(errf(ErrRevoked, "Start on revoked communicator %q", p.comm.name))
 	}
-	if p.active != nil {
-		if _, done, _ := p.active.Test(); !done {
-			return errf(ErrRequest, "Start on a still-active persistent request")
-		}
+	if _, done, _ := p.Request.Test(); !done {
+		return errf(ErrRequest, "Start on a still-active persistent request")
 	}
 	if p.pcol != nil {
 		return p.startColl()
@@ -419,7 +493,7 @@ func (p *PersistentRequest) Start() error {
 	if err != nil {
 		return err
 	}
-	p.active = req
+	p.Request = req
 	return nil
 }
 
@@ -432,42 +506,15 @@ func (p *PersistentRequest) startColl() error {
 			return p.comm.raise(err)
 		}
 	}
-	creq, err := p.pcol.Start()
+	cr, err := p.pcol.Start()
 	if err != nil {
 		if errors.Is(err, coll.ErrActive) {
 			return errf(ErrRequest, "Start on a still-active persistent request")
 		}
 		return p.comm.raise(mapEngineErr(err))
 	}
-	p.active = newCollRequest(p.comm, creq, p.fin)
+	p.Request = &Request{comm: p.comm, cr: cr, fin: p.fin}
 	return nil
-}
-
-// Wait waits for the current activation (MPI_Wait on a started
-// persistent request).
-func (p *PersistentRequest) Wait() (*Status, error) {
-	if p.active == nil {
-		return nullStatus(), nil
-	}
-	return p.active.Wait()
-}
-
-// WaitCtx waits for the current activation under a context; see
-// Request.WaitCtx and CollRequest.WaitCtx for the cancellation
-// contracts of the two arms.
-func (p *PersistentRequest) WaitCtx(ctx context.Context) (*Status, error) {
-	if p.active == nil {
-		return nullStatus(), nil
-	}
-	return p.active.WaitCtx(ctx)
-}
-
-// Test polls the current activation.
-func (p *PersistentRequest) Test() (*Status, bool, error) {
-	if p.active == nil {
-		return nullStatus(), true, nil
-	}
-	return p.active.Test()
 }
 
 // Free releases the persistent request (MPI_Request_free). A collective
@@ -477,7 +524,7 @@ func (p *PersistentRequest) Free() error {
 	if p.pcol != nil {
 		p.pcol.Free()
 	}
-	p.active = nil
+	p.Request = nil
 	p.pcol = nil
 	p.comm = nil
 	return nil

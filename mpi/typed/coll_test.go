@@ -376,6 +376,39 @@ func TestTypedCollectiveWaitCtx(t *testing.T) {
 // TestTypedCollectivesOnCartcomm: the typed collectives are generic over
 // the Comm interface — a Cartcomm (and any future collective-capable
 // communicator) plugs in without new entry points.
+// TestTypedRawJoinsClassicSets: a typed collective's Raw request and a
+// typed receive's Raw request complete together in one classic
+// WaitAll; the typed layer adds no request kind of its own.
+func TestTypedRawJoinsClassicSets(t *testing.T) {
+	err := mpi.Run(2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		rank := w.Rank()
+		sum := []int64{0}
+		red, err := typed.Iallreduce(w, []int64{int64(rank + 1)}, sum, typed.Sum[int64]())
+		if err != nil {
+			return err
+		}
+		in := []int32{0}
+		recv, err := typed.Irecv(w, in, 1-rank, 4)
+		if err != nil {
+			return err
+		}
+		if err := typed.Send(w, []int32{int32(rank + 10)}, 1-rank, 4); err != nil {
+			return err
+		}
+		if _, err := mpi.WaitAll([]*mpi.Request{red.Raw(), recv.Raw()}); err != nil {
+			return err
+		}
+		if sum[0] != 3 || in[0] != int32(11-rank) {
+			t.Errorf("rank %d: sum %d, received %d; want 3 and %d", rank, sum[0], in[0], 11-rank)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTypedCollectivesOnCartcomm(t *testing.T) {
 	err := mpi.Run(4, func(env *mpi.Env) error {
 		w := env.CommWorld()

@@ -112,7 +112,7 @@ func (f *File[T]) ReadAllAt(buf []T, foff int) (*mpi.Status, error) {
 // IwriteAllAt starts the nonblocking collective write of buf at view
 // element offset foff (MPI_File_iwrite_at_all); buf must not be
 // modified until the request completes.
-func (f *File[T]) IwriteAllAt(buf []T, foff int) (*mpi.FileCollRequest, error) {
+func (f *File[T]) IwriteAllAt(buf []T, foff int) (*mpi.Request, error) {
 	raw, d := wbuf(buf)
 	return f.F.IwriteAtAll(int64(foff), raw, 0, len(buf), d)
 }
@@ -120,7 +120,7 @@ func (f *File[T]) IwriteAllAt(buf []T, foff int) (*mpi.FileCollRequest, error) {
 // IreadAllAt starts the nonblocking collective read of len(buf)
 // elements at view element offset foff (MPI_File_iread_at_all); buf is
 // filled when the request completes.
-func (f *File[T]) IreadAllAt(buf []T, foff int) (*mpi.FileCollRequest, error) {
+func (f *File[T]) IreadAllAt(buf []T, foff int) (*mpi.Request, error) {
 	raw, d := wbuf(buf)
 	return f.F.IreadAtAll(int64(foff), raw, 0, len(buf), d)
 }

@@ -48,8 +48,9 @@ type CommInit interface {
 // element types the typed buffer is only filled by completing through
 // this handle, not the raw one.
 type PersistentRequest[T any] struct {
-	completion
-	rebox func() // re-snapshot the typed send buffer; nil for native
+	completion // req is the current activation
+	p          *mpi.PersistentRequest
+	rebox      func() // re-snapshot the typed send buffer; nil for native
 }
 
 // persistent wraps a classic persistent request, or passes the *Init
@@ -58,12 +59,13 @@ func persistent[T any](p *mpi.PersistentRequest, err error, rebox func(), unbox 
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentRequest[T]{completion{req: p, unbox: unbox}, rebox}, nil
+	return &PersistentRequest[T]{completion{unbox: unbox}, p, rebox}, nil
 }
 
 // Raw exposes the underlying classic persistent request, for mixing
-// typed handles into mpi.StartAll / mpi.WaitAllAny sets.
-func (r *PersistentRequest[T]) Raw() *mpi.PersistentRequest { return r.req.(*mpi.PersistentRequest) }
+// typed handles into mpi.StartAll sets; its current activation
+// (Raw().Request) joins mpi.WaitAll / mpi.WaitAny sets.
+func (r *PersistentRequest[T]) Raw() *mpi.PersistentRequest { return r.p }
 
 // Start begins a new activation (MPI_Start): the send-side buffer is
 // re-read as of this call. The previous activation must have completed.
@@ -71,16 +73,17 @@ func (r *PersistentRequest[T]) Start() error {
 	if r.rebox != nil {
 		r.rebox()
 	}
-	if err := r.Raw().Start(); err != nil {
+	if err := r.p.Start(); err != nil {
 		return err
 	}
+	r.req = r.p.Request
 	r.arm()
 	return nil
 }
 
 // Free releases the persistent operation (MPI_Request_free on an
 // inactive persistent request).
-func (r *PersistentRequest[T]) Free() error { return r.Raw().Free() }
+func (r *PersistentRequest[T]) Free() error { return r.p.Free() }
 
 // viewInit resolves a buffer for a persistent binding. Unlike view,
 // which snapshots Obj-routed buffers once, it returns a rebox that

@@ -16,7 +16,7 @@ import (
 // reported by every completion call of that activation. Safe under
 // concurrent Wait/Test, like the classic requests.
 type completion struct {
-	req   mpi.AnyRequest
+	req   *mpi.Request
 	unbox func() error // nil for sends, native receives and reductions
 	mu    sync.Mutex
 	armed bool  // this activation's unbox has not run yet
@@ -59,8 +59,8 @@ func (c *completion) Wait() (*mpi.Status, error) {
 }
 
 // WaitCtx blocks until the operation completes or ctx is done; see
-// mpi.Request.WaitCtx and mpi.CollRequest.WaitCtx for the cancellation
-// contracts. A cancelled wait leaves the typed buffer untouched.
+// mpi.Request.WaitCtx for the cancellation contract. A cancelled wait
+// leaves the typed buffer untouched.
 func (c *completion) WaitCtx(ctx context.Context) (*mpi.Status, error) {
 	st, err := c.req.WaitCtx(ctx)
 	if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
@@ -80,43 +80,28 @@ func (c *completion) Test() (*mpi.Status, bool, error) {
 
 // Request is a typed handle on a pending non-blocking operation —
 // point-to-point (Isend/Irecv) or collective (Ibcast/Iallreduce/…). Its
-// Wait, WaitCtx and Test return the classic request's status: for a
-// collective that is the empty *Status of mpi.CollRequest — not nil, as
-// typed collectives once returned.
+// Wait, WaitCtx and Test return the classic request's status, which for
+// a collective is the empty status. WaitCtx is how a typed operation is
+// cancelled: Irecv + WaitCtx is a receive with a deadline.
 type Request[T any] struct{ completion }
 
 // started is the tail of every nonblocking typed call: wrap the classic
 // request, or pass the call's error on.
-func started[T any](req mpi.AnyRequest, err error, unbox func() error) (*Request[T], error) {
+func started[T any](req *mpi.Request, err error, unbox func() error) (*Request[T], error) {
 	if err != nil {
 		return nil, err
 	}
 	return &Request[T]{completion{req: req, unbox: unbox, armed: true}}, nil
 }
 
-// Raw exposes the underlying classic point-to-point request, for mixing
-// typed requests into mpi.WaitAll / mpi.WaitAny sets; it is nil for
-// collective requests (see Coll). For Obj-routed receives the typed
-// buffer is only filled by Wait/WaitCtx/Test on this handle, not by
-// completing the raw request directly.
-func (r *Request[T]) Raw() *mpi.Request {
-	p, _ := r.req.(*mpi.Request)
-	return p
-}
-
-// Coll exposes the underlying classic collective request; it is nil for
-// point-to-point requests.
-func (r *Request[T]) Coll() *mpi.CollRequest {
-	cr, _ := r.req.(*mpi.CollRequest)
-	return cr
-}
+// Raw exposes the underlying classic request, point-to-point or
+// collective, for mixing typed requests into mpi.WaitAll / mpi.WaitAny
+// sets. For Obj-routed receives the typed buffer is only filled by
+// Wait/WaitCtx/Test on this handle, not by completing the raw request
+// directly.
+func (r *Request[T]) Raw() *mpi.Request { return r.req }
 
 // Cancel attempts to cancel a pending point-to-point operation
 // (MPI_Cancel). Collectives have no standalone cancel: cancellation is
 // driven through WaitCtx, so Cancel is a no-op for them.
-func (r *Request[T]) Cancel() error {
-	if p := r.Raw(); p != nil {
-		return p.Cancel()
-	}
-	return nil
-}
+func (r *Request[T]) Cancel() error { return r.req.Cancel() }

@@ -22,14 +22,13 @@
 // freely on the same communicators (a typed.Send matches a classic Recv
 // of the same element class, and vice versa).
 //
-// Context-aware variants (RecvCtx, Request.WaitCtx, WaitCtx) plumb
-// cancellation into the runtime's wait paths: cancelling the context
-// cancels the underlying operation when it is still unmatched, in the
-// sense of MPI_Cancel.
+// Cancellation goes through the one request class: start the operation
+// (Irecv, Ibcast, …) and wait with Request.WaitCtx. Cancelling the
+// context cancels a still-unmatched receive or send in the sense of
+// MPI_Cancel, and a collective at its next send/receive boundary.
 package typed
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 
@@ -60,51 +59,51 @@ type Comm interface {
 	Peer
 	SkipColl()
 	Barrier() error
-	Ibarrier() (*mpi.CollRequest, error)
+	Ibarrier() (*mpi.Request, error)
 	Bcast(buf any, offset, count int, d *mpi.Datatype, root int) error
-	Ibcast(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.CollRequest, error)
+	Ibcast(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.Request, error)
 	Gather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
 	Igather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) (*mpi.CollRequest, error)
+		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) (*mpi.Request, error)
 	Gatherv(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset int, recvcounts, displs []int, rdt *mpi.Datatype, root int) error
 	Scatter(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
 	Iscatter(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) (*mpi.CollRequest, error)
+		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) (*mpi.Request, error)
 	Scatterv(sendbuf any, soffset int, sendcounts, displs []int, sdt *mpi.Datatype,
 		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
 	Allgather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) error
 	Iallgather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) (*mpi.CollRequest, error)
+		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) (*mpi.Request, error)
 	Allgatherv(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset int, recvcounts, displs []int, rdt *mpi.Datatype) error
 	Alltoall(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) error
 	Ialltoall(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) (*mpi.CollRequest, error)
+		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) (*mpi.Request, error)
 	Alltoallv(sendbuf any, soffset int, sendcounts, sdispls []int, sdt *mpi.Datatype,
 		recvbuf any, roffset int, recvcounts, rdispls []int, rdt *mpi.Datatype) error
 	Reduce(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op, root int) error
 	Ireduce(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op, root int) (*mpi.CollRequest, error)
+		count int, d *mpi.Datatype, op *mpi.Op, root int) (*mpi.Request, error)
 	Allreduce(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op) error
 	Iallreduce(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.CollRequest, error)
+		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
 	ReduceScatter(sendbuf any, soffset int, recvbuf any, roffset int,
 		recvcounts []int, d *mpi.Datatype, op *mpi.Op) error
 	Scan(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op) error
 	Iscan(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.CollRequest, error)
+		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
 	Exscan(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op) error
 	Iexscan(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.CollRequest, error)
+		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
 }
 
 // datatypeOf maps a storage class to its predefined basic datatype,
@@ -242,18 +241,6 @@ func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
 	return st, err
 }
 
-// RecvCtx is Recv with cancellation: it posts the receive and waits
-// under ctx. If ctx fires while the message is still unmatched the
-// receive is cancelled (MPI_Cancel semantics), the status reports
-// TestCancelled() and ctx's error is returned.
-func RecvCtx[T any](ctx context.Context, c Peer, buf []T, source, tag int) (*mpi.Status, error) {
-	req, err := Irecv(c, buf, source, tag)
-	if err != nil {
-		return nil, err
-	}
-	return req.WaitCtx(ctx)
-}
-
 // Isend starts a non-blocking standard-mode send (MPI_Isend). The
 // buffer must not be modified until the request completes.
 func Isend[T any](c Peer, buf []T, dest, tag int) (*Request[T], error) {
@@ -281,23 +268,4 @@ func RecvOne[T any](c Peer, source, tag int) (T, *mpi.Status, error) {
 	buf := make([]T, 1)
 	st, err := Recv(c, buf, source, tag)
 	return buf[0], st, err
-}
-
-// RecvOneCtx receives a single value under a context.
-func RecvOneCtx[T any](ctx context.Context, c Peer, source, tag int) (T, *mpi.Status, error) {
-	buf := make([]T, 1)
-	st, err := RecvCtx(ctx, c, buf, source, tag)
-	return buf[0], st, err
-}
-
-// Waiter is anything WaitCtx can wait on: *mpi.Request and the typed
-// *Request[T] both qualify.
-type Waiter interface {
-	WaitCtx(ctx context.Context) (*mpi.Status, error)
-}
-
-// WaitCtx waits for a pending operation under a context; see
-// Request.WaitCtx for the cancellation contract.
-func WaitCtx(ctx context.Context, w Waiter) (*mpi.Status, error) {
-	return w.WaitCtx(ctx)
 }

@@ -220,15 +220,19 @@ func TestRecvCtxCancel(t *testing.T) {
 		defer cancel()
 		buf := make([]int32, 1)
 		start := time.Now()
-		st, err := typed.RecvCtx(ctx, w, buf, 1, 99)
+		req, err := typed.Irecv(w, buf, 1, 99)
+		if err != nil {
+			return err
+		}
+		st, err := req.WaitCtx(ctx)
 		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("RecvCtx error %v, want DeadlineExceeded", err)
+			t.Errorf("Irecv + WaitCtx error %v, want DeadlineExceeded", err)
 		}
 		if st == nil || !st.TestCancelled() {
-			t.Errorf("RecvCtx status %+v, want cancelled", st)
+			t.Errorf("Irecv + WaitCtx status %+v, want cancelled", st)
 		}
 		if time.Since(start) > 5*time.Second {
-			t.Error("RecvCtx did not return promptly on cancellation")
+			t.Error("Irecv + WaitCtx did not return promptly on cancellation")
 		}
 		return nil
 	})
@@ -248,7 +252,7 @@ func TestWaitCtxDeliversWhenMessageArrives(t *testing.T) {
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			st, err := typed.WaitCtx(ctx, req)
+			st, err := req.WaitCtx(ctx)
 			if err != nil {
 				return err
 			}
