@@ -352,7 +352,7 @@ func TestAny(reqs []*Request) (*Status, bool, error) {
 // WaitAll waits for every request and returns their statuses in order
 // (MPI_Waitall), each with its Index set. Waiting continues past a
 // failure, so every request is reaped; the first operation error is
-// returned, and each status carries its own request's error class.
+// returned.
 func WaitAll(reqs []*Request) ([]*Status, error) {
 	sts := make([]*Status, len(reqs))
 	var firstErr error

@@ -373,9 +373,6 @@ func TestTypedCollectiveWaitCtx(t *testing.T) {
 	}
 }
 
-// TestTypedCollectivesOnCartcomm: the typed collectives are generic over
-// the Comm interface — a Cartcomm (and any future collective-capable
-// communicator) plugs in without new entry points.
 // TestTypedRawJoinsClassicSets: a typed collective's Raw request and a
 // typed receive's Raw request complete together in one classic
 // WaitAll; the typed layer adds no request kind of its own.
@@ -409,6 +406,9 @@ func TestTypedRawJoinsClassicSets(t *testing.T) {
 	}
 }
 
+// TestTypedCollectivesOnCartcomm: the typed collectives are generic over
+// the Comm interface — a Cartcomm (and any future collective-capable
+// communicator) plugs in without new entry points.
 func TestTypedCollectivesOnCartcomm(t *testing.T) {
 	err := mpi.Run(4, func(env *mpi.Env) error {
 		w := env.CommWorld()

@@ -48,7 +48,7 @@ type CommInit interface {
 // element types the typed buffer is only filled by completing through
 // this handle, not the raw one.
 type PersistentRequest[T any] struct {
-	completion // req is the current activation
+	completion // at is &p.Request, the current activation
 	p          *mpi.PersistentRequest
 	rebox      func() // re-snapshot the typed send buffer; nil for native
 }
@@ -59,12 +59,16 @@ func persistent[T any](p *mpi.PersistentRequest, err error, rebox func(), unbox 
 	if err != nil {
 		return nil, err
 	}
-	return &PersistentRequest[T]{completion{unbox: unbox}, p, rebox}, nil
+	return &PersistentRequest[T]{completion{at: &p.Request, unbox: unbox}, p, rebox}, nil
 }
 
 // Raw exposes the underlying classic persistent request, for mixing
 // typed handles into mpi.StartAll sets; its current activation
-// (Raw().Request) joins mpi.WaitAll / mpi.WaitAny sets.
+// (Raw().Request) joins mpi.WaitAll / mpi.WaitAny sets. An activation
+// started through Raw still completes through this handle. Starting
+// through Raw skips the re-snapshot of an Obj-routed send buffer, so
+// such a send carries the snapshot taken at Init or the last typed
+// Start.
 func (r *PersistentRequest[T]) Raw() *mpi.PersistentRequest { return r.p }
 
 // Start begins a new activation (MPI_Start): the send-side buffer is
@@ -73,12 +77,7 @@ func (r *PersistentRequest[T]) Start() error {
 	if r.rebox != nil {
 		r.rebox()
 	}
-	if err := r.p.Start(); err != nil {
-		return err
-	}
-	r.req = r.p.Request
-	r.arm()
-	return nil
+	return r.p.Start()
 }
 
 // Free releases the persistent operation (MPI_Request_free on an

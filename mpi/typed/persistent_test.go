@@ -158,6 +158,66 @@ func TestTypedPersistentBcast(t *testing.T) {
 	})
 }
 
+// TestTypedPersistentStartedThroughRaw: typed persistent handles started
+// with the classic mpi.StartAll over their Raw requests still complete
+// the activation just started, round after round — a native receive, an
+// Obj-routed receive (unboxed once per activation) and an all-reduction.
+func TestTypedPersistentStartedThroughRaw(t *testing.T) {
+	type boxed struct{ N int64 }
+	const rounds = 8
+	run(t, 2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		rank, peer := w.Rank(), 1-w.Rank()
+
+		nums, objs := make([]int32, 2), make([]boxed, 1)
+		sum := make([]int64, 1)
+		operand := []int64{0}
+		recvNums, err := typed.RecvInit(w, nums, peer, 21)
+		if err != nil {
+			return err
+		}
+		defer recvNums.Free()
+		recvObjs, err := typed.RecvInit(w, objs, peer, 22)
+		if err != nil {
+			return err
+		}
+		defer recvObjs.Free()
+		red, err := typed.AllreduceInit(w, operand, sum, typed.Sum[int64]())
+		if err != nil {
+			return err
+		}
+		defer red.Free()
+
+		for r := 0; r < rounds; r++ {
+			operand[0] = int64(rank*100 + r)
+			if err := mpi.StartAll([]*mpi.PersistentRequest{recvNums.Raw(), recvObjs.Raw(), red.Raw()}); err != nil {
+				return err
+			}
+			if err := typed.Send(w, []int32{int32(rank), int32(r)}, peer, 21); err != nil {
+				return err
+			}
+			if err := typed.Send(w, []boxed{{N: int64(rank*10 + r)}}, peer, 22); err != nil {
+				return err
+			}
+			for _, h := range []completer{recvNums, recvObjs, red} {
+				if _, err := h.Wait(); err != nil {
+					return fmt.Errorf("round %d: %w", r, err)
+				}
+			}
+			if nums[0] != int32(peer) || nums[1] != int32(r) {
+				t.Errorf("rank %d round %d: nums %v, want [%d %d]", rank, r, nums, peer, r)
+			}
+			if want := int64(peer*10 + r); objs[0].N != want {
+				t.Errorf("rank %d round %d: objs[0].N = %d, want %d", rank, r, objs[0].N, want)
+			}
+			if want := int64(100 + 2*r); sum[0] != want {
+				t.Errorf("rank %d round %d: sum %d, want %d", rank, r, sum[0], want)
+			}
+		}
+		return nil
+	})
+}
+
 // settleProbe is the Obj-routed element type of
 // TestTypedCompletionSettlesOncePerActivation.
 type settleProbe struct{ N int64 }
