@@ -1,8 +1,10 @@
 // Objects: the paper's §2.2 proposal — message buffers of serializable
 // objects travelling as MPI.OBJECT, serialized automatically in the send
 // wrapper and unserialized at the destination (Go's gob standing in for
-// Java object serialization). A pipeline of ranks passes a work ticket
-// around a ring; each rank appends its signature and forwards it.
+// Java object serialization). As mpiJava takes a Ticket[] as it is, an
+// OBJECT buffer here is any slice: the ranks send and receive []Ticket
+// directly. A pipeline of ranks passes a work ticket around a ring; each
+// rank appends its signature and forwards it.
 //
 //	go run ./examples/objects [-np 4]
 package main
@@ -42,21 +44,20 @@ func ring(env *mpi.Env) error {
 	next, prev := (rank+1)%size, (rank-1+size)%size
 
 	if rank == 0 {
-		tickets := []any{
-			Ticket{ID: 1, Payload: map[string]float64{"load": 0.5}},
-			Ticket{ID: 2, Payload: map[string]float64{"load": 1.25}},
+		tickets := []Ticket{
+			{ID: 1, Payload: map[string]float64{"load": 0.5}},
+			{ID: 2, Payload: map[string]float64{"load": 1.25}},
 		}
 		if err := world.Send(tickets, 0, len(tickets), mpi.OBJECT, next, 1); err != nil {
 			return err
 		}
 		// Collect the completed tickets after the full circuit.
-		in := make([]any, len(tickets))
+		in := make([]Ticket, len(tickets))
 		st, err := world.Recv(in, 0, len(in), mpi.OBJECT, prev, 1)
 		if err != nil {
 			return err
 		}
-		for i := 0; i < st.GetCount(mpi.OBJECT); i++ {
-			t := in[i].(Ticket)
+		for _, t := range in[:st.GetCount(mpi.OBJECT)] {
 			if len(t.Hops) != size-1 {
 				return fmt.Errorf("ticket %d visited %d ranks, want %d", t.ID, len(t.Hops), size-1)
 			}
@@ -65,17 +66,15 @@ func ring(env *mpi.Env) error {
 		return nil
 	}
 
-	in := make([]any, 2)
+	in := make([]Ticket, 2)
 	st, err := world.Recv(in, 0, len(in), mpi.OBJECT, prev, 1)
 	if err != nil {
 		return err
 	}
-	out := make([]any, 0, st.GetCount(mpi.OBJECT))
-	for i := 0; i < st.GetCount(mpi.OBJECT); i++ {
-		t := in[i].(Ticket)
-		t.Hops = append(t.Hops, fmt.Sprintf("rank%d", rank))
-		t.Payload["load"] *= 2
-		out = append(out, t)
+	out := in[:st.GetCount(mpi.OBJECT)]
+	for i := range out {
+		out[i].Hops = append(out[i].Hops, fmt.Sprintf("rank%d", rank))
+		out[i].Payload["load"] *= 2
 	}
 	return world.Send(out, 0, len(out), mpi.OBJECT, next, 1)
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 )
 
 // ErrTruncate reports that an incoming message held more elements than the
@@ -63,6 +64,11 @@ func sliceInfo(buf any) (n int, c Class, ok bool) {
 		return len(s), F64, true
 	case []any:
 		return len(s), Obj, true
+	}
+	// Any other slice is an object buffer (mpiJava's Object[] of any
+	// class): its elements travel gob-encoded.
+	if v := reflect.ValueOf(buf); v.Kind() == reflect.Slice {
+		return v.Len(), Obj, true
 	}
 	return 0, 0, false
 }
@@ -125,7 +131,7 @@ func Pack(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
 		return dst, err
 	}
 	if t.class == Obj {
-		return packObjects(dst, buf.([]any), offset, count, t)
+		return packObjects(dst, buf, offset, count, t)
 	}
 	if hostLE && t.contig {
 		if bv, ok := byteView(buf, offset, count*len(t.disps)); ok {
@@ -225,7 +231,7 @@ func Unpack(data []byte, buf any, offset, count int, t *Type) (int, error) {
 		return 0, err
 	}
 	if t.class == Obj {
-		return unpackObjects(data, buf.([]any), offset, count, t)
+		return unpackObjects(data, buf, offset, count, t)
 	}
 	es := t.class.WireSize()
 	if len(data)%es != 0 {

@@ -6,15 +6,18 @@ import (
 )
 
 // Datatype inference — the registry underneath mpi/typed's TypeOf[T].
-// A Go element type maps onto the engine in one of two ways:
+// A Go element type maps onto the engine in one of three ways:
 //
 //   - the seven native buffer element types (byte, bool, int16, int32,
 //     int64, float32, float64 — rune and uint8 being aliases) map to
 //     their storage class directly: a slice of such a type IS one of the
 //     engine's buffer types and travels zero-copy through Pack/Unpack;
-//   - every other type (structs, named primitives, pointers, maps, …)
-//     maps to the Obj class and travels gob-encoded in []any buffers,
-//     exactly like the paper's MPI.OBJECT extension (§2.2).
+//   - named primitives (`type Celsius float64`) reinterpret in place to
+//     their underlying class (NativeView);
+//   - every other type (structs, pointers, strings, maps, …) maps to the
+//     Obj class: a slice of it is an OBJECT buffer as it stands and its
+//     elements travel gob-encoded, exactly like the paper's MPI.OBJECT
+//     extension (§2.2).
 //
 // The mapping is computed once per reflect.Type and cached; Obj-class
 // types are gob-registered on first inference so callers never need the
@@ -24,14 +27,15 @@ import (
 type Inferred struct {
 	// Class is the storage class buffers of the type travel as.
 	Class Class
-	// Direct reports that a slice of the type is a native buffer type
-	// ([]byte, []int32, …) and may be handed to Pack/Unpack as-is.
+	// Direct reports that a slice of the type is one of the engine's own
+	// buffer types ([]byte, []int32, …, or []any).
 	Direct bool
 	// Reinterp reports a named primitive type (`type Celsius float64`):
 	// a slice of it shares its underlying type's memory layout and is
 	// reinterpreted in place (NativeView) to stay on the class's wire
-	// format instead of OBJECT/gob. Types that are neither Direct nor
-	// Reinterp must be boxed into []any (Obj class).
+	// format instead of OBJECT/gob. A slice of a type that is neither
+	// Direct nor Reinterp is an Obj-class buffer as it stands; Infer
+	// gob-registers its element type.
 	Reinterp bool
 }
 
@@ -77,7 +81,7 @@ func safeRegister(seed any) {
 
 func inferOne(rt reflect.Type) Inferred {
 	if rt.Kind() == reflect.Interface && rt.NumMethod() == 0 {
-		// []any is the classic OBJECT buffer type: Obj class, no boxing.
+		// []any carries any registered type: nothing to register.
 		return Inferred{Class: Obj, Direct: true}
 	}
 	if c, ok := directClasses[rt]; ok {

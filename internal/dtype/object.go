@@ -5,13 +5,18 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"reflect"
 )
 
 // Object serialization — the paper's §2.2 extension. A buffer of
-// MPI.OBJECT elements is a []any; each element is serialized in the send
-// wrapper and unserialized at the destination. Go's encoding/gob plays
-// the role of Java object serialization; concrete element types must be
-// registered via Register (the analogue of implementing Serializable).
+// MPI.OBJECT elements is any slice, as mpiJava's is any Object[]: a
+// []any, a []Ticket, a []*Ticket. Each element is serialized straight
+// from the buffer in the send wrapper and unserialized straight into it
+// at the destination (setObject). Go's encoding/gob plays the role of
+// Java object serialization; concrete element types must be registered
+// via Register (the analogue of implementing Serializable). The wire
+// bytes depend on the element values only, not on the slice type, so a
+// []Ticket sender and a []any receiver interoperate.
 //
 // Wire layout of an Obj payload:
 //
@@ -47,14 +52,24 @@ func DecodeObject(data []byte) (any, error) {
 	return b.V, nil
 }
 
-func packObjects(dst []byte, s []any, offset, count int, t *Type) ([]byte, error) {
+// packObjects encodes the section's elements straight from buf, a []any
+// or any other slice.
+func packObjects(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
+	s, boxed := buf.([]any)
+	v := reflect.ValueOf(buf)
 	total := count * len(t.disps)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(total))
 	ext := t.Extent()
 	for i := 0; i < count; i++ {
 		base := offset + i*ext
 		for _, d := range t.disps {
-			blob, err := EncodeObject(s[base+d])
+			var x any
+			if boxed {
+				x = s[base+d]
+			} else {
+				x = v.Index(base + d).Interface()
+			}
+			blob, err := EncodeObject(x)
 			if err != nil {
 				return dst, err
 			}
@@ -65,12 +80,19 @@ func packObjects(dst []byte, s []any, offset, count int, t *Type) ([]byte, error
 	return dst, nil
 }
 
-// objectCount reads the object count header of an Obj payload.
+// objectCount reads the object count header of an Obj payload. The
+// count is bounded by the payload size (each object costs at least its
+// length word), so a corrupt header can neither force a large
+// allocation nor wrap negative on a 32-bit host.
 func objectCount(data []byte) (int, error) {
 	if len(data) < 4 {
 		return 0, ErrFormat
 	}
-	return int(binary.LittleEndian.Uint32(data)), nil
+	n := binary.LittleEndian.Uint32(data)
+	if uint64(n) > uint64(len(data)-4)/4 {
+		return 0, ErrFormat
+	}
+	return int(n), nil
 }
 
 // EncodeObjects serializes a whole object slice to an Obj payload.
@@ -79,16 +101,11 @@ func EncodeObjects(objs []any) ([]byte, error) {
 }
 
 // DecodeObjects deserializes every object of an Obj payload; the count
-// comes from the payload header. The count is bounded by the payload
-// size (each object costs at least its length word), so a corrupt
-// header cannot force a large allocation.
+// comes from the payload header.
 func DecodeObjects(data []byte) ([]any, error) {
 	n, err := objectCount(data)
 	if err != nil {
 		return nil, err
-	}
-	if n > (len(data)-4)/4 {
-		return nil, ErrFormat
 	}
 	objs := make([]any, n)
 	if _, err := unpackObjects(data, objs, 0, n, basicOf[Obj]); err != nil {
@@ -97,7 +114,9 @@ func DecodeObjects(data []byte) ([]any, error) {
 	return objs, nil
 }
 
-func unpackObjects(data []byte, s []any, offset, count int, t *Type) (int, error) {
+// unpackObjects decodes the payload's elements straight into buf, a
+// []any or any other slice (see setObject).
+func unpackObjects(data []byte, buf any, offset, count int, t *Type) (int, error) {
 	avail, err := objectCount(data)
 	if err != nil {
 		return 0, err
@@ -120,17 +139,19 @@ objLoop:
 			if len(data) < 4 {
 				return done, ErrFormat
 			}
-			n := int(binary.LittleEndian.Uint32(data))
+			n := binary.LittleEndian.Uint32(data)
 			data = data[4:]
-			if len(data) < n {
+			if uint64(len(data)) < uint64(n) { // compared unsigned: int(n) may wrap on 32-bit hosts
 				return done, ErrFormat
 			}
-			v, err := DecodeObject(data[:n])
+			x, err := DecodeObject(data[:n])
 			if err != nil {
 				return done, err
 			}
 			data = data[n:]
-			s[base+d] = v
+			if err := setObject(buf, base+d, x); err != nil {
+				return done, err
+			}
 			done++
 		}
 	}
@@ -138,4 +159,31 @@ objLoop:
 		return done, ErrTruncate
 	}
 	return done, nil
+}
+
+// setObject stores decoded element x at buf[i]: as is when it is
+// assignable to the element type, behind a fresh pointer when the
+// element type is *E and x an E (gob flattens pointers on the wire), and
+// as the zero value when x is nil. Any other x is a class mismatch.
+func setObject(buf any, i int, x any) error {
+	if s, ok := buf.([]any); ok {
+		s[i] = x
+		return nil
+	}
+	slot := reflect.ValueOf(buf).Index(i)
+	et := slot.Type()
+	v := reflect.ValueOf(x)
+	switch {
+	case x == nil:
+		slot.SetZero()
+	case v.Type().AssignableTo(et):
+		slot.Set(v)
+	case et.Kind() == reflect.Pointer && v.Type() == et.Elem():
+		p := reflect.New(et.Elem())
+		p.Elem().Set(v)
+		slot.Set(p)
+	default:
+		return fmt.Errorf("%w: element %d arrived as %T, want %s", ErrClassMismatch, i, x, et)
+	}
+	return nil
 }

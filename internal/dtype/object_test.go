@@ -1,8 +1,10 @@
 package dtype
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -115,8 +117,154 @@ func TestObjectSliceCodec(t *testing.T) {
 }
 
 func TestObjectMalformed(t *testing.T) {
-	out := make([]any, 1)
-	if _, err := Unpack([]byte{1, 2}, out, 0, 1, Basic(Obj, "OBJECT")); !errors.Is(err, ErrFormat) {
-		t.Fatalf("got %v, want ErrFormat", err)
+	for _, c := range []struct {
+		name string
+		wire []byte
+	}{
+		{"short count", []byte{1, 2}},
+		{"count beyond the payload", []byte{2, 0, 0, 0, 0, 0, 0, 0}},
+		// A length that wraps negative as a 32-bit int must be refused,
+		// not sliced with.
+		{"length past the payload", []byte{1, 0, 0, 0, 0xf0, 0xff, 0xff, 0xff, 1, 2, 3}},
+	} {
+		if _, err := Unpack(c.wire, make([]any, 2), 0, 2, Basic(Obj, "OBJECT")); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: Unpack got %v, want ErrFormat", c.name, err)
+		}
+		if _, err := DecodeObjects(c.wire); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: DecodeObjects got %v, want ErrFormat", c.name, err)
+		}
 	}
+}
+
+// ticket is the struct element type of the object-buffer shape tests.
+type ticket struct {
+	ID   int
+	Hops []string
+}
+
+func init() { Register(ticket{}) }
+
+// objectRows are the shapes an OBJECT buffer takes: a slice of structs,
+// of pointers to structs, and the classic []any.
+var objectRows = []struct {
+	name    string
+	of      func(vals ...ticket) any // a buffer holding vals
+	holdAny bool                     // every decoded element fits
+}{
+	{"[]Struct", func(vals ...ticket) any { return vals }, false},
+	{"[]*Struct", func(vals ...ticket) any {
+		s := make([]*ticket, len(vals))
+		for i := range vals {
+			s[i] = &vals[i]
+		}
+		return s
+	}, false},
+	{"[]any", func(vals ...ticket) any {
+		s := make([]any, len(vals))
+		for i, v := range vals {
+			s[i] = v
+		}
+		return s
+	}, true},
+}
+
+// TestObjectBufferShapes: every slice is an OBJECT buffer, encoded from
+// and decoded into the caller's elements in place.
+func TestObjectBufferShapes(t *testing.T) {
+	obj := Basic(Obj, "OBJECT")
+	strided, err := Vector(2, 1, 2, obj) // elements 0 and 2
+	if err != nil {
+		t.Fatal(err)
+	}
+	strided.Commit()
+	a, b, c := ticket{1, []string{"r0"}}, ticket{2, nil}, ticket{3, []string{"r1", "r2"}}
+	junk, zero := ticket{ID: -1}, ticket{}
+	// zeroAt is want with element i reset to the zero value of the
+	// buffer's element type: nil for a pointer or an interface.
+	zeroAt := func(want any, i int) any {
+		reflect.ValueOf(want).Index(i).SetZero()
+		return want
+	}
+	for _, row := range objectRows {
+		for _, tc := range []struct {
+			name          string
+			send          any
+			count, rcount int
+			t             *Type
+			into          any
+			wantN         int
+			wantErr       error
+			want          any
+		}{
+			{"round trip", row.of(a, b, c), 3, 3, obj, row.of(junk, junk, junk), 3, nil, row.of(a, b, c)},
+			{"truncation", row.of(a, b, c), 3, 2, obj, row.of(junk, junk), 2, ErrTruncate, row.of(a, b)},
+			{"strided", row.of(a, b, c, a), 1, 1, strided, row.of(zero, zero, zero, zero), 2, nil, row.of(a, zero, c, zero)},
+			{"nil element", []any{a, nil}, 2, 2, obj, row.of(junk, junk), 2, nil, zeroAt(row.of(a, junk), 1)},
+		} {
+			wire, err := Pack(nil, tc.send, 0, tc.count, tc.t)
+			if err != nil {
+				t.Fatalf("%s %s: pack: %v", row.name, tc.name, err)
+			}
+			n, err := Unpack(wire, tc.into, 0, tc.rcount, tc.t)
+			if n != tc.wantN || !errors.Is(err, tc.wantErr) { // errors.Is(err, nil) is err == nil
+				t.Errorf("%s %s: unpacked %d, %v; want %d, %v", row.name, tc.name, n, err, tc.wantN, tc.wantErr)
+			}
+			if !reflect.DeepEqual(tc.into, tc.want) {
+				t.Errorf("%s %s: got %#v, want %#v", row.name, tc.name, tc.into, tc.want)
+			}
+		}
+
+		// A wrong-typed element is a class mismatch after the elements
+		// before it are deposited — unless the buffer holds anything.
+		wire, err := Pack(nil, []any{a, "stray"}, 0, 2, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		into := row.of(junk, junk)
+		n, err := Unpack(wire, into, 0, 2, obj)
+		switch {
+		case row.holdAny:
+			if err != nil || n != 2 || !reflect.DeepEqual(into, []any{a, "stray"}) {
+				t.Errorf("%s wrong type: %d, %v, %#v", row.name, n, err, into)
+			}
+		case !errors.Is(err, ErrClassMismatch) || !strings.Contains(err.Error(), "element 1 arrived as string"):
+			t.Errorf("%s wrong type: got %v, want ErrClassMismatch naming element 1", row.name, err)
+		case n != 1 || !reflect.DeepEqual(into, row.of(a, junk)):
+			t.Errorf("%s wrong type: deposited %d, %#v; want element 0 only", row.name, n, into)
+		}
+
+		// The wire bytes depend on the values only, not on the slice type.
+		boxed, err := Pack(nil, []any{a, b, c}, 0, 3, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wire, err := Pack(nil, row.of(a, b, c), 0, 3, obj); err != nil || !bytes.Equal(wire, boxed) {
+			t.Errorf("%s packs to different bytes than []any (%v)", row.name, err)
+		}
+	}
+}
+
+// FuzzUnpackObjects: an OBJECT payload is bytes a peer put on the wire.
+// Decoding any input into any buffer shape must return, never panic, and
+// fail only with the package's format, truncation or class errors or a
+// gob decode error.
+func FuzzUnpackObjects(f *testing.F) {
+	obj := Basic(Obj, "OBJECT")
+	for _, buf := range []any{[]any{ticket{7, []string{"x"}}, "s", 3}, []ticket{{1, nil}, {2, []string{"y"}}}} {
+		wire, err := Pack(nil, buf, 0, 2, obj)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(wire)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, buf := range []any{make([]any, 3), make([]ticket, 3), make([]*ticket, 3)} {
+			_, err := Unpack(data, buf, 0, 3, obj)
+			if err == nil || errors.Is(err, ErrFormat) || errors.Is(err, ErrTruncate) ||
+				errors.Is(err, ErrClassMismatch) || strings.HasPrefix(err.Error(), "dtype: object decode: ") {
+				continue
+			}
+			t.Fatalf("%T: unexpected error %v", buf, err)
+		}
+	})
 }

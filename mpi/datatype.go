@@ -27,7 +27,7 @@ var (
 	FLOAT   = &Datatype{dtype.Basic(dtype.F32, "MPI.FLOAT")}    // []float32
 	DOUBLE  = &Datatype{dtype.Basic(dtype.F64, "MPI.DOUBLE")}   // []float64
 	PACKED  = &Datatype{dtype.Basic(dtype.U8, "MPI.PACKED")}    // []byte from Pack
-	OBJECT  = &Datatype{dtype.Basic(dtype.Obj, "MPI.OBJECT")}   // []any, gob-serialized
+	OBJECT  = &Datatype{dtype.Basic(dtype.Obj, "MPI.OBJECT")}   // any slice ([]any, []Ticket, …), gob-serialized
 
 	SHORT2  = &Datatype{dtype.Pair(dtype.I16, "MPI.SHORT2")}
 	INT2    = &Datatype{dtype.Pair(dtype.I32, "MPI.INT2")}

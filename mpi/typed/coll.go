@@ -1,6 +1,10 @@
 package typed
 
-import "fmt"
+import (
+	"fmt"
+
+	"gompi/mpi"
+)
 
 // Typed collectives, generic over the Comm interface: any communicator
 // exposing the classic collective surface works — *mpi.Intracomm today,
@@ -14,20 +18,14 @@ import "fmt"
 // call does not touch on this rank (recv at a non-root, Gather's
 // recvbuf away from root) may be nil.
 //
-// The I*-prefixed forms are the nonblocking variants: they return a
-// *Request[T] completing when every member has entered the matching
-// call; receive buffers are filled by the first Wait/WaitCtx/Test that
-// observes completion and must not be touched before then.
-
-// done is the tail of the blocking collectives: a completed call copies
-// Obj-routed results into the typed buffer; a failed one returns its
-// error.
-func done(err error, unbox func() error) error {
-	if err != nil || unbox == nil {
-		return err
-	}
-	return unbox()
-}
+// The I*-prefixed forms are the nonblocking variants: they return the
+// classic *mpi.Request, completing when every member has entered the
+// matching call. Receive buffers, Obj-routed ones included, are filled
+// by whichever call observes completion first — the request's Wait,
+// WaitCtx or Test, or mpi.WaitAll, mpi.WaitAny and friends over a set
+// holding it — and must not be touched before then. An Obj-routed
+// element of the wrong type is an ErrType-class error of that call and
+// of every later completion call.
 
 // Barrier blocks until every member has entered it (MPI_Barrier).
 func Barrier(c Comm) error { return c.Barrier() }
@@ -35,15 +33,15 @@ func Barrier(c Comm) error { return c.Barrier() }
 // Bcast broadcasts root's buffer to every member (MPI_Bcast). All
 // members pass a buffer of the same length.
 func Bcast[T any](c Comm, buf []T, root int) error {
-	raw, d, unbox := view(buf)
-	return done(c.Bcast(raw, 0, len(buf), d, root), unbox)
+	raw, d := view(buf)
+	return c.Bcast(raw, 0, len(buf), d, root)
 }
 
-// Ibcast starts a nonblocking broadcast (MPI_Ibcast).
-func Ibcast[T any](c Comm, buf []T, root int) (*Request[T], error) {
-	raw, d, unbox := view(buf)
-	cr, err := c.Ibcast(raw, 0, len(buf), d, root)
-	return started[T](cr, err, unbox)
+// Ibcast starts a nonblocking broadcast (MPI_Ibcast) and returns the
+// classic request; whichever call completes it fills buf.
+func Ibcast[T any](c Comm, buf []T, root int) (*mpi.Request, error) {
+	raw, d := view(buf)
+	return c.Ibcast(raw, 0, len(buf), d, root)
 }
 
 // BcastOne broadcasts a single value from root, returning the value on
@@ -58,23 +56,17 @@ func BcastOne[T any](c Comm, v T, root int) (T, error) {
 // member r's contribution lands at recv[r*len(send):]. recv needs
 // length Size()*len(send) at root and is ignored elsewhere.
 func Gather[T any](c Comm, send, recv []T, root int) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	if c.Rank() != root {
-		unbox = nil
-	}
-	return done(c.Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root), unbox)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
 }
 
-// Igather starts a nonblocking gather (MPI_Igather).
-func Igather[T any](c Comm, send, recv []T, root int) (*Request[T], error) {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	if c.Rank() != root {
-		unbox = nil
-	}
-	cr, err := c.Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
-	return started[T](cr, err, unbox)
+// Igather starts a nonblocking gather (MPI_Igather) and returns the
+// classic request; whichever call completes it fills root's recv.
+func Igather[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
 }
 
 // Gatherv collects varying-length contributions at root (MPI_Gatherv):
@@ -83,8 +75,8 @@ func Igather[T any](c Comm, send, recv []T, root int) (*Request[T], error) {
 // sum(counts)) in rank order. counts and recv are significant at root
 // only.
 func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
 	var displs []int
 	if c.Rank() == root {
 		var total int
@@ -93,26 +85,24 @@ func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
 			c.SkipColl() // stay tag-aligned with members whose call proceeds
 			return fmt.Errorf("typed: Gatherv recv length %d, want sum(counts) = %d", len(recv), total)
 		}
-	} else {
-		unbox = nil
 	}
-	return done(c.Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root), unbox)
+	return c.Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root)
 }
 
 // Allgather is Gather with the result delivered to every member
 // (MPI_Allgather). recv needs length Size()*len(send) everywhere.
 func Allgather[T any](c Comm, send, recv []T) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	return done(c.Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd), unbox)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
 }
 
-// Iallgather starts a nonblocking allgather (MPI_Iallgather).
-func Iallgather[T any](c Comm, send, recv []T) (*Request[T], error) {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	cr, err := c.Iallgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
-	return started[T](cr, err, unbox)
+// Iallgather starts a nonblocking allgather (MPI_Iallgather) and
+// returns the classic request; whichever call completes it fills recv.
+func Iallgather[T any](c Comm, send, recv []T) (*mpi.Request, error) {
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Iallgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
 }
 
 // Allgatherv is Gatherv with the result delivered to every member
@@ -120,8 +110,8 @@ func Iallgather[T any](c Comm, send, recv []T) (*Request[T], error) {
 // elements and every member's recv (length sum(counts)) receives the
 // blocks back-to-back in rank order.
 func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
 	displs, total := displsOf(counts)
 	if len(recv) != total {
 		c.SkipColl() // stay tag-aligned with members whose call proceeds
@@ -131,24 +121,24 @@ func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
 		c.SkipColl()
 		return fmt.Errorf("typed: Allgatherv send length %d, want counts[%d] = %d", len(send), r, counts[r])
 	}
-	return done(c.Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd), unbox)
+	return c.Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd)
 }
 
 // Scatter distributes root's send slice over the members (MPI_Scatter):
 // member r receives send[r*len(recv):]. send needs length
 // Size()*len(recv) at root and is ignored elsewhere.
 func Scatter[T any](c Comm, send, recv []T, root int) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	return done(c.Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root), unbox)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
 }
 
-// Iscatter starts a nonblocking scatter (MPI_Iscatter).
-func Iscatter[T any](c Comm, send, recv []T, root int) (*Request[T], error) {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	cr, err := c.Iscatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
-	return started[T](cr, err, unbox)
+// Iscatter starts a nonblocking scatter (MPI_Iscatter) and returns the
+// classic request; whichever call completes it fills recv.
+func Iscatter[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Iscatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
 }
 
 // Scatterv distributes varying-length blocks from root (MPI_Scatterv):
@@ -157,8 +147,8 @@ func Iscatter[T any](c Comm, send, recv []T, root int) (*Request[T], error) {
 // length must equal counts[r]. send and counts are significant at root
 // only.
 func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
 	var displs []int
 	if c.Rank() == root {
 		var total int
@@ -168,7 +158,7 @@ func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
 			return fmt.Errorf("typed: Scatterv send length %d, want sum(counts) = %d", len(send), total)
 		}
 	}
-	return done(c.Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root), unbox)
+	return c.Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root)
 }
 
 // Alltoall exchanges equal-size blocks between all pairs (MPI_Alltoall):
@@ -179,21 +169,21 @@ func Alltoall[T any](c Comm, send, recv []T) error {
 		c.SkipColl() // stay tag-aligned with members whose call proceeds
 		return err
 	}
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	return done(c.Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd), unbox)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
 }
 
-// Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
-func Ialltoall[T any](c Comm, send, recv []T) (*Request[T], error) {
+// Ialltoall starts a nonblocking alltoall (MPI_Ialltoall) and returns
+// the classic request; whichever call completes it fills recv.
+func Ialltoall[T any](c Comm, send, recv []T) (*mpi.Request, error) {
 	if err := checkBlocks(c, len(send), len(recv)); err != nil {
 		c.SkipColl() // stay tag-aligned with members whose call proceeds
 		return nil, err
 	}
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
-	cr, err := c.Ialltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
-	return started[T](cr, err, unbox)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
+	return c.Ialltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
 }
 
 // checkBlocks rejects alltoall buffers that do not divide evenly into
@@ -214,8 +204,8 @@ func checkBlocks(c Comm, nsend, nrecv int) error {
 // recvcounts[j] elements). Every pair must agree: my sendcounts[j]
 // equals member j's recvcounts[my rank].
 func Alltoallv[T any](c Comm, send []T, sendcounts []int, recv []T, recvcounts []int) error {
-	sraw, sd, _ := view(send)
-	rraw, rd, unbox := view(recv)
+	sraw, sd := view(send)
+	rraw, rd := view(recv)
 	sdispls, stotal := displsOf(sendcounts)
 	rdispls, rtotal := displsOf(recvcounts)
 	if len(send) != stotal || len(recv) != rtotal {
@@ -223,7 +213,7 @@ func Alltoallv[T any](c Comm, send []T, sendcounts []int, recv []T, recvcounts [
 		return fmt.Errorf("typed: Alltoallv buffer lengths %d/%d, want sum(counts) = %d/%d",
 			len(send), len(recv), stotal, rtotal)
 	}
-	return done(c.Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd), unbox)
+	return c.Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd)
 }
 
 // displsOf derives back-to-back displacements from per-rank counts.
@@ -244,9 +234,8 @@ func Reduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) error {
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce).
-func Ireduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) (*Request[T], error) {
-	cr, err := c.Ireduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
-	return started[T](cr, err, nil)
+func Ireduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) (*mpi.Request, error) {
+	return c.Ireduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
 }
 
 // ReduceOne folds a single value with op; the reduced value is returned
@@ -266,9 +255,8 @@ func Allreduce[T Primitive](c Comm, send, recv []T, op Op[T]) error {
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce): the
 // canonical communication/computation overlap primitive — start it,
 // compute, then Wait (or WaitCtx) before reading recv.
-func Iallreduce[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], error) {
-	cr, err := c.Iallreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	return started[T](cr, err, nil)
+func Iallreduce[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.Request, error) {
+	return c.Iallreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // AllreduceOne folds a single value with op and returns the reduced
@@ -286,9 +274,8 @@ func Scan[T Primitive](c Comm, send, recv []T, op Op[T]) error {
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
-func Iscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], error) {
-	cr, err := c.Iscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	return started[T](cr, err, nil)
+func Iscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.Request, error) {
+	return c.Iscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // Exscan computes the exclusive prefix reduction in rank order
@@ -300,7 +287,6 @@ func Exscan[T Primitive](c Comm, send, recv []T, op Op[T]) error {
 
 // Iexscan starts a nonblocking exclusive prefix reduction
 // (MPI_Iexscan).
-func Iexscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*Request[T], error) {
-	cr, err := c.Iexscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
-	return started[T](cr, err, nil)
+func Iexscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.Request, error) {
+	return c.Iexscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }

@@ -115,7 +115,7 @@ func TestTypedVVariantsRoundTrip(t *testing.T) {
 }
 
 // TestTypedVVariantsObjects: the v-variants carry Obj-routed element
-// types (structs) too, unboxing at the right ranks.
+// types (structs) too, depositing at the right ranks.
 func TestTypedVVariantsObjects(t *testing.T) {
 	type tag struct{ Who, Seq int }
 	err := mpi.Run(3, func(env *mpi.Env) error {
@@ -373,9 +373,9 @@ func TestTypedCollectiveWaitCtx(t *testing.T) {
 	}
 }
 
-// TestTypedRawJoinsClassicSets: a typed collective's Raw request and a
-// typed receive's Raw request complete together in one classic
-// WaitAll; the typed layer adds no request kind of its own.
+// TestTypedRawJoinsClassicSets: a typed collective's request and a typed
+// receive's request complete together in one classic WaitAll; the typed
+// layer adds no request kind of its own.
 func TestTypedRawJoinsClassicSets(t *testing.T) {
 	err := mpi.Run(2, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -393,7 +393,7 @@ func TestTypedRawJoinsClassicSets(t *testing.T) {
 		if err := typed.Send(w, []int32{int32(rank + 10)}, 1-rank, 4); err != nil {
 			return err
 		}
-		if _, err := mpi.WaitAll([]*mpi.Request{red.Raw(), recv.Raw()}); err != nil {
+		if _, err := mpi.WaitAll([]*mpi.Request{red, recv}); err != nil {
 			return err
 		}
 		if sum[0] != 3 || in[0] != int32(11-rank) {

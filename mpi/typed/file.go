@@ -33,7 +33,7 @@ type File[T any] struct {
 // file is T element i.
 func OpenFile[T any](c FileOpener, path string, amode int) (*File[T], error) {
 	var probe []T
-	_, d, _ := view(probe)
+	_, d := view(probe)
 	if d == mpi.OBJECT {
 		return nil, fmt.Errorf("typed: element type %T has no fixed wire size; files need a native element type", probe)
 	}
@@ -58,18 +58,10 @@ func (f *File[T]) SetView(disp int, filetype *mpi.Datatype) error {
 // Close closes the file. Collective.
 func (f *File[T]) Close() error { return f.F.Close() }
 
-// wbuf resolves buf for a file call: native and named-primitive
-// element types reinterpret in place (see view); OBJECT routing cannot
-// occur because OpenFile rejected those types.
-func wbuf[T any](buf []T) (any, *mpi.Datatype) {
-	raw, d, _ := view(buf)
-	return raw, d
-}
-
 // WriteAt writes buf at view element offset foff, independently of
 // other ranks (MPI_File_write_at).
 func (f *File[T]) WriteAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.WriteAt(int64(foff), raw, 0, len(buf), d)
 }
 
@@ -77,20 +69,20 @@ func (f *File[T]) WriteAt(buf []T, foff int) (*mpi.Status, error) {
 // independently of other ranks (MPI_File_read_at). Count reports how
 // many elements a read that hit end-of-file delivered.
 func (f *File[T]) ReadAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.ReadAt(int64(foff), raw, 0, len(buf), d)
 }
 
 // Write writes buf at the individual file pointer (MPI_File_write).
 func (f *File[T]) Write(buf []T) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.Write(raw, 0, len(buf), d)
 }
 
 // Read reads len(buf) elements at the individual file pointer
 // (MPI_File_read).
 func (f *File[T]) Read(buf []T) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.Read(raw, 0, len(buf), d)
 }
 
@@ -98,14 +90,14 @@ func (f *File[T]) Read(buf []T) (*mpi.Status, error) {
 // offset foff (MPI_File_write_at_all). Every member must call it;
 // buffer lengths may differ, including zero.
 func (f *File[T]) WriteAllAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.WriteAtAll(int64(foff), raw, 0, len(buf), d)
 }
 
 // ReadAllAt is the collective two-phase read of len(buf) elements at
 // view element offset foff (MPI_File_read_at_all).
 func (f *File[T]) ReadAllAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.ReadAtAll(int64(foff), raw, 0, len(buf), d)
 }
 
@@ -113,7 +105,7 @@ func (f *File[T]) ReadAllAt(buf []T, foff int) (*mpi.Status, error) {
 // element offset foff (MPI_File_iwrite_at_all); buf must not be
 // modified until the request completes.
 func (f *File[T]) IwriteAllAt(buf []T, foff int) (*mpi.Request, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.IwriteAtAll(int64(foff), raw, 0, len(buf), d)
 }
 
@@ -121,20 +113,20 @@ func (f *File[T]) IwriteAllAt(buf []T, foff int) (*mpi.Request, error) {
 // elements at view element offset foff (MPI_File_iread_at_all); buf is
 // filled when the request completes.
 func (f *File[T]) IreadAllAt(buf []T, foff int) (*mpi.Request, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.IreadAtAll(int64(foff), raw, 0, len(buf), d)
 }
 
 // WriteAll is the collective write at the individual file pointer
 // (MPI_File_write_all).
 func (f *File[T]) WriteAll(buf []T) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.WriteAll(raw, 0, len(buf), d)
 }
 
 // ReadAll is the collective read at the individual file pointer
 // (MPI_File_read_all).
 func (f *File[T]) ReadAll(buf []T) (*mpi.Status, error) {
-	raw, d := wbuf(buf)
+	raw, d := view(buf)
 	return f.F.ReadAll(raw, 0, len(buf), d)
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestTypedPersistentPingPong: typed persistent send/recv over an
-// Obj-routed struct type. Each Start must re-box the send buffer's
-// current contents and each completion must unbox into the fixed
+// Obj-routed struct type. Each Start must encode the send buffer's
+// current contents and each completion must decode into the fixed
 // receive buffer — once per activation, not once per handle.
 func TestTypedPersistentPingPong(t *testing.T) {
 	type pingPart struct {
@@ -158,10 +158,10 @@ func TestTypedPersistentBcast(t *testing.T) {
 	})
 }
 
-// TestTypedPersistentStartedThroughRaw: typed persistent handles started
-// with the classic mpi.StartAll over their Raw requests still complete
-// the activation just started, round after round — a native receive, an
-// Obj-routed receive (unboxed once per activation) and an all-reduction.
+// TestTypedPersistentStartedThroughRaw: typed persistent handles are the
+// classic ones, so mpi.StartAll starts them and each completes the
+// activation just started, round after round — a native receive, an
+// Obj-routed receive (decoded once per activation) and an all-reduction.
 func TestTypedPersistentStartedThroughRaw(t *testing.T) {
 	type boxed struct{ N int64 }
 	const rounds = 8
@@ -190,7 +190,7 @@ func TestTypedPersistentStartedThroughRaw(t *testing.T) {
 
 		for r := 0; r < rounds; r++ {
 			operand[0] = int64(rank*100 + r)
-			if err := mpi.StartAll([]*mpi.PersistentRequest{recvNums.Raw(), recvObjs.Raw(), red.Raw()}); err != nil {
+			if err := mpi.StartAll([]*mpi.PersistentRequest{recvNums, recvObjs, red}); err != nil {
 				return err
 			}
 			if err := typed.Send(w, []int32{int32(rank), int32(r)}, peer, 21); err != nil {
@@ -218,11 +218,54 @@ func TestTypedPersistentStartedThroughRaw(t *testing.T) {
 	})
 }
 
+// TestTypedObjSendStartedThroughStartAll: an Obj-routed typed SendInit
+// whose buffer changes every round, started only through mpi.StartAll,
+// sends each round's contents — the send re-reads the bound slice at
+// every Start, whoever calls it.
+func TestTypedObjSendStartedThroughStartAll(t *testing.T) {
+	type roundMark struct {
+		Round int64
+		Note  string
+	}
+	const rounds = 4
+	run(t, 2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		buf := make([]roundMark, 2)
+		var p *mpi.PersistentRequest
+		var err error
+		if w.Rank() == 0 {
+			p, err = typed.SendInit(w, buf, 1, 41)
+		} else {
+			p, err = typed.RecvInit(w, buf, 0, 41)
+		}
+		if err != nil {
+			return err
+		}
+		defer p.Free()
+		for r := int64(0); r < rounds; r++ {
+			if w.Rank() == 0 {
+				buf[0], buf[1] = roundMark{r, "a"}, roundMark{r * 10, fmt.Sprint("b", r)}
+			}
+			if err := mpi.StartAll([]*mpi.PersistentRequest{p}); err != nil {
+				return err
+			}
+			if _, err := mpi.WaitAll([]*mpi.Request{p.Request}); err != nil {
+				return fmt.Errorf("round %d: %w", r, err)
+			}
+			if w.Rank() == 1 && (buf[0] != roundMark{r, "a"} || buf[1] != roundMark{r * 10, fmt.Sprint("b", r)}) {
+				t.Errorf("round %d: received %+v", r, buf)
+			}
+		}
+		return nil
+	})
+}
+
 // settleProbe is the Obj-routed element type of
 // TestTypedCompletionSettlesOncePerActivation.
 type settleProbe struct{ N int64 }
 
-// completer is the completion surface every typed request shares.
+// completer is the completion surface of a request and of a persistent
+// request's current activation.
 type completer interface {
 	Wait() (*mpi.Status, error)
 	WaitCtx(ctx context.Context) (*mpi.Status, error)
@@ -298,9 +341,10 @@ var settleModes = []struct {
 // point-to-point and collective typed requests complete through the same
 // settle. Each activation delivers an Obj-routed element followed by a
 // stray string the typed buffer cannot hold: the first completion call
-// fills the element and reports the unbox error; a second call reports
-// the same error and does not unbox again (an element scribbled in
-// between stays scribbled). Two activations per request.
+// fills the element and reports the wrong-typed element as an
+// ErrType-class error; a second call reports the same error and does
+// not deposit again (an element scribbled in between stays scribbled).
+// Two activations per request.
 func TestTypedCompletionSettlesOncePerActivation(t *testing.T) {
 	run(t, 2, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -335,8 +379,8 @@ func TestTypedCompletionSettlesOncePerActivation(t *testing.T) {
 						return fmt.Errorf("%s: activation %d: %w", where, k, err)
 					}
 					first := mode.complete(req)
-					if first == nil || !strings.Contains(first.Error(), "arrived as string") {
-						t.Errorf("%s activation %d: first completion %v, want the unbox error", where, k, first)
+					if mpi.ClassOf(first) != mpi.ErrType || !strings.Contains(first.Error(), "arrived as string") {
+						t.Errorf("%s activation %d: first completion %v, want the wrong-typed element", where, k, first)
 					}
 					if buf[0] != (settleProbe{N: k}) {
 						t.Errorf("%s activation %d: buf[0] = %+v, want N=%d", where, k, buf[0], k)
@@ -346,7 +390,7 @@ func TestTypedCompletionSettlesOncePerActivation(t *testing.T) {
 						t.Errorf("%s activation %d: second completion %v, want %v again", where, k, again, first)
 					}
 					if buf[0] != (settleProbe{N: -7}) {
-						t.Errorf("%s activation %d: the unbox ran twice: buf[0] = %+v", where, k, buf[0])
+						t.Errorf("%s activation %d: the deposit ran twice: buf[0] = %+v", where, k, buf[0])
 					}
 				}
 			}

@@ -9,7 +9,8 @@ import (
 
 // The receive-into path: Recv, Irecv and RecvInit land a slice of a
 // native or named-primitive element type straight in the caller's
-// buffer, and unbox Obj-routed ones. The tests below are named after it.
+// buffer, and decode Obj-routed ones into it. The tests below are named
+// after it.
 
 func TestTypedRecvInto(t *testing.T) {
 	run(t, 2, func(env *mpi.Env) error {
@@ -94,7 +95,7 @@ func TestTypedTruncateUnboxesObjects(t *testing.T) {
 			t.Errorf("truncate error %v", err)
 		}
 		if small[0] != (pt{1, 2}) || small[1] != (pt{3, 4}) {
-			t.Errorf("deposited elements not unboxed: %v", small)
+			t.Errorf("deposited elements missing from the typed buffer: %v", small)
 		}
 		return nil
 	})

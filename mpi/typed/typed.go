@@ -12,24 +12,32 @@
 // Datatype inference follows the registry in internal/dtype: the seven
 // native element types (byte, bool, int16, int32/rune, int64, float32,
 // float64) map to their predefined basic datatypes and travel zero-copy
-// on the exact same path as the classic API; every other element type —
-// structs, named primitives, pointers — maps to MPI.OBJECT and travels
-// gob-encoded, with registration handled automatically on first use.
-// Sub-slicing replaces offset/count: send buf[lo:hi] instead of
-// (buf, lo, hi-lo).
+// on the exact same path as the classic API; named primitives (`type
+// Celsius float64`) are reinterpreted in place and travel as their
+// underlying type; every other element type — structs, pointers,
+// strings — maps to MPI.OBJECT and travels gob-encoded, with
+// registration handled automatically on first use. Either way the
+// caller's slice is handed to the classic call as it stands: an OBJECT
+// buffer is any slice, so a []Ticket is encoded straight from, and
+// decoded straight into, the caller's memory. Sub-slicing replaces
+// offset/count: send buf[lo:hi] instead of (buf, lo, hi-lo).
 //
 // The classic API remains the compatibility layer; both interoperate
 // freely on the same communicators (a typed.Send matches a classic Recv
-// of the same element class, and vice versa).
+// of the same element class, and vice versa — a typed []Ticket and a
+// classic []any or []Ticket under mpi.OBJECT alike).
 //
-// Cancellation goes through the one request class: start the operation
-// (Irecv, Ibcast, …) and wait with Request.WaitCtx. Cancelling the
-// context cancels a still-unmatched receive or send in the sense of
-// MPI_Cancel, and a collective at its next send/receive boundary.
+// The typed layer has no request type of its own: the nonblocking and
+// persistent forms return the classic *mpi.Request and
+// *mpi.PersistentRequest, which join mpi.WaitAll, mpi.WaitAny and
+// mpi.StartAll sets as they are. Cancellation goes through that one
+// request class: start the operation (Irecv, Ibcast, …) and wait with
+// Request.WaitCtx. Cancelling the context cancels a still-unmatched
+// receive or send in the sense of MPI_Cancel, and a collective at its
+// next send/receive boundary.
 package typed
 
 import (
-	"fmt"
 	"reflect"
 
 	"gompi/internal/dtype"
@@ -37,8 +45,9 @@ import (
 )
 
 // Peer is the point-to-point surface of the classic API the typed layer
-// builds on. *mpi.Comm satisfies it, and so do *mpi.Intracomm,
-// *mpi.Intercomm, *mpi.Cartcomm and *mpi.Graphcomm through embedding.
+// builds on, blocking, nonblocking and persistent. *mpi.Comm satisfies
+// it, and so do *mpi.Intracomm, *mpi.Intercomm, *mpi.Cartcomm and
+// *mpi.Graphcomm through embedding.
 type Peer interface {
 	Rank() int
 	Size() int
@@ -46,22 +55,27 @@ type Peer interface {
 	Recv(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Status, error)
 	Isend(buf any, offset, count int, d *mpi.Datatype, dest, tag int) (*mpi.Request, error)
 	Irecv(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Request, error)
+	SendInit(buf any, offset, count int, d *mpi.Datatype, dest, tag int) (*mpi.PersistentRequest, error)
+	RecvInit(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.PersistentRequest, error)
 }
 
 // Comm is the communicator surface the typed collectives compile
 // against: the point-to-point Peer surface plus the classic collective
-// entry points, blocking and nonblocking. *mpi.Intracomm satisfies it,
-// and *mpi.Cartcomm and *mpi.Graphcomm do through embedding; when
-// intercommunicator collectives land, *mpi.Intercomm will too, with no
-// typed-signature break. Point-to-point-only communicators keep working
-// with the typed sends and receives, which only require Peer.
+// entry points, blocking, nonblocking and persistent. *mpi.Intracomm
+// satisfies it, and *mpi.Cartcomm and *mpi.Graphcomm do through
+// embedding; when intercommunicator collectives land, *mpi.Intercomm
+// will too, with no typed-signature break. Point-to-point-only
+// communicators keep working with the typed sends and receives, which
+// only require Peer.
 type Comm interface {
 	Peer
 	SkipColl()
 	Barrier() error
 	Ibarrier() (*mpi.Request, error)
+	BarrierInit() (*mpi.PersistentRequest, error)
 	Bcast(buf any, offset, count int, d *mpi.Datatype, root int) error
 	Ibcast(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.Request, error)
+	BcastInit(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.PersistentRequest, error)
 	Gather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
 		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
 	Igather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
@@ -90,10 +104,14 @@ type Comm interface {
 		count int, d *mpi.Datatype, op *mpi.Op, root int) error
 	Ireduce(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op, root int) (*mpi.Request, error)
+	ReduceInit(sendbuf any, soffset int, recvbuf any, roffset int,
+		count int, d *mpi.Datatype, op *mpi.Op, root int) (*mpi.PersistentRequest, error)
 	Allreduce(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op) error
 	Iallreduce(sendbuf any, soffset int, recvbuf any, roffset int,
 		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
+	AllreduceInit(sendbuf any, soffset int, recvbuf any, roffset int,
+		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.PersistentRequest, error)
 	ReduceScatter(sendbuf any, soffset int, recvbuf any, roffset int,
 		recvcounts []int, d *mpi.Datatype, op *mpi.Op) error
 	Scan(sendbuf any, soffset int, recvbuf any, roffset int,
@@ -136,86 +154,45 @@ func Count[T any](st *mpi.Status) int {
 // view resolves a buffer for a communication call: native element types
 // pass through as-is (zero-copy); named primitives (`type Celsius
 // float64`) are reinterpreted in place to their underlying native slice
-// and stay on their class's wire format; everything else is Obj-routed
-// and boxed into a fresh []any. The returned unbox is non-nil exactly
-// when the call must copy results back into buf afterwards (receives of
-// boxed types) — reinterpreted receives write straight through the
-// shared storage and need no unbox.
+// and stay on their class's wire format; every other element type is
+// Obj-routed, and the slice is an OBJECT buffer as it stands. Either
+// way the classic call reads and writes the caller's memory, so there
+// is nothing to copy back afterwards.
 //
 // The type switch is the hot path: one runtime type comparison on the
 // instantiated slice type, no registry lookup, so a typed Send costs
 // what the classic Send costs. Only non-native element types fall
 // through to the inference registry (which gob-registers the Obj-routed
 // ones).
-func view[T any](buf []T) (raw any, d *mpi.Datatype, unbox func() error) {
+func view[T any](buf []T) (raw any, d *mpi.Datatype) {
 	switch b := any(buf).(type) {
 	case []byte:
-		return b, mpi.BYTE, nil
+		return b, mpi.BYTE
 	case []bool:
-		return b, mpi.BOOLEAN, nil
+		return b, mpi.BOOLEAN
 	case []int16:
-		return b, mpi.SHORT, nil
+		return b, mpi.SHORT
 	case []int32:
-		return b, mpi.INT, nil
+		return b, mpi.INT
 	case []int64:
-		return b, mpi.LONG, nil
+		return b, mpi.LONG
 	case []float32:
-		return b, mpi.FLOAT, nil
+		return b, mpi.FLOAT
 	case []float64:
-		return b, mpi.DOUBLE, nil
-	case []any:
-		return b, mpi.OBJECT, nil
+		return b, mpi.DOUBLE
 	}
 	if inf := dtype.Infer(reflect.TypeFor[T]()); inf.Reinterp {
 		nv, _ := dtype.NativeView(any(buf))
-		return nv, datatypeOf[inf.Class], nil
+		return nv, datatypeOf[inf.Class]
 	}
-	tmp := make([]any, len(buf))
-	for i, v := range buf {
-		tmp[i] = v
-	}
-	return tmp, mpi.OBJECT, func() error { return unboxInto(buf, tmp) }
-}
-
-// unboxInto copies received object elements back into the typed buffer.
-// Slots the receive did not fill stay nil in tmp and are skipped. gob
-// flattens pointers on the wire, so when T is a pointer type the
-// arriving base value is re-boxed behind a fresh pointer.
-func unboxInto[T any](dst []T, tmp []any) error {
-	for i, v := range tmp {
-		if v == nil {
-			continue
-		}
-		t, ok := v.(T)
-		if !ok {
-			if p, ok := reboxPointer[T](v); ok {
-				dst[i] = p
-				continue
-			}
-			return fmt.Errorf("typed: element %d arrived as %T, want %T", i, v, dst[i])
-		}
-		dst[i] = t
-	}
-	return nil
-}
-
-// reboxPointer lifts v to *E when T is a pointer type *E and v is an E.
-func reboxPointer[T any](v any) (T, bool) {
-	var zero T
-	rt := reflect.TypeFor[T]()
-	if rt.Kind() != reflect.Pointer || reflect.TypeOf(v) != rt.Elem() {
-		return zero, false
-	}
-	p := reflect.New(rt.Elem())
-	p.Elem().Set(reflect.ValueOf(v))
-	return p.Interface().(T), true
+	return buf, mpi.OBJECT
 }
 
 // Send is the blocking standard-mode send of a whole slice: the typed
 // analogue of MPI_Send. Use sub-slicing where the classic API would use
 // offset/count.
 func Send[T any](c Peer, buf []T, dest, tag int) error {
-	raw, d, _ := view(buf)
+	raw, d := view(buf)
 	return c.Send(raw, 0, len(buf), d, dest, tag)
 }
 
@@ -224,38 +201,34 @@ func Send[T any](c Peer, buf []T, dest, tag int) error {
 // wildcards. The incoming payload lands directly in buf — no staging
 // buffer, no unpack copy — whenever the element type is a native or
 // named primitive on a little-endian host, so with a preallocated
-// buffer a steady-state Recv allocates nothing but its Status. If the
-// message holds more elements than buf, buf is filled and an
-// ErrTruncate-class error is returned (MPI_ERR_TRUNCATE semantics).
+// buffer a steady-state Recv allocates nothing but its Status;
+// Obj-routed elements are decoded straight into buf. If the message
+// holds more elements than buf, buf is filled and an ErrTruncate-class
+// error is returned (MPI_ERR_TRUNCATE semantics). An element that
+// arrives as a type buf cannot hold is an ErrType-class error; the
+// elements before it are deposited.
 func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
-	raw, d, unbox := view(buf)
-	st, err := c.Recv(raw, 0, len(buf), d, source, tag)
-	// Unbox even on error: a truncated receive has deposited whole
-	// elements that must still reach the typed buffer. The operation's
-	// error takes precedence.
-	if unbox != nil {
-		if uerr := unbox(); err == nil {
-			err = uerr
-		}
-	}
-	return st, err
+	raw, d := view(buf)
+	return c.Recv(raw, 0, len(buf), d, source, tag)
 }
 
-// Isend starts a non-blocking standard-mode send (MPI_Isend). The
-// buffer must not be modified until the request completes.
-func Isend[T any](c Peer, buf []T, dest, tag int) (*Request[T], error) {
-	raw, d, _ := view(buf)
-	r, err := c.Isend(raw, 0, len(buf), d, dest, tag)
-	return started[T](r, err, nil)
+// Isend starts a non-blocking standard-mode send (MPI_Isend) and
+// returns the classic request. The buffer must not be modified until
+// the request completes.
+func Isend[T any](c Peer, buf []T, dest, tag int) (*mpi.Request, error) {
+	raw, d := view(buf)
+	return c.Isend(raw, 0, len(buf), d, dest, tag)
 }
 
-// Irecv starts a non-blocking receive (MPI_Irecv). The buffer is filled
-// by the time the returned request completes (see Recv for where the
-// payload lands) and must not be touched before.
-func Irecv[T any](c Peer, buf []T, source, tag int) (*Request[T], error) {
-	raw, d, unbox := view(buf)
-	r, err := c.Irecv(raw, 0, len(buf), d, source, tag)
-	return started[T](r, err, unbox)
+// Irecv starts a non-blocking receive (MPI_Irecv) and returns the
+// classic request. buf is filled (see Recv for how) by whichever call
+// completes the request — its Wait, WaitCtx or Test, or mpi.WaitAll,
+// mpi.WaitAny and friends over a set holding it — and must not be
+// touched before. That call also reports an element of the wrong type
+// (ErrType class), and so does every later completion call.
+func Irecv[T any](c Peer, buf []T, source, tag int) (*mpi.Request, error) {
+	raw, d := view(buf)
+	return c.Irecv(raw, 0, len(buf), d, source, tag)
 }
 
 // SendOne sends a single value (a one-element message).

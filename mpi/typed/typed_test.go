@@ -292,8 +292,8 @@ func TestIsendIrecv(t *testing.T) {
 	})
 }
 
-// Boxed (OBJECT-routed) buffers keep non-blocking semantics: the typed
-// request unboxes into the caller's slice at Wait time.
+// OBJECT-routed buffers keep non-blocking semantics: the receive decodes
+// into the caller's slice at Wait time.
 func TestIrecvBoxed(t *testing.T) {
 	run(t, 2, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -315,6 +315,54 @@ func TestIrecvBoxed(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestObjIrecvCompletedByClassicSets: an OBJECT-routed typed Irecv
+// completed only through mpi.WaitAll, or only through mpi.WaitAny, fills
+// the typed buffer — whichever call completes the request deposits.
+func TestObjIrecvCompletedByClassicSets(t *testing.T) {
+	complete := map[string]func([]*mpi.Request) error{
+		"WaitAll": func(reqs []*mpi.Request) error { _, err := mpi.WaitAll(reqs); return err },
+		"WaitAny": func(reqs []*mpi.Request) error {
+			for range reqs {
+				st, err := mpi.WaitAny(reqs)
+				if err != nil {
+					return err
+				}
+				reqs[st.Index] = nil // a nil request is inactive
+			}
+			return nil
+		},
+	}
+	for name, wait := range complete {
+		t.Run(name, func(t *testing.T) {
+			run(t, 2, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				if w.Rank() == 0 {
+					if err := typed.Send(w, []particle{{ID: 3, Name: "x"}, {ID: 4, Name: "y"}}, 1, 31); err != nil {
+						return err
+					}
+					return typed.Send(w, []*particle{{ID: 5, Name: "z"}}, 1, 32)
+				}
+				vals, ptrs := make([]particle, 2), make([]*particle, 1)
+				a, err := typed.Irecv(w, vals, 0, 31)
+				if err != nil {
+					return err
+				}
+				b, err := typed.Irecv(w, ptrs, 0, 32)
+				if err != nil {
+					return err
+				}
+				if err := wait([]*mpi.Request{a, b}); err != nil {
+					return err
+				}
+				if vals[0].ID != 3 || vals[1].Name != "y" || ptrs[0] == nil || ptrs[0].ID != 5 {
+					t.Errorf("%s left the typed buffers at %+v, %+v", name, vals, ptrs[0])
+				}
+				return nil
+			})
+		})
+	}
 }
 
 func TestCollectives(t *testing.T) {
