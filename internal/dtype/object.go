@@ -52,10 +52,9 @@ func DecodeObject(data []byte) (any, error) {
 	return b.V, nil
 }
 
-// packObjects encodes the section's elements straight from buf, a []any
-// or any other slice.
+// packObjects encodes the section's elements straight from buf, which
+// may be any slice.
 func packObjects(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
-	s, boxed := buf.([]any)
 	v := reflect.ValueOf(buf)
 	total := count * len(t.disps)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(total))
@@ -63,13 +62,7 @@ func packObjects(dst []byte, buf any, offset, count int, t *Type) ([]byte, error
 	for i := 0; i < count; i++ {
 		base := offset + i*ext
 		for _, d := range t.disps {
-			var x any
-			if boxed {
-				x = s[base+d]
-			} else {
-				x = v.Index(base + d).Interface()
-			}
-			blob, err := EncodeObject(x)
+			blob, err := EncodeObject(v.Index(base + d).Interface())
 			if err != nil {
 				return dst, err
 			}
@@ -114,8 +107,8 @@ func DecodeObjects(data []byte) ([]any, error) {
 	return objs, nil
 }
 
-// unpackObjects decodes the payload's elements straight into buf, a
-// []any or any other slice (see setObject).
+// unpackObjects decodes the payload's elements straight into buf, which
+// may be any slice (see setObject).
 func unpackObjects(data []byte, buf any, offset, count int, t *Type) (int, error) {
 	avail, err := objectCount(data)
 	if err != nil {
@@ -166,10 +159,6 @@ objLoop:
 // element type is *E and x an E (gob flattens pointers on the wire), and
 // as the zero value when x is nil. Any other x is a class mismatch.
 func setObject(buf any, i int, x any) error {
-	if s, ok := buf.([]any); ok {
-		s[i] = x
-		return nil
-	}
 	slot := reflect.ValueOf(buf).Index(i)
 	et := slot.Type()
 	v := reflect.ValueOf(x)

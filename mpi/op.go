@@ -30,8 +30,11 @@ var (
 
 // UserFunction is a user-defined reduction kernel: it must fold in into
 // inout elementwise — inout[i] = op(in[i], inout[i]) — where in is the
-// operand contributed by the lower-ranked process. Both arguments are
-// dense slices of the buffer's element type ([]int32, []float64, …).
+// operand contributed by the lower-ranked process. For the primitive
+// datatypes both arguments are dense slices of the buffer's element type
+// ([]int32, []float64, …). OBJECT operands arrive as []any whatever the
+// buffer's slice type — a []Ticket buffer is folded as a []any of
+// Ticket values — and the result is stored back into the buffer's type.
 // They may be views of library memory — a message frame, the caller's
 // own receive buffer — so the function must write only inout and must
 // not retain either slice past its return.

@@ -687,9 +687,45 @@ func TestObjectReductions(t *testing.T) {
 		if seg[0] != want {
 			return fmt.Errorf("rank %d: object reduce_scatter = %v, want %q", w.Rank(), seg, want)
 		}
+
+		// Any slice is an OBJECT buffer, but the user function always
+		// folds []any operands; the result lands in the buffer's type.
+		strs := []string{tagOf(w.Rank()), "-"}
+		strOut := make([]string, 2)
+		if err := w.Allreduce(strs, 0, strOut, 0, 2, mpi.OBJECT, concat); err != nil {
+			return err
+		}
+		if strOut[0] != all || strOut[1] != "----" {
+			return fmt.Errorf("rank %d: []string object allreduce = %q", w.Rank(), strOut)
+		}
+		tickets := []reduceTicket{{Tag: tagOf(w.Rank()), N: w.Rank() + 1}}
+		ticketOut := make([]reduceTicket, 1)
+		if err := w.Reduce(tickets, 0, ticketOut, 0, 1, mpi.OBJECT, mergeTickets, 0); err != nil {
+			return err
+		}
+		if w.Rank() == 0 && ticketOut[0] != (reduceTicket{Tag: all, N: 10}) {
+			return fmt.Errorf("[]struct object reduce at root = %+v", ticketOut)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 }
+
+type reduceTicket struct {
+	Tag string
+	N   int
+}
+
+func init() { mpi.RegisterObject(reduceTicket{}) }
+
+// mergeTickets concatenates tags and sums counts; it asserts []any for
+// both operands, as every OBJECT user function must.
+var mergeTickets = mpi.NewOp(func(in, inout any) {
+	a, b := in.([]any), inout.([]any)
+	for i := range b {
+		x, y := a[i].(reduceTicket), b[i].(reduceTicket)
+		b[i] = reduceTicket{Tag: x.Tag + y.Tag, N: x.N + y.N}
+	}
+}, false)
