@@ -88,6 +88,30 @@ func objectCount(data []byte) (int, error) {
 	return int(n), nil
 }
 
+// ObjectsLen returns the byte length of the Obj payload at the front of
+// data — its count word and every length-prefixed object — so that a
+// caller holding several packed sections back to back can step past
+// one.
+func ObjectsLen(data []byte) (int, error) {
+	n, err := objectCount(data)
+	if err != nil {
+		return 0, err
+	}
+	at := 4
+	for ; n > 0; n-- {
+		if len(data)-at < 4 {
+			return 0, ErrFormat
+		}
+		l := binary.LittleEndian.Uint32(data[at:])
+		at += 4
+		if uint64(len(data)-at) < uint64(l) { // compared unsigned, as in unpackObjects
+			return 0, ErrFormat
+		}
+		at += int(l)
+	}
+	return at, nil
+}
+
 // EncodeObjects serializes a whole object slice to an Obj payload.
 func EncodeObjects(objs []any) ([]byte, error) {
 	return packObjects(nil, objs, 0, len(objs), basicOf[Obj])

@@ -247,7 +247,7 @@ func TestObjectBufferShapes(t *testing.T) {
 // FuzzUnpackObjects: an OBJECT payload is bytes a peer put on the wire.
 // Decoding any input into any buffer shape must return, never panic, and
 // fail only with the package's format, truncation or class errors or a
-// gob decode error.
+// gob decode error; ObjectsLen must measure no more than the input.
 func FuzzUnpackObjects(f *testing.F) {
 	obj := Basic(Obj, "OBJECT")
 	for _, buf := range []any{[]any{ticket{7, []string{"x"}}, "s", 3}, []ticket{{1, nil}, {2, []string{"y"}}}} {
@@ -258,6 +258,9 @@ func FuzzUnpackObjects(f *testing.F) {
 		f.Add(wire)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if n, err := ObjectsLen(data); err == nil && n > len(data) {
+			t.Fatalf("ObjectsLen = %d of a %d-byte input", n, len(data))
+		}
 		for _, buf := range []any{make([]any, 3), make([]ticket, 3), make([]*ticket, 3)} {
 			_, err := Unpack(data, buf, 0, 3, obj)
 			if err == nil || errors.Is(err, ErrFormat) || errors.Is(err, ErrTruncate) ||

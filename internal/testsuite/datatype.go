@@ -200,11 +200,14 @@ func progObject(env *mpi.Env) error {
 	return nil
 }
 
-// progPackUnpack: MPI_Pack/Unpack round trip through a PACKED send.
+// progPackUnpack: MPI_Pack/Unpack round trip through a PACKED send, with
+// an OBJECT section between two fixed-size ones: Unpack must step past
+// exactly that section so the one after it can be read.
 func progPackUnpack(env *mpi.Env) error {
 	w := env.CommWorld()
 	if w.Rank() == 0 {
 		ints := []int32{7, 8, 9}
+		words := []string{"a", "b"}
 		dbls := []float64{1.5, 2.5}
 		size1, err := w.PackSize(3, mpi.INT)
 		if err != nil {
@@ -214,8 +217,13 @@ func progPackUnpack(env *mpi.Env) error {
 		if err != nil {
 			return err
 		}
-		out := make([]byte, size1+size2)
+		// PackSize is Undefined for OBJECT: size that section by hand.
+		out := make([]byte, size1+size2+256)
 		pos, err := w.Pack(ints, 0, 3, mpi.INT, out, 0)
+		if err != nil {
+			return err
+		}
+		pos, err = w.Pack(words, 0, 2, mpi.OBJECT, out, pos)
 		if err != nil {
 			return err
 		}
@@ -234,16 +242,26 @@ func progPackUnpack(env *mpi.Env) error {
 		return err
 	}
 	ints := make([]int32, 3)
+	words := make([]string, 2)
 	dbls := make([]float64, 2)
 	pos, err := w.Unpack(in, 0, ints, 0, 3, mpi.INT)
 	if err != nil {
 		return err
 	}
-	if _, err := w.Unpack(in, pos, dbls, 0, 2, mpi.DOUBLE); err != nil {
+	if pos, err = w.Unpack(in, pos, words, 0, 2, mpi.OBJECT); err != nil {
 		return err
+	}
+	if pos, err = w.Unpack(in, pos, dbls, 0, 2, mpi.DOUBLE); err != nil {
+		return err
+	}
+	if pos != len(in) {
+		return failf("unpack ended at %d of %d bytes", pos, len(in))
 	}
 	if err := expectInts("unpacked ints", ints, []int32{7, 8, 9}); err != nil {
 		return err
+	}
+	if words[0] != "a" || words[1] != "b" {
+		return failf("unpacked objects: got %q", words)
 	}
 	if dbls[0] != 1.5 || dbls[1] != 2.5 {
 		return failf("unpacked doubles: got %v", dbls)

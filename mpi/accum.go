@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"gompi/internal/coll"
-	"gompi/internal/dtype"
 	"gompi/internal/transport"
 )
 
@@ -19,38 +18,33 @@ type accum struct {
 	direct bool // b aliases the receive section
 	pooled bool // b came from the frame pool and goes back after the deposit
 
-	d *Datatype
+	// send is this rank's contribution. src is its memory where that is
+	// its wire image and the schedule reads it in place (sendView); load
+	// then packs nothing.
+	send section
+	src  []byte
 
-	// The send section: this rank's contribution, elems items. src is
-	// its memory where that is its wire image and the schedule reads it
-	// in place (sendView); load then packs nothing.
-	sbuf        any
-	soff, elems int
-	src         []byte
-
-	// The receive section; recv is false on ranks the collective
+	// into is the receive section; recv is false on ranks the collective
 	// delivers nothing to (non-roots of Reduce, rank 0 of Exscan).
-	recv        bool
-	rbuf        any
-	roff, count int
+	recv bool
+	into section
 }
 
 // newAccum validates both sections — before any message moves — and
-// binds the accumulator to them. elems differs from the receive
-// section's count only for ReduceScatter, which folds every rank's
-// segment and receives one.
-func (c *Comm) newAccum(recv bool, sendbuf any, soffset int, recvbuf any, roffset, count, elems int, d *Datatype) (*accum, error) {
-	a := &accum{d: d, sbuf: sendbuf, soff: soffset, elems: elems, recv: recv, rbuf: recvbuf, roff: roffset, count: count}
-	if err := checkSection(sendbuf, soffset, elems, d); err != nil {
+// binds the accumulator to them. The two counts differ only for
+// ReduceScatter, which folds every rank's segment and receives one.
+func newAccum(recv bool, send, into section) (*accum, error) {
+	if _, err := send.check(); err != nil {
 		return nil, err
 	}
+	a := &accum{send: send, recv: recv, into: into}
 	if recv {
-		n, err := dtype.CheckSection(recvbuf, roffset, count, d.t)
+		n, err := into.check()
 		if err != nil {
-			return nil, mapDataErr(err)
+			return nil, err
 		}
-		if elems == count {
-			a.b, a.direct = c.intoView(recvbuf, roffset, count, n, d)
+		if send.count == into.count {
+			a.b, a.direct = into.view(n)
 		}
 	}
 	return a, nil
@@ -68,7 +62,7 @@ func (a *accum) plan(p *coll.Plan, err error) collPlan {
 // image as it stands); nil when it is to be packed into the
 // accumulator.
 func (a *accum) sendView(c *Comm) *[]byte {
-	view, ok := c.lendView(a.sbuf, a.soff, a.elems, a.d)
+	view, ok := c.lendView(a.send)
 	if !ok {
 		return nil
 	}
@@ -79,16 +73,16 @@ func (a *accum) sendView(c *Comm) *[]byte {
 // load packs this rank's contribution into the accumulator, drawing its
 // frame first where it is not the receive section itself.
 func (a *accum) load() error {
-	if n := a.d.t.WireBytes(a.elems); !a.direct && n >= 0 {
+	if n := a.send.d.t.WireBytes(a.send.count); !a.direct && n >= 0 {
 		a.b, a.pooled = transport.GetBuf(n), true
 	}
 	if a.src != nil {
 		return nil
 	}
-	b, err := dtype.Pack(a.b[:0], a.sbuf, a.soff, a.elems, a.d.t)
+	b, err := a.send.pack(a.b[:0])
 	if err != nil {
 		a.release()
-		return mapDataErr(err)
+		return err
 	}
 	a.b = b
 	return nil
@@ -111,8 +105,6 @@ func (a *accum) fin(res any) error {
 	if !a.recv || wire == nil || inPlace {
 		return nil
 	}
-	if _, err := dtype.Unpack(wire, a.rbuf, a.roff, a.count, a.d.t); err != nil {
-		return mapDataErr(err)
-	}
-	return nil
+	_, err := a.into.unpack(wire)
+	return err
 }

@@ -72,6 +72,12 @@ func (e *Env) buildComm(c *Comm, group []int, myRank int, ctxBase int32, name st
 	e.proc.RegisterGroup(ctxBase, group)
 }
 
+// Base returns the communicator as its base class, whatever kind embeds
+// it: the one accessor through which a layer over the binding
+// (mpi/typed) reaches the point-to-point methods of every communicator
+// kind with a static call.
+func (c *Comm) Base() *Comm { return c }
+
 // Rank returns the caller's rank within the (local) group.
 func (c *Comm) Rank() int { return c.rank }
 
@@ -143,16 +149,6 @@ func (c *Comm) checkDest(rank int) error {
 	return nil
 }
 
-func (c *Comm) checkSource(rank int) error {
-	if rank == ProcNull || rank == AnySource {
-		return nil
-	}
-	if rank < 0 || rank >= len(c.remote) {
-		return errf(ErrRank, "source rank %d out of range [0,%d)", rank, len(c.remote))
-	}
-	return nil
-}
-
 func (c *Comm) checkTag(tag int, wildcardOK bool) error {
 	if wildcardOK && tag == AnyTag {
 		return nil
@@ -175,8 +171,8 @@ func (c *Comm) checkType(d *Datatype) error {
 	return nil
 }
 
-// pt2ptChecks bundles the argument validation shared by every
-// point-to-point call.
+// sendChecks bundles the argument validation shared by every
+// point-to-point send.
 func (c *Comm) sendChecks(d *Datatype, dest, tag int) error {
 	if err := c.ok(); err != nil {
 		return err
@@ -190,70 +186,122 @@ func (c *Comm) sendChecks(d *Datatype, dest, tag int) error {
 	return c.checkTag(tag, false)
 }
 
-func (c *Comm) recvChecks(d *Datatype, source, tag int) error {
+// recvChecks is sendChecks for a receive; it returns the envelope in
+// the engine's terms (recvEnvelope).
+func (c *Comm) recvChecks(d *Datatype, source, tag int) (src, tg int32, err error) {
 	if err := c.ok(); err != nil {
-		return err
+		return 0, 0, err
 	}
 	if err := c.checkType(d); err != nil {
-		return err
+		return 0, 0, err
 	}
-	if err := c.checkSource(source); err != nil {
-		return err
-	}
-	return c.checkTag(tag, true)
+	return c.recvEnvelope(source, tag)
 }
 
-// pack encodes a buffer section into a wire payload. The payload is
-// drawn from the frame pool whenever the wire size is statically known
-// (every fixed-size class); pooled reports that, which downstream layers
+// recvEnvelope validates a receive-side source and tag, wildcards
+// included, and translates them into the engine's. A ProcNull source
+// passes; each caller answers it itself.
+func (c *Comm) recvEnvelope(source, tag int) (src, tg int32, err error) {
+	if source != ProcNull && source != AnySource && (source < 0 || source >= len(c.remote)) {
+		return 0, 0, errf(ErrRank, "source rank %d out of range [0,%d)", source, len(c.remote))
+	}
+	if err := c.checkTag(tag, true); err != nil {
+		return 0, 0, err
+	}
+	src, tg = int32(source), int32(tag)
+	if source == AnySource {
+		src = core.AnySource
+	}
+	if tag == AnyTag {
+		tg = core.AnyTag
+	}
+	return src, tg, nil
+}
+
+// section is the binding's buffer argument, mpiJava's (Object buf, int
+// offset, int count, Datatype datatype) of paper §2, carried as one
+// value from each public entry point to wherever it is packed, lent,
+// landed or unpacked.
+type section struct {
+	buf           any
+	offset, count int
+	d             *Datatype
+}
+
+// check rejects a section Pack or Unpack would reject, so a call fails
+// before any message moves. It returns the buffer's length in elements.
+func (s section) check() (int, error) {
+	n, err := dtype.CheckSection(s.buf, s.offset, s.count, s.d.t)
+	return n, mapDataErr(err)
+}
+
+// pack appends the section's wire image to dst.
+func (s section) pack(dst []byte) ([]byte, error) {
+	wire, err := dtype.Pack(dst, s.buf, s.offset, s.count, s.d.t)
+	return wire, mapDataErr(err)
+}
+
+// unpack deposits a wire image in the section and returns the basic
+// elements deposited; a longer image fills the section and fails with
+// ErrTruncate.
+func (s section) unpack(wire []byte) (int, error) {
+	n, err := dtype.Unpack(wire, s.buf, s.offset, s.count, s.d.t)
+	return n, mapDataErr(err)
+}
+
+// view returns the section's raw-byte window when it can travel as it
+// lies in memory: a contiguous fixed-size datatype over a native (or
+// named-primitive) slice on a little-endian host. n is the buffer length
+// already validated by CheckBuf. The returned bytes alias buf: a
+// receive has the engine deposit the payload directly in the caller's
+// memory, a large send lends them out (lendView).
+func (s section) view(n int) ([]byte, bool) {
+	t := s.d.t
+	if !t.IsContiguous() || t.Class() == dtype.Obj {
+		return nil, false
+	}
+	elems := s.count * t.Size()
+	if s.offset < 0 || s.count < 0 || s.offset+elems > n {
+		return nil, false // out of bounds: let the classic path report it
+	}
+	return dtype.ByteViewRange(s.buf, s.offset, elems)
+}
+
+// pack encodes a send section into a wire payload. The payload is drawn
+// from the frame pool whenever the wire size is statically known (every
+// fixed-size class); pooled reports that, which downstream layers
 // translate into the exclusive-ownership recycle promise, letting the
 // consuming rank return the buffer to the pool. Object payloads have no
 // size bound and fall back to the allocator.
-func (c *Comm) pack(buf any, offset, count int, d *Datatype) (payload []byte, pooled bool, err error) {
+func (c *Comm) pack(s section) (payload []byte, pooled bool, err error) {
 	var dst []byte
-	if n := d.t.WireBytes(count); n >= 0 {
+	if n := s.d.t.WireBytes(s.count); n >= 0 {
 		dst = transport.GetBuf(n)[:0]
 		pooled = true
 	}
-	payload, perr := dtype.Pack(dst, buf, offset, count, d.t)
-	if perr != nil {
+	if payload, err = s.pack(dst); err != nil {
 		if pooled {
 			transport.PutBuf(dst)
 		}
-		return nil, false, mapDataErr(perr)
+		return nil, false, err
 	}
 	return payload, pooled, nil
-}
-
-// packColl packs for the data-movement collectives (broadcast, gather,
-// scatter, allgather, alltoall), which fan one buffer out to several
-// peers by reference and forward received payloads: such a slice cannot
-// carry the exclusive-ownership recycle promise, so these payloads stay
-// on the allocator. Reductions do not come through here — their
-// operands live in an accumulator (accum.go), and what they send are
-// single-destination copies in pooled frames.
-func (c *Comm) packColl(buf any, offset, count int, d *Datatype) ([]byte, error) {
-	payload, err := dtype.Pack(nil, buf, offset, count, d.t)
-	if err != nil {
-		return nil, mapDataErr(err)
-	}
-	return payload, nil
 }
 
 // lendView returns the raw-byte window of a send section that can go
 // out on loan instead of being packed: larger than the eager limit (an
 // eager message is buffered at the receiver, so it must own its bytes)
-// and of the shape the receive side deposits in place — see intoView.
+// and of the shape the receive side deposits in place (section.view).
 // Everything else, argument errors included, is left to pack.
-func (c *Comm) lendView(buf any, offset, count int, d *Datatype) ([]byte, bool) {
-	if !d.t.IsContiguous() || d.t.WireBytes(count) <= c.env.proc.EagerLimit() {
+func (c *Comm) lendView(s section) ([]byte, bool) {
+	if !s.d.t.IsContiguous() || s.d.t.WireBytes(s.count) <= c.env.proc.EagerLimit() {
 		return nil, false
 	}
-	n, err := dtype.CheckBuf(buf, d.t)
+	n, err := dtype.CheckBuf(s.buf, s.d.t)
 	if err != nil {
 		return nil, false
 	}
-	return c.intoView(buf, offset, count, n, d)
+	return s.view(n)
 }
 
 // startSend runs validation and the core send; the shared engine under
@@ -262,8 +310,8 @@ func (c *Comm) lendView(buf any, offset, count int, d *Datatype) ([]byte, bool) 
 // place and the request completes when the loan is returned — and
 // anything else is packed into a pooled frame first. It returns a nil
 // request for ProcNull destinations.
-func (c *Comm) startSend(buf any, offset, count int, d *Datatype, dest, tag int, mode core.Mode) (*core.Request, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
+func (c *Comm) startSend(s section, dest, tag int, mode core.Mode) (*core.Request, error) {
+	if err := c.sendChecks(s.d, dest, tag); err != nil {
 		return nil, err
 	}
 	if dest == ProcNull {
@@ -271,10 +319,10 @@ func (c *Comm) startSend(buf any, offset, count int, d *Datatype, dest, tag int,
 	}
 	var creq *core.Request
 	var err error
-	if view, ok := c.lendView(buf, offset, count, d); ok {
+	if view, ok := c.lendView(s); ok {
 		creq, err = c.env.proc.IsendLent(c.ptpCtx, c.rank, c.remote[dest], tag, view, mode)
 	} else {
-		payload, pooled, perr := c.pack(buf, offset, count, d)
+		payload, pooled, perr := c.pack(s)
 		if perr != nil {
 			return nil, perr
 		}
@@ -287,9 +335,9 @@ func (c *Comm) startSend(buf any, offset, count int, d *Datatype, dest, tag int,
 }
 
 // isendMode starts a send in the given mode; the shared engine of
-// Isend/Issend/Irsend.
-func (c *Comm) isendMode(buf any, offset, count int, d *Datatype, dest, tag int, mode core.Mode) (*Request, error) {
-	creq, err := c.startSend(buf, offset, count, d, dest, tag, mode)
+// Isend/Issend/Irsend and of persistent sends.
+func (c *Comm) isendMode(s section, dest, tag int, mode core.Mode) (*Request, error) {
+	creq, err := c.startSend(s, dest, tag, mode)
 	if err != nil {
 		return nil, c.raise(err)
 	}
@@ -303,8 +351,8 @@ func (c *Comm) isendMode(buf any, offset, count int, d *Datatype, dest, tag int,
 // request never escapes, so it is recycled straight back to the engine's
 // request pool — a blocking send allocates nothing on the steady-state
 // hot path.
-func (c *Comm) sendBlocking(buf any, offset, count int, d *Datatype, dest, tag int, mode core.Mode) error {
-	creq, err := c.startSend(buf, offset, count, d, dest, tag, mode)
+func (c *Comm) sendBlocking(s section, dest, tag int, mode core.Mode) error {
+	creq, err := c.startSend(s, dest, tag, mode)
 	if err != nil || creq == nil {
 		return c.raise(err)
 	}
@@ -318,19 +366,19 @@ func (c *Comm) sendBlocking(buf any, offset, count int, d *Datatype, dest, tag i
 //	public void Send(Object buf, int offset, int count,
 //	                 Datatype datatype, int dest, int tag)
 func (c *Comm) Send(buf any, offset, count int, d *Datatype, dest, tag int) error {
-	return c.sendBlocking(buf, offset, count, d, dest, tag, core.ModeStandard)
+	return c.sendBlocking(section{buf, offset, count, d}, dest, tag, core.ModeStandard)
 }
 
 // Ssend is the blocking synchronous-mode send: it returns only after the
 // receiver has matched the message (MPI_Ssend).
 func (c *Comm) Ssend(buf any, offset, count int, d *Datatype, dest, tag int) error {
-	return c.sendBlocking(buf, offset, count, d, dest, tag, core.ModeSync)
+	return c.sendBlocking(section{buf, offset, count, d}, dest, tag, core.ModeSync)
 }
 
 // Rsend is the blocking ready-mode send; a matching receive must already
 // be posted (MPI_Rsend).
 func (c *Comm) Rsend(buf any, offset, count int, d *Datatype, dest, tag int) error {
-	return c.sendBlocking(buf, offset, count, d, dest, tag, core.ModeReady)
+	return c.sendBlocking(section{buf, offset, count, d}, dest, tag, core.ModeReady)
 }
 
 // Bsend is the blocking buffered-mode send: the message is copied into
@@ -349,17 +397,17 @@ func (c *Comm) Bsend(buf any, offset, count int, d *Datatype, dest, tag int) err
 // large contiguous section is sent from where it lies, not copied at
 // the call.
 func (c *Comm) Isend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.isendMode(buf, offset, count, d, dest, tag, core.ModeStandard)
+	return c.isendMode(section{buf, offset, count, d}, dest, tag, core.ModeStandard)
 }
 
 // Issend starts a non-blocking synchronous-mode send (MPI_Issend).
 func (c *Comm) Issend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.isendMode(buf, offset, count, d, dest, tag, core.ModeSync)
+	return c.isendMode(section{buf, offset, count, d}, dest, tag, core.ModeSync)
 }
 
 // Irsend starts a non-blocking ready-mode send (MPI_Irsend).
 func (c *Comm) Irsend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.isendMode(buf, offset, count, d, dest, tag, core.ModeReady)
+	return c.isendMode(section{buf, offset, count, d}, dest, tag, core.ModeReady)
 }
 
 // Ibsend starts a non-blocking buffered-mode send (MPI_Ibsend). The
@@ -367,13 +415,17 @@ func (c *Comm) Irsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 // request completes immediately, and the space is released when the
 // underlying transfer finishes.
 func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
+	return c.ibsend(section{buf, offset, count, d}, dest, tag)
+}
+
+func (c *Comm) ibsend(s section, dest, tag int) (*Request, error) {
+	if err := c.sendChecks(s.d, dest, tag); err != nil {
 		return nil, c.raise(err)
 	}
 	if dest == ProcNull {
 		return preCompleted(nullStatus()), nil
 	}
-	payload, pooled, err := c.pack(buf, offset, count, d)
+	payload, pooled, err := c.pack(s)
 	if err != nil {
 		return nil, c.raise(err)
 	}
@@ -396,59 +448,26 @@ func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 	return preCompleted(st), nil
 }
 
-// startRecv runs the shared receive-side validation and translates the
-// source/tag wildcards; procNull reports a null-process receive and n
-// is the validated buffer length in elements.
-func (c *Comm) startRecv(buf any, d *Datatype, source, tag int) (src, tg int32, n int, procNull bool, err error) {
-	if err := c.recvChecks(d, source, tag); err != nil {
-		return 0, 0, 0, false, err
+// startRecv runs the shared receive-side validation; n is the validated
+// buffer length in elements. A ProcNull source passes.
+func (c *Comm) startRecv(s section, source, tag int) (src, tg int32, n int, err error) {
+	if src, tg, err = c.recvChecks(s.d, source, tag); err != nil {
+		return 0, 0, 0, err
 	}
-	// Validate the buffer section eagerly so errors surface at the
-	// call, not at completion.
-	n, cerr := dtype.CheckBuf(buf, d.t)
-	if cerr != nil {
-		return 0, 0, 0, false, mapDataErr(cerr)
-	}
-	if source == ProcNull {
-		return 0, 0, n, true, nil
-	}
-	src = int32(source)
-	if source == AnySource {
-		src = core.AnySource
-	}
-	tg = int32(tag)
-	if tag == AnyTag {
-		tg = core.AnyTag
-	}
-	return src, tg, n, false, nil
-}
-
-// intoView returns the raw-byte window of buf's section when it can
-// travel as it lies in memory: a contiguous fixed-size datatype over a
-// native (or named-primitive) slice on a little-endian host. n is the
-// buffer length already validated by CheckBuf. The returned bytes alias
-// buf: a receive has the engine deposit the payload directly in the
-// caller's memory, a large send lends them out (lendView).
-func (c *Comm) intoView(buf any, offset, count, n int, d *Datatype) ([]byte, bool) {
-	t := d.t
-	if !t.IsContiguous() || t.Class() == dtype.Obj {
-		return nil, false
-	}
-	elems := count * t.Size()
-	if offset < 0 || count < 0 || offset+elems > n {
-		return nil, false // out of bounds: let the classic path report it
-	}
-	return dtype.ByteViewRange(buf, offset, elems)
+	// Validate the buffer eagerly so errors surface at the call, not at
+	// completion.
+	n, err = dtype.CheckBuf(s.buf, s.d.t)
+	return src, tg, n, mapDataErr(err)
 }
 
 // postRecv posts the core receive for a validated section: straight
-// into the caller's memory where intoView applies — the engine's
+// into the caller's memory where section.view applies — the engine's
 // progress goroutine then copies sender memory to receiver memory once,
 // with no staging frame and no unpack pass — and by reference, to be
 // unpacked at completion, for every other shape.
-func (c *Comm) postRecv(buf any, offset, count, n int, d *Datatype, src, tg int32) (creq *core.Request, into bool) {
-	if view, ok := c.intoView(buf, offset, count, n, d); ok {
-		return c.env.proc.IrecvInto(c.ptpCtx, src, tg, view, d.t.Class().WireSize()), true
+func (c *Comm) postRecv(s section, n int, src, tg int32) (creq *core.Request, into bool) {
+	if view, ok := s.view(n); ok {
+		return c.env.proc.IrecvInto(c.ptpCtx, src, tg, view, s.d.t.Class().WireSize()), true
 	}
 	return c.env.proc.Irecv(c.ptpCtx, src, tg), false
 }
@@ -461,18 +480,19 @@ func (c *Comm) postRecv(buf any, offset, count, n int, d *Datatype, src, tg int3
 // than the section, the section is filled and the request completes
 // with an ErrTruncate-class error (MPI_ERR_TRUNCATE semantics).
 func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
-	src, tg, n, procNull, err := c.startRecv(buf, d, source, tag)
+	return c.irecv(section{buf, offset, count, d}, source, tag)
+}
+
+func (c *Comm) irecv(s section, source, tag int) (*Request, error) {
+	src, tg, n, err := c.startRecv(s, source, tag)
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	if procNull {
+	if source == ProcNull {
 		return preCompleted(nullStatus()), nil
 	}
-	creq, into := c.postRecv(buf, offset, count, n, d, src, tg)
-	return &Request{
-		comm: c, creq: creq, isRecv: true, into: into,
-		buf: buf, offset: offset, count: count, dt: d,
-	}, nil
+	creq, into := c.postRecv(s, n, src, tg)
+	return &Request{comm: c, creq: creq, isRecv: true, into: into, sec: s}, nil
 }
 
 // Recv is the blocking receive (MPI_Recv; paper §2):
@@ -484,16 +504,17 @@ func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (
 // the only steady-state allocation is the returned Status. See Irecv
 // for where the payload lands.
 func (c *Comm) Recv(buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
-	src, tg, n, procNull, err := c.startRecv(buf, d, source, tag)
+	s := section{buf, offset, count, d}
+	src, tg, n, err := c.startRecv(s, source, tag)
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	if procNull {
+	if source == ProcNull {
 		return nullStatus(), nil
 	}
-	creq, into := c.postRecv(buf, offset, count, n, d, src, tg)
+	creq, into := c.postRecv(s, n, src, tg)
 	cst := creq.Wait()
-	st, opErr := recvStatus(cst, into, creq.Payload, buf, offset, count, d)
+	st, opErr := recvStatus(cst, into, creq.Payload, s)
 	creq.Recycle() // releases the frame too
 	return st, c.raise(opErr)
 }
@@ -508,7 +529,7 @@ func (c *Comm) Sendrecv(
 	if err != nil {
 		return nil, err
 	}
-	sreq, err := c.isendMode(sendbuf, soffset, scount, sdt, dest, stag, core.ModeStandard)
+	sreq, err := c.Isend(sendbuf, soffset, scount, sdt, dest, stag)
 	if err != nil {
 		return nil, err
 	}
@@ -527,17 +548,15 @@ func (c *Comm) SendrecvReplace(
 	buf any, offset, count int, d *Datatype,
 	dest, stag, source, rtag int,
 ) (*Status, error) {
+	s := section{buf, offset, count, d}
 	if err := c.sendChecks(d, dest, stag); err != nil {
 		return nil, c.raise(err)
 	}
-	if err := c.recvChecks(d, source, rtag); err != nil {
-		return nil, c.raise(err)
-	}
-	payload, pooled, err := c.pack(buf, offset, count, d)
+	payload, pooled, err := c.pack(s)
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	rreq, err := c.Irecv(buf, offset, count, d, source, rtag)
+	rreq, err := c.irecv(s, source, rtag)
 	if err != nil {
 		if pooled {
 			transport.PutBuf(payload)
@@ -562,58 +581,38 @@ func (c *Comm) SendrecvReplace(
 // Probe blocks until a matching message is pending and returns its
 // status without receiving it (MPI_Probe).
 func (c *Comm) Probe(source, tag int) (*Status, error) {
-	if err := c.ok(); err != nil {
-		return nil, c.raise(err)
-	}
-	if err := c.checkSource(source); err != nil {
-		return nil, c.raise(err)
-	}
-	if err := c.checkTag(tag, true); err != nil {
-		return nil, c.raise(err)
-	}
-	if source == ProcNull {
-		return nullStatus(), nil
-	}
-	src := int32(source)
-	if source == AnySource {
-		src = core.AnySource
-	}
-	tg := int32(tag)
-	if tag == AnyTag {
-		tg = core.AnyTag
-	}
-	cst, err := c.env.proc.Probe(c.ptpCtx, src, tg)
-	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
-	}
-	return probeStatus(cst.SourceGroup, cst.Tag, cst.Bytes), nil
+	return c.probe(source, tag, true)
 }
 
 // Iprobe checks for a matching pending message without blocking
 // (MPI_Iprobe); it returns nil when none is pending.
 func (c *Comm) Iprobe(source, tag int) (*Status, error) {
+	return c.probe(source, tag, false)
+}
+
+// probe is Probe when block is set and Iprobe otherwise.
+func (c *Comm) probe(source, tag int, block bool) (*Status, error) {
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
-	if err := c.checkSource(source); err != nil {
-		return nil, c.raise(err)
-	}
-	if err := c.checkTag(tag, true); err != nil {
+	src, tg, err := c.recvEnvelope(source, tag)
+	if err != nil {
 		return nil, c.raise(err)
 	}
 	if source == ProcNull {
 		return nullStatus(), nil
 	}
-	src := int32(source)
-	if source == AnySource {
-		src = core.AnySource
+	var cst core.Status
+	found := true
+	if block {
+		cst, err = c.env.proc.Probe(c.ptpCtx, src, tg)
+	} else {
+		cst, found = c.env.proc.Iprobe(c.ptpCtx, src, tg)
 	}
-	tg := int32(tag)
-	if tag == AnyTag {
-		tg = core.AnyTag
-	}
-	cst, ok := c.env.proc.Iprobe(c.ptpCtx, src, tg)
-	if !ok {
+	switch {
+	case err != nil:
+		return nil, c.raise(mapEngineErr(err))
+	case !found:
 		return nil, nil
 	}
 	return probeStatus(cst.SourceGroup, cst.Tag, cst.Bytes), nil
@@ -621,40 +620,40 @@ func (c *Comm) Iprobe(source, tag int) (*Status, error) {
 
 // sendInit freezes a validated send envelope into a persistent request:
 // the shared body of the four persistent send modes.
-func (c *Comm) sendInit(mode core.Mode, buffed bool, buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	if err := c.sendChecks(d, dest, tag); err != nil {
+func (c *Comm) sendInit(mode core.Mode, buffed bool, s section, dest, tag int) (*PersistentRequest, error) {
+	if err := c.sendChecks(s.d, dest, tag); err != nil {
 		return nil, c.raise(err)
 	}
-	return &PersistentRequest{comm: c, mode: mode, buffed: buffed, buf: buf, offset: offset, count: count, dt: d, rank: dest, tag: tag}, nil
+	return &PersistentRequest{comm: c, mode: mode, buffed: buffed, sec: s, rank: dest, tag: tag}, nil
 }
 
 // SendInit creates a persistent standard-mode send request
 // (MPI_Send_init).
 func (c *Comm) SendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeStandard, false, buf, offset, count, d, dest, tag)
+	return c.sendInit(core.ModeStandard, false, section{buf, offset, count, d}, dest, tag)
 }
 
 // SsendInit creates a persistent synchronous-mode send request.
 func (c *Comm) SsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeSync, false, buf, offset, count, d, dest, tag)
+	return c.sendInit(core.ModeSync, false, section{buf, offset, count, d}, dest, tag)
 }
 
 // RsendInit creates a persistent ready-mode send request.
 func (c *Comm) RsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeReady, false, buf, offset, count, d, dest, tag)
+	return c.sendInit(core.ModeReady, false, section{buf, offset, count, d}, dest, tag)
 }
 
 // BsendInit creates a persistent buffered-mode send request.
 func (c *Comm) BsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeStandard, true, buf, offset, count, d, dest, tag)
+	return c.sendInit(core.ModeStandard, true, section{buf, offset, count, d}, dest, tag)
 }
 
 // RecvInit creates a persistent receive request (MPI_Recv_init).
 func (c *Comm) RecvInit(buf any, offset, count int, d *Datatype, source, tag int) (*PersistentRequest, error) {
-	if err := c.recvChecks(d, source, tag); err != nil {
+	if _, _, err := c.recvChecks(d, source, tag); err != nil {
 		return nil, c.raise(err)
 	}
-	return &PersistentRequest{comm: c, isRecv: true, buf: buf, offset: offset, count: count, dt: d, rank: source, tag: tag}, nil
+	return &PersistentRequest{comm: c, isRecv: true, sec: section{buf, offset, count, d}, rank: source, tag: tag}, nil
 }
 
 // RecvIntoInit is RecvInit: every activation of a persistent receive
@@ -675,9 +674,9 @@ func (c *Comm) Pack(inbuf any, offset, incount int, d *Datatype, outbuf []byte, 
 	if err := c.checkType(d); err != nil {
 		return position, c.raise(err)
 	}
-	wire, err := dtype.Pack(nil, inbuf, offset, incount, d.t)
+	wire, err := section{inbuf, offset, incount, d}.pack(nil)
 	if err != nil {
-		return position, c.raise(mapDataErr(err))
+		return position, c.raise(err)
 	}
 	if position < 0 || position+len(wire) > len(outbuf) {
 		return position, c.raise(errf(ErrBuffer, "pack of %d bytes at position %d exceeds buffer of %d",
@@ -688,7 +687,9 @@ func (c *Comm) Pack(inbuf any, offset, incount int, d *Datatype, outbuf []byte, 
 }
 
 // Unpack extracts outcount items from inbuf starting at position into a
-// buffer section, returning the new position (MPI_Unpack).
+// buffer section, returning the new position (MPI_Unpack). An OBJECT
+// section is consumed whole, so the next section can follow; objects
+// beyond outcount are dropped.
 func (c *Comm) Unpack(inbuf []byte, position int, outbuf any, offset, outcount int, d *Datatype) (int, error) {
 	if err := c.ok(); err != nil {
 		return position, c.raise(err)
@@ -696,23 +697,23 @@ func (c *Comm) Unpack(inbuf []byte, position int, outbuf any, offset, outcount i
 	if err := c.checkType(d); err != nil {
 		return position, c.raise(err)
 	}
+	if position < 0 || position > len(inbuf) {
+		return position, c.raise(errf(ErrBuffer, "unpack position %d outside buffer of %d", position, len(inbuf)))
+	}
 	need := d.t.WireBytes(outcount)
-	if need < 0 {
-		// Object payloads are self-delimiting; consume what the
-		// unpack reports.
-		n, err := dtype.Unpack(inbuf[position:], outbuf, offset, outcount, d.t)
-		if err != nil && err != dtype.ErrTruncate {
+	if need < 0 { // OBJECT: the section carries its own length
+		var err error
+		if need, err = dtype.ObjectsLen(inbuf[position:]); err != nil {
 			return position, c.raise(mapDataErr(err))
 		}
-		_ = n
-		return len(inbuf), nil
 	}
-	if position < 0 || position+need > len(inbuf) {
+	if position+need > len(inbuf) {
 		return position, c.raise(errf(ErrBuffer, "unpack of %d bytes at position %d exceeds buffer of %d",
 			need, position, len(inbuf)))
 	}
-	if _, err := dtype.Unpack(inbuf[position:position+need], outbuf, offset, outcount, d.t); err != nil {
-		return position, c.raise(mapDataErr(err))
+	out := section{outbuf, offset, outcount, d}
+	if _, err := out.unpack(inbuf[position : position+need]); err != nil && ClassOf(err) != ErrTruncate {
+		return position, c.raise(err)
 	}
 	return position + need, nil
 }

@@ -411,77 +411,62 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 // (MPI_File_get_position).
 func (f *File) Tell() int64 { return f.pf.Tell() }
 
-// checkEtypeMatch enforces the MPI file-interface typematch rule: the
-// buffer datatype's storage class must agree with the view's etype
-// class, with MPI.BYTE (on either side) matching anything — the raw
+// checkAccess runs the local validation every read and write entry
+// point shares: an open file whose access mode admits the transfer
+// (access is f.readable or f.writable), a datatype a file view can
+// carry, and a non-negative offset. The datatype's storage class must
+// agree with the view's etype class, with MPI.BYTE (on either side)
+// matching anything — the file-interface typematch rule and the raw
 // escape hatch the standard grants MPI_BYTE.
-func (f *File) checkEtypeMatch(d *Datatype) error {
+func (f *File) checkAccess(access func() error, d *Datatype, foff int64) error {
+	if err := f.ok(); err != nil {
+		return err
+	}
+	if err := access(); err != nil {
+		return err
+	}
+	if err := f.comm.checkType(d); err != nil {
+		return err
+	}
 	bc, ec := d.t.Class(), f.etype.t.Class()
-	if bc != ec && bc != dtype.U8 && ec != dtype.U8 {
+	switch {
+	case bc == dtype.Obj:
+		return errf(ErrType, "OBJECT buffers cannot travel through file views")
+	case bc != ec && bc != dtype.U8 && ec != dtype.U8:
 		return errf(ErrType, "buffer datatype %s does not match the view's etype %s", d.Name(), f.etype.Name())
+	case foff < 0:
+		return errf(ErrArg, "negative file offset %d", foff)
 	}
 	return nil
 }
 
 // prepWrite runs the local validation and packing shared by every
-// write entry point. It returns the wire payload, its length in view
-// elements, and the status a successful write completes with.
-func (f *File) prepWrite(buf any, offset, count int, d *Datatype, foff int64) ([]byte, int64, *Status, error) {
-	if err := f.ok(); err != nil {
-		return nil, 0, nil, err
+// write entry point. It returns the wire payload and the status a
+// successful write completes with.
+func (f *File) prepWrite(s section, foff int64) ([]byte, *Status, error) {
+	if err := f.checkAccess(f.writable, s.d, foff); err != nil {
+		return nil, nil, err
 	}
-	if err := f.writable(); err != nil {
-		return nil, 0, nil, err
-	}
-	if err := f.comm.checkType(d); err != nil {
-		return nil, 0, nil, err
-	}
-	if d.t.Class() == dtype.Obj {
-		return nil, 0, nil, errf(ErrType, "OBJECT buffers cannot travel through file views")
-	}
-	if err := f.checkEtypeMatch(d); err != nil {
-		return nil, 0, nil, err
-	}
-	if foff < 0 {
-		return nil, 0, nil, errf(ErrArg, "negative file offset %d", foff)
-	}
-	wire, err := dtype.Pack(nil, buf, offset, count, d.t)
+	wire, err := s.pack(nil)
 	if err != nil {
-		return nil, 0, nil, mapDataErr(err)
+		return nil, nil, err
 	}
-	es := f.pf.ElemSize()
-	if len(wire)%es != 0 {
-		return nil, 0, nil, errf(ErrArg, "write of %d bytes is not a multiple of the view's %d-byte etype", len(wire), es)
+	if es := f.pf.ElemSize(); len(wire)%es != 0 {
+		return nil, nil, errf(ErrArg, "write of %d bytes is not a multiple of the view's %d-byte etype", len(wire), es)
 	}
-	des := d.t.Class().WireSize()
-	return wire, int64(len(wire) / es), fileStatus(f.comm.Rank(), len(wire), len(wire)/des), nil
+	return wire, fileStatus(f.comm.Rank(), len(wire), len(wire)/s.d.t.Class().WireSize()), nil
 }
 
 // prepRead runs the local validation shared by every read entry point
 // and returns the transfer size in view elements.
-func (f *File) prepRead(buf any, offset, count int, d *Datatype, foff int64) (int, error) {
-	if err := f.ok(); err != nil {
+func (f *File) prepRead(s section, foff int64) (int, error) {
+	if err := f.checkAccess(f.readable, s.d, foff); err != nil {
 		return 0, err
 	}
-	if err := f.readable(); err != nil {
-		return 0, err
-	}
-	if err := f.comm.checkType(d); err != nil {
-		return 0, err
-	}
-	if d.t.Class() == dtype.Obj {
-		return 0, errf(ErrType, "OBJECT buffers cannot travel through file views")
-	}
-	if err := f.checkEtypeMatch(d); err != nil {
-		return 0, err
-	}
-	if foff < 0 {
-		return 0, errf(ErrArg, "negative file offset %d", foff)
-	}
-	if _, err := dtype.CheckBuf(buf, d.t); err != nil {
+	if _, err := dtype.CheckBuf(s.buf, s.d.t); err != nil {
 		return 0, mapDataErr(err)
 	}
-	need := d.t.WireBytes(count)
+	need := s.d.t.WireBytes(s.count)
 	es := f.pf.ElemSize()
 	if need%es != 0 {
 		return 0, errf(ErrArg, "read of %d bytes is not a multiple of the view's %d-byte etype", need, es)
@@ -491,11 +476,11 @@ func (f *File) prepRead(buf any, offset, count int, d *Datatype, foff int64) (in
 
 // depositRead unpacks the gathered wire bytes into the caller's buffer
 // section, delivering only the whole elements the file held.
-func (f *File) depositRead(wire []byte, got int, buf any, offset, count int, d *Datatype) (*Status, error) {
-	des := d.t.Class().WireSize()
+func (f *File) depositRead(wire []byte, got int, s section) (*Status, error) {
+	des := s.d.t.Class().WireSize()
 	full := got / des
-	if _, err := dtype.Unpack(wire[:full*des], buf, offset, count, d.t); err != nil {
-		return nil, mapDataErr(err)
+	if _, err := s.unpack(wire[:full*des]); err != nil {
+		return nil, err
 	}
 	return fileStatus(f.comm.Rank(), got, full), nil
 }
@@ -504,7 +489,7 @@ func (f *File) depositRead(wire []byte, got int, buf any, offset, count int, d *
 // independently of other ranks (MPI_File_write_at). The individual
 // file pointer is not used or updated.
 func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	wire, _, st, err := f.prepWrite(buf, offset, count, d, foff)
+	wire, st, err := f.prepWrite(section{buf, offset, count, d}, foff)
 	if err != nil {
 		return nil, f.comm.raise(err)
 	}
@@ -519,7 +504,8 @@ func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*St
 // file delivers the available prefix; the status's GetCount reports
 // the elements actually read.
 func (f *File) ReadAt(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	n, err := f.prepRead(buf, offset, count, d, foff)
+	s := section{buf, offset, count, d}
+	n, err := f.prepRead(s, foff)
 	if err != nil {
 		return nil, f.comm.raise(err)
 	}
@@ -527,7 +513,7 @@ func (f *File) ReadAt(foff int64, buf any, offset, count int, d *Datatype) (*Sta
 	if err != nil {
 		return nil, f.comm.raise(mapPioErr(err))
 	}
-	st, derr := f.depositRead(wire, got, buf, offset, count, d)
+	st, derr := f.depositRead(wire, got, s)
 	return st, f.comm.raise(derr)
 }
 
@@ -560,7 +546,7 @@ func (f *File) Read(buf any, offset, count int, d *Datatype) (*Status, error) {
 // contiguous filesystem writes. Every member must call it (counts may
 // differ, including zero).
 func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	plan, st, err := f.planWriteAll(foff, buf, offset, count, d)
+	plan, st, err := f.planWriteAll(foff, section{buf, offset, count, d})
 	if err != nil {
 		return nil, err
 	}
@@ -575,7 +561,7 @@ func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (
 // filesystem writes proceed in the background. The request completes
 // with the status WriteAtAll returns.
 func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
-	plan, st, err := f.planWriteAll(foff, buf, offset, count, d)
+	plan, st, err := f.planWriteAll(foff, section{buf, offset, count, d})
 	if err != nil {
 		return nil, err
 	}
@@ -585,8 +571,8 @@ func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) 
 // planWriteAll validates, packs and builds the two-phase write
 // schedule; a member failing local validation consumes its collective
 // instance so peers stay tag-aligned.
-func (f *File) planWriteAll(foff int64, buf any, offset, count int, d *Datatype) (*coll.Plan, *Status, error) {
-	wire, _, st, err := f.prepWrite(buf, offset, count, d, foff)
+func (f *File) planWriteAll(foff int64, s section) (*coll.Plan, *Status, error) {
+	wire, st, err := f.prepWrite(s, foff)
 	if err != nil {
 		f.comm.SkipColl()
 		return nil, nil, f.comm.raise(err)
@@ -604,7 +590,8 @@ func (f *File) planWriteAll(foff int64, buf any, offset, count int, d *Datatype)
 // filesystem reads for their stripes and the data is exchanged back
 // through the collective schedule engine. Every member must call it.
 func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	plan, err := f.planReadAll(foff, buf, offset, count, d)
+	s := section{buf, offset, count, d}
+	plan, err := f.planReadAll(foff, s)
 	if err != nil {
 		return nil, err
 	}
@@ -613,7 +600,7 @@ func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*
 		return nil, f.comm.raise(mapSchedErr(err))
 	}
 	rr := res.(*pio.ReadResult)
-	st, derr := f.depositRead(rr.Wire, rr.Got, buf, offset, count, d)
+	st, derr := f.depositRead(rr.Wire, rr.Got, s)
 	return st, f.comm.raise(derr)
 }
 
@@ -624,21 +611,22 @@ func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*
 // elements the file actually held, so a short read at end-of-file is
 // detectable on this path too.
 func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
-	plan, err := f.planReadAll(foff, buf, offset, count, d)
+	s := section{buf, offset, count, d}
+	plan, err := f.planReadAll(foff, s)
 	if err != nil {
 		return nil, err
 	}
 	req := &Request{comm: &f.comm.Comm, cr: plan.Start()}
 	req.fin = func(res any) (err error) {
 		rr := res.(*pio.ReadResult)
-		req.pre, err = f.depositRead(rr.Wire, rr.Got, buf, offset, count, d)
+		req.pre, err = f.depositRead(rr.Wire, rr.Got, s)
 		return err
 	}
 	return req, nil
 }
 
-func (f *File) planReadAll(foff int64, buf any, offset, count int, d *Datatype) (*coll.Plan, error) {
-	n, err := f.prepRead(buf, offset, count, d, foff)
+func (f *File) planReadAll(foff int64, s section) (*coll.Plan, error) {
+	n, err := f.prepRead(s, foff)
 	if err != nil {
 		f.comm.SkipColl()
 		return nil, f.comm.raise(err)
@@ -655,29 +643,28 @@ func (f *File) planReadAll(foff int64, buf any, offset, count int, d *Datatype) 
 // (MPI_File_write_all); the pointer advances by the requested elements
 // at the call.
 func (f *File) WriteAll(buf any, offset, count int, d *Datatype) (*Status, error) {
-	st, err := f.WriteAtAll(f.advanceFor(buf, offset, count, d), buf, offset, count, d)
-	return st, err
+	return f.WriteAtAll(f.advanceFor(count, d), buf, offset, count, d)
 }
 
 // IwriteAll starts a nonblocking collective write at the individual
 // file pointer (MPI_File_iwrite_all); the pointer advances by the
 // requested elements at the call, not at completion.
 func (f *File) IwriteAll(buf any, offset, count int, d *Datatype) (*Request, error) {
-	return f.IwriteAtAll(f.advanceFor(buf, offset, count, d), buf, offset, count, d)
+	return f.IwriteAtAll(f.advanceFor(count, d), buf, offset, count, d)
 }
 
 // ReadAll is the collective read at the individual file pointer
 // (MPI_File_read_all); the pointer advances by the requested elements
 // at the call.
 func (f *File) ReadAll(buf any, offset, count int, d *Datatype) (*Status, error) {
-	return f.ReadAtAll(f.advanceFor(buf, offset, count, d), buf, offset, count, d)
+	return f.ReadAtAll(f.advanceFor(count, d), buf, offset, count, d)
 }
 
 // IreadAll starts a nonblocking collective read at the individual file
 // pointer (MPI_File_iread_all); the pointer advances by the requested
 // elements at the call, not at completion.
 func (f *File) IreadAll(buf any, offset, count int, d *Datatype) (*Request, error) {
-	return f.IreadAtAll(f.advanceFor(buf, offset, count, d), buf, offset, count, d)
+	return f.IreadAtAll(f.advanceFor(count, d), buf, offset, count, d)
 }
 
 // advanceFor returns the current individual file pointer and advances
@@ -685,7 +672,7 @@ func (f *File) IreadAll(buf any, offset, count int, d *Datatype) (*Request, erro
 // individual pointer update it at the call on every path — success or
 // failure — so members that mix in erroneous calls stay
 // pointer-aligned with peers whose matching call proceeded.
-func (f *File) advanceFor(buf any, offset, count int, d *Datatype) int64 {
+func (f *File) advanceFor(count int, d *Datatype) int64 {
 	at := f.pf.Tell()
 	if d == nil || f.freed {
 		return at

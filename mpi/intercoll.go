@@ -8,10 +8,7 @@ package mpi
 // with a leader-to-leader relay on the reserved collective context, the
 // same pattern Merge and Dup already use for their exchanges.
 
-import (
-	"gompi/internal/core"
-	"gompi/internal/dtype"
-)
+import "gompi/internal/core"
 
 // Root is the MPI_ROOT marker: on a rooted intercommunicator
 // collective, the single process of the origin group that provides (or
@@ -52,13 +49,14 @@ func (ic *Intercomm) Bcast(buf any, offset, count int, d *Datatype, root int) er
 	if err := ic.checkType(d); err != nil {
 		return ic.raise(err)
 	}
+	s := section{buf, offset, count, d}
 	switch {
 	case root == ProcNull:
 		return nil
 	case root == Root:
-		wire, err := dtype.Pack(nil, buf, offset, count, d.t)
+		wire, err := s.pack(nil)
 		if err != nil {
-			return ic.raise(mapDataErr(err))
+			return ic.raise(err)
 		}
 		sreq, err := ic.env.proc.Isend(ic.collCtx, ic.rank, ic.remote[0], tagInterColl, wire, core.ModeStandard, false)
 		if err != nil {
@@ -81,8 +79,8 @@ func (ic *Intercomm) Bcast(buf any, offset, count int, d *Datatype, root int) er
 		if err != nil {
 			return ic.raise(mapEngineErr(err))
 		}
-		if _, err := dtype.Unpack(wire, buf, offset, count, d.t); err != nil {
-			return ic.raise(mapDataErr(err))
+		if _, err := s.unpack(wire); err != nil {
+			return ic.raise(err)
 		}
 		return nil
 	default:
@@ -107,15 +105,16 @@ func (ic *Intercomm) Allreduce(
 	if err := checkOp(op, d); err != nil {
 		return ic.raise(err)
 	}
-	if _, err := dtype.CheckSection(recvbuf, roffset, count, d.t); err != nil {
-		return ic.raise(mapDataErr(err))
+	into := section{recvbuf, roffset, count, d}
+	if _, err := into.check(); err != nil {
+		return ic.raise(err)
 	}
 	// The local reduction lands in rank 0's accumulator, which the
 	// leader exchange then ships by reference: an ordinary slice, never
 	// written again, rather than pooled or caller memory.
-	acc, err := dtype.Pack(nil, sendbuf, soffset, count, d.t)
+	acc, err := section{sendbuf, soffset, count, d}.pack(nil)
 	if err != nil {
-		return ic.raise(mapDataErr(err))
+		return ic.raise(err)
 	}
 	p, err := ic.cl.ReducePlan(0, &acc, op.op, d.t.Class())
 	if err == nil {
@@ -128,8 +127,8 @@ func (ic *Intercomm) Allreduce(
 	if err != nil {
 		return ic.raise(mapEngineErr(err))
 	}
-	if _, err := dtype.Unpack(remote, recvbuf, roffset, count, d.t); err != nil {
-		return ic.raise(mapDataErr(err))
+	if _, err := into.unpack(remote); err != nil {
+		return ic.raise(err)
 	}
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"gompi/internal/coll"
-	"gompi/internal/dtype"
 )
 
 // Intracomm is a communicator over a single group (paper Fig. 1): it
@@ -37,6 +36,12 @@ func (c *Intracomm) checkRoot(root int) error {
 	return nil
 }
 
+// Intra returns the communicator as an intracommunicator, whatever kind
+// embeds it (*Cartcomm, *Graphcomm): the accessor through which a layer
+// over the binding (mpi/typed) reaches the collectives with a static
+// call.
+func (c *Intracomm) Intra() *Intracomm { return c }
+
 // collChecks is the validation every collective starts with: a live
 // communicator, a usable datatype and, for the rooted ones, a root in
 // range (rootless callers pass 0).
@@ -48,14 +53,6 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 		return err
 	}
 	return c.checkRoot(root)
-}
-
-// checkSection rejects a buffer section Pack or Unpack would reject, so
-// both sides of a collective are validated at the call, before any
-// message moves.
-func checkSection(buf any, offset, count int, d *Datatype) error {
-	_, err := dtype.CheckSection(buf, offset, count, d.t)
-	return mapDataErr(err)
 }
 
 // collPlan is one collective call past local validation: its schedule
@@ -126,20 +123,24 @@ func (c *Intracomm) SkipColl() { c.cl.SkipInstance() }
 
 // packInto returns the refresh hook of a collective that contributes
 // one section: it packs the section into *wire, the schedule's bound
-// input.
-func (c *Intracomm) packInto(wire *[]byte, buf any, offset, count int, d *Datatype) func() error {
+// input. The data-movement collectives (broadcast, gather, scatter,
+// allgather, alltoall) fan one buffer out to several peers by reference
+// and forward received payloads: such a slice cannot carry the
+// exclusive-ownership recycle promise, so these payloads stay on the
+// allocator. Reductions pack into an accumulator instead (accum.go).
+func packInto(wire *[]byte, s section) func() error {
 	return func() (err error) {
-		*wire, err = c.packColl(buf, offset, count, d)
+		*wire, err = s.pack(nil)
 		return err
 	}
 }
 
 // unpackInto returns the fin hook of a collective that delivers one
 // section: the schedule's result is its wire image.
-func unpackInto(buf any, offset, count int, d *Datatype) func(res any) error {
+func unpackInto(s section) func(res any) error {
 	return func(res any) error {
-		_, err := dtype.Unpack(res.([]byte), buf, offset, count, d.t)
-		return mapDataErr(err)
+		_, err := s.unpack(res.([]byte))
+		return err
 	}
 }
 
@@ -147,29 +148,24 @@ func unpackInto(buf any, offset, count int, d *Datatype) func(res any) error {
 // count items at offset + r*count*extent(d)) or, for the v-variants, by
 // explicit per-rank counts and displacements (in units of d's extent).
 type blocks struct {
-	buf     any
-	offset  int
-	count   int
-	varying bool
-	counts  []int
-	displs  []int
-	d       *Datatype
-}
-
-func uniform(buf any, offset, count int, d *Datatype) blocks {
-	return blocks{buf: buf, offset: offset, count: count, d: d}
+	section
+	varying        bool
+	counts, displs []int
 }
 
 func varying(buf any, offset int, counts, displs []int, d *Datatype) blocks {
-	return blocks{buf: buf, offset: offset, varying: true, counts: counts, displs: displs, d: d}
+	return blocks{section: section{buf, offset, 0, d}, varying: true, counts: counts, displs: displs}
 }
 
-// section returns rank r's offset and item count.
-func (b *blocks) section(r int) (offset, count int) {
+// at returns rank r's section.
+func (b *blocks) at(r int) section {
+	s := b.section
 	if b.varying {
-		return b.offset + b.displs[r]*b.d.Extent(), b.counts[r]
+		s.offset, s.count = b.offset+b.displs[r]*b.d.Extent(), b.counts[r]
+	} else {
+		s.offset += r * b.count * b.d.Extent()
 	}
-	return b.offset + r*b.count*b.d.Extent(), b.count
+	return s
 }
 
 // checkBlocks validates a layout where it is significant: the datatype,
@@ -183,8 +179,7 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 		return errf(ErrArg, "%s needs %d counts and displs", name, c.Size())
 	}
 	for r := 0; r < c.Size(); r++ {
-		at, n := b.section(r)
-		if err := checkSection(b.buf, at, n, b.d); err != nil {
+		if _, err := b.at(r).check(); err != nil {
 			return err
 		}
 	}
@@ -194,11 +189,10 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 // packBlocks returns the refresh hook of a collective that sends a
 // block to every rank: it packs each rank's section into parts, the
 // schedule's bound input.
-func (c *Intracomm) packBlocks(b *blocks, parts [][]byte) func() error {
+func packBlocks(b *blocks, parts [][]byte) func() error {
 	return func() (err error) {
 		for r := range parts {
-			at, n := b.section(r)
-			if parts[r], err = c.packColl(b.buf, at, n, b.d); err != nil {
+			if parts[r], err = b.at(r).pack(nil); err != nil {
 				return err
 			}
 		}
@@ -210,9 +204,8 @@ func (c *Intracomm) packBlocks(b *blocks, parts [][]byte) func() error {
 // every rank ([][]byte): each lands in its rank's section.
 func (b *blocks) deposit(res any) error {
 	for r, wire := range res.([][]byte) {
-		at, n := b.section(r)
-		if _, err := dtype.Unpack(wire, b.buf, at, n, b.d.t); err != nil {
-			return mapDataErr(err)
+		if _, err := b.at(r).unpack(wire); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -239,32 +232,32 @@ func (c *Intracomm) planBarrier() collPlan {
 // Bcast broadcasts the buffer section from root to all members
 // (MPI_Bcast).
 func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	return c.runColl(c.planBcast(buf, offset, count, d, root))
+	return c.runColl(c.planBcast(section{buf, offset, count, d}, root))
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
 // are filled when the request completes; no buffer may be touched
 // before then.
 func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*Request, error) {
-	return c.startColl(c.planBcast(buf, offset, count, d, root))
+	return c.startColl(c.planBcast(section{buf, offset, count, d}, root))
 }
 
 // planBcast is the plan of Bcast; its one section is the send side at
 // root and the receive side everywhere else, validated alike.
-func (c *Intracomm) planBcast(buf any, offset, count int, d *Datatype, root int) collPlan {
-	if err := c.collChecks(d, root); err != nil {
+func (c *Intracomm) planBcast(s section, root int) collPlan {
+	if err := c.collChecks(s.d, root); err != nil {
 		return c.noColl(err)
 	}
-	if err := checkSection(buf, offset, count, d); err != nil {
+	if _, err := s.check(); err != nil {
 		return c.noColl(err)
 	}
 	var wire []byte
 	plan, err := c.cl.BcastPlan(root, &wire)
 	p := collPlan{plan: plan, err: mapEngineErr(err)}
 	if c.rank == root {
-		p.refresh = c.packInto(&wire, buf, offset, count, d)
+		p.refresh = packInto(&wire, s)
 	} else {
-		p.fin = unpackInto(buf, offset, count, d)
+		p.fin = unpackInto(s)
 	}
 	return p
 }
@@ -275,7 +268,7 @@ func (c *Intracomm) Gather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
+	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
 }
 
 // Igather starts a nonblocking gather (MPI_Igather); root's recvbuf is
@@ -284,7 +277,7 @@ func (c *Intracomm) Igather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
+	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
 }
 
 // Gatherv collects varying-size contributions at root (MPI_Gatherv):
@@ -294,7 +287,7 @@ func (c *Intracomm) Gatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // Igatherv starts a nonblocking varying-size gather (MPI_Igatherv).
@@ -302,16 +295,16 @@ func (c *Intracomm) Igatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // planGather is the plan of Gather and Gatherv; the receive layout is
 // significant (and validated) at root only.
-func (c *Intracomm) planGather(sendbuf any, soffset, scount int, sdt *Datatype, recv blocks, root int) collPlan {
-	if err := c.collChecks(sdt, root); err != nil {
+func (c *Intracomm) planGather(send section, recv blocks, root int) collPlan {
+	if err := c.collChecks(send.d, root); err != nil {
 		return c.noColl(err)
 	}
-	if err := checkSection(sendbuf, soffset, scount, sdt); err != nil {
+	if _, err := send.check(); err != nil {
 		return c.noColl(err)
 	}
 	if c.rank == root {
@@ -321,7 +314,7 @@ func (c *Intracomm) planGather(sendbuf any, soffset, scount int, sdt *Datatype, 
 	}
 	var mine []byte
 	plan, err := c.cl.GatherPlan(root, &mine)
-	p := collPlan{plan: plan, err: mapEngineErr(err), refresh: c.packInto(&mine, sendbuf, soffset, scount, sdt)}
+	p := collPlan{plan: plan, err: mapEngineErr(err), refresh: packInto(&mine, send)}
 	if c.rank == root {
 		p.fin = recv.deposit
 	}
@@ -335,7 +328,7 @@ func (c *Intracomm) Scatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
+	return c.runColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -343,7 +336,7 @@ func (c *Intracomm) Iscatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(uniform(sendbuf, soffset, scount, sdt), recvbuf, roffset, rcount, rdt, root))
+	return c.startColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // Scatterv distributes varying-size sections from root (MPI_Scatterv).
@@ -351,7 +344,7 @@ func (c *Intracomm) Scatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
+	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // Iscatterv starts a nonblocking varying-size scatter (MPI_Iscatterv).
@@ -359,16 +352,16 @@ func (c *Intracomm) Iscatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), recvbuf, roffset, rcount, rdt, root))
+	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // planScatter is the plan of Scatter and Scatterv; the send layout is
 // significant (and validated) at root only.
-func (c *Intracomm) planScatter(send blocks, recvbuf any, roffset, rcount int, rdt *Datatype, root int) collPlan {
-	if err := c.collChecks(rdt, root); err != nil {
+func (c *Intracomm) planScatter(send blocks, recv section, root int) collPlan {
+	if err := c.collChecks(recv.d, root); err != nil {
 		return c.noColl(err)
 	}
-	if err := checkSection(recvbuf, roffset, rcount, rdt); err != nil {
+	if _, err := recv.check(); err != nil {
 		return c.noColl(err)
 	}
 	var parts [][]byte
@@ -378,10 +371,10 @@ func (c *Intracomm) planScatter(send blocks, recvbuf any, roffset, rcount int, r
 			return c.noColl(err)
 		}
 		parts = make([][]byte, c.Size())
-		refresh = c.packBlocks(&send, parts)
+		refresh = packBlocks(&send, parts)
 	}
 	plan, err := c.cl.ScatterPlan(root, &parts)
-	return collPlan{plan: plan, err: mapEngineErr(err), refresh: refresh, fin: unpackInto(recvbuf, roffset, rcount, rdt)}
+	return collPlan{plan: plan, err: mapEngineErr(err), refresh: refresh, fin: unpackInto(recv)}
 }
 
 // Allgather gathers equal-size contributions at every member
@@ -390,7 +383,7 @@ func (c *Intracomm) Allgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
+	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -398,7 +391,7 @@ func (c *Intracomm) Iallgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
+	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Allgatherv gathers varying-size contributions at every member
@@ -407,7 +400,7 @@ func (c *Intracomm) Allgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // Iallgatherv starts a nonblocking varying-size allgather
@@ -416,27 +409,23 @@ func (c *Intracomm) Iallgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(sendbuf, soffset, scount, sdt, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // planAllgather is the plan of Allgather and Allgatherv; the receive
 // layout is significant (and validated) on every member.
-func (c *Intracomm) planAllgather(sendbuf any, soffset, scount int, sdt *Datatype, recv blocks) collPlan {
-	if err := c.collChecks(sdt, 0); err != nil {
+func (c *Intracomm) planAllgather(send section, recv blocks) collPlan {
+	if err := c.collChecks(send.d, 0); err != nil {
 		return c.noColl(err)
 	}
-	if err := checkSection(sendbuf, soffset, scount, sdt); err != nil {
+	if _, err := send.check(); err != nil {
 		return c.noColl(err)
 	}
 	if err := c.checkBlocks("Allgatherv", &recv); err != nil {
 		return c.noColl(err)
 	}
 	var mine []byte
-	return collPlan{
-		plan:    c.cl.AllgatherPlan(&mine),
-		refresh: c.packInto(&mine, sendbuf, soffset, scount, sdt),
-		fin:     recv.deposit,
-	}
+	return collPlan{plan: c.cl.AllgatherPlan(&mine), refresh: packInto(&mine, send), fin: recv.deposit}
 }
 
 // Alltoall exchanges equal-size sections between all pairs
@@ -445,7 +434,7 @@ func (c *Intracomm) Alltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
+	return c.runColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -453,7 +442,7 @@ func (c *Intracomm) Ialltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAlltoall(uniform(sendbuf, soffset, scount, sdt), uniform(recvbuf, roffset, rcount, rdt)))
+	return c.startColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Alltoallv exchanges varying-size sections between all pairs
@@ -488,7 +477,7 @@ func (c *Intracomm) planAlltoall(send, recv blocks) collPlan {
 	}
 	parts := make([][]byte, c.Size())
 	plan, err := c.cl.AlltoallPlan(parts)
-	return collPlan{plan: plan, err: mapEngineErr(err), refresh: c.packBlocks(&send, parts), fin: recv.deposit}
+	return collPlan{plan: plan, err: mapEngineErr(err), refresh: packBlocks(&send, parts), fin: recv.deposit}
 }
 
 // Reduce folds count items with op, leaving the result at root
@@ -497,7 +486,7 @@ func (c *Intracomm) Reduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	return c.runColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
+	return c.runColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce); root's recvbuf
@@ -506,7 +495,7 @@ func (c *Intracomm) Ireduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*Request, error) {
-	return c.startColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
+	return c.startColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
 }
 
 // reduceChecks is collChecks for the reduction family: op must also be
@@ -518,18 +507,15 @@ func (c *Intracomm) reduceChecks(d *Datatype, op *Op, root int) error {
 	return checkOp(op, d)
 }
 
-func (c *Intracomm) planReduce(
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op, root int,
-) collPlan {
-	if err := c.reduceChecks(d, op, root); err != nil {
+func (c *Intracomm) planReduce(send, into section, op *Op, root int) collPlan {
+	if err := c.reduceChecks(send.d, op, root); err != nil {
 		return c.noColl(err)
 	}
-	a, err := c.newAccum(c.rank == root, sendbuf, soffset, recvbuf, roffset, count, count, d)
+	a, err := newAccum(c.rank == root, send, into)
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.ReducePlan(root, &a.b, op.op, d.t.Class()))
+	return a.plan(c.cl.ReducePlan(root, &a.b, op.op, send.d.t.Class()))
 }
 
 // Allreduce folds count items with op, leaving the result everywhere
@@ -538,7 +524,7 @@ func (c *Intracomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.runColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce); every
@@ -547,21 +533,19 @@ func (c *Intracomm) Iallreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.startColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
-func (c *Intracomm) planAllreduce(
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op,
-) collPlan {
-	if err := c.reduceChecks(d, op, 0); err != nil {
+func (c *Intracomm) planAllreduce(send, into section, op *Op) collPlan {
+	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
-	a, err := c.newAccum(true, sendbuf, soffset, recvbuf, roffset, count, count, d)
+	a, err := newAccum(true, send, into)
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.AllreducePlan(&a.b, a.sendView(&c.Comm), count, max(d.t.WireBytes(1), 0), op.op, d.t.Class()))
+	t := send.d.t
+	return a.plan(c.cl.AllreducePlan(&a.b, a.sendView(&c.Comm), send.count, max(t.WireBytes(1), 0), op.op, t.Class()))
 }
 
 // ReduceScatter folds with op and scatters segments of the result:
@@ -570,7 +554,7 @@ func (c *Intracomm) ReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
+	return c.runColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter
@@ -579,33 +563,33 @@ func (c *Intracomm) IreduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planReduceScatter(sendbuf, soffset, recvbuf, roffset, recvcounts, d, op))
+	return c.startColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
 }
 
-func (c *Intracomm) planReduceScatter(
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	recvcounts []int, d *Datatype, op *Op,
-) collPlan {
-	if err := c.reduceChecks(d, op, 0); err != nil {
+// planReduceScatter is the plan of ReduceScatter; the recvcounts set
+// both sections' counts: the whole vector is folded, this rank's
+// segment received.
+func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *Op) collPlan {
+	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
 	if len(recvcounts) != c.Size() {
 		return c.noColl(errf(ErrArg, "ReduceScatter needs %d recvcounts", c.Size()))
 	}
-	total := 0
 	elemCounts := make([]int, len(recvcounts))
 	for i, n := range recvcounts {
 		if n < 0 {
 			return c.noColl(errf(ErrCount, "negative recvcount %d", n))
 		}
-		total += n
-		elemCounts[i] = n * d.Size()
+		send.count += n
+		elemCounts[i] = n * send.d.Size()
 	}
-	a, err := c.newAccum(true, sendbuf, soffset, recvbuf, roffset, recvcounts[c.rank], total, d)
+	into.count = recvcounts[c.rank]
+	a, err := newAccum(true, send, into)
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.ReduceScatterPlan(&a.b, elemCounts, op.op, d.t.Class()))
+	return a.plan(c.cl.ReduceScatterPlan(&a.b, elemCounts, op.op, send.d.t.Class()))
 }
 
 // Scan computes the inclusive prefix reduction in rank order (MPI_Scan).
@@ -613,7 +597,7 @@ func (c *Intracomm) Scan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.runColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
@@ -621,7 +605,7 @@ func (c *Intracomm) Iscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.startColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Exscan computes the exclusive prefix reduction in rank order — one of
@@ -632,7 +616,7 @@ func (c *Intracomm) Exscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.runColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction
@@ -641,25 +625,21 @@ func (c *Intracomm) Iexscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.startColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // planScan is the plan of Scan and Exscan; exclusive selects the
 // variant. Rank 0's Exscan result is undefined: its receive buffer is
 // neither validated nor touched.
-func (c *Intracomm) planScan(
-	exclusive bool,
-	sendbuf any, soffset int, recvbuf any, roffset int,
-	count int, d *Datatype, op *Op,
-) collPlan {
-	if err := c.reduceChecks(d, op, 0); err != nil {
+func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op) collPlan {
+	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
-	a, err := c.newAccum(!exclusive || c.rank > 0, sendbuf, soffset, recvbuf, roffset, count, count, d)
+	a, err := newAccum(!exclusive || c.rank > 0, send, into)
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.ScanPlan(exclusive, &a.b, op.op, d.t.Class()))
+	return a.plan(c.cl.ScanPlan(exclusive, &a.b, op.op, send.d.t.Class()))
 }
 
 // Dup duplicates the communicator with fresh contexts (MPI_Comm_dup).

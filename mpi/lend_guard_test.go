@@ -5,13 +5,17 @@ import (
 
 	"gompi/internal/transport"
 	"gompi/mpi"
+	"gompi/mpi/typed"
 )
+
+// The tags of classicPingPong: its echo rank answers every message but
+// a tagStop one with a tagPing reply.
+const tagPing, tagStop = 5, 6
 
 // classicPingPong runs fn on rank 0 of a 2-rank chan job whose rank 1
 // echoes size-byte classic Send/Recv round trips until rank 0 is done.
 // fn gets the round trip as a closure.
 func classicPingPong(size int, fn func(env *mpi.Env, roundTrip func() error) error) error {
-	const tagPing, tagStop = 5, 6
 	return mpi.Run(2, func(env *mpi.Env) error {
 		w := env.CommWorld()
 		send, recv := make([]byte, size), make([]byte, size)
@@ -110,5 +114,53 @@ func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBindingRoundTripAllocs is the binding rung's allocation ceiling:
+// an 8-byte blocking round trip, through the classic API and through
+// mpi/typed, allocates no more than the six objects it did when the
+// ceiling was set — on each rank, the slice header boxed into a send's
+// and a receive's buf any, and the Status the receive returns. A change
+// that adds an allocation per message fails here.
+func TestBindingRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled frames at random")
+	}
+	const size, rounds, ceiling = 8, 200, 6
+	for _, form := range []string{"classic", "typed"} {
+		err := classicPingPong(size, func(env *mpi.Env, roundTrip func() error) error {
+			if form == "typed" {
+				w, send, recv := env.CommWorld(), make([]byte, size), make([]byte, size)
+				roundTrip = func() error {
+					if err := typed.Send(w, send, 1, tagPing); err != nil {
+						return err
+					}
+					_, err := typed.Recv(w, recv, 1, tagPing)
+					return err
+				}
+			}
+			for i := 0; i < 20; i++ { // warm pools and requests
+				if err := roundTrip(); err != nil {
+					return err
+				}
+			}
+			var rtErr error
+			allocs := testing.AllocsPerRun(rounds, func() {
+				if err := roundTrip(); err != nil {
+					rtErr = err
+				}
+			})
+			if rtErr != nil {
+				return rtErr
+			}
+			if allocs > ceiling {
+				t.Errorf("%s round trip allocates %.1f objects, ceiling %d", form, allocs, ceiling)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -35,7 +35,7 @@ func (c *Intracomm) BarrierInit() (*PersistentRequest, error) {
 // activation distributes root's buffer section, re-read at Start, into
 // every member's section at completion.
 func (c *Intracomm) BcastInit(buf any, offset, count int, d *Datatype, root int) (*PersistentRequest, error) {
-	return c.initColl(c.planBcast(buf, offset, count, d, root))
+	return c.initColl(c.planBcast(section{buf, offset, count, d}, root))
 }
 
 // GatherInit builds a persistent gather (MPI_Gather_init): each
@@ -45,7 +45,7 @@ func (c *Intracomm) GatherInit(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planGather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt), root))
+	return c.initColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
 }
 
 // AllgatherInit builds a persistent allgather (MPI_Allgather_init).
@@ -53,7 +53,7 @@ func (c *Intracomm) AllgatherInit(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planAllgather(sendbuf, soffset, scount, sdt, uniform(recvbuf, roffset, rcount, rdt)))
+	return c.initColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
@@ -63,7 +63,7 @@ func (c *Intracomm) ReduceInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planReduce(sendbuf, soffset, recvbuf, roffset, count, d, op, root))
+	return c.initColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
 }
 
 // AllreduceInit builds a persistent all-reduction (MPI_Allreduce_init):
@@ -73,7 +73,7 @@ func (c *Intracomm) AllreduceInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planAllreduce(sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.initColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // ScanInit builds a persistent inclusive prefix reduction
@@ -82,7 +82,7 @@ func (c *Intracomm) ScanInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planScan(false, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.initColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // ExscanInit builds a persistent exclusive prefix reduction
@@ -92,5 +92,5 @@ func (c *Intracomm) ExscanInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planScan(true, sendbuf, soffset, recvbuf, roffset, count, d, op))
+	return c.initColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }

@@ -37,11 +37,8 @@ type Request struct {
 
 	// Receive completion parameters.
 	isRecv bool
-	into   bool // receive-into: payload already in buf, no unpack
-	buf    any
-	offset int
-	count  int
-	dt     *Datatype
+	into   bool // receive-into: payload already in the section, no unpack
+	sec    section
 
 	// pre is the status of a pre-completed request (ProcNull ops,
 	// buffered sends) and a file collective's transfer status.
@@ -62,46 +59,35 @@ func preCompleted(st *Status) *Request {
 // derived from the deposited byte count (the engine already placed the
 // bytes); otherwise the wire payload is unpacked into the buffer
 // section here.
-func recvStatus(cst *core.Status, into bool, payload []byte, buf any, offset, count int, d *Datatype) (*Status, error) {
+func recvStatus(cst *core.Status, into bool, payload []byte, s section) (*Status, error) {
 	st := &Status{Source: cst.SourceGroup, Tag: cst.Tag, bytes: cst.Bytes, elements: -1}
+	if cst.Cancelled {
+		st.cancelled, st.Source, st.Tag = true, ProcNull, AnyTag
+		return st, nil
+	}
 	var err error
-	switch {
-	case cst.Cancelled:
-		st.cancelled = true
-		st.Source = ProcNull
-		st.Tag = AnyTag
-	case into:
+	if into {
 		// The engine already placed the bytes. Bytes carries the full
 		// incoming message size; the deposited element count is capped
 		// by the posted section. A payload that is not a whole number
-		// of elements is the wire-format error unpack reports below,
-		// and like there nothing was deposited.
-		es := d.t.Class().WireSize()
+		// of elements is the wire-format error unpack reports, and like
+		// there nothing was deposited.
+		es := s.d.t.Class().WireSize()
+		st.elements = min(cst.Bytes/es, s.count*s.d.t.Size())
 		if cst.Bytes%es != 0 {
 			st.elements = 0
 			err = errf(ErrIntern, "%v: %d bytes not a multiple of element size %d", dtype.ErrFormat, cst.Bytes, es)
-			st.Error = ClassOf(err)
-		} else {
-			st.elements = min(cst.Bytes/es, count*d.t.Size())
 		}
-		if err == nil && cst.Err != nil {
-			err = mapDataErr(cst.Err)
-			st.Error = ClassOf(err)
-		}
-	default:
-		n, uerr := dtype.Unpack(payload, buf, offset, count, d.t)
-		st.elements = n
-		if uerr != nil {
-			err = mapDataErr(uerr)
-			st.Error = ClassOf(err)
-		}
-		// A completion-time error (peer lost mid-operation) arrives
-		// with an empty payload — the unpack above deposited nothing —
-		// so surface the loss as the operation's error.
-		if err == nil && cst.Err != nil {
-			err = mapDataErr(cst.Err)
-			st.Error = ClassOf(err)
-		}
+	} else {
+		st.elements, err = s.unpack(payload)
+	}
+	// A completion-time error (peer lost mid-operation) arrives with
+	// nothing deposited, so surface the loss as the operation's error.
+	if err == nil {
+		err = mapDataErr(cst.Err)
+	}
+	if err != nil {
+		st.Error = ClassOf(err)
 	}
 	return st, err
 }
@@ -133,7 +119,7 @@ func (r *Request) finish() {
 			}
 			r.st = st
 		default:
-			r.st, r.err = recvStatus(&r.creq.Stat, r.into, r.creq.Payload, r.buf, r.offset, r.count, r.dt)
+			r.st, r.err = recvStatus(&r.creq.Stat, r.into, r.creq.Payload, r.sec)
 			r.creq.ReleaseFrame()
 		}
 	})
@@ -450,10 +436,7 @@ type PersistentRequest struct {
 	isRecv bool
 	mode   core.Mode
 	buffed bool // buffered mode
-	buf    any
-	offset int
-	count  int
-	dt     *Datatype
+	sec    section
 	rank   int // dest or source
 	tag    int
 
@@ -483,12 +466,13 @@ func (p *PersistentRequest) Start() error {
 	}
 	var req *Request
 	var err error
-	if p.isRecv {
-		req, err = p.comm.Irecv(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
-	} else if p.buffed {
-		req, err = p.comm.Ibsend(p.buf, p.offset, p.count, p.dt, p.rank, p.tag)
-	} else {
-		req, err = p.comm.isendMode(p.buf, p.offset, p.count, p.dt, p.rank, p.tag, p.mode)
+	switch {
+	case p.isRecv:
+		req, err = p.comm.irecv(p.sec, p.rank, p.tag)
+	case p.buffed:
+		req, err = p.comm.ibsend(p.sec, p.rank, p.tag)
+	default:
+		req, err = p.comm.isendMode(p.sec, p.rank, p.tag, p.mode)
 	}
 	if err != nil {
 		return err
@@ -545,12 +529,14 @@ func StartAll(ps []*PersistentRequest) error {
 // error classes: fault-tolerance outcomes (a dead peer, a revoked
 // communicator) get their own classes so callers can branch into the
 // ULFM recovery path; anything else on these paths is an internal
-// error.
+// error. A nil error returns before anything is allocated: every call
+// checks its result through here.
 func mapEngineErr(err error) error {
+	if err == nil {
+		return nil
+	}
 	var lost *transport.PeerLostError
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &lost):
 		return errf(ErrProcFailed, "%v", err)
 	case errors.Is(err, core.ErrCommRevoked):
@@ -561,12 +547,13 @@ func mapEngineErr(err error) error {
 }
 
 // mapDataErr converts datatype- and core-layer errors into MPI error
-// classes.
+// classes; like mapEngineErr it allocates nothing for a nil error.
 func mapDataErr(err error) error {
+	if err == nil {
+		return nil
+	}
 	var lost *transport.PeerLostError
 	switch {
-	case err == nil:
-		return nil
 	case errors.As(err, &lost):
 		return errf(ErrProcFailed, "%v", err)
 	case errors.Is(err, core.ErrCommRevoked):

@@ -6,10 +6,9 @@ import (
 	"gompi/mpi"
 )
 
-// Typed collectives, generic over the Comm interface: any communicator
-// exposing the classic collective surface works — *mpi.Intracomm today,
-// *mpi.Cartcomm/*mpi.Graphcomm through embedding, intercommunicators
-// once their collectives exist. Counts are taken from slice lengths, so
+// Typed collectives, generic over the Comm interface: every
+// intracommunicator kind works — *mpi.Intracomm, and *mpi.Cartcomm and
+// *mpi.Graphcomm through embedding. Counts are taken from slice lengths, so
 // the classic API's uniform-contribution rule becomes a length rule:
 // every member passes the same send length to Gather/Allgather, the
 // same recv length to Scatter, and the same count to the reductions.
@@ -28,20 +27,20 @@ import (
 // of every later completion call.
 
 // Barrier blocks until every member has entered it (MPI_Barrier).
-func Barrier(c Comm) error { return c.Barrier() }
+func Barrier(c Comm) error { return c.Intra().Barrier() }
 
 // Bcast broadcasts root's buffer to every member (MPI_Bcast). All
 // members pass a buffer of the same length.
 func Bcast[T any](c Comm, buf []T, root int) error {
 	raw, d := view(buf)
-	return c.Bcast(raw, 0, len(buf), d, root)
+	return c.Intra().Bcast(raw, 0, len(buf), d, root)
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast) and returns the
 // classic request; whichever call completes it fills buf.
 func Ibcast[T any](c Comm, buf []T, root int) (*mpi.Request, error) {
 	raw, d := view(buf)
-	return c.Ibcast(raw, 0, len(buf), d, root)
+	return c.Intra().Ibcast(raw, 0, len(buf), d, root)
 }
 
 // BcastOne broadcasts a single value from root, returning the value on
@@ -58,7 +57,7 @@ func BcastOne[T any](c Comm, v T, root int) (T, error) {
 func Gather[T any](c Comm, send, recv []T, root int) error {
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
+	return c.Intra().Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
 }
 
 // Igather starts a nonblocking gather (MPI_Igather) and returns the
@@ -66,7 +65,7 @@ func Gather[T any](c Comm, send, recv []T, root int) error {
 func Igather[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
+	return c.Intra().Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
 }
 
 // Gatherv collects varying-length contributions at root (MPI_Gatherv):
@@ -82,11 +81,11 @@ func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
 		var total int
 		displs, total = displsOf(counts)
 		if len(recv) != total {
-			c.SkipColl() // stay tag-aligned with members whose call proceeds
+			c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 			return fmt.Errorf("typed: Gatherv recv length %d, want sum(counts) = %d", len(recv), total)
 		}
 	}
-	return c.Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root)
+	return c.Intra().Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root)
 }
 
 // Allgather is Gather with the result delivered to every member
@@ -94,7 +93,7 @@ func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
 func Allgather[T any](c Comm, send, recv []T) error {
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
+	return c.Intra().Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather) and
@@ -102,7 +101,7 @@ func Allgather[T any](c Comm, send, recv []T) error {
 func Iallgather[T any](c Comm, send, recv []T) (*mpi.Request, error) {
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Iallgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
+	return c.Intra().Iallgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
 }
 
 // Allgatherv is Gatherv with the result delivered to every member
@@ -114,14 +113,14 @@ func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
 	rraw, rd := view(recv)
 	displs, total := displsOf(counts)
 	if len(recv) != total {
-		c.SkipColl() // stay tag-aligned with members whose call proceeds
+		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 		return fmt.Errorf("typed: Allgatherv recv length %d, want sum(counts) = %d", len(recv), total)
 	}
 	if r := c.Rank(); r < len(counts) && len(send) != counts[r] {
-		c.SkipColl()
+		c.Intra().SkipColl()
 		return fmt.Errorf("typed: Allgatherv send length %d, want counts[%d] = %d", len(send), r, counts[r])
 	}
-	return c.Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd)
+	return c.Intra().Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd)
 }
 
 // Scatter distributes root's send slice over the members (MPI_Scatter):
@@ -130,7 +129,7 @@ func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
 func Scatter[T any](c Comm, send, recv []T, root int) error {
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
+	return c.Intra().Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter) and returns the
@@ -138,7 +137,7 @@ func Scatter[T any](c Comm, send, recv []T, root int) error {
 func Iscatter[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Iscatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
+	return c.Intra().Iscatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
 }
 
 // Scatterv distributes varying-length blocks from root (MPI_Scatterv):
@@ -154,11 +153,11 @@ func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
 		var total int
 		displs, total = displsOf(counts)
 		if len(send) != total {
-			c.SkipColl() // stay tag-aligned with members whose call proceeds
+			c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 			return fmt.Errorf("typed: Scatterv send length %d, want sum(counts) = %d", len(send), total)
 		}
 	}
-	return c.Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root)
+	return c.Intra().Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root)
 }
 
 // Alltoall exchanges equal-size blocks between all pairs (MPI_Alltoall):
@@ -166,24 +165,24 @@ func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
 // send block j. len(send) and len(recv) must be multiples of Size().
 func Alltoall[T any](c Comm, send, recv []T) error {
 	if err := checkBlocks(c, len(send), len(recv)); err != nil {
-		c.SkipColl() // stay tag-aligned with members whose call proceeds
+		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 		return err
 	}
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
+	return c.Intra().Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall) and returns
 // the classic request; whichever call completes it fills recv.
 func Ialltoall[T any](c Comm, send, recv []T) (*mpi.Request, error) {
 	if err := checkBlocks(c, len(send), len(recv)); err != nil {
-		c.SkipColl() // stay tag-aligned with members whose call proceeds
+		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 		return nil, err
 	}
 	sraw, sd := view(send)
 	rraw, rd := view(recv)
-	return c.Ialltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
+	return c.Intra().Ialltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
 }
 
 // checkBlocks rejects alltoall buffers that do not divide evenly into
@@ -209,11 +208,11 @@ func Alltoallv[T any](c Comm, send []T, sendcounts []int, recv []T, recvcounts [
 	sdispls, stotal := displsOf(sendcounts)
 	rdispls, rtotal := displsOf(recvcounts)
 	if len(send) != stotal || len(recv) != rtotal {
-		c.SkipColl() // stay tag-aligned with members whose call proceeds
+		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 		return fmt.Errorf("typed: Alltoallv buffer lengths %d/%d, want sum(counts) = %d/%d",
 			len(send), len(recv), stotal, rtotal)
 	}
-	return c.Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd)
+	return c.Intra().Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd)
 }
 
 // displsOf derives back-to-back displacements from per-rank counts.
@@ -230,12 +229,12 @@ func displsOf(counts []int) ([]int, int) {
 // Reduce folds every member's send slice elementwise with op, leaving
 // the result in recv at root (MPI_Reduce). recv may be nil elsewhere.
 func Reduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) error {
-	return c.Reduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
+	return c.Intra().Reduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce).
 func Ireduce[T Primitive](c Comm, send, recv []T, op Op[T], root int) (*mpi.Request, error) {
-	return c.Ireduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
+	return c.Intra().Ireduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
 }
 
 // ReduceOne folds a single value with op; the reduced value is returned
@@ -249,14 +248,14 @@ func ReduceOne[T Primitive](c Comm, v T, op Op[T], root int) (T, error) {
 // Allreduce folds every member's send slice elementwise with op,
 // leaving the result in recv on every member (MPI_Allreduce).
 func Allreduce[T Primitive](c Comm, send, recv []T, op Op[T]) error {
-	return c.Allreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().Allreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce): the
 // canonical communication/computation overlap primitive — start it,
 // compute, then Wait (or WaitCtx) before reading recv.
 func Iallreduce[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.Request, error) {
-	return c.Iallreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().Iallreduce(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // AllreduceOne folds a single value with op and returns the reduced
@@ -270,23 +269,23 @@ func AllreduceOne[T Primitive](c Comm, v T, op Op[T]) (T, error) {
 // Scan computes the inclusive prefix reduction in rank order (MPI_Scan):
 // member r receives op over the contributions of ranks 0..r.
 func Scan[T Primitive](c Comm, send, recv []T, op Op[T]) error {
-	return c.Scan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().Scan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
 func Iscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.Request, error) {
-	return c.Iscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().Iscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // Exscan computes the exclusive prefix reduction in rank order
 // (MPI_Exscan): member r receives op over ranks 0..r-1; rank 0's recv
 // is untouched.
 func Exscan[T Primitive](c Comm, send, recv []T, op Op[T]) error {
-	return c.Exscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().Exscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction
 // (MPI_Iexscan).
 func Iexscan[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.Request, error) {
-	return c.Iexscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().Iexscan(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }

@@ -3,6 +3,8 @@ package typed_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -406,40 +408,85 @@ func TestTypedRawJoinsClassicSets(t *testing.T) {
 	}
 }
 
-// TestTypedCollectivesOnCartcomm: the typed collectives are generic over
-// the Comm interface — a Cartcomm (and any future collective-capable
-// communicator) plugs in without new entry points.
+// Every communicator kind satisfies the typed interface it can: Peer
+// through the Base accessor of *mpi.Comm, Comm through the Intra accessor
+// of *mpi.Intracomm, both promoted through embedding.
+var (
+	_ typed.Peer = (*mpi.Comm)(nil)
+	_ typed.Peer = (*mpi.Intercomm)(nil)
+	_ typed.Peer = (*mpi.Intracomm)(nil)
+	_ typed.Peer = (*mpi.Cartcomm)(nil)
+	_ typed.Peer = (*mpi.Graphcomm)(nil)
+	_ typed.Comm = (*mpi.Intracomm)(nil)
+	_ typed.Comm = (*mpi.Cartcomm)(nil)
+	_ typed.Comm = (*mpi.Graphcomm)(nil)
+)
+
+// TestTypedCollectivesOnCartcomm: the typed collectives and files are
+// generic over the Comm interface — a Cartcomm and a Graphcomm plug in
+// through the accessor they inherit, without new entry points.
 func TestTypedCollectivesOnCartcomm(t *testing.T) {
-	err := mpi.Run(4, func(env *mpi.Env) error {
-		w := env.CommWorld()
-		cart, err := w.CreateCart([]int{2, 2}, []bool{false, false}, false)
-		if err != nil {
-			return err
-		}
-		var c typed.Comm = cart // the interface assertion is the point
-		sum, err := typed.AllreduceOne(c, int64(c.Rank()+1), typed.Sum[int64]())
-		if err != nil {
-			return err
-		}
-		if sum != 10 {
-			t.Errorf("cart rank %d: allreduce %d, want 10", c.Rank(), sum)
-		}
-		if err := typed.Barrier(c); err != nil {
-			return err
-		}
-		all := make([]int32, c.Size())
-		if err := typed.Allgather(c, []int32{int32(c.Rank())}, all); err != nil {
-			return err
-		}
-		for r := range all {
-			if all[r] != int32(r) {
-				t.Errorf("cart rank %d: allgather slot %d = %d", c.Rank(), r, all[r])
+	kinds := []struct {
+		name string
+		make func(w *mpi.Intracomm) (typed.Comm, error)
+	}{
+		{"cart", func(w *mpi.Intracomm) (typed.Comm, error) {
+			return w.CreateCart([]int{2, 2}, []bool{false, false}, false)
+		}},
+		{"graph", func(w *mpi.Intracomm) (typed.Comm, error) { // a ring
+			return w.CreateGraph([]int{2, 4, 6, 8}, []int{1, 3, 0, 2, 1, 3, 0, 2}, false)
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), kind.name+".bin")
+			err := mpi.Run(4, func(env *mpi.Env) error {
+				c, err := kind.make(env.CommWorld())
+				if err != nil {
+					return err
+				}
+				sum, err := typed.AllreduceOne(c, int64(c.Rank()+1), typed.Sum[int64]())
+				if err != nil {
+					return err
+				}
+				if sum != 10 {
+					t.Errorf("%s rank %d: allreduce %d, want 10", kind.name, c.Rank(), sum)
+				}
+				if err := typed.Barrier(c); err != nil {
+					return err
+				}
+				all := make([]int32, c.Size())
+				if err := typed.Allgather(c, []int32{int32(c.Rank())}, all); err != nil {
+					return err
+				}
+				for r := range all {
+					if all[r] != int32(r) {
+						t.Errorf("%s rank %d: allgather slot %d = %d", kind.name, c.Rank(), r, all[r])
+					}
+				}
+				f, err := typed.OpenFile[int32](c, path, mpi.ModeCreate|mpi.ModeRdwr|mpi.ModeDeleteOnClose)
+				if err != nil {
+					return err
+				}
+				if _, err := f.WriteAllAt([]int32{int32(c.Rank())}, c.Rank()); err != nil {
+					return err
+				}
+				if err := typed.Barrier(c); err != nil {
+					return err
+				}
+				back := make([]int32, c.Size())
+				if _, err := f.ReadAllAt(back, 0); err != nil {
+					return err
+				}
+				if !reflect.DeepEqual(back, all) {
+					t.Errorf("%s rank %d: file holds %v, want %v", kind.name, c.Rank(), back, all)
+				}
+				return f.Close()
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

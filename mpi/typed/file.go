@@ -6,13 +6,6 @@ import (
 	"gompi/mpi"
 )
 
-// FileOpener is the communicator surface the typed file layer needs:
-// *mpi.Intracomm satisfies it, and *mpi.Cartcomm and *mpi.Graphcomm do
-// through embedding.
-type FileOpener interface {
-	OpenFile(path string, amode int) (*mpi.File, error)
-}
-
 // File is the generics face of mpi.File: the etype is inferred from
 // the element type T, buffers are slices carrying their own counts,
 // and offsets count T elements. T must be one of the seven native
@@ -31,13 +24,13 @@ type File[T any] struct {
 // etype inferred from T (MPI_File_open + MPI_File_set_view's etype in
 // one step). The view starts as the identity over T: element i of the
 // file is T element i.
-func OpenFile[T any](c FileOpener, path string, amode int) (*File[T], error) {
+func OpenFile[T any](c Comm, path string, amode int) (*File[T], error) {
 	var probe []T
 	_, d := view(probe)
 	if d == mpi.OBJECT {
 		return nil, fmt.Errorf("typed: element type %T has no fixed wire size; files need a native element type", probe)
 	}
-	f, err := c.OpenFile(path, amode)
+	f, err := c.Intra().OpenFile(path, amode)
 	if err != nil {
 		return nil, err
 	}

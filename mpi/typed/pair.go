@@ -73,14 +73,14 @@ func flattenPairs[T PairElem](ps []Pair[T]) []T {
 // MINLOC/MAXLOC op, leaving the result in recv at root (MPI_Reduce over
 // a pair datatype). recv may be nil elsewhere.
 func ReducePairs[T PairElem](c Comm, send, recv []Pair[T], op Op[Pair[T]], root int) error {
-	return c.Reduce(flattenPairs(send), 0, flattenPairs(recv), 0, len(send), pairType[T](), op.op, root)
+	return c.Intra().Reduce(flattenPairs(send), 0, flattenPairs(recv), 0, len(send), pairType[T](), op.op, root)
 }
 
 // AllreducePairs folds every member's pair slice elementwise with a
 // MINLOC/MAXLOC op, leaving the result in recv on every member
 // (MPI_Allreduce over a pair datatype).
 func AllreducePairs[T PairElem](c Comm, send, recv []Pair[T], op Op[Pair[T]]) error {
-	return c.Allreduce(flattenPairs(send), 0, flattenPairs(recv), 0, len(send), pairType[T](), op.op)
+	return c.Intra().Allreduce(flattenPairs(send), 0, flattenPairs(recv), 0, len(send), pairType[T](), op.op)
 }
 
 // AllreducePairOne reduces a single (value, index) pair with op and

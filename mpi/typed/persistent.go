@@ -26,7 +26,7 @@ import "gompi/mpi"
 // sends buf's contents as of that call.
 func SendInit[T any](c Peer, buf []T, dest, tag int) (*mpi.PersistentRequest, error) {
 	raw, d := view(buf)
-	return c.SendInit(raw, 0, len(buf), d, dest, tag)
+	return c.Base().SendInit(raw, 0, len(buf), d, dest, tag)
 }
 
 // RecvInit builds a persistent receive (MPI_Recv_init) bound to buf;
@@ -34,12 +34,12 @@ func SendInit[T any](c Peer, buf []T, dest, tag int) (*mpi.PersistentRequest, er
 // completes it.
 func RecvInit[T any](c Peer, buf []T, source, tag int) (*mpi.PersistentRequest, error) {
 	raw, d := view(buf)
-	return c.RecvInit(raw, 0, len(buf), d, source, tag)
+	return c.Base().RecvInit(raw, 0, len(buf), d, source, tag)
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init).
 func BarrierInit(c Comm) (*mpi.PersistentRequest, error) {
-	return c.BarrierInit()
+	return c.Intra().BarrierInit()
 }
 
 // BcastInit builds a persistent broadcast (MPI_Bcast_init) bound to
@@ -47,7 +47,7 @@ func BarrierInit(c Comm) (*mpi.PersistentRequest, error) {
 // other member's buf at completion.
 func BcastInit[T any](c Comm, buf []T, root int) (*mpi.PersistentRequest, error) {
 	raw, d := view(buf)
-	return c.BcastInit(raw, 0, len(buf), d, root)
+	return c.Intra().BcastInit(raw, 0, len(buf), d, root)
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
@@ -57,12 +57,12 @@ func BcastInit[T any](c Comm, buf []T, root int) (*mpi.PersistentRequest, error)
 // recv's memory, so a steady-state activation allocates only schedule
 // bookkeeping.
 func ReduceInit[T Primitive](c Comm, send, recv []T, op Op[T], root int) (*mpi.PersistentRequest, error) {
-	return c.ReduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
+	return c.Intra().ReduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op, root)
 }
 
 // AllreduceInit builds a persistent all-reduction
 // (MPI_Allreduce_init): the canonical persistent overlap primitive —
 // Init once, then per iteration Start, compute, Wait.
 func AllreduceInit[T Primitive](c Comm, send, recv []T, op Op[T]) (*mpi.PersistentRequest, error) {
-	return c.AllreduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
+	return c.Intra().AllreduceInit(send, 0, recv, 0, len(send), TypeOf[T](), op.op)
 }

@@ -44,84 +44,26 @@ import (
 	"gompi/mpi"
 )
 
-// Peer is the point-to-point surface of the classic API the typed layer
-// builds on, blocking, nonblocking and persistent. *mpi.Comm satisfies
-// it, and so do *mpi.Intracomm, *mpi.Intercomm, *mpi.Cartcomm and
-// *mpi.Graphcomm through embedding.
+// Peer is what the typed point-to-point calls need of a communicator:
+// its rank and size, and Base, the accessor *mpi.Comm provides and every
+// communicator kind inherits through embedding (*mpi.Intracomm,
+// *mpi.Intercomm, *mpi.Cartcomm, *mpi.Graphcomm). The calls go through
+// Base to the classic methods with a static call.
 type Peer interface {
 	Rank() int
 	Size() int
-	Send(buf any, offset, count int, d *mpi.Datatype, dest, tag int) error
-	Recv(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Status, error)
-	Isend(buf any, offset, count int, d *mpi.Datatype, dest, tag int) (*mpi.Request, error)
-	Irecv(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.Request, error)
-	SendInit(buf any, offset, count int, d *mpi.Datatype, dest, tag int) (*mpi.PersistentRequest, error)
-	RecvInit(buf any, offset, count int, d *mpi.Datatype, source, tag int) (*mpi.PersistentRequest, error)
+	Base() *mpi.Comm
 }
 
-// Comm is the communicator surface the typed collectives compile
-// against: the point-to-point Peer surface plus the classic collective
-// entry points, blocking, nonblocking and persistent. *mpi.Intracomm
-// satisfies it, and *mpi.Cartcomm and *mpi.Graphcomm do through
-// embedding; when intercommunicator collectives land, *mpi.Intercomm
-// will too, with no typed-signature break. Point-to-point-only
-// communicators keep working with the typed sends and receives, which
-// only require Peer.
+// Comm is what the typed collectives need: a Peer that is an
+// intracommunicator, reached through Intra, the accessor *mpi.Intracomm
+// provides and *mpi.Cartcomm and *mpi.Graphcomm inherit through
+// embedding. An *mpi.Intercomm is not an intracommunicator and does not
+// satisfy Comm; it works with the typed sends and receives, which only
+// require Peer.
 type Comm interface {
 	Peer
-	SkipColl()
-	Barrier() error
-	Ibarrier() (*mpi.Request, error)
-	BarrierInit() (*mpi.PersistentRequest, error)
-	Bcast(buf any, offset, count int, d *mpi.Datatype, root int) error
-	Ibcast(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.Request, error)
-	BcastInit(buf any, offset, count int, d *mpi.Datatype, root int) (*mpi.PersistentRequest, error)
-	Gather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
-	Igather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) (*mpi.Request, error)
-	Gatherv(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset int, recvcounts, displs []int, rdt *mpi.Datatype, root int) error
-	Scatter(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
-	Iscatter(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) (*mpi.Request, error)
-	Scatterv(sendbuf any, soffset int, sendcounts, displs []int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype, root int) error
-	Allgather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) error
-	Iallgather(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) (*mpi.Request, error)
-	Allgatherv(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset int, recvcounts, displs []int, rdt *mpi.Datatype) error
-	Alltoall(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) error
-	Ialltoall(sendbuf any, soffset, scount int, sdt *mpi.Datatype,
-		recvbuf any, roffset, rcount int, rdt *mpi.Datatype) (*mpi.Request, error)
-	Alltoallv(sendbuf any, soffset int, sendcounts, sdispls []int, sdt *mpi.Datatype,
-		recvbuf any, roffset int, recvcounts, rdispls []int, rdt *mpi.Datatype) error
-	Reduce(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op, root int) error
-	Ireduce(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op, root int) (*mpi.Request, error)
-	ReduceInit(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op, root int) (*mpi.PersistentRequest, error)
-	Allreduce(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) error
-	Iallreduce(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
-	AllreduceInit(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.PersistentRequest, error)
-	ReduceScatter(sendbuf any, soffset int, recvbuf any, roffset int,
-		recvcounts []int, d *mpi.Datatype, op *mpi.Op) error
-	Scan(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) error
-	Iscan(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
-	Exscan(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) error
-	Iexscan(sendbuf any, soffset int, recvbuf any, roffset int,
-		count int, d *mpi.Datatype, op *mpi.Op) (*mpi.Request, error)
+	Intra() *mpi.Intracomm
 }
 
 // datatypeOf maps a storage class to its predefined basic datatype,
@@ -193,7 +135,7 @@ func view[T any](buf []T) (raw any, d *mpi.Datatype) {
 // offset/count.
 func Send[T any](c Peer, buf []T, dest, tag int) error {
 	raw, d := view(buf)
-	return c.Send(raw, 0, len(buf), d, dest, tag)
+	return c.Base().Send(raw, 0, len(buf), d, dest, tag)
 }
 
 // Recv is the blocking receive into a whole slice (MPI_Recv). The
@@ -209,7 +151,7 @@ func Send[T any](c Peer, buf []T, dest, tag int) error {
 // elements before it are deposited.
 func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
 	raw, d := view(buf)
-	return c.Recv(raw, 0, len(buf), d, source, tag)
+	return c.Base().Recv(raw, 0, len(buf), d, source, tag)
 }
 
 // Isend starts a non-blocking standard-mode send (MPI_Isend) and
@@ -217,7 +159,7 @@ func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
 // the request completes.
 func Isend[T any](c Peer, buf []T, dest, tag int) (*mpi.Request, error) {
 	raw, d := view(buf)
-	return c.Isend(raw, 0, len(buf), d, dest, tag)
+	return c.Base().Isend(raw, 0, len(buf), d, dest, tag)
 }
 
 // Irecv starts a non-blocking receive (MPI_Irecv) and returns the
@@ -228,7 +170,7 @@ func Isend[T any](c Peer, buf []T, dest, tag int) (*mpi.Request, error) {
 // (ErrType class), and so does every later completion call.
 func Irecv[T any](c Peer, buf []T, source, tag int) (*mpi.Request, error) {
 	raw, d := view(buf)
-	return c.Irecv(raw, 0, len(buf), d, source, tag)
+	return c.Base().Irecv(raw, 0, len(buf), d, source, tag)
 }
 
 // SendOne sends a single value (a one-element message).

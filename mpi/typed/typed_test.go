@@ -156,6 +156,44 @@ func TestWildcards(t *testing.T) {
 	})
 }
 
+// TestTypedPointToPointOnIntercomm: an intercommunicator is a Peer, so
+// the typed sends and receives reach its remote group through the Base
+// accessor it inherits. Local rank r of each side exchanges with remote
+// rank r.
+func TestTypedPointToPointOnIntercomm(t *testing.T) {
+	run(t, 4, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		side := w.Rank() % 2
+		local, err := w.Split(side, w.Rank())
+		if err != nil {
+			return err
+		}
+		ic, err := local.CreateIntercomm(&w.Comm, 0, 1-side, 5)
+		if err != nil {
+			return err
+		}
+		var p typed.Peer = ic
+		out, in := []int64{int64(w.Rank()), int64(side)}, make([]int64, 2)
+		if side == 0 {
+			if err := typed.Send(p, out, p.Rank(), 1); err != nil {
+				return err
+			}
+		}
+		if _, err := typed.Recv(p, in, p.Rank(), 1); err != nil {
+			return err
+		}
+		if side == 1 {
+			if err := typed.Send(p, out, p.Rank(), 1); err != nil {
+				return err
+			}
+		}
+		if want := []int64{int64(2*p.Rank() + 1 - side), int64(1 - side)}; !reflect.DeepEqual(in, want) {
+			t.Errorf("world rank %d: received %v, want %v", w.Rank(), in, want)
+		}
+		return nil
+	})
+}
+
 type particle struct {
 	ID   int64
 	Pos  [3]float64

@@ -169,20 +169,18 @@ func (w *Win) serve() {
 		// the target's next Fence.
 		opErr = w.checkTarget(kind, disp, count, len(payload))
 		if opErr == nil {
+			sec := section{w.base, disp, count, w.dt}
 			switch kind {
 			case rmaPut:
 				w.winMu.Lock()
-				_, opErr = dtype.Unpack(payload, w.base, disp, count, w.dt.t)
+				_, opErr = sec.unpack(payload)
 				w.winMu.Unlock()
 			case rmaGet:
 				w.winMu.Lock()
-				reply, opErr = dtype.Pack(nil, w.base, disp, count, w.dt.t)
+				reply, opErr = sec.pack(nil)
 				w.winMu.Unlock()
 			case rmaAcc:
-				opErr = w.applyAcc(accOp, payload, disp, count)
-			}
-			if _, isMPI := opErr.(*Error); opErr != nil && !isMPI {
-				opErr = mapDataErr(opErr)
+				opErr = w.applyAcc(accOp, payload, sec)
 			}
 		}
 		if opErr != nil {
@@ -218,11 +216,11 @@ func (w *Win) checkTarget(kind byte, disp, count, payloadLen int) error {
 	return nil
 }
 
-func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
+func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 	w.winMu.Lock()
 	defer w.winMu.Unlock()
 	if code == accCodes[REPLACE] {
-		_, err := dtype.Unpack(payload, w.base, disp, count, w.dt.t)
+		_, err := sec.unpack(payload)
 		return err
 	}
 	op, ok := accOpOf(code)
@@ -236,7 +234,7 @@ func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
 	// The window section is both operand and destination: an
 	// accumulator over it (the section's own memory wherever that is
 	// its wire image), folded with the origin's contribution.
-	a, err := w.comm.newAccum(true, w.base, disp, w.base, disp, count, count, w.dt)
+	a, err := newAccum(true, sec, sec)
 	if err == nil {
 		err = a.load()
 	}
@@ -246,7 +244,7 @@ func (w *Win) applyAcc(code byte, payload []byte, disp, count int) error {
 	res, err := k(payload, a.b, a.b)
 	if err != nil {
 		a.release()
-		return err
+		return mapDataErr(err)
 	}
 	return a.fin(res)
 }
@@ -298,9 +296,9 @@ func (w *Win) issue(kind byte, target, disp, count int, accOp byte, payload []by
 // target rank's window at element displacement targetDisp (MPI_Put).
 // Completion is deferred to the next Fence.
 func (w *Win) Put(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	payload, err := dtype.Pack(nil, origin, offset, count, d.t)
+	payload, err := section{origin, offset, count, d}.pack(nil)
 	if err != nil {
-		return w.comm.raise(mapDataErr(err))
+		return w.comm.raise(err)
 	}
 	elems := count * d.Size()
 	return w.comm.raise(w.issue(rmaPut, target, targetDisp, elems, 0, payload, nil))
@@ -315,7 +313,7 @@ func (w *Win) Get(origin any, offset, count int, d *Datatype, target, targetDisp
 	}
 	elems := count * d.Size()
 	return w.comm.raise(w.issue(rmaGet, target, targetDisp, elems, 0, nil, func(reply []byte) error {
-		_, err := dtype.Unpack(reply, origin, offset, count, d.t)
+		_, err := section{origin, offset, count, d}.unpack(reply)
 		return err
 	}))
 }
@@ -333,9 +331,9 @@ func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, tar
 			return w.comm.raise(err)
 		}
 	}
-	payload, err := dtype.Pack(nil, origin, offset, count, d.t)
+	payload, err := section{origin, offset, count, d}.pack(nil)
 	if err != nil {
-		return w.comm.raise(mapDataErr(err))
+		return w.comm.raise(err)
 	}
 	elems := count * d.Size()
 	return w.comm.raise(w.issue(rmaAcc, target, targetDisp, elems, code, payload, nil))
