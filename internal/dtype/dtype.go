@@ -12,6 +12,7 @@ package dtype
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Class identifies the storage class of buffer elements: the concrete Go
@@ -71,8 +72,8 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", uint8(c))
 }
 
-// run is a maximal block of consecutive displacements, the unit of the
-// pack/unpack fast path.
+// run is a maximal block of consecutive displacements, the unit every
+// pack and unpack copies.
 type run struct {
 	off int // displacement of the first element of the run
 	n   int // number of consecutive elements
@@ -85,6 +86,8 @@ type Type struct {
 	class Class
 	disps []int // displacement of every basic element of one item
 	runs  []run // disps grouped into maximal consecutive runs
+	dmin  int   // smallest displacement in disps
+	dmax  int   // largest displacement in disps
 	lb    int   // lower bound, in elements
 	ub    int   // upper bound, in elements (extent = ub-lb)
 	name  string
@@ -93,8 +96,7 @@ type Type struct {
 	marker    uint8 // 0: ordinary; 1: LB marker; 2: UB marker
 	pair      bool  // MINLOC/MAXLOC (value,index) pair type
 	// contig marks a type whose items tile memory densely ([0,size)
-	// with extent == size): pack/unpack collapse count items into one
-	// bulk run instead of iterating per item.
+	// with extent == size): walk visits count items as one run.
 	contig bool
 }
 
@@ -260,19 +262,30 @@ func (t *Type) buildRuns() {
 		t.runs = append(t.runs, run{off: t.disps[i], n: j - i})
 		i = j
 	}
+	if len(t.disps) > 0 {
+		t.dmin, t.dmax = slices.Min(t.disps), slices.Max(t.disps)
+	}
 	t.contig = len(t.runs) == 1 && t.runs[0].off == 0 &&
 		t.lb == 0 && t.ub == len(t.disps)
 }
 
-// iterShape returns the (count, extent, runs) triple the pack/unpack
-// loops should walk: contiguous types collapse count items into a single
-// bulk run so basic-type transfers cost one copy, not one loop iteration
-// per element.
-func (t *Type) iterShape(count int) (int, int, []run) {
+// walk calls fn(lo, n) for every run of n consecutive elements, starting
+// at element lo of the buffer, that count items of t placed at element
+// offset cover, in typemap order. A contiguous type's items are one run.
+// walk is small enough for the compiler to inline, and with it each
+// caller's fn, so a run costs its copy and not a call through a func
+// value: check `go build -gcflags=-m` after changing it.
+func (t *Type) walk(offset, count int, fn func(lo, n int)) {
 	if t.contig && count > 0 {
-		return 1, 0, []run{{off: 0, n: count * len(t.disps)}}
+		fn(offset, count*len(t.disps))
+		return
 	}
-	return count, t.Extent(), t.runs
+	for ; count > 0; count-- {
+		for _, r := range t.runs {
+			fn(offset+r.off, r.n)
+		}
+		offset += t.ub - t.lb
+	}
 }
 
 // derive assembles a new derived type from a list of (itemDisp, old)

@@ -1,11 +1,10 @@
 package dtype
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"reflect"
+	"slices"
 )
 
 // ErrTruncate reports that an incoming message held more elements than the
@@ -82,7 +81,8 @@ func ClassOf(buf any) (Class, bool) {
 }
 
 // checkBounds verifies every element access offset+i*extent+d stays in
-// [0, bufLen).
+// [0, bufLen). It compares against offset rather than adding to it, and a
+// product or sum that wraps an int is out of bounds, not a small index.
 func (t *Type) checkBounds(bufLen, offset, count int) error {
 	if count < 0 || offset < 0 {
 		return ErrNegative
@@ -90,128 +90,73 @@ func (t *Type) checkBounds(bufLen, offset, count int) error {
 	if count == 0 || len(t.disps) == 0 {
 		return nil
 	}
-	minD, maxD := t.disps[0], t.disps[0]
-	for _, d := range t.disps {
-		if d < minD {
-			minD = d
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
 	ext := t.Extent()
-	lo := offset + minD
-	hi := offset + maxD
 	last := (count - 1) * ext
+	lo, hi := t.dmin, t.dmax
 	if last < 0 {
 		lo += last
 	} else {
 		hi += last
 	}
-	if lo < 0 || hi >= bufLen {
-		return fmt.Errorf("%w: accesses [%d,%d] of buffer len %d", ErrBounds, lo, hi, bufLen)
+	wrapped := (ext != 0 && last/ext != count-1) || lo > t.dmin || hi < t.dmax
+	if wrapped || lo < -offset || hi >= bufLen-offset {
+		return fmt.Errorf("%w: accesses [%d,%d] of buffer len %d", ErrBounds, offset+lo, offset+hi, bufLen)
 	}
 	return nil
 }
 
 // Pack appends to dst the wire encoding of count items of type t taken
 // from buf starting at element offset, and returns the extended slice.
-// On little-endian hosts a contiguous section of a fixed-size class
-// packs as a single memcpy.
+// Every fixed-size class copies one run of consecutive elements at a time
+// through the same walk, then a big-endian host swaps the copied bytes in
+// place: on a little-endian host a contiguous section packs as one memcpy
+// and a Vector column as one copy per block.
 func Pack(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
-	if !t.committed {
-		return dst, ErrUncommitted
-	}
 	buf, _ = NativeView(buf)
-	n, err := CheckBuf(buf, t)
-	if err != nil {
-		return dst, err
-	}
-	if err := t.checkBounds(n, offset, count); err != nil {
+	if _, err := CheckSection(buf, offset, count, t); err != nil {
 		return dst, err
 	}
 	if t.class == Obj {
 		return packObjects(dst, buf, offset, count, t)
 	}
-	if hostLE && t.contig {
-		if bv, ok := byteView(buf, offset, count*len(t.disps)); ok {
-			return append(dst, bv...), nil
-		}
-	}
-	items, ext, runs := t.iterShape(count)
-	if es := t.class.WireSize(); cap(dst)-len(dst) < count*len(t.disps)*es {
-		grown := make([]byte, len(dst), len(dst)+count*len(t.disps)*es)
-		copy(grown, dst)
-		dst = grown
-	}
+	at := len(dst)
+	dst = slices.Grow(dst, t.WireBytes(count))
 	switch s := buf.(type) {
 	case []byte:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				dst = append(dst, s[base+r.off:base+r.off+r.n]...)
-			}
-		}
+		dst = packFixed(dst, s, offset, count, t)
 	case []bool:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for _, v := range s[base+r.off : base+r.off+r.n] {
-					if v {
-						dst = append(dst, 1)
-					} else {
-						dst = append(dst, 0)
-					}
+		t.walk(offset, count, func(lo, n int) {
+			for _, v := range s[lo : lo+n] {
+				var b byte
+				if v {
+					b = 1
 				}
+				dst = append(dst, b)
 			}
-		}
+		})
 	case []int16:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for _, v := range s[base+r.off : base+r.off+r.n] {
-					dst = binary.LittleEndian.AppendUint16(dst, uint16(v))
-				}
-			}
-		}
+		dst = packFixed(dst, s, offset, count, t)
 	case []int32:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for _, v := range s[base+r.off : base+r.off+r.n] {
-					dst = binary.LittleEndian.AppendUint32(dst, uint32(v))
-				}
-			}
-		}
+		dst = packFixed(dst, s, offset, count, t)
 	case []int64:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for _, v := range s[base+r.off : base+r.off+r.n] {
-					dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-				}
-			}
-		}
+		dst = packFixed(dst, s, offset, count, t)
 	case []float32:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for _, v := range s[base+r.off : base+r.off+r.n] {
-					dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-				}
-			}
-		}
+		dst = packFixed(dst, s, offset, count, t)
 	case []float64:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for _, v := range s[base+r.off : base+r.off+r.n] {
-					dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-				}
-			}
-		}
+		dst = packFixed(dst, s, offset, count, t)
+	}
+	if !hostLE {
+		swapElems(dst[at:], t.class.WireSize())
 	}
 	return dst, nil
+}
+
+// packFixed appends the memory image of every run of the section.
+func packFixed[T Fixed](dst []byte, s []T, offset, count int, t *Type) []byte {
+	t.walk(offset, count, func(lo, n int) {
+		dst = append(dst, rawBytes(s[lo:lo+n])...)
+	})
+	return dst
 }
 
 // Unpack decodes data into count items of type t in buf starting at
@@ -219,15 +164,8 @@ func Pack(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
 // If data holds more elements than the buffer section accepts, the section
 // is filled and ErrTruncate is returned alongside the deposited count.
 func Unpack(data []byte, buf any, offset, count int, t *Type) (int, error) {
-	if !t.committed {
-		return 0, ErrUncommitted
-	}
 	buf, _ = NativeView(buf)
-	n, err := CheckBuf(buf, t)
-	if err != nil {
-		return 0, err
-	}
-	if err := t.checkBounds(n, offset, count); err != nil {
+	if _, err := CheckSection(buf, offset, count, t); err != nil {
 		return 0, err
 	}
 	if t.class == Obj {
@@ -237,140 +175,47 @@ func Unpack(data []byte, buf any, offset, count int, t *Type) (int, error) {
 	if len(data)%es != 0 {
 		return 0, fmt.Errorf("%w: %d bytes not a multiple of element size %d", ErrFormat, len(data), es)
 	}
-	avail := len(data) / es
-	capacity := count * len(t.disps)
-	todo := avail
-	if todo > capacity {
-		todo = capacity
-	}
-	if hostLE && t.contig {
-		// Contiguous fixed-size section: deposit as one memcpy.
-		if bv, ok := byteView(buf, offset, todo); ok {
-			copy(bv, data)
-			if avail > capacity {
-				return todo, ErrTruncate
-			}
-			return todo, nil
-		}
-	}
-	items, ext, runs := t.iterShape(count)
-	done := 0
-	pos := 0
-	// Hoist the buffer type switch out of the element loops; each class
-	// arm walks items × runs depositing up to todo elements.
+	avail, capacity := len(data)/es, count*len(t.disps)
 	switch s := buf.(type) {
 	case []byte:
-	byteLoop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				n := r.n
-				if done+n > todo {
-					n = todo - done
-				}
-				copy(s[base+r.off:base+r.off+n], data[pos:pos+n])
-				pos += n
-				done += n
-				if done == todo {
-					break byteLoop
-				}
-			}
-		}
+		unpackFixed(data, s, offset, count, t)
 	case []bool:
-	boolLoop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					if done == todo {
-						break boolLoop
-					}
-					s[base+r.off+k] = data[pos] != 0
-					pos++
-					done++
-				}
+		t.walk(offset, count, func(lo, n int) {
+			run := data[:min(n, len(data))]
+			for i, b := range run {
+				s[lo+i] = b != 0
 			}
-		}
+			data = data[len(run):]
+		})
 	case []int16:
-	i16Loop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					if done == todo {
-						break i16Loop
-					}
-					s[base+r.off+k] = int16(binary.LittleEndian.Uint16(data[pos:]))
-					pos += 2
-					done++
-				}
-			}
-		}
+		unpackFixed(data, s, offset, count, t)
 	case []int32:
-	i32Loop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					if done == todo {
-						break i32Loop
-					}
-					s[base+r.off+k] = int32(binary.LittleEndian.Uint32(data[pos:]))
-					pos += 4
-					done++
-				}
-			}
-		}
+		unpackFixed(data, s, offset, count, t)
 	case []int64:
-	i64Loop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					if done == todo {
-						break i64Loop
-					}
-					s[base+r.off+k] = int64(binary.LittleEndian.Uint64(data[pos:]))
-					pos += 8
-					done++
-				}
-			}
-		}
+		unpackFixed(data, s, offset, count, t)
 	case []float32:
-	f32Loop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					if done == todo {
-						break f32Loop
-					}
-					s[base+r.off+k] = math.Float32frombits(binary.LittleEndian.Uint32(data[pos:]))
-					pos += 4
-					done++
-				}
-			}
-		}
+		unpackFixed(data, s, offset, count, t)
 	case []float64:
-	f64Loop:
-		for i := 0; i < items; i++ {
-			base := offset + i*ext
-			for _, r := range runs {
-				for k := 0; k < r.n; k++ {
-					if done == todo {
-						break f64Loop
-					}
-					s[base+r.off+k] = math.Float64frombits(binary.LittleEndian.Uint64(data[pos:]))
-					pos += 8
-					done++
-				}
-			}
-		}
+		unpackFixed(data, s, offset, count, t)
 	}
 	if avail > capacity {
-		return done, ErrTruncate
+		return capacity, ErrTruncate
 	}
-	return done, nil
+	return avail, nil
+}
+
+// unpackFixed deposits data run by run until either runs out: each run
+// takes its memory image's worth of bytes, swapped in place on a
+// big-endian host.
+func unpackFixed[T Fixed](data []byte, s []T, offset, count int, t *Type) {
+	t.walk(offset, count, func(lo, n int) {
+		raw := rawBytes(s[lo : lo+n])
+		got := copy(raw, data)
+		data = data[got:]
+		if !hostLE {
+			swapElems(raw[:got], len(raw)/n)
+		}
+	})
 }
 
 // Elements returns how many basic elements of class c a payload of

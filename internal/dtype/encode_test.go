@@ -1,9 +1,14 @@
 package dtype
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -31,35 +36,106 @@ func TestPackUnpackContiguous(t *testing.T) {
 	}
 }
 
+// classValues gives every fixed-size class a value per buffer index,
+// with multi-byte, negative and fractional values where the class has
+// them.
+var classValues = []struct {
+	c   Class
+	val func(i int) any
+}{
+	{U8, func(i int) any { return byte(7*i + 1) }},
+	{Bool, func(i int) any { return i%3 != 1 }},
+	{I16, func(i int) any { return int16(-300*i + 7) }},
+	{I32, func(i int) any { return int32(-70001*i + 3) }},
+	{I64, func(i int) any { return int64(i)<<40 - 5 }},
+	{F32, func(i int) any { return float32(i)*-1.5 + 0.25 }},
+	{F64, func(i int) any { return float64(i)*1e100 - 2e-100 }},
+}
+
+// TestPackAllClasses pins the wire bytes of every fixed-size class in
+// every shape against an oracle that encodes element by element with
+// encoding/binary, and what every kind of delivery deposits. The second
+// pass flips hostLE, so this host runs the byte-swapping path: Pack must
+// reverse every element's bytes and Unpack must undo that.
 func TestPackAllClasses(t *testing.T) {
-	cases := []struct {
-		buf  any
-		c    Class
-		wire int
-	}{
-		{[]byte{1, 2, 3}, U8, 3},
-		{[]bool{true, false, true}, Bool, 3},
-		{[]int16{-1, 2, -3}, I16, 6},
-		{[]int32{1 << 20, -5, 7}, I32, 12},
-		{[]int64{1 << 40, -9, 11}, I64, 24},
-		{[]float32{1.5, -2.5, 3.25}, F32, 12},
-		{[]float64{1e100, -2e-100, 0}, F64, 24},
-	}
-	for _, tc := range cases {
-		ty := Basic(tc.c, tc.c.String())
-		wire, err := Pack(nil, tc.buf, 0, 3, ty)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.c, err)
+	packAllClasses(t, false)
+	t.Run("swapped", func(t *testing.T) {
+		saved := hostLE
+		hostLE = !saved
+		t.Cleanup(func() { hostLE = saved })
+		packAllClasses(t, true)
+	})
+}
+
+func packAllClasses(t *testing.T, swapped bool) {
+	const bufLen = 20
+	for _, cv := range classValues {
+		b := BasicType(cv.c)
+		vec, _ := Vector(4, 1, 3, b)                         // runs of 1
+		idx, _ := Indexed([]int{2, 1, 3}, []int{0, 3, 6}, b) // runs of 2, 1, 3
+		vec.Commit()
+		idx.Commit()
+		src := MakeDense(cv.c, bufLen)
+		for i := 0; i < bufLen; i++ {
+			reflect.ValueOf(src).Index(i).Set(reflect.ValueOf(cv.val(i)))
 		}
-		if len(wire) != tc.wire {
-			t.Fatalf("%s: wire %d bytes, want %d", tc.c, len(wire), tc.wire)
-		}
-		dst := MakeDense(tc.c, 3)
-		if _, err := Unpack(wire, dst, 0, 3, ty); err != nil {
-			t.Fatalf("%s: %v", tc.c, err)
-		}
-		if !reflect.DeepEqual(dst, tc.buf) {
-			t.Fatalf("%s: roundtrip %v != %v", tc.c, dst, tc.buf)
+		for _, sh := range []struct {
+			name          string
+			ty            *Type
+			offset, count int
+		}{
+			{"contiguous", b, 1, 5},
+			{"vector", vec, 2, 1},
+			{"indexed", idx, 1, 2},
+		} {
+			name := fmt.Sprintf("%s %s swapped=%v", cv.c, sh.name, swapped)
+			// sel is the buffer index of every element of the section, in
+			// wire order, straight from the typemap.
+			var sel []int
+			for i := 0; i < sh.count; i++ {
+				for _, d := range sh.ty.disps {
+					sel = append(sel, sh.offset+i*sh.ty.Extent()+d)
+				}
+			}
+			es := cv.c.WireSize()
+			var want []byte
+			for _, i := range sel {
+				var e bytes.Buffer
+				if err := binary.Write(&e, binary.LittleEndian, reflect.ValueOf(src).Index(i).Interface()); err != nil {
+					t.Fatal(err)
+				}
+				if swapped {
+					slices.Reverse(e.Bytes())
+				}
+				want = append(want, e.Bytes()...)
+			}
+			wire, err := Pack(nil, src, sh.offset, sh.count, sh.ty)
+			if err != nil || !bytes.Equal(wire, want) {
+				t.Fatalf("%s: Pack = %x, %v; want %x", name, wire, err, want)
+			}
+			for _, dl := range []struct {
+				name    string
+				data    []byte
+				wantN   int
+				wantErr error
+			}{
+				{"exact", wire, len(sel), nil},
+				// One element short: the section's last run is cut
+				// mid-way unless it is a single element.
+				{"short", wire[:len(wire)-es], len(sel) - 1, nil},
+				// One element past the section: the message's run is cut
+				// where the section ends and the rest is dropped.
+				{"truncated", append(wire[:len(wire):len(wire)], wire[:es]...), len(sel), ErrTruncate},
+			} {
+				dst, exp := MakeDense(cv.c, bufLen), MakeDense(cv.c, bufLen)
+				for _, i := range sel[:dl.wantN] {
+					reflect.ValueOf(exp).Index(i).Set(reflect.ValueOf(src).Index(i))
+				}
+				n, err := Unpack(dl.data, dst, sh.offset, sh.count, sh.ty)
+				if n != dl.wantN || !errors.Is(err, dl.wantErr) || !reflect.DeepEqual(dst, exp) {
+					t.Errorf("%s %s: Unpack = %d, %v, %v; want %d, %v, %v", name, dl.name, n, err, dst, dl.wantN, dl.wantErr, exp)
+				}
+			}
 		}
 	}
 }
@@ -243,5 +319,73 @@ func TestCheckSection(t *testing.T) {
 	}
 	if _, err := CheckSection(make([]int32, 1), 0, 0, v); err != nil {
 		t.Fatalf("count 0: %v", err)
+	}
+}
+
+// TestBoundsOverflow: a section whose last item lies beyond what an int
+// can index is out of bounds, not a wrapped small index. The UB marker
+// makes the extent math.MaxInt/2+1, so (count-1)*extent wraps to 0 for
+// count 5 on 64-bit and 32-bit hosts alike.
+func TestBoundsOverflow(t *testing.T) {
+	huge, err := Struct([]int{1, 1}, []int{0, math.MaxInt/2 + 1}, []*Type{Basic(I32, "INT"), Marker(false, "UB")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge.Commit()
+	buf := make([]int32, 4)
+	if _, err := CheckSection(buf, 0, 5, huge); !errors.Is(err, ErrBounds) {
+		t.Errorf("CheckSection: got %v, want ErrBounds", err)
+	}
+	if _, err := Pack(nil, buf, 0, 5, huge); !errors.Is(err, ErrBounds) {
+		t.Errorf("Pack: got %v, want ErrBounds", err)
+	}
+	if _, err := Unpack(make([]byte, 20), buf, 0, 5, huge); !errors.Is(err, ErrBounds) {
+		t.Errorf("Unpack: got %v, want ErrBounds", err)
+	}
+}
+
+// BenchmarkPackUnpack prices the per-run copy on the shapes the
+// benchmark workloads cross: one contiguous DOUBLE (the 8-byte
+// ping-pong), a 256-row DOUBLE grid column (the halo exchange's Vector,
+// 256 runs of one element) both ways, and a 64 KiB contiguous unpack.
+// Pack appends to a buffer with room, so it allocates nothing.
+func BenchmarkPackUnpack(b *testing.B) {
+	column, err := Vector(256, 1, 258, BasicType(F64))
+	if err != nil {
+		b.Fatal(err)
+	}
+	column.Commit()
+	grid := make([]float64, 256*258)
+	for _, bc := range []struct {
+		name  string
+		pack  bool
+		buf   any // boxed once, so the loop measures Pack/Unpack alone
+		count int
+		t     *Type
+	}{
+		{"pack/contig-8B", true, make([]float64, 1), 1, BasicType(F64)},
+		{"pack/column-256", true, grid, 1, column},
+		{"unpack/column-256", false, grid, 1, column},
+		{"unpack/contig-64KiB", false, make([]float64, 8192), 8192, BasicType(F64)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			wire, err := Pack(nil, bc.buf, 0, bc.count, bc.t)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(wire)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if bc.pack {
+					_, err = Pack(wire[:0], bc.buf, 0, bc.count, bc.t)
+				} else {
+					_, err = Unpack(wire, bc.buf, 0, bc.count, bc.t)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -56,21 +56,18 @@ func DecodeObject(data []byte) (any, error) {
 // may be any slice.
 func packObjects(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
 	v := reflect.ValueOf(buf)
-	total := count * len(t.disps)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(total))
-	ext := t.Extent()
-	for i := 0; i < count; i++ {
-		base := offset + i*ext
-		for _, d := range t.disps {
-			blob, err := EncodeObject(v.Index(base + d).Interface())
-			if err != nil {
-				return dst, err
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(count*len(t.disps)))
+	var err error
+	t.walk(offset, count, func(lo, n int) {
+		for i := lo; i < lo+n && err == nil; i++ {
+			var blob []byte
+			if blob, err = EncodeObject(v.Index(i).Interface()); err == nil {
+				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
+				dst = append(dst, blob...)
 			}
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
-			dst = append(dst, blob...)
 		}
-	}
-	return dst, nil
+	})
+	return dst, err
 }
 
 // objectCount reads the object count header of an Obj payload. The
@@ -88,6 +85,20 @@ func objectCount(data []byte) (int, error) {
 	return int(n), nil
 }
 
+// nextObject splits the length-prefixed object at the front of data from
+// what follows it. The length word is compared unsigned: as an int it may
+// wrap negative on a 32-bit host.
+func nextObject(data []byte) (obj, rest []byte, err error) {
+	if len(data) < 4 {
+		return nil, nil, ErrFormat
+	}
+	n := binary.LittleEndian.Uint32(data)
+	if uint64(len(data)-4) < uint64(n) {
+		return nil, nil, ErrFormat
+	}
+	return data[4 : 4+int(n)], data[4+int(n):], nil
+}
+
 // ObjectsLen returns the byte length of the Obj payload at the front of
 // data — its count word and every length-prefixed object — so that a
 // caller holding several packed sections back to back can step past
@@ -97,19 +108,13 @@ func ObjectsLen(data []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	at := 4
+	rest := data[4:]
 	for ; n > 0; n-- {
-		if len(data)-at < 4 {
-			return 0, ErrFormat
+		if _, rest, err = nextObject(rest); err != nil {
+			return 0, err
 		}
-		l := binary.LittleEndian.Uint32(data[at:])
-		at += 4
-		if uint64(len(data)-at) < uint64(l) { // compared unsigned, as in unpackObjects
-			return 0, ErrFormat
-		}
-		at += int(l)
 	}
-	return at, nil
+	return len(data) - len(rest), nil
 }
 
 // EncodeObjects serializes a whole object slice to an Obj payload.
@@ -140,42 +145,25 @@ func unpackObjects(data []byte, buf any, offset, count int, t *Type) (int, error
 	}
 	data = data[4:]
 	capacity := count * len(t.disps)
-	todo := avail
-	if todo > capacity {
-		todo = capacity
-	}
-	ext := t.Extent()
-	done := 0
-objLoop:
-	for i := 0; i < count; i++ {
-		base := offset + i*ext
-		for _, d := range t.disps {
-			if done == todo {
-				break objLoop
+	todo, done := min(avail, capacity), 0
+	t.walk(offset, count, func(lo, n int) {
+		for i := lo; i < lo+n && done < todo && err == nil; i++ {
+			var blob []byte
+			var x any
+			if blob, data, err = nextObject(data); err != nil {
+				return
 			}
-			if len(data) < 4 {
-				return done, ErrFormat
+			if x, err = DecodeObject(blob); err == nil {
+				if err = setObject(buf, i, x); err == nil {
+					done++
+				}
 			}
-			n := binary.LittleEndian.Uint32(data)
-			data = data[4:]
-			if uint64(len(data)) < uint64(n) { // compared unsigned: int(n) may wrap on 32-bit hosts
-				return done, ErrFormat
-			}
-			x, err := DecodeObject(data[:n])
-			if err != nil {
-				return done, err
-			}
-			data = data[n:]
-			if err := setObject(buf, base+d, x); err != nil {
-				return done, err
-			}
-			done++
 		}
+	})
+	if err == nil && avail > capacity {
+		err = ErrTruncate
 	}
-	if avail > capacity {
-		return done, ErrTruncate
-	}
-	return done, nil
+	return done, err
 }
 
 // setObject stores decoded element x at buf[i]: as is when it is

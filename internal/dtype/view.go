@@ -15,11 +15,12 @@ import (
 //     every architecture — and it keeps named primitives on their
 //     class's wire format instead of falling into OBJECT/gob.
 //
-//   - byteView reinterprets a native element slice as raw bytes. The
-//     wire format is little-endian, so on little-endian hosts packing a
-//     contiguous section degenerates to one memcpy (and unpacking to
-//     the inverse). Gated on hostLE; big-endian hosts keep the portable
-//     per-element encode loop.
+//   - rawBytes reinterprets a native element slice as raw bytes. The
+//     wire format is little-endian, so Pack and Unpack copy each run of
+//     a section as its memory image, through the same walk on every
+//     host; a big-endian host then swaps the copied bytes in place. On a
+//     little-endian host a contiguous section is therefore one memcpy,
+//     and ByteViewRange lends that image out without copying at all.
 
 // hostLE reports whether the host stores integers little-endian, i.e.
 // whether in-memory representation equals the wire encoding.
@@ -118,45 +119,36 @@ func viewAs[E any](buf any) any {
 	return unsafe.Slice((*E)(v.UnsafePointer()), v.Cap())[:n]
 }
 
-// byteView returns the raw bytes of the native slice section
-// s[off:off+n] for a fixed-wire-size element class. ok is false for
-// class Obj, for bool (whose wire encoding is normative 0/1 and must
-// not trust foreign memory), and for buffer types the type switch does
-// not know. Caller guarantees off/n are in bounds and the host is
-// little-endian.
-func byteView(buf any, off, n int) ([]byte, bool) {
-	if n == 0 {
-		return nil, true
-	}
-	switch s := buf.(type) {
-	case []byte:
-		return s[off : off+n], true
-	case []int16:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[off])), n*2), true
-	case []int32:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[off])), n*4), true
-	case []int64:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[off])), n*8), true
-	case []float32:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[off])), n*4), true
-	case []float64:
-		return unsafe.Slice((*byte)(unsafe.Pointer(&s[off])), n*8), true
-	}
-	return nil, false
-}
-
 // ByteViewRange exposes the raw little-endian bytes of a contiguous
 // section of a native (or named-primitive) element slice: the window
 // [off, off+n) in elements. It returns ok == false when the fast path
-// does not apply (big-endian host, Obj or bool class, or a non-native
-// buffer type) — callers must then use Pack/Unpack. The returned slice
-// aliases buf's storage.
+// does not apply (big-endian host, Obj or bool class — bool's wire byte
+// is a normative 0/1 that foreign memory must not be trusted for — or a
+// non-native buffer type); callers must then use Pack/Unpack. The
+// returned slice aliases buf's storage. Caller guarantees off/n are in
+// bounds.
 func ByteViewRange(buf any, off, n int) ([]byte, bool) {
 	if !hostLE {
 		return nil, false
 	}
-	nv, _ := NativeView(buf)
-	return byteView(nv, off, n)
+	if n == 0 {
+		return nil, true
+	}
+	switch s, _ := NativeView(buf); s := s.(type) {
+	case []byte:
+		return s[off : off+n], true
+	case []int16:
+		return rawBytes(s[off : off+n]), true
+	case []int32:
+		return rawBytes(s[off : off+n]), true
+	case []int64:
+		return rawBytes(s[off : off+n]), true
+	case []float32:
+		return rawBytes(s[off : off+n]), true
+	case []float64:
+		return rawBytes(s[off : off+n]), true
+	}
+	return nil, false
 }
 
 // Fixed is the set of element types whose wire encoding is their
@@ -167,7 +159,7 @@ type Fixed interface {
 	byte | int16 | int32 | int64 | float32 | float64
 }
 
-// WireView is byteView's inverse: it reinterprets wire bytes as a []T
+// WireView is ByteViewRange's inverse: it reinterprets wire bytes as a []T
 // sharing their storage. ok is false when the fast path does not apply
 // — a big-endian host, or a window not aligned for T (a payload behind
 // a frame header, a block inside a bundle) — and callers must stage

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
@@ -123,17 +124,21 @@ func TestDisabledRecorderIsFree(t *testing.T) {
 	}
 }
 
-func TestDumpRoundTrip(t *testing.T) {
+// sampleDump is rank 3's dump of one rendezvous span and one instant.
+func sampleDump(tb testing.TB) []byte {
 	r := NewRecorder(3, 1024)
 	r.Begin(EvSendRndv, 7, 1<<20)
 	r.End(EvSendRndv, 7, 0)
 	r.Instant(EvPeerLost, 2, 0)
-
 	var buf bytes.Buffer
 	if err := r.Dump(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	tf, err := ReadTrace(&buf)
+	return buf.Bytes()
+}
+
+func TestDumpRoundTrip(t *testing.T) {
+	tf, err := ReadTrace(bytes.NewReader(sampleDump(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,6 +161,32 @@ func TestDumpRoundTrip(t *testing.T) {
 			t.Fatal("timestamps went backwards within one rank")
 		}
 	}
+}
+
+// FuzzReadTrace: a trace file is bytes from disk that mpirun merges.
+// Parsing any input must return, never panic, and never allocate for
+// events the input does not hold; a stream cut short of what its header
+// promises is an error.
+func FuzzReadTrace(f *testing.F) {
+	f.Add(sampleDump(f))
+	// A valid header claiming 2^32-1 events and holding none.
+	hdr := append([]byte(traceMagic), make([]byte, 32)...)
+	binary.LittleEndian.PutUint32(hdr[32:], 0xFFFFFFFF)
+	binary.LittleEndian.PutUint32(hdr[36:], eventWireSize)
+	f.Add(hdr)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tf, err := ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		need := len(hdr) + eventWireSize*len(tf.Events)
+		if len(data) < need {
+			t.Fatalf("parsed %d events from %d bytes", len(tf.Events), len(data))
+		}
+		if _, err := ReadTrace(bytes.NewReader(data[:need-1])); err == nil {
+			t.Fatalf("a stream cut to %d of %d bytes parsed", need-1, need)
+		}
+	})
 }
 
 func TestChromeMergeAndSummary(t *testing.T) {

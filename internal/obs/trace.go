@@ -323,8 +323,9 @@ func ReadTrace(rd io.Reader) (*TraceFile, error) {
 	if es := binary.LittleEndian.Uint32(hdr[36:]); es != eventWireSize {
 		return nil, fmt.Errorf("obs: unsupported event size %d", es)
 	}
+	// stored comes from the file: the slice grows as events are actually
+	// read, so a corrupt count cannot ask for a huge block up front.
 	buf := make([]byte, eventWireSize)
-	tf.Events = make([]Event, 0, stored)
 	for i := uint32(0); i < stored; i++ {
 		if _, err := io.ReadFull(rd, buf); err != nil {
 			return nil, fmt.Errorf("obs: trace event %d: %w", i, err)
