@@ -32,7 +32,8 @@ var ErrCommRevoked = errors.New("core: communicator revoked")
 
 // ErrWithdrawn is the completion error of a receive that matched a
 // rendezvous send whose sender gave it up — cancelled it, or had it
-// failed by a revocation — before the grant arrived: the match stands
+// failed by a revocation — before the grant arrived, or before the
+// receiver could claim the payload its RTS carried: the match stands
 // (matching order is already committed), but no payload will follow.
 var ErrWithdrawn = errors.New("core: matched send was withdrawn by its sender")
 
@@ -71,9 +72,10 @@ func (c Config) eagerLimit() int {
 }
 
 // inMsg is an arrived, not-yet-matched message (the unexpected queue
-// entry): either a complete eager message or an RTS advertisement. The
-// entry owns the transport frame backing payload until a receive matches
-// it and takes the frame over.
+// entry): either a complete eager message or an RTS advertisement, which
+// carries its payload if it is an offer. The entry owns the transport
+// frame backing payload — an offer's loan, not its header — until a
+// receive matches it and takes the frame over.
 type inMsg struct {
 	kind    byte
 	env     envelope
@@ -87,7 +89,8 @@ type inMsg struct {
 // the engine lock is released (sending under the lock can deadlock with
 // the peer's flow control: a full inbox blocks the sender until the
 // peer's engine drains it, which may need this lock). hdr is pool-born;
-// payload (rendezvous DATA only) is shipped by reference, and a non-nil
+// payload (rendezvous DATA only: an offer's rides its RTS, which the
+// sending user goroutine ships) is shipped by reference, and a non-nil
 // loan marks it as the sending caller's own memory.
 type outFrame struct {
 	dst     int32
@@ -115,7 +118,9 @@ type Proc struct {
 	// frames may name one. posted and pending are all that
 	// failWhereLocked and Cancel can reach: an operation in neither (a
 	// lent send after its CTS, a receive handed to a read loop) has one
-	// completion left, and it is not theirs.
+	// completion left, and it is not theirs. An offer stays in pending
+	// until its loan returns, but once its receiver has taken it, it
+	// completes outside the tables: every sweep spares it.
 	pending  map[uint64]*Request
 	peerDown map[int]error // world rank -> loss report, once per peer
 	// groups maps a registered context to its group-rank→world-rank
@@ -316,8 +321,8 @@ type lateComplete struct {
 // receive (posted = true, in post order) and every pending operation
 // hit selects completes with err. Peer loss, endpoint death and
 // revocation are each a predicate over it; whatever it cannot reach is
-// in neither table, by the rule on Proc.pending. Probe waiters are woken
-// to re-read the state that made the sweep.
+// in neither table, or is a taken offer, by the rule on Proc.pending.
+// Probe waiters are woken to re-read the state that made the sweep.
 func (p *Proc) failWhereLocked(err error, hit func(r *Request, posted bool) bool) {
 	kept := p.posted[:0]
 	for _, r := range p.posted {
@@ -341,8 +346,14 @@ func (p *Proc) failWhereLocked(err error, hit func(r *Request, posted bool) bool
 // which it adds what the request alone knows: a send's size, or the
 // source and tag of the message a granted receive matched. A rendezvous
 // payload that never shipped goes back to the pool if it came from there
-// (a lent one is simply the caller's again).
-func (p *Proc) dropPendingLocked(r *Request, st Status) {
+// (a lent one is simply the caller's again). An offer still out is
+// withdrawn here, by the compare-and-swap its receiver's claim races;
+// one already taken is left where it is, and false reported.
+func (p *Proc) dropPendingLocked(r *Request, st Status) bool {
+	if r.kind == reqSend && !atomic.CompareAndSwapInt32(r.offer(), offerOut, offerWithdrawn) &&
+		atomic.LoadInt32(r.offer()) == offerTaken {
+		return false
+	}
 	delete(p.pending, r.id)
 	if r.kind == reqSend {
 		if r.data != nil && r.recycle {
@@ -354,6 +365,7 @@ func (p *Proc) dropPendingLocked(r *Request, st Status) {
 		st.SourceGroup, st.Tag = r.Stat.SourceGroup, r.Stat.Tag
 	}
 	p.completeLocked(r, nil, st)
+	return true
 }
 
 // failPeer records that world rank pl.Peer is gone and completes, with
@@ -481,9 +493,19 @@ func (p *Proc) PeerDown(w int) bool {
 // revocation must not poison the repair protocol itself.
 func (p *Proc) Revoke(base int32) {
 	p.mu.Lock()
-	outs, _ := p.revokeLocked(base)
+	outs, purged := p.revokeLocked(base)
 	p.mu.Unlock()
+	release(purged)
 	p.sendAsync(outs)
+}
+
+// release releases frames taken out of the engine's tables, once the
+// engine lock is dropped: a lent one returns its loan, which takes the
+// lender's lock.
+func release(frames []transport.Frame) {
+	for i := range frames {
+		frames[i].Release()
+	}
 }
 
 // ContextRevoked reports whether the context pair at base has been
@@ -557,11 +579,12 @@ func (p *Proc) doneSend() {
 
 // revokeLocked records the revocation of (base, base+1), fails every
 // pinned non-recovery operation, drops queued unexpected messages for
-// the pair, and returns the flood of notices to transmit. fresh is
-// false (and no frames are produced) when the pair was already revoked.
-func (p *Proc) revokeLocked(base int32) (outs []outFrame, fresh bool) {
+// the pair, and returns the flood of notices to transmit and the dropped
+// messages' frames, for the caller to release once the lock is dropped.
+// Both are empty when the pair was already revoked.
+func (p *Proc) revokeLocked(base int32) (outs []outFrame, purged []transport.Frame) {
 	if p.revoked[base] != nil {
-		return nil, false
+		return nil, nil
 	}
 	if p.revoked == nil {
 		p.revoked = make(map[int32]error)
@@ -578,7 +601,7 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, fresh bool) {
 	kept := p.arrived[:0]
 	for _, m := range p.arrived {
 		if barred(m.env.ctx, m.env.tag) {
-			m.frame.Release()
+			purged = append(purged, m.frame)
 			continue
 		}
 		kept = append(kept, m)
@@ -603,29 +626,31 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, fresh bool) {
 		}
 		outs = append(outs, outFrame{dst: int32(w), hdr: buildRevoke(int32(me), base)})
 	}
-	return outs, true
+	return outs, purged
 }
 
 // handle runs the matching engine on one frame. It owns f.frame: the
 // frame is transferred to the matching request or the unexpected queue,
-// or released here — after the engine lock is dropped, because
-// releasing a lent rendezvous payload completes its sender's request
+// or released here — like the frames a revocation purges from that
+// queue, after the engine lock is dropped, because releasing a lent
+// payload (a DATA frame's, or an offer's) completes its sender's request
 // under the *sender's* engine lock, and two ranks delivering to each
 // other (or one rank sending to itself) must never nest those locks.
 // It returns frames to transmit and requests to complete once those
 // frames are sent.
 func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
 	p.mu.Lock()
-	outs, after = p.handleLocked(&f)
+	outs, after, purged := p.handleLocked(&f)
 	p.mu.Unlock()
 	f.frame.Release()
+	release(purged)
 	return outs, after
 }
 
 // handleLocked is handle under the engine lock. Where ownership of
-// f.frame moves on it is cleared; whatever is left in it the caller
-// releases.
-func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
+// f.frame moves on it is cleared; whatever is left in it, and purged,
+// the caller releases.
+func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete, purged []transport.Frame) {
 	switch f.kind {
 	case kEager, kEagerSync, kRts:
 		if f.kind == kRts {
@@ -634,18 +659,20 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 		req := p.takeMatchLocked(f.env)
 		if req == nil {
 			m := &inMsg{kind: f.kind, env: f.env, id: f.id, size: f.size, payload: f.payload}
-			if f.kind != kRts {
-				// The entry owns the frame its payload lives in. An RTS is
-				// all header and everything of it is in m already: its
-				// frame goes back to the pool now, not at a teardown that
-				// never empties arrived.
-				m.frame, f.frame = f.frame, transport.Frame{}
+			if f.kind == kRts {
+				// An RTS header is all in m already: it goes back to the
+				// pool now, not at a teardown that never empties arrived.
+				// An offer's loan stays, with the payload it lends.
+				f.frame.ReleaseHeader()
+			} else {
 				p.rec.Instant(obs.EvRecvUnexpected, uint32(f.env.srcGroup), int64(len(f.payload)))
 			}
+			// The entry owns the frame its payload lives in.
+			m.frame, f.frame = f.frame, transport.Frame{}
 			p.arrived = append(p.arrived, m)
 			p.unexpDepth.Set(int64(len(p.arrived)))
 			p.cond.Broadcast()
-			return nil, nil
+			return nil, nil, nil
 		}
 		p.stats.RecvsMatched.Add(1)
 		if f.kind != kRts {
@@ -656,11 +683,12 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 		}
 	case kCts:
 		req := p.pending[f.id]
-		if req == nil || req.kind != reqSend {
+		if req == nil || req.kind != reqSend || atomic.LoadInt32(req.offer()) != offerNone {
 			// The send left the table after its RTS went out (cancelled,
-			// revoked). The receiver has matched it and can no longer
-			// cancel: tell it that no DATA will come, or it waits for ever.
-			return []outFrame{{dst: f.env.srcWorld, hdr: buildWithdrawn(int32(p.Rank()), f.recvID)}}, nil
+			// revoked), or its RTS carried the payload and wants no grant.
+			// The receiver has matched it and can no longer cancel: tell
+			// it that no DATA will come, or it waits for ever.
+			return []outFrame{{dst: f.env.srcWorld, hdr: buildWithdrawn(int32(p.Rank()), f.recvID)}}, nil, nil
 		}
 		delete(p.pending, f.id)
 		p.rec.Instant(obs.EvCtsRecv, uint32(f.id), 0)
@@ -703,12 +731,9 @@ func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete) {
 		// First receipt poisons the pair and re-floods the notice: the
 		// flood is what makes revocation reliable when the revoker dies
 		// mid-broadcast (every member that hears it tells everyone).
-		revokeOuts, fresh := p.revokeLocked(f.env.ctx)
-		if fresh {
-			outs = append(outs, revokeOuts...)
-		}
+		outs, purged = p.revokeLocked(f.env.ctx)
 	}
-	return outs, after
+	return outs, after, purged
 }
 
 // deliverLocked completes a receive request with an arrived payload,
@@ -811,11 +836,13 @@ func (l *landing) Landed(err error) {
 // CTS goes to, so that only that rank's DATA or withdrawal answers it and
 // only that rank's loss fails it — unless its sender is already known to
 // be lost: the match stands, but the advertised payload died with it and
-// a grant would wait for DATA that never comes. The message is taken by
-// its fields so that a matched arrival never builds an inMsg; frame is
-// cleared if the receive took it over. reply, when not nil, is the ACK
-// or CTS owed to env.srcWorld, to be sent once the engine lock is
-// dropped.
+// a grant would wait for DATA that never comes. An offer needs no grant:
+// its payload is delivered here once claimed, and one its sender
+// withdrew first fails the receive as a withdrawal answering the grant
+// would. The message is taken by its fields so that a matched arrival
+// never builds an inMsg; frame is cleared if the receive took it over.
+// reply, when not nil, is the ACK or CTS owed to env.srcWorld, to be
+// sent once the engine lock is dropped.
 func (p *Proc) meetLocked(req *Request, kind byte, env envelope, id uint64, size int, payload []byte, frame *transport.Frame) (reply []byte) {
 	st := Status{SourceGroup: int(env.srcGroup), Tag: int(env.tag)}
 	if kind != kRts {
@@ -829,6 +856,15 @@ func (p *Proc) meetLocked(req *Request, kind byte, env envelope, id uint64, size
 	p.stats.BytesRecv.Add(uint64(size))
 	if st.Err = p.peerDown[int(env.srcWorld)]; st.Err != nil {
 		p.completeLocked(req, nil, st)
+		return nil
+	}
+	if l, ok := frame.Loan().(*lentSend); ok {
+		if l.take() {
+			p.deliverLocked(req, payload, frame, st)
+		} else {
+			st.Err = ErrWithdrawn
+			p.completeLocked(req, nil, st)
+		}
 		return nil
 	}
 	p.nextID++
@@ -903,9 +939,11 @@ func (p *Proc) Isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 // own rule for a send buffer. A lent send always takes the rendezvous
 // protocol, whatever its size: an eager frame may sit in the receiver's
 // unexpected queue long after the send completed, which a loan cannot
-// allow. Until the receiver grants the rendezvous the payload has gone
-// nowhere, so cancellation, peer loss and revocation complete the
-// request as they do any other; afterwards only the loan's return does.
+// allow. To a peer reached by reference the RTS is the loan (an offer):
+// one frame, no grant, no DATA. Until the receiver grants the rendezvous
+// — or claims the offer — nobody reads the payload, so cancellation,
+// peer loss and revocation complete the request as they do any other;
+// afterwards only the loan's return does.
 func (p *Proc) IsendLent(ctx int32, srcGroup int, dstWorld int, tag int, payload []byte, mode Mode) (*Request, error) {
 	return p.isend(ctx, srcGroup, dstWorld, tag, payload, mode, false, true)
 }
@@ -925,6 +963,7 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	eager := int(p.eagerLim.Load())
 	small := !lent && eager >= 0 && len(payload) <= eager
 	std := small && mode != ModeSync
+	offer := lent && p.ByReference(dstWorld)
 
 	p.mu.Lock()
 	// What bars the send: the local endpoint is dead (fault-injected or
@@ -951,6 +990,9 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 		req.id = p.nextID
 		if !small {
 			req.data, req.recycle, req.lent = payload, recycle, lent
+		}
+		if offer {
+			*req.offer() = offerOut
 		}
 		p.pending[req.id] = req
 	}
@@ -983,10 +1025,16 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 			p.stats.BytesLent.Add(uint64(len(payload)))
 		}
 		// The rendezvous span opens at the RTS and closes when the CTS
-		// grant arrives (both on this, the sender's, timeline): its
-		// width is the receiver-matching stall the eager path avoids.
+		// grant arrives, or an offer's loan comes home (both on this,
+		// the sender's, timeline): its width is the receiver-matching
+		// stall the eager path avoids.
 		p.rec.Begin(obs.EvSendRndv, uint32(req.id), int64(len(payload)))
-		err = p.dev.Sendv(dstWorld, buildRts(env, req.id, len(payload)), nil, false)
+		rts := buildRts(env, req.id, len(payload))
+		if offer {
+			err = p.dev.SendvLent(dstWorld, rts, payload, (*lentSend)(req))
+		} else {
+			err = p.dev.Sendv(dstWorld, rts, nil, false)
+		}
 	}
 	if err != nil {
 		// The device refused the frame the peer's answer depends on, so
@@ -1164,8 +1212,8 @@ func statusOf(m *inMsg) Status {
 }
 
 // Cancel attempts to cancel a request. Receives cancel if still posted;
-// sends cancel if the rendezvous has not been granted. Returns true if
-// the cancellation took effect.
+// sends cancel if the rendezvous has not been granted, or the offer not
+// taken. Returns true if the cancellation took effect.
 func (p *Proc) Cancel(r *Request) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -1173,11 +1221,10 @@ func (p *Proc) Cancel(r *Request) bool {
 		return false
 	}
 	if r.kind == reqSend {
-		if p.pending[r.id] != r {
+		if p.pending[r.id] != r || !p.dropPendingLocked(r, Status{Cancelled: true}) {
 			return false
 		}
 		p.stats.Cancelled.Add(1)
-		p.dropPendingLocked(r, Status{Cancelled: true})
 		return true
 	}
 	for i, q := range p.posted {

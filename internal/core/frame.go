@@ -43,10 +43,11 @@ type envelope struct {
 
 // frame header layout after the kind byte. Headers are built into pooled
 // buffers and shipped with Sendv, so the payload is never copied into a
-// contiguous frame on the send side:
+// contiguous frame on the send side. An offer's RTS carries its payload,
+// lent and by reference, so only ever scatter-gather:
 //
 //	kEager/kEagerSync: env(16) id(8) | payload
-//	kRts:              env(16) id(8) size(4)
+//	kRts:              env(16) id(8) size(4) [| payload]
 //	kCts:              srcWorld(4) id(8) recvID(8)
 //	kData:             srcWorld(4) recvID(8) | payload
 //	kAck:              srcWorld(4) id(8)
@@ -201,6 +202,7 @@ func parseFrame(f transport.Frame) (parsed, error) {
 		p.env = getEnv(body)
 		p.id = binary.LittleEndian.Uint64(body[envLen:])
 		p.size = int(binary.LittleEndian.Uint32(body[envLen+8:]))
+		p.payload = f.Payload
 	case kCts:
 		if len(body) < 20 {
 			return p, fmt.Errorf("core: short cts frame (%d bytes)", len(hdr))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,7 +22,8 @@ func pattern(n int, seed byte) []byte {
 // TestLentSendSingleCopy is the tentpole end to end on bare engines: a
 // lent send met by a receive-into moves the bytes once, sender memory
 // to receiver memory, with no payload-sized pool traffic, and the send
-// completes by the loan's return.
+// completes by the loan's return. By reference the RTS carries the
+// loan, so the whole rendezvous is one frame.
 func TestLentSendSingleCopy(t *testing.T) {
 	p0, p1 := newPair(t, Config{})
 	const size = 256 << 10
@@ -30,6 +32,7 @@ func TestLentSendSingleCopy(t *testing.T) {
 	rreq := p1.IrecvInto(0, 0, 9, dst, 1)
 	pool := transport.PoolStats()
 	before := p1.StatsSnapshot()
+	framesBefore := p0.StatsSnapshot().Devices[0].FramesSent + before.Devices[0].FramesSent
 	sreq, err := p0.IsendLent(0, 0, 1, 9, src, ModeStandard)
 	if err != nil {
 		t.Fatal(err)
@@ -48,9 +51,12 @@ func TestLentSendSingleCopy(t *testing.T) {
 	if s0.SendsLent != 1 || s0.BytesLent != size || s0.SendsRndv != 1 {
 		t.Fatalf("sends_lent=%d bytes_lent=%d sends_rndv=%d", s0.SendsLent, s0.BytesLent, s0.SendsRndv)
 	}
-	// RTS, CTS and DATA headers: three small buffers, nothing else.
-	if gets := transport.PoolStats().Gets - pool.Gets; gets != 3 {
-		t.Fatalf("pool gets for one lent rendezvous = %d, want 3 headers", gets)
+	// The RTS header: one small buffer, nothing else.
+	if gets := transport.PoolStats().Gets - pool.Gets; gets != 1 {
+		t.Fatalf("pool gets for one lent rendezvous = %d, want 1 header", gets)
+	}
+	if frames := s0.Devices[0].FramesSent + p1.StatsSnapshot().Devices[0].FramesSent - framesBefore; frames != 1 {
+		t.Fatalf("%d frames for one lent rendezvous by reference, want 1", frames)
 	}
 }
 
@@ -170,9 +176,9 @@ func TestLentSendsCrossing(t *testing.T) {
 	wg.Wait()
 }
 
-// TestLentSendBeforeGrant: until the receiver grants the rendezvous the
-// payload has gone nowhere, so cancellation, revocation and peer loss
-// complete a lent send like any other.
+// TestLentSendBeforeGrant: until the receiver grants the rendezvous, or
+// claims the offer, nobody reads the payload, so cancellation,
+// revocation and peer loss complete a lent send like any other.
 func TestLentSendBeforeGrant(t *testing.T) {
 	src := pattern(4096, 1)
 	t.Run("cancel", func(t *testing.T) {
@@ -320,6 +326,43 @@ func TestBorrowingReceiveReadsTheLentFrameInPlace(t *testing.T) {
 		t.Fatalf("ordinary receive of a lent send: %+v", st)
 	}
 	rreq.Recycle()
+}
+
+// TestOfferClaimRacesWithdrawal: a receiver claiming a queued offer and
+// its sender cancelling it race for the one way out. Whoever wins, the
+// two ends agree — the send cancelled and the receive withdrawn, or the
+// send complete and the payload deposited — and the loan comes home.
+func TestOfferClaimRacesWithdrawal(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	src, dst := pattern(96<<10, 5), make([]byte, 96<<10)
+	var cancels int
+	for i := 0; i < 200; i++ {
+		sreq, err := p0.IsendLent(0, 0, 1, i, src, ModeStandard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eventually(t, "the offer queued unexpected", func() bool { return p1.PendingUnexpected() == 1 })
+		clear(dst)
+		cancelled := make(chan bool)
+		go func() { cancelled <- p0.Cancel(sreq) }()
+		rreq := p1.IrecvInto(0, 0, int32(i), dst, 1)
+		c := <-cancelled
+		rst, sst := waitStatus(t, rreq), waitStatus(t, sreq)
+		if c {
+			cancels++
+			if !sst.Cancelled || !errors.Is(rst.Err, ErrWithdrawn) {
+				t.Fatalf("round %d: cancel won, yet send %+v, receive %+v", i, sst, rst)
+			}
+		} else if sst.Cancelled || sst.Err != nil || rst.Err != nil || !bytes.Equal(dst, src) {
+			t.Fatalf("round %d: the claim won, yet send %+v, receive %+v, intact=%v", i, sst, rst, bytes.Equal(dst, src))
+		}
+		if s := atomic.LoadInt32(sreq.offer()); s != offerBack && s != offerTaken {
+			t.Fatalf("round %d: offer state %d after both ends completed", i, s)
+		}
+		sreq.Recycle()
+		rreq.Recycle()
+	}
+	t.Logf("cancel won %d of 200 races", cancels)
 }
 
 // TestWithdrawnSendFailsItsMatchedReceive: a rendezvous send cancelled

@@ -22,7 +22,8 @@ import (
 // came first), revocation and peer loss fail what can no longer complete.
 // A message meets its receive in post or in arrive, and either way the
 // same things follow: a synchronous one owes its sender one ACK, an
-// advertised one whose sender is known lost fails the receive it matched.
+// advertised one whose sender is known lost fails the receive it matched,
+// and so does one its sender withdrew (cancelled while unmatched).
 // The engine is driven beside it and must agree on which receive every
 // message completes, on every Status and on the ACKs sent. Whoever
 // restructures posted and arrived, or the place the two meet, has this
@@ -46,13 +47,15 @@ type refMsg struct {
 	size int
 	rts  bool // advertised only: the payload is still at its sender
 	sync bool // eager, and its sender waits for the ACK of the match
+	// withdrawn: advertised, and cancelled by its sender while unmatched
+	withdrawn bool
 }
 
 // refDone is one receive's completion: by msg, or failed with why.
 type refDone struct {
 	recv refRecv
 	msg  *refMsg
-	why  error // nil, ErrCommRevoked, errRefLost or errRefCancelled
+	why  error // nil, ErrCommRevoked, ErrWithdrawn, errRefLost or errRefCancelled
 }
 
 var (
@@ -72,6 +75,9 @@ type refMatcher struct {
 func (m *refMatcher) meet(r refRecv, g refMsg) *refDone {
 	if g.rts && m.lost[g.src] {
 		return &refDone{recv: r, msg: &g, why: errRefLost} // matched; the payload died with its sender
+	}
+	if g.withdrawn {
+		return &refDone{recv: r, msg: &g, why: ErrWithdrawn} // matched; no payload will follow
 	}
 	if g.sync {
 		m.acks++
@@ -126,6 +132,11 @@ func (m *refMatcher) cancel(id int) *refDone {
 	r := m.posted[i]
 	m.posted = slices.Delete(m.posted, i, i+1)
 	return &refDone{recv: r, why: errRefCancelled}
+}
+
+// withdraw marks the queued advertisement msg as cancelled by its sender.
+func (m *refMatcher) withdraw(msg int) {
+	m.arrived[slices.IndexFunc(m.arrived, func(g refMsg) bool { return g.id == msg })].withdrawn = true
 }
 
 // sweep fails, in post order, the posted receives gone reports gone.
@@ -207,7 +218,7 @@ type oracleRun struct {
 	closed [3]bool // a lost rank that is also gone; one merely reported lost still has frames in flight
 	ref    refMatcher
 	recvs  []oracleRecv
-	syncs  map[int]*Request // by message id: the synchronous sends
+	sends  map[int]*Request // by message id
 	nmsg   int
 	log    []string
 }
@@ -253,6 +264,11 @@ func (o *oracleRun) settled(d refDone) {
 		if !errors.As(st.Err, &pl) {
 			o.fail("receive #%d: error %v, want the peer's loss", d.recv.id, st.Err)
 		}
+	case ErrWithdrawn:
+		want.Bytes = 0
+		if !errors.Is(st.Err, ErrWithdrawn) {
+			o.fail("receive #%d: error %v, want withdrawn", d.recv.id, st.Err)
+		}
 	case ErrCommRevoked:
 		if !errors.Is(st.Err, ErrCommRevoked) {
 			o.fail("receive #%d: error %v, want revoked", d.recv.id, st.Err)
@@ -275,7 +291,7 @@ func (o *oracleRun) settled(d refDone) {
 	}
 	r.req.ReleaseFrame()
 	if d.why == nil && d.msg.sync && !o.closed[d.msg.src] { // a sender that closed has failed its own sends
-		sreq := o.syncs[d.msg.id]
+		sreq := o.sends[d.msg.id]
 		o.eventually(fmt.Sprintf("the synchronous send of #%d completing on its ACK", d.msg.id), func() bool { _, ok := sreq.Test(); return ok })
 		if sreq.Stat != (Status{Bytes: d.msg.size}) {
 			o.fail("synchronous send of #%d: status %+v", d.msg.id, sreq.Stat)
@@ -326,11 +342,11 @@ func (o *oracleRun) step(op [4]byte) {
 		var err error
 		switch {
 		case g.rts && flag:
-			_, err = o.procs[src].IsendLent(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard)
+			o.sends[g.id], err = o.procs[src].IsendLent(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard)
 		case g.sync:
-			o.syncs[g.id], err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeSync, false)
+			o.sends[g.id], err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeSync, false)
 		default:
-			_, err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard, false)
+			o.sends[g.id], err = o.procs[src].Isend(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard, false)
 		}
 		if err != nil {
 			o.fail("send of #%d: %v", g.id, err)
@@ -342,8 +358,8 @@ func (o *oracleRun) step(op [4]byte) {
 				return p0.PendingUnexpected() == len(o.ref.arrived)
 			})
 			if g.sync {
-				if _, done := o.syncs[g.id].Test(); done {
-					o.fail("synchronous send of #%d completed (%+v) with nobody receiving it", g.id, o.syncs[g.id].Stat)
+				if _, done := o.sends[g.id].Test(); done {
+					o.fail("synchronous send of #%d completed (%+v) with nobody receiving it", g.id, o.sends[g.id].Stat)
 				}
 			}
 		}
@@ -355,6 +371,26 @@ func (o *oracleRun) step(op [4]byte) {
 		if ok != (g != nil) || ok && st != (Status{SourceGroup: int(g.src), Tag: int(g.tag), Bytes: g.size}) {
 			o.fail("Iprobe = %+v, %v; the reference sees %+v", st, ok, g)
 		}
+	case kind == 13 && flag: // cancel a send whose advertisement waits unmatched at rank 0
+		var queued []refMsg
+		for _, g := range o.ref.arrived {
+			if g.rts && !g.withdrawn && !o.closed[g.src] { // a sender that closed has failed its own sends
+				queued = append(queued, g)
+			}
+		}
+		if len(queued) == 0 {
+			return
+		}
+		g := queued[int(op[1])%len(queued)]
+		o.log = append(o.log, fmt.Sprintf("cancel the send of #%d", g.id))
+		sreq := o.sends[g.id]
+		if !o.procs[g.src].Cancel(sreq) {
+			o.fail("Cancel of the unmatched send of #%d refused", g.id)
+		}
+		if sreq.Stat != (Status{Bytes: g.size, Cancelled: true}) {
+			o.fail("cancelled send of #%d: status %+v", g.id, sreq.Stat)
+		}
+		o.ref.withdraw(g.id)
 	case kind == 13: // cancel any receive ever posted
 		if len(o.recvs) == 0 {
 			return
@@ -410,7 +446,7 @@ func (o *oracleRun) step(op [4]byte) {
 
 func runMatchOps(t *testing.T, ops []byte) {
 	muxes := transport.NewShmJob(3, 0)
-	o := &oracleRun{t: t, dev0: &ackCounter{Mux: muxes[0]}, syncs: map[int]*Request{}, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
+	o := &oracleRun{t: t, dev0: &ackCounter{Mux: muxes[0]}, sends: map[int]*Request{}, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
 	for i, d := range []transport.Device{o.dev0, muxes[1], muxes[2]} {
 		o.procs[i] = NewProc(d, Config{EagerLimit: oracleEager})
 		o.procs[i].RegisterGroup(2, []int{0, 1, 2})
@@ -423,7 +459,7 @@ func runMatchOps(t *testing.T, ops []byte) {
 
 // TestMatchOrderAgainstReference drives seed-reproducible random
 // interleavings of post / eager, synchronous and rendezvous arrival /
-// Iprobe / Cancel / revoke / peer loss (with and without frames still in
+// Iprobe / Cancel of a receive or of an unmatched send / revoke / peer loss (with and without frames still in
 // flight), wildcards included, through the engine and the reference. A
 // failure prints the operations that led to it.
 func TestMatchOrderAgainstReference(t *testing.T) {
@@ -448,6 +484,9 @@ func FuzzMatchOrder(f *testing.F) {
 	// Rank 1 reported lost with an RTS still in flight: it meets a posted
 	// wildcard receive, then one is posted to meet the next.
 	f.Add([]byte{0, 2, 3, 0, 15, 0, 0, 4, 9, 0, 0, 0, 10, 0, 1, 4, 0, 2, 1, 0})
+	// A plain and a lent advertisement queued, both withdrawn by their
+	// sender, then met by a receive each.
+	f.Add([]byte{9, 0, 0, 0, 9, 0, 0, 4, 13, 0, 0, 4, 13, 0, 0, 4, 0, 2, 0, 0, 0, 2, 0, 4})
 	for seed := int64(1); seed <= 3; seed++ {
 		ops := make([]byte, 4*64)
 		rand.New(rand.NewSource(seed)).Read(ops)

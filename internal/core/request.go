@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
+	"gompi/internal/obs"
 	"gompi/internal/transport"
 )
 
@@ -85,7 +87,8 @@ type Request struct {
 	frame transport.Frame
 
 	// Receive: the matching parameters. Send: the context and tag sent
-	// on (src unused), which is what lets one sweep read either kind.
+	// on, which is what lets one sweep read either kind; a send keeps
+	// its offer state (offerNone...) in src, atomically.
 	ctx, src, tag int32
 
 	// into, when non-nil, is the caller-owned buffer a receive-into
@@ -105,15 +108,50 @@ type Request struct {
 	dstWorld int32  // send: the destination; granted receive: the rank the CTS went to
 }
 
+// An offer is a lent send whose RTS carries the loan itself, to a peer
+// reached by reference (see isend). Its state moves by compare-and-swap,
+// so the receiver's claim and the sender's withdrawal race for the one
+// way out of offerOut, and exactly one of them wins.
+const (
+	offerNone      int32 = iota // not an offer
+	offerOut                    // on its way, or queued unexpected
+	offerTaken                  // claimed by its receiver; only the loan's return completes it
+	offerWithdrawn              // given up by its sender first; the loan is still out
+	offerBack                   // the loan came home untaken
+)
+
+// offer is the address of a send's offer state.
+func (r *Request) offer() *int32 { return &r.src }
+
 // lentSend is a lent rendezvous send seen as the transport.Loan riding
-// its DATA frame: the loan's return is the request's completion. A
-// pointer conversion rather than a closure, so lending allocates
-// nothing.
+// its DATA frame, or its RTS if it is an offer: the loan's return is the
+// request's completion. A pointer conversion rather than a closure, so
+// lending allocates nothing.
 type lentSend Request
+
+// take is the receiver's claim on an offer, made before it reads a
+// byte; false means the sender withdrew it first.
+func (l *lentSend) take() bool {
+	return atomic.CompareAndSwapInt32((*Request)(l).offer(), offerOut, offerTaken)
+}
 
 func (l *lentSend) Returned() {
 	r := (*Request)(l)
-	r.proc.complete(r, nil, Status{Bytes: r.size})
+	p := r.proc
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if s := atomic.LoadInt32(r.offer()); s != offerNone {
+		p.rec.End(obs.EvSendRndv, uint32(r.id), 0)
+		if s != offerTaken {
+			// Nobody read it. A withdrawn send is complete already; one
+			// dropped untaken (its receiver closed, or knew this rank
+			// lost) is an RTS nobody answered, and stays pending.
+			atomic.StoreInt32(r.offer(), offerBack)
+			return
+		}
+		delete(p.pending, r.id)
+	}
+	p.completeLocked(r, nil, Status{Bytes: r.size})
 }
 
 // reqPool recycles Request allocations for the zero-allocation hot path;
@@ -129,10 +167,12 @@ func newRequest(p *Proc, k reqKind) *Request {
 // Recycle returns a completed request to the allocation pool. The caller
 // must hold the only live reference and must not touch r (including its
 // Payload) afterwards; any frame storage the request still owns is
-// released first. Recycling an incomplete request is a no-op.
+// released first. Recycling an incomplete request is a no-op, and so is
+// recycling a withdrawn offer whose loan is still out: its return will
+// touch r, which is left to the garbage collector.
 func (r *Request) Recycle() {
 	r.proc.mu.Lock()
-	ok := r.completed
+	ok := r.completed && (r.kind != reqSend || atomic.LoadInt32(r.offer()) != offerWithdrawn)
 	r.proc.mu.Unlock()
 	if !ok {
 		return

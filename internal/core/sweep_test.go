@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gompi/internal/transport"
 )
@@ -23,92 +25,164 @@ func tablesEmpty(p *Proc) bool {
 }
 
 // TestEverySweepReachesEveryTable: each way of failing operations against
-// each state an operation waits in. The engine's only peer is played by
-// hand over a joined link, so every state is held exactly where the test
-// put it. A swept operation completes with the sweep's error and what
-// the request knows (a send's size; a granted receive's matched source,
-// not the wildcard it was posted with); a spared one stays where it was;
-// a receive a read loop is writing is reached by nothing and lands whole
-// afterwards; and the pooled payloads of swept sends are back.
+// each state an operation waits in. The engine's peers are played by
+// hand over a joined link (rank 2), so every state is held exactly where
+// the test put it, and by an engine reached by reference (rank 1) that
+// receives only when told to. A swept operation completes with the
+// sweep's error and what the request knows (a send's size; a granted
+// receive's matched source, not the wildcard it was posted with); a
+// spared one stays where it was; what no sweep may reach — a receive a
+// read loop is writing, an offer its receiver has taken — completes
+// whole afterwards; and the pooled payloads of swept sends are back.
 func TestEverySweepReachesEveryTable(t *testing.T) {
 	const size = 128 << 10
 	errDied := errors.New("the endpoint died")
 	body := pattern(size, 9)
 
+	type sweepCase struct {
+		r    *rawPeer
+		q    *Proc // rank 1, reached by reference
+		tag  int
+		into []byte
+		// borrow is the receive holding a taken offer's loan.
+		borrow *Request
+	}
 	states := []struct {
 		name string
 		// enter puts one operation on tag into the state.
-		enter func(t *testing.T, r *rawPeer, tag int, into []byte) *Request
+		enter func(t *testing.T, c *sweepCase) *Request
 		bytes int  // a send's size, which it completes with; 0: a receive, completing with its source and tag
-		table bool // waits in posted or pending, where sweeps reach
+		byRef bool // waits on rank 1, not on the raw peer
+		table bool // waits in posted or pending
+		swept bool // a sweep that hits its peer or context takes it
 		// cancellable: Cancel takes it (a matched receive is past that).
 		cancellable bool
+		// then, if set, follows the operation to its end after the sweep.
+		then func(t *testing.T, c *sweepCase, req *Request, taken bool)
 	}{
-		{"posted receive", func(t *testing.T, r *rawPeer, tag int, into []byte) *Request {
-			return r.p.IrecvInto(0, int32(r.rank), int32(tag), into, 1)
-		}, 0, true, true},
-		{"rendezvous send awaiting CTS", func(t *testing.T, r *rawPeer, tag int, _ []byte) *Request {
-			req, err := r.p.Isend(0, 0, r.rank, tag, transport.GetBuf(size), ModeStandard, true)
+		{"posted receive", func(t *testing.T, c *sweepCase) *Request {
+			return c.r.p.IrecvInto(0, int32(c.r.rank), int32(c.tag), c.into, 1)
+		}, 0, false, true, true, true, nil},
+		{"rendezvous send awaiting CTS", func(t *testing.T, c *sweepCase) *Request {
+			req, err := c.r.p.Isend(0, 0, c.r.rank, c.tag, transport.GetBuf(size), ModeStandard, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, size, true, true},
-		{"lent send awaiting CTS", func(t *testing.T, r *rawPeer, tag int, _ []byte) *Request {
-			req, err := r.p.IsendLent(0, 0, r.rank, tag, body, ModeStandard)
+		}, size, false, true, true, true, nil},
+		{"lent send awaiting CTS", func(t *testing.T, c *sweepCase) *Request {
+			req, err := c.r.p.IsendLent(0, 0, c.r.rank, c.tag, body, ModeStandard)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, size, true, true},
-		{"sync-eager send awaiting ACK", func(t *testing.T, r *rawPeer, tag int, _ []byte) *Request {
-			req, err := r.p.Isend(0, 0, r.rank, tag, transport.GetBuf(64), ModeSync, true)
+		}, size, false, true, true, true, nil},
+		{"sync-eager send awaiting ACK", func(t *testing.T, c *sweepCase) *Request {
+			req, err := c.r.p.Isend(0, 0, c.r.rank, c.tag, transport.GetBuf(64), ModeSync, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, 64, true, true},
-		{"granted receive awaiting DATA", func(t *testing.T, r *rawPeer, tag int, into []byte) *Request {
-			req := r.p.IrecvInto(0, AnySource, int32(tag), into, 1)
-			r.advertise(0, tag, size)
+		}, 64, false, true, true, true, nil},
+		{"granted receive awaiting DATA", func(t *testing.T, c *sweepCase) *Request {
+			req := c.r.p.IrecvInto(0, AnySource, int32(c.tag), c.into, 1)
+			c.r.advertise(0, c.tag, size)
 			return req
-		}, 0, true, false},
-		{"receive handed to a read loop", func(t *testing.T, r *rawPeer, tag int, into []byte) *Request {
-			req := r.p.IrecvInto(0, AnySource, int32(tag), into, 1)
-			r.write(buildDataHdr(strangerRank, r.advertise(0, tag, size)), body, dataHdrLen+size/2)
+		}, 0, false, true, true, false, nil},
+		{"receive handed to a read loop", func(t *testing.T, c *sweepCase) *Request {
+			req := c.r.p.IrecvInto(0, AnySource, int32(c.tag), c.into, 1)
+			c.r.write(buildDataHdr(strangerRank, c.r.advertise(0, c.tag, size)), body, dataHdrLen+size/2)
 			return req
-		}, 0, false, false},
+		}, 0, false, false, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
+			// In no table: only the read loop completes it, and does.
+			if _, err := c.r.conn.Write(body[size/2:]); err != nil {
+				t.Fatal(err)
+			}
+			st := waitStatus(t, req)
+			if st.Err != nil || st.Bytes != size || st.SourceGroup != c.r.rank || st.Tag != c.tag || !bytes.Equal(c.into, body) {
+				t.Fatalf("landing that outlived the sweep: %+v, intact=%v", st, bytes.Equal(c.into, body))
+			}
+		}},
+		{"lent offer queued at a by-reference receiver", func(t *testing.T, c *sweepCase) *Request {
+			req, err := c.r.p.IsendLent(0, 0, 1, c.tag, body, ModeStandard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "the offer queued unexpected", func() bool { return c.q.PendingUnexpected() == 1 })
+			return req
+		}, size, true, true, true, true, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
+			revoked := taken && errors.Is(req.Stat.Err, ErrCommRevoked)
+			if revoked {
+				eventually(t, "the revocation reaching the receiver", func() bool { return c.q.ContextRevoked(0) })
+			}
+			st := waitStatus(t, c.q.IrecvInto(0, 0, int32(c.tag), c.into, 1))
+			switch {
+			case !taken: // still out: the receive takes it, and the send completes
+				if st.Err != nil || st.Bytes != size || !bytes.Equal(c.into, body) {
+					t.Fatalf("receive of a spared offer: %+v, intact=%v", st, bytes.Equal(c.into, body))
+				}
+				if st := waitStatus(t, req); st.Err != nil || st.Bytes != size {
+					t.Fatalf("spared offer completed with %+v", st)
+				}
+			case revoked: // the receiver purged it
+				if !errors.Is(st.Err, ErrCommRevoked) {
+					t.Fatalf("receive on the revoked receiver: %+v", st)
+				}
+			case !errors.Is(st.Err, ErrWithdrawn) || st.Bytes != 0:
+				t.Fatalf("receive matching a withdrawn offer: %+v", st)
+			}
+			if taken {
+				eventually(t, "the withdrawn offer's loan coming home", func() bool { return atomic.LoadInt32(req.offer()) == offerBack })
+			}
+		}},
+		{"lent offer taken", func(t *testing.T, c *sweepCase) *Request {
+			borrow := c.q.IrecvBorrow(0, 0, int32(c.tag))
+			req, err := c.r.p.IsendLent(0, 0, 1, c.tag, body, ModeStandard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, borrow)
+			c.borrow = borrow
+			return req
+		}, size, true, true, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
+			// Spared by everything: the loan's return, and only that,
+			// completes it.
+			c.borrow.Recycle()
+			if st := waitStatus(t, req); st.Err != nil || st.Cancelled || st.Bytes != size {
+				t.Fatalf("taken offer completed with %+v", st)
+			}
+		}},
 	}
 
 	sweeps := []struct {
 		name string
 		tag  int
 		// run sweeps (or tries to) and reports whether an operation
-		// waiting in a table must have been taken.
-		run   func(r *rawPeer) (taken bool)
+		// waiting on peer in a table must have been taken.
+		run   func(p *Proc, peer int) (taken bool)
 		isErr func(error) bool
 	}{
-		{"peer loss", 8, func(r *rawPeer) bool {
-			r.p.failPeer(&transport.PeerLostError{Peer: r.rank})
+		{"peer loss", 8, func(p *Proc, peer int) bool {
+			p.failPeer(&transport.PeerLostError{Peer: peer})
 			return true
 		}, func(err error) bool {
 			var pl *transport.PeerLostError
 			return errors.As(err, &pl)
 		}},
-		{"loss of another peer", 8, func(r *rawPeer) bool {
-			r.p.failPeer(&transport.PeerLostError{Peer: r.rank + 1})
+		{"loss of another peer", 8, func(p *Proc, peer int) bool {
+			p.failPeer(&transport.PeerLostError{Peer: peer + 1})
 			return false
 		}, nil},
-		{"endpoint death", 8, func(r *rawPeer) bool {
-			r.p.failAll(errDied)
+		{"endpoint death", 8, func(p *Proc, _ int) bool {
+			p.failAll(errDied)
 			return true
 		}, func(err error) bool { return err == errDied }},
-		{"revoke", 8, func(r *rawPeer) bool {
-			r.p.Revoke(0)
+		{"revoke", 8, func(p *Proc, _ int) bool {
+			p.Revoke(0)
 			return true
 		}, func(err error) bool { return errors.Is(err, ErrCommRevoked) }},
-		{"revoke, recovery tag", int(RecoveryTag) | 8, func(r *rawPeer) bool {
-			r.p.Revoke(0)
+		{"revoke, recovery tag", int(RecoveryTag) | 8, func(p *Proc, _ int) bool {
+			p.Revoke(0)
 			return false
 		}, nil},
 		{"cancel", 8, nil, nil},
@@ -118,22 +192,28 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		for _, s := range states {
 			t.Run(sw.name+"/"+s.name, func(t *testing.T) {
 				poolSettles(t)
-				mux := transport.NewShmJob(1, 0)[0]
-				p := NewProc(mux, Config{})
+				muxes := transport.NewShmJob(2, 0)
+				p, q := NewProc(muxes[0], Config{}), NewProc(muxes[1], Config{})
+				// Rank 1 re-floods a revocation to nobody: a notice it sent
+				// while closing would reach the pool after this test.
+				q.RegisterGroup(0, []int{1})
 				// The mux too: after a failAll of the test's own making the
 				// engine thinks itself closed and leaves the device be.
-				t.Cleanup(func() { p.Close(); mux.Close() })
-				r := joinRawPeer(t, p, mux)
-				into := make([]byte, size)
-				req := s.enter(t, r, sw.tag, into)
+				t.Cleanup(func() { p.Close(); muxes[0].Close(); q.Close() })
+				c := &sweepCase{r: joinRawPeer(t, p, muxes[0]), q: q, tag: sw.tag, into: make([]byte, size)}
+				req := s.enter(t, c)
 				if _, done := req.Test(); done {
 					t.Fatalf("completed before the sweep: %+v", req.Stat)
 				}
 
+				peer := c.r.rank
+				if s.byRef {
+					peer = 1
+				}
 				var taken bool
 				if sw.run != nil {
-					taken = sw.run(r) && s.table
-				} else if taken = r.p.Cancel(req); taken != s.cancellable {
+					taken = sw.run(p, peer) && s.swept
+				} else if taken = p.Cancel(req); taken != s.cancellable {
 					t.Fatalf("Cancel = %v, want %v", taken, s.cancellable)
 				}
 
@@ -141,11 +221,11 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 				if done != taken {
 					t.Fatalf("completed = %v, want %v (status %+v)", done, taken, req.Stat)
 				}
-				if empty := tablesEmpty(r.p); empty != (taken || !s.table) {
+				if empty := tablesEmpty(p); empty != (taken || !s.table) {
 					t.Fatalf("tables empty = %v after the sweep", empty)
 				}
 				if taken {
-					want := Status{SourceGroup: r.rank, Tag: sw.tag}
+					want := Status{SourceGroup: peer, Tag: sw.tag}
 					if s.bytes > 0 {
 						want = Status{Bytes: s.bytes}
 					}
@@ -157,18 +237,9 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 					if got != want || (st.Err != nil) != (sw.isErr != nil) || (st.Err != nil && !sw.isErr(st.Err)) {
 						t.Fatalf("swept with %+v, want %+v with this sweep's error", *st, want)
 					}
-					return
 				}
-				if s.table {
-					return // spared: still waiting, and Close sweeps it
-				}
-				// In no table: only the read loop completes it, and does.
-				if _, err := r.conn.Write(body[size/2:]); err != nil {
-					t.Fatal(err)
-				}
-				st = waitStatus(t, req)
-				if st.Err != nil || st.Bytes != size || st.SourceGroup != r.rank || st.Tag != sw.tag || !bytes.Equal(into, body) {
-					t.Fatalf("landing that outlived the sweep: %+v, intact=%v", st, bytes.Equal(into, body))
+				if s.then != nil {
+					s.then(t, c, req, taken)
 				}
 			})
 		}
@@ -262,24 +333,87 @@ func TestFirstFrameRefused(t *testing.T) {
 	}
 }
 
-// TestUnmatchedRtsHoldsNoFrame: an RTS is all header, and everything of
-// it is copied into its unexpected-queue entry. The entry must not keep
-// the frame as well: endpoint death does not purge the queue, so every
-// advertisement nobody received would leak one pooled header.
+// TestUnmatchedRtsHoldsNoFrame: an RTS header is all copied into its
+// unexpected-queue entry. The entry must not keep it as well: endpoint
+// death does not purge the queue, so every advertisement nobody
+// received would leak one pooled header. An offer's entry holds its
+// loan and the payload it lends, and nothing from the pool.
 func TestUnmatchedRtsHoldsNoFrame(t *testing.T) {
-	poolSettles(t)
-	const n = 16
-	p0, p1 := newPair(t, Config{})
-	src := pattern(4096, 7)
-	for i := 0; i < n; i++ {
-		if _, err := p0.IsendLent(0, 0, 1, i, src, ModeStandard); err != nil {
-			t.Fatal(err)
-		}
+	const n, size = 16, 128 << 10
+	src := pattern(size, 7)
+	for _, c := range []struct {
+		name string
+		send func(p *Proc, tag int) (*Request, error)
+		lent bool
+	}{
+		{"rendezvous", func(p *Proc, tag int) (*Request, error) {
+			return p.Isend(0, 0, 1, tag, src, ModeStandard, false)
+		}, false},
+		{"lent, by reference", func(p *Proc, tag int) (*Request, error) {
+			return p.IsendLent(0, 0, 1, tag, src, ModeStandard)
+		}, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			poolSettles(t)
+			p0, p1 := newPair(t, Config{})
+			for i := 0; i < n; i++ {
+				if _, err := c.send(p0, i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			eventually(t, fmt.Sprintf("%d advertisements queued unexpected", n), func() bool { return p1.PendingUnexpected() == n })
+			p1.mu.Lock()
+			for _, m := range p1.arrived {
+				if f := m.frame; f.Data != nil || f.PayloadPooled() || f.Lent() != c.lent || c.lent && len(m.payload) != size {
+					t.Errorf("queued entry holds header %d B, pooled payload %v, loan %v, payload %d B", len(f.Data), f.PayloadPooled(), f.Lent(), len(m.payload))
+				}
+			}
+			p1.mu.Unlock()
+			p1.Close()
+			p0.Close()
+			if !tablesEmpty(p0) {
+				t.Fatal("Close left advertised sends in the table")
+			}
+		})
 	}
-	eventually(t, fmt.Sprintf("%d advertisements queued unexpected", n), func() bool { return p1.PendingUnexpected() == n })
-	p1.Close()
-	p0.Close()
-	if !tablesEmpty(p0) {
-		t.Fatal("Close left advertised sends in the table")
+}
+
+// TestLentOfferToSelfRevoked: a rank lends a message to itself and
+// nobody receives it. Revocation fails the send and purges the offer
+// from the queue, and the purged frame's loan — whose return takes this
+// very engine's lock — goes home once that lock is dropped, whether the
+// rank revoked or a peer's notice did.
+func TestLentOfferToSelfRevoked(t *testing.T) {
+	for _, by := range []string{"here", "by a peer"} {
+		t.Run(by, func(t *testing.T) {
+			poolSettles(t)
+			p0, p1 := newPair(t, Config{})
+			// Rank 0 floods a revocation to nobody: a notice in flight at
+			// cleanup would reach the pool after this test.
+			p0.RegisterGroup(0, []int{0})
+			sreq, err := p0.IsendLent(0, 0, 0, 1, pattern(96<<10, 2), ModeStandard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eventually(t, "the offer queued unexpected", func() bool { return p0.PendingUnexpected() == 1 })
+			revoker := p0
+			if by != "here" {
+				revoker = p1
+			}
+			revoked := make(chan struct{})
+			go func() { revoker.Revoke(0); close(revoked) }()
+			select {
+			case <-revoked:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Revoke deadlocked")
+			}
+			if st := waitStatus(t, sreq); !errors.Is(st.Err, ErrCommRevoked) {
+				t.Fatalf("self-lent send completed with %+v, want revoked", st)
+			}
+			eventually(t, "the purged offer's loan coming home", func() bool { return atomic.LoadInt32(sreq.offer()) == offerBack })
+			if n := p0.PendingUnexpected(); n != 0 {
+				t.Fatalf("%d messages still queued after the revocation", n)
+			}
+		})
 	}
 }

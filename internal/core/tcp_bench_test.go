@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"gompi/internal/transport"
@@ -68,5 +69,56 @@ func BenchmarkTCPRoundTrip(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkLentRendezvous is one 256 KiB lent send met by a receive-into,
+// one way, with the receive posted before the send or once the message
+// waits unexpected, over a pair reached by reference and over a loopback
+// mesh. By reference the RTS carries the loan, and the message is one
+// frame; over tcp it is RTS, CTS and a DATA frame that lands.
+func BenchmarkLentRendezvous(b *testing.B) {
+	const size = 256 << 10
+	for _, medium := range []string{"chan", "tcp"} {
+		for _, order := range []string{"preposted", "unexpected"} {
+			b.Run(medium+"/"+order, func(b *testing.B) {
+				devs := transport.NewShmJob(2, 0)
+				if medium == "tcp" {
+					var err error
+					if devs, err = transport.NewLoopbackJob(2); err != nil {
+						b.Fatal(err)
+					}
+				}
+				p0, p1 := NewProc(devs[0], Config{}), NewProc(devs[1], Config{})
+				defer p0.Close()
+				defer p1.Close()
+				src, dst := pattern(size, 1), make([]byte, size)
+				b.SetBytes(size)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					var rreq *Request
+					if order == "preposted" {
+						rreq = p1.IrecvInto(0, 0, 1, dst, 1)
+					}
+					sreq, err := p0.IsendLent(0, 0, 1, 1, src, ModeStandard)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if rreq == nil {
+						for p1.PendingUnexpected() == 0 {
+							runtime.Gosched()
+						}
+						rreq = p1.IrecvInto(0, 0, 1, dst, 1)
+					}
+					if st := rreq.Wait(); st.Err != nil || st.Bytes != size {
+						b.Fatalf("receive: %+v", st)
+					}
+					sreq.Wait()
+					sreq.Recycle()
+					rreq.Recycle()
+				}
+			})
+		}
 	}
 }

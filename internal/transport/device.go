@@ -114,6 +114,21 @@ func (f *Frame) PayloadPooled() bool { return f.pooledPayload }
 // (see the dispositions on Frame).
 func (f *Frame) Lent() bool { return f.loan != nil }
 
+// Loan returns the loan a lent payload rides on, nil for any other: the
+// lender's claim, for a consumer that knows the lender's type.
+func (f *Frame) Loan() Loan { return f.loan }
+
+// ReleaseHeader disposes of Data alone, for a consumer done with a
+// scatter-gather frame's header but not with its payload: a pooled
+// header goes back to the pool, and Payload keeps its disposition — a
+// loan included — until Release.
+func (f *Frame) ReleaseHeader() {
+	if f.pooledData {
+		PutBuf(f.Data)
+	}
+	f.Data, f.pooledData = nil, false
+}
+
 // PooledFrame assembles a received frame for a device implementation
 // living outside this package (e.g. transport/shmipc): data and payload
 // carry the pool-ownership marks Release honours.

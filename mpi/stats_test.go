@@ -170,25 +170,28 @@ func TestPerfAndControlVars(t *testing.T) {
 
 // TestRunTraceRecords checks RunOptions.Trace end to end in-process:
 // the recorder arms, the exchange lands in the ring, and DumpTrace
-// round-trips through the wire format.
+// round-trips through the wire format. A rendezvous message is one
+// whole span, from its RTS to its loan's return — one frame by reference.
 func TestRunTraceRecords(t *testing.T) {
 	dir := t.TempDir()
 	err := RunWith(RunOptions{NP: 2, Trace: true}, func(env *Env) error {
 		w := env.CommWorld()
-		buf := make([]byte, 128)
-		var err error
-		if w.Rank() == 0 {
-			err = w.Send(buf, 0, len(buf), BYTE, 1, 9)
-		} else {
-			_, err = w.Recv(buf, 0, len(buf), BYTE, 0, 9)
-		}
-		if err != nil {
-			return err
+		for _, n := range []int{128, 256 << 10} {
+			buf := make([]byte, n)
+			var err error
+			if w.Rank() == 0 {
+				err = w.Send(buf, 0, len(buf), BYTE, 1, 9)
+			} else {
+				_, err = w.Recv(buf, 0, len(buf), BYTE, 0, 9)
+			}
+			if err != nil {
+				return err
+			}
 		}
 		if !env.TraceEnabled() {
 			return errf(ErrIntern, "Trace option did not arm the recorder")
 		}
-		_, err = env.DumpTrace(dir)
+		_, err := env.DumpTrace(dir)
 		return err
 	})
 	if err != nil {
@@ -202,9 +205,21 @@ func TestRunTraceRecords(t *testing.T) {
 		t.Fatalf("got %d trace dumps, want 2", len(files))
 	}
 	kinds := map[obs.EventKind]bool{}
+	spans := map[obs.Phase]int{}
 	for _, tf := range files {
 		for _, ev := range tf.Events {
 			kinds[ev.Kind] = true
+			if ev.Kind == obs.EvSendRndv {
+				spans[ev.Ph]++
+			}
+		}
+	}
+	if spans[obs.PhBegin] != 1 || spans[obs.PhEnd] != 1 {
+		t.Errorf("rendezvous span: %d begins, %d ends; want one whole span for the one large message", spans[obs.PhBegin], spans[obs.PhEnd])
+	}
+	for _, row := range obs.Summarize(files) {
+		if row.Name == "send.rndv" && (row.Count != 1 || row.P50 <= 0) {
+			t.Errorf("summary row %+v, want one rendezvous with a width", row)
 		}
 	}
 	if !kinds[obs.EvSendEager] {
