@@ -26,7 +26,7 @@ type commObs struct {
 func (c *Comm) Warm() { c.vars() }
 
 // vars resolves (once) this communicator's handles in the rank's
-// registry and registers the pool-cap control variable.
+// registry and registers the shared pool's variables.
 func (c *Comm) vars() *commObs {
 	c.obs.once.Do(func() {
 		reg := c.P.Obs()
@@ -35,8 +35,9 @@ func (c *Comm) vars() *commObs {
 		c.obs.resumed = reg.Counter("coll.scheds_resumed")
 		c.obs.reduced = reg.Counter("coll.bytes_reduced")
 		c.obs.schedNs = reg.Timing("coll.sched_ns")
-		// The pool is process-wide; each rank's registry gets a cvar
-		// handle onto the one shared cap.
+		// The pool is process-wide; each rank's registry gets a view of
+		// its occupancy and a cvar handle onto the one shared cap.
+		reg.Source("coll.pool_workers", PoolVars)
 		reg.RegisterControl(obs.Control{
 			Name: "coll.pool_max_workers",
 			Desc: "shared progress pool worker cap (process-wide)",

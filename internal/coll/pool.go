@@ -3,7 +3,8 @@ package coll
 import (
 	"runtime"
 	"sync"
-	"sync/atomic"
+
+	"gompi/internal/obs"
 )
 
 // progressPool executes started and persistent collective schedules on
@@ -22,12 +23,10 @@ type progressPool struct {
 	workers int // workers spawned so far, capped at max
 	max     int
 
-	// Occupancy, tracked outside the pool lock so readers (EngineStats,
-	// the pvar surface) never contend with the dispatch path: busy is
-	// the workers currently executing a schedule, peakBusy the high
-	// water mark over the process lifetime.
-	busy     atomic.Int64
-	peakBusy atomic.Int64
+	// busy is the workers currently executing a schedule, and its peak
+	// the high water mark over the process lifetime: tracked outside the
+	// pool lock so the pvar surface never contends with dispatch.
+	busy obs.Gauge
 }
 
 // sharedPool is the process-wide pool. Workers are spawned lazily, up
@@ -62,27 +61,19 @@ func SetMaxPoolWorkers(n int) {
 	sharedPool.mu.Unlock()
 }
 
-// PoolOccupancy is the shared progress pool's load read-out.
-type PoolOccupancy struct {
-	Busy     int // workers currently executing a schedule
-	PeakBusy int // high water mark of Busy over the process lifetime
-	Workers  int // workers spawned so far
-	Max      int // worker cap
-}
-
-// PoolStats snapshots the shared pool's occupancy. The pool is
-// process-wide: in-process multi-rank runs see one pool serving every
-// rank.
-func PoolStats() PoolOccupancy {
+// PoolVars reads the shared pool's occupancy as performance variables:
+// "coll.pool_workers" is the workers spawned so far (aux: the cap),
+// "coll.pool_workers_busy" those executing a schedule now (aux: the
+// lifetime peak). The pool is process-wide: in-process multi-rank runs
+// see one pool serving every rank.
+func PoolVars() []obs.VarValue {
 	p := sharedPool
 	p.mu.Lock()
 	workers, max := p.workers, p.max
 	p.mu.Unlock()
-	return PoolOccupancy{
-		Busy:     int(p.busy.Load()),
-		PeakBusy: int(p.peakBusy.Load()),
-		Workers:  workers,
-		Max:      max,
+	return []obs.VarValue{
+		{Name: "coll.pool_workers", Class: "gauge", Value: int64(workers), Aux: int64(max)},
+		{Name: "coll.pool_workers_busy", Class: "gauge", Value: p.busy.Load(), Aux: p.busy.Peak()},
 	}
 }
 
@@ -115,13 +106,7 @@ func (p *progressPool) worker() {
 		p.q[p.head] = nil
 		p.head++
 		p.mu.Unlock()
-		b := p.busy.Add(1)
-		for {
-			pk := p.peakBusy.Load()
-			if b <= pk || p.peakBusy.CompareAndSwap(pk, b) {
-				break
-			}
-		}
+		p.busy.Add(1)
 		s.run()
 		p.busy.Add(-1)
 		p.mu.Lock()

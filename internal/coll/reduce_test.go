@@ -217,9 +217,9 @@ func TestAllreduceBitExactAboveTheSwitch(t *testing.T) {
 					for e := range mine {
 						mine[e] = sensitiveAt(e, c.Rank)
 					}
-					before := c.P.StatsSnapshot().SendsLent
+					before := c.P.Stats().SendsLent.Load()
 					res, err := c.Allreduce(mine, fam.op)
-					if halved := c.P.StatsSnapshot().SendsLent > before; err == nil && c.Rank == n-1 && halved != (count >= p2) {
+					if halved := c.P.Stats().SendsLent.Load() > before; err == nil && c.Rank == n-1 && halved != (count >= p2) {
 						err = fmt.Errorf("count %d, p2 %d: halving schedule ran = %v", count, p2, halved)
 					}
 					return res, err

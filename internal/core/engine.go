@@ -200,6 +200,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 	p.cond = sync.NewCond(&p.mu)
 	p.stats = newStats(p.reg)
 	p.unexpDepth = p.reg.Gauge("core.unexpected_depth")
+	p.reg.Source("transport.", p.transportVars)
 	p.eagerLim.Store(int64(cfg.eagerLimit()))
 	p.reg.RegisterControl(obs.Control{
 		Name: "core.eager_limit",

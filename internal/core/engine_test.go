@@ -21,6 +21,13 @@ func newPair(t *testing.T, cfg Config) (*Proc, *Proc) {
 	return p0, p1
 }
 
+// pv reads one of p's performance variables by name; an unknown name
+// reads as 0.
+func pv(p *Proc, name string) uint64 {
+	v, _ := p.Obs().Value(name)
+	return uint64(v)
+}
+
 func TestEagerSendRecv(t *testing.T) {
 	p0, p1 := newPair(t, Config{})
 	payload := []byte("hello engine")
@@ -361,22 +368,22 @@ func TestStatsProtocolSelection(t *testing.T) {
 	r3.Wait()
 	sreq.Wait()
 
-	s0 := p0.StatsSnapshot()
-	if s0.SendsEager != 1 || s0.SendsRndv != 1 || s0.SendsSync != 1 {
-		t.Fatalf("sender stats: %+v", s0)
+	eager, rndv, ssend := pv(p0, "core.sends_eager"), pv(p0, "core.sends_rndv"), pv(p0, "core.sends_sync")
+	if eager != 1 || rndv != 1 || ssend != 1 {
+		t.Fatalf("sender stats: eager=%d rndv=%d sync=%d", eager, rndv, ssend)
 	}
-	if s0.BytesSent != 16+1000+16 {
-		t.Fatalf("bytes sent: %d", s0.BytesSent)
+	if got := pv(p0, "core.bytes_sent"); got != 16+1000+16 {
+		t.Fatalf("bytes sent: %d", got)
 	}
-	s1 := p1.StatsSnapshot()
-	if s1.RecvsMatched+s1.RecvsUnexpected != 3 {
-		t.Fatalf("receiver stats: %+v", s1)
+	matched, unexpected := pv(p1, "core.recvs_matched"), pv(p1, "core.recvs_unexpected")
+	if matched+unexpected != 3 {
+		t.Fatalf("receiver stats: matched=%d unexpected=%d", matched, unexpected)
 	}
-	if s1.RecvsMatched < 1 {
-		t.Fatalf("posted-first receive not counted as matched: %+v", s1)
+	if matched < 1 {
+		t.Fatalf("posted-first receive not counted as matched: matched=%d unexpected=%d", matched, unexpected)
 	}
-	if s1.BytesRecv != 16+1000+16 {
-		t.Fatalf("bytes recv: %d", s1.BytesRecv)
+	if got := pv(p1, "core.bytes_recv"); got != 16+1000+16 {
+		t.Fatalf("bytes recv: %d", got)
 	}
 }
 
@@ -384,7 +391,7 @@ func TestStatsCancelled(t *testing.T) {
 	_, p1 := newPair(t, Config{})
 	r := p1.Irecv(0, 0, 50)
 	p1.Cancel(r)
-	if got := p1.StatsSnapshot().Cancelled; got != 1 {
+	if got := pv(p1, "core.cancelled"); got != 1 {
 		t.Fatalf("cancelled count %d", got)
 	}
 }

@@ -78,8 +78,8 @@ func TestEagerInlineRoundTrip(t *testing.T) {
 					}
 				}
 			}
-			if s := p0.StatsSnapshot(); s.BytesInlined != inlined || s.BytesCopied != 0 {
-				t.Fatalf("sender BytesInlined = %d (BytesCopied %d), want the %d payload bytes that fit their headers' buffers", s.BytesInlined, s.BytesCopied, inlined)
+			if got, copied := pv(p0, "core.bytes_inlined"), pv(p0, "core.bytes_copied"); got != inlined || copied != 0 {
+				t.Fatalf("sender BytesInlined = %d (BytesCopied %d), want the %d payload bytes that fit their headers' buffers", got, copied, inlined)
 			}
 			p0.Close()
 			p1.Close()

@@ -88,7 +88,7 @@ func TestLandingAgreesWithStaging(t *testing.T) {
 		t.Helper()
 		f := forms[form]
 		src := pattern(sent(form, size), byte(size))
-		before := procs[1].StatsSnapshot()
+		copied, landed := pv(procs[1], "core.bytes_copied"), pv(procs[1], "core.bytes_landed")
 		rreq, into := f.post(procs[1], size)
 		sreq, err := procs[0].IsendLent(0, 0, 1, 3, src, ModeStandard)
 		if err != nil {
@@ -101,8 +101,7 @@ func TestLandingAgreesWithStaging(t *testing.T) {
 		if into == nil {
 			r.got, r.payload = bytes.Clone(rreq.Payload), true
 		}
-		after := procs[1].StatsSnapshot()
-		r.copied, r.landed = after.BytesCopied-before.BytesCopied, after.BytesLanded-before.BytesLanded
+		r.copied, r.landed = pv(procs[1], "core.bytes_copied")-copied, pv(procs[1], "core.bytes_landed")-landed
 		sreq.Recycle()
 		rreq.Recycle()
 		return r
@@ -255,8 +254,8 @@ func TestLandingOverAJoinedLink(t *testing.T) {
 	if st.Err != nil || st.Bytes != size || st.SourceGroup != r.rank || st.Tag != 8 || !bytes.Equal(into, body) {
 		t.Fatalf("landed receive: %+v, intact=%v", st, bytes.Equal(into, body))
 	}
-	if s := r.p.StatsSnapshot(); s.BytesLanded != size || s.BytesCopied != 0 {
-		t.Fatalf("%d bytes landed, %d copied; want the frame landed", s.BytesLanded, s.BytesCopied)
+	if landed, copied := pv(r.p, "core.bytes_landed"), pv(r.p, "core.bytes_copied"); landed != size || copied != 0 {
+		t.Fatalf("%d bytes landed, %d copied; want the frame landed", landed, copied)
 	}
 }
 
@@ -286,7 +285,7 @@ func TestLandingCutMidBody(t *testing.T) {
 		t.Fatalf("receive cut mid-body: %+v, want the loss of rank %d", st, r.rank)
 	}
 	eventually(t, "the stream's own loss report to reach the engine", func() bool { return r.p.PeerDown(r.rank) })
-	if got := r.p.StatsSnapshot().BytesLanded; got != 0 {
+	if got := pv(r.p, "core.bytes_landed"); got != 0 {
 		t.Fatalf("%d bytes counted as landed for a frame that never finished", got)
 	}
 	r.p.Close()

@@ -30,9 +30,8 @@ func TestLentSendSingleCopy(t *testing.T) {
 	src, dst := pattern(size, 3), make([]byte, size)
 
 	rreq := p1.IrecvInto(0, 0, 9, dst, 1)
-	pool := transport.PoolStats()
-	before := p1.StatsSnapshot()
-	framesBefore := p0.StatsSnapshot().Devices[0].FramesSent + before.Devices[0].FramesSent
+	frames := func() uint64 { return pv(p0, "transport.chan.frames_sent") + pv(p1, "transport.chan.frames_sent") }
+	pool, copied, framesBefore := transport.PoolStats(), pv(p1, "core.bytes_copied"), frames()
 	sreq, err := p0.IsendLent(0, 0, 1, 9, src, ModeStandard)
 	if err != nil {
 		t.Fatal(err)
@@ -44,19 +43,19 @@ func TestLentSendSingleCopy(t *testing.T) {
 	if st := waitStatus(t, rreq); st.Err != nil || st.Bytes != size || !bytes.Equal(dst, src) {
 		t.Fatalf("receive-into of a lent send: %+v, intact=%v", st, bytes.Equal(dst, src))
 	}
-	if got := p1.StatsSnapshot().BytesCopied - before.BytesCopied; got != size {
+	if got := pv(p1, "core.bytes_copied") - copied; got != size {
 		t.Fatalf("BytesCopied delta %d, want the one copy of %d", got, size)
 	}
-	s0 := p0.StatsSnapshot()
-	if s0.SendsLent != 1 || s0.BytesLent != size || s0.SendsRndv != 1 {
-		t.Fatalf("sends_lent=%d bytes_lent=%d sends_rndv=%d", s0.SendsLent, s0.BytesLent, s0.SendsRndv)
+	lent, lentBytes, rndv := pv(p0, "core.sends_lent"), pv(p0, "core.bytes_lent"), pv(p0, "core.sends_rndv")
+	if lent != 1 || lentBytes != size || rndv != 1 {
+		t.Fatalf("sends_lent=%d bytes_lent=%d sends_rndv=%d", lent, lentBytes, rndv)
 	}
 	// The RTS header: one small buffer, nothing else.
 	if gets := transport.PoolStats().Gets - pool.Gets; gets != 1 {
 		t.Fatalf("pool gets for one lent rendezvous = %d, want 1 header", gets)
 	}
-	if frames := s0.Devices[0].FramesSent + p1.StatsSnapshot().Devices[0].FramesSent - framesBefore; frames != 1 {
-		t.Fatalf("%d frames for one lent rendezvous by reference, want 1", frames)
+	if n := frames() - framesBefore; n != 1 {
+		t.Fatalf("%d frames for one lent rendezvous by reference, want 1", n)
 	}
 }
 
@@ -75,8 +74,8 @@ func TestLentSendAlwaysRendezvous(t *testing.T) {
 	if _, done := sreq.Test(); done {
 		t.Fatal("lent send completed before any receive was posted")
 	}
-	if s := p0.StatsSnapshot(); s.SendsEager != 0 || s.SendsRndv != 1 {
-		t.Fatalf("sends_eager=%d sends_rndv=%d", s.SendsEager, s.SendsRndv)
+	if eager, rndv := pv(p0, "core.sends_eager"), pv(p0, "core.sends_rndv"); eager != 0 || rndv != 1 {
+		t.Fatalf("sends_eager=%d sends_rndv=%d", eager, rndv)
 	}
 	dst := make([]byte, 32)
 	st := waitStatus(t, p1.IrecvInto(0, 0, 2, dst, 1))
@@ -299,7 +298,7 @@ func TestBorrowingReceiveReadsTheLentFrameInPlace(t *testing.T) {
 	src := pattern(size, 9)
 
 	rreq := p1.IrecvBorrow(0, 0, 4)
-	before := p1.StatsSnapshot()
+	copied := pv(p1, "core.bytes_copied")
 	sreq, err := p0.IsendLent(0, 0, 1, 4, src, ModeStandard)
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +307,7 @@ func TestBorrowingReceiveReadsTheLentFrameInPlace(t *testing.T) {
 	if st.Err != nil || st.Bytes != size || &rreq.Payload[0] != &src[0] {
 		t.Fatalf("borrowed delivery: %+v, in place=%v", st, &rreq.Payload[0] == &src[0])
 	}
-	if got := p1.StatsSnapshot().BytesCopied - before.BytesCopied; got != 0 {
+	if got := pv(p1, "core.bytes_copied") - copied; got != 0 {
 		t.Fatalf("BytesCopied grew by %d for a borrowed payload", got)
 	}
 	if _, done := sreq.Test(); done {

@@ -6,13 +6,11 @@ import (
 	"gompi/internal/transport"
 )
 
-// Stats are monotonic per-engine counters, exposed for diagnostics and
-// for tests that assert protocol selection (eager vs rendezvous) and
-// matching behaviour. Each field is a performance variable in the
-// engine's obs.Registry — Stats is a typed view over the registry, not
-// a parallel counter set — so the same values surface through
-// Env.PerfVars() under the "core.*" names. All counters are updated
-// with atomics and may be read at any time.
+// Stats are the engine's monotonic counters: the hot path's typed
+// handles onto its performance variables. Each field is a counter in
+// the engine's obs.Registry under its "core.*" name, and the registry
+// is where they are read (Env.PerfVar / Env.PerfVars). All counters
+// are updated with atomics and may be read at any time.
 type Stats struct {
 	// SendsEager counts standard/ready-mode messages shipped eagerly.
 	SendsEager *obs.Counter
@@ -90,31 +88,34 @@ func newStats(reg *obs.Registry) Stats {
 	}
 }
 
-// Snapshot is a plain-value copy of the counters, including the
-// process-wide frame-pool counters at snapshot time.
-type Snapshot struct {
-	SendsEager, SendsSync, SendsRndv uint64
-	SendsLent, BytesLent             uint64
-	BytesSent                        uint64
-	RecvsMatched, RecvsUnexpected    uint64
-	BytesRecv                        uint64
-	BytesCopied, BytesLanded         uint64
-	BytesInlined                     uint64
-	RecvsZeroCopy                    uint64
-	Cancelled                        uint64
-	PeersLost                        uint64
-
-	// Pool is the frame pool's counter snapshot; Pool.HitRate shows
-	// how much of the frame traffic recirculates instead of
-	// allocating. The pool is shared by every in-process rank.
-	Pool transport.PoolSnapshot
-
-	// Devices breaks traffic down by transport medium: one entry per
-	// medium this rank's endpoint routes over ("shm", "tcp", "chan",
-	// "dyn"), each with its own frame/byte counters and — for media
-	// with their own buffer pool, like the shared-memory arena — a
-	// per-medium pool snapshot.
-	Devices []transport.DevStats
+// transportVars reads what the transport counts as the engine's
+// "transport.*" variables: the process-wide frame pool
+// ("transport.pool_gets", _hits, _puts, _drops — shared by every
+// in-process rank) and one set per medium the endpoint routes over
+// ("transport.<medium>.frames_sent", ... — "chan", "tcp", "shm", "dyn"),
+// whose pool_gets/pool_hits are the medium's own buffer pool (the
+// shared-memory arena for "shm").
+func (p *Proc) transportVars() []obs.VarValue {
+	var out []obs.VarValue
+	add := func(name string, v uint64) {
+		out = append(out, obs.VarValue{Name: "transport." + name, Class: "counter", Value: int64(v)})
+	}
+	pool := transport.PoolStats()
+	add("pool_gets", pool.Gets)
+	add("pool_hits", pool.Hits)
+	add("pool_puts", pool.Puts)
+	add("pool_drops", pool.Drops)
+	for _, d := range p.dev.DeviceStats() {
+		m := d.Name + "."
+		add(m+"frames_sent", d.FramesSent)
+		add(m+"frames_recv", d.FramesRecv)
+		add(m+"bytes_sent", d.BytesSent)
+		add(m+"bytes_recv", d.BytesRecv)
+		add(m+"send_waits", d.SendWaits)
+		add(m+"pool_gets", d.Pool.Gets)
+		add(m+"pool_hits", d.Pool.Hits)
+	}
+	return out
 }
 
 // Stats returns the engine's counter set.
@@ -127,27 +128,3 @@ func (p *Proc) Obs() *obs.Registry { return p.reg }
 // disabled (every Recorder method is nil-safe, so callers thread the
 // pointer through unconditionally).
 func (p *Proc) Recorder() *obs.Recorder { return p.rec }
-
-// StatsSnapshot copies the current counter values.
-func (p *Proc) StatsSnapshot() Snapshot {
-	s := &p.stats
-	return Snapshot{
-		SendsEager:      s.SendsEager.Load(),
-		SendsSync:       s.SendsSync.Load(),
-		SendsRndv:       s.SendsRndv.Load(),
-		SendsLent:       s.SendsLent.Load(),
-		BytesLent:       s.BytesLent.Load(),
-		BytesSent:       s.BytesSent.Load(),
-		RecvsMatched:    s.RecvsMatched.Load(),
-		RecvsUnexpected: s.RecvsUnexpected.Load(),
-		BytesRecv:       s.BytesRecv.Load(),
-		BytesCopied:     s.BytesCopied.Load(),
-		BytesLanded:     s.BytesLanded.Load(),
-		BytesInlined:    s.BytesInlined.Load(),
-		RecvsZeroCopy:   s.RecvsZeroCopy.Load(),
-		Cancelled:       s.Cancelled.Load(),
-		PeersLost:       s.PeersLost.Load(),
-		Pool:            transport.PoolStats(),
-		Devices:         p.dev.DeviceStats(),
-	}
-}

@@ -314,18 +314,17 @@ func TestIrecvIntoMisalignedDepositsNothing(t *testing.T) {
 // traffic shows up in hit-rate and bytes-copied counters.
 func TestPoolStatsCounters(t *testing.T) {
 	p0, p1 := newPair(t, Config{})
-	before := p1.StatsSnapshot()
+	copied, gets, zeroCopy := pv(p1, "core.bytes_copied"), pv(p1, "transport.pool_gets"), pv(p1, "core.recvs_zero_copy")
 	payload := transport.GetBuf(512)
 	if _, err := p0.Isend(0, 0, 1, 21, payload, ModeStandard, true); err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 512)
 	p1.IrecvInto(0, 0, 21, buf, 1).Wait()
-	after := p1.StatsSnapshot()
-	if got := after.BytesCopied - before.BytesCopied; got != 512 {
+	if got := pv(p1, "core.bytes_copied") - copied; got != 512 {
 		t.Fatalf("BytesCopied delta %d, want 512", got)
 	}
-	if after.Pool.Gets <= before.Pool.Gets {
+	if pv(p1, "transport.pool_gets") <= gets {
 		t.Fatal("pool gets did not advance")
 	}
 	// Zero-copy handover counting: a classic receive transfers the
@@ -335,7 +334,7 @@ func TestPoolStatsCounters(t *testing.T) {
 	}
 	r := p1.Irecv(0, 0, 22)
 	r.Wait()
-	if p1.StatsSnapshot().RecvsZeroCopy <= before.RecvsZeroCopy {
+	if pv(p1, "core.recvs_zero_copy") <= zeroCopy {
 		t.Fatal("zero-copy receive not counted")
 	}
 	r.Recycle()

@@ -94,24 +94,20 @@ func FormatPortName(addr string, epoch int, key string) string {
 }
 
 // ParsePortName splits a port name into listener address, epoch and
-// capability key, rejecting anything that does not match the canonical
-// shape.
+// capability key. Only the canonical shape is accepted — a decimal
+// epoch with no sign, a lowercase hex key as randomHex makes, and
+// nothing FormatPortName would not write back (no userinfo, query,
+// fragment or escapes) — so every accepted name round-trips.
 func ParsePortName(name string) (addr string, epoch int, key string, err error) {
 	u, uerr := url.Parse(name)
 	if uerr != nil || u.Scheme != portScheme || u.Host == "" {
 		return "", 0, "", fmt.Errorf("dynproc: malformed port name %q", name)
 	}
-	parts := strings.Split(strings.TrimPrefix(u.Path, "/"), "/")
-	if len(parts) != 2 || !strings.HasPrefix(parts[0], "ep") || !strings.HasPrefix(parts[1], "k") {
+	ep, key, _ := strings.Cut(strings.TrimPrefix(u.Path, "/ep"), "/k")
+	epoch, eerr := strconv.Atoi(ep)
+	if eerr != nil || epoch < 0 || key == "" || strings.Trim(key, "0123456789abcdef") != "" ||
+		FormatPortName(u.Host, epoch, key) != name {
 		return "", 0, "", fmt.Errorf("dynproc: malformed port name %q", name)
-	}
-	epoch, eerr := strconv.Atoi(strings.TrimPrefix(parts[0], "ep"))
-	if eerr != nil || epoch < 0 {
-		return "", 0, "", fmt.Errorf("dynproc: malformed port epoch in %q", name)
-	}
-	key = strings.TrimPrefix(parts[1], "k")
-	if key == "" {
-		return "", 0, "", fmt.Errorf("dynproc: missing port key in %q", name)
 	}
 	return u.Host, epoch, key, nil
 }
@@ -133,8 +129,9 @@ func randomHex(n int) string {
 	b := make([]byte, n)
 	if _, err := rand.Read(b); err != nil {
 		// Fall back to something still unique per call within the
-		// process; crypto/rand failing is a broken environment anyway.
-		return fmt.Sprintf("t%x", time.Now().UnixNano())
+		// process, and still hex (a port key must be); crypto/rand
+		// failing is a broken environment anyway.
+		return fmt.Sprintf("%x", time.Now().UnixNano())
 	}
 	return hex.EncodeToString(b)
 }

@@ -30,11 +30,40 @@ func TestPortNameRejectsGarbage(t *testing.T) {
 		"gompi-port://127.0.0.1:1/ep0/aa",         // bad key segment
 		"gompi-port://127.0.0.1:1/epnope/kaa",     // non-numeric epoch
 		"gompi-port://127.0.0.1:1/ep0/kaa/extras", // trailing segment
+		"gompi-port://h:1/ep0/k%25",               // escaped key: formats back as k%
+		"gompi-port://u@h:1/ep0/kaa",              // userinfo
+		"gompi-port://h:1/ep0/kaa?x",              // query
+		"gompi-port://h:1/ep0/kaa#x",              // fragment
+		"gompi-port://h:1/ep+5/kaa",               // signed epoch
+		"gompi-port://h:1/ep05/kaa",               // padded epoch
+		"gompi-port://h:1/ep0/kAA",                // not the hex randomHex makes
 	} {
 		if _, _, _, err := ParsePortName(bad); err == nil {
 			t.Errorf("ParsePortName(%q) accepted garbage", bad)
 		}
 	}
+}
+
+// FuzzParsePortName: a port name comes from another program. Any name
+// ParsePortName accepts is canonical — FormatPortName writes the same
+// triple back as that very name.
+func FuzzParsePortName(f *testing.F) {
+	f.Add(FormatPortName("127.0.0.1:45123", 3, "9f3aabcd"))
+	f.Add(FormatPortName("[::1]:7", 0, randomHex(16)))
+	f.Add("gompi-port://h:1/ep0/k%25")
+	f.Add("gompi-port://u@h:1/ep+5/kaa?x")
+	f.Fuzz(func(t *testing.T, name string) {
+		addr, epoch, key, err := ParsePortName(name)
+		if err != nil {
+			return
+		}
+		again := FormatPortName(addr, epoch, key)
+		a2, e2, k2, err := ParsePortName(again)
+		if again != name || err != nil || a2 != addr || e2 != epoch || k2 != key {
+			t.Fatalf("ParsePortName(%q) = (%q, %d, %q), which formats as %q and parses as (%q, %d, %q), %v",
+				name, addr, epoch, key, again, a2, e2, k2, err)
+		}
+	})
 }
 
 // endpoint is one single-rank world: the mux its engine would read and

@@ -5,14 +5,16 @@
 //
 // The registry follows the MPI-4 tools-information direction: variables
 // self-register by name, enumeration is cheap and read-only, and the
-// engine's own counters are registry entries first — EngineStats is one
-// view over them, not a parallel counter set. Every variable is safe
-// for concurrent update and read; updates are single atomic operations
-// so they can sit on the message hot path.
+// registry is the only place a runtime counter is read — there is no
+// struct copy of it. Values kept outside it (a transport's per-medium
+// counters, a process-wide pool) join as a Source, read on demand.
+// Every variable is safe for concurrent update and read; updates are
+// single atomic operations so they can sit on the message hot path.
 package obs
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -118,6 +120,7 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	timings  map[string]*Timing
 	controls map[string]Control
+	sources  map[string]func() []VarValue
 }
 
 // NewRegistry builds an empty registry.
@@ -127,6 +130,7 @@ func NewRegistry() *Registry {
 		gauges:   make(map[string]*Gauge),
 		timings:  make(map[string]*Timing),
 		controls: make(map[string]Control),
+		sources:  make(map[string]func() []VarValue),
 	}
 }
 
@@ -173,22 +177,49 @@ func (r *Registry) RegisterControl(c Control) {
 	r.mu.Unlock()
 }
 
+// Source installs (or replaces) fn under key: read-only variables kept
+// outside the registry, computed by fn whenever they are enumerated or
+// read. Installing the same key again replaces the source, so a layer
+// may register it from every instance it builds.
+func (r *Registry) Source(key string, fn func() []VarValue) {
+	r.mu.Lock()
+	r.sources[key] = fn
+	r.mu.Unlock()
+}
+
 // Value reads one performance variable by name (counter count, gauge
 // current value, or timing total); ok is false when no variable has
-// that name.
+// that name. Sources are consulted only after the named variables.
 func (r *Registry) Value(name string) (v int64, ok bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.counters[name]; c != nil {
+	c, g, t := r.counters[name], r.gauges[name], r.timings[name]
+	r.mu.Unlock()
+	switch {
+	case c != nil:
 		return int64(c.Load()), true
-	}
-	if g := r.gauges[name]; g != nil {
+	case g != nil:
 		return g.Load(), true
-	}
-	if t := r.timings[name]; t != nil {
+	case t != nil:
 		return t.TotalNs(), true
 	}
+	for _, v := range r.sourced() {
+		if v.Name == name {
+			return v.Value, true
+		}
+	}
 	return 0, false
+}
+
+// sourced computes every source's variables, outside the registry's
+// lock.
+func (r *Registry) sourced() (out []VarValue) {
+	r.mu.Lock()
+	fns := maps.Clone(r.sources)
+	r.mu.Unlock()
+	for _, fn := range fns {
+		out = append(out, fn()...)
+	}
+	return out
 }
 
 // Snapshot enumerates every performance variable, sorted by name.
@@ -205,6 +236,7 @@ func (r *Registry) Snapshot() []VarValue {
 		out = append(out, VarValue{Name: n, Class: "timing", Value: t.TotalNs(), Aux: int64(t.Count())})
 	}
 	r.mu.Unlock()
+	out = append(out, r.sourced()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

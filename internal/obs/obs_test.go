@@ -35,12 +35,26 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Fatalf("timing count=%d total=%d", tm.Count(), tm.TotalNs())
 	}
 
+	// A source joins enumeration and read-out; installing it again under
+	// the same key replaces it rather than listing it twice.
+	for range 2 {
+		reg.Source("transport.", func() []VarValue {
+			return []VarValue{{Name: "transport.pool_gets", Class: "counter", Value: 7}}
+		})
+	}
+	if got, ok := reg.Value("transport.pool_gets"); !ok || got != 7 {
+		t.Fatalf("source Value = %d, %v; want 7, true", got, ok)
+	}
+	if _, ok := reg.Value("transport.pool_hits"); ok {
+		t.Fatal("Value found a name no variable or source has")
+	}
+
 	snap := reg.Snapshot()
 	var names []string
 	for _, v := range snap {
 		names = append(names, v.Name)
 	}
-	want := []string{"coll.sched_ns", "core.sends_eager", "core.unexpected_depth"}
+	want := []string{"coll.sched_ns", "core.sends_eager", "core.unexpected_depth", "transport.pool_gets"}
 	if strings.Join(names, ",") != strings.Join(want, ",") {
 		t.Fatalf("Snapshot names = %v, want %v (sorted)", names, want)
 	}

@@ -60,7 +60,7 @@ func (p FaultPlan) Zero() bool {
 // ParseFaultPlan parses the comma-separated key=value syntax of the
 // GOMPI_FAULT environment variable:
 //
-//	rank=N          apply only on world rank N (default: every rank)
+//	rank=N          apply only on world rank N (default, or -1: every rank)
 //	kill-after=N    die after delivering N frames
 //	kill=exit|close kill action: exit the process (status 137) or close
 //	                the device (default close)
@@ -81,8 +81,8 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 		switch k {
 		case "rank":
 			n, err := strconv.Atoi(v)
-			if err != nil {
-				return plan, fmt.Errorf("transport: fault rank %q: %w", v, err)
+			if err != nil || n < -1 {
+				return plan, fmt.Errorf("transport: fault rank %q: want a world rank, or -1 for every rank", v)
 			}
 			plan.Rank = n
 		case "kill-after":
@@ -111,8 +111,8 @@ func ParseFaultPlan(s string) (FaultPlan, error) {
 			plan.DropPeers[n] = true
 		case "delay":
 			d, err := time.ParseDuration(v)
-			if err != nil {
-				return plan, fmt.Errorf("transport: fault delay %q: %w", v, err)
+			if err != nil || d < 0 {
+				return plan, fmt.Errorf("transport: fault delay %q: want a non-negative duration", v)
 			}
 			plan.SendDelay = d
 		default:

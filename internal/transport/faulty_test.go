@@ -18,11 +18,38 @@ func TestParseFaultPlan(t *testing.T) {
 	if p, err := ParseFaultPlan(""); err != nil || !p.Zero() || p.Rank != -1 {
 		t.Fatalf("empty spec: plan=%+v err=%v", p, err)
 	}
-	for _, bad := range []string{"kill-after=x", "kill=maybe", "rank", "frob=1", "delay=fast"} {
+	for _, bad := range faultPlansRefused {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q) accepted", bad)
 		}
 	}
+}
+
+// faultPlansRefused are plans that say nothing a fault can do: malformed,
+// or well-formed but unable ever to fire (no rank below -1 exists, and a
+// delay cannot be negative).
+var faultPlansRefused = []string{"kill-after=x", "kill=maybe", "rank", "frob=1", "delay=fast", "rank=-7", "delay=-1s"}
+
+// FuzzParseFaultPlan: GOMPI_FAULT comes from outside the program. Parsing
+// any string must return, and a plan it accepts must be one that can
+// fire: its rank is a world rank or -1, its counts and delay are not
+// negative.
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Add("rank=2,kill-after=40,kill=exit,drop-peer=1,drop-peer=3,delay=2ms")
+	f.Add("")
+	f.Add("rank=-1, kill=close")
+	for _, bad := range faultPlansRefused {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		plan, err := ParseFaultPlan(s)
+		if err != nil {
+			return
+		}
+		if plan.Rank < -1 || plan.KillAfterSends < 0 || plan.SendDelay < 0 {
+			t.Fatalf("ParseFaultPlan(%q) accepted a plan that cannot fire: %+v", s, plan)
+		}
+	})
 }
 
 func TestFaultyRankFilterAndZeroPlan(t *testing.T) {

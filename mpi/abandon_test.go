@@ -34,7 +34,7 @@ import (
 // left to the garbage collector by design, and Finalize runs one.)
 func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settled func() error) error) error {
 	t.Helper()
-	goroutines, pool, workers := runtime.NumGoroutine(), transport.PoolStats(), coll.PoolStats().Workers
+	goroutines, pool, workers := runtime.NumGoroutine(), transport.PoolStats(), poolWorkers()
 	var arrived sync.WaitGroup
 	arrived.Add(opt.NP)
 	audit := sync.OnceValue(func() error {
@@ -61,7 +61,7 @@ func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settle
 		buf := make([]byte, 1<<20)
 		t.Fatalf("job hung:\n%s", buf[:runtime.Stack(buf, true)])
 	}
-	left := func() int { return runtime.NumGoroutine() - (coll.PoolStats().Workers - workers) }
+	left := func() int { return runtime.NumGoroutine() - (poolWorkers() - workers) }
 	for deadline := time.Now().Add(10 * time.Second); left() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
@@ -69,6 +69,17 @@ func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settle
 		}
 	}
 	return err
+}
+
+// poolWorkers reads "coll.pool_workers": the collective progress pool's
+// workers spawned so far, process-wide.
+func poolWorkers() int {
+	for _, v := range coll.PoolVars() {
+		if v.Name == "coll.pool_workers" {
+			return int(v.Value)
+		}
+	}
+	return 0
 }
 
 // iallreduce is the cancellable large allreduce the tests abandon:
@@ -113,13 +124,13 @@ func TestAllreduceAbandonedByCancel(t *testing.T) {
 				} else {
 					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 					defer cancel()
-					lent := env.EngineStats().SendsLent
+					lent := pv(env, "core.sends_lent")
 					err := iallreduce(ctx, w, send, recv)
 					if !errors.Is(err, context.DeadlineExceeded) {
 						return fmt.Errorf("rank %d: %v, want the deadline", w.Rank(), err)
 					}
 					// Ranks 0 and 1 lent a window in each of two rounds, rank 2 in one.
-					if got, want := env.EngineStats().SendsLent-lent, uint64(2-w.Rank()/2); got != want {
+					if got, want := pv(env, "core.sends_lent")-lent, uint64(2-w.Rank()/2); got != want {
 						return fmt.Errorf("rank %d: cancelled with %d windows lent, want %d (not mid reduce-scatter)", w.Rank(), got, want)
 					}
 					scribble(send, recv)

@@ -28,7 +28,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"gompi/internal/coll"
 	"gompi/internal/core"
 	"gompi/internal/dynproc"
 	"gompi/internal/obs"
@@ -119,6 +118,7 @@ func newEnv(dev transport.Device, cfg core.Config) *Env {
 	e.world = newIntracomm(e, worldGroup, dev.Rank(), 0, "MPI.COMM_WORLD")
 	e.self = newIntracomm(e, []int{dev.Rank()}, 0, 2, "MPI.COMM_SELF")
 	e.proc.CommitContexts(2) // world:(0,1) self:(2,3); counter continues at 4
+	e.world.cl.Warm()        // the coll.* variables are listed before any collective
 	installEnvAttrs(e.world)
 	return e
 }
@@ -187,125 +187,6 @@ func (e *Env) Finalize() error {
 		return barrierErr
 	}
 	return err
-}
-
-// EngineStats is a point-in-time copy of the rank's progress-engine and
-// frame-pool counters: the runtime observability surface for the
-// zero-copy hot path. SendsLent / BytesLent count the rendezvous sends
-// that lent the caller's buffer instead of packing it; BytesCopied
-// against BytesRecv measures how much receive traffic pays an
-// engine-side copy (receive-into deposits — for a lent send, the one
-// copy the message pays anywhere) and BytesLanded how much was read off
-// a socket straight into the receive's buffer instead; RecvsZeroCopy counts receives
-// completed by frame handover; PoolHitRate is the fraction of
-// frame-buffer requests served by recycling rather than allocation
-// (process-wide).
-type EngineStats struct {
-	SendsEager, SendsSync, SendsRndv uint64
-	SendsLent, BytesLent             uint64
-	BytesSent, BytesRecv             uint64
-	RecvsMatched, RecvsUnexpected    uint64
-	BytesCopied, BytesLanded         uint64
-	RecvsZeroCopy                    uint64
-	Cancelled                        uint64
-	PeersLost                        uint64
-	PoolHitRate                      float64
-
-	// Collective-layer counters (this rank): schedule activations, how
-	// often one had to park waiting for a message, and how often a
-	// parked one was resumed — whichever goroutine drives it, the
-	// caller of a blocking collective or the progress pool.
-	CollSchedsStarted uint64
-	CollSchedsParked  uint64
-	CollSchedsResumed uint64
-	// CollBytesReduced counts the wire bytes this rank's reduction
-	// kernels folded, one increment per kernel call.
-	CollBytesReduced uint64
-
-	// Shared progress-pool occupancy (process-wide: one pool serves
-	// every in-process rank): workers currently executing a schedule,
-	// the lifetime peak, and the worker cap.
-	PoolWorkersBusy int
-	PoolWorkersPeak int
-	PoolWorkersMax  int
-
-	// DeviceStats breaks the traffic down by medium: one entry per kind
-	// of route in the rank's transport.Mux — "chan" (by reference),
-	// "tcp" (mesh connections) or a member device's own ("shm"; a
-	// hybrid run reports "shm" and "tcp") — plus "dyn" for the links
-	// joined after launch once there is one. Each carries its own
-	// frame/byte counters and buffer-pool hit rate (the shared-segment
-	// arena for "shm", the process pool otherwise).
-	DeviceStats []DeviceStats
-}
-
-// DeviceStats is one transport medium's counter snapshot.
-type DeviceStats struct {
-	// Device names the medium ("shm", "tcp", "chan", "dyn").
-	Device string
-	// FramesSent/FramesRecv count frames through the endpoint.
-	FramesSent, FramesRecv uint64
-	// BytesSent/BytesRecv total frame bytes (header + payload).
-	BytesSent, BytesRecv uint64
-	// SendWaits counts the frames that found the destination mailbox
-	// full and waited for its engine to drain: how often
-	// RunOptions.InboxDepth engaged as flow control.
-	SendWaits uint64
-	// PoolHitRate is the fraction of the medium's buffer-pool requests
-	// served by recycling rather than allocation.
-	PoolHitRate float64
-}
-
-// EngineStats snapshots the rank's hot-path counters. It is a typed
-// view over the same obs.Registry PerfVars enumerates: every field here
-// is readable by name ("core.sends_eager", "coll.scheds_parked", ...)
-// through the tools interface.
-func (e *Env) EngineStats() EngineStats {
-	s := e.proc.StatsSnapshot()
-	reg := e.proc.Obs()
-	started, _ := reg.Value("coll.scheds_started")
-	parked, _ := reg.Value("coll.scheds_parked")
-	resumed, _ := reg.Value("coll.scheds_resumed")
-	reduced, _ := reg.Value("coll.bytes_reduced")
-	po := coll.PoolStats()
-	devs := make([]DeviceStats, 0, len(s.Devices))
-	for _, d := range s.Devices {
-		devs = append(devs, DeviceStats{
-			Device:      d.Name,
-			FramesSent:  d.FramesSent,
-			FramesRecv:  d.FramesRecv,
-			BytesSent:   d.BytesSent,
-			BytesRecv:   d.BytesRecv,
-			SendWaits:   d.SendWaits,
-			PoolHitRate: d.Pool.HitRate(),
-		})
-	}
-	return EngineStats{
-		SendsEager:      s.SendsEager,
-		SendsSync:       s.SendsSync,
-		SendsRndv:       s.SendsRndv,
-		SendsLent:       s.SendsLent,
-		BytesLent:       s.BytesLent,
-		BytesSent:       s.BytesSent,
-		BytesRecv:       s.BytesRecv,
-		RecvsMatched:    s.RecvsMatched,
-		RecvsUnexpected: s.RecvsUnexpected,
-		BytesCopied:     s.BytesCopied,
-		BytesLanded:     s.BytesLanded,
-		RecvsZeroCopy:   s.RecvsZeroCopy,
-		Cancelled:       s.Cancelled,
-		PeersLost:       s.PeersLost,
-		PoolHitRate:     s.Pool.HitRate(),
-		DeviceStats:     devs,
-
-		CollSchedsStarted: uint64(started),
-		CollSchedsParked:  uint64(parked),
-		CollSchedsResumed: uint64(resumed),
-		CollBytesReduced:  uint64(reduced),
-		PoolWorkersBusy:   po.Busy,
-		PoolWorkersPeak:   po.PeakBusy,
-		PoolWorkersMax:    po.Max,
-	}
 }
 
 // attachPool is the Bsend attach-buffer accounting (MPI_Buffer_attach).

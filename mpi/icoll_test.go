@@ -152,6 +152,13 @@ func waitCtx(ctx context.Context) func(*mpi.Request, error) error {
 	}
 }
 
+// pv reads one of the rank's performance variables by name; an unknown
+// name reads as 0.
+func pv(env *mpi.Env, name string) uint64 {
+	v, _ := env.PerfVar(name)
+	return uint64(v)
+}
+
 // TestCollectiveCtxVariantsComplete: a nonblocking collective waited
 // with WaitCtx under a background (never-cancelled) context is exactly
 // the blocking collective.
@@ -274,7 +281,7 @@ func TestWaitCtxCollectiveAbsentPeerPooled(t *testing.T) {
 		w := env.CommWorld()
 		in, out := []float64{float64(w.Rank() + 1)}, []float64{0}
 		if w.Rank() == 1 {
-			abandoned := env.EngineStats().Cancelled
+			abandoned := pv(env, "core.cancelled")
 			calls := map[string]func(context.Context) error{
 				"Ibarrier": func(ctx context.Context) error { return waitCtx(ctx)(w.Ibarrier()) },
 				"Iallreduce": func(ctx context.Context) error {
@@ -292,7 +299,7 @@ func TestWaitCtxCollectiveAbsentPeerPooled(t *testing.T) {
 				if waited := time.Since(start); waited > 5*time.Second {
 					t.Errorf("%s took %v, not prompt", name, waited)
 				}
-				if now := env.EngineStats().Cancelled; now != abandoned+1 {
+				if now := pv(env, "core.cancelled"); now != abandoned+1 {
 					t.Errorf("%s left its gated receive behind: %d receives cancelled, want %d", name, now, abandoned+1)
 				} else {
 					abandoned = now

@@ -82,15 +82,12 @@ func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
 				return err
 			}
 		}
-		frames := func() (n uint64) {
+		frames := func() uint64 {
 			// Every frame is sent once and received once, and rank 0
 			// has received all its replies.
-			for _, d := range env.EngineStats().DeviceStats {
-				n += d.FramesSent + d.FramesRecv
-			}
-			return n
+			return pv(env, "transport.chan.frames_sent") + pv(env, "transport.chan.frames_recv")
 		}
-		gets, sent, lent := transport.PoolStats().Gets, frames(), env.EngineStats().SendsLent
+		gets, sent, lent := transport.PoolStats().Gets, frames(), pv(env, "core.sends_lent")
 		var rtErr error
 		allocs := testing.AllocsPerRun(rounds, func() {
 			if err := roundTrip(); err != nil {
@@ -101,7 +98,7 @@ func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
 			return rtErr
 		}
 		gets, sent = transport.PoolStats().Gets-gets, frames()-sent
-		if got := env.EngineStats().SendsLent - lent; got != rounds+1 {
+		if got := pv(env, "core.sends_lent") - lent; got != rounds+1 {
 			t.Errorf("%d of %d sends went out on loan", got, rounds+1)
 		}
 		if gets != sent {

@@ -144,7 +144,7 @@ func TestLoanAliasingSafety(t *testing.T) {
 					return lendReceiver(w, 0, rounds)
 				}
 				err := lendSender(w, 1, rounds)
-				lent = env.EngineStats().SendsLent
+				lent = pv(env, "core.sends_lent")
 				return err
 			})
 			if err != nil {

@@ -162,7 +162,7 @@ func TestTwoMediaJobLendsAcrossEachMedium(t *testing.T) {
 		}
 		return nil
 	}
-	stats := make([]EngineStats, len(muxes))
+	stats := make([]map[string]uint64, len(muxes))
 	err := RunWith(RunOptions{
 		NP:         len(muxes),
 		WrapDevice: func(rank int, _ transport.Device) transport.Device { return muxes[rank] },
@@ -178,7 +178,7 @@ func TestTwoMediaJobLendsAcrossEachMedium(t *testing.T) {
 				}
 			}
 		}
-		stats[w.Rank()] = env.EngineStats()
+		stats[w.Rank()] = perfVars(env)
 		return nil
 	})
 	if err != nil {
@@ -187,23 +187,25 @@ func TestTwoMediaJobLendsAcrossEachMedium(t *testing.T) {
 	for rank, s := range stats {
 		// Every rank is in two pairs: two small and two big messages
 		// each way.
-		if s.SendsLent != 2 || s.BytesLent != 2*big || s.SendsEager != 2 {
+		if s["core.sends_lent"] != 2 || s["core.bytes_lent"] != 2*big || s["core.sends_eager"] != 2 {
 			t.Errorf("rank %d: sends_lent=%d bytes_lent=%d sends_eager=%d, want 2 lent sends of %d bytes and 2 eager",
-				rank, s.SendsLent, s.BytesLent, s.SendsEager, big)
+				rank, s["core.sends_lent"], s["core.bytes_lent"], s["core.sends_eager"], big)
 		}
 		// Of the two big messages one came over the island and was
 		// deposited by the engine, the other over the mesh and was read
 		// off the socket into the receive buffer.
-		if want := uint64(2*small + big); s.BytesCopied != want || s.BytesLanded != big {
+		if want := uint64(2*small + big); s["core.bytes_copied"] != want || s["core.bytes_landed"] != big {
 			t.Errorf("rank %d: bytes_copied=%d bytes_landed=%d, want %d and %d (one deposit per message received, by the engine or by the read loop, no staging of the lent ones)",
-				rank, s.BytesCopied, s.BytesLanded, want, big)
+				rank, s["core.bytes_copied"], s["core.bytes_landed"], want, big)
 		}
-		media := map[string]uint64{}
-		for _, d := range s.DeviceStats {
-			media[d.Device] += d.FramesSent
+		var media []string
+		for name := range s {
+			if m, ok := strings.CutSuffix(strings.TrimPrefix(name, "transport."), ".frames_sent"); ok {
+				media = append(media, m)
+			}
 		}
-		if len(s.DeviceStats) != 2 || media["chan"] == 0 || media["tcp"] == 0 {
-			t.Errorf("rank %d: device stats %+v, want one chan and one tcp entry, both used", rank, s.DeviceStats)
+		if len(media) != 2 || s["transport.chan.frames_sent"] == 0 || s["transport.tcp.frames_sent"] == 0 {
+			t.Errorf("rank %d: frames sent over media %v, want chan and tcp, both used", rank, media)
 		}
 	}
 }
@@ -228,7 +230,7 @@ func TestDecoratedRunLends(t *testing.T) {
 		{"tcp", RunOptions{Device: "tcp"}, 0, size},
 	} {
 		var lent uint64
-		var recv EngineStats
+		var recv map[string]uint64
 		c.opts.NP = 2
 		err := RunWith(c.opts, func(env *Env) error {
 			w := env.CommWorld()
@@ -237,19 +239,19 @@ func TestDecoratedRunLends(t *testing.T) {
 				if err := w.Send(buf, 0, size, BYTE, 1, 0); err != nil {
 					return err
 				}
-				lent = env.EngineStats().SendsLent
+				lent = perfVars(env)["core.sends_lent"]
 				return nil
 			}
 			_, err := w.Recv(buf, 0, size, BYTE, 0, 0)
-			recv = env.EngineStats()
+			recv = perfVars(env)
 			return err
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		if lent != 1 || recv.BytesCopied != c.copied || recv.BytesLanded != c.landed {
+		if lent != 1 || recv["core.bytes_copied"] != c.copied || recv["core.bytes_landed"] != c.landed {
 			t.Fatalf("%s 256 KiB send: sends_lent=%d, receiver bytes_copied=%d bytes_landed=%d; want 1, %d and %d",
-				c.name, lent, recv.BytesCopied, recv.BytesLanded, c.copied, c.landed)
+				c.name, lent, recv["core.bytes_copied"], recv["core.bytes_landed"], c.copied, c.landed)
 		}
 	}
 }

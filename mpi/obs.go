@@ -10,25 +10,20 @@ package mpi
 import (
 	"sync/atomic"
 
-	"gompi/internal/coll"
 	"gompi/internal/obs"
 )
 
 // PerfVars enumerates the rank's performance variables — counters,
-// gauges and timings — sorted by name. The "coll.pool_workers*" entries
-// are process-wide (the shared progress pool serves every in-process
-// rank); everything else is this rank's own.
+// gauges and timings — sorted by name. The "transport.pool_*" and
+// "coll.pool_workers*" entries are process-wide (one frame pool and one
+// progress pool serve every in-process rank); everything else is this
+// rank's own.
 func (e *Env) PerfVars() []obs.VarValue {
-	vars := e.proc.Obs().Snapshot()
-	po := coll.PoolStats()
-	vars = append(vars,
-		obs.VarValue{Name: "coll.pool_workers", Class: "gauge", Value: int64(po.Workers), Aux: int64(po.Max)},
-		obs.VarValue{Name: "coll.pool_workers_busy", Class: "gauge", Value: int64(po.Busy), Aux: int64(po.PeakBusy)},
-	)
-	return vars
+	return e.proc.Obs().Snapshot()
 }
 
-// PerfVar reads one performance variable by name.
+// PerfVar reads one performance variable by name: any name PerfVars
+// lists, at the value it would list.
 func (e *Env) PerfVar(name string) (int64, bool) {
 	return e.proc.Obs().Value(name)
 }
@@ -36,10 +31,6 @@ func (e *Env) PerfVar(name string) (int64, bool) {
 // ControlVars enumerates the rank's writable control variables with
 // their live values ("core.eager_limit", "coll.pool_max_workers", ...).
 func (e *Env) ControlVars() []obs.ControlValue {
-	// The coll-layer cvar registers on first collective; touching the
-	// world communicator's collective context here makes enumeration
-	// complete even before any collective ran.
-	e.world.cl.Warm()
 	return e.proc.Obs().Controls()
 }
 
@@ -47,7 +38,6 @@ func (e *Env) ControlVars() []obs.ControlValue {
 // effect immediately — e.g. lowering "core.eager_limit" reroutes the
 // very next send through the rendezvous protocol.
 func (e *Env) SetControlVar(name string, v int64) error {
-	e.world.cl.Warm()
 	if err := e.proc.Obs().SetControl(name, v); err != nil {
 		return errf(ErrArg, "%v", err)
 	}

@@ -445,22 +445,24 @@ func TestAllreduceBackToBackSlowRank(t *testing.T) {
 // TestBytesReducedPerfVar: one 4-rank 256 KiB allreduce folds three
 // quarters of the operand on every rank (the reduce-scatter halves what
 // is left each round: 1/2 + 1/4), and the count surfaces through both
-// PerfVar and EngineStats.
+// PerfVar and PerfVars.
 func TestBytesReducedPerfVar(t *testing.T) {
 	const count = 32 << 10
 	err := mpi.Run(4, func(env *mpi.Env) error {
 		w := env.CommWorld()
 		send, recv := make([]float64, count), make([]float64, count)
-		before := env.EngineStats().CollBytesReduced
+		before := pv(env, "coll.bytes_reduced")
 		if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
 			return err
 		}
-		after := env.EngineStats().CollBytesReduced
+		after := pv(env, "coll.bytes_reduced")
 		if got := after - before; got != 8*count*3/4 {
 			return fmt.Errorf("rank %d: coll.bytes_reduced grew by %d, want %d", w.Rank(), got, 8*count*3/4)
 		}
-		if v, ok := env.PerfVar("coll.bytes_reduced"); !ok || uint64(v) != after {
-			return fmt.Errorf("rank %d: PerfVar(coll.bytes_reduced) = %d, %v; EngineStats says %d", w.Rank(), v, ok, after)
+		for _, v := range env.PerfVars() {
+			if v.Name == "coll.bytes_reduced" && uint64(v.Value) != after {
+				return fmt.Errorf("rank %d: PerfVars lists coll.bytes_reduced = %d; PerfVar says %d", w.Rank(), v.Value, after)
+			}
 		}
 		return nil
 	})
@@ -590,7 +592,7 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 				if err := p.Free(); err != nil {
 					return err
 				}
-				if lent := env.EngineStats().SendsLent; lent == 0 {
+				if lent := pv(env, "core.sends_lent"); lent == 0 {
 					return fmt.Errorf("rank %d: no window ever went out on loan", w.Rank())
 				}
 				return nil
@@ -614,11 +616,11 @@ func TestAllreduceSwitchPoint(t *testing.T) {
 			w := env.CommWorld()
 			for _, size := range []int{eager, eager + 8, 8*eager - 8, 8 * eager} {
 				buf := make([]float64, size/8)
-				lent := env.EngineStats().SendsLent
+				lent := pv(env, "core.sends_lent")
 				if err := w.Allreduce(buf, 0, buf, 0, len(buf), mpi.DOUBLE, mpi.SUM); err != nil {
 					return err
 				}
-				if halved := env.EngineStats().SendsLent > lent; halved != (size >= floor) {
+				if halved := pv(env, "core.sends_lent") > lent; halved != (size >= floor) {
 					return fmt.Errorf("%s, %d bytes: halving schedule ran = %v, floor %d", device, size, halved, floor)
 				}
 			}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestStatsInvariants(t *testing.T) {
 		perRank   = nEager + nRndv + nSync
 		rankBytes = nEager*eagerSz + nRndv*rndvSz + nSync*eagerSz
 	)
-	stats := make([]EngineStats, 2)
+	stats := make([]map[string]uint64, 2)
 	var mu sync.Mutex
 
 	exchange := func(env *Env, sender int) error {
@@ -68,7 +69,7 @@ func TestStatsInvariants(t *testing.T) {
 			return err
 		}
 		mu.Lock()
-		stats[env.Rank()] = env.EngineStats()
+		stats[env.Rank()] = perfVars(env)
 		mu.Unlock()
 		return nil
 	})
@@ -78,19 +79,20 @@ func TestStatsInvariants(t *testing.T) {
 
 	var sent, recv, eager, sync_, rndv uint64
 	for rank, st := range stats {
-		if got := st.SendsEager + st.SendsSync + st.SendsRndv; got != perRank {
+		e, s, r := st["core.sends_eager"], st["core.sends_sync"], st["core.sends_rndv"]
+		if got := e + s + r; got != perRank {
 			t.Errorf("rank %d: protocol counters %d+%d+%d = %d, want %d messages",
-				rank, st.SendsEager, st.SendsSync, st.SendsRndv, got, perRank)
+				rank, e, s, r, got, perRank)
 		}
-		if st.RecvsMatched+st.RecvsUnexpected != perRank {
+		if st["core.recvs_matched"]+st["core.recvs_unexpected"] != perRank {
 			t.Errorf("rank %d: matched %d + unexpected %d != %d received",
-				rank, st.RecvsMatched, st.RecvsUnexpected, perRank)
+				rank, st["core.recvs_matched"], st["core.recvs_unexpected"], perRank)
 		}
-		sent += st.BytesSent
-		recv += st.BytesRecv
-		eager += st.SendsEager
-		sync_ += st.SendsSync
-		rndv += st.SendsRndv
+		sent += st["core.bytes_sent"]
+		recv += st["core.bytes_recv"]
+		eager += e
+		sync_ += s
+		rndv += r
 	}
 	if sent != recv {
 		t.Errorf("job-wide BytesSent %d != BytesRecv %d", sent, recv)
@@ -104,68 +106,100 @@ func TestStatsInvariants(t *testing.T) {
 	}
 }
 
-// TestPerfAndControlVars exercises the MPI_T-style surface: pvar
-// enumeration carries the engine counters, and the eager-limit cvar
-// retargets the protocol choice of subsequent sends.
+// perfVars is the rank's performance variables by name, read at once.
+func perfVars(env *Env) map[string]uint64 {
+	m := map[string]uint64{}
+	for _, v := range env.PerfVars() {
+		m[v.Name] = uint64(v.Value)
+	}
+	return m
+}
+
+// TestPerfAndControlVars exercises the MPI_T-style surface over chan and
+// tcp: the eager-limit cvar retargets the protocol choice of subsequent
+// sends, and after a p2p exchange and a collective every variable
+// PerfVars lists — core, coll and transport, the medium's own included —
+// reads the same through PerfVar.
 func TestPerfAndControlVars(t *testing.T) {
-	err := Run(2, func(env *Env) error {
-		w := env.CommWorld()
-		peer := 1 - w.Rank()
-		buf := make([]byte, 2048)
-
-		// Well below the default eager limit: counted as eager.
-		if w.Rank() == 0 {
-			if err := w.Send(buf, 0, len(buf), BYTE, peer, 1); err != nil {
-				return err
-			}
-		} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 1); err != nil {
-			return err
+	for _, device := range []string{"chan", "tcp"} {
+		envs := make([]*Env, 2)
+		err := RunWith(RunOptions{NP: 2, Device: device}, func(env *Env) error {
+			envs[env.Rank()] = env
+			return perfAndControlVars(env)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", device, err)
 		}
-
-		// Drop the threshold below the payload: the same send must now
-		// take the rendezvous path.
-		if err := env.SetControlVar("core.eager_limit", 256); err != nil {
-			return err
-		}
-		if w.Rank() == 0 {
-			if err := w.Send(buf, 0, len(buf), BYTE, peer, 2); err != nil {
-				return err
-			}
-			eager, _ := env.PerfVar("core.sends_eager")
-			rndv, _ := env.PerfVar("core.sends_rndv")
-			if eager != 1 || rndv != 1 {
-				return errf(ErrIntern, "after cvar flip: eager=%d rndv=%d, want 1/1", eager, rndv)
-			}
-		} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 2); err != nil {
-			return err
-		}
-
-		// The enumeration must cover every subsystem prefix.
-		seen := map[string]bool{}
-		for _, v := range env.PerfVars() {
-			for _, p := range []string{"core.", "coll."} {
-				if len(v.Name) > len(p) && v.Name[:len(p)] == p {
-					seen[p] = true
+		// The job is over, so nothing moves between the two reads.
+		for rank, env := range envs {
+			seen := map[string]bool{}
+			for _, v := range env.PerfVars() {
+				prefix, _, _ := strings.Cut(v.Name, ".")
+				seen[prefix] = true
+				if got, ok := env.PerfVar(v.Name); !ok || got != v.Value {
+					t.Errorf("%s rank %d: PerfVars lists %s = %d, PerfVar reads %d, %v", device, rank, v.Name, v.Value, got, ok)
 				}
 			}
+			if !seen["core"] || !seen["coll"] || !seen["transport"] {
+				t.Errorf("%s rank %d: PerfVars missing a subsystem: %v", device, rank, seen)
+			}
+			if n, _ := env.PerfVar("transport." + device + ".frames_sent"); n == 0 {
+				t.Errorf("%s rank %d: no frames counted on its own medium", device, rank)
+			}
 		}
-		if !seen["core."] || !seen["coll."] {
-			return errf(ErrIntern, "PerfVars missing a subsystem: %v", seen)
-		}
-
-		cvs := env.ControlVars()
-		names := map[string]bool{}
-		for _, cv := range cvs {
-			names[cv.Name] = true
-		}
-		if !names["core.eager_limit"] || !names["coll.pool_max_workers"] {
-			return errf(ErrIntern, "ControlVars = %v, missing eager_limit or pool_max_workers", names)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
+}
+
+// perfAndControlVars is one rank's part of TestPerfAndControlVars: an
+// eager send, the cvar flip and a rendezvous send, then one collective.
+func perfAndControlVars(env *Env) error {
+	w := env.CommWorld()
+	peer := 1 - w.Rank()
+	buf := make([]byte, 2048)
+
+	// Well below the default eager limit: counted as eager.
+	if w.Rank() == 0 {
+		if err := w.Send(buf, 0, len(buf), BYTE, peer, 1); err != nil {
+			return err
+		}
+	} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 1); err != nil {
+		return err
+	}
+
+	// Drop the threshold below the payload: the same send must now
+	// take the rendezvous path.
+	if err := env.SetControlVar("core.eager_limit", 256); err != nil {
+		return err
+	}
+	if w.Rank() == 0 {
+		if err := w.Send(buf, 0, len(buf), BYTE, peer, 2); err != nil {
+			return err
+		}
+		eager, _ := env.PerfVar("core.sends_eager")
+		rndv, _ := env.PerfVar("core.sends_rndv")
+		if eager != 1 || rndv != 1 {
+			return errf(ErrIntern, "after cvar flip: eager=%d rndv=%d, want 1/1", eager, rndv)
+		}
+	} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 2); err != nil {
+		return err
+	}
+
+	in, out := []float64{1}, []float64{0}
+	if err := w.Allreduce(in, 0, out, 0, 1, DOUBLE, SUM); err != nil {
+		return err
+	}
+	if n, _ := env.PerfVar("coll.scheds_started"); n == 0 {
+		return errf(ErrIntern, "an allreduce started no schedule")
+	}
+
+	names := map[string]bool{}
+	for _, cv := range env.ControlVars() {
+		names[cv.Name] = true
+	}
+	if !names["core.eager_limit"] || !names["coll.pool_max_workers"] {
+		return errf(ErrIntern, "ControlVars = %v, missing eager_limit or pool_max_workers", names)
+	}
+	return nil
 }
 
 // TestRunTraceRecords checks RunOptions.Trace end to end in-process:
