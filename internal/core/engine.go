@@ -101,15 +101,33 @@ type outFrame struct {
 }
 
 // Proc is one rank's progress engine. All methods are safe for
-// concurrent use by the rank's user goroutine and its progress goroutine.
+// concurrent use. Progress — taking frames out of the rank's mailbox and
+// running them through the engine — is driven by whichever goroutine
+// holds the progress role: a caller blocked in Wait or Probe, else the
+// engine's own progress goroutine.
 type Proc struct {
 	dev transport.Device
 	// try is dev's never-blocking send, where it has one.
 	try trySender
+	mb  mailbox
 	cfg Config
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// The progress role. A caller about to park in Wait or Probe takes
+	// it while no other caller has it (polling), runs the engine's body
+	// itself and parks on pollBell between frames, so the producer of the
+	// frame it waits for wakes it directly; the progress goroutine, parked
+	// on idleBell, holds it the rest of the time. Handing it over is
+	// registering the other bell with the mailbox, which wakes nobody.
+	idleBell, pollBell *transport.Bell
+	polling            bool
+	pollFor            *Request // what the polling caller waits for; nil for Probe
+	// pollParked: the polling caller is parked on pollBell, or about to
+	// be. Whatever completes pollFor then rings it; while it runs the
+	// body, it looks for itself before parking again.
+	pollParked bool
+
 	posted  []*Request // receives no message has met yet, post order
 	arrived []*inMsg   // unexpected messages, arrival order
 	// pending holds, by id, every operation a peer's next frame settles:
@@ -154,7 +172,7 @@ type Proc struct {
 
 	wg sync.WaitGroup
 	// inflightN counts control frames (CTS/ACK/DATA) sent
-	// asynchronously from the progress loop; Close drains them (under
+	// asynchronously by the progress body; Close drains them (under
 	// mu, woken through cond) before closing the device so no frame is
 	// dropped at shutdown. A plain counter rather than a WaitGroup:
 	// late frames (revocation floods, failure notices) can start a
@@ -174,6 +192,14 @@ type trySender interface {
 	ByReference(dst int) bool
 }
 
+// mailbox is the rank's one inbox (transport.Mux), read by whoever holds
+// the progress role: a consumer takes frames with TryRecv and, finding
+// none, parks on the bell it registered with Listen.
+type mailbox interface {
+	Listen(*transport.Bell)
+	TryRecv() (transport.Frame, bool, error)
+}
+
 // landerSetter is an endpoint whose connections' read loops ask where a
 // long frame lands (transport.Mux). Like trySender it is found by type
 // assertion and is not part of transport.Device: a decorated device or a
@@ -183,15 +209,22 @@ type landerSetter interface {
 }
 
 // NewProc wraps a device with a progress engine and starts its progress
-// goroutine.
+// goroutine. A device that is not a mailbox (transport.Mux) is read
+// through one (transport.MuxOver).
 func NewProc(dev transport.Device, cfg Config) *Proc {
+	if _, ok := dev.(mailbox); !ok {
+		dev = transport.MuxOver(dev)
+	}
 	p := &Proc{
-		dev:     dev,
-		cfg:     cfg,
-		reg:     obs.NewRegistry(),
-		rec:     cfg.Recorder,
-		pending: make(map[uint64]*Request),
-		nextCtx: 2, // 0 and 1 belong to COMM_WORLD
+		dev:      dev,
+		mb:       dev.(mailbox),
+		cfg:      cfg,
+		idleBell: transport.NewBell(),
+		pollBell: transport.NewBell(),
+		reg:      obs.NewRegistry(),
+		rec:      cfg.Recorder,
+		pending:  make(map[uint64]*Request),
+		nextCtx:  2, // 0 and 1 belong to COMM_WORLD
 	}
 	p.try, _ = dev.(trySender)
 	if l, ok := dev.(landerSetter); ok {
@@ -208,6 +241,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		Get:  func() int64 { return p.eagerLim.Load() },
 		Set:  func(v int64) error { p.eagerLim.Store(v); return nil },
 	})
+	p.mb.Listen(p.idleBell)
 	p.wg.Add(1)
 	go p.progress()
 	return p
@@ -240,7 +274,7 @@ func (p *Proc) Close() error {
 		return nil
 	}
 	p.closed = true
-	p.cond.Broadcast()
+	p.wakeLocked()
 	// Let asynchronously-sent control frames reach their destination
 	// inboxes first: a barrier completing on this rank may still owe a
 	// peer its rendezvous payload.
@@ -253,56 +287,118 @@ func (p *Proc) Close() error {
 	return err
 }
 
-// progress pumps the device, feeding every frame through the matching
-// engine and transmitting any frames the engine produces in response.
+// progress holds the progress role while no caller does: it runs the
+// progress body whenever its bell rings, until the endpoint is dead.
 func (p *Proc) progress() {
 	defer p.wg.Done()
-	for {
-		raw, err := p.dev.Recv()
-		if err != nil {
-			// A single lost peer is not a device failure: fail the
-			// operations pinned to that peer (MPI_ERR_PROC_FAILED
-			// semantics) and keep serving everyone else. This is what
-			// lets surviving ranks drain a barrier while an already
-			// finalized peer's exit is being noticed.
-			var pl *transport.PeerLostError
-			if errors.As(err, &pl) {
-				p.failPeer(pl)
-				continue
+	p.mu.Lock()
+	for p.fatal == nil {
+		if p.polling || !p.stepLocked() {
+			p.mu.Unlock()
+			p.idleBell.Wait()
+			p.stats.ProgressWakes.Inc()
+			p.mu.Lock()
+		}
+	}
+	p.mu.Unlock()
+}
+
+// awaitLocked returns, holding mu as on entry, once done reports true.
+// Until then the caller drives progress itself unless another caller
+// already does: it takes the progress role, runs the progress body, and
+// parks on pollBell whenever the mailbox is empty — where the producer
+// of the next frame, or whatever completes mine outside the mailbox,
+// rings it — and hands the role back once done holds. Other callers
+// sleep on cond, and so does everyone once the endpoint is dead.
+func (p *Proc) awaitLocked(mine *Request, done func() bool) {
+	for !done() {
+		if p.polling || p.fatal != nil {
+			p.cond.Wait()
+			continue
+		}
+		p.polling, p.pollFor = true, mine
+		p.mb.Listen(p.pollBell)
+		for !done() && p.fatal == nil {
+			if !p.stepLocked() {
+				p.pollParked = true
+				p.mu.Unlock()
+				p.stats.CallerPolls.Inc()
+				p.pollBell.Wait()
+				p.mu.Lock()
+				p.pollParked = false
 			}
+		}
+		p.polling, p.pollFor = false, nil
+		p.mb.Listen(p.idleBell)
+		p.cond.Broadcast() // a caller sleeping for want of the role may take it
+	}
+}
+
+// stepLocked is the progress body, run by whoever holds the progress
+// role: it takes the next frame or loss report out of the mailbox and
+// runs it through the engine. Taking and matching happen under mu, in
+// mailbox order, which keeps MPI's non-overtaking rule whoever holds the
+// role; mu is dropped while the frames the engine produced go out and
+// the requests they finish complete. It reports false, having taken
+// nothing, when the mailbox is empty.
+func (p *Proc) stepLocked() bool {
+	raw, ok, err := p.mb.TryRecv()
+	switch {
+	case !ok:
+		return false
+	case err != nil:
+		// A single lost peer is not a device failure: fail the
+		// operations pinned to that peer (MPI_ERR_PROC_FAILED
+		// semantics) and keep serving everyone else. This is what lets
+		// surviving ranks drain a barrier while an already finalized
+		// peer's exit is being noticed.
+		var pl *transport.PeerLostError
+		if errors.As(err, &pl) {
+			p.failPeerLocked(pl)
+		} else {
 			// Terminal device error: the fabric under this rank is gone
 			// (Close, or a fault-injected death of our own endpoint).
 			// Complete everything pending with the error so goroutines
 			// blocked in Wait unblock instead of hanging on a rank that
 			// can no longer make progress.
-			p.failAll(err)
-			return
+			p.failAllLocked(err)
 		}
-		f, err := parseFrame(raw)
-		if err != nil {
-			// Not a frame: a bug at the peer or a stranger on a link,
-			// not a user error. It can only be dropped, and what it
-			// was meant to complete now waits, so leave the cause
-			// where a hang gets looked into.
-			p.malformed(f.kind, len(raw.Data))
-			f.frame.Release()
-			continue
-		}
-		outs, after := p.handle(f)
-		// Control frames (CTS/ACK/DATA) are keyed by unique ids and
-		// order-insensitive, so they go out without ever blocking this
-		// loop (sendAsync): a blocking send here could form a
-		// progress↔progress flow-control cycle between two ranks
-		// flooding each other.
-		// Matching-relevant frames (eager, RTS) are only ever sent
-		// from user goroutines, preserving MPI's non-overtaking rule.
-		p.sendAsync(outs)
-		// The rendezvous payload has been handed to the device (and,
-		// over shm, to the receiver) by the Sendv above; the send
-		// request completes now.
-		for _, c := range after {
-			p.complete(c.req, nil, c.st)
-		}
+		return true
+	}
+	f, err := parseFrame(raw)
+	outs, after, purged := p.handleLocked(&f, err)
+	if len(outs)+len(after)+len(purged) == 0 && !f.frame.Lent() {
+		f.frame.Release() // pool storage at most: no lender's lock to take
+		return true
+	}
+	p.mu.Unlock()
+	// Released once the lock is dropped: see handleLocked.
+	f.frame.Release()
+	release(purged)
+	// Control frames (CTS/ACK/DATA) are keyed by unique ids and
+	// order-insensitive, so they go out without ever blocking the
+	// progress body (sendAsync): a blocking send here could form a
+	// flow-control cycle between two ranks flooding each other.
+	// Matching-relevant frames (eager, RTS) are only ever sent from
+	// user calls, preserving MPI's non-overtaking rule.
+	p.sendAsync(outs)
+	// The rendezvous payload has been handed to the device (and, over
+	// shm, to the receiver) by the Sendv above; the send request
+	// completes now.
+	for _, c := range after {
+		p.complete(c.req, nil, c.st)
+	}
+	p.mu.Lock()
+	return true
+}
+
+// wakeLocked wakes whoever sleeps on the engine's state rather than on a
+// request of its own: cond's sleepers, and a polling caller parked on its
+// bell (a Probe's has no request to complete).
+func (p *Proc) wakeLocked() {
+	p.cond.Broadcast()
+	if p.pollParked {
+		p.pollBell.Ring()
 	}
 }
 
@@ -340,7 +436,7 @@ func (p *Proc) failWhereLocked(err error, hit func(r *Request, posted bool) bool
 			p.dropPendingLocked(r, Status{Err: err})
 		}
 	}
-	p.cond.Broadcast()
+	p.wakeLocked()
 }
 
 // dropPendingLocked takes r out of pending and completes it with st, to
@@ -369,16 +465,14 @@ func (p *Proc) dropPendingLocked(r *Request, st Status) bool {
 	return true
 }
 
-// failPeer records that world rank pl.Peer is gone and completes, with
+// failPeerLocked records that world rank pl.Peer is gone and completes, with
 // the loss as the status error, every operation only that peer could
 // satisfy: posted receives pinned to it (world contexts map group ranks
 // directly; derived communicators resolve through their registered
 // group tables), sends awaiting its CTS/ACK, and granted receives
 // awaiting its DATA. Later sends to the peer fail fast in Isend.
 // Reported once per peer.
-func (p *Proc) failPeer(pl *transport.PeerLostError) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+func (p *Proc) failPeerLocked(pl *transport.PeerLostError) {
 	if _, dup := p.peerDown[pl.Peer]; dup {
 		return
 	}
@@ -396,12 +490,10 @@ func (p *Proc) failPeer(pl *transport.PeerLostError) {
 	})
 }
 
-// failAll marks the engine closed and completes every pending operation
-// with err: the local endpoint itself is dead, so nothing pending can
-// ever complete normally.
-func (p *Proc) failAll(err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// failAllLocked marks the engine closed and completes every pending
+// operation with err: the local endpoint itself is dead, so nothing
+// pending can ever complete normally, and nobody drives progress again.
+func (p *Proc) failAllLocked(err error) {
 	p.closed = true
 	p.fatal = err
 	p.failWhereLocked(err, func(*Request, bool) bool { return true })
@@ -630,28 +722,26 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, purged []transport.Fra
 	return outs, purged
 }
 
-// handle runs the matching engine on one frame. It owns f.frame: the
-// frame is transferred to the matching request or the unexpected queue,
-// or released here — like the frames a revocation purges from that
-// queue, after the engine lock is dropped, because releasing a lent
-// payload (a DATA frame's, or an offer's) completes its sender's request
-// under the *sender's* engine lock, and two ranks delivering to each
-// other (or one rank sending to itself) must never nest those locks.
-// It returns frames to transmit and requests to complete once those
-// frames are sent.
-func (p *Proc) handle(f parsed) (outs []outFrame, after []lateComplete) {
-	p.mu.Lock()
-	outs, after, purged := p.handleLocked(&f)
-	p.mu.Unlock()
-	f.frame.Release()
-	release(purged)
-	return outs, after
-}
-
-// handleLocked is handle under the engine lock. Where ownership of
-// f.frame moves on it is cleared; whatever is left in it, and purged,
-// the caller releases.
-func (p *Proc) handleLocked(f *parsed) (outs []outFrame, after []lateComplete, purged []transport.Frame) {
+// handleLocked runs the matching engine on one frame, which parseFrame
+// returned with err. It owns f.frame:
+// the frame is transferred to the matching request or the unexpected
+// queue, and cleared where its ownership moves; whatever is left in it,
+// and purged, the caller releases — like the frames a revocation purges
+// from that queue, after the engine lock is dropped, because releasing a
+// lent payload (a DATA frame's, or an offer's) completes its sender's
+// request under the *sender's* engine lock, and two ranks delivering to
+// each other (or one rank sending to itself) must never nest those
+// locks. It returns frames to transmit and requests to complete once
+// those frames are sent.
+func (p *Proc) handleLocked(f *parsed, err error) (outs []outFrame, after []lateComplete, purged []transport.Frame) {
+	if err != nil {
+		// Not a frame: a bug at the peer or a stranger on a link, not a
+		// user error. It can only be dropped, and what it was meant to
+		// complete now waits, so leave the cause where a hang gets
+		// looked into.
+		p.malformed(f.kind, len(f.frame.Data))
+		return nil, nil, nil
+	}
 	switch f.kind {
 	case kEager, kEagerSync, kRts:
 		if f.kind == kRts {
@@ -1173,35 +1263,40 @@ func (p *Proc) findArrivedLocked(ctx, src, tag int32) (*inMsg, int) {
 
 // Probe blocks until a message matching (ctx, src, tag) has arrived (or
 // at least been advertised via RTS) and returns its envelope status
-// without receiving it.
-func (p *Proc) Probe(ctx, src, tag int32) (Status, error) {
+// without receiving it; or until none ever can, which is its error.
+func (p *Proc) Probe(ctx, src, tag int32) (st Status, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		if m, _ := p.findArrivedLocked(ctx, src, tag); m != nil {
-			return statusOf(m), nil
-		}
-		if rerr := p.ctxErrLocked(ctx, tag); rerr != nil {
-			return Status{SourceGroup: int(src), Tag: int(tag)}, rerr
-		}
-		if lost := p.lostSrcLocked(ctx, src); lost != nil {
-			return Status{SourceGroup: int(src), Tag: int(tag)}, lost
-		}
-		if p.closed {
-			return Status{}, transport.ErrClosed
-		}
-		p.cond.Wait()
-	}
+	p.awaitLocked(nil, func() (found bool) {
+		st, found, err = p.probeLocked(ctx, src, tag)
+		return found || err != nil
+	})
+	return st, err
 }
 
-// Iprobe is the non-blocking Probe.
-func (p *Proc) Iprobe(ctx, src, tag int32) (Status, bool) {
+// Iprobe is the non-blocking Probe: found is false, with no error, while
+// nothing matching has arrived and something still may.
+func (p *Proc) Iprobe(ctx, src, tag int32) (st Status, found bool, err error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	return p.probeLocked(ctx, src, tag)
+}
+
+// probeLocked is the one check behind Probe and Iprobe: the status of the
+// oldest matching arrival, else what bars one from ever arriving — a
+// revoked context, a lost source, a dead endpoint.
+func (p *Proc) probeLocked(ctx, src, tag int32) (Status, bool, error) {
 	if m, _ := p.findArrivedLocked(ctx, src, tag); m != nil {
-		return statusOf(m), true
+		return statusOf(m), true, nil
 	}
-	return Status{}, false
+	err := p.ctxErrLocked(ctx, tag)
+	if err == nil {
+		err = p.lostSrcLocked(ctx, src)
+	}
+	if err == nil && p.closed {
+		err = transport.ErrClosed
+	}
+	return Status{SourceGroup: int(src), Tag: int(tag)}, false, err
 }
 
 func statusOf(m *inMsg) Status {

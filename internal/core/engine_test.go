@@ -28,6 +28,20 @@ func pv(p *Proc, name string) uint64 {
 	return uint64(v)
 }
 
+// failPeer is pl arriving through p's mailbox, whoever drives progress.
+func (p *Proc) failPeer(pl *transport.PeerLostError) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.failPeerLocked(pl)
+}
+
+// failAll is the terminal error err arriving through p's mailbox.
+func (p *Proc) failAll(err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.failAllLocked(err)
+}
+
 func TestEagerSendRecv(t *testing.T) {
 	p0, p1 := newPair(t, Config{})
 	payload := []byte("hello engine")
@@ -166,8 +180,8 @@ func TestPostedBeforeArrival(t *testing.T) {
 
 func TestProbeAndIprobe(t *testing.T) {
 	p0, p1 := newPair(t, Config{})
-	if _, ok := p1.Iprobe(0, AnySource, AnyTag); ok {
-		t.Fatal("Iprobe saw a ghost message")
+	if _, ok, err := p1.Iprobe(0, AnySource, AnyTag); ok || err != nil {
+		t.Fatalf("Iprobe saw a ghost message (%v)", err)
 	}
 	if _, err := p0.Isend(0, 0, 1, 11, []byte("probe me"), ModeStandard, false); err != nil {
 		t.Fatal(err)
@@ -180,8 +194,8 @@ func TestProbeAndIprobe(t *testing.T) {
 		t.Fatalf("probe status %+v", st)
 	}
 	// The message is still there.
-	if _, ok := p1.Iprobe(0, 0, 11); !ok {
-		t.Fatal("Iprobe lost the message after Probe")
+	if _, ok, err := p1.Iprobe(0, 0, 11); !ok || err != nil {
+		t.Fatalf("Iprobe lost the message after Probe (%v)", err)
 	}
 	rreq := p1.Irecv(0, 0, 11)
 	rreq.Wait()
@@ -394,4 +408,43 @@ func TestStatsCancelled(t *testing.T) {
 	if got := pv(p1, "core.cancelled"); got != 1 {
 		t.Fatalf("cancelled count %d", got)
 	}
+}
+
+// BenchmarkCoreRoundTrip is the ladder's core rung in tier-1: an 8-byte
+// Isend/Irecv/Wait ping-pong between two engines on a chan job, one
+// round trip per op. Its gap to BenchmarkMuxPingPong
+// (internal/transport) is what the engine adds to a message.
+func BenchmarkCoreRoundTrip(b *testing.B) {
+	devs := transport.NewShmJob(2, 0)
+	p0, p1 := NewProc(devs[0], Config{}), NewProc(devs[1], Config{})
+	defer p0.Close()
+	defer p1.Close()
+	const tag = 3
+	send := func(p *Proc, me, peer int) {
+		sreq, err := p.Isend(0, me, peer, tag, transport.GetBuf(8), ModeStandard, true)
+		if err != nil {
+			b.Error(err)
+		}
+		sreq.Wait()
+		sreq.Recycle()
+	}
+	recv := func(p *Proc, peer int32) {
+		rreq := p.Irecv(0, peer, tag)
+		rreq.Wait()
+		rreq.Recycle()
+	}
+	echoed := make(chan struct{})
+	go func() {
+		defer close(echoed)
+		for i := 0; i < b.N; i++ {
+			recv(p1, 0)
+			send(p1, 1, 0)
+		}
+	}()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		send(p0, 0, 1)
+		recv(p0, 1)
+	}
+	<-echoed
 }

@@ -117,11 +117,18 @@ func (m *refMatcher) arrive(g refMsg) *refDone {
 	return nil
 }
 
-func (m *refMatcher) probe(e refEnv) *refMsg {
+// probe is Iprobe: the oldest arrival e admits, else why none ever will.
+func (m *refMatcher) probe(e refEnv) (*refMsg, error) {
 	if i := slices.IndexFunc(m.arrived, func(g refMsg) bool { return e.admits(g.refEnv) }); i >= 0 {
-		return &m.arrived[i]
+		return &m.arrived[i], nil
 	}
-	return nil
+	switch {
+	case m.barred(e):
+		return nil, ErrCommRevoked
+	case e.src != AnySource && m.lost[e.src]:
+		return nil, errRefLost
+	}
+	return nil, nil
 }
 
 func (m *refMatcher) cancel(id int) *refDone {
@@ -366,10 +373,14 @@ func (o *oracleRun) step(op [4]byte) {
 	case kind <= 12: // Iprobe
 		e := refEnv{ctx, oracleRecvSrcs[int(op[1])%len(oracleRecvSrcs)], oracleRecvTags[int(op[2])%len(oracleRecvTags)]}
 		o.log = append(o.log, fmt.Sprintf("iprobe %+v", e))
-		st, ok := p0.Iprobe(e.ctx, e.src, e.tag)
-		g := o.ref.probe(e)
+		st, ok, err := p0.Iprobe(e.ctx, e.src, e.tag)
+		g, why := o.ref.probe(e)
 		if ok != (g != nil) || ok && st != (Status{SourceGroup: int(g.src), Tag: int(g.tag), Bytes: g.size}) {
 			o.fail("Iprobe = %+v, %v; the reference sees %+v", st, ok, g)
+		}
+		var pl *transport.PeerLostError
+		if why == nil && err != nil || why == ErrCommRevoked && !errors.Is(err, ErrCommRevoked) || why == errRefLost && !errors.As(err, &pl) {
+			o.fail("Iprobe failed with %v; the reference says %v", err, why)
 		}
 	case kind == 13 && flag: // cancel a send whose advertisement waits unmatched at rank 0
 		var queued []refMsg

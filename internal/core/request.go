@@ -221,19 +221,19 @@ func (r *Request) doneLocked() chan struct{} {
 	return r.done
 }
 
-// Wait blocks until the request completes and returns its status. It
-// parks on the engine's shared completion broadcast, which keeps the
-// steady-state hot path allocation-free; the one wakeup per completion
-// is amortized across the handful of waiters a rank typically has.
-// Workloads parking many goroutines on one rank should prefer Done or
-// WaitCtx, whose (lazily allocated) per-request channel wakes exactly
-// the right waiter.
+// Wait blocks until the request completes and returns its status. A
+// caller that has to park drives its rank's progress itself while no
+// other caller does: it parks on the mailbox's doorbell, so the frame
+// that completes the request wakes it directly, with no hand-off through
+// the progress goroutine (Proc.awaitLocked). Other waiters park on the
+// engine's shared completion broadcast. Both keep the steady-state hot
+// path allocation-free. Done and WaitCtx, whose (lazily allocated)
+// per-request channel wakes exactly the right waiter, leave progress to
+// the progress goroutine.
 func (r *Request) Wait() *Status {
 	p := r.proc
 	p.mu.Lock()
-	for !r.completed {
-		p.cond.Wait()
-	}
+	p.awaitLocked(r, func() bool { return r.completed })
 	p.mu.Unlock()
 	return &r.Stat
 }
@@ -298,7 +298,9 @@ func (r *Request) OnDone(fn func()) {
 	p.mu.Unlock()
 }
 
-// completeLocked finalizes a request. proc.mu must be held.
+// completeLocked finalizes a request. proc.mu must be held. A caller
+// parked on the mailbox's bell waiting for r is rung: r completed
+// outside its progress body (a loan's return, a landing, a sweep).
 func (p *Proc) completeLocked(r *Request, payload []byte, st Status) {
 	if r.completed {
 		return
@@ -312,6 +314,9 @@ func (p *Proc) completeLocked(r *Request, payload []byte, st Status) {
 	if fn := r.onDone; fn != nil {
 		r.onDone = nil
 		fn()
+	}
+	if r == p.pollFor && p.pollParked {
+		p.pollBell.Ring()
 	}
 	p.cond.Broadcast()
 }

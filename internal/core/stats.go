@@ -64,6 +64,13 @@ type Stats struct {
 	// to complete still waits — a nonzero count is the first thing to
 	// look for behind a hang.
 	FramesMalformed *obs.Counter
+	// ProgressWakes counts the progress goroutine woken by its bell:
+	// something reached the mailbox while no caller drove progress.
+	ProgressWakes *obs.Counter
+	// CallerPolls counts a caller blocked in Wait or Probe, holding the
+	// progress role, parking on its bell. With ProgressWakes it is every
+	// goroutine the mailbox wakes.
+	CallerPolls *obs.Counter
 }
 
 // newStats registers the engine's counters in reg.
@@ -85,6 +92,8 @@ func newStats(reg *obs.Registry) Stats {
 		Cancelled:       reg.Counter("core.cancelled"),
 		PeersLost:       reg.Counter("core.peers_lost"),
 		FramesMalformed: reg.Counter("core.frames_malformed"),
+		ProgressWakes:   reg.Counter("core.progress_wakes"),
+		CallerPolls:     reg.Counter("core.caller_polls"),
 	}
 }
 

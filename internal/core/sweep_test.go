@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,6 +25,14 @@ func tablesEmpty(p *Proc) bool {
 	return len(p.posted)+len(p.pending) == 0
 }
 
+// drives reports whether req's owner is parked in Wait holding p's
+// progress role: whatever completes req must ring it.
+func drives(p *Proc, req *Request) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.polling && p.pollFor == req && p.pollParked
+}
+
 // TestEverySweepReachesEveryTable: each way of failing operations against
 // each state an operation waits in. The engine's peers are played by
 // hand over a joined link (rank 2), so every state is held exactly where
@@ -34,6 +43,13 @@ func tablesEmpty(p *Proc) bool {
 // spared one stays where it was; what no sweep may reach — a receive a
 // read loop is writing, an offer its receiver has taken — completes
 // whole afterwards; and the pooled payloads of swept sends are back.
+//
+// Every sweep fires from another goroutine while the operation's owner
+// is parked in Wait holding the progress role, where only a ring of its
+// bell wakes it: the owner must return within a bounded time of its
+// operation's completion, whichever way that comes — a sweep, the loan
+// of a taken offer coming home, a read loop finishing a landing, or the
+// engine's close — and no goroutine may outlive the case.
 func TestEverySweepReachesEveryTable(t *testing.T) {
 	const size = 128 << 10
 	errDied := errors.New("the endpoint died")
@@ -55,6 +71,9 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		byRef bool // waits on rank 1, not on the raw peer
 		table bool // waits in posted or pending
 		swept bool // a sweep that hits its peer or context takes it
+		// cut: closing the engine completes it, with the stream it is read
+		// from, though no sweep reaches it.
+		cut bool
 		// cancellable: Cancel takes it (a matched receive is past that).
 		cancellable bool
 		// then, if set, follows the operation to its end after the sweep.
@@ -62,38 +81,41 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 	}{
 		{"posted receive", func(t *testing.T, c *sweepCase) *Request {
 			return c.r.p.IrecvInto(0, int32(c.r.rank), int32(c.tag), c.into, 1)
-		}, 0, false, true, true, true, nil},
+		}, 0, false, true, true, false, true, nil},
 		{"rendezvous send awaiting CTS", func(t *testing.T, c *sweepCase) *Request {
 			req, err := c.r.p.Isend(0, 0, c.r.rank, c.tag, transport.GetBuf(size), ModeStandard, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, size, false, true, true, true, nil},
+		}, size, false, true, true, false, true, nil},
 		{"lent send awaiting CTS", func(t *testing.T, c *sweepCase) *Request {
 			req, err := c.r.p.IsendLent(0, 0, c.r.rank, c.tag, body, ModeStandard)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, size, false, true, true, true, nil},
+		}, size, false, true, true, false, true, nil},
 		{"sync-eager send awaiting ACK", func(t *testing.T, c *sweepCase) *Request {
 			req, err := c.r.p.Isend(0, 0, c.r.rank, c.tag, transport.GetBuf(64), ModeSync, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, 64, false, true, true, true, nil},
+		}, 64, false, true, true, false, true, nil},
 		{"granted receive awaiting DATA", func(t *testing.T, c *sweepCase) *Request {
 			req := c.r.p.IrecvInto(0, AnySource, int32(c.tag), c.into, 1)
 			c.r.advertise(0, c.tag, size)
 			return req
-		}, 0, false, true, true, false, nil},
+		}, 0, false, true, true, false, false, nil},
 		{"receive handed to a read loop", func(t *testing.T, c *sweepCase) *Request {
 			req := c.r.p.IrecvInto(0, AnySource, int32(c.tag), c.into, 1)
 			c.r.write(buildDataHdr(strangerRank, c.r.advertise(0, c.tag, size)), body, dataHdrLen+size/2)
 			return req
-		}, 0, false, false, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
+		}, 0, false, false, false, true, false, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
+			if taken {
+				return // the close cut the stream mid-body
+			}
 			// In no table: only the read loop completes it, and does.
 			if _, err := c.r.conn.Write(body[size/2:]); err != nil {
 				t.Fatal(err)
@@ -110,7 +132,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 			}
 			eventually(t, "the offer queued unexpected", func() bool { return c.q.PendingUnexpected() == 1 })
 			return req
-		}, size, true, true, true, true, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
+		}, size, true, true, true, false, true, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
 			revoked := taken && errors.Is(req.Stat.Err, ErrCommRevoked)
 			if revoked {
 				eventually(t, "the revocation reaching the receiver", func() bool { return c.q.ContextRevoked(0) })
@@ -144,7 +166,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 			waitStatus(t, borrow)
 			c.borrow = borrow
 			return req
-		}, size, true, true, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
+		}, size, true, true, false, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
 			// Spared by everything: the loan's return, and only that,
 			// completes it.
 			c.borrow.Recycle()
@@ -161,6 +183,8 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		// waiting on peer in a table must have been taken.
 		run   func(p *Proc, peer int) (taken bool)
 		isErr func(error) bool
+		// closes: it closes the engine, which cuts what it reads too.
+		closes bool
 	}{
 		{"peer loss", 8, func(p *Proc, peer int) bool {
 			p.failPeer(&transport.PeerLostError{Peer: peer})
@@ -168,30 +192,49 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		}, func(err error) bool {
 			var pl *transport.PeerLostError
 			return errors.As(err, &pl)
-		}},
+		}, false},
 		{"loss of another peer", 8, func(p *Proc, peer int) bool {
 			p.failPeer(&transport.PeerLostError{Peer: peer + 1})
 			return false
-		}, nil},
+		}, nil, false},
 		{"endpoint death", 8, func(p *Proc, _ int) bool {
 			p.failAll(errDied)
 			return true
-		}, func(err error) bool { return err == errDied }},
+		}, func(err error) bool { return err == errDied }, false},
+		{"close", 8, func(p *Proc, _ int) bool {
+			p.Close()
+			return true
+		}, func(err error) bool {
+			var pl *transport.PeerLostError
+			return errors.Is(err, transport.ErrClosed) || errors.As(err, &pl)
+		}, true},
 		{"revoke", 8, func(p *Proc, _ int) bool {
 			p.Revoke(0)
 			return true
-		}, func(err error) bool { return errors.Is(err, ErrCommRevoked) }},
+		}, func(err error) bool { return errors.Is(err, ErrCommRevoked) }, false},
 		{"revoke, recovery tag", int(RecoveryTag) | 8, func(p *Proc, _ int) bool {
 			p.Revoke(0)
 			return false
-		}, nil},
-		{"cancel", 8, nil, nil},
+		}, nil, false},
+		{"cancel", 8, nil, nil, false},
 	}
 
 	for _, sw := range sweeps {
 		for _, s := range states {
 			t.Run(sw.name+"/"+s.name, func(t *testing.T) {
 				poolSettles(t)
+				base := runtime.NumGoroutine()
+				waited := make(chan *Status, 1)
+				// Runs once everything below is closed: the owner is back
+				// from Wait, and nothing else of the case is left running.
+				t.Cleanup(func() {
+					select {
+					case <-waited:
+					case <-time.After(5 * time.Second):
+						t.Error("the owner parked in Wait outlived the engine's close")
+					}
+					goroutinesSettle(t, base)
+				})
 				muxes := transport.NewShmJob(2, 0)
 				p, q := NewProc(muxes[0], Config{}), NewProc(muxes[1], Config{})
 				// Rank 1 re-floods a revocation to nobody: a notice it sent
@@ -205,6 +248,19 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 				if _, done := req.Test(); done {
 					t.Fatalf("completed before the sweep: %+v", req.Stat)
 				}
+				go func() { waited <- req.Wait() }()
+				eventually(t, "the owner parked in Wait, holding the progress role", func() bool { return drives(p, req) })
+				// woken holds the owner to returning soon after its operation
+				// completed.
+				woken := func(how string) {
+					t.Helper()
+					select {
+					case st := <-waited:
+						waited <- st // for the cleanup
+					case <-time.After(5 * time.Second):
+						t.Fatalf("the owner parked in Wait slept through %s", how)
+					}
+				}
 
 				peer := c.r.rank
 				if s.byRef {
@@ -212,7 +268,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 				}
 				var taken bool
 				if sw.run != nil {
-					taken = sw.run(p, peer) && s.swept
+					taken = sw.run(p, peer) && (s.swept || sw.closes && s.cut)
 				} else if taken = p.Cancel(req); taken != s.cancellable {
 					t.Fatalf("Cancel = %v, want %v", taken, s.cancellable)
 				}
@@ -237,9 +293,13 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 					if got != want || (st.Err != nil) != (sw.isErr != nil) || (st.Err != nil && !sw.isErr(st.Err)) {
 						t.Fatalf("swept with %+v, want %+v with this sweep's error", *st, want)
 					}
+					woken("the sweep")
 				}
 				if s.then != nil {
 					s.then(t, c, req, taken)
+				}
+				if _, done := req.Test(); done {
+					woken("its operation's completion")
 				}
 			})
 		}
@@ -414,6 +474,58 @@ func TestLentOfferToSelfRevoked(t *testing.T) {
 			if n := p0.PendingUnexpected(); n != 0 {
 				t.Fatalf("%d messages still queued after the revocation", n)
 			}
+		})
+	}
+}
+
+// TestParkedProbeSeesEverySweep: a Probe holding the progress role waits
+// for a state, not for a request, so no completion rings it. Whatever
+// bars the message it probes for from ever arriving — a revocation, its
+// source's loss, the endpoint's death or close — fired from another
+// goroutine must ring it instead: Probe returns that error, and Iprobe
+// reports the same one.
+func TestParkedProbeSeesEverySweep(t *testing.T) {
+	lost := func(err error) bool {
+		var pl *transport.PeerLostError
+		return errors.As(err, &pl)
+	}
+	closed := func(err error) bool { return errors.Is(err, transport.ErrClosed) }
+	for _, c := range []struct {
+		name  string
+		sweep func(p *Proc)
+		isErr func(error) bool
+	}{
+		{"revoke", func(p *Proc) { p.Revoke(0) }, func(err error) bool { return errors.Is(err, ErrCommRevoked) }},
+		{"loss of its source", func(p *Proc) { p.failPeer(&transport.PeerLostError{Peer: 1}) }, lost},
+		{"endpoint death", func(p *Proc) { p.failAll(errors.New("the endpoint died")) }, closed},
+		{"close", func(p *Proc) { p.Close() }, closed},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			muxes := transport.NewShmJob(2, 0)
+			p, q := NewProc(muxes[0], Config{}), NewProc(muxes[1], Config{})
+			probed := make(chan error, 1)
+			go func() {
+				_, err := p.Probe(0, 1, 5)
+				probed <- err
+			}()
+			eventually(t, "Probe parked holding the progress role", func() bool { return drives(p, nil) })
+			c.sweep(p)
+			select {
+			case err := <-probed:
+				if !c.isErr(err) {
+					t.Fatalf("Probe returned %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the parked Probe slept through the sweep")
+			}
+			if _, found, err := p.Iprobe(0, 1, 5); found || !c.isErr(err) {
+				t.Fatalf("Iprobe after the sweep: found=%v, %v", found, err)
+			}
+			p.Close()
+			muxes[0].Close()
+			q.Close()
+			goroutinesSettle(t, base)
 		})
 	}
 }

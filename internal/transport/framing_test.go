@@ -63,12 +63,12 @@ func TestReadFramesReturnsItsBuffers(t *testing.T) {
 		}
 	}
 
-	inbox := make(chan Frame, 4)
+	mb := testMailbox(4, nil)
 	c := feed(append(prefixed(3, []byte("abc")), prefixed(100, []byte("short"))...))
-	if err := readFrames(c, inbox, nil, &cnt, nil, nil); err == nil {
+	if err := readFrames(c, mb, &cnt, nil, nil); err == nil {
 		t.Fatal("short read ended without an error")
 	}
-	f := <-inbox
+	f := <-mb.inbox
 	if string(f.Data) != "abc" {
 		t.Fatalf("frame before the short read: %q", f.Data)
 	}
@@ -77,7 +77,7 @@ func TestReadFramesReturnsItsBuffers(t *testing.T) {
 
 	refuse := errors.New("refused")
 	c = feed(prefixed(3, []byte("abc")))
-	if err := readFrames(c, inbox, nil, &cnt, func([]byte) error { return refuse }, nil); !errors.Is(err, refuse) {
+	if err := readFrames(c, mb, &cnt, func([]byte) error { return refuse }, nil); !errors.Is(err, refuse) {
 		t.Fatalf("refused stamp: %v", err)
 	}
 	settled("refused stamp")
@@ -85,7 +85,7 @@ func TestReadFramesReturnsItsBuffers(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	c = feed(prefixed(3, []byte("abc")))
-	if err := readFrames(c, nil, done, &cnt, nil, nil); err != nil { // a nil inbox never accepts
+	if err := readFrames(c, &mailbox{done: done}, &cnt, nil, nil); err != nil { // a nil inbox never accepts
 		t.Fatalf("shutdown: %v", err)
 	}
 	settled("shutdown")
@@ -93,10 +93,10 @@ func TestReadFramesReturnsItsBuffers(t *testing.T) {
 	for _, size := range []int{5 << 20, trustedFrame + 16} {
 		big := bytes.Repeat([]byte("0123456789abcdef"), size/16)
 		wire := bytes.NewReader(prefixed(uint32(len(big)), big)) // no pipe: 64 MiB through one under -race takes seconds
-		if err := readFrames(wire, inbox, nil, &cnt, nil, nil); err == nil {
+		if err := readFrames(wire, mb, &cnt, nil, nil); err == nil {
 			t.Fatal("end of stream after the big frame ended without an error")
 		}
-		f = <-inbox
+		f = <-mb.inbox
 		if !bytes.Equal(f.Data, big) {
 			t.Fatalf("%d-byte frame arrived as %d bytes, intact=false", len(big), len(f.Data))
 		}
@@ -105,7 +105,7 @@ func TestReadFramesReturnsItsBuffers(t *testing.T) {
 	}
 
 	c = feed(prefixed(math.MaxUint32, []byte("nothing like 4 GiB")))
-	if err := readFrames(c, inbox, nil, &cnt, nil, nil); err == nil {
+	if err := readFrames(c, mb, &cnt, nil, nil); err == nil {
 		t.Fatal("truncated giant frame ended without an error")
 	}
 	settled("giant prefix")
@@ -304,7 +304,7 @@ func TestReadLoopLandsWithoutAllocating(t *testing.T) {
 		r := bytes.NewReader(nil)
 		return testing.AllocsPerRun(20, func() {
 			r.Reset(wire)
-			if err := readFrames(r, nil, nil, &cnt, nil, func(head []byte, n int) (int, []byte, Landing) { return l.Land(0, head, n) }); err != io.EOF {
+			if err := readFrames(r, nil, &cnt, nil, func(head []byte, n int) (int, []byte, Landing) { return l.Land(0, head, n) }); err != io.EOF {
 				t.Fatalf("read loop ended with %v", err)
 			}
 		})

@@ -96,25 +96,25 @@ func TestFullMailbox(t *testing.T) {
 func TestReadLoopWaitsOnAFullMailbox(t *testing.T) {
 	var cnt devCounters
 	base := outstanding()
-	inbox, done := make(chan Frame, 1), make(chan struct{})
+	mb := testMailbox(1, make(chan struct{}))
 	var wire []byte
 	for _, body := range []string{"a", "b", "c"} {
 		wire = append(wire, prefixed(1, []byte(body))...)
 	}
 	errc := make(chan error, 1)
-	go func() { errc <- readFrames(feed(wire), inbox, done, &cnt, nil, nil) }()
+	go func() { errc <- readFrames(feed(wire), mb, &cnt, nil, nil) }()
 	waitFor(t, "b to find the mailbox full", func() bool { return cnt.sendWaits.Load() == 1 })
-	f := <-inbox
+	f := <-mb.inbox
 	if !bytes.Equal(f.Data, []byte("a")) {
 		t.Fatalf("first frame %q, want a", f.Data)
 	}
 	f.Release()
 	waitFor(t, "c to find the mailbox full", func() bool { return cnt.sendWaits.Load() == 2 })
-	close(done)
+	close(mb.done)
 	if err := <-errc; err != nil {
 		t.Fatalf("read loop stopped by shutdown returned %v", err)
 	}
-	drainFrames(inbox) // b
+	drainFrames(mb.inbox) // b
 	if got := outstanding() - base; got != 0 {
 		t.Fatalf("%d pool buffers outstanding after the read loop ended", got)
 	}
@@ -184,4 +184,12 @@ func BenchmarkMuxPingPong(b *testing.B) {
 		}
 		f.Release()
 	}
+}
+
+// testMailbox is a bare mailbox of depth frames over done, with a bell
+// nobody waits on, for driving a producer by hand.
+func testMailbox(depth int, done chan struct{}) *mailbox {
+	mb := &mailbox{inbox: make(chan Frame, depth), done: done}
+	mb.Listen(NewBell())
+	return mb
 }

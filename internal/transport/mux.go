@@ -53,9 +53,9 @@ func (r route) covered() bool { return r.to != nil || r.conn != nil || r.dev != 
 // the last frame the peer's route delivered, so Recv is one receive and
 // a peer's frames always come before its loss.
 type Mux struct {
-	rank  int
-	inbox chan Frame
-	done  chan struct{} // closed with the endpoint, see shut
+	rank int
+	mailbox
+	own *Bell // what Recv parks on
 
 	// routes is the one table, indexed by world rank. Entries made at
 	// launch never change; Join publishes a longer copy, so every send
@@ -85,7 +85,9 @@ func newMux(rank, size, depth int) *Mux {
 	if depth <= 0 {
 		depth = DefaultInboxDepth
 	}
-	m := &Mux{rank: rank, inbox: make(chan Frame, depth), done: make(chan struct{}), lost: make(map[int]bool)}
+	m := &Mux{rank: rank, own: NewBell(), lost: make(map[int]bool)}
+	m.inbox, m.done = make(chan Frame, depth), make(chan struct{})
+	m.bell.Store(m.own) // until a consumer listens
 	table := make([]route, size)
 	m.routes.Store(&table)
 	return m
@@ -227,7 +229,7 @@ func (m *Mux) serve(peer int, r route, stamp func([]byte) error) {
 		}
 		return 0, nil, nil
 	}
-	err := readFrames(r.conn.c, m.inbox, m.done, &m.cnt[r.med], stamp, land)
+	err := readFrames(r.conn.c, &m.mailbox, &m.cnt[r.med], stamp, land)
 	r.conn.c.Close() // fail writers fast instead of filling a dead socket
 	if err != nil {
 		m.lose(&PeerLostError{Peer: peer, Err: err})
@@ -246,7 +248,7 @@ func (m *Mux) pump(d Device) {
 		var pl *PeerLostError
 		switch {
 		case err == nil:
-			if !enqueue(m.inbox, m.done, nil, f, nil) {
+			if !m.put(f, nil, nil) {
 				f.Release()
 				return
 			}
@@ -276,7 +278,7 @@ func (m *Mux) lose(pl *PeerLostError) {
 	if skip {
 		return
 	}
-	enqueue(m.inbox, m.done, nil, Frame{loan: lossReport{pl}}, nil)
+	m.put(Frame{loan: lossReport{pl}}, nil, nil)
 }
 
 // Lost reports whether peer's loss has been admitted.
@@ -326,6 +328,7 @@ func (m *Mux) TrySendv(dst int, hdr, payload []byte, recycle bool, loan Loan) bo
 	f := Frame{Data: hdr, Payload: payload, pooledData: true, pooledPayload: recycle, loan: loan}
 	select {
 	case r.to.inbox <- f:
+		r.to.rang()
 		m.delivered(r, f)
 		return true
 	default:
@@ -372,12 +375,94 @@ func (m *Mux) send(dst int, f Frame) error {
 // blocks it only until the peer's engine drains. On failure the frame
 // was handed to no one and is released here.
 func (m *Mux) deliver(r route, f Frame) error {
-	if !enqueue(r.to.inbox, r.to.done, m.done, f, &m.cnt[r.med]) {
+	if !r.to.put(f, m.done, &m.cnt[r.med]) {
 		f.Release()
 		return ErrClosed
 	}
 	m.delivered(r, f)
 	return nil
+}
+
+// mailbox is a rank's one inbox and what its consumer parks on. Nobody
+// blocks receiving on inbox: a consumer takes frames with TryRecv and,
+// finding none, parks on its own Bell, registered with Listen; every
+// producer puts its frame in and then rings whichever bell is registered.
+// A consumer can therefore hand the right to receive to another — a
+// waiting caller, and back — by registering a different bell, which
+// wakes nobody, where a goroutine blocked in a receive on inbox could not
+// be passed over without waking it.
+type mailbox struct {
+	inbox chan Frame
+	done  chan struct{} // closed with the endpoint, see shut
+	// queued counts what was put in (frames, loss reports, the end of the
+	// stream) less the frames taken out. A producer adds to it before it
+	// reads bell, a consumer registers its bell before it reads queued:
+	// whichever comes second sees the other (Dekker), so a frame put in
+	// while the registration changes rings one of the two bells.
+	queued atomic.Int64
+	bell   atomic.Pointer[Bell]
+}
+
+// Bell is a mailbox consumer's doorbell (Mux.Listen). Rings coalesce: a
+// bell holds at most one until it is waited on.
+type Bell struct{ c chan struct{} }
+
+// NewBell makes a bell nobody has rung.
+func NewBell() *Bell { return &Bell{c: make(chan struct{}, 1)} }
+
+// Ring wakes the bell's waiter, or lets the next Wait through; it never
+// blocks.
+func (b *Bell) Ring() {
+	select {
+	case b.c <- struct{}{}:
+	default:
+	}
+}
+
+// Wait parks until the bell rings.
+func (b *Bell) Wait() { <-b.c }
+
+// rang counts one thing put in and rings the registered bell.
+func (b *mailbox) rang() {
+	b.queued.Add(1)
+	b.bell.Load().Ring()
+}
+
+// Listen makes bell the one producers ring from now on. A ring left in
+// it from before is dropped, and if anything is queued already it is
+// rung at once, so its consumer misses nothing put in before or during
+// the change. The previous bell is rung no more: registering is how one
+// consumer hands the mailbox to another without waking anybody.
+func (b *mailbox) Listen(bell *Bell) {
+	select {
+	case <-bell.c:
+	default:
+	}
+	b.bell.Store(bell)
+	if b.queued.Load() > 0 {
+		bell.Ring()
+	}
+}
+
+// TryRecv is Recv for a consumer that never waits in it: ok is false,
+// and nothing taken, while the mailbox is empty and its endpoint open;
+// the consumer then parks on its bell.
+func (b *mailbox) TryRecv() (f Frame, ok bool, err error) {
+	select { // a waiting frame is taken without entering selectgo
+	case f = <-b.inbox:
+	default:
+		if !isClosed(b.done) {
+			return Frame{}, false, nil
+		}
+		select { // closed: what arrived before is handed out, then ErrClosed
+		case f = <-b.inbox:
+		default:
+			return Frame{}, true, ErrClosed
+		}
+	}
+	b.queued.Add(-1)
+	f, err = f.received()
+	return f, true, err
 }
 
 // isClosed reports whether done is closed. A select with one case and a
@@ -392,34 +477,35 @@ func isClosed(done <-chan struct{}) bool {
 	}
 }
 
-// enqueue is the one way a frame enters a mailbox: it reports false,
-// having handed f to no one, when the mailbox's endpoint (done) or the
-// producer's (from; nil for a producer that is the endpoint's own read
-// loop or pump) has shut down. A mailbox with room takes the frame
-// through non-blocking channel operations alone; the multi-case select —
-// three channel locks, sorted, per frame — is reached only when the
-// mailbox is full and the producer must wait for the engine to drain it
-// (flow control), which cnt, if set, counts.
-func enqueue(inbox chan<- Frame, done, from <-chan struct{}, f Frame, cnt *devCounters) bool {
-	if isClosed(done) || isClosed(from) {
+// put is the one way a producer that may wait hands a mailbox a frame,
+// ringing the consumer after: it reports false, having handed f to no
+// one, when the mailbox's endpoint (done) or the producer's (from; nil
+// for a producer that is the endpoint's own read loop or pump) has shut
+// down. A mailbox with room takes the frame through non-blocking channel
+// operations alone; the multi-case select — three channel locks, sorted,
+// per frame — is reached only when the mailbox is full and the producer
+// must wait for the engine to drain it (flow control), which cnt, if
+// set, counts.
+func (b *mailbox) put(f Frame, from <-chan struct{}, cnt *devCounters) bool {
+	if isClosed(b.done) || isClosed(from) {
 		return false
 	}
 	select {
-	case inbox <- f:
-		return true
+	case b.inbox <- f:
 	default:
+		if cnt != nil {
+			cnt.sendWaits.Add(1)
+		}
+		select { // a nil from never fires
+		case b.inbox <- f:
+		case <-b.done:
+			return false
+		case <-from:
+			return false
+		}
 	}
-	if cnt != nil {
-		cnt.sendWaits.Add(1)
-	}
-	select { // a nil from never fires
-	case inbox <- f:
-		return true
-	case <-done:
-		return false
-	case <-from:
-		return false
-	}
+	b.rang()
+	return true
 }
 
 // delivered accounts for a frame just enqueued on r.to's mailbox, and
@@ -474,24 +560,14 @@ func (m *Mux) sendErr(peer int, err error) error {
 
 // Recv returns the next frame from any route, or the next peer's loss.
 // Once the endpoint is closed, what arrived before is handed out, then
-// ErrClosed, persistently.
+// ErrClosed, persistently. It waits on the mux's own bell, the one
+// registered from the start, so it is for an endpoint no engine reads.
 func (m *Mux) Recv() (Frame, error) {
-	select { // a waiting frame is taken without entering selectgo
-	case f := <-m.inbox:
-		return f.received()
-	default:
+	f, ok, err := m.TryRecv()
+	for ; !ok; f, ok, err = m.TryRecv() {
+		m.own.Wait()
 	}
-	select {
-	case f := <-m.inbox:
-		return f.received()
-	case <-m.done:
-	}
-	select {
-	case f := <-m.inbox:
-		return f.received()
-	default:
-		return Frame{}, ErrClosed
-	}
+	return f, err
 }
 
 // lossReport marks a frame as a peer's loss travelling through a mailbox
@@ -518,6 +594,7 @@ func (m *Mux) shut() {
 	if !m.closed {
 		m.closed = true
 		close(m.done)
+		m.rang() // the end of the stream is one more thing to take
 	}
 	m.mu.Unlock()
 }

@@ -260,9 +260,9 @@ var muxShapes = []struct {
 		// The far end: write with the shared writer, drain with the
 		// shared read loop.
 		fc := newFrameConn(far)
-		got := make(chan Frame, 64)
+		got := testMailbox(64, nil)
 		var cnt devCounters
-		go readFrames(far, got, nil, &cnt, nil, nil) //nolint:errcheck // ends when the pipe closes
+		go readFrames(far, got, &cnt, nil, nil) //nolint:errcheck // ends when the pipe closes
 		t.Cleanup(func() { far.Close() })
 		w := &muxWorld{
 			mux: mux, peer: peer, serialises: true, reports: true,
@@ -275,7 +275,7 @@ var muxShapes = []struct {
 			heard: func() ([]byte, Frame) {
 				t.Helper()
 				select {
-				case f := <-got:
+				case f := <-got.inbox:
 					return f.Data, f
 				case <-time.After(5 * time.Second):
 					t.Fatal("nothing arrived at the far end of the link")
@@ -286,7 +286,7 @@ var muxShapes = []struct {
 			rumour: func() { a.lose(peer) },
 			settle: func() {
 				drainSent(a)
-				drainFrames(got)
+				drainFrames(got.inbox)
 			},
 		}
 		w.homeMember(t, a)

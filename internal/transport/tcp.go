@@ -118,15 +118,15 @@ type Landing interface {
 // landFunc is a Lander's Land for one connection's peer.
 type landFunc func(head []byte, frameLen int) (hdrLen int, dst []byte, landing Landing)
 
-// readFrames drains a connection into inbox until the stream fails
+// readFrames drains a connection into mb until the stream fails
 // (the error is returned: the peer is lost) or done closes (nil). A
 // frame is staged whole in one pooled buffer, which the engine parses
 // in place, and which goes back to the pool on every path that does not
 // deliver it — unless it is longer than the read buffer and land, if
 // set, takes it: then its body is read into the buffer land names and
-// the frame never enters the inbox. stamp, if set, edits the frame
+// the frame never enters the mailbox. stamp, if set, edits the frame
 // first — the head land is shown included; its error ends the stream.
-func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devCounters, stamp func([]byte) error, land landFunc) error {
+func readFrames(r io.Reader, mb *mailbox, cnt *devCounters, stamp func([]byte) error, land landFunc) error {
 	br := bufio.NewReaderSize(r, connReaderSize)
 	var lp [4]byte
 	for {
@@ -165,7 +165,7 @@ func readFrames(r io.Reader, inbox chan<- Frame, done <-chan struct{}, cnt *devC
 			return err
 		}
 		cnt.countRecv(len(frame))
-		if !enqueue(inbox, done, nil, Frame{Data: frame, pooledData: true}, cnt) {
+		if !mb.put(Frame{Data: frame, pooledData: true}, nil, cnt) {
 			PutBuf(frame)
 			return nil
 		}

@@ -461,10 +461,10 @@ func (c *Comm) startRecv(s section, source, tag int) (src, tg int32, n int, err 
 }
 
 // postRecv posts the core receive for a validated section: straight
-// into the caller's memory where section.view applies — the engine's
-// progress goroutine then copies sender memory to receiver memory once,
-// with no staging frame and no unpack pass — and by reference, to be
-// unpacked at completion, for every other shape.
+// into the caller's memory where section.view applies — whichever
+// goroutine drives the engine's progress then copies sender memory to
+// receiver memory once, with no staging frame and no unpack pass — and
+// by reference, to be unpacked at completion, for every other shape.
 func (c *Comm) postRecv(s section, n int, src, tg int32) (creq *core.Request, into bool) {
 	if view, ok := s.view(n); ok {
 		return c.env.proc.IrecvInto(c.ptpCtx, src, tg, view, s.d.t.Class().WireSize()), true
@@ -585,7 +585,9 @@ func (c *Comm) Probe(source, tag int) (*Status, error) {
 }
 
 // Iprobe checks for a matching pending message without blocking
-// (MPI_Iprobe); it returns nil when none is pending.
+// (MPI_Iprobe); it returns nil when none is pending. Like Probe it fails
+// once none can ever arrive: the communicator is revoked, or the source
+// is known lost.
 func (c *Comm) Iprobe(source, tag int) (*Status, error) {
 	return c.probe(source, tag, false)
 }
@@ -607,7 +609,7 @@ func (c *Comm) probe(source, tag int, block bool) (*Status, error) {
 	if block {
 		cst, err = c.env.proc.Probe(c.ptpCtx, src, tg)
 	} else {
-		cst, found = c.env.proc.Iprobe(c.ptpCtx, src, tg)
+		cst, found, err = c.env.proc.Iprobe(c.ptpCtx, src, tg)
 	}
 	switch {
 	case err != nil:
