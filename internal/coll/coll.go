@@ -29,6 +29,11 @@ type Comm struct {
 	// order, so the sequence-derived tags agree across ranks.
 	seq atomic.Uint32
 
+	// pseq numbers the persistent plans made on this communicator (see
+	// Plan.Persist), whose tags live in a space of their own: a one-shot
+	// instance however far seq has wrapped never meets them.
+	pseq atomic.Uint32
+
 	// rseq numbers the fault-tolerant agreement rounds (see agree.go)
 	// separately from seq: after a failure, survivors may have
 	// abandoned data collectives at different points — seq is no
@@ -70,11 +75,19 @@ const (
 	tagPlan0
 )
 
+// A collective tag is space | (instance mod seqPeriod) << tagFamBits |
+// family, below core.RecoveryTag (bit 30), which agreement rounds add.
+// Two live instances of one family collide only when their numbers
+// agree modulo seqPeriod in the same space. One-shot collectives (seq)
+// and agreement rounds (rseq) complete in program order on every member,
+// so that takes 2^25 of them in flight on one communicator at once. A
+// persistent plan stays live until freed, so it gets its own space
+// (tagPersistent, numbered by pseq): its tags meet another's only after
+// 2^25 further *Init calls on the communicator while it is still live.
 const (
-	tagFamBits = 4
-	// seqPeriod keeps tags inside the engine's positive 30-bit tag
-	// range; 2^26 in-flight collectives would be needed to collide.
-	seqPeriod = 1 << 26
+	tagFamBits    = 4
+	seqPeriod     = 1 << 25
+	tagPersistent = 1 << 29
 )
 
 // SkipInstance advances the collective sequence without running a
@@ -122,11 +135,10 @@ func topMask(size int) int {
 // addBarrierSteps schedules the dissemination barrier: ⌈log2 p⌉ rounds
 // of shifted token exchanges.
 func (c *Comm) addBarrierSteps(s *sched) {
-	tag := s.tag(tagBarrier)
 	for k := 1; k < c.Size; k <<= 1 {
 		dst := (c.Rank + k) % c.Size
 		src := (c.Rank - k + c.Size) % c.Size
-		s.exchStep(dst, src, tag,
+		s.exchStep(dst, src, tagBarrier,
 			func() ([]byte, error) { return nil, nil },
 			func([]byte) error { return nil })
 	}
@@ -135,12 +147,11 @@ func (c *Comm) addBarrierSteps(s *sched) {
 // addBcastSteps schedules a binomial-tree broadcast: at completion
 // *data holds root's payload on every member.
 func (c *Comm) addBcastSteps(s *sched, root int, data *[]byte) {
-	tag := s.tag(tagBcast)
 	vr := rel(c.Rank, root, c.Size)
 	start := topMask(c.Size) >> 1
 	if vr != 0 {
 		low := vr & -vr // subtree parent sits at the lowest set bit
-		s.recvStep(unrel(vr-low, root, c.Size), tag, func(got []byte) error {
+		s.recvStep(unrel(vr-low, root, c.Size), tagBcast, func(got []byte) error {
 			*data = got
 			return nil
 		})
@@ -152,7 +163,7 @@ func (c *Comm) addBcastSteps(s *sched, root int, data *[]byte) {
 		}
 		mask := mask
 		s.step(func() error {
-			return s.isend(unrel(vr+mask, root, c.Size), tag, *data)
+			return s.isend(unrel(vr+mask, root, c.Size), tagBcast, *data)
 		})
 	}
 }
@@ -199,7 +210,6 @@ func decodeBundle(data []byte, into map[int][]byte) error {
 // block (*mine) toward root; at completion *out (root only) holds the
 // blocks indexed by group rank.
 func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
-	tag := s.tag(tagGather)
 	vr := rel(c.Rank, root, c.Size)
 	var have map[int][]byte
 	s.onReset(func() { have = make(map[int][]byte) })
@@ -208,12 +218,12 @@ func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
 		mask := mask
 		if vr&mask != 0 {
 			s.step(func() error {
-				return s.isend(unrel(vr-mask, root, c.Size), tag, encodeBundle(have))
+				return s.isend(unrel(vr-mask, root, c.Size), tagGather, encodeBundle(have))
 			})
 			return // subtree forwarded; this member is done
 		}
 		if vr+mask < c.Size {
-			s.recvStep(unrel(vr+mask, root, c.Size), tag, func(got []byte) error {
+			s.recvStep(unrel(vr+mask, root, c.Size), tagGather, func(got []byte) error {
 				return decodeBundle(got, have)
 			})
 		}
@@ -236,7 +246,6 @@ func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
 // (composed schedules construct it mid-run), so that is when the root
 // step checks its length.
 func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte) {
-	tag := s.tag(tagScatter)
 	vr := rel(c.Rank, root, c.Size)
 	var have map[int][]byte
 	s.onReset(func() { have = make(map[int][]byte) })
@@ -254,7 +263,7 @@ func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte)
 		start = topMask(c.Size) >> 1
 	} else {
 		low := vr & -vr
-		s.recvStep(unrel(vr-low, root, c.Size), tag, func(got []byte) error {
+		s.recvStep(unrel(vr-low, root, c.Size), tagScatter, func(got []byte) error {
 			return decodeBundle(got, have)
 		})
 		start = low >> 1
@@ -276,7 +285,7 @@ func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte)
 					delete(have, v)
 				}
 			}
-			return s.isend(unrel(vr+mask, root, c.Size), tag, encodeBundle(sub))
+			return s.isend(unrel(vr+mask, root, c.Size), tagScatter, encodeBundle(sub))
 		})
 	}
 	s.step(func() error { *out = have[vr]; return nil })
@@ -293,7 +302,6 @@ func (c *Comm) addAllgatherSteps(s *sched, mine *[]byte, out *[][]byte) {
 // addAllgatherStepsFam is addAllgatherSteps under an explicit tag
 // family, for Plan-composed schedules.
 func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][]byte) {
-	tag := s.tag(family)
 	right := (c.Rank + 1) % c.Size
 	left := (c.Rank - 1 + c.Size) % c.Size
 	var blocks [][]byte
@@ -305,7 +313,7 @@ func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][
 	})
 	for st := 0; st < c.Size-1; st++ {
 		st := st
-		s.exchStep(right, left, tag,
+		s.exchStep(right, left, family,
 			func() ([]byte, error) { return cur, nil },
 			func(in []byte) error {
 				origin := (c.Rank - st - 1 + c.Size) % c.Size
@@ -328,13 +336,12 @@ func (c *Comm) addAlltoallSteps(s *sched, parts [][]byte, out *[][]byte) {
 // parts contents are read lazily inside the steps, so a Plan may fill
 // the (pre-sized) slice from an earlier step of the same schedule.
 func (c *Comm) addAlltoallStepsFam(s *sched, family int, parts [][]byte, out *[][]byte) {
-	tag := s.tag(family)
 	var res [][]byte
 	s.onReset(func() { res = make([][]byte, c.Size) })
 	for st := 1; st < c.Size; st++ {
 		dst := (c.Rank + st) % c.Size
 		src := (c.Rank - st + c.Size) % c.Size
-		s.exchStep(dst, src, tag,
+		s.exchStep(dst, src, family,
 			func() ([]byte, error) { return parts[dst], nil },
 			func(in []byte) error { res[src] = in; return nil })
 	}

@@ -15,18 +15,18 @@ type commObs struct {
 	once    sync.Once
 	started *obs.Counter // schedule activations armed
 	parked  *obs.Counter // times an activation had to wait for a message, whoever drives it
-	resumed *obs.Counter // times a parked activation was woken again
+	resumed *obs.Counter // times a parked activation became runnable again
 	reduced *obs.Counter // bytes folded by reduction kernels, one bump per kernel call
 	schedNs *obs.Timing  // activation wall time, arm to finish
 }
 
 // Warm forces the lazy registration of the collective layer's
-// performance and control variables, so enumeration is complete before
-// any collective has run.
+// performance variables, so enumeration is complete before any
+// collective has run.
 func (c *Comm) Warm() { c.vars() }
 
 // vars resolves (once) this communicator's handles in the rank's
-// registry and registers the shared pool's variables.
+// registry.
 func (c *Comm) vars() *commObs {
 	c.obs.once.Do(func() {
 		reg := c.P.Obs()
@@ -35,18 +35,6 @@ func (c *Comm) vars() *commObs {
 		c.obs.resumed = reg.Counter("coll.scheds_resumed")
 		c.obs.reduced = reg.Counter("coll.bytes_reduced")
 		c.obs.schedNs = reg.Timing("coll.sched_ns")
-		// The pool is process-wide; each rank's registry gets a view of
-		// its occupancy and a cvar handle onto the one shared cap.
-		reg.Source("coll.pool_workers", PoolVars)
-		reg.RegisterControl(obs.Control{
-			Name: "coll.pool_max_workers",
-			Desc: "shared progress pool worker cap (process-wide)",
-			Get:  func() int64 { return int64(MaxPoolWorkers()) },
-			Set: func(v int64) error {
-				SetMaxPoolWorkers(int(v))
-				return nil
-			},
-		})
 	})
 	return &c.obs
 }

@@ -9,16 +9,16 @@ import (
 // half of MPI-4 persistent collectives, made by Plan.Persist. The plan
 // is built once (validation, tag minting, step compilation, in program
 // order like any collective call) and then activated any number of
-// times with Start, each activation running the frozen schedule on the
-// shared progress pool with near-zero setup cost.
+// times with Start, each activation running the frozen schedule, with
+// near-zero setup cost, on whoever waits for it.
 //
 // The plan constructors take pointers to the operation's inputs: each
 // activation re-reads them, so the binding layer can re-pack the user's
 // (fixed) buffers before every Start — MPI's persistent-operation
-// contract. Tags are minted once and reused: a member must complete
-// activation k before starting k+1 (Start enforces it locally), which
-// keeps successive activations' traffic aligned pair-wise without new
-// tags.
+// contract. Tags are minted once, in the persistent space (see
+// Plan.Persist), and reused: a member must complete activation k before
+// starting k+1 (Start enforces it locally), which keeps successive
+// activations' traffic aligned pair-wise without new tags.
 type Persistent struct {
 	s *sched
 
@@ -28,7 +28,8 @@ type Persistent struct {
 	freed  bool
 }
 
-// Start begins a new activation and returns its request. The previous
+// Start begins a new activation, running its steps on the caller up to
+// the first wait for a message, and returns its request. The previous
 // activation must have completed (ErrActive otherwise); an activation
 // that completed with an error — cancellation, peer loss, revocation —
 // poisons the operation, and every later Start returns that error.
@@ -52,8 +53,7 @@ func (p *Persistent) Start() (*Request, error) {
 		}
 	}
 	p.s.rearm()
-	p.active = p.s.req
-	sharedPool.enqueue(p.s)
+	p.active = p.s.start()
 	return p.active, nil
 }
 

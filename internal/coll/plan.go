@@ -3,8 +3,9 @@ package coll
 import "fmt"
 
 // Plan is a collective, compiled but not yet run: one schedule instance
-// with three ways to execute it — Run (blocking, on the caller), Start
-// (nonblocking, on the shared progress pool) and Persist (re-runnable).
+// with three ways to execute it — Run (blocking), Start (nonblocking)
+// and Persist (re-runnable). All three run the schedule the same way:
+// on the goroutine that waits for it (see Request).
 // Every collective of this package is declared once, as a constructor
 // returning its Plan (BarrierPlan … ReduceScatterPlan); NewPlan composes
 // custom ones from the same primitives — local compute steps
@@ -47,8 +48,8 @@ func (p *Plan) nextFam() int {
 }
 
 // Step appends a local compute step. Steps run in order on whichever
-// goroutine drives the schedule (the caller for Run, a pool worker for
-// Start); an error aborts the schedule.
+// goroutine runs the schedule (see Request); an error aborts the
+// schedule.
 func (p *Plan) Step(fn func() error) { p.s.step(fn) }
 
 // Alltoall appends a pairwise exchange round: parts[j] reaches member
@@ -75,20 +76,30 @@ func (p *Plan) Allgather(mine []byte, out *[][]byte) {
 // what Run returns and what a started Request completes with.
 func (p *Plan) Publish(get func() any) { p.s.publish(get) }
 
-// Run executes the schedule to completion, driven by the calling
-// goroutine (the blocking form): the caller sleeps wherever the schedule
-// waits for a message. A Run is not cancellable; a collective that must
-// be is Started and waited with Request.WaitCtx.
-func (p *Plan) Run() (any, error) { return p.s.drive() }
+// Run executes the schedule to completion, the blocking form: Start,
+// then Wait, with the caller counted as the waiter from the outset, so
+// every step runs on it. A Run is not cancellable; a collective that
+// must be is Started and waited with Request.WaitCtx.
+func (p *Plan) Run() (any, error) {
+	r := p.s.req
+	r.waiters = 1 // before any step: no completion callback can read it yet
+	p.s.start()
+	return r.wait(true)
+}
 
-// Start launches the schedule on the shared progress pool and returns
-// its request (the nonblocking form); a waiting schedule occupies no
-// goroutine.
+// Start runs the schedule's steps on the caller up to its first wait for
+// a message and returns its request (the nonblocking form); a waiting
+// schedule occupies no goroutine.
 func (p *Plan) Start() *Request { return p.s.start() }
 
-// Persist freezes the schedule into a persistent operation
-// (the MPI-4 *_init form): every Start of the result re-runs it, with
-// the plan's pre-minted tags, against whatever its steps read through
-// their bound pointers at that time. A persisted plan must not also be
-// Run or Started directly.
-func (p *Plan) Persist() *Persistent { return &Persistent{s: p.s} }
+// Persist freezes the schedule into a persistent operation (the MPI-4
+// *_init form): every Start of the result re-runs it against whatever its
+// steps read through their bound pointers at that time. The plan's tags
+// move to the persistent space under an instance of the communicator's
+// persistent sequence, which, like every collective call, Persist mints
+// in program order. A persisted plan must not also be Run or Started
+// directly.
+func (p *Plan) Persist() *Persistent {
+	p.s.inst, p.s.space = p.c.pseq.Add(1)-1, tagPersistent
+	return &Persistent{s: p.s}
+}

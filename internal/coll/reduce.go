@@ -119,17 +119,16 @@ func (c *Comm) addReduceSteps(s *sched, root int, f *folder, commutative bool) {
 		c.addOrderedReduceSteps(s, root, f)
 		return
 	}
-	tag := s.tag(tagReduce)
 	vr := rel(c.Rank, root, c.Size)
 	for mask := 1; mask < c.Size; mask <<= 1 {
 		if vr&mask != 0 {
 			parent := unrel(vr-mask, root, c.Size)
-			s.step(func() error { return s.isendCopy(parent, tag, *f.acc) })
+			s.step(func() error { return s.isendCopy(parent, tagReduce, *f.acc) })
 			return // contribution forwarded; this member is done
 		}
 		if vr+mask < c.Size {
 			// The accumulator holds the lower-rank contributions.
-			s.foldRecvStep(unrel(vr+mask, root, c.Size), tag, f.above)
+			s.foldRecvStep(unrel(vr+mask, root, c.Size), tagReduce, f.above)
 		}
 	}
 }
@@ -203,7 +202,6 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		return
 	}
 
-	tag := s.tag(tagReduce)
 	p2 := 1
 	for p2*2 <= c.Size {
 		p2 *= 2
@@ -231,13 +229,13 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		// Fold into the odd neighbour, then idle until the post-fold.
 		if mine == f.src {
 			// Memory nobody writes: nothing to protect it from.
-			s.step(func() error { return s.isendLent(c.Rank+1, tag, *f.src) })
+			s.step(func() error { return s.isendLent(c.Rank+1, tagReduce, *f.src) })
 		} else {
-			s.step(func() error { return s.isendCopy(c.Rank+1, tag, *f.acc) })
+			s.step(func() error { return s.isendCopy(c.Rank+1, tagReduce, *f.acc) })
 		}
 	case c.Rank < 2*remainder:
 		from := mine
-		s.foldRecvStep(c.Rank-1, tag, func(theirs []byte) (err error) {
+		s.foldRecvStep(c.Rank-1, tagReduce, func(theirs []byte) (err error) {
 			*f.acc, err = f.fold(theirs, *from, *f.acc)
 			return err
 		})
@@ -257,7 +255,7 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 	switch {
 	case newRank < 0:
 	case halving:
-		c.addHalvingSteps(s, f, mine, tag, newRank, p2, realOf, units, unit)
+		c.addHalvingSteps(s, f, mine, newRank, p2, realOf, units, unit)
 	default:
 		for mask := 1; mask < p2; mask <<= 1 {
 			partner := newRank ^ mask
@@ -265,7 +263,7 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 			if partner < newRank {
 				fold = f.below
 			}
-			s.foldExchStep(realOf(partner), tag, f.acc, fold)
+			s.foldExchStep(realOf(partner), tagReduce, f.acc, fold)
 		}
 	}
 
@@ -273,9 +271,9 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 	// idled even members.
 	if c.Rank < 2*remainder {
 		if c.Rank%2 == 0 {
-			s.foldRecvStep(c.Rank+1, tag, f.set)
+			s.foldRecvStep(c.Rank+1, tagReduce, f.set)
 		} else {
-			s.step(func() error { return s.isendCopy(c.Rank-1, tag, *f.acc) })
+			s.step(func() error { return s.isendCopy(c.Rank-1, tagReduce, *f.acc) })
 		}
 	}
 }
@@ -336,7 +334,7 @@ func (c *Comm) halves(wire int) bool {
 // window deposited beside it — the very window this member lent that
 // partner on the way down, which the partner released, at the latest,
 // when its fold of it returned.
-func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, tag, newRank, p2 int, realOf func(int) int, units, unit int) {
+func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, newRank, p2 int, realOf func(int) int, units, unit int) {
 	wire := units * unit
 	s.step(func() error {
 		if len(*f.acc) != wire || len(*mine) != wire {
@@ -366,13 +364,13 @@ func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, tag, newRank, 
 		if mask == 1 {
 			from = mine // only the first round can find the operand outside the accumulator
 		}
-		s.foldExchLentStep(r.peer, tag, from, r.give, func(theirs []byte) error {
+		s.foldExchLentStep(r.peer, tagReduce, from, r.give, func(theirs []byte) error {
 			return f.window(from, r.keep, theirs, lower)
 		})
 	}
 	for k := len(rounds) - 1; k >= 0; k-- {
 		r := rounds[k]
-		s.fillExchLentStep(r.peer, tag, f.acc, r.keep, r.give)
+		s.fillExchLentStep(r.peer, tagReduce, f.acc, r.keep, r.give)
 	}
 }
 
@@ -383,15 +381,14 @@ func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, tag, newRank, 
 // per the standard, it still holds the contribution). The chain
 // preserves non-commutative operation order by construction.
 func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, f *folder) {
-	tag := s.tag(family)
 	last := c.Rank == c.Size-1
 	if c.Rank == 0 {
 		if !last {
-			s.step(func() error { return s.isendCopy(1, tag, *f.acc) })
+			s.step(func() error { return s.isendCopy(1, family, *f.acc) })
 		}
 		return
 	}
-	s.foldRecvStep(c.Rank-1, tag, func(prefix []byte) error {
+	s.foldRecvStep(c.Rank-1, family, func(prefix []byte) error {
 		// The last rank's inclusive prefix is neither forwarded nor, in
 		// exclusive mode, published — skip the fold there.
 		if !exclusive || !last {
@@ -400,7 +397,7 @@ func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, f *folder) {
 			}
 		}
 		if !last {
-			if err := s.isendCopy(c.Rank+1, tag, *f.acc); err != nil {
+			if err := s.isendCopy(c.Rank+1, family, *f.acc); err != nil {
 				return err
 			}
 		}

@@ -21,50 +21,74 @@ var ErrCancelled = errors.New("coll: collective cancelled")
 // of the operation has not completed yet.
 var ErrActive = errors.New("coll: previous activation still in progress")
 
-// Request is a handle on an in-flight collective schedule. It completes
-// exactly once, with the algorithm's result (shape depends on the
-// collective) or an error; Wait, Test and WaitCtx may be called from any
-// goroutine, concurrently. Requests handed out by Start always carry
-// their done channel; a schedule driven by Plan.Run keeps it nil — that
-// request never escapes.
+// Request is a handle on one activation of a collective schedule. It
+// completes exactly once, with the algorithm's result (shape depends on
+// the collective) or an error; Wait, Test and WaitCtx may be called from
+// any goroutine, concurrently. Whoever waits runs the schedule: a caller
+// in Wait runs its steps whenever it is runnable and parks, holding the
+// rank's progress role, while it waits for a message; a schedule that
+// becomes runnable while nobody waits resumes on a goroutine of its own,
+// which ends at its next park.
 type Request struct {
-	done      chan struct{}
+	s         *sched
 	cancelled atomic.Bool
 
-	// s is the schedule this request completes; cancellation pokes it so
-	// a parked schedule wakes up and observes the cancel.
-	s *sched
+	// Who runs the steps, guarded by the engine lock (core.Proc.Await,
+	// Publish and OnDone callbacks all run under it): waiters counts the
+	// callers in Wait, and ready hands a runnable schedule to one of them.
+	waiters int
+	ready   bool
 
-	// Written by the schedule runner before done is closed.
-	res any
-	err error
+	// done is set under the engine lock once res and err are final; Test
+	// reads it without.
+	done atomic.Bool
+	res  any
+	err  error
 }
 
 // Wait blocks until the collective completes on this member and returns
-// its result.
-func (r *Request) Wait() (any, error) {
-	<-r.done
-	return r.res, r.err
-}
+// its result, running the schedule's steps itself whenever they are
+// runnable.
+func (r *Request) Wait() (any, error) { return r.wait(false) }
 
-// Done returns a channel closed when the collective completes.
-func (r *Request) Done() <-chan struct{} { return r.done }
+// wait is Wait for a caller that is already counted among the waiters
+// (joined) or not yet.
+func (r *Request) wait(joined bool) (any, error) {
+	s := r.s
+	for {
+		run := false
+		s.c.P.Await(func() bool {
+			if !joined {
+				r.waiters++
+				joined = true
+			}
+			if r.done.Load() {
+				r.waiters--
+				return true
+			}
+			run, r.ready = r.ready, false
+			return run
+		})
+		if !run {
+			return r.res, r.err
+		}
+		s.run()
+	}
+}
 
 // Test reports whether the collective has completed, returning the
 // result if so.
 func (r *Request) Test() (any, bool, error) {
-	select {
-	case <-r.done:
-		return r.res, true, r.err
-	default:
+	if !r.done.Load() {
 		return nil, false, nil
 	}
+	return r.res, true, r.err
 }
 
-// WaitCtx blocks until the collective completes or ctx is done. When ctx
-// fires first the schedule is cancelled at its next cancellation point —
-// every send/receive wait inside the algorithm is one — and WaitCtx
-// returns ctx's error promptly, even when a peer never shows up.
+// WaitCtx is Wait, except that when ctx is done first the schedule is
+// cancelled at its next cancellation point — every send/receive wait
+// inside the algorithm is one — and WaitCtx returns ctx's error
+// promptly, even when a peer never shows up.
 //
 // Cancellation abandons this member's participation in the collective
 // instance: what a peer has already matched is seen through (that peer
@@ -85,29 +109,21 @@ func (r *Request) Test() (any, bool, error) {
 // cancellation into a communicator should use WaitCtx on every member,
 // or keep cancellable collectives' payloads within the eager limit.
 func (r *Request) WaitCtx(ctx context.Context) (any, error) {
-	select {
-	case <-r.done:
-		return r.res, r.err
-	default:
-	}
-	select {
-	case <-r.done:
-		return r.res, r.err
-	case <-ctx.Done():
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
 		r.cancel()
-		<-r.done
-		switch {
-		case r.err == nil:
-			// The schedule won the race and completed normally.
-			return r.res, nil
-		case errors.Is(r.err, ErrCancelled):
-			return nil, ctx.Err()
-		default:
-			// A genuine schedule failure raced the deadline; do not
-			// mask it as a clean timeout.
-			return nil, r.err
-		}
+		close(fired)
+	})
+	res, err := r.Wait()
+	if !stop() {
+		<-fired
 	}
+	if errors.Is(err, ErrCancelled) && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	// Completed normally despite the deadline, or failed for a reason of
+	// its own, which is not masked as a clean timeout.
+	return res, err
 }
 
 // cancel marks the activation cancelled and pokes whatever its schedule
@@ -166,17 +182,17 @@ type step struct {
 // algorithm compiled into, the progress state they share, and the sends
 // still in flight. A schedule is built synchronously inside the
 // collective call (so tag allocation happens in program order on every
-// member) and executed by run, the one step loop. Where the schedule
-// must wait for a message it parks (see park), and what parking means
-// is the only thing that differs between the forms: a started or
-// persistent schedule gives its pool worker back — it occupies no
-// goroutine until the completion callback of the last operation it
-// waits for re-enqueues it, and run continues at the same program
-// counter — while a schedule driven by Plan.Run simply puts the
-// goroutine that called to sleep on those operations.
+// member) and executed by run, the one step loop. Exactly one goroutine
+// runs a schedule's steps at a time: the caller that starts it, up to
+// its first wait for a message; after that whoever the activation's
+// Request says (see wake). Where the schedule must wait it parks (see
+// park): it occupies no goroutine until the completion callback of the
+// last operation it waits for makes it runnable, and run continues at
+// the same program counter.
 type sched struct {
 	c      *Comm
 	inst   uint32 // this collective instance's sequence number
+	space  int    // 0, or tagPersistent for a persistent plan's tags
 	req    *Request
 	steps  []step
 	resets []func()        // per-activation state initializers, run by arm
@@ -193,12 +209,7 @@ type sched struct {
 	gated []*core.Request
 	one   [1]*core.Request // backs gated when parking on a single gate
 	waits atomic.Int32
-	wake  func() // bound once; decrements waits, re-enqueues at zero
-
-	// driven marks a schedule executed by the goroutine that called
-	// Plan.Run: park blocks that goroutine instead of handing the
-	// schedule to the pool.
-	driven bool
+	wake  func() // bound once; decrements waits, hands the schedule on at zero
 
 	// t0 is the activation's arm time, feeding the "coll.sched_ns"
 	// timing variable on finish.
@@ -208,29 +219,33 @@ type sched struct {
 // newSched builds an empty schedule and mints its instance number —
 // unconditionally, before any validation, so the sequence advances by
 // exactly one per collective call on every member regardless of local
-// outcomes. The request's done channel stays nil until start(): a
-// caller-driven schedule's request never escapes, so a blocking
-// collective pays no channel allocation.
+// outcomes.
 func (c *Comm) newSched() *sched {
 	s := &sched{c: c, inst: c.seq.Add(1) - 1}
 	s.req = &Request{s: s}
 	s.wake = func() {
-		// Runs under the engine lock (completion callback); counter
-		// bump and trace record are single atomic operations.
+		// Runs under the engine lock (completion callback): the last
+		// completion hands the runnable schedule to a caller waiting for
+		// it, or else to a goroutine of its own.
 		if s.waits.Add(-1) == 0 {
 			s.resumed()
-			sharedPool.enqueue(s)
+			if r := s.req; r.waiters > 0 {
+				r.ready = true
+			} else {
+				go s.run()
+			}
 		}
 	}
 	return s
 }
 
-// tag mints the matching tag for one family within this instance.
+// tag is the matching tag of one family within this instance, computed
+// when a step posts: Persist moves a built plan to the persistent space.
 // Composed schedules (reduce-scatter, ordered allreduce) use several
 // families under one instance number; no composition uses a family
 // twice, so tags stay unique within the instance.
 func (s *sched) tag(family int) int {
-	return int(s.inst%seqPeriod)<<tagFamBits | family
+	return s.space | int(s.inst%seqPeriod)<<tagFamBits | family
 }
 
 func (s *sched) step(fn func() error) { s.steps = append(s.steps, step{run: fn}) }
@@ -243,8 +258,7 @@ func (s *sched) onReset(fn func()) { s.resets = append(s.resets, fn) }
 
 // arm runs the registered resets, initializing the activation's state.
 // Every activation passes through here exactly once — one-shot or
-// persistent, caller-driven or pooled — so it is also where the
-// activation's span opens.
+// persistent — so it is also where the activation's span opens.
 func (s *sched) arm() {
 	for _, fn := range s.resets {
 		fn()
@@ -254,19 +268,18 @@ func (s *sched) arm() {
 	s.c.P.Recorder().Begin(obs.EvCollSched, s.inst, 0)
 }
 
-// rearm prepares a fresh activation of an already-run schedule: a new
-// request (the old one stays valid for its completed activation), the
-// program counter back at the top, and re-initialized algorithm state.
+// rearm prepares a fresh activation of an already-run schedule, for
+// start to arm: a new request (the old one stays valid for its completed
+// activation) and the program counter back at the top.
 // The instance number — and with it every matching tag — is reused:
 // persistent activations are aligned across members by the rule that
 // each member completes activation k before starting k+1, so round k+1
 // traffic can never cross-match round k's.
 func (s *sched) rearm() {
-	s.req = &Request{s: s, done: make(chan struct{})}
+	s.req = &Request{s: s}
 	s.pc = 0
 	s.pend = nil
 	s.res = nil
-	s.arm()
 }
 
 // publish appends the final step that snapshots the algorithm's result.
@@ -278,15 +291,15 @@ func (s *sched) publish(get func() any) {
 // posted nonblockingly, and fn runs — with the payload, ownership
 // transferred out of the engine — only once it has completed, without
 // ever blocking an executor.
-func (s *sched) recvStep(src, tag int, fn func([]byte) error) {
-	s.postRecv(&fut{}, src, tag, nil, fn)
+func (s *sched) recvStep(src, fam int, fn func([]byte) error) {
+	s.postRecv(&fut{}, src, fam, nil, fn)
 }
 
 // foldRecvStep is recvStep for a reduction operand: fn reads the
 // payload in place, straight out of the frame it arrived in, and the
 // frame is recycled when fn returns.
-func (s *sched) foldRecvStep(src, tag int, fn func([]byte) error) {
-	s.postRecv(&fut{lend: true}, src, tag, nil, fn)
+func (s *sched) foldRecvStep(src, fam int, fn func([]byte) error) {
+	s.postRecv(&fut{lend: true}, src, fam, nil, fn)
 }
 
 // exchStep appends a concurrent exchange with two (possibly distinct)
@@ -296,39 +309,39 @@ func (s *sched) foldRecvStep(src, tag int, fn func([]byte) error) {
 // first so that a partner's message — or its rendezvous request — finds
 // it posted whenever this member got here first. The send's completion
 // is left to the drain.
-func (s *sched) exchStep(dst, src, tag int, out func() ([]byte, error), fn func([]byte) error) {
-	s.postRecv(&fut{}, src, tag, func() error {
+func (s *sched) exchStep(dst, src, fam int, out func() ([]byte, error), fn func([]byte) error) {
+	s.postRecv(&fut{}, src, fam, func() error {
 		b, err := out()
 		if err != nil {
 			return err
 		}
-		return s.isend(dst, tag, b)
+		return s.isend(dst, fam, b)
 	}, fn)
 }
 
 // foldExchStep is the reduction exchange with one partner: it ships a
 // private copy of *acc and lends the partner's operand to fn.
-func (s *sched) foldExchStep(peer, tag int, acc *[]byte, fn func([]byte) error) {
-	s.postRecv(&fut{lend: true}, peer, tag, func() error {
-		return s.isendCopy(peer, tag, *acc)
+func (s *sched) foldExchStep(peer, fam int, acc *[]byte, fn func([]byte) error) {
+	s.postRecv(&fut{lend: true}, peer, fam, func() error {
+		return s.isendCopy(peer, fam, *acc)
 	}, fn)
 }
 
 // foldExchLentStep is foldExchStep for a window this member neither
 // writes nor hands back to its caller while the partner holds it: give,
 // a window of *from, goes out on loan — no copy.
-func (s *sched) foldExchLentStep(peer, tag int, from *[]byte, give span, fn func([]byte) error) {
-	s.postRecv(&fut{lend: true}, peer, tag, func() error {
-		return s.isendLent(peer, tag, give.of(from))
+func (s *sched) foldExchLentStep(peer, fam int, from *[]byte, give span, fn func([]byte) error) {
+	s.postRecv(&fut{lend: true}, peer, fam, func() error {
+		return s.isendLent(peer, fam, give.of(from))
 	}, fn)
 }
 
 // fillExchLentStep lends the window give of *acc to the partner and has
 // the partner's message deposited straight into the window fill — the
 // allgather exchange; the two windows are disjoint.
-func (s *sched) fillExchLentStep(peer, tag int, acc *[]byte, give, fill span) {
-	s.postRecv(&fut{into: &bufSpan{acc, fill}}, peer, tag, func() error {
-		return s.isendLent(peer, tag, give.of(acc))
+func (s *sched) fillExchLentStep(peer, fam int, acc *[]byte, give, fill span) {
+	s.postRecv(&fut{into: &bufSpan{acc, fill}}, peer, fam, func() error {
+		return s.isendLent(peer, fam, give.of(acc))
 	}, nil)
 }
 
@@ -336,15 +349,16 @@ func (s *sched) fillExchLentStep(peer, tag int, acc *[]byte, give, fill span) {
 // receive — a receive-into of f's window, a borrowing receive for a
 // payload that is only read, an ordinary one otherwise — then run send,
 // if any; and, gated on the receive, consume it with fn.
-func (s *sched) postRecv(f *fut, src, tag int, send func() error, fn func([]byte) error) {
+func (s *sched) postRecv(f *fut, src, fam int, send func() error, fn func([]byte) error) {
 	s.steps = append(s.steps, step{run: func() error {
+		tag := int32(s.tag(fam))
 		switch {
 		case f.into != nil:
-			f.req = s.c.P.IrecvInto(s.c.Ctx, int32(src), int32(tag), f.into.of(f.into.buf), 1)
+			f.req = s.c.P.IrecvInto(s.c.Ctx, int32(src), tag, f.into.of(f.into.buf), 1)
 		case f.lend:
-			f.req = s.c.P.IrecvBorrow(s.c.Ctx, int32(src), int32(tag))
+			f.req = s.c.P.IrecvBorrow(s.c.Ctx, int32(src), tag)
 		default:
-			f.req = s.c.P.Irecv(s.c.Ctx, int32(src), int32(tag))
+			f.req = s.c.P.Irecv(s.c.Ctx, int32(src), tag)
 		}
 		if send == nil {
 			return nil
@@ -386,31 +400,19 @@ func (s *sched) postRecv(f *fut, src, tag int, send func() error, fn func([]byte
 	}})
 }
 
-// start launches the schedule on the shared progress pool and returns
-// its request (Plan.Start). The completion channel is created here,
-// before the schedule is enqueued, so every escaping request has one.
+// start arms the schedule and runs its steps on the caller up to its
+// first wait for a message, so its first sends and receives are posted
+// when it returns (Plan.Start, Persistent.Start).
 func (s *sched) start() *Request {
-	s.req.done = make(chan struct{})
-	s.arm()
-	sharedPool.enqueue(s)
-	return s.req
-}
-
-// drive executes the schedule to completion on the calling goroutine
-// (Plan.Run): the same run loop a pool worker executes, except that
-// where a pooled schedule gives its worker back, the caller sleeps. Its
-// request never escapes, so nothing can cancel it.
-func (s *sched) drive() (any, error) {
-	s.driven = true
+	r := s.req
 	s.arm()
 	s.run()
-	return s.req.res, s.req.err
+	return r
 }
 
-// run executes the schedule until it completes or, on the pool, parks.
-// A parked schedule is re-enqueued by the completion callback of the
-// last operation it waits for; run then resumes at the same program
-// counter.
+// run executes the schedule until it completes or parks. A parked
+// schedule is handed on by the completion callback of the last operation
+// it waits for; run then resumes at the same program counter.
 func (s *sched) run() {
 	// The previous park's gate list is stale the moment we are running
 	// again; clear it before any gated request can be consumed, so a
@@ -469,28 +471,16 @@ func (s *sched) run() {
 }
 
 // park suspends the schedule until every request in reqs has completed.
-//
-// A caller-driven schedule has no worker to give back and no canceller:
-// the caller sleeps on the requests right here, and park returns false
-// — continue. On the pool, the gate list is published first, so a
-// canceller can end the wait by completing the gated operations as
-// cancelled; the cancel may also have arrived before that, so park
-// looks once more and pokes them itself, which bounds the wait either
-// way. park returns true when the schedule is genuinely parked: the
-// executor must return, and the last completion callback re-enqueues
-// the schedule. When everything completed while parking it returns
-// false; the +1 guard makes that decision race-free — the callbacks and
-// the final Add together reach zero exactly once, wherever the
-// completions land.
+// The gate list is published first, so a canceller can end the wait by
+// completing the gated operations as cancelled; the cancel may also have
+// arrived before that, so park looks once more and pokes them itself,
+// which bounds the wait either way. park returns true when the schedule
+// is genuinely parked: the executor must return, and the last
+// completion callback hands the schedule on. When everything completed
+// while parking it returns false; the +1 guard makes that decision
+// race-free — the callbacks and the final Add together reach zero
+// exactly once, wherever the completions land.
 func (s *sched) park(reqs []*core.Request) bool {
-	if s.driven {
-		s.parked(len(reqs))
-		for _, r := range reqs {
-			r.Wait()
-		}
-		s.resumed()
-		return false
-	}
 	s.gmu.Lock()
 	s.gated = reqs
 	s.gmu.Unlock()
@@ -510,7 +500,7 @@ func (s *sched) park(reqs []*core.Request) bool {
 }
 
 // parked and resumed account for the two ends of a wait, whichever
-// goroutine drives the schedule.
+// goroutine runs the schedule.
 func (s *sched) parked(n int) {
 	s.c.vars().parked.Inc()
 	s.c.P.Recorder().Instant(obs.EvCollPark, s.inst, int64(n))
@@ -518,7 +508,7 @@ func (s *sched) parked(n int) {
 
 func (s *sched) resumed() {
 	s.c.vars().resumed.Inc()
-	s.c.P.Recorder().Instant(obs.EvCollResume, s.inst, int64(sharedPool.busy.Load()))
+	s.c.P.Recorder().Instant(obs.EvCollResume, s.inst, 0)
 }
 
 // ungate retires the gate list of a park that is over.
@@ -546,7 +536,9 @@ func (s *sched) cancelGated() {
 
 func (s *sched) cancelled() bool { return s.req.cancelled.Load() }
 
-// finish completes the activation's request.
+// finish completes the activation's request and wakes whoever waits
+// for it. It is the runner's last touch of the schedule: a persistent one
+// may be started again the moment the request is done.
 func (s *sched) finish(err error) {
 	if !s.t0.IsZero() {
 		// t0 is zero when a schedule fails before arming (argument
@@ -554,13 +546,14 @@ func (s *sched) finish(err error) {
 		s.c.vars().schedNs.Observe(time.Since(s.t0))
 		s.c.P.Recorder().End(obs.EvCollSched, s.inst, 0)
 	}
-	if err == nil {
-		s.req.res = s.res
-	}
-	s.req.err = err
-	if s.req.done != nil {
-		close(s.req.done)
-	}
+	r, res := s.req, s.res
+	s.c.P.Publish(func() {
+		if err == nil {
+			r.res = res
+		}
+		r.err = err
+		r.done.Store(true)
+	})
 }
 
 // incomplete moves the operations in pend that have not completed to
@@ -618,8 +611,8 @@ func (s *sched) fail(err error) {
 // out to several destinations and forward received payloads, so it
 // cannot carry the exclusive-ownership recycle promise and must never
 // be written again.
-func (s *sched) isend(dst, tag int, b []byte) error {
-	return s.post(dst, tag, b, false)
+func (s *sched) isend(dst, fam int, b []byte) error {
+	return s.post(dst, fam, b, false)
 }
 
 // isendCopy sends a private copy of b, for a buffer the schedule goes on
@@ -629,10 +622,10 @@ func (s *sched) isend(dst, tag int, b []byte) error {
 // with no happens-before to this member's next fold). The copy has
 // exactly one destination, so it lives in a pooled frame and carries
 // the recycle promise: whoever consumes it returns it to the pool.
-func (s *sched) isendCopy(dst, tag int, b []byte) error {
+func (s *sched) isendCopy(dst, fam int, b []byte) error {
 	out := transport.GetBuf(len(b))
 	copy(out, b)
-	return s.post(dst, tag, out, true)
+	return s.post(dst, fam, out, true)
 }
 
 // isendLent sends b on loan (core.Proc.IsendLent): nothing is copied on
@@ -640,13 +633,13 @@ func (s *sched) isendCopy(dst, tag int, b []byte) error {
 // the drain, or in the teardown — when the partner has let go of it. It
 // is for a window this member neither writes nor hands back to its
 // caller before then.
-func (s *sched) isendLent(dst, tag int, b []byte) error {
-	req, err := s.c.P.IsendLent(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard)
+func (s *sched) isendLent(dst, fam int, b []byte) error {
+	req, err := s.c.P.IsendLent(s.c.Ctx, s.c.Rank, s.c.World(dst), s.tag(fam), b, core.ModeStandard)
 	return s.track(req, err)
 }
 
-func (s *sched) post(dst, tag int, b []byte, recycle bool) error {
-	return s.track(s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), tag, b, core.ModeStandard, recycle))
+func (s *sched) post(dst, fam int, b []byte, recycle bool) error {
+	return s.track(s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), s.tag(fam), b, core.ModeStandard, recycle))
 }
 
 // track files a posted send for the completion drain.

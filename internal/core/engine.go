@@ -103,8 +103,8 @@ type outFrame struct {
 // Proc is one rank's progress engine. All methods are safe for
 // concurrent use. Progress — taking frames out of the rank's mailbox and
 // running them through the engine — is driven by whichever goroutine
-// holds the progress role: a caller blocked in Wait or Probe, else the
-// engine's own progress goroutine.
+// holds the progress role: a caller blocked in Wait, Probe or Await,
+// else the engine's own progress goroutine.
 type Proc struct {
 	dev transport.Device
 	// try is dev's never-blocking send, where it has one.
@@ -122,7 +122,9 @@ type Proc struct {
 	// registering the other bell with the mailbox, which wakes nobody.
 	idleBell, pollBell *transport.Bell
 	polling            bool
-	pollFor            *Request // what the polling caller waits for; nil for Probe
+	// pollFor is what the polling caller waits for; nil for a wait on a
+	// predicate (Probe, Await), which any completion may satisfy.
+	pollFor *Request
 	// pollParked: the polling caller is parked on pollBell, or about to
 	// be. Whatever completes pollFor then rings it; while it runs the
 	// body, it looks for itself before parking again.
@@ -303,13 +305,38 @@ func (p *Proc) progress() {
 	p.mu.Unlock()
 }
 
+// Await blocks until done reports true, driving the rank's progress
+// while it waits exactly as Request.Wait does: it is the wait of
+// everything that is not one request (a collective schedule, a set of
+// requests). done runs under the engine lock, which OnDone callbacks run
+// under too, so state it shares with them needs no lock of its own; it
+// may call Request.Test but nothing that takes the lock. done is not
+// asked again once it has said true, so it may claim what it found.
+// Whatever makes done true other than a completion must say so through
+// Publish.
+func (p *Proc) Await(done func() bool) {
+	p.mu.Lock()
+	p.awaitLocked(nil, done)
+	p.mu.Unlock()
+}
+
+// Publish runs fn under the engine lock and wakes every Await, so one
+// whose predicate fn made true returns.
+func (p *Proc) Publish(fn func()) {
+	p.mu.Lock()
+	fn()
+	p.wakeLocked()
+	p.mu.Unlock()
+}
+
 // awaitLocked returns, holding mu as on entry, once done reports true.
 // Until then the caller drives progress itself unless another caller
 // already does: it takes the progress role, runs the progress body, and
 // parks on pollBell whenever the mailbox is empty — where the producer
 // of the next frame, or whatever completes mine outside the mailbox,
 // rings it — and hands the role back once done holds. Other callers
-// sleep on cond, and so does everyone once the endpoint is dead.
+// sleep on cond, and so does everyone once the endpoint is dead. done is
+// not asked again once it has said true, so it may claim what it found.
 func (p *Proc) awaitLocked(mine *Request, done func() bool) {
 	for !done() {
 		if p.polling || p.fatal != nil {
@@ -318,7 +345,8 @@ func (p *Proc) awaitLocked(mine *Request, done func() bool) {
 		}
 		p.polling, p.pollFor = true, mine
 		p.mb.Listen(p.pollBell)
-		for !done() && p.fatal == nil {
+		over := false
+		for !over && p.fatal == nil {
 			if !p.stepLocked() {
 				p.pollParked = true
 				p.mu.Unlock()
@@ -327,10 +355,14 @@ func (p *Proc) awaitLocked(mine *Request, done func() bool) {
 				p.mu.Lock()
 				p.pollParked = false
 			}
+			over = done()
 		}
 		p.polling, p.pollFor = false, nil
 		p.mb.Listen(p.idleBell)
 		p.cond.Broadcast() // a caller sleeping for want of the role may take it
+		if over {
+			return
+		}
 	}
 }
 
@@ -1313,7 +1345,7 @@ func statusOf(m *inMsg) Status {
 func (p *Proc) Cancel(r *Request) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if r.completed {
+	if r.completed.Load() {
 		return false
 	}
 	if r.kind == reqSend {

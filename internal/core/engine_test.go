@@ -259,21 +259,23 @@ func TestWaitAny(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 		p0.Isend(0, 0, 1, 22, []byte("two"), ModeStandard, false) //nolint:errcheck
 	}()
-	// Waiting for any of several requests is one select over their Done
-	// channels.
-	select {
-	case <-r1.Done():
+	// Waiting for any of several requests is one Await over their
+	// completions.
+	completed := func(r *Request) bool { _, ok := r.Test(); return ok }
+	p1.Await(func() bool { return completed(r1) || completed(r2) })
+	if completed(r1) {
 		t.Fatal("r1 completed; only r2's message was sent")
-	case <-r2.Done():
 	}
 	if st, ok := r2.Test(); !ok || st.Tag != 22 {
-		t.Fatalf("r2 after its Done: ok=%v st=%+v", ok, st)
+		t.Fatalf("r2 after the Await: ok=%v st=%+v", ok, st)
 	}
 	p1.Cancel(r1)
+	awaited := make(chan struct{})
+	go func() { p1.Await(func() bool { return completed(r1) }); close(awaited) }()
 	select {
-	case <-r1.Done():
+	case <-awaited:
 	case <-time.After(5 * time.Second):
-		t.Fatal("cancelled r1's Done channel never closed")
+		t.Fatal("an Await on cancelled r1 never returned")
 	}
 }
 

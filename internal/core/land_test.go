@@ -387,7 +387,7 @@ func TestLandingAllocatesNothing(t *testing.T) {
 	req := newRequest(p0, reqRecv)
 	req.into, req.dstWorld, req.id = into, 1, 7
 	allocs := testing.AllocsPerRun(200, func() {
-		req.completed = false
+		req.completed.Store(false)
 		p0.pending[7] = req
 		hdrLen, dst, l := p0.Land(1, head, dataHdrLen+len(into))
 		if l == nil || hdrLen != dataHdrLen || len(dst) != len(into) {

@@ -56,20 +56,16 @@ const (
 )
 
 // Request is a pending point-to-point operation. Completion is published
-// under the engine lock (and through the lazily created done channel);
-// Stat and Payload are written before completion is observable and may
-// be read freely after Wait/Test observe it.
+// under the engine lock; Stat and Payload are written before completion
+// is observable and may be read freely after Wait/Test observe it.
 type Request struct {
 	proc *Proc
 	kind reqKind
 
-	// done is created lazily by Done/WaitCtx so completions that are
-	// only ever observed through Wait or Test allocate no channel.
-	// Guarded by proc.mu.
-	done chan struct{}
-
-	// Guarded by proc.mu until completion.
-	completed bool
+	// completed is set, under proc.mu, once Stat and Payload are final.
+	// Test reads it without the lock, so an Await predicate, which runs
+	// under it, may call Test.
+	completed atomic.Bool
 
 	// onDone, when set, runs exactly once at completion — synchronously,
 	// under the engine lock. Guarded by proc.mu. See OnDone.
@@ -172,7 +168,7 @@ func newRequest(p *Proc, k reqKind) *Request {
 // touch r, which is left to the garbage collector.
 func (r *Request) Recycle() {
 	r.proc.mu.Lock()
-	ok := r.completed && (r.kind != reqSend || atomic.LoadInt32(r.offer()) != offerWithdrawn)
+	ok := r.completed.Load() && (r.kind != reqSend || atomic.LoadInt32(r.offer()) != offerWithdrawn)
 	r.proc.mu.Unlock()
 	if !ok {
 		return
@@ -203,75 +199,49 @@ func (r *Request) TakePayload() []byte {
 	return b
 }
 
-// Done returns a channel closed when the request completes.
-func (r *Request) Done() <-chan struct{} {
-	p := r.proc
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return r.doneLocked()
-}
-
-func (r *Request) doneLocked() chan struct{} {
-	if r.done == nil {
-		r.done = make(chan struct{})
-		if r.completed {
-			close(r.done)
-		}
-	}
-	return r.done
-}
-
 // Wait blocks until the request completes and returns its status. A
 // caller that has to park drives its rank's progress itself while no
 // other caller does: it parks on the mailbox's doorbell, so the frame
 // that completes the request wakes it directly, with no hand-off through
 // the progress goroutine (Proc.awaitLocked). Other waiters park on the
 // engine's shared completion broadcast. Both keep the steady-state hot
-// path allocation-free. Done and WaitCtx, whose (lazily allocated)
-// per-request channel wakes exactly the right waiter, leave progress to
-// the progress goroutine.
+// path allocation-free.
 func (r *Request) Wait() *Status {
 	p := r.proc
 	p.mu.Lock()
-	p.awaitLocked(r, func() bool { return r.completed })
+	p.awaitLocked(r, r.completed.Load)
 	p.mu.Unlock()
 	return &r.Stat
 }
 
-// WaitCtx blocks until the request completes or ctx is done. When ctx
-// fires first the engine attempts to cancel the operation: if the
-// cancellation takes (the receive is still unmatched, or the send's
-// rendezvous has not been granted) the request completes with
-// Stat.Cancelled set and ctx's error is returned. If the operation has
-// already matched, cancellation is impossible — WaitCtx then waits for
-// the imminent ordinary completion and returns nil, like Wait.
+// WaitCtx is Wait, except that when ctx is done first the engine attempts
+// to cancel the operation: if the cancellation takes (the receive is
+// still unmatched, or the send's rendezvous has not been granted) the
+// request completes with Stat.Cancelled set and ctx's error is returned.
+// If the operation has already matched, cancellation is impossible —
+// WaitCtx then waits for the imminent ordinary completion and returns
+// nil, like Wait.
 func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
-	done := r.Done()
-	select {
-	case <-done:
-		return &r.Stat, nil
-	default:
+	var took bool
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		took = r.proc.Cancel(r)
+		close(fired)
+	})
+	st := r.Wait()
+	if !stop() {
+		<-fired
 	}
-	select {
-	case <-done:
-		return &r.Stat, nil
-	case <-ctx.Done():
-		if r.proc.Cancel(r) {
-			return &r.Stat, ctx.Err()
-		}
-		<-done
-		return &r.Stat, nil
+	if took {
+		return st, ctx.Err()
 	}
+	return st, nil
 }
 
 // Test reports whether the request has completed, returning the status
 // if so.
 func (r *Request) Test() (*Status, bool) {
-	p := r.proc
-	p.mu.Lock()
-	ok := r.completed
-	p.mu.Unlock()
-	if !ok {
+	if !r.completed.Load() {
 		return nil, false
 	}
 	return &r.Stat, true
@@ -289,7 +259,7 @@ func (r *Request) Test() (*Status, bool) {
 func (r *Request) OnDone(fn func()) {
 	p := r.proc
 	p.mu.Lock()
-	if r.completed {
+	if r.completed.Load() {
 		p.mu.Unlock()
 		fn()
 		return
@@ -299,23 +269,21 @@ func (r *Request) OnDone(fn func()) {
 }
 
 // completeLocked finalizes a request. proc.mu must be held. A caller
-// parked on the mailbox's bell waiting for r is rung: r completed
-// outside its progress body (a loan's return, a landing, a sweep).
+// parked on the mailbox's bell waiting for r, or for whatever an Await
+// predicate reads, is rung: r completed outside its progress body (a
+// loan's return, a landing, a sweep, a cancellation).
 func (p *Proc) completeLocked(r *Request, payload []byte, st Status) {
-	if r.completed {
+	if r.completed.Load() {
 		return
 	}
 	r.Payload = payload
 	r.Stat = st
-	r.completed = true
-	if r.done != nil {
-		close(r.done)
-	}
+	r.completed.Store(true)
 	if fn := r.onDone; fn != nil {
 		r.onDone = nil
 		fn()
 	}
-	if r == p.pollFor && p.pollParked {
+	if p.pollParked && (r == p.pollFor || p.pollFor == nil) {
 		p.pollBell.Ring()
 	}
 	p.cond.Broadcast()

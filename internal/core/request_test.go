@@ -73,14 +73,15 @@ func TestWaitCtxDeadlineOnMatchedRecvDelivers(t *testing.T) {
 // structs every message touches (ROADMAP ground rule: one more pointer
 // in Request showed up as spread in a whole-program workload). A field
 // a receive needs goes where a send-only field already is. Request is
-// 280 bytes since a send keeps its context and tag where a receive
-// does: still the 288-byte class, which is what the rule protects, and
-// it must not grow.
+// 264 bytes since it lost its done channel, whose removal also let the
+// completion flag share a word with the request's kind: still the
+// 288-byte class, which is what the rule protects, and it must not
+// leave it.
 func TestHotStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are for 64-bit platforms")
 	}
-	if f, r, m := unsafe.Sizeof(transport.Frame{}), unsafe.Sizeof(Request{}), unsafe.Sizeof(inMsg{}); f != 72 || r != 280 || m != 136 {
-		t.Fatalf("transport.Frame / Request / inMsg are %d / %d / %d bytes, want 72 / 280 / 136", f, r, m)
+	if f, r, m := unsafe.Sizeof(transport.Frame{}), unsafe.Sizeof(Request{}), unsafe.Sizeof(inMsg{}); f != 72 || r != 264 || m != 136 {
+		t.Fatalf("transport.Frame / Request / inMsg are %d / %d / %d bytes, want 72 / 264 / 136", f, r, m)
 	}
 }

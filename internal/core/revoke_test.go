@@ -161,8 +161,8 @@ func TestDerivedContextPeerLoss(t *testing.T) {
 }
 
 // TestFailedRequestObserversIdempotent: once a request completed with a
-// failure, every completion API — Wait, repeated Wait, Test, WaitCtx,
-// Done — must report the same terminal status without blocking,
+// failure, every completion API — Wait, repeated Wait, Test, WaitCtx —
+// must report the same terminal status without blocking,
 // double-completing, or double-releasing pooled storage.
 func TestFailedRequestObserversIdempotent(t *testing.T) {
 	procs := loopbackProcs(t, 2)
@@ -186,10 +186,8 @@ func TestFailedRequestObserversIdempotent(t *testing.T) {
 	if st, err := rreq.WaitCtx(ctx); err != nil || st.Err == nil {
 		t.Fatalf("WaitCtx after failure: st=%+v err=%v", st, err)
 	}
-	select {
-	case <-other.Done():
+	if _, done := other.Test(); done {
 		t.Fatal("the request nobody answers completed")
-	case <-rreq.Done():
 	}
 	// Recycle exactly once; the pooled frame (nil here) must not be
 	// double-released by the observers above.

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"gompi/internal/coll"
 	"gompi/internal/transport"
 	"gompi/mpi"
 )
@@ -26,15 +25,14 @@ import (
 // writer is a reported race), no goroutine, and no pooled frame.
 
 // abandonJob runs body as a job under a watchdog and checks that it left
-// no goroutine behind — none but the collective progress pool's workers,
-// which are spawned on demand and live for the whole process. settled, which every rank calls once its part in
+// no goroutine behind. settled, which every rank calls once its part in
 // the abandoned collective is over, is where the frame pool is audited:
 // between job start and the moment the last rank has settled, every
 // buffer drawn has come back. (Not later: a barrier's empty frames are
 // left to the garbage collector by design, and Finalize runs one.)
 func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settled func() error) error) error {
 	t.Helper()
-	goroutines, pool, workers := runtime.NumGoroutine(), transport.PoolStats(), poolWorkers()
+	goroutines, pool := runtime.NumGoroutine(), transport.PoolStats()
 	var arrived sync.WaitGroup
 	arrived.Add(opt.NP)
 	audit := sync.OnceValue(func() error {
@@ -61,25 +59,13 @@ func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settle
 		buf := make([]byte, 1<<20)
 		t.Fatalf("job hung:\n%s", buf[:runtime.Stack(buf, true)])
 	}
-	left := func() int { return runtime.NumGoroutine() - (poolWorkers() - workers) }
-	for deadline := time.Now().Add(10 * time.Second); left() > goroutines; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			buf := make([]byte, 1<<20)
-			t.Fatalf("%d goroutines before the job, %d after (pool workers excluded):\n%s", goroutines, left(), buf[:runtime.Stack(buf, true)])
+			t.Fatalf("%d goroutines before the job, %d after:\n%s", goroutines, runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 		}
 	}
 	return err
-}
-
-// poolWorkers reads "coll.pool_workers": the collective progress pool's
-// workers spawned so far, process-wide.
-func poolWorkers() int {
-	for _, v := range coll.PoolVars() {
-		if v.Name == "coll.pool_workers" {
-			return int(v.Value)
-		}
-	}
-	return 0
 }
 
 // iallreduce is the cancellable large allreduce the tests abandon:

@@ -3,7 +3,6 @@ package mpi
 import (
 	"context"
 	"errors"
-	"reflect"
 	"sync"
 
 	"gompi/internal/coll"
@@ -283,36 +282,39 @@ func indexed(st *Status, i int) *Status {
 
 // WaitAny blocks until one of the requests completes and returns its
 // status, with Status.Index identifying which (MPI_Waitany; paper §2.1).
-// One select waits on every operation's completion channel, whatever
-// its kind. If every request is inactive it returns (Undefined, empty
+// It is one wait on the rank's engine for "any of these has completed",
+// whatever their kinds, driving the rank's progress while it waits like
+// Wait does. If every request is inactive it returns (Undefined, empty
 // status).
 func WaitAny(reqs []*Request) (*Status, error) {
-	var cases []reflect.SelectCase
-	var at []int
+	var proc *core.Proc
 	for i, r := range reqs {
-		var ch <-chan struct{}
 		switch {
 		case !r.active():
-			continue
-		case r.creq != nil:
-			ch = r.creq.Done()
-		case r.cr != nil:
-			ch = r.cr.Done()
-		default: // pre-completed
+		case r.creq == nil && r.cr == nil: // pre-completed
 			st, err := r.Wait()
 			return indexed(st, i), err
+		default:
+			proc = r.comm.env.proc
 		}
-		cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
-		at = append(at, i)
 	}
-	if len(cases) == 0 {
+	if proc == nil {
 		st := nullStatus()
 		st.Index = Undefined
 		return st, nil
 	}
-	chosen, _, _ := reflect.Select(cases)
-	st, err := reqs[at[chosen]].Wait()
-	return indexed(st, at[chosen]), err
+	at := -1
+	proc.Await(func() bool {
+		for i, r := range reqs {
+			if r.active() && r.done() {
+				at = i
+				return true
+			}
+		}
+		return false
+	})
+	st, err := reqs[at].Wait()
+	return indexed(st, at), err
 }
 
 // TestAny polls the requests for a completion (MPI_Testany).

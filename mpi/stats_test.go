@@ -196,8 +196,8 @@ func perfAndControlVars(env *Env) error {
 	for _, cv := range env.ControlVars() {
 		names[cv.Name] = true
 	}
-	if !names["core.eager_limit"] || !names["coll.pool_max_workers"] {
-		return errf(ErrIntern, "ControlVars = %v, missing eager_limit or pool_max_workers", names)
+	if !names["core.eager_limit"] || len(names) != 1 {
+		return errf(ErrIntern, "ControlVars = %v, want core.eager_limit alone", names)
 	}
 	return nil
 }
