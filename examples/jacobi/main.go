@@ -474,9 +474,9 @@ func solve(env *mpi.Env, world *mpi.Intracomm, p params, restore string) error {
 
 	// In-flight residual reduction, persistent: the MAX allreduce over
 	// the fixed one-element buffers is planned once, and each sweep's
-	// activation is a bare Start — re-pack, enqueue on the shared
-	// progress pool, done. Started after sweep k, waited for after sweep
-	// k+1's compute, so communication overlaps computation.
+	// activation is a bare Start — re-pack, post the first round, done;
+	// the Wait runs the rest. Started after sweep k, waited for after
+	// sweep k+1's compute, so communication overlaps computation.
 	resIn := []float64{0}
 	resOut := []float64{0}
 	resRed, err := world.AllreduceInit(resIn, 0, resOut, 0, 1, mpi.DOUBLE, mpi.MAX)

@@ -1,0 +1,105 @@
+package coll
+
+import (
+	"fmt"
+	"testing"
+)
+
+type toyKey struct{ n int }
+
+func (k toyKey) Equal(o toyKey) bool { return k == o }
+func (k toyKey) Hash() uint64        { return uint64(k.n % 3) } // collisions on purpose
+
+// TestCacheBusyLRUEvict: an entry is handed to one call at a time, comes
+// back idle on a good Done and leaves on a bad one; beyond CacheSize the
+// least recently used entry goes; Clear empties the cache.
+func TestCacheBusyLRUEvict(t *testing.T) {
+	var c Cache[toyKey, *int]
+	vals := make([]*int, CacheSize+2)
+	for i := range vals {
+		vals[i] = new(int)
+	}
+	if _, ok := c.Take(toyKey{0}); ok {
+		t.Fatal("Take from an empty cache")
+	}
+	c.Add(toyKey{0}, vals[0])
+	if _, ok := c.Take(toyKey{0}); ok {
+		t.Fatal("a busy entry was handed out twice")
+	}
+	c.Done(vals[0], true)
+	if v, ok := c.Take(toyKey{0}); !ok || v != vals[0] {
+		t.Fatalf("Take after Done = %v, %v", v, ok)
+	}
+	c.Done(vals[0], false)
+	if _, ok := c.Take(toyKey{0}); ok || c.Len() != 0 {
+		t.Fatalf("an evicted entry is still cached (len %d)", c.Len())
+	}
+
+	for i := 0; i < CacheSize; i++ {
+		c.Add(toyKey{i}, vals[i])
+		c.Done(vals[i], true)
+	}
+	if v, ok := c.Take(toyKey{0}); !ok || v != vals[0] { // now the most recently used
+		t.Fatalf("Take(0) = %v, %v", v, ok)
+	}
+	c.Done(vals[0], true)
+	c.Add(toyKey{CacheSize}, vals[CacheSize]) // pushes out 1, the least recently used
+	c.Done(vals[CacheSize], true)
+	if c.Len() != CacheSize {
+		t.Fatalf("len %d, want %d", c.Len(), CacheSize)
+	}
+	if _, ok := c.Take(toyKey{1}); ok {
+		t.Fatal("the least recently used entry survived a full cache's Add")
+	}
+	for _, n := range []int{0, 2, CacheSize} {
+		v, ok := c.Take(toyKey{n})
+		if !ok || v != vals[n] {
+			t.Fatalf("Take(%d) = %v, %v", n, v, ok)
+		}
+		c.Done(v, true)
+	}
+	c.Done(vals[1], true) // no longer cached: left alone
+	c.Clear()
+	if c.Len() != 0 {
+		t.Fatalf("len %d after Clear", c.Len())
+	}
+}
+
+// TestAllreduceCachesItsPlan: the runtime's dense Allreduce re-arms one
+// plan per shape, builds another when the eager limit moves (it chooses
+// the schedule), returns a fresh result slice every call, and DropPlans
+// empties the cache.
+func TestAllreduceCachesItsPlan(t *testing.T) {
+	runGroup(t, 4, func(c *Comm) (any, error) {
+		var prev []float64
+		for call, eager := range []int64{256, 256, 64, 64, 256} {
+			if err := c.P.Obs().SetControl("core.eager_limit", eager); err != nil {
+				return nil, err
+			}
+			mine := make([]float64, 16) // 128 B: halving + doubling below a 128-byte limit
+			for i := range mine {
+				mine[i] = float64(c.Rank + call)
+			}
+			got, err := c.Allreduce(mine, Sum)
+			if err != nil {
+				return nil, err
+			}
+			out := got.([]float64)
+			if want := float64(6 + 4*call); out[0] != want || out[15] != want {
+				return nil, fmt.Errorf("rank %d call %d: %v, want %v", c.Rank, call, out, want)
+			}
+			if prev != nil && &prev[0] == &out[0] {
+				return nil, fmt.Errorf("rank %d call %d: result slice reused", c.Rank, call)
+			}
+			prev = out
+		}
+		if n := c.DenseAllreduces(); n != 2 {
+			return nil, fmt.Errorf("rank %d: %d cached plans, want 2", c.Rank, n)
+		}
+		c.DropPlans()
+		if n := c.DenseAllreduces(); n != 0 {
+			return nil, fmt.Errorf("rank %d: %d cached plans after DropPlans", c.Rank, n)
+		}
+		return nil, nil
+	})
+}

@@ -45,7 +45,17 @@ type Comm struct {
 	// obs caches this communicator's performance-variable handles
 	// (see obs.go); the zero value resolves lazily on first use.
 	obs commObs
+
+	// plans caches the dense allreduces of Allreduce (reduce.go).
+	plans Cache[allreduceKey, *cachedAllreduce]
 }
+
+// DropPlans empties the communicator's plan cache: a freed
+// communicator holds no schedules.
+func (c *Comm) DropPlans() { c.plans.Clear() }
+
+// DenseAllreduces is how many Allreduce plans the cache holds.
+func (c *Comm) DenseAllreduces() int { return c.plans.Len() }
 
 // Internal tag families, one per collective family, in the low
 // tagFamBits bits of the matching tag; the instance sequence number
@@ -124,12 +134,12 @@ func topMask(size int) int {
 // (allreduce over reduce+bcast, reduce-scatter over reduce+scatter)
 // chain builders, threading mid-schedule values through pointers.
 //
-// Two conventions make the schedules pool- and persistent-ready: waits
+// Two conventions make the schedules parkable and re-runnable: waits
 // for messages go through recvStep/exchStep (post step + gated consume
 // step — the executor parks rather than blocks), and every piece of
 // mutable per-activation state is initialized in an onReset hook rather
 // than at build time, so a persistent schedule re-arms cleanly on each
-// Start.
+// Start, and a cached one on each call.
 // ---------------------------------------------------------------------
 
 // addBarrierSteps schedules the dissemination barrier: ⌈log2 p⌉ rounds

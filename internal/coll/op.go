@@ -14,9 +14,10 @@
 // One executor runs them all. The algorithm is compiled into a schedule
 // of post/consume/compute steps (sched.go) that never blocks: where it
 // reaches an unarrived message it parks, and the engine's completion
-// callback resumes it. Run resumes it on the goroutine that called,
-// which sleeps meanwhile; Start and Persist resume it on a process-wide
-// progress pool (pool.go), so a waiting schedule occupies no goroutine.
+// callback resumes it on the goroutine that waits for it (Request), or
+// on a goroutine of its own while nobody waits, so a waiting schedule
+// occupies no goroutine. A built plan is re-runnable: Persist freezes
+// it, and a communicator's Cache re-arms it for later calls.
 // Cancellation points therefore live inside the algorithm rounds, not
 // just the point-to-point wait path. Tags carry a per-instance sequence
 // number, letting any number of collectives on one communicator overlap

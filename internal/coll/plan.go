@@ -92,6 +92,12 @@ func (p *Plan) Run() (any, error) {
 // schedule occupies no goroutine.
 func (p *Plan) Start() *Request { return p.s.start() }
 
+// Rearm readies a plan whose last activation has completed to Run or
+// Start again, as a new collective call: it mints the call's instance,
+// in program order like NewPlan. A call that reuses a cached plan (see
+// Cache) makes it instead of building one.
+func (p *Plan) Rearm() { p.s.rearm() }
+
 // Persist freezes the schedule into a persistent operation (the MPI-4
 // *_init form): every Start of the result re-runs it against whatever its
 // steps read through their bound pointers at that time. The plan's tags

@@ -268,18 +268,23 @@ func (s *sched) arm() {
 	s.c.P.Recorder().Begin(obs.EvCollSched, s.inst, 0)
 }
 
-// rearm prepares a fresh activation of an already-run schedule, for
-// start to arm: a new request (the old one stays valid for its completed
-// activation) and the program counter back at the top.
-// The instance number — and with it every matching tag — is reused:
+// rearm prepares a fresh activation of a schedule whose previous one
+// has completed, for start to arm: a new request (the old one stays
+// valid for its completed activation) and the program counter back at
+// the top. A one-shot plan — one a communicator's cache hands to a new
+// call — takes that call's instance, minted from seq in program order
+// like NewPlan's, so every call still has tags of its own. Only a
+// persisted plan keeps its instance, and with it every matching tag:
 // persistent activations are aligned across members by the rule that
 // each member completes activation k before starting k+1, so round k+1
 // traffic can never cross-match round k's.
 func (s *sched) rearm() {
+	if s.space == 0 {
+		s.inst = s.c.seq.Add(1) - 1
+	}
 	s.req = &Request{s: s}
 	s.pc = 0
 	s.pend = nil
-	s.res = nil
 }
 
 // publish appends the final step that snapshots the algorithm's result.
@@ -481,6 +486,7 @@ func (s *sched) run() {
 // race-free — the callbacks and the final Add together reach zero
 // exactly once, wherever the completions land.
 func (s *sched) park(reqs []*core.Request) bool {
+	inst := s.inst // past the final Add the schedule may run on, finish and be re-armed
 	s.gmu.Lock()
 	s.gated = reqs
 	s.gmu.Unlock()
@@ -495,15 +501,15 @@ func (s *sched) park(reqs []*core.Request) bool {
 		s.ungate()
 		return false
 	}
-	s.parked(len(reqs))
+	s.parked(inst, len(reqs))
 	return true
 }
 
 // parked and resumed account for the two ends of a wait, whichever
 // goroutine runs the schedule.
-func (s *sched) parked(n int) {
+func (s *sched) parked(inst uint32, n int) {
 	s.c.vars().parked.Inc()
-	s.c.P.Recorder().Instant(obs.EvCollPark, s.inst, int64(n))
+	s.c.P.Recorder().Instant(obs.EvCollPark, inst, int64(n))
 }
 
 func (s *sched) resumed() {
@@ -547,6 +553,7 @@ func (s *sched) finish(err error) {
 		s.c.P.Recorder().End(obs.EvCollSched, s.inst, 0)
 	}
 	r, res := s.req, s.res
+	s.req, s.res = nil, nil // a cached plan pins no result past its activation
 	s.c.P.Publish(func() {
 		if err == nil {
 			r.res = res

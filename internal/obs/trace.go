@@ -54,10 +54,10 @@ const (
 	EvCtsRecv        // instant; arg=send id (low 32)
 	EvPeerLost       // instant; arg=lost world rank
 	EvRevoke         // instant; arg=revoked context base
-	// coll: schedule lifecycle, caller-driven or on the progress pool.
+	// coll: schedule lifecycle, on whichever goroutine runs the schedule.
 	EvCollSched  // span; arg=collective instance; one per activation
 	EvCollPark   // instant; arg=instance, val=operations parked on
-	EvCollResume // instant; arg=instance, val=busy pool workers
+	EvCollResume // instant; arg=instance, val=0
 	// pio: two-phase collective I/O.
 	EvPioExchange // span; val=bytes routed through the data alltoall
 	EvPioWrite    // span; val=bytes written by this aggregator

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gompi/internal/coll"
 	"gompi/internal/core"
 	"gompi/mpi"
 )
@@ -62,5 +63,55 @@ func BenchmarkAllreduceSwitch(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkAllreduceShapes prices the plan cache from both ends: a
+// blocking 4-rank DOUBLE SUM Allreduce cycling through one shape (every
+// call after the first re-arms the cached plan) and through one shape
+// more than the cache holds (least recently used out, so every call
+// misses and builds, as every call did before plans were cached). The
+// second must cost what a call cost without the cache.
+func BenchmarkAllreduceShapes(b *testing.B) {
+	for _, shapes := range []int{1, coll.CacheSize + 1} {
+		b.Run(fmt.Sprintf("shapes=%d", shapes), func(b *testing.B) {
+			b.ReportAllocs()
+			const np = 4
+			err := mpi.Run(np, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				send, recv := make([]float64, shapes), make([]float64, shapes)
+				for i := range send {
+					send[i] = float64(w.Rank())
+				}
+				loop := func(n int) error {
+					for i := 0; i < n; i++ {
+						count := 1 + i%shapes
+						if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+							return err
+						}
+						if want := float64(np * (np - 1) / 2); recv[count-1] != want {
+							return fmt.Errorf("rank %d: %v, want %v", w.Rank(), recv[count-1], want)
+						}
+					}
+					return w.Barrier()
+				}
+				if err := loop(2 * shapes); err != nil {
+					return err
+				}
+				if w.Rank() == 0 {
+					b.ResetTimer()
+				}
+				if err := loop(b.N); err != nil {
+					return err
+				}
+				if w.Rank() == 0 {
+					b.StopTimer()
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

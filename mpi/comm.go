@@ -28,6 +28,7 @@ type Comm struct {
 	ptpCtx  int32
 	collCtx int32
 	cl      *coll.Comm
+	plans   *coll.Cache[planKey, *collPlan] // the one-shot collectives' plans (Intracomm)
 	name    string
 	freed   bool
 	errh    Errhandler
@@ -59,6 +60,7 @@ func (e *Env) buildComm(c *Comm, group []int, myRank int, ctxBase int32, name st
 	c.ptpCtx = ctxBase
 	c.collCtx = ctxBase + 1
 	c.name = name
+	c.plans = &coll.Cache[planKey, *collPlan]{}
 	c.cl = &coll.Comm{
 		P:     e.proc,
 		Ctx:   c.collCtx,
@@ -108,13 +110,16 @@ func (c *Comm) Errhandler() Errhandler { return c.errh }
 func (c *Comm) SetErrhandler(h Errhandler) { c.errh = h }
 
 // Free marks the communicator freed (MPI_Comm_free) — one of the two
-// classes the paper gives an explicit Free (§2.1). Subsequent use
+// classes the paper gives an explicit Free (§2.1) — and empties its
+// plan caches: a freed communicator holds no schedules. Subsequent use
 // raises ErrComm.
 func (c *Comm) Free() error {
 	if err := c.ok(); err != nil {
 		return err
 	}
 	c.deleteAllAttrs()
+	c.plans.Clear()
+	c.cl.DropPlans()
 	c.freed = true
 	return nil
 }

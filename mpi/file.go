@@ -617,11 +617,11 @@ func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (
 		return nil, err
 	}
 	req := &Request{comm: &f.comm.Comm, cr: plan.Start()}
-	req.fin = func(res any) (err error) {
+	req.cp = &collPlan{fin: func(res any) (err error) {
 		rr := res.(*pio.ReadResult)
 		req.pre, err = f.depositRead(rr.Wire, rr.Got, s)
 		return err
-	}
+	}}
 	return req, nil
 }
 

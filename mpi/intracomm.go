@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"gompi/internal/coll"
@@ -12,12 +13,13 @@ import (
 // constructors to Comm.
 //
 // Every collective is declared once, as a planX method that validates
-// the call and compiles its schedule in internal/coll, and has up to
-// three entry points derived from that plan: the classic blocking form
-// X (the calling goroutine drives the schedule), the nonblocking IX
-// returning a *Request (MPI-3; the shared progress pool drives the
-// schedule, and Request.WaitCtx is how a collective is cancelled) and,
-// for the collectives that have one, the persistent XInit (MPI-4; see
+// the call and looks up or compiles its plan (see plan: one-shot calls
+// reuse the communicator's cached plan of their shape), and has up to
+// three entry points derived from it: the classic blocking form X (the
+// calling goroutine runs the schedule), the nonblocking IX returning a
+// *Request (MPI-3; whoever waits for the request runs the schedule, and
+// Request.WaitCtx is how a collective is cancelled) and, for the
+// collectives that have one, the persistent XInit (MPI-4; see
 // persistent.go).
 type Intracomm struct {
 	Comm
@@ -55,61 +57,165 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 	return c.checkRoot(root)
 }
 
-// collPlan is one collective call past local validation: its schedule
-// in internal/coll — instance minted, nothing sent yet — plus the two
-// hooks that tie the schedule's wire-format inputs and result to the
-// caller's buffers. refresh packs the send section (once for a one-shot
-// call, at every Start of a persistent one; nil when this rank sends
-// nothing), fin deposits the result into the receive section at
-// completion (nil when this rank receives nothing). A call that failed
-// validation carries only err.
+// collPlan is a built collective: its schedule in internal/coll plus
+// the two hooks that tie the schedule's wire-format inputs and result to
+// the buffers of the call it is bound to, args. refresh packs the send
+// side before every activation (noRefresh when this rank sends
+// nothing), fin deposits the result into the receive side at
+// completion (nil when this rank receives nothing). The hooks read the
+// call's sections through args only, so one plan serves call after
+// call: a one-shot call takes it from the communicator's cache (cache
+// is set) and hands it back when done, a persistent request keeps it
+// bound for its life.
 type collPlan struct {
 	plan    *coll.Plan
+	args    collArgs
 	refresh func() error
 	fin     func(res any) error
-	err     error
+	cache   *coll.Cache[planKey, *collPlan] // the communicator's, for a one-shot plan
+}
+
+// collArgs is the call a plan is bound to: its send and receive
+// layouts (a single section is a blocks' own) and, for a reduction, the
+// accumulator over them.
+type collArgs struct {
+	send, recv blocks
+	acc        accum
+}
+
+// planKey is a collective call's shape: which collective, and every
+// value its plan's build reads — the root, datatype and op identities,
+// counts, a v-form's counts and displacements, the accumulator's two
+// layout choices, and the eager limit an allreduce chooses its
+// schedule by. A call may reuse a cached plan only under an equal key:
+// one value left out, and two members could run different schedules
+// for one instance.
+type planKey struct {
+	shape
+	send, recv *layout
+}
+
+type shape struct {
+	kind           string
+	root           int
+	op             *Op
+	sd, rd         *Datatype
+	scount, rcount int
+	direct, lent   bool // the accumulator is the receive section; the contribution is read in place
+	eager          int
+}
+
+func (k planKey) Equal(o planKey) bool {
+	return k.shape == o.shape && k.send.equal(o.send) && k.recv.equal(o.recv)
+}
+
+func (k planKey) Hash() uint64 {
+	return uint64(len(k.kind))<<56 ^ uint64(k.root)<<48 ^ uint64(k.scount)<<24 ^ uint64(k.rcount)
+}
+
+// planUse is where a plan goes: a one-shot call's comes from and goes
+// back to the communicator's cache, a persistent request's is its own.
+type planUse bool
+
+const oneShot, persistent planUse = true, false
+
+// plan returns the plan of a validated call, bound to args: for a
+// one-shot call the cache's idle plan of the call's shape, re-armed,
+// else one that build compiles (and the cache keeps); for a persistent
+// request always a new one. Either way the call mints exactly one
+// instance, in program order: the re-arm, or the NewPlan inside build.
+// sh names the collective, its root and its op; plan completes the
+// shape from args.
+func (c *Intracomm) plan(sh shape, use planUse, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
+	sh.sd, sh.rd, sh.scount, sh.rcount = args.send.d, args.recv.d, args.send.count, args.recv.count
+	sh.direct, sh.lent, sh.eager = args.acc.direct, args.acc.src != nil, c.env.proc.EagerLimit()
+	key := planKey{sh, args.send.layout, args.recv.layout}
+	if use == oneShot {
+		if p, ok := c.plans.Take(key); ok {
+			p.args = args
+			p.plan.Rearm()
+			return p, nil
+		}
+	}
+	p := &collPlan{args: args, refresh: noRefresh}
+	if err := build(p); err != nil {
+		return nil, mapEngineErr(err)
+	}
+	if use == oneShot {
+		key.send, key.recv = key.send.clone(), key.recv.clone()
+		p.cache = c.plans
+		c.plans.Add(key, p)
+	}
+	return p, nil
 }
 
 // noColl is planX's exit for a call that fails local validation. The
 // call never reaches the schedule layer, so the collective's instance
 // number is skipped here to stay tag-aligned with members whose
 // matching call proceeded.
-func (c *Intracomm) noColl(err error) collPlan {
+func (c *Intracomm) noColl(err error) (*collPlan, error) {
 	c.cl.SkipInstance()
-	return collPlan{err: err}
+	return nil, err
 }
 
-// load runs the refresh hook of a validated plan.
-func (p *collPlan) load() error {
-	if p.err != nil || p.refresh == nil {
-		return p.err
+// noRefresh is the refresh hook of a rank that sends nothing.
+func noRefresh() error { return nil }
+
+// done ends the call a cached plan serves. Completed (ok), the plan
+// drops the call's buffers — the cache pins no user memory — and goes
+// back to the cache, idle; after a failed or abandoned activation the
+// cache drops it instead, so the next call of its shape rebuilds. Only
+// the cache's reference goes: a schedule still running is untouched.
+func (p *collPlan) done(ok bool) {
+	if p == nil || p.cache == nil {
+		return
 	}
-	return p.refresh()
+	if ok {
+		p.args = collArgs{}
+	}
+	p.cache.Done(p, ok)
+}
+
+// load takes planX's results for a one-shot call: a failed planX's
+// error, or else the refresh hook's, which leaves the plan done with
+// the call it could not load.
+func (p *collPlan) load(err error) error {
+	if err == nil {
+		if err = p.refresh(); err != nil {
+			p.done(false)
+		}
+	}
+	return err
 }
 
 // runColl drives a plan to completion on the calling goroutine: the
 // blocking entry points.
-func (c *Intracomm) runColl(p collPlan) error {
-	if err := p.load(); err != nil {
+func (c *Intracomm) runColl(p *collPlan, err error) error {
+	if err := p.load(err); err != nil {
 		return c.raise(err)
 	}
 	res, err := p.plan.Run()
 	if err != nil {
+		p.done(false)
 		return c.raise(mapSchedErr(err))
 	}
 	if p.fin != nil {
-		return c.raise(p.fin(res))
+		err = p.fin(res)
 	}
-	return nil
+	p.done(true)
+	return c.raise(err)
 }
 
-// startColl starts a plan on the shared progress pool: the nonblocking
-// entry points. fin runs inside the Wait/Test that observes completion.
-func (c *Intracomm) startColl(p collPlan) (*Request, error) {
-	if err := p.load(); err != nil {
+// startColl starts a plan and returns its request: the nonblocking entry
+// points. The steps run on the caller up to the schedule's first wait
+// for a message, then on whoever waits for the request; fin runs, and
+// the plan goes back to the cache, inside the Wait/Test that observes
+// completion.
+func (c *Intracomm) startColl(p *collPlan, err error) (*Request, error) {
+	if err := p.load(err); err != nil {
 		return nil, c.raise(err)
 	}
-	return &Request{comm: &c.Comm, cr: p.plan.Start(), fin: p.fin}, nil
+	return &Request{comm: &c.Comm, cr: p.plan.Start(), cp: p}, nil
 }
 
 // SkipColl consumes one collective instance number without
@@ -128,7 +234,7 @@ func (c *Intracomm) SkipColl() { c.cl.SkipInstance() }
 // and forward received payloads: such a slice cannot carry the
 // exclusive-ownership recycle promise, so these payloads stay on the
 // allocator. Reductions pack into an accumulator instead (accum.go).
-func packInto(wire *[]byte, s section) func() error {
+func packInto(wire *[]byte, s *section) func() error {
 	return func() (err error) {
 		*wire, err = s.pack(nil)
 		return err
@@ -137,7 +243,7 @@ func packInto(wire *[]byte, s section) func() error {
 
 // unpackInto returns the fin hook of a collective that delivers one
 // section: the schedule's result is its wire image.
-func unpackInto(s section) func(res any) error {
+func unpackInto(s *section) func(res any) error {
 	return func(res any) error {
 		_, err := s.unpack(res.([]byte))
 		return err
@@ -146,21 +252,35 @@ func unpackInto(s section) func(res any) error {
 
 // blocks is a buffer cut into one section per rank: uniformly (rank r's
 // count items at offset + r*count*extent(d)) or, for the v-variants, by
-// explicit per-rank counts and displacements (in units of d's extent).
+// an explicit layout.
 type blocks struct {
 	section
-	varying        bool
-	counts, displs []int
+	*layout // nil for a uniform cut
 }
 
+// layout is a v-variant's per-rank counts and displacements (in units
+// of the datatype's extent).
+type layout struct{ counts, displs []int }
+
 func varying(buf any, offset int, counts, displs []int, d *Datatype) blocks {
-	return blocks{section: section{buf, offset, 0, d}, varying: true, counts: counts, displs: displs}
+	return blocks{section{buf, offset, 0, d}, &layout{counts, displs}}
+}
+
+func (l *layout) equal(o *layout) bool {
+	return l == o || l != nil && o != nil && slices.Equal(l.counts, o.counts) && slices.Equal(l.displs, o.displs)
+}
+
+func (l *layout) clone() *layout {
+	if l == nil {
+		return nil
+	}
+	return &layout{slices.Clone(l.counts), slices.Clone(l.displs)}
 }
 
 // at returns rank r's section.
 func (b *blocks) at(r int) section {
 	s := b.section
-	if b.varying {
+	if b.layout != nil {
 		s.offset, s.count = b.offset+b.displs[r]*b.d.Extent(), b.counts[r]
 	} else {
 		s.offset += r * b.count * b.d.Extent()
@@ -175,7 +295,7 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 	if err := c.checkType(b.d); err != nil {
 		return err
 	}
-	if b.varying && (len(b.counts) != c.Size() || len(b.displs) != c.Size()) {
+	if b.layout != nil && (len(b.counts) != c.Size() || len(b.displs) != c.Size()) {
 		return errf(ErrArg, "%s needs %d counts and displs", name, c.Size())
 	}
 	for r := 0; r < c.Size(); r++ {
@@ -213,53 +333,57 @@ func (b *blocks) deposit(res any) error {
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Intracomm) Barrier() error {
-	return c.runColl(c.planBarrier())
+	return c.runColl(c.planBarrier(oneShot))
 }
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier): the request
 // completes once every member has entered its matching barrier call.
 func (c *Intracomm) Ibarrier() (*Request, error) {
-	return c.startColl(c.planBarrier())
+	return c.startColl(c.planBarrier(oneShot))
 }
 
-func (c *Intracomm) planBarrier() collPlan {
+func (c *Intracomm) planBarrier(use planUse) (*collPlan, error) {
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
-	return collPlan{plan: c.cl.BarrierPlan()}
+	return c.plan(shape{kind: "barrier"}, use, collArgs{}, func(p *collPlan) error {
+		p.plan = c.cl.BarrierPlan()
+		return nil
+	})
 }
 
 // Bcast broadcasts the buffer section from root to all members
 // (MPI_Bcast).
 func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	return c.runColl(c.planBcast(section{buf, offset, count, d}, root))
+	return c.runColl(c.planBcast(section{buf, offset, count, d}, root, oneShot))
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
 // are filled when the request completes; no buffer may be touched
 // before then.
 func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*Request, error) {
-	return c.startColl(c.planBcast(section{buf, offset, count, d}, root))
+	return c.startColl(c.planBcast(section{buf, offset, count, d}, root, oneShot))
 }
 
 // planBcast is the plan of Bcast; its one section is the send side at
 // root and the receive side everywhere else, validated alike.
-func (c *Intracomm) planBcast(s section, root int) collPlan {
+func (c *Intracomm) planBcast(s section, root int, use planUse) (*collPlan, error) {
 	if err := c.collChecks(s.d, root); err != nil {
 		return c.noColl(err)
 	}
 	if _, err := s.check(); err != nil {
 		return c.noColl(err)
 	}
-	var wire []byte
-	plan, err := c.cl.BcastPlan(root, &wire)
-	p := collPlan{plan: plan, err: mapEngineErr(err)}
-	if c.rank == root {
-		p.refresh = packInto(&wire, s)
-	} else {
-		p.fin = unpackInto(s)
-	}
-	return p
+	return c.plan(shape{kind: "bcast", root: root}, use, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
+		var wire []byte
+		p.plan, err = c.cl.BcastPlan(root, &wire)
+		if c.rank == root {
+			p.refresh = packInto(&wire, &p.args.send.section)
+		} else {
+			p.fin = unpackInto(&p.args.send.section)
+		}
+		return err
+	})
 }
 
 // Gather collects equal-size contributions at root (MPI_Gather): member
@@ -268,7 +392,7 @@ func (c *Intracomm) Gather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
+	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root, oneShot))
 }
 
 // Igather starts a nonblocking gather (MPI_Igather); root's recvbuf is
@@ -277,7 +401,7 @@ func (c *Intracomm) Igather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
+	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root, oneShot))
 }
 
 // Gatherv collects varying-size contributions at root (MPI_Gatherv):
@@ -287,7 +411,7 @@ func (c *Intracomm) Gatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root, oneShot))
 }
 
 // Igatherv starts a nonblocking varying-size gather (MPI_Igatherv).
@@ -295,12 +419,12 @@ func (c *Intracomm) Igatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root, oneShot))
 }
 
 // planGather is the plan of Gather and Gatherv; the receive layout is
 // significant (and validated) at root only.
-func (c *Intracomm) planGather(send section, recv blocks, root int) collPlan {
+func (c *Intracomm) planGather(send section, recv blocks, root int, use planUse) (*collPlan, error) {
 	if err := c.collChecks(send.d, root); err != nil {
 		return c.noColl(err)
 	}
@@ -312,13 +436,16 @@ func (c *Intracomm) planGather(send section, recv blocks, root int) collPlan {
 			return c.noColl(err)
 		}
 	}
-	var mine []byte
-	plan, err := c.cl.GatherPlan(root, &mine)
-	p := collPlan{plan: plan, err: mapEngineErr(err), refresh: packInto(&mine, send)}
-	if c.rank == root {
-		p.fin = recv.deposit
-	}
-	return p
+	args := collArgs{send: blocks{section: send}, recv: recv}
+	return c.plan(shape{kind: "gather", root: root}, use, args, func(p *collPlan) (err error) {
+		var mine []byte
+		p.plan, err = c.cl.GatherPlan(root, &mine)
+		p.refresh = packInto(&mine, &p.args.send.section)
+		if c.rank == root {
+			p.fin = p.args.recv.deposit
+		}
+		return err
+	})
 }
 
 // Scatter distributes equal-size sections from root (MPI_Scatter):
@@ -328,7 +455,7 @@ func (c *Intracomm) Scatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
+	return c.runColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root, oneShot))
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -336,7 +463,7 @@ func (c *Intracomm) Iscatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
+	return c.startColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root, oneShot))
 }
 
 // Scatterv distributes varying-size sections from root (MPI_Scatterv).
@@ -344,7 +471,7 @@ func (c *Intracomm) Scatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
+	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root, oneShot))
 }
 
 // Iscatterv starts a nonblocking varying-size scatter (MPI_Iscatterv).
@@ -352,29 +479,34 @@ func (c *Intracomm) Iscatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
+	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root, oneShot))
 }
 
 // planScatter is the plan of Scatter and Scatterv; the send layout is
 // significant (and validated) at root only.
-func (c *Intracomm) planScatter(send blocks, recv section, root int) collPlan {
+func (c *Intracomm) planScatter(send blocks, recv section, root int, use planUse) (*collPlan, error) {
 	if err := c.collChecks(recv.d, root); err != nil {
 		return c.noColl(err)
 	}
 	if _, err := recv.check(); err != nil {
 		return c.noColl(err)
 	}
-	var parts [][]byte
-	var refresh func() error
 	if c.rank == root {
 		if err := c.checkBlocks("Scatterv", &send); err != nil {
 			return c.noColl(err)
 		}
-		parts = make([][]byte, c.Size())
-		refresh = packBlocks(&send, parts)
 	}
-	plan, err := c.cl.ScatterPlan(root, &parts)
-	return collPlan{plan: plan, err: mapEngineErr(err), refresh: refresh, fin: unpackInto(recv)}
+	args := collArgs{send: send, recv: blocks{section: recv}}
+	return c.plan(shape{kind: "scatter", root: root}, use, args, func(p *collPlan) (err error) {
+		var parts [][]byte
+		if c.rank == root {
+			parts = make([][]byte, c.Size())
+			p.refresh = packBlocks(&p.args.send, parts)
+		}
+		p.plan, err = c.cl.ScatterPlan(root, &parts)
+		p.fin = unpackInto(&p.args.recv.section)
+		return err
+	})
 }
 
 // Allgather gathers equal-size contributions at every member
@@ -383,7 +515,7 @@ func (c *Intracomm) Allgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -391,7 +523,7 @@ func (c *Intracomm) Iallgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
 }
 
 // Allgatherv gathers varying-size contributions at every member
@@ -400,7 +532,7 @@ func (c *Intracomm) Allgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), oneShot))
 }
 
 // Iallgatherv starts a nonblocking varying-size allgather
@@ -409,12 +541,12 @@ func (c *Intracomm) Iallgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), oneShot))
 }
 
 // planAllgather is the plan of Allgather and Allgatherv; the receive
 // layout is significant (and validated) on every member.
-func (c *Intracomm) planAllgather(send section, recv blocks) collPlan {
+func (c *Intracomm) planAllgather(send section, recv blocks, use planUse) (*collPlan, error) {
 	if err := c.collChecks(send.d, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -424,8 +556,13 @@ func (c *Intracomm) planAllgather(send section, recv blocks) collPlan {
 	if err := c.checkBlocks("Allgatherv", &recv); err != nil {
 		return c.noColl(err)
 	}
-	var mine []byte
-	return collPlan{plan: c.cl.AllgatherPlan(&mine), refresh: packInto(&mine, send), fin: recv.deposit}
+	args := collArgs{send: blocks{section: send}, recv: recv}
+	return c.plan(shape{kind: "allgather"}, use, args, func(p *collPlan) error {
+		var mine []byte
+		p.plan = c.cl.AllgatherPlan(&mine)
+		p.refresh, p.fin = packInto(&mine, &p.args.send.section), p.args.recv.deposit
+		return nil
+	})
 }
 
 // Alltoall exchanges equal-size sections between all pairs
@@ -434,7 +571,7 @@ func (c *Intracomm) Alltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.runColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -442,7 +579,7 @@ func (c *Intracomm) Ialltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.startColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
 }
 
 // Alltoallv exchanges varying-size sections between all pairs
@@ -451,7 +588,7 @@ func (c *Intracomm) Alltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
+	return c.runColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt), oneShot))
 }
 
 // Ialltoallv starts a nonblocking varying-size alltoall
@@ -460,12 +597,12 @@ func (c *Intracomm) Ialltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
+	return c.startColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt), oneShot))
 }
 
 // planAlltoall is the plan of Alltoall and Alltoallv; both layouts are
 // significant (and validated) on every member.
-func (c *Intracomm) planAlltoall(send, recv blocks) collPlan {
+func (c *Intracomm) planAlltoall(send, recv blocks, use planUse) (*collPlan, error) {
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
@@ -475,9 +612,12 @@ func (c *Intracomm) planAlltoall(send, recv blocks) collPlan {
 	if err := c.checkBlocks("Alltoallv", &recv); err != nil {
 		return c.noColl(err)
 	}
-	parts := make([][]byte, c.Size())
-	plan, err := c.cl.AlltoallPlan(parts)
-	return collPlan{plan: plan, err: mapEngineErr(err), refresh: packBlocks(&send, parts), fin: recv.deposit}
+	return c.plan(shape{kind: "alltoall"}, use, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
+		parts := make([][]byte, c.Size())
+		p.plan, err = c.cl.AlltoallPlan(parts)
+		p.refresh, p.fin = packBlocks(&p.args.send, parts), p.args.recv.deposit
+		return err
+	})
 }
 
 // Reduce folds count items with op, leaving the result at root
@@ -486,7 +626,7 @@ func (c *Intracomm) Reduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	return c.runColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
+	return c.runColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root, oneShot))
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce); root's recvbuf
@@ -495,7 +635,7 @@ func (c *Intracomm) Ireduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*Request, error) {
-	return c.startColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
+	return c.startColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root, oneShot))
 }
 
 // reduceChecks is collChecks for the reduction family: op must also be
@@ -507,7 +647,7 @@ func (c *Intracomm) reduceChecks(d *Datatype, op *Op, root int) error {
 	return checkOp(op, d)
 }
 
-func (c *Intracomm) planReduce(send, into section, op *Op, root int) collPlan {
+func (c *Intracomm) planReduce(send, into section, op *Op, root int, use planUse) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, root); err != nil {
 		return c.noColl(err)
 	}
@@ -515,7 +655,22 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int) collPlan {
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.ReducePlan(root, &a.b, op.op, send.d.t.Class()))
+	return c.reduction(shape{kind: "reduce", root: root, op: op}, use, collArgs{blocks{section: send}, blocks{section: into}, a},
+		func(acc *accum) (*coll.Plan, error) {
+			return c.cl.ReducePlan(root, &acc.b, op.op, send.d.t.Class())
+		})
+}
+
+// reduction is plan for the reduction family: build compiles the
+// schedule over the plan's own accumulator, which the plan's hooks load
+// from the send section and deposit into the receive section.
+func (c *Intracomm) reduction(sh shape, use planUse, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
+	return c.plan(sh, use, args, func(p *collPlan) (err error) {
+		p.plan, err = build(&p.args.acc)
+		p.refresh = func() error { return p.args.acc.load(&p.args.send.section) }
+		p.fin = func(res any) error { return p.args.acc.fin(res, &p.args.recv.section) }
+		return err
+	})
 }
 
 // Allreduce folds count items with op, leaving the result everywhere
@@ -524,7 +679,7 @@ func (c *Intracomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.runColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce); every
@@ -533,10 +688,10 @@ func (c *Intracomm) Iallreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.startColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
 }
 
-func (c *Intracomm) planAllreduce(send, into section, op *Op) collPlan {
+func (c *Intracomm) planAllreduce(send, into section, op *Op, use planUse) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -544,8 +699,12 @@ func (c *Intracomm) planAllreduce(send, into section, op *Op) collPlan {
 	if err != nil {
 		return c.noColl(err)
 	}
-	t := send.d.t
-	return a.plan(c.cl.AllreducePlan(&a.b, a.sendView(&c.Comm), send.count, max(t.WireBytes(1), 0), op.op, t.Class()))
+	a.src, _ = c.lendView(send)
+	return c.reduction(shape{kind: "allreduce", op: op}, use, collArgs{blocks{section: send}, blocks{section: into}, a},
+		func(acc *accum) (*coll.Plan, error) {
+			t := send.d.t
+			return c.cl.AllreducePlan(&acc.b, acc.sendView(), send.count, max(t.WireBytes(1), 0), op.op, t.Class())
+		})
 }
 
 // ReduceScatter folds with op and scatters segments of the result:
@@ -554,7 +713,7 @@ func (c *Intracomm) ReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
+	return c.runColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op, oneShot))
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter
@@ -563,13 +722,13 @@ func (c *Intracomm) IreduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
+	return c.startColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op, oneShot))
 }
 
 // planReduceScatter is the plan of ReduceScatter; the recvcounts set
 // both sections' counts: the whole vector is folded, this rank's
 // segment received.
-func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *Op) collPlan {
+func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *Op, use planUse) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -589,7 +748,11 @@ func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.ReduceScatterPlan(&a.b, elemCounts, op.op, send.d.t.Class()))
+	// The recvcounts ride in the receive side's layout, for the key.
+	args := collArgs{blocks{section: send}, blocks{into, &layout{counts: recvcounts}}, a}
+	return c.reduction(shape{kind: "reduce_scatter", op: op}, use, args, func(acc *accum) (*coll.Plan, error) {
+		return c.cl.ReduceScatterPlan(&acc.b, elemCounts, op.op, send.d.t.Class())
+	})
 }
 
 // Scan computes the inclusive prefix reduction in rank order (MPI_Scan).
@@ -597,7 +760,7 @@ func (c *Intracomm) Scan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.runColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
@@ -605,7 +768,7 @@ func (c *Intracomm) Iscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.startColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
 }
 
 // Exscan computes the exclusive prefix reduction in rank order — one of
@@ -616,7 +779,7 @@ func (c *Intracomm) Exscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.runColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction
@@ -625,13 +788,13 @@ func (c *Intracomm) Iexscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.startColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
 }
 
 // planScan is the plan of Scan and Exscan; exclusive selects the
 // variant. Rank 0's Exscan result is undefined: its receive buffer is
 // neither validated nor touched.
-func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op) collPlan {
+func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op, use planUse) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -639,7 +802,14 @@ func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op) collPla
 	if err != nil {
 		return c.noColl(err)
 	}
-	return a.plan(c.cl.ScanPlan(exclusive, &a.b, op.op, send.d.t.Class()))
+	kind := "scan"
+	if exclusive {
+		kind = "exscan"
+	}
+	return c.reduction(shape{kind: kind, op: op}, use, collArgs{blocks{section: send}, blocks{section: into}, a},
+		func(acc *accum) (*coll.Plan, error) {
+			return c.cl.ScanPlan(exclusive, &acc.b, op.op, send.d.t.Class())
+		})
 }
 
 // Dup duplicates the communicator with fresh contexts (MPI_Comm_dup).

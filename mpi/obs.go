@@ -14,10 +14,9 @@ import (
 )
 
 // PerfVars enumerates the rank's performance variables — counters,
-// gauges and timings — sorted by name. The "transport.pool_*" and
-// "coll.pool_workers*" entries are process-wide (one frame pool and one
-// progress pool serve every in-process rank); everything else is this
-// rank's own.
+// gauges and timings — sorted by name. The "transport.pool_*" entries
+// are process-wide (one frame pool serves every in-process rank);
+// everything else is this rank's own.
 func (e *Env) PerfVars() []obs.VarValue {
 	return e.proc.Obs().Snapshot()
 }
@@ -29,7 +28,7 @@ func (e *Env) PerfVar(name string) (int64, bool) {
 }
 
 // ControlVars enumerates the rank's writable control variables with
-// their live values ("core.eager_limit", "coll.pool_max_workers", ...).
+// their live values ("core.eager_limit").
 func (e *Env) ControlVars() []obs.ControlValue {
 	return e.proc.Obs().Controls()
 }

@@ -330,3 +330,70 @@ func TestProgressPoolGoroutineBound(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSeqWrapKeepsPersistentApart: a persistent plan keeps the instance
+// it was made with, while one-shot instances wrap; after 2^26 of them a
+// one-shot call's instance lands on the live persistent plan's, and the
+// two must still not cross-match. Each round makes an AllreduceInit,
+// skips 2^26 − 1 instances, then runs the persistent activation and a
+// one-shot allreduce of the same shape together — a blocking call (a
+// plan re-armed from the cache) in half the rounds, an Iallreduce in
+// the other half. Each must come back with its own sum. Under the race
+// detector, whose atomics make the skips ten times slower, two rounds
+// (one of each form) stand for the six.
+func TestSeqWrapKeepsPersistentApart(t *testing.T) {
+	const wrap = 1 << 26
+	rounds := 6
+	if raceEnabled {
+		rounds = 2
+	}
+	err := mpi.Run(2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		rank := w.Rank()
+		pin, pout := []int64{int64(rank + 1)}, []int64{0}
+		oin, oout := []int64{int64(100 * (rank + 1))}, []int64{0}
+		if err := w.Allreduce(oin, 0, oout, 0, 1, mpi.LONG, mpi.SUM); err != nil { // cache the one-shot plan
+			return err
+		}
+		for round := 0; round < rounds; round++ {
+			red, err := w.AllreduceInit(pin, 0, pout, 0, 1, mpi.LONG, mpi.SUM)
+			if err != nil {
+				return err
+			}
+			for i := 0; i < wrap-1; i++ {
+				w.SkipColl()
+			}
+			if err := red.Start(); err != nil {
+				return err
+			}
+			if rank == 1 {
+				// Rank 1's persistent traffic leaves first, while rank 0
+				// may post its one-shot receive before its persistent one:
+				// equal tags would cross-match here.
+				time.Sleep(time.Millisecond)
+			}
+			if round%2 == 0 {
+				err = w.Allreduce(oin, 0, oout, 0, 1, mpi.LONG, mpi.SUM)
+			} else {
+				var req *mpi.Request
+				if req, err = w.Iallreduce(oin, 0, oout, 0, 1, mpi.LONG, mpi.SUM); err == nil {
+					_, err = req.Wait()
+				}
+			}
+			if err != nil {
+				return err
+			}
+			if _, err := red.Wait(); err != nil {
+				return err
+			}
+			if pout[0] != 3 || oout[0] != 300 {
+				t.Errorf("rank %d round %d: persistent %d (want 3), one-shot %d (want 300)", rank, round, pout[0], oout[0])
+			}
+			red.Free()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -30,9 +30,9 @@ var ErrCollectiveCancelled = coll.ErrCancelled
 // all other classes leave resource release to the garbage collector.
 type Request struct {
 	comm *Comm
-	creq *core.Request       // point-to-point arm; nil once freed, or for pre-completed requests
-	cr   *coll.Request       // collective arm; nil once freed
-	fin  func(res any) error // collective completion: deposit into the caller's buffers
+	creq *core.Request // point-to-point arm; nil once freed, or for pre-completed requests
+	cr   *coll.Request // collective arm; nil once freed
+	cp   *collPlan     // the collective's plan: its fin deposits into the caller's buffers
 
 	// Receive completion parameters.
 	isRecv bool
@@ -127,8 +127,9 @@ func (r *Request) finish() {
 // settle finishes a collective, waiting for its schedule if need be: a
 // schedule a WaitCtx cancelled is control flow and bypasses the error
 // handler, any other failure is classified and raised, and a completed
-// schedule's result is deposited. The status is empty except for a file
-// collective, which reports its transfer status.
+// schedule's result is deposited. Then the plan is done with the call
+// (collPlan.done). The status is empty except for a file collective,
+// which reports its transfer status.
 func (r *Request) settle() {
 	res, err := r.cr.Wait()
 	switch {
@@ -136,9 +137,11 @@ func (r *Request) settle() {
 		r.err = ErrCollectiveCancelled
 	case err != nil:
 		r.err = r.comm.raise(mapSchedErr(err))
-	case r.fin != nil:
-		r.err = r.comm.raise(r.fin(res))
+	case r.cp != nil && r.cp.fin != nil:
+		r.err = r.comm.raise(r.cp.fin(res))
 	}
+	r.cp.done(err == nil)
+	r.cp = nil
 	if r.st = r.pre; r.st == nil || r.err != nil {
 		r.st = nullStatus()
 	}
@@ -223,6 +226,7 @@ func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
 	}
 	if r.cr != nil {
 		if _, err := r.cr.WaitCtx(ctx); err != nil && errors.Is(err, ctx.Err()) {
+			r.cp.done(false)
 			return nullStatus(), err
 		}
 	}
@@ -257,12 +261,14 @@ func (r *Request) Cancel() error {
 
 // Free releases the request handle (MPI_Request_free). The operation, if
 // still pending, is allowed to complete in the background; a
-// collective's result is then discarded and its receive buffers are
-// never filled.
+// collective's result is then discarded, its receive buffers are never
+// filled, and its plan leaves the communicator's cache.
 func (r *Request) Free() error {
 	if r == nil {
 		return errf(ErrRequest, "Free on nil request")
 	}
+	r.cp.done(false)
+	r.cp = nil
 	r.creq = nil
 	r.cr = nil
 	r.pre = nil
@@ -442,11 +448,11 @@ type PersistentRequest struct {
 	rank   int // dest or source
 	tag    int
 
-	// Collective arm: the cached schedule plus the per-activation
-	// re-pack of the user buffers and the completion deposit.
-	pcol    *coll.Persistent
-	refresh func() error
-	fin     func(res any) error
+	// Collective arm: the frozen schedule, and the plan bound to the
+	// user buffers, whose hooks re-pack them at every Start and deposit
+	// at every completion.
+	pcol *coll.Persistent
+	cp   *collPlan
 }
 
 // Start activates the persistent request (MPI_Start). The previous
@@ -484,13 +490,11 @@ func (p *PersistentRequest) Start() error {
 }
 
 // startColl activates the collective arm: re-pack the user buffers into
-// the schedule's bound inputs, then hand the cached schedule to the
-// shared progress pool.
+// the schedule's bound inputs, then start the frozen schedule, whose
+// first steps run on the caller.
 func (p *PersistentRequest) startColl() error {
-	if p.refresh != nil {
-		if err := p.refresh(); err != nil {
-			return p.comm.raise(err)
-		}
+	if err := p.cp.refresh(); err != nil {
+		return p.comm.raise(err)
 	}
 	cr, err := p.pcol.Start()
 	if err != nil {
@@ -499,7 +503,7 @@ func (p *PersistentRequest) startColl() error {
 		}
 		return p.comm.raise(mapEngineErr(err))
 	}
-	p.Request = &Request{comm: p.comm, cr: cr, fin: p.fin}
+	p.Request = &Request{comm: p.comm, cr: cr, cp: p.cp}
 	return nil
 }
 
@@ -511,7 +515,7 @@ func (p *PersistentRequest) Free() error {
 		p.pcol.Free()
 	}
 	p.Request = nil
-	p.pcol = nil
+	p.pcol, p.cp = nil, nil
 	p.comm = nil
 	return nil
 }

@@ -236,7 +236,7 @@ func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 	// its wire image), folded with the origin's contribution.
 	a, err := newAccum(true, sec, sec)
 	if err == nil {
-		err = a.load()
+		err = a.load(&sec)
 	}
 	if err != nil {
 		return err
@@ -246,7 +246,7 @@ func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 		a.release()
 		return mapDataErr(err)
 	}
-	return a.fin(res)
+	return a.fin(res, &sec)
 }
 
 func (w *Win) ack(targetGroupRank int, id uint32, payload []byte) {
