@@ -360,8 +360,8 @@ func (c *Comm) addAlltoallStepsFam(s *sched, family int, parts [][]byte, out *[]
 
 // ---------------------------------------------------------------------
 // Entry points: one plan constructor per collective (the reduction
-// family's are in reduce.go). The returned Plan runs blocking (Run),
-// nonblocking (Start) or persistently (Persist). Inputs are bound by
+// family's are in reduce.go). The returned Plan runs blocking (Run) or
+// nonblocking (Start), and again after Rearm. Inputs are bound by
 // reference and re-read by every activation; each constructor mints the
 // collective's instance before validating, like every collective call.
 // ---------------------------------------------------------------------

@@ -146,8 +146,8 @@ func snapshot(res any) any {
 
 // TestPlanFormsAgree: every collective gives byte-identical results
 // whichever way its plan is executed — Run (the caller drives the
-// schedule), Start+Wait (the progress pool drives it) and
-// Persist+3×Start (the pool re-runs the frozen schedule, re-reading the
+// schedule), Start+Wait (the waiter drives it) and Persist, then
+// 3×(Rearm+Start) (the persisted schedule runs again, re-reading the
 // bound inputs) — over power-of-two and odd group sizes.
 func TestPlanFormsAgree(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7} {
@@ -188,15 +188,11 @@ func TestPlanFormsAgree(t *testing.T) {
 				if p, load, err = f.build(c); err != nil {
 					return nil, fmt.Errorf("%s: %w", where, err)
 				}
-				pers := p.Persist()
-				defer pers.Free()
+				p.Persist()
 				for round := 1; round <= 3; round++ {
 					load()
-					req, err := pers.Start()
-					if err != nil {
-						return nil, fmt.Errorf("%s persistent Start %d: %w", where, round, err)
-					}
-					if err := agree(fmt.Sprintf("persistent activation %d", round), req); err != nil {
+					p.Rearm()
+					if err := agree(fmt.Sprintf("persistent activation %d", round), p.Start()); err != nil {
 						return nil, err
 					}
 				}

@@ -8,16 +8,17 @@
 // Every collective is declared once, as a constructor returning a Plan
 // (BarrierPlan, BcastPlan, GatherPlan, ScatterPlan, AllgatherPlan,
 // AlltoallPlan, ReducePlan, AllreducePlan, ScanPlan, ReduceScatterPlan;
-// NewPlan composes custom ones), and a Plan has three forms: Run
-// (blocking), Start (nonblocking) and Persist (re-runnable).
+// NewPlan composes custom ones), and a Plan has two forms: Run
+// (blocking) and Start (nonblocking).
 //
 // One executor runs them all. The algorithm is compiled into a schedule
 // of post/consume/compute steps (sched.go) that never blocks: where it
 // reaches an unarrived message it parks, and the engine's completion
 // callback resumes it on the goroutine that waits for it (Request), or
 // on a goroutine of its own while nobody waits, so a waiting schedule
-// occupies no goroutine. A built plan is re-runnable: Persist freezes
-// it, and a communicator's Cache re-arms it for later calls.
+// occupies no goroutine. A built plan is re-runnable: Rearm readies it
+// for a later call (a communicator's Cache) or, once Persist has moved
+// it to the persistent tag space, for its next activation.
 // Cancellation points therefore live inside the algorithm rounds, not
 // just the point-to-point wait path. Tags carry a per-instance sequence
 // number, letting any number of collectives on one communicator overlap

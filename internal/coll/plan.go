@@ -3,14 +3,16 @@ package coll
 import "fmt"
 
 // Plan is a collective, compiled but not yet run: one schedule instance
-// with three ways to execute it — Run (blocking), Start (nonblocking)
-// and Persist (re-runnable). All three run the schedule the same way:
-// on the goroutine that waits for it (see Request).
+// with two ways to execute it — Run (blocking) and Start (nonblocking),
+// both running the schedule on the goroutine that waits for it (see
+// Request) — and one way to run it again: Rearm, as a new call (the
+// plan of a communicator's Cache) or, after Persist, as the next
+// activation of a persistent operation.
 // Every collective of this package is declared once, as a constructor
 // returning its Plan (BarrierPlan … ReduceScatterPlan); NewPlan composes
 // custom ones from the same primitives — local compute steps
 // interleaved with collective exchange rounds — and the composition
-// inherits the three forms, the cancellation points and the
+// inherits the forms, the cancellation points and the
 // per-instance tag isolation for free. The parallel I/O layer builds
 // its two-phase collective reads and writes this way.
 //
@@ -93,19 +95,18 @@ func (p *Plan) Run() (any, error) {
 func (p *Plan) Start() *Request { return p.s.start() }
 
 // Rearm readies a plan whose last activation has completed to Run or
-// Start again, as a new collective call: it mints the call's instance,
-// in program order like NewPlan. A call that reuses a cached plan (see
-// Cache) makes it instead of building one.
+// Start again, against whatever its steps read through their bound
+// pointers at that time. A plain plan is re-armed as a new collective
+// call: Rearm mints the call's instance, in program order like NewPlan
+// (a call that reuses a cached plan, see Cache, makes it instead of
+// building one). A persisted plan keeps its instance: Rearm readies its
+// next activation, and the caller must have seen the last one complete.
 func (p *Plan) Rearm() { p.s.rearm() }
 
-// Persist freezes the schedule into a persistent operation (the MPI-4
-// *_init form): every Start of the result re-runs it against whatever its
-// steps read through their bound pointers at that time. The plan's tags
-// move to the persistent space under an instance of the communicator's
-// persistent sequence, which, like every collective call, Persist mints
-// in program order. A persisted plan must not also be Run or Started
-// directly.
-func (p *Plan) Persist() *Persistent {
-	p.s.inst, p.s.space = p.c.pseq.Add(1)-1, tagPersistent
-	return &Persistent{s: p.s}
-}
+// Persist moves the plan into the persistent tag space (the MPI-4
+// *_init form), under an instance of the communicator's persistent
+// sequence, which, like every collective call, Persist mints in program
+// order. Each activation is then a Rearm and a Start; they reuse the
+// plan's tags, which members keep apart by completing activation k
+// before they start k+1.
+func (p *Plan) Persist() { p.s.inst, p.s.space = p.c.pseq.Add(1)-1, tagPersistent }

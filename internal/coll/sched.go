@@ -17,10 +17,6 @@ import (
 // torn down by context cancellation before it finished.
 var ErrCancelled = errors.New("coll: collective cancelled")
 
-// ErrActive is returned by Persistent.Start when the previous activation
-// of the operation has not completed yet.
-var ErrActive = errors.New("coll: previous activation still in progress")
-
 // Request is a handle on one activation of a collective schedule. It
 // completes exactly once, with the algorithm's result (shape depends on
 // the collective) or an error; Wait, Test and WaitCtx may be called from
@@ -407,7 +403,7 @@ func (s *sched) postRecv(f *fut, src, fam int, send func() error, fn func([]byte
 
 // start arms the schedule and runs its steps on the caller up to its
 // first wait for a message, so its first sends and receives are posted
-// when it returns (Plan.Start, Persistent.Start).
+// when it returns (Plan.Start).
 func (s *sched) start() *Request {
 	r := s.req
 	s.arm()

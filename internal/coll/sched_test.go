@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -309,6 +310,89 @@ func TestBlockingUnaffectedByCancelledNeighbour(t *testing.T) {
 	for r, res := range results {
 		if got := res.([]float64)[0]; got != float64(n-1) {
 			t.Fatalf("rank %d: %v", r, got)
+		}
+	}
+}
+
+// TestParkedScheduleSeesEverySweep: a caller parked in a schedule's
+// Wait holds its rank's progress role, so whatever fails the operation
+// the schedule is gated on — a revocation, the peer's loss, the engine's
+// close — or cancels it (WaitCtx's context) must wake it, and Wait
+// returns the failure. The peer never makes its call. Each sweep meets
+// a one-shot barrier and a persistent barrier's activation (Persist,
+// then Rearm and Start, as every persistent Start runs it).
+func TestParkedScheduleSeesEverySweep(t *testing.T) {
+	lost := func(err error) bool {
+		var pl *transport.PeerLostError
+		return errors.As(err, &pl)
+	}
+	sweeps := []struct {
+		name  string
+		sweep func(p *core.Proc, peer *transport.Mux, cancel func())
+		isErr func(error) bool
+	}{
+		{"revoke", func(p *core.Proc, _ *transport.Mux, _ func()) { p.Revoke(0) }, func(err error) bool { return errors.Is(err, core.ErrCommRevoked) }},
+		{"peer loss", func(_ *core.Proc, peer *transport.Mux, _ func()) { peer.Close() }, lost},
+		{"close", func(p *core.Proc, _ *transport.Mux, _ func()) { p.Close() }, func(err error) bool {
+			return errors.Is(err, transport.ErrClosed) || lost(err)
+		}},
+		{"WaitCtx", func(_ *core.Proc, _ *transport.Mux, cancel func()) { cancel() }, func(err error) bool { return errors.Is(err, context.Canceled) }},
+	}
+	for _, sw := range sweeps {
+		for _, form := range []string{"one-shot", "persistent activation"} {
+			t.Run(sw.name+"/"+form, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				muxes, err := transport.NewLoopbackJob(2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := core.NewProc(muxes[0], core.Config{})
+				c := &Comm{P: p, Ctx: 1, Rank: 0, Size: 2, World: func(r int) int { return r }}
+				plan := c.BarrierPlan()
+				if form != "one-shot" {
+					plan.Persist()
+					plan.Rearm()
+				}
+				req := plan.Start()
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				polls, _ := p.Obs().Value("core.caller_polls")
+				waited := make(chan error, 1)
+				go func() {
+					var err error
+					if sw.name == "WaitCtx" {
+						_, err = req.WaitCtx(ctx)
+					} else {
+						_, err = req.Wait()
+					}
+					waited <- err
+				}()
+				for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+					if n, _ := p.Obs().Value("core.caller_polls"); n > polls {
+						break
+					}
+					if time.Now().After(deadline) {
+						t.Fatal("the waiter never parked holding the progress role")
+					}
+				}
+				sw.sweep(p, muxes[1], cancel)
+				select {
+				case err := <-waited:
+					if !sw.isErr(err) {
+						t.Fatalf("Wait returned %v", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatalf("the parked waiter slept through the %s", sw.name)
+				}
+				p.Close()
+				muxes[0].Close()
+				muxes[1].Close()
+				for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatalf("%d goroutines, %d before the case", runtime.NumGoroutine(), base)
+					}
+				}
+			})
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1018,7 +1019,7 @@ func (p *Proc) takeGrantedLocked(f *parsed) *Request {
 func (p *Proc) takeMatchLocked(env envelope) *Request {
 	for i, r := range p.posted {
 		if matches(r.ctx, r.src, r.tag, env) {
-			p.posted = append(p.posted[:i], p.posted[i+1:]...)
+			p.posted = slices.Delete(p.posted, i, i+1)
 			return r
 		}
 	}
@@ -1270,7 +1271,7 @@ func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool
 		p.mu.Unlock()
 		return req
 	}
-	p.arrived = append(p.arrived[:idx], p.arrived[idx+1:]...)
+	p.arrived = slices.Delete(p.arrived, idx, idx+1)
 	p.unexpDepth.Set(int64(len(p.arrived)))
 	p.stats.RecvsUnexpected.Add(1)
 	reply := p.meetLocked(req, m.kind, m.env, m.id, m.size, m.payload, &m.frame)
@@ -1357,7 +1358,7 @@ func (p *Proc) Cancel(r *Request) bool {
 	}
 	for i, q := range p.posted {
 		if q == r {
-			p.posted = append(p.posted[:i], p.posted[i+1:]...)
+			p.posted = slices.Delete(p.posted, i, i+1)
 			p.stats.Cancelled.Add(1)
 			p.completeLocked(r, nil, Status{Cancelled: true})
 			return true

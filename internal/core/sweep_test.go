@@ -45,11 +45,17 @@ func drives(p *Proc, req *Request) bool {
 // whole afterwards; and the pooled payloads of swept sends are back.
 //
 // Every sweep fires from another goroutine while the operation's owner
-// is parked in Wait holding the progress role, where only a ring of its
-// bell wakes it: the owner must return within a bounded time of its
+// is parked holding the progress role, where only a ring of its bell
+// wakes it: the owner must return within a bounded time of its
 // operation's completion, whichever way that comes — a sweep, the loan
 // of a taken offer coming home, a read loop finishing a landing, or the
-// engine's close — and no goroutine may outlive the case.
+// engine's close — and no goroutine may outlive the case. The owner
+// parks in the request's Wait, or (the cases named "… (collective
+// wait)") in Await on a predicate the operation's OnDone callback makes
+// true, as a caller in a collective schedule's Wait does — for a
+// one-shot or a persistent activation alike — over the receive or send
+// the schedule is gated on; the "cancel" sweep is then what WaitCtx
+// does to a cancelled schedule's gates.
 func TestEverySweepReachesEveryTable(t *testing.T) {
 	const size = 128 << 10
 	errDied := errors.New("the endpoint died")
@@ -219,89 +225,111 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		{"cancel", 8, nil, nil, false},
 	}
 
+	owners := []struct {
+		suffix string
+		// wait parks until req completes; mine is the request the
+		// progress role is held for.
+		wait func(p *Proc, req *Request) *Status
+		mine bool
+	}{
+		{"", func(_ *Proc, req *Request) *Status { return req.Wait() }, true},
+		{" (collective wait)", func(p *Proc, req *Request) *Status {
+			done := false
+			req.OnDone(func() { done = true })
+			p.Await(func() bool { return done })
+			return &req.Stat
+		}, false},
+	}
+
 	for _, sw := range sweeps {
 		for _, s := range states {
-			t.Run(sw.name+"/"+s.name, func(t *testing.T) {
-				poolSettles(t)
-				base := runtime.NumGoroutine()
-				waited := make(chan *Status, 1)
-				// Runs once everything below is closed: the owner is back
-				// from Wait, and nothing else of the case is left running.
-				t.Cleanup(func() {
-					select {
-					case <-waited:
-					case <-time.After(5 * time.Second):
-						t.Error("the owner parked in Wait outlived the engine's close")
+			for _, owner := range owners {
+				t.Run(sw.name+"/"+s.name+owner.suffix, func(t *testing.T) {
+					poolSettles(t)
+					base := runtime.NumGoroutine()
+					waited := make(chan *Status, 1)
+					// Runs once everything below is closed: the owner is back
+					// from Wait, and nothing else of the case is left running.
+					t.Cleanup(func() {
+						select {
+						case <-waited:
+						case <-time.After(5 * time.Second):
+							t.Error("the owner parked in Wait outlived the engine's close")
+						}
+						goroutinesSettle(t, base)
+					})
+					muxes := transport.NewShmJob(2, 0)
+					p, q := NewProc(muxes[0], Config{}), NewProc(muxes[1], Config{})
+					// Rank 1 re-floods a revocation to nobody: a notice it sent
+					// while closing would reach the pool after this test.
+					q.RegisterGroup(0, []int{1})
+					// The mux too: after a failAll of the test's own making the
+					// engine thinks itself closed and leaves the device be.
+					t.Cleanup(func() { p.Close(); muxes[0].Close(); q.Close() })
+					c := &sweepCase{r: joinRawPeer(t, p, muxes[0]), q: q, tag: sw.tag, into: make([]byte, size)}
+					req := s.enter(t, c)
+					if _, done := req.Test(); done {
+						t.Fatalf("completed before the sweep: %+v", req.Stat)
 					}
-					goroutinesSettle(t, base)
+					mine := req
+					if !owner.mine {
+						mine = nil
+					}
+					go func() { waited <- owner.wait(p, req) }()
+					eventually(t, "the owner parked, holding the progress role", func() bool { return drives(p, mine) })
+					// woken holds the owner to returning soon after its operation
+					// completed.
+					woken := func(how string) {
+						t.Helper()
+						select {
+						case st := <-waited:
+							waited <- st // for the cleanup
+						case <-time.After(5 * time.Second):
+							t.Fatalf("the owner parked in Wait slept through %s", how)
+						}
+					}
+
+					peer := c.r.rank
+					if s.byRef {
+						peer = 1
+					}
+					var taken bool
+					if sw.run != nil {
+						taken = sw.run(p, peer) && (s.swept || sw.closes && s.cut)
+					} else if taken = p.Cancel(req); taken != s.cancellable {
+						t.Fatalf("Cancel = %v, want %v", taken, s.cancellable)
+					}
+
+					st, done := req.Test()
+					if done != taken {
+						t.Fatalf("completed = %v, want %v (status %+v)", done, taken, req.Stat)
+					}
+					if empty := tablesEmpty(p); empty != (taken || !s.table) {
+						t.Fatalf("tables empty = %v after the sweep", empty)
+					}
+					if taken {
+						want := Status{SourceGroup: peer, Tag: sw.tag}
+						if s.bytes > 0 {
+							want = Status{Bytes: s.bytes}
+						}
+						if sw.run == nil {
+							want = Status{Bytes: s.bytes, Cancelled: true}
+						}
+						got := *st
+						got.Err = nil
+						if got != want || (st.Err != nil) != (sw.isErr != nil) || (st.Err != nil && !sw.isErr(st.Err)) {
+							t.Fatalf("swept with %+v, want %+v with this sweep's error", *st, want)
+						}
+						woken("the sweep")
+					}
+					if s.then != nil {
+						s.then(t, c, req, taken)
+					}
+					if _, done := req.Test(); done {
+						woken("its operation's completion")
+					}
 				})
-				muxes := transport.NewShmJob(2, 0)
-				p, q := NewProc(muxes[0], Config{}), NewProc(muxes[1], Config{})
-				// Rank 1 re-floods a revocation to nobody: a notice it sent
-				// while closing would reach the pool after this test.
-				q.RegisterGroup(0, []int{1})
-				// The mux too: after a failAll of the test's own making the
-				// engine thinks itself closed and leaves the device be.
-				t.Cleanup(func() { p.Close(); muxes[0].Close(); q.Close() })
-				c := &sweepCase{r: joinRawPeer(t, p, muxes[0]), q: q, tag: sw.tag, into: make([]byte, size)}
-				req := s.enter(t, c)
-				if _, done := req.Test(); done {
-					t.Fatalf("completed before the sweep: %+v", req.Stat)
-				}
-				go func() { waited <- req.Wait() }()
-				eventually(t, "the owner parked in Wait, holding the progress role", func() bool { return drives(p, req) })
-				// woken holds the owner to returning soon after its operation
-				// completed.
-				woken := func(how string) {
-					t.Helper()
-					select {
-					case st := <-waited:
-						waited <- st // for the cleanup
-					case <-time.After(5 * time.Second):
-						t.Fatalf("the owner parked in Wait slept through %s", how)
-					}
-				}
-
-				peer := c.r.rank
-				if s.byRef {
-					peer = 1
-				}
-				var taken bool
-				if sw.run != nil {
-					taken = sw.run(p, peer) && (s.swept || sw.closes && s.cut)
-				} else if taken = p.Cancel(req); taken != s.cancellable {
-					t.Fatalf("Cancel = %v, want %v", taken, s.cancellable)
-				}
-
-				st, done := req.Test()
-				if done != taken {
-					t.Fatalf("completed = %v, want %v (status %+v)", done, taken, req.Stat)
-				}
-				if empty := tablesEmpty(p); empty != (taken || !s.table) {
-					t.Fatalf("tables empty = %v after the sweep", empty)
-				}
-				if taken {
-					want := Status{SourceGroup: peer, Tag: sw.tag}
-					if s.bytes > 0 {
-						want = Status{Bytes: s.bytes}
-					}
-					if sw.run == nil {
-						want = Status{Bytes: s.bytes, Cancelled: true}
-					}
-					got := *st
-					got.Err = nil
-					if got != want || (st.Err != nil) != (sw.isErr != nil) || (st.Err != nil && !sw.isErr(st.Err)) {
-						t.Fatalf("swept with %+v, want %+v with this sweep's error", *st, want)
-					}
-					woken("the sweep")
-				}
-				if s.then != nil {
-					s.then(t, c, req, taken)
-				}
-				if _, done := req.Test(); done {
-					woken("its operation's completion")
-				}
-			})
+			}
 		}
 	}
 }

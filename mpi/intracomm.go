@@ -13,14 +13,14 @@ import (
 // constructors to Comm.
 //
 // Every collective is declared once, as a planX method that validates
-// the call and looks up or compiles its plan (see plan: one-shot calls
-// reuse the communicator's cached plan of their shape), and has up to
-// three entry points derived from it: the classic blocking form X (the
+// the call and looks up or compiles its plan (see plan: a call reuses
+// the communicator's cached plan of its shape), and has up to three
+// entry points derived from it: the classic blocking form X (the
 // calling goroutine runs the schedule), the nonblocking IX returning a
 // *Request (MPI-3; whoever waits for the request runs the schedule, and
 // Request.WaitCtx is how a collective is cancelled) and, for the
-// collectives that have one, the persistent XInit (MPI-4; see
-// persistent.go).
+// collectives that have one, the persistent XInit (MPI-4), which takes
+// the plan out of the cache (see persistent.go).
 type Intracomm struct {
 	Comm
 }
@@ -65,14 +65,14 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 // completion (nil when this rank receives nothing). The hooks read the
 // call's sections through args only, so one plan serves call after
 // call: a one-shot call takes it from the communicator's cache (cache
-// is set) and hands it back when done, a persistent request keeps it
-// bound for its life.
+// is set) and hands it back when done; a persistent request takes it
+// out of the cache and keeps it bound for its life.
 type collPlan struct {
 	plan    *coll.Plan
 	args    collArgs
 	refresh func() error
 	fin     func(res any) error
-	cache   *coll.Cache[planKey, *collPlan] // the communicator's, for a one-shot plan
+	cache   *coll.Cache[planKey, *collPlan] // the communicator's, while the plan is in it
 }
 
 // collArgs is the call a plan is bound to: its send and receive
@@ -113,39 +113,28 @@ func (k planKey) Hash() uint64 {
 	return uint64(len(k.kind))<<56 ^ uint64(k.root)<<48 ^ uint64(k.scount)<<24 ^ uint64(k.rcount)
 }
 
-// planUse is where a plan goes: a one-shot call's comes from and goes
-// back to the communicator's cache, a persistent request's is its own.
-type planUse bool
-
-const oneShot, persistent planUse = true, false
-
-// plan returns the plan of a validated call, bound to args: for a
-// one-shot call the cache's idle plan of the call's shape, re-armed,
-// else one that build compiles (and the cache keeps); for a persistent
-// request always a new one. Either way the call mints exactly one
+// plan returns the plan of a validated call, bound to args: the
+// cache's idle plan of the call's shape, re-armed, else one that build
+// compiles and the cache keeps. Either way the call mints exactly one
 // instance, in program order: the re-arm, or the NewPlan inside build.
 // sh names the collective, its root and its op; plan completes the
 // shape from args.
-func (c *Intracomm) plan(sh shape, use planUse, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
+func (c *Intracomm) plan(sh shape, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
 	sh.sd, sh.rd, sh.scount, sh.rcount = args.send.d, args.recv.d, args.send.count, args.recv.count
 	sh.direct, sh.lent, sh.eager = args.acc.direct, args.acc.src != nil, c.env.proc.EagerLimit()
 	key := planKey{sh, args.send.layout, args.recv.layout}
-	if use == oneShot {
-		if p, ok := c.plans.Take(key); ok {
-			p.args = args
-			p.plan.Rearm()
-			return p, nil
-		}
+	if p, ok := c.plans.Take(key); ok {
+		p.args = args
+		p.plan.Rearm()
+		return p, nil
 	}
 	p := &collPlan{args: args, refresh: noRefresh}
 	if err := build(p); err != nil {
 		return nil, mapEngineErr(err)
 	}
-	if use == oneShot {
-		key.send, key.recv = key.send.clone(), key.recv.clone()
-		p.cache = c.plans
-		c.plans.Add(key, p)
-	}
+	key.send, key.recv = key.send.clone(), key.recv.clone()
+	p.cache = c.plans
+	c.plans.Add(key, p)
 	return p, nil
 }
 
@@ -176,9 +165,9 @@ func (p *collPlan) done(ok bool) {
 	p.cache.Done(p, ok)
 }
 
-// load takes planX's results for a one-shot call: a failed planX's
-// error, or else the refresh hook's, which leaves the plan done with
-// the call it could not load.
+// load takes planX's results for a call or an activation: a failed
+// planX's error, or else the refresh hook's, which leaves a cached plan
+// done with the call it could not load.
 func (p *collPlan) load(err error) error {
 	if err == nil {
 		if err = p.refresh(); err != nil {
@@ -207,15 +196,15 @@ func (c *Intracomm) runColl(p *collPlan, err error) error {
 }
 
 // startColl starts a plan and returns its request: the nonblocking entry
-// points. The steps run on the caller up to the schedule's first wait
-// for a message, then on whoever waits for the request; fin runs, and
-// the plan goes back to the cache, inside the Wait/Test that observes
-// completion.
-func (c *Intracomm) startColl(p *collPlan, err error) (*Request, error) {
+// points and every persistent activation. The steps run on the caller
+// up to the schedule's first wait for a message, then on whoever waits
+// for the request; fin runs, and a cached plan goes back to the cache,
+// inside the Wait/Test that observes completion.
+func (c *Comm) startColl(p *collPlan, err error) (*Request, error) {
 	if err := p.load(err); err != nil {
 		return nil, c.raise(err)
 	}
-	return &Request{comm: &c.Comm, cr: p.plan.Start(), cp: p}, nil
+	return &Request{comm: c, cr: p.plan.Start(), cp: p}, nil
 }
 
 // SkipColl consumes one collective instance number without
@@ -333,20 +322,20 @@ func (b *blocks) deposit(res any) error {
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
 func (c *Intracomm) Barrier() error {
-	return c.runColl(c.planBarrier(oneShot))
+	return c.runColl(c.planBarrier())
 }
 
 // Ibarrier starts a nonblocking barrier (MPI_Ibarrier): the request
 // completes once every member has entered its matching barrier call.
 func (c *Intracomm) Ibarrier() (*Request, error) {
-	return c.startColl(c.planBarrier(oneShot))
+	return c.startColl(c.planBarrier())
 }
 
-func (c *Intracomm) planBarrier(use planUse) (*collPlan, error) {
+func (c *Intracomm) planBarrier() (*collPlan, error) {
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(shape{kind: "barrier"}, use, collArgs{}, func(p *collPlan) error {
+	return c.plan(shape{kind: "barrier"}, collArgs{}, func(p *collPlan) error {
 		p.plan = c.cl.BarrierPlan()
 		return nil
 	})
@@ -355,26 +344,26 @@ func (c *Intracomm) planBarrier(use planUse) (*collPlan, error) {
 // Bcast broadcasts the buffer section from root to all members
 // (MPI_Bcast).
 func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	return c.runColl(c.planBcast(section{buf, offset, count, d}, root, oneShot))
+	return c.runColl(c.planBcast(section{buf, offset, count, d}, root))
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
 // are filled when the request completes; no buffer may be touched
 // before then.
 func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*Request, error) {
-	return c.startColl(c.planBcast(section{buf, offset, count, d}, root, oneShot))
+	return c.startColl(c.planBcast(section{buf, offset, count, d}, root))
 }
 
 // planBcast is the plan of Bcast; its one section is the send side at
 // root and the receive side everywhere else, validated alike.
-func (c *Intracomm) planBcast(s section, root int, use planUse) (*collPlan, error) {
+func (c *Intracomm) planBcast(s section, root int) (*collPlan, error) {
 	if err := c.collChecks(s.d, root); err != nil {
 		return c.noColl(err)
 	}
 	if _, err := s.check(); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(shape{kind: "bcast", root: root}, use, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
+	return c.plan(shape{kind: "bcast", root: root}, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
 		var wire []byte
 		p.plan, err = c.cl.BcastPlan(root, &wire)
 		if c.rank == root {
@@ -392,7 +381,7 @@ func (c *Intracomm) Gather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root, oneShot))
+	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
 }
 
 // Igather starts a nonblocking gather (MPI_Igather); root's recvbuf is
@@ -401,7 +390,7 @@ func (c *Intracomm) Igather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root, oneShot))
+	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
 }
 
 // Gatherv collects varying-size contributions at root (MPI_Gatherv):
@@ -411,7 +400,7 @@ func (c *Intracomm) Gatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root, oneShot))
+	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // Igatherv starts a nonblocking varying-size gather (MPI_Igatherv).
@@ -419,12 +408,12 @@ func (c *Intracomm) Igatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root, oneShot))
+	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // planGather is the plan of Gather and Gatherv; the receive layout is
 // significant (and validated) at root only.
-func (c *Intracomm) planGather(send section, recv blocks, root int, use planUse) (*collPlan, error) {
+func (c *Intracomm) planGather(send section, recv blocks, root int) (*collPlan, error) {
 	if err := c.collChecks(send.d, root); err != nil {
 		return c.noColl(err)
 	}
@@ -437,7 +426,7 @@ func (c *Intracomm) planGather(send section, recv blocks, root int, use planUse)
 		}
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
-	return c.plan(shape{kind: "gather", root: root}, use, args, func(p *collPlan) (err error) {
+	return c.plan(shape{kind: "gather", root: root}, args, func(p *collPlan) (err error) {
 		var mine []byte
 		p.plan, err = c.cl.GatherPlan(root, &mine)
 		p.refresh = packInto(&mine, &p.args.send.section)
@@ -455,7 +444,7 @@ func (c *Intracomm) Scatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root, oneShot))
+	return c.runColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -463,7 +452,7 @@ func (c *Intracomm) Iscatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root, oneShot))
+	return c.startColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // Scatterv distributes varying-size sections from root (MPI_Scatterv).
@@ -471,7 +460,7 @@ func (c *Intracomm) Scatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root, oneShot))
+	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // Iscatterv starts a nonblocking varying-size scatter (MPI_Iscatterv).
@@ -479,12 +468,12 @@ func (c *Intracomm) Iscatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root, oneShot))
+	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
 }
 
 // planScatter is the plan of Scatter and Scatterv; the send layout is
 // significant (and validated) at root only.
-func (c *Intracomm) planScatter(send blocks, recv section, root int, use planUse) (*collPlan, error) {
+func (c *Intracomm) planScatter(send blocks, recv section, root int) (*collPlan, error) {
 	if err := c.collChecks(recv.d, root); err != nil {
 		return c.noColl(err)
 	}
@@ -497,7 +486,7 @@ func (c *Intracomm) planScatter(send blocks, recv section, root int, use planUse
 		}
 	}
 	args := collArgs{send: send, recv: blocks{section: recv}}
-	return c.plan(shape{kind: "scatter", root: root}, use, args, func(p *collPlan) (err error) {
+	return c.plan(shape{kind: "scatter", root: root}, args, func(p *collPlan) (err error) {
 		var parts [][]byte
 		if c.rank == root {
 			parts = make([][]byte, c.Size())
@@ -515,7 +504,7 @@ func (c *Intracomm) Allgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
+	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -523,7 +512,7 @@ func (c *Intracomm) Iallgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
+	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Allgatherv gathers varying-size contributions at every member
@@ -532,7 +521,7 @@ func (c *Intracomm) Allgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), oneShot))
+	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // Iallgatherv starts a nonblocking varying-size allgather
@@ -541,12 +530,12 @@ func (c *Intracomm) Iallgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), oneShot))
+	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // planAllgather is the plan of Allgather and Allgatherv; the receive
 // layout is significant (and validated) on every member.
-func (c *Intracomm) planAllgather(send section, recv blocks, use planUse) (*collPlan, error) {
+func (c *Intracomm) planAllgather(send section, recv blocks) (*collPlan, error) {
 	if err := c.collChecks(send.d, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -557,7 +546,7 @@ func (c *Intracomm) planAllgather(send section, recv blocks, use planUse) (*coll
 		return c.noColl(err)
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
-	return c.plan(shape{kind: "allgather"}, use, args, func(p *collPlan) error {
+	return c.plan(shape{kind: "allgather"}, args, func(p *collPlan) error {
 		var mine []byte
 		p.plan = c.cl.AllgatherPlan(&mine)
 		p.refresh, p.fin = packInto(&mine, &p.args.send.section), p.args.recv.deposit
@@ -571,7 +560,7 @@ func (c *Intracomm) Alltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
+	return c.runColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -579,7 +568,7 @@ func (c *Intracomm) Ialltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, oneShot))
+	return c.startColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // Alltoallv exchanges varying-size sections between all pairs
@@ -588,7 +577,7 @@ func (c *Intracomm) Alltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt), oneShot))
+	return c.runColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
 }
 
 // Ialltoallv starts a nonblocking varying-size alltoall
@@ -597,12 +586,12 @@ func (c *Intracomm) Ialltoallv(
 	sendbuf any, soffset int, sendcounts, sdispls []int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, rdispls []int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt), oneShot))
+	return c.startColl(c.planAlltoall(varying(sendbuf, soffset, sendcounts, sdispls, sdt), varying(recvbuf, roffset, recvcounts, rdispls, rdt)))
 }
 
 // planAlltoall is the plan of Alltoall and Alltoallv; both layouts are
 // significant (and validated) on every member.
-func (c *Intracomm) planAlltoall(send, recv blocks, use planUse) (*collPlan, error) {
+func (c *Intracomm) planAlltoall(send, recv blocks) (*collPlan, error) {
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
@@ -612,7 +601,7 @@ func (c *Intracomm) planAlltoall(send, recv blocks, use planUse) (*collPlan, err
 	if err := c.checkBlocks("Alltoallv", &recv); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(shape{kind: "alltoall"}, use, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
+	return c.plan(shape{kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
 		parts := make([][]byte, c.Size())
 		p.plan, err = c.cl.AlltoallPlan(parts)
 		p.refresh, p.fin = packBlocks(&p.args.send, parts), p.args.recv.deposit
@@ -626,7 +615,7 @@ func (c *Intracomm) Reduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	return c.runColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root, oneShot))
+	return c.runColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce); root's recvbuf
@@ -635,7 +624,7 @@ func (c *Intracomm) Ireduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*Request, error) {
-	return c.startColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root, oneShot))
+	return c.startColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
 }
 
 // reduceChecks is collChecks for the reduction family: op must also be
@@ -647,7 +636,7 @@ func (c *Intracomm) reduceChecks(d *Datatype, op *Op, root int) error {
 	return checkOp(op, d)
 }
 
-func (c *Intracomm) planReduce(send, into section, op *Op, root int, use planUse) (*collPlan, error) {
+func (c *Intracomm) planReduce(send, into section, op *Op, root int) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, root); err != nil {
 		return c.noColl(err)
 	}
@@ -655,7 +644,7 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int, use planUse
 	if err != nil {
 		return c.noColl(err)
 	}
-	return c.reduction(shape{kind: "reduce", root: root, op: op}, use, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(shape{kind: "reduce", root: root, op: op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			return c.cl.ReducePlan(root, &acc.b, op.op, send.d.t.Class())
 		})
@@ -664,8 +653,8 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int, use planUse
 // reduction is plan for the reduction family: build compiles the
 // schedule over the plan's own accumulator, which the plan's hooks load
 // from the send section and deposit into the receive section.
-func (c *Intracomm) reduction(sh shape, use planUse, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
-	return c.plan(sh, use, args, func(p *collPlan) (err error) {
+func (c *Intracomm) reduction(sh shape, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
+	return c.plan(sh, args, func(p *collPlan) (err error) {
 		p.plan, err = build(&p.args.acc)
 		p.refresh = func() error { return p.args.acc.load(&p.args.send.section) }
 		p.fin = func(res any) error { return p.args.acc.fin(res, &p.args.recv.section) }
@@ -679,7 +668,7 @@ func (c *Intracomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
+	return c.runColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce); every
@@ -688,10 +677,10 @@ func (c *Intracomm) Iallreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
+	return c.startColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
-func (c *Intracomm) planAllreduce(send, into section, op *Op, use planUse) (*collPlan, error) {
+func (c *Intracomm) planAllreduce(send, into section, op *Op) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -700,7 +689,7 @@ func (c *Intracomm) planAllreduce(send, into section, op *Op, use planUse) (*col
 		return c.noColl(err)
 	}
 	a.src, _ = c.lendView(send)
-	return c.reduction(shape{kind: "allreduce", op: op}, use, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(shape{kind: "allreduce", op: op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			t := send.d.t
 			return c.cl.AllreducePlan(&acc.b, acc.sendView(), send.count, max(t.WireBytes(1), 0), op.op, t.Class())
@@ -713,7 +702,7 @@ func (c *Intracomm) ReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op, oneShot))
+	return c.runColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter
@@ -722,13 +711,13 @@ func (c *Intracomm) IreduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op, oneShot))
+	return c.startColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
 }
 
 // planReduceScatter is the plan of ReduceScatter; the recvcounts set
 // both sections' counts: the whole vector is folded, this rank's
 // segment received.
-func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *Op, use planUse) (*collPlan, error) {
+func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *Op) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -750,7 +739,7 @@ func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *
 	}
 	// The recvcounts ride in the receive side's layout, for the key.
 	args := collArgs{blocks{section: send}, blocks{into, &layout{counts: recvcounts}}, a}
-	return c.reduction(shape{kind: "reduce_scatter", op: op}, use, args, func(acc *accum) (*coll.Plan, error) {
+	return c.reduction(shape{kind: "reduce_scatter", op: op}, args, func(acc *accum) (*coll.Plan, error) {
 		return c.cl.ReduceScatterPlan(&acc.b, elemCounts, op.op, send.d.t.Class())
 	})
 }
@@ -760,7 +749,7 @@ func (c *Intracomm) Scan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
+	return c.runColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
@@ -768,7 +757,7 @@ func (c *Intracomm) Iscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
+	return c.startColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Exscan computes the exclusive prefix reduction in rank order — one of
@@ -779,7 +768,7 @@ func (c *Intracomm) Exscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
+	return c.runColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction
@@ -788,13 +777,13 @@ func (c *Intracomm) Iexscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, oneShot))
+	return c.startColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // planScan is the plan of Scan and Exscan; exclusive selects the
 // variant. Rank 0's Exscan result is undefined: its receive buffer is
 // neither validated nor touched.
-func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op, use planUse) (*collPlan, error) {
+func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op) (*collPlan, error) {
 	if err := c.reduceChecks(send.d, op, 0); err != nil {
 		return c.noColl(err)
 	}
@@ -806,7 +795,7 @@ func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op, use pla
 	if exclusive {
 		kind = "exscan"
 	}
-	return c.reduction(shape{kind: kind, op: op}, use, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(shape{kind: kind, op: op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			return c.cl.ScanPlan(exclusive, &acc.b, op.op, send.d.t.Class())
 		})

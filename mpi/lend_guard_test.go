@@ -1,6 +1,8 @@
 package mpi_test
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"gompi/internal/transport"
@@ -11,6 +13,10 @@ import (
 // The tags of classicPingPong: its echo rank answers every message but
 // a tagStop one with a tagPing reply.
 const tagPing, tagStop = 5, 6
+
+// echoes counts classicPingPong's replies whose Send has returned: by
+// then the reply's frames are in the receiver's mailbox and counted.
+var echoes atomic.Int64
 
 // classicPingPong runs fn on rank 0 of a 2-rank chan job whose rank 1
 // echoes size-byte classic Send/Recv round trips until rank 0 is done.
@@ -28,6 +34,7 @@ func classicPingPong(size int, fn func(env *mpi.Env, roundTrip func() error) err
 				if err := w.Send(recv, 0, size, mpi.BYTE, 0, tagPing); err != nil {
 					return err
 				}
+				echoes.Add(1)
 			}
 		}
 		err := fn(env, func() error {
@@ -69,7 +76,12 @@ func BenchmarkClassicPingPong256K(b *testing.B) {
 // round trip on chan lends and receives in place, so the only buffers
 // it takes from the frame pool are frame headers — one per frame sent,
 // never a payload-sized pack or staging frame — and it allocates no
-// more than the packing path did.
+// more than the packing path did. Both sides count one population, the
+// frames both ranks sent (by reference a frame is counted sent and
+// received at once, after it is in the receiver's mailbox) against the
+// buffers both took, over a window that opens and closes with the echo
+// rank's last Send returned: its reply may complete rank 0's Recv
+// before it is counted, so the counters settle only then.
 func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
 	const size, rounds = 256 << 10, 100
 	// What the packing path allocated per round trip on this loop
@@ -77,17 +89,22 @@ func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
 	// the progress loops): the loan must not add to it.
 	const parentAllocs = 20
 	err := classicPingPong(size, func(env *mpi.Env, roundTrip func() error) error {
+		echoed := echoes.Load()
 		for i := 0; i < 20; i++ { // warm pools and requests
 			if err := roundTrip(); err != nil {
 				return err
 			}
 		}
-		frames := func() uint64 {
-			// Every frame is sent once and received once, and rank 0
-			// has received all its replies.
+		// frames waits for the echo rank to have sent its reply to round
+		// trip n, then counts the frames of the job: each is one rank 0
+		// sent or received.
+		frames := func(n int64) uint64 {
+			for echoes.Load() < echoed+n {
+				runtime.Gosched()
+			}
 			return pv(env, "transport.chan.frames_sent") + pv(env, "transport.chan.frames_recv")
 		}
-		gets, sent, lent := transport.PoolStats().Gets, frames(), pv(env, "core.sends_lent")
+		sent, gets, lent := frames(20), transport.PoolStats().Gets, pv(env, "core.sends_lent")
 		var rtErr error
 		allocs := testing.AllocsPerRun(rounds, func() {
 			if err := roundTrip(); err != nil {
@@ -97,7 +114,8 @@ func TestClassicRendezvousTakesNoPayloadFrame(t *testing.T) {
 		if rtErr != nil {
 			return rtErr
 		}
-		gets, sent = transport.PoolStats().Gets-gets, frames()-sent
+		sent = frames(20+rounds+1) - sent
+		gets = transport.PoolStats().Gets - gets
 		if got := pv(env, "core.sends_lent") - lent; got != rounds+1 {
 			t.Errorf("%d of %d sends went out on loan", got, rounds+1)
 		}

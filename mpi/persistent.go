@@ -2,42 +2,46 @@ package mpi
 
 // Persistent collectives (MPI-4: MPI_Barrier_init, MPI_Bcast_init, …).
 //
-// Each *Init constructor runs its collective's planX — the builder and
-// binding the blocking and nonblocking entry points run, so validation,
-// tag minting and schedule compilation happen exactly once — for a plan
-// of its own, outside the communicator's cache, bound to the (fixed)
-// user buffers for life and frozen into a PersistentRequest. Start
-// re-packs the buffers and runs the schedule's first steps on the
-// caller; whoever waits for the activation runs the rest. Like every
-// collective, *Init is a collective call: all members must invoke the
-// matching constructor in the same program order, and a constructor
-// that fails local validation consumes the collective instance on the
-// failing member so peers stay tag-aligned.
+// Each *Init constructor runs its collective's planX, as the blocking
+// and nonblocking entry points do — validation, the plan from the
+// communicator's cache or a new one, and exactly one collective
+// instance — and then takes the plan out of the cache: persist drops
+// the cache's entry and moves the plan into the persistent tag space
+// (coll.Plan.Persist), bound to the (fixed) user buffers for life.
+// Every Start re-arms it (coll.Plan.Rearm) and starts it as IX does:
+// the refresh hook re-packs the buffers, the schedule's first steps run
+// on the caller, whoever waits for the activation runs the rest and the
+// fin hook deposits. Like every collective, *Init is a collective call:
+// all members must invoke the matching constructor in the same program
+// order, and a constructor that fails local validation consumes the
+// collective instance on the failing member so peers stay tag-aligned.
 //
-// Activations of one persistent collective reuse its pre-minted tags:
-// Start enforces that the previous activation has completed locally,
+// Activations of one persistent collective reuse its tags: Start
+// refuses while the previous activation has not completed locally,
 // which keeps successive activations' traffic aligned pairwise.
 
-// initColl freezes a plan into a persistent request: the *Init entry
-// points. The plan's refresh hook runs at every Start, its fin hook at
-// every completion.
-func (c *Intracomm) initColl(p *collPlan, err error) (*PersistentRequest, error) {
+// persist takes a call's plan out of the cache and freezes it into a
+// persistent request: the *Init entry points.
+func (c *Intracomm) persist(p *collPlan, err error) (*PersistentRequest, error) {
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	return &PersistentRequest{comm: &c.Comm, pcol: p.plan.Persist(), cp: p}, nil
+	p.done(false)
+	p.cache = nil
+	p.plan.Persist()
+	return &PersistentRequest{comm: &c.Comm, cp: p}, nil
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init).
 func (c *Intracomm) BarrierInit() (*PersistentRequest, error) {
-	return c.initColl(c.planBarrier(persistent))
+	return c.persist(c.planBarrier())
 }
 
 // BcastInit builds a persistent broadcast (MPI_Bcast_init): each
 // activation distributes root's buffer section, re-read at Start, into
 // every member's section at completion.
 func (c *Intracomm) BcastInit(buf any, offset, count int, d *Datatype, root int) (*PersistentRequest, error) {
-	return c.initColl(c.planBcast(section{buf, offset, count, d}, root, persistent))
+	return c.persist(c.planBcast(section{buf, offset, count, d}, root))
 }
 
 // GatherInit builds a persistent gather (MPI_Gather_init): each
@@ -47,7 +51,7 @@ func (c *Intracomm) GatherInit(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root, persistent))
+	return c.persist(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
 }
 
 // AllgatherInit builds a persistent allgather (MPI_Allgather_init).
@@ -55,7 +59,7 @@ func (c *Intracomm) AllgatherInit(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, persistent))
+	return c.persist(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each
@@ -65,7 +69,7 @@ func (c *Intracomm) ReduceInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root, persistent))
+	return c.persist(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
 }
 
 // AllreduceInit builds a persistent all-reduction (MPI_Allreduce_init):
@@ -75,7 +79,7 @@ func (c *Intracomm) AllreduceInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, persistent))
+	return c.persist(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // ScanInit builds a persistent inclusive prefix reduction
@@ -84,7 +88,7 @@ func (c *Intracomm) ScanInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, persistent))
+	return c.persist(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }
 
 // ExscanInit builds a persistent exclusive prefix reduction
@@ -94,5 +98,5 @@ func (c *Intracomm) ExscanInit(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*PersistentRequest, error) {
-	return c.initColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, persistent))
+	return c.persist(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
 }

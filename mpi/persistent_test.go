@@ -1,6 +1,9 @@
 package mpi_test
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -111,6 +114,166 @@ func TestPersistentStartBeforeCompleteRejected(t *testing.T) {
 		}
 		if res[0] != 21 {
 			t.Errorf("rank %d: second sum %d, want 21", rank, res[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// poisonProbe is the OBJECT element of
+// TestPersistentPoisonedByFailedActivation.
+type poisonProbe struct{ N int64 }
+
+// TestPersistentPoisonedByFailedActivation: a persistent collective
+// whose schedule failed — here an activation cancelled by WaitCtx while
+// the peer had not started — never starts again: every later Start
+// reports the failure, a cancellation as ErrIntern. Only the schedule's
+// own failure poisons: an activation whose deposit failed (an OBJECT
+// element of the wrong type) starts again normally, as does a
+// persistent receive after a truncated activation. And a Start made
+// after the running activation's handle was freed is refused with
+// ErrRequest until that activation has completed in the background.
+func TestPersistentPoisonedByFailedActivation(t *testing.T) {
+	freed := make(chan struct{})
+	err := mpi.Run(2, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		rank := w.Rank()
+
+		in, out := []int64{int64(rank + 1)}, []int64{0}
+		red, err := w.AllreduceInit(in, 0, out, 0, 1, mpi.LONG, mpi.SUM)
+		if err != nil {
+			return err
+		}
+		if rank == 0 {
+			if err := red.Start(); err != nil {
+				return err
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			_, err := red.WaitCtx(ctx)
+			cancel()
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("WaitCtx with the peer absent: %v, want DeadlineExceeded", err)
+			}
+			for i := 1; i <= 2; i++ {
+				if err := red.Start(); mpi.ClassOf(err) != mpi.ErrIntern {
+					t.Errorf("Start %d after a cancelled activation: %v, want ErrIntern", i, err)
+				}
+			}
+		}
+		red.Free()
+		if err := w.Barrier(); err != nil {
+			return err
+		}
+
+		// A deposit that fails leaves the schedule sound.
+		mpi.RegisterObject(poisonProbe{})
+		stage, got := make([]any, 2), make([]poisonProbe, 2)
+		var buf any = got
+		if rank == 0 {
+			buf = stage
+		}
+		bc, err := w.BcastInit(buf, 0, 2, mpi.OBJECT, 0)
+		if err != nil {
+			return err
+		}
+		for k := int64(1); k <= 3; k++ {
+			stage[0], stage[1] = poisonProbe{k}, "stray"
+			if k == 3 {
+				stage[1] = poisonProbe{-k}
+			}
+			if err := bc.Start(); err != nil {
+				return fmt.Errorf("rank %d: Start %d after a failed deposit: %w", rank, k, err)
+			}
+			_, err := bc.Wait()
+			switch {
+			case rank == 0 || k == 3:
+				if err != nil {
+					return err
+				}
+			case mpi.ClassOf(err) != mpi.ErrType:
+				t.Errorf("activation %d: %v, want the wrong-typed element's ErrType", k, err)
+			}
+			if rank == 1 && got[0].N != k {
+				t.Errorf("activation %d: got %v, want %d first", k, got, k)
+			}
+		}
+		if rank == 1 && got[1].N != -3 {
+			t.Errorf("last activation: got %v, want [3 -3]", got)
+		}
+		bc.Free()
+
+		// A truncated receive leaves a persistent receive startable.
+		if rank == 0 {
+			for _, n := range []int{2, 1} {
+				if err := w.Send([]int32{7, 8}, 0, n, mpi.INT, 1, 9); err != nil {
+					return err
+				}
+			}
+		} else {
+			one := []int32{0}
+			recv, err := w.RecvInit(one, 0, 1, mpi.INT, 0, 9)
+			if err != nil {
+				return err
+			}
+			for k, want := range []mpi.ErrClass{mpi.ErrTruncate, mpi.ErrSuccess} {
+				if err := recv.Start(); err != nil {
+					return fmt.Errorf("receive Start %d: %w", k+1, err)
+				}
+				if _, err := recv.Wait(); mpi.ClassOf(err) != want {
+					t.Errorf("receive activation %d: %v, want class %d", k+1, err, want)
+				}
+			}
+			if one[0] != 7 {
+				t.Errorf("receive after the truncation: %d, want 7", one[0])
+			}
+			recv.Free()
+		}
+
+		// Freeing the running activation's handle does not free the
+		// activation.
+		red, err = w.AllreduceInit(in, 0, out, 0, 1, mpi.LONG, mpi.SUM)
+		if err != nil {
+			return err
+		}
+		defer red.Free()
+		if rank == 0 {
+			if err := red.Start(); err != nil {
+				return err
+			}
+			red.Request.Free()
+			if err := red.Start(); mpi.ClassOf(err) != mpi.ErrRequest {
+				t.Errorf("Start while the freed activation runs: %v, want ErrRequest", err)
+			}
+			close(freed)
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				err := red.Start()
+				if err == nil {
+					break
+				}
+				if mpi.ClassOf(err) != mpi.ErrRequest || time.Now().After(deadline) {
+					return fmt.Errorf("Start after the freed activation: %w", err)
+				}
+			}
+		} else {
+			<-freed
+			for i := 0; i < 2; i++ {
+				if err := red.Start(); err != nil {
+					return err
+				}
+				if i == 0 {
+					if _, err := red.Wait(); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		if _, err := red.Wait(); err != nil {
+			return err
+		}
+		if out[0] != 3 {
+			t.Errorf("rank %d: sum after the freed activation %d, want 3", rank, out[0])
 		}
 		return nil
 	})

@@ -316,6 +316,65 @@ func TestPlanCacheFreedRequest(t *testing.T) {
 	})
 }
 
+// TestPersistentInitTakesCachedPlan: an *Init call runs through the
+// cache like a one-shot call and then takes its plan out of it. Rank 0
+// frees an in-flight Iallreduce, which evicts its plan, while rank 1
+// waits for its own, which stays cached; at the AllreduceInit of that
+// shape rank 0 misses and builds, rank 1 hits and re-arms, and both
+// leave the cache empty. Both must still mint one instance, so three
+// activations with new inputs each, and a one-shot Allreduce of the
+// shape after each (the first builds a plan of its own), all agree.
+func TestPersistentInitTakesCachedPlan(t *testing.T) {
+	eachDevice(t, 2, func(env *Env) error {
+		w := env.CommWorld()
+		rank := w.Rank()
+		req, err := w.Iallreduce([]float64{1}, 0, make([]float64, 1), 0, 1, DOUBLE, SUM)
+		if err != nil {
+			return err
+		}
+		if rank == 0 {
+			err = req.Free()
+		} else {
+			_, err = req.Wait()
+		}
+		if err != nil {
+			return err
+		}
+		if err := expectEntries(w, rank, "before the Init"); err != nil {
+			return err
+		}
+		pin, pout := []float64{0}, []float64{0}
+		p, err := w.AllreduceInit(pin, 0, pout, 0, 1, DOUBLE, SUM)
+		if err != nil {
+			return err
+		}
+		defer p.Free()
+		if err := expectEntries(w, 0, "after the Init"); err != nil {
+			return err
+		}
+		for k := 1; k <= 3; k++ {
+			pin[0] = float64(10*k + rank)
+			if err := p.Start(); err != nil {
+				return err
+			}
+			if _, err := p.Wait(); err != nil {
+				return err
+			}
+			out := []float64{0}
+			if err := w.Allreduce([]float64{float64(k * (rank + 1))}, 0, out, 0, 1, DOUBLE, SUM); err != nil {
+				return err
+			}
+			if pout[0] != float64(20*k+1) || out[0] != float64(3*k) {
+				return fmt.Errorf("rank %d activation %d: persistent %v (want %d), one-shot %v (want %d)", rank, k, pout[0], 20*k+1, out[0], 3*k)
+			}
+			if err := expectEntries(w, 1, "after a one-shot call"); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // TestPlanCacheCancelledActivation: a WaitCtx-cancelled collective's
 // plan leaves the cache; once the late member has made its matching
 // call, a clean call of the same shape builds afresh and completes on
@@ -397,13 +456,15 @@ func TestPlanCacheFreedCommHoldsNothing(t *testing.T) {
 // TestPlanCachePinsNoUserMemory: a plan back in the cache has dropped
 // the call's buffers — its bound sections, its accumulator (here the
 // receive section itself) and the schedule's published result — so the
-// collector takes a buffer whose last call is done. Eager operands
-// only: above the eager limit a window lent to the partner stays
-// reachable below the binding for a while, with or without the cache.
+// collector takes a buffer whose last call is done. At 16 384 doubles
+// (128 KiB) the halving schedule lends windows of the send buffer by
+// reference, and the partner's engine queues each as an unexpected
+// message until its receive comes: a queue that kept a taken message in
+// its backing array kept the sender's buffer with it.
 func TestPlanCachePinsNoUserMemory(t *testing.T) {
 	err := Run(2, func(env *Env) error {
 		w := env.CommWorld()
-		for _, n := range []int{4, 1 << 10} {
+		for _, n := range []int{4, 1 << 10, 1 << 14} {
 			freed := make(chan string, 2)
 			func() {
 				send, recv := make([]float64, n), make([]float64, n)

@@ -81,9 +81,12 @@ func busy(d time.Duration) {
 // TestIdleRankStillProgresses: progress does not wait for a caller. A
 // rank that posted a receive and then computes without calling MPI
 // still grants its sender's rendezvous, so the sender's Send returns
-// long before the receiver calls back in; and a rank that never calls
-// MPI still drains its mailbox, so more eager sends than the mailbox
-// holds all complete before it does.
+// long before the receiver calls back in; a rank that never calls MPI
+// still drains its mailbox, so more eager sends than the mailbox holds
+// all complete before it does; a started collective nobody waits for
+// still runs its rounds, so its partners' calls complete while its
+// owner computes; and two ranks flooding each other while each has a
+// started collective resuming all complete.
 func TestIdleRankStillProgresses(t *testing.T) {
 	const compute = 300 * time.Millisecond
 	t.Run("rendezvous/tcp", func(t *testing.T) {
@@ -165,6 +168,90 @@ func TestIdleRankStillProgresses(t *testing.T) {
 			}
 			if sent.Load() == 0 || sent.Load() > back.Load() {
 				t.Fatalf("%d eager sends to a rank that never called MPI did not complete before it did", n)
+			}
+		})
+	}
+	t.Run("unattended Iallreduce/np4", func(t *testing.T) {
+		const rounds = 2
+		var done [rounds][3]atomic.Int64
+		var back [rounds]atomic.Int64
+		err := mpi.Run(4, func(env *mpi.Env) error {
+			w := env.CommWorld()
+			rank := w.Rank()
+			for r := 0; r < rounds; r++ {
+				out := []float64{0}
+				req, err := w.Iallreduce([]float64{float64(rank + r)}, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM)
+				if err != nil {
+					return err
+				}
+				if rank == 3 {
+					busy(compute)
+					back[r].Store(time.Now().UnixNano())
+				}
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+				if rank < 3 {
+					done[r][rank].Store(time.Now().UnixNano())
+				}
+				if want := float64(6 + 4*r); out[0] != want {
+					return fmt.Errorf("rank %d round %d: sum %v, want %v", rank, r, out[0], want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := range done {
+			for rank := range done[r] {
+				if at := done[r][rank].Load(); at == 0 || at > back[r].Load() {
+					t.Errorf("round %d: rank %d's Iallreduce completed %v after rank 3 called back in", r, rank, time.Duration(at-back[r].Load()))
+				}
+			}
+		}
+	})
+	for _, device := range []string{"chan", "tcp"} {
+		t.Run("flood with collectives resuming/"+device, func(t *testing.T) {
+			const count = 1 << 15 // 256 KiB: lent windows, whose rendezvous needs the peer's progress
+			n := transport.DefaultInboxDepth + 64
+			err := mpi.RunWith(mpi.RunOptions{NP: 2, Device: device}, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				rank, peer := w.Rank(), 1-w.Rank()
+				in, out := make([]float64, count), make([]float64, count)
+				for i := range in {
+					in[i] = float64(rank + 1)
+				}
+				req, err := w.Iallreduce(in, 0, out, 0, count, mpi.DOUBLE, mpi.SUM)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < n; i++ {
+					if err := w.Send([]int32{int32(i)}, 0, 1, mpi.INT, peer, 4); err != nil {
+						return err
+					}
+				}
+				got := []int32{-1}
+				for i := 0; i < n; i++ {
+					if _, err := w.Recv(got, 0, 1, mpi.INT, peer, 4); err != nil {
+						return err
+					}
+					if got[0] != int32(i) {
+						return fmt.Errorf("rank %d: message %d arrived as %d", rank, i, got[0])
+					}
+				}
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+				for i, v := range out {
+					if v != 3 {
+						return fmt.Errorf("rank %d: sum[%d] = %v, want 3", rank, i, v)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

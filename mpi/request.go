@@ -3,6 +3,7 @@ package mpi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 
 	"gompi/internal/coll"
@@ -422,9 +423,9 @@ func TestSome(reqs []*Request) ([]*Status, error) {
 // MPI_Recv_init and — MPI-4 — the persistent collectives,
 // MPI_Bcast_init and friends): a frozen, validated argument list that
 // Start activates repeatedly. Point-to-point persistents freeze a send
-// or receive envelope; collective persistents hold a cached re-runnable
-// schedule with pre-minted tags in the runtime, so an activation pays
-// no validation, planning or tag-allocation cost.
+// or receive envelope; collective persistents hold a plan taken out of
+// the communicator's cache, with tags of its own, so an activation
+// pays no validation, planning or tag-allocation cost.
 //
 // Like mpiJava's Prequest, it is a Request: the embedded *Request is
 // the current activation (nil before the first Start, which Wait, Test
@@ -448,11 +449,12 @@ type PersistentRequest struct {
 	rank   int // dest or source
 	tag    int
 
-	// Collective arm: the frozen schedule, and the plan bound to the
-	// user buffers, whose hooks re-pack them at every Start and deposit
-	// at every completion.
-	pcol *coll.Persistent
-	cp   *collPlan
+	// Collective arm: the plan bound to the user buffers, whose hooks
+	// re-pack them at every Start and deposit at every completion, and
+	// the last activation's schedule, which a Free of its handle does
+	// not drop.
+	cp *collPlan
+	cr *coll.Request
 }
 
 // Start activates the persistent request (MPI_Start). The previous
@@ -469,7 +471,7 @@ func (p *PersistentRequest) Start() error {
 	if _, done, _ := p.Request.Test(); !done {
 		return errf(ErrRequest, "Start on a still-active persistent request")
 	}
-	if p.pcol != nil {
+	if p.cp != nil {
 		return p.startColl()
 	}
 	var req *Request
@@ -489,34 +491,32 @@ func (p *PersistentRequest) Start() error {
 	return nil
 }
 
-// startColl activates the collective arm: re-pack the user buffers into
-// the schedule's bound inputs, then start the frozen schedule, whose
-// first steps run on the caller.
+// startColl activates the collective arm: the plan is re-armed and
+// started as IX starts a cached one. The last activation must have
+// completed, even when its handle was freed; one whose schedule failed
+// (cancelled, a peer lost) poisons the request for good, since its
+// partners' activations can no longer line up with it.
 func (p *PersistentRequest) startColl() error {
-	if err := p.cp.refresh(); err != nil {
-		return p.comm.raise(err)
-	}
-	cr, err := p.pcol.Start()
-	if err != nil {
-		if errors.Is(err, coll.ErrActive) {
+	if p.cr != nil {
+		if _, done, err := p.cr.Test(); !done {
 			return errf(ErrRequest, "Start on a still-active persistent request")
+		} else if err != nil {
+			return p.comm.raise(mapEngineErr(fmt.Errorf("persistent collective poisoned by a failed activation: %w", err)))
 		}
-		return p.comm.raise(mapEngineErr(err))
 	}
-	p.Request = &Request{comm: p.comm, cr: cr, cp: p.cp}
+	p.cp.plan.Rearm()
+	r, err := p.comm.startColl(p.cp, nil)
+	if err != nil {
+		return err
+	}
+	p.Request, p.cr = r, r.cr
 	return nil
 }
 
-// Free releases the persistent request (MPI_Request_free). A collective
-// persistent's cached schedule is retired; the current activation, if
-// any, completes in the background.
+// Free releases the persistent request (MPI_Request_free); the current
+// activation, if any, completes in the background.
 func (p *PersistentRequest) Free() error {
-	if p.pcol != nil {
-		p.pcol.Free()
-	}
-	p.Request = nil
-	p.pcol, p.cp = nil, nil
-	p.comm = nil
+	p.Request, p.cp, p.cr, p.comm = nil, nil, nil, nil
 	return nil
 }
 
