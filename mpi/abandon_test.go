@@ -203,3 +203,105 @@ func TestAllreduceAbandonedByPeerDeath(t *testing.T) {
 		})
 	}
 }
+
+// TestWinLeavesNothingBehind holds a window to the same rule: a window
+// is state on its private communicator, never a goroutine, so a job
+// that returns with one still open, or whose peer dies mid-epoch,
+// leaves nothing behind. In the second row the victim's endpoint closes
+// with this epoch's requests queued everywhere, and the survivors fence
+// only once it is gone, so that on a medium that reports no loss (in
+// process there is no connection to break) their own sends to it are
+// what tell them. The frame pool is not audited: the blocks an exchange
+// delivers are the epoch's results and, like a barrier's, are left to
+// the garbage collector.
+func TestWinLeavesNothingBehind(t *testing.T) {
+	for _, device := range []string{"chan", "tcp"} {
+		t.Run(device+"/unfreed", func(t *testing.T) {
+			err := abandonJob(t, mpi.RunOptions{NP: 2, Device: device}, func(env *mpi.Env, _ func() error) error {
+				w := env.CommWorld()
+				base := make([]float64, 2)
+				win, err := w.CreateWin(base, mpi.DOUBLE)
+				if err != nil {
+					return err
+				}
+				if err := win.Put([]float64{float64(w.Rank() + 1)}, 0, 1, mpi.DOUBLE, 1-w.Rank(), w.Rank()); err != nil {
+					return err
+				}
+				if err := win.Fence(); err != nil {
+					return err
+				}
+				if want := float64(2 - w.Rank()); base[1-w.Rank()] != want {
+					return fmt.Errorf("rank %d: window %v, want %v in slot %d", w.Rank(), base, want, 1-w.Rank())
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Run(device+"/peer-death", func(t *testing.T) {
+			const np, victim = 4, 3
+			devs := make(chan transport.Device, 1)
+			wrap := func(rank int, dev transport.Device) transport.Device {
+				if rank == victim {
+					devs <- dev
+				}
+				return dev
+			}
+			dead := make(chan struct{})
+			err := abandonJob(t, mpi.RunOptions{NP: np, Device: device, WrapDevice: wrap}, func(env *mpi.Env, _ func() error) error {
+				w := env.CommWorld()
+				rank := w.Rank()
+				base := make([]float64, np)
+				win, err := w.CreateWin(base, mpi.DOUBLE)
+				if err != nil {
+					return err
+				}
+				got := make([]float64, np)
+				epoch := func(val float64) error {
+					for target := 0; target < np; target++ {
+						if err := win.Put([]float64{val}, 0, 1, mpi.DOUBLE, target, rank); err != nil {
+							return err
+						}
+					}
+					return win.Get(got, 0, np, mpi.DOUBLE, (rank+1)%np, 0)
+				}
+				if err := epoch(float64(rank)); err != nil {
+					return err
+				}
+				if err := win.Fence(); err != nil {
+					return fmt.Errorf("rank %d: healthy epoch: %w", rank, err)
+				}
+				// A survivor's failed Fence revokes the window's
+				// communicator, which would also fail a member still
+				// finishing the healthy epoch.
+				if err := w.Barrier(); err != nil {
+					return err
+				}
+				if err := epoch(-1); err != nil {
+					return err
+				}
+				if rank == victim {
+					(<-devs).Close()
+					close(dead)
+				} else {
+					<-dead
+				}
+				start := time.Now()
+				if err := win.Fence(); err == nil {
+					return fmt.Errorf("rank %d: an epoch across a dead peer completed", rank)
+				}
+				if took := time.Since(start); took > 20*time.Second {
+					return fmt.Errorf("rank %d: the failed fence took %v to return", rank, took)
+				}
+				if rank == victim {
+					return errVictimDown
+				}
+				return nil
+			})
+			if err == nil || !strings.Contains(err.Error(), errVictimDown.Error()) || strings.Count(err.Error(), "rank ") != 1 {
+				t.Fatalf("job error = %v, want only the victim's sentinel", err)
+			}
+		})
+	}
+}

@@ -1,92 +1,53 @@
 package mpi
 
 import (
+	"cmp"
 	"encoding/binary"
+	"slices"
 	"sync"
-	"sync/atomic"
 
-	"gompi/internal/core"
 	"gompi/internal/dtype"
 )
 
 // One-sided communication (MPI-2 §6) — the "access to memory in remote
 // processes" the paper's introduction highlights and §5.3 plans to add.
 // A Win exposes a slice of basic elements for remote Put, Get and
-// Accumulate; Fence provides active-target synchronization. Each window
-// runs a small target service per rank on a private context, so one-sided
-// traffic can never cross-match two-sided communication.
+// Accumulate; Fence provides active-target synchronization. Fence is the
+// only synchronization, so every operation of an epoch may complete at
+// the Fence that closes it (MPI-2 §6.4): an origin call queues a request
+// for its target, and Fence runs the epoch as one collective plan on the
+// window's private duplicate — requests to their targets, each target
+// applying what it received, Get replies back to their origins. One-sided
+// traffic therefore never cross-matches two-sided communication, and a
+// window holds no goroutine.
 
 // Win is a window of locally-exposed memory (MPI_Win).
 type Win struct {
-	comm *Intracomm // private duplicate owning the service contexts
+	comm *Intracomm // private duplicate the epochs run on
 	base any        // the exposed slice
 	dt   *Datatype  // basic element type of the window
 	size int        // window length, in elements
 
-	winMu   sync.Mutex // serializes applies to the window
-	pending sync.WaitGroup
-	nextID  atomic.Uint32
-	svcDone chan struct{}
-	freed   bool
-
-	errMu    sync.Mutex
-	firstErr error // first error from asynchronous completions
+	mu   sync.Mutex  // origin calls may race; guards reqs and gets
+	reqs [][]byte    // per target: this epoch's requests, in issue order
+	gets [][]section // per target: this epoch's Get destinations, in issue order
 }
 
-// setErr records the first asynchronous failure; Fence surfaces it.
-func (w *Win) setErr(err error) {
-	if err == nil {
-		return
-	}
-	w.errMu.Lock()
-	if w.firstErr == nil {
-		w.firstErr = err
-	}
-	w.errMu.Unlock()
-}
-
-func (w *Win) takeErr() error {
-	w.errMu.Lock()
-	defer w.errMu.Unlock()
-	err := w.firstErr
-	w.firstErr = nil
-	return err
-}
-
-// RMA operation kinds on the wire.
+// RMA operation kinds on the wire. A Put travels as an Accumulate with
+// REPLACE, which MPI defines to have the same effect.
 const (
-	rmaPut byte = iota
-	rmaGet
+	rmaGet byte = iota
 	rmaAcc
-	rmaStop
-)
-
-// Tags on the window's private point-to-point context.
-const (
-	tagRMAReq     = 1
-	tagRMAAckBase = 16 // reply tag = base + origin-chosen op id
 )
 
 // REPLACE is the MPI_REPLACE accumulate operation: the incoming value
 // overwrites the target element.
 var REPLACE = &Op{op: nil}
 
-// accCodes maps the predefined operations usable with Accumulate to wire
-// codes. User-defined operations cannot travel to the target process.
-var accCodes = map[*Op]byte{
-	SUM: 1, PROD: 2, MAX: 3, MIN: 4,
-	LAND: 5, LOR: 6, LXOR: 7, BAND: 8, BOR: 9, BXOR: 10,
-	REPLACE: 11,
-}
-
-func accOpOf(code byte) (*Op, bool) {
-	for op, c := range accCodes {
-		if c == code {
-			return op, true
-		}
-	}
-	return nil, false
-}
+// accOps lists the operations Accumulate can carry, indexed by their
+// wire code (REPLACE, a Put, is 0). User-defined operations cannot
+// travel to the target process.
+var accOps = []*Op{REPLACE, SUM, PROD, MAX, MIN, LAND, LOR, LXOR, BAND, BOR, BXOR}
 
 // CreateWin exposes base (a slice of d's element type) for one-sided
 // access by all members of the communicator (MPI_Win_create). Collective.
@@ -109,90 +70,196 @@ func (c *Intracomm) CreateWin(base any, d *Datatype) (*Win, error) {
 		return nil, err
 	}
 	priv.SetName(c.Name() + ".win")
-	w := &Win{comm: priv, base: base, dt: d, size: n, svcDone: make(chan struct{})}
-	go w.serve()
-	// All members must have their service running before any origin
-	// issues an operation.
-	if err := priv.Barrier(); err != nil {
-		return nil, c.raise(err)
+	return &Win{comm: priv, base: base, dt: d, size: n,
+		reqs: make([][]byte, c.Size()), gets: make([][]section, c.Size())}, nil
+}
+
+// rmaReq is one queued operation. Its wire form is kind(1) op(1)
+// disp(4) count(4), then the payload as a block; disp and count are in
+// window elements.
+type rmaReq struct {
+	kind, op    byte
+	disp, count int
+	payload     []byte
+}
+
+const rmaHdr = 14 // a request without payload bytes
+
+func appendRMA(b []byte, r rmaReq) []byte {
+	b = binary.LittleEndian.AppendUint32(append(b, r.kind, r.op), uint32(int32(r.disp)))
+	return appendBlock(binary.LittleEndian.AppendUint32(b, uint32(int32(r.count))), r.payload)
+}
+
+// nextRMA decodes the request at the head of b and returns the rest;
+// ok is false if b does not start with a whole request of a known kind.
+func nextRMA(b []byte) (r rmaReq, rest []byte, ok bool) {
+	if len(b) < rmaHdr || b[0] > rmaAcc {
+		return r, nil, false
 	}
-	return w, nil
+	u32 := func(at int) int { return int(int32(binary.LittleEndian.Uint32(b[at:]))) }
+	payload, rest, ok := cutBlock(b[10:])
+	return rmaReq{b[0], b[1], u32(2), u32(6), payload}, rest, ok
 }
 
-// request wire layout: kind(1) id(4) disp(4) count(4) accOp(1) payload.
-func buildRMAReq(kind byte, id uint32, disp, count int, accOp byte, payload []byte) []byte {
-	f := make([]byte, 14+len(payload))
-	f[0] = kind
-	binary.LittleEndian.PutUint32(f[1:], id)
-	binary.LittleEndian.PutUint32(f[5:], uint32(int32(disp)))
-	binary.LittleEndian.PutUint32(f[9:], uint32(int32(count)))
-	f[13] = accOp
-	copy(f[14:], payload)
-	return f
+// appendBlock appends data to b behind its 4-byte length.
+func appendBlock(b, data []byte) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(data))), data...)
 }
 
-// serve is the per-rank target service: it applies incoming one-sided
-// operations to the local window and acknowledges them.
-func (w *Win) serve() {
-	defer close(w.svcDone)
-	p := w.comm.env.proc
-	ctx := w.comm.ptpCtx
-	for {
-		req := p.Irecv(ctx, core.AnySource, tagRMAReq)
-		st := req.Wait()
-		if st.Cancelled {
-			req.Recycle()
-			return
+// cutBlock splits the block appendBlock wrote off the head of b; ok is
+// false if b does not start with a whole one.
+func cutBlock(b []byte) (data, rest []byte, ok bool) {
+	if len(b) < 4 || uint64(binary.LittleEndian.Uint32(b)) > uint64(len(b)-4) {
+		return nil, nil, false
+	}
+	n := 4 + int(binary.LittleEndian.Uint32(b))
+	return b[4:n], b[n:], true
+}
+
+// queue checks an origin call and adds its request to this epoch's
+// queue for target. A Put or Accumulate packs the origin section now, so
+// its buffer may be reused at once; a Get's section is kept for the
+// reply to land in at the Fence.
+func (w *Win) queue(kind, op byte, s section, target, disp int) (err error) {
+	r := rmaReq{kind: kind, op: op, disp: disp, count: s.count * s.d.Size()}
+	if kind == rmaGet {
+		_, err = dtype.CheckBuf(s.buf, s.d.t)
+		err = mapDataErr(err)
+	} else {
+		r.payload, err = s.pack(nil)
+	}
+	if err = cmp.Or(err, w.comm.ok()); err != nil { // a freed window's communicator is freed
+		return err
+	}
+	if target < 0 || target >= w.comm.Size() {
+		return errf(ErrRank, "target rank %d out of range [0,%d)", target, w.comm.Size())
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.reqs[target] = appendRMA(w.reqs[target], r)
+	if kind == rmaGet {
+		w.gets[target] = append(w.gets[target], s)
+	}
+	return nil
+}
+
+// Put transfers count items from the origin buffer section into the
+// target rank's window at element displacement targetDisp (MPI_Put).
+// Completion is deferred to the next Fence.
+func (w *Win) Put(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
+	return w.comm.raise(w.queue(rmaAcc, 0, section{origin, offset, count, d}, target, targetDisp))
+}
+
+// Get transfers count items from the target rank's window at element
+// displacement targetDisp into the origin buffer section (MPI_Get).
+// The origin buffer is valid after the next Fence.
+func (w *Win) Get(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
+	return w.comm.raise(w.queue(rmaGet, 0, section{origin, offset, count, d}, target, targetDisp))
+}
+
+// Accumulate folds count items from the origin buffer into the target
+// window with op — one of the predefined operations or REPLACE
+// (MPI_Accumulate).
+func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, targetDisp int, op *Op) error {
+	code := slices.Index(accOps, op)
+	if code < 0 {
+		return w.comm.raise(errf(ErrOp, "Accumulate requires a predefined operation or REPLACE"))
+	}
+	if op != REPLACE {
+		if err := checkOp(op, d); err != nil {
+			return w.comm.raise(err)
 		}
-		f := req.Payload
-		if len(f) < 14 {
-			req.Recycle()
-			continue
-		}
-		kind := f[0]
-		id := binary.LittleEndian.Uint32(f[1:])
-		disp := int(int32(binary.LittleEndian.Uint32(f[5:])))
-		count := int(int32(binary.LittleEndian.Uint32(f[9:])))
-		accOp := f[13]
-		payload := f[14:]
-		var reply []byte
-		var opErr error
-		if kind == rmaStop {
-			w.ack(st.SourceGroup, id, nil)
-			req.Recycle()
-			return
-		}
-		// Target-side validation: MPI delegates range and datatype
-		// checking of one-sided operations to the target, where the
-		// window's true shape is known. Invalid operations are dropped
-		// (the ack still flows so fences cannot hang) and surface on
-		// the target's next Fence.
-		opErr = w.checkTarget(kind, disp, count, len(payload))
-		if opErr == nil {
-			sec := section{w.base, disp, count, w.dt}
-			switch kind {
-			case rmaPut:
-				w.winMu.Lock()
-				_, opErr = sec.unpack(payload)
-				w.winMu.Unlock()
-			case rmaGet:
-				w.winMu.Lock()
-				reply, opErr = sec.pack(nil)
-				w.winMu.Unlock()
-			case rmaAcc:
-				opErr = w.applyAcc(accOp, payload, sec)
+	}
+	return w.comm.raise(w.queue(rmaAcc, byte(code), section{origin, offset, count, d}, target, targetDisp))
+}
+
+// Fence completes all outstanding one-sided operations and synchronizes
+// the group (MPI_Win_fence): after it returns, local Get buffers are
+// filled and remote Put/Accumulate effects are visible everywhere.
+// Operations that fail at their target are reported by the target's
+// Fence; the origin's stays clean. A Fence that fails to exchange
+// revokes the window's private communicator: the epoch is lost on every
+// member, and the revocation is how members still waiting on a dead
+// peer learn of it, since no one else can reach that communicator.
+func (w *Win) Fence() error {
+	if err := w.comm.ok(); err != nil {
+		return w.comm.raise(err)
+	}
+	n := w.comm.Size()
+	w.mu.Lock()
+	reqs, gets := w.reqs, w.gets
+	w.reqs, w.gets = make([][]byte, n), make([][]section, n)
+	w.mu.Unlock()
+	var got, back [][]byte
+	replies := make([][]byte, n)
+	var targetErr error
+	p := w.comm.cl.NewPlan()
+	err := p.Alltoall(reqs, &got)
+	p.Step(func() error { targetErr = w.apply(got, replies); return nil })
+	if err = cmp.Or(err, p.Alltoall(replies, &back)); err == nil {
+		_, err = p.Run()
+	}
+	if err != nil {
+		_ = w.comm.Revoke() // fails only on a freed communicator, ruled out above
+		return w.comm.raise(mapSchedErr(err))
+	}
+	return w.comm.raise(cmp.Or(targetErr, w.deposit(back, gets)))
+}
+
+// apply is the target's half of an epoch: it applies the requests got
+// from every origin, in rank order and then issue order, and appends a
+// length-prefixed reply for each Get to that origin's replies. A failed
+// operation is dropped — a failed Get replies with nothing — and the
+// first failure is returned; the exchange goes on regardless, so that
+// the members stay in step.
+func (w *Win) apply(got, replies [][]byte) error {
+	var first error
+	for origin, b := range got {
+		for len(b) > 0 {
+			r, rest, ok := nextRMA(b)
+			if !ok {
+				first = cmp.Or[error](first, errf(ErrIntern, "malformed one-sided request from rank %d", origin))
+				break
 			}
+			b = rest
+			// Target-side validation: MPI delegates range and datatype
+			// checking of one-sided operations to the target, where the
+			// window's true shape is known.
+			err := w.checkTarget(r.kind, r.disp, r.count, len(r.payload))
+			sec := section{w.base, r.disp, r.count, w.dt}
+			switch {
+			case r.kind == rmaGet:
+				data, perr := sec.pack(nil)
+				if err = cmp.Or(err, perr); err != nil {
+					data = nil
+				}
+				replies[origin] = appendBlock(replies[origin], data)
+			case err == nil:
+				err = w.applyAcc(r.op, r.payload, sec)
+			}
+			first = cmp.Or(first, err)
 		}
-		if opErr != nil {
-			// Surface target-side failures on the target rank; the
-			// origin still gets its ack so fences cannot hang.
-			w.setErr(opErr)
-		}
-		// Every arm has copied what it needs out of the payload; the
-		// frame (and request) can recirculate.
-		w.ack(st.SourceGroup, id, reply)
-		req.Recycle()
 	}
+	return first
+}
+
+// deposit is the origin's half: it unpacks each target's replies into
+// this epoch's Get sections for it, in issue order.
+func (w *Win) deposit(back [][]byte, gets [][]section) error {
+	for target, secs := range gets {
+		b := back[target]
+		for _, s := range secs {
+			data, rest, ok := cutBlock(b)
+			if !ok {
+				return errf(ErrIntern, "malformed one-sided reply from rank %d", target)
+			}
+			if _, err := s.unpack(data); err != nil {
+				return err
+			}
+			b = rest
+		}
+	}
+	return nil
 }
 
 // checkTarget validates an incoming operation's window section and,
@@ -217,15 +284,13 @@ func (w *Win) checkTarget(kind byte, disp, count, payloadLen int) error {
 }
 
 func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
-	w.winMu.Lock()
-	defer w.winMu.Unlock()
-	if code == accCodes[REPLACE] {
+	if int(code) >= len(accOps) {
+		return errf(ErrOp, "unknown accumulate op code %d", code)
+	}
+	op := accOps[code]
+	if op == REPLACE {
 		_, err := sec.unpack(payload)
 		return err
-	}
-	op, ok := accOpOf(code)
-	if !ok {
-		return errf(ErrOp, "unknown accumulate op code %d", code)
 	}
 	k, err := op.op.Kernel(w.dt.t.Class())
 	if err != nil {
@@ -249,129 +314,11 @@ func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 	return a.fin(res, &sec)
 }
 
-func (w *Win) ack(targetGroupRank int, id uint32, payload []byte) {
-	p := w.comm.env.proc
-	req, err := p.Isend(w.comm.ptpCtx, w.comm.rank, w.comm.group[targetGroupRank],
-		tagRMAAckBase+int(id), payload, core.ModeStandard, false)
-	if err == nil {
-		req.Wait()
-		req.Recycle()
-	}
-}
-
-// issue sends one RMA request and registers its asynchronous completion.
-// complete runs with the ack payload when the target acknowledges.
-func (w *Win) issue(kind byte, target, disp, count int, accOp byte, payload []byte, complete func([]byte) error) error {
-	if w.freed {
-		return errf(ErrComm, "window has been freed")
-	}
-	if target < 0 || target >= w.comm.Size() {
-		return errf(ErrRank, "target rank %d out of range [0,%d)", target, w.comm.Size())
-	}
-	id := w.nextID.Add(1) & 0xffff
-	p := w.comm.env.proc
-	req, err := p.Isend(w.comm.ptpCtx, w.comm.rank, w.comm.group[target],
-		tagRMAReq, buildRMAReq(kind, id, disp, count, accOp, payload), core.ModeStandard, false)
-	if err != nil {
-		return errf(ErrIntern, "%v", err)
-	}
-	ackReq := p.Irecv(w.comm.ptpCtx, int32(target), int32(tagRMAAckBase+int(id)))
-	w.pending.Add(1)
-	go func() {
-		defer w.pending.Done()
-		req.Wait()
-		ackReq.Wait()
-		if complete != nil {
-			if err := complete(ackReq.Payload); err != nil {
-				w.setErr(err)
-			}
-		}
-		ackReq.Recycle()
-		req.Recycle()
-	}()
-	return nil
-}
-
-// Put transfers count items from the origin buffer section into the
-// target rank's window at element displacement targetDisp (MPI_Put).
-// Completion is deferred to the next Fence.
-func (w *Win) Put(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	payload, err := section{origin, offset, count, d}.pack(nil)
-	if err != nil {
-		return w.comm.raise(err)
-	}
-	elems := count * d.Size()
-	return w.comm.raise(w.issue(rmaPut, target, targetDisp, elems, 0, payload, nil))
-}
-
-// Get transfers count items from the target rank's window at element
-// displacement targetDisp into the origin buffer section (MPI_Get).
-// The origin buffer is valid after the next Fence.
-func (w *Win) Get(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	if _, err := dtype.CheckBuf(origin, d.t); err != nil {
-		return w.comm.raise(mapDataErr(err))
-	}
-	elems := count * d.Size()
-	return w.comm.raise(w.issue(rmaGet, target, targetDisp, elems, 0, nil, func(reply []byte) error {
-		_, err := section{origin, offset, count, d}.unpack(reply)
-		return err
-	}))
-}
-
-// Accumulate folds count items from the origin buffer into the target
-// window with op — one of the predefined operations or REPLACE
-// (MPI_Accumulate).
-func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, targetDisp int, op *Op) error {
-	code, ok := accCodes[op]
-	if !ok {
-		return w.comm.raise(errf(ErrOp, "Accumulate requires a predefined operation or REPLACE"))
-	}
-	if op != REPLACE {
-		if err := checkOp(op, d); err != nil {
-			return w.comm.raise(err)
-		}
-	}
-	payload, err := section{origin, offset, count, d}.pack(nil)
-	if err != nil {
-		return w.comm.raise(err)
-	}
-	elems := count * d.Size()
-	return w.comm.raise(w.issue(rmaAcc, target, targetDisp, elems, code, payload, nil))
-}
-
-// Fence completes all outstanding one-sided operations this rank issued
-// and synchronizes the group (MPI_Win_fence): after it returns, local
-// Get buffers are filled and remote Put/Accumulate effects are visible
-// everywhere.
-func (w *Win) Fence() error {
-	w.pending.Wait()
-	if err := w.comm.Barrier(); err != nil {
-		return err
-	}
-	if err := w.takeErr(); err != nil {
-		return w.comm.raise(err)
-	}
-	return nil
-}
-
-// Free tears the window down (MPI_Win_free). Collective; all outstanding
-// operations must be fenced first.
+// Free tears the window down (MPI_Win_free): a Fence, which completes
+// any outstanding operations, then the private communicator is freed.
+// Collective.
 func (w *Win) Free() error {
-	if w.freed {
-		return errf(ErrComm, "window already freed")
-	}
 	if err := w.Fence(); err != nil {
-		return err
-	}
-	// Stop the local service with a self-addressed request, then mark
-	// the window dead.
-	if err := w.issue(rmaStop, w.comm.Rank(), 0, 0, 0, nil, nil); err != nil {
-		return err
-	}
-	w.pending.Wait()
-	<-w.svcDone
-	w.freed = true
-	if err := w.comm.Barrier(); err != nil {
 		return err
 	}
 	return w.comm.Free()
