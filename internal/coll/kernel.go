@@ -35,6 +35,17 @@ type integer interface {
 // pair compiles to its own monomorphic loop — no per-element call, no
 // interface. MIN and MAX keep b unless a compares strictly better,
 // which fixes their result on NaN and ±0 for a given operand order.
+//
+// On amd64, where a loop is one SSE2 packed instruction per lane (SUM,
+// PROD, MAX, MIN on the float classes; SUM, BAND, BOR, BXOR on the
+// integer ones), vector gives it a block form that fixed runs over the
+// whole 64-byte blocks of aligned views; the typed loop folds the tail
+// and everything else. Each lane is the same operation on the same
+// operand order, so both forms give the same bits. The staged path
+// calls only the typed loop: fixed is inlined where its loop is a
+// static function, which keeps its staging arrays on the stack, and
+// reaching the block form through a func value there would move them
+// to the heap.
 
 func sum[T dtype.Fixed](a, b, dst []T) {
 	a, b = a[:len(dst)], b[:len(dst)]
@@ -142,38 +153,40 @@ func bxor[T integer](a, b, dst []T) {
 
 // arith instantiates one of the arithmetic family's loops on T.
 func arith[T dtype.Fixed](k kind) Kernel {
+	v := vector[T](k)
 	switch k {
 	case kSum:
-		return fixed(sum[T])
+		return fixed(sum[T], v)
 	case kProd:
-		return fixed(prod[T])
+		return fixed(prod[T], v)
 	case kMax:
-		return fixed(maxOf[T])
+		return fixed(maxOf[T], v)
 	case kMin:
-		return fixed(minOf[T])
+		return fixed(minOf[T], v)
 	case kMaxLoc:
-		return fixed(maxLoc[T])
+		return fixed(maxLoc[T], v)
 	case kMinLoc:
-		return fixed(minLoc[T])
+		return fixed(minLoc[T], v)
 	}
 	panic(fmt.Sprintf("coll: kind %d is not arithmetic", k))
 }
 
 // bits instantiates one of the logical or bitwise loops on T.
 func bits[T integer](k kind) Kernel {
+	v := vector[T](k)
 	switch k {
 	case kLand:
-		return fixed(land[T])
+		return fixed(land[T], v)
 	case kLor:
-		return fixed(lor[T])
+		return fixed(lor[T], v)
 	case kLxor:
-		return fixed(lxor[T])
+		return fixed(lxor[T], v)
 	case kBand:
-		return fixed(band[T])
+		return fixed(band[T], v)
 	case kBor:
-		return fixed(bor[T])
+		return fixed(bor[T], v)
 	case kBxor:
-		return fixed(bxor[T])
+		return fixed(bxor[T], v)
 	}
 	panic(fmt.Sprintf("coll: kind %d is not logical or bitwise", k))
 }
@@ -193,12 +206,24 @@ func checkOperands(lo, hi, dst []byte, es int) error {
 // arrays live on the stack.
 const stageElems = 64
 
+// A block loop folds n ≥ 1 blocks of blockBytes: dst = a OP b lane by
+// lane (kernel_amd64.s). It is not an async preemption point, so one
+// call covers at most maxBlocks of them.
+type block func(a, b, dst unsafe.Pointer, n int)
+
+const (
+	blockBytes = 64
+	maxBlocks  = 1024
+)
+
 // fixed lifts a typed loop to a Kernel over wire bytes. Operands that
 // are aligned for T on a little-endian host — the caller's own slices,
-// pooled frames — are folded in place through typed views. Anything
+// pooled frames — are folded in place through typed views: whole blocks
+// by v where the operation has a block loop, the rest by f. Anything
 // else (a payload behind a TCP frame header, a block inside a bundle,
-// a big-endian host) is staged chunk-wise through aligned stack arrays.
-func fixed[T dtype.Fixed](f func(a, b, dst []T)) Kernel {
+// a big-endian host) is staged chunk-wise through aligned stack arrays
+// and folded by f alone.
+func fixed[T dtype.Fixed](f func(a, b, dst []T), v block) Kernel {
 	var z T
 	es := int(unsafe.Sizeof(z))
 	return func(lo, hi, dst []byte) ([]byte, error) {
@@ -209,6 +234,14 @@ func fixed[T dtype.Fixed](f func(a, b, dst []T)) Kernel {
 		b, okB := dtype.WireView[T](hi)
 		d, okD := dtype.WireView[T](dst)
 		if okA && okB && okD {
+			for v != nil && len(d)*es >= blockBytes {
+				n := min(len(d)*es/blockBytes, maxBlocks)
+				pa, pb, pd := unsafe.Pointer(&a[0]), unsafe.Pointer(&b[0]), unsafe.Pointer(&d[0])
+				raceBlocks(pa, pb, pd, n*blockBytes)
+				v(pa, pb, pd, n)
+				done := n * blockBytes / es
+				a, b, d = a[done:], b[done:], d[done:]
+			}
 			f(a, b, d)
 			return dst, nil
 		}

@@ -82,9 +82,11 @@ func kernelVsOracle[T dtype.Fixed](cls dtype.Class, specials []T, full func(*ran
 			}
 			return v
 		}
-		lens := []int{0, 1, 7, 64 << 10}
+		// Every element size gets runs that are all tail, all 64-byte
+		// blocks, and blocks plus a tail.
+		lens := []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 33, 63, 65, 64<<10 + 5}
 		if op == MaxLoc || op == MinLoc {
-			lens = []int{0, 2, 14, 64 << 10} // whole (value, index) pairs
+			lens = []int{0, 2, 14, 16, 18, 34, 64<<10 + 6} // whole (value, index) pairs
 		}
 		for _, n := range lens {
 			a, b := gen(n), gen(n)
@@ -158,6 +160,80 @@ func TestKernelsMatchOracle(t *testing.T) {
 	for _, o := range oracle {
 		for _, c := range classes {
 			t.Run(fmt.Sprintf("%s/%s", o.op, c.cls), func(t *testing.T) { c.run(t, o.op, o.ref) })
+		}
+	}
+}
+
+// TestKernelsAllocateNothing: every predefined kernel folds without
+// allocating, on operands aligned for their class (typed views, block
+// loops) and on operands the staging path copies through stack arrays.
+func TestKernelsAllocateNothing(t *testing.T) {
+	kernels := 0
+	for _, o := range oracle {
+		for cls := dtype.U8; cls <= dtype.Obj; cls++ {
+			if !o.op.DefinedOn(cls) {
+				continue
+			}
+			k, err := o.op.Kernel(cls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernels++
+			for _, off := range []int{0, 1} {
+				lo := window(make([]byte, 16*cls.WireSize()), off)
+				hi := window(make([]byte, len(lo)), off)
+				if n := testing.AllocsPerRun(10, func() { _, err = k(lo, hi, hi) }); n != 0 || err != nil {
+					t.Errorf("%s on %s, offset %d: %v allocations per fold (err %v)", o.op, cls, off, n, err)
+				}
+			}
+		}
+	}
+	if kernels != 63 {
+		t.Fatalf("%d predefined kernels, want 63", kernels)
+	}
+}
+
+// BenchmarkKernels prices every (operation, class) pair with an amd64
+// block loop, plus MAXLOC on DOUBLE, which has none, at 16 Ki elements
+// into a third buffer — on aligned operands and on operands one byte
+// off, which every class but the byte one stages.
+func BenchmarkKernels(b *testing.B) {
+	type pair struct {
+		op  *Op
+		cls dtype.Class
+	}
+	var pairs []pair
+	for _, op := range []*Op{Sum, Prod, Max, Min} {
+		pairs = append(pairs, pair{op, dtype.F64}, pair{op, dtype.F32})
+	}
+	for _, cls := range []dtype.Class{dtype.I64, dtype.I32, dtype.I16, dtype.U8} {
+		for _, op := range []*Op{Sum, Band, Bor, Bxor} {
+			pairs = append(pairs, pair{op, cls})
+		}
+	}
+	pairs = append(pairs, pair{MaxLoc, dtype.F64})
+	const elems = 16 << 10
+	for _, p := range pairs {
+		k, err := p.op.Kernel(p.cls)
+		if err != nil {
+			b.Fatal(err)
+		}
+		size := elems * p.cls.WireSize()
+		for _, off := range []int{0, 1} {
+			name := fmt.Sprintf("%s/%s/aligned", p.op, p.cls)
+			if off != 0 {
+				name = fmt.Sprintf("%s/%s/unaligned", p.op, p.cls)
+			}
+			b.Run(name, func(b *testing.B) {
+				// Zero operands: nothing drifts into subnormals.
+				lo, hi, dst := window(make([]byte, size), off), window(make([]byte, size), off), window(make([]byte, size), off)
+				b.SetBytes(int64(size))
+				for i := 0; i < b.N; i++ {
+					if _, err := k(lo, hi, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

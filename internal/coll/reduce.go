@@ -282,25 +282,21 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 // limits, for a communicator with members out of this address space
 // (halves). Measured, not tuned: BenchmarkAllreduceSwitch, DOUBLE SUM on
 // the 2-vCPU box, this schedule's µs/op over recursive doubling's at an
-// eager limit of 64 KiB, medians of 3 to 8 alternating runs per cell
+// eager limit of 64 KiB, each side built with halves pinned to one
+// schedule, medians of 4 alternating rounds of 200 ops per cell
 // (loopback tcp is noisy there: single cells move ±10 %):
 //
 //	operand       64K+8  128K  256K  512K   1M
-//	chan     np4   0.86  0.80  0.65  0.61  0.47
-//	chan     np3   0.74  0.79  0.80  0.87  0.93
-//	tcp      np4   1.53  1.16  1.09  0.77  0.65
-//	tcp      np3   1.06  1.00  0.89  0.98  0.95
-//
-// (The tcp rows were re-measured, 5 alternating runs per cell, once a
-// connection's read loop started reading the allgather's deposits
-// straight into the receive buffer; before that they read 1.35 1.25
-// 1.03 0.92 0.74 and 1.22 1.08 0.75 0.94 0.92. The large side got
-// cheaper; the crossing at four members did not move.)
+//	chan     np4   0.63  0.55  0.59  0.60  0.47
+//	chan     np3   0.62  0.56  0.50  0.61  0.79
+//	tcp      np4   1.48  1.29  0.93  0.75  0.61
+//	tcp      np3   1.24  1.05  0.88  0.85  0.86
 //
 // By reference the extra rounds are paid for as soon as the operand is
 // a rendezvous message at all; over a socket every one of twice as many
 // messages is three more trips through the kernel, and at four members
-// the bytes saved only outweigh them from eight eager limits up.
+// the bytes saved only clearly outweigh them from eight eager limits up
+// (at four, the ratio is within a cell's noise of 1).
 const farHalvingFactor = 8
 
 // halves reports whether a commutative allreduce of wire bytes is large
