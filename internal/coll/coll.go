@@ -48,11 +48,22 @@ type Comm struct {
 
 	// plans caches the dense allreduces of Allreduce (reduce.go).
 	plans Cache[allreduceKey, *cachedAllreduce]
+
+	// isl is the island this member shares with the others (island.go),
+	// attached by the first plan that folds through it.
+	isl *island
 }
 
-// DropPlans empties the communicator's plan cache: a freed
-// communicator holds no schedules.
-func (c *Comm) DropPlans() { c.plans.Clear() }
+// DropPlans empties the communicator's plan cache and detaches it from
+// its island (the last member to go takes the island with it): a freed
+// communicator holds no schedules and no island.
+func (c *Comm) DropPlans() {
+	c.plans.Clear()
+	if c.isl != nil {
+		c.P.Job().Detach(islandKey{c.Ctx, c.World(0)})
+		c.isl = nil
+	}
+}
 
 // DenseAllreduces is how many Allreduce plans the cache holds.
 func (c *Comm) DenseAllreduces() int { return c.plans.Len() }
@@ -490,6 +501,5 @@ func (c *Comm) AgreeContextBase() (int32, error) {
 		return 0, err
 	}
 	base := res.([]int32)[0]
-	c.P.CommitContexts(base)
-	return base, nil
+	return base, c.P.CommitContexts(base)
 }

@@ -12,12 +12,14 @@ import (
 // communicator of a rank shares them — and the zero value is usable, so
 // Comm remains constructible by struct literal.
 type commObs struct {
-	once    sync.Once
-	started *obs.Counter // schedule activations armed
-	parked  *obs.Counter // times an activation had to wait for a message, whoever drives it
-	resumed *obs.Counter // times a parked activation became runnable again
-	reduced *obs.Counter // bytes folded by reduction kernels, one bump per kernel call
-	schedNs *obs.Timing  // activation wall time, arm to finish
+	once      sync.Once
+	started   *obs.Counter // schedule activations armed
+	parked    *obs.Counter // times an activation had to wait for a message, whoever drives it
+	resumed   *obs.Counter // times a parked activation became runnable again
+	reduced   *obs.Counter // bytes folded by reduction kernels, one bump per kernel call; an island fold charges each member its doubling share
+	folds     *obs.Counter // island folds this rank ran, as its instance's last arrival
+	abandoned *obs.Counter // times this rank left an island instance before its fold
+	schedNs   *obs.Timing  // activation wall time, arm to finish
 }
 
 // Warm forces the lazy registration of the collective layer's
@@ -34,6 +36,8 @@ func (c *Comm) vars() *commObs {
 		c.obs.parked = reg.Counter("coll.scheds_parked")
 		c.obs.resumed = reg.Counter("coll.scheds_resumed")
 		c.obs.reduced = reg.Counter("coll.bytes_reduced")
+		c.obs.folds = reg.Counter("coll.island_folds")
+		c.obs.abandoned = reg.Counter("coll.island_abandoned")
 		c.obs.schedNs = reg.Timing("coll.sched_ns")
 	})
 	return &c.obs

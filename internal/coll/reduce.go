@@ -163,8 +163,14 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 // two of members, p2, with the standard pre/post fold bringing the rest
 // in and out, by one of two schedules that associate every element
 // identically — partners at distance 1 first, then 2, 4, …, the lower
-// rank's operand on the left — so the result bits depend on neither:
+// rank's operand on the left — so the result bits depend on neither,
+// and by a third that folds in that same association:
 //
+//   - the island fold (island.go), when every member is a rank of one
+//     in-process job read undecorated and the operand is at most
+//     islandMax and the eager limit, for an operation of the library's
+//     own (pure): no message; the last member to arrive folds every
+//     contribution where it lies and writes every accumulator.
 //   - recursive doubling: log2(p2) exchanges of the whole vector, each
 //     folded whole. Latency-optimal; every byte is sent and folded
 //     log2(p2) times.
@@ -207,20 +213,30 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		p2 *= 2
 	}
 	remainder := c.Size - p2
-	halving := p2 > 1 && unit > 0 && units >= p2 && c.halves(units*unit)
+	wire := units * unit
+	var isl *island
+	if unit > 0 && units > 0 && pure && wire <= min(islandMax, c.P.EagerLimit()) {
+		isl = c.island()
+	}
+	halving := isl == nil && p2 > 1 && unit > 0 && units >= p2 && c.halves(wire)
 
 	// mine is where this member's running value stands until a fold has
-	// written the accumulator: the halving schedule reads a contribution
-	// left in place (f.src) where it lies — its first fold writes one half
-	// of the accumulator and the allgather the other, so no load pass is
-	// ever made — provided the kernel leaves its operands alone.
+	// written the accumulator: the island fold and the halving schedule
+	// read a contribution left in place (f.src) where it lies — the
+	// island's fold writes the accumulator whole, halving's first fold one
+	// half of it and the allgather the other, so no load pass is ever
+	// made — provided the kernel leaves its operands alone.
 	mine := f.acc
 	if f.src != nil {
-		if halving && pure {
+		if isl != nil || halving && pure {
 			mine = f.src
 		} else {
 			f.preload(s)
 		}
+	}
+	if isl != nil {
+		c.addIslandSteps(s, isl, f, mine, wire)
+		return
 	}
 
 	newRank := -1
@@ -301,20 +317,16 @@ const farHalvingFactor = 8
 
 // halves reports whether a commutative allreduce of wire bytes is large
 // enough for the halving + doubling schedule: anything above the
-// engine's eager limit when every member is reached by reference, eight
-// eager limits and up otherwise. Every member answers alike: a member
-// out of one's address space is out of everyone's.
+// engine's eager limit when every member is a rank of one in-process job
+// read undecorated (local: the island's predicate, which every member
+// answers alike, where a member's own view of who it reaches by
+// reference is not), eight eager limits and up otherwise.
 func (c *Comm) halves(wire int) bool {
 	eager := c.P.EagerLimit()
 	if wire <= eager || wire >= farHalvingFactor*eager {
 		return wire > eager // a negative limit (all-rendezvous) makes every operand large
 	}
-	for r := 0; r < c.Size; r++ {
-		if !c.P.ByReference(c.World(r)) {
-			return false
-		}
-	}
-	return true
+	return c.local()
 }
 
 // addHalvingSteps schedules member newRank's part of the halving +

@@ -96,14 +96,17 @@ func (r *Request) Test() (any, bool, error) {
 // stands: every member must eventually make the same collective call,
 // cancelled or not, or the members' schedules stop lining up.
 //
-// One caveat bounds the recovery guarantee: the abandoned member posts
-// no further receives for the instance, so a payload above the eager
-// limit still owed to it leaves the late sender's rendezvous — and with
-// it that rank's matching (blocking) call — stalled forever. (The other
-// direction resolves itself: a late member's receive that matches a
-// withdrawn send fails with core.ErrWithdrawn.) Ranks that mix
-// cancellation into a communicator should use WaitCtx on every member,
-// or keep cancellable collectives' payloads within the eager limit.
+// One caveat bounds the recovery guarantee on the message schedules:
+// the abandoned member posts no further receives for the instance, so a
+// payload above the eager limit still owed to it leaves the late
+// sender's rendezvous — and with it that rank's matching (blocking)
+// call — stalled forever. (The other direction resolves itself: a late
+// member's receive that matches a withdrawn send fails with
+// core.ErrWithdrawn.) Ranks that mix cancellation into a communicator
+// should use WaitCtx on every member, or keep cancellable collectives'
+// payloads within the eager limit. The island fold (island.go) strands
+// nobody: a cancelled member leaves a copy of its contribution, and the
+// call folds for the others when its last member arrives.
 func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 	fired := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
@@ -149,6 +152,12 @@ type fut struct {
 	// deposited in that window (read at post time), which it must fill
 	// exactly, and the consumer is handed nothing.
 	into *bufSpan
+	// leave, when set, is told when a teardown finds req posted and
+	// never to be consumed: req is a hold (an island member's wait, see
+	// island.go), which the island must stop settling, and whose
+	// member's buffers it must stop reading, before the schedule
+	// completes.
+	leave func(req *core.Request)
 }
 
 // bufSpan is a span of a buffer bound by pointer.
@@ -592,6 +601,9 @@ func (s *sched) fail(err error) {
 		for _, st := range s.steps[s.pc:] {
 			if f := st.gate; f != nil && f.req != nil {
 				s.pend = append(s.pend, f.req) // posted, never to be consumed
+				if f.leave != nil {
+					f.leave(f.req)
+				}
 				f.req = nil
 			}
 		}

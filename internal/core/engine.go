@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -152,7 +153,6 @@ type Proc struct {
 	// revoked the owning communicator.
 	revoked map[int32]error
 	nextID  uint64
-	nextCtx int32
 	closed  bool
 	// fatal is the terminal device error that killed this endpoint
 	// (failAll); operations posted after death fail fast with it.
@@ -182,6 +182,13 @@ type Proc struct {
 	// send while Close is already draining, which WaitGroup's
 	// Add-during-Wait rule forbids.
 	inflightN int
+
+	// nextCtx is the next free context pair's base; it reaches 2^31 once
+	// all MaxContextPairs are handed out. Guarded by mu.
+	nextCtx int64
+	// job is the in-process job whose endpoint this engine reads
+	// undecorated (transport.Mux.Claim), or nil.
+	job *transport.Job
 }
 
 // trySender is what an endpoint that reaches peers in its own address
@@ -230,6 +237,9 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		nextCtx:  2, // 0 and 1 belong to COMM_WORLD
 	}
 	p.try, _ = dev.(trySender)
+	if m, ok := dev.(*transport.Mux); ok {
+		p.job = m.Claim()
+	}
 	if l, ok := dev.(landerSetter); ok {
 		l.SetLander(p)
 	}
@@ -264,6 +274,17 @@ func (p *Proc) EagerLimit() int { return int(p.eagerLim.Load()) }
 // inside this address space — no wire, no segment copy — which is where
 // a lent payload is read in place and a message's fixed cost is lowest.
 func (p *Proc) ByReference(w int) bool { return p.try != nil && p.try.ByReference(w) }
+
+// Job returns the in-process job this engine's rank belongs to when the
+// engine of every one of the job's ranks reads its endpoint undecorated
+// (transport.Job.Direct: an answer every rank of the job shares), and
+// nil otherwise.
+func (p *Proc) Job() *transport.Job {
+	if p.job != nil && p.job.Direct() {
+		return p.job
+	}
+	return nil
+}
 
 // Close shuts the engine down: the device is closed and the progress
 // goroutine joined. Outstanding requests never complete after Close; the
@@ -587,6 +608,19 @@ func (p *Proc) RegisterGroupCtx(ctx int32, world []int) {
 		p.groups = make(map[int32][]int)
 	}
 	p.groups[ctx] = g
+}
+
+// ForgetGroup drops what RegisterGroup, RegisterGroupCtx and a
+// revocation recorded for the context pair at base: the communicator is
+// freed. Operations still pending on it complete as before, except that
+// a peer's loss no longer fails those pinned to that peer.
+func (p *Proc) ForgetGroup(base int32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, ctx := range []int32{base, base + 1} {
+		delete(p.groups, ctx)
+		delete(p.revoked, ctx)
+	}
 }
 
 // DownPeers returns the world ranks currently known to have failed, in
@@ -1356,15 +1390,51 @@ func (p *Proc) Cancel(r *Request) bool {
 		p.stats.Cancelled.Add(1)
 		return true
 	}
-	for i, q := range p.posted {
-		if q == r {
-			p.posted = slices.Delete(p.posted, i, i+1)
-			p.stats.Cancelled.Add(1)
-			p.completeLocked(r, nil, Status{Cancelled: true})
-			return true
-		}
+	if !p.unpostLocked(r) {
+		return false
 	}
-	return false
+	p.stats.Cancelled.Add(1)
+	p.completeLocked(r, nil, Status{Cancelled: true})
+	return true
+}
+
+// MaxContextPairs is how many context pairs an engine hands out over its
+// life: pair k is (2k, 2k+1), and context ids are int32.
+const MaxContextPairs = 1 << 30
+
+// ErrContextsExhausted fails the allocation of a context pair beyond
+// MaxContextPairs; the agreed base is the same on every member, so every
+// member fails alike.
+var ErrContextsExhausted = errors.New("core: context ids exhausted")
+
+// NoSource is a source no frame carries. A receive posted from it — a
+// hold — is completed by Settle, by a sweep that reaches its context or
+// its engine, or by Cancel; never by a message.
+const NoSource int32 = math.MaxInt32
+
+// Settle completes r, a hold (a receive posted from NoSource), with err
+// as its status error, from outside the mailbox and from any goroutine:
+// it is how a member of an in-process island finishes another's wait,
+// under the waiter's engine lock, as a loan's return does. It reports
+// false, touching nothing, once r is no longer posted: a sweep or a
+// cancellation completed it first.
+func (p *Proc) Settle(r *Request, err error) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.unpostLocked(r) {
+		return false
+	}
+	p.completeLocked(r, nil, Status{SourceGroup: int(r.src), Tag: int(r.tag), Err: err})
+	return true
+}
+
+// unpostLocked takes r out of posted, reporting whether it was there.
+func (p *Proc) unpostLocked(r *Request) bool {
+	i := slices.Index(p.posted, r)
+	if i >= 0 {
+		p.posted = slices.Delete(p.posted, i, i+1)
+	}
+	return i >= 0
 }
 
 // AllocContexts runs the local half of collective context-id allocation:
@@ -1373,17 +1443,21 @@ func (p *Proc) Cancel(r *Request) bool {
 func (p *Proc) AllocContexts() int32 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.nextCtx
+	return int32(min(p.nextCtx, math.MaxInt32)) // past the last pair: a base no pair has
 }
 
 // CommitContexts records the group-agreed context base; the new
-// communicator uses (base, base+1) and the counter moves past them.
-func (p *Proc) CommitContexts(base int32) {
+// communicator uses (base, base+1) and the counter moves past them. A
+// base whose pair lies past the last of MaxContextPairs is refused with
+// ErrContextsExhausted.
+func (p *Proc) CommitContexts(base int32) error {
+	if base < 0 || int64(base)+2 > 2*MaxContextPairs {
+		return ErrContextsExhausted
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if base+2 > p.nextCtx {
-		p.nextCtx = base + 2
-	}
+	p.nextCtx = max(p.nextCtx, int64(base)+2)
+	return nil
 }
 
 // PendingUnexpected reports the current unexpected-queue length

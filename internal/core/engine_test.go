@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -344,6 +345,42 @@ func TestContextAllocation(t *testing.T) {
 	p0.CommitContexts(base - 2)
 	if next := p0.AllocContexts(); next != base+2 {
 		t.Fatalf("backwards commit moved counter to %d", next)
+	}
+}
+
+// TestContextIdsExhausted: an engine hands out MaxContextPairs context
+// pairs and no more. Past the last, every member's candidate is the same
+// base no pair has, so the agreed base is refused on every member alike,
+// and the counter stays where it was.
+func TestContextIdsExhausted(t *testing.T) {
+	const last = 2*MaxContextPairs - 2 // the base of the last pair
+	p0, p1 := newPair(t, Config{})
+	for _, p := range []*Proc{p0, p1} {
+		p.mu.Lock()
+		p.nextCtx = last - 2
+		p.mu.Unlock()
+	}
+	for _, want := range []int32{last - 2, last} {
+		base := max(p0.AllocContexts(), p1.AllocContexts())
+		if base != want {
+			t.Fatalf("agreed base %d, want %d", base, want)
+		}
+		for _, p := range []*Proc{p0, p1} {
+			if err := p.CommitContexts(base); err != nil {
+				t.Fatalf("commit of base %d: %v", base, err)
+			}
+		}
+	}
+	for round := 0; round < 2; round++ {
+		base := max(p0.AllocContexts(), p1.AllocContexts())
+		for _, p := range []*Proc{p0, p1} {
+			if err := p.CommitContexts(base); !errors.Is(err, ErrContextsExhausted) {
+				t.Fatalf("commit of base %d past the last pair: %v, want ErrContextsExhausted", base, err)
+			}
+		}
+	}
+	if err := p0.CommitContexts(-2); !errors.Is(err, ErrContextsExhausted) {
+		t.Fatalf("commit of a negative base: %v", err)
 	}
 }
 

@@ -82,43 +82,63 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		cut bool
 		// cancellable: Cancel takes it (a matched receive is past that).
 		cancellable bool
+		// peerless: it waits on no peer (a hold), so no peer's loss takes
+		// it, and it completes with its own source.
+		peerless bool
 		// then, if set, follows the operation to its end after the sweep.
 		then func(t *testing.T, c *sweepCase, req *Request, taken bool)
 	}{
 		{"posted receive", func(t *testing.T, c *sweepCase) *Request {
 			return c.r.p.IrecvInto(0, int32(c.r.rank), int32(c.tag), c.into, 1)
-		}, 0, false, true, true, false, true, nil},
+		}, 0, false, true, true, false, true, false, nil},
 		{"rendezvous send awaiting CTS", func(t *testing.T, c *sweepCase) *Request {
 			req, err := c.r.p.Isend(0, 0, c.r.rank, c.tag, transport.GetBuf(size), ModeStandard, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, size, false, true, true, false, true, nil},
+		}, size, false, true, true, false, true, false, nil},
 		{"lent send awaiting CTS", func(t *testing.T, c *sweepCase) *Request {
 			req, err := c.r.p.IsendLent(0, 0, c.r.rank, c.tag, body, ModeStandard)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, size, false, true, true, false, true, nil},
+		}, size, false, true, true, false, true, false, nil},
 		{"sync-eager send awaiting ACK", func(t *testing.T, c *sweepCase) *Request {
 			req, err := c.r.p.Isend(0, 0, c.r.rank, c.tag, transport.GetBuf(64), ModeSync, true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return req
-		}, 64, false, true, true, false, true, nil},
+		}, 64, false, true, true, false, true, false, nil},
 		{"granted receive awaiting DATA", func(t *testing.T, c *sweepCase) *Request {
 			req := c.r.p.IrecvInto(0, AnySource, int32(c.tag), c.into, 1)
 			c.r.advertise(0, c.tag, size)
 			return req
-		}, 0, false, true, true, false, false, nil},
+		}, 0, false, true, true, false, false, false, nil},
+		{"island hold", func(t *testing.T, c *sweepCase) *Request {
+			return c.r.p.Irecv(0, NoSource, int32(c.tag))
+		}, 0, false, true, true, false, true, true, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
+			// Spared, it is the island's to complete, and Settle does,
+			// once; a swept one is no longer posted, and Settle leaves it.
+			if !taken {
+				if !c.r.p.Settle(req, nil) {
+					t.Fatal("Settle found the spared hold gone")
+				}
+				if st := waitStatus(t, req); st.Err != nil || st.Cancelled || st.SourceGroup != int(NoSource) || st.Tag != c.tag {
+					t.Fatalf("settled hold completed with %+v", st)
+				}
+			}
+			if c.r.p.Settle(req, errors.New("a second settle")) {
+				t.Fatal("a completed hold was settled again")
+			}
+		}},
 		{"receive handed to a read loop", func(t *testing.T, c *sweepCase) *Request {
 			req := c.r.p.IrecvInto(0, AnySource, int32(c.tag), c.into, 1)
 			c.r.write(buildDataHdr(strangerRank, c.r.advertise(0, c.tag, size)), body, dataHdrLen+size/2)
 			return req
-		}, 0, false, false, false, true, false, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
+		}, 0, false, false, false, true, false, false, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
 			if taken {
 				return // the close cut the stream mid-body
 			}
@@ -138,7 +158,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 			}
 			eventually(t, "the offer queued unexpected", func() bool { return c.q.PendingUnexpected() == 1 })
 			return req
-		}, size, true, true, true, false, true, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
+		}, size, true, true, true, false, true, false, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
 			revoked := taken && errors.Is(req.Stat.Err, ErrCommRevoked)
 			if revoked {
 				eventually(t, "the revocation reaching the receiver", func() bool { return c.q.ContextRevoked(0) })
@@ -172,7 +192,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 			waitStatus(t, borrow)
 			c.borrow = borrow
 			return req
-		}, size, true, true, false, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
+		}, size, true, true, false, false, false, false, func(t *testing.T, c *sweepCase, req *Request, _ bool) {
 			// Spared by everything: the loan's return, and only that,
 			// completes it.
 			c.borrow.Recycle()
@@ -191,6 +211,8 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		isErr func(error) bool
 		// closes: it closes the engine, which cuts what it reads too.
 		closes bool
+		// ofPeer: it takes only what waits on a peer.
+		ofPeer bool
 	}{
 		{"peer loss", 8, func(p *Proc, peer int) bool {
 			p.failPeer(&transport.PeerLostError{Peer: peer})
@@ -198,31 +220,31 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		}, func(err error) bool {
 			var pl *transport.PeerLostError
 			return errors.As(err, &pl)
-		}, false},
+		}, false, true},
 		{"loss of another peer", 8, func(p *Proc, peer int) bool {
 			p.failPeer(&transport.PeerLostError{Peer: peer + 1})
 			return false
-		}, nil, false},
+		}, nil, false, true},
 		{"endpoint death", 8, func(p *Proc, _ int) bool {
 			p.failAll(errDied)
 			return true
-		}, func(err error) bool { return err == errDied }, false},
+		}, func(err error) bool { return err == errDied }, false, false},
 		{"close", 8, func(p *Proc, _ int) bool {
 			p.Close()
 			return true
 		}, func(err error) bool {
 			var pl *transport.PeerLostError
 			return errors.Is(err, transport.ErrClosed) || errors.As(err, &pl)
-		}, true},
+		}, true, false},
 		{"revoke", 8, func(p *Proc, _ int) bool {
 			p.Revoke(0)
 			return true
-		}, func(err error) bool { return errors.Is(err, ErrCommRevoked) }, false},
+		}, func(err error) bool { return errors.Is(err, ErrCommRevoked) }, false, false},
 		{"revoke, recovery tag", int(RecoveryTag) | 8, func(p *Proc, _ int) bool {
 			p.Revoke(0)
 			return false
-		}, nil, false},
-		{"cancel", 8, nil, nil, false},
+		}, nil, false, false},
+		{"cancel", 8, nil, nil, false, false},
 	}
 
 	owners := []struct {
@@ -295,7 +317,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 					}
 					var taken bool
 					if sw.run != nil {
-						taken = sw.run(p, peer) && (s.swept || sw.closes && s.cut)
+						taken = sw.run(p, peer) && (s.swept || sw.closes && s.cut) && !(s.peerless && sw.ofPeer)
 					} else if taken = p.Cancel(req); taken != s.cancellable {
 						t.Fatalf("Cancel = %v, want %v", taken, s.cancellable)
 					}
@@ -309,6 +331,9 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 					}
 					if taken {
 						want := Status{SourceGroup: peer, Tag: sw.tag}
+						if s.peerless {
+							want.SourceGroup = int(NoSource)
+						}
 						if s.bytes > 0 {
 							want = Status{Bytes: s.bytes}
 						}

@@ -74,6 +74,9 @@ type Mux struct {
 	cnt [nMedia]devCounters
 	// lander, once set, is offered every long frame a connection brings.
 	lander atomic.Pointer[Lander]
+	// job is what the endpoints of one in-process job share (NewShmJob);
+	// nil for every other endpoint.
+	job *Job
 
 	closeOnce sync.Once
 	closeErr  error
@@ -110,11 +113,13 @@ func (m *Mux) routeTo(dst int) route {
 // device must provide, and the per-rank progress engine drains the
 // inbox continuously, so senders only block transiently on flow
 // control. depth is the per-rank inbox capacity in frames; depth <= 0
-// selects DefaultInboxDepth.
+// selects DefaultInboxDepth. The endpoints share one Job.
 func NewShmJob(n, depth int) []*Mux {
 	job := make([]*Mux, n)
+	shared := &Job{claimed: make([]bool, n), left: n, shared: make(map[any]*jobShare)}
 	for i := range job {
 		job[i] = newMux(i, n, depth)
+		job[i].job = shared
 	}
 	for _, m := range job {
 		for r, to := range job {

@@ -2,67 +2,106 @@ package mpi_test
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"gompi/internal/coll"
 	"gompi/internal/core"
+	"gompi/internal/transport"
 	"gompi/mpi"
 )
 
 // BenchmarkAllreduceSwitch prices a blocking DOUBLE SUM Allreduce on
-// both sides of the points where the schedule changes from recursive
-// doubling to halving + doubling — just above the eager limit in
-// process, at eight eager limits over loopback tcp — at a power-of-two
-// and an odd group size. Those points are constants in
-// internal/coll/reduce.go (halves); this is the benchmark that
-// says whether they are in the right place: µs/op and B/op at each
-// size, against the same sizes on the parent commit.
+// both sides of the points where the schedule changes — from the island
+// fold to halving + doubling at the eager limit in process (island rows,
+// below), from recursive doubling to halving + doubling just above the
+// eager limit in process and at eight eager limits over loopback tcp —
+// at a power-of-two and an odd group size. Those points are constants in
+// internal/coll (islandMax, halves); this is the benchmark that says
+// whether they are in the right place: µs/op and B/op at each size,
+// against the same sizes on the parent commit. The island rows put the
+// island fold and recursive doubling side by side over chan, at sizes up
+// to the island's bound: a doubling row's job is sealed before its
+// engines claim their endpoints (transport.Job.Direct), which leaves the
+// same chan job without islands.
 func BenchmarkAllreduceSwitch(b *testing.B) {
 	const eager = core.DefaultEagerLimit
 	for _, device := range []string{"chan", "tcp"} {
 		for _, np := range []int{4, 3} {
 			for _, size := range []int{eager / 2, eager, eager + 8, 2 * eager, 4 * eager, 8 * eager, 16 * eager} {
 				b.Run(fmt.Sprintf("%s/np%d/%dB", device, np, size), func(b *testing.B) {
-					b.ReportAllocs()
-					b.SetBytes(int64(size))
-					count := size / 8
-					err := mpi.RunWith(mpi.RunOptions{NP: np, Device: device}, func(env *mpi.Env) error {
-						w := env.CommWorld()
-						send, recv := make([]float64, count), make([]float64, count)
-						for i := range send {
-							send[i] = float64(w.Rank() + i)
-						}
-						loop := func(n int) error {
-							for i := 0; i < n; i++ {
-								if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
-									return err
-								}
-							}
-							return w.Barrier()
-						}
-						if err := loop(3); err != nil { // warm the pools outside the timed region
-							return err
-						}
-						if w.Rank() == 0 {
-							b.ResetTimer()
-						}
-						if err := loop(b.N); err != nil {
-							return err
-						}
-						if w.Rank() == 0 {
-							b.StopTimer()
-						}
-						if want := float64(np*(np-1)/2 + np*(count-1)); recv[count-1] != want {
-							return fmt.Errorf("rank %d: last element %v, want %v", w.Rank(), recv[count-1], want)
-						}
-						return nil
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
+					timeAllreduce(b, mpi.RunOptions{NP: np, Device: device}, size, -1)
 				})
 			}
 		}
+	}
+	for _, path := range []string{"island", "doubling"} {
+		for _, np := range []int{3, 4, 8} {
+			for _, size := range []int{8, 512, 8 << 10, 64 << 10} {
+				b.Run(fmt.Sprintf("chan/%s/np%d/%dB", path, np, size), func(b *testing.B) {
+					opt := mpi.RunOptions{NP: np}
+					folds := 1
+					if path == "doubling" {
+						folds = 0
+						opt.WrapDevice = func(_ int, d transport.Device) transport.Device {
+							d.(*transport.Mux).Claim().Direct()
+							return d
+						}
+					}
+					timeAllreduce(b, opt, size, folds)
+				})
+			}
+		}
+	}
+}
+
+// timeAllreduce times b.N blocking DOUBLE SUM Allreduces of size bytes
+// on a job run with opt, and checks the result; folds, unless negative,
+// says whether the calls must have folded through an island (1) or not
+// (0).
+func timeAllreduce(b *testing.B, opt mpi.RunOptions, size, folds int) {
+	b.ReportAllocs()
+	b.SetBytes(int64(size))
+	np, count := opt.NP, size/8
+	var folded atomic.Int64
+	err := mpi.RunWith(opt, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		send, recv := make([]float64, count), make([]float64, count)
+		for i := range send {
+			send[i] = float64(w.Rank() + i)
+		}
+		loop := func(n int) error {
+			for i := 0; i < n; i++ {
+				if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+					return err
+				}
+			}
+			return w.Barrier()
+		}
+		if err := loop(3); err != nil { // warm the pools outside the timed region
+			return err
+		}
+		if w.Rank() == 0 {
+			b.ResetTimer()
+		}
+		if err := loop(b.N); err != nil {
+			return err
+		}
+		if w.Rank() == 0 {
+			b.StopTimer()
+		}
+		if want := float64(np*(np-1)/2 + np*(count-1)); recv[count-1] != want {
+			return fmt.Errorf("rank %d: last element %v, want %v", w.Rank(), recv[count-1], want)
+		}
+		n, _ := env.PerfVar("coll.island_folds")
+		folded.Add(n)
+		return nil
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if n := folded.Load(); folds >= 0 && (n > 0) != (folds > 0) {
+		b.Fatalf("%d island folds", n)
 	}
 }
 

@@ -111,8 +111,9 @@ func (c *Comm) SetErrhandler(h Errhandler) { c.errh = h }
 
 // Free marks the communicator freed (MPI_Comm_free) — one of the two
 // classes the paper gives an explicit Free (§2.1) — and empties its
-// plan caches: a freed communicator holds no schedules. Subsequent use
-// raises ErrComm.
+// plan caches and the engine's tables of its group: a freed
+// communicator holds no schedules, no island and no group table.
+// Subsequent use raises ErrComm.
 func (c *Comm) Free() error {
 	if err := c.ok(); err != nil {
 		return err
@@ -120,6 +121,7 @@ func (c *Comm) Free() error {
 	c.deleteAllAttrs()
 	c.plans.Clear()
 	c.cl.DropPlans()
+	c.env.proc.ForgetGroup(c.ptpCtx)
 	c.freed = true
 	return nil
 }

@@ -186,7 +186,9 @@ func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Inte
 	if wire.Tkt.RemoteCtxCand > final {
 		final = wire.Tkt.RemoteCtxCand
 	}
-	c.env.proc.CommitContexts(final)
+	if err := c.env.proc.CommitContexts(final); err != nil {
+		return nil, c.raise(mapEngineErr(err))
+	}
 
 	ic := &Intercomm{low: acceptSide}
 	c.env.buildComm(&ic.Comm, c.group, c.rank, final, c.name+"."+verb)

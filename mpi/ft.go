@@ -165,7 +165,9 @@ func (c *Intracomm) Shrink() (*Intracomm, error) {
 	if err != nil {
 		return nil, c.raise(mapEngineErr(err))
 	}
-	c.env.proc.CommitContexts(base)
+	if err := c.env.proc.CommitContexts(base); err != nil {
+		return nil, c.raise(mapEngineErr(err))
+	}
 
 	survivors := make([]int, 0, len(c.group))
 	myRank := -1

@@ -34,7 +34,7 @@ func (c *Intracomm) CreateIntercomm(peer *Comm, localLeader, remoteLeader, tag i
 	}
 	base, err := c.cl.AgreeContextBase()
 	if err != nil {
-		return nil, c.raise(errf(ErrIntern, "%v", err))
+		return nil, c.raise(mapEngineErr(err))
 	}
 
 	// Leader exchange: context candidate + local group world ranks.
@@ -73,7 +73,9 @@ func (c *Intracomm) CreateIntercomm(peer *Comm, localLeader, remoteLeader, tag i
 	if remoteBase > final {
 		final = remoteBase
 	}
-	c.env.proc.CommitContexts(final)
+	if err := c.env.proc.CommitContexts(final); err != nil {
+		return nil, c.raise(mapEngineErr(err))
+	}
 
 	// The leaders' world ranks give a deterministic, symmetric
 	// tie-break for Merge ordering.
@@ -154,7 +156,7 @@ func (ic *Intercomm) Merge(high bool) (*Intracomm, error) {
 	}
 	base, err := ic.cl.AgreeContextBase()
 	if err != nil {
-		return nil, ic.raise(errf(ErrIntern, "%v", err))
+		return nil, ic.raise(mapEngineErr(err))
 	}
 	mine := make([]byte, 5)
 	binary.LittleEndian.PutUint32(mine, uint32(base))
@@ -175,7 +177,9 @@ func (ic *Intercomm) Merge(high bool) (*Intracomm, error) {
 	if remoteBase > final {
 		final = remoteBase
 	}
-	ic.env.proc.CommitContexts(final)
+	if err := ic.env.proc.CommitContexts(final); err != nil {
+		return nil, ic.raise(mapEngineErr(err))
+	}
 
 	iAmFirst := ic.low
 	if high != remoteHigh {
@@ -208,7 +212,7 @@ func (ic *Intercomm) Dup() (*Intercomm, error) {
 	}
 	base, err := ic.cl.AgreeContextBase()
 	if err != nil {
-		return nil, ic.raise(errf(ErrIntern, "%v", err))
+		return nil, ic.raise(mapEngineErr(err))
 	}
 	mine := make([]byte, 4)
 	binary.LittleEndian.PutUint32(mine, uint32(base))
@@ -224,7 +228,9 @@ func (ic *Intercomm) Dup() (*Intercomm, error) {
 	if remoteBase > final {
 		final = remoteBase
 	}
-	ic.env.proc.CommitContexts(final)
+	if err := ic.env.proc.CommitContexts(final); err != nil {
+		return nil, ic.raise(mapEngineErr(err))
+	}
 
 	out := &Intercomm{low: ic.low}
 	ic.env.buildComm(&out.Comm, ic.group, ic.rank, final, ic.name+".dup")

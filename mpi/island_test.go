@@ -1,0 +1,460 @@
+package mpi
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"gompi/internal/core"
+	"gompi/internal/transport"
+)
+
+// islandBound is the largest operand the island fold takes at the
+// default eager limit, which caps coll's own bound.
+const islandBound = core.DefaultEagerLimit
+
+// islandFolds sums a job's coll.island_folds: one per fold, counted by
+// the member that ran it.
+type islandFolds struct{ atomic.Uint64 }
+
+func (f *islandFolds) add(env *Env) { f.Add(perfVars(env)["coll.island_folds"]) }
+
+// withinDeadline is RunWith that fails the test, rather than hang it,
+// when the job has not returned by the deadline: members that picked
+// different schedules may wait for each other forever.
+func withinDeadline(t *testing.T, d time.Duration, opt RunOptions, fn func(*Env) error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- RunWith(opt, fn) }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(d):
+		t.Fatalf("the job did not return within %v", d)
+		return nil
+	}
+}
+
+// TestAllreduceScheduleAgreesAcrossDecoration: a decorated rank's
+// engine reaches nobody by reference, while its peers reach it by
+// reference; every member must still pick the same allreduce schedule,
+// on both sides of the halving switch and between it and eight eager
+// limits, where reaching everyone by reference used to decide — and none
+// of them may take the island, which needs every engine undecorated.
+func TestAllreduceScheduleAgreesAcrossDecoration(t *testing.T) {
+	for _, np := range []int{2, 3} {
+		for _, size := range []int{8 << 10, 128 << 10, 512 << 10} {
+			t.Run(fmt.Sprintf("np%d/%dB", np, size), func(t *testing.T) {
+				var folds islandFolds
+				count := size / 8
+				err := withinDeadline(t, 30*time.Second, RunOptions{NP: np, WrapDevice: func(rank int, d transport.Device) transport.Device {
+					if rank == 1 {
+						return decorated{d}
+					}
+					return d
+				}}, func(env *Env) error {
+					w := env.CommWorld()
+					send, recv := make([]float64, count), make([]float64, count)
+					for i := range send {
+						send[i] = float64(w.Rank()*count + i)
+					}
+					for round := 0; round < 2; round++ {
+						if err := w.Allreduce(send, 0, recv, 0, count, DOUBLE, SUM); err != nil {
+							return err
+						}
+						for i, got := range recv {
+							if want := float64(count*np*(np-1)/2 + np*i); got != want {
+								return fmt.Errorf("rank %d element %d: %v, want %v", w.Rank(), i, got, want)
+							}
+						}
+					}
+					folds.add(env)
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if folds.Load() != 0 {
+					t.Fatalf("a job with a decorated rank folded %d times through an island", folds.Load())
+				}
+			})
+		}
+	}
+}
+
+// TestAllreduceBitExactAcrossPaths: the island fold (chan, at most the
+// bound) associates exactly as recursive doubling (tcp) does, and so do
+// the schedules above the bound on either medium: the same seeded
+// operands give the same result bits at every size, operation and class,
+// on every member.
+func TestAllreduceBitExactAcrossPaths(t *testing.T) {
+	type combo struct {
+		d    *Datatype
+		op   *Op
+		make func(rng *rand.Rand, n int) any // n items
+	}
+	floats := func(rng *rand.Rand, n int) any {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(40)-20))
+		}
+		return b
+	}
+	floats32 := func(rng *rand.Rand, n int) any {
+		b := make([]float32, n)
+		for i := range b {
+			b[i] = float32((rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(20)-10)))
+		}
+		return b
+	}
+	near1 := func(rng *rand.Rand, n int) any { // products neither overflow nor vanish
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 0.75 + rng.Float64()/2
+		}
+		return b
+	}
+	near1f := func(rng *rand.Rand, n int) any {
+		b := make([]float32, n)
+		for i := range b {
+			b[i] = float32(0.75 + rng.Float64()/2)
+		}
+		return b
+	}
+	longs := func(rng *rand.Rand, n int) any {
+		b := make([]int64, n)
+		for i := range b {
+			b[i] = rng.Int63() - math.MaxInt64/2
+		}
+		return b
+	}
+	ints := func(rng *rand.Rand, n int) any {
+		b := make([]int32, n)
+		for i := range b {
+			b[i] = rng.Int31() - math.MaxInt32/2
+		}
+		return b
+	}
+	pairs := func(rng *rand.Rand, n int) any {
+		b := make([]float64, 2*n)
+		for i := 0; i < n; i++ {
+			b[2*i], b[2*i+1] = float64(rng.Intn(8)), float64(rng.Intn(64))
+		}
+		return b
+	}
+	combos := []combo{
+		{DOUBLE, SUM, floats}, {DOUBLE, PROD, near1}, {DOUBLE, MAX, floats}, {DOUBLE, MIN, floats},
+		{FLOAT, SUM, floats32}, {FLOAT, PROD, near1f}, {FLOAT, MAX, floats32}, {FLOAT, MIN, floats32},
+		{LONG, SUM, longs}, {LONG, BAND, longs}, {INT, SUM, ints}, {INT, BAND, ints},
+		{DOUBLE2, MAXLOC, pairs},
+	}
+	run := func(device string, np int) (map[string][]byte, uint64) {
+		var folds islandFolds
+		var mu sync.Mutex
+		out := map[string][]byte{}
+		err := RunWith(RunOptions{NP: np, Device: device}, func(env *Env) error {
+			w := env.CommWorld()
+			for ci, c := range combos {
+				item := c.d.t.WireBytes(1)
+				for _, n := range []int{1, 7, 1023, islandBound/item - 1, islandBound/item + 1} {
+					rng := rand.New(rand.NewSource(int64(1000*ci + 7*n + w.Rank())))
+					send := c.make(rng, n)
+					recv := c.make(rng, n)
+					if err := w.Allreduce(send, 0, recv, 0, n, c.d, c.op); err != nil {
+						return fmt.Errorf("%s %s × %d: %v", c.d.Name(), c.op.op.Name, n, err)
+					}
+					key := fmt.Sprintf("%s %s × %d", c.d.Name(), c.op.op.Name, n)
+					got := fmt.Sprint(recv)
+					mu.Lock()
+					if first, ok := out[key]; ok && string(first) != got {
+						mu.Unlock()
+						return fmt.Errorf("%s: rank %d disagrees with another member", key, w.Rank())
+					}
+					out[key] = []byte(got)
+					mu.Unlock()
+				}
+			}
+			folds.add(env)
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("%s np%d: %v", device, np, err)
+		}
+		return out, folds.Load()
+	}
+	for np := 2; np <= 9; np++ {
+		island, folds := run("chan", np)
+		messages, none := run("tcp", np)
+		// Counts 1, 7, 1023 and the bound − 1 of every combination fit.
+		if want := uint64(4 * len(combos)); folds != want || none != 0 {
+			t.Fatalf("np%d: %d island folds over chan, want %d; %d over tcp, want 0", np, folds, want, none)
+		}
+		for key, bits := range island {
+			if string(messages[key]) != string(bits) {
+				t.Fatalf("np%d %s: the island's result differs from recursive doubling's", np, key)
+			}
+		}
+	}
+}
+
+// TestIslandForms: every form of a small allreduce folds through the
+// island and sends no message — blocking, many nonblocking calls started
+// before any wait, a persistent one whose members start its activations
+// out of step, and one whose send and receive buffer are the same.
+func TestIslandForms(t *testing.T) {
+	const np, rounds, inflight = 4, 1000, 64
+	var folds islandFolds
+	err := Run(np, func(env *Env) error {
+		w := env.CommWorld()
+		r := float64(w.Rank())
+		sum := func(x float64) float64 { return np*x + np*(np-1)/2 } // Σ (x + rank)
+		before := perfVars(env)
+		// Blocking.
+		send, recv := []float64{0}, []float64{0}
+		for i := 0; i < rounds; i++ {
+			send[0] = float64(i) + r
+			if err := w.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM); err != nil {
+				return err
+			}
+			if recv[0] != sum(float64(i)) {
+				return fmt.Errorf("blocking round %d: %v", i, recv[0])
+			}
+		}
+		// Nonblocking, all started before any wait, waited in reverse.
+		sends, recvs := make([][]float64, inflight), make([][]float64, inflight)
+		reqs := make([]*Request, inflight)
+		for i := range reqs {
+			sends[i], recvs[i] = []float64{float64(i) + r, 1}, []float64{0, 0}
+			var err error
+			if reqs[i], err = w.Iallreduce(sends[i], 0, recvs[i], 0, 2, DOUBLE, SUM); err != nil {
+				return err
+			}
+		}
+		for i := inflight - 1; i >= 0; i-- {
+			if _, err := reqs[i].Wait(); err != nil {
+				return err
+			}
+			if recvs[i][0] != sum(float64(i)) || recvs[i][1] != np {
+				return fmt.Errorf("nonblocking call %d: %v", i, recvs[i])
+			}
+		}
+		// Persistent, members skewed: each sleeps now and then, at
+		// different activations.
+		p, err := w.AllreduceInit(send, 0, recv, 0, 1, DOUBLE, SUM)
+		if err != nil {
+			return err
+		}
+		for i := 0; i < rounds; i++ {
+			send[0] = float64(i) + r
+			if (i+w.Rank())%97 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+			if err := p.Start(); err != nil {
+				return err
+			}
+			if _, err := p.Wait(); err != nil {
+				return err
+			}
+			if recv[0] != sum(float64(i)) {
+				return fmt.Errorf("persistent activation %d: %v", i, recv[0])
+			}
+		}
+		if err := p.Free(); err != nil {
+			return err
+		}
+		// One buffer for both.
+		buf := []float64{r, 2 * r}
+		if err := w.Allreduce(buf, 0, buf, 0, 2, DOUBLE, SUM); err != nil {
+			return err
+		}
+		if buf[0] != np*(np-1)/2 || buf[1] != np*(np-1) {
+			return fmt.Errorf("send == recv: %v", buf)
+		}
+		after := perfVars(env)
+		if sent := after["core.sends_eager"] - before["core.sends_eager"]; sent != 0 {
+			return fmt.Errorf("rank %d sent %d messages", w.Rank(), sent)
+		}
+		folds.add(env)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(2*rounds + inflight + 1); folds.Load() != want {
+		t.Fatalf("%d island folds, want %d", folds.Load(), want)
+	}
+}
+
+// TestIslandCancelStrandsNobody: a member that cancels its call before
+// the fold returns the context's error promptly and leaves a copy of its
+// contribution behind, so the member that may have arrived before it and
+// the two that arrive only after it returned all complete, promptly,
+// with the whole sum; nobody touches the cancelled member's buffers once
+// its wait returned, and the next allreduce is an ordinary one.
+func TestIslandCancelStrandsNobody(t *testing.T) {
+	const np = 4
+	cancelled := make(chan struct{}) // rank 1's wait has returned
+	err := Run(np, func(env *Env) error {
+		w := env.CommWorld()
+		send, recv := []float64{float64(w.Rank() + 1)}, []float64{0}
+		switch w.Rank() {
+		case 0, 1:
+			req, err := w.Iallreduce(send, 0, recv, 0, 1, DOUBLE, SUM)
+			if err != nil {
+				return err
+			}
+			if w.Rank() == 0 {
+				if _, err := req.Wait(); err != nil {
+					return err
+				}
+				break
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			_, err = req.WaitCtx(ctx)
+			close(cancelled)
+			if !errors.Is(err, context.DeadlineExceeded) {
+				return fmt.Errorf("cancelled member: %v, want the deadline", err)
+			}
+			if waited := time.Since(start); waited > 2*time.Second {
+				return fmt.Errorf("cancelled member returned after %v", waited)
+			}
+			send[0], recv[0] = 100, 100 // its own again: the race detector watches
+			if n := perfVars(env)["coll.island_abandoned"]; n != 1 {
+				return fmt.Errorf("coll.island_abandoned = %d, want 1", n)
+			}
+			send[0] = 2
+			recv[0] = 10 // what it would have got
+		default:
+			<-cancelled
+			start := time.Now()
+			if err := w.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM); err != nil {
+				return err
+			}
+			if waited := time.Since(start); waited > 2*time.Second {
+				return fmt.Errorf("late member returned after %v", waited)
+			}
+		}
+		if recv[0] != 10 {
+			return fmt.Errorf("rank %d: %v, want 10", w.Rank(), recv[0])
+		}
+		if err := w.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM); err != nil {
+			return err
+		}
+		if recv[0] != 10 {
+			return fmt.Errorf("rank %d, the next allreduce: %v, want 10", w.Rank(), recv[0])
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIslandRevokeReachesParkedMembers: members parked in an island
+// allreduce return MPI_ERR_REVOKED soon after one member, which never
+// makes the call, revokes the communicator.
+func TestIslandRevokeReachesParkedMembers(t *testing.T) {
+	const np = 4
+	err := Run(np, func(env *Env) error {
+		w := env.CommWorld()
+		dup, err := w.Dup()
+		if err != nil {
+			return err
+		}
+		if w.Rank() == np-1 {
+			time.Sleep(50 * time.Millisecond)
+			return dup.Revoke()
+		}
+		send, recv := []float64{1}, []float64{0}
+		start := time.Now()
+		err = dup.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM)
+		if ClassOf(err) != ErrRevoked {
+			return fmt.Errorf("rank %d: %v, want MPI_ERR_REVOKED", w.Rank(), err)
+		}
+		if waited := time.Since(start); waited > 5*time.Second {
+			return fmt.Errorf("rank %d returned after %v", w.Rank(), waited)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIslandLifetime: islands are shared per communicator and gone once
+// every member has freed it, and so are the engine's tables of its group
+// — a long run of Dup, Allreduce, Free keeps the job's island count and
+// the heap flat.
+func TestIslandLifetime(t *testing.T) {
+	rounds := 100_000
+	if raceEnabled {
+		rounds = 10_000
+	}
+	const np = 2
+	var heap [2]uint64
+	err := Run(np, func(env *Env) error {
+		w := env.CommWorld()
+		job := env.proc.Job()
+		if job == nil {
+			return fmt.Errorf("a chan job has no island")
+		}
+		send, recv := []float64{1}, []float64{0}
+		cycles := func(n int) error {
+			for i := 0; i < n; i++ {
+				d, err := w.Dup()
+				if err != nil {
+					return err
+				}
+				if err := d.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM); err != nil {
+					return err
+				}
+				if err := d.Free(); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		measure := func(at int) error {
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+			if w.Rank() == 0 {
+				runtime.GC()
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				heap[at] = ms.HeapInuse
+				// COMM_WORLD's island (the Dups' context agreement) is the one left.
+				if n := job.Shared(); n != 1 {
+					return fmt.Errorf("%d islands shared, want 1", n)
+				}
+			}
+			return w.Barrier()
+		}
+		if err := cycles(100); err != nil {
+			return err
+		}
+		if err := measure(0); err != nil {
+			return err
+		}
+		if err := cycles(rounds); err != nil {
+			return err
+		}
+		return measure(1)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := int64(heap[1]) - int64(heap[0]); grew > 1<<20 {
+		t.Fatalf("heap in use grew by %d bytes over %d cycles of Dup, Allreduce, Free", grew, rounds)
+	}
+	t.Logf("heap in use: %d → %d bytes over %d cycles", heap[0], heap[1], rounds)
+}

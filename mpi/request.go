@@ -547,6 +547,8 @@ func mapEngineErr(err error) error {
 		return errf(ErrProcFailed, "%v", err)
 	case errors.Is(err, core.ErrCommRevoked):
 		return errf(ErrRevoked, "%v", err)
+	case errors.Is(err, core.ErrContextsExhausted):
+		return errf(ErrComm, "%v", err)
 	default:
 		return errf(ErrIntern, "%v", err)
 	}
