@@ -317,12 +317,6 @@ func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte)
 // activation). Blocks may differ in size, so this also serves
 // Allgatherv.
 func (c *Comm) addAllgatherSteps(s *sched, mine *[]byte, out *[][]byte) {
-	c.addAllgatherStepsFam(s, tagAllgather, mine, out)
-}
-
-// addAllgatherStepsFam is addAllgatherSteps under an explicit tag
-// family, for Plan-composed schedules.
-func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][]byte) {
 	right := (c.Rank + 1) % c.Size
 	left := (c.Rank - 1 + c.Size) % c.Size
 	var blocks [][]byte
@@ -334,7 +328,7 @@ func (c *Comm) addAllgatherStepsFam(s *sched, family int, mine *[]byte, out *[][
 	})
 	for st := 0; st < c.Size-1; st++ {
 		st := st
-		s.exchStep(right, left, family,
+		s.exchStep(right, left, tagAllgather,
 			func() ([]byte, error) { return cur, nil },
 			func(in []byte) error {
 				origin := (c.Rank - st - 1 + c.Size) % c.Size

@@ -67,13 +67,6 @@ func (p *Plan) Alltoall(parts [][]byte, out *[][]byte) error {
 	return nil
 }
 
-// Allgather appends a ring allgather round of this member's block; *out
-// holds every member's block once the round's steps have run.
-func (p *Plan) Allgather(mine []byte, out *[][]byte) {
-	in := mine
-	p.c.addAllgatherStepsFam(p.s, p.nextFam(), &in, out)
-}
-
 // Publish appends the final step that snapshots the schedule's result:
 // what Run returns and what a started Request completes with.
 func (p *Plan) Publish(get func() any) { p.s.publish(get) }

@@ -108,10 +108,9 @@ type outFrame struct {
 // holds the progress role: a caller blocked in Wait, Probe or Await,
 // else the engine's own progress goroutine.
 type Proc struct {
-	dev transport.Device
-	// try is dev's never-blocking send, where it has one.
-	try trySender
-	mb  mailbox
+	// mux is the rank's endpoint and its one mailbox, read by whoever
+	// holds the progress role.
+	mux *transport.Mux
 	cfg Config
 
 	mu   sync.Mutex
@@ -174,14 +173,6 @@ type Proc struct {
 	unexpDepth *obs.Gauge
 
 	wg sync.WaitGroup
-	// inflightN counts control frames (CTS/ACK/DATA) sent
-	// asynchronously by the progress body; Close drains them (under
-	// mu, woken through cond) before closing the device so no frame is
-	// dropped at shutdown. A plain counter rather than a WaitGroup:
-	// late frames (revocation floods, failure notices) can start a
-	// send while Close is already draining, which WaitGroup's
-	// Add-during-Wait rule forbids.
-	inflightN int
 
 	// nextCtx is the next free context pair's base; it reaches 2^31 once
 	// all MaxContextPairs are handed out. Guarded by mu.
@@ -189,45 +180,20 @@ type Proc struct {
 	// job is the in-process job whose endpoint this engine reads
 	// undecorated (transport.Mux.Claim), or nil.
 	job *transport.Job
-}
-
-// trySender is what an endpoint that reaches peers in its own address
-// space (transport.Mux) can do for them: hand a frame over without ever
-// blocking, and say which peers those are. It is deliberately not part
-// of transport.Device: a decorator that embeds a Device would forward
-// TrySendv past its own Sendv, and an endpoint without it loses nothing
-// but a shortcut.
-type trySender interface {
-	TrySendv(dst int, hdr, payload []byte, recycle bool, loan transport.Loan) bool
-	ByReference(dst int) bool
-}
-
-// mailbox is the rank's one inbox (transport.Mux), read by whoever holds
-// the progress role: a consumer takes frames with TryRecv and, finding
-// none, parks on the bell it registered with Listen.
-type mailbox interface {
-	Listen(*transport.Bell)
-	TryRecv() (transport.Frame, bool, error)
-}
-
-// landerSetter is an endpoint whose connections' read loops ask where a
-// long frame lands (transport.Mux). Like trySender it is found by type
-// assertion and is not part of transport.Device: a decorated device or a
-// segment member is never asked, and keeps delivering staged frames.
-type landerSetter interface {
-	SetLander(transport.Lander)
+	// outbox holds, in post order, the control frames the mux would not
+	// take without waiting; sending says its one sender is running, and
+	// stays true until that sender finds the outbox empty. Guarded by mu.
+	outbox  []outFrame
+	sending bool
 }
 
 // NewProc wraps a device with a progress engine and starts its progress
-// goroutine. A device that is not a mailbox (transport.Mux) is read
-// through one (transport.MuxOver).
+// goroutine. A device that is not a transport.Mux is read through one
+// (transport.MuxOver).
 func NewProc(dev transport.Device, cfg Config) *Proc {
-	if _, ok := dev.(mailbox); !ok {
-		dev = transport.MuxOver(dev)
-	}
+	mux := transport.MuxOver(dev)
 	p := &Proc{
-		dev:      dev,
-		mb:       dev.(mailbox),
+		mux:      mux,
 		cfg:      cfg,
 		idleBell: transport.NewBell(),
 		pollBell: transport.NewBell(),
@@ -235,14 +201,9 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		rec:      cfg.Recorder,
 		pending:  make(map[uint64]*Request),
 		nextCtx:  2, // 0 and 1 belong to COMM_WORLD
+		job:      mux.Claim(),
 	}
-	p.try, _ = dev.(trySender)
-	if m, ok := dev.(*transport.Mux); ok {
-		p.job = m.Claim()
-	}
-	if l, ok := dev.(landerSetter); ok {
-		l.SetLander(p)
-	}
+	mux.SetLander(p)
 	p.cond = sync.NewCond(&p.mu)
 	p.stats = newStats(p.reg)
 	p.unexpDepth = p.reg.Gauge("core.unexpected_depth")
@@ -254,17 +215,17 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		Get:  func() int64 { return p.eagerLim.Load() },
 		Set:  func(v int64) error { p.eagerLim.Store(v); return nil },
 	})
-	p.mb.Listen(p.idleBell)
+	p.mux.Listen(p.idleBell)
 	p.wg.Add(1)
 	go p.progress()
 	return p
 }
 
 // Rank returns the world rank.
-func (p *Proc) Rank() int { return p.dev.Rank() }
+func (p *Proc) Rank() int { return p.mux.Rank() }
 
 // Size returns the world size.
-func (p *Proc) Size() int { return p.dev.Size() }
+func (p *Proc) Size() int { return p.mux.Size() }
 
 // EagerLimit reports the live eager/rendezvous threshold (the
 // "core.eager_limit" control variable).
@@ -273,7 +234,7 @@ func (p *Proc) EagerLimit() int { return int(p.eagerLim.Load()) }
 // ByReference reports whether frames to world rank w change hands
 // inside this address space — no wire, no segment copy — which is where
 // a lent payload is read in place and a message's fixed cost is lowest.
-func (p *Proc) ByReference(w int) bool { return p.try != nil && p.try.ByReference(w) }
+func (p *Proc) ByReference(w int) bool { return p.mux.ByReference(w) }
 
 // Job returns the in-process job this engine's rank belongs to when the
 // engine of every one of the job's ranks reads its endpoint undecorated
@@ -299,14 +260,14 @@ func (p *Proc) Close() error {
 	}
 	p.closed = true
 	p.wakeLocked()
-	// Let asynchronously-sent control frames reach their destination
-	// inboxes first: a barrier completing on this rank may still owe a
-	// peer its rendezvous payload.
-	for p.inflightN > 0 {
+	// Let the outbox reach its destination inboxes first: a barrier
+	// completing on this rank may still owe a peer its rendezvous
+	// payload.
+	for p.sending {
 		p.cond.Wait()
 	}
 	p.mu.Unlock()
-	err := p.dev.Close()
+	err := p.mux.Close()
 	p.wg.Wait()
 	return err
 }
@@ -366,7 +327,7 @@ func (p *Proc) awaitLocked(mine *Request, done func() bool) {
 			continue
 		}
 		p.polling, p.pollFor = true, mine
-		p.mb.Listen(p.pollBell)
+		p.mux.Listen(p.pollBell)
 		over := false
 		for !over && p.fatal == nil {
 			if !p.stepLocked() {
@@ -380,7 +341,7 @@ func (p *Proc) awaitLocked(mine *Request, done func() bool) {
 			over = done()
 		}
 		p.polling, p.pollFor = false, nil
-		p.mb.Listen(p.idleBell)
+		p.mux.Listen(p.idleBell)
 		p.cond.Broadcast() // a caller sleeping for want of the role may take it
 		if over {
 			return
@@ -396,7 +357,7 @@ func (p *Proc) awaitLocked(mine *Request, done func() bool) {
 // the requests they finish complete. It reports false, having taken
 // nothing, when the mailbox is empty.
 func (p *Proc) stepLocked() bool {
-	raw, ok, err := p.mb.TryRecv()
+	raw, ok, err := p.mux.TryRecv()
 	switch {
 	case !ok:
 		return false
@@ -431,14 +392,14 @@ func (p *Proc) stepLocked() bool {
 	release(purged)
 	// Control frames (CTS/ACK/DATA) are keyed by unique ids and
 	// order-insensitive, so they go out without ever blocking the
-	// progress body (sendAsync): a blocking send here could form a
+	// progress body (ship): a blocking send here could form a
 	// flow-control cycle between two ranks flooding each other.
 	// Matching-relevant frames (eager, RTS) are only ever sent from
 	// user calls, preserving MPI's non-overtaking rule.
-	p.sendAsync(outs)
-	// The rendezvous payload has been handed to the device (and, over
-	// shm, to the receiver) by the Sendv above; the send request
-	// completes now.
+	p.ship(outs)
+	// The rendezvous payload has been handed to the mux, or to the
+	// outbox, which sends it whatever the request does next; the send
+	// request completes now.
 	for _, c := range after {
 		p.complete(c.req, nil, c.st)
 	}
@@ -656,7 +617,7 @@ func (p *Proc) Revoke(base int32) {
 	outs, purged := p.revokeLocked(base)
 	p.mu.Unlock()
 	release(purged)
-	p.sendAsync(outs)
+	p.ship(outs)
 }
 
 // release releases frames taken out of the engine's tables, once the
@@ -685,55 +646,51 @@ func (p *Proc) ctxErrLocked(ctx, tag int32) error {
 	return nil
 }
 
-// sendAsync ships engine-produced control frames without ever blocking
-// the caller: at once where the device can (trySender), else off the
-// caller's goroutine, tracked by inflightN so Close drains them.
-func (p *Proc) sendAsync(outs []outFrame) {
-	if len(outs) == 0 {
+// ship sends engine-produced control frames without ever blocking the
+// caller: a frame the mux takes at once — to a peer reached by
+// reference, whose mailbox has room — is gone; the rest join the outbox,
+// whose one sender (drain) ships them in post order the blocking way.
+func (p *Proc) ship(outs []outFrame) {
+	kept := outs[:0]
+	for _, o := range outs {
+		if !p.mux.TrySendv(int(o.dst), o.hdr, o.payload, o.recycle, o.loan) {
+			kept = append(kept, o)
+		}
+	}
+	if len(kept) == 0 {
 		return
 	}
-	if p.try != nil {
-		// A peer reached by reference takes the frame here and now, as
-		// long as its mailbox has room: no goroutine, no handoff. Only
-		// what could block goes the long way.
-		kept := outs[:0]
-		for _, o := range outs {
-			if !p.try.TrySendv(int(o.dst), o.hdr, o.payload, o.recycle, o.loan) {
-				kept = append(kept, o)
-			}
-		}
-		if outs = kept; len(outs) == 0 {
-			return
-		}
-	}
 	p.mu.Lock()
-	p.inflightN += len(outs)
+	p.outbox = append(p.outbox, kept...)
+	start := !p.sending
+	p.sending = true
 	p.mu.Unlock()
-	for _, o := range outs {
-		go func(o outFrame) {
-			defer p.doneSend()
-			// Peer teardown races make either send's error benign. (No
-			// helper around the pair: this goroutine is born on a
-			// minimal stack, and every frame between here and the
-			// device's blocking point is one more to copy when it
-			// grows.)
-			if o.loan != nil {
-				p.dev.SendvLent(int(o.dst), o.hdr, o.payload, o.loan) //nolint:errcheck
-			} else {
-				p.dev.Sendv(int(o.dst), o.hdr, o.payload, o.recycle) //nolint:errcheck
-			}
-		}(o)
+	if start {
+		go p.drain()
 	}
 }
 
-// doneSend retires one asynchronous control-frame send and wakes a
-// draining Close once the last one lands.
-func (p *Proc) doneSend() {
+// drain is the outbox's sender: it sends what the outbox holds, oldest
+// first, and stops once it finds the outbox empty, waking a Close that
+// waits for it. A send's error is a peer's teardown racing this one and
+// is benign.
+func (p *Proc) drain() {
 	p.mu.Lock()
-	p.inflightN--
-	if p.inflightN == 0 {
-		p.cond.Broadcast()
+	for len(p.outbox) > 0 {
+		batch := p.outbox
+		p.outbox = nil
+		p.mu.Unlock()
+		for _, o := range batch {
+			if o.loan != nil {
+				p.mux.SendvLent(int(o.dst), o.hdr, o.payload, o.loan) //nolint:errcheck
+			} else {
+				p.mux.Sendv(int(o.dst), o.hdr, o.payload, o.recycle) //nolint:errcheck
+			}
+		}
+		p.mu.Lock()
 	}
+	p.sending = false
+	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
@@ -1007,6 +964,7 @@ func (p *Proc) meetLocked(req *Request, kind byte, env envelope, id uint64, size
 		p.stats.BytesRecv.Add(uint64(len(payload)))
 		p.deliverLocked(req, payload, frame, st)
 		if kind == kEagerSync {
+			p.stats.AcksSent.Inc()
 			reply = buildAck(int32(p.Rank()), id)
 		}
 		return reply
@@ -1189,9 +1147,9 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 		p.rec.Begin(obs.EvSendRndv, uint32(req.id), int64(len(payload)))
 		rts := buildRts(env, req.id, len(payload))
 		if offer {
-			err = p.dev.SendvLent(dstWorld, rts, payload, (*lentSend)(req))
+			err = p.mux.SendvLent(dstWorld, rts, payload, (*lentSend)(req))
 		} else {
-			err = p.dev.Sendv(dstWorld, rts, nil, false)
+			err = p.mux.Sendv(dstWorld, rts, nil, false)
 		}
 	}
 	if err != nil {
@@ -1225,7 +1183,7 @@ func (p *Proc) sendEager(dst int, hdr, payload []byte, recycle bool) error {
 		}
 		payload, recycle = nil, false
 	}
-	return p.dev.Sendv(dst, hdr, payload, recycle)
+	return p.mux.Sendv(dst, hdr, payload, recycle)
 }
 
 // Irecv posts a receive on context ctx for (src, tag), either of which
@@ -1312,7 +1270,7 @@ func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool
 	p.mu.Unlock()
 	m.frame.Release() // a receive-into left the queued frame behind
 	if reply != nil {
-		p.dev.Sendv(int(m.env.srcWorld), reply, nil, false) //nolint:errcheck // teardown race
+		p.mux.Sendv(int(m.env.srcWorld), reply, nil, false) //nolint:errcheck // teardown race
 	}
 	return req
 }

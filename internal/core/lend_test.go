@@ -281,7 +281,7 @@ func TestLentDataFrameUnmatched(t *testing.T) {
 	p0, _ := newPair(t, Config{})
 	loan := &lentSend{proc: p0, kind: reqSend, size: 7}
 	hdr := buildDataHdr(0, 12345) // no such granted receive on p1
-	if err := p0.dev.SendvLent(1, hdr, []byte("orphans"), loan); err != nil {
+	if err := p0.mux.SendvLent(1, hdr, []byte("orphans"), loan); err != nil {
 		t.Fatal(err)
 	}
 	waitStatus(t, (*Request)(loan))

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -195,33 +194,9 @@ type oracleRecv struct {
 	into []byte
 }
 
-// ackCounter is rank 0's endpoint, counting the ACK frames its engine
-// sends on either way out.
-type ackCounter struct {
-	*transport.Mux
-	acks atomic.Int64
-}
-
-func (a *ackCounter) Sendv(dst int, hdr, payload []byte, recycle bool) error {
-	if hdr[0] == kAck {
-		a.acks.Add(1)
-	}
-	return a.Mux.Sendv(dst, hdr, payload, recycle)
-}
-
-func (a *ackCounter) TrySendv(dst int, hdr, payload []byte, recycle bool, loan transport.Loan) bool {
-	ack := hdr[0] == kAck // read first: a frame handed over is the receiver's
-	took := a.Mux.TrySendv(dst, hdr, payload, recycle, loan)
-	if took && ack {
-		a.acks.Add(1)
-	}
-	return took
-}
-
 type oracleRun struct {
 	t      *testing.T
 	procs  [3]*Proc
-	dev0   *ackCounter
 	closed [3]bool // a lost rank that is also gone; one merely reported lost still has frames in flight
 	ref    refMatcher
 	recvs  []oracleRecv
@@ -452,13 +427,16 @@ func (o *oracleRun) step(op [4]byte) {
 	}
 	// One ACK per synchronous message matched, whichever of the two came
 	// first; one too many never comes back down, and fails the next step.
-	o.eventually(fmt.Sprintf("rank 0 having sent %d ACKs", o.ref.acks), func() bool { return o.dev0.acks.Load() == int64(o.ref.acks) })
+	o.eventually(fmt.Sprintf("rank 0 having sent %d ACKs", o.ref.acks), func() bool {
+		n, _ := o.procs[0].Obs().Value("core.acks_sent")
+		return n == int64(o.ref.acks)
+	})
 }
 
 func runMatchOps(t *testing.T, ops []byte) {
 	muxes := transport.NewShmJob(3, 0)
-	o := &oracleRun{t: t, dev0: &ackCounter{Mux: muxes[0]}, sends: map[int]*Request{}, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
-	for i, d := range []transport.Device{o.dev0, muxes[1], muxes[2]} {
+	o := &oracleRun{t: t, sends: map[int]*Request{}, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
+	for i, d := range muxes {
 		o.procs[i] = NewProc(d, Config{EagerLimit: oracleEager})
 		o.procs[i].RegisterGroup(2, []int{0, 1, 2})
 		defer o.procs[i].Close()

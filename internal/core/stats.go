@@ -71,6 +71,9 @@ type Stats struct {
 	// progress role, parking on its bell. With ProgressWakes it is every
 	// goroutine the mailbox wakes.
 	CallerPolls *obs.Counter
+	// AcksSent counts the ACKs this rank owed synchronous senders: one
+	// per synchronous message it matched, whichever came first.
+	AcksSent *obs.Counter
 }
 
 // newStats registers the engine's counters in reg.
@@ -94,6 +97,7 @@ func newStats(reg *obs.Registry) Stats {
 		FramesMalformed: reg.Counter("core.frames_malformed"),
 		ProgressWakes:   reg.Counter("core.progress_wakes"),
 		CallerPolls:     reg.Counter("core.caller_polls"),
+		AcksSent:        reg.Counter("core.acks_sent"),
 	}
 }
 
@@ -114,7 +118,7 @@ func (p *Proc) transportVars() []obs.VarValue {
 	add("pool_hits", pool.Hits)
 	add("pool_puts", pool.Puts)
 	add("pool_drops", pool.Drops)
-	for _, d := range p.dev.DeviceStats() {
+	for _, d := range p.mux.DeviceStats() {
 		m := d.Name + "."
 		add(m+"frames_sent", d.FramesSent)
 		add(m+"frames_recv", d.FramesRecv)

@@ -19,10 +19,12 @@
 //     segment, whole-world or the island of a hybrid job) or a
 //     decorated device.
 //
-// One decorator, Faulty, embeds a Device and overrides only what it
-// changes: it drops frames or kills the endpoint on a schedule. Package
-// launch turns the fabric mpirun provisioned into the endpoint of a
-// named medium.
+// A decorator embeds a Device and overrides only what it changes, and
+// is read through a mux as a member device: Faulty drops frames or kills
+// the endpoint on a schedule, and a benchmark harness's link shaper or a
+// run's own wrapper (mpi.RunOptions.WrapDevice) decorate the same way.
+// Package launch turns the fabric mpirun provisioned into the endpoint
+// of a named medium.
 package transport
 
 import (

@@ -182,23 +182,12 @@ func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Inte
 		return nil, c.raise(errf(ErrPort, "%s: %v", verb, err))
 	}
 
-	final := base
-	if wire.Tkt.RemoteCtxCand > final {
-		final = wire.Tkt.RemoteCtxCand
-	}
+	final := max(base, wire.Tkt.RemoteCtxCand)
 	if err := c.env.proc.CommitContexts(final); err != nil {
 		return nil, c.raise(mapEngineErr(err))
 	}
 
-	ic := &Intercomm{low: acceptSide}
-	c.env.buildComm(&ic.Comm, c.group, c.rank, final, c.name+"."+verb)
-	ic.inter = true
-	ic.remote = worlds
-	// Intercomm point-to-point matches against the remote group: teach
-	// the engine to resolve the point-to-point context's ranks through
-	// it (peer-death attribution, revocation routing).
-	c.env.proc.RegisterGroupCtx(final, worlds)
-	return ic, nil
+	return c.newIntercomm(final, worlds, acceptSide, "."+verb), nil
 }
 
 // leaderHandshake runs the root's out-of-band exchange and reports its

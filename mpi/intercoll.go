@@ -8,17 +8,10 @@ package mpi
 // with a leader-to-leader relay on the reserved collective context, the
 // same pattern Merge and Dup already use for their exchanges.
 
-import "gompi/internal/core"
-
 // Root is the MPI_ROOT marker: on a rooted intercommunicator
 // collective, the single process of the origin group that provides (or
 // collects) the data passes Root; its group peers pass ProcNull.
 const Root = -4
-
-// tagInterColl is the reserved collective-context tag of the rooted
-// intercollective relays, distinct from tagInter (Merge/Dup exchanges)
-// so a mismatched program fails loudly instead of cross-matching.
-const tagInterColl = 0x7fe1
 
 // Barrier blocks until every process of both groups has entered it
 // (MPI_Barrier on an intercommunicator). The local barrier establishes
@@ -32,10 +25,8 @@ func (ic *Intercomm) Barrier() error {
 	if err := ic.cl.Barrier(); err != nil {
 		return ic.raise(mapEngineErr(err))
 	}
-	if _, err := ic.interExchange([]byte{1}); err != nil {
-		return ic.raise(mapEngineErr(err))
-	}
-	return nil
+	_, err := ic.interExchange([]byte{1})
+	return ic.raise(err)
 }
 
 // Bcast broadcasts from the root process of one group to every process
@@ -58,31 +49,14 @@ func (ic *Intercomm) Bcast(buf any, offset, count int, d *Datatype, root int) er
 		if err != nil {
 			return ic.raise(err)
 		}
-		sreq, err := ic.env.proc.Isend(ic.collCtx, ic.rank, ic.remote[0], tagInterColl, wire, core.ModeStandard, false)
-		if err != nil {
-			return ic.raise(mapEngineErr(err))
-		}
-		if st := sreq.Wait(); st.Err != nil {
-			return ic.raise(mapEngineErr(st.Err))
-		}
-		return nil
+		_, err = ic.relay(tagInterColl, 0, wire, -1)
+		return ic.raise(err)
 	case root >= 0 && root < len(ic.remote):
-		var wire []byte
-		if ic.rank == 0 {
-			rreq := ic.env.proc.Irecv(ic.collCtx, int32(root), tagInterColl)
-			if st := rreq.Wait(); st.Err != nil {
-				return ic.raise(mapEngineErr(st.Err))
-			}
-			wire = rreq.Payload
+		wire, err := ic.leaderBcast(0, func() ([]byte, error) { return ic.relay(tagInterColl, -1, nil, root) })
+		if err == nil {
+			_, err = s.unpack(wire)
 		}
-		wire, err := ic.cl.Bcast(0, wire)
-		if err != nil {
-			return ic.raise(mapEngineErr(err))
-		}
-		if _, err := s.unpack(wire); err != nil {
-			return ic.raise(err)
-		}
-		return nil
+		return ic.raise(err)
 	default:
 		return ic.raise(errf(ErrRoot, "intercomm bcast root %d: want Root, ProcNull or a remote rank in [0,%d)", root, len(ic.remote)))
 	}
@@ -125,7 +99,7 @@ func (ic *Intercomm) Allreduce(
 	}
 	remote, err := ic.interExchange(acc)
 	if err != nil {
-		return ic.raise(mapEngineErr(err))
+		return ic.raise(err)
 	}
 	if _, err := into.unpack(remote); err != nil {
 		return ic.raise(err)

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"gompi/internal/core"
 )
@@ -15,10 +16,13 @@ type Intercomm struct {
 	low bool
 }
 
-// tagInter is the reserved internal tag used on the collective context
-// for leader-to-leader exchanges; it cannot collide with the collective
-// algorithms' own tags.
-const tagInter = 0x7fe0
+// The leader relays' reserved tags on the collective context. A
+// collective tag's low four bits are its family, and family 0 is one no
+// schedule mints.
+const (
+	tagInter     = 1 << 4 // the symmetric exchange (Barrier, Allreduce, Merge, Dup)
+	tagInterColl = 2 << 4 // the rooted relay (Bcast)
+)
 
 // CreateIntercomm builds an intercommunicator from two intracommunicators
 // joined by a peer communicator at the leaders
@@ -38,57 +42,84 @@ func (c *Intracomm) CreateIntercomm(peer *Comm, localLeader, remoteLeader, tag i
 	}
 
 	// Leader exchange: context candidate + local group world ranks.
-	var remoteInfo []byte
-	if c.rank == localLeader {
+	remoteInfo, err := c.leaderBcast(localLeader, func() ([]byte, error) {
 		if peer == nil {
-			return nil, c.raise(errf(ErrComm, "local leader needs a peer communicator"))
+			return nil, errf(ErrComm, "local leader needs a peer communicator")
 		}
 		mine := encodeInterInfo(base, c.env.proc.Rank(), c.group)
 		sreq, err := peer.Isend(mine, 0, len(mine), BYTE, remoteLeader, tag)
 		if err != nil {
-			return nil, c.raise(err)
+			return nil, err
 		}
 		st, err := peer.Probe(remoteLeader, tag)
 		if err != nil {
-			return nil, c.raise(err)
+			return nil, err
 		}
-		remoteInfo = make([]byte, st.Bytes())
+		remoteInfo := make([]byte, st.Bytes())
 		if _, err := peer.Recv(remoteInfo, 0, len(remoteInfo), BYTE, remoteLeader, tag); err != nil {
-			return nil, c.raise(err)
+			return nil, err
 		}
-		if _, err := sreq.Wait(); err != nil {
-			return nil, c.raise(err)
-		}
-	}
-	remoteInfo, err = c.cl.Bcast(localLeader, remoteInfo)
+		_, err = sreq.Wait()
+		return remoteInfo, err
+	})
 	if err != nil {
-		return nil, c.raise(errf(ErrIntern, "%v", err))
+		return nil, c.raise(err)
 	}
 	remoteBase, remoteLeaderWorld, remoteGroup, err := decodeInterInfo(remoteInfo)
 	if err != nil {
 		return nil, c.raise(errf(ErrIntern, "%v", err))
 	}
 
-	final := base
-	if remoteBase > final {
-		final = remoteBase
-	}
+	final := max(base, remoteBase)
 	if err := c.env.proc.CommitContexts(final); err != nil {
 		return nil, c.raise(mapEngineErr(err))
 	}
 
 	// The leaders' world ranks give a deterministic, symmetric
 	// tie-break for Merge ordering.
-	localLeaderWorld := c.group[localLeader]
-	ic := &Intercomm{low: localLeaderWorld < remoteLeaderWorld}
-	c.env.buildComm(&ic.Comm, c.group, c.rank, final, c.name+".inter")
+	return c.newIntercomm(final, remoteGroup, c.group[localLeader] < remoteLeaderWorld, ".inter"), nil
+}
+
+// newIntercomm builds the intercommunicator of c's group and remote on
+// the context pair at base. Point-to-point ranks address the remote
+// group, so remote is the point-to-point context's table: the engine
+// attributes peer deaths and routes revocations through it. The
+// collective context's table lists remote after the local group, which
+// is how a leader relay names a remote rank r — as len(group)+r, see
+// relay — and how the engine fails its receive when r is lost.
+func (c *Comm) newIntercomm(base int32, remote []int, low bool, suffix string) *Intercomm {
+	ic := &Intercomm{low: low}
+	c.env.buildComm(&ic.Comm, c.group, c.rank, base, c.name+suffix)
 	ic.inter = true
-	ic.remote = remoteGroup
-	// Point-to-point ranks on an intercommunicator address the remote
-	// group: register it on the point-to-point context so the engine
-	// attributes peer deaths and routes revocations through it.
-	c.env.proc.RegisterGroupCtx(final, remoteGroup)
-	return ic, nil
+	ic.remote = remote
+	c.env.proc.RegisterGroupCtx(base, remote)
+	c.env.proc.RegisterGroupCtx(base+1, append(append([]int(nil), c.group...), remote...))
+	return ic
+}
+
+// leaderBcast runs lead on the group's leader (local rank root) and
+// broadcasts its outcome to the group: the bytes, or the class and text
+// of its error, so that a leader whose exchange failed fails every
+// member with it instead of leaving them in the broadcast.
+func (c *Comm) leaderBcast(root int, lead func() ([]byte, error)) ([]byte, error) {
+	var out []byte
+	if c.rank == root {
+		b, err := lead()
+		if e, ok := err.(*Error); ok {
+			b = []byte(e.Msg)
+		} else if err != nil {
+			b = []byte(err.Error())
+		}
+		out = append([]byte{byte(ClassOf(err))}, b...)
+	}
+	out, err := c.cl.Bcast(root, out)
+	switch {
+	case err != nil:
+		return nil, mapEngineErr(err)
+	case ErrClass(out[0]) != ErrSuccess:
+		return nil, &Error{Class: ErrClass(out[0]), Msg: string(out[1:])}
+	}
+	return out[1:], nil
 }
 
 func encodeInterInfo(base int32, leaderWorld int, group []int) []byte {
@@ -128,22 +159,58 @@ func (ic *Intercomm) RemoteGroup() *Group {
 	return &Group{ranks: append([]int(nil), ic.remote...), me: ic.env.proc.Rank()}
 }
 
-// interExchange performs a symmetric leader-to-leader exchange on the
-// reserved collective context, then broadcasts the remote payload within
-// the local group.
-func (ic *Intercomm) interExchange(mine []byte) ([]byte, error) {
-	var remote []byte
-	if ic.rank == 0 {
-		sreq, err := ic.env.proc.Isend(ic.collCtx, ic.rank, ic.remote[0], tagInter, mine, core.ModeStandard, false)
-		if err != nil {
-			return nil, err
+// relay is a leader's part in a relay over the collective context: b
+// goes to remote rank to (unless to < 0) and remote rank from's message
+// comes back (unless from < 0). Each side's table lists the remote group
+// after the local one, so a member is named len(group)+rank across it,
+// and the engine fails the receive once from is lost. Both requests are
+// waited for and recycled.
+func (ic *Intercomm) relay(tag, to int, b []byte, from int) (in []byte, err error) {
+	if to >= 0 {
+		sreq, serr := ic.env.proc.Isend(ic.collCtx, len(ic.remote)+ic.rank, ic.remote[to], tag, b, core.ModeStandard, false)
+		if serr != nil {
+			return nil, mapEngineErr(serr)
 		}
-		rreq := ic.env.proc.Irecv(ic.collCtx, 0, tagInter)
-		rreq.Wait()
-		sreq.Wait()
-		remote = rreq.Payload
+		defer func() {
+			if st := sreq.Wait(); err == nil {
+				err = mapEngineErr(st.Err)
+			}
+			sreq.Recycle()
+		}()
 	}
-	return ic.cl.Bcast(0, remote)
+	if from >= 0 {
+		rreq := ic.env.proc.Irecv(ic.collCtx, int32(len(ic.group)+from), int32(tag))
+		err = mapEngineErr(rreq.Wait().Err)
+		in = rreq.TakePayload()
+		rreq.Recycle()
+	}
+	return in, err
+}
+
+// interExchange performs a symmetric leader-to-leader exchange on the
+// collective context, then broadcasts the remote payload, or the
+// exchange's failure, within the local group.
+func (ic *Intercomm) interExchange(mine []byte) ([]byte, error) {
+	return ic.leaderBcast(0, func() ([]byte, error) { return ic.relay(tagInter, 0, mine, 0) })
+}
+
+// agreeContexts gives both sides one fresh context pair: each side's
+// candidate base and flag cross in the leader exchange, and both commit
+// the larger base. It returns that base and the remote side's flag.
+func (ic *Intercomm) agreeContexts(flag byte) (int32, byte, error) {
+	base, err := ic.cl.AgreeContextBase()
+	if err != nil {
+		return 0, 0, mapEngineErr(err)
+	}
+	remote, err := ic.interExchange(binary.LittleEndian.AppendUint32([]byte{flag}, uint32(base)))
+	switch {
+	case err != nil:
+		return 0, 0, err
+	case len(remote) != 5:
+		return 0, 0, errf(ErrIntern, "malformed context exchange payload")
+	}
+	final := max(base, int32(binary.LittleEndian.Uint32(remote[1:])))
+	return final, remote[0], mapEngineErr(ic.env.proc.CommitContexts(final))
 }
 
 // Merge joins the two sides into one intracommunicator (MPI_Intercomm_merge).
@@ -154,35 +221,16 @@ func (ic *Intercomm) Merge(high bool) (*Intracomm, error) {
 	if err := ic.ok(); err != nil {
 		return nil, ic.raise(err)
 	}
-	base, err := ic.cl.AgreeContextBase()
-	if err != nil {
-		return nil, ic.raise(mapEngineErr(err))
-	}
-	mine := make([]byte, 5)
-	binary.LittleEndian.PutUint32(mine, uint32(base))
+	var flag byte
 	if high {
-		mine[4] = 1
+		flag = 1
 	}
-	remote, err := ic.interExchange(mine)
+	final, remoteFlag, err := ic.agreeContexts(flag)
 	if err != nil {
-		return nil, ic.raise(errf(ErrIntern, "%v", err))
+		return nil, ic.raise(err)
 	}
-	if len(remote) < 5 {
-		return nil, ic.raise(errf(ErrIntern, "short merge exchange payload"))
-	}
-	remoteBase := int32(binary.LittleEndian.Uint32(remote))
-	remoteHigh := remote[4] == 1
-
-	final := base
-	if remoteBase > final {
-		final = remoteBase
-	}
-	if err := ic.env.proc.CommitContexts(final); err != nil {
-		return nil, ic.raise(mapEngineErr(err))
-	}
-
 	iAmFirst := ic.low
-	if high != remoteHigh {
+	if flag != remoteFlag {
 		iAmFirst = !high
 	}
 	var group []int
@@ -191,13 +239,7 @@ func (ic *Intercomm) Merge(high bool) (*Intracomm, error) {
 	} else {
 		group = append(append([]int(nil), ic.remote...), ic.group...)
 	}
-	me := ic.env.proc.Rank()
-	myRank := -1
-	for i, w := range group {
-		if w == me {
-			myRank = i
-		}
-	}
+	myRank := slices.Index(group, ic.env.proc.Rank())
 	if myRank < 0 {
 		return nil, ic.raise(errf(ErrIntern, "merge: caller missing from union group"))
 	}
@@ -210,32 +252,9 @@ func (ic *Intercomm) Dup() (*Intercomm, error) {
 	if err := ic.ok(); err != nil {
 		return nil, ic.raise(err)
 	}
-	base, err := ic.cl.AgreeContextBase()
+	final, _, err := ic.agreeContexts(0)
 	if err != nil {
-		return nil, ic.raise(mapEngineErr(err))
+		return nil, ic.raise(err)
 	}
-	mine := make([]byte, 4)
-	binary.LittleEndian.PutUint32(mine, uint32(base))
-	remote, err := ic.interExchange(mine)
-	if err != nil {
-		return nil, ic.raise(errf(ErrIntern, "%v", err))
-	}
-	if len(remote) < 4 {
-		return nil, ic.raise(errf(ErrIntern, "short dup exchange payload"))
-	}
-	remoteBase := int32(binary.LittleEndian.Uint32(remote))
-	final := base
-	if remoteBase > final {
-		final = remoteBase
-	}
-	if err := ic.env.proc.CommitContexts(final); err != nil {
-		return nil, ic.raise(mapEngineErr(err))
-	}
-
-	out := &Intercomm{low: ic.low}
-	ic.env.buildComm(&out.Comm, ic.group, ic.rank, final, ic.name+".dup")
-	out.inter = true
-	out.remote = ic.remote
-	ic.env.proc.RegisterGroupCtx(final, ic.remote)
-	return out, nil
+	return ic.newIntercomm(final, ic.remote, ic.low, ".dup"), nil
 }

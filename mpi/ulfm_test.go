@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gompi/internal/transport"
 	"gompi/mpi"
@@ -241,5 +242,83 @@ func TestULFMRequestErrorIdempotent(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), errVictimDown.Error()) {
 		t.Fatalf("job error = %v, want only the victim's sentinel", err)
+	}
+}
+
+// TestIntercommRemoteLeaderLossFailsFast: the leader relays of an
+// intercommunicator's collectives receive from the remote leader, so its
+// loss must fail them, and a leader whose relay failed must fail its own
+// group too. Sides {0,2} and {1,3} over tcp; world rank 1, side 1's
+// leader, loses its endpoint while side 0 waits in the collective.
+func TestIntercommRemoteLeaderLossFailsFast(t *testing.T) {
+	for _, op := range []string{"Barrier", "Merge", "Bcast"} {
+		t.Run(op, func(t *testing.T) {
+			const victim = 1
+			var victimDev transport.Device
+			var mu sync.Mutex
+			side0 := map[int]error{}
+			job := make(chan error, 1)
+			go func() {
+				job <- mpi.RunWith(mpi.RunOptions{
+					NP: 4, Device: "tcp",
+					WrapDevice: func(rank int, dev transport.Device) transport.Device {
+						if rank == victim {
+							victimDev = dev
+						}
+						return dev
+					},
+				}, func(e *mpi.Env) error {
+					w := e.CommWorld()
+					side := w.Rank() % 2
+					local, err := w.Split(side, w.Rank())
+					if err != nil {
+						return err
+					}
+					ic, err := local.CreateIntercomm(&w.Comm, 0, 1-side, 5)
+					if err != nil {
+						return err
+					}
+					if w.Rank() == victim {
+						time.Sleep(300 * time.Millisecond)
+						victimDev.Close()
+						return errVictimDown
+					}
+					start := time.Now()
+					switch op {
+					case "Barrier":
+						err = ic.Barrier()
+					case "Merge":
+						_, err = ic.Merge(side == 1)
+					case "Bcast":
+						root := 0 // side 1's leader, the victim
+						if side == 1 {
+							root = mpi.ProcNull
+						}
+						err = ic.Bcast([]int32{0}, 0, 1, mpi.INT, root)
+					}
+					if side == 0 {
+						if took := time.Since(start); err == nil || took > 10*time.Second {
+							err = fmt.Errorf("returned %v after %v", err, took)
+						}
+						mu.Lock()
+						side0[w.Rank()] = err
+						mu.Unlock()
+					}
+					return nil
+				})
+			}()
+			select {
+			case <-job:
+			case <-time.After(15 * time.Second):
+				mu.Lock()
+				defer mu.Unlock()
+				t.Fatalf("job still running after 15 s; side 0 returned %v", side0)
+			}
+			for _, r := range []int{0, 2} {
+				if cls := mpi.ClassOf(side0[r]); cls != mpi.ErrProcFailed && cls != mpi.ErrRevoked {
+					t.Errorf("world rank %d: %v, want PROC_FAILED or REVOKED", r, side0[r])
+				}
+			}
+		})
 	}
 }
