@@ -19,14 +19,20 @@ import (
 // per-rank results.
 func runGroup(t *testing.T, n int, fn func(c *Comm) (any, error)) []any {
 	t.Helper()
-	return runGroupEager(t, n, 256, fn)
+	return runGroupEager(t, n, 256, false, fn)
 }
 
 // runGroupEager is runGroup under a chosen eager limit — which is also
-// where a large allreduce changes schedule.
-func runGroupEager(t *testing.T, n, eager int, fn func(c *Comm) (any, error)) []any {
+// where a large allreduce changes schedule. A sealed job's first
+// endpoint is claimed and the job sealed before the engines claim
+// theirs (transport.Job.Direct), so it has no islands and its switch to
+// halving + doubling is at eight eager limits (halves).
+func runGroupEager(t *testing.T, n, eager int, sealed bool, fn func(c *Comm) (any, error)) []any {
 	t.Helper()
 	devs := transport.NewShmJob(n, 0)
+	if sealed {
+		devs[0].Claim().Direct()
+	}
 	procs := make([]*core.Proc, n)
 	for i, d := range devs {
 		procs[i] = core.NewProc(d, core.Config{EagerLimit: eager})

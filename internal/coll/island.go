@@ -4,50 +4,58 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"gompi/internal/core"
 	"gompi/internal/transport"
 )
 
-// The island fold: a small commutative allreduce among ranks of one
-// address space, run without a message. Each member publishes where its
+// The island fold: a commutative allreduce among ranks of one address
+// space, run without a message. Each member publishes where its
 // contribution and its accumulator lie in the communicator's island,
 // which the members share through their in-process job
 // (transport.Job.Attach), and waits on a hold — a receive posted from
 // core.NoSource under the instance's tag. The last member to arrive
-// folds every contribution, writes the result into every accumulator and
-// settles every hold (core.Proc.Settle), each under its owner's engine
-// lock: one fold, one wake per member. A hold is the only request the
-// island completes, and it is completed outside the mailbox; being a
-// posted receive, it is reached by everything else that completes one —
-// revocation, the engine's death or close, and Cancel.
+// opens the fold, which is cut into chunks (islandChunk): it and every
+// member still in the call claim chunks through one counter, and each
+// chunk is folded and written into every accumulator by whoever claimed
+// it. The member that folds the last chunk settles every hold
+// (core.Proc.Settle), each under its owner's engine lock: one wake per
+// member. A hold is the only request the island completes, and it is
+// completed outside the mailbox; being a posted receive, it is reached by
+// everything else that completes one — revocation, the engine's death or
+// close, and Cancel.
 //
 // A member whose hold completes any other way — it was cancelled, its
-// communicator revoked, its engine closed — leaves before the fold
-// (island.leave). It leaves a private copy of its contribution behind,
-// as the message schedules' first send has already shipped one, so the
-// instance still folds when its last member arrives, for the members
-// still waiting, and nobody is stranded: not those that arrived, not
-// those yet to come. The fold, every settle and every leave run under
-// the island's lock, and a leaving member takes it before its request
-// completes: once a member's wait returns, nobody reads or writes its
-// buffers, or touches its hold, for that instance again.
+// communicator revoked, its engine closed — leaves (island.leave).
+// Before the fold opens it leaves a private copy of its contribution
+// behind, as the message schedules' first send has already shipped one,
+// so the instance still folds when its last member arrives, for the
+// members still waiting, and nobody is stranded: not those that arrived,
+// not those yet to come. Once the fold is open it reads the member's
+// contribution and writes its accumulator, so the leaving member helps
+// fold and waits until the fold is over. Arrivals, leaves and the settle
+// take the island's lock, and a leaving member takes it before its
+// request completes: once a member's wait returns, nobody reads or
+// writes its buffers, or touches its hold, for that instance again.
 
-// islandMax bounds the operand of the island fold, in wire bytes; the
-// eager limit bounds it too. Measured, not tuned:
-// BenchmarkAllreduceSwitch (chan/island against chan/doubling), DOUBLE
-// SUM on the 2-vCPU box, µs/op of the island fold over µs/op of
-// recursive doubling, medians of 3 alternating rounds of 1000 ops per
-// cell:
+// islandChunk is the span of one chunk of the fold in wire bytes, cut
+// down to a whole number of the operand's units. Measured, not tuned:
+// BenchmarkAllreduceSwitch chan/island, DOUBLE SUM on the 2-vCPU box,
+// µs/op, medians of 3 alternating rounds of 300 ops per cell:
 //
-//	operand    8B   512B    8K    64K
-//	np3      0.62   0.47  0.53   0.70
-//	np4      0.30   0.38  0.50   0.59
-//	np8      0.32   0.41  0.44   0.63
+//	chunk        4K     8K    16K    32K    64K
+//	np3 256K   48.7   50.1   34.6   36.5   38.9
+//	np3 1M      215    191    150    168    160
+//	np4 256K   69.2   55.9   47.5   49.4   47.8
+//	np4 1M      287    232    232    230    222
+//	np8 256K    146    136    126    121    125
+//	np8 1M      594    477    457    490    470
 //
-// The island wins every cell up to the eager limit, so the bound is the
-// default eager limit: above it the halving schedule takes over.
-const islandMax = core.DefaultEagerLimit
+// Smaller chunks pay more claims and pooled scratch buffers per byte;
+// from 16K up the cells agree within the noise, and the smallest chunk
+// of those splits the work the most evenly between the CPUs.
+const islandChunk = 16 << 10
 
 // islandYields is how many times a blocking call's member yields,
 // looking for its hold settled, before it parks: its peers are runnable
@@ -61,6 +69,24 @@ const islandMax = core.DefaultEagerLimit
 //	np4      11.6    8.7    8.1    7.6    8.4
 //	np8      22.4   17.1   17.7   18.0   18.8
 const islandYields = 4
+
+// islandChunkYields is islandYields for an instance of more than one
+// chunk, whose early members help fold once it opens: a member that
+// parks folds nothing. Measured, not tuned: BenchmarkAllreduceSwitch
+// chan/island, DOUBLE SUM on the 2-vCPU box, µs/op, medians of 3
+// alternating rounds of 300 ops per cell:
+//
+//	yields        4     16     64    256   1024
+//	np3 256K   62.8   39.0   37.7   37.5   40.8
+//	np3 1M      270    182    174    161    166
+//	np4 256K   78.4   53.5   46.2   44.3   46.8
+//	np4 1M      345    259    226    237    231
+//	np8 256K    190    130    122    134    119
+//	np8 1M      604    511    475    467    466
+//
+// From 64 up the cells agree within the noise; the bound is the least
+// of those, as every yield is a member that could have parked.
+const islandChunkYields = 64
 
 // islandKey names a communicator's island within its job: a context id
 // is unique among a communicator's members only, and the world rank of
@@ -80,10 +106,18 @@ type island struct {
 	spare *instance // a folded instance, kept for the next one
 }
 
-// instance is one call from its first arrival to its fold.
+// instance is one call from its first arrival to the end of its fold.
 type instance struct {
 	ms []member // by group rank
-	n  int      // members arrived
+	n  int      // members arrived; all of them once the fold is open
+	// The open fold: op and key are written by the member that opens it
+	// before it publishes todo, and read by whoever claims a chunk.
+	op  *islandOp
+	key int32
+	err error // a chunk's fold error, under the island's lock
+	// todo counts the chunks not yet claimed, and is at most 0 while no
+	// fold is open; left counts the chunks not yet folded.
+	todo, left atomic.Int32
 }
 
 // member is an arrived member's part: while it waits, hold is its hold
@@ -93,6 +127,15 @@ type member struct {
 	c         *Comm
 	hold      *core.Request
 	mine, acc []byte // the contribution, read in place, and where the result goes
+}
+
+// islandOp is a plan's part in the fold: its kernel and accumulator, its
+// operand's shape and how it is chunked, and whether the message
+// schedules would have halved it (what coll.bytes_reduced charges).
+type islandOp struct {
+	f                 *folder
+	wire, unit, chunk int
+	halving           bool
 }
 
 // island returns the communicator's island, attaching to it on first
@@ -126,17 +169,24 @@ func (c *Comm) local() bool {
 }
 
 // addIslandSteps schedules member c.Rank's part of the island fold of
-// the contribution *mine into *f.acc, wire bytes each: arrive, then wait
-// on the hold.
-func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, wire int) {
+// the contribution *mine, units groups of unit wire bytes, into *f.acc:
+// arrive, then wait on the hold.
+func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, units, unit int, halving bool) {
+	op := &islandOp{f: f, wire: units * unit, unit: unit, chunk: max(islandChunk/unit, 1) * unit, halving: halving}
+	yields := islandYields
+	if op.wire > op.chunk {
+		yields = islandChunkYields
+	}
 	h := &fut{leave: func(hold *core.Request) { isl.leave(s, hold) }}
 	s.step(func() error {
-		if err := isl.arrive(s, f, *mine, wire, h); err != nil {
+		in, err := isl.arrive(s, op, *mine, h)
+		if err != nil {
 			return err
 		}
 		// A blocking call's request has one waiter from the outset
 		// (Plan.Run); Start's has escaped to nobody yet.
-		for i := 0; i < islandYields && s.req.waiters > 0; i++ {
+		for i := 0; i < yields && s.req.waiters > 0; i++ {
+			isl.help(in, c, false)
 			if _, done := h.req.Test(); done {
 				break
 			}
@@ -160,14 +210,14 @@ func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, wi
 }
 
 // arrive publishes this member's part of instance s and posts its hold
-// into h; the last member folds.
-func (isl *island) arrive(s *sched, f *folder, mine []byte, wire int, h *fut) error {
-	if len(mine) != wire || len(*f.acc) != wire {
-		return fmt.Errorf("coll: allreduce operand of %d bytes into %d, planned for %d", len(mine), len(*f.acc), wire)
+// into h; the last member opens the fold. Every member then helps fold
+// what it can claim.
+func (isl *island) arrive(s *sched, op *islandOp, mine []byte, h *fut) (*instance, error) {
+	if len(mine) != op.wire || len(*op.f.acc) != op.wire {
+		return nil, fmt.Errorf("coll: allreduce operand of %d bytes into %d, planned for %d", len(mine), len(*op.f.acc), op.wire)
 	}
 	c, k := s.c, int32(s.tag(tagReduce))
 	isl.mu.Lock()
-	defer isl.mu.Unlock()
 	in := isl.insts[k]
 	if in == nil {
 		in, isl.spare = isl.spare, nil
@@ -177,44 +227,103 @@ func (isl *island) arrive(s *sched, f *folder, mine []byte, wire int, h *fut) er
 		isl.insts[k] = in
 	}
 	if in.ms[c.Rank].c != nil {
+		isl.mu.Unlock()
 		// This member's next persistent activation, while the one it
 		// left still gathers.
-		return fmt.Errorf("coll: allreduce activation started before the one it left was folded")
+		return nil, fmt.Errorf("coll: allreduce activation started before the one it left was folded")
 	}
 	h.req = c.P.Irecv(c.Ctx, core.NoSource, k)
 	m := &in.ms[c.Rank]
-	*m = member{c: c, hold: h.req, mine: mine, acc: *f.acc}
+	*m = member{c: c, hold: h.req, mine: mine, acc: *op.f.acc}
 	if _, barred := h.req.Test(); barred { // a revoked context, a dead engine
 		m.leave()
 	}
-	if in.n++; in.n < c.Size {
-		return nil
+	in.n++
+	opens := in.n == c.Size
+	if opens {
+		chunks := int32((op.wire + op.chunk - 1) / op.chunk)
+		in.op, in.key = op, k
+		in.left.Store(chunks)
+		in.todo.Store(chunks)
 	}
-	delete(isl.insts, k)
-	err := in.fold(f, wire)
-	for i := range in.ms {
-		if m := &in.ms[i]; m.hold != nil {
-			m.c.P.Settle(m.hold, err)
-		} else {
+	isl.mu.Unlock()
+	isl.help(in, c, opens)
+	return in, nil
+}
+
+// help folds chunks of in's fold, while it is open and has chunks left
+// to claim, for member c, which opened it or not; whoever folds the last
+// chunk settles the instance. The member calls it while in is its
+// instance, so an in folded since and re-used for another call is one
+// whose fold this member has not arrived at yet: it has nothing to claim.
+func (isl *island) help(in *instance, c *Comm, opener bool) {
+	for in.todo.Load() > 0 {
+		i := int(in.todo.Add(-1))
+		if i < 0 {
+			return
+		}
+		if err := in.foldChunk(i); err != nil {
+			isl.mu.Lock()
+			in.err = err
+			isl.mu.Unlock()
+		}
+		if !opener {
+			c.vars().helped.Inc()
+		}
+		if in.left.Add(-1) == 0 {
+			isl.settle(in, c)
+		}
+	}
+}
+
+// settle ends in's fold, which member c finished: every hold still
+// posted completes, with every member charged, and in is kept for the
+// next instance.
+func (isl *island) settle(in *instance, c *Comm) {
+	isl.mu.Lock()
+	defer isl.mu.Unlock()
+	delete(isl.insts, in.key)
+	for r := range in.ms {
+		switch m := &in.ms[r]; {
+		case m.hold == nil: // it left a copy
 			transport.PutBuf(m.mine)
+		case m.c.P.Settle(m.hold, in.err) && in.err == nil:
+			m.c.vars().reduced.Add(uint64(in.op.charge(r, len(in.ms))))
 		}
 	}
 	c.vars().folds.Inc()
 	clear(in.ms)
-	in.n = 0
+	in.n, in.op, in.err = 0, nil, nil
 	isl.spare = in
-	return nil
 }
 
 // leave is a member's exit from instance s other than by its fold: its
 // hold completed with an error, or its schedule is torn down. If the
 // instance still gathers, the member leaves a copy of its contribution;
-// taking the lock also waits out a fold in progress.
+// if its fold is open, the member helps fold until the fold is over.
 func (isl *island) leave(s *sched, hold *core.Request) {
+	k := int32(s.tag(tagReduce))
 	isl.mu.Lock()
-	defer isl.mu.Unlock()
-	if in := isl.insts[int32(s.tag(tagReduce))]; in != nil && in.ms[s.c.Rank].hold == hold {
+	in := isl.insts[k]
+	if in == nil || in.ms[s.c.Rank].hold != hold {
+		isl.mu.Unlock()
+		return
+	}
+	if in.n < len(in.ms) {
 		in.ms[s.c.Rank].leave()
+		isl.mu.Unlock()
+		return
+	}
+	isl.mu.Unlock()
+	for {
+		isl.help(in, s.c, false)
+		isl.mu.Lock()
+		open := isl.insts[k] == in
+		isl.mu.Unlock()
+		if !open {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -226,30 +335,31 @@ func (m *member) leave() {
 	m.c.vars().abandoned.Inc()
 }
 
-// fold reduces the contributions of a full instance into pooled scratch
-// in exactly recursive doubling's association (addAllreduceSteps) — the
-// pre-fold pairs, then partners at distance 1, 2, 4 …, the lower rank's
-// operand on the left — so its result bits are that schedule's, and
-// writes the result into every member's accumulator. Doubling computes
-// each of these folds on every member its result reaches; the island
-// computes each once, and charges every member's coll.bytes_reduced
-// with the bytes its doubling schedule would have folded, so the
-// counter reads the same whichever schedule ran.
-func (in *instance) fold(f *folder, wire int) error {
-	n := len(in.ms)
-	p2, rounds := 1, 0
+// foldChunk reduces chunk i of every contribution of an open instance
+// into pooled scratch in exactly recursive doubling's association
+// (addAllreduceSteps) — the pre-fold pairs, then partners at distance 1,
+// 2, 4 …, the lower rank's operand on the left — so its result bits are
+// that schedule's, and writes the result into that chunk of every
+// member's accumulator.
+func (in *instance) foldChunk(i int) error {
+	op, n := in.op, len(in.ms)
+	lo := i * op.chunk
+	hi := min(lo+op.chunk, op.wire)
+	w := hi - lo
+	p2 := 1
 	for p2*2 <= n {
-		p2, rounds = p2*2, rounds+1
+		p2 *= 2
 	}
 	rem := n - p2
-	scratch := transport.GetBuf(max(rem, p2/2) * wire)
+	scratch := transport.GetBuf(max(rem, p2/2) * w)
 	defer transport.PutBuf(scratch)
-	slot := func(j int) []byte { return scratch[j*wire : (j+1)*wire : (j+1)*wire] }
+	slot := func(j int) []byte { return scratch[j*w : (j+1)*w : (j+1)*w] }
+	part := func(r int) []byte { return in.ms[r].mine[lo:hi:hi] }
 	// Level 0 reads value j from slot j, a pre-folded pair, for j < rem,
 	// and straight from member j+rem's contribution above; every level
 	// then writes its value t into slot t, which no later fold reads.
 	for j := 0; j < rem; j++ {
-		if _, err := f.k(in.ms[2*j].mine, in.ms[2*j+1].mine, slot(j)); err != nil {
+		if _, err := op.f.k(part(2*j), part(2*j+1), slot(j)); err != nil {
 			return err
 		}
 	}
@@ -257,25 +367,53 @@ func (in *instance) fold(f *folder, wire int) error {
 		if j < rem {
 			return slot(j)
 		}
-		return in.ms[j+rem].mine
+		return part(j + rem)
 	}
-	for w := p2; w > 1; w /= 2 {
-		for t := 0; t < w/2; t++ {
-			if _, err := f.k(val(2*t), val(2*t+1), slot(t)); err != nil {
+	for v := p2; v > 1; v /= 2 {
+		for t := 0; t < v/2; t++ {
+			if _, err := op.f.k(val(2*t), val(2*t+1), slot(t)); err != nil {
 				return err
 			}
 		}
 		val = slot
 	}
 	for r := range in.ms {
-		m := &in.ms[r]
-		switch copy(m.acc, slot(0)); {
-		case m.hold == nil: // it left
-		case r >= 2*rem:
-			m.c.vars().reduced.Add(uint64(rounds * wire))
-		case r%2 == 1:
-			m.c.vars().reduced.Add(uint64((rounds + 1) * wire))
+		if acc := in.ms[r].acc; acc != nil {
+			copy(acc[lo:hi], slot(0))
 		}
 	}
 	return nil
+}
+
+// charge is what member r of n folds by the message schedule this fold
+// stands in for — the pre-fold's whole operand for an odd member of the
+// front pairs, then doubling's whole operand every round, or halving's
+// kept window — so coll.bytes_reduced reads the same whichever ran.
+func (op *islandOp) charge(r, n int) int {
+	p2, rounds := 1, 0
+	for p2*2 <= n {
+		p2, rounds = p2*2, rounds+1
+	}
+	rem, got := n-p2, 0
+	nr := r - rem
+	if r < 2*rem {
+		if r%2 == 0 {
+			return 0
+		}
+		nr, got = r/2, op.wire
+	}
+	if !op.halving {
+		return got + rounds*op.wire
+	}
+	lo, hi := 0, op.wire/op.unit
+	for mask := 1; mask < p2; mask <<= 1 {
+		mid := lo + (hi-lo)/2
+		if nr&mask != 0 {
+			lo = mid
+		} else {
+			hi = mid
+		}
+		got += (hi - lo) * op.unit
+	}
+	return got
 }

@@ -16,8 +16,9 @@ type commObs struct {
 	started   *obs.Counter // schedule activations armed
 	parked    *obs.Counter // times an activation had to wait for a message, whoever drives it
 	resumed   *obs.Counter // times a parked activation became runnable again
-	reduced   *obs.Counter // bytes folded by reduction kernels, one bump per kernel call; an island fold charges each member its doubling share
-	folds     *obs.Counter // island folds this rank ran, as its instance's last arrival
+	reduced   *obs.Counter // bytes folded by reduction kernels, one bump per kernel call; an island fold charges each member what its message schedule would have folded
+	folds     *obs.Counter // island folds this rank settled, as the member that folded their last chunk
+	helped    *obs.Counter // island chunks this rank folded in a fold another member opened
 	abandoned *obs.Counter // times this rank left an island instance before its fold
 	schedNs   *obs.Timing  // activation wall time, arm to finish
 }
@@ -37,6 +38,7 @@ func (c *Comm) vars() *commObs {
 		c.obs.resumed = reg.Counter("coll.scheds_resumed")
 		c.obs.reduced = reg.Counter("coll.bytes_reduced")
 		c.obs.folds = reg.Counter("coll.island_folds")
+		c.obs.helped = reg.Counter("coll.island_chunks_helped")
 		c.obs.abandoned = reg.Counter("coll.island_abandoned")
 		c.obs.schedNs = reg.Timing("coll.sched_ns")
 	})

@@ -167,22 +167,25 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 // and by a third that folds in that same association:
 //
 //   - the island fold (island.go), when every member is a rank of one
-//     in-process job read undecorated and the operand is at most
-//     islandMax and the eager limit, for an operation of the library's
-//     own (pure): no message; the last member to arrive folds every
-//     contribution where it lies and writes every accumulator.
+//     in-process job read undecorated, for an operation of the
+//     library's own (pure), at any operand size: no message; once the
+//     last member has arrived, the members still in the call fold every
+//     contribution where it lies, chunk by chunk, and write every
+//     accumulator.
 //   - recursive doubling: log2(p2) exchanges of the whole vector, each
 //     folded whole. Latency-optimal; every byte is sent and folded
 //     log2(p2) times.
 //   - recursive halving + doubling (reduce-scatter, then allgather),
 //     when the operand is units indivisible groups of unit wire bytes,
 //     at least p2 groups long and large in all (halves: over the
-//     engine's eager limit, among members of one address space): each exchange of the first phase gives half of what is left
-//     away and folds only the half it keeps, the second phase mirrors it
-//     back. Twice the messages, but each byte is sent 2(1-1/p2) times
-//     and folded 1-1/p2 times, on loan and into place (see the ownership
-//     rule above). Members must agree on the eager limit, like on any
-//     setting an algorithm is chosen by.
+//     engine's eager limit, among members of one address space), and
+//     the island does not take it — a decorated or multi-process job,
+//     tcp, a user-defined operation: each exchange of the first phase
+//     gives half of what is left away and folds only the half it keeps,
+//     the second phase mirrors it back. Twice the messages, but each
+//     byte is sent 2(1-1/p2) times and folded 1-1/p2 times, on loan and
+//     into place (see the ownership rule above). Members must agree on
+//     the eager limit, like on any setting an algorithm is chosen by.
 //
 // unit is 0 for operands whose wire size is not fixed (OBJECT). pure
 // says the kernel writes its destination and nothing else, so an
@@ -215,10 +218,10 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 	remainder := c.Size - p2
 	wire := units * unit
 	var isl *island
-	if unit > 0 && units > 0 && pure && wire <= min(islandMax, c.P.EagerLimit()) {
+	if unit > 0 && units > 0 && pure {
 		isl = c.island()
 	}
-	halving := isl == nil && p2 > 1 && unit > 0 && units >= p2 && c.halves(wire)
+	halving := p2 > 1 && unit > 0 && units >= p2 && c.halves(wire)
 
 	// mine is where this member's running value stands until a fold has
 	// written the accumulator: the island fold and the halving schedule
@@ -235,7 +238,7 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		}
 	}
 	if isl != nil {
-		c.addIslandSteps(s, isl, f, mine, wire)
+		c.addIslandSteps(s, isl, f, mine, units, unit, halving)
 		return
 	}
 

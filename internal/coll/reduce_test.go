@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 )
 
@@ -184,7 +185,9 @@ func sensitiveAt(e, r int) float64 {
 // lengths too short to split (fewer elements than p2: the doubling
 // schedule itself must run). The reference with the distances in the
 // textbook order (p2/2 first) differs on these values, so a schedule
-// that halved that way round would fail here.
+// that halved that way round would fail here. The message schedules run
+// on a job sealed without islands; the same job unsealed folds every
+// call through the island, which must give the same bits.
 func TestAllreduceBitExactAboveTheSwitch(t *testing.T) {
 	for _, fam := range []struct {
 		op  *Op
@@ -195,7 +198,6 @@ func TestAllreduceBitExactAboveTheSwitch(t *testing.T) {
 			for p2*2 <= n {
 				p2 *= 2
 			}
-			// eager 16: even the vectors shorter than p2 are "large".
 			for _, count := range []int{5 * p2, 5*p2 + 1, 61, p2 - 1, 3} {
 				want := make([]float64, count)
 				distinguishes := false
@@ -212,22 +214,32 @@ func TestAllreduceBitExactAboveTheSwitch(t *testing.T) {
 				if p2 >= 4 && count >= p2 && !distinguishes {
 					t.Fatalf("%s n=%d count=%d: no element tells distance-1-first from distance-p2/2-first", fam.op, n, count)
 				}
-				results := runGroupEager(t, n, 16, func(c *Comm) (any, error) {
-					mine := make([]float64, count)
-					for e := range mine {
-						mine[e] = sensitiveAt(e, c.Rank)
+				for _, sealed := range []bool{true, false} {
+					// eager 2: on the sealed job "large" is eight limits
+					// (16 bytes) up, so even the vectors shorter than p2
+					// are large.
+					var folds atomic.Uint64
+					results := runGroupEager(t, n, 2, sealed, func(c *Comm) (any, error) {
+						mine := make([]float64, count)
+						for e := range mine {
+							mine[e] = sensitiveAt(e, c.Rank)
+						}
+						before, folded := c.P.Stats().SendsLent.Load(), c.vars().folds.Load()
+						res, err := c.Allreduce(mine, fam.op)
+						if halved := c.P.Stats().SendsLent.Load() > before; err == nil && c.Rank == n-1 && halved != (sealed && count >= p2) {
+							err = fmt.Errorf("count %d, p2 %d, sealed %v: halving schedule ran = %v", count, p2, sealed, halved)
+						}
+						folds.Add(c.vars().folds.Load() - folded)
+						return res, err
+					})
+					if got := folds.Load(); got != map[bool]uint64{false: 1}[sealed] {
+						t.Fatalf("%s n=%d count=%d sealed %v: %d island folds", fam.op, n, count, sealed, got)
 					}
-					before := c.P.Stats().SendsLent.Load()
-					res, err := c.Allreduce(mine, fam.op)
-					if halved := c.P.Stats().SendsLent.Load() > before; err == nil && c.Rank == n-1 && halved != (count >= p2) {
-						err = fmt.Errorf("count %d, p2 %d: halving schedule ran = %v", count, p2, halved)
-					}
-					return res, err
-				})
-				for r, res := range results {
-					for e, got := range res.([]float64) {
-						if math.Float64bits(got) != math.Float64bits(want[e]) {
-							t.Fatalf("%s n=%d count=%d rank %d element %d: %v, want %v", fam.op, n, count, r, e, got, want[e])
+					for r, res := range results {
+						for e, got := range res.([]float64) {
+							if math.Float64bits(got) != math.Float64bits(want[e]) {
+								t.Fatalf("%s n=%d count=%d sealed %v rank %d element %d: %v, want %v", fam.op, n, count, sealed, r, e, got, want[e])
+							}
 						}
 					}
 				}

@@ -185,6 +185,9 @@ type Proc struct {
 	// stays true until that sender finds the outbox empty. Guarded by mu.
 	outbox  []outFrame
 	sending bool
+	// groupsN mirrors len(groups) for the registry ("core.groups"), set
+	// wherever the table changes.
+	groupsN *obs.Gauge
 }
 
 // NewProc wraps a device with a progress engine and starts its progress
@@ -207,6 +210,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 	p.cond = sync.NewCond(&p.mu)
 	p.stats = newStats(p.reg)
 	p.unexpDepth = p.reg.Gauge("core.unexpected_depth")
+	p.groupsN = p.reg.Gauge("core.groups")
 	p.reg.Source("transport.", p.transportVars)
 	p.eagerLim.Store(int64(cfg.eagerLimit()))
 	p.reg.RegisterControl(obs.Control{
@@ -553,6 +557,7 @@ func (p *Proc) RegisterGroup(base int32, world []int) {
 	}
 	p.groups[base] = g
 	p.groups[base+1] = g
+	p.groupsN.Set(int64(len(p.groups)))
 }
 
 // RegisterGroupCtx records the matching-rank→world-rank table for one
@@ -569,6 +574,7 @@ func (p *Proc) RegisterGroupCtx(ctx int32, world []int) {
 		p.groups = make(map[int32][]int)
 	}
 	p.groups[ctx] = g
+	p.groupsN.Set(int64(len(p.groups)))
 }
 
 // ForgetGroup drops what RegisterGroup, RegisterGroupCtx and a
@@ -582,6 +588,7 @@ func (p *Proc) ForgetGroup(base int32) {
 		delete(p.groups, ctx)
 		delete(p.revoked, ctx)
 	}
+	p.groupsN.Set(int64(len(p.groups)))
 }
 
 // DownPeers returns the world ranks currently known to have failed, in

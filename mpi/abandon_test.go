@@ -1,12 +1,14 @@
 package mpi_test
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,23 +91,45 @@ func scribble(bufs ...[]float64) {
 // rank 2 stalls in the first. Their contexts fire. The late rank then
 // makes its call, finds its partner's request to send withdrawn, and
 // fails instead of waiting for data nobody will send. The communicator
-// carries the next allreduce as if nothing had happened.
+// carries the next allreduce as if nothing had happened. The "chan" row
+// runs on a chan job sealed without islands; on a plain chan job (the
+// "island" row) the island takes the call instead: the three leave
+// copies of their contributions, lend nothing, and the late member's
+// call succeeds with the copies — not with what they wrote after their
+// calls returned.
 func TestAllreduceAbandonedByCancel(t *testing.T) {
 	const np, count = 4, 64 << 10 // 512 KiB: the halving schedule on either medium
-	for _, device := range []string{"chan", "tcp"} {
+	for _, device := range []string{"chan", "tcp", "island"} {
 		t.Run(device, func(t *testing.T) {
+			island := device == "island"
+			opt := mpi.RunOptions{NP: np}
+			switch device {
+			case "chan":
+				opt.WrapDevice = mpi.NoIsland
+			case "tcp":
+				opt.Device = device
+			}
 			gone := make(chan struct{}, np-1)
-			err := abandonJob(t, mpi.RunOptions{NP: np, Device: device}, func(env *mpi.Env, settled func() error) error {
+			err := abandonJob(t, opt, func(env *mpi.Env, settled func() error) error {
 				w := env.CommWorld()
 				send, recv := make([]float64, count), make([]float64, count)
+				folds := pv(env, "coll.island_folds")
 				start := time.Now()
 				if w.Rank() == np-1 {
 					for i := 0; i < np-1; i++ {
 						<-gone
 					}
 					err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
-					if err == nil {
+					if err == nil && !island {
 						return errors.New("late rank: an allreduce its partners abandoned succeeded")
+					}
+					if err != nil && island {
+						return fmt.Errorf("late rank: %v from an island its partners left copies in", err)
+					}
+					for i, v := range recv {
+						if island && v != 0 {
+							return fmt.Errorf("late rank: element %d = %v, want 0", i, v)
+						}
 					}
 				} else {
 					ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
@@ -116,7 +140,11 @@ func TestAllreduceAbandonedByCancel(t *testing.T) {
 						return fmt.Errorf("rank %d: %v, want the deadline", w.Rank(), err)
 					}
 					// Ranks 0 and 1 lent a window in each of two rounds, rank 2 in one.
-					if got, want := pv(env, "core.sends_lent")-lent, uint64(2-w.Rank()/2); got != want {
+					want := uint64(2 - w.Rank()/2)
+					if island {
+						want = 0
+					}
+					if got := pv(env, "core.sends_lent") - lent; got != want {
 						return fmt.Errorf("rank %d: cancelled with %d windows lent, want %d (not mid reduce-scatter)", w.Rank(), got, want)
 					}
 					scribble(send, recv)
@@ -137,7 +165,11 @@ func TestAllreduceAbandonedByCancel(t *testing.T) {
 				if recv[0] != 6 || recv[count-1] != float64(6+np*((count-1)%3)) {
 					return fmt.Errorf("rank %d: allreduce after the abandoned one = %v … %v", w.Rank(), recv[0], recv[count-1])
 				}
-				return nil
+				folded, err := foldsSince(env, w, folds)
+				if want := map[bool]uint64{true: 2}[island]; err == nil && folded != want {
+					err = fmt.Errorf("rank %d: %d island folds, want %d", w.Rank(), folded, want)
+				}
+				return err
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -200,6 +232,121 @@ func TestAllreduceAbandonedByPeerDeath(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), errVictimDown.Error()) || strings.Count(err.Error(), "rank ") != 1 {
 				t.Fatalf("job error = %v, want only the victim's sentinel", err)
 			}
+		})
+	}
+}
+
+// TestIslandLeaveDuringFold: a member whose call ends while the fold is
+// open — its wait cancelled, or the communicator revoked — returns only
+// once the fold is over. Three members start a large Iallreduce; the
+// fourth arrives late, which opens the fold, and a moment later one
+// member cancels its wait (or revokes the communicator). Nobody hangs,
+// the late member's call completes, every member that got a result got
+// the whole sum, and each member overwrites its buffers the instant its
+// call returns: a fold that still read or wrote them would leave a wrong
+// sum elsewhere, a value other than the scribble here, or (under -race)
+// a reported race; and the job leaves no goroutine behind. Attempts repeat, with the moment moved, until a leave
+// has landed in an open fold: a call that failed while its member left
+// no copy behind (coll.island_abandoned unmoved).
+func TestIslandLeaveDuringFold(t *testing.T) {
+	const np, count, attempts = 4, 512 << 10, 64 // 4 MiB of DOUBLE: 256 chunks
+	for _, how := range []string{"cancel", "revoke"} {
+		t.Run(how, func(t *testing.T) {
+			opening := make([]chan struct{}, attempts)
+			for i := range opening {
+				opening[i] = make(chan struct{})
+			}
+			var landed atomic.Int32
+			var wrong atomic.Pointer[error] // the first; who finds one goes on, so nobody is left waiting
+			report := func(err error) { wrong.CompareAndSwap(nil, &err) }
+			err := abandonJob(t, mpi.RunOptions{NP: np}, func(env *mpi.Env, _ func() error) error {
+				w := env.CommWorld()
+				rank := w.Rank()
+				send, recv := make([]float64, count), make([]float64, count)
+				for attempt := 0; attempt < attempts && landed.Load() == 0 && wrong.Load() == nil; attempt++ {
+					d, err := w.Dup()
+					if err != nil {
+						return err
+					}
+					for i := range send {
+						send[i] = float64(rank + 1)
+					}
+					left := pv(env, "coll.island_abandoned")
+					var req *mpi.Request
+					if rank < np-1 {
+						if req, err = d.Iallreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+							return err
+						}
+					}
+					if err := w.Barrier(); err != nil {
+						return err
+					}
+					// The late member opens the fold; the leaver acts a
+					// moment after it set out.
+					moment := time.Duration(attempt%8) * 100 * time.Microsecond
+					switch {
+					case rank == np-1:
+						close(opening[attempt])
+						err = d.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+					case rank == 1 && how == "cancel":
+						ctx, cancel := context.WithCancel(context.Background())
+						go func() {
+							<-opening[attempt]
+							time.Sleep(moment)
+							cancel()
+						}()
+						_, err = req.WaitCtx(ctx)
+						cancel()
+					case rank == 0 && how == "revoke":
+						<-opening[attempt]
+						time.Sleep(moment)
+						if err := d.Revoke(); err != nil {
+							return err
+						}
+						_, err = req.Wait()
+					default:
+						_, err = req.Wait()
+					}
+					for i, v := range recv {
+						if err == nil && v != np*(np+1)/2 {
+							report(fmt.Errorf("attempt %d rank %d: element %d = %v, want %v", attempt, rank, i, v, np*(np+1)/2))
+							break
+						}
+					}
+					scribble(send, recv)
+					if err != nil && pv(env, "coll.island_abandoned") == left {
+						landed.Store(int32(attempt + 1))
+					}
+					if err := w.Barrier(); err != nil {
+						return err
+					}
+					for i, v := range recv {
+						if v != -1 {
+							report(fmt.Errorf("attempt %d rank %d: element %d written after the call returned (%v)", attempt, rank, i, err))
+							break
+						}
+					}
+					if err := d.Free(); err != nil {
+						return err
+					}
+					// Every member reads landed and wrong only past this
+					// barrier.
+					if err := w.Barrier(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if p := wrong.Load(); p != nil {
+				err = cmp.Or(err, *p)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if landed.Load() == 0 {
+				t.Fatalf("no %s landed in an open fold in %d attempts", how, attempts)
+			}
+			t.Logf("a %s landed in an open fold at attempt %d", how, landed.Load())
 		})
 	}
 }

@@ -7,23 +7,22 @@ import (
 
 	"gompi/internal/coll"
 	"gompi/internal/core"
-	"gompi/internal/transport"
 	"gompi/mpi"
 )
 
 // BenchmarkAllreduceSwitch prices a blocking DOUBLE SUM Allreduce on
-// both sides of the points where the schedule changes — from the island
-// fold to halving + doubling at the eager limit in process (island rows,
-// below), from recursive doubling to halving + doubling just above the
-// eager limit in process and at eight eager limits over loopback tcp —
-// at a power-of-two and an odd group size. Those points are constants in
-// internal/coll (islandMax, halves); this is the benchmark that says
-// whether they are in the right place: µs/op and B/op at each size,
-// against the same sizes on the parent commit. The island rows put the
-// island fold and recursive doubling side by side over chan, at sizes up
-// to the island's bound: a doubling row's job is sealed before its
-// engines claim their endpoints (transport.Job.Direct), which leaves the
-// same chan job without islands.
+// both sides of the points where the schedule changes. The device rows
+// run a plain job at a power-of-two and an odd group size: over chan the
+// island fold takes every size, over loopback tcp recursive doubling
+// runs below eight eager limits and halving + doubling from there. The
+// chan rows by path put the island fold beside the message schedules,
+// from 8 bytes to 1 MiB at np 3, 4 and 8: the doubling and halving rows'
+// job is sealed before its engines claim their endpoints (NoIsland),
+// which leaves the same chan job without islands, and there too the
+// switch to halving + doubling is at eight eager limits. The constants
+// that place these points (internal/coll's farHalvingFactor, islandChunk
+// and islandChunkYields) are read off these rows: µs/op and B/op at each
+// size, against the same sizes on the parent commit.
 func BenchmarkAllreduceSwitch(b *testing.B) {
 	const eager = core.DefaultEagerLimit
 	for _, device := range []string{"chan", "tcp"} {
@@ -35,19 +34,17 @@ func BenchmarkAllreduceSwitch(b *testing.B) {
 			}
 		}
 	}
-	for _, path := range []string{"island", "doubling"} {
+	for _, island := range []bool{true, false} {
 		for _, np := range []int{3, 4, 8} {
-			for _, size := range []int{8, 512, 8 << 10, 64 << 10} {
-				b.Run(fmt.Sprintf("chan/%s/np%d/%dB", path, np, size), func(b *testing.B) {
-					opt := mpi.RunOptions{NP: np}
-					folds := 1
-					if path == "doubling" {
-						folds = 0
-						opt.WrapDevice = func(_ int, d transport.Device) transport.Device {
-							d.(*transport.Mux).Claim().Direct()
-							return d
-						}
+			for _, size := range []int{8, 512, 8 << 10, eager, eager + 8, 2 * eager, 4 * eager, 8 * eager, 16 * eager} {
+				path, opt, folds := "island", mpi.RunOptions{NP: np}, 1
+				if !island {
+					path, opt.WrapDevice, folds = "doubling", mpi.NoIsland, 0
+					if size >= 8*eager {
+						path = "halving"
 					}
+				}
+				b.Run(fmt.Sprintf("chan/%s/np%d/%dB", path, np, size), func(b *testing.B) {
 					timeAllreduce(b, opt, size, folds)
 				})
 			}

@@ -152,6 +152,15 @@ func waitCtx(ctx context.Context) func(*mpi.Request, error) error {
 	}
 }
 
+// foldsSince is collective over w: how many island folds its members
+// ran since each read coll.island_folds as before. Each fold is counted
+// by one member, the one that settled it.
+func foldsSince(env *mpi.Env, w *mpi.Intracomm, before uint64) (uint64, error) {
+	sum := []int64{0}
+	err := w.Allreduce([]int64{int64(pv(env, "coll.island_folds") - before)}, 0, sum, 0, 1, mpi.LONG, mpi.SUM)
+	return uint64(sum[0]), err
+}
+
 // pv reads one of the rank's performance variables by name; an unknown
 // name reads as 0.
 func pv(env *mpi.Env, name string) uint64 {

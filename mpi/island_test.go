@@ -1,9 +1,12 @@
 package mpi
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -16,9 +19,21 @@ import (
 	"gompi/internal/transport"
 )
 
-// islandBound is the largest operand the island fold takes at the
-// default eager limit, which caps coll's own bound.
-const islandBound = core.DefaultEagerLimit
+// NoIsland is a RunOptions.WrapDevice for a chan job without islands:
+// each endpoint is claimed and its job sealed (transport.Job.Direct)
+// before the engines claim theirs, so the job is not direct, every
+// member is still reached by reference, and the message schedules run —
+// with the switch to halving + doubling at eight eager limits, as for
+// any job that is not one undecorated in-process job (coll's halves). An
+// endpoint of no job passes through.
+func NoIsland(_ int, d transport.Device) transport.Device {
+	if m, ok := d.(*transport.Mux); ok {
+		if j := m.Claim(); j != nil {
+			j.Direct()
+		}
+	}
+	return d
+}
 
 // islandFolds sums a job's coll.island_folds: one per fold, counted by
 // the member that ran it.
@@ -89,11 +104,10 @@ func TestAllreduceScheduleAgreesAcrossDecoration(t *testing.T) {
 	}
 }
 
-// TestAllreduceBitExactAcrossPaths: the island fold (chan, at most the
-// bound) associates exactly as recursive doubling (tcp) does, and so do
-// the schedules above the bound on either medium: the same seeded
-// operands give the same result bits at every size, operation and class,
-// on every member.
+// TestAllreduceBitExactAcrossPaths: the island fold (chan, at every
+// size) associates exactly as recursive doubling and halving + doubling
+// (tcp) do: the same seeded operands give the same result bits at every
+// size, operation and class, on every member.
 func TestAllreduceBitExactAcrossPaths(t *testing.T) {
 	type combo struct {
 		d    *Datatype
@@ -163,7 +177,7 @@ func TestAllreduceBitExactAcrossPaths(t *testing.T) {
 			w := env.CommWorld()
 			for ci, c := range combos {
 				item := c.d.t.WireBytes(1)
-				for _, n := range []int{1, 7, 1023, islandBound/item - 1, islandBound/item + 1} {
+				for _, n := range []int{1, 7, 1023, core.DefaultEagerLimit/item - 1, core.DefaultEagerLimit/item + 1} {
 					rng := rand.New(rand.NewSource(int64(1000*ci + 7*n + w.Rank())))
 					send := c.make(rng, n)
 					recv := c.make(rng, n)
@@ -192,8 +206,8 @@ func TestAllreduceBitExactAcrossPaths(t *testing.T) {
 	for np := 2; np <= 9; np++ {
 		island, folds := run("chan", np)
 		messages, none := run("tcp", np)
-		// Counts 1, 7, 1023 and the bound − 1 of every combination fit.
-		if want := uint64(4 * len(combos)); folds != want || none != 0 {
+		// Every count of every combination folds through the island.
+		if want := uint64(5 * len(combos)); folds != want || none != 0 {
 			t.Fatalf("np%d: %d island folds over chan, want %d; %d over tcp, want 0", np, folds, want, none)
 		}
 		for key, bits := range island {
@@ -392,8 +406,8 @@ func TestIslandRevokeReachesParkedMembers(t *testing.T) {
 
 // TestIslandLifetime: islands are shared per communicator and gone once
 // every member has freed it, and so are the engine's tables of its group
-// — a long run of Dup, Allreduce, Free keeps the job's island count and
-// the heap flat.
+// — a long run of Dup, Allreduce, Free keeps the job's island count, the
+// engine's group table (core.groups) and the heap flat.
 func TestIslandLifetime(t *testing.T) {
 	rounds := 100_000
 	if raceEnabled {
@@ -401,6 +415,7 @@ func TestIslandLifetime(t *testing.T) {
 	}
 	const np = 2
 	var heap [2]uint64
+	var groups [2][np]int64
 	err := Run(np, func(env *Env) error {
 		w := env.CommWorld()
 		job := env.proc.Job()
@@ -427,6 +442,7 @@ func TestIslandLifetime(t *testing.T) {
 			if err := w.Barrier(); err != nil {
 				return err
 			}
+			groups[at][w.Rank()], _ = env.PerfVar("core.groups")
 			if w.Rank() == 0 {
 				runtime.GC()
 				var ms runtime.MemStats
@@ -453,8 +469,109 @@ func TestIslandLifetime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if groups[0] != groups[1] || groups[0][0] == 0 {
+		t.Fatalf("core.groups went from %v to %v over %d cycles of Dup, Allreduce, Free", groups[0], groups[1], rounds)
+	}
 	if grew := int64(heap[1]) - int64(heap[0]); grew > 1<<20 {
 		t.Fatalf("heap in use grew by %d bytes over %d cycles of Dup, Allreduce, Free", grew, rounds)
 	}
 	t.Logf("heap in use: %d → %d bytes over %d cycles", heap[0], heap[1], rounds)
+}
+
+// islandChunk mirrors internal/coll's islandChunk: the span of one chunk
+// of an island fold, cut down to a whole number of the operand's units.
+const islandChunk = 16 << 10
+
+// fingerprint hashes the bits of a float64 result.
+func fingerprint(b []float64) uint64 {
+	h := fnv.New64a()
+	var w [8]byte
+	for _, v := range b {
+		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
+		h.Write(w[:])
+	}
+	return h.Sum64()
+}
+
+// TestIslandChunkedFoldBitExact: the chunked island fold (chan) gives
+// the message schedules' result bits (tcp: recursive doubling, or
+// halving + doubling from eight eager limits), on every member, at np
+// 2–9 and at operands of one unit short of a chunk, one chunk, one unit
+// over it, just over the eager limit and 1 MiB — for classes whose unit
+// divides the chunk and for three DOUBLEs, whose 24 bytes do not, so
+// chunk edges fall on whole units short of islandChunk.
+func TestIslandChunkedFoldBitExact(t *testing.T) {
+	triple, err := TypeContiguous(3, DOUBLE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	triple.Commit()
+	type combo struct {
+		d     *Datatype
+		op    *Op
+		width int // float64s per item
+		make  func(rng *rand.Rand, b []float64)
+	}
+	wide := func(rng *rand.Rand, b []float64) {
+		for i := range b {
+			b[i] = (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(40)-20))
+		}
+	}
+	near1 := func(rng *rand.Rand, b []float64) {
+		for i := range b {
+			b[i] = 0.75 + rng.Float64()/2
+		}
+	}
+	pairs := func(rng *rand.Rand, b []float64) {
+		for i := 0; i < len(b); i += 2 {
+			b[i], b[i+1] = float64(rng.Intn(8)), float64(rng.Intn(64))
+		}
+	}
+	combos := []combo{{DOUBLE, SUM, 1, wide}, {DOUBLE, PROD, 1, near1}, {DOUBLE2, MAXLOC, 2, pairs}, {triple, SUM, 3, wide}}
+	run := func(device string, np int) (map[string]uint64, uint64) {
+		var folds islandFolds
+		var mu sync.Mutex
+		out := map[string]uint64{}
+		var differ error // members that disagree go on calling: none is left waiting
+		err := withinDeadline(t, 60*time.Second, RunOptions{NP: np, Device: device}, func(env *Env) error {
+			w := env.CommWorld()
+			for ci, c := range combos {
+				unit := 8 * c.width
+				for _, n := range []int{islandChunk/unit - 1, islandChunk / unit, islandChunk/unit + 1, (64<<10 + 8) / unit, (1 << 20) / unit} {
+					rng := rand.New(rand.NewSource(int64(1000*ci + 7*n + w.Rank())))
+					send, recv := make([]float64, n*c.width), make([]float64, n*c.width)
+					c.make(rng, send)
+					if err := w.Allreduce(send, 0, recv, 0, n, c.d, c.op); err != nil {
+						return fmt.Errorf("%s %s × %d: %v", c.d.Name(), c.op.op.Name, n, err)
+					}
+					key := fmt.Sprintf("%s %s × %d", c.d.Name(), c.op.op.Name, n)
+					got := fingerprint(recv)
+					mu.Lock()
+					if first, ok := out[key]; ok && first != got && differ == nil {
+						differ = fmt.Errorf("%s: rank %d disagrees with another member", key, w.Rank())
+					}
+					out[key] = got
+					mu.Unlock()
+				}
+			}
+			folds.add(env)
+			return nil
+		})
+		if err = cmp.Or(err, differ); err != nil {
+			t.Fatalf("%s np%d: %v", device, np, err)
+		}
+		return out, folds.Load()
+	}
+	for np := 2; np <= 9; np++ {
+		island, folds := run("chan", np)
+		messages, none := run("tcp", np)
+		if want := uint64(5 * len(combos)); folds != want || none != 0 {
+			t.Fatalf("np%d: %d island folds over chan, want %d; %d over tcp, want 0", np, folds, want, none)
+		}
+		for key, bits := range island {
+			if messages[key] != bits {
+				t.Fatalf("np%d %s: the island's result differs from the message schedules'", np, key)
+			}
+		}
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gompi/internal/transport"
 	"gompi/mpi"
 )
 
@@ -479,7 +480,10 @@ func TestBytesReducedPerfVar(t *testing.T) {
 // section itself with the contribution read out of a separate send
 // buffer, the one buffer of an in-place call, or a pooled frame packed
 // from and unpacked into strided sections (which can be neither lent
-// from nor deposited into). Power-of-two and odd sizes.
+// from nor deposited into). Power-of-two and odd sizes; over tcp and a
+// chan job sealed without islands, where the schedule lends, and over a
+// plain chan job ("island"), where the island folds every form and
+// nothing is lent.
 func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 	const count = 70001 // 560 KB of DOUBLE — above the switch on either medium — and odd: every split is uneven
 	strided, err := mpi.TypeVector(count, 1, 2, mpi.DOUBLE)
@@ -487,10 +491,19 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	strided.Commit()
-	for _, device := range []string{"chan", "tcp"} {
+	for _, row := range []struct {
+		device string
+		wrap   func(int, transport.Device) transport.Device
+	}{{"chan", mpi.NoIsland}, {"tcp", nil}, {"island", nil}} {
+		device, island := row.device, row.device == "island"
 		for _, np := range []int{4, 3} {
-			err := mpi.RunWith(mpi.RunOptions{NP: np, Device: device}, func(env *mpi.Env) error {
+			opt := mpi.RunOptions{NP: np, WrapDevice: row.wrap}
+			if device == "tcp" {
+				opt.Device = device
+			}
+			err := mpi.RunWith(opt, func(env *mpi.Env) error {
 				w := env.CommWorld()
+				folds := pv(env, "coll.island_folds")
 				round := 0
 				fill := func(buf []float64, stride int) {
 					for i := 0; i < count; i++ {
@@ -592,8 +605,17 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 				if err := p.Free(); err != nil {
 					return err
 				}
-				if lent := pv(env, "core.sends_lent"); lent == 0 {
+				if lent := pv(env, "core.sends_lent"); lent == 0 && !island {
 					return fmt.Errorf("rank %d: no window ever went out on loan", w.Rank())
+				} else if lent != 0 && island {
+					return fmt.Errorf("rank %d: %d windows went out on loan from an island", w.Rank(), lent)
+				}
+				// Three forms × two buffer shapes, four persistent
+				// activations × two, three strided calls.
+				if folded, err := foldsSince(env, w, folds); err != nil {
+					return err
+				} else if want := map[bool]uint64{true: 3*2 + 4*2 + 3}[island]; folded != want {
+					return fmt.Errorf("%s: %d island folds, want %d", device, folded, want)
 				}
 				return nil
 			})
@@ -607,21 +629,47 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 // TestAllreduceSwitchPoint: which schedule runs is a property of the
 // call and of where the members live, nothing anyone sets — halving +
 // doubling (the only schedule that lends) from just above the eager
-// limit when every member is reached by reference, from eight eager
-// limits when some are behind a socket; recursive doubling below.
+// limit when every member is a rank of one undecorated in-process job
+// and the island does not take the call (a user-defined operation),
+// from eight eager limits otherwise (tcp, or a chan job sealed without
+// islands); recursive doubling below. A predefined operation on a plain
+// chan job folds through the island at every size, and lends nothing.
 func TestAllreduceSwitchPoint(t *testing.T) {
 	const eager = 64 << 10
-	for device, floor := range map[string]int{"chan": eager + 8, "tcp": 8 * eager} {
-		err := mpi.RunWith(mpi.RunOptions{NP: 4, Device: device}, func(env *mpi.Env) error {
+	userSum := mpi.NewOp(func(in, inout any) {
+		a, b := in.([]float64), inout.([]float64)
+		for i := range b {
+			b[i] += a[i]
+		}
+	}, true)
+	for _, row := range []struct {
+		name  string
+		opt   mpi.RunOptions
+		op    *mpi.Op
+		floor int // 0: the island, never halving
+	}{
+		{"chan", mpi.RunOptions{NP: 4, WrapDevice: mpi.NoIsland}, mpi.SUM, 8 * eager},
+		{"tcp", mpi.RunOptions{NP: 4, Device: "tcp"}, mpi.SUM, 8 * eager},
+		{"island", mpi.RunOptions{NP: 4}, mpi.SUM, 0},
+		{"island, user op", mpi.RunOptions{NP: 4}, userSum, eager + 8},
+	} {
+		err := mpi.RunWith(row.opt, func(env *mpi.Env) error {
 			w := env.CommWorld()
 			for _, size := range []int{eager, eager + 8, 8*eager - 8, 8 * eager} {
 				buf := make([]float64, size/8)
-				lent := pv(env, "core.sends_lent")
-				if err := w.Allreduce(buf, 0, buf, 0, len(buf), mpi.DOUBLE, mpi.SUM); err != nil {
+				lent, folds := pv(env, "core.sends_lent"), pv(env, "coll.island_folds")
+				if err := w.Allreduce(buf, 0, buf, 0, len(buf), mpi.DOUBLE, row.op); err != nil {
 					return err
 				}
-				if halved := pv(env, "core.sends_lent") > lent; halved != (size >= floor) {
-					return fmt.Errorf("%s, %d bytes: halving schedule ran = %v, floor %d", device, size, halved, floor)
+				if halved := pv(env, "core.sends_lent") > lent; halved != (row.floor > 0 && size >= row.floor) {
+					return fmt.Errorf("%s, %d bytes: halving schedule ran = %v, floor %d", row.name, size, halved, row.floor)
+				}
+				folded, err := foldsSince(env, w, folds)
+				if err != nil {
+					return err
+				}
+				if want := map[bool]uint64{true: 1}[row.floor == 0]; folded != want {
+					return fmt.Errorf("%s, %d bytes: %d island folds, want %d", row.name, size, folded, want)
 				}
 			}
 			return nil
