@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync/atomic"
 
@@ -189,127 +188,62 @@ func (c *Comm) addBcastSteps(s *sched, root int, data *[]byte) {
 	}
 }
 
-// bundle encoding: u32 count, then per block u32 vrank, u32 len, bytes.
-func encodeBundle(blocks map[int][]byte) []byte {
-	n := 4
-	for _, b := range blocks {
-		n += 8 + len(b)
-	}
-	out := make([]byte, 0, n)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(blocks)))
-	for vr, b := range blocks {
-		out = binary.LittleEndian.AppendUint32(out, uint32(vr))
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(b)))
-		out = append(out, b...)
-	}
-	return out
-}
-
-func decodeBundle(data []byte, into map[int][]byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("coll: short bundle")
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	for i := 0; i < n; i++ {
-		if len(data) < 8 {
-			return fmt.Errorf("coll: truncated bundle header")
-		}
-		vr := int(binary.LittleEndian.Uint32(data))
-		ln := binary.LittleEndian.Uint32(data[4:])
-		data = data[8:]
-		if uint64(len(data)) < uint64(ln) { // compared unsigned: int(ln) may wrap on 32-bit hosts
-			return fmt.Errorf("coll: truncated bundle block")
-		}
-		into[vr] = data[:ln:ln]
-		data = data[ln:]
-	}
-	return nil
-}
-
-// addGatherSteps schedules a binomial-tree gather of every member's
-// block (*mine) toward root; at completion *out (root only) holds the
-// blocks indexed by group rank.
+// addGatherSteps schedules the gather of every member's block (*mine)
+// at root: each other member ships its block straight to root in one
+// message, and root posts one receive per member before it consumes
+// any, so no sender waits on root's progress through the others. At
+// completion *out (root only) holds the blocks indexed by group rank.
+// Every received block is root's own to write: a member ships a private
+// copy, because *mine is its caller's again once the member returns,
+// and the in-process devices hand frames over by reference.
 func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
-	vr := rel(c.Rank, root, c.Size)
-	var have map[int][]byte
-	s.onReset(func() { have = make(map[int][]byte) })
-	s.step(func() error { have[vr] = *mine; return nil })
-	for mask := 1; mask < c.Size; mask <<= 1 {
-		mask := mask
-		if vr&mask != 0 {
-			s.step(func() error {
-				return s.isend(unrel(vr-mask, root, c.Size), tagGather, encodeBundle(have))
-			})
-			return // subtree forwarded; this member is done
-		}
-		if vr+mask < c.Size {
-			s.recvStep(unrel(vr+mask, root, c.Size), tagGather, func(got []byte) error {
-				return decodeBundle(got, have)
-			})
-		}
+	if c.Rank != root {
+		s.step(func() error { return s.isendCopy(root, tagGather, *mine) })
+		return
 	}
-	// vr == 0: assemble at root.
 	s.step(func() error {
-		res := make([][]byte, c.Size)
-		for v, b := range have {
-			res[unrel(v, root, c.Size)] = b
-		}
-		*out = res
+		*out = make([][]byte, c.Size)
+		(*out)[root] = *mine
 		return nil
 	})
+	futs := make([]fut, c.Size)
+	for r := range futs {
+		if r != root {
+			s.irecvStep(&futs[r], r, tagGather, nil)
+		}
+	}
+	for r := range futs {
+		if r != root {
+			s.consumeStep(&futs[r], func(got []byte) error { (*out)[r] = got; return nil })
+		}
+	}
 }
 
-// addScatterSteps schedules the binomial-tree scatter of *parts
-// (indexed by group rank, significant at root); at completion *out
-// holds this member's block. Blocks may have different sizes, so the
-// same schedule serves Scatterv. *parts is read when the schedule runs
-// (composed schedules construct it mid-run), so that is when the root
-// step checks its length.
+// addScatterSteps schedules the scatter of *parts (indexed by group
+// rank, significant at root): root ships every other member a private
+// copy of its block in one message, and each member receives its block
+// in one; at completion *out holds this member's block. Blocks may have
+// different sizes, so the same schedule serves Scatterv. *parts is read
+// when the schedule runs (composed schedules construct it mid-run), so
+// that is when root checks its length.
 func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte) {
-	vr := rel(c.Rank, root, c.Size)
-	var have map[int][]byte
-	s.onReset(func() { have = make(map[int][]byte) })
-	var start int
-	if vr == 0 {
-		s.step(func() error {
-			if len(*parts) != c.Size {
-				return fmt.Errorf("coll: scatter with %d parts for %d ranks", len(*parts), c.Size)
-			}
-			for r, b := range *parts {
-				have[rel(r, root, c.Size)] = b
-			}
-			return nil
-		})
-		start = topMask(c.Size) >> 1
-	} else {
-		low := vr & -vr
-		s.recvStep(unrel(vr-low, root, c.Size), tagScatter, func(got []byte) error {
-			return decodeBundle(got, have)
-		})
-		start = low >> 1
+	if c.Rank != root {
+		s.recvStep(root, tagScatter, func(got []byte) error { *out = got; return nil })
+		return
 	}
-	for mask := start; mask > 0; mask >>= 1 {
-		if vr+mask >= c.Size {
-			continue
+	s.step(func() error {
+		if len(*parts) != c.Size {
+			return fmt.Errorf("coll: scatter with %d parts for %d ranks", len(*parts), c.Size)
 		}
-		mask := mask
-		s.step(func() error {
-			sub := make(map[int][]byte)
-			hi := vr + 2*mask
-			if hi > c.Size {
-				hi = c.Size
+		for r, b := range *parts {
+			if r == root {
+				*out = b
+			} else if err := s.isendCopy(r, tagScatter, b); err != nil {
+				return err
 			}
-			for v := vr + mask; v < hi; v++ {
-				if b, ok := have[v]; ok {
-					sub[v] = b
-					delete(have, v)
-				}
-			}
-			return s.isend(unrel(vr+mask, root, c.Size), tagScatter, encodeBundle(sub))
-		})
-	}
-	s.step(func() error { *out = have[vr]; return nil })
+		}
+		return nil
+	})
 }
 
 // addAllgatherSteps schedules the ring allgather (p-1 shifted steps);
@@ -392,9 +326,9 @@ func (c *Comm) BcastPlan(root int, data *[]byte) (*Plan, error) {
 	return p, nil
 }
 
-// GatherPlan builds the gather of every member's *mine toward root
-// along a binomial tree; the plan's result is the blocks indexed by
-// group rank ([][]byte) at root, nil elsewhere.
+// GatherPlan builds the gather of every member's *mine at root, each
+// block in one message from its owner; the plan's result is the blocks
+// indexed by group rank ([][]byte) at root, nil elsewhere.
 func (c *Comm) GatherPlan(root int, mine *[]byte) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
@@ -407,10 +341,10 @@ func (c *Comm) GatherPlan(root int, mine *[]byte) (*Plan, error) {
 }
 
 // ScatterPlan builds the scatter of *parts (indexed by group rank,
-// significant at root only) along a binomial tree; the plan's result is
-// this member's block ([]byte); a root whose *parts does not hold one
-// block per member fails the activation. Blocks may have different
-// sizes, so the plan doubles as Scatterv.
+// significant at root only), each block in one message from root; the
+// plan's result is this member's block ([]byte); a root whose *parts
+// does not hold one block per member fails the activation. Blocks may
+// have different sizes, so the plan doubles as Scatterv.
 func (c *Comm) ScatterPlan(root int, parts *[][]byte) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {

@@ -107,9 +107,8 @@ func TestBcastAllRootsAllSizes(t *testing.T) {
 }
 
 func TestGatherScatterInverse(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 6} {
-		for root := 0; root < n; root += 2 {
-			root := root
+	for _, n := range []int{1, 2, 3, 5, 8, 9} {
+		for root := 0; root < n; root++ {
 			results := runGroup(t, n, func(c *Comm) (any, error) {
 				mine := []byte{byte(c.Rank), byte(c.Rank * 2)}
 				blocks, err := c.Gather(root, mine)
@@ -134,19 +133,130 @@ func TestGatherScatterInverse(t *testing.T) {
 }
 
 func TestGatherVariableSizes(t *testing.T) {
-	results := runGroup(t, 4, func(c *Comm) (any, error) {
-		mine := bytes.Repeat([]byte{byte(c.Rank)}, c.Rank+1)
-		return c.Gather(0, mine)
-	})
-	blocks := results[0].([][]byte)
-	for r, b := range blocks {
-		if len(b) != r+1 {
-			t.Fatalf("rank %d block: %v", r, b)
+	const n = 4
+	for _, in := range []struct {
+		root int
+		size func(r int) int
+	}{
+		{0, func(r int) int { return r + 1 }},
+		{3, func(r int) int { return r + 1 }},
+		{0, func(r int) int { return r % 2 * (r + 1) }}, // even ranks' blocks are empty
+	} {
+		results := runGroup(t, n, func(c *Comm) (any, error) {
+			mine := bytes.Repeat([]byte{byte(c.Rank)}, in.size(c.Rank))
+			return c.Gather(in.root, mine)
+		})
+		for r, b := range results[in.root].([][]byte) {
+			if len(b) != in.size(r) || !bytes.Equal(b, bytes.Repeat([]byte{byte(r)}, len(b))) {
+				t.Fatalf("root %d: rank %d block: %v", in.root, r, b)
+			}
+		}
+		for r := 0; r < n; r++ {
+			if r != in.root && results[r] != nil && results[r].([][]byte) != nil {
+				t.Fatalf("root %d: non-root rank %d received blocks", in.root, r)
+			}
 		}
 	}
-	for r := 1; r < 4; r++ {
-		if results[r] != nil && results[r].([][]byte) != nil {
-			t.Fatalf("non-root rank %d received blocks", r)
+}
+
+// TestBlocksAreTheCallersOnReturn: what a caller hands a collective is
+// its own again when the call returns — a member's Gather block, root's
+// Scatter parts, a non-commutative Reduce's accumulator — whatever the
+// block's size (inline, eager or rendezvous at the default eager
+// limit). The in-process devices pass frames by reference, so a
+// schedule that shipped these without a private copy would let the
+// caller's next write reach what another member holds. Every caller
+// scribbles right after its call returns, and what the others got is
+// checked after a barrier, by which every scribble is done.
+func TestBlocksAreTheCallersOnReturn(t *testing.T) {
+	block := func(r, size int) []byte {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(r*31 + i)
+		}
+		return b
+	}
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] ^= 0xff
+		}
+	}
+	// later folds as inout = 3*in + inout: the order of the operands shows.
+	later := NewOp("later", false, func(in, inout any) error {
+		a, b := in.([]uint8), inout.([]uint8)
+		for i := range b {
+			b[i] += 3 * a[i]
+		}
+		return nil
+	})
+	for _, n := range []int{2, 4, 7} {
+		for root := 0; root < n; root++ {
+			for _, size := range []int{8, 1 << 10, 64<<10 + 8, 200 << 10} {
+				want := block(0, size)
+				for r := 1; r < n; r++ {
+					next := block(r, size)
+					if err := later.user(want, next); err != nil {
+						t.Fatal(err)
+					}
+					want = next
+				}
+				runGroupEager(t, n, 0, false, func(c *Comm) (any, error) {
+					// A failed check is kept, not returned at once, so every
+					// member goes on to make every call and none is left
+					// waiting for it.
+					var bad error
+					check := func(ok bool, what string) {
+						if !ok && bad == nil {
+							bad = fmt.Errorf("n=%d root=%d %d B, rank %d: %s", n, root, size, c.Rank, what)
+						}
+					}
+					mine := block(c.Rank, size)
+					blocks, err := c.Gather(root, mine)
+					if err != nil {
+						return nil, err
+					}
+					scribble(mine)
+					if err := c.Barrier(); err != nil {
+						return nil, err
+					}
+					for r, b := range blocks {
+						check(r == root || bytes.Equal(b, block(r, size)), fmt.Sprintf("gathered block %d was written by its sender", r))
+					}
+
+					var parts [][]byte
+					if c.Rank == root {
+						for r := 0; r < n; r++ {
+							parts = append(parts, block(r, size))
+						}
+					}
+					got, err := c.Scatter(root, parts)
+					if err != nil {
+						return nil, err
+					}
+					for r, b := range parts {
+						if r != root {
+							scribble(b)
+						}
+					}
+					if err := c.Barrier(); err != nil {
+						return nil, err
+					}
+					check(bytes.Equal(got, block(c.Rank, size)), "the scattered block was written by root")
+
+					acc := block(c.Rank, size)
+					if _, err := run(c.ReducePlan(root, &acc, later, dtype.U8)); err != nil {
+						return nil, err
+					}
+					if c.Rank != root {
+						scribble(acc)
+					}
+					if err := c.Barrier(); err != nil {
+						return nil, err
+					}
+					check(c.Rank != root || bytes.Equal(acc, want), "the ordered reduction read a written accumulator")
+					return nil, bad
+				})
+			}
 		}
 	}
 }
@@ -471,20 +581,5 @@ func TestAgreeContextBase(t *testing.T) {
 		if got[0] != first[0] || got[1] != first[1] {
 			t.Fatalf("rank %d disagrees: %v vs %v", r, got, first)
 		}
-	}
-}
-
-func TestBundleRoundTrip(t *testing.T) {
-	in := map[int][]byte{0: []byte("a"), 3: []byte("bcd"), 7: nil}
-	enc := encodeBundle(in)
-	out := make(map[int][]byte)
-	if err := decodeBundle(enc, out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 3 || string(out[3]) != "bcd" || len(out[7]) != 0 {
-		t.Fatalf("bundle roundtrip: %v", out)
-	}
-	if err := decodeBundle([]byte{1}, out); err == nil {
-		t.Fatal("short bundle must error")
 	}
 }

@@ -220,9 +220,8 @@ const (
 // are aligned for T on a little-endian host — the caller's own slices,
 // pooled frames — are folded in place through typed views: whole blocks
 // by v where the operation has a block loop, the rest by f. Anything
-// else (a payload behind a TCP frame header, a block inside a bundle,
-// a big-endian host) is staged chunk-wise through aligned stack arrays
-// and folded by f alone.
+// else (a payload behind a TCP frame header, a big-endian host) is
+// staged chunk-wise through aligned stack arrays and folded by f alone.
 func fixed[T dtype.Fixed](f func(a, b, dst []T), v block) Kernel {
 	var z T
 	es := int(unsafe.Sizeof(z))

@@ -1,9 +1,9 @@
 // Package coll implements the collective-operation algorithms of the
 // runtime over the core point-to-point engine: dissemination barrier,
-// binomial broadcast/gather/scatter/reduce, ring allgather, pairwise
-// alltoall, recursive-doubling (and, for large operands, halving +
-// doubling) allreduce, linear-chain scan, and the reduction kernels
-// they share.
+// binomial broadcast and reduce, gather and scatter straight between
+// root and each member, ring allgather, pairwise alltoall,
+// recursive-doubling (and, for large operands, halving + doubling)
+// allreduce, linear-chain scan, and the reduction kernels they share.
 //
 // Every collective is declared once, as a constructor returning a Plan
 // (BarrierPlan, BcastPlan, GatherPlan, ScatterPlan, AllgatherPlan,

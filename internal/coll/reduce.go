@@ -133,9 +133,9 @@ func (c *Comm) addReduceSteps(s *sched, root int, f *folder, commutative bool) {
 	}
 }
 
-// addOrderedReduceSteps gathers all contributions at root and folds
-// them in strict rank order, as required for non-commutative
-// operations.
+// addOrderedReduceSteps gathers all contributions at root, each in one
+// message, and folds them in strict rank order, as required for
+// non-commutative operations.
 func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 	var blocks [][]byte
 	c.addGatherSteps(s, root, f.acc, &blocks)
@@ -144,7 +144,7 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 	}
 	s.step(func() error {
 		// Every block is this member's to overwrite — its own
-		// accumulator, or a window of a bundle it received — so the
+		// accumulator, or the private copy a member shipped it — so the
 		// running result moves from block to block.
 		cur := blocks[0]
 		for _, next := range blocks[1:] {

@@ -356,10 +356,18 @@ func (s *sched) fillExchLentStep(peer, fam int, acc *[]byte, give, fill span) {
 }
 
 // postRecv appends the two steps behind the forms above: post the
-// receive — a receive-into of f's window, a borrowing receive for a
-// payload that is only read, an ordinary one otherwise — then run send,
-// if any; and, gated on the receive, consume it with fn.
+// receive, then, gated on it, consume it with fn.
 func (s *sched) postRecv(f *fut, src, fam int, send func() error, fn func([]byte) error) {
+	s.irecvStep(f, src, fam, send)
+	s.consumeStep(f, fn)
+}
+
+// irecvStep appends the post half of postRecv: post the receive — a
+// receive-into of f's window, a borrowing receive for a payload that is
+// only read, an ordinary one otherwise — then run send, if any. A
+// schedule that waits for several partners at once appends all its
+// posts before the first consumeStep.
+func (s *sched) irecvStep(f *fut, src, fam int, send func() error) {
 	s.steps = append(s.steps, step{run: func() error {
 		tag := int32(s.tag(fam))
 		switch {
@@ -375,6 +383,11 @@ func (s *sched) postRecv(f *fut, src, fam int, send func() error, fn func([]byte
 		}
 		return send() // on failure the teardown finds f posted behind this step
 	}})
+}
+
+// consumeStep appends the consume half of postRecv: gated on f's
+// receive, it hands the payload to fn.
+func (s *sched) consumeStep(f *fut, fn func([]byte) error) {
 	s.steps = append(s.steps, step{gate: f, run: func() error {
 		req := f.req
 		f.req = nil

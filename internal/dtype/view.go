@@ -162,9 +162,9 @@ type Fixed interface {
 // WireView is ByteViewRange's inverse: it reinterprets wire bytes as a []T
 // sharing their storage. ok is false when the fast path does not apply
 // — a big-endian host, or a window not aligned for T (a payload behind
-// a frame header, a block inside a bundle) — and callers must stage
-// through WireDecode/WireEncode instead. Trailing bytes short of a
-// whole element are not part of the view.
+// a frame header) — and callers must stage through WireDecode/WireEncode
+// instead. Trailing bytes short of a whole element are not part of the
+// view.
 func WireView[T Fixed](wire []byte) ([]T, bool) {
 	var z T
 	n := len(wire) / int(unsafe.Sizeof(z))
