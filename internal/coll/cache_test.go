@@ -93,11 +93,11 @@ func TestAllreduceCachesItsPlan(t *testing.T) {
 			}
 			prev = out
 		}
-		if n := c.DenseAllreduces(); n != 2 {
+		if n := c.CachedPlans(); n != 2 {
 			return nil, fmt.Errorf("rank %d: %d cached plans, want 2", c.Rank, n)
 		}
 		c.DropPlans()
-		if n := c.DenseAllreduces(); n != 0 {
+		if n := c.CachedPlans(); n != 0 {
 			return nil, fmt.Errorf("rank %d: %d cached plans after DropPlans", c.Rank, n)
 		}
 		return nil, nil

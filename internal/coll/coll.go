@@ -9,7 +9,9 @@ import (
 
 // Comm is the collective layer's view of a communicator: the rank's
 // progress engine, the communicator's reserved collective context, the
-// caller's group rank and size, and the group-rank→world-rank map.
+// caller's group rank and size, and the group-rank→world-rank map. It
+// holds the communicator's one plan cache (Cached), from which the
+// binding's collectives and the runtime's own Allreduce re-arm plans.
 // Collectives on one communicator must be started by all members in the
 // same order (the MPI rule); the per-instance tags minted from seq rely
 // on it, and in return let any number of collectives overlap in flight
@@ -45,8 +47,9 @@ type Comm struct {
 	// (see obs.go); the zero value resolves lazily on first use.
 	obs commObs
 
-	// plans caches the dense allreduces of Allreduce (reduce.go).
-	plans Cache[allreduceKey, *cachedAllreduce]
+	// plans is the communicator's one plan cache (see Cached): the
+	// binding's collectives and Allreduce (reduce.go) re-arm from it.
+	plans Cache[Key, *Plan]
 
 	// isl is the island this member shares with the others (island.go),
 	// attached by the first plan that folds through it.
@@ -63,9 +66,6 @@ func (c *Comm) DropPlans() {
 		c.isl = nil
 	}
 }
-
-// DenseAllreduces is how many Allreduce plans the cache holds.
-func (c *Comm) DenseAllreduces() int { return c.plans.Len() }
 
 // Internal tag families, one per collective family, in the low
 // tagFamBits bits of the matching tag; the instance sequence number
@@ -423,8 +423,7 @@ func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
 // the max of all members' local candidates, via Allreduce over this
 // (parent) communicator's collective context.
 func (c *Comm) AgreeContextBase() (int32, error) {
-	cand := []int32{c.P.AllocContexts()}
-	res, err := c.Allreduce(cand, Max)
+	res, err := c.Allreduce([]int32{c.P.AllocContexts()}, Max)
 	if err != nil {
 		return 0, err
 	}

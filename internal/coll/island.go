@@ -203,6 +203,10 @@ func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, un
 		}
 		if err != nil {
 			isl.leave(s, req)
+		} else {
+			// Charged by the member itself, before its call returns: a
+			// hold only the settle completes without an error.
+			f.reduced.Add(uint64(op.charge(c.Rank, c.Size)))
 		}
 		req.Recycle()
 		return err
@@ -277,18 +281,18 @@ func (isl *island) help(in *instance, c *Comm, opener bool) {
 }
 
 // settle ends in's fold, which member c finished: every hold still
-// posted completes, with every member charged, and in is kept for the
-// next instance.
+// posted completes, and in is kept for the next instance. Each member
+// whose hold completes without an error charges coll.bytes_reduced
+// itself (addIslandSteps), so the charge is in before its call returns.
 func (isl *island) settle(in *instance, c *Comm) {
 	isl.mu.Lock()
 	defer isl.mu.Unlock()
 	delete(isl.insts, in.key)
 	for r := range in.ms {
-		switch m := &in.ms[r]; {
-		case m.hold == nil: // it left a copy
+		if m := &in.ms[r]; m.hold == nil { // it left a copy
 			transport.PutBuf(m.mine)
-		case m.c.P.Settle(m.hold, in.err) && in.err == nil:
-			m.c.vars().reduced.Add(uint64(in.op.charge(r, len(in.ms))))
+		} else {
+			m.c.P.Settle(m.hold, in.err)
 		}
 	}
 	c.vars().folds.Inc()

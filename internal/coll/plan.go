@@ -27,6 +27,11 @@ type Plan struct {
 	c   *Comm
 	s   *sched
 	fam int
+
+	// Bound is what the caller binds to a cached plan's calls (see
+	// Cached): set once when the plan is built, read by every call that
+	// re-arms it. This package never touches it.
+	Bound any
 }
 
 // NewPlan starts an empty composed schedule, minting its collective
@@ -95,6 +100,17 @@ func (p *Plan) Start() *Request { return p.s.start() }
 // building one). A persisted plan keeps its instance: Rearm readies its
 // next activation, and the caller must have seen the last one complete.
 func (p *Plan) Rearm() { p.s.rearm() }
+
+// Done ends the call a cached plan serves: idle again in the cache when
+// the call completed (reuse), dropped from it otherwise (a failed or
+// abandoned activation), so the next call of its shape builds afresh. A
+// plan no longer cached is left alone; the caller drops what it bound
+// for the call first, as the plan may be handed to the next one at once.
+func (p *Plan) Done(reuse bool) { p.c.plans.Done(p, reuse) }
+
+// Persisted reports whether Persist has moved the plan out of one-shot
+// use.
+func (p *Plan) Persisted() bool { return p.s.space != 0 }
 
 // Persist moves the plan into the persistent tag space (the MPI-4
 // *_init form), under an instance of the communicator's persistent

@@ -566,35 +566,17 @@ func denseUnits(n int, cls dtype.Class, op *Op) (units, unit int) {
 	return n / 2, 2 * unit
 }
 
-// cachedAllreduce is an AllreducePlan that Allreduce caches, built over
-// its own accumulator and contribution, which each call re-binds.
-type cachedAllreduce struct {
-	p        *Plan
-	acc, src []byte
-}
-
-// allreduceKey is the shape of an Allreduce call, with the two values
-// its build reads besides: whether the contribution is read in place,
-// and the eager limit the schedule was chosen by (halves).
-type allreduceKey struct {
-	cls     dtype.Class
-	n       int
-	op      *Op
-	inPlace bool
-	eager   int
-}
-
-func (k allreduceKey) Equal(o allreduceKey) bool { return k == o }
-
-func (k allreduceKey) Hash() uint64 { return uint64(k.n)<<8 ^ uint64(k.cls) }
+// operands is what Allreduce binds to its cached plans: the call's
+// accumulator and contribution.
+type operands struct{ acc, src []byte }
 
 // Allreduce folds every member's dense slice ([]int32, []float64, …)
 // with op and returns the result, a fresh slice of the same type, at
 // every member: the typed convenience over AllreducePlan for the
 // runtime's own small agreements and for benchmarks. A user operation
 // passed here must fold element by element. Like the binding's
-// collectives it runs a plan from the communicator's cache when it has
-// one of this shape.
+// collectives it re-arms a plan from the communicator's cache (Cached)
+// when it has one of this shape, keyed by the slice's dtype.Class.
 func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 	cls, _ := dtype.ClassOf(mine)
 	t := dtype.BasicType(cls)
@@ -615,26 +597,28 @@ func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 			return nil, err
 		}
 	}
-	key := allreduceKey{cls, n, op, inPlace, c.P.EagerLimit()}
-	d, ok := c.plans.Take(key)
-	if ok {
-		d.p.Rearm()
-	} else {
-		d = &cachedAllreduce{}
+	key := Key{Kind: "allreduce", Op: op, SD: cls, SCount: n, Lent: inPlace}
+	p, err := c.Cached(key, func() (*Plan, error) {
+		d := &operands{}
 		var in *[]byte
 		if inPlace {
 			in = &d.src
 		}
 		units, unit := denseUnits(n, cls, op)
-		if d.p, err = c.AllreducePlan(&d.acc, in, units, unit, op, cls); err != nil {
-			return nil, err
+		p, err := c.AllreducePlan(&d.acc, in, units, unit, op, cls)
+		if err == nil {
+			p.Bound = d
 		}
-		c.plans.Add(key, d)
+		return p, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	d := p.Bound.(*operands)
 	d.acc, d.src = acc, src
-	_, err = d.p.Run()
+	_, err = p.Run()
 	acc, d.acc, d.src = d.acc, nil, nil
-	c.plans.Done(d, err == nil)
+	p.Done(err == nil)
 	if err != nil {
 		return nil, err
 	}

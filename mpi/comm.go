@@ -27,8 +27,7 @@ type Comm struct {
 	remote  []int
 	ptpCtx  int32
 	collCtx int32
-	cl      *coll.Comm
-	plans   *coll.Cache[planKey, *collPlan] // the one-shot collectives' plans (Intracomm)
+	cl      *coll.Comm // the collective layer's view, with the communicator's plan cache
 	name    string
 	freed   bool
 	errh    Errhandler
@@ -60,7 +59,6 @@ func (e *Env) buildComm(c *Comm, group []int, myRank int, ctxBase int32, name st
 	c.ptpCtx = ctxBase
 	c.collCtx = ctxBase + 1
 	c.name = name
-	c.plans = &coll.Cache[planKey, *collPlan]{}
 	c.cl = &coll.Comm{
 		P:     e.proc,
 		Ctx:   c.collCtx,
@@ -111,7 +109,7 @@ func (c *Comm) SetErrhandler(h Errhandler) { c.errh = h }
 
 // Free marks the communicator freed (MPI_Comm_free) — one of the two
 // classes the paper gives an explicit Free (§2.1) — and empties its
-// plan caches and the engine's tables of its group: a freed
+// plan cache and the engine's tables of its group: a freed
 // communicator holds no schedules, no island and no group table.
 // Subsequent use raises ErrComm.
 func (c *Comm) Free() error {
@@ -119,7 +117,6 @@ func (c *Comm) Free() error {
 		return err
 	}
 	c.deleteAllAttrs()
-	c.plans.Clear()
 	c.cl.DropPlans()
 	c.env.proc.ForgetGroup(c.ptpCtx)
 	c.freed = true

@@ -1,9 +1,9 @@
 package mpi
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
-	"sort"
 
 	"gompi/internal/coll"
 )
@@ -60,19 +60,18 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 // collPlan is a built collective: its schedule in internal/coll plus
 // the two hooks that tie the schedule's wire-format inputs and result to
 // the buffers of the call it is bound to, args. refresh packs the send
-// side before every activation (noRefresh when this rank sends
-// nothing), fin deposits the result into the receive side at
-// completion (nil when this rank receives nothing). The hooks read the
-// call's sections through args only, so one plan serves call after
-// call: a one-shot call takes it from the communicator's cache (cache
-// is set) and hands it back when done; a persistent request takes it
-// out of the cache and keeps it bound for its life.
+// side before every activation (nil when this rank sends nothing), fin
+// deposits the result into the receive side at completion (nil when
+// this rank receives nothing). The hooks read the call's sections
+// through args only, so one plan serves call after call: a one-shot
+// call takes it from the communicator's cache (it is the coll.Plan's
+// Bound) and hands it back when done; a persistent request takes it out
+// of the cache and keeps it bound for its life.
 type collPlan struct {
 	plan    *coll.Plan
 	args    collArgs
 	refresh func() error
 	fin     func(res any) error
-	cache   *coll.Cache[planKey, *collPlan] // the communicator's, while the plan is in it
 }
 
 // collArgs is the call a plan is bound to: its send and receive
@@ -83,58 +82,26 @@ type collArgs struct {
 	acc        accum
 }
 
-// planKey is a collective call's shape: which collective, and every
-// value its plan's build reads — the root, datatype and op identities,
-// counts, a v-form's counts and displacements, the accumulator's two
-// layout choices, and the eager limit an allreduce chooses its
-// schedule by. A call may reuse a cached plan only under an equal key:
-// one value left out, and two members could run different schedules
-// for one instance.
-type planKey struct {
-	shape
-	send, recv *layout
-}
-
-type shape struct {
-	kind           string
-	root           int
-	op             *Op
-	sd, rd         *Datatype
-	scount, rcount int
-	direct, lent   bool // the accumulator is the receive section; the contribution is read in place
-	eager          int
-}
-
-func (k planKey) Equal(o planKey) bool {
-	return k.shape == o.shape && k.send.equal(o.send) && k.recv.equal(o.recv)
-}
-
-func (k planKey) Hash() uint64 {
-	return uint64(len(k.kind))<<56 ^ uint64(k.root)<<48 ^ uint64(k.scount)<<24 ^ uint64(k.rcount)
-}
-
 // plan returns the plan of a validated call, bound to args: the
-// cache's idle plan of the call's shape, re-armed, else one that build
-// compiles and the cache keeps. Either way the call mints exactly one
-// instance, in program order: the re-arm, or the NewPlan inside build.
-// sh names the collective, its root and its op; plan completes the
-// shape from args.
-func (c *Intracomm) plan(sh shape, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
-	sh.sd, sh.rd, sh.scount, sh.rcount = args.send.d, args.recv.d, args.send.count, args.recv.count
-	sh.direct, sh.lent, sh.eager = args.acc.direct, args.acc.src != nil, c.env.proc.EagerLimit()
-	key := planKey{sh, args.send.layout, args.recv.layout}
-	if p, ok := c.plans.Take(key); ok {
-		p.args = args
-		p.plan.Rearm()
-		return p, nil
-	}
-	p := &collPlan{args: args, refresh: noRefresh}
-	if err := build(p); err != nil {
+// communicator's cached plan of the call's shape, re-armed, else one
+// that build compiles and the cache keeps (coll.Comm.Cached). key names
+// the collective, its root and its op; plan completes it from args.
+func (c *Intracomm) plan(key coll.Key, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
+	key.SD, key.RD, key.SCount, key.RCount = args.send.d, args.recv.d, args.send.count, args.recv.count
+	key.Send, key.Recv, key.Direct, key.Lent = args.send.Layout, args.recv.Layout, args.acc.direct, args.acc.src != nil
+	pl, err := c.cl.Cached(key, func() (*coll.Plan, error) {
+		p := &collPlan{args: args}
+		if err := build(p); err != nil {
+			return nil, err
+		}
+		p.plan.Bound = p
+		return p.plan, nil
+	})
+	if err != nil {
 		return nil, mapEngineErr(err)
 	}
-	key.send, key.recv = key.send.clone(), key.recv.clone()
-	p.cache = c.plans
-	c.plans.Add(key, p)
+	p := pl.Bound.(*collPlan)
+	p.args = args
 	return p, nil
 }
 
@@ -147,29 +114,28 @@ func (c *Intracomm) noColl(err error) (*collPlan, error) {
 	return nil, err
 }
 
-// noRefresh is the refresh hook of a rank that sends nothing.
-func noRefresh() error { return nil }
-
-// done ends the call a cached plan serves. Completed (ok), the plan
-// drops the call's buffers — the cache pins no user memory — and goes
-// back to the cache, idle; after a failed or abandoned activation the
-// cache drops it instead, so the next call of its shape rebuilds. Only
-// the cache's reference goes: a schedule still running is untouched.
+// done ends the call a cached plan serves (coll.Plan.Done). Completed
+// (ok), the plan drops the call's buffers — the cache pins no user
+// memory — and goes back to the cache, idle; after a failed or abandoned
+// activation the cache drops it instead, so the next call of its shape
+// rebuilds. Only the cache's reference goes: a schedule still running
+// is untouched. A persistent request's plan and a file collective's
+// (which has none) are left alone.
 func (p *collPlan) done(ok bool) {
-	if p == nil || p.cache == nil {
+	if p == nil || p.plan == nil || p.plan.Persisted() {
 		return
 	}
 	if ok {
 		p.args = collArgs{}
 	}
-	p.cache.Done(p, ok)
+	p.plan.Done(ok)
 }
 
 // load takes planX's results for a call or an activation: a failed
 // planX's error, or else the refresh hook's, which leaves a cached plan
 // done with the call it could not load.
 func (p *collPlan) load(err error) error {
-	if err == nil {
+	if err == nil && p.refresh != nil {
 		if err = p.refresh(); err != nil {
 			p.done(false)
 		}
@@ -241,36 +207,22 @@ func unpackInto(s *section) func(res any) error {
 
 // blocks is a buffer cut into one section per rank: uniformly (rank r's
 // count items at offset + r*count*extent(d)) or, for the v-variants, by
-// an explicit layout.
+// an explicit layout of per-rank counts and displacements (in units of
+// the datatype's extent).
 type blocks struct {
 	section
-	*layout // nil for a uniform cut
+	*coll.Layout // nil for a uniform cut
 }
-
-// layout is a v-variant's per-rank counts and displacements (in units
-// of the datatype's extent).
-type layout struct{ counts, displs []int }
 
 func varying(buf any, offset int, counts, displs []int, d *Datatype) blocks {
-	return blocks{section{buf, offset, 0, d}, &layout{counts, displs}}
-}
-
-func (l *layout) equal(o *layout) bool {
-	return l == o || l != nil && o != nil && slices.Equal(l.counts, o.counts) && slices.Equal(l.displs, o.displs)
-}
-
-func (l *layout) clone() *layout {
-	if l == nil {
-		return nil
-	}
-	return &layout{slices.Clone(l.counts), slices.Clone(l.displs)}
+	return blocks{section{buf, offset, 0, d}, &coll.Layout{Counts: counts, Displs: displs}}
 }
 
 // at returns rank r's section.
 func (b *blocks) at(r int) section {
 	s := b.section
-	if b.layout != nil {
-		s.offset, s.count = b.offset+b.displs[r]*b.d.Extent(), b.counts[r]
+	if b.Layout != nil {
+		s.offset, s.count = b.offset+b.Displs[r]*b.d.Extent(), b.Counts[r]
 	} else {
 		s.offset += r * b.count * b.d.Extent()
 	}
@@ -284,7 +236,7 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 	if err := c.checkType(b.d); err != nil {
 		return err
 	}
-	if b.layout != nil && (len(b.counts) != c.Size() || len(b.displs) != c.Size()) {
+	if b.Layout != nil && (len(b.Counts) != c.Size() || len(b.Displs) != c.Size()) {
 		return errf(ErrArg, "%s needs %d counts and displs", name, c.Size())
 	}
 	for r := 0; r < c.Size(); r++ {
@@ -335,7 +287,7 @@ func (c *Intracomm) planBarrier() (*collPlan, error) {
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(shape{kind: "barrier"}, collArgs{}, func(p *collPlan) error {
+	return c.plan(coll.Key{Kind: "barrier"}, collArgs{}, func(p *collPlan) error {
 		p.plan = c.cl.BarrierPlan()
 		return nil
 	})
@@ -363,7 +315,7 @@ func (c *Intracomm) planBcast(s section, root int) (*collPlan, error) {
 	if _, err := s.check(); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(shape{kind: "bcast", root: root}, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
+	return c.plan(coll.Key{Kind: "bcast", Root: root}, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
 		var wire []byte
 		p.plan, err = c.cl.BcastPlan(root, &wire)
 		if c.rank == root {
@@ -426,7 +378,7 @@ func (c *Intracomm) planGather(send section, recv blocks, root int) (*collPlan, 
 		}
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
-	return c.plan(shape{kind: "gather", root: root}, args, func(p *collPlan) (err error) {
+	return c.plan(coll.Key{Kind: "gather", Root: root}, args, func(p *collPlan) (err error) {
 		var mine []byte
 		p.plan, err = c.cl.GatherPlan(root, &mine)
 		p.refresh = packInto(&mine, &p.args.send.section)
@@ -486,7 +438,7 @@ func (c *Intracomm) planScatter(send blocks, recv section, root int) (*collPlan,
 		}
 	}
 	args := collArgs{send: send, recv: blocks{section: recv}}
-	return c.plan(shape{kind: "scatter", root: root}, args, func(p *collPlan) (err error) {
+	return c.plan(coll.Key{Kind: "scatter", Root: root}, args, func(p *collPlan) (err error) {
 		var parts [][]byte
 		if c.rank == root {
 			parts = make([][]byte, c.Size())
@@ -546,7 +498,7 @@ func (c *Intracomm) planAllgather(send section, recv blocks) (*collPlan, error) 
 		return c.noColl(err)
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
-	return c.plan(shape{kind: "allgather"}, args, func(p *collPlan) error {
+	return c.plan(coll.Key{Kind: "allgather"}, args, func(p *collPlan) error {
 		var mine []byte
 		p.plan = c.cl.AllgatherPlan(&mine)
 		p.refresh, p.fin = packInto(&mine, &p.args.send.section), p.args.recv.deposit
@@ -601,7 +553,7 @@ func (c *Intracomm) planAlltoall(send, recv blocks) (*collPlan, error) {
 	if err := c.checkBlocks("Alltoallv", &recv); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(shape{kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
+	return c.plan(coll.Key{Kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
 		parts := make([][]byte, c.Size())
 		p.plan, err = c.cl.AlltoallPlan(parts)
 		p.refresh, p.fin = packBlocks(&p.args.send, parts), p.args.recv.deposit
@@ -644,7 +596,7 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int) (*collPlan,
 	if err != nil {
 		return c.noColl(err)
 	}
-	return c.reduction(shape{kind: "reduce", root: root, op: op}, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(coll.Key{Kind: "reduce", Root: root, Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			return c.cl.ReducePlan(root, &acc.b, op.op, send.d.t.Class())
 		})
@@ -653,8 +605,8 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int) (*collPlan,
 // reduction is plan for the reduction family: build compiles the
 // schedule over the plan's own accumulator, which the plan's hooks load
 // from the send section and deposit into the receive section.
-func (c *Intracomm) reduction(sh shape, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
-	return c.plan(sh, args, func(p *collPlan) (err error) {
+func (c *Intracomm) reduction(key coll.Key, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
+	return c.plan(key, args, func(p *collPlan) (err error) {
 		p.plan, err = build(&p.args.acc)
 		p.refresh = func() error { return p.args.acc.load(&p.args.send.section) }
 		p.fin = func(res any) error { return p.args.acc.fin(res, &p.args.recv.section) }
@@ -689,7 +641,7 @@ func (c *Intracomm) planAllreduce(send, into section, op *Op) (*collPlan, error)
 		return c.noColl(err)
 	}
 	a.src, _ = c.lendView(send)
-	return c.reduction(shape{kind: "allreduce", op: op}, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(coll.Key{Kind: "allreduce", Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			t := send.d.t
 			return c.cl.AllreducePlan(&acc.b, acc.sendView(), send.count, max(t.WireBytes(1), 0), op.op, t.Class())
@@ -738,8 +690,8 @@ func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *
 		return c.noColl(err)
 	}
 	// The recvcounts ride in the receive side's layout, for the key.
-	args := collArgs{blocks{section: send}, blocks{into, &layout{counts: recvcounts}}, a}
-	return c.reduction(shape{kind: "reduce_scatter", op: op}, args, func(acc *accum) (*coll.Plan, error) {
+	args := collArgs{blocks{section: send}, blocks{into, &coll.Layout{Counts: recvcounts}}, a}
+	return c.reduction(coll.Key{Kind: "reduce_scatter", Op: op.op}, args, func(acc *accum) (*coll.Plan, error) {
 		return c.cl.ReduceScatterPlan(&acc.b, elemCounts, op.op, send.d.t.Class())
 	})
 }
@@ -795,7 +747,7 @@ func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op) (*collP
 	if exclusive {
 		kind = "exscan"
 	}
-	return c.reduction(shape{kind: kind, op: op}, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(coll.Key{Kind: kind, Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			return c.cl.ScanPlan(exclusive, &acc.b, op.op, send.d.t.Class())
 		})
@@ -818,7 +770,9 @@ func (c *Intracomm) Dup() (*Intracomm, error) {
 
 // Split partitions the communicator by colour, ordering each new group
 // by (key, old rank); colour Undefined yields a nil communicator
-// (MPI_Comm_split). Collective over the communicator.
+// (MPI_Comm_split). Collective over the communicator: one Allgather of
+// every member's colour, key and context-id candidate, whose maximum is
+// the new communicator's context base on every member.
 func (c *Intracomm) Split(colour, key int) (*Intracomm, error) {
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
@@ -826,43 +780,37 @@ func (c *Intracomm) Split(colour, key int) (*Intracomm, error) {
 	if colour < 0 && colour != Undefined {
 		return nil, c.raise(errf(ErrArg, "negative colour %d", colour))
 	}
-	var enc [8]byte
+	var enc [12]byte
 	binary.LittleEndian.PutUint32(enc[0:], uint32(int32(colour)))
 	binary.LittleEndian.PutUint32(enc[4:], uint32(int32(key)))
+	binary.LittleEndian.PutUint32(enc[8:], uint32(c.env.proc.AllocContexts()))
 	all, err := c.cl.Allgather(enc[:])
 	if err != nil {
 		return nil, c.raise(mapEngineErr(err))
 	}
-	base, err := c.cl.AgreeContextBase()
-	if err != nil {
+	// The members of this colour by old rank, then in (key, old rank)
+	// order; the agreed base is the largest candidate.
+	word := func(r, at int) int32 { return int32(binary.LittleEndian.Uint32(all[r][at:])) }
+	var members []int
+	base := int32(0)
+	for r := range all {
+		base = max(base, word(r, 8))
+		if int(word(r, 0)) == colour {
+			members = append(members, r)
+		}
+	}
+	if err := c.env.proc.CommitContexts(base); err != nil {
 		return nil, c.raise(mapEngineErr(err))
 	}
 	if colour == Undefined {
 		return nil, nil
 	}
-	type member struct{ key, oldRank int }
-	var members []member
-	for r, b := range all {
-		col := int(int32(binary.LittleEndian.Uint32(b[0:])))
-		k := int(int32(binary.LittleEndian.Uint32(b[4:])))
-		if col == colour {
-			members = append(members, member{key: k, oldRank: r})
-		}
-	}
-	sort.Slice(members, func(i, j int) bool {
-		if members[i].key != members[j].key {
-			return members[i].key < members[j].key
-		}
-		return members[i].oldRank < members[j].oldRank
-	})
+	slices.SortStableFunc(members, func(a, b int) int { return cmp.Compare(word(a, 4), word(b, 4)) })
 	group := make([]int, len(members))
-	myRank := -1
-	for i, m := range members {
-		group[i] = c.group[m.oldRank]
-		if m.oldRank == c.rank {
-			myRank = i
-		}
+	for i, r := range members {
+		group[i] = c.group[r]
 	}
+	myRank := slices.Index(members, c.rank)
 	return newIntracomm(c.env, group, myRank, base, c.name+".split"), nil
 }
 
@@ -889,13 +837,7 @@ func (c *Intracomm) Create(g *Group) (*Intracomm, error) {
 			return nil, c.raise(errf(ErrGroup, "group is not a subset of the communicator"))
 		}
 	}
-	me := c.env.proc.Rank()
-	myRank := -1
-	for i, w := range g.ranks {
-		if w == me {
-			myRank = i
-		}
-	}
+	myRank := slices.Index(g.ranks, c.env.proc.Rank())
 	if myRank < 0 {
 		return nil, nil
 	}

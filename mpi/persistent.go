@@ -27,7 +27,6 @@ func (c *Intracomm) persist(p *collPlan, err error) (*PersistentRequest, error) 
 		return nil, c.raise(err)
 	}
 	p.done(false)
-	p.cache = nil
 	p.plan.Persist()
 	return &PersistentRequest{comm: &c.Comm, cp: p}, nil
 }

@@ -13,8 +13,9 @@ import (
 
 // The plan cache: a one-shot collective reuses its communicator's plan
 // for the call's shape, re-bound to the call's buffers. These tests run
-// over chan (frames by reference) and loopback tcp, and read the cache
-// through Comm.plans.
+// over chan (frames by reference) and loopback tcp, and read the
+// communicator's one cache, which the runtime's own agreements share,
+// through coll.Comm.CachedPlans.
 
 func eachDevice(t *testing.T, np int, body func(env *Env) error) {
 	for _, device := range []string{"chan", "tcp"} {
@@ -29,7 +30,7 @@ func eachDevice(t *testing.T, np int, body func(env *Env) error) {
 // expectEntries fails when the communicator's cache holds other than n
 // plans.
 func expectEntries(c *Intracomm, n int, when string) error {
-	if got := c.plans.Len(); got != n {
+	if got := c.cl.CachedPlans(); got != n {
 		return fmt.Errorf("rank %d, %s: %d cached plans, want %d", c.Rank(), when, got, n)
 	}
 	return nil
@@ -115,7 +116,7 @@ func TestPlanCacheAlternatingShapes(t *testing.T) {
 					return fmt.Errorf("rank %d call %d (n=%d): element %d = %d, want %d", rank, call, n, i, recv[i], want)
 				}
 			}
-			if got := w.plans.Len(); got > coll.CacheSize {
+			if got := w.cl.CachedPlans(); got > coll.CacheSize {
 				return fmt.Errorf("rank %d: %d cached plans, more than %d", rank, got, coll.CacheSize)
 			}
 		}
@@ -431,18 +432,35 @@ func TestPlanCacheCancelledActivation(t *testing.T) {
 	})
 }
 
-// TestPlanCacheFreedCommHoldsNothing: Dup, one allreduce, Free, 10 000
-// times — a freed communicator's cache is empty, and the parent's (the
-// context-id agreement runs on it) stays at one plan.
+// TestPlanCacheFreedCommHoldsNothing: a user Allreduce of one INT under
+// MAX, then Dup, one allreduce, Free, 10 000 times — a freed
+// communicator's cache is empty, and the parent's holds two plans for
+// good: the user's, and the Dup's context-id agreement, an Allreduce of
+// one int32 under MAX too, whose key names its datatype by a dtype.Class
+// where the binding's names an *mpi.Datatype. Both results are right
+// every time: the user's maximum, and a context pair no other
+// communicator of the job uses.
 func TestPlanCacheFreedCommHoldsNothing(t *testing.T) {
 	err := Run(2, func(env *Env) error {
 		w := env.CommWorld()
 		in, out := []int32{int32(w.Rank())}, make([]int32, 1)
+		last := w.ptpCtx
 		for i := 0; i < 10000; i++ {
+			top := []int32{int32(w.Rank() + i)}
+			if err := w.Allreduce(top, 0, out, 0, 1, INT, MAX); err != nil {
+				return err
+			}
+			if out[0] != int32(1+i) {
+				return fmt.Errorf("rank %d, call %d: max %d, want %d", w.Rank(), i, out[0], 1+i)
+			}
 			dup, err := w.Dup()
 			if err != nil {
 				return err
 			}
+			if dup.ptpCtx <= last {
+				return fmt.Errorf("rank %d, dup %d: context %d after %d", w.Rank(), i, dup.ptpCtx, last)
+			}
+			last = dup.ptpCtx
 			if err := dup.Allreduce(in, 0, out, 0, 1, INT, SUM); err != nil {
 				return err
 			}
@@ -455,11 +473,11 @@ func TestPlanCacheFreedCommHoldsNothing(t *testing.T) {
 			if err := expectEntries(dup, 0, "after Free"); err != nil {
 				return err
 			}
-			if got := w.cl.DenseAllreduces(); got != 1 {
-				return fmt.Errorf("rank %d, dup %d: the parent caches %d agreement plans", w.Rank(), i, got)
+			if err := expectEntries(w, 2, "on the parent"); err != nil {
+				return err
 			}
 		}
-		return expectEntries(w, 0, "on the parent")
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -489,7 +507,7 @@ func TestPlanCachePinsNoUserMemory(t *testing.T) {
 					}
 				}
 			}()
-			if w.plans.Len() == 0 {
+			if w.cl.CachedPlans() == 0 {
 				return fmt.Errorf("rank %d: no cached plan", w.Rank())
 			}
 			for got, deadline := 0, time.Now().Add(5*time.Second); got < 2; {
