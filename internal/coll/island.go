@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"gompi/internal/core"
 	"gompi/internal/transport"
@@ -19,7 +20,10 @@ import (
 // opens the fold, which is cut into chunks (islandChunk): it and every
 // member still in the call claim chunks through one counter, and each
 // chunk is folded and written into every accumulator by whoever claimed
-// it. The member that folds the last chunk settles every hold
+// it — its whole 64-byte blocks by the operation's tree steps, the top
+// one of which stores straight into every accumulator, the rest through
+// pooled scratch (foldChunk). The member that folds the last chunk
+// settles every hold
 // (core.Proc.Settle), each under its owner's engine lock: one wake per
 // member. A hold is the only request the island completes, and it is
 // completed outside the mailbox; being a posted receive, it is reached by
@@ -41,20 +45,25 @@ import (
 
 // islandChunk is the span of one chunk of the fold in wire bytes, cut
 // down to a whole number of the operand's units. Measured, not tuned:
-// BenchmarkAllreduceSwitch chan/island, DOUBLE SUM on the 2-vCPU box,
-// µs/op, medians of 3 alternating rounds of 300 ops per cell:
+// BenchmarkAllreduceSwitch chan/island, DOUBLE SUM through the tree
+// steps on the 2-vCPU box, µs/op, medians of 3 alternating rounds of 300
+// ops per cell:
 //
 //	chunk        4K     8K    16K    32K    64K
-//	np3 256K   48.7   50.1   34.6   36.5   38.9
-//	np3 1M      215    191    150    168    160
-//	np4 256K   69.2   55.9   47.5   49.4   47.8
-//	np4 1M      287    232    232    230    222
-//	np8 256K    146    136    126    121    125
-//	np8 1M      594    477    457    490    470
+//	np3 256K   63.2   60.8   48.7   44.3   44.8
+//	np3 1M      248    212    198    226    202
+//	np4 256K   56.8   52.3   48.4   53.8   50.3
+//	np4 1M      254    244    235    237    223
+//	np8 256K    157    146    150    160    141
+//	np8 1M      582    576    556    580    543
 //
-// Smaller chunks pay more claims and pooled scratch buffers per byte;
-// from 16K up the cells agree within the noise, and the smallest chunk
-// of those splits the work the most evenly between the CPUs.
+// Smaller chunks pay more claims per byte. No size beat 16K here by
+// more than the quartile spread of the pairwise fold's 16K build run
+// beside it, nor in a second sitting of 11 rounds; a third, of 5 rounds,
+// had 32K or 64K ahead beyond that spread in three cells (np3 1M, np4
+// 256K, np8 1M), which the other two sittings did not repeat. So 16K
+// stays: the smallest of the sizes that agree splits the work the most
+// evenly between the CPUs.
 const islandChunk = 16 << 10
 
 // islandYields is how many times a blocking call's member yields,
@@ -340,20 +349,67 @@ func (m *member) leave() {
 }
 
 // foldChunk reduces chunk i of every contribution of an open instance
-// into pooled scratch in exactly recursive doubling's association
-// (addAllreduceSteps) — the pre-fold pairs, then partners at distance 1,
-// 2, 4 …, the lower rank's operand on the left — so its result bits are
-// that schedule's, and writes the result into that chunk of every
-// member's accumulator.
+// in exactly recursive doubling's association (addAllreduceSteps) — the
+// pre-fold pairs, then partners at distance 1, 2, 4 …, the lower rank's
+// operand on the left — so its result bits are that schedule's, and
+// writes the result into that chunk of every member's accumulator. The
+// chunk's whole 64-byte blocks go through the operation's tree steps
+// (treeFold), whose top step stores straight into every accumulator,
+// where the operation has them and every view is aligned for its class,
+// as fixed requires; the rest — a tail under one block, misaligned
+// views, an operation with no block form — folds pairwise into pooled
+// scratch (foldScratch).
 func (in *instance) foldChunk(i int) error {
-	op, n := in.op, len(in.ms)
+	op := in.op
 	lo := i * op.chunk
 	hi := min(lo+op.chunk, op.wire)
-	w := hi - lo
-	p2 := 1
-	for p2*2 <= n {
-		p2 *= 2
+	if nb := (hi - lo) / blockBytes; nb > 0 && op.f.form.four != nil && in.foldBlocks(lo, nb) {
+		lo += nb * blockBytes
 	}
+	if lo == hi {
+		return nil
+	}
+	return in.foldScratch(lo, hi)
+}
+
+// foldBlocks folds the nb blocks at lo of every contribution into every
+// accumulator through the operation's tree steps, and reports false,
+// folding nothing, when a view is not aligned for the operation's class.
+func (in *instance) foldBlocks(lo, nb int) bool {
+	bf := &in.op.f.form
+	var sb, db [16]unsafe.Pointer // past 16 members they move to the heap
+	srcs, dsts := sb[:0], db[:0]
+	for r := range in.ms {
+		m := &in.ms[r]
+		p := unsafe.Pointer(&m.mine[lo])
+		if uintptr(p)%bf.align != 0 {
+			return false
+		}
+		srcs = append(srcs, p)
+		if m.acc != nil {
+			p = unsafe.Pointer(&m.acc[lo])
+			if uintptr(p)%bf.align != 0 {
+				return false
+			}
+			dsts = append(dsts, p)
+		}
+	}
+	var scratch []byte
+	if n := treeSlots(len(srcs)); n > 0 {
+		scratch = transport.GetBuf(n * nb * blockBytes)
+		defer transport.PutBuf(scratch)
+	}
+	bf.treeFold(srcs, dsts, scratch, nb)
+	return true
+}
+
+// foldScratch folds [lo, hi) of every contribution pairwise, with the
+// operation's kernel, into pooled scratch, and copies the result into
+// every accumulator.
+func (in *instance) foldScratch(lo, hi int) error {
+	op, n := in.op, len(in.ms)
+	w := hi - lo
+	p2, _ := doubling(n)
 	rem := n - p2
 	scratch := transport.GetBuf(max(rem, p2/2) * w)
 	defer transport.PutBuf(scratch)

@@ -6,9 +6,12 @@ import (
 	"gompi/internal/dtype"
 )
 
-// The block loops of kernel_amd64.s: dst = a OP b over n ≥ 1 blocks of
-// 64 bytes, one SSE2 packed instruction per 16 bytes. SSE2 is part of
-// every amd64 CPU Go runs on, so nothing is checked at run time.
+// The block loops of kernel_amd64.s, one SSE2 packed instruction per 16
+// bytes: dst = a OP b over n ≥ 1 blocks of 64 bytes, and each one's tree
+// step, named for it with a 4, which folds four operands per block and
+// stores straight into up to maxDsts destinations (the island fold's
+// accumulators, or its scratch below the top level). SSE2 is part of every
+// amd64 CPU Go runs on, so nothing is checked at run time.
 
 //go:noescape
 func addpd(a, b, dst unsafe.Pointer, n int)
@@ -55,26 +58,80 @@ func por(a, b, dst unsafe.Pointer, n int)
 //go:noescape
 func pxor(a, b, dst unsafe.Pointer, n int)
 
-// vector returns the block loop of operation k on T, or nil: for
+//go:noescape
+func addpd4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func mulpd4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func maxpd4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func minpd4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func addps4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func mulps4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func maxps4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func minps4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func paddq4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func paddl4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func paddw4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func paddb4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func pand4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func por4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+//go:noescape
+func pxor4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+
+// vector returns the block loops of operation k on T, or none: for
 // MINLOC/MAXLOC and the logical family, which are more than one packed
 // instruction per lane, and for PROD, MAX and MIN on the integer
 // classes, which SSE2 covers for some widths only (PMULLW, PMAXSW,
-// PMAXUB and their MIN forms). Integer SUM wraps in both forms.
-func vector[T dtype.Fixed](k kind) block {
-	ops := [kBxor + 1]block{kBand: pand, kBor: por, kBxor: pxor}
-	switch any(*new(T)).(type) {
+// PMAXUB and their MIN forms). Integer SUM wraps in all forms.
+func vector[T dtype.Fixed](k kind) blockForm {
+	var two [kBxor + 1]block
+	var four [kBxor + 1]tree
+	two[kBand], two[kBor], two[kBxor] = pand, por, pxor
+	four[kBand], four[kBor], four[kBxor] = pand4, por4, pxor4
+	var z T
+	switch any(z).(type) {
 	case float64:
-		ops = [kBxor + 1]block{kSum: addpd, kProd: mulpd, kMax: maxpd, kMin: minpd}
+		two = [kBxor + 1]block{kSum: addpd, kProd: mulpd, kMax: maxpd, kMin: minpd}
+		four = [kBxor + 1]tree{kSum: addpd4, kProd: mulpd4, kMax: maxpd4, kMin: minpd4}
 	case float32:
-		ops = [kBxor + 1]block{kSum: addps, kProd: mulps, kMax: maxps, kMin: minps}
+		two = [kBxor + 1]block{kSum: addps, kProd: mulps, kMax: maxps, kMin: minps}
+		four = [kBxor + 1]tree{kSum: addps4, kProd: mulps4, kMax: maxps4, kMin: minps4}
 	case int64:
-		ops[kSum] = paddq
+		two[kSum], four[kSum] = paddq, paddq4
 	case int32:
-		ops[kSum] = paddl
+		two[kSum], four[kSum] = paddl, paddl4
 	case int16:
-		ops[kSum] = paddw
+		two[kSum], four[kSum] = paddw, paddw4
 	case byte:
-		ops[kSum] = paddb
+		two[kSum], four[kSum] = paddb, paddb4
 	}
-	return ops[k]
+	if two[k] == nil {
+		return blockForm{}
+	}
+	return blockForm{two: two[k], four: four[k], align: unsafe.Alignof(z)}
 }

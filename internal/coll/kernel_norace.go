@@ -5,3 +5,5 @@ package coll
 import "unsafe"
 
 func raceBlocks(a, b, dst unsafe.Pointer, n int) {}
+
+func raceTree(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int) {}

@@ -4,5 +4,6 @@ package coll
 
 import "gompi/internal/dtype"
 
-// vector: off amd64 the typed loops are the only kernels.
-func vector[T dtype.Fixed](kind) block { return nil }
+// vector: off amd64 the typed loops are the only kernels, and the island
+// folds every chunk through scratch.
+func vector[T dtype.Fixed](kind) blockForm { return blockForm{} }

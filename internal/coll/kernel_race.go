@@ -14,3 +14,13 @@ func raceBlocks(a, b, dst unsafe.Pointer, n int) {
 	runtime.RaceReadRange(b, n)
 	runtime.RaceWriteRange(dst, n)
 }
+
+// raceTree does the same for a tree step.
+func raceTree(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int) {
+	for _, p := range s {
+		runtime.RaceReadRange(p, n)
+	}
+	for _, p := range d[:nd] {
+		runtime.RaceWriteRange(p, n)
+	}
+}

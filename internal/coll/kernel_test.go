@@ -6,7 +6,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"gompi/internal/dtype"
 )
@@ -128,11 +130,134 @@ func kernelVsOracle[T dtype.Fixed](cls dtype.Class, specials []T, full func(*ran
 				}
 			}
 		}
+		treeVsOracle(t, cls, op, ref, gen)
 		if _, err := k(make([]byte, 16), make([]byte, 32), make([]byte, 32)); err == nil {
 			t.Fatal("operands of different lengths must be refused")
 		}
 		if _, err := k(make([]byte, 16), make([]byte, 16), make([]byte, 32)); err == nil {
 			t.Fatal("a destination of another length must be refused")
+		}
+	}
+}
+
+// treeVsOracle checks operation op's tree step on class cls, where it
+// has one, against the oracle's 2-operand tree that it replaces: the step
+// on 1–5 blocks of four operands into 1–8 destinations, one of which is
+// a source, on views aligned and not, writing nothing past its blocks or
+// its destinations; and treeFold on 2–17 operands in recursive doubling's
+// association into every other operand's own buffer and fresh ones.
+func treeVsOracle[T dtype.Fixed](t *testing.T, cls dtype.Class, op *Op, ref ApplyFn, gen func(int) []T) {
+	t.Helper()
+	bf := op.forms[cls]
+	if bf.four == nil {
+		return
+	}
+	es := cls.WireSize()
+	fold := func(lo, hi []T) []T {
+		out := append([]T(nil), hi...)
+		if err := ref(lo, out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	zero := func(b []byte) bool { return bytes.Count(b, []byte{0}) == len(b) }
+	for nb := 1; nb <= 5; nb++ {
+		elems, size := nb*blockBytes/es, nb*blockBytes
+		for _, off := range []int{0, 1} {
+			for nd := 1; nd <= maxDsts; nd++ {
+				var vals [4][]T
+				var wires [4][]byte
+				var s [4]unsafe.Pointer
+				for i := range vals {
+					vals[i] = gen(elems)
+					wires[i] = window(packDense(t, cls, vals[i]), off)
+					s[i] = unsafe.Pointer(&wires[i][0])
+				}
+				want := packDense(t, cls, fold(fold(vals[0], vals[1]), fold(vals[2], vals[3])))
+				// One block past each destination, and the unused slots
+				// of d, must stay zero.
+				alias := nd % 4
+				guard := make([]byte, size)
+				var d [maxDsts]unsafe.Pointer
+				outs := make([][]byte, nd)
+				for k := range d {
+					switch {
+					case k == nd/2:
+						outs[k] = wires[alias]
+					case k < nd:
+						outs[k] = window(make([]byte, size+blockBytes), off)
+					default:
+						d[k] = unsafe.Pointer(&guard[0])
+						continue
+					}
+					d[k] = unsafe.Pointer(&outs[k][0])
+				}
+				bf.four(s, d, nd, nb)
+				where := fmt.Sprintf("%d blocks, offset %d, %d destinations", nb, off, nd)
+				for k, out := range outs {
+					if err := sameWire[T](out[:size], want); err != nil {
+						t.Fatalf("%s: destination %d: %v", where, k, err)
+					}
+					if k != nd/2 && !zero(out[size:]) {
+						t.Fatalf("%s: destination %d written past its blocks", where, k)
+					}
+				}
+				for i := range wires {
+					if i != alias && !bytes.Equal(wires[i], window(packDense(t, cls, vals[i]), off)) {
+						t.Fatalf("%s: source %d written", where, i)
+					}
+				}
+				if !zero(guard) {
+					t.Fatalf("%s: a destination past the %d given written", where, nd)
+				}
+			}
+		}
+	}
+	for n := 2; n <= 17; n++ {
+		nb := 3
+		if n == 5 {
+			nb = maxBlocks + 1 // past one call of each loop
+		}
+		elems, size := nb*blockBytes/es, nb*blockBytes
+		vals := make([][]T, n)
+		srcs, dsts := make([]unsafe.Pointer, n), make([]unsafe.Pointer, n)
+		outs := make([][]byte, n)
+		for j := range vals {
+			vals[j] = gen(elems)
+			src := packDense(t, cls, vals[j])
+			srcs[j] = unsafe.Pointer(&src[0])
+			outs[j] = src
+			if j%2 == 1 {
+				outs[j] = make([]byte, size)
+			}
+			dsts[j] = unsafe.Pointer(&outs[j][0])
+		}
+		// Recursive doubling: the pre-fold pairs, then partners at
+		// distance 1, 2, 4 …
+		p2 := 1
+		for p2*2 <= n {
+			p2 *= 2
+		}
+		level := make([][]T, p2)
+		for j := range level {
+			if j < n-p2 {
+				level[j] = fold(vals[2*j], vals[2*j+1])
+			} else {
+				level[j] = vals[j+n-p2]
+			}
+		}
+		for len(level) > 1 {
+			for i := range len(level) / 2 {
+				level[i] = fold(level[2*i], level[2*i+1])
+			}
+			level = level[:len(level)/2]
+		}
+		want := packDense(t, cls, level[0])
+		bf.treeFold(srcs, dsts, make([]byte, treeSlots(n)*size), nb)
+		for j, out := range outs {
+			if err := sameWire[T](out, want); err != nil {
+				t.Fatalf("treeFold of %d operands, %d blocks: destination %d: %v", n, nb, j, err)
+			}
 		}
 	}
 }
@@ -157,10 +282,23 @@ func TestKernelsMatchOracle(t *testing.T) {
 		{dtype.F64, kernelVsOracle(dtype.F64, []float64{0, negZero, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, math.SmallestNonzeroFloat64},
 			func(r *rand.Rand) float64 { return r.NormFloat64() * 1e12 })},
 	}
+	trees := 0
 	for _, o := range oracle {
 		for _, c := range classes {
+			if o.op.forms[c.cls].four != nil {
+				trees++
+			}
 			t.Run(fmt.Sprintf("%s/%s", o.op, c.cls), func(t *testing.T) { c.run(t, o.op, o.ref) })
 		}
+	}
+	// The 15 instructions of the block loops, over 24 (operation, class)
+	// pairs; off amd64, none.
+	want := 0
+	if runtime.GOARCH == "amd64" {
+		want = 24
+	}
+	if trees != want {
+		t.Fatalf("%d tree steps, want %d on %s", trees, want, runtime.GOARCH)
 	}
 }
 
@@ -191,12 +329,34 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	if kernels != 63 {
 		t.Fatalf("%d predefined kernels, want 63", kernels)
 	}
+	// A tree fold of five operands: a pre-fold pair, then one tree step
+	// into all five.
+	const n, nb = 5, 4
+	bufs := make([]byte, n*nb*blockBytes)
+	ops := make([]unsafe.Pointer, n)
+	for j := range ops {
+		ops[j] = unsafe.Pointer(&bufs[j*nb*blockBytes])
+	}
+	scratch := make([]byte, treeSlots(n)*nb*blockBytes)
+	for _, o := range oracle {
+		for cls := dtype.U8; cls <= dtype.F64; cls++ {
+			if bf := o.op.forms[cls]; bf.four != nil {
+				if a := testing.AllocsPerRun(10, func() { bf.treeFold(ops, ops, scratch, nb) }); a != 0 {
+					t.Errorf("%s on %s: %v allocations per tree fold", o.op, cls, a)
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkKernels prices every (operation, class) pair with an amd64
 // block loop, plus MAXLOC on DOUBLE, which has none, at 16 Ki elements
 // into a third buffer — on aligned operands and on operands one byte
-// off, which every class but the byte one stages.
+// off, which every class but the byte one stages. Then one island chunk
+// of DOUBLE SUM, 16 KiB from each of 2, 3, 4, 5 and 8 members into every
+// member's accumulator: through the tree steps (fused) and pairwise
+// through scratch with a copy per accumulator (pairwise), which is what
+// tails, misaligned views and operations without block loops take.
 func BenchmarkKernels(b *testing.B) {
 	type pair struct {
 		op  *Op
@@ -230,6 +390,38 @@ func BenchmarkKernels(b *testing.B) {
 				b.SetBytes(int64(size))
 				for i := 0; i < b.N; i++ {
 					if _, err := k(lo, hi, dst); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	benchChunks(b)
+}
+
+func benchChunks(b *testing.B) {
+	const size = islandChunk
+	k, err := Sum.Kernel(dtype.F64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	f := &folder{k: k, form: Sum.forms[dtype.F64]}
+	for _, n := range []int{2, 3, 4, 5, 8} {
+		in := &instance{ms: make([]member, n), op: &islandOp{f: f, wire: size, unit: 8, chunk: size}}
+		for r := range in.ms {
+			// Zero operands: nothing drifts into subnormals.
+			in.ms[r] = member{mine: make([]byte, size), acc: make([]byte, size)}
+		}
+		for _, form := range []string{"fused", "pairwise"} {
+			b.Run(fmt.Sprintf("%s/%s/chunk-of-%d/%s", Sum, dtype.F64, n, form), func(b *testing.B) {
+				b.SetBytes(int64(n * size))
+				for i := 0; i < b.N; i++ {
+					if form == "fused" {
+						err = in.foldChunk(0)
+					} else {
+						err = in.foldScratch(0, size)
+					}
+					if err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -60,6 +60,9 @@ type Op struct {
 	// their kernel table, user operations the function to adapt.
 	kernels [dtype.Obj + 1]Kernel
 	user    ApplyFn
+	// forms are a predefined operation's block loops by class, where it
+	// has them (vector).
+	forms [dtype.Obj + 1]blockForm
 }
 
 // NewOp wraps a user-defined reduction function (MPI_Op_create). It is
@@ -132,6 +135,12 @@ func predefined(name string, k kind) *Op {
 			o.kernels[dtype.Bool] = o.kernels[dtype.U8]
 		}
 	}
+	o.forms[dtype.U8] = vector[byte](k)
+	o.forms[dtype.I16] = vector[int16](k)
+	o.forms[dtype.I32] = vector[int32](k)
+	o.forms[dtype.I64] = vector[int64](k)
+	o.forms[dtype.F32] = vector[float32](k)
+	o.forms[dtype.F64] = vector[float64](k)
 	return o
 }
 

@@ -40,6 +40,7 @@ type folder struct {
 	// starts by copying it (preload).
 	src     *[]byte
 	k       Kernel
+	form    blockForm // k's block loops, if it has them: the island's fold
 	reduced *obs.Counter
 }
 
@@ -48,7 +49,7 @@ func (c *Comm) newFolder(acc *[]byte, op *Op, cls dtype.Class) (*folder, error) 
 	if err != nil {
 		return nil, err
 	}
-	return &folder{acc: acc, k: k, reduced: c.vars().reduced}, nil
+	return &folder{acc: acc, k: k, form: op.forms[cls], reduced: c.vars().reduced}, nil
 }
 
 // preload has every activation start by copying the contribution into

@@ -237,118 +237,135 @@ func TestAllreduceAbandonedByPeerDeath(t *testing.T) {
 }
 
 // TestIslandLeaveDuringFold: a member whose call ends while the fold is
-// open — its wait cancelled, or the communicator revoked — returns only
-// once the fold is over. Three members start a large Iallreduce; the
-// fourth arrives late, which opens the fold, and a moment later one
-// member cancels its wait (or revokes the communicator). Nobody hangs,
-// the late member's call completes, every member that got a result got
-// the whole sum, and each member overwrites its buffers the instant its
-// call returns: a fold that still read or wrote them would leave a wrong
-// sum elsewhere, a value other than the scribble here, or (under -race)
-// a reported race; and the job leaves no goroutine behind. Attempts repeat, with the moment moved, until a leave
-// has landed in an open fold: a call that failed while its member left
-// no copy behind (coll.island_abandoned unmoved).
+// open — its wait cancelled, or the communicator revoked — helps fold and
+// returns only once the fold is over, with the whole sum in its
+// accumulator, which the fold still wrote. All members but the last
+// start a large Iallreduce; the last arrives late, which opens the fold,
+// and a moment later one member cancels its wait (or revokes the
+// communicator). Nobody hangs, the late member's call completes, every
+// member that got a result or left no copy behind holds the whole sum,
+// and each member overwrites its buffers the instant its call returns: a
+// fold that still read or wrote them would leave a wrong sum elsewhere,
+// a value other than the scribble here, or (under -race) a reported
+// race; and the job leaves no goroutine behind. Attempts repeat, with
+// the moment moved, until a leave has landed in an open fold: a call
+// that failed while its member left no copy behind
+// (coll.island_abandoned unmoved). Rows: 4 MiB at np4, and 256 KiB —
+// one tree step per block at np4, a pre-fold pair below it at np5 — with
+// the moment moved in finer steps, as the fold is over sooner.
 func TestIslandLeaveDuringFold(t *testing.T) {
-	const np, count, attempts = 4, 512 << 10, 64 // 4 MiB of DOUBLE: 256 chunks
+	rows := []struct {
+		np, count int
+		step      time.Duration
+	}{{4, 512 << 10, 100 * time.Microsecond}, {4, 32 << 10, 10 * time.Microsecond}, {5, 32 << 10, 10 * time.Microsecond}}
 	for _, how := range []string{"cancel", "revoke"} {
 		t.Run(how, func(t *testing.T) {
-			opening := make([]chan struct{}, attempts)
-			for i := range opening {
-				opening[i] = make(chan struct{})
+			for _, row := range rows {
+				t.Run(fmt.Sprintf("np%d/%dKiB", row.np, row.count>>7), func(t *testing.T) { leaveDuringFold(t, how, row.np, row.count, row.step) })
 			}
-			var landed atomic.Int32
-			var wrong atomic.Pointer[error] // the first; who finds one goes on, so nobody is left waiting
-			report := func(err error) { wrong.CompareAndSwap(nil, &err) }
-			err := abandonJob(t, mpi.RunOptions{NP: np}, func(env *mpi.Env, _ func() error) error {
-				w := env.CommWorld()
-				rank := w.Rank()
-				send, recv := make([]float64, count), make([]float64, count)
-				for attempt := 0; attempt < attempts && landed.Load() == 0 && wrong.Load() == nil; attempt++ {
-					d, err := w.Dup()
-					if err != nil {
-						return err
-					}
-					for i := range send {
-						send[i] = float64(rank + 1)
-					}
-					left := pv(env, "coll.island_abandoned")
-					var req *mpi.Request
-					if rank < np-1 {
-						if req, err = d.Iallreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
-							return err
-						}
-					}
-					if err := w.Barrier(); err != nil {
-						return err
-					}
-					// The late member opens the fold; the leaver acts a
-					// moment after it set out.
-					moment := time.Duration(attempt%8) * 100 * time.Microsecond
-					switch {
-					case rank == np-1:
-						close(opening[attempt])
-						err = d.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
-					case rank == 1 && how == "cancel":
-						ctx, cancel := context.WithCancel(context.Background())
-						go func() {
-							<-opening[attempt]
-							time.Sleep(moment)
-							cancel()
-						}()
-						_, err = req.WaitCtx(ctx)
-						cancel()
-					case rank == 0 && how == "revoke":
-						<-opening[attempt]
-						time.Sleep(moment)
-						if err := d.Revoke(); err != nil {
-							return err
-						}
-						_, err = req.Wait()
-					default:
-						_, err = req.Wait()
-					}
-					for i, v := range recv {
-						if err == nil && v != np*(np+1)/2 {
-							report(fmt.Errorf("attempt %d rank %d: element %d = %v, want %v", attempt, rank, i, v, np*(np+1)/2))
-							break
-						}
-					}
-					scribble(send, recv)
-					if err != nil && pv(env, "coll.island_abandoned") == left {
-						landed.Store(int32(attempt + 1))
-					}
-					if err := w.Barrier(); err != nil {
-						return err
-					}
-					for i, v := range recv {
-						if v != -1 {
-							report(fmt.Errorf("attempt %d rank %d: element %d written after the call returned (%v)", attempt, rank, i, err))
-							break
-						}
-					}
-					if err := d.Free(); err != nil {
-						return err
-					}
-					// Every member reads landed and wrong only past this
-					// barrier.
-					if err := w.Barrier(); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-			if p := wrong.Load(); p != nil {
-				err = cmp.Or(err, *p)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if landed.Load() == 0 {
-				t.Fatalf("no %s landed in an open fold in %d attempts", how, attempts)
-			}
-			t.Logf("a %s landed in an open fold at attempt %d", how, landed.Load())
 		})
 	}
+}
+
+func leaveDuringFold(t *testing.T, how string, np, count int, step time.Duration) {
+	const attempts = 64
+	sum := float64(np * (np + 1) / 2)
+	opening := make([]chan struct{}, attempts)
+	for i := range opening {
+		opening[i] = make(chan struct{})
+	}
+	var landed atomic.Int32
+	var wrong atomic.Pointer[error] // the first; who finds one goes on, so nobody is left waiting
+	report := func(err error) { wrong.CompareAndSwap(nil, &err) }
+	err := abandonJob(t, mpi.RunOptions{NP: np}, func(env *mpi.Env, _ func() error) error {
+		w := env.CommWorld()
+		rank := w.Rank()
+		send, recv := make([]float64, count), make([]float64, count)
+		for attempt := 0; attempt < attempts && landed.Load() == 0 && wrong.Load() == nil; attempt++ {
+			d, err := w.Dup()
+			if err != nil {
+				return err
+			}
+			for i := range send {
+				send[i] = float64(rank + 1)
+			}
+			left := pv(env, "coll.island_abandoned")
+			var req *mpi.Request
+			if rank < np-1 {
+				if req, err = d.Iallreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+					return err
+				}
+			}
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+			// The late member opens the fold; the leaver acts a
+			// moment after it set out.
+			moment := time.Duration(attempt%8) * step
+			switch {
+			case rank == np-1:
+				close(opening[attempt])
+				err = d.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM)
+			case rank == 1 && how == "cancel":
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() {
+					<-opening[attempt]
+					time.Sleep(moment)
+					cancel()
+				}()
+				_, err = req.WaitCtx(ctx)
+				cancel()
+			case rank == 0 && how == "revoke":
+				<-opening[attempt]
+				time.Sleep(moment)
+				if err := d.Revoke(); err != nil {
+					return err
+				}
+				_, err = req.Wait()
+			default:
+				_, err = req.Wait()
+			}
+			stayed := pv(env, "coll.island_abandoned") == left
+			for i, v := range recv {
+				if (err == nil || stayed) && v != sum {
+					report(fmt.Errorf("attempt %d rank %d: element %d = %v, want %v (%v)", attempt, rank, i, v, sum, err))
+					break
+				}
+			}
+			scribble(send, recv)
+			if err != nil && stayed {
+				landed.Store(int32(attempt + 1))
+			}
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+			for i, v := range recv {
+				if v != -1 {
+					report(fmt.Errorf("attempt %d rank %d: element %d written after the call returned (%v)", attempt, rank, i, err))
+					break
+				}
+			}
+			if err := d.Free(); err != nil {
+				return err
+			}
+			// Every member reads landed and wrong only past this
+			// barrier.
+			if err := w.Barrier(); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if p := wrong.Load(); p != nil {
+		err = cmp.Or(err, *p)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if landed.Load() == 0 {
+		t.Fatalf("no %s landed in an open fold in %d attempts", how, attempts)
+	}
+	t.Logf("a %s landed in an open fold at attempt %d", how, landed.Load())
 }
 
 // TestWinLeavesNothingBehind holds a window to the same rule: a window

@@ -309,23 +309,48 @@ func TestIslandForms(t *testing.T) {
 // TestIslandCancelStrandsNobody: a member that cancels its call before
 // the fold returns the context's error promptly and leaves a copy of its
 // contribution behind, so the member that may have arrived before it and
-// the two that arrive only after it returned all complete, promptly,
+// the ones that arrive only after it returned all complete, promptly,
 // with the whole sum; nobody touches the cancelled member's buffers once
-// its wait returned, and the next allreduce is an ordinary one.
+// its wait returned — at 256 KiB its copy is a source of the tree steps
+// and its accumulator none of their destinations — and the next
+// allreduce is an ordinary one.
 func TestIslandCancelStrandsNobody(t *testing.T) {
-	const np = 4
+	for _, row := range []struct{ np, count int }{{4, 1}, {4, 32 << 10}, {5, 32 << 10}} {
+		t.Run(fmt.Sprintf("np%d/%dB", row.np, 8*row.count), func(t *testing.T) { cancelStrandsNobody(t, row.np, row.count) })
+	}
+}
+
+func cancelStrandsNobody(t *testing.T, np, count int) {
+	want := float64(np * (np + 1) / 2)
 	cancelled := make(chan struct{}) // rank 1's wait has returned
 	err := Run(np, func(env *Env) error {
 		w := env.CommWorld()
-		send, recv := []float64{float64(w.Rank() + 1)}, []float64{0}
+		send, recv := make([]float64, count), make([]float64, count)
+		fill := func(b []float64, v float64) {
+			for i := range b {
+				b[i] = v
+			}
+		}
+		check := func(what string) error {
+			for i, v := range recv {
+				if v != want {
+					return fmt.Errorf("rank %d, %s: element %d = %v, want %v", w.Rank(), what, i, v, want)
+				}
+			}
+			return nil
+		}
+		fill(send, float64(w.Rank()+1))
 		switch w.Rank() {
 		case 0, 1:
-			req, err := w.Iallreduce(send, 0, recv, 0, 1, DOUBLE, SUM)
+			req, err := w.Iallreduce(send, 0, recv, 0, count, DOUBLE, SUM)
 			if err != nil {
 				return err
 			}
 			if w.Rank() == 0 {
 				if _, err := req.Wait(); err != nil {
+					return err
+				}
+				if err := check("the first allreduce"); err != nil {
 					return err
 				}
 				break
@@ -341,32 +366,41 @@ func TestIslandCancelStrandsNobody(t *testing.T) {
 			if waited := time.Since(start); waited > 2*time.Second {
 				return fmt.Errorf("cancelled member returned after %v", waited)
 			}
-			send[0], recv[0] = 100, 100 // its own again: the race detector watches
+			fill(send, 100) // its own again: the race detector watches
+			fill(recv, 100)
 			if n := perfVars(env)["coll.island_abandoned"]; n != 1 {
 				return fmt.Errorf("coll.island_abandoned = %d, want 1", n)
 			}
-			send[0] = 2
-			recv[0] = 10 // what it would have got
 		default:
 			<-cancelled
 			start := time.Now()
-			if err := w.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM); err != nil {
+			if err := w.Allreduce(send, 0, recv, 0, count, DOUBLE, SUM); err != nil {
 				return err
 			}
 			if waited := time.Since(start); waited > 2*time.Second {
 				return fmt.Errorf("late member returned after %v", waited)
 			}
+			if err := check("the first allreduce"); err != nil {
+				return err
+			}
 		}
-		if recv[0] != 10 {
-			return fmt.Errorf("rank %d: %v, want 10", w.Rank(), recv[0])
-		}
-		if err := w.Allreduce(send, 0, recv, 0, 1, DOUBLE, SUM); err != nil {
+		// Every member's first call is over: the fold wrote no byte of
+		// the cancelled member's accumulator.
+		if err := w.Barrier(); err != nil {
 			return err
 		}
-		if recv[0] != 10 {
-			return fmt.Errorf("rank %d, the next allreduce: %v, want 10", w.Rank(), recv[0])
+		if w.Rank() == 1 {
+			for i, v := range recv {
+				if v != 100 {
+					return fmt.Errorf("the cancelled member's element %d = %v after the fold", i, v)
+				}
+			}
+			fill(send, 2)
 		}
-		return nil
+		if err := w.Allreduce(send, 0, recv, 0, count, DOUBLE, SUM); err != nil {
+			return err
+		}
+		return check("the next allreduce")
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -482,13 +516,12 @@ func TestIslandLifetime(t *testing.T) {
 // of an island fold, cut down to a whole number of the operand's units.
 const islandChunk = 16 << 10
 
-// fingerprint hashes the bits of a float64 result.
-func fingerprint(b []float64) uint64 {
+// fingerprint hashes the bits of a result: a slice of one of the
+// fixed-size classes' element types.
+func fingerprint(v any) uint64 {
 	h := fnv.New64a()
-	var w [8]byte
-	for _, v := range b {
-		binary.LittleEndian.PutUint64(w[:], math.Float64bits(v))
-		h.Write(w[:])
+	if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+		panic(err)
 	}
 	return h.Sum64()
 }
@@ -497,9 +530,12 @@ func fingerprint(b []float64) uint64 {
 // the message schedules' result bits (tcp: recursive doubling, or
 // halving + doubling from eight eager limits), on every member, at np
 // 2–9 and at operands of one unit short of a chunk, one chunk, one unit
-// over it, just over the eager limit and 1 MiB — for classes whose unit
-// divides the chunk and for three DOUBLEs, whose 24 bytes do not, so
-// chunk edges fall on whole units short of islandChunk.
+// over it, a chunk and a last one of three blocks and a tail, just over
+// the eager limit and 1 MiB — for every family of block loops, which
+// the island folds a chunk's whole blocks with (DOUBLE MAX with NaN and
+// ±0 on either side), for MAXLOC, which has none, and for three
+// DOUBLEs, whose 24 bytes do not divide the chunk, so chunk edges fall
+// on whole units short of islandChunk and every chunk ends in a tail.
 func TestIslandChunkedFoldBitExact(t *testing.T) {
 	triple, err := TypeContiguous(3, DOUBLE)
 	if err != nil {
@@ -507,27 +543,79 @@ func TestIslandChunkedFoldBitExact(t *testing.T) {
 	}
 	triple.Commit()
 	type combo struct {
-		d     *Datatype
-		op    *Op
-		width int // float64s per item
-		make  func(rng *rand.Rand, b []float64)
+		d    *Datatype
+		op   *Op
+		make func(rng *rand.Rand, n int) any // n elements
 	}
-	wide := func(rng *rand.Rand, b []float64) {
+	wide := func(rng *rand.Rand, n int) any {
+		b := make([]float64, n)
 		for i := range b {
 			b[i] = (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(40)-20))
 		}
+		return b
 	}
-	near1 := func(rng *rand.Rand, b []float64) {
+	wide32 := func(rng *rand.Rand, n int) any {
+		b := make([]float32, n)
+		for i := range b {
+			b[i] = float32((rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(20)-10)))
+		}
+		return b
+	}
+	near1 := func(rng *rand.Rand, n int) any {
+		b := make([]float64, n)
 		for i := range b {
 			b[i] = 0.75 + rng.Float64()/2
 		}
+		return b
 	}
-	pairs := func(rng *rand.Rand, b []float64) {
-		for i := 0; i < len(b); i += 2 {
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1}
+	nanZero := func(rng *rand.Rand, n int) any { // NaN and ±0 on either side of MAX
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = specials[rng.Intn(len(specials))]
+		}
+		return b
+	}
+	pairs := func(rng *rand.Rand, n int) any {
+		b := make([]float64, n)
+		for i := 0; i < n; i += 2 {
 			b[i], b[i+1] = float64(rng.Intn(8)), float64(rng.Intn(64))
 		}
+		return b
 	}
-	combos := []combo{{DOUBLE, SUM, 1, wide}, {DOUBLE, PROD, 1, near1}, {DOUBLE2, MAXLOC, 2, pairs}, {triple, SUM, 3, wide}}
+	longs := func(rng *rand.Rand, n int) any { // sums wrap
+		b := make([]int64, n)
+		for i := range b {
+			b[i] = int64(rng.Uint64())
+		}
+		return b
+	}
+	ints := func(rng *rand.Rand, n int) any {
+		b := make([]int32, n)
+		for i := range b {
+			b[i] = int32(rng.Uint32())
+		}
+		return b
+	}
+	shorts := func(rng *rand.Rand, n int) any {
+		b := make([]int16, n)
+		for i := range b {
+			b[i] = int16(rng.Uint32())
+		}
+		return b
+	}
+	octets := func(rng *rand.Rand, n int) any {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(rng.Uint32()) | 0x81 // BAND keeps a bit or two
+		}
+		return b
+	}
+	combos := []combo{
+		{DOUBLE, SUM, wide}, {DOUBLE, PROD, near1}, {DOUBLE, MAX, nanZero}, {FLOAT, SUM, wide32},
+		{LONG, SUM, longs}, {INT, BXOR, ints}, {SHORT, SUM, shorts}, {BYTE, BAND, octets},
+		{DOUBLE2, MAXLOC, pairs}, {triple, SUM, wide},
+	}
 	run := func(device string, np int) (map[string]uint64, uint64) {
 		var folds islandFolds
 		var mu sync.Mutex
@@ -536,11 +624,10 @@ func TestIslandChunkedFoldBitExact(t *testing.T) {
 		err := withinDeadline(t, 60*time.Second, RunOptions{NP: np, Device: device}, func(env *Env) error {
 			w := env.CommWorld()
 			for ci, c := range combos {
-				unit := 8 * c.width
-				for _, n := range []int{islandChunk/unit - 1, islandChunk / unit, islandChunk/unit + 1, (64<<10 + 8) / unit, (1 << 20) / unit} {
+				unit := c.d.t.WireBytes(1)
+				for _, n := range []int{islandChunk/unit - 1, islandChunk / unit, islandChunk/unit + 1, (islandChunk + 200) / unit, (64<<10 + 8) / unit, (1 << 20) / unit} {
 					rng := rand.New(rand.NewSource(int64(1000*ci + 7*n + w.Rank())))
-					send, recv := make([]float64, n*c.width), make([]float64, n*c.width)
-					c.make(rng, send)
+					send, recv := c.make(rng, n*c.d.Size()), c.make(rng, n*c.d.Size())
 					if err := w.Allreduce(send, 0, recv, 0, n, c.d, c.op); err != nil {
 						return fmt.Errorf("%s %s × %d: %v", c.d.Name(), c.op.op.Name, n, err)
 					}
@@ -565,7 +652,7 @@ func TestIslandChunkedFoldBitExact(t *testing.T) {
 	for np := 2; np <= 9; np++ {
 		island, folds := run("chan", np)
 		messages, none := run("tcp", np)
-		if want := uint64(5 * len(combos)); folds != want || none != 0 {
+		if want := uint64(6 * len(combos)); folds != want || none != 0 {
 			t.Fatalf("np%d: %d island folds over chan, want %d; %d over tcp, want 0", np, folds, want, none)
 		}
 		for key, bits := range island {
