@@ -21,25 +21,26 @@ const CacheSize = 8
 // an entry — evicted, pushed out, or cleared — only drops the cache's
 // reference; it never touches a running schedule. The key must hold
 // every value the plan's build read, or two members could run different
-// schedules for one instance. The zero value is an empty cache; its
-// mutex is uncontended, since a communicator's collectives are called
-// in one program order.
-type Cache[K interface{ Equal(K) bool }, V comparable] struct {
+// schedules for one instance. Keys travel by pointer: a lookup copies
+// none, and an entry keeps the copy Cached makes when it adds one. The
+// zero value is an empty cache; its mutex is uncontended, since a
+// communicator's collectives are called in one program order.
+type Cache struct {
 	mu   sync.Mutex
 	tick uint64 // counts hand-outs, stamping each entry's last use
-	ents []cacheEnt[K, V]
+	ents []cacheEnt
 }
 
-type cacheEnt[K any, V comparable] struct {
-	key  K
-	val  V
+type cacheEnt struct {
+	key  *Key
+	val  *Plan
 	busy bool
 	used uint64 // tick of the entry's last hand-out
 }
 
 // Take hands out an idle entry built for key, marked busy and most
 // recently used; ok is false when there is none.
-func (c *Cache[K, V]) Take(key K) (v V, ok bool) {
+func (c *Cache) Take(key *Key) (v *Plan, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.ents {
@@ -49,16 +50,17 @@ func (c *Cache[K, V]) Take(key K) (v V, ok bool) {
 			return e.val, true
 		}
 	}
-	return v, false
+	return nil, false
 }
 
 // Add caches v, just built for key, busy, as the most recently used
 // entry, in place of the least recently used one when the cache is full.
-func (c *Cache[K, V]) Add(key K, v V) {
+// The entry keeps key, which the caller must not change afterwards.
+func (c *Cache) Add(key *Key, v *Plan) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tick++
-	e, lru := cacheEnt[K, V]{key, v, true, c.tick}, 0
+	e, lru := cacheEnt{key, v, true, c.tick}, 0
 	if len(c.ents) < CacheSize {
 		c.ents = append(c.ents, e)
 		return
@@ -75,7 +77,7 @@ func (c *Cache[K, V]) Add(key K, v V) {
 // evicted otherwise (a failed or abandoned activation), so the next
 // call of its shape builds afresh. An entry no longer cached is left
 // alone.
-func (c *Cache[K, V]) Done(v V, reuse bool) {
+func (c *Cache) Done(v *Plan, reuse bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i := range c.ents {
@@ -91,14 +93,14 @@ func (c *Cache[K, V]) Done(v V, reuse bool) {
 }
 
 // Clear drops every entry.
-func (c *Cache[K, V]) Clear() {
+func (c *Cache) Clear() {
 	c.mu.Lock()
 	c.ents = nil
 	c.mu.Unlock()
 }
 
 // Len is the number of entries cached.
-func (c *Cache[K, V]) Len() int {
+func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.ents)
@@ -139,12 +141,11 @@ func (l *Layout) clone() *Layout {
 }
 
 // Equal compares the layouts by content and every other field by value.
-func (k Key) Equal(o Key) bool {
-	if !k.Send.equal(o.Send) || !k.Recv.equal(o.Recv) {
-		return false
-	}
-	k.Send, k.Recv = o.Send, o.Recv
-	return k == o
+func (k *Key) Equal(o *Key) bool {
+	return k.Kind == o.Kind && k.Op == o.Op && k.SD == o.SD && k.RD == o.RD &&
+		k.Root == o.Root && k.SCount == o.SCount && k.RCount == o.RCount &&
+		k.Direct == o.Direct && k.Lent == o.Lent && k.eager == o.eager &&
+		k.Send.equal(o.Send) && k.Recv.equal(o.Recv)
 }
 
 // Cached returns the plan of a validated call of shape key: the
@@ -153,7 +154,7 @@ func (k Key) Equal(o Key) bool {
 // one instance, in program order: the re-arm, or the NewPlan inside
 // build. The caller finds what it bound to the plan in Plan.Bound, binds
 // the call to it, and ends the call with Plan.Done.
-func (c *Comm) Cached(key Key, build func() (*Plan, error)) (*Plan, error) {
+func (c *Comm) Cached(key *Key, build func() (*Plan, error)) (*Plan, error) {
 	key.eager = c.P.EagerLimit()
 	if p, ok := c.plans.Take(key); ok {
 		p.Rearm()
@@ -163,8 +164,9 @@ func (c *Comm) Cached(key Key, build func() (*Plan, error)) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	key.Send, key.Recv = key.Send.clone(), key.Recv.clone()
-	c.plans.Add(key, p)
+	kept := *key
+	kept.Send, kept.Recv = key.Send.clone(), key.Recv.clone()
+	c.plans.Add(&kept, p)
 	return p, nil
 }
 

@@ -49,7 +49,7 @@ type Comm struct {
 
 	// plans is the communicator's one plan cache (see Cached): the
 	// binding's collectives and Allreduce (reduce.go) re-arm from it.
-	plans Cache[Key, *Plan]
+	plans Cache
 
 	// isl is the island this member shares with the others (island.go),
 	// attached by the first plan that folds through it.
@@ -158,8 +158,10 @@ func (c *Comm) addBarrierSteps(s *sched) {
 	for k := 1; k < c.Size; k <<= 1 {
 		dst := (c.Rank + k) % c.Size
 		src := (c.Rank - k + c.Size) % c.Size
-		s.exchStep(dst, src, tagBarrier,
-			func() ([]byte, error) { return nil, nil },
+		// The empty message is only read, so its frame goes back to the
+		// pool when the step ends.
+		s.postRecv(&fut{lend: true}, src, tagBarrier,
+			func() error { return s.isend(dst, tagBarrier, nil) },
 			func([]byte) error { return nil })
 	}
 }
@@ -314,15 +316,15 @@ func (c *Comm) BarrierPlan() *Plan {
 }
 
 // BcastPlan builds the broadcast of root's *data along a binomial tree;
-// the plan's result is the payload ([]byte) on every member (the root
-// gets its own slice back).
+// the plan's result is data (*[]byte, see Wire), holding the payload on
+// every member (the root its own slice).
 func (c *Comm) BcastPlan(root int, data *[]byte) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
 	c.addBcastSteps(p.s, root, data)
-	p.Publish(func() any { return *data })
+	p.Publish(func() any { return data })
 	return p, nil
 }
 
@@ -342,9 +344,10 @@ func (c *Comm) GatherPlan(root int, mine *[]byte) (*Plan, error) {
 
 // ScatterPlan builds the scatter of *parts (indexed by group rank,
 // significant at root only), each block in one message from root; the
-// plan's result is this member's block ([]byte); a root whose *parts
-// does not hold one block per member fails the activation. Blocks may
-// have different sizes, so the plan doubles as Scatterv.
+// plan's result is this member's block (*[]byte, see Wire); a root
+// whose *parts does not hold one block per member fails the
+// activation. Blocks may have different sizes, so the plan doubles as
+// Scatterv.
 func (c *Comm) ScatterPlan(root int, parts *[][]byte) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
@@ -352,7 +355,7 @@ func (c *Comm) ScatterPlan(root int, parts *[][]byte) (*Plan, error) {
 	}
 	var out []byte
 	c.addScatterSteps(p.s, root, parts, &out)
-	p.Publish(func() any { return out })
+	p.Publish(func() any { return &out })
 	return p, nil
 }
 
@@ -405,7 +408,8 @@ func (c *Comm) Barrier() error {
 
 // Bcast distributes root's payload to every member and returns it.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	return runAs[[]byte](c.BcastPlan(root, &data))
+	res, err := runAs[any](c.BcastPlan(root, &data))
+	return Wire(res), err
 }
 
 // Gather collects every member's block at root, indexed by group rank;

@@ -27,7 +27,7 @@ func densePlan(c *Comm, mine any, build func(acc *[]byte, cls dtype.Class) (*Pla
 		return nil, err
 	}
 	p.Publish(func() any {
-		wire, _ := p.s.res.([]byte)
+		wire := Wire(p.s.res)
 		if wire == nil {
 			return nil
 		}
@@ -102,7 +102,8 @@ func (c *Comm) Iscan(mine any, op *Op) *Request { return start(c.scanPlanDense(f
 func (c *Comm) Iexscan(mine any, op *Op) *Request { return start(c.scanPlanDense(true, mine, op)) }
 
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	return runAs[[]byte](c.ScatterPlan(root, &parts))
+	res, err := runAs[any](c.ScatterPlan(root, &parts))
+	return Wire(res), err
 }
 
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {

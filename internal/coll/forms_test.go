@@ -128,10 +128,13 @@ var planForms = []planForm{
 	}},
 }
 
-// snapshot deep-copies a plan result ([]byte, [][]byte or nil): results
-// may alias inputs that the next activation overwrites.
+// snapshot deep-copies a plan result ([]byte, a reduction's *[]byte,
+// [][]byte or nil): results may alias inputs that the next activation
+// overwrites.
 func snapshot(res any) any {
 	switch v := res.(type) {
+	case *[]byte:
+		return append([]byte{}, *v...)
 	case []byte:
 		return append([]byte{}, v...)
 	case [][]byte:

@@ -20,7 +20,6 @@ type commObs struct {
 	folds     *obs.Counter // island folds this rank settled, as the member that folded their last chunk
 	helped    *obs.Counter // island chunks this rank folded in a fold another member opened
 	abandoned *obs.Counter // times this rank left an island instance before its fold
-	schedNs   *obs.Timing  // activation wall time, arm to finish
 }
 
 // Warm forces the lazy registration of the collective layer's
@@ -40,7 +39,6 @@ func (c *Comm) vars() *commObs {
 		c.obs.folds = reg.Counter("coll.island_folds")
 		c.obs.helped = reg.Counter("coll.island_chunks_helped")
 		c.obs.abandoned = reg.Counter("coll.island_abandoned")
-		c.obs.schedNs = reg.Timing("coll.sched_ns")
 	})
 	return &c.obs
 }

@@ -76,21 +76,43 @@ func (p *Plan) Alltoall(parts [][]byte, out *[][]byte) error {
 // what Run returns and what a started Request completes with.
 func (p *Plan) Publish(get func() any) { p.s.publish(get) }
 
+// Wire is the payload the result of a plan that delivers one payload —
+// a broadcast, a scatter, a reduction — points at, nil for a member
+// that gets none. Such a plan publishes a pointer to the payload, which
+// boxes for free, not the slice, which every activation would box anew.
+func Wire(res any) []byte {
+	if p, _ := res.(*[]byte); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // Run executes the schedule to completion, the blocking form: Start,
 // then Wait, with the caller counted as the waiter from the outset, so
 // every step runs on it. A Run is not cancellable; a collective that
 // must be is Started and waited with Request.WaitCtx.
+//
+// The activation's request is the schedule's own: it never escapes the
+// call, so a Run allocates nothing of its own.
 func (p *Plan) Run() (any, error) {
-	r := p.s.req
-	r.waiters = 1 // before any step: no completion callback can read it yet
-	p.s.start()
-	return r.wait(true)
+	r := &p.s.own
+	// waiters is set before any step: no completion callback can read
+	// it yet.
+	*r = Request{s: p.s, waiters: 1}
+	p.s.start(r)
+	res, err := r.wait(true)
+	r.res = nil // the plan pins no result past the call
+	return res, err
 }
 
 // Start runs the schedule's steps on the caller up to its first wait for
 // a message and returns its request (the nonblocking form); a waiting
 // schedule occupies no goroutine.
-func (p *Plan) Start() *Request { return p.s.start() }
+func (p *Plan) Start() *Request {
+	r := &Request{s: p.s}
+	p.s.start(r)
+	return r
+}
 
 // Rearm readies a plan whose last activation has completed to Run or
 // Start again, against whatever its steps read through their bound

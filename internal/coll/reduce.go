@@ -457,8 +457,8 @@ func splitWire(wire []byte, counts []int, cls dtype.Class) ([][]byte, error) {
 // ---------------------------------------------------------------------
 
 // ReducePlan builds the reduction of every member's *acc toward root
-// with op over operands of class cls. The plan's result is root's
-// accumulator ([]byte), nil elsewhere.
+// with op over operands of class cls. The plan's result is acc at root
+// (*[]byte, see Wire), nil elsewhere.
 func (c *Comm) ReducePlan(root int, acc *[]byte, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	if err := c.check(root); err != nil {
@@ -473,13 +473,13 @@ func (c *Comm) ReducePlan(root int, acc *[]byte, op *Op, cls dtype.Class) (*Plan
 		if c.Rank != root {
 			return nil
 		}
-		return *acc
+		return acc
 	})
 	return p, nil
 }
 
 // AllreducePlan builds the all-reduction of every member's *acc; the
-// plan's result is the accumulator ([]byte) on every member. The
+// plan's result is acc (*[]byte, see Wire) on every member. The
 // operand is units indivisible groups (items of the caller's datatype)
 // of unit wire bytes each — what a large reduction may be cut between —
 // and every activation's *acc must hold exactly that; pass unit 0 for
@@ -496,15 +496,15 @@ func (c *Comm) AllreducePlan(acc, src *[]byte, units, unit int, op *Op, cls dtyp
 	}
 	f.src = src
 	c.addAllreduceSteps(p.s, f, op.Commutative, op.user == nil, units, unit)
-	p.Publish(func() any { return *acc })
+	p.Publish(func() any { return acc })
 	return p, nil
 }
 
 // ScanPlan builds the inclusive (MPI_Scan) or exclusive (MPI_Exscan —
 // the MPI-2 extension the paper's §5.3 targets) prefix reduction in
-// rank order. The plan's result is the accumulator ([]byte): member r's
-// fold over ranks 0..r, or 0..r-1 when exclusive — nil at rank 0 then,
-// whose result is undefined.
+// rank order. The plan's result is acc (*[]byte, see Wire), holding
+// member r's fold over ranks 0..r, or 0..r-1 when exclusive — nil at
+// rank 0 then, whose result is undefined.
 func (c *Comm) ScanPlan(exclusive bool, acc *[]byte, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	f, err := c.newFolder(acc, op, cls)
@@ -522,15 +522,15 @@ func (c *Comm) ScanPlan(exclusive bool, acc *[]byte, op *Op, cls dtype.Class) (*
 		if exclusive && c.Rank == 0 {
 			return nil
 		}
-		return *acc
+		return acc
 	})
 	return p, nil
 }
 
 // ReduceScatterPlan builds the fold-then-scatter: *acc holds
 // sum(counts) elements, and the plan's result is member r's
-// counts[r]-element segment of the reduction ([]byte; at rank 0 a
-// window of its accumulator).
+// counts[r]-element segment of the reduction (*[]byte, see Wire; at
+// rank 0 a window of its accumulator).
 func (c *Comm) ReduceScatterPlan(acc *[]byte, counts []int, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	if len(counts) != c.Size {
@@ -550,7 +550,7 @@ func (c *Comm) ReduceScatterPlan(acc *[]byte, counts []int, op *Op, cls dtype.Cl
 	})
 	var mine []byte
 	c.addScatterSteps(p.s, 0, &parts, &mine)
-	p.Publish(func() any { return mine })
+	p.Publish(func() any { return &mine })
 	return p, nil
 }
 
@@ -599,7 +599,7 @@ func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 		}
 	}
 	key := Key{Kind: "allreduce", Op: op, SD: cls, SCount: n, Lent: inPlace}
-	p, err := c.Cached(key, func() (*Plan, error) {
+	p, err := c.Cached(&key, func() (*Plan, error) {
 		d := &operands{}
 		var in *[]byte
 		if inPlace {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gompi/internal/core"
 	"gompi/internal/obs"
@@ -195,15 +194,23 @@ type step struct {
 // last operation it waits for makes it runnable, and run continues at
 // the same program counter.
 type sched struct {
-	c      *Comm
-	inst   uint32 // this collective instance's sequence number
-	space  int    // 0, or tagPersistent for a persistent plan's tags
+	c     *Comm
+	inst  uint32 // this collective instance's sequence number
+	space int    // 0, or tagPersistent for a persistent plan's tags
+	// req is the running activation's request, nil between activations:
+	// a Start's, which its caller keeps, or own, the blocking Run's,
+	// which never leaves the schedule and so is reset, not allocated,
+	// by every Run.
 	req    *Request
+	own    Request
 	steps  []step
-	resets []func()        // per-activation state initializers, run by arm
-	pc     int             // index of the next step to run
-	pend   []*core.Request // outstanding isends, drained at the end; in a teardown, everything still posted
-	res    any             // published to req on successful completion
+	resets []func() // per-activation state initializers, run by arm
+	pc     int      // index of the next step to run
+	// pend holds the outstanding isends, drained at the end; in a
+	// teardown, everything still posted. drop empties it and keeps its
+	// array for the next activation.
+	pend []*core.Request
+	res  any // published to req on successful completion
 
 	// Parking state. While the schedule is parked, gated holds the
 	// incomplete operations it waits for (guarded by gmu, so a cancelling
@@ -216,9 +223,9 @@ type sched struct {
 	waits atomic.Int32
 	wake  func() // bound once; decrements waits, hands the schedule on at zero
 
-	// t0 is the activation's arm time, feeding the "coll.sched_ns"
-	// timing variable on finish.
-	t0 time.Time
+	// armed is set from arm to finish: the activation's flight-recorder
+	// span is open, and its coll.sched event carries its duration.
+	armed bool
 }
 
 // newSched builds an empty schedule and mints its instance number —
@@ -227,7 +234,6 @@ type sched struct {
 // outcomes.
 func (c *Comm) newSched() *sched {
 	s := &sched{c: c, inst: c.seq.Add(1) - 1}
-	s.req = &Request{s: s}
 	s.wake = func() {
 		// Runs under the engine lock (completion callback): the last
 		// completion hands the runnable schedule to a caller waiting for
@@ -269,27 +275,24 @@ func (s *sched) arm() {
 		fn()
 	}
 	s.c.vars().started.Inc()
-	s.t0 = time.Now()
+	s.armed = true
 	s.c.P.Recorder().Begin(obs.EvCollSched, s.inst, 0)
 }
 
 // rearm prepares a fresh activation of a schedule whose previous one
-// has completed, for start to arm: a new request (the old one stays
-// valid for its completed activation) and the program counter back at
-// the top. A one-shot plan — one a communicator's cache hands to a new
-// call — takes that call's instance, minted from seq in program order
-// like NewPlan's, so every call still has tags of its own. Only a
-// persisted plan keeps its instance, and with it every matching tag:
-// persistent activations are aligned across members by the rule that
-// each member completes activation k before starting k+1, so round k+1
-// traffic can never cross-match round k's.
+// has completed, for start to arm and bind to its request: the program
+// counter back at the top. A one-shot plan — one a communicator's cache
+// hands to a new call — takes that call's instance, minted from seq in
+// program order like NewPlan's, so every call still has tags of its
+// own. Only a persisted plan keeps its instance, and with it every
+// matching tag: persistent activations are aligned across members by
+// the rule that each member completes activation k before starting
+// k+1, so round k+1 traffic can never cross-match round k's.
 func (s *sched) rearm() {
 	if s.space == 0 {
 		s.inst = s.c.seq.Add(1) - 1
 	}
-	s.req = &Request{s: s}
 	s.pc = 0
-	s.pend = nil
 }
 
 // publish appends the final step that snapshots the algorithm's result.
@@ -423,14 +426,13 @@ func (s *sched) consumeStep(f *fut, fn func([]byte) error) {
 	}})
 }
 
-// start arms the schedule and runs its steps on the caller up to its
-// first wait for a message, so its first sends and receives are posted
-// when it returns (Plan.Start).
-func (s *sched) start() *Request {
-	r := s.req
+// start arms the schedule as the activation r and runs its steps on
+// the caller up to its first wait for a message, so its first sends and
+// receives are posted when it returns.
+func (s *sched) start(r *Request) {
+	s.req = r
 	s.arm()
 	s.run()
-	return r
 }
 
 // run executes the schedule until it completes or parks. A parked
@@ -481,9 +483,8 @@ func (s *sched) run() {
 			if err == nil && r.Stat.Err != nil {
 				err = r.Stat.Err // send failed (peer loss, revocation)
 			}
-			r.Recycle()
 		}
-		s.pend = nil
+		s.drop()
 		if err != nil {
 			s.fail(err)
 			return
@@ -564,10 +565,8 @@ func (s *sched) cancelled() bool { return s.req.cancelled.Load() }
 // for it. It is the runner's last touch of the schedule: a persistent one
 // may be started again the moment the request is done.
 func (s *sched) finish(err error) {
-	if !s.t0.IsZero() {
-		// t0 is zero when a schedule fails before arming (argument
-		// validation); only armed activations count toward the timing.
-		s.c.vars().schedNs.Observe(time.Since(s.t0))
+	if s.armed {
+		s.armed = false
 		s.c.P.Recorder().End(obs.EvCollSched, s.inst, 0)
 	}
 	r, res := s.req, s.res
@@ -627,11 +626,17 @@ func (s *sched) fail(err error) {
 	if owed := s.incomplete(); len(owed) > 0 && s.park(owed) {
 		return
 	}
+	s.drop()
+	s.finish(s.req.err)
+}
+
+// drop recycles every request in pend, all complete, and empties it.
+func (s *sched) drop() {
 	for _, r := range s.pend {
 		r.Recycle()
 	}
-	s.pend = nil
-	s.finish(s.req.err)
+	clear(s.pend)
+	s.pend = s.pend[:0]
 }
 
 // isend posts a standard-mode send on the schedule's context and tracks

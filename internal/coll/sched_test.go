@@ -93,7 +93,7 @@ func TestOverlappingIbcastsSameFamily(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return [][]byte{got1.([]byte), got2.([]byte)}, nil
+			return [][]byte{Wire(got1), Wire(got2)}, nil
 		})
 		for r, res := range results {
 			got := res.([][]byte)

@@ -87,6 +87,10 @@ type inMsg struct {
 	frame   transport.Frame
 }
 
+// inMsgPool recycles the unexpected queue's entries: one a receive has
+// matched and whose frame is released goes back (Proc.irecv).
+var inMsgPool = sync.Pool{New: func() any { return new(inMsg) }}
+
 // outFrame is a frame produced by the matching engine to be sent after
 // the engine lock is released (sending under the lock can deadlock with
 // the peer's flow control: a full inbox blocks the sender until the
@@ -780,7 +784,8 @@ func (p *Proc) handleLocked(f *parsed, err error) (outs []outFrame, after []late
 		}
 		req := p.takeMatchLocked(f.env)
 		if req == nil {
-			m := &inMsg{kind: f.kind, env: f.env, id: f.id, size: f.size, payload: f.payload}
+			m := inMsgPool.Get().(*inMsg)
+			*m = inMsg{kind: f.kind, env: f.env, id: f.id, size: f.size, payload: f.payload}
 			if f.kind == kRts {
 				// An RTS header is all in m already: it goes back to the
 				// pool now, not at a teardown that never empties arrived.
@@ -1276,8 +1281,11 @@ func (p *Proc) irecv(ctx, src, tag int32, into []byte, elemSize int, borrow bool
 	reply := p.meetLocked(req, m.kind, m.env, m.id, m.size, m.payload, &m.frame)
 	p.mu.Unlock()
 	m.frame.Release() // a receive-into left the queued frame behind
+	peer := int(m.env.srcWorld)
+	*m = inMsg{}
+	inMsgPool.Put(m)
 	if reply != nil {
-		p.mux.Sendv(int(m.env.srcWorld), reply, nil, false) //nolint:errcheck // teardown race
+		p.mux.Sendv(peer, reply, nil, false) //nolint:errcheck // teardown race
 	}
 	return req
 }

@@ -112,10 +112,16 @@ func (t *Type) checkBounds(bufLen, offset, count int) error {
 // place: on a little-endian host a contiguous section packs as one memcpy
 // and a Vector column as one copy per block.
 func Pack(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
-	buf, _ = NativeView(buf)
 	if _, err := CheckSection(buf, offset, count, t); err != nil {
 		return dst, err
 	}
+	return PackChecked(dst, buf, offset, count, t)
+}
+
+// PackChecked is Pack for a section CheckSection has passed: it packs
+// without validating the section again.
+func PackChecked(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
+	buf, _ = NativeView(buf)
 	if t.class == Obj {
 		return packObjects(dst, buf, offset, count, t)
 	}
@@ -164,10 +170,16 @@ func packFixed[T Fixed](dst []byte, s []T, offset, count int, t *Type) []byte {
 // If data holds more elements than the buffer section accepts, the section
 // is filled and ErrTruncate is returned alongside the deposited count.
 func Unpack(data []byte, buf any, offset, count int, t *Type) (int, error) {
-	buf, _ = NativeView(buf)
 	if _, err := CheckSection(buf, offset, count, t); err != nil {
 		return 0, err
 	}
+	return UnpackChecked(data, buf, offset, count, t)
+}
+
+// UnpackChecked is Unpack for a section CheckSection has passed: it
+// deposits without validating the section again.
+func UnpackChecked(data []byte, buf any, offset, count int, t *Type) (int, error) {
+	buf, _ = NativeView(buf)
 	if t.class == Obj {
 		return unpackObjects(data, buf, offset, count, t)
 	}

@@ -1,5 +1,5 @@
 // Package obs is the runtime observability substrate: an MPI_T-style
-// registry of performance variables (counters, gauges, timings) and
+// registry of performance variables (counters and gauges) and
 // writable control variables, plus a per-rank lock-free flight recorder
 // (trace.go) whose merged output mpirun renders as a Chrome trace.
 //
@@ -18,7 +18,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonic performance variable.
@@ -64,33 +63,13 @@ func (g *Gauge) Load() int64 { return g.cur.Load() }
 // Peak returns the largest value the gauge has held.
 func (g *Gauge) Peak() int64 { return g.peak.Load() }
 
-// Timing is a duration-accumulating performance variable.
-type Timing struct {
-	n     atomic.Uint64
-	total atomic.Int64 // nanoseconds
-}
-
-// Observe folds one duration in.
-func (t *Timing) Observe(d time.Duration) {
-	t.n.Add(1)
-	t.total.Add(int64(d))
-}
-
-// Count returns the number of observations.
-func (t *Timing) Count() uint64 { return t.n.Load() }
-
-// TotalNs returns the accumulated nanoseconds.
-func (t *Timing) TotalNs() int64 { return t.total.Load() }
-
 // VarValue is one performance variable's read-out.
 type VarValue struct {
 	Name  string `json:"name"`
-	Class string `json:"class"` // "counter", "gauge" or "timing"
-	// Value is the counter count, the gauge's current value, or the
-	// timing's total nanoseconds.
+	Class string `json:"class"` // "counter" or "gauge"
+	// Value is the counter count or the gauge's current value.
 	Value int64 `json:"value"`
-	// Aux is the gauge's peak or the timing's observation count; zero
-	// for counters.
+	// Aux is the gauge's peak; zero for counters.
 	Aux int64 `json:"aux,omitempty"`
 }
 
@@ -118,7 +97,6 @@ type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	timings  map[string]*Timing
 	controls map[string]Control
 	sources  map[string]func() []VarValue
 }
@@ -128,7 +106,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		timings:  make(map[string]*Timing),
 		controls: make(map[string]Control),
 		sources:  make(map[string]func() []VarValue),
 	}
@@ -158,18 +135,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// Timing returns the named timing, creating it on first use.
-func (r *Registry) Timing(name string) *Timing {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t := r.timings[name]
-	if t == nil {
-		t = &Timing{}
-		r.timings[name] = t
-	}
-	return t
-}
-
 // RegisterControl installs (or replaces) a control variable.
 func (r *Registry) RegisterControl(c Control) {
 	r.mu.Lock()
@@ -187,20 +152,18 @@ func (r *Registry) Source(key string, fn func() []VarValue) {
 	r.mu.Unlock()
 }
 
-// Value reads one performance variable by name (counter count, gauge
-// current value, or timing total); ok is false when no variable has
-// that name. Sources are consulted only after the named variables.
+// Value reads one performance variable by name (counter count or gauge
+// current value); ok is false when no variable has that name. Sources
+// are consulted only after the named variables.
 func (r *Registry) Value(name string) (v int64, ok bool) {
 	r.mu.Lock()
-	c, g, t := r.counters[name], r.gauges[name], r.timings[name]
+	c, g := r.counters[name], r.gauges[name]
 	r.mu.Unlock()
 	switch {
 	case c != nil:
 		return int64(c.Load()), true
 	case g != nil:
 		return g.Load(), true
-	case t != nil:
-		return t.TotalNs(), true
 	}
 	for _, v := range r.sourced() {
 		if v.Name == name {
@@ -225,15 +188,12 @@ func (r *Registry) sourced() (out []VarValue) {
 // Snapshot enumerates every performance variable, sorted by name.
 func (r *Registry) Snapshot() []VarValue {
 	r.mu.Lock()
-	out := make([]VarValue, 0, len(r.counters)+len(r.gauges)+len(r.timings))
+	out := make([]VarValue, 0, len(r.counters)+len(r.gauges))
 	for n, c := range r.counters {
 		out = append(out, VarValue{Name: n, Class: "counter", Value: int64(c.Load())})
 	}
 	for n, g := range r.gauges {
 		out = append(out, VarValue{Name: n, Class: "gauge", Value: g.Load(), Aux: g.Peak()})
-	}
-	for n, t := range r.timings {
-		out = append(out, VarValue{Name: n, Class: "timing", Value: t.TotalNs(), Aux: int64(t.Count())})
 	}
 	r.mu.Unlock()
 	out = append(out, r.sourced()...)

@@ -1,6 +1,9 @@
 package mpi
 
-import "gompi/internal/transport"
+import (
+	"gompi/internal/coll"
+	"gompi/internal/transport"
+)
 
 // accum is one reduction's accumulator: the single wire-format buffer
 // the collective layer folds into, loaded with this rank's contribution
@@ -69,7 +72,7 @@ func (a *accum) load(send *section) error {
 	if a.src != nil {
 		return nil
 	}
-	b, err := send.pack(a.b[:0])
+	b, err := send.packChecked(a.b[:0])
 	if err != nil {
 		a.release()
 		return err
@@ -87,14 +90,14 @@ func (a *accum) release() {
 }
 
 // fin is the completion deposit into the receive section: res is the
-// collective's result in wire format, nil where this rank has none.
+// reduction plan's result (coll.Wire), nil where this rank has none.
 func (a *accum) fin(res any, into *section) error {
 	defer a.release()
-	wire, _ := res.([]byte)
+	wire := coll.Wire(res)
 	inPlace := a.direct && len(wire) == len(a.b) && (len(wire) == 0 || &wire[0] == &a.b[0])
 	if !a.recv || wire == nil || inPlace {
 		return nil
 	}
-	_, err := into.unpack(wire)
+	_, err := into.unpackChecked(wire)
 	return err
 }

@@ -253,6 +253,19 @@ func (s section) unpack(wire []byte) (int, error) {
 	return n, mapDataErr(err)
 }
 
+// packChecked and unpackChecked are pack and unpack for a section that
+// check has passed — a collective's, validated once by its planX —
+// which they do not validate again.
+func (s section) packChecked(dst []byte) ([]byte, error) {
+	wire, err := dtype.PackChecked(dst, s.buf, s.offset, s.count, s.d.t)
+	return wire, mapDataErr(err)
+}
+
+func (s section) unpackChecked(wire []byte) (int, error) {
+	n, err := dtype.UnpackChecked(wire, s.buf, s.offset, s.count, s.d.t)
+	return n, mapDataErr(err)
+}
+
 // view returns the section's raw-byte window when it can travel as it
 // lies in memory: a contiguous fixed-size datatype over a native (or
 // named-primitive) slice on a little-endian host. n is the buffer length

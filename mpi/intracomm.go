@@ -86,7 +86,7 @@ type collArgs struct {
 // communicator's cached plan of the call's shape, re-armed, else one
 // that build compiles and the cache keeps (coll.Comm.Cached). key names
 // the collective, its root and its op; plan completes it from args.
-func (c *Intracomm) plan(key coll.Key, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
+func (c *Intracomm) plan(key *coll.Key, args collArgs, build func(p *collPlan) error) (*collPlan, error) {
 	key.SD, key.RD, key.SCount, key.RCount = args.send.d, args.recv.d, args.send.count, args.recv.count
 	key.Send, key.Recv, key.Direct, key.Lent = args.send.Layout, args.recv.Layout, args.acc.direct, args.acc.src != nil
 	pl, err := c.cl.Cached(key, func() (*coll.Plan, error) {
@@ -191,16 +191,16 @@ func (c *Intracomm) SkipColl() { c.cl.SkipInstance() }
 // allocator. Reductions pack into an accumulator instead (accum.go).
 func packInto(wire *[]byte, s *section) func() error {
 	return func() (err error) {
-		*wire, err = s.pack(nil)
+		*wire, err = s.packChecked(nil)
 		return err
 	}
 }
 
 // unpackInto returns the fin hook of a collective that delivers one
-// section: the schedule's result is its wire image.
+// section: the schedule's result points at its wire image (coll.Wire).
 func unpackInto(s *section) func(res any) error {
 	return func(res any) error {
-		_, err := s.unpack(res.([]byte))
+		_, err := s.unpackChecked(coll.Wire(res))
 		return err
 	}
 }
@@ -253,7 +253,7 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 func packBlocks(b *blocks, parts [][]byte) func() error {
 	return func() (err error) {
 		for r := range parts {
-			if parts[r], err = b.at(r).pack(nil); err != nil {
+			if parts[r], err = b.at(r).packChecked(nil); err != nil {
 				return err
 			}
 		}
@@ -265,7 +265,7 @@ func packBlocks(b *blocks, parts [][]byte) func() error {
 // every rank ([][]byte): each lands in its rank's section.
 func (b *blocks) deposit(res any) error {
 	for r, wire := range res.([][]byte) {
-		if _, err := b.at(r).unpack(wire); err != nil {
+		if _, err := b.at(r).unpackChecked(wire); err != nil {
 			return err
 		}
 	}
@@ -287,7 +287,7 @@ func (c *Intracomm) planBarrier() (*collPlan, error) {
 	if err := c.ok(); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(coll.Key{Kind: "barrier"}, collArgs{}, func(p *collPlan) error {
+	return c.plan(&coll.Key{Kind: "barrier"}, collArgs{}, func(p *collPlan) error {
 		p.plan = c.cl.BarrierPlan()
 		return nil
 	})
@@ -315,7 +315,7 @@ func (c *Intracomm) planBcast(s section, root int) (*collPlan, error) {
 	if _, err := s.check(); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(coll.Key{Kind: "bcast", Root: root}, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
+	return c.plan(&coll.Key{Kind: "bcast", Root: root}, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
 		var wire []byte
 		p.plan, err = c.cl.BcastPlan(root, &wire)
 		if c.rank == root {
@@ -378,7 +378,7 @@ func (c *Intracomm) planGather(send section, recv blocks, root int) (*collPlan, 
 		}
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
-	return c.plan(coll.Key{Kind: "gather", Root: root}, args, func(p *collPlan) (err error) {
+	return c.plan(&coll.Key{Kind: "gather", Root: root}, args, func(p *collPlan) (err error) {
 		var mine []byte
 		p.plan, err = c.cl.GatherPlan(root, &mine)
 		p.refresh = packInto(&mine, &p.args.send.section)
@@ -438,7 +438,7 @@ func (c *Intracomm) planScatter(send blocks, recv section, root int) (*collPlan,
 		}
 	}
 	args := collArgs{send: send, recv: blocks{section: recv}}
-	return c.plan(coll.Key{Kind: "scatter", Root: root}, args, func(p *collPlan) (err error) {
+	return c.plan(&coll.Key{Kind: "scatter", Root: root}, args, func(p *collPlan) (err error) {
 		var parts [][]byte
 		if c.rank == root {
 			parts = make([][]byte, c.Size())
@@ -498,7 +498,7 @@ func (c *Intracomm) planAllgather(send section, recv blocks) (*collPlan, error) 
 		return c.noColl(err)
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
-	return c.plan(coll.Key{Kind: "allgather"}, args, func(p *collPlan) error {
+	return c.plan(&coll.Key{Kind: "allgather"}, args, func(p *collPlan) error {
 		var mine []byte
 		p.plan = c.cl.AllgatherPlan(&mine)
 		p.refresh, p.fin = packInto(&mine, &p.args.send.section), p.args.recv.deposit
@@ -553,7 +553,7 @@ func (c *Intracomm) planAlltoall(send, recv blocks) (*collPlan, error) {
 	if err := c.checkBlocks("Alltoallv", &recv); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(coll.Key{Kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
+	return c.plan(&coll.Key{Kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
 		parts := make([][]byte, c.Size())
 		p.plan, err = c.cl.AlltoallPlan(parts)
 		p.refresh, p.fin = packBlocks(&p.args.send, parts), p.args.recv.deposit
@@ -596,7 +596,7 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int) (*collPlan,
 	if err != nil {
 		return c.noColl(err)
 	}
-	return c.reduction(coll.Key{Kind: "reduce", Root: root, Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(&coll.Key{Kind: "reduce", Root: root, Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			return c.cl.ReducePlan(root, &acc.b, op.op, send.d.t.Class())
 		})
@@ -605,7 +605,7 @@ func (c *Intracomm) planReduce(send, into section, op *Op, root int) (*collPlan,
 // reduction is plan for the reduction family: build compiles the
 // schedule over the plan's own accumulator, which the plan's hooks load
 // from the send section and deposit into the receive section.
-func (c *Intracomm) reduction(key coll.Key, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
+func (c *Intracomm) reduction(key *coll.Key, args collArgs, build func(acc *accum) (*coll.Plan, error)) (*collPlan, error) {
 	return c.plan(key, args, func(p *collPlan) (err error) {
 		p.plan, err = build(&p.args.acc)
 		p.refresh = func() error { return p.args.acc.load(&p.args.send.section) }
@@ -641,7 +641,7 @@ func (c *Intracomm) planAllreduce(send, into section, op *Op) (*collPlan, error)
 		return c.noColl(err)
 	}
 	a.src, _ = c.lendView(send)
-	return c.reduction(coll.Key{Kind: "allreduce", Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(&coll.Key{Kind: "allreduce", Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			t := send.d.t
 			return c.cl.AllreducePlan(&acc.b, acc.sendView(), send.count, max(t.WireBytes(1), 0), op.op, t.Class())
@@ -691,7 +691,7 @@ func (c *Intracomm) planReduceScatter(send, into section, recvcounts []int, op *
 	}
 	// The recvcounts ride in the receive side's layout, for the key.
 	args := collArgs{blocks{section: send}, blocks{into, &coll.Layout{Counts: recvcounts}}, a}
-	return c.reduction(coll.Key{Kind: "reduce_scatter", Op: op.op}, args, func(acc *accum) (*coll.Plan, error) {
+	return c.reduction(&coll.Key{Kind: "reduce_scatter", Op: op.op}, args, func(acc *accum) (*coll.Plan, error) {
 		return c.cl.ReduceScatterPlan(&acc.b, elemCounts, op.op, send.d.t.Class())
 	})
 }
@@ -747,7 +747,7 @@ func (c *Intracomm) planScan(exclusive bool, send, into section, op *Op) (*collP
 	if exclusive {
 		kind = "exscan"
 	}
-	return c.reduction(coll.Key{Kind: kind, Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
+	return c.reduction(&coll.Key{Kind: kind, Op: op.op}, collArgs{blocks{section: send}, blocks{section: into}, a},
 		func(acc *accum) (*coll.Plan, error) {
 			return c.cl.ScanPlan(exclusive, &acc.b, op.op, send.d.t.Class())
 		})

@@ -13,8 +13,8 @@ import (
 	"gompi/internal/obs"
 )
 
-// PerfVars enumerates the rank's performance variables — counters,
-// gauges and timings — sorted by name. The "transport.pool_*" entries
+// PerfVars enumerates the rank's performance variables — counters and
+// gauges — sorted by name. The "transport.pool_*" entries
 // are process-wide (one frame pool serves every in-process rank);
 // everything else is this rank's own.
 func (e *Env) PerfVars() []obs.VarValue {

@@ -31,7 +31,7 @@ var ErrCollectiveCancelled = coll.ErrCancelled
 // all other classes leave resource release to the garbage collector.
 type Request struct {
 	comm *Comm
-	creq *core.Request // point-to-point arm; nil once freed, or for pre-completed requests
+	creq *core.Request // point-to-point arm; nil once reaped (finish) or freed, or for pre-completed requests
 	cr   *coll.Request // collective arm; nil once freed
 	cp   *collPlan     // the collective's plan: its fin deposits into the caller's buffers
 
@@ -41,7 +41,8 @@ type Request struct {
 	sec    section
 
 	// pre is the status of a pre-completed request (ProcNull ops,
-	// buffered sends) and a file collective's transfer status.
+	// buffered sends), of a reaped point-to-point one, and a file
+	// collective's transfer status.
 	pre *Status
 
 	once sync.Once
@@ -96,15 +97,19 @@ func recvStatus(cst *core.Status, into bool, payload []byte, s section) (*Status
 // the wire payload into the user buffer — MPI permits touching the
 // buffer only after completion, so unpacking here preserves semantics.
 // Receive-into requests skip the unpack (the engine already deposited
-// the bytes in place). Either way the pooled frame backing the payload
-// is released once the bytes are home. A collective settles instead.
+// the bytes in place). A point-to-point arm then gives its core request
+// back to the engine's pool, which releases the frame backing the
+// payload too, and the request answers from its status from then on,
+// like a pre-completed one. A collective settles instead.
 func (r *Request) finish() {
 	r.once.Do(func() {
 		switch {
 		case r.cr != nil:
 			r.settle()
+			return
 		case r.pre != nil:
 			r.st = r.pre
+			return
 		case !r.isRecv:
 			cst := &r.creq.Stat
 			st := &Status{Source: cst.SourceGroup, Tag: cst.Tag, bytes: cst.Bytes, elements: -1}
@@ -120,8 +125,9 @@ func (r *Request) finish() {
 			r.st = st
 		default:
 			r.st, r.err = recvStatus(&r.creq.Stat, r.into, r.creq.Payload, r.sec)
-			r.creq.ReleaseFrame()
 		}
+		r.creq.Recycle()
+		r.creq, r.pre = nil, r.st
 	})
 }
 
