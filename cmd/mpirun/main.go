@@ -305,7 +305,9 @@ func main() {
 				id := spawnSeq
 				procMu.Unlock()
 				tws := make([]*tailWriter, req.N)
-				extra := []string{launch.EnvControl + "=" + ctrlAddr}
+				// The spawned world runs at the job's eager limit: one
+				// value per job, so a merged or connected world agrees.
+				extra := []string{launch.EnvControl + "=" + ctrlAddr, launch.EnvEager + "=" + strconv.Itoa(*eager)}
 				if traceDir != "" {
 					// Spawned worlds trace too, into a world-private
 					// subdirectory: their ranks restart at 0, so dumping

@@ -110,12 +110,14 @@ func (c *Cache) Len() int {
 // value its plan's build reads — the root, the op, both datatypes'
 // identities, the counts, a v-form's layouts, whether the accumulator is
 // the receive buffer (Direct) and whether the contribution is read in
-// place (Lent), and the eager limit an allreduce chooses its schedule
-// by, which Cached fills in. A call may reuse a cached plan only under
-// an equal key: one value left out, and two members could run different
-// schedules for one instance. The datatypes are any comparable values;
-// callers that share a cache name theirs by values of different types
-// (the binding's datatypes, a dtype.Class), so their keys never meet.
+// place (Lent). A call may reuse a cached plan only under an equal key:
+// one value left out, and two members could run different schedules
+// for one instance. The engine's eager limit, which an allreduce also
+// chooses its schedule by, is no field: it is fixed for the engine's
+// life, so no cached plan goes stale against it. The datatypes are any
+// comparable values; callers that share a cache name theirs by values
+// of different types (the binding's datatypes, a dtype.Class), so
+// their keys never meet.
 type Key struct {
 	Kind                 string
 	Op                   *Op
@@ -123,7 +125,6 @@ type Key struct {
 	Root, SCount, RCount int
 	Send, Recv           *Layout
 	Direct, Lent         bool
-	eager                int
 }
 
 // Layout is a v-form's per-rank counts and displacements.
@@ -144,7 +145,7 @@ func (l *Layout) clone() *Layout {
 func (k *Key) Equal(o *Key) bool {
 	return k.Kind == o.Kind && k.Op == o.Op && k.SD == o.SD && k.RD == o.RD &&
 		k.Root == o.Root && k.SCount == o.SCount && k.RCount == o.RCount &&
-		k.Direct == o.Direct && k.Lent == o.Lent && k.eager == o.eager &&
+		k.Direct == o.Direct && k.Lent == o.Lent &&
 		k.Send.equal(o.Send) && k.Recv.equal(o.Recv)
 }
 
@@ -155,7 +156,6 @@ func (k *Key) Equal(o *Key) bool {
 // build. The caller finds what it bound to the plan in Plan.Bound, binds
 // the call to it, and ends the call with Plan.Done.
 func (c *Comm) Cached(key *Key, build func() (*Plan, error)) (*Plan, error) {
-	key.eager = c.P.EagerLimit()
 	if p, ok := c.plans.Take(key); ok {
 		p.Rearm()
 		return p, nil

@@ -70,7 +70,7 @@ func TestCacheBusyLRUEvict(t *testing.T) {
 func TestKeyEqualReadsEveryField(t *testing.T) {
 	base := func() *Key {
 		return &Key{Kind: "k", Op: Sum, SD: 1, RD: 2, Root: 1, SCount: 3, RCount: 4,
-			Send: &Layout{[]int{1}, []int{0}}, Recv: &Layout{[]int{2}, []int{0}}, eager: 64}
+			Send: &Layout{[]int{1}, []int{0}}, Recv: &Layout{[]int{2}, []int{0}}}
 	}
 	muts := []func(k *Key){
 		func(k *Key) { k.Kind = "other" },
@@ -84,7 +84,6 @@ func TestKeyEqualReadsEveryField(t *testing.T) {
 		func(k *Key) { k.Recv = nil },
 		func(k *Key) { k.Direct = true },
 		func(k *Key) { k.Lent = true },
-		func(k *Key) { k.eager = 128 },
 	}
 	if n := reflect.TypeOf(Key{}).NumField(); len(muts) != n {
 		t.Fatalf("%d mutators for Key's %d fields", len(muts), n)
@@ -102,17 +101,13 @@ func TestKeyEqualReadsEveryField(t *testing.T) {
 }
 
 // TestAllreduceCachesItsPlan: the runtime's dense Allreduce re-arms one
-// plan per shape, builds another when the eager limit moves (it chooses
-// the schedule), returns a fresh result slice every call, and DropPlans
-// empties the cache.
+// plan per shape, builds another when the shape changes, returns a
+// fresh result slice every call, and DropPlans empties the cache.
 func TestAllreduceCachesItsPlan(t *testing.T) {
 	runGroup(t, 4, func(c *Comm) (any, error) {
 		var prev []float64
-		for call, eager := range []int64{256, 256, 64, 64, 256} {
-			if err := c.P.Obs().SetControl("core.eager_limit", eager); err != nil {
-				return nil, err
-			}
-			mine := make([]float64, 16) // 128 B: halving + doubling below a 128-byte limit
+		for call, n := range []int{16, 16, 8, 8, 16} {
+			mine := make([]float64, n)
 			for i := range mine {
 				mine[i] = float64(c.Rank + call)
 			}
@@ -121,7 +116,7 @@ func TestAllreduceCachesItsPlan(t *testing.T) {
 				return nil, err
 			}
 			out := got.([]float64)
-			if want := float64(6 + 4*call); out[0] != want || out[15] != want {
+			if want := float64(6 + 4*call); len(out) != n || out[0] != want || out[n-1] != want {
 				return nil, fmt.Errorf("rank %d call %d: %v, want %v", c.Rank, call, out, want)
 			}
 			if prev != nil && &prev[0] == &out[0] {

@@ -185,8 +185,10 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 //     gives half of what is left away and folds only the half it keeps,
 //     the second phase mirrors it back. Twice the messages, but each
 //     byte is sent 2(1-1/p2) times and folded 1-1/p2 times, on loan and
-//     into place (see the ownership rule above). Members must agree on
-//     the eager limit, like on any setting an algorithm is chosen by.
+//     into place (see the ownership rule above). Members agree on the
+//     eager limit because it is one value per job: every engine is
+//     built with it and none can change it, spawned worlds inherit it,
+//     and Connect/Accept refuses to join worlds whose limits differ.
 //
 // unit is 0 for operands whose wire size is not fixed (OBJECT). pure
 // says the kernel writes its destination and nothing else, so an

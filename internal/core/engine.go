@@ -162,15 +162,15 @@ type Proc struct {
 	fatal error
 
 	stats Stats
-	// reg is the rank's pvar/cvar registry; stats is a typed view over
-	// it and layers above hang their own variables off it.
+	// reg is the rank's performance-variable registry; stats is a typed
+	// view over it and layers above hang their own variables off it.
 	reg *obs.Registry
 	// rec is the rank's flight recorder (nil = tracing disabled).
 	rec *obs.Recorder
-	// eagerLim is the live eager/rendezvous threshold; a writable
-	// control variable ("core.eager_limit"), hence atomic rather than a
-	// Config read. Negative forces all-rendezvous.
-	eagerLim atomic.Int64
+	// eagerLim is the eager/rendezvous threshold, fixed for the
+	// engine's life from Config (every rank of a job is built with the
+	// same one). Negative forces all-rendezvous.
+	eagerLim int
 	// unexpDepth mirrors len(arrived) for the registry
 	// ("core.unexpected_depth"): current and peak unexpected-queue
 	// occupancy without taking the engine lock to read.
@@ -209,6 +209,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 		pending:  make(map[uint64]*Request),
 		nextCtx:  2, // 0 and 1 belong to COMM_WORLD
 		job:      mux.Claim(),
+		eagerLim: cfg.eagerLimit(),
 	}
 	mux.SetLander(p)
 	p.cond = sync.NewCond(&p.mu)
@@ -216,13 +217,7 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 	p.unexpDepth = p.reg.Gauge("core.unexpected_depth")
 	p.groupsN = p.reg.Gauge("core.groups")
 	p.reg.Source("transport.", p.transportVars)
-	p.eagerLim.Store(int64(cfg.eagerLimit()))
-	p.reg.RegisterControl(obs.Control{
-		Name: "core.eager_limit",
-		Desc: "eager/rendezvous switch-over in payload bytes (negative forces rendezvous)",
-		Get:  func() int64 { return p.eagerLim.Load() },
-		Set:  func(v int64) error { p.eagerLim.Store(v); return nil },
-	})
+	p.reg.Gauge("core.eager_limit").Set(int64(p.eagerLim))
 	p.mux.Listen(p.idleBell)
 	p.wg.Add(1)
 	go p.progress()
@@ -235,9 +230,9 @@ func (p *Proc) Rank() int { return p.mux.Rank() }
 // Size returns the world size.
 func (p *Proc) Size() int { return p.mux.Size() }
 
-// EagerLimit reports the live eager/rendezvous threshold (the
-// "core.eager_limit" control variable).
-func (p *Proc) EagerLimit() int { return int(p.eagerLim.Load()) }
+// EagerLimit reports the eager/rendezvous threshold the engine was
+// built with (the "core.eager_limit" performance variable).
+func (p *Proc) EagerLimit() int { return p.eagerLim }
 
 // ByReference reports whether frames to world rank w change hands
 // inside this address space — no wire, no segment copy — which is where
@@ -1088,8 +1083,7 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	req.ctx, req.tag = ctx, int32(tag)
 	req.size = len(payload)
 
-	eager := int(p.eagerLim.Load())
-	small := !lent && eager >= 0 && len(payload) <= eager
+	small := !lent && p.eagerLim >= 0 && len(payload) <= p.eagerLim
 	std := small && mode != ModeSync
 	offer := lent && p.ByReference(dstWorld)
 

@@ -90,6 +90,45 @@ func TestEagerInlineRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTakeEmptyPayloadReturnsFrame: taking the payload of an empty
+// message hands back nil and returns the frame it arrived in to the
+// pool, by reference and over sockets — no buffer is left out per
+// receive.
+func TestTakeEmptyPayloadReturnsFrame(t *testing.T) {
+	for _, medium := range []string{"chan", "tcp"} {
+		t.Run(medium, func(t *testing.T) {
+			var p0, p1 *Proc
+			if medium == "chan" {
+				p0, p1 = newPair(t, Config{})
+			} else {
+				procs := loopbackProcs(t, 2)
+				p0, p1 = procs[0], procs[1]
+			}
+			const n = 64
+			base := poolOutstanding()
+			for i := 0; i < n; i++ {
+				sreq, err := p0.Isend(0, 0, 1, 3, nil, ModeStandard, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rreq := p1.Irecv(0, 0, 3)
+				if st := rreq.Wait(); st.Err != nil || st.Bytes != 0 {
+					t.Fatalf("receive %d: status %+v", i, st)
+				}
+				if b := rreq.TakePayload(); b != nil {
+					t.Fatalf("receive %d: took %d-byte payload %v, want nil", i, len(b), b)
+				}
+				rreq.Recycle()
+				sreq.Wait()
+				sreq.Recycle()
+			}
+			if out := poolOutstanding() - base; out != 0 {
+				t.Fatalf("%d pool buffers left out after %d empty taking receives", out, n)
+			}
+		})
+	}
+}
+
 // TestInlinedPayloadDisposition: what becomes of an inlined payload's own
 // storage is decided on the sending side at once — a recycled one goes
 // back to the pool, one the caller kept is never handed to the pool — and

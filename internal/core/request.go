@@ -191,9 +191,15 @@ func (r *Request) ReleaseFrame() {
 // or Recycle no longer touches it, so the slice stays valid for as long
 // as the caller needs (at the price of that storage not returning to
 // the frame pool). Frame storage that does not back the payload (a
-// separately delivered header) is released to the pool immediately.
+// separately delivered header) is released to the pool immediately; an
+// empty payload is backed by nothing, so its whole frame is, and the
+// caller gets nil.
 func (r *Request) TakePayload() []byte {
 	b := r.Payload
+	if len(b) == 0 {
+		r.ReleaseFrame()
+		return nil
+	}
 	r.frame.DetachPayload()
 	r.Payload = nil
 	return b

@@ -117,10 +117,10 @@ func join(t *testing.T, fa, fb endpoint, ctxA, ctxB int32) (worldsA, worldsB []i
 	}
 	acceptCh := make(chan res, 1)
 	go func() {
-		tkt, err := fa.AcceptLeader(port, memA, ctxA, 5*time.Second)
+		tkt, err := fa.AcceptLeader(port, memA, ctxA, 1024, 5*time.Second)
 		acceptCh <- res{tkt, err}
 	}()
-	tktB, err = fb.DialLeader(port.Name(), memB, ctxB, 5*time.Second)
+	tktB, err = fb.DialLeader(port.Name(), memB, ctxB, 1024, 5*time.Second)
 	if err != nil {
 		t.Fatalf("DialLeader: %v", err)
 	}
@@ -229,16 +229,16 @@ func TestDialRejectedOnStaleEpochAndBadKey(t *testing.T) {
 	}
 
 	// Wrong capability key: refused.
-	if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch(), "deadbeef"), memB, 0, 2*time.Second); err == nil {
+	if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch(), "deadbeef"), memB, 0, 1024, 2*time.Second); err == nil {
 		t.Fatalf("dial with a wrong key succeeded")
 	}
 	// Stale epoch (port minted before a world grew): refused.
-	if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch()+7, key), memB, 0, 2*time.Second); err == nil {
+	if _, err := fb.DialLeader(FormatPortName(addrA, fa.Epoch()+7, key), memB, 0, 1024, 2*time.Second); err == nil {
 		t.Fatalf("dial with a stale epoch succeeded")
 	}
 	port.Close()
 	// Closed port: refused.
-	if _, err := fb.DialLeader(port.Name(), memB, 0, 2*time.Second); err == nil {
+	if _, err := fb.DialLeader(port.Name(), memB, 0, 1024, 2*time.Second); err == nil {
 		t.Fatalf("dial to a closed port succeeded")
 	}
 }

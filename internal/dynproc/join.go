@@ -41,6 +41,7 @@ type leaderHello struct {
 	Key     string // capability key parsed from the port name
 	Epoch   int    // epoch parsed from the port name
 	CtxCand int32  // connect side's agreed context-id candidate
+	Eager   int    // connect side's eager limit; the accept side's must match
 	Members []Member
 }
 
@@ -233,8 +234,9 @@ func (f *Fabric) handleConn(c net.Conn) {
 }
 
 // DialLeader runs the connect side of the leader handshake against a
-// remote port and returns the admission ticket for the local world.
-func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, timeout time.Duration) (*Ticket, error) {
+// remote port and returns the admission ticket for the local world,
+// whose engines run at eager limit eager.
+func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, eager int, timeout time.Duration) (*Ticket, error) {
 	defer f.span(obs.EvJoin, int64(len(local)))()
 	addr, epoch, key, err := ParsePortName(portName)
 	if err != nil {
@@ -249,7 +251,7 @@ func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, time
 	if err := writePreamble(c, connKindLeader); err != nil {
 		return nil, fmt.Errorf("dynproc: port handshake: %w", err)
 	}
-	hello := leaderHello{Key: key, Epoch: epoch, CtxCand: ctxCand, Members: local}
+	hello := leaderHello{Key: key, Epoch: epoch, CtxCand: ctxCand, Eager: eager, Members: local}
 	if err := writeMsg(c, hello); err != nil {
 		return nil, fmt.Errorf("dynproc: port handshake: %w", err)
 	}
@@ -265,8 +267,10 @@ func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, time
 
 // AcceptLeader runs the accept side: waits for a leader handshake
 // parked on the port, names the join, and replies with the local
-// member table.
-func (f *Fabric) AcceptLeader(p *Port, local []Member, ctxCand int32, timeout time.Duration) (*Ticket, error) {
+// member table. A connecting world whose eager limit is not eager, the
+// local world's, is refused: the joined worlds would choose different
+// collective schedules for one call.
+func (f *Fabric) AcceptLeader(p *Port, local []Member, ctxCand int32, eager int, timeout time.Duration) (*Ticket, error) {
 	defer f.span(obs.EvJoin, int64(len(local)))()
 	var in *inboundLeader
 	select {
@@ -278,6 +282,11 @@ func (f *Fabric) AcceptLeader(p *Port, local []Member, ctxCand int32, timeout ti
 	}
 	defer in.c.Close()
 	in.c.SetDeadline(time.Now().Add(timeout))
+	if in.hello.Eager != eager {
+		reason := fmt.Sprintf("eager limits differ: the connecting world's is %d bytes, the accepting world's %d", in.hello.Eager, eager)
+		writeMsg(in.c, leaderWelcome{Err: reason})
+		return nil, fmt.Errorf("dynproc: accept on port %q: %s", p.name, reason)
+	}
 	id, err := randomJoinID()
 	if err != nil {
 		return nil, err

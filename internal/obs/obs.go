@@ -1,7 +1,9 @@
 // Package obs is the runtime observability substrate: an MPI_T-style
-// registry of performance variables (counters and gauges) and
-// writable control variables, plus a per-rank lock-free flight recorder
-// (trace.go) whose merged output mpirun renders as a Chrome trace.
+// registry of performance variables (counters and gauges), plus a
+// per-rank lock-free flight recorder (trace.go) whose merged output
+// mpirun renders as a Chrome trace. There are no writable control
+// variables: protocol settings such as the eager limit are fixed when
+// a rank's engine is built, and the registry only reports them.
 //
 // The registry follows the MPI-4 tools-information direction: variables
 // self-register by name, enumeration is cheap and read-only, and the
@@ -13,7 +15,6 @@
 package obs
 
 import (
-	"fmt"
 	"maps"
 	"sort"
 	"sync"
@@ -73,31 +74,13 @@ type VarValue struct {
 	Aux int64 `json:"aux,omitempty"`
 }
 
-// Control is a writable control variable: a named knob with live
-// get/set accessors (the MPI_T cvar analogue — eager threshold, pool
-// caps).
-type Control struct {
-	Name string
-	Desc string
-	Get  func() int64
-	Set  func(int64) error
-}
-
-// ControlValue is one control variable's enumeration entry.
-type ControlValue struct {
-	Name  string `json:"name"`
-	Desc  string `json:"desc"`
-	Value int64  `json:"value"`
-}
-
-// Registry holds one rank's performance and control variables.
+// Registry holds one rank's performance variables.
 // Creation is get-or-create by name, so layers self-register without
 // coordination; reads never block updates.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
-	controls map[string]Control
 	sources  map[string]func() []VarValue
 }
 
@@ -106,7 +89,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		controls: make(map[string]Control),
 		sources:  make(map[string]func() []VarValue),
 	}
 }
@@ -133,13 +115,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// RegisterControl installs (or replaces) a control variable.
-func (r *Registry) RegisterControl(c Control) {
-	r.mu.Lock()
-	r.controls[c.Name] = c
-	r.mu.Unlock()
 }
 
 // Source installs (or replaces) fn under key: read-only variables kept
@@ -199,32 +174,4 @@ func (r *Registry) Snapshot() []VarValue {
 	out = append(out, r.sourced()...)
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Controls enumerates the control variables with their live values,
-// sorted by name.
-func (r *Registry) Controls() []ControlValue {
-	r.mu.Lock()
-	cs := make([]Control, 0, len(r.controls))
-	for _, c := range r.controls {
-		cs = append(cs, c)
-	}
-	r.mu.Unlock()
-	out := make([]ControlValue, 0, len(cs))
-	for _, c := range cs {
-		out = append(out, ControlValue{Name: c.Name, Desc: c.Desc, Value: c.Get()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// SetControl writes one control variable by name.
-func (r *Registry) SetControl(name string, v int64) error {
-	r.mu.Lock()
-	c, ok := r.controls[name]
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("obs: unknown control variable %q", name)
-	}
-	return c.Set(v)
 }

@@ -55,26 +55,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	}
 }
 
-func TestControlVars(t *testing.T) {
-	reg := NewRegistry()
-	var cur int64 = 32768
-	reg.RegisterControl(Control{
-		Name: "core.eager_limit",
-		Desc: "eager/rendezvous threshold",
-		Get:  func() int64 { return cur },
-		Set:  func(v int64) error { cur = v; return nil },
-	})
-	if err := reg.SetControl("core.eager_limit", 1024); err != nil {
-		t.Fatal(err)
-	}
-	if cur != 1024 {
-		t.Fatalf("SetControl did not reach the target: %d", cur)
-	}
-	if err := reg.SetControl("no.such.var", 1); err == nil {
-		t.Fatal("SetControl on an unknown cvar should fail")
-	}
-}
-
 // TestRingWrapKeepsNewest is the flight-recorder invariant: when the
 // ring wraps, the newest events survive and the drop count says how
 // many fell off the front.

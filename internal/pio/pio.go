@@ -33,15 +33,9 @@ import (
 	"gompi/internal/dtype"
 )
 
-// DefaultStripe is the default width of the cyclic aggregation stripes
-// the two-phase collective I/O partitions the file into (twophase.go).
+// DefaultStripe is the width of the cyclic aggregation stripes the
+// two-phase collective I/O partitions every file into (twophase.go).
 const DefaultStripe = 64 << 10
-
-// MaxStripe bounds the stripe width: exchange chunks are split at
-// stripe boundaries and carry a u32 length on the wire, so stripes
-// must keep every chunk under 4 GiB. 1 GiB is already far past any
-// useful aggregation granularity.
-const MaxStripe = 1 << 30
 
 // ErrView reports a file view the engine cannot serve: a non-basic or
 // variable-size etype, or a filetype that is uncommitted, of a
@@ -215,19 +209,6 @@ func Open(path string, flags int, perm os.FileMode) (*File, error) {
 
 // Path returns the file's path.
 func (f *File) Path() string { return f.path }
-
-// SetStripe sets the two-phase aggregation stripe width in bytes,
-// clamped to [1, MaxStripe]. All ranks of a collective open must use
-// the same value; it is a local tuning knob, not a datatype.
-func (f *File) SetStripe(bytes int64) {
-	if bytes <= 0 {
-		return
-	}
-	if bytes > MaxStripe {
-		bytes = MaxStripe
-	}
-	f.stripe = bytes
-}
 
 // SetView installs a new view and resets the individual file pointer
 // (MPI_File_set_view semantics).

@@ -211,24 +211,6 @@ func TestIndependentRoundTripStrided(t *testing.T) {
 	}
 }
 
-func TestSetStripeClamped(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stripe.bin")
-	f, err := Open(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	f.SetStripe(0)
-	if f.stripe != DefaultStripe {
-		t.Fatalf("stripe after SetStripe(0) = %d, want default %d", f.stripe, DefaultStripe)
-	}
-	// Exchange chunks carry u32 lengths; oversized stripes must clamp.
-	f.SetStripe(8 << 30)
-	if f.stripe != MaxStripe {
-		t.Fatalf("stripe after SetStripe(8GiB) = %d, want clamp to %d", f.stripe, MaxStripe)
-	}
-}
-
 func TestReadViewPastEOF(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eof.bin")
 	f, err := Open(path, os.O_RDWR|os.O_CREATE, 0o644)
@@ -296,7 +278,7 @@ func runGroup(t *testing.T, n int, path string, flags int, fn func(c *coll.Comm,
 				return
 			}
 			defer f.Close()
-			f.SetStripe(64) // tiny stripes: force multi-aggregator routing
+			f.stripe = 64 // tiny stripes: force multi-aggregator routing
 			results[rank], errs[rank] = fn(c, f)
 		}(i)
 	}

@@ -23,8 +23,10 @@ import (
 // Aggregator ownership is static: stripe b of the file belongs to rank
 // b mod size. No extent agreement round is needed — every rank can
 // route its chunks from local information — at the cost of not
-// rebalancing when the touched range is narrow. All ranks must agree
-// on the stripe width (SetStripe).
+// rebalancing when the touched range is narrow. The stripe width only
+// routes: every chunk carries its own file offset (appendChunkHdr), so
+// an aggregator writes or reads whatever it is sent, and ranks need not
+// agree on the width for the result to be right.
 
 // chunk wire format: u64 file byte offset, u32 length, then (for data
 // bundles) length payload bytes. Request bundles carry headers only.

@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"os"
+	"strconv"
 	"time"
 
 	"gompi/internal/dynproc"
@@ -206,9 +207,9 @@ func (c *Intracomm) leaderHandshake(portName string, acceptSide bool, members []
 		if p == nil {
 			return joinWire{Class: int32(ErrPort), Err: "unknown or closed port \"" + portName + "\""}
 		}
-		tkt, err = c.env.fab.AcceptLeader(p, local, base, dynTimeout)
+		tkt, err = c.env.fab.AcceptLeader(p, local, base, c.env.proc.EagerLimit(), dynTimeout)
 	} else {
-		tkt, err = c.env.fab.DialLeader(portName, local, base, dynTimeout)
+		tkt, err = c.env.fab.DialLeader(portName, local, base, c.env.proc.EagerLimit(), dynTimeout)
 	}
 	if err != nil {
 		return joinWire{Class: int32(ErrPort), Err: err.Error()}
@@ -246,7 +247,7 @@ func (c *Intracomm) Spawn(command string, args []string, maxprocs int) (*Interco
 			wire = spawnWire{Class: int32(ErrSpawn), Err: "maxprocs must be at least 1"}
 		} else if port, err := c.env.OpenPort(); err != nil {
 			wire = spawnWire{Class: int32(ClassOf(err)), Err: err.Error()}
-		} else if err := provisionSpawn(command, args, maxprocs, port); err != nil {
+		} else if err := provisionSpawn(command, args, maxprocs, port, c.env.proc.EagerLimit()); err != nil {
 			c.env.ClosePort(port)
 			wire = spawnWire{Class: int32(ErrSpawn), Err: err.Error()}
 		} else {
@@ -275,8 +276,10 @@ func (c *Intracomm) Spawn(command string, args []string, maxprocs int) (*Interco
 }
 
 // provisionSpawn starts the child processes: through the launcher's
-// control socket when running under mpirun, directly otherwise.
-func provisionSpawn(command string, args []string, n int, parentPort string) error {
+// control socket when running under mpirun, directly otherwise. Either
+// way the children run at the job's eager limit: mpirun passes its own
+// -eager, and a direct spawn passes the caller's eager.
+func provisionSpawn(command string, args []string, n int, parentPort string, eager int) error {
 	if ctrl := os.Getenv(launch.EnvControl); ctrl != "" {
 		dir, _ := os.Getwd()
 		return launch.RequestSpawn(ctrl, launch.SpawnRequest{
@@ -285,6 +288,7 @@ func provisionSpawn(command string, args []string, n int, parentPort string) err
 	}
 	h, err := launch.SpawnLocal(launch.SpawnJob{
 		Prog: command, Args: args, N: n, ParentPort: parentPort,
+		ExtraEnv: []string{launch.EnvEager + "=" + strconv.Itoa(eager)},
 	})
 	if err != nil {
 		return err

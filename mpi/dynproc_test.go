@@ -17,10 +17,37 @@ import (
 const spawnHelperEnv = "MPI_TEST_SPAWN_HELPER"
 
 func TestMain(m *testing.M) {
-	if os.Getenv(spawnHelperEnv) == "1" {
+	switch os.Getenv(spawnHelperEnv) {
+	case "1":
 		os.Exit(spawnHelperMain())
+	case "eager":
+		os.Exit(eagerHelperMain())
 	}
 	os.Exit(m.Run())
+}
+
+// eagerHelperMain is the child side of TestSpawnInheritsEagerLimit: it
+// sends its core.eager_limit to the parent world's rank 0.
+func eagerHelperMain() int {
+	err := mpi.Main(1, func(env *mpi.Env) error {
+		parent, err := env.Parent()
+		if err != nil {
+			return err
+		}
+		if parent == nil {
+			return fmt.Errorf("spawned helper has no parent world")
+		}
+		limit, _ := env.PerfVar("core.eager_limit")
+		if err := parent.Send([]int64{limit}, 0, 1, mpi.LONG, 0, 0); err != nil {
+			return err
+		}
+		return parent.Barrier()
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "eager helper:", err)
+		return 1
+	}
+	return 0
 }
 
 // spawnHelperMain is the child side of TestSpawnMerge: connect back to
@@ -149,6 +176,39 @@ func TestSpawnMerge(t *testing.T) {
 			return fmt.Errorf("merged allreduce gave %v, want 4", sum[0])
 		}
 		return merged.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSpawnInheritsEagerLimit: a world spawned by a job started at a
+// 4 KiB eager limit runs at 4 KiB too, not at the default — the limit
+// is one value per job, and a merged world must agree on it.
+func TestSpawnInheritsEagerLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatalf("locating test binary: %v", err)
+	}
+	os.Setenv(spawnHelperEnv, "eager")
+	defer os.Unsetenv(spawnHelperEnv)
+
+	err = mpi.RunWith(mpi.RunOptions{NP: 1, EagerLimit: 4096}, func(env *mpi.Env) error {
+		ic, err := env.CommWorld().Spawn(exe, []string{"-test.run=none"}, 1)
+		if err != nil {
+			return err
+		}
+		got := []int64{0}
+		if _, err := ic.Recv(got, 0, 1, mpi.LONG, 0, 0); err != nil {
+			return err
+		}
+		if got[0] != 4096 {
+			return fmt.Errorf("spawned child's core.eager_limit = %d, want the parent's 4096", got[0])
+		}
+		return ic.Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -294,6 +354,59 @@ func TestConnectAccept(t *testing.T) {
 	}
 	if errB != nil {
 		t.Errorf("connect world: %v", errB)
+	}
+}
+
+// TestConnectAcceptRefusesEagerMismatch: worlds whose eager limits
+// differ would choose different schedules for one collective, so the
+// join refuses them: both sides fail with ErrPort, and the message names
+// both limits. TestConnectAccept covers equal limits.
+func TestConnectAcceptRefusesEagerMismatch(t *testing.T) {
+	check := func(verb string, err error) error {
+		if mpi.ClassOf(err) != mpi.ErrPort || !strings.Contains(fmt.Sprint(err), "4096") || !strings.Contains(fmt.Sprint(err), "65536") {
+			return fmt.Errorf("%s across eager limits 4096 and 65536: %v (class %v), want ErrPort naming both", verb, err, mpi.ClassOf(err))
+		}
+		return nil
+	}
+	portCh := make(chan string, 1)
+	var wg sync.WaitGroup
+	var errA, errB error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		errA = mpi.RunWith(mpi.RunOptions{NP: 2, EagerLimit: 4096}, func(env *mpi.Env) error {
+			world := env.CommWorld()
+			port := ""
+			if world.Rank() == 0 {
+				var err error
+				if port, err = env.OpenPort(); err != nil {
+					return err
+				}
+				defer env.ClosePort(port)
+				portCh <- port
+			}
+			_, err := world.Accept(port, 0)
+			return check("Accept", err)
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		errB = mpi.Run(2, func(env *mpi.Env) error {
+			world := env.CommWorld()
+			port := ""
+			if world.Rank() == 0 {
+				port = <-portCh
+			}
+			_, err := world.Connect(port, 0)
+			return check("Connect", err)
+		})
+	}()
+	wg.Wait()
+	if errA != nil {
+		t.Error(errA)
+	}
+	if errB != nil {
+		t.Error(errB)
 	}
 }
 

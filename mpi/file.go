@@ -263,13 +263,6 @@ func (f *File) Amode() int { return f.amode }
 // Path returns the file's path.
 func (f *File) Path() string { return f.pf.Path() }
 
-// SetStripe sets the two-phase collective I/O aggregation stripe width
-// in bytes — the analogue of the striping_unit hint of MPI_Info. Every
-// member must use the same value; it defaults to 64 KiB.
-func (f *File) SetStripe(bytes int) {
-	f.pf.SetStripe(int64(bytes))
-}
-
 // SetView installs the rank's file view (MPI_File_set_view): the file
 // appears as etype elements starting disp etype-elements into the
 // file, of which this rank sees exactly those the filetype's typemap

@@ -21,7 +21,9 @@ import (
 // ReadAtAll through the same view, must round-trip bit-exact — and the
 // bytes on disk must be the matrix in global row-major order.
 func TestFileStridedCollectiveRoundTrip(t *testing.T) {
-	const ranks, side = 4, 32
+	// 512 KiB of DOUBLE: eight default stripes, two per aggregator, so
+	// every rank's column block reaches every aggregator.
+	const ranks, side = 4, 256
 	const cpr = side / ranks // columns per rank
 	path := filepath.Join(t.TempDir(), "matrix.bin")
 	err := mpi.Run(ranks, func(env *mpi.Env) error {
@@ -31,7 +33,6 @@ func TestFileStridedCollectiveRoundTrip(t *testing.T) {
 			return err
 		}
 		defer f.Close()
-		f.SetStripe(512) // several stripes per rank: real aggregation traffic
 
 		// Rank r's file view: its column block of the row-major matrix.
 		ft, err := mpi.TypeVector(side, cpr, side, mpi.DOUBLE)

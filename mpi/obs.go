@@ -1,8 +1,10 @@
 package mpi
 
 // The MPI_T-analogue tools surface (MPI-4 chapter 15 direction):
-// enumeration and read-out of the rank's performance variables, live
-// get/set of its control variables, and access to the flight recorder.
+// enumeration and read-out of the rank's performance variables and
+// access to the flight recorder. There are no control variables: the
+// eager limit ("core.eager_limit", readable here) is fixed per job by
+// RunOptions.EagerLimit or mpirun's -eager.
 // Variables self-register by name inside the runtime layers
 // ("core.sends_eager", "coll.scheds_parked", ...); this file is only
 // the window onto them.
@@ -25,22 +27,6 @@ func (e *Env) PerfVars() []obs.VarValue {
 // lists, at the value it would list.
 func (e *Env) PerfVar(name string) (int64, bool) {
 	return e.proc.Obs().Value(name)
-}
-
-// ControlVars enumerates the rank's writable control variables with
-// their live values ("core.eager_limit").
-func (e *Env) ControlVars() []obs.ControlValue {
-	return e.proc.Obs().Controls()
-}
-
-// SetControlVar writes one control variable by name. The write takes
-// effect immediately — e.g. lowering "core.eager_limit" reroutes the
-// very next send through the rendezvous protocol.
-func (e *Env) SetControlVar(name string, v int64) error {
-	if err := e.proc.Obs().SetControl(name, v); err != nil {
-		return errf(ErrArg, "%v", err)
-	}
-	return nil
 }
 
 // TraceEnabled reports whether this rank's flight recorder is on.

@@ -187,75 +187,6 @@ func TestPlanCacheSendIsRecv(t *testing.T) {
 	})
 }
 
-// TestPlanCacheEagerLimitCvar: the schedule an allreduce runs depends on
-// core.eager_limit, which can change between two calls of one shape;
-// the limit is part of the key, so the next call builds the schedule
-// the new limit chooses — halving + doubling, the one that lends, or
-// recursive doubling — instead of re-arming the last call's, on every
-// member alike. Over tcp and a chan job sealed without islands (the
-// "chan" rows) the contribution is read in place (above the limit) on
-// both sides of the switch, so only the limit itself tells the two
-// shapes apart. On a plain chan job (the "island" rows) the island folds
-// at every limit, and each limit still builds its own plan.
-func TestPlanCacheEagerLimitCvar(t *testing.T) {
-	const n = 4096 // 32 KiB of DOUBLE
-
-	far := []int64{16 << 10, 4 << 10, 16 << 10, 4 << 10} // halving from eight limits
-	for _, row := range []struct {
-		name   string
-		opt    RunOptions
-		limits []int64
-	}{
-		{"chan", RunOptions{WrapDevice: NoIsland}, far},
-		{"tcp", RunOptions{Device: "tcp"}, far},
-		{"island", RunOptions{}, []int64{64 << 10, 16 << 10, 64 << 10, 16 << 10}},
-	} {
-		for _, np := range []int{3, 4} {
-			t.Run(fmt.Sprintf("%s/np%d", row.name, np), func(t *testing.T) {
-				opt := row.opt
-				opt.NP = np
-				island := row.name == "island"
-				var folds islandFolds
-				err := RunWith(opt, func(env *Env) error {
-					w := env.CommWorld()
-					rank := w.Rank()
-					buf := make([]float64, n)
-					for i, limit := range row.limits {
-						if err := env.SetControlVar("core.eager_limit", limit); err != nil {
-							return err
-						}
-						for i := range buf {
-							buf[i] = float64(rank)
-						}
-						lent, _ := env.PerfVar("core.sends_lent")
-						if err := w.Allreduce(buf, 0, buf, 0, n, DOUBLE, SUM); err != nil {
-							return err
-						}
-						after, _ := env.PerfVar("core.sends_lent")
-						halving := !island && 8*n >= 8*limit
-						// Only the halving schedule lends (t.Errorf, not a
-						// return: the other members go on calling).
-						if (after > lent) != halving {
-							t.Errorf("rank %d call %d at limit %d: halving ran = %v", rank, i, limit, !halving)
-						}
-						if want := float64(np * (np - 1) / 2); buf[0] != want || buf[n-1] != want {
-							t.Errorf("rank %d call %d: %v, want %v", rank, i, buf[0], want)
-						}
-					}
-					folds.add(env)
-					return expectEntries(w, 2, "after two limits")
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want := map[bool]uint64{true: uint64(len(row.limits))}[island]; folds.Load() != want {
-					t.Fatalf("%d island folds, want %d", folds.Load(), want)
-				}
-			})
-		}
-	}
-}
-
 // TestPlanCacheConcurrentSameShape: a plan is never shared by two calls
 // in flight — the second Iallreduce of a shape, started while the first
 // is pending, builds its own plan; both complete into their own buffers,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gompi/internal/core"
 	"gompi/internal/transport"
 	"gompi/mpi"
 )
@@ -627,15 +628,17 @@ func TestAllreduceFormsAboveTheSwitch(t *testing.T) {
 }
 
 // TestAllreduceSwitchPoint: which schedule runs is a property of the
-// call and of where the members live, nothing anyone sets — halving +
-// doubling (the only schedule that lends) from just above the eager
-// limit when every member is a rank of one undecorated in-process job
-// and the island does not take the call (a user-defined operation),
+// call, of the job's eager limit and of where the members live —
+// halving + doubling (the only schedule that lends) from just above the
+// eager limit when every member is a rank of one undecorated in-process
+// job and the island does not take the call (a user-defined operation),
 // from eight eager limits otherwise (tcp, or a chan job sealed without
 // islands); recursive doubling below. A predefined operation on a plain
 // chan job folds through the island at every size, and lends nothing.
+// The 4 KiB rows run a job started at a lower limit: the switch follows
+// the job's limit.
 func TestAllreduceSwitchPoint(t *testing.T) {
-	const eager = 64 << 10
+	const eager, small = core.DefaultEagerLimit, 4 << 10
 	userSum := mpi.NewOp(func(in, inout any) {
 		a, b := in.([]float64), inout.([]float64)
 		for i := range b {
@@ -646,16 +649,24 @@ func TestAllreduceSwitchPoint(t *testing.T) {
 		name  string
 		opt   mpi.RunOptions
 		op    *mpi.Op
+		eager int
 		floor int // 0: the island, never halving
 	}{
-		{"chan", mpi.RunOptions{NP: 4, WrapDevice: mpi.NoIsland}, mpi.SUM, 8 * eager},
-		{"tcp", mpi.RunOptions{NP: 4, Device: "tcp"}, mpi.SUM, 8 * eager},
-		{"island", mpi.RunOptions{NP: 4}, mpi.SUM, 0},
-		{"island, user op", mpi.RunOptions{NP: 4}, userSum, eager + 8},
+		{"chan", mpi.RunOptions{NP: 4, WrapDevice: mpi.NoIsland}, mpi.SUM, eager, 8 * eager},
+		{"tcp", mpi.RunOptions{NP: 4, Device: "tcp"}, mpi.SUM, eager, 8 * eager},
+		{"chan, 4 KiB", mpi.RunOptions{NP: 4, WrapDevice: mpi.NoIsland, EagerLimit: small}, mpi.SUM, small, 8 * small},
+		{"tcp, 4 KiB", mpi.RunOptions{NP: 4, Device: "tcp", EagerLimit: small}, mpi.SUM, small, 8 * small},
+		{"island", mpi.RunOptions{NP: 4}, mpi.SUM, eager, 0},
+		{"island, 4 KiB", mpi.RunOptions{NP: 4, EagerLimit: small}, mpi.SUM, small, 0},
+		{"island, user op", mpi.RunOptions{NP: 4}, userSum, eager, eager + 8},
 	} {
 		err := mpi.RunWith(row.opt, func(env *mpi.Env) error {
 			w := env.CommWorld()
-			for _, size := range []int{eager, eager + 8, 8*eager - 8, 8 * eager} {
+			if got := pv(env, "core.eager_limit"); got != uint64(row.eager) {
+				return fmt.Errorf("%s: core.eager_limit = %d, want %d", row.name, got, row.eager)
+			}
+			e := row.eager
+			for _, size := range []int{e, e + 8, 8*e - 8, 8 * e} {
 				buf := make([]float64, size/8)
 				lent, folds := pv(env, "core.sends_lent"), pv(env, "coll.island_folds")
 				if err := w.Allreduce(buf, 0, buf, 0, len(buf), mpi.DOUBLE, row.op); err != nil {

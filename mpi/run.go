@@ -21,7 +21,8 @@ type RunOptions struct {
 	// "tcp" (loopback sockets, the paper's Distributed Memory mode).
 	Device string
 	// EagerLimit overrides the eager/rendezvous threshold in bytes
-	// (0 = default, negative = always rendezvous).
+	// (0 = default, negative = always rendezvous). It is the job's one
+	// limit: every rank is built with it, and nothing changes it later.
 	EagerLimit int
 	// InboxDepth overrides the per-rank flow-control window in frames
 	// ("chan" only).

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"gompi/internal/core"
 	"gompi/internal/obs"
 )
 
@@ -115,72 +116,71 @@ func perfVars(env *Env) map[string]uint64 {
 	return m
 }
 
-// TestPerfAndControlVars exercises the MPI_T-style surface over chan and
-// tcp: the eager-limit cvar retargets the protocol choice of subsequent
-// sends, and after a p2p exchange and a collective every variable
+// TestPerfVarsAndEagerLimit exercises the MPI_T-style surface over chan
+// and tcp, in two jobs per device: one at the default eager limit and
+// one started below the payload. core.eager_limit reads the job's
+// limit, the same send is eager in the first job and rendezvous in the
+// second, and after a p2p exchange and a collective every variable
 // PerfVars lists — core, coll and transport, the medium's own included —
 // reads the same through PerfVar.
-func TestPerfAndControlVars(t *testing.T) {
+func TestPerfVarsAndEagerLimit(t *testing.T) {
 	for _, device := range []string{"chan", "tcp"} {
-		envs := make([]*Env, 2)
-		err := RunWith(RunOptions{NP: 2, Device: device}, func(env *Env) error {
-			envs[env.Rank()] = env
-			return perfAndControlVars(env)
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", device, err)
-		}
-		// The job is over, so nothing moves between the two reads.
-		for rank, env := range envs {
-			seen := map[string]bool{}
-			for _, v := range env.PerfVars() {
-				prefix, _, _ := strings.Cut(v.Name, ".")
-				seen[prefix] = true
-				if got, ok := env.PerfVar(v.Name); !ok || got != v.Value {
-					t.Errorf("%s rank %d: PerfVars lists %s = %d, PerfVar reads %d, %v", device, rank, v.Name, v.Value, got, ok)
+		for _, limit := range []int{0, 256} {
+			envs := make([]*Env, 2)
+			err := RunWith(RunOptions{NP: 2, Device: device, EagerLimit: limit}, func(env *Env) error {
+				envs[env.Rank()] = env
+				return perfVarsAtLimit(env, limit)
+			})
+			if err != nil {
+				t.Fatalf("%s, limit %d: %v", device, limit, err)
+			}
+			// The job is over, so nothing moves between the two reads.
+			for rank, env := range envs {
+				seen := map[string]bool{}
+				for _, v := range env.PerfVars() {
+					prefix, _, _ := strings.Cut(v.Name, ".")
+					seen[prefix] = true
+					if got, ok := env.PerfVar(v.Name); !ok || got != v.Value {
+						t.Errorf("%s rank %d: PerfVars lists %s = %d, PerfVar reads %d, %v", device, rank, v.Name, v.Value, got, ok)
+					}
 				}
-			}
-			if !seen["core"] || !seen["coll"] || !seen["transport"] {
-				t.Errorf("%s rank %d: PerfVars missing a subsystem: %v", device, rank, seen)
-			}
-			if n, _ := env.PerfVar("transport." + device + ".frames_sent"); n == 0 {
-				t.Errorf("%s rank %d: no frames counted on its own medium", device, rank)
+				if !seen["core"] || !seen["coll"] || !seen["transport"] {
+					t.Errorf("%s rank %d: PerfVars missing a subsystem: %v", device, rank, seen)
+				}
+				if n, _ := env.PerfVar("transport." + device + ".frames_sent"); n == 0 {
+					t.Errorf("%s rank %d: no frames counted on its own medium", device, rank)
+				}
 			}
 		}
 	}
 }
 
-// perfAndControlVars is one rank's part of TestPerfAndControlVars: an
-// eager send, the cvar flip and a rendezvous send, then one collective.
-func perfAndControlVars(env *Env) error {
+// perfVarsAtLimit is one rank's part of TestPerfVarsAndEagerLimit in a
+// job started at eager limit limit (0: the default): one 2 KiB send,
+// eager under the default limit and rendezvous under 256 bytes, then
+// one collective.
+func perfVarsAtLimit(env *Env, limit int) error {
 	w := env.CommWorld()
 	peer := 1 - w.Rank()
 	buf := make([]byte, 2048)
 
-	// Well below the default eager limit: counted as eager.
+	wantLimit, wantEager := int64(core.DefaultEagerLimit), int64(1)
+	if limit != 0 {
+		wantLimit, wantEager = int64(limit), 0
+	}
+	if got, ok := env.PerfVar("core.eager_limit"); !ok || got != wantLimit {
+		return errf(ErrIntern, "core.eager_limit = %d, %v; want %d", got, ok, wantLimit)
+	}
 	if w.Rank() == 0 {
 		if err := w.Send(buf, 0, len(buf), BYTE, peer, 1); err != nil {
 			return err
 		}
-	} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 1); err != nil {
-		return err
-	}
-
-	// Drop the threshold below the payload: the same send must now
-	// take the rendezvous path.
-	if err := env.SetControlVar("core.eager_limit", 256); err != nil {
-		return err
-	}
-	if w.Rank() == 0 {
-		if err := w.Send(buf, 0, len(buf), BYTE, peer, 2); err != nil {
-			return err
-		}
 		eager, _ := env.PerfVar("core.sends_eager")
 		rndv, _ := env.PerfVar("core.sends_rndv")
-		if eager != 1 || rndv != 1 {
-			return errf(ErrIntern, "after cvar flip: eager=%d rndv=%d, want 1/1", eager, rndv)
+		if eager != wantEager || rndv != 1-wantEager {
+			return errf(ErrIntern, "at limit %d: eager=%d rndv=%d, want %d/%d", wantLimit, eager, rndv, wantEager, 1-wantEager)
 		}
-	} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 2); err != nil {
+	} else if _, err := w.Recv(buf, 0, len(buf), BYTE, peer, 1); err != nil {
 		return err
 	}
 
@@ -190,14 +190,6 @@ func perfAndControlVars(env *Env) error {
 	}
 	if n, _ := env.PerfVar("coll.scheds_started"); n == 0 {
 		return errf(ErrIntern, "an allreduce started no schedule")
-	}
-
-	names := map[string]bool{}
-	for _, cv := range env.ControlVars() {
-		names[cv.Name] = true
-	}
-	if !names["core.eager_limit"] || len(names) != 1 {
-		return errf(ErrIntern, "ControlVars = %v, want core.eager_limit alone", names)
 	}
 	return nil
 }
