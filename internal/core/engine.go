@@ -110,7 +110,9 @@ type outFrame struct {
 // concurrent use. Progress — taking frames out of the rank's mailbox and
 // running them through the engine — is driven by whichever goroutine
 // holds the progress role: a caller blocked in Wait, Probe or Await,
-// else the engine's own progress goroutine.
+// else the engine's own progress goroutine. An eager frame that a rank of
+// the same job delivers while the mailbox is empty never enters it: the
+// sender's goroutine runs it through the engine itself (Take).
 type Proc struct {
 	// mux is the rank's endpoint and its one mailbox, read by whoever
 	// holds the progress role.
@@ -122,9 +124,13 @@ type Proc struct {
 	// The progress role. A caller about to park in Wait or Probe takes
 	// it while no other caller has it (polling), runs the engine's body
 	// itself and parks on pollBell between frames, so the producer of the
-	// frame it waits for wakes it directly; the progress goroutine, parked
-	// on idleBell, holds it the rest of the time. Handing it over is
-	// registering the other bell with the mailbox, which wakes nobody.
+	// frame it waits for wakes it directly: by ringing pollBell as it
+	// puts the frame in the mailbox, or, having run an eager frame
+	// through the engine itself (Take), by completing the request the
+	// caller waits for, or ringing for a caller whose wait is a
+	// predicate. The progress goroutine, parked on idleBell, holds the
+	// role the rest of the time. Handing it over is registering the
+	// other bell with the mailbox, which wakes nobody.
 	idleBell, pollBell *transport.Bell
 	polling            bool
 	// pollFor is what the polling caller waits for; nil for a wait on a
@@ -219,6 +225,9 @@ func NewProc(dev transport.Device, cfg Config) *Proc {
 	p.reg.Source("transport.", p.transportVars)
 	p.reg.Gauge("core.eager_limit").Set(int64(p.eagerLim))
 	p.mux.Listen(p.idleBell)
+	if p.job != nil {
+		mux.SetTaker(p) // last: a sender may run Take the moment it is set
+	}
 	p.wg.Add(1)
 	go p.progress()
 	return p
@@ -383,11 +392,20 @@ func (p *Proc) stepLocked() bool {
 		}
 		return true
 	}
+	p.runLocked(raw)
+	return true
+}
+
+// runLocked runs one frame through the engine, the progress body's work
+// whoever found the frame: matching happens under mu, and mu is dropped
+// while the frames the engine produced go out and the requests they
+// finish complete.
+func (p *Proc) runLocked(raw transport.Frame) {
 	f, err := parseFrame(raw)
 	outs, after, purged := p.handleLocked(&f, err)
 	if len(outs)+len(after)+len(purged) == 0 && !f.frame.Lent() {
 		f.frame.Release() // pool storage at most: no lender's lock to take
-		return true
+		return
 	}
 	p.mu.Unlock()
 	// Released once the lock is dropped: see handleLocked.
@@ -407,6 +425,33 @@ func (p *Proc) stepLocked() bool {
 		p.complete(c.req, nil, c.st)
 	}
 	p.mu.Lock()
+}
+
+// Take is the engine's answer to a rank of its own job delivering a
+// frame by reference (transport.Taker): an eager frame that finds the
+// mailbox empty is run through the engine on the sender's goroutine,
+// which holds no engine lock of its own here, and nobody is woken to
+// take it out of the mailbox. Anything else is declined and goes through
+// the mailbox: another kind of frame, a frame that would overtake one
+// still queued, and a frame for a closed or dead endpoint.
+func (p *Proc) Take(f transport.Frame) bool {
+	if len(f.Data) == 0 || f.Data[0] != kEager && f.Data[0] != kEagerSync {
+		return false
+	}
+	p.mu.Lock()
+	if p.closed || !p.mux.Empty() {
+		p.mu.Unlock()
+		return false
+	}
+	p.stats.FramesTaken.Inc()
+	p.runLocked(f)
+	// A polling caller waiting on a predicate (Probe, Await) is woken by
+	// the mailbox no more; an arrival that completed nothing may be what
+	// it waits for.
+	if p.pollParked && p.pollFor == nil {
+		p.pollBell.Ring()
+	}
+	p.mu.Unlock()
 	return true
 }
 
@@ -1083,20 +1128,12 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	req.ctx, req.tag = ctx, int32(tag)
 	req.size = len(payload)
 
-	small := !lent && p.eagerLim >= 0 && len(payload) <= p.eagerLim
+	small := !lent && p.eager(len(payload))
 	std := small && mode != ModeSync
 	offer := lent && p.ByReference(dstWorld)
 
 	p.mu.Lock()
-	// What bars the send: the local endpoint is dead (fault-injected or
-	// device failure), the context is revoked, or the destination is lost.
-	bar := p.fatal
-	if bar == nil {
-		bar = p.ctxErrLocked(ctx, int32(tag))
-	}
-	if bar == nil {
-		bar = p.peerDown[dstWorld]
-	}
+	bar := p.barLocked(ctx, int32(tag), dstWorld)
 	switch {
 	case bar != nil:
 		p.completeLocked(req, nil, Status{Err: bar})
@@ -1120,21 +1157,12 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 	}
 	p.mu.Unlock()
 	if bar != nil {
-		if recycle {
-			transport.PutBuf(payload)
-		}
-		return req, fmt.Errorf("core: send to rank %d on context %d: %w", dstWorld, ctx, bar)
+		return req, refuse(ctx, dstWorld, bar, payload, recycle)
 	}
-
-	p.stats.BytesSent.Add(uint64(len(payload)))
 	if std {
-		p.stats.SendsEager.Add(1)
-		p.rec.Instant(obs.EvSendEager, uint32(dstWorld), int64(len(payload)))
-		if err := p.sendEager(dstWorld, buildEagerHdr(false, env, 0), payload, recycle); err != nil {
-			return req, fmt.Errorf("core: eager send: %w", err)
-		}
-		return req, nil
+		return req, p.sendStd(env, dstWorld, payload, recycle)
 	}
+	p.stats.BytesSent.Add(uint64(len(payload)))
 	var err error
 	if small {
 		p.stats.SendsSync.Add(1)
@@ -1172,6 +1200,65 @@ func (p *Proc) isend(ctx int32, srcGroup int, dstWorld int, tag int, payload []b
 		return req, fmt.Errorf("core: send to rank %d: %w", dstWorld, err)
 	}
 	return req, nil
+}
+
+// Send is a blocking send: Isend, Wait and Recycle in one call, with the
+// error either would report, whether the send was barred or failed on
+// its way. An eager standard or ready send builds no request at all: it
+// is complete once its frame is with the device.
+func (p *Proc) Send(ctx int32, srcGroup int, dstWorld int, tag int, payload []byte, mode Mode, recycle bool) error {
+	if mode == ModeSync || !p.eager(len(payload)) {
+		req, err := p.isend(ctx, srcGroup, dstWorld, tag, payload, mode, recycle, false)
+		if err == nil {
+			err = req.Wait().Err
+		}
+		req.Recycle()
+		return err
+	}
+	p.mu.Lock()
+	bar := p.barLocked(ctx, int32(tag), dstWorld)
+	p.mu.Unlock()
+	if bar != nil {
+		return refuse(ctx, dstWorld, bar, payload, recycle)
+	}
+	env := envelope{srcWorld: int32(p.Rank()), ctx: ctx, srcGroup: int32(srcGroup), tag: int32(tag)}
+	return p.sendStd(env, dstWorld, payload, recycle)
+}
+
+// eager reports whether a payload of n bytes goes eagerly.
+func (p *Proc) eager(n int) bool { return p.eagerLim >= 0 && n <= p.eagerLim }
+
+// barLocked returns what bars a send on ctx with tag to world rank dst,
+// or nil: the local endpoint is dead (fault-injected or device failure),
+// the context is revoked, or the destination is lost.
+func (p *Proc) barLocked(ctx, tag int32, dst int) error {
+	if p.fatal != nil {
+		return p.fatal
+	}
+	if err := p.ctxErrLocked(ctx, tag); err != nil {
+		return err
+	}
+	return p.peerDown[dst]
+}
+
+// refuse gives a barred send's payload back to the pool if it came from
+// there, and says what barred the send.
+func refuse(ctx int32, dst int, bar error, payload []byte, recycle bool) error {
+	if recycle {
+		transport.PutBuf(payload)
+	}
+	return fmt.Errorf("core: send to rank %d on context %d: %w", dst, ctx, bar)
+}
+
+// sendStd ships an eager standard or ready send, which nothing barred.
+func (p *Proc) sendStd(env envelope, dst int, payload []byte, recycle bool) error {
+	p.stats.BytesSent.Add(uint64(len(payload)))
+	p.stats.SendsEager.Add(1)
+	p.rec.Instant(obs.EvSendEager, uint32(dst), int64(len(payload)))
+	if err := p.sendEager(dst, buildEagerHdr(false, env, 0), payload, recycle); err != nil {
+		return fmt.Errorf("core: eager send: %w", err)
+	}
+	return nil
 }
 
 // sendEager ships an eager frame. A payload that fits the room left in

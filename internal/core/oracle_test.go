@@ -202,6 +202,7 @@ type oracleRun struct {
 	recvs  []oracleRecv
 	sends  map[int]*Request // by message id
 	nmsg   int
+	eager  int // eager frames sent to rank 0, taken by their sender or not
 	log    []string
 }
 
@@ -309,6 +310,9 @@ func (o *oracleRun) step(op [4]byte) {
 			o.settled(*d)
 		}
 	case kind <= 10: // a message arrives: eager (flag: synchronous) or advertised (flag: lent)
+		// An eager standard one with op[1]&2 goes through rank 0's
+		// mailbox, like a frame that finds it occupied: no sender takes
+		// it, and a later frame of its sender must not overtake it.
 		src := 1 + int32(op[1]%2)
 		g := refMsg{id: o.nmsg, refEnv: refEnv{ctx, src, oracleSendTags[int(op[2])%len(oracleSendTags)]}, rts: kind >= 9}
 		g.size = 2 + int(op[3]>>3)%(oracleEager-1)
@@ -316,13 +320,22 @@ func (o *oracleRun) step(op [4]byte) {
 			g.size = oracleEager + 1 + int(op[3]>>3)%(64-oracleEager)
 		}
 		g.sync = !g.rts && flag
+		queued := !g.rts && !g.sync && op[1]&2 != 0
 		if o.closed[src] || o.ref.barred(g.refEnv) {
 			return // a dead rank sends nothing; a revoked context refuses the send at its sender
 		}
 		o.nmsg++
-		o.log = append(o.log, fmt.Sprintf("arrive #%d %+v", g.id, g))
+		if !g.rts {
+			o.eager++
+		}
+		o.log = append(o.log, fmt.Sprintf("arrive #%d %+v queued=%v", g.id, g, queued))
 		var err error
 		switch {
+		case queued:
+			env := envelope{srcWorld: src, ctx: g.ctx, srcGroup: src, tag: g.tag}
+			if !o.procs[src].mux.TrySendv(0, buildEagerHdr(false, env, 0), oracleBody(g.id, g.size), false, nil) {
+				o.fail("rank 0's mailbox refused #%d", g.id)
+			}
 		case g.rts && flag:
 			o.sends[g.id], err = o.procs[src].IsendLent(g.ctx, int(src), 0, int(g.tag), oracleBody(g.id, g.size), ModeStandard)
 		case g.sync:
@@ -433,7 +446,9 @@ func (o *oracleRun) step(op [4]byte) {
 	})
 }
 
-func runMatchOps(t *testing.T, ops []byte) {
+// runMatchOps runs ops and reports how many of the eager frames rank 0
+// received their senders took, and how many went through its mailbox.
+func runMatchOps(t *testing.T, ops []byte) (taken, queued int) {
 	muxes := transport.NewShmJob(3, 0)
 	o := &oracleRun{t: t, sends: map[int]*Request{}, ref: refMatcher{revoked: map[int32]bool{}, lost: map[int32]bool{}}}
 	for i, d := range muxes {
@@ -444,24 +459,33 @@ func runMatchOps(t *testing.T, ops []byte) {
 	for n := 0; len(ops) >= 4 && n < oracleOps; ops, n = ops[4:], n+1 {
 		o.step([4]byte(ops))
 	}
+	taken = int(pv(o.procs[0], "core.frames_taken"))
+	return taken, o.eager - taken
 }
 
 // TestMatchOrderAgainstReference drives seed-reproducible random
 // interleavings of post / eager, synchronous and rendezvous arrival /
 // Iprobe / Cancel of a receive or of an unmatched send / revoke / peer loss (with and without frames still in
 // flight), wildcards included, through the engine and the reference. A
-// failure prints the operations that led to it.
+// failure prints the operations that led to it. Eager frames reach the
+// engine both ways, taken by their sender and through the mailbox.
 func TestMatchOrderAgainstReference(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 10
 	}
+	var taken, queued int
 	for seed := 1; seed <= seeds; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			ops := make([]byte, 4*oracleOps)
 			rand.New(rand.NewSource(int64(seed))).Read(ops)
-			runMatchOps(t, ops)
+			n, q := runMatchOps(t, ops)
+			taken, queued = taken+n, queued+q
 		})
+	}
+	t.Logf("eager frames: %d taken by their sender, %d through the mailbox", taken, queued)
+	if taken == 0 || queued == 0 {
+		t.Errorf("eager frames: %d taken by their sender, %d through the mailbox; want both paths run", taken, queued)
 	}
 }
 
@@ -481,5 +505,5 @@ func FuzzMatchOrder(f *testing.F) {
 		rand.New(rand.NewSource(seed)).Read(ops)
 		f.Add(ops)
 	}
-	f.Fuzz(runMatchOps)
+	f.Fuzz(func(t *testing.T, ops []byte) { runMatchOps(t, ops) })
 }

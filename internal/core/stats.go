@@ -74,6 +74,9 @@ type Stats struct {
 	// AcksSent counts the ACKs this rank owed synchronous senders: one
 	// per synchronous message it matched, whichever came first.
 	AcksSent *obs.Counter
+	// FramesTaken counts the eager frames a rank of the same job ran
+	// through this engine itself (Proc.Take), never entering the mailbox.
+	FramesTaken *obs.Counter
 }
 
 // newStats registers the engine's counters in reg.
@@ -98,6 +101,7 @@ func newStats(reg *obs.Registry) Stats {
 		ProgressWakes:   reg.Counter("core.progress_wakes"),
 		CallerPolls:     reg.Counter("core.caller_polls"),
 		AcksSent:        reg.Counter("core.acks_sent"),
+		FramesTaken:     reg.Counter("core.frames_taken"),
 	}
 }
 

@@ -74,6 +74,9 @@ type Mux struct {
 	cnt [nMedia]devCounters
 	// lander, once set, is offered every long frame a connection brings.
 	lander atomic.Pointer[Lander]
+	// taker, once set, is offered every frame a sender in this address
+	// space delivers by reference without a loan.
+	taker atomic.Pointer[Taker]
 	// job is what the endpoints of one in-process job share (NewShmJob);
 	// nil for every other endpoint.
 	job *Job
@@ -223,6 +226,22 @@ func (m *Mux) Join(c net.Conn, stamp func(frame []byte, src int32) error) (int, 
 // Only connections ask — a member device, decorated or not, pumps staged
 // frames — which is why this is a method of the mux and not of Device.
 func (m *Mux) SetLander(l Lander) { m.lander.Store(&l) }
+
+// Taker is the engine of an endpoint that may take a frame from the
+// producer delivering it by reference, before it reaches the mailbox.
+type Taker interface {
+	// Take runs f through the engine on the producer's goroutine and
+	// reports true, owning f from then on; false declines, f still the
+	// producer's, and the frame goes through the mailbox. It must
+	// decline while the mailbox holds anything (Empty), so that no frame
+	// overtakes one queued before it.
+	Take(f Frame) bool
+}
+
+// SetTaker names the engine that may take frames delivered to this
+// endpoint by reference (see Taker); only an engine that reads the
+// endpoint itself, undecorated, sets one.
+func (m *Mux) SetTaker(t Taker) { m.taker.Store(&t) }
 
 // serve reads peer's connection into the inbox until the stream fails,
 // which is the peer's loss, or the endpoint shuts down.
@@ -374,12 +393,17 @@ func (m *Mux) send(dst int, f Frame) error {
 	}
 }
 
-// deliver enqueues f on the mailbox of the peer r reaches by reference.
-// It fails with ErrClosed when either endpoint has shut down, so a
-// sender can never block for ever on a dead receiver, and a full inbox
-// blocks it only until the peer's engine drains. On failure the frame
-// was handed to no one and is released here.
+// deliver hands f to the peer r reaches by reference: to its engine
+// (Taker) when f carries no loan and the engine takes it, else to its
+// mailbox. It fails with ErrClosed when either endpoint has shut down,
+// so a sender can never block for ever on a dead receiver, and a full
+// inbox blocks it only until the peer's engine drains. On failure the
+// frame was handed to no one and is released here.
 func (m *Mux) deliver(r route, f Frame) error {
+	if t := r.to.taker.Load(); t != nil && f.loan == nil && !isClosed(m.done) && (*t).Take(f) {
+		m.delivered(r, f)
+		return nil
+	}
 	if !r.to.put(f, m.done, &m.cnt[r.med]) {
 		f.Release()
 		return ErrClosed
@@ -391,7 +415,8 @@ func (m *Mux) deliver(r route, f Frame) error {
 // mailbox is a rank's one inbox and what its consumer parks on. Nobody
 // blocks receiving on inbox: a consumer takes frames with TryRecv and,
 // finding none, parks on its own Bell, registered with Listen; every
-// producer puts its frame in and then rings whichever bell is registered.
+// producer whose frame its engine does not take (Taker) puts it in and
+// then rings whichever bell is registered.
 // A consumer can therefore hand the right to receive to another — a
 // waiting caller, and back — by registering a different bell, which
 // wakes nobody, where a goroutine blocked in a receive on inbox could not
@@ -469,6 +494,10 @@ func (b *mailbox) TryRecv() (f Frame, ok bool, err error) {
 	f, err = f.received()
 	return f, true, err
 }
+
+// Empty reports whether the inbox holds no frame: every frame put in
+// has been taken out by its consumer (a loss report is a frame too).
+func (b *mailbox) Empty() bool { return len(b.inbox) == 0 }
 
 // isClosed reports whether done is closed. A select with one case and a
 // default compiles to a non-blocking channel receive: no selectgo, no

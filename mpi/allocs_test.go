@@ -102,26 +102,8 @@ func TestBlockingCollectivesAllocateNothing(t *testing.T) {
 // second window draws its requests from there: it allocates fewer than
 // one request-sized object per ten receives.
 func TestIrecvReusesCoreRequests(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector's sync.Pool drops items at random")
-	}
 	const depth = 256
-	class := -1
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	for i, c := range ms.BySize {
-		if c.Size >= uint32(unsafe.Sizeof(core.Request{})) {
-			class = i
-			break
-		}
-	}
-	if class < 0 {
-		t.Skip("core.Request is above the small size classes")
-	}
-	classMallocs := func() uint64 {
-		runtime.ReadMemStats(&ms)
-		return ms.BySize[class].Mallocs
-	}
+	classMallocs := requestClassMallocs(t)
 	var perRecv float64
 	err := mpi.RunWith(mpi.RunOptions{NP: 2}, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -161,5 +143,99 @@ func TestIrecvReusesCoreRequests(t *testing.T) {
 	t.Logf("%.3f allocations of core.Request's size class per receive", perRecv)
 	if perRecv >= 0.1 {
 		t.Errorf("%.3f core.Request-sized allocations per receive in the second window, want < 0.1", perRecv)
+	}
+}
+
+// requestClassMallocs returns a reader of the process-wide count of
+// allocations in core.Request's size class, skipping t where that count
+// says nothing.
+func requestClassMallocs(t *testing.T) func() uint64 {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops items at random")
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for i, c := range ms.BySize {
+		if c.Size >= uint32(unsafe.Sizeof(core.Request{})) {
+			return func() uint64 {
+				runtime.ReadMemStats(&ms)
+				return ms.BySize[i].Mallocs
+			}
+		}
+	}
+	t.Skip("core.Request is above the small size classes")
+	return nil
+}
+
+// TestSendsReuseCoreRequests is TestIrecvReusesCoreRequests for the send
+// side: a SendrecvReplace, eager or rendezvous, and an Isend the engine
+// refuses (its communicator is revoked) give the core request they
+// built, if any, back to the engine's pool, so a second window of them
+// allocates fewer than one request-sized object per ten calls.
+func TestSendsReuseCoreRequests(t *testing.T) {
+	const calls = 256
+	classMallocs := requestClassMallocs(t)
+	perCall := map[string]float64{}
+	err := mpi.RunWith(mpi.RunOptions{NP: 2}, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		peer := 1 - w.Rank()
+		window := func(name string, call func(i int) error) error {
+			for n := 0; n < 2; n++ {
+				if err := w.Barrier(); err != nil {
+					return err
+				}
+				before := classMallocs()
+				for i := 0; i < calls; i++ {
+					if err := call(i); err != nil {
+						return fmt.Errorf("%s #%d: %w", name, i, err)
+					}
+				}
+				if w.Rank() == 0 {
+					perCall[name] = float64(classMallocs()-before) / calls
+				}
+			}
+			return w.Barrier()
+		}
+		for _, elems := range []int{1, 16 << 10} { // 8 B and 128 KiB: eager and rendezvous
+			var buf any = make([]int64, elems)
+			err := window(fmt.Sprintf("SendrecvReplace of %d B", 8*elems), func(i int) error {
+				_, err := w.SendrecvReplace(buf, 0, elems, mpi.LONG, peer, i, peer, i)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+		}
+		if w.Rank() != 0 {
+			return w.Barrier()
+		}
+		revoked, err := env.CommSelf().Dup()
+		if err != nil {
+			return err
+		}
+		if err := revoked.Revoke(); err != nil {
+			return err
+		}
+		var buf any = make([]int64, 1)
+		for n := 0; n < 2; n++ {
+			before := classMallocs()
+			for i := 0; i < calls; i++ {
+				if _, err := revoked.Isend(buf, 0, 1, mpi.LONG, 0, i); mpi.ClassOf(err) != mpi.ErrRevoked {
+					return fmt.Errorf("Isend on a revoked communicator: %v", err)
+				}
+			}
+			perCall["refused Isend"] = float64(classMallocs()-before) / calls
+		}
+		return w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, n := range perCall {
+		t.Logf("%s: %.3f allocations of core.Request's size class per call", name, n)
+		if n >= 0.1 {
+			t.Errorf("%s: %.3f core.Request-sized allocations per call in the second window, want < 0.1", name, n)
+		}
 	}
 }

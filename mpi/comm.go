@@ -325,9 +325,10 @@ func (c *Comm) lendView(s section) ([]byte, bool) {
 // every send-mode entry point but the buffered ones. A large contiguous
 // section goes out on loan — the engine reads the caller's buffer in
 // place and the request completes when the loan is returned — and
-// anything else is packed into a pooled frame first. It returns a nil
-// request for ProcNull destinations.
-func (c *Comm) startSend(s section, dest, tag int, mode core.Mode) (*core.Request, error) {
+// anything else is packed into a pooled frame first, then sent by the
+// engine's blocking Send when block is set, which returns no request.
+// It returns a nil request for ProcNull destinations.
+func (c *Comm) startSend(s section, dest, tag int, mode core.Mode, block bool) (*core.Request, error) {
 	if err := c.sendChecks(s.d, dest, tag); err != nil {
 		return nil, err
 	}
@@ -338,14 +339,17 @@ func (c *Comm) startSend(s section, dest, tag int, mode core.Mode) (*core.Reques
 	var err error
 	if view, ok := c.lendView(s); ok {
 		creq, err = c.env.proc.IsendLent(c.ptpCtx, c.rank, c.remote[dest], tag, view, mode)
+	} else if payload, pooled, perr := c.pack(s); perr != nil {
+		return nil, perr
+	} else if block {
+		err = c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode, pooled)
 	} else {
-		payload, pooled, perr := c.pack(s)
-		if perr != nil {
-			return nil, perr
-		}
 		creq, err = c.env.proc.Isend(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode, pooled)
 	}
 	if err != nil {
+		if creq != nil {
+			creq.Recycle() // a refused send's request is complete
+		}
 		return nil, mapEngineErr(err)
 	}
 	return creq, nil
@@ -354,7 +358,7 @@ func (c *Comm) startSend(s section, dest, tag int, mode core.Mode) (*core.Reques
 // isendMode starts a send in the given mode; the shared engine of
 // Isend/Issend/Irsend and of persistent sends.
 func (c *Comm) isendMode(s section, dest, tag int, mode core.Mode) (*Request, error) {
-	creq, err := c.startSend(s, dest, tag, mode)
+	creq, err := c.startSend(s, dest, tag, mode, false)
 	if err != nil {
 		return nil, c.raise(err)
 	}
@@ -364,18 +368,19 @@ func (c *Comm) isendMode(s section, dest, tag int, mode core.Mode) (*Request, er
 	return &Request{comm: c, creq: creq}, nil
 }
 
-// sendBlocking is the shared engine of the blocking send modes: the
-// request never escapes, so it is recycled straight back to the engine's
-// request pool — a blocking send allocates nothing on the steady-state
-// hot path.
+// sendBlocking is the shared engine of the blocking send modes. A packed
+// send is the engine's blocking Send; a lent one's request never
+// escapes, so it is recycled straight back to the engine's request pool
+// — a blocking send allocates nothing on the steady-state hot path.
+// Either way a send that failed on its way says so.
 func (c *Comm) sendBlocking(s section, dest, tag int, mode core.Mode) error {
-	creq, err := c.startSend(s, dest, tag, mode)
+	creq, err := c.startSend(s, dest, tag, mode, true)
 	if err != nil || creq == nil {
 		return c.raise(err)
 	}
-	creq.Wait()
+	err = creq.Wait().Err
 	creq.Recycle()
-	return nil
+	return c.raise(mapEngineErr(err))
 }
 
 // Send is the blocking standard-mode send (MPI_Send; paper §2):
@@ -581,13 +586,13 @@ func (c *Comm) SendrecvReplace(
 		return nil, err
 	}
 	if dest != ProcNull {
-		creq, err := c.env.proc.Isend(c.ptpCtx, c.rank, c.remote[dest], stag, payload, core.ModeStandard, pooled)
-		if err != nil {
-			// No PutBuf here: Isend took ownership, and the device's
-			// own error path may already have recycled the payload.
+		// The receive is already posted, so the engine serves the peer's
+		// message while this send blocks. No PutBuf on failure: Send took
+		// ownership, and the device's own error path may already have
+		// recycled the payload.
+		if err := c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], stag, payload, core.ModeStandard, pooled); err != nil {
 			return nil, c.raise(mapEngineErr(err))
 		}
-		defer creq.Wait()
 	} else if pooled {
 		transport.PutBuf(payload)
 	}

@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,6 +70,62 @@ func TestCallerDrivesProgress(t *testing.T) {
 	}
 	if perMsg > bound {
 		t.Fatalf("the progress goroutine was woken %.3f times per message (%v), want <= %v", perMsg, wakes, bound)
+	}
+}
+
+// TestFramesTakenPerRoundTrip: over chan an eager message finds its
+// receiver's mailbox empty, so its sender runs it through the
+// receiver's engine itself — both frames of every 8-byte round trip
+// are counted in core.frames_taken — while over tcp every frame goes
+// through the mailbox.
+func TestFramesTakenPerRoundTrip(t *testing.T) {
+	const trips = 1000
+	for _, tc := range []struct {
+		device string
+		want   int64
+	}{{"chan", 2 * trips}, {"tcp", 0}} {
+		t.Run(tc.device, func(t *testing.T) {
+			var taken [2]int64
+			// Both ranks read the counter before either sends: a ping
+			// taken before its receiver had read it would not count.
+			var counted sync.WaitGroup
+			counted.Add(2)
+			err := mpi.RunWith(mpi.RunOptions{NP: 2, Device: tc.device}, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				rank, peer := w.Rank(), 1-w.Rank()
+				buf := make([]byte, 8)
+				if err := w.Barrier(); err != nil {
+					return err
+				}
+				before, _ := env.PerfVar("core.frames_taken")
+				counted.Done()
+				counted.Wait()
+				for i := 0; i < trips; i++ {
+					if rank == 0 {
+						if err := w.Send(buf, 0, 8, mpi.BYTE, peer, 1); err != nil {
+							return err
+						}
+					}
+					if _, err := w.Recv(buf, 0, 8, mpi.BYTE, peer, 1); err != nil {
+						return err
+					}
+					if rank == 1 {
+						if err := w.Send(buf, 0, 8, mpi.BYTE, peer, 1); err != nil {
+							return err
+						}
+					}
+				}
+				after, _ := env.PerfVar("core.frames_taken")
+				taken[rank] = after - before
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := taken[0] + taken[1]; got != tc.want {
+				t.Fatalf("core.frames_taken rose by %d (%v) over %d round trips, want %d", got, taken, trips, tc.want)
+			}
+		})
 	}
 }
 
