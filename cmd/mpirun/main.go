@@ -95,8 +95,6 @@ func main() {
 	eager := flag.Int("eager", 0, "eager/rendezvous threshold in bytes (0 = default)")
 	device := flag.String("device", "auto", "transport medium: auto, shm or tcp")
 	nodes := flag.Int("nodes", 1, "emulated node count (>1 splits ranks into shm islands bridged by TCP)")
-	shmSlots := flag.Int("shm-slots", 0, "per-pair ring slots in the shared segment (0 = default)")
-	shmArenaMB := flag.Int("shm-arena-mb", 0, "shared frame-pool arena size in MiB (0 = default)")
 	trace := flag.Bool("trace", false, "arm every rank's flight recorder and merge the rings into a Chrome trace")
 	traceOut := flag.String("trace-out", "gompi-trace.json", "merged Chrome trace_event output path (with -trace)")
 	traceSummary := flag.Bool("trace-summary", false, "print the per-operation count/bytes/p50/p99 table after the run (with -trace)")
@@ -172,7 +170,6 @@ func main() {
 
 	// Provision the segments. Cleanup must run on every exit path,
 	// including signals.
-	cfg := shmipc.Config{Slots: *shmSlots, ArenaBytes: *shmArenaMB << 20}
 	var cleanupOnce sync.Once
 	cleanup := func() {
 		cleanupOnce.Do(func() {
@@ -186,7 +183,7 @@ func main() {
 	for i := range islands {
 		path := filepath.Join(shmipc.DefaultDir(),
 			fmt.Sprintf("%sjob%d-%d.seg", shmipc.SegPrefix, os.Getpid(), i))
-		if _, err := shmipc.Create(path, islands[i].ranks, cfg); err != nil {
+		if _, err := shmipc.Create(path, islands[i].ranks, shmipc.Config{}); err != nil {
 			if *device == "auto" && *nodes == 1 {
 				// No shared memory here; sockets still work.
 				fmt.Fprintf(os.Stderr, "mpirun: shared memory unavailable (%v), falling back to tcp\n", err)

@@ -71,16 +71,16 @@ func TestInferRegistersForGob(t *testing.T) {
 	type autoReg struct{ N int32 }
 	Infer(reflect.TypeOf(autoReg{}))
 	// Round-trip through the object codec without an explicit Register.
-	blob, err := EncodeObject(autoReg{N: 7})
+	wire, err := EncodeObjects([]any{autoReg{N: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := DecodeObject(blob)
+	objs, err := DecodeObjects(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := v.(autoReg); !ok || got.N != 7 {
-		t.Fatalf("round-trip got %#v", v)
+	if got, ok := objs[0].(autoReg); !ok || got.N != 7 {
+		t.Fatalf("round-trip got %#v", objs)
 	}
 }
 

@@ -21,10 +21,13 @@ import (
 // Wire layout of an Obj payload:
 //
 //	u32 object count
-//	per object: u32 length, gob bytes
+//	u32 stream length
+//	one gob stream of the boxed objects, in typemap order
 //
-// Each object is encoded with a fresh gob stream so payloads can be
-// decoded element-by-element through arbitrary typemaps.
+// gob frames each value itself, so the stream needs no length word per
+// object, and it sends each concrete type's description once per
+// message rather than once per element. The count bounds what a
+// receiver allocates: every boxed value costs at least one stream byte.
 
 // box wraps an interface value so gob carries its concrete type.
 type box struct{ V any }
@@ -34,87 +37,53 @@ type box struct{ V any }
 // travel in OBJECT buffers.
 func Register(v any) { gob.Register(v) }
 
-// EncodeObject serializes a single value.
-func EncodeObject(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(box{V: v}); err != nil {
-		return nil, fmt.Errorf("dtype: object encode: %w", err)
-	}
-	return b.Bytes(), nil
-}
-
-// DecodeObject deserializes a single value.
-func DecodeObject(data []byte) (any, error) {
-	var b box
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
-		return nil, fmt.Errorf("dtype: object decode: %w", err)
-	}
-	return b.V, nil
-}
-
 // packObjects encodes the section's elements straight from buf, which
-// may be any slice.
+// may be any slice, through one gob stream appended after the header.
 func packObjects(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
 	v := reflect.ValueOf(buf)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(count*len(t.disps)))
+	head := len(dst)
+	stream := bytes.NewBuffer(append(dst, make([]byte, 8)...))
+	enc := gob.NewEncoder(stream)
 	var err error
 	t.walk(offset, count, func(lo, n int) {
 		for i := lo; i < lo+n && err == nil; i++ {
-			var blob []byte
-			if blob, err = EncodeObject(v.Index(i).Interface()); err == nil {
-				dst = binary.LittleEndian.AppendUint32(dst, uint32(len(blob)))
-				dst = append(dst, blob...)
-			}
+			err = enc.Encode(box{V: v.Index(i).Interface()})
 		}
 	})
-	return dst, err
+	if err != nil {
+		return dst, fmt.Errorf("dtype: object encode: %w", err)
+	}
+	dst = stream.Bytes()
+	binary.LittleEndian.PutUint32(dst[head:], uint32(count*len(t.disps)))
+	binary.LittleEndian.PutUint32(dst[head+4:], uint32(len(dst)-head-8))
+	return dst, nil
 }
 
-// objectCount reads the object count header of an Obj payload. The
-// count is bounded by the payload size (each object costs at least its
-// length word), so a corrupt header can neither force a large
-// allocation nor wrap negative on a 32-bit host.
-func objectCount(data []byte) (int, error) {
-	if len(data) < 4 {
-		return 0, ErrFormat
+// objectStream checks the header of the Obj payload at the front of
+// data and returns its object count and gob stream. Both words are
+// compared unsigned, count ≤ stream length ≤ payload, so a corrupt
+// header can neither force a large allocation nor wrap negative on a
+// 32-bit host.
+func objectStream(data []byte) (int, []byte, error) {
+	if len(data) < 8 {
+		return 0, nil, ErrFormat
 	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint64(n) > uint64(len(data)-4)/4 {
-		return 0, ErrFormat
+	n, size := binary.LittleEndian.Uint32(data), binary.LittleEndian.Uint32(data[4:])
+	if n > size || uint64(size) > uint64(len(data)-8) {
+		return 0, nil, ErrFormat
 	}
-	return int(n), nil
-}
-
-// nextObject splits the length-prefixed object at the front of data from
-// what follows it. The length word is compared unsigned: as an int it may
-// wrap negative on a 32-bit host.
-func nextObject(data []byte) (obj, rest []byte, err error) {
-	if len(data) < 4 {
-		return nil, nil, ErrFormat
-	}
-	n := binary.LittleEndian.Uint32(data)
-	if uint64(len(data)-4) < uint64(n) {
-		return nil, nil, ErrFormat
-	}
-	return data[4 : 4+int(n)], data[4+int(n):], nil
+	return int(n), data[8 : 8+int(size)], nil
 }
 
 // ObjectsLen returns the byte length of the Obj payload at the front of
-// data — its count word and every length-prefixed object — so that a
-// caller holding several packed sections back to back can step past
-// one.
+// data — its header and gob stream — so that a caller holding several
+// packed sections back to back can step past one.
 func ObjectsLen(data []byte) (int, error) {
-	n, err := objectCount(data)
+	_, stream, err := objectStream(data)
 	if err != nil {
 		return 0, err
 	}
-	rest := data[4:]
-	for ; n > 0; n-- {
-		if _, rest, err = nextObject(rest); err != nil {
-			return 0, err
-		}
-	}
-	return len(data) - len(rest), nil
+	return 8 + len(stream), nil
 }
 
 // EncodeObjects serializes a whole object slice to an Obj payload.
@@ -123,40 +92,35 @@ func EncodeObjects(objs []any) ([]byte, error) {
 }
 
 // DecodeObjects deserializes every object of an Obj payload; the count
-// comes from the payload header.
+// comes from the payload header. On error the objects are unusable.
 func DecodeObjects(data []byte) ([]any, error) {
-	n, err := objectCount(data)
+	n, _, err := objectStream(data)
 	if err != nil {
 		return nil, err
 	}
 	objs := make([]any, n)
-	if _, err := unpackObjects(data, objs, 0, n, basicOf[Obj]); err != nil {
-		return nil, err
-	}
-	return objs, nil
+	_, err = unpackObjects(data, objs, 0, n, basicOf[Obj])
+	return objs, err
 }
 
 // unpackObjects decodes the payload's elements straight into buf, which
-// may be any slice (see setObject).
+// may be any slice (see setObject), stopping after as many as the
+// section holds.
 func unpackObjects(data []byte, buf any, offset, count int, t *Type) (int, error) {
-	avail, err := objectCount(data)
+	avail, stream, err := objectStream(data)
 	if err != nil {
 		return 0, err
 	}
-	data = data[4:]
+	dec := gob.NewDecoder(bytes.NewReader(stream))
 	capacity := count * len(t.disps)
 	todo, done := min(avail, capacity), 0
 	t.walk(offset, count, func(lo, n int) {
 		for i := lo; i < lo+n && done < todo && err == nil; i++ {
-			var blob []byte
-			var x any
-			if blob, data, err = nextObject(data); err != nil {
-				return
-			}
-			if x, err = DecodeObject(blob); err == nil {
-				if err = setObject(buf, i, x); err == nil {
-					done++
-				}
+			var x box
+			if err = dec.Decode(&x); err != nil {
+				err = fmt.Errorf("dtype: object decode: %w", err)
+			} else if err = setObject(buf, i, x.V); err == nil {
+				done++
 			}
 		}
 	})

@@ -2,8 +2,11 @@ package dtype
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -20,20 +23,48 @@ func init() {
 }
 
 func TestObjectRoundTrip(t *testing.T) {
-	blob, err := EncodeObject(testStruct{A: 7, B: "x", C: []float64{1, 2}})
+	wire, err := EncodeObjects([]any{testStruct{A: 7, B: "x", C: []float64{1, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := DecodeObject(blob)
+	objs, err := DecodeObjects(wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := v.(testStruct)
-	if !ok {
-		t.Fatalf("decoded %T", v)
+	got, ok := objs[0].(testStruct)
+	if !ok || len(objs) != 1 {
+		t.Fatalf("decoded %#v", objs)
 	}
 	if got.A != 7 || got.B != "x" || len(got.C) != 2 {
 		t.Fatalf("decoded %+v", got)
+	}
+}
+
+// TestObjectLayout: an Obj payload is its object count, its stream
+// length and one gob stream, which describes a repeated type once.
+func TestObjectLayout(t *testing.T) {
+	one, err := EncodeObjects([]any{testStruct{A: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := EncodeObjects([]any{testStruct{A: 1}, testStruct{A: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wire := range [][]byte{one, two} {
+		if n, err := ObjectsLen(append(wire, 0xee)); err != nil || n != len(wire) {
+			t.Fatalf("ObjectsLen = %d, %v; want %d", n, err, len(wire))
+		}
+		if size := binary.LittleEndian.Uint32(wire[4:]); int(size) != len(wire)-8 {
+			t.Fatalf("stream length word %d of a %d-byte payload", size, len(wire))
+		}
+	}
+	if got := binary.LittleEndian.Uint32(two); got != 2 {
+		t.Fatalf("count word %d, want 2", got)
+	}
+	// The second element repeats no type description.
+	if extra := len(two) - len(one); extra >= len(one)/2 {
+		t.Fatalf("second element costs %d bytes; the first whole payload is %d", extra, len(one))
 	}
 }
 
@@ -121,11 +152,13 @@ func TestObjectMalformed(t *testing.T) {
 		name string
 		wire []byte
 	}{
-		{"short count", []byte{1, 2}},
-		{"count beyond the payload", []byte{2, 0, 0, 0, 0, 0, 0, 0}},
-		// A length that wraps negative as a 32-bit int must be refused,
-		// not sliced with.
-		{"length past the payload", []byte{1, 0, 0, 0, 0xf0, 0xff, 0xff, 0xff, 1, 2, 3}},
+		{"short header", []byte{1, 0, 0, 0, 2, 0}},
+		{"count beyond the stream", []byte{3, 0, 0, 0, 2, 0, 0, 0, 1, 2}},
+		{"stream past the payload", []byte{1, 0, 0, 0, 4, 0, 0, 0, 1, 2, 3}},
+		// A stream length that wraps negative as a 32-bit int must be
+		// refused, not sliced with.
+		{"stream length wraps negative", []byte{1, 0, 0, 0, 0xf0, 0xff, 0xff, 0xff, 1, 2, 3}},
+		{"count wraps negative", []byte{0xf0, 0xff, 0xff, 0xff, 0xf0, 0xff, 0xff, 0xff, 1, 2, 3}},
 	} {
 		if _, err := Unpack(c.wire, make([]any, 2), 0, 2, Basic(Obj, "OBJECT")); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: Unpack got %v, want ErrFormat", c.name, err)
@@ -133,6 +166,19 @@ func TestObjectMalformed(t *testing.T) {
 		if _, err := DecodeObjects(c.wire); !errors.Is(err, ErrFormat) {
 			t.Errorf("%s: DecodeObjects got %v, want ErrFormat", c.name, err)
 		}
+		if _, err := ObjectsLen(c.wire); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s: ObjectsLen got %v, want ErrFormat", c.name, err)
+		}
+	}
+	// A count the stream does not hold is a decode error, not a hang or
+	// a panic.
+	wire, err := EncodeObjects([]any{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(wire, 2)
+	if _, err := DecodeObjects(wire); err == nil || !strings.HasPrefix(err.Error(), "dtype: object decode: ") {
+		t.Errorf("count past the stream's objects: got %v, want a decode error", err)
 	}
 }
 
@@ -256,6 +302,10 @@ func FuzzUnpackObjects(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(wire)
+		// The same stream under a count it does not hold.
+		wire = bytes.Clone(wire)
+		binary.LittleEndian.PutUint32(wire, 3)
+		f.Add(wire)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if n, err := ObjectsLen(data); err == nil && n > len(data) {
@@ -270,4 +320,42 @@ func FuzzUnpackObjects(f *testing.F) {
 			t.Fatalf("%T: unexpected error %v", buf, err)
 		}
 	})
+}
+
+// BenchmarkObjectCodec packs and unpacks a section of 1, 64 and 1,024
+// struct elements and reports the wire bytes, time and allocations per
+// element.
+func BenchmarkObjectCodec(b *testing.B) {
+	obj := Basic(Obj, "OBJECT")
+	for _, n := range []int{1, 64, 1024} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			send, into := make([]testStruct, n), make([]testStruct, n)
+			for i := range send {
+				send[i] = testStruct{A: i, B: "element", C: []float64{float64(i), 0.5}}
+			}
+			var wire []byte
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for range b.N {
+				var err error
+				if wire, err = Pack(wire[:0], send, 0, n, obj); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := Unpack(wire, into, 0, n, obj); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			if !reflect.DeepEqual(into, send) {
+				b.Fatal("unpacked elements differ from the packed ones")
+			}
+			per := float64(b.N * n)
+			b.ReportMetric(float64(len(wire))/float64(n), "B/elem")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/elem")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/elem")
+		})
+	}
 }

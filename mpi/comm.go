@@ -553,6 +553,7 @@ func (c *Comm) Sendrecv(
 	}
 	sreq, err := c.Isend(sendbuf, soffset, scount, sdt, dest, stag)
 	if err != nil {
+		rreq.withdraw()
 		return nil, err
 	}
 	st, rerr := rreq.Wait()
@@ -591,6 +592,7 @@ func (c *Comm) SendrecvReplace(
 		// ownership, and the device's own error path may already have
 		// recycled the payload.
 		if err := c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], stag, payload, core.ModeStandard, pooled); err != nil {
+			rreq.withdraw()
 			return nil, c.raise(mapEngineErr(err))
 		}
 	} else if pooled {

@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -550,3 +551,88 @@ func TestRunErrorAggregation(t *testing.T) {
 }
 
 var errFromRank2 = &mpi.Error{Class: mpi.ErrOther, Msg: "synthetic failure"}
+
+// TestSendrecvFailedSendLeavesNoReceive: Sendrecv and SendrecvReplace
+// post their receive before they send. When the send fails, the call
+// returns its error with that receive withdrawn: a later message from a
+// live rank leaves the caller's buffer untouched and waits for a fresh
+// Recv.
+func TestSendrecvFailedSendLeavesNoReceive(t *testing.T) {
+	// lateMessage has rank live send 42 under tag 7, then a marker under
+	// tag 8. Pairs do not overtake, so once the marker is received the
+	// tag-7 message has arrived too; it must still be unreceived.
+	lateMessage := func(w *mpi.Intracomm, live int, buf []int32) error {
+		if err := w.Send([]int32{1}, 0, 1, mpi.INT, live, 9); err != nil {
+			return fmt.Errorf("go-ahead: %w", err)
+		}
+		if _, err := w.Recv(make([]int32, 1), 0, 1, mpi.INT, live, 8); err != nil {
+			return fmt.Errorf("marker: %w", err)
+		}
+		if buf[0] != -1 {
+			return fmt.Errorf("a message written into the buffer after the call returned: %d", buf[0])
+		}
+		if st, err := w.Iprobe(live, 7); err != nil || st == nil {
+			return fmt.Errorf("late message not pending after the call returned: %v, %v", st, err)
+		}
+		got := []int32{0}
+		if _, err := w.Recv(got, 0, 1, mpi.INT, live, 7); err != nil || got[0] != 42 {
+			return fmt.Errorf("fresh Recv: %d, %v", got[0], err)
+		}
+		return nil
+	}
+	sendLate := func(w *mpi.Intracomm, to int) error {
+		if _, err := w.Recv(make([]int32, 1), 0, 1, mpi.INT, to, 9); err != nil {
+			return err
+		}
+		if err := w.Send([]int32{42}, 0, 1, mpi.INT, to, 7); err != nil {
+			return err
+		}
+		return w.Send([]int32{0}, 0, 1, mpi.INT, to, 8)
+	}
+
+	t.Run("Sendrecv to an out-of-range rank", func(t *testing.T) {
+		run2(t, func(env *mpi.Env) error {
+			w := env.CommWorld()
+			if w.Rank() == 1 {
+				return sendLate(w, 0)
+			}
+			buf := []int32{-1}
+			_, err := w.Sendrecv([]int32{5}, 0, 1, mpi.INT, w.Size(), 3, buf, 0, 1, mpi.INT, 1, 7)
+			if mpi.ClassOf(err) != mpi.ErrRank {
+				return fmt.Errorf("Sendrecv to rank %d: %v, want MPI_ERR_RANK", w.Size(), err)
+			}
+			return lateMessage(w, 1, buf)
+		})
+	})
+
+	t.Run("SendrecvReplace to a lost rank", func(t *testing.T) {
+		const victim, live = 1, 2
+		err := mpi.RunWith(mpi.RunOptions{NP: 3, Device: "tcp", WrapDevice: faultOn(victim, 1)}, func(env *mpi.Env) error {
+			w := env.CommWorld()
+			switch w.Rank() {
+			case victim:
+				// The first frame is delivered; the second kills the endpoint.
+				w.Send([]int32{7}, 0, 1, mpi.INT, 0, 1) //nolint:errcheck
+				w.Send([]int32{8}, 0, 1, mpi.INT, 0, 2) //nolint:errcheck
+				return errVictimDown
+			case live:
+				return sendLate(w, 0)
+			}
+			if _, err := w.Recv(make([]int32, 1), 0, 1, mpi.INT, victim, 1); err != nil {
+				return fmt.Errorf("recv before the loss: %w", err)
+			}
+			// The loss is known once a receive from the victim fails.
+			if _, err := w.Recv(make([]int32, 1), 0, 1, mpi.INT, victim, 2); mpi.ClassOf(err) != mpi.ErrProcFailed {
+				return fmt.Errorf("recv after the loss: %v, want MPI_ERR_PROC_FAILED", err)
+			}
+			buf := []int32{-1}
+			if _, err := w.SendrecvReplace(buf, 0, 1, mpi.INT, victim, 3, live, 7); mpi.ClassOf(err) != mpi.ErrProcFailed {
+				return fmt.Errorf("SendrecvReplace to the lost rank: %v, want MPI_ERR_PROC_FAILED", err)
+			}
+			return lateMessage(w, live, buf)
+		})
+		if err == nil || err.Error() != fmt.Sprintf("rank %d: %v", victim, errVictimDown) {
+			t.Fatalf("job error = %v, want only the victim's sentinel", err)
+		}
+	})
+}

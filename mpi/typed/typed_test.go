@@ -3,6 +3,7 @@ package typed_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -612,4 +613,84 @@ func TestClassicInterop(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestObjectAcrossDevices carries OBJECT messages over every in-process
+// device: the one-element stream of objects workers send to an
+// AnySource receiver (a classic []any buffer and a typed []particle
+// one), and one 1,024-element message.
+func TestObjectAcrossDevices(t *testing.T) {
+	const np, big = 4, 1024
+	mpi.RegisterObject(particle{})
+	of := func(rank, i int) particle {
+		return particle{ID: int64(rank*big + i), Pos: [3]float64{float64(i), 0.5, -1}, Name: "p"}
+	}
+	for _, device := range []string{"chan", "tcp", "shm"} {
+		t.Run(device, func(t *testing.T) {
+			err := mpi.RunWith(mpi.RunOptions{NP: np, Device: device}, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				rank := w.Rank()
+				if rank != 0 {
+					if err := w.Send([]any{of(rank, 0)}, 0, 1, mpi.OBJECT, 0, 1); err != nil {
+						return err
+					}
+					if err := typed.Send(w, []particle{of(rank, 1)}, 0, 2); err != nil {
+						return err
+					}
+					if rank != 1 {
+						return nil
+					}
+					many := make([]particle, big)
+					for i := range many {
+						many[i] = of(rank, i)
+					}
+					return typed.Send(w, many, 0, 3)
+				}
+				// Snippet 3's recvObject: one element from any source.
+				from := make([]int, np)
+				for range np - 1 {
+					buf := make([]any, 1)
+					st, err := w.Recv(buf, 0, 1, mpi.OBJECT, mpi.AnySource, 1)
+					if err != nil {
+						return err
+					}
+					if got, ok := buf[0].(particle); !ok || got != of(st.Source, 0) {
+						return fmt.Errorf("classic object from %d: %#v", st.Source, buf[0])
+					}
+					from[st.Source]++
+				}
+				for range np - 1 {
+					buf := make([]particle, 1)
+					st, err := typed.Recv(w, buf, mpi.AnySource, 2)
+					if err != nil {
+						return err
+					}
+					if buf[0] != of(st.Source, 1) {
+						return fmt.Errorf("typed object from %d: %+v", st.Source, buf[0])
+					}
+					from[st.Source]++
+				}
+				if !reflect.DeepEqual(from, []int{0, 2, 2, 2}) {
+					return fmt.Errorf("objects per source %v, want two from each worker", from)
+				}
+				many := make([]particle, big)
+				st, err := typed.Recv(w, many, 1, 3)
+				if err != nil {
+					return err
+				}
+				if n := st.GetCount(mpi.OBJECT); n != big {
+					return fmt.Errorf("received %d objects, want %d", n, big)
+				}
+				for i, p := range many {
+					if p != of(1, i) {
+						return fmt.Errorf("object %d of %d: %+v", i, big, p)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
