@@ -17,9 +17,11 @@ import (
 
 func main() {
 	n := flag.Int("n", 192, "matrix order")
-	np := flag.Int("np", 4, "number of ranks")
+	np := flag.Int("np", 4, "number of ranks (SM mode)")
 	flag.Parse()
-	if err := mpi.Run(*np, func(env *mpi.Env) error {
+	// mpi.Main runs SM mode (np goroutine ranks) stand-alone, or this
+	// process's single rank when launched under cmd/mpirun (DM mode).
+	if err := mpi.Main(*np, func(env *mpi.Env) error {
 		return matmul(env, *n)
 	}); err != nil {
 		log.Fatal(err)

@@ -26,9 +26,11 @@ type Ticket struct {
 }
 
 func main() {
-	np := flag.Int("np", 4, "number of ranks")
+	np := flag.Int("np", 4, "number of ranks (SM mode)")
 	flag.Parse()
-	if err := mpi.Run(*np, ring); err != nil {
+	// mpi.Main runs SM mode (np goroutine ranks) stand-alone, or this
+	// process's single rank when launched under cmd/mpirun (DM mode).
+	if err := mpi.Main(*np, ring); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -19,13 +19,13 @@ import (
 // core.NoSource under the instance's tag. The last member to arrive
 // opens the fold, which is cut into chunks (islandChunk): it and every
 // member still in the call claim chunks through one counter, and each
-// chunk is folded and written into every accumulator by whoever claimed
-// it — its whole 64-byte blocks by the operation's tree steps, the top
-// one of which stores straight into every accumulator, the rest through
-// pooled scratch (foldChunk). The member that folds the last chunk
-// settles every hold
-// (core.Proc.Settle), each under its owner's engine lock: one wake per
-// member. A hold is the only request the island completes, and it is
+// chunk is folded in recursive doubling's association (tree) and
+// written into every accumulator by whoever claimed it, through one
+// walker — its whole 64-byte blocks by the operation's tree steps, the
+// top one of which stores straight into every accumulator, the rest by
+// the plan's kernel (foldChunk, walk). The member that folds the last
+// chunk settles every hold (core.Proc.Settle), each under its owner's
+// engine lock: one wake per member. A hold is the only request the island completes, and it is
 // completed outside the mailbox; being a posted receive, it is reached by
 // everything else that completes one — revocation, the engine's death or
 // close, and Cancel.
@@ -138,11 +138,13 @@ type member struct {
 	mine, acc []byte // the contribution, read in place, and where the result goes
 }
 
-// islandOp is a plan's part in the fold: its kernel and accumulator, its
-// operand's shape and how it is chunked, and whether the message
-// schedules would have halved it (what coll.bytes_reduced charges).
+// islandOp is a plan's part in the fold: its kernel and accumulator,
+// the association it folds in, its operand's shape and how it is
+// chunked, and whether the message schedules would have halved it (what
+// coll.bytes_reduced charges).
 type islandOp struct {
 	f                 *folder
+	t                 tree
 	wire, unit, chunk int
 	halving           bool
 }
@@ -178,10 +180,10 @@ func (c *Comm) local() bool {
 }
 
 // addIslandSteps schedules member c.Rank's part of the island fold of
-// the contribution *mine, units groups of unit wire bytes, into *f.acc:
-// arrive, then wait on the hold.
-func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, units, unit int, halving bool) {
-	op := &islandOp{f: f, wire: units * unit, unit: unit, chunk: max(islandChunk/unit, 1) * unit, halving: halving}
+// the contribution *mine, units groups of unit wire bytes, into *f.acc
+// in t's association: arrive, then wait on the hold.
+func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, t tree, units, unit int, halving bool) {
+	op := &islandOp{f: f, t: t, wire: units * unit, unit: unit, chunk: max(islandChunk/unit, 1) * unit, halving: halving}
 	yields := islandYields
 	if op.wire > op.chunk {
 		yields = islandChunkYields
@@ -215,7 +217,7 @@ func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, un
 		} else {
 			// Charged by the member itself, before its call returns: a
 			// hold only the settle completes without an error.
-			f.reduced.Add(uint64(op.charge(c.Rank, c.Size)))
+			f.reduced.Add(uint64(op.charge(c.Rank)))
 		}
 		req.Recycle()
 		return err
@@ -349,131 +351,153 @@ func (m *member) leave() {
 }
 
 // foldChunk reduces chunk i of every contribution of an open instance
-// in exactly recursive doubling's association (addAllreduceSteps) — the
-// pre-fold pairs, then partners at distance 1, 2, 4 …, the lower rank's
-// operand on the left — so its result bits are that schedule's, and
-// writes the result into that chunk of every member's accumulator. The
-// chunk's whole 64-byte blocks go through the operation's tree steps
-// (treeFold), whose top step stores straight into every accumulator,
-// where the operation has them and every view is aligned for its class,
-// as fixed requires; the rest — a tail under one block, misaligned
-// views, an operation with no block form — folds pairwise into pooled
-// scratch (foldScratch).
+// in its association and writes the result into that chunk of every
+// member's accumulator (walk), choosing the steps: the chunk's whole
+// 64-byte blocks go through the operation's tree steps where it has them
+// and every view is aligned for its class, as fixed requires; the rest —
+// a tail under one block, misaligned views, an operation with no block
+// form — through the plan's kernel, in a second walk after the blocks.
 func (in *instance) foldChunk(i int) error {
-	op := in.op
+	op, bf := in.op, &in.op.f.form
 	lo := i * op.chunk
-	hi := min(lo+op.chunk, op.wire)
-	if nb := (hi - lo) / blockBytes; nb > 0 && op.f.form.four != nil && in.foldBlocks(lo, nb) {
-		lo += nb * blockBytes
+	for hi := min(lo+op.chunk, op.wire); lo < hi; {
+		w := hi - lo
+		fused := bf.four != nil && w >= blockBytes
+		var sb, db [16]unsafe.Pointer // past 16 members they move to the heap
+		srcs, dsts := sb[:0], db[:0]
+		for r := range in.ms {
+			m := &in.ms[r]
+			srcs = append(srcs, unsafe.Pointer(&m.mine[lo]))
+			fused = fused && uintptr(srcs[r])%bf.align == 0
+			if m.acc != nil {
+				dsts = append(dsts, unsafe.Pointer(&m.acc[lo]))
+				fused = fused && uintptr(dsts[len(dsts)-1])%bf.align == 0
+			}
+		}
+		if fused {
+			w -= w % blockBytes
+		}
+		var scratch []byte
+		if n := op.t.slots(fused) * w; n > 0 {
+			scratch = transport.GetBuf(n)
+		}
+		err := op.walk(srcs, dsts, scratch, w, fused)
+		transport.PutBuf(scratch)
+		if err != nil {
+			return err
+		}
+		lo += w
 	}
-	if lo == hi {
+	return nil
+}
+
+// slots is how many values of one walk's width walk keeps in scratch:
+// the pre-fold pairs' values, and those of the lowest level below the
+// top, whichever are more. The tree steps fold four operands a step
+// above the first odd level, so none at np 2 and 4, and the kernel's
+// steps none at np 2.
+func (t tree) slots(fused bool) int {
+	lowest := t.p2 / 2 // a 2-operand level's
+	switch {
+	case t.levels <= 1 || fused && t.levels == 2:
+		lowest = 0
+	case fused && t.levels%2 == 0:
+		lowest = t.p2 / 4 // a tree step's
+	}
+	return max(t.rem, lowest)
+}
+
+// walk folds w bytes of n = len(srcs) ≥ 2 operands, srcs[j] member j's,
+// in exactly recursive doubling's association (op.t, addAllreduceSteps)
+// — the pre-fold pairs, then partners at distance 1, 2, 4 …, the lower
+// rank's operand on the left — and stores the result at every one of
+// dsts. Its steps are the operation's block loops when fused (w whole
+// blocks, every view aligned for the class), and the plan's kernel
+// otherwise. The kernel's steps, and the tree steps' first level where
+// the count of levels is odd, fold two operands a step into scratch,
+// which holds slots(fused) values; the tree steps fold the rest four a
+// step, so their top step stores straight into dsts. Where two operands
+// are left at the top (np 2 and 3, and every kernel walk), one step
+// writes dsts[0], which the others copy. Any destination may be a
+// source: with more than maxDsts of them the top reads scratch, and a
+// lower step writes scratch only.
+func (op *islandOp) walk(srcs, dsts []unsafe.Pointer, scratch []byte, w int, fused bool) error {
+	if len(dsts) == 0 {
 		return nil
 	}
-	return in.foldScratch(lo, hi)
-}
-
-// foldBlocks folds the nb blocks at lo of every contribution into every
-// accumulator through the operation's tree steps, and reports false,
-// folding nothing, when a view is not aligned for the operation's class.
-func (in *instance) foldBlocks(lo, nb int) bool {
-	bf := &in.op.f.form
-	var sb, db [16]unsafe.Pointer // past 16 members they move to the heap
-	srcs, dsts := sb[:0], db[:0]
-	for r := range in.ms {
-		m := &in.ms[r]
-		p := unsafe.Pointer(&m.mine[lo])
-		if uintptr(p)%bf.align != 0 {
-			return false
+	t, f, nb := op.t, op.f, w/blockBytes
+	two := func(a, b, d unsafe.Pointer) (err error) {
+		if fused {
+			f.form.two.run(a, b, d, nb)
+		} else {
+			_, err = f.k(unsafe.Slice((*byte)(a), w), unsafe.Slice((*byte)(b), w), unsafe.Slice((*byte)(d), w))
 		}
-		srcs = append(srcs, p)
-		if m.acc != nil {
-			p = unsafe.Pointer(&m.acc[lo])
-			if uintptr(p)%bf.align != 0 {
-				return false
-			}
-			dsts = append(dsts, p)
-		}
+		return err
 	}
-	var scratch []byte
-	if n := treeSlots(len(srcs)); n > 0 {
-		scratch = transport.GetBuf(n * nb * blockBytes)
-		defer transport.PutBuf(scratch)
-	}
-	bf.treeFold(srcs, dsts, scratch, nb)
-	return true
-}
-
-// foldScratch folds [lo, hi) of every contribution pairwise, with the
-// operation's kernel, into pooled scratch, and copies the result into
-// every accumulator.
-func (in *instance) foldScratch(lo, hi int) error {
-	op, n := in.op, len(in.ms)
-	w := hi - lo
-	p2, _ := doubling(n)
-	rem := n - p2
-	scratch := transport.GetBuf(max(rem, p2/2) * w)
-	defer transport.PutBuf(scratch)
-	slot := func(j int) []byte { return scratch[j*w : (j+1)*w : (j+1)*w] }
-	part := func(r int) []byte { return in.ms[r].mine[lo:hi:hi] }
 	// Level 0 reads value j from slot j, a pre-folded pair, for j < rem,
-	// and straight from member j+rem's contribution above; every level
-	// then writes its value t into slot t, which no later fold reads.
-	for j := 0; j < rem; j++ {
-		if _, err := op.f.k(part(2*j), part(2*j+1), slot(j)); err != nil {
+	// and straight from the operand of the member that stands for it
+	// above; every level then writes its value j into slot j, which no
+	// later fold reads.
+	slot := func(j int) unsafe.Pointer { return unsafe.Pointer(&scratch[j*w]) }
+	for j := 0; j < t.rem; j++ {
+		if err := two(srcs[2*j], srcs[2*j+1], slot(j)); err != nil {
 			return err
 		}
 	}
-	val := func(j int) []byte {
-		if j < rem {
+	val := func(j int) unsafe.Pointer {
+		if j < t.rem {
 			return slot(j)
 		}
-		return part(j + rem)
+		return srcs[t.realOf(j)]
 	}
-	for v := p2; v > 1; v /= 2 {
-		for t := 0; t < v/2; t++ {
-			if _, err := op.f.k(val(2*t), val(2*t+1), slot(t)); err != nil {
+	lv := t.levels
+	for ; lv > 1 && (!fused || lv%2 == 1); lv-- {
+		for j := 0; j < 1<<(lv-1); j++ {
+			if err := two(val(2*j), val(2*j+1), slot(j)); err != nil {
 				return err
 			}
 		}
 		val = slot
 	}
-	for r := range in.ms {
-		if acc := in.ms[r].acc; acc != nil {
-			copy(acc[lo:hi], slot(0))
+	if lv == 1 {
+		if err := two(val(0), val(1), dsts[0]); err != nil {
+			return err
 		}
+		res := unsafe.Slice((*byte)(dsts[0]), w)
+		for _, d := range dsts[1:] {
+			copy(unsafe.Slice((*byte)(d), w), res)
+		}
+		return nil
 	}
+	four := func(j int) [4]unsafe.Pointer {
+		return [4]unsafe.Pointer{val(4 * j), val(4*j + 1), val(4*j + 2), val(4*j + 3)}
+	}
+	for ; lv > 2; lv -= 2 {
+		for j := 0; j < 1<<(lv-2); j++ {
+			f.form.quad(four(j), []unsafe.Pointer{slot(j)}, nb)
+		}
+		val = slot
+	}
+	f.form.quad(four(0), dsts, nb)
 	return nil
 }
 
-// charge is what member r of n folds by the message schedule this fold
-// stands in for — the pre-fold's whole operand for an odd member of the
-// front pairs, then doubling's whole operand every round, or halving's
+// charge is what member r folds by the message schedule this fold
+// stands in for — the pre-fold's whole operand for the odd member of a
+// front pair, then doubling's whole operand every round, or halving's
 // kept window — so coll.bytes_reduced reads the same whichever ran.
-func (op *islandOp) charge(r, n int) int {
-	p2, rounds := 1, 0
-	for p2*2 <= n {
-		p2, rounds = p2*2, rounds+1
-	}
-	rem, got := n-p2, 0
-	nr := r - rem
-	if r < 2*rem {
-		if r%2 == 0 {
-			return 0
-		}
-		nr, got = r/2, op.wire
+func (op *islandOp) charge(r int) int {
+	t, got := op.t, 0
+	nr := t.newRank(r)
+	switch {
+	case nr < 0:
+		return 0
+	case r < 2*t.rem:
+		got = op.wire
 	}
 	if !op.halving {
-		return got + rounds*op.wire
+		return got + t.levels*op.wire
 	}
-	lo, hi := 0, op.wire/op.unit
-	for mask := 1; mask < p2; mask <<= 1 {
-		mid := lo + (hi-lo)/2
-		if nr&mask != 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		got += (hi - lo) * op.unit
-	}
+	t.halving(nr, op.wire/op.unit, op.unit, func(_ int, keep, _ span) { got += keep.hi - keep.lo })
 	return got
 }

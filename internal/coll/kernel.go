@@ -41,7 +41,7 @@ type integer interface {
 // integer ones), vector gives it block forms: a 2-operand loop, which
 // fixed runs over the whole 64-byte blocks of aligned views, and a tree
 // step, which the island's fold runs over its chunks' whole blocks to
-// store its result straight into every member's accumulator (treeFold).
+// store its result straight into every member's accumulator (walk).
 // The typed loop folds the tail and everything else. Each lane is the
 // same operation on the same operand order, so every form gives the same
 // bits. The staged path calls only the typed loop: fixed is inlined
@@ -218,7 +218,7 @@ type block func(a, b, dst unsafe.Pointer, n int)
 // maxDsts (kernel_amd64.s). Each block is loaded from all four sources
 // before it is stored anywhere, so a destination may be a source. The
 // operands travel by value, so they stay on the caller's stack.
-type tree func(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
+type treeStep func(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
 
 const (
 	blockBytes = 64
@@ -232,7 +232,7 @@ const (
 // does.
 type blockForm struct {
 	two   block
-	four  tree
+	four  treeStep
 	align uintptr
 }
 
@@ -267,88 +267,6 @@ func (bf *blockForm) quad(s [4]unsafe.Pointer, dsts []unsafe.Pointer, nb int) {
 			bf.four(at, d, nd, n)
 		}
 	}
-}
-
-// doubling returns the largest power of two p2 ≤ n, among which
-// recursive doubling folds n operands (the others are pre-folded in),
-// and its log2, the tree's levels.
-func doubling(n int) (p2, levels int) {
-	for p2 = 1; p2*2 <= n; p2 *= 2 {
-		levels++
-	}
-	return p2, levels
-}
-
-// treeSlots is how many nb-block values treeFold keeps in scratch for n
-// operands: the pre-fold pairs' values, and the values of the lowest
-// level below the top, whichever are more. None at np 2 and 4.
-func treeSlots(n int) int {
-	p2, levels := doubling(n)
-	rem := n - p2
-	switch {
-	case levels <= 2:
-		return rem
-	case levels%2 == 1:
-		return max(rem, p2/2)
-	}
-	return max(rem, p2/4)
-}
-
-// treeFold folds nb blocks of n = len(srcs) ≥ 2 operands, srcs[j] member
-// j's, in exactly recursive doubling's association (addAllreduceSteps) —
-// the pre-fold pairs, then partners at distance 1, 2, 4 …, the lower
-// rank's operand on the left — and stores the result at every one of
-// dsts. It walks the tree two levels per tree step, with one 2-operand
-// level first where the count of levels is odd, so the top step stores
-// straight into dsts; scratch holds treeSlots(n) values below it. With
-// one level (np 2 and 3) the 2-operand loop writes dsts[0], which the
-// others copy. Any destination may be a source: with more than maxDsts
-// of them the top reads scratch, and a lower step writes scratch only.
-func (bf *blockForm) treeFold(srcs, dsts []unsafe.Pointer, scratch []byte, nb int) {
-	if len(dsts) == 0 {
-		return
-	}
-	w := nb * blockBytes
-	p2, levels := doubling(len(srcs))
-	rem := len(srcs) - p2
-	// Level 0 reads value j from slot j, a pre-folded pair, for j < rem,
-	// and straight from operand j+rem above; every level then writes its
-	// value t into slot t, which no later fold reads.
-	slot := func(j int) unsafe.Pointer { return unsafe.Pointer(&scratch[j*w]) }
-	for j := 0; j < rem; j++ {
-		bf.two.run(srcs[2*j], srcs[2*j+1], slot(j), nb)
-	}
-	val := func(j int) unsafe.Pointer {
-		if j < rem {
-			return slot(j)
-		}
-		return srcs[j+rem]
-	}
-	if levels == 1 {
-		bf.two.run(val(0), val(1), dsts[0], nb)
-		res := unsafe.Slice((*byte)(dsts[0]), w)
-		for _, d := range dsts[1:] {
-			copy(unsafe.Slice((*byte)(d), w), res)
-		}
-		return
-	}
-	v := p2
-	if levels%2 == 1 {
-		for t := 0; t < v/2; t++ {
-			bf.two.run(val(2*t), val(2*t+1), slot(t), nb)
-		}
-		v, val = v/2, slot
-	}
-	four := func(t int) [4]unsafe.Pointer {
-		return [4]unsafe.Pointer{val(4 * t), val(4*t + 1), val(4*t + 2), val(4*t + 3)}
-	}
-	for ; v > 4; v /= 4 {
-		for t := 0; t < v/4; t++ {
-			bf.quad(four(t), []unsafe.Pointer{slot(t)}, nb)
-		}
-		val = slot
-	}
-	bf.quad(four(0), dsts, nb)
 }
 
 // fixed lifts a typed loop to a Kernel over wire bytes. Operands that

@@ -110,17 +110,17 @@ func pxor4(s [4]unsafe.Pointer, d [maxDsts]unsafe.Pointer, nd, n int)
 // PMAXUB and their MIN forms). Integer SUM wraps in all forms.
 func vector[T dtype.Fixed](k kind) blockForm {
 	var two [kBxor + 1]block
-	var four [kBxor + 1]tree
+	var four [kBxor + 1]treeStep
 	two[kBand], two[kBor], two[kBxor] = pand, por, pxor
 	four[kBand], four[kBor], four[kBxor] = pand4, por4, pxor4
 	var z T
 	switch any(z).(type) {
 	case float64:
 		two = [kBxor + 1]block{kSum: addpd, kProd: mulpd, kMax: maxpd, kMin: minpd}
-		four = [kBxor + 1]tree{kSum: addpd4, kProd: mulpd4, kMax: maxpd4, kMin: minpd4}
+		four = [kBxor + 1]treeStep{kSum: addpd4, kProd: mulpd4, kMax: maxpd4, kMin: minpd4}
 	case float32:
 		two = [kBxor + 1]block{kSum: addps, kProd: mulps, kMax: maxps, kMin: minps}
-		four = [kBxor + 1]tree{kSum: addps4, kProd: mulps4, kMax: maxps4, kMin: minps4}
+		four = [kBxor + 1]treeStep{kSum: addps4, kProd: mulps4, kMax: maxps4, kMin: minps4}
 	case int64:
 		two[kSum], four[kSum] = paddq, paddq4
 	case int32:

@@ -11,6 +11,7 @@ import (
 	"unsafe"
 
 	"gompi/internal/dtype"
+	"gompi/internal/transport"
 )
 
 // window returns a copy of wire placed off bytes into a fresh
@@ -131,6 +132,7 @@ func kernelVsOracle[T dtype.Fixed](cls dtype.Class, specials []T, full func(*ran
 			}
 		}
 		treeVsOracle(t, cls, op, ref, gen)
+		walkVsOracle(t, cls, op, ref, gen)
 		if _, err := k(make([]byte, 16), make([]byte, 32), make([]byte, 32)); err == nil {
 			t.Fatal("operands of different lengths must be refused")
 		}
@@ -144,8 +146,7 @@ func kernelVsOracle[T dtype.Fixed](cls dtype.Class, specials []T, full func(*ran
 // has one, against the oracle's 2-operand tree that it replaces: the step
 // on 1–5 blocks of four operands into 1–8 destinations, one of which is
 // a source, on views aligned and not, writing nothing past its blocks or
-// its destinations; and treeFold on 2–17 operands in recursive doubling's
-// association into every other operand's own buffer and fresh ones.
+// its destinations.
 func treeVsOracle[T dtype.Fixed](t *testing.T, cls dtype.Class, op *Op, ref ApplyFn, gen func(int) []T) {
 	t.Helper()
 	bf := op.forms[cls]
@@ -213,50 +214,87 @@ func treeVsOracle[T dtype.Fixed](t *testing.T, cls dtype.Class, op *Op, ref Appl
 			}
 		}
 	}
-	for n := 2; n <= 17; n++ {
-		nb := 3
-		if n == 5 {
-			nb = maxBlocks + 1 // past one call of each loop
+}
+
+// walkVsOracle checks the island's walker on operation op and class cls
+// against recursive doubling's association computed serially with the
+// oracle: 2–17 operands folded into every other operand's own buffer
+// and fresh ones, through the kernel's steps — on whole blocks, on a
+// tail under one block, on views one byte off — and through the tree
+// steps where the pair has them, on aligned views; at 5 operands, past
+// one call of each block loop.
+func walkVsOracle[T dtype.Fixed](t *testing.T, cls dtype.Class, op *Op, ref ApplyFn, gen func(int) []T) {
+	t.Helper()
+	k, err := op.Kernel(cls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &folder{k: k, form: op.forms[cls]}
+	es := cls.WireSize()
+	fold := func(lo, hi []T) []T {
+		out := append([]T(nil), hi...)
+		if err := ref(lo, out); err != nil {
+			t.Fatal(err)
 		}
-		elems, size := nb*blockBytes/es, nb*blockBytes
-		vals := make([][]T, n)
-		srcs, dsts := make([]unsafe.Pointer, n), make([]unsafe.Pointer, n)
-		outs := make([][]byte, n)
-		for j := range vals {
-			vals[j] = gen(elems)
-			src := packDense(t, cls, vals[j])
-			srcs[j] = unsafe.Pointer(&src[0])
-			outs[j] = src
-			if j%2 == 1 {
-				outs[j] = make([]byte, size)
+		return out
+	}
+	type form struct {
+		name      string
+		fused     bool
+		size, off int
+	}
+	forms := []form{{"kernel steps", false, 3 * blockBytes, 0}, {"kernel steps, a tail", false, 48, 0}, {"kernel steps, one byte off", false, 3 * blockBytes, 1}}
+	if f.form.four != nil {
+		forms = append(forms, form{"tree steps", true, 3 * blockBytes, 0})
+	}
+	for _, fm := range forms {
+		for n := 2; n <= 17; n++ {
+			size := fm.size
+			if n == 5 && size%blockBytes == 0 {
+				size = (maxBlocks + 1) * blockBytes
 			}
-			dsts[j] = unsafe.Pointer(&outs[j][0])
-		}
-		// Recursive doubling: the pre-fold pairs, then partners at
-		// distance 1, 2, 4 …
-		p2 := 1
-		for p2*2 <= n {
-			p2 *= 2
-		}
-		level := make([][]T, p2)
-		for j := range level {
-			if j < n-p2 {
-				level[j] = fold(vals[2*j], vals[2*j+1])
-			} else {
-				level[j] = vals[j+n-p2]
+			vals := make([][]T, n)
+			srcs, dsts := make([]unsafe.Pointer, n), make([]unsafe.Pointer, n)
+			outs := make([][]byte, n)
+			for j := range vals {
+				vals[j] = gen(size / es)
+				src := window(packDense(t, cls, vals[j]), fm.off)
+				srcs[j] = unsafe.Pointer(&src[0])
+				outs[j] = src
+				if j%2 == 1 {
+					outs[j] = window(make([]byte, size), fm.off)
+				}
+				dsts[j] = unsafe.Pointer(&outs[j][0])
 			}
-		}
-		for len(level) > 1 {
-			for i := range len(level) / 2 {
-				level[i] = fold(level[2*i], level[2*i+1])
+			// Recursive doubling: the pre-fold pairs, then partners at
+			// distance 1, 2, 4 …
+			p2 := 1
+			for p2*2 <= n {
+				p2 *= 2
 			}
-			level = level[:len(level)/2]
-		}
-		want := packDense(t, cls, level[0])
-		bf.treeFold(srcs, dsts, make([]byte, treeSlots(n)*size), nb)
-		for j, out := range outs {
-			if err := sameWire[T](out, want); err != nil {
-				t.Fatalf("treeFold of %d operands, %d blocks: destination %d: %v", n, nb, j, err)
+			level := make([][]T, p2)
+			for j := range level {
+				if j < n-p2 {
+					level[j] = fold(vals[2*j], vals[2*j+1])
+				} else {
+					level[j] = vals[j+n-p2]
+				}
+			}
+			for len(level) > 1 {
+				for i := range len(level) / 2 {
+					level[i] = fold(level[2*i], level[2*i+1])
+				}
+				level = level[:len(level)/2]
+			}
+			want := packDense(t, cls, level[0])
+			io := &islandOp{f: f, t: newTree(n)}
+			if err := io.walk(srcs, dsts, make([]byte, io.t.slots(fm.fused)*size), size, fm.fused); err != nil {
+				t.Fatalf("%s, %d operands of %d bytes: %v", fm.name, n, size, err)
+			}
+			for j, out := range outs {
+				if err := sameWire[T](out, want); err != nil {
+					t.Fatalf("%s, %d operands of %d bytes: destination %d: %v", fm.name, n, size, j, err)
+				}
 			}
 		}
 	}
@@ -329,23 +367,41 @@ func TestKernelsAllocateNothing(t *testing.T) {
 	if kernels != 63 {
 		t.Fatalf("%d predefined kernels, want 63", kernels)
 	}
-	// A tree fold of five operands: a pre-fold pair, then one tree step
-	// into all five.
+	// The island's walk of five operands into all five: a pre-fold
+	// pair, then two levels of kernel steps, or one tree step.
 	const n, nb = 5, 4
 	bufs := make([]byte, n*nb*blockBytes)
 	ops := make([]unsafe.Pointer, n)
 	for j := range ops {
 		ops[j] = unsafe.Pointer(&bufs[j*nb*blockBytes])
 	}
-	scratch := make([]byte, treeSlots(n)*nb*blockBytes)
+	walks := 0
 	for _, o := range oracle {
 		for cls := dtype.U8; cls <= dtype.F64; cls++ {
-			if bf := o.op.forms[cls]; bf.four != nil {
-				if a := testing.AllocsPerRun(10, func() { bf.treeFold(ops, ops, scratch, nb) }); a != 0 {
-					t.Errorf("%s on %s: %v allocations per tree fold", o.op, cls, a)
+			k, err := o.op.Kernel(cls)
+			if err != nil {
+				continue
+			}
+			io := &islandOp{f: &folder{k: k, form: o.op.forms[cls]}, t: newTree(n)}
+			for _, fused := range []bool{false, true} {
+				if fused && io.f.form.four == nil {
+					continue
+				}
+				walks++
+				scratch := make([]byte, io.t.slots(fused)*nb*blockBytes)
+				if a := testing.AllocsPerRun(10, func() { err = io.walk(ops, ops, scratch, nb*blockBytes, fused) }); a != 0 || err != nil {
+					t.Errorf("%s on %s, tree steps %v: %v allocations per walk (err %v)", o.op, cls, fused, a, err)
 				}
 			}
 		}
+	}
+	// Every predefined kernel, and the tree steps of 24 of them on amd64.
+	want := 63
+	if runtime.GOARCH == "amd64" {
+		want += 24
+	}
+	if walks != want {
+		t.Fatalf("%d walks, want %d", walks, want)
 	}
 }
 
@@ -354,9 +410,9 @@ func TestKernelsAllocateNothing(t *testing.T) {
 // into a third buffer — on aligned operands and on operands one byte
 // off, which every class but the byte one stages. Then one island chunk
 // of DOUBLE SUM, 16 KiB from each of 2, 3, 4, 5 and 8 members into every
-// member's accumulator: through the tree steps (fused) and pairwise
-// through scratch with a copy per accumulator (pairwise), which is what
-// tails, misaligned views and operations without block loops take.
+// member's accumulator: as foldChunk takes it, through the tree steps
+// (fused), and through the walker's kernel steps (pairwise), which is
+// what tails, misaligned views and operations without block loops take.
 func BenchmarkKernels(b *testing.B) {
 	type pair struct {
 		op  *Op
@@ -407,10 +463,12 @@ func benchChunks(b *testing.B) {
 	}
 	f := &folder{k: k, form: Sum.forms[dtype.F64]}
 	for _, n := range []int{2, 3, 4, 5, 8} {
-		in := &instance{ms: make([]member, n), op: &islandOp{f: f, wire: size, unit: 8, chunk: size}}
+		in := &instance{ms: make([]member, n), op: &islandOp{f: f, t: newTree(n), wire: size, unit: 8, chunk: size}}
+		srcs, dsts := make([]unsafe.Pointer, n), make([]unsafe.Pointer, n)
 		for r := range in.ms {
 			// Zero operands: nothing drifts into subnormals.
 			in.ms[r] = member{mine: make([]byte, size), acc: make([]byte, size)}
+			srcs[r], dsts[r] = unsafe.Pointer(&in.ms[r].mine[0]), unsafe.Pointer(&in.ms[r].acc[0])
 		}
 		for _, form := range []string{"fused", "pairwise"} {
 			b.Run(fmt.Sprintf("%s/%s/chunk-of-%d/%s", Sum, dtype.F64, n, form), func(b *testing.B) {
@@ -419,7 +477,10 @@ func benchChunks(b *testing.B) {
 					if form == "fused" {
 						err = in.foldChunk(0)
 					} else {
-						err = in.foldScratch(0, size)
+						// Scratch from the pool, as foldChunk takes it.
+						scratch := transport.GetBuf(in.op.t.slots(false) * size)
+						err = in.op.walk(srcs, dsts, scratch, size, false)
+						transport.PutBuf(scratch)
 					}
 					if err != nil {
 						b.Fatal(err)

@@ -163,9 +163,9 @@ func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
 // rank 0 and broadcast. Commutative ops fold among the largest power of
 // two of members, p2, with the standard pre/post fold bringing the rest
 // in and out, by one of two schedules that associate every element
-// identically — partners at distance 1 first, then 2, 4, …, the lower
-// rank's operand on the left — so the result bits depend on neither,
-// and by a third that folds in that same association:
+// identically (tree) — partners at distance 1 first, then 2, 4, …, the
+// lower rank's operand on the left — so the result bits depend on
+// neither, and by a third that folds in that same association:
 //
 //   - the island fold (island.go), when every member is a rank of one
 //     in-process job read undecorated, for an operation of the
@@ -214,17 +214,13 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		return
 	}
 
-	p2 := 1
-	for p2*2 <= c.Size {
-		p2 *= 2
-	}
-	remainder := c.Size - p2
+	t := newTree(c.Size)
 	wire := units * unit
 	var isl *island
 	if unit > 0 && units > 0 && pure {
 		isl = c.island()
 	}
-	halving := p2 > 1 && unit > 0 && units >= p2 && c.halves(wire)
+	halving := t.p2 > 1 && unit > 0 && units >= t.p2 && c.halves(wire)
 
 	// mine is where this member's running value stands until a fold has
 	// written the accumulator: the island fold and the halving schedule
@@ -241,13 +237,13 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		}
 	}
 	if isl != nil {
-		c.addIslandSteps(s, isl, f, mine, units, unit, halving)
+		c.addIslandSteps(s, isl, f, mine, t, units, unit, halving)
 		return
 	}
 
-	newRank := -1
+	nr := t.newRank(c.Rank)
 	switch {
-	case c.Rank < 2*remainder && c.Rank%2 == 0:
+	case nr < 0:
 		// Fold into the odd neighbour, then idle until the post-fold.
 		if mine == f.src {
 			// Memory nobody writes: nothing to protect it from.
@@ -255,47 +251,95 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		} else {
 			s.step(func() error { return s.isendCopy(c.Rank+1, tagReduce, *f.acc) })
 		}
-	case c.Rank < 2*remainder:
+	case c.Rank < 2*t.rem:
 		from := mine
 		s.foldRecvStep(c.Rank-1, tagReduce, func(theirs []byte) (err error) {
 			*f.acc, err = f.fold(theirs, *from, *f.acc)
 			return err
 		})
 		mine = f.acc
-		newRank = c.Rank / 2
-	default:
-		newRank = c.Rank - remainder
-	}
-
-	realOf := func(nr int) int {
-		if nr < remainder {
-			return nr*2 + 1
-		}
-		return nr + remainder
 	}
 
 	switch {
-	case newRank < 0:
+	case nr < 0:
 	case halving:
-		c.addHalvingSteps(s, f, mine, newRank, p2, realOf, units, unit)
+		c.addHalvingSteps(s, f, mine, t, nr, units, unit)
 	default:
-		for mask := 1; mask < p2; mask <<= 1 {
-			partner := newRank ^ mask
+		for mask := 1; mask < t.p2; mask <<= 1 {
+			partner := nr ^ mask
 			fold := f.above
-			if partner < newRank {
+			if partner < nr {
 				fold = f.below
 			}
-			s.foldExchStep(realOf(partner), tagReduce, f.acc, fold)
+			s.foldExchStep(t.realOf(partner), tagReduce, f.acc, fold)
 		}
 	}
 
 	// Post-fold: odd members of the front block return results to the
 	// idled even members.
-	if c.Rank < 2*remainder {
-		if c.Rank%2 == 0 {
+	if c.Rank < 2*t.rem {
+		if nr < 0 {
 			s.foldRecvStep(c.Rank+1, tagReduce, f.set)
 		} else {
 			s.step(func() error { return s.isendCopy(c.Rank-1, tagReduce, *f.acc) })
+		}
+	}
+}
+
+// tree is recursive doubling's association of n members' operands,
+// which every commutative allreduce path follows, so all give the same
+// bits: the largest power of two p2 ≤ n of them fold among themselves
+// in levels rounds, partners at distance 1, 2, 4 …, the lower rank's
+// operand on the left; the rem = n - p2 others are pre-folded in first,
+// member 2j into its odd neighbour 2j+1 for j < rem, which stands for
+// the pair.
+type tree struct{ p2, rem, levels int }
+
+func newTree(n int) tree {
+	t := tree{p2: 1}
+	for t.p2*2 <= n {
+		t.p2, t.levels = t.p2*2, t.levels+1
+	}
+	t.rem = n - t.p2
+	return t
+}
+
+// newRank is member r's rank among the p2, or -1 for the even member of
+// a front pair, which idles from the pre-fold to the post-fold.
+func (t tree) newRank(r int) int {
+	switch {
+	case r >= 2*t.rem:
+		return r - t.rem
+	case r%2 == 1:
+		return r / 2
+	}
+	return -1
+}
+
+// realOf is the member that stands for rank nr among the p2.
+func (t tree) realOf(nr int) int {
+	if nr < t.rem {
+		return 2*nr + 1
+	}
+	return nr + t.rem
+}
+
+// halving walks rank nr's part of the halving schedule's reduce-scatter
+// over an operand of units groups of unit wire bytes: in the round of
+// mask, nr and its partner nr^mask hold the same window, and the one
+// with that bit clear keeps the lower half of its groups, the other the
+// upper. round gets the byte windows nr keeps and gives away.
+func (t tree) halving(nr, units, unit int, round func(mask int, keep, give span)) {
+	lo, hi := 0, units
+	for mask := 1; mask < t.p2; mask <<= 1 {
+		mid := lo + (hi-lo)/2
+		low, high := span{lo * unit, mid * unit}, span{mid * unit, hi * unit}
+		if nr&mask != 0 {
+			round(mask, high, low)
+			lo = mid
+		} else {
+			round(mask, low, high)
+			hi = mid
 		}
 	}
 }
@@ -335,20 +379,19 @@ func (c *Comm) halves(wire int) bool {
 	return c.local()
 }
 
-// addHalvingSteps schedules member newRank's part of the halving +
-// doubling allreduce among p2 members (see addAllreduceSteps). In round
-// k of the reduce-scatter the two partners, whose ranks differ in bit k,
-// hold partial results for the same window — the choices that narrowed
-// it were made by the bits below k, which they share: the one with the
-// bit clear keeps the lower half, the other the upper, each lends the
-// half it gives up and folds the partner's copy of the half it keeps.
-// After log2(p2) rounds every member holds one finished window (at
-// least one group: units >= p2), and the allgather retraces the rounds
-// from the last: lend what is finished, have the partner's sibling
-// window deposited beside it — the very window this member lent that
-// partner on the way down, which the partner released, at the latest,
-// when its fold of it returned.
-func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, newRank, p2 int, realOf func(int) int, units, unit int) {
+// addHalvingSteps schedules member nr's part of the halving + doubling
+// allreduce among t.p2 members (see addAllreduceSteps). In round k of
+// the reduce-scatter the two partners, whose ranks differ in bit k, hold
+// partial results for the same window — the choices that narrowed it
+// were made by the bits below k, which they share: each lends the half
+// it gives up and folds the partner's copy of the half it keeps
+// (tree.halving). After log2(p2) rounds every member holds one finished
+// window (at least one group: units >= p2), and the allgather retraces
+// the rounds from the last: lend what is finished, have the partner's
+// sibling window deposited beside it — the very window this member lent
+// that partner on the way down, which the partner released, at the
+// latest, when its fold of it returned.
+func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, t tree, nr, units, unit int) {
 	wire := units * unit
 	s.step(func() error {
 		if len(*f.acc) != wire || len(*mine) != wire {
@@ -361,27 +404,18 @@ func (c *Comm) addHalvingSteps(s *sched, f *folder, mine *[]byte, newRank, p2 in
 		keep, give span
 	}
 	var rounds []round
-	lo, hi := 0, units
-	for mask := 1; mask < p2; mask <<= 1 {
-		mid := lo + (hi-lo)/2
-		r := round{peer: realOf(newRank ^ mask)}
-		lower := newRank&mask != 0 // the partner's rank is the lower one
-		if lower {
-			r.keep, r.give = span{mid * unit, hi * unit}, span{lo * unit, mid * unit}
-			lo = mid
-		} else {
-			r.keep, r.give = span{lo * unit, mid * unit}, span{mid * unit, hi * unit}
-			hi = mid
-		}
-		rounds = append(rounds, r)
+	t.halving(nr, units, unit, func(mask int, keep, give span) {
+		peer := t.realOf(nr ^ mask)
+		rounds = append(rounds, round{peer, keep, give})
+		lower := nr&mask != 0 // the partner's rank is the lower one
 		from := f.acc
 		if mask == 1 {
 			from = mine // only the first round can find the operand outside the accumulator
 		}
-		s.foldExchLentStep(r.peer, tagReduce, from, r.give, func(theirs []byte) error {
-			return f.window(from, r.keep, theirs, lower)
+		s.foldExchLentStep(peer, tagReduce, from, give, func(theirs []byte) error {
+			return f.window(from, keep, theirs, lower)
 		})
-	}
+	})
 	for k := len(rounds) - 1; k >= 0; k-- {
 		r := rounds[k]
 		s.fillExchLentStep(r.peer, tagReduce, f.acc, r.keep, r.give)

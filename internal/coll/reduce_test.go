@@ -1,12 +1,16 @@
 package coll
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"sync/atomic"
 	"testing"
+
+	"gompi/internal/dtype"
 )
 
 // matMul is a non-commutative user operation: each operand is a row of
@@ -271,5 +275,72 @@ func TestBytesReducedCounter(t *testing.T) {
 			}
 			return nil, nil
 		})
+	}
+}
+
+// TestIslandFoldMisalignedViews: AllreducePlan on a contribution and an
+// accumulator that lie one byte off their class's alignment, where the
+// island's walk cannot take the tree steps and every step is the
+// kernel's, gives tcp's result bits on every member and leaves the
+// contribution alone: DOUBLE SUM (values spread over 40 binades, so
+// another association rounds differently) and INT BXOR, at np 3–5, at
+// one chunk, one chunk and a tail, and two chunks and a short third.
+func TestIslandFoldMisalignedViews(t *testing.T) {
+	for _, tc := range []struct {
+		op  *Op
+		cls dtype.Class
+		gen func(rng *rand.Rand, n int) []byte
+	}{
+		{Sum, dtype.F64, func(rng *rand.Rand, n int) []byte {
+			v := make([]float64, n)
+			for i := range v {
+				v[i] = (rng.Float64() - 0.5) * math.Pow(2, float64(rng.Intn(40)-20))
+			}
+			return packDense(t, dtype.F64, v)
+		}},
+		{Bxor, dtype.I32, func(rng *rand.Rand, n int) []byte {
+			v := make([]int32, n)
+			for i := range v {
+				v[i] = int32(rng.Uint32())
+			}
+			return packDense(t, dtype.I32, v)
+		}},
+	} {
+		es := tc.cls.WireSize()
+		for np := 3; np <= 5; np++ {
+			for _, size := range []int{islandChunk, islandChunk + es, 2*islandChunk + 100*es} {
+				var folds atomic.Uint64
+				allreduce := func(c *Comm) (any, error) {
+					mine := tc.gen(rand.New(rand.NewSource(int64(size+c.Rank))), size/es)
+					src, acc := window(mine, 1), window(make([]byte, size), 1)
+					p, err := c.AllreducePlan(&acc, &src, size/es, es, tc.op, tc.cls)
+					if err != nil {
+						return nil, err
+					}
+					before := c.vars().folds.Load()
+					if _, err := p.Run(); err != nil {
+						return nil, err
+					}
+					folds.Add(c.vars().folds.Load() - before)
+					if !bytes.Equal(src, mine) {
+						return nil, fmt.Errorf("the contribution was written")
+					}
+					return acc, nil
+				}
+				want := agreeGroup(t, np, nil, allreduce)
+				if folds.Load() != 0 {
+					t.Fatalf("%s %s np %d: tcp folded on an island", tc.op, tc.cls, np)
+				}
+				got := runGroup(t, np, allreduce)
+				if folds.Load() != 1 {
+					t.Fatalf("%s %s np %d, %d bytes: %d island folds, want 1", tc.op, tc.cls, np, size, folds.Load())
+				}
+				for r := range got {
+					if !bytes.Equal(got[r].([]byte), want[r].([]byte)) {
+						t.Fatalf("%s %s np %d, %d bytes: rank %d differs from tcp's result", tc.op, tc.cls, np, size, r)
+					}
+				}
+			}
+		}
 	}
 }

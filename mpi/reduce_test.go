@@ -473,6 +473,71 @@ func TestBytesReducedPerfVar(t *testing.T) {
 	}
 }
 
+// TestBytesReducedEveryRemainder: where the island folds an allreduce,
+// each rank's coll.bytes_reduced grows by what the message schedules
+// fold on that rank — sealed chan (NoIsland) and tcp, which count what
+// their kernels return — at np 2–9, so for every remainder the pre-fold
+// leaves, on both sides of the halving switch: below the eager limit
+// (recursive doubling), and eight eager limits up (halving + doubling,
+// over an odd count, so the reduce-scatter splits windows unevenly).
+func TestBytesReducedEveryRemainder(t *testing.T) {
+	const eager = 4 << 10
+	counts := []int{37, eager + 3} // DOUBLEs: under one eager limit, and over eight
+	for np := 2; np <= 9; np++ {
+		var want [][]uint64 // by count, then rank: what sealed chan folded
+		for _, row := range []struct {
+			name string
+			opt  mpi.RunOptions
+		}{
+			{"chan", mpi.RunOptions{NP: np, WrapDevice: mpi.NoIsland, EagerLimit: eager}},
+			{"tcp", mpi.RunOptions{NP: np, Device: "tcp", EagerLimit: eager}},
+			{"island", mpi.RunOptions{NP: np, EagerLimit: eager}},
+		} {
+			island := row.name == "island"
+			got := [][]uint64{make([]uint64, np), make([]uint64, np)}
+			err := mpi.RunWith(row.opt, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				for i, count := range counts {
+					send, recv := make([]float64, count), make([]float64, count)
+					for e := range send {
+						send[e] = float64(w.Rank() + e)
+					}
+					folds, lent, before := pv(env, "coll.island_folds"), pv(env, "core.sends_lent"), pv(env, "coll.bytes_reduced")
+					if err := w.Allreduce(send, 0, recv, 0, count, mpi.DOUBLE, mpi.SUM); err != nil {
+						return err
+					}
+					got[i][w.Rank()] = pv(env, "coll.bytes_reduced") - before
+					if halved := pv(env, "core.sends_lent") > lent; halved != (i == 1 && !island) {
+						return fmt.Errorf("%s np %d, %d DOUBLEs: halving schedule ran = %v", row.name, np, count, halved)
+					}
+					folded, err := foldsSince(env, w, folds)
+					if err != nil {
+						return err
+					}
+					if want := map[bool]uint64{true: 1}[island]; folded != want {
+						return fmt.Errorf("%s np %d, %d DOUBLEs: %d island folds, want %d", row.name, np, count, folded, want)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+				continue
+			}
+			for i, count := range counts {
+				for r := range got[i] {
+					if got[i][r] != want[i][r] {
+						t.Errorf("np %d, %d DOUBLEs, rank %d: coll.bytes_reduced grew by %d on %s, by %d on sealed chan", np, count, r, got[i][r], row.name, want[i][r])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestAllreduceFormsAboveTheSwitch: above the eager limit, where the
 // schedule lends windows of the accumulator and has windows of it filled
 // in place, every form of the call — blocking, under a context,
