@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"gompi/internal/core"
 	"gompi/internal/obs"
@@ -36,8 +35,6 @@ type Fabric struct {
 	// join/admit handshakes record spans on it. Set once at wiring
 	// time, before any handshake can run.
 	rec *obs.Recorder
-	// spanSeq mints ids for overlapping join/admit spans.
-	spanSeq atomic.Uint32
 }
 
 // NewFabric starts the join side of the endpoint whose traffic mux
@@ -57,16 +54,6 @@ func (f *Fabric) GUID() string { return f.guid }
 // SetRecorder attaches the rank's flight recorder. Call before the
 // first Connect/Accept; a nil recorder keeps tracing disabled.
 func (f *Fabric) SetRecorder(r *obs.Recorder) { f.rec = r }
-
-// span opens a trace span and returns its closer.
-func (f *Fabric) span(kind obs.EventKind, val int64) func() {
-	if f.rec == nil {
-		return func() {}
-	}
-	id := f.spanSeq.Add(1)
-	f.rec.Begin(kind, id, val)
-	return func() { f.rec.End(kind, id, 0) }
-}
 
 // Epoch returns the world epoch: the number of joins admitted so far.
 func (f *Fabric) Epoch() int {

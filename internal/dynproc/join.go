@@ -237,7 +237,7 @@ func (f *Fabric) handleConn(c net.Conn) {
 // remote port and returns the admission ticket for the local world,
 // whose engines run at eager limit eager.
 func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, eager int, timeout time.Duration) (*Ticket, error) {
-	defer f.span(obs.EvJoin, int64(len(local)))()
+	defer f.rec.Span(obs.EvJoin, int64(len(local)))(0)
 	addr, epoch, key, err := ParsePortName(portName)
 	if err != nil {
 		return nil, err
@@ -271,7 +271,7 @@ func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, eage
 // local world's, is refused: the joined worlds would choose different
 // collective schedules for one call.
 func (f *Fabric) AcceptLeader(p *Port, local []Member, ctxCand int32, eager int, timeout time.Duration) (*Ticket, error) {
-	defer f.span(obs.EvJoin, int64(len(local)))()
+	defer f.rec.Span(obs.EvJoin, int64(len(local)))(0)
 	var in *inboundLeader
 	select {
 	case in = <-p.hellos:
@@ -425,7 +425,7 @@ func (f *Fabric) dialJoin(addr string, id uint64, deadline time.Time) (net.Conn,
 // same worlds — or a Merge after an Accept — never duplicates links.
 // On success the world epoch advances.
 func (f *Fabric) Admit(t *Ticket, timeout time.Duration) ([]int, error) {
-	defer f.span(obs.EvAdmit, int64(len(t.Remote)))()
+	defer f.rec.Span(obs.EvAdmit, int64(len(t.Remote)))(0)
 	deadline := time.Now().Add(timeout)
 	idxs := make([]int, len(t.Remote))
 	for i, m := range t.Remote {

@@ -113,6 +113,32 @@ func TestDisabledRecorderIsFree(t *testing.T) {
 	}
 }
 
+// TestRecorderSpanMintsIds: overlapping spans of one kind get distinct
+// ids, each closed under its own id with the closer's value; a nil
+// recorder's Span records nothing and allocates nothing.
+func TestRecorderSpanMintsIds(t *testing.T) {
+	r := NewRecorder(0, 1024)
+	endA := r.Span(EvPioWrite, 0)
+	endB := r.Span(EvPioWrite, 0)
+	endB(20)
+	endA(10)
+	evs, _ := r.Events()
+	if len(evs) != 4 {
+		t.Fatalf("recorded %d events, want 4", len(evs))
+	}
+	a, b := evs[0].Arg, evs[1].Arg
+	if a == b {
+		t.Fatalf("overlapping spans share id %d", a)
+	}
+	if evs[2].Ph != PhEnd || evs[2].Arg != b || evs[2].Val != 20 || evs[3].Arg != a || evs[3].Val != 10 {
+		t.Fatalf("ends = %+v, %+v; want id %d with 20, then id %d with 10", evs[2], evs[3], b, a)
+	}
+	var off *Recorder
+	if n := testing.AllocsPerRun(100, func() { off.Span(EvSpawn, 1)(0) }); n != 0 {
+		t.Fatalf("nil recorder's Span allocates %.1f/op, want 0", n)
+	}
+}
+
 // sampleDump is rank 3's dump of one rendezvous span and one instant.
 func sampleDump(tb testing.TB) []byte {
 	r := NewRecorder(3, 1024)

@@ -99,6 +99,7 @@ type Recorder struct {
 	mask  uint64
 	cur   atomic.Uint64
 	ev    []slot
+	spans atomic.Uint32 // the last span id Span minted
 }
 
 // slot is one ring entry as three atomic words, so two writers that
@@ -204,6 +205,20 @@ func (r *Recorder) Begin(kind EventKind, arg uint32, val int64) {
 // End closes a span opened by Begin.
 func (r *Recorder) End(kind EventKind, arg uint32, val int64) {
 	r.Record(kind, PhEnd, arg, val)
+}
+
+// Span opens a span of kind under an id the recorder mints and returns
+// its closer, which ends the span with val. Ids are unique per
+// recorder, so spans of one kind that overlap on a rank (two joins, two
+// nonblocking collective I/O calls) stay apart in the trace. A nil
+// recorder opens nothing and returns a closer that does nothing.
+func (r *Recorder) Span(kind EventKind, val int64) (end func(val int64)) {
+	if r == nil {
+		return func(int64) {}
+	}
+	id := r.spans.Add(1)
+	r.Begin(kind, id, val)
+	return func(val int64) { r.End(kind, id, val) }
 }
 
 // Events returns the recorded events, oldest first, plus how many were

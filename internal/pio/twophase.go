@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sync/atomic"
 
 	"gompi/internal/coll"
 	"gompi/internal/obs"
@@ -32,11 +31,6 @@ import (
 // bundles) length payload bytes. Request bundles carry headers only.
 const chunkHdr = 12
 
-// pioSpan mints process-unique span ids for the trace: collective I/O
-// phases of distinct calls may overlap in flight (nonblocking Start
-// forms), so the instance-scoped ids the coll layer uses won't do.
-var pioSpan atomic.Uint32
-
 // spanStep brackets the steps appended between the call and the
 // returned closure with a trace span: the schedule executes the begin
 // step, the wrapped phase's steps, then the end step, so the span's
@@ -44,14 +38,14 @@ var pioSpan atomic.Uint32
 // the begin step runs (bundles filled by earlier steps are complete by
 // then).
 func spanStep(p *coll.Plan, c *coll.Comm, kind obs.EventKind, bytes func() int64) (end func()) {
-	id := pioSpan.Add(1)
+	var endSpan func(int64)
 	p.Step(func() error {
-		c.P.Recorder().Begin(kind, id, bytes())
+		endSpan = c.P.Recorder().Span(kind, bytes())
 		return nil
 	})
 	return func() {
 		p.Step(func() error {
-			c.P.Recorder().End(kind, id, 0)
+			endSpan(0)
 			return nil
 		})
 	}
@@ -130,9 +124,7 @@ func (f *File) WriteAllPlan(c *coll.Comm, off int, wire []byte) (*coll.Plan, err
 
 	// Phase 2: this rank's aggregator pass over its received chunks.
 	p.Step(func() error {
-		rec := c.P.Recorder()
-		id := pioSpan.Add(1)
-		rec.Begin(obs.EvPioWrite, id, 0)
+		end := c.P.Recorder().Span(obs.EvPioWrite, 0)
 		var written int64
 		for _, b := range got {
 			for len(b) > 0 {
@@ -150,7 +142,7 @@ func (f *File) WriteAllPlan(c *coll.Comm, off int, wire []byte) (*coll.Plan, err
 				b = rest[n:]
 			}
 		}
-		rec.End(obs.EvPioWrite, id, written)
+		end(written)
 		return nil
 	})
 	p.Publish(func() any { return nil })
@@ -206,9 +198,7 @@ func (f *File) ReadAllPlan(c *coll.Comm, off, n int) (*coll.Plan, error) {
 	// range, short at end-of-file, and bundle the data per requester.
 	replies := make([][]byte, c.Size)
 	p.Step(func() error {
-		rec := c.P.Recorder()
-		id := pioSpan.Add(1)
-		rec.Begin(obs.EvPioRead, id, 0)
+		end := c.P.Recorder().Span(obs.EvPioRead, 0)
 		var read int64
 		for r, b := range gotReqs {
 			for len(b) > 0 {
@@ -227,7 +217,7 @@ func (f *File) ReadAllPlan(c *coll.Comm, off, n int) (*coll.Plan, error) {
 				b = rest
 			}
 		}
-		rec.End(obs.EvPioRead, id, read)
+		end(read)
 		return nil
 	})
 

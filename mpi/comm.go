@@ -131,6 +131,34 @@ func (c *Comm) raise(err error) error {
 	return err
 }
 
+// leaderBcast is the binding's one root-decision path: it runs lead
+// on the member of local rank root and broadcasts the outcome to the
+// group — the bytes lead returned, or the class and text of its error —
+// so every member, the root included, returns the same bytes or an
+// *Error of the same class and message. Connect/Accept, Spawn,
+// OpenFile, File.SetSize and the intercommunicator leaders' exchanges
+// all decide through it.
+func (c *Comm) leaderBcast(root int, lead func() ([]byte, error)) ([]byte, error) {
+	var out []byte
+	if c.rank == root {
+		b, err := lead()
+		if e, ok := err.(*Error); ok {
+			b = []byte(e.Msg)
+		} else if err != nil {
+			b = []byte(err.Error())
+		}
+		out = append([]byte{byte(ClassOf(err))}, b...)
+	}
+	out, err := c.cl.Bcast(root, out)
+	switch {
+	case err != nil:
+		return nil, mapEngineErr(err)
+	case ErrClass(out[0]) != ErrSuccess:
+		return nil, &Error{Class: ErrClass(out[0]), Msg: string(out[1:])}
+	}
+	return out[1:], nil
+}
+
 func (c *Comm) ok() error {
 	switch {
 	case c == nil:

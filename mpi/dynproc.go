@@ -15,8 +15,10 @@ package mpi
 //  2. the root runs the out-of-band leader handshake (dialing the port
 //     on Connect, collecting a parked dial-in on Accept), exchanging
 //     member tables and context-id candidates;
-//  3. the outcome — an admission ticket or an error — is Bcast to the
-//     local group, so all members succeed or fail together;
+//  3. the outcome — an admission ticket or an error — reaches the local
+//     group through leaderBcast, the binding's one root-decision path,
+//     so all members succeed together or fail with the root's class and
+//     message;
 //  4. every member admits the remote members into its endpoint fabric
 //     (accept side parks inbound dials, connect side dials out) and
 //     commits max(local, remote) as the new communicator's context
@@ -92,14 +94,6 @@ func (e *Env) lookupPort(name string) *dynproc.Port {
 	return e.ports[name]
 }
 
-// joinWire is the root's handshake outcome, broadcast to the local
-// group so every member proceeds (or fails) identically.
-type joinWire struct {
-	Class int32
-	Err   string
-	Tkt   dynproc.Ticket
-}
-
 func gobEnc(v any) []byte {
 	var b bytes.Buffer
 	if err := gob.NewEncoder(&b).Encode(v); err != nil {
@@ -161,29 +155,30 @@ func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Inte
 		return nil, c.raise(mapEngineErr(err))
 	}
 
-	// Root: the out-of-band leader handshake.
-	var wire joinWire
-	if c.rank == root {
-		wire = c.leaderHandshake(portName, acceptSide, members, base)
-	}
-	raw, err := c.cl.Bcast(root, gobEnc(wire))
+	// The root runs the out-of-band leader handshake; every member gets
+	// its admission ticket or its error.
+	raw, err := c.leaderBcast(root, func() ([]byte, error) {
+		tkt, err := c.leaderHandshake(portName, verb, acceptSide, members, base)
+		if err != nil {
+			return nil, err
+		}
+		return gobEnc(tkt), nil
+	})
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(err)
 	}
-	if err := gobDec(raw, &wire); err != nil {
-		return nil, c.raise(errf(ErrIntern, "%s: decoding join outcome: %v", verb, err))
-	}
-	if wire.Err != "" {
-		return nil, c.raise(errf(ErrClass(wire.Class), "%s: %s", verb, wire.Err))
+	var tkt dynproc.Ticket
+	if err := gobDec(raw, &tkt); err != nil {
+		return nil, c.raise(errf(ErrIntern, "%s: decoding the admission ticket: %v", verb, err))
 	}
 
 	// Every member links to every remote member.
-	worlds, err := fab.Admit(&wire.Tkt, dynTimeout)
+	worlds, err := fab.Admit(&tkt, dynTimeout)
 	if err != nil {
 		return nil, c.raise(errf(ErrPort, "%s: %v", verb, err))
 	}
 
-	final := max(base, wire.Tkt.RemoteCtxCand)
+	final := max(base, tkt.RemoteCtxCand)
 	if err := c.env.proc.CommitContexts(final); err != nil {
 		return nil, c.raise(mapEngineErr(err))
 	}
@@ -191,13 +186,13 @@ func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Inte
 	return c.newIntercomm(final, worlds, acceptSide, "."+verb), nil
 }
 
-// leaderHandshake runs the root's out-of-band exchange and reports its
-// outcome as a broadcastable wire value.
-func (c *Intracomm) leaderHandshake(portName string, acceptSide bool, members [][]byte, base int32) joinWire {
+// leaderHandshake runs the root's out-of-band exchange. Its errors
+// carry the verb and the class every member of the join reports.
+func (c *Intracomm) leaderHandshake(portName, verb string, acceptSide bool, members [][]byte, base int32) (*dynproc.Ticket, error) {
 	local := make([]dynproc.Member, len(members))
 	for i, raw := range members {
 		if err := gobDec(raw, &local[i]); err != nil {
-			return joinWire{Class: int32(ErrIntern), Err: "decoding member table: " + err.Error()}
+			return nil, errf(ErrIntern, "%s: decoding member table: %v", verb, err)
 		}
 	}
 	var tkt *dynproc.Ticket
@@ -205,23 +200,16 @@ func (c *Intracomm) leaderHandshake(portName string, acceptSide bool, members []
 	if acceptSide {
 		p := c.env.lookupPort(portName)
 		if p == nil {
-			return joinWire{Class: int32(ErrPort), Err: "unknown or closed port \"" + portName + "\""}
+			return nil, errf(ErrPort, "%s: unknown or closed port %q", verb, portName)
 		}
 		tkt, err = c.env.fab.AcceptLeader(p, local, base, c.env.proc.EagerLimit(), dynTimeout)
 	} else {
 		tkt, err = c.env.fab.DialLeader(portName, local, base, c.env.proc.EagerLimit(), dynTimeout)
 	}
 	if err != nil {
-		return joinWire{Class: int32(ErrPort), Err: err.Error()}
+		return nil, errf(ErrPort, "%s: %v", verb, err)
 	}
-	return joinWire{Tkt: *tkt}
-}
-
-// spawnWire is the root's provisioning outcome.
-type spawnWire struct {
-	Class int32
-	Err   string
-	Port  string
+	return tkt, nil
 }
 
 // Spawn starts maxprocs new processes running command with args and
@@ -233,7 +221,7 @@ type spawnWire struct {
 // The children always form a TCP world of their own and link back to
 // every parent rank during the join.
 func (c *Intracomm) Spawn(command string, args []string, maxprocs int) (*Intercomm, error) {
-	defer c.env.span(obs.EvSpawn, int64(maxprocs))()
+	defer c.env.proc.Recorder().Span(obs.EvSpawn, int64(maxprocs))(0)
 	if err := c.ok(); err != nil {
 		return nil, c.raise(err)
 	}
@@ -241,32 +229,26 @@ func (c *Intracomm) Spawn(command string, args []string, maxprocs int) (*Interco
 		return nil, c.raise(errf(ErrRevoked, "cannot spawn on revoked communicator %q", c.name))
 	}
 	const root = 0
-	var wire spawnWire
-	if c.rank == root {
+	port, err := c.leaderBcast(root, func() ([]byte, error) {
 		if maxprocs < 1 {
-			wire = spawnWire{Class: int32(ErrSpawn), Err: "maxprocs must be at least 1"}
-		} else if port, err := c.env.OpenPort(); err != nil {
-			wire = spawnWire{Class: int32(ClassOf(err)), Err: err.Error()}
-		} else if err := provisionSpawn(command, args, maxprocs, port, c.env.proc.EagerLimit()); err != nil {
-			c.env.ClosePort(port)
-			wire = spawnWire{Class: int32(ErrSpawn), Err: err.Error()}
-		} else {
-			wire = spawnWire{Port: port}
+			return nil, errf(ErrSpawn, "spawn %q: maxprocs must be at least 1", command)
 		}
-	}
-	raw, err := c.cl.Bcast(root, gobEnc(wire))
+		port, err := c.env.OpenPort()
+		if err != nil {
+			return nil, errf(ClassOf(err), "spawn %q: %v", command, err)
+		}
+		if err := provisionSpawn(command, args, maxprocs, port, c.env.proc.EagerLimit()); err != nil {
+			c.env.ClosePort(port)
+			return nil, errf(ErrSpawn, "spawn %q: %v", command, err)
+		}
+		return []byte(port), nil
+	})
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(err)
 	}
-	if err := gobDec(raw, &wire); err != nil {
-		return nil, c.raise(errf(ErrIntern, "spawn: decoding outcome: %v", err))
-	}
-	if wire.Err != "" {
-		return nil, c.raise(errf(ErrClass(wire.Class), "spawn %q: %s", command, wire.Err))
-	}
-	ic, jerr := c.joinWorld(wire.Port, root, true)
+	ic, jerr := c.joinWorld(string(port), root, true)
 	if c.rank == root {
-		c.env.ClosePort(wire.Port)
+		c.env.ClosePort(string(port))
 	}
 	if jerr != nil {
 		return nil, jerr

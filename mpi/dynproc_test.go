@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"gompi/internal/obs"
 	"gompi/mpi"
 )
 
@@ -472,5 +475,101 @@ func TestSpawnErrors(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTraceHoldsSpawnJoinAndPioSpans: the spans the binding, the join
+// fabric and the collective I/O passes open on a rank's recorder are
+// whole — every one begun is ended, under an id no other open span of
+// its kind holds — for a traced Spawn followed by a collective write
+// and read.
+func TestTraceHoldsSpawnJoinAndPioSpans(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns real processes")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatalf("locating test binary: %v", err)
+	}
+	os.Setenv(spawnHelperEnv, "eager")
+	defer os.Unsetenv(spawnHelperEnv)
+	dir := t.TempDir()
+	err = mpi.RunWith(mpi.RunOptions{NP: 2, Trace: true}, func(env *mpi.Env) error {
+		world := env.CommWorld()
+		ic, err := world.Spawn(exe, []string{"-test.run=none"}, 1)
+		if err != nil {
+			return err
+		}
+		if world.Rank() == 0 {
+			if _, err := ic.Recv(make([]int64, 1), 0, 1, mpi.LONG, 0, 0); err != nil {
+				return err
+			}
+		}
+		if err := ic.Barrier(); err != nil {
+			return err
+		}
+		f, err := world.OpenFile(filepath.Join(dir, "io.bin"), mpi.ModeCreate|mpi.ModeRdwr|mpi.ModeDeleteOnClose)
+		if err != nil {
+			return err
+		}
+		buf := make([]byte, 256)
+		if _, err := f.WriteAtAll(int64(world.Rank()*len(buf)), buf, 0, len(buf), mpi.BYTE); err != nil {
+			return err
+		}
+		if _, err := f.ReadAtAll(int64(world.Rank()*len(buf)), buf, 0, len(buf), mpi.BYTE); err != nil {
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		_, err = env.DumpTrace(dir)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := obs.ReadTraceDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("got %d trace dumps, want 2", len(files))
+	}
+	kinds := []obs.EventKind{obs.EvSpawn, obs.EvJoin, obs.EvAdmit, obs.EvPioExchange, obs.EvPioWrite, obs.EvPioRead}
+	type key struct {
+		kind obs.EventKind
+		arg  uint32
+	}
+	seen := map[obs.EventKind]int{}
+	for _, tf := range files {
+		open := map[key]bool{}
+		for _, ev := range tf.Events {
+			if !slices.Contains(kinds, ev.Kind) {
+				continue
+			}
+			k := key{ev.Kind, ev.Arg}
+			switch ev.Ph {
+			case obs.PhBegin:
+				if open[k] {
+					t.Errorf("rank %d: span %v id %d begun twice", tf.Rank, ev.Kind, ev.Arg)
+				}
+				open[k] = true
+				seen[ev.Kind]++
+			case obs.PhEnd:
+				if !open[k] {
+					t.Errorf("rank %d: span %v id %d ended but not open", tf.Rank, ev.Kind, ev.Arg)
+				}
+				delete(open, k)
+			}
+		}
+		for k := range open {
+			t.Errorf("rank %d: span %v id %d never ended", tf.Rank, k.kind, k.arg)
+		}
+	}
+	t.Logf("spans begun per kind: %v", seen)
+	for _, k := range kinds {
+		if seen[k] == 0 {
+			t.Errorf("no %v span in the trace", k)
+		}
 	}
 }

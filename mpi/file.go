@@ -142,7 +142,8 @@ func fileStatus(rank, bytes, elements int) *Status {
 // Collective: every member must call it with the same path and amode.
 // Rank 0 alone performs creation, so ModeCreate and ModeExcl are
 // race-free within the job; in DM mode all ranks must see the same
-// filesystem. The file starts with the identity view (displacement 0,
+// filesystem. When rank 0's open fails, every member returns its class
+// and message. The file starts with the identity view (displacement 0,
 // etype and filetype MPI.BYTE).
 func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 	if err := c.ok(); err != nil {
@@ -156,33 +157,25 @@ func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 		return nil, err
 	}
 	priv.SetName(c.Name() + ".file")
+	var pf *pio.File
 	fail := func(err error) (*File, error) {
+		if pf != nil {
+			pf.Close() //nolint:errcheck // best-effort teardown
+		}
 		priv.Free() //nolint:errcheck // best-effort teardown
 		return nil, c.raise(err)
 	}
 
-	// Rank 0 opens first — it alone creates — and broadcasts the
-	// outcome, so peers neither race the creation nor open a file that
-	// was never created.
-	var pf *pio.File
+	// Rank 0 opens first — it alone creates — and its outcome reaches
+	// every member, so peers neither race the creation nor open a file
+	// that was never created.
+	if _, err := priv.leaderBcast(0, func() (_ []byte, err error) {
+		pf, err = pio.Open(path, osFlags(amode, true), 0o644)
+		return nil, mapPioErr(err)
+	}); err != nil {
+		return fail(err)
+	}
 	var openErr error
-	if priv.Rank() == 0 {
-		pf, openErr = pio.Open(path, osFlags(amode, true), 0o644)
-	}
-	verdict := []byte{1}
-	if openErr != nil {
-		verdict = append([]byte{0}, []byte(openErr.Error())...)
-	}
-	verdict, err = priv.cl.Bcast(0, verdict)
-	if err != nil {
-		return fail(mapEngineErr(err))
-	}
-	if len(verdict) == 0 || verdict[0] == 0 {
-		if openErr != nil {
-			return fail(mapPioErr(openErr))
-		}
-		return fail(errf(ErrIO, "open failed on rank 0: %s", verdict[1:]))
-	}
 	if priv.Rank() != 0 {
 		pf, openErr = pio.Open(path, osFlags(amode, false), 0o644)
 	}
@@ -205,9 +198,6 @@ func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 		return fail(mapEngineErr(err))
 	}
 	if res.([]int32)[0] == 0 {
-		if pf != nil {
-			pf.Close() //nolint:errcheck // best-effort teardown
-		}
 		if openErr != nil {
 			return fail(mapPioErr(openErr))
 		}
@@ -309,7 +299,8 @@ func (f *File) Size() (int64, error) {
 }
 
 // SetSize truncates or extends the file to n bytes
-// (MPI_File_set_size). Collective.
+// (MPI_File_set_size). Collective: rank 0 resizes the file, and when
+// that fails every member returns its class and message.
 func (f *File) SetSize(n int64) error {
 	if err := f.ok(); err != nil {
 		return f.comm.raise(err)
@@ -317,25 +308,10 @@ func (f *File) SetSize(n int64) error {
 	if err := f.writable(); err != nil {
 		return f.comm.raise(err)
 	}
-	var terr error
-	if f.comm.Rank() == 0 {
-		terr = f.pf.Truncate(n)
-	}
-	verdict := []byte{1}
-	if terr != nil {
-		verdict[0] = 0
-	}
-	verdict, err := f.comm.cl.Bcast(0, verdict)
-	if err != nil {
-		return f.comm.raise(mapEngineErr(err))
-	}
-	if terr != nil {
-		return f.comm.raise(mapPioErr(terr))
-	}
-	if verdict[0] == 0 {
-		return f.comm.raise(errf(ErrIO, "set_size failed on rank 0"))
-	}
-	return nil
+	_, err := f.comm.leaderBcast(0, func() ([]byte, error) {
+		return nil, mapPioErr(f.pf.Truncate(n))
+	})
+	return f.comm.raise(err)
 }
 
 // Sync flushes every member's writes to stable storage

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -459,5 +460,41 @@ func TestFileSetSizeAndView(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRootDecisionReachesEveryMember: OpenFile and SetSize act on rank
+// 0, and when rank 0 fails every member returns rank 0's class and
+// message, cause included — not a class and text of its own.
+func TestRootDecisionReachesEveryMember(t *testing.T) {
+	const np = 3
+	path := filepath.Join(t.TempDir(), "root.bin")
+	var setErr, exclErr [np]error
+	err := mpi.Run(np, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		f, err := w.OpenFile(path, mpi.ModeCreate|mpi.ModeRdwr)
+		if err != nil {
+			return err
+		}
+		setErr[w.Rank()] = f.SetSize(-1)
+		if err := f.Close(); err != nil {
+			return err
+		}
+		_, exclErr[w.Rank()] = w.OpenFile(path, mpi.ModeCreate|mpi.ModeExcl|mpi.ModeWronly)
+		// The communicator stays healthy after both failures.
+		return w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, err := range setErr {
+		if err == nil || mpi.ClassOf(err) != mpi.ClassOf(setErr[0]) || !strings.Contains(err.Error(), "invalid argument") {
+			t.Errorf("rank %d: SetSize(-1) = %v, want rank 0's class %v and the cause", r, err, mpi.ClassOf(setErr[0]))
+		}
+	}
+	for r, err := range exclErr {
+		if err == nil || mpi.ClassOf(err) != mpi.ClassOf(exclErr[0]) || err.Error() != exclErr[0].Error() {
+			t.Errorf("rank %d: exclusive create of an existing file = %v, want rank 0's %v", r, err, exclErr[0])
+		}
 	}
 }

@@ -97,31 +97,6 @@ func (c *Comm) newIntercomm(base int32, remote []int, low bool, suffix string) *
 	return ic
 }
 
-// leaderBcast runs lead on the group's leader (local rank root) and
-// broadcasts its outcome to the group: the bytes, or the class and text
-// of its error, so that a leader whose exchange failed fails every
-// member with it instead of leaving them in the broadcast.
-func (c *Comm) leaderBcast(root int, lead func() ([]byte, error)) ([]byte, error) {
-	var out []byte
-	if c.rank == root {
-		b, err := lead()
-		if e, ok := err.(*Error); ok {
-			b = []byte(e.Msg)
-		} else if err != nil {
-			b = []byte(err.Error())
-		}
-		out = append([]byte{byte(ClassOf(err))}, b...)
-	}
-	out, err := c.cl.Bcast(root, out)
-	switch {
-	case err != nil:
-		return nil, mapEngineErr(err)
-	case ErrClass(out[0]) != ErrSuccess:
-		return nil, &Error{Class: ErrClass(out[0]), Msg: string(out[1:])}
-	}
-	return out[1:], nil
-}
-
 func encodeInterInfo(base int32, leaderWorld int, group []int) []byte {
 	out := make([]byte, 0, 12+4*len(group))
 	out = binary.LittleEndian.AppendUint32(out, uint32(base))

@@ -9,11 +9,7 @@ package mpi
 // ("core.sends_eager", "coll.scheds_parked", ...); this file is only
 // the window onto them.
 
-import (
-	"sync/atomic"
-
-	"gompi/internal/obs"
-)
+import "gompi/internal/obs"
 
 // PerfVars enumerates the rank's performance variables — counters and
 // gauges — sorted by name. The "transport.pool_*" entries
@@ -47,20 +43,6 @@ func (e *Env) DumpTrace(dir string) (string, error) {
 		return "", errf(ErrIntern, "dumping trace: %v", err)
 	}
 	return path, nil
-}
-
-// envSpanSeq mints ids for binding-level trace spans (Spawn).
-var envSpanSeq atomic.Uint32
-
-// span opens a binding-level trace span and returns its closer.
-func (e *Env) span(kind obs.EventKind, val int64) func() {
-	r := e.proc.Recorder()
-	if r == nil {
-		return func() {}
-	}
-	id := envSpanSeq.Add(1)
-	r.Begin(kind, id, val)
-	return func() { r.End(kind, id, 0) }
 }
 
 // newRecorder builds the rank's flight recorder when tracing was

@@ -570,7 +570,9 @@ func mapEngineErr(err error) error {
 }
 
 // mapDataErr converts datatype- and core-layer errors into MPI error
-// classes; like mapEngineErr it allocates nothing for a nil error.
+// classes; like mapEngineErr it allocates nothing for a nil error. A
+// match whose send was withdrawn is MPI_ERR_INTERN here as on a
+// collective.
 func mapDataErr(err error) error {
 	if err == nil {
 		return nil
@@ -591,7 +593,7 @@ func mapDataErr(err error) error {
 		return errf(ErrBuffer, "%v", err)
 	case errors.Is(err, dtype.ErrNegative):
 		return errf(ErrCount, "%v", err)
-	case errors.Is(err, dtype.ErrFormat):
+	case errors.Is(err, dtype.ErrFormat), errors.Is(err, core.ErrWithdrawn):
 		return errf(ErrIntern, "%v", err)
 	default:
 		return errf(ErrOther, "%v", err)
