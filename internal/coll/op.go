@@ -1,9 +1,17 @@
 // Package coll implements the collective-operation algorithms of the
 // runtime over the core point-to-point engine: dissemination barrier,
 // binomial broadcast and reduce, gather and scatter straight between
-// root and each member, ring allgather, pairwise alltoall,
-// recursive-doubling (and, for large operands, halving + doubling)
-// allreduce, linear-chain scan, and the reduction kernels they share.
+// root and each member, ring allgather, pairwise alltoall, allreduce,
+// linear-chain scan, and the reduction kernels they share.
+//
+// Allreduce has three schedules, which associate every element the
+// same way (reduce.go's tree), so the result bits do not depend on
+// which one ran: recursive doubling; for large operands, recursive
+// halving + doubling; and the island fold (island.go), which runs every
+// commutative Allreduce with a predefined operation among the ranks of
+// one in-process job and sends no message: the members fold each
+// other's contributions where they lie, chunk by chunk. A
+// non-commutative operation reduces to rank 0 and broadcasts.
 //
 // Every collective is declared once, as a constructor returning a Plan
 // (BarrierPlan, BcastPlan, GatherPlan, ScatterPlan, AllgatherPlan,

@@ -824,6 +824,12 @@ func (p *Proc) handleLocked(f *parsed, err error) (outs []outFrame, after []late
 		}
 		req := p.takeMatchLocked(f.env)
 		if req == nil {
+			if len(p.revoked) > 0 && p.ctxErrLocked(f.env.ctx, f.env.tag) != nil {
+				// Nothing can match a late arrival on a revoked pair:
+				// its frame goes back now, like those revokeLocked
+				// purged from the unexpected queue.
+				return nil, nil, nil
+			}
 			m := inMsgPool.Get().(*inMsg)
 			*m = inMsg{kind: f.kind, env: f.env, id: f.id, size: f.size, payload: f.payload}
 			if f.kind == kRts {

@@ -4,6 +4,18 @@
 // queuing, probe, cancel, and request completion. It is the layer that a
 // native MPI (MPICH, WMPI) provides in the paper; here it is built from
 // scratch over the transport device abstraction.
+//
+// Matching runs under the engine's lock on whichever goroutine holds
+// the progress role (Proc). An eager frame that a rank of the same job
+// delivers while the receiver's mailbox is empty is matched on the
+// sender's goroutine instead (Take), so it never enters the mailbox and
+// nobody is woken to take it out. A hold is a receive posted from
+// NoSource, which no frame carries: nothing but Settle, a revocation, a
+// peer-loss or close sweep, or Cancel completes it, and it is how a
+// member of an in-process island waits for the others (internal/coll).
+// A revoked context pair matches nothing but recovery-tagged traffic:
+// its pinned operations fail, its queued unexpected messages are
+// released, and so is a message that arrives on it later.
 package core
 
 import (

@@ -113,6 +113,57 @@ func TestRevokeRecoveryTagExempt(t *testing.T) {
 	rreq.Recycle()
 }
 
+// TestLateArrivalOnRevokedPairIsDropped: an eager message or an RTS
+// that reaches a rank after its pair was revoked can never be matched,
+// so the engine releases it on arrival instead of queuing it as
+// unexpected for ever (ForgetGroup never empties that queue). A
+// recovery-tagged arrival on the same pair is still queued.
+func TestLateArrivalOnRevokedPairIsDropped(t *testing.T) {
+	procs := loopbackProcs(t, 2)
+	p0, p1 := procs[0], procs[1]
+	p0.Revoke(0)
+	eventually(t, "rank 1 observing the revocation", func() bool { return p1.ContextRevoked(0) })
+
+	recovery := RecoveryTag | 5
+	env := envelope{srcWorld: 1, srcGroup: 1, tag: 3}
+	if err := p1.mux.Sendv(0, buildEagerHdr(false, env, 0), []byte("late"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := p1.mux.Sendv(0, buildRts(env, 1, 1<<20), nil, false); err != nil {
+		t.Fatal(err)
+	}
+	env.tag = recovery
+	if err := p1.mux.Sendv(0, buildEagerHdr(false, env, 0), []byte("repair"), false); err != nil {
+		t.Fatal(err)
+	}
+	// The link keeps order: once a marker on another pair is received,
+	// every frame shipped before it has been through rank 0's engine.
+	marker := p0.Irecv(2, 1, 1)
+	if err := p1.Send(2, 1, 0, 1, []byte("marker"), ModeStandard, false); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitStatus(t, marker); st.Err != nil {
+		t.Fatalf("marker: %v", st.Err)
+	}
+	marker.Recycle()
+
+	if n := p0.PendingUnexpected(); n != 1 {
+		t.Fatalf("%d unexpected messages after late arrivals on a revoked pair, want 1 (the recovery-tagged one)", n)
+	}
+	p0.ForgetGroup(0)
+	if n := p0.PendingUnexpected(); n != 1 {
+		t.Fatalf("%d unexpected messages after ForgetGroup, want 1", n)
+	}
+	rreq := p0.Irecv(0, 1, recovery)
+	if st := waitStatus(t, rreq); st.Err != nil || string(rreq.Payload) != "repair" {
+		t.Fatalf("recovery-tagged recv: %+v payload %q", st, rreq.Payload)
+	}
+	rreq.Recycle()
+	if n := p0.PendingUnexpected(); n != 0 {
+		t.Fatalf("%d unexpected messages left, want 0", n)
+	}
+}
+
 // TestRevokeIdempotentAndWildcardNegativeTags: re-revoking is a no-op,
 // and the wildcard tag constants (negative, so naively carrying bit 30)
 // must not be mistaken for recovery traffic.

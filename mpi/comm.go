@@ -672,13 +672,18 @@ func (c *Comm) probe(source, tag int, block bool) (*Status, error) {
 	return probeStatus(cst.SourceGroup, cst.Tag, cst.Bytes), nil
 }
 
-// sendInit freezes a validated send envelope into a persistent request:
-// the shared body of the four persistent send modes.
+// sendInit freezes a validated send envelope into a persistent request
+// whose every activation posts it anew: the shared body of the four
+// persistent send modes.
 func (c *Comm) sendInit(mode core.Mode, buffed bool, s section, dest, tag int) (*PersistentRequest, error) {
 	if err := c.sendChecks(s.d, dest, tag); err != nil {
 		return nil, c.raise(err)
 	}
-	return &PersistentRequest{comm: c, mode: mode, buffed: buffed, sec: s, rank: dest, tag: tag}, nil
+	start := func() (*Request, error) { return c.isendMode(s, dest, tag, mode) }
+	if buffed {
+		start = func() (*Request, error) { return c.ibsend(s, dest, tag) }
+	}
+	return &PersistentRequest{comm: c, start: start}, nil
 }
 
 // SendInit creates a persistent standard-mode send request
@@ -707,7 +712,8 @@ func (c *Comm) RecvInit(buf any, offset, count int, d *Datatype, source, tag int
 	if _, _, err := c.recvChecks(d, source, tag); err != nil {
 		return nil, c.raise(err)
 	}
-	return &PersistentRequest{comm: c, isRecv: true, sec: section{buf, offset, count, d}, rank: source, tag: tag}, nil
+	s := section{buf, offset, count, d}
+	return &PersistentRequest{comm: c, start: func() (*Request, error) { return c.irecv(s, source, tag) }}, nil
 }
 
 // RecvIntoInit is RecvInit: every activation of a persistent receive

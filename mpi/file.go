@@ -515,14 +515,11 @@ func (f *File) Read(buf any, offset, count int, d *Datatype) (*Status, error) {
 // contiguous filesystem writes. Every member must call it (counts may
 // differ, including zero).
 func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	plan, st, err := f.planWriteAll(foff, section{buf, offset, count, d})
-	if err != nil {
+	p, err := f.planWriteAll(foff, section{buf, offset, count, d})
+	if err := f.comm.runColl(p, err); err != nil {
 		return nil, err
 	}
-	if _, err := plan.Run(); err != nil {
-		return nil, f.comm.raise(mapSchedErr(err))
-	}
-	return st, nil
+	return p.st, nil
 }
 
 // IwriteAtAll starts a nonblocking collective write at an explicit
@@ -530,28 +527,24 @@ func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (
 // filesystem writes proceed in the background. The request completes
 // with the status WriteAtAll returns.
 func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
-	plan, st, err := f.planWriteAll(foff, section{buf, offset, count, d})
-	if err != nil {
-		return nil, err
-	}
-	return &Request{comm: &f.comm.Comm, cr: plan.Start(), pre: st}, nil
+	return f.comm.startColl(f.planWriteAll(foff, section{buf, offset, count, d}))
 }
 
-// planWriteAll validates, packs and builds the two-phase write
-// schedule; a member failing local validation consumes its collective
-// instance so peers stay tag-aligned.
-func (f *File) planWriteAll(foff int64, s section) (*coll.Plan, *Status, error) {
+// planWriteAll validates and packs the write and builds its two-phase
+// schedule, whose plan carries the transfer status; a member failing
+// local validation consumes its collective instance (noColl) so peers
+// stay tag-aligned.
+func (f *File) planWriteAll(foff int64, s section) (*collPlan, error) {
 	wire, st, err := f.prepWrite(s, foff)
 	if err != nil {
-		f.comm.SkipColl()
-		return nil, nil, f.comm.raise(err)
+		return f.comm.noColl(err)
 	}
 	plan, err := f.pf.WriteAllPlan(f.comm.cl, int(foff), wire)
 	if err != nil {
 		// The plan minted the instance before failing; no skip.
-		return nil, nil, f.comm.raise(mapPioErr(err))
+		return nil, mapPioErr(err)
 	}
-	return plan, st, nil
+	return &collPlan{plan: plan, st: st}, nil
 }
 
 // ReadAtAll is the collective read at an explicit offset
@@ -559,18 +552,11 @@ func (f *File) planWriteAll(foff int64, s section) (*coll.Plan, *Status, error) 
 // filesystem reads for their stripes and the data is exchanged back
 // through the collective schedule engine. Every member must call it.
 func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	s := section{buf, offset, count, d}
-	plan, err := f.planReadAll(foff, s)
-	if err != nil {
+	p, err := f.planReadAll(foff, section{buf, offset, count, d})
+	if err := f.comm.runColl(p, err); err != nil {
 		return nil, err
 	}
-	res, err := plan.Run()
-	if err != nil {
-		return nil, f.comm.raise(mapSchedErr(err))
-	}
-	rr := res.(*pio.ReadResult)
-	st, derr := f.depositRead(rr.Wire, rr.Got, s)
-	return st, f.comm.raise(derr)
+	return p.st, nil
 }
 
 // IreadAtAll starts a nonblocking collective read at an explicit
@@ -580,32 +566,30 @@ func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*
 // elements the file actually held, so a short read at end-of-file is
 // detectable on this path too.
 func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
-	s := section{buf, offset, count, d}
-	plan, err := f.planReadAll(foff, s)
-	if err != nil {
-		return nil, err
-	}
-	req := &Request{comm: &f.comm.Comm, cr: plan.Start()}
-	req.cp = &collPlan{fin: func(res any) (err error) {
-		rr := res.(*pio.ReadResult)
-		req.pre, err = f.depositRead(rr.Wire, rr.Got, s)
-		return err
-	}}
-	return req, nil
+	return f.comm.startColl(f.planReadAll(foff, section{buf, offset, count, d}))
 }
 
-func (f *File) planReadAll(foff int64, s section) (*coll.Plan, error) {
+// planReadAll validates the read and builds its two-phase schedule,
+// whose fin deposits what the file held into s and sets the plan's
+// transfer status; a member failing local validation consumes its
+// collective instance (noColl).
+func (f *File) planReadAll(foff int64, s section) (*collPlan, error) {
 	n, err := f.prepRead(s, foff)
 	if err != nil {
-		f.comm.SkipColl()
-		return nil, f.comm.raise(err)
+		return f.comm.noColl(err)
 	}
 	plan, err := f.pf.ReadAllPlan(f.comm.cl, int(foff), n)
 	if err != nil {
 		// The plan minted the instance before failing; no skip.
-		return nil, f.comm.raise(mapPioErr(err))
+		return nil, mapPioErr(err)
 	}
-	return plan, nil
+	p := &collPlan{plan: plan}
+	p.fin = func(res any) (err error) {
+		rr := res.(*pio.ReadResult)
+		p.st, err = f.depositRead(rr.Wire, rr.Got, s)
+		return err
+	}
+	return p, nil
 }
 
 // WriteAll is the collective write at the individual file pointer

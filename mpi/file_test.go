@@ -498,3 +498,168 @@ func TestRootDecisionReachesEveryMember(t *testing.T) {
 		}
 	}
 }
+
+// TestFilePointerCollectives covers the collectives at the individual
+// file pointer: WriteAll and ReadAll round-trip each rank's strided
+// view, the nonblocking forms advance the pointer at the call, before
+// Wait, and a call that fails local validation on every member still
+// advances every member's pointer and leaves the next collective
+// tag-aligned.
+func TestFilePointerCollectives(t *testing.T) {
+	const np, rows, cpr = 3, 4, 2 // rank r owns columns [r*cpr, (r+1)*cpr) of a rows × np*cpr matrix
+	const per = rows * cpr
+	path := filepath.Join(t.TempDir(), "pointer.bin")
+	err := mpi.Run(np, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		r := w.Rank()
+		f, err := w.OpenFile(path, mpi.ModeCreate|mpi.ModeRdwr)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		ft, err := mpi.TypeVector(rows, cpr, np*cpr, mpi.INT)
+		if err != nil {
+			return err
+		}
+		ft.Commit()
+		if err := f.SetView(r*cpr, mpi.INT, ft); err != nil {
+			return err
+		}
+		mine := make([]int32, per)
+		for i := range mine {
+			mine[i] = int32(100*r + i)
+		}
+		tell := func(step string, want int64) error {
+			if at := f.Tell(); at != want {
+				return fmt.Errorf("rank %d: pointer after %s = %d, want %d", r, step, at, want)
+			}
+			return nil
+		}
+
+		// Blocking: two WriteAlls, then two ReadAlls from the start.
+		for _, half := range [][]int32{mine[:per/2], mine[per/2:]} {
+			if _, err := f.WriteAll(half, 0, len(half), mpi.INT); err != nil {
+				return err
+			}
+		}
+		if err := tell("two WriteAlls", per); err != nil {
+			return err
+		}
+		if _, err := f.Seek(0, mpi.SeekSet); err != nil {
+			return err
+		}
+		back := make([]int32, per)
+		for h := range 2 {
+			st, err := f.ReadAll(back, h*per/2, per/2, mpi.INT)
+			if err != nil {
+				return err
+			}
+			if got := st.GetCount(mpi.INT); got != per/2 {
+				return fmt.Errorf("rank %d: ReadAll read %d elements, want %d", r, got, per/2)
+			}
+		}
+		if !reflect.DeepEqual(back, mine) {
+			return fmt.Errorf("rank %d: pointer round trip got %v, want %v", r, back, mine)
+		}
+
+		// Nonblocking: the pointer moves at the call.
+		if _, err := f.Seek(0, mpi.SeekSet); err != nil {
+			return err
+		}
+		rev := make([]int32, per)
+		for i := range rev {
+			rev[i] = -mine[i]
+		}
+		var reqs []*mpi.Request
+		for h := range 2 {
+			req, err := f.IwriteAll(rev, h*per/2, per/2, mpi.INT)
+			if err != nil {
+				return err
+			}
+			if err := tell(fmt.Sprintf("IwriteAll %d", h), int64((h+1)*per/2)); err != nil {
+				return err
+			}
+			reqs = append(reqs, req)
+		}
+		if _, err := mpi.WaitAll(reqs); err != nil {
+			return err
+		}
+		if _, err := f.Seek(0, mpi.SeekSet); err != nil {
+			return err
+		}
+		clear(back)
+		reqs = reqs[:0]
+		for h := range 2 {
+			req, err := f.IreadAll(back, h*per/2, per/2, mpi.INT)
+			if err != nil {
+				return err
+			}
+			if err := tell(fmt.Sprintf("IreadAll %d", h), int64((h+1)*per/2)); err != nil {
+				return err
+			}
+			reqs = append(reqs, req)
+		}
+		sts, err := mpi.WaitAll(reqs)
+		if err != nil {
+			return err
+		}
+		for _, st := range sts {
+			if got := st.GetCount(mpi.INT); got != per/2 {
+				return fmt.Errorf("rank %d: IreadAll read %d elements, want %d", r, got, per/2)
+			}
+		}
+		if !reflect.DeepEqual(back, rev) {
+			return fmt.Errorf("rank %d: nonblocking pointer round trip got %v, want %v", r, back, rev)
+		}
+
+		// A DOUBLE buffer through the INT view fails local validation on
+		// every member; each call still advances the pointer by its
+		// size (two doubles are four ints), and the instances it skips
+		// keep the next collective aligned.
+		if _, err := f.Seek(0, mpi.SeekSet); err != nil {
+			return err
+		}
+		if _, err := f.WriteAll([]float64{1, 2}, 0, 2, mpi.DOUBLE); mpi.ClassOf(err) != mpi.ErrType {
+			return fmt.Errorf("rank %d: WriteAll of DOUBLE through an INT view = %v, want MPI_ERR_TYPE", r, err)
+		}
+		if err := tell("a failed WriteAll", 4); err != nil {
+			return err
+		}
+		if _, err := f.IreadAll(make([]float64, 2), 0, 2, mpi.DOUBLE); mpi.ClassOf(err) != mpi.ErrType {
+			return fmt.Errorf("rank %d: IreadAll of DOUBLE through an INT view = %v, want MPI_ERR_TYPE", r, err)
+		}
+		if err := tell("a failed IreadAll", 8); err != nil {
+			return err
+		}
+		if _, err := f.Seek(per/2, mpi.SeekSet); err != nil {
+			return err
+		}
+		tail := make([]int32, per/2)
+		if _, err := f.ReadAll(tail, 0, per/2, mpi.INT); err != nil {
+			return err
+		}
+		if !reflect.DeepEqual(tail, rev[per/2:]) {
+			return fmt.Errorf("rank %d: ReadAll after failed calls got %v, want %v", r, tail, rev[per/2:])
+		}
+		return w.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// The file holds the matrix row-major: rank r's columns of each row.
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) != 4*rows*np*cpr {
+		t.Fatalf("file is %d bytes, want %d", len(raw), 4*rows*np*cpr)
+	}
+	for i := range rows * np * cpr {
+		row, col := i/(np*cpr), i%(np*cpr)
+		r, j := col/cpr, row*cpr+col%cpr
+		if got, want := int32(binary.LittleEndian.Uint32(raw[4*i:])), -int32(100*r+j); got != want {
+			t.Fatalf("file element %d (rank %d's element %d) = %d, want %d", i, r, j, got, want)
+		}
+	}
+}

@@ -66,12 +66,15 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 // through args only, so one plan serves call after call: a one-shot
 // call takes it from the communicator's cache (it is the coll.Plan's
 // Bound) and hands it back when done; a persistent request takes it out
-// of the cache and keeps it bound for its life.
+// of the cache and keeps it bound for its life. A file collective's
+// plan is built for its one call and never cached: st is its transfer
+// status, which its request completes with (fin sets a read's).
 type collPlan struct {
 	plan    *coll.Plan
 	args    collArgs
 	refresh func() error
 	fin     func(res any) error
+	st      *Status
 }
 
 // collArgs is the call a plan is bound to: its send and receive
@@ -119,10 +122,10 @@ func (c *Intracomm) noColl(err error) (*collPlan, error) {
 // memory — and goes back to the cache, idle; after a failed or abandoned
 // activation the cache drops it instead, so the next call of its shape
 // rebuilds. Only the cache's reference goes: a schedule still running
-// is untouched. A persistent request's plan and a file collective's
-// (which has none) are left alone.
+// is untouched. A persistent request's plan is left alone, and so is a
+// file collective's, which no cache holds.
 func (p *collPlan) done(ok bool) {
-	if p == nil || p.plan == nil || p.plan.Persisted() {
+	if p == nil || p.plan.Persisted() {
 		return
 	}
 	if ok {

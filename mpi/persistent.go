@@ -1,5 +1,11 @@
 package mpi
 
+import (
+	"fmt"
+
+	"gompi/internal/coll"
+)
+
 // Persistent collectives (MPI-4: MPI_Barrier_init, MPI_Bcast_init, …).
 //
 // Each *Init constructor runs its collective's planX, as the blocking
@@ -8,9 +14,11 @@ package mpi
 // instance — and then takes the plan out of the cache: persist drops
 // the cache's entry and moves the plan into the persistent tag space
 // (coll.Plan.Persist), bound to the (fixed) user buffers for life.
-// Every Start re-arms it (coll.Plan.Rearm) and starts it as IX does:
-// the refresh hook re-packs the buffers, the schedule's first steps run
-// on the caller, whoever waits for the activation runs the rest and the
+// persist's start closure is the request's one activation, as sendInit's
+// and RecvInit's are for point-to-point: every Start re-arms the plan
+// (coll.Plan.Rearm) and starts it through startColl, as IX does: the
+// refresh hook re-packs the buffers, the schedule's first steps run on
+// the caller, whoever waits for the activation runs the rest and the
 // fin hook deposits. Like every collective, *Init is a collective call:
 // all members must invoke the matching constructor in the same program
 // order, and a constructor that fails local validation consumes the
@@ -21,14 +29,34 @@ package mpi
 // which keeps successive activations' traffic aligned pairwise.
 
 // persist takes a call's plan out of the cache and freezes it into a
-// persistent request: the *Init entry points.
+// persistent request: the *Init entry points. An activation re-arms the
+// plan and starts it as IX starts a cached one. The last activation's
+// schedule must have completed, even when its handle was freed; one
+// that failed (cancelled, a peer lost) poisons the request for good,
+// since its partners' activations can no longer line up with it.
 func (c *Intracomm) persist(p *collPlan, err error) (*PersistentRequest, error) {
 	if err != nil {
 		return nil, c.raise(err)
 	}
 	p.done(false)
 	p.plan.Persist()
-	return &PersistentRequest{comm: &c.Comm, cp: p}, nil
+	var last *coll.Request
+	return &PersistentRequest{comm: &c.Comm, start: func() (*Request, error) {
+		if last != nil {
+			if _, done, err := last.Test(); !done {
+				return nil, errf(ErrRequest, "Start on a still-active persistent request")
+			} else if err != nil {
+				return nil, c.raise(mapEngineErr(fmt.Errorf("persistent collective poisoned by a failed activation: %w", err)))
+			}
+		}
+		p.plan.Rearm()
+		r, err := c.startColl(p, nil)
+		if err != nil {
+			return nil, err
+		}
+		last = r.cr
+		return r, nil
+	}}, nil
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init).

@@ -3,7 +3,6 @@ package mpi
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 
 	"gompi/internal/coll"
@@ -41,8 +40,7 @@ type Request struct {
 	sec    section
 
 	// pre is the status of a pre-completed request (ProcNull ops,
-	// buffered sends), of a reaped point-to-point one, and a file
-	// collective's transfer status.
+	// buffered sends) and of a reaped point-to-point one.
 	pre *Status
 
 	once sync.Once
@@ -135,8 +133,8 @@ func (r *Request) finish() {
 // schedule a WaitCtx cancelled is control flow and bypasses the error
 // handler, any other failure is classified and raised, and a completed
 // schedule's result is deposited. Then the plan is done with the call
-// (collPlan.done). The status is empty except for a file collective,
-// which reports its transfer status.
+// (collPlan.done). The status is the plan's transfer status (a file
+// collective's), else empty.
 func (r *Request) settle() {
 	res, err := r.cr.Wait()
 	switch {
@@ -144,14 +142,14 @@ func (r *Request) settle() {
 		r.err = ErrCollectiveCancelled
 	case err != nil:
 		r.err = r.comm.raise(mapSchedErr(err))
-	case r.cp != nil && r.cp.fin != nil:
+	case r.cp.fin != nil:
 		r.err = r.comm.raise(r.cp.fin(res))
+	}
+	if r.st = r.cp.st; r.st == nil || r.err != nil {
+		r.st = nullStatus()
 	}
 	r.cp.done(err == nil)
 	r.cp = nil
-	if r.st = r.pre; r.st == nil || r.err != nil {
-		r.st = nullStatus()
-	}
 }
 
 // mapSchedErr classifies a failed collective schedule: fault-tolerance
@@ -437,10 +435,12 @@ func TestSome(reqs []*Request) ([]*Status, error) {
 // PersistentRequest is a persistent operation (MPI_Send_init,
 // MPI_Recv_init and — MPI-4 — the persistent collectives,
 // MPI_Bcast_init and friends): a frozen, validated argument list that
-// Start activates repeatedly. Point-to-point persistents freeze a send
-// or receive envelope; collective persistents hold a plan taken out of
-// the communicator's cache, with tags of its own, so an activation
-// pays no validation, planning or tag-allocation cost.
+// Start activates repeatedly. start makes one activation: a
+// point-to-point persistent re-posts its frozen send or receive
+// envelope (sendInit, RecvInit); a collective one starts its plan,
+// taken out of the communicator's cache with tags of its own, so an
+// activation pays no validation, planning or tag-allocation cost
+// (persist).
 //
 // Like mpiJava's Prequest, it is a Request: the embedded *Request is
 // the current activation (nil before the first Start, which Wait, Test
@@ -454,22 +454,8 @@ func TestSome(reqs []*Request) ([]*Status, error) {
 type PersistentRequest struct {
 	*Request
 
-	comm *Comm
-
-	// Point-to-point arm: the frozen envelope.
-	isRecv bool
-	mode   core.Mode
-	buffed bool // buffered mode
-	sec    section
-	rank   int // dest or source
-	tag    int
-
-	// Collective arm: the plan bound to the user buffers, whose hooks
-	// re-pack them at every Start and deposit at every completion, and
-	// the last activation's schedule, which a Free of its handle does
-	// not drop.
-	cp *collPlan
-	cr *coll.Request
+	comm  *Comm
+	start func() (*Request, error)
 }
 
 // Start activates the persistent request (MPI_Start). The previous
@@ -486,19 +472,7 @@ func (p *PersistentRequest) Start() error {
 	if _, done, _ := p.Request.Test(); !done {
 		return errf(ErrRequest, "Start on a still-active persistent request")
 	}
-	if p.cp != nil {
-		return p.startColl()
-	}
-	var req *Request
-	var err error
-	switch {
-	case p.isRecv:
-		req, err = p.comm.irecv(p.sec, p.rank, p.tag)
-	case p.buffed:
-		req, err = p.comm.ibsend(p.sec, p.rank, p.tag)
-	default:
-		req, err = p.comm.isendMode(p.sec, p.rank, p.tag, p.mode)
-	}
+	req, err := p.start()
 	if err != nil {
 		return err
 	}
@@ -506,32 +480,10 @@ func (p *PersistentRequest) Start() error {
 	return nil
 }
 
-// startColl activates the collective arm: the plan is re-armed and
-// started as IX starts a cached one. The last activation must have
-// completed, even when its handle was freed; one whose schedule failed
-// (cancelled, a peer lost) poisons the request for good, since its
-// partners' activations can no longer line up with it.
-func (p *PersistentRequest) startColl() error {
-	if p.cr != nil {
-		if _, done, err := p.cr.Test(); !done {
-			return errf(ErrRequest, "Start on a still-active persistent request")
-		} else if err != nil {
-			return p.comm.raise(mapEngineErr(fmt.Errorf("persistent collective poisoned by a failed activation: %w", err)))
-		}
-	}
-	p.cp.plan.Rearm()
-	r, err := p.comm.startColl(p.cp, nil)
-	if err != nil {
-		return err
-	}
-	p.Request, p.cr = r, r.cr
-	return nil
-}
-
 // Free releases the persistent request (MPI_Request_free); the current
 // activation, if any, completes in the background.
 func (p *PersistentRequest) Free() error {
-	p.Request, p.cp, p.cr, p.comm = nil, nil, nil, nil
+	p.Request, p.comm, p.start = nil, nil, nil
 	return nil
 }
 
