@@ -328,8 +328,11 @@ func (a *asyncCkpt) finish() error {
 }
 
 // abort tears the in-flight checkpoint down best-effort on the solve's
-// error paths: no collective settling (the communicator may be dead or
-// revoked) — just release the handle and drop the temporary.
+// error paths: it neither waits for the write nor syncs, and drops the
+// temporary. Its Close is collective, yet it returns on every member even
+// when world is dead or revoked: a Close that fails revokes the file's
+// communicator, and so does the repair loop's Revoke of world, so no
+// member waits on one that left.
 func (a *asyncCkpt) abort() {
 	a.f.Close() //nolint:errcheck // best-effort teardown
 	if a.world.Rank() == 0 {

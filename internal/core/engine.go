@@ -161,8 +161,11 @@ type Proc struct {
 	// revoked maps a context to its revocation error once any member
 	// revoked the owning communicator.
 	revoked map[int32]error
-	nextID  uint64
-	closed  bool
+	// parentOf maps the base of a context pair the runtime derived for
+	// its own use (Derive) to the base of the pair it serves.
+	parentOf map[int32]int32
+	nextID   uint64
+	closed   bool
 	// fatal is the terminal device error that killed this endpoint
 	// (failAll); operations posted after death fail fast with it.
 	fatal error
@@ -621,7 +624,7 @@ func (p *Proc) RegisterGroupCtx(ctx int32, world []int) {
 	p.groupsN.Set(int64(len(p.groups)))
 }
 
-// ForgetGroup drops what RegisterGroup, RegisterGroupCtx and a
+// ForgetGroup drops what RegisterGroup, RegisterGroupCtx, Derive and a
 // revocation recorded for the context pair at base: the communicator is
 // freed. Operations still pending on it complete as before, except that
 // a peer's loss no longer fails those pinned to that peer.
@@ -632,6 +635,7 @@ func (p *Proc) ForgetGroup(base int32) {
 		delete(p.groups, ctx)
 		delete(p.revoked, ctx)
 	}
+	delete(p.parentOf, base)
 	p.groupsN.Set(int64(len(p.groups)))
 }
 
@@ -666,6 +670,28 @@ func (p *Proc) PeerDown(w int) bool {
 func (p *Proc) Revoke(base int32) {
 	p.mu.Lock()
 	outs, purged := p.revokeLocked(base)
+	p.mu.Unlock()
+	release(purged)
+	p.ship(outs)
+}
+
+// Derive links the context pair at child to the one at parent, which it
+// serves on the runtime's behalf (an open file's or a window's private
+// duplicate of a communicator): a revocation of parent — by this member
+// or by a notice, before the link or after it — revokes child too, so a
+// collective on child ends on every member although no application can
+// name child to revoke it. ForgetGroup of child drops the link.
+func (p *Proc) Derive(parent, child int32) {
+	p.mu.Lock()
+	if p.parentOf == nil {
+		p.parentOf = make(map[int32]int32)
+	}
+	p.parentOf[child] = parent
+	var outs []outFrame
+	var purged []transport.Frame
+	if p.revoked[parent] != nil {
+		outs, purged = p.revokeLocked(child)
+	}
 	p.mu.Unlock()
 	release(purged)
 	p.ship(outs)
@@ -747,9 +773,10 @@ func (p *Proc) drain() {
 
 // revokeLocked records the revocation of (base, base+1), fails every
 // pinned non-recovery operation, drops queued unexpected messages for
-// the pair, and returns the flood of notices to transmit and the dropped
-// messages' frames, for the caller to release once the lock is dropped.
-// Both are empty when the pair was already revoked.
+// the pair, revokes the pairs derived from it (Derive), and returns the
+// flood of notices to transmit and the dropped messages' frames, for the
+// caller to release once the lock is dropped. Both are empty when the
+// pair was already revoked.
 func (p *Proc) revokeLocked(base int32) (outs []outFrame, purged []transport.Frame) {
 	if p.revoked[base] != nil {
 		return nil, nil
@@ -793,6 +820,12 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, purged []transport.Fra
 			continue
 		}
 		outs = append(outs, outFrame{dst: int32(w), hdr: buildRevoke(int32(me), base)})
+	}
+	for child, parent := range p.parentOf {
+		if parent == base {
+			o, f := p.revokeLocked(child)
+			outs, purged = append(outs, o...), append(purged, f...)
+		}
 	}
 	return outs, purged
 }

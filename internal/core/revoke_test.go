@@ -183,6 +183,36 @@ func TestRevokeIdempotentAndWildcardNegativeTags(t *testing.T) {
 	}
 }
 
+// TestRevokeReachesDerivedPairs: a pair linked to a parent (Derive) is
+// revoked with it — on the member that revokes, and on a member that
+// learns of the revocation only from the notice — and a link made after
+// the parent's revocation revokes the child at once; ForgetGroup drops
+// the link.
+func TestRevokeReachesDerivedPairs(t *testing.T) {
+	procs := loopbackProcs(t, 2)
+	for _, p := range procs {
+		p.Derive(0, 10)
+	}
+	pending := []*Request{procs[0].Irecv(10, 1, 5), procs[1].Irecv(10, 0, 5)}
+	procs[0].Revoke(0)
+	for rank, req := range pending {
+		if st := waitStatus(t, req); !errors.Is(st.Err, ErrCommRevoked) {
+			t.Errorf("rank %d: receive on the derived pair = %v, want ErrCommRevoked", rank, st.Err)
+		}
+	}
+	procs[1].Derive(0, 12)
+	if !procs[1].ContextRevoked(12) {
+		t.Error("a pair linked to a revoked parent is not revoked")
+	}
+	procs[1].ForgetGroup(10)
+	procs[1].ForgetGroup(12)
+	procs[1].mu.Lock()
+	defer procs[1].mu.Unlock()
+	if n := len(procs[1].parentOf); n != 0 {
+		t.Errorf("%d links left after ForgetGroup", n)
+	}
+}
+
 // TestDerivedContextPeerLoss: with a registered group table, a receive
 // on a derived context pinned to a dead member's *group* rank is failed
 // by the engine, proving attribution works through the rank remap.

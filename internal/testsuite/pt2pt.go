@@ -125,8 +125,9 @@ func progBsend(env *mpi.Env) error {
 	return nil
 }
 
-// progRsend: ready-mode send with the receive guaranteed posted via a
-// synchronising exchange.
+// progRsend: ready-mode sends — blocking, nonblocking and two
+// activations of a persistent one — with every receive guaranteed
+// posted via a synchronising exchange.
 func progRsend(env *mpi.Env) error {
 	w := env.CommWorld()
 	flag := []byte{1}
@@ -136,20 +137,48 @@ func progRsend(env *mpi.Env) error {
 			return err
 		}
 		buf := []int16{1234}
-		return w.Rsend(buf, 0, 1, mpi.SHORT, 1, 2)
+		if err := w.Rsend(buf, 0, 1, mpi.SHORT, 1, 2); err != nil {
+			return err
+		}
+		buf[0] = 2345
+		req, err := w.Irsend(buf, 0, 1, mpi.SHORT, 1, 3)
+		if err != nil {
+			return err
+		}
+		if _, err := req.Wait(); err != nil {
+			return err
+		}
+		preq, err := w.RsendInit(buf, 0, 1, mpi.SHORT, 1, 4)
+		if err != nil {
+			return err
+		}
+		for _, v := range []int16{3456, 4567} {
+			buf[0] = v
+			if err := preq.Start(); err != nil {
+				return err
+			}
+			if _, err := preq.Wait(); err != nil {
+				return err
+			}
+		}
+		return preq.Free()
 	}
-	in := []int16{0}
-	rreq, err := w.Irecv(in, 0, 1, mpi.SHORT, 0, 2)
-	if err != nil {
-		return err
+	in := make([]int16, 4)
+	var reqs []*mpi.Request
+	for i, tag := range []int{2, 3, 4, 4} {
+		rreq, err := w.Irecv(in, i, 1, mpi.SHORT, 0, tag)
+		if err != nil {
+			return err
+		}
+		reqs = append(reqs, rreq)
 	}
 	if err := w.Send(flag, 0, 1, mpi.BYTE, 0, 1); err != nil {
 		return err
 	}
-	if _, err := rreq.Wait(); err != nil {
+	if _, err := mpi.WaitAll(reqs); err != nil {
 		return err
 	}
-	return expectEq("rsend payload", in[0], int16(1234))
+	return expectEq("ready-send payloads", [4]int16(in), [4]int16{1234, 2345, 3456, 4567})
 }
 
 // progAnySource: rank 0 collects one message from every other rank with

@@ -394,11 +394,12 @@ func (m *Mux) send(dst int, f Frame) error {
 }
 
 // deliver hands f to the peer r reaches by reference: to its engine
-// (Taker) when f carries no loan and the engine takes it, else to its
-// mailbox. It fails with ErrClosed when either endpoint has shut down,
-// so a sender can never block for ever on a dead receiver, and a full
-// inbox blocks it only until the peer's engine drains. On failure the
-// frame was handed to no one and is released here.
+// (Taker) when f carries no loan and the engine takes it (a closed
+// endpoint has none, see shut), else to its mailbox. It fails with
+// ErrClosed when either endpoint has shut down, so a sender can never
+// block for ever on a dead receiver, and a full inbox blocks it only
+// until the peer's engine drains. On failure the frame was handed to no
+// one and is released here.
 func (m *Mux) deliver(r route, f Frame) error {
 	if t := r.to.taker.Load(); t != nil && f.loan == nil && !isClosed(m.done) && (*t).Take(f) {
 		m.delivered(r, f)
@@ -627,6 +628,9 @@ func (m *Mux) shut() {
 	m.mu.Lock()
 	if !m.closed {
 		m.closed = true
+		// A dead endpoint's engine takes no frame: a sender in process
+		// learns of the death only from its send failing (deliver).
+		m.taker.Store(nil)
 		close(m.done)
 		m.rang() // the end of the stream is one more thing to take
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -738,5 +739,33 @@ func TestMuxDeviceStats(t *testing.T) {
 	got := mux.DeviceStats()
 	if len(got) != 2 || got[1].Name != "dyn" || got[1].FramesRecv != 1 || got[1].BytesRecv != 4 {
 		t.Fatalf("stats after rank %d joined and sent 4 bytes: %+v", peer, got)
+	}
+}
+
+// takeAll is an engine that takes every frame offered to it.
+type takeAll struct{ took *atomic.Int32 }
+
+func (t takeAll) Take(f Frame) bool {
+	t.took.Add(1)
+	f.Release()
+	return true
+}
+
+// TestClosedEndpointTakesNothing: a frame sent by reference to an
+// endpoint that has closed is refused with ErrClosed, though its engine
+// would take it. In process, a sender learns that a peer died only from
+// its send failing; a frame the dead peer's engine took would vanish
+// with no error, and the sender's collective would wait on for ever.
+func TestClosedEndpointTakesNothing(t *testing.T) {
+	ms := NewShmJob(2, 0)
+	defer ms[0].Close()
+	var took atomic.Int32
+	ms[1].SetTaker(takeAll{&took})
+	ms[1].Close()
+	if err := ms[0].Send(1, []byte{1}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send to a closed endpoint = %v, want ErrClosed", err)
+	}
+	if n := took.Load(); n != 0 {
+		t.Fatalf("the closed endpoint's engine took %d frames", n)
 	}
 }

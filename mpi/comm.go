@@ -39,6 +39,9 @@ type Comm struct {
 	// Intracomm it split from) share one ack state, and Comm values
 	// stay copyable.
 	ft *ftState
+	// private marks a duplicate the runtime made for its own use
+	// (privateDup).
+	private bool
 }
 
 // ftState is a communicator's ULFM acknowledgement state.
@@ -131,6 +134,17 @@ func (c *Comm) raise(err error) error {
 	return err
 }
 
+// collErr classifies a collective's failure in its schedule. On a
+// communicator the runtime owns (privateDup) it first revokes it: a
+// member that left the collective may owe its peers messages, and they
+// must not wait for them on a communicator nobody else can revoke.
+func (c *Comm) collErr(err error) error {
+	if c.private {
+		c.env.proc.Revoke(c.ptpCtx)
+	}
+	return mapErr(err)
+}
+
 // leaderBcast is the binding's one root-decision path: it runs lead
 // on the member of local rank root and broadcasts the outcome to the
 // group — the bytes lead returned, or the class and text of its error —
@@ -152,7 +166,7 @@ func (c *Comm) leaderBcast(root int, lead func() ([]byte, error)) ([]byte, error
 	out, err := c.cl.Bcast(root, out)
 	switch {
 	case err != nil:
-		return nil, mapEngineErr(err)
+		return nil, c.collErr(err)
 	case ErrClass(out[0]) != ErrSuccess:
 		return nil, &Error{Class: ErrClass(out[0]), Msg: string(out[1:])}
 	}
@@ -264,13 +278,13 @@ type section struct {
 // before any message moves. It returns the buffer's length in elements.
 func (s section) check() (int, error) {
 	n, err := dtype.CheckSection(s.buf, s.offset, s.count, s.d.t)
-	return n, mapDataErr(err)
+	return n, mapErr(err)
 }
 
 // pack appends the section's wire image to dst.
 func (s section) pack(dst []byte) ([]byte, error) {
 	wire, err := dtype.Pack(dst, s.buf, s.offset, s.count, s.d.t)
-	return wire, mapDataErr(err)
+	return wire, mapErr(err)
 }
 
 // unpack deposits a wire image in the section and returns the basic
@@ -278,7 +292,7 @@ func (s section) pack(dst []byte) ([]byte, error) {
 // ErrTruncate.
 func (s section) unpack(wire []byte) (int, error) {
 	n, err := dtype.Unpack(wire, s.buf, s.offset, s.count, s.d.t)
-	return n, mapDataErr(err)
+	return n, mapErr(err)
 }
 
 // packChecked and unpackChecked are pack and unpack for a section that
@@ -286,12 +300,12 @@ func (s section) unpack(wire []byte) (int, error) {
 // which they do not validate again.
 func (s section) packChecked(dst []byte) ([]byte, error) {
 	wire, err := dtype.PackChecked(dst, s.buf, s.offset, s.count, s.d.t)
-	return wire, mapDataErr(err)
+	return wire, mapErr(err)
 }
 
 func (s section) unpackChecked(wire []byte) (int, error) {
 	n, err := dtype.UnpackChecked(wire, s.buf, s.offset, s.count, s.d.t)
-	return n, mapDataErr(err)
+	return n, mapErr(err)
 }
 
 // view returns the section's raw-byte window when it can travel as it
@@ -378,7 +392,7 @@ func (c *Comm) startSend(s section, dest, tag int, mode core.Mode, block bool) (
 		if creq != nil {
 			creq.Recycle() // a refused send's request is complete
 		}
-		return nil, mapEngineErr(err)
+		return nil, mapErr(err)
 	}
 	return creq, nil
 }
@@ -408,7 +422,7 @@ func (c *Comm) sendBlocking(s section, dest, tag int, mode core.Mode) error {
 	}
 	err = creq.Wait().Err
 	creq.Recycle()
-	return c.raise(mapEngineErr(err))
+	return c.raise(mapErr(err))
 }
 
 // Send is the blocking standard-mode send (MPI_Send; paper §2):
@@ -488,7 +502,7 @@ func (c *Comm) ibsend(s section, dest, tag int) (*Request, error) {
 	creq, err := c.env.proc.Isend(c.ptpCtx, c.rank, c.remote[dest], tag, payload, core.ModeStandard, pooled)
 	if err != nil {
 		c.env.releaseBuffer(len(payload))
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	n := len(payload)
 	env := c.env
@@ -507,7 +521,7 @@ func (c *Comm) startRecv(s section, source, tag int) (src, tg int32, n int, err 
 	// Validate the buffer eagerly so errors surface at the call, not at
 	// completion.
 	n, err = dtype.CheckBuf(s.buf, s.d.t)
-	return src, tg, n, mapDataErr(err)
+	return src, tg, n, mapErr(err)
 }
 
 // postRecv posts the core receive for a validated section: straight
@@ -621,7 +635,7 @@ func (c *Comm) SendrecvReplace(
 		// recycled the payload.
 		if err := c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], stag, payload, core.ModeStandard, pooled); err != nil {
 			rreq.withdraw()
-			return nil, c.raise(mapEngineErr(err))
+			return nil, c.raise(mapErr(err))
 		}
 	} else if pooled {
 		transport.PutBuf(payload)
@@ -665,7 +679,7 @@ func (c *Comm) probe(source, tag int, block bool) (*Status, error) {
 	}
 	switch {
 	case err != nil:
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	case !found:
 		return nil, nil
 	}
@@ -764,7 +778,7 @@ func (c *Comm) Unpack(inbuf []byte, position int, outbuf any, offset, outcount i
 	if need < 0 { // OBJECT: the section carries its own length
 		var err error
 		if need, err = dtype.ObjectsLen(inbuf[position:]); err != nil {
-			return position, c.raise(mapDataErr(err))
+			return position, c.raise(mapErr(err))
 		}
 	}
 	if position+need > len(inbuf) {

@@ -148,11 +148,11 @@ func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Inte
 
 	base, err := c.cl.AgreeContextBase()
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	members, err := c.cl.Gather(root, gobEnc(me))
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 
 	// The root runs the out-of-band leader handshake; every member gets
@@ -180,7 +180,7 @@ func (c *Intracomm) joinWorld(portName string, root int, acceptSide bool) (*Inte
 
 	final := max(base, tkt.RemoteCtxCand)
 	if err := c.env.proc.CommitContexts(final); err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 
 	return c.newIntercomm(final, worlds, acceptSide, "."+verb), nil

@@ -1,6 +1,17 @@
 package mpi
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"os"
+	"slices"
+
+	"gompi/internal/coll"
+	"gompi/internal/core"
+	"gompi/internal/dtype"
+	"gompi/internal/pio"
+	"gompi/internal/transport"
+)
 
 // ErrClass enumerates the MPI-1.1 error classes (§7.3 of the standard).
 // The binding returns *Error values carrying one of these classes; Go's
@@ -99,6 +110,72 @@ func (e *Error) Error() string {
 // errf builds an *Error with formatted detail.
 func errf(class ErrClass, format string, args ...any) *Error {
 	return &Error{Class: class, Msg: fmt.Sprintf(format, args...)}
+}
+
+// errRow is one row of errTable: a sentinel and its class.
+type errRow struct {
+	err   error
+	class ErrClass
+}
+
+// errTable classes the sentinel errors of the layers below the binding
+// (core, coll, dtype, pio, transport): mapErr takes the class of the
+// first row whose sentinel errors.Is finds in an error's chain, so a
+// sentinel keeps its class however deeply a schedule step, an engine
+// call or a file operation wrapped it. Every exported sentinel of those
+// packages has a row or a reason not to (TestErrorTableCoversEverySentinel).
+var errTable = []errRow{
+	{core.ErrCommRevoked, ErrRevoked},
+	{core.ErrContextsExhausted, ErrComm},
+	{core.ErrTruncated, ErrTruncate},
+	{core.ErrWithdrawn, ErrIntern},
+	{coll.ErrUndefined, ErrOp},
+	{dtype.ErrTruncate, ErrTruncate},
+	{dtype.ErrClassMismatch, ErrType},
+	{dtype.ErrUncommitted, ErrType},
+	{dtype.ErrStructBase, ErrType},
+	{dtype.ErrBounds, ErrBuffer},
+	{dtype.ErrNegative, ErrCount},
+	{dtype.ErrFormat, ErrIntern},
+	{pio.ErrClosed, ErrFile},
+	{pio.ErrView, ErrArg},
+	// A closed device is not a failed peer: the error does not say whose
+	// endpoint closed, and a peer that closed cleanly has not failed. A
+	// peer's death reaches mapErr as a *transport.PeerLostError.
+	{transport.ErrClosed, ErrIntern},
+}
+
+// mapErr is the binding's one classifier of the errors its layers
+// return: a lost peer (*transport.PeerLostError) is ErrProcFailed; else
+// the first errTable row that matches names the class; else a file
+// operation's *pio.Error is ErrAccess on a permission failure and ErrIO
+// otherwise; anything else is ErrIntern. A nil error returns before
+// anything is allocated, inlined at the call: every call checks its
+// result through here.
+func mapErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	return classify(err)
+}
+
+// classify is mapErr for a non-nil error.
+func classify(err error) *Error {
+	var lost *transport.PeerLostError
+	var ioe *pio.Error
+	class := ErrIntern
+	switch row := slices.IndexFunc(errTable, func(r errRow) bool { return errors.Is(err, r.err) }); {
+	case errors.As(err, &lost):
+		class = ErrProcFailed
+	case row >= 0:
+		class = errTable[row].class
+	case errors.As(err, &ioe):
+		class = ErrIO
+		if os.IsPermission(ioe.Err) {
+			class = ErrAccess
+		}
+	}
+	return &Error{Class: class, Msg: err.Error()}
 }
 
 // ClassOf extracts the MPI error class of an error returned by this

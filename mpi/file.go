@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"errors"
 	"os"
 
 	"gompi/internal/coll"
@@ -112,26 +111,6 @@ func osFlags(amode int, first bool) int {
 	return fl
 }
 
-// mapPioErr translates the I/O engine's errors to MPI error classes.
-func mapPioErr(err error) error {
-	var ioe *pio.Error
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, pio.ErrClosed):
-		return errf(ErrFile, "%v", err)
-	case errors.Is(err, pio.ErrView):
-		return errf(ErrArg, "%v", err)
-	case errors.As(err, &ioe):
-		if os.IsPermission(ioe.Err) {
-			return errf(ErrAccess, "%v", err)
-		}
-		return errf(ErrIO, "%v", err)
-	default:
-		return errf(ErrIntern, "%v", err)
-	}
-}
-
 // fileStatus builds the status of a file transfer: bytes on the wire
 // format and whole base elements of the buffer's class delivered.
 func fileStatus(rank, bytes, elements int) *Status {
@@ -152,11 +131,10 @@ func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 	if err := checkAmode(amode); err != nil {
 		return nil, c.raise(err)
 	}
-	priv, err := c.Dup()
+	priv, err := c.privateDup(".file")
 	if err != nil {
 		return nil, err
 	}
-	priv.SetName(c.Name() + ".file")
 	var pf *pio.File
 	fail := func(err error) (*File, error) {
 		if pf != nil {
@@ -171,7 +149,7 @@ func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 	// that was never created.
 	if _, err := priv.leaderBcast(0, func() (_ []byte, err error) {
 		pf, err = pio.Open(path, osFlags(amode, true), 0o644)
-		return nil, mapPioErr(err)
+		return nil, mapErr(err)
 	}); err != nil {
 		return fail(err)
 	}
@@ -195,11 +173,11 @@ func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 	}
 	res, err := priv.cl.Allreduce(ok, coll.Min)
 	if err != nil {
-		return fail(mapEngineErr(err))
+		return fail(priv.collErr(err))
 	}
 	if res.([]int32)[0] == 0 {
 		if openErr != nil {
-			return fail(mapPioErr(openErr))
+			return fail(mapErr(openErr))
 		}
 		return fail(errf(ErrIO, "open of %q failed on a peer rank", path))
 	}
@@ -209,17 +187,6 @@ func (c *Intracomm) OpenFile(path string, amode int) (*File, error) {
 		pf.SeekSet(appendAt) //nolint:errcheck // non-negative by construction
 	}
 	return f, nil
-}
-
-// DeleteFile removes a file by path (MPI_File_delete). Not collective.
-func DeleteFile(path string) error {
-	if err := os.Remove(path); err != nil {
-		if os.IsPermission(err) {
-			return errf(ErrAccess, "delete %s: %v", path, err)
-		}
-		return errf(ErrIO, "delete %s: %v", path, err)
-	}
-	return nil
 }
 
 func (f *File) ok() error {
@@ -269,7 +236,7 @@ func (f *File) SetView(disp int, etype, filetype *Datatype) error {
 	// still participates in the collective, so peers are not left
 	// hanging in the barrier.
 	if err := f.comm.cl.Barrier(); err != nil {
-		return f.comm.raise(mapEngineErr(err))
+		return f.comm.raise(f.comm.collErr(err))
 	}
 	if err := f.comm.checkType(etype); err != nil {
 		return f.comm.raise(err)
@@ -278,7 +245,7 @@ func (f *File) SetView(disp int, etype, filetype *Datatype) error {
 		return f.comm.raise(err)
 	}
 	if err := f.pf.SetView(disp, etype.t, filetype.t); err != nil {
-		return f.comm.raise(mapPioErr(err))
+		return f.comm.raise(mapErr(err))
 	}
 	f.disp, f.etype, f.ftype = disp, etype, filetype
 	return nil
@@ -295,7 +262,7 @@ func (f *File) Size() (int64, error) {
 		return 0, f.comm.raise(err)
 	}
 	n, err := f.pf.Size()
-	return n, f.comm.raise(mapPioErr(err))
+	return n, f.comm.raise(mapErr(err))
 }
 
 // SetSize truncates or extends the file to n bytes
@@ -309,7 +276,7 @@ func (f *File) SetSize(n int64) error {
 		return f.comm.raise(err)
 	}
 	_, err := f.comm.leaderBcast(0, func() ([]byte, error) {
-		return nil, mapPioErr(f.pf.Truncate(n))
+		return nil, mapErr(f.pf.Truncate(n))
 	})
 	return f.comm.raise(err)
 }
@@ -322,9 +289,9 @@ func (f *File) Sync() error {
 	}
 	serr := f.pf.Sync()
 	if err := f.comm.cl.Barrier(); err != nil {
-		return f.comm.raise(mapEngineErr(err))
+		return f.comm.raise(f.comm.collErr(err))
 	}
-	return f.comm.raise(mapPioErr(serr))
+	return f.comm.raise(mapErr(serr))
 }
 
 // Close closes the file (MPI_File_close). Collective; with
@@ -336,7 +303,7 @@ func (f *File) Close() error {
 	f.freed = true
 	cerr := f.pf.Close()
 	if err := f.comm.cl.Barrier(); err != nil {
-		return f.comm.raise(mapEngineErr(err))
+		return f.comm.raise(f.comm.collErr(err))
 	}
 	if f.amode&ModeDeleteOnClose != 0 && f.comm.Rank() == 0 {
 		if rerr := os.Remove(f.pf.Path()); rerr != nil && cerr == nil {
@@ -346,7 +313,7 @@ func (f *File) Close() error {
 	if err := f.comm.Free(); err != nil && cerr == nil {
 		return f.comm.raise(err)
 	}
-	return f.comm.raise(mapPioErr(cerr))
+	return f.comm.raise(mapErr(cerr))
 }
 
 // Seek positions the individual file pointer (MPI_File_seek), in view
@@ -364,14 +331,14 @@ func (f *File) Seek(offset int64, whence int) (int64, error) {
 	case SeekEnd:
 		end, err := f.pf.ViewSize()
 		if err != nil {
-			return 0, f.comm.raise(mapPioErr(err))
+			return 0, f.comm.raise(mapErr(err))
 		}
 		pos += end
 	default:
 		return 0, f.comm.raise(errf(ErrArg, "bad seek whence %d", whence))
 	}
 	if err := f.pf.SeekSet(pos); err != nil {
-		return 0, f.comm.raise(mapPioErr(err))
+		return 0, f.comm.raise(mapErr(err))
 	}
 	return pos, nil
 }
@@ -433,7 +400,7 @@ func (f *File) prepRead(s section, foff int64) (int, error) {
 		return 0, err
 	}
 	if _, err := dtype.CheckBuf(s.buf, s.d.t); err != nil {
-		return 0, mapDataErr(err)
+		return 0, mapErr(err)
 	}
 	need := s.d.t.WireBytes(s.count)
 	es := f.pf.ElemSize()
@@ -463,7 +430,7 @@ func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*St
 		return nil, f.comm.raise(err)
 	}
 	if _, err := f.pf.WriteView(int(foff), wire); err != nil {
-		return nil, f.comm.raise(mapPioErr(err))
+		return nil, f.comm.raise(mapErr(err))
 	}
 	return st, nil
 }
@@ -480,7 +447,7 @@ func (f *File) ReadAt(foff int64, buf any, offset, count int, d *Datatype) (*Sta
 	}
 	wire, got, err := f.pf.ReadView(int(foff), n)
 	if err != nil {
-		return nil, f.comm.raise(mapPioErr(err))
+		return nil, f.comm.raise(mapErr(err))
 	}
 	st, derr := f.depositRead(wire, got, s)
 	return st, f.comm.raise(derr)
@@ -542,7 +509,7 @@ func (f *File) planWriteAll(foff int64, s section) (*collPlan, error) {
 	plan, err := f.pf.WriteAllPlan(f.comm.cl, int(foff), wire)
 	if err != nil {
 		// The plan minted the instance before failing; no skip.
-		return nil, mapPioErr(err)
+		return nil, mapErr(err)
 	}
 	return &collPlan{plan: plan, st: st}, nil
 }
@@ -581,7 +548,7 @@ func (f *File) planReadAll(foff int64, s section) (*collPlan, error) {
 	plan, err := f.pf.ReadAllPlan(f.comm.cl, int(foff), n)
 	if err != nil {
 		// The plan minted the instance before failing; no skip.
-		return nil, mapPioErr(err)
+		return nil, mapErr(err)
 	}
 	p := &collPlan{plan: plan}
 	p.fin = func(res any) (err error) {

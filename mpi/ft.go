@@ -85,13 +85,33 @@ func (c *Comm) ackedView() []bool {
 // member re-floods it on first receipt, so it survives the revoking
 // rank itself dying mid-broadcast. Revocation is permanent: the only
 // way forward is Shrink (or Agree, whose recovery-tagged traffic is
-// exempt from the poisoning).
+// exempt from the poisoning). The communicators the runtime duplicated
+// from this one for its open files and windows (privateDup) are revoked
+// with it, on every member.
 func (c *Comm) Revoke() error {
 	if err := c.ok(); err != nil {
 		return c.raise(err)
 	}
 	c.env.proc.Revoke(c.ptpCtx)
 	return nil
+}
+
+// privateDup duplicates c for the runtime's own use, an open file's or a
+// window's collectives, and names it c's name + suffix. The application
+// cannot name such a communicator, so it cannot revoke it; two rules
+// make every collective on it end on every member all the same: a
+// revocation of c, however a member learns of it, revokes it too
+// (core.Proc.Derive), and a collective on it that fails in its schedule
+// revokes it before it raises (collErr).
+func (c *Intracomm) privateDup(suffix string) (*Intracomm, error) {
+	priv, err := c.Dup()
+	if err != nil {
+		return nil, err
+	}
+	priv.SetName(c.Name() + suffix)
+	priv.private = true
+	c.env.proc.Derive(c.ptpCtx, priv.ptpCtx)
+	return priv, nil
 }
 
 // Revoked reports whether this communicator has been revoked, by this
@@ -119,7 +139,7 @@ func (c *Comm) Agree(flags uint32) (uint32, error) {
 	view := c.ackedView()
 	out, _, merged, err := c.cl.Agree(flags, 0, view)
 	if err != nil {
-		return flags, c.raise(mapEngineErr(err))
+		return flags, c.raise(mapErr(err))
 	}
 	for gr, failed := range merged {
 		if failed && !view[gr] {
@@ -163,10 +183,10 @@ func (c *Intracomm) Shrink() (*Intracomm, error) {
 	cand := c.env.proc.AllocContexts()
 	_, base, merged, err := c.cl.Agree(0, cand, view)
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	if err := c.env.proc.CommitContexts(base); err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 
 	survivors := make([]int, 0, len(c.group))

@@ -23,7 +23,7 @@ func (ic *Intercomm) Barrier() error {
 		return ic.raise(err)
 	}
 	if err := ic.cl.Barrier(); err != nil {
-		return ic.raise(mapEngineErr(err))
+		return ic.raise(mapErr(err))
 	}
 	_, err := ic.interExchange([]byte{1})
 	return ic.raise(err)
@@ -95,7 +95,7 @@ func (ic *Intercomm) Allreduce(
 		_, err = p.Run()
 	}
 	if err != nil {
-		return ic.raise(mapEngineErr(err))
+		return ic.raise(mapErr(err))
 	}
 	remote, err := ic.interExchange(acc)
 	if err != nil {

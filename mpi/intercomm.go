@@ -38,7 +38,7 @@ func (c *Intracomm) CreateIntercomm(peer *Comm, localLeader, remoteLeader, tag i
 	}
 	base, err := c.cl.AgreeContextBase()
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 
 	// Leader exchange: context candidate + local group world ranks.
@@ -67,12 +67,12 @@ func (c *Intracomm) CreateIntercomm(peer *Comm, localLeader, remoteLeader, tag i
 	}
 	remoteBase, remoteLeaderWorld, remoteGroup, err := decodeInterInfo(remoteInfo)
 	if err != nil {
-		return nil, c.raise(errf(ErrIntern, "%v", err))
+		return nil, c.raise(mapErr(err))
 	}
 
 	final := max(base, remoteBase)
 	if err := c.env.proc.CommitContexts(final); err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 
 	// The leaders' world ranks give a deterministic, symmetric
@@ -144,18 +144,18 @@ func (ic *Intercomm) relay(tag, to int, b []byte, from int) (in []byte, err erro
 	if to >= 0 {
 		sreq, serr := ic.env.proc.Isend(ic.collCtx, len(ic.remote)+ic.rank, ic.remote[to], tag, b, core.ModeStandard, false)
 		if serr != nil {
-			return nil, mapEngineErr(serr)
+			return nil, mapErr(serr)
 		}
 		defer func() {
 			if st := sreq.Wait(); err == nil {
-				err = mapEngineErr(st.Err)
+				err = mapErr(st.Err)
 			}
 			sreq.Recycle()
 		}()
 	}
 	if from >= 0 {
 		rreq := ic.env.proc.Irecv(ic.collCtx, int32(len(ic.group)+from), int32(tag))
-		err = mapEngineErr(rreq.Wait().Err)
+		err = mapErr(rreq.Wait().Err)
 		in = rreq.TakePayload()
 		rreq.Recycle()
 	}
@@ -175,7 +175,7 @@ func (ic *Intercomm) interExchange(mine []byte) ([]byte, error) {
 func (ic *Intercomm) agreeContexts(flag byte) (int32, byte, error) {
 	base, err := ic.cl.AgreeContextBase()
 	if err != nil {
-		return 0, 0, mapEngineErr(err)
+		return 0, 0, mapErr(err)
 	}
 	remote, err := ic.interExchange(binary.LittleEndian.AppendUint32([]byte{flag}, uint32(base)))
 	switch {
@@ -185,7 +185,7 @@ func (ic *Intercomm) agreeContexts(flag byte) (int32, byte, error) {
 		return 0, 0, errf(ErrIntern, "malformed context exchange payload")
 	}
 	final := max(base, int32(binary.LittleEndian.Uint32(remote[1:])))
-	return final, remote[0], mapEngineErr(ic.env.proc.CommitContexts(final))
+	return final, remote[0], mapErr(ic.env.proc.CommitContexts(final))
 }
 
 // Merge joins the two sides into one intracommunicator (MPI_Intercomm_merge).

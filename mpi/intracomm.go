@@ -101,7 +101,7 @@ func (c *Intracomm) plan(key *coll.Key, args collArgs, build func(p *collPlan) e
 		return p.plan, nil
 	})
 	if err != nil {
-		return nil, mapEngineErr(err)
+		return nil, mapErr(err)
 	}
 	p := pl.Bound.(*collPlan)
 	p.args = args
@@ -155,7 +155,7 @@ func (c *Intracomm) runColl(p *collPlan, err error) error {
 	res, err := p.plan.Run()
 	if err != nil {
 		p.done(false)
-		return c.raise(mapSchedErr(err))
+		return c.raise(c.collErr(err))
 	}
 	if p.fin != nil {
 		err = p.fin(res)
@@ -764,7 +764,7 @@ func (c *Intracomm) Dup() (*Intracomm, error) {
 	}
 	base, err := c.cl.AgreeContextBase()
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	dup := newIntracomm(c.env, c.group, c.rank, base, c.name+".dup")
 	c.copyAttrsTo(&dup.Comm)
@@ -789,7 +789,7 @@ func (c *Intracomm) Split(colour, key int) (*Intracomm, error) {
 	binary.LittleEndian.PutUint32(enc[8:], uint32(c.env.proc.AllocContexts()))
 	all, err := c.cl.Allgather(enc[:])
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	// The members of this colour by old rank, then in (key, old rank)
 	// order; the agreed base is the largest candidate.
@@ -803,7 +803,7 @@ func (c *Intracomm) Split(colour, key int) (*Intracomm, error) {
 		}
 	}
 	if err := c.env.proc.CommitContexts(base); err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	if colour == Undefined {
 		return nil, nil
@@ -829,7 +829,7 @@ func (c *Intracomm) Create(g *Group) (*Intracomm, error) {
 	}
 	base, err := c.cl.AgreeContextBase()
 	if err != nil {
-		return nil, c.raise(mapEngineErr(err))
+		return nil, c.raise(mapErr(err))
 	}
 	parent := make(map[int]bool, len(c.group))
 	for _, w := range c.group {

@@ -46,7 +46,7 @@ func (c *Intracomm) persist(p *collPlan, err error) (*PersistentRequest, error) 
 			if _, done, err := last.Test(); !done {
 				return nil, errf(ErrRequest, "Start on a still-active persistent request")
 			} else if err != nil {
-				return nil, c.raise(mapEngineErr(fmt.Errorf("persistent collective poisoned by a failed activation: %w", err)))
+				return nil, c.raise(mapErr(fmt.Errorf("persistent collective poisoned by a failed activation: %w", err)))
 			}
 		}
 		p.plan.Rearm()

@@ -8,7 +8,6 @@ import (
 	"gompi/internal/coll"
 	"gompi/internal/core"
 	"gompi/internal/dtype"
-	"gompi/internal/transport"
 )
 
 // ErrCollectiveCancelled reports a collective whose schedule was torn
@@ -83,7 +82,7 @@ func recvStatus(cst *core.Status, into bool, payload []byte, s section) (*Status
 	// A completion-time error (peer lost mid-operation) arrives with
 	// nothing deposited, so surface the loss as the operation's error.
 	if err == nil {
-		err = mapDataErr(cst.Err)
+		err = mapErr(cst.Err)
 	}
 	if err != nil {
 		st.Error = ClassOf(err)
@@ -117,7 +116,7 @@ func (r *Request) finish() {
 				st.Tag = AnyTag
 			}
 			if cst.Err != nil {
-				r.err = mapDataErr(cst.Err)
+				r.err = mapErr(cst.Err)
 				st.Error = ClassOf(r.err)
 			}
 			r.st = st
@@ -141,7 +140,7 @@ func (r *Request) settle() {
 	case errors.Is(err, coll.ErrCancelled):
 		r.err = ErrCollectiveCancelled
 	case err != nil:
-		r.err = r.comm.raise(mapSchedErr(err))
+		r.err = r.comm.raise(r.comm.collErr(err))
 	case r.cp.fin != nil:
 		r.err = r.comm.raise(r.cp.fin(res))
 	}
@@ -150,18 +149,6 @@ func (r *Request) settle() {
 	}
 	r.cp.done(err == nil)
 	r.cp = nil
-}
-
-// mapSchedErr classifies a failed collective schedule: fault-tolerance
-// outcomes first (a member died or revoked mid-collective), then
-// mapPioErr classifies file-schedule failures (ErrFile, ErrArg,
-// ErrAccess, ErrIO) and wraps everything else as ErrIntern.
-func mapSchedErr(err error) error {
-	var lost *transport.PeerLostError
-	if errors.As(err, &lost) || errors.Is(err, core.ErrCommRevoked) {
-		return mapEngineErr(err)
-	}
-	return mapPioErr(err)
 }
 
 // active reports whether the request has an operation attached.
@@ -496,58 +483,4 @@ func StartAll(ps []*PersistentRequest) error {
 		}
 	}
 	return nil
-}
-
-// mapEngineErr converts engine- and schedule-layer failures into MPI
-// error classes: fault-tolerance outcomes (a dead peer, a revoked
-// communicator) get their own classes so callers can branch into the
-// ULFM recovery path; anything else on these paths is an internal
-// error. A nil error returns before anything is allocated: every call
-// checks its result through here.
-func mapEngineErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var lost *transport.PeerLostError
-	switch {
-	case errors.As(err, &lost):
-		return errf(ErrProcFailed, "%v", err)
-	case errors.Is(err, core.ErrCommRevoked):
-		return errf(ErrRevoked, "%v", err)
-	case errors.Is(err, core.ErrContextsExhausted):
-		return errf(ErrComm, "%v", err)
-	default:
-		return errf(ErrIntern, "%v", err)
-	}
-}
-
-// mapDataErr converts datatype- and core-layer errors into MPI error
-// classes; like mapEngineErr it allocates nothing for a nil error. A
-// match whose send was withdrawn is MPI_ERR_INTERN here as on a
-// collective.
-func mapDataErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	var lost *transport.PeerLostError
-	switch {
-	case errors.As(err, &lost):
-		return errf(ErrProcFailed, "%v", err)
-	case errors.Is(err, core.ErrCommRevoked):
-		return errf(ErrRevoked, "%v", err)
-	case errors.Is(err, dtype.ErrTruncate), errors.Is(err, core.ErrTruncated):
-		return errf(ErrTruncate, "%v", err)
-	case errors.Is(err, dtype.ErrClassMismatch):
-		return errf(ErrType, "%v", err)
-	case errors.Is(err, dtype.ErrUncommitted):
-		return errf(ErrType, "%v", err)
-	case errors.Is(err, dtype.ErrBounds):
-		return errf(ErrBuffer, "%v", err)
-	case errors.Is(err, dtype.ErrNegative):
-		return errf(ErrCount, "%v", err)
-	case errors.Is(err, dtype.ErrFormat), errors.Is(err, core.ErrWithdrawn):
-		return errf(ErrIntern, "%v", err)
-	default:
-		return errf(ErrOther, "%v", err)
-	}
 }

@@ -63,13 +63,12 @@ func (c *Intracomm) CreateWin(base any, d *Datatype) (*Win, error) {
 	}
 	n, err := dtype.CheckBuf(base, d.t)
 	if err != nil {
-		return nil, c.raise(mapDataErr(err))
+		return nil, c.raise(mapErr(err))
 	}
-	priv, err := c.Dup()
+	priv, err := c.privateDup(".win")
 	if err != nil {
 		return nil, err
 	}
-	priv.SetName(c.Name() + ".win")
 	return &Win{comm: priv, base: base, dt: d, size: n,
 		reqs: make([][]byte, c.Size()), gets: make([][]section, c.Size())}, nil
 }
@@ -124,7 +123,7 @@ func (w *Win) queue(kind, op byte, s section, target, disp int) (err error) {
 	r := rmaReq{kind: kind, op: op, disp: disp, count: s.count * s.d.Size()}
 	if kind == rmaGet {
 		_, err = dtype.CheckBuf(s.buf, s.d.t)
-		err = mapDataErr(err)
+		err = mapErr(err)
 	} else {
 		r.payload, err = s.pack(nil)
 	}
@@ -178,9 +177,9 @@ func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, tar
 // filled and remote Put/Accumulate effects are visible everywhere.
 // Operations that fail at their target are reported by the target's
 // Fence; the origin's stays clean. A Fence that fails to exchange
-// revokes the window's private communicator: the epoch is lost on every
-// member, and the revocation is how members still waiting on a dead
-// peer learn of it, since no one else can reach that communicator.
+// revokes the window's private communicator (collErr): the epoch is
+// lost on every member, and the revocation is how members still waiting
+// on a dead peer learn of it.
 func (w *Win) Fence() error {
 	if err := w.comm.ok(); err != nil {
 		return w.comm.raise(err)
@@ -200,8 +199,7 @@ func (w *Win) Fence() error {
 		_, err = p.Run()
 	}
 	if err != nil {
-		_ = w.comm.Revoke() // fails only on a freed communicator, ruled out above
-		return w.comm.raise(mapSchedErr(err))
+		return w.comm.raise(w.comm.collErr(err))
 	}
 	return w.comm.raise(cmp.Or(targetErr, w.deposit(back, gets)))
 }
@@ -294,7 +292,7 @@ func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 	}
 	k, err := op.op.Kernel(w.dt.t.Class())
 	if err != nil {
-		return errf(ErrOp, "%v", err)
+		return mapErr(err)
 	}
 	// The window section is both operand and destination: an
 	// accumulator over it (the section's own memory wherever that is
@@ -309,7 +307,7 @@ func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 	res, err := k(payload, a.b, a.b)
 	if err != nil {
 		a.release()
-		return mapDataErr(err)
+		return mapErr(err)
 	}
 	return a.fin(res, &sec)
 }
