@@ -10,14 +10,15 @@ import "gompi/internal/dtype"
 // I* forms the runtime itself has no caller for.
 
 func densePlan(c *Comm, mine any, build func(acc *[]byte, cls dtype.Class) (*Plan, error)) (*Plan, error) {
-	cls, _ := dtype.ClassOf(mine)
+	b := dtype.BufOf(mine)
+	cls, _ := b.Class()
 	t := dtype.BasicType(cls)
-	n, err := dtype.CheckBuf(mine, t)
+	n, err := b.Check(t)
 	if err != nil {
 		c.SkipInstance()
 		return nil, err
 	}
-	acc, err := dtype.Pack(nil, mine, 0, n, t)
+	acc, err := b.Pack(nil, 0, n, t)
 	if err != nil {
 		c.SkipInstance()
 		return nil, err

@@ -615,9 +615,10 @@ type operands struct{ acc, src []byte }
 // collectives it re-arms a plan from the communicator's cache (Cached)
 // when it has one of this shape, keyed by the slice's dtype.Class.
 func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
-	cls, _ := dtype.ClassOf(mine)
+	b := dtype.BufOf(mine)
+	cls, _ := b.Class()
 	t := dtype.BasicType(cls)
-	n, err := dtype.CheckBuf(mine, t)
+	n, err := b.Check(t)
 	if err != nil {
 		c.SkipInstance()
 		return nil, err
@@ -626,10 +627,10 @@ func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 	// is its wire image — and the contribution is then read where it
 	// lies.
 	out := dtype.MakeDense(cls, n)
-	acc, direct := dtype.ByteViewRange(out, 0, n)
-	src, inPlace := dtype.ByteViewRange(mine, 0, n)
+	acc, direct := dtype.BufOf(out).ByteView(0, n)
+	src, inPlace := b.ByteView(0, n)
 	if inPlace = inPlace && direct; !inPlace {
-		if acc, err = dtype.Pack(acc[:0], mine, 0, n, t); err != nil {
+		if acc, err = b.Pack(acc[:0], 0, n, t); err != nil {
 			c.SkipInstance()
 			return nil, err
 		}

@@ -165,12 +165,11 @@ func newRequest(p *Proc, k reqKind) *Request {
 // Payload) afterwards; any frame storage the request still owns is
 // released first. Recycling an incomplete request is a no-op, and so is
 // recycling a withdrawn offer whose loan is still out: its return will
-// touch r, which is left to the garbage collector.
+// touch r, which is left to the garbage collector. It takes no lock:
+// the engine writes nothing to r once completed is stored
+// (completeLocked), nor once a loan's return has stored offerBack.
 func (r *Request) Recycle() {
-	r.proc.mu.Lock()
-	ok := r.completed.Load() && (r.kind != reqSend || atomic.LoadInt32(r.offer()) != offerWithdrawn)
-	r.proc.mu.Unlock()
-	if !ok {
+	if !r.completed.Load() || r.kind == reqSend && atomic.LoadInt32(r.offer()) == offerWithdrawn {
 		return
 	}
 	r.frame.Release()
@@ -213,6 +212,9 @@ func (r *Request) TakePayload() []byte {
 // engine's shared completion broadcast. Both keep the steady-state hot
 // path allocation-free.
 func (r *Request) Wait() *Status {
+	if r.completed.Load() {
+		return &r.Stat
+	}
 	p := r.proc
 	p.mu.Lock()
 	p.awaitLocked(r, r.completed.Load)
@@ -259,9 +261,10 @@ func (r *Request) Test() (*Status, bool) {
 // under the engine lock. fn must therefore be brief and must not call
 // back into the engine (no Wait, Cancel, Recycle, Isend, ...) — it is
 // meant to flip a flag, decrement a counter, or hand the request off to
-// a scheduler queue. At most one callback may be registered per
-// operation; registering a second before the first has fired replaces
-// it.
+// a scheduler queue. Nor may fn touch r: it runs after r is visibly
+// complete, when its owner may already have recycled it. At most one
+// callback may be registered per operation; registering a second before
+// the first has fired replaces it.
 func (r *Request) OnDone(fn func()) {
 	p := r.proc
 	p.mu.Lock()
@@ -277,19 +280,23 @@ func (r *Request) OnDone(fn func()) {
 // completeLocked finalizes a request. proc.mu must be held. A caller
 // parked on the mailbox's bell waiting for r, or for whatever an Await
 // predicate reads, is rung: r completed outside its progress body (a
-// loan's return, a landing, a sweep, a cancellation).
+// loan's return, a landing, a sweep, a cancellation). Storing completed
+// is its last access to r: from then on the owner may recycle r
+// without the lock (Recycle), so whatever else reads r is read first.
 func (p *Proc) completeLocked(r *Request, payload []byte, st Status) {
 	if r.completed.Load() {
 		return
 	}
 	r.Payload = payload
 	r.Stat = st
+	fn := r.onDone
+	r.onDone = nil
+	ring := p.pollParked && (r == p.pollFor || p.pollFor == nil)
 	r.completed.Store(true)
-	if fn := r.onDone; fn != nil {
-		r.onDone = nil
+	if fn != nil {
 		fn()
 	}
-	if p.pollParked && (r == p.pollFor || p.pollFor == nil) {
+	if ring {
 		p.pollBell.Ring()
 	}
 	p.cond.Broadcast()

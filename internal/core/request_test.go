@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -83,5 +85,36 @@ func TestHotStructSizes(t *testing.T) {
 	}
 	if f, r, m := unsafe.Sizeof(transport.Frame{}), unsafe.Sizeof(Request{}), unsafe.Sizeof(inMsg{}); f != 72 || r != 264 || m != 136 {
 		t.Fatalf("transport.Frame / Request / inMsg are %d / %d / %d bytes, want 72 / 264 / 136", f, r, m)
+	}
+}
+
+// TestRecycleRacesCompletion: Recycle takes no lock, so whatever
+// completes a request must be done with it once completed is visible.
+// A completer that also runs an OnDone callback races a recycler that
+// spins on Test and recycles the instant the request tests complete;
+// under -race a write to the request after the completion store — the
+// callback's slot cleared late, say — is a reported race with
+// Recycle's reset.
+func TestRecycleRacesCompletion(t *testing.T) {
+	p0, p1 := newPair(t, Config{})
+	const rounds = 500
+	var fired atomic.Int64
+	for i := 0; i < rounds; i++ {
+		rreq := p1.Irecv(0, 0, 30)
+		rreq.OnDone(func() { fired.Add(1) })
+		go p0.Isend(0, 0, 1, 30, []byte{byte(i)}, ModeStandard, false) //nolint:errcheck
+		for {
+			if _, ok := rreq.Test(); ok {
+				break
+			}
+			runtime.Gosched()
+		}
+		if got := rreq.Payload; len(got) != 1 || got[0] != byte(i) {
+			t.Fatalf("round %d: payload %v", i, got)
+		}
+		rreq.Recycle()
+	}
+	if n := fired.Load(); n != rounds {
+		t.Fatalf("%d of %d completion callbacks ran", n, rounds)
 	}
 }

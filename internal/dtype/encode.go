@@ -3,7 +3,6 @@ package dtype
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"slices"
 )
 
@@ -14,71 +13,6 @@ var ErrTruncate = errors.New("dtype: message truncated on receive")
 
 // ErrFormat reports a malformed wire payload.
 var ErrFormat = errors.New("dtype: malformed wire payload")
-
-// CheckBuf verifies that buf is a slice whose element type matches the
-// datatype's storage class and returns its length. Named-primitive
-// slices ([]Celsius) count as their underlying class.
-func CheckBuf(buf any, t *Type) (int, error) {
-	buf, _ = NativeView(buf)
-	n, c, ok := sliceInfo(buf)
-	if !ok {
-		return 0, fmt.Errorf("%w: got %T", ErrClassMismatch, buf)
-	}
-	if c != t.class {
-		return 0, fmt.Errorf("%w: buffer %T vs datatype %s", ErrClassMismatch, buf, t)
-	}
-	return n, nil
-}
-
-// CheckSection verifies that count items of t starting at element
-// offset lie inside buf — everything Pack and Unpack validate before
-// they touch data — so a receive section can be rejected before any
-// message is sent. It returns buf's length in elements.
-func CheckSection(buf any, offset, count int, t *Type) (int, error) {
-	if !t.committed {
-		return 0, ErrUncommitted
-	}
-	n, err := CheckBuf(buf, t)
-	if err != nil {
-		return 0, err
-	}
-	return n, t.checkBounds(n, offset, count)
-}
-
-func sliceInfo(buf any) (n int, c Class, ok bool) {
-	switch s := buf.(type) {
-	case []byte:
-		return len(s), U8, true
-	case []bool:
-		return len(s), Bool, true
-	case []int16:
-		return len(s), I16, true
-	case []int32:
-		return len(s), I32, true
-	case []int64:
-		return len(s), I64, true
-	case []float32:
-		return len(s), F32, true
-	case []float64:
-		return len(s), F64, true
-	case []any:
-		return len(s), Obj, true
-	}
-	// Any other slice is an object buffer (mpiJava's Object[] of any
-	// class): its elements travel gob-encoded.
-	if v := reflect.ValueOf(buf); v.Kind() == reflect.Slice {
-		return v.Len(), Obj, true
-	}
-	return 0, 0, false
-}
-
-// ClassOf reports the storage class of a buffer value. Named-primitive
-// slices report their underlying class.
-func ClassOf(buf any) (Class, bool) {
-	buf, _ = NativeView(buf)
-	_, c, ok := sliceInfo(buf)
-	return c, ok
-}
 
 // checkBounds verifies every element access offset+i*extent+d stays in
 // [0, bufLen). It compares against offset rather than adding to it, and a
@@ -107,62 +41,12 @@ func (t *Type) checkBounds(bufLen, offset, count int) error {
 
 // Pack appends to dst the wire encoding of count items of type t taken
 // from buf starting at element offset, and returns the extended slice.
-// Every fixed-size class copies one run of consecutive elements at a time
-// through the same walk, then a big-endian host swaps the copied bytes in
-// place: on a little-endian host a contiguous section packs as one memcpy
-// and a Vector column as one copy per block.
 func Pack(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
-	if _, err := CheckSection(buf, offset, count, t); err != nil {
+	b := BufOf(buf)
+	if _, err := b.CheckSection(offset, count, t); err != nil {
 		return dst, err
 	}
-	return PackChecked(dst, buf, offset, count, t)
-}
-
-// PackChecked is Pack for a section CheckSection has passed: it packs
-// without validating the section again.
-func PackChecked(dst []byte, buf any, offset, count int, t *Type) ([]byte, error) {
-	buf, _ = NativeView(buf)
-	if t.class == Obj {
-		return packObjects(dst, buf, offset, count, t)
-	}
-	at := len(dst)
-	dst = slices.Grow(dst, t.WireBytes(count))
-	switch s := buf.(type) {
-	case []byte:
-		dst = packFixed(dst, s, offset, count, t)
-	case []bool:
-		t.walk(offset, count, func(lo, n int) {
-			for _, v := range s[lo : lo+n] {
-				var b byte
-				if v {
-					b = 1
-				}
-				dst = append(dst, b)
-			}
-		})
-	case []int16:
-		dst = packFixed(dst, s, offset, count, t)
-	case []int32:
-		dst = packFixed(dst, s, offset, count, t)
-	case []int64:
-		dst = packFixed(dst, s, offset, count, t)
-	case []float32:
-		dst = packFixed(dst, s, offset, count, t)
-	case []float64:
-		dst = packFixed(dst, s, offset, count, t)
-	}
-	if !hostLE {
-		swapElems(dst[at:], t.class.WireSize())
-	}
-	return dst, nil
-}
-
-// packFixed appends the memory image of every run of the section.
-func packFixed[T Fixed](dst []byte, s []T, offset, count int, t *Type) []byte {
-	t.walk(offset, count, func(lo, n int) {
-		dst = append(dst, rawBytes(s[lo:lo+n])...)
-	})
-	return dst
+	return b.Pack(dst, offset, count, t)
 }
 
 // Unpack decodes data into count items of type t in buf starting at
@@ -170,64 +54,67 @@ func packFixed[T Fixed](dst []byte, s []T, offset, count int, t *Type) []byte {
 // If data holds more elements than the buffer section accepts, the section
 // is filled and ErrTruncate is returned alongside the deposited count.
 func Unpack(data []byte, buf any, offset, count int, t *Type) (int, error) {
-	if _, err := CheckSection(buf, offset, count, t); err != nil {
+	b := BufOf(buf)
+	if _, err := b.CheckSection(offset, count, t); err != nil {
 		return 0, err
 	}
-	return UnpackChecked(data, buf, offset, count, t)
+	return b.Unpack(data, offset, count, t)
 }
 
-// UnpackChecked is Unpack for a section CheckSection has passed: it
-// deposits without validating the section again.
-func UnpackChecked(data []byte, buf any, offset, count int, t *Type) (int, error) {
-	buf, _ = NativeView(buf)
+// Pack is the package's Pack for a section CheckSection has passed: it
+// packs without validating the section again. Every fixed-size class
+// copies one run of consecutive elements at a time as its memory image,
+// then a big-endian host swaps the copied bytes in place: on a
+// little-endian host a contiguous section packs as one memcpy and a
+// Vector column as one copy per block.
+func (b Buf) Pack(dst []byte, offset, count int, t *Type) ([]byte, error) {
 	if t.class == Obj {
-		return unpackObjects(data, buf, offset, count, t)
+		return packObjects(dst, b.value(), offset, count, t)
+	}
+	es, at := t.class.WireSize(), len(dst)
+	mem := b.mem(es)
+	dst = slices.Grow(dst, t.WireBytes(count))
+	t.walk(offset, count, func(lo, n int) {
+		dst = append(dst, mem[lo*es:(lo+n)*es]...)
+	})
+	if !hostLE {
+		swapElems(dst[at:], es)
+	}
+	return dst, nil
+}
+
+// Unpack is the package's Unpack for a section CheckSection has passed:
+// it deposits data run by run until either runs out, each run taking
+// its memory image's worth of bytes — swapped in place on a big-endian
+// host, and a bool's normalised to 0 or 1 — without validating the
+// section again.
+func (b Buf) Unpack(data []byte, offset, count int, t *Type) (int, error) {
+	if t.class == Obj {
+		return unpackObjects(data, b.value(), offset, count, t)
 	}
 	es := t.class.WireSize()
 	if len(data)%es != 0 {
 		return 0, fmt.Errorf("%w: %d bytes not a multiple of element size %d", ErrFormat, len(data), es)
 	}
 	avail, capacity := len(data)/es, count*len(t.disps)
-	switch s := buf.(type) {
-	case []byte:
-		unpackFixed(data, s, offset, count, t)
-	case []bool:
-		t.walk(offset, count, func(lo, n int) {
-			run := data[:min(n, len(data))]
-			for i, b := range run {
-				s[lo+i] = b != 0
+	mem, isBool := b.mem(es), t.class == Bool
+	t.walk(offset, count, func(lo, n int) {
+		run := mem[lo*es : (lo+n)*es]
+		run = run[:copy(run, data)]
+		data = data[len(run):]
+		switch {
+		case isBool:
+			for i, v := range run {
+				run[i] = min(v, 1)
 			}
-			data = data[len(run):]
-		})
-	case []int16:
-		unpackFixed(data, s, offset, count, t)
-	case []int32:
-		unpackFixed(data, s, offset, count, t)
-	case []int64:
-		unpackFixed(data, s, offset, count, t)
-	case []float32:
-		unpackFixed(data, s, offset, count, t)
-	case []float64:
-		unpackFixed(data, s, offset, count, t)
-	}
+		case !hostLE:
+			swapElems(run, es)
+		}
+	})
 	if avail > capacity {
 		return capacity, ErrTruncate
 	}
 	return avail, nil
-}
-
-// unpackFixed deposits data run by run until either runs out: each run
-// takes its memory image's worth of bytes, swapped in place on a
-// big-endian host.
-func unpackFixed[T Fixed](data []byte, s []T, offset, count int, t *Type) {
-	t.walk(offset, count, func(lo, n int) {
-		raw := rawBytes(s[lo : lo+n])
-		got := copy(raw, data)
-		data = data[got:]
-		if !hostLE {
-			swapElems(raw[:got], len(raw)/n)
-		}
-	})
 }
 
 // Elements returns how many basic elements of class c a payload of

@@ -304,20 +304,20 @@ func randomType(rng *rand.Rand, depth int) *Type {
 
 func TestCheckSection(t *testing.T) {
 	v, _ := Vector(3, 1, 2, Basic(I32, "INT")) // elements 0,2,4
-	if _, err := CheckSection(make([]int32, 6), 0, 1, v); !errors.Is(err, ErrUncommitted) {
+	if _, err := BufOf(make([]int32, 6)).CheckSection(0, 1, v); !errors.Is(err, ErrUncommitted) {
 		t.Fatalf("uncommitted: %v", err)
 	}
 	v.Commit()
-	if _, err := CheckSection(make([]int32, 5), 0, 1, v); err != nil {
+	if _, err := BufOf(make([]int32, 5)).CheckSection(0, 1, v); err != nil {
 		t.Fatalf("exact fit: %v", err)
 	}
-	if _, err := CheckSection(make([]int32, 4), 0, 1, v); !errors.Is(err, ErrBounds) {
+	if _, err := BufOf(make([]int32, 4)).CheckSection(0, 1, v); !errors.Is(err, ErrBounds) {
 		t.Fatalf("short buffer: %v", err)
 	}
-	if _, err := CheckSection(make([]int64, 8), 0, 1, v); !errors.Is(err, ErrClassMismatch) {
+	if _, err := BufOf(make([]int64, 8)).CheckSection(0, 1, v); !errors.Is(err, ErrClassMismatch) {
 		t.Fatalf("wrong class: %v", err)
 	}
-	if _, err := CheckSection(make([]int32, 1), 0, 0, v); err != nil {
+	if _, err := BufOf(make([]int32, 1)).CheckSection(0, 0, v); err != nil {
 		t.Fatalf("count 0: %v", err)
 	}
 }
@@ -333,7 +333,7 @@ func TestBoundsOverflow(t *testing.T) {
 	}
 	huge.Commit()
 	buf := make([]int32, 4)
-	if _, err := CheckSection(buf, 0, 5, huge); !errors.Is(err, ErrBounds) {
+	if _, err := BufOf(buf).CheckSection(0, 5, huge); !errors.Is(err, ErrBounds) {
 		t.Errorf("CheckSection: got %v, want ErrBounds", err)
 	}
 	if _, err := Pack(nil, buf, 0, 5, huge); !errors.Is(err, ErrBounds) {

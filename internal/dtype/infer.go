@@ -13,7 +13,7 @@ import (
 //     their storage class directly: a slice of such a type IS one of the
 //     engine's buffer types and travels zero-copy through Pack/Unpack;
 //   - named primitives (`type Celsius float64`) reinterpret in place to
-//     their underlying class (NativeView);
+//     their underlying class (BufOf resolves their slices);
 //   - every other type (structs, pointers, strings, maps, …) maps to the
 //     Obj class: a slice of it is an OBJECT buffer as it stands and its
 //     elements travel gob-encoded, exactly like the paper's MPI.OBJECT
@@ -32,7 +32,7 @@ type Inferred struct {
 	Direct bool
 	// Reinterp reports a named primitive type (`type Celsius float64`):
 	// a slice of it shares its underlying type's memory layout and is
-	// reinterpreted in place (NativeView) to stay on the class's wire
+	// resolved to the class's native slice (BufOf) to stay on its wire
 	// format instead of OBJECT/gob. A slice of a type that is neither
 	// Direct nor Reinterp is an Obj-class buffer as it stands; Infer
 	// gob-registers its element type.

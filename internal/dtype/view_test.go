@@ -2,7 +2,9 @@ package dtype
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -10,40 +12,49 @@ type celsius float64
 
 type seq int16
 
-func TestNativeViewNamedPrimitive(t *testing.T) {
+// TestBufOfNamedPrimitive: a named primitive resolves to its class's
+// native slice, sharing storage.
+func TestBufOfNamedPrimitive(t *testing.T) {
 	buf := []celsius{36.6, -40, 0}
-	nv, ok := NativeView(buf)
-	if !ok {
-		t.Fatal("named float64 slice not reinterpreted")
+	b := BufOf(buf)
+	if n, err := b.Check(BasicType(F64)); err != nil || n != 3 || b.typ != sliceTypes[F64] {
+		t.Fatalf("[]celsius resolved to %d elements of the F64 class: %v", n, err)
 	}
-	f, ok := nv.([]float64)
-	if !ok || len(f) != 3 || f[0] != 36.6 {
-		t.Fatalf("view %T %v", nv, nv)
+	// Shared storage: a deposit through the Buf lands in the original.
+	if _, err := b.Unpack(rawBytes([]float64{100}), 2, 1, BasicType(F64)); err != nil || buf[2] != 100 {
+		t.Fatalf("deposit through the resolved buffer: %v, %v", err, buf)
 	}
-	// Shared storage: a write through the view lands in the original.
-	f[2] = 100
-	if buf[2] != 100 {
-		t.Fatal("view does not share storage")
+	// Empty named slice: still resolves (to an empty native slice).
+	if c, ok := BufOf([]celsius{}).Class(); !ok || c != F64 {
+		t.Fatal("empty named slice must resolve to its class")
 	}
 }
 
-func TestNativeViewPassThrough(t *testing.T) {
-	native := []float64{1, 2}
-	if nv, ok := NativeView(native); ok || len(nv.([]float64)) != 2 {
-		t.Fatal("native slice must pass through unviewed")
+func TestBufOfClasses(t *testing.T) {
+	type ticket struct{ ID int }
+	for _, tc := range []struct {
+		buf  any
+		want Class
+		ok   bool
+	}{
+		{[]float64{1, 2}, F64, true},
+		{[]string{"x"}, Obj, true},
+		{[]ticket{{1}}, Obj, true},
+		{[]any{1}, Obj, true},
+		{42, Obj, false},
+		{nil, Obj, false},
+	} {
+		if c, ok := BufOf(tc.buf).Class(); c != tc.want || ok != tc.ok {
+			t.Errorf("BufOf(%T).Class() = %v, %v; want %v, %v", tc.buf, c, ok, tc.want, tc.ok)
+		}
 	}
-	if _, ok := NativeView([]string{"x"}); ok {
-		t.Fatal("string slice must not reinterpret")
+	if _, err := BufOf(42).Check(BasicType(I32)); !errors.Is(err, ErrClassMismatch) || !strings.Contains(err.Error(), "got int") {
+		t.Errorf("non-slice buffer: %v", err)
 	}
-	if _, ok := NativeView(42); ok {
-		t.Fatal("non-slice must not reinterpret")
-	}
-	if nv, ok := NativeView(nil); ok || nv != nil {
-		t.Fatal("nil must pass through")
-	}
-	// Empty named slice: still views (to an empty native slice).
-	if nv, ok := NativeView([]celsius{}); !ok || len(nv.([]float64)) != 0 {
-		t.Fatal("empty named slice must view to empty native slice")
+	// An OBJECT buffer's value is rebuilt as the caller's slice type.
+	objs := []ticket{{1}, {2}}
+	if v, ok := BufOf(objs).value().([]ticket); !ok || len(v) != 2 || &v[0] != &objs[0] {
+		t.Fatalf("value() = %T %v", v, v)
 	}
 }
 
@@ -111,9 +122,9 @@ func TestUnpackFastPathTruncates(t *testing.T) {
 	}
 }
 
-func TestByteViewRange(t *testing.T) {
+func TestByteView(t *testing.T) {
 	f := []float64{0, 1, 2, 3}
-	bv, ok := ByteViewRange(f, 1, 2)
+	bv, ok := BufOf(f).ByteView(1, 2)
 	if hostLE {
 		if !ok || len(bv) != 16 {
 			t.Fatalf("byte view ok=%v len=%d", ok, len(bv))
@@ -129,29 +140,29 @@ func TestByteViewRange(t *testing.T) {
 		t.Fatal("byte view must be disabled on big-endian hosts")
 	}
 	// bool is excluded (wire 0/1 is normative).
-	if _, ok := ByteViewRange([]bool{true}, 0, 1); ok {
+	if _, ok := BufOf([]bool{true}).ByteView(0, 1); ok {
 		t.Fatal("bool must not expose a byte view")
 	}
 	// Zero-length window at the end of the slice must not panic.
-	if bv, ok := ByteViewRange(f, 4, 0); !ok || len(bv) != 0 {
+	if bv, ok := BufOf(f).ByteView(4, 0); !ok || len(bv) != 0 {
 		t.Fatal("empty window must succeed")
 	}
 	// Named primitives get views too.
-	if bv, ok := ByteViewRange([]seq{256}, 0, 1); hostLE && (!ok || len(bv) != 2 || bv[1] != 1) {
+	if bv, ok := BufOf([]seq{256}).ByteView(0, 1); hostLE && (!ok || len(bv) != 2 || bv[1] != 1) {
 		t.Fatalf("named int16 view ok=%v bv=%x", ok, bv)
 	}
 }
 
 func TestCheckBufNamedPrimitive(t *testing.T) {
-	n, err := CheckBuf([]celsius{1, 2}, BasicType(F64))
+	n, err := BufOf([]celsius{1, 2}).Check(BasicType(F64))
 	if err != nil || n != 2 {
-		t.Fatalf("CheckBuf named: n=%d err=%v", n, err)
+		t.Fatalf("Check named: n=%d err=%v", n, err)
 	}
-	if _, err := CheckBuf([]celsius{}, BasicType(I32)); err == nil {
-		t.Fatal("class mismatch must still be caught through the view")
+	if _, err := BufOf([]celsius{}).Check(BasicType(I32)); err == nil {
+		t.Fatal("class mismatch must still be caught through the resolution")
 	}
-	if c, ok := ClassOf([]seq{}); !ok || c != I16 {
-		t.Fatalf("ClassOf named int16 = %v, %v", c, ok)
+	if c, ok := BufOf([]seq{}).Class(); !ok || c != I16 {
+		t.Fatalf("Class of named int16 = %v, %v", c, ok)
 	}
 }
 

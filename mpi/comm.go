@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"cmp"
 	"sync"
 
 	"gompi/internal/coll"
@@ -267,9 +268,11 @@ func (c *Comm) recvEnvelope(source, tag int) (src, tg int32, err error) {
 // section is the binding's buffer argument, mpiJava's (Object buf, int
 // offset, int count, Datatype datatype) of paper §2, carried as one
 // value from each public entry point to wherever it is packed, lent,
-// landed or unpacked.
+// landed or unpacked. The entry point resolves buf once (dtype.BufOf)
+// and keeps only what that read: the interface is never stored or
+// passed on, so the caller's conversion to any stays on its stack.
 type section struct {
-	buf           any
+	buf           dtype.Buf
 	offset, count int
 	d             *Datatype
 }
@@ -277,41 +280,45 @@ type section struct {
 // check rejects a section Pack or Unpack would reject, so a call fails
 // before any message moves. It returns the buffer's length in elements.
 func (s section) check() (int, error) {
-	n, err := dtype.CheckSection(s.buf, s.offset, s.count, s.d.t)
+	n, err := s.buf.CheckSection(s.offset, s.count, s.d.t)
 	return n, mapErr(err)
 }
 
 // pack appends the section's wire image to dst.
 func (s section) pack(dst []byte) ([]byte, error) {
-	wire, err := dtype.Pack(dst, s.buf, s.offset, s.count, s.d.t)
-	return wire, mapErr(err)
+	if _, err := s.check(); err != nil {
+		return dst, err
+	}
+	return s.packChecked(dst)
 }
 
 // unpack deposits a wire image in the section and returns the basic
 // elements deposited; a longer image fills the section and fails with
 // ErrTruncate.
 func (s section) unpack(wire []byte) (int, error) {
-	n, err := dtype.Unpack(wire, s.buf, s.offset, s.count, s.d.t)
-	return n, mapErr(err)
+	if _, err := s.check(); err != nil {
+		return 0, err
+	}
+	return s.unpackChecked(wire)
 }
 
 // packChecked and unpackChecked are pack and unpack for a section that
 // check has passed — a collective's, validated once by its planX —
 // which they do not validate again.
 func (s section) packChecked(dst []byte) ([]byte, error) {
-	wire, err := dtype.PackChecked(dst, s.buf, s.offset, s.count, s.d.t)
+	wire, err := s.buf.Pack(dst, s.offset, s.count, s.d.t)
 	return wire, mapErr(err)
 }
 
 func (s section) unpackChecked(wire []byte) (int, error) {
-	n, err := dtype.UnpackChecked(wire, s.buf, s.offset, s.count, s.d.t)
+	n, err := s.buf.Unpack(wire, s.offset, s.count, s.d.t)
 	return n, mapErr(err)
 }
 
 // view returns the section's raw-byte window when it can travel as it
 // lies in memory: a contiguous fixed-size datatype over a native (or
 // named-primitive) slice on a little-endian host. n is the buffer length
-// already validated by CheckBuf. The returned bytes alias buf: a
+// already validated by Check. The returned bytes alias buf: a
 // receive has the engine deposit the payload directly in the caller's
 // memory, a large send lends them out (lendView).
 func (s section) view(n int) ([]byte, bool) {
@@ -323,7 +330,7 @@ func (s section) view(n int) ([]byte, bool) {
 	if s.offset < 0 || s.count < 0 || s.offset+elems > n {
 		return nil, false // out of bounds: let the classic path report it
 	}
-	return dtype.ByteViewRange(s.buf, s.offset, elems)
+	return s.buf.ByteView(s.offset, elems)
 }
 
 // pack encodes a send section into a wire payload. The payload is drawn
@@ -356,7 +363,7 @@ func (c *Comm) lendView(s section) ([]byte, bool) {
 	if !s.d.t.IsContiguous() || s.d.t.WireBytes(s.count) <= c.env.proc.EagerLimit() {
 		return nil, false
 	}
-	n, err := dtype.CheckBuf(s.buf, s.d.t)
+	n, err := s.buf.Check(s.d.t)
 	if err != nil {
 		return nil, false
 	}
@@ -430,19 +437,19 @@ func (c *Comm) sendBlocking(s section, dest, tag int, mode core.Mode) error {
 //	public void Send(Object buf, int offset, int count,
 //	                 Datatype datatype, int dest, int tag)
 func (c *Comm) Send(buf any, offset, count int, d *Datatype, dest, tag int) error {
-	return c.sendBlocking(section{buf, offset, count, d}, dest, tag, core.ModeStandard)
+	return c.sendBlocking(section{dtype.BufOf(buf), offset, count, d}, dest, tag, core.ModeStandard)
 }
 
 // Ssend is the blocking synchronous-mode send: it returns only after the
 // receiver has matched the message (MPI_Ssend).
 func (c *Comm) Ssend(buf any, offset, count int, d *Datatype, dest, tag int) error {
-	return c.sendBlocking(section{buf, offset, count, d}, dest, tag, core.ModeSync)
+	return c.sendBlocking(section{dtype.BufOf(buf), offset, count, d}, dest, tag, core.ModeSync)
 }
 
 // Rsend is the blocking ready-mode send; a matching receive must already
 // be posted (MPI_Rsend).
 func (c *Comm) Rsend(buf any, offset, count int, d *Datatype, dest, tag int) error {
-	return c.sendBlocking(section{buf, offset, count, d}, dest, tag, core.ModeReady)
+	return c.sendBlocking(section{dtype.BufOf(buf), offset, count, d}, dest, tag, core.ModeReady)
 }
 
 // Bsend is the blocking buffered-mode send: the message is copied into
@@ -461,17 +468,17 @@ func (c *Comm) Bsend(buf any, offset, count int, d *Datatype, dest, tag int) err
 // large contiguous section is sent from where it lies, not copied at
 // the call.
 func (c *Comm) Isend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.isendMode(section{buf, offset, count, d}, dest, tag, core.ModeStandard)
+	return c.isendMode(section{dtype.BufOf(buf), offset, count, d}, dest, tag, core.ModeStandard)
 }
 
 // Issend starts a non-blocking synchronous-mode send (MPI_Issend).
 func (c *Comm) Issend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.isendMode(section{buf, offset, count, d}, dest, tag, core.ModeSync)
+	return c.isendMode(section{dtype.BufOf(buf), offset, count, d}, dest, tag, core.ModeSync)
 }
 
 // Irsend starts a non-blocking ready-mode send (MPI_Irsend).
 func (c *Comm) Irsend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.isendMode(section{buf, offset, count, d}, dest, tag, core.ModeReady)
+	return c.isendMode(section{dtype.BufOf(buf), offset, count, d}, dest, tag, core.ModeReady)
 }
 
 // Ibsend starts a non-blocking buffered-mode send (MPI_Ibsend). The
@@ -479,7 +486,7 @@ func (c *Comm) Irsend(buf any, offset, count int, d *Datatype, dest, tag int) (*
 // request completes immediately, and the space is released when the
 // underlying transfer finishes.
 func (c *Comm) Ibsend(buf any, offset, count int, d *Datatype, dest, tag int) (*Request, error) {
-	return c.ibsend(section{buf, offset, count, d}, dest, tag)
+	return c.ibsend(section{dtype.BufOf(buf), offset, count, d}, dest, tag)
 }
 
 func (c *Comm) ibsend(s section, dest, tag int) (*Request, error) {
@@ -520,7 +527,7 @@ func (c *Comm) startRecv(s section, source, tag int) (src, tg int32, n int, err 
 	}
 	// Validate the buffer eagerly so errors surface at the call, not at
 	// completion.
-	n, err = dtype.CheckBuf(s.buf, s.d.t)
+	n, err = s.buf.Check(s.d.t)
 	return src, tg, n, mapErr(err)
 }
 
@@ -544,7 +551,7 @@ func (c *Comm) postRecv(s section, n int, src, tg int32) (creq *core.Request, in
 // than the section, the section is filled and the request completes
 // with an ErrTruncate-class error (MPI_ERR_TRUNCATE semantics).
 func (c *Comm) Irecv(buf any, offset, count int, d *Datatype, source, tag int) (*Request, error) {
-	return c.irecv(section{buf, offset, count, d}, source, tag)
+	return c.irecv(section{dtype.BufOf(buf), offset, count, d}, source, tag)
 }
 
 func (c *Comm) irecv(s section, source, tag int) (*Request, error) {
@@ -564,46 +571,75 @@ func (c *Comm) irecv(s section, source, tag int) (*Request, error) {
 //	public Status Recv(Object buf, int offset, int count,
 //	                   Datatype datatype, int source, int tag)
 //
-// No mpi.Request handle is built and the core request is recycled, so
-// the only steady-state allocation is the returned Status. See Irecv
-// for where the payload lands.
+// No mpi.Request handle is built and the core request is recycled. The
+// returned Status is allocated in the caller's frame: Recv must stay
+// inlinable (`go build -gcflags=-m` reports "can inline
+// (*Comm).Recv"), so a caller that drops the status allocates nothing
+// and one that keeps it pays for it alone. See Irecv for where the
+// payload lands.
 func (c *Comm) Recv(buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
-	s := section{buf, offset, count, d}
+	return c.recv(new(Status), buf, offset, count, d, source, tag)
+}
+
+// recv is Recv filling st, which it returns unless the call failed
+// validation.
+func (c *Comm) recv(st *Status, buf any, offset, count int, d *Datatype, source, tag int) (*Status, error) {
+	s := section{dtype.BufOf(buf), offset, count, d}
 	src, tg, n, err := c.startRecv(s, source, tag)
 	if err != nil {
 		return nil, c.raise(err)
 	}
 	if source == ProcNull {
-		return nullStatus(), nil
+		*st = *nullStatus()
+		return st, nil
 	}
 	creq, into := c.postRecv(s, n, src, tg)
-	cst := creq.Wait()
-	st, opErr := recvStatus(cst, into, creq.Payload, s)
+	opErr := recvStatus(st, creq.Wait(), into, creq.Payload, s)
 	creq.Recycle() // releases the frame too
 	return st, c.raise(opErr)
 }
 
 // Sendrecv executes a send and a receive concurrently, with distinct
-// buffers (MPI_Sendrecv).
+// buffers (MPI_Sendrecv). The receive is posted first, so the engine
+// serves the peer's message while the send goes out, and neither
+// operation builds an mpi.Request: the returned Status is the call's
+// one allocation. (Its twelve arguments put a Recv-style wrapper, which
+// would leave the Status in the caller's frame, just over the
+// compiler's inlining budget.)
 func (c *Comm) Sendrecv(
 	sendbuf any, soffset, scount int, sdt *Datatype, dest, stag int,
 	recvbuf any, roffset, rcount int, rdt *Datatype, source, rtag int,
 ) (*Status, error) {
-	rreq, err := c.Irecv(recvbuf, roffset, rcount, rdt, source, rtag)
+	r := section{dtype.BufOf(recvbuf), roffset, rcount, rdt}
+	src, tg, n, err := c.startRecv(r, source, rtag)
 	if err != nil {
-		return nil, err
+		return nil, c.raise(err)
 	}
-	sreq, err := c.Isend(sendbuf, soffset, scount, sdt, dest, stag)
-	if err != nil {
-		rreq.withdraw()
-		return nil, err
+	st := nullStatus()
+	var rreq *core.Request
+	into := false
+	if source != ProcNull {
+		rreq, into = c.postRecv(r, n, src, tg)
 	}
-	st, rerr := rreq.Wait()
-	_, serr := sreq.Wait()
-	if rerr != nil {
-		return st, c.raise(rerr)
+	sreq, serr := c.startSend(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, dest, stag, core.ModeStandard, false)
+	if serr != nil && rreq != nil {
+		// Withdraw the receive: one that already matched completes with
+		// its message, and nothing lands in recvbuf after the return.
+		c.env.proc.Cancel(rreq)
 	}
-	return st, c.raise(serr)
+	var rerr error
+	if rreq != nil {
+		rerr = recvStatus(st, rreq.Wait(), into, rreq.Payload, r)
+		rreq.Recycle()
+	}
+	if serr != nil {
+		return nil, c.raise(serr)
+	}
+	if sreq != nil {
+		serr = mapErr(sreq.Wait().Err)
+		sreq.Recycle()
+	}
+	return st, c.raise(cmp.Or(rerr, serr))
 }
 
 // SendrecvReplace sends and receives using a single buffer section
@@ -613,7 +649,7 @@ func (c *Comm) SendrecvReplace(
 	buf any, offset, count int, d *Datatype,
 	dest, stag, source, rtag int,
 ) (*Status, error) {
-	s := section{buf, offset, count, d}
+	s := section{dtype.BufOf(buf), offset, count, d}
 	if err := c.sendChecks(d, dest, stag); err != nil {
 		return nil, c.raise(err)
 	}
@@ -703,22 +739,22 @@ func (c *Comm) sendInit(mode core.Mode, buffed bool, s section, dest, tag int) (
 // SendInit creates a persistent standard-mode send request
 // (MPI_Send_init).
 func (c *Comm) SendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeStandard, false, section{buf, offset, count, d}, dest, tag)
+	return c.sendInit(core.ModeStandard, false, section{dtype.BufOf(buf), offset, count, d}, dest, tag)
 }
 
 // SsendInit creates a persistent synchronous-mode send request.
 func (c *Comm) SsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeSync, false, section{buf, offset, count, d}, dest, tag)
+	return c.sendInit(core.ModeSync, false, section{dtype.BufOf(buf), offset, count, d}, dest, tag)
 }
 
 // RsendInit creates a persistent ready-mode send request.
 func (c *Comm) RsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeReady, false, section{buf, offset, count, d}, dest, tag)
+	return c.sendInit(core.ModeReady, false, section{dtype.BufOf(buf), offset, count, d}, dest, tag)
 }
 
 // BsendInit creates a persistent buffered-mode send request.
 func (c *Comm) BsendInit(buf any, offset, count int, d *Datatype, dest, tag int) (*PersistentRequest, error) {
-	return c.sendInit(core.ModeStandard, true, section{buf, offset, count, d}, dest, tag)
+	return c.sendInit(core.ModeStandard, true, section{dtype.BufOf(buf), offset, count, d}, dest, tag)
 }
 
 // RecvInit creates a persistent receive request (MPI_Recv_init).
@@ -726,7 +762,7 @@ func (c *Comm) RecvInit(buf any, offset, count int, d *Datatype, source, tag int
 	if _, _, err := c.recvChecks(d, source, tag); err != nil {
 		return nil, c.raise(err)
 	}
-	s := section{buf, offset, count, d}
+	s := section{dtype.BufOf(buf), offset, count, d}
 	return &PersistentRequest{comm: c, start: func() (*Request, error) { return c.irecv(s, source, tag) }}, nil
 }
 
@@ -748,7 +784,7 @@ func (c *Comm) Pack(inbuf any, offset, incount int, d *Datatype, outbuf []byte, 
 	if err := c.checkType(d); err != nil {
 		return position, c.raise(err)
 	}
-	wire, err := section{inbuf, offset, incount, d}.pack(nil)
+	wire, err := section{dtype.BufOf(inbuf), offset, incount, d}.pack(nil)
 	if err != nil {
 		return position, c.raise(err)
 	}
@@ -785,7 +821,7 @@ func (c *Comm) Unpack(inbuf []byte, position int, outbuf any, offset, outcount i
 		return position, c.raise(errf(ErrBuffer, "unpack of %d bytes at position %d exceeds buffer of %d",
 			need, position, len(inbuf)))
 	}
-	out := section{outbuf, offset, outcount, d}
+	out := section{dtype.BufOf(outbuf), offset, outcount, d}
 	if _, err := out.unpack(inbuf[position : position+need]); err != nil && ClassOf(err) != ErrTruncate {
 		return position, c.raise(err)
 	}

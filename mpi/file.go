@@ -399,7 +399,7 @@ func (f *File) prepRead(s section, foff int64) (int, error) {
 	if err := f.checkAccess(f.readable, s.d, foff); err != nil {
 		return 0, err
 	}
-	if _, err := dtype.CheckBuf(s.buf, s.d.t); err != nil {
+	if _, err := s.buf.Check(s.d.t); err != nil {
 		return 0, mapErr(err)
 	}
 	need := s.d.t.WireBytes(s.count)
@@ -425,7 +425,7 @@ func (f *File) depositRead(wire []byte, got int, s section) (*Status, error) {
 // independently of other ranks (MPI_File_write_at). The individual
 // file pointer is not used or updated.
 func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	wire, st, err := f.prepWrite(section{buf, offset, count, d}, foff)
+	wire, st, err := f.prepWrite(section{dtype.BufOf(buf), offset, count, d}, foff)
 	if err != nil {
 		return nil, f.comm.raise(err)
 	}
@@ -440,7 +440,7 @@ func (f *File) WriteAt(foff int64, buf any, offset, count int, d *Datatype) (*St
 // file delivers the available prefix; the status's GetCount reports
 // the elements actually read.
 func (f *File) ReadAt(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	s := section{buf, offset, count, d}
+	s := section{dtype.BufOf(buf), offset, count, d}
 	n, err := f.prepRead(s, foff)
 	if err != nil {
 		return nil, f.comm.raise(err)
@@ -482,7 +482,7 @@ func (f *File) Read(buf any, offset, count int, d *Datatype) (*Status, error) {
 // contiguous filesystem writes. Every member must call it (counts may
 // differ, including zero).
 func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	p, err := f.planWriteAll(foff, section{buf, offset, count, d})
+	p, err := f.planWriteAll(foff, section{dtype.BufOf(buf), offset, count, d})
 	if err := f.comm.runColl(p, err); err != nil {
 		return nil, err
 	}
@@ -494,7 +494,7 @@ func (f *File) WriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (
 // filesystem writes proceed in the background. The request completes
 // with the status WriteAtAll returns.
 func (f *File) IwriteAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
-	return f.comm.startColl(f.planWriteAll(foff, section{buf, offset, count, d}))
+	return f.comm.startColl(f.planWriteAll(foff, section{dtype.BufOf(buf), offset, count, d}))
 }
 
 // planWriteAll validates and packs the write and builds its two-phase
@@ -519,7 +519,7 @@ func (f *File) planWriteAll(foff int64, s section) (*collPlan, error) {
 // filesystem reads for their stripes and the data is exchanged back
 // through the collective schedule engine. Every member must call it.
 func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Status, error) {
-	p, err := f.planReadAll(foff, section{buf, offset, count, d})
+	p, err := f.planReadAll(foff, section{dtype.BufOf(buf), offset, count, d})
 	if err := f.comm.runColl(p, err); err != nil {
 		return nil, err
 	}
@@ -533,7 +533,7 @@ func (f *File) ReadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*
 // elements the file actually held, so a short read at end-of-file is
 // detectable on this path too.
 func (f *File) IreadAtAll(foff int64, buf any, offset, count int, d *Datatype) (*Request, error) {
-	return f.comm.startColl(f.planReadAll(foff, section{buf, offset, count, d}))
+	return f.comm.startColl(f.planReadAll(foff, section{dtype.BufOf(buf), offset, count, d}))
 }
 
 // planReadAll validates the read and builds its two-phase schedule,

@@ -1,5 +1,7 @@
 package mpi
 
+import "gompi/internal/dtype"
+
 // Intercommunicator collectives (MPI-2 §7.3.2): rooted operations take
 // MPI_ROOT / MPI_PROC_NULL on the group providing the root, and the
 // root's rank within the remote group on the other side; all-to-all
@@ -40,7 +42,7 @@ func (ic *Intercomm) Bcast(buf any, offset, count int, d *Datatype, root int) er
 	if err := ic.checkType(d); err != nil {
 		return ic.raise(err)
 	}
-	s := section{buf, offset, count, d}
+	s := section{dtype.BufOf(buf), offset, count, d}
 	switch {
 	case root == ProcNull:
 		return nil
@@ -79,14 +81,14 @@ func (ic *Intercomm) Allreduce(
 	if err := checkOp(op, d); err != nil {
 		return ic.raise(err)
 	}
-	into := section{recvbuf, roffset, count, d}
+	into := section{dtype.BufOf(recvbuf), roffset, count, d}
 	if _, err := into.check(); err != nil {
 		return ic.raise(err)
 	}
 	// The local reduction lands in rank 0's accumulator, which the
 	// leader exchange then ships by reference: an ordinary slice, never
 	// written again, rather than pooled or caller memory.
-	acc, err := section{sendbuf, soffset, count, d}.pack(nil)
+	acc, err := section{dtype.BufOf(sendbuf), soffset, count, d}.pack(nil)
 	if err != nil {
 		return ic.raise(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"gompi/internal/coll"
+	"gompi/internal/dtype"
 )
 
 // Intracomm is a communicator over a single group (paper Fig. 1): it
@@ -218,7 +219,7 @@ type blocks struct {
 }
 
 func varying(buf any, offset int, counts, displs []int, d *Datatype) blocks {
-	return blocks{section{buf, offset, 0, d}, &coll.Layout{Counts: counts, Displs: displs}}
+	return blocks{section{dtype.BufOf(buf), offset, 0, d}, &coll.Layout{Counts: counts, Displs: displs}}
 }
 
 // at returns rank r's section.
@@ -299,14 +300,14 @@ func (c *Intracomm) planBarrier() (*collPlan, error) {
 // Bcast broadcasts the buffer section from root to all members
 // (MPI_Bcast).
 func (c *Intracomm) Bcast(buf any, offset, count int, d *Datatype, root int) error {
-	return c.runColl(c.planBcast(section{buf, offset, count, d}, root))
+	return c.runColl(c.planBcast(section{dtype.BufOf(buf), offset, count, d}, root))
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast). Non-root buffers
 // are filled when the request completes; no buffer may be touched
 // before then.
 func (c *Intracomm) Ibcast(buf any, offset, count int, d *Datatype, root int) (*Request, error) {
-	return c.startColl(c.planBcast(section{buf, offset, count, d}, root))
+	return c.startColl(c.planBcast(section{dtype.BufOf(buf), offset, count, d}, root))
 }
 
 // planBcast is the plan of Bcast; its one section is the send side at
@@ -336,7 +337,7 @@ func (c *Intracomm) Gather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
+	return c.runColl(c.planGather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, blocks{section: section{dtype.BufOf(recvbuf), roffset, rcount, rdt}}, root))
 }
 
 // Igather starts a nonblocking gather (MPI_Igather); root's recvbuf is
@@ -345,7 +346,7 @@ func (c *Intracomm) Igather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}, root))
+	return c.startColl(c.planGather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, blocks{section: section{dtype.BufOf(recvbuf), roffset, rcount, rdt}}, root))
 }
 
 // Gatherv collects varying-size contributions at root (MPI_Gatherv):
@@ -355,7 +356,7 @@ func (c *Intracomm) Gatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.runColl(c.planGather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // Igatherv starts a nonblocking varying-size gather (MPI_Igatherv).
@@ -363,7 +364,7 @@ func (c *Intracomm) Igatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planGather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
+	return c.startColl(c.planGather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt), root))
 }
 
 // planGather is the plan of Gather and Gatherv; the receive layout is
@@ -399,7 +400,7 @@ func (c *Intracomm) Scatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
+	return c.runColl(c.planScatter(blocks{section: section{dtype.BufOf(sendbuf), soffset, scount, sdt}}, section{dtype.BufOf(recvbuf), roffset, rcount, rdt}, root))
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter).
@@ -407,7 +408,7 @@ func (c *Intracomm) Iscatter(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(blocks{section: section{sendbuf, soffset, scount, sdt}}, section{recvbuf, roffset, rcount, rdt}, root))
+	return c.startColl(c.planScatter(blocks{section: section{dtype.BufOf(sendbuf), soffset, scount, sdt}}, section{dtype.BufOf(recvbuf), roffset, rcount, rdt}, root))
 }
 
 // Scatterv distributes varying-size sections from root (MPI_Scatterv).
@@ -415,7 +416,7 @@ func (c *Intracomm) Scatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) error {
-	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
+	return c.runColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{dtype.BufOf(recvbuf), roffset, rcount, rdt}, root))
 }
 
 // Iscatterv starts a nonblocking varying-size scatter (MPI_Iscatterv).
@@ -423,7 +424,7 @@ func (c *Intracomm) Iscatterv(
 	sendbuf any, soffset int, sendcounts, displs []int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype, root int,
 ) (*Request, error) {
-	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{recvbuf, roffset, rcount, rdt}, root))
+	return c.startColl(c.planScatter(varying(sendbuf, soffset, sendcounts, displs, sdt), section{dtype.BufOf(recvbuf), roffset, rcount, rdt}, root))
 }
 
 // planScatter is the plan of Scatter and Scatterv; the send layout is
@@ -459,7 +460,7 @@ func (c *Intracomm) Allgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.runColl(c.planAllgather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, blocks{section: section{dtype.BufOf(recvbuf), roffset, rcount, rdt}}))
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather).
@@ -467,7 +468,7 @@ func (c *Intracomm) Iallgather(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.startColl(c.planAllgather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, blocks{section: section{dtype.BufOf(recvbuf), roffset, rcount, rdt}}))
 }
 
 // Allgatherv gathers varying-size contributions at every member
@@ -476,7 +477,7 @@ func (c *Intracomm) Allgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.runColl(c.planAllgather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // Iallgatherv starts a nonblocking varying-size allgather
@@ -485,7 +486,7 @@ func (c *Intracomm) Iallgatherv(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset int, recvcounts, displs []int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAllgather(section{sendbuf, soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
+	return c.startColl(c.planAllgather(section{dtype.BufOf(sendbuf), soffset, scount, sdt}, varying(recvbuf, roffset, recvcounts, displs, rdt)))
 }
 
 // planAllgather is the plan of Allgather and Allgatherv; the receive
@@ -515,7 +516,7 @@ func (c *Intracomm) Alltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) error {
-	return c.runColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.runColl(c.planAlltoall(blocks{section: section{dtype.BufOf(sendbuf), soffset, scount, sdt}}, blocks{section: section{dtype.BufOf(recvbuf), roffset, rcount, rdt}}))
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall).
@@ -523,7 +524,7 @@ func (c *Intracomm) Ialltoall(
 	sendbuf any, soffset, scount int, sdt *Datatype,
 	recvbuf any, roffset, rcount int, rdt *Datatype,
 ) (*Request, error) {
-	return c.startColl(c.planAlltoall(blocks{section: section{sendbuf, soffset, scount, sdt}}, blocks{section: section{recvbuf, roffset, rcount, rdt}}))
+	return c.startColl(c.planAlltoall(blocks{section: section{dtype.BufOf(sendbuf), soffset, scount, sdt}}, blocks{section: section{dtype.BufOf(recvbuf), roffset, rcount, rdt}}))
 }
 
 // Alltoallv exchanges varying-size sections between all pairs
@@ -570,7 +571,7 @@ func (c *Intracomm) Reduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) error {
-	return c.runColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
+	return c.runColl(c.planReduce(section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op, root))
 }
 
 // Ireduce starts a nonblocking reduction (MPI_Ireduce); root's recvbuf
@@ -579,7 +580,7 @@ func (c *Intracomm) Ireduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op, root int,
 ) (*Request, error) {
-	return c.startColl(c.planReduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op, root))
+	return c.startColl(c.planReduce(section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op, root))
 }
 
 // reduceChecks is collChecks for the reduction family: op must also be
@@ -623,7 +624,7 @@ func (c *Intracomm) Allreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.runColl(c.planAllreduce(section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op))
 }
 
 // Iallreduce starts a nonblocking all-reduction (MPI_Iallreduce); every
@@ -632,7 +633,7 @@ func (c *Intracomm) Iallreduce(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planAllreduce(section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.startColl(c.planAllreduce(section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op))
 }
 
 func (c *Intracomm) planAllreduce(send, into section, op *Op) (*collPlan, error) {
@@ -657,7 +658,7 @@ func (c *Intracomm) ReduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
+	return c.runColl(c.planReduceScatter(section{dtype.BufOf(sendbuf), soffset, 0, d}, section{dtype.BufOf(recvbuf), roffset, 0, d}, recvcounts, op))
 }
 
 // IreduceScatter starts a nonblocking fold-and-scatter
@@ -666,7 +667,7 @@ func (c *Intracomm) IreduceScatter(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	recvcounts []int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planReduceScatter(section{sendbuf, soffset, 0, d}, section{recvbuf, roffset, 0, d}, recvcounts, op))
+	return c.startColl(c.planReduceScatter(section{dtype.BufOf(sendbuf), soffset, 0, d}, section{dtype.BufOf(recvbuf), roffset, 0, d}, recvcounts, op))
 }
 
 // planReduceScatter is the plan of ReduceScatter; the recvcounts set
@@ -704,7 +705,7 @@ func (c *Intracomm) Scan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.runColl(c.planScan(false, section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op))
 }
 
 // Iscan starts a nonblocking inclusive prefix reduction (MPI_Iscan).
@@ -712,7 +713,7 @@ func (c *Intracomm) Iscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(false, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.startColl(c.planScan(false, section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op))
 }
 
 // Exscan computes the exclusive prefix reduction in rank order — one of
@@ -723,7 +724,7 @@ func (c *Intracomm) Exscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) error {
-	return c.runColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.runColl(c.planScan(true, section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op))
 }
 
 // Iexscan starts a nonblocking exclusive prefix reduction
@@ -732,7 +733,7 @@ func (c *Intracomm) Iexscan(
 	sendbuf any, soffset int, recvbuf any, roffset int,
 	count int, d *Datatype, op *Op,
 ) (*Request, error) {
-	return c.startColl(c.planScan(true, section{sendbuf, soffset, count, d}, section{recvbuf, roffset, count, d}, op))
+	return c.startColl(c.planScan(true, section{dtype.BufOf(sendbuf), soffset, count, d}, section{dtype.BufOf(recvbuf), roffset, count, d}, op))
 }
 
 // planScan is the plan of Scan and Exscan; exclusive selects the

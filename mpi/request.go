@@ -33,35 +33,35 @@ type Request struct {
 	cr   *coll.Request // collective arm; nil once freed
 	cp   *collPlan     // the collective's plan: its fin deposits into the caller's buffers
 
-	// Receive completion parameters.
-	isRecv bool
-	into   bool // receive-into: payload already in the section, no unpack
-	sec    section
+	sec section // a receive's section
 
 	// pre is the status of a pre-completed request (ProcNull ops,
 	// buffered sends) and of a reaped point-to-point one.
 	pre *Status
 
 	once sync.Once
-	st   *Status
-	err  error
+	// Receive completion parameters, in once's padding.
+	isRecv bool
+	into   bool // receive-into: payload already in the section, no unpack
+	st     *Status
+	err    error
 }
 
 func preCompleted(st *Status) *Request {
 	return &Request{pre: st}
 }
 
-// recvStatus builds the user-visible status of a completed core
+// recvStatus fills st with the user-visible status of a completed core
 // receive: the shared completion trichotomy of the blocking and
 // non-blocking paths. For receive-into completions the elements are
 // derived from the deposited byte count (the engine already placed the
 // bytes); otherwise the wire payload is unpacked into the buffer
 // section here.
-func recvStatus(cst *core.Status, into bool, payload []byte, s section) (*Status, error) {
-	st := &Status{Source: cst.SourceGroup, Tag: cst.Tag, bytes: cst.Bytes, elements: -1}
+func recvStatus(st *Status, cst *core.Status, into bool, payload []byte, s section) error {
+	*st = Status{Source: cst.SourceGroup, Tag: cst.Tag, bytes: cst.Bytes, elements: -1}
 	if cst.Cancelled {
 		st.cancelled, st.Source, st.Tag = true, ProcNull, AnyTag
-		return st, nil
+		return nil
 	}
 	var err error
 	if into {
@@ -87,7 +87,7 @@ func recvStatus(cst *core.Status, into bool, payload []byte, s section) (*Status
 	if err != nil {
 		st.Error = ClassOf(err)
 	}
-	return st, err
+	return err
 }
 
 // finish computes the final status exactly once: for receives it unpacks
@@ -121,7 +121,8 @@ func (r *Request) finish() {
 			}
 			r.st = st
 		default:
-			r.st, r.err = recvStatus(&r.creq.Stat, r.into, r.creq.Payload, r.sec)
+			r.st = new(Status)
+			r.err = recvStatus(r.st, &r.creq.Stat, r.into, r.creq.Payload, r.sec)
 		}
 		r.creq.Recycle()
 		r.creq, r.pre = nil, r.st

@@ -32,15 +32,13 @@ func Barrier(c Comm) error { return c.Intra().Barrier() }
 // Bcast broadcasts root's buffer to every member (MPI_Bcast). All
 // members pass a buffer of the same length.
 func Bcast[T any](c Comm, buf []T, root int) error {
-	raw, d := view(buf)
-	return c.Intra().Bcast(raw, 0, len(buf), d, root)
+	return c.Intra().Bcast(buf, 0, len(buf), TypeOf[T](), root)
 }
 
 // Ibcast starts a nonblocking broadcast (MPI_Ibcast) and returns the
 // classic request; whichever call completes it fills buf.
 func Ibcast[T any](c Comm, buf []T, root int) (*mpi.Request, error) {
-	raw, d := view(buf)
-	return c.Intra().Ibcast(raw, 0, len(buf), d, root)
+	return c.Intra().Ibcast(buf, 0, len(buf), TypeOf[T](), root)
 }
 
 // BcastOne broadcasts a single value from root, returning the value on
@@ -55,17 +53,15 @@ func BcastOne[T any](c Comm, v T, root int) (T, error) {
 // member r's contribution lands at recv[r*len(send):]. recv needs
 // length Size()*len(send) at root and is ignored elsewhere.
 func Gather[T any](c Comm, send, recv []T, root int) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Gather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
+	d := TypeOf[T]()
+	return c.Intra().Gather(send, 0, len(send), d, recv, 0, len(send), d, root)
 }
 
 // Igather starts a nonblocking gather (MPI_Igather) and returns the
 // classic request; whichever call completes it fills root's recv.
 func Igather[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Igather(sraw, 0, len(send), sd, rraw, 0, len(send), rd, root)
+	d := TypeOf[T]()
+	return c.Intra().Igather(send, 0, len(send), d, recv, 0, len(send), d, root)
 }
 
 // Gatherv collects varying-length contributions at root (MPI_Gatherv):
@@ -74,8 +70,7 @@ func Igather[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
 // sum(counts)) in rank order. counts and recv are significant at root
 // only.
 func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
+	d := TypeOf[T]()
 	var displs []int
 	if c.Rank() == root {
 		var total int
@@ -85,23 +80,21 @@ func Gatherv[T any](c Comm, send, recv []T, counts []int, root int) error {
 			return fmt.Errorf("typed: Gatherv recv length %d, want sum(counts) = %d", len(recv), total)
 		}
 	}
-	return c.Intra().Gatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd, root)
+	return c.Intra().Gatherv(send, 0, len(send), d, recv, 0, counts, displs, d, root)
 }
 
 // Allgather is Gather with the result delivered to every member
 // (MPI_Allgather). recv needs length Size()*len(send) everywhere.
 func Allgather[T any](c Comm, send, recv []T) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Allgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
+	d := TypeOf[T]()
+	return c.Intra().Allgather(send, 0, len(send), d, recv, 0, len(send), d)
 }
 
 // Iallgather starts a nonblocking allgather (MPI_Iallgather) and
 // returns the classic request; whichever call completes it fills recv.
 func Iallgather[T any](c Comm, send, recv []T) (*mpi.Request, error) {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Iallgather(sraw, 0, len(send), sd, rraw, 0, len(send), rd)
+	d := TypeOf[T]()
+	return c.Intra().Iallgather(send, 0, len(send), d, recv, 0, len(send), d)
 }
 
 // Allgatherv is Gatherv with the result delivered to every member
@@ -109,8 +102,7 @@ func Iallgather[T any](c Comm, send, recv []T) (*mpi.Request, error) {
 // elements and every member's recv (length sum(counts)) receives the
 // blocks back-to-back in rank order.
 func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
+	d := TypeOf[T]()
 	displs, total := displsOf(counts)
 	if len(recv) != total {
 		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
@@ -120,24 +112,22 @@ func Allgatherv[T any](c Comm, send, recv []T, counts []int) error {
 		c.Intra().SkipColl()
 		return fmt.Errorf("typed: Allgatherv send length %d, want counts[%d] = %d", len(send), r, counts[r])
 	}
-	return c.Intra().Allgatherv(sraw, 0, len(send), sd, rraw, 0, counts, displs, rd)
+	return c.Intra().Allgatherv(send, 0, len(send), d, recv, 0, counts, displs, d)
 }
 
 // Scatter distributes root's send slice over the members (MPI_Scatter):
 // member r receives send[r*len(recv):]. send needs length
 // Size()*len(recv) at root and is ignored elsewhere.
 func Scatter[T any](c Comm, send, recv []T, root int) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Scatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
+	d := TypeOf[T]()
+	return c.Intra().Scatter(send, 0, len(recv), d, recv, 0, len(recv), d, root)
 }
 
 // Iscatter starts a nonblocking scatter (MPI_Iscatter) and returns the
 // classic request; whichever call completes it fills recv.
 func Iscatter[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Iscatter(sraw, 0, len(recv), sd, rraw, 0, len(recv), rd, root)
+	d := TypeOf[T]()
+	return c.Intra().Iscatter(send, 0, len(recv), d, recv, 0, len(recv), d, root)
 }
 
 // Scatterv distributes varying-length blocks from root (MPI_Scatterv):
@@ -146,8 +136,7 @@ func Iscatter[T any](c Comm, send, recv []T, root int) (*mpi.Request, error) {
 // length must equal counts[r]. send and counts are significant at root
 // only.
 func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
+	d := TypeOf[T]()
 	var displs []int
 	if c.Rank() == root {
 		var total int
@@ -157,7 +146,7 @@ func Scatterv[T any](c Comm, send []T, counts []int, recv []T, root int) error {
 			return fmt.Errorf("typed: Scatterv send length %d, want sum(counts) = %d", len(send), total)
 		}
 	}
-	return c.Intra().Scatterv(sraw, 0, counts, displs, sd, rraw, 0, len(recv), rd, root)
+	return c.Intra().Scatterv(send, 0, counts, displs, d, recv, 0, len(recv), d, root)
 }
 
 // Alltoall exchanges equal-size blocks between all pairs (MPI_Alltoall):
@@ -168,9 +157,8 @@ func Alltoall[T any](c Comm, send, recv []T) error {
 		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 		return err
 	}
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Alltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
+	d := TypeOf[T]()
+	return c.Intra().Alltoall(send, 0, len(send)/c.Size(), d, recv, 0, len(recv)/c.Size(), d)
 }
 
 // Ialltoall starts a nonblocking alltoall (MPI_Ialltoall) and returns
@@ -180,9 +168,8 @@ func Ialltoall[T any](c Comm, send, recv []T) (*mpi.Request, error) {
 		c.Intra().SkipColl() // stay tag-aligned with members whose call proceeds
 		return nil, err
 	}
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
-	return c.Intra().Ialltoall(sraw, 0, len(send)/c.Size(), sd, rraw, 0, len(recv)/c.Size(), rd)
+	d := TypeOf[T]()
+	return c.Intra().Ialltoall(send, 0, len(send)/c.Size(), d, recv, 0, len(recv)/c.Size(), d)
 }
 
 // checkBlocks rejects alltoall buffers that do not divide evenly into
@@ -203,8 +190,7 @@ func checkBlocks(c Comm, nsend, nrecv int) error {
 // recvcounts[j] elements). Every pair must agree: my sendcounts[j]
 // equals member j's recvcounts[my rank].
 func Alltoallv[T any](c Comm, send []T, sendcounts []int, recv []T, recvcounts []int) error {
-	sraw, sd := view(send)
-	rraw, rd := view(recv)
+	d := TypeOf[T]()
 	sdispls, stotal := displsOf(sendcounts)
 	rdispls, rtotal := displsOf(recvcounts)
 	if len(send) != stotal || len(recv) != rtotal {
@@ -212,7 +198,7 @@ func Alltoallv[T any](c Comm, send []T, sendcounts []int, recv []T, recvcounts [
 		return fmt.Errorf("typed: Alltoallv buffer lengths %d/%d, want sum(counts) = %d/%d",
 			len(send), len(recv), stotal, rtotal)
 	}
-	return c.Intra().Alltoallv(sraw, 0, sendcounts, sdispls, sd, rraw, 0, recvcounts, rdispls, rd)
+	return c.Intra().Alltoallv(send, 0, sendcounts, sdispls, d, recv, 0, recvcounts, rdispls, d)
 }
 
 // displsOf derives back-to-back displacements from per-rank counts.

@@ -26,7 +26,7 @@ type File[T any] struct {
 // file is T element i.
 func OpenFile[T any](c Comm, path string, amode int) (*File[T], error) {
 	var probe []T
-	_, d := view(probe)
+	d := TypeOf[T]()
 	if d == mpi.OBJECT {
 		return nil, fmt.Errorf("typed: element type %T has no fixed wire size; files need a native element type", probe)
 	}
@@ -54,72 +54,62 @@ func (f *File[T]) Close() error { return f.F.Close() }
 // WriteAt writes buf at view element offset foff, independently of
 // other ranks (MPI_File_write_at).
 func (f *File[T]) WriteAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.WriteAt(int64(foff), raw, 0, len(buf), d)
+	return f.F.WriteAt(int64(foff), buf, 0, len(buf), TypeOf[T]())
 }
 
 // ReadAt reads len(buf) elements from view element offset foff,
 // independently of other ranks (MPI_File_read_at). Count reports how
 // many elements a read that hit end-of-file delivered.
 func (f *File[T]) ReadAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.ReadAt(int64(foff), raw, 0, len(buf), d)
+	return f.F.ReadAt(int64(foff), buf, 0, len(buf), TypeOf[T]())
 }
 
 // Write writes buf at the individual file pointer (MPI_File_write).
 func (f *File[T]) Write(buf []T) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.Write(raw, 0, len(buf), d)
+	return f.F.Write(buf, 0, len(buf), TypeOf[T]())
 }
 
 // Read reads len(buf) elements at the individual file pointer
 // (MPI_File_read).
 func (f *File[T]) Read(buf []T) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.Read(raw, 0, len(buf), d)
+	return f.F.Read(buf, 0, len(buf), TypeOf[T]())
 }
 
 // WriteAllAt is the collective two-phase write of buf at view element
 // offset foff (MPI_File_write_at_all). Every member must call it;
 // buffer lengths may differ, including zero.
 func (f *File[T]) WriteAllAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.WriteAtAll(int64(foff), raw, 0, len(buf), d)
+	return f.F.WriteAtAll(int64(foff), buf, 0, len(buf), TypeOf[T]())
 }
 
 // ReadAllAt is the collective two-phase read of len(buf) elements at
 // view element offset foff (MPI_File_read_at_all).
 func (f *File[T]) ReadAllAt(buf []T, foff int) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.ReadAtAll(int64(foff), raw, 0, len(buf), d)
+	return f.F.ReadAtAll(int64(foff), buf, 0, len(buf), TypeOf[T]())
 }
 
 // IwriteAllAt starts the nonblocking collective write of buf at view
 // element offset foff (MPI_File_iwrite_at_all); buf must not be
 // modified until the request completes.
 func (f *File[T]) IwriteAllAt(buf []T, foff int) (*mpi.Request, error) {
-	raw, d := view(buf)
-	return f.F.IwriteAtAll(int64(foff), raw, 0, len(buf), d)
+	return f.F.IwriteAtAll(int64(foff), buf, 0, len(buf), TypeOf[T]())
 }
 
 // IreadAllAt starts the nonblocking collective read of len(buf)
 // elements at view element offset foff (MPI_File_iread_at_all); buf is
 // filled when the request completes.
 func (f *File[T]) IreadAllAt(buf []T, foff int) (*mpi.Request, error) {
-	raw, d := view(buf)
-	return f.F.IreadAtAll(int64(foff), raw, 0, len(buf), d)
+	return f.F.IreadAtAll(int64(foff), buf, 0, len(buf), TypeOf[T]())
 }
 
 // WriteAll is the collective write at the individual file pointer
 // (MPI_File_write_all).
 func (f *File[T]) WriteAll(buf []T) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.WriteAll(raw, 0, len(buf), d)
+	return f.F.WriteAll(buf, 0, len(buf), TypeOf[T]())
 }
 
 // ReadAll is the collective read at the individual file pointer
 // (MPI_File_read_all).
 func (f *File[T]) ReadAll(buf []T) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return f.F.ReadAll(raw, 0, len(buf), d)
+	return f.F.ReadAll(buf, 0, len(buf), TypeOf[T]())
 }

@@ -25,16 +25,14 @@ import "gompi/mpi"
 // bound to buf; each Start — its own or one through mpi.StartAll —
 // sends buf's contents as of that call.
 func SendInit[T any](c Peer, buf []T, dest, tag int) (*mpi.PersistentRequest, error) {
-	raw, d := view(buf)
-	return c.Base().SendInit(raw, 0, len(buf), d, dest, tag)
+	return c.Base().SendInit(buf, 0, len(buf), TypeOf[T](), dest, tag)
 }
 
 // RecvInit builds a persistent receive (MPI_Recv_init) bound to buf;
 // each activation fills buf (see Recv for how) in whichever call
 // completes it.
 func RecvInit[T any](c Peer, buf []T, source, tag int) (*mpi.PersistentRequest, error) {
-	raw, d := view(buf)
-	return c.Base().RecvInit(raw, 0, len(buf), d, source, tag)
+	return c.Base().RecvInit(buf, 0, len(buf), TypeOf[T](), source, tag)
 }
 
 // BarrierInit builds a persistent barrier (MPI_Barrier_init).
@@ -46,8 +44,7 @@ func BarrierInit(c Comm) (*mpi.PersistentRequest, error) {
 // buf: each activation re-reads root's buf at Start and fills every
 // other member's buf at completion.
 func BcastInit[T any](c Comm, buf []T, root int) (*mpi.PersistentRequest, error) {
-	raw, d := view(buf)
-	return c.Intra().BcastInit(raw, 0, len(buf), d, root)
+	return c.Intra().BcastInit(buf, 0, len(buf), TypeOf[T](), root)
 }
 
 // ReduceInit builds a persistent reduction (MPI_Reduce_init): each

@@ -80,10 +80,32 @@ var datatypeOf = [...]*mpi.Datatype{
 }
 
 // TypeOf returns the MPI datatype inferred for element type T: the
-// predefined basic datatype for native element types, MPI.OBJECT for
-// everything else. The inference is cached per type, so TypeOf is cheap
-// enough for per-message use.
+// predefined basic datatype for native element types and for named
+// primitives (`type Celsius float64` travels as DOUBLE), MPI.OBJECT for
+// everything else. Every typed call passes its slice to the classic
+// call as it stands, with TypeOf[T]() as the datatype: the binding
+// resolves the slice once (dtype.BufOf), so a typed call costs what the
+// classic call costs. The type switch is the hot path, one comparison
+// per case on the instantiated type; only other element types reach
+// the inference registry, which caches per type and gob-registers the
+// Obj-routed ones.
 func TypeOf[T any]() *mpi.Datatype {
+	switch any((*T)(nil)).(type) {
+	case *float64:
+		return mpi.DOUBLE
+	case *byte:
+		return mpi.BYTE
+	case *int32:
+		return mpi.INT
+	case *int64:
+		return mpi.LONG
+	case *float32:
+		return mpi.FLOAT
+	case *int16:
+		return mpi.SHORT
+	case *bool:
+		return mpi.BOOLEAN
+	}
 	return datatypeOf[dtype.Infer(reflect.TypeFor[T]()).Class]
 }
 
@@ -93,49 +115,11 @@ func Count[T any](st *mpi.Status) int {
 	return st.GetCount(TypeOf[T]())
 }
 
-// view resolves a buffer for a communication call: native element types
-// pass through as-is (zero-copy); named primitives (`type Celsius
-// float64`) are reinterpreted in place to their underlying native slice
-// and stay on their class's wire format; every other element type is
-// Obj-routed, and the slice is an OBJECT buffer as it stands. Either
-// way the classic call reads and writes the caller's memory, so there
-// is nothing to copy back afterwards.
-//
-// The type switch is the hot path: one runtime type comparison on the
-// instantiated slice type, no registry lookup, so a typed Send costs
-// what the classic Send costs. Only non-native element types fall
-// through to the inference registry (which gob-registers the Obj-routed
-// ones).
-func view[T any](buf []T) (raw any, d *mpi.Datatype) {
-	switch b := any(buf).(type) {
-	case []byte:
-		return b, mpi.BYTE
-	case []bool:
-		return b, mpi.BOOLEAN
-	case []int16:
-		return b, mpi.SHORT
-	case []int32:
-		return b, mpi.INT
-	case []int64:
-		return b, mpi.LONG
-	case []float32:
-		return b, mpi.FLOAT
-	case []float64:
-		return b, mpi.DOUBLE
-	}
-	if inf := dtype.Infer(reflect.TypeFor[T]()); inf.Reinterp {
-		nv, _ := dtype.NativeView(any(buf))
-		return nv, datatypeOf[inf.Class]
-	}
-	return buf, mpi.OBJECT
-}
-
 // Send is the blocking standard-mode send of a whole slice: the typed
 // analogue of MPI_Send. Use sub-slicing where the classic API would use
 // offset/count.
 func Send[T any](c Peer, buf []T, dest, tag int) error {
-	raw, d := view(buf)
-	return c.Base().Send(raw, 0, len(buf), d, dest, tag)
+	return c.Base().Send(buf, 0, len(buf), TypeOf[T](), dest, tag)
 }
 
 // Recv is the blocking receive into a whole slice (MPI_Recv). The
@@ -149,17 +133,30 @@ func Send[T any](c Peer, buf []T, dest, tag int) error {
 // error is returned (MPI_ERR_TRUNCATE semantics). An element that
 // arrives as a type buf cannot hold is an ErrType-class error; the
 // elements before it are deposited.
+//
+// Like the classic Recv, Recv allocates its Status in the caller's
+// frame and must stay inlinable (`go build -gcflags=-m`), so a caller
+// that drops the status allocates nothing.
 func Recv[T any](c Peer, buf []T, source, tag int) (*mpi.Status, error) {
-	raw, d := view(buf)
-	return c.Base().Recv(raw, 0, len(buf), d, source, tag)
+	return recv(new(mpi.Status), c, buf, source, tag)
+}
+
+// recv is Recv copying the classic call's status into st: that status
+// then stays in recv's frame.
+func recv[T any](st *mpi.Status, c Peer, buf []T, source, tag int) (*mpi.Status, error) {
+	got, err := c.Base().Recv(buf, 0, len(buf), TypeOf[T](), source, tag)
+	if got == nil {
+		return nil, err
+	}
+	*st = *got
+	return st, err
 }
 
 // Isend starts a non-blocking standard-mode send (MPI_Isend) and
 // returns the classic request. The buffer must not be modified until
 // the request completes.
 func Isend[T any](c Peer, buf []T, dest, tag int) (*mpi.Request, error) {
-	raw, d := view(buf)
-	return c.Base().Isend(raw, 0, len(buf), d, dest, tag)
+	return c.Base().Isend(buf, 0, len(buf), TypeOf[T](), dest, tag)
 }
 
 // Irecv starts a non-blocking receive (MPI_Irecv) and returns the
@@ -169,8 +166,7 @@ func Isend[T any](c Peer, buf []T, dest, tag int) (*mpi.Request, error) {
 // touched before. That call also reports an element of the wrong type
 // (ErrType class), and so does every later completion call.
 func Irecv[T any](c Peer, buf []T, source, tag int) (*mpi.Request, error) {
-	raw, d := view(buf)
-	return c.Base().Irecv(raw, 0, len(buf), d, source, tag)
+	return c.Base().Irecv(buf, 0, len(buf), TypeOf[T](), source, tag)
 }
 
 // SendOne sends a single value (a one-element message).

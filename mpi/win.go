@@ -24,7 +24,7 @@ import (
 // Win is a window of locally-exposed memory (MPI_Win).
 type Win struct {
 	comm *Intracomm // private duplicate the epochs run on
-	base any        // the exposed slice
+	base dtype.Buf  // the exposed slice
 	dt   *Datatype  // basic element type of the window
 	size int        // window length, in elements
 
@@ -61,7 +61,8 @@ func (c *Intracomm) CreateWin(base any, d *Datatype) (*Win, error) {
 	if d.Size() != 1 || d.Extent() != 1 {
 		return nil, c.raise(errf(ErrType, "window element type must be basic, got %s", d.Name()))
 	}
-	n, err := dtype.CheckBuf(base, d.t)
+	b := dtype.BufOf(base)
+	n, err := b.Check(d.t)
 	if err != nil {
 		return nil, c.raise(mapErr(err))
 	}
@@ -69,7 +70,7 @@ func (c *Intracomm) CreateWin(base any, d *Datatype) (*Win, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Win{comm: priv, base: base, dt: d, size: n,
+	return &Win{comm: priv, base: b, dt: d, size: n,
 		reqs: make([][]byte, c.Size()), gets: make([][]section, c.Size())}, nil
 }
 
@@ -122,7 +123,7 @@ func cutBlock(b []byte) (data, rest []byte, ok bool) {
 func (w *Win) queue(kind, op byte, s section, target, disp int) (err error) {
 	r := rmaReq{kind: kind, op: op, disp: disp, count: s.count * s.d.Size()}
 	if kind == rmaGet {
-		_, err = dtype.CheckBuf(s.buf, s.d.t)
+		_, err = s.buf.Check(s.d.t)
 		err = mapErr(err)
 	} else {
 		r.payload, err = s.pack(nil)
@@ -146,14 +147,14 @@ func (w *Win) queue(kind, op byte, s section, target, disp int) (err error) {
 // target rank's window at element displacement targetDisp (MPI_Put).
 // Completion is deferred to the next Fence.
 func (w *Win) Put(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	return w.comm.raise(w.queue(rmaAcc, 0, section{origin, offset, count, d}, target, targetDisp))
+	return w.comm.raise(w.queue(rmaAcc, 0, section{dtype.BufOf(origin), offset, count, d}, target, targetDisp))
 }
 
 // Get transfers count items from the target rank's window at element
 // displacement targetDisp into the origin buffer section (MPI_Get).
 // The origin buffer is valid after the next Fence.
 func (w *Win) Get(origin any, offset, count int, d *Datatype, target, targetDisp int) error {
-	return w.comm.raise(w.queue(rmaGet, 0, section{origin, offset, count, d}, target, targetDisp))
+	return w.comm.raise(w.queue(rmaGet, 0, section{dtype.BufOf(origin), offset, count, d}, target, targetDisp))
 }
 
 // Accumulate folds count items from the origin buffer into the target
@@ -169,7 +170,7 @@ func (w *Win) Accumulate(origin any, offset, count int, d *Datatype, target, tar
 			return w.comm.raise(err)
 		}
 	}
-	return w.comm.raise(w.queue(rmaAcc, byte(code), section{origin, offset, count, d}, target, targetDisp))
+	return w.comm.raise(w.queue(rmaAcc, byte(code), section{dtype.BufOf(origin), offset, count, d}, target, targetDisp))
 }
 
 // Fence completes all outstanding one-sided operations and synchronizes

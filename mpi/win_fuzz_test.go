@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"slices"
 	"testing"
+
+	"gompi/internal/dtype"
 )
 
 // FuzzWinRequests feeds arbitrary bytes to both decoders of a window
@@ -58,10 +60,10 @@ func FuzzWinRequests(f *testing.F) {
 
 		// A target applies any stream, and an origin deposits whatever
 		// comes back — the replies to it, or garbage — without panicking.
-		w := &Win{base: make([]int64, 8), dt: LONG, size: 8}
+		w := &Win{base: dtype.BufOf(make([]int64, 8)), dt: LONG, size: 8}
 		replies := make([][]byte, 2)
 		_ = w.apply([][]byte{data, enc}, replies)
-		into := make([]byte, 16)
+		into := dtype.BufOf(make([]byte, 16))
 		gets := [][]section{{{into, 0, 8, BYTE}, {into, 8, 8, BYTE}}, {{into, 0, 16, BYTE}}}
 		_ = w.deposit([][]byte{replies[0], data}, gets)
 	})
