@@ -32,7 +32,9 @@ func (t *Type) checkBounds(bufLen, offset, count int) error {
 	} else {
 		hi += last
 	}
-	wrapped := (ext != 0 && last/ext != count-1) || lo > t.dmin || hi < t.dmax
+	// The division is skipped for an extent of 1 (every basic type),
+	// whose product cannot wrap.
+	wrapped := (ext != 0 && ext != 1 && last/ext != count-1) || lo > t.dmin || hi < t.dmax
 	if wrapped || lo < -offset || hi >= bufLen-offset {
 		return fmt.Errorf("%w: accesses [%d,%d] of buffer len %d", ErrBounds, offset+lo, offset+hi, bufLen)
 	}

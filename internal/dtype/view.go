@@ -191,6 +191,11 @@ func (b Buf) ByteView(off, n int) ([]byte, bool) {
 // the datatype's storage class and returns its length. Named-primitive
 // slices count as their underlying class.
 func (b Buf) Check(t *Type) (int, error) {
+	// One compare for a fixed-size class; only an OBJECT datatype asks
+	// the buffer's class.
+	if b.typ == sliceTypes[t.class] {
+		return b.n, nil
+	}
 	c, ok := b.Class()
 	if !ok {
 		return 0, fmt.Errorf("%w: got %v", ErrClassMismatch, b.typeOf())

@@ -127,7 +127,7 @@ func Send[T any](c Peer, buf []T, dest, tag int) error {
 // wildcards. The incoming payload lands directly in buf — no staging
 // buffer, no unpack copy — whenever the element type is a native or
 // named primitive on a little-endian host, so with a preallocated
-// buffer a steady-state Recv allocates nothing but its Status;
+// buffer a steady-state Recv allocates nothing (see below);
 // Obj-routed elements are decoded straight into buf. If the message
 // holds more elements than buf, buf is filled and an ErrTruncate-class
 // error is returned (MPI_ERR_TRUNCATE semantics). An element that
