@@ -112,12 +112,26 @@ func TestShapedLoanRidesThrough(t *testing.T) {
 
 // TestSpinWait: never early, on either side of sleepFloor, and in the
 // right ballpark — scheduler noise happens, a coarse sleep must not.
+// Every wait is checked for earliness; the ballpark is checked on the
+// fastest of several waits, since preemption on a loaded machine
+// lengthens some waits at random while a coarse sleep lengthens them all.
 func TestSpinWait(t *testing.T) {
+	const tries = 10
 	for _, d := range []time.Duration{-time.Second, 0, 20 * time.Microsecond, 2 * time.Millisecond} {
-		start := time.Now()
-		spinWait(d)
-		if got := time.Since(start); got < d || got > max(d, 0)+5*time.Millisecond {
-			t.Errorf("spinWait(%v) returned after %v", d, got)
+		fastest := time.Duration(-1)
+		for range tries {
+			start := time.Now()
+			spinWait(d)
+			got := time.Since(start)
+			if got < d {
+				t.Errorf("spinWait(%v) returned early, after %v", d, got)
+			}
+			if fastest < 0 || got < fastest {
+				fastest = got
+			}
+		}
+		if fastest > max(d, 0)+5*time.Millisecond {
+			t.Errorf("spinWait(%v) returned after %v at the fastest of %d", d, fastest, tries)
 		}
 	}
 }
