@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"os/signal"
@@ -30,6 +29,7 @@ import (
 
 	"gompi/internal/launch"
 	"gompi/internal/obs"
+	"gompi/internal/transport"
 	"gompi/internal/transport/shmipc"
 )
 
@@ -202,13 +202,13 @@ func main() {
 	coordAddr := ""
 	coordErr := make(chan error, 1)
 	if needCoord {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
 			cleanup()
 			fatalf("coordinator listener: %v", err)
 		}
 		defer ln.Close()
-		coordAddr = ln.Addr().String()
+		coordAddr = ln.Addr()
 		go func() { coordErr <- launch.Coordinate(ln, *np) }()
 	} else {
 		coordErr <- nil
@@ -282,13 +282,13 @@ func main() {
 	// before the reply is sent: the requester is itself alive until the
 	// reply lands, so the reaper can never observe live==0 with a spawn
 	// still in flight.
-	ctrlLn, err := net.Listen("tcp", "127.0.0.1:0")
+	ctrlLn, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		cleanup()
 		fatalf("spawn control listener: %v", err)
 	}
 	defer ctrlLn.Close()
-	ctrlAddr := ctrlLn.Addr().String()
+	ctrlAddr := ctrlLn.Addr()
 	spawnSeq := 0
 	go func() {
 		for {

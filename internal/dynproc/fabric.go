@@ -2,7 +2,6 @@ package dynproc
 
 import (
 	"fmt"
-	"net"
 	"sync"
 
 	"gompi/internal/core"
@@ -24,7 +23,7 @@ type Fabric struct {
 	wg        sync.WaitGroup // the accept loop
 
 	mu     sync.Mutex
-	ln     net.Listener
+	ln     *transport.Listener
 	lnAddr string
 	byGUID map[string]int // admitted peer → its world rank in mux
 	epoch  int
@@ -76,12 +75,12 @@ func (f *Fabric) EnsureListener() (string, error) {
 	if f.ln != nil {
 		return f.lnAddr, nil
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		return "", fmt.Errorf("dynproc: rendezvous listener: %w", err)
 	}
 	f.ln = ln
-	f.lnAddr = ln.Addr().String()
+	f.lnAddr = ln.Addr()
 	f.wg.Add(1)
 	go f.acceptLoop(ln)
 	return f.lnAddr, nil
@@ -123,7 +122,7 @@ func (f *Fabric) lookupGUID(guid string) (idx int, alive, known bool) {
 
 // attach admits one connection as the next world rank, with the engine's
 // own source-rank rewrite as the stamp Mux.Join asks for.
-func (f *Fabric) attach(guid string, c net.Conn) (int, error) {
+func (f *Fabric) attach(guid string, c transport.Conn) (int, error) {
 	idx, err := f.mux.Join(c, core.PatchFrameSource)
 	if err != nil {
 		return 0, err

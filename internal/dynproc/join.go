@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"sync"
 	"time"
 
@@ -62,7 +61,7 @@ type joinHello struct {
 // joinAck confirms the dial-in was parked for admission.
 type joinAck struct{ Err string }
 
-func writePreamble(c net.Conn, kind uint32) error {
+func writePreamble(c transport.Conn, kind uint32) error {
 	var pre [8]byte
 	binary.LittleEndian.PutUint32(pre[0:], dynMagic)
 	binary.LittleEndian.PutUint32(pre[4:], kind)
@@ -70,7 +69,7 @@ func writePreamble(c net.Conn, kind uint32) error {
 	return err
 }
 
-func writeMsg(c net.Conn, v any) error {
+func writeMsg(c transport.Conn, v any) error {
 	var buf bytes.Buffer
 	buf.Write(make([]byte, 4)) // the length prefix, filled in below
 	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -82,7 +81,7 @@ func writeMsg(c net.Conn, v any) error {
 	return err
 }
 
-func readMsg(c net.Conn, v any) error {
+func readMsg(c transport.Conn, v any) error {
 	var lp [4]byte
 	if _, err := io.ReadFull(c, lp[:]); err != nil {
 		return err
@@ -109,7 +108,7 @@ type Port struct {
 }
 
 type inboundLeader struct {
-	c     net.Conn
+	c     transport.Conn
 	hello leaderHello
 }
 
@@ -165,7 +164,7 @@ func (f *Fabric) OpenPort() (*Port, error) {
 	return p, nil
 }
 
-func (f *Fabric) acceptLoop(ln net.Listener) {
+func (f *Fabric) acceptLoop(ln *transport.Listener) {
 	defer f.wg.Done()
 	for {
 		c, err := ln.Accept()
@@ -176,7 +175,7 @@ func (f *Fabric) acceptLoop(ln net.Listener) {
 	}
 }
 
-func (f *Fabric) handleConn(c net.Conn) {
+func (f *Fabric) handleConn(c transport.Conn) {
 	c.SetDeadline(time.Now().Add(handshakeTimeout))
 	var pre [8]byte
 	if _, err := io.ReadFull(c, pre[:]); err != nil {
@@ -242,7 +241,7 @@ func (f *Fabric) DialLeader(portName string, local []Member, ctxCand int32, eage
 	if err != nil {
 		return nil, err
 	}
-	c, err := net.DialTimeout("tcp", addr, timeout)
+	c, err := transport.Dial(addr, timeout)
 	if err != nil {
 		return nil, fmt.Errorf("dynproc: dialing port at %s: %w", addr, err)
 	}
@@ -316,11 +315,11 @@ func randomJoinID() (uint64, error) {
 type pendingJoin struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	conns map[string]net.Conn
+	conns map[string]transport.Conn
 }
 
 func newPendingJoin() *pendingJoin {
-	pj := &pendingJoin{conns: map[string]net.Conn{}}
+	pj := &pendingJoin{conns: map[string]transport.Conn{}}
 	pj.cond = sync.NewCond(&pj.mu)
 	return pj
 }
@@ -347,7 +346,7 @@ func (f *Fabric) forgetJoin(id uint64) {
 	}
 }
 
-func (pj *pendingJoin) put(guid string, c net.Conn) {
+func (pj *pendingJoin) put(guid string, c transport.Conn) {
 	pj.mu.Lock()
 	defer pj.mu.Unlock()
 	if old, ok := pj.conns[guid]; ok {
@@ -357,7 +356,7 @@ func (pj *pendingJoin) put(guid string, c net.Conn) {
 	pj.cond.Broadcast()
 }
 
-func (pj *pendingJoin) take(guid string, deadline time.Time) (net.Conn, error) {
+func (pj *pendingJoin) take(guid string, deadline time.Time) (transport.Conn, error) {
 	timer := time.AfterFunc(time.Until(deadline), func() {
 		pj.mu.Lock()
 		pj.cond.Broadcast()
@@ -390,8 +389,8 @@ func (pj *pendingJoin) closeAll() {
 
 // dialJoin opens the pairwise frame connection toward one remote
 // member's rendezvous listener.
-func (f *Fabric) dialJoin(addr string, id uint64, deadline time.Time) (net.Conn, error) {
-	c, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+func (f *Fabric) dialJoin(addr string, id uint64, deadline time.Time) (transport.Conn, error) {
+	c, err := transport.Dial(addr, time.Until(deadline))
 	if err != nil {
 		return nil, err
 	}
@@ -439,7 +438,7 @@ func (f *Fabric) Admit(t *Ticket, timeout time.Duration) ([]int, error) {
 			idxs[i] = idx
 			continue
 		}
-		var c net.Conn
+		var c transport.Conn
 		var err error
 		if t.AcceptSide {
 			c, err = f.joinFor(t.JoinID).take(m.GUID, deadline)

@@ -4,11 +4,12 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"os/exec"
 	"strings"
 	"time"
+
+	"gompi/internal/transport"
 )
 
 // Dynamic-process plumbing: MPI_Comm_spawn needs someone to actually
@@ -49,7 +50,7 @@ type spawnReply struct{ Err string }
 // started (not after they initialize), so a nil error means the
 // processes exist and the parent can sit in Accept waiting for them.
 func RequestSpawn(ctrlAddr string, req SpawnRequest) error {
-	c, err := net.DialTimeout("tcp", ctrlAddr, 30*time.Second)
+	c, err := transport.Dial(ctrlAddr, 30*time.Second)
 	if err != nil {
 		return fmt.Errorf("launch: dialing spawn control %s: %w", ctrlAddr, err)
 	}
@@ -73,7 +74,7 @@ func RequestSpawn(ctrlAddr string, req SpawnRequest) error {
 // children running), reply with the verdict. start must not return
 // before the children count toward the launcher's reap accounting — the
 // requester may exit the moment the reply lands.
-func ServeSpawnConn(c net.Conn, start func(SpawnRequest) error) {
+func ServeSpawnConn(c transport.Conn, start func(SpawnRequest) error) {
 	defer c.Close()
 	c.SetDeadline(time.Now().Add(2 * time.Minute))
 	var req SpawnRequest
@@ -152,7 +153,7 @@ func SpawnLocal(job SpawnJob) (*SpawnHandle, error) {
 	if job.N < 1 {
 		return nil, fmt.Errorf("launch: spawn of %d processes", job.N)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("launch: spawn coordinator listener: %w", err)
 	}
@@ -169,7 +170,7 @@ func SpawnLocal(job SpawnJob) (*SpawnHandle, error) {
 		env := append(append([]string(nil), base...),
 			fmt.Sprintf("%s=%d", EnvRank, r),
 			fmt.Sprintf("%s=%d", EnvSize, job.N),
-			fmt.Sprintf("%s=%s", EnvCoord, ln.Addr().String()),
+			fmt.Sprintf("%s=%s", EnvCoord, ln.Addr()),
 			fmt.Sprintf("%s=tcp", EnvDevice),
 		)
 		if job.ParentPort != "" {

@@ -3,7 +3,6 @@ package launch
 import (
 	"errors"
 	"fmt"
-	"net"
 	"os"
 	"strconv"
 	"strings"
@@ -172,10 +171,10 @@ func NewDevice(name string, s JobSpec) (transport.Device, error) {
 // the address table and connects every rank members leaves uncovered.
 // It owns members, also when it fails.
 func joinMesh(s JobSpec, members []transport.Device) (transport.Device, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.Listen("127.0.0.1:0")
 	var addrs []string
 	if err == nil {
-		if addrs, err = rendezvous(s.Coord, s.Rank, s.Size, ln.Addr().String()); err != nil {
+		if addrs, err = rendezvous(s.Coord, s.Rank, s.Size, ln.Addr()); err != nil {
 			ln.Close()
 		}
 	}

@@ -7,8 +7,9 @@ package launch
 import (
 	"encoding/gob"
 	"fmt"
-	"net"
 	"time"
+
+	"gompi/internal/transport"
 )
 
 // Environment variables carrying the job geometry from mpirun to the
@@ -34,8 +35,8 @@ type table struct {
 // Coordinate runs the coordinator side of the rendezvous on ln: it
 // collects n worker registrations, then sends every worker the full
 // address table. It returns when all workers are released.
-func Coordinate(ln net.Listener, n int) error {
-	conns := make([]net.Conn, n)
+func Coordinate(ln *transport.Listener, n int) error {
+	conns := make([]transport.Conn, n)
 	addrs := make([]string, n)
 	seen := 0
 	defer func() {
@@ -74,7 +75,7 @@ func Coordinate(ln net.Listener, n int) error {
 // rendezvous registers this rank's mesh listener address with the
 // coordinator and returns the full address table.
 func rendezvous(coordAddr string, rank, size int, addr string) ([]string, error) {
-	conn, err := net.DialTimeout("tcp", coordAddr, 30*time.Second)
+	conn, err := transport.Dial(coordAddr, 30*time.Second)
 	if err != nil {
 		return nil, fmt.Errorf("launch: dialing coordinator %s: %w", coordAddr, err)
 	}

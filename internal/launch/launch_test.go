@@ -3,7 +3,6 @@ package launch
 import (
 	"encoding/gob"
 	"fmt"
-	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,7 +14,7 @@ import (
 
 func TestCoordinateAndJoin(t *testing.T) {
 	const n = 3
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +29,7 @@ func TestCoordinateAndJoin(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			d, err := NewDevice("tcp", JobSpec{Rank: r, Size: n, Coord: ln.Addr().String()})
+			d, err := NewDevice("tcp", JobSpec{Rank: r, Size: n, Coord: ln.Addr()})
 			if err != nil {
 				errs[r] = err
 				return
@@ -81,14 +80,14 @@ func TestCoordinateAndJoin(t *testing.T) {
 }
 
 func TestCoordinateRejectsBadRank(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	done := make(chan error, 1)
 	go func() { done <- Coordinate(ln, 2) }()
-	c, err := net.Dial("tcp", ln.Addr().String())
+	c, err := transport.Dial(ln.Addr(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestCoordinateRejectsBadRank(t *testing.T) {
 }
 
 func TestJoinSizeMismatch(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	ln, err := transport.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +116,7 @@ func TestJoinSizeMismatch(t *testing.T) {
 		gob.NewDecoder(c).Decode(&h)                            //nolint:errcheck
 		gob.NewEncoder(c).Encode(table{Addrs: []string{"one"}}) //nolint:errcheck
 	}()
-	if _, err := NewDevice("tcp", JobSpec{Rank: 0, Size: 3, Coord: ln.Addr().String()}); err == nil {
+	if _, err := NewDevice("tcp", JobSpec{Rank: 0, Size: 3, Coord: ln.Addr()}); err == nil {
 		t.Fatal("the mesh rendezvous accepted a short address table")
 	}
 }

@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"net"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -202,7 +201,7 @@ func (m *Mux) Size() int { return len(m.table()) }
 // link each number the other in their own world, so stamp rewrites the
 // sender-stamped source rank of every inbound frame to the returned
 // rank before the frame reaches the inbox.
-func (m *Mux) Join(c net.Conn, stamp func(frame []byte, src int32) error) (int, error) {
+func (m *Mux) Join(c Conn, stamp func(frame []byte, src int32) error) (int, error) {
 	r := route{conn: newFrameConn(c), med: viaDyn}
 	m.mu.Lock()
 	if m.closed {

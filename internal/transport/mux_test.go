@@ -202,15 +202,15 @@ func jobWorld(t *testing.T, job []*Mux) *muxWorld {
 }
 
 // listeners opens n loopback listeners for a mesh.
-func listeners(t *testing.T, n int) ([]net.Listener, []string) {
+func listeners(t *testing.T, n int) ([]*Listener, []string) {
 	t.Helper()
-	lns, addrs := make([]net.Listener, n), make([]string, n)
+	lns, addrs := make([]*Listener, n), make([]string, n)
 	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[r], addrs[r] = ln, ln.Addr().String()
+		lns[r], addrs[r] = ln, ln.Addr()
 	}
 	return lns, addrs
 }

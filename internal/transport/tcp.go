@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"sync"
 	"time"
 )
@@ -21,17 +20,16 @@ const connWriterSize = 16 << 10
 // frameConn is one connection carrying frames behind a 4-byte
 // little-endian length prefix: the one wire framing, of mesh connections
 // and joined links alike. Per-pair FIFO ordering follows from TCP's
-// byte-stream ordering plus the writer lock.
+// byte-stream ordering plus the writer lock. Latency matters more than
+// throughput here: every connection of Dial and of a Listener's Accept
+// has TCP_NODELAY set.
 type frameConn struct {
 	mu sync.Mutex // serializes frame writes
-	c  net.Conn
+	c  Conn
 	w  *bufio.Writer
 }
 
-func newFrameConn(c net.Conn) *frameConn {
-	if tc, ok := c.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) //nolint:errcheck // latency matters more than throughput here
-	}
+func newFrameConn(c Conn) *frameConn {
 	return &frameConn{c: c, w: bufio.NewWriterSize(c, connWriterSize)}
 }
 
@@ -239,7 +237,7 @@ var handshakeTimeout = 5 * time.Second
 // one, identifying peers through a handshake frame, so the procedure is
 // deadlock-free regardless of scheduling; both ends of a pair must agree
 // on whether it is covered. The mux owns members, also when it fails.
-func ConnectMesh(rank int, members []Device, addrs []string, ln net.Listener) (*Mux, error) {
+func ConnectMesh(rank int, members []Device, addrs []string, ln *Listener) (*Mux, error) {
 	defer ln.Close() // every peer due has been accepted, or the mesh has failed
 	size := len(members)
 	m := newMux(rank, size, 0)
@@ -284,13 +282,13 @@ func ConnectMesh(rank int, members []Device, addrs []string, ln net.Listener) (*
 	return m, nil
 }
 
-func dialPeer(addr string, myRank int) (net.Conn, error) {
-	var c net.Conn
+func dialPeer(addr string, myRank int) (Conn, error) {
+	var c Conn
 	var err error
 	// The peer's listener exists before addresses are published, but
 	// transient kernel-level refusals can still happen under load.
 	for attempt := 0; attempt < 50; attempt++ {
-		c, err = net.DialTimeout("tcp", addr, 5*time.Second)
+		c, err = Dial(addr, 5*time.Second)
 		if err == nil {
 			break
 		}
@@ -314,7 +312,7 @@ func dialPeer(addr string, myRank int) (net.Conn, error) {
 // else, or nothing within handshakeTimeout, is a stranger, not a peer:
 // it is dropped and the wait goes on, so it can neither wedge nor fail
 // the mesh.
-func acceptPeer(ln net.Listener) (net.Conn, int, error) {
+func acceptPeer(ln *Listener) (Conn, int, error) {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
@@ -335,10 +333,10 @@ func acceptPeer(ln net.Listener) (net.Conn, int, error) {
 // 127.0.0.1, for tests and benchmarks: real sockets, real wire framing,
 // no separate OS processes.
 func NewLoopbackJob(n int) ([]*Mux, error) {
-	lns := make([]net.Listener, n)
+	lns := make([]*Listener, n)
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := Listen("127.0.0.1:0")
 		if err != nil {
 			for j := 0; j < i; j++ {
 				lns[j].Close()
@@ -346,7 +344,7 @@ func NewLoopbackJob(n int) ([]*Mux, error) {
 			return nil, err
 		}
 		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		addrs[i] = ln.Addr()
 	}
 	devs := make([]*Mux, n)
 	errs := make([]error, n)

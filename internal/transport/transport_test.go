@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -123,12 +122,12 @@ func TestMeshIgnoresStrangers(t *testing.T) {
 	defer func(d time.Duration) { handshakeTimeout = d }(handshakeTimeout)
 	handshakeTimeout = 50 * time.Millisecond
 	lns, addrs := listeners(t, 2)
-	silent, err := net.Dial("tcp", addrs[0])
+	silent, err := Dial(addrs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer silent.Close()
-	garbage, err := net.Dial("tcp", addrs[0])
+	garbage, err := Dial(addrs[0], 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // its stack. Every call below converts its []float64 afresh, as a
 // caller of the paper's API does. The blocking point-to-point calls
 // and reductions, classic and typed, allocate nothing per call but a
-// Sendrecv's Status; an Isend or Irecv pays its Request and, at Wait,
+// Sendrecv's or SendrecvReplace's Status; an Isend or Irecv pays its Request and, at Wait,
 // its Status, and nothing for its buffer. Bcast is logged only: its
 // root packs a fresh payload every call (ROADMAP, "An 8-byte Bcast
 // allocates").
@@ -44,6 +44,10 @@ func TestBufferArgumentsStayOnCallerStack(t *testing.T) {
 		// A Status on each rank: see Sendrecv.
 		{"Sendrecv", 2, func(w *mpi.Intracomm, peer, _ int, buf, out []float64) error {
 			_, err := w.Sendrecv(buf, 0, 1, mpi.DOUBLE, peer, 2, out, 0, 1, mpi.DOUBLE, peer, 2)
+			return err
+		}},
+		{"SendrecvReplace", 2, func(w *mpi.Intracomm, peer, _ int, _, out []float64) error {
+			_, err := w.SendrecvReplace(out, 0, 1, mpi.DOUBLE, peer, 5, peer, 5)
 			return err
 		}},
 		{"Allreduce", 0, func(w *mpi.Intracomm, _, _ int, buf, out []float64) error {

@@ -644,7 +644,9 @@ func (c *Comm) Sendrecv(
 
 // SendrecvReplace sends and receives using a single buffer section
 // (MPI_Sendrecv_replace): the outgoing message is packed before the
-// incoming one overwrites the buffer.
+// receive is posted, so the reply may land in the section itself. Like
+// Sendrecv it builds no mpi.Request: the returned Status is the call's
+// one allocation.
 func (c *Comm) SendrecvReplace(
 	buf any, offset, count int, d *Datatype,
 	dest, stag, source, rtag int,
@@ -653,30 +655,43 @@ func (c *Comm) SendrecvReplace(
 	if err := c.sendChecks(d, dest, stag); err != nil {
 		return nil, c.raise(err)
 	}
-	payload, pooled, err := c.pack(s)
+	src, tg, n, err := c.startRecv(s, source, rtag)
 	if err != nil {
 		return nil, c.raise(err)
 	}
-	rreq, err := c.irecv(s, source, rtag)
-	if err != nil {
-		if pooled {
-			transport.PutBuf(payload)
+	var payload []byte
+	pooled := false
+	if dest != ProcNull {
+		if payload, pooled, err = c.pack(s); err != nil {
+			return nil, c.raise(err)
 		}
-		return nil, err
 	}
+	st := nullStatus()
+	var rreq *core.Request
+	into := false
+	if source != ProcNull {
+		rreq, into = c.postRecv(s, n, src, tg)
+	}
+	var serr error
 	if dest != ProcNull {
 		// The receive is already posted, so the engine serves the peer's
 		// message while this send blocks. No PutBuf on failure: Send took
 		// ownership, and the device's own error path may already have
 		// recycled the payload.
-		if err := c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], stag, payload, core.ModeStandard, pooled); err != nil {
-			rreq.withdraw()
-			return nil, c.raise(mapErr(err))
+		if serr = c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], stag, payload, core.ModeStandard, pooled); serr != nil && rreq != nil {
+			// Withdraw the receive: one that already matched completes
+			// with its message, and nothing lands in buf after the return.
+			c.env.proc.Cancel(rreq)
 		}
-	} else if pooled {
-		transport.PutBuf(payload)
 	}
-	st, rerr := rreq.Wait()
+	var rerr error
+	if rreq != nil {
+		rerr = recvStatus(st, rreq.Wait(), into, rreq.Payload, s)
+		rreq.Recycle()
+	}
+	if serr != nil {
+		return nil, c.raise(mapErr(serr))
+	}
 	return st, c.raise(rerr)
 }
 

@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"strings"
 	"sync"
@@ -95,13 +94,13 @@ func twoMediaJob(t *testing.T) []*transport.Mux {
 	// Each island is a whole-world chan job of which only its own two
 	// ranks are used, so its endpoints carry their world ranks.
 	islands := [][]*transport.Mux{transport.NewShmJob(n, 0), transport.NewShmJob(n, 0)}
-	lns, addrs := make([]net.Listener, n), make([]string, n)
+	lns, addrs := make([]*transport.Listener, n), make([]string, n)
 	for r := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := transport.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[r], addrs[r] = ln, ln.Addr().String()
+		lns[r], addrs[r] = ln, ln.Addr()
 	}
 	muxes, errs := make([]*transport.Mux, n), make([]error, n)
 	var wg sync.WaitGroup

@@ -252,15 +252,6 @@ func (r *Request) Cancel() error {
 	return nil
 }
 
-// withdraw cancels a posted receive and waits for it, so that no
-// message matching it later is written into its buffer once the call
-// that posted it has returned. A receive that already matched completes
-// with its message.
-func (r *Request) withdraw() {
-	r.Cancel() //nolint:errcheck // Cancel reports no error
-	r.Wait()   //nolint:errcheck // the caller reports its own error
-}
-
 // Free releases the request handle (MPI_Request_free). The operation, if
 // still pending, is allowed to complete in the background; a
 // collective's result is then discarded, its receive buffers are never
