@@ -76,12 +76,10 @@ func (l *Listener) Accept() (Conn, error) {
 	var err error
 	werr := l.rc.Read(func(lfd uintptr) bool {
 		for {
-			syscall.ForkLock.RLock()
-			fd, _, err = syscall.Accept(int(lfd))
-			if err == nil {
-				syscall.CloseOnExec(fd)
-			}
-			syscall.ForkLock.RUnlock()
+			fd, err = sysFD(func() (int, error) {
+				nfd, _, err := syscall.Accept(int(lfd))
+				return nfd, err
+			})
 			// Only EAGAIN waits for the edge-triggered poller; EINTR and
 			// ECONNABORTED (a dial-in reset in the backlog) retry at once.
 			if err != syscall.EINTR && err != syscall.ECONNABORTED {
@@ -89,14 +87,10 @@ func (l *Listener) Accept() (Conn, error) {
 			}
 		}
 	})
-	if err = cmp.Or(werr, os.NewSyscallError("accept", err)); err != nil {
-		return nil, fmt.Errorf("transport: accept on %s: %w", l.addr, err)
+	var f *os.File
+	if err = cmp.Or(werr, os.NewSyscallError("accept", err)); err == nil {
+		f, err = tcpFile(fd, "tcp-accepted:"+l.addr)
 	}
-	if err := syscall.SetNonblock(fd, true); err != nil {
-		syscall.Close(fd)
-		return nil, fmt.Errorf("transport: accept on %s: %w", l.addr, os.NewSyscallError("setnonblock", err))
-	}
-	f, err := tcpFile(fd, "tcp-accepted:"+l.addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: accept on %s: %w", l.addr, err)
 	}
@@ -170,23 +164,31 @@ func connect(f *os.File, sa syscall.Sockaddr, timeout time.Duration) error {
 	return cmp.Or(werr, cerr)
 }
 
-// socket makes a non-blocking, close-on-exec TCP/IPv4 socket. The fork
-// lock keeps an exec from inheriting it between the two calls.
+// socket makes a TCP/IPv4 socket for Listen or Dial.
 func socket() (int, error) {
+	fd, err := sysFD(func() (int, error) {
+		return syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, syscall.IPPROTO_TCP)
+	})
+	return fd, os.NewSyscallError("socket", err)
+}
+
+// sysFD runs open, which makes a descriptor, under the fork lock and
+// marks the descriptor close-on-exec before the lock is let go, so that
+// no exec inherits it, and non-blocking, so that os.NewFile hands it to
+// the runtime poller.
+func sysFD(open func() (int, error)) (int, error) {
 	syscall.ForkLock.RLock()
-	fd, err := syscall.Socket(syscall.AF_INET, syscall.SOCK_STREAM, syscall.IPPROTO_TCP)
+	fd, err := open()
 	if err == nil {
 		syscall.CloseOnExec(fd)
 	}
 	syscall.ForkLock.RUnlock()
-	if err != nil {
-		return -1, os.NewSyscallError("socket", err)
+	if err == nil {
+		if err = syscall.SetNonblock(fd, true); err != nil {
+			syscall.Close(fd)
+		}
 	}
-	if err := syscall.SetNonblock(fd, true); err != nil {
-		syscall.Close(fd)
-		return -1, os.NewSyscallError("setnonblock", err)
-	}
-	return fd, nil
+	return fd, err
 }
 
 // tcpFile hands a non-blocking stream socket to the runtime poller, with
