@@ -14,10 +14,10 @@ import (
 // its stack. Every call below converts its []float64 afresh, as a
 // caller of the paper's API does. The blocking point-to-point calls
 // and reductions, classic and typed, allocate nothing per call but a
-// Sendrecv's or SendrecvReplace's Status; an Isend or Irecv pays its Request and, at Wait,
-// its Status, and nothing for its buffer. Bcast is logged only: its
-// root packs a fresh payload every call (ROADMAP, "An 8-byte Bcast
-// allocates").
+// Sendrecv's or SendrecvReplace's Status; an Isend or Irecv pays its
+// Request and, at Wait, its Status, and nothing for its buffer. Bcast
+// is logged only: its root packs a fresh payload every call (ROADMAP,
+// "An 8-byte Bcast allocates").
 func TestBufferArgumentsStayOnCallerStack(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops items at random")
