@@ -46,7 +46,7 @@ func (c *Comm) Agree(flags uint32, cand int32, failed []bool) (uint32, int32, []
 		// collective at a different point), but execute the same
 		// recovery calls in the same order.
 		inst := c.rseq.Add(1) - 1
-		tag := int(core.RecoveryTag) | int(inst%seqPeriod)<<tagFamBits | tagAgree
+		tag := int(core.RecoveryTag) | int(inst%seqPeriod)<<core.TagFamBits | tagAgree
 
 		state := encodeAgree(flags, cand, view)
 		type pendRecv struct {

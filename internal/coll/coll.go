@@ -68,7 +68,7 @@ func (c *Comm) DropPlans() {
 }
 
 // Internal tag families, one per collective family, in the low
-// tagFamBits bits of the matching tag; the instance sequence number
+// core.TagFamBits bits of the matching tag; the instance sequence number
 // occupies the bits above. Distinct families keep unrelated collectives
 // apart even across the (enormous) sequence wrap-around.
 const (
@@ -95,8 +95,8 @@ const (
 	tagPlan0
 )
 
-// A collective tag is space | (instance mod seqPeriod) << tagFamBits |
-// family, below core.RecoveryTag (bit 30), which agreement rounds add.
+// A collective tag is space | (instance mod seqPeriod) << core.TagFamBits
+// | family, below core.RecoveryTag (bit 30), which agreement rounds add.
 // Two live instances of one family collide only when their numbers
 // agree modulo seqPeriod in the same space. One-shot collectives (seq)
 // and agreement rounds (rseq) complete in program order on every member,
@@ -105,7 +105,6 @@ const (
 // (tagPersistent, numbered by pseq): its tags meet another's only after
 // 2^25 further *Init calls on the communicator while it is still live.
 const (
-	tagFamBits    = 4
 	seqPeriod     = 1 << 25
 	tagPersistent = 1 << 29
 )
@@ -114,7 +113,18 @@ const (
 // collective. Callers that abort a collective before building its
 // schedule (local argument errors in the binding layer) use it to stay
 // tag-aligned with members whose matching call proceeded.
-func (c *Comm) SkipInstance() { c.seq.Add(1) }
+func (c *Comm) SkipInstance() { c.mint(&c.seq, 0) }
+
+// mint takes the next instance number of seq, in the tag space space.
+// A cancelled instance's record (core.Proc.RevokeInstance) bars its tags
+// until then: minting the number half a period past it drops the record,
+// before the tags come round again, and long after any member's call of
+// that instance — members stay within a period of each other.
+func (c *Comm) mint(seq *atomic.Uint32, space int) uint32 {
+	n := seq.Add(1) - 1
+	c.P.ForgetInstance(c.Ctx, int32(space|int((n+seqPeriod/2)%seqPeriod)<<core.TagFamBits))
+	return n
+}
 
 // rel maps a group rank to its rank relative to root; unrel inverts it.
 func rel(rank, root, size int) int { return (rank - root + size) % size }

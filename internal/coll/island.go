@@ -30,8 +30,8 @@ import (
 // everything else that completes one — revocation, the engine's death or
 // close, and Cancel.
 //
-// A member whose hold completes any other way — it was cancelled, its
-// communicator revoked, its engine closed — leaves (island.leave).
+// A member whose hold completes any other way — its wait was cancelled,
+// its communicator revoked, its engine closed — leaves (island.leave).
 // Before the fold opens it leaves a private copy of its contribution
 // behind, as the message schedules' first send has already shipped one,
 // so the instance still folds when its last member arrives, for the
@@ -41,7 +41,10 @@ import (
 // fold and waits until the fold is over. Arrivals, leaves and the settle
 // take the island's lock, and a leaving member takes it before its
 // request completes: once a member's wait returns, nobody reads or
-// writes its buffers, or touches its hold, for that instance again.
+// writes its buffers, or touches its hold, for that instance again. A
+// cancelled wait revokes the instance on its member's engine alone
+// (Request.WaitCtx): no other member is told, as a member that leaves
+// strands nobody.
 
 // islandChunk is the span of one chunk of the fold in wire bytes, cut
 // down to a whole number of the operand's units. Measured, not tuned:
@@ -108,7 +111,7 @@ type islandKey struct {
 // island is the state a communicator's members share. Its instances are
 // keyed by their holds' tag, which names one call, or one persistent
 // activation, among those in flight as it does for the message
-// schedules (see tagFamBits).
+// schedules (see core.TagFamBits).
 type island struct {
 	mu    sync.Mutex
 	insts map[int32]*instance
@@ -188,6 +191,7 @@ func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, t 
 	if op.wire > op.chunk {
 		yields = islandChunkYields
 	}
+	s.local = true
 	h := &fut{leave: func(hold *core.Request) { isl.leave(s, hold) }}
 	s.step(func() error {
 		in, err := isl.arrive(s, op, *mine, h)
@@ -209,9 +213,6 @@ func (c *Comm) addIslandSteps(s *sched, isl *island, f *folder, mine *[]byte, t 
 		req := h.req
 		h.req = nil
 		err := req.Stat.Err
-		if req.Stat.Cancelled {
-			err = ErrCancelled
-		}
 		if err != nil {
 			isl.leave(s, req)
 		} else {

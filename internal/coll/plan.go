@@ -1,6 +1,10 @@
 package coll
 
-import "fmt"
+import (
+	"fmt"
+
+	"gompi/internal/core"
+)
 
 // Plan is a collective, compiled but not yet run: one schedule instance
 // with two ways to execute it — Run (blocking) and Start (nonblocking),
@@ -12,7 +16,7 @@ import "fmt"
 // returning its Plan (BarrierPlan … ReduceScatterPlan); NewPlan composes
 // custom ones from the same primitives — local compute steps
 // interleaved with collective exchange rounds — and the composition
-// inherits the forms, the cancellation points and the
+// inherits the forms, cancellation and the
 // per-instance tag isolation for free. The parallel I/O layer builds
 // its two-phase collective reads and writes this way.
 //
@@ -47,8 +51,8 @@ func (c *Comm) NewPlan() *Plan {
 // that exhausts it is a builder bug, not a runtime condition.
 func (p *Plan) nextFam() int {
 	f := p.fam
-	if f >= 1<<tagFamBits {
-		panic(fmt.Sprintf("coll: plan exceeds %d exchange primitives", (1<<tagFamBits)-tagPlan0))
+	if f >= 1<<core.TagFamBits {
+		panic(fmt.Sprintf("coll: plan exceeds %d exchange primitives", (1<<core.TagFamBits)-tagPlan0))
 	}
 	p.fam++
 	return f
@@ -140,4 +144,4 @@ func (p *Plan) Persisted() bool { return p.s.space != 0 }
 // order. Each activation is then a Rearm and a Start; they reuse the
 // plan's tags, which members keep apart by completing activation k
 // before they start k+1.
-func (p *Plan) Persist() { p.s.inst, p.s.space = p.c.pseq.Add(1)-1, tagPersistent }
+func (p *Plan) Persist() { p.s.inst, p.s.space = p.c.mint(&p.c.pseq, tagPersistent), tagPersistent }

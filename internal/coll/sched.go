@@ -4,17 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gompi/internal/core"
 	"gompi/internal/obs"
 	"gompi/internal/transport"
 )
-
-// ErrCancelled is the completion error of a collective schedule that was
-// torn down by context cancellation before it finished.
-var ErrCancelled = errors.New("coll: collective cancelled")
 
 // Request is a handle on one activation of a collective schedule. It
 // completes exactly once, with the algorithm's result (shape depends on
@@ -25,8 +20,8 @@ var ErrCancelled = errors.New("coll: collective cancelled")
 // becomes runnable while nobody waits resumes on a goroutine of its own,
 // which ends at its next park.
 type Request struct {
-	s         *sched
-	cancelled atomic.Bool
+	s   *sched
+	tag int32 // a tag of the activation's instance, for WaitCtx to revoke
 
 	// Who runs the steps, guarded by the engine lock (core.Proc.Await,
 	// Publish and OnDone callbacks all run under it): waiters counts the
@@ -80,57 +75,44 @@ func (r *Request) Test() (any, bool, error) {
 	return r.res, true, r.err
 }
 
-// WaitCtx is Wait, except that when ctx is done first the schedule is
-// cancelled at its next cancellation point — every send/receive wait
-// inside the algorithm is one — and WaitCtx returns ctx's error
-// promptly, even when a peer never shows up.
+// WaitCtx is Wait, except that when ctx is done first the activation is
+// cancelled, and WaitCtx returns ctx's error promptly, even when a peer
+// never shows up.
 //
-// Cancellation abandons this member's participation in the collective
-// instance: what a peer has already matched is seen through (that peer
-// is unaffected), what no peer has matched yet is withdrawn, unposted
-// rounds never run — and only then does the wait return, so the
-// buffers bound to the collective are the caller's again. Later
-// collectives on the same communicator are isolated from the abandoned
-// instance by its per-instance tag, but the MPI ordering rule still
-// stands: every member must eventually make the same collective call,
-// cancelled or not, or the members' schedules stop lining up.
-//
-// One caveat bounds the recovery guarantee on the message schedules:
-// the abandoned member posts no further receives for the instance, so a
-// payload above the eager limit still owed to it leaves the late
-// sender's rendezvous — and with it that rank's matching (blocking)
-// call — stalled forever. (The other direction resolves itself: a late
-// member's receive that matches a withdrawn send fails with
-// core.ErrWithdrawn.) Ranks that mix cancellation into a communicator
-// should use WaitCtx on every member, or keep cancellable collectives'
-// payloads within the eager limit. The island fold (island.go) strands
-// nobody: a cancelled member leaves a copy of its contribution, and the
-// call folds for the others when its last member arrives.
+// A cancelled instance ends on every member. Cancelling revokes the
+// instance (core.Proc.RevokeInstance) on this member and, by a notice,
+// on every other: what of it is in flight fails, what arrives for it is
+// dropped, and a member still in the call, or making it late, gets
+// core.ErrInstanceCancelled instead of waiting for a message that will
+// not come; a member whose call had completed keeps its result. WaitCtx
+// returns once nothing of the activation is left in flight, so the
+// buffers bound to it are the caller's again. The communicator and its
+// later collectives carry on — every member still makes every call, in
+// order — and a persisted plan's later activations fail alike, as they
+// reuse the instance. An island fold (island.go) is cancelled on this
+// member alone: it leaves a copy of its contribution, and the others'
+// call completes without it waiting.
 func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 	fired := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
-		r.cancel()
+		// An activation that has completed is left alone. The sweep
+		// completes what the schedule is parked on, so it wakes and
+		// tears itself down.
+		if !r.done.Load() {
+			r.s.c.P.RevokeInstance(r.s.c.Ctx, r.tag, !r.s.local)
+		}
 		close(fired)
 	})
 	res, err := r.Wait()
 	if !stop() {
 		<-fired
 	}
-	if errors.Is(err, ErrCancelled) && ctx.Err() != nil {
+	if errors.Is(err, core.ErrInstanceCancelled) && ctx.Err() != nil {
 		return nil, ctx.Err()
 	}
 	// Completed normally despite the deadline, or failed for a reason of
 	// its own, which is not masked as a clean timeout.
 	return res, err
-}
-
-// cancel marks the activation cancelled and pokes whatever its schedule
-// is parked on, so the executor wakes, observes the mark at its next
-// cancellation point and tears the schedule down.
-func (r *Request) cancel() {
-	if r.cancelled.CompareAndSwap(false, true) {
-		r.s.cancelGated()
-	}
 }
 
 // fut is the seam between a step that posts a nonblocking receive and
@@ -212,16 +194,13 @@ type sched struct {
 	pend []*core.Request
 	res  any // published to req on successful completion
 
-	// Parking state. While the schedule is parked, gated holds the
-	// incomplete operations it waits for (guarded by gmu, so a cancelling
-	// goroutine can poke them without racing the executor) and waits
-	// counts the completions still owed before the schedule becomes
-	// runnable again.
-	gmu   sync.Mutex
-	gated []*core.Request
-	one   [1]*core.Request // backs gated when parking on a single gate
+	// Parking state: while the schedule is parked, waits counts the
+	// completions still owed before it becomes runnable again.
 	waits atomic.Int32
 	wake  func() // bound once; decrements waits, hands the schedule on at zero
+	// local marks an island fold, whose members exchange no message: a
+	// cancellation revokes its instance on this member only.
+	local bool
 
 	// armed is set from arm to finish: the activation's flight-recorder
 	// span is open, and its coll.sched event carries its duration.
@@ -233,7 +212,7 @@ type sched struct {
 // exactly one per collective call on every member regardless of local
 // outcomes.
 func (c *Comm) newSched() *sched {
-	s := &sched{c: c, inst: c.seq.Add(1) - 1}
+	s := &sched{c: c, inst: c.mint(&c.seq, 0)}
 	s.wake = func() {
 		// Runs under the engine lock (completion callback): the last
 		// completion hands the runnable schedule to a caller waiting for
@@ -256,7 +235,7 @@ func (c *Comm) newSched() *sched {
 // families under one instance number; no composition uses a family
 // twice, so tags stay unique within the instance.
 func (s *sched) tag(family int) int {
-	return s.space | int(s.inst%seqPeriod)<<tagFamBits | family
+	return s.space | int(s.inst%seqPeriod)<<core.TagFamBits | family
 }
 
 func (s *sched) step(fn func() error) { s.steps = append(s.steps, step{run: fn}) }
@@ -290,7 +269,7 @@ func (s *sched) arm() {
 // k+1, so round k+1 traffic can never cross-match round k's.
 func (s *sched) rearm() {
 	if s.space == 0 {
-		s.inst = s.c.seq.Add(1) - 1
+		s.inst = s.c.mint(&s.c.seq, 0)
 	}
 	s.pc = 0
 }
@@ -395,13 +374,10 @@ func (s *sched) consumeStep(f *fut, fn func([]byte) error) {
 		req := f.req
 		f.req = nil
 		st := &req.Stat
-		if st.Cancelled {
-			req.Recycle()
-			return errors.New("coll: receive cancelled")
-		}
 		if rerr := st.Err; rerr != nil {
-			// A peer died or the communicator was revoked mid-schedule:
-			// surface it rather than fold a nil payload into the algorithm.
+			// A peer died, the communicator was revoked or the instance
+			// cancelled mid-schedule: surface it rather than fold a nil
+			// payload into the algorithm.
 			req.Recycle()
 			return rerr
 		}
@@ -430,6 +406,7 @@ func (s *sched) consumeStep(f *fut, fn func([]byte) error) {
 // the caller up to its first wait for a message, so its first sends and
 // receives are posted when it returns.
 func (s *sched) start(r *Request) {
+	r.tag = int32(s.tag(0))
 	s.req = r
 	s.arm()
 	s.run()
@@ -439,25 +416,16 @@ func (s *sched) start(r *Request) {
 // schedule is handed on by the completion callback of the last operation
 // it waits for; run then resumes at the same program counter.
 func (s *sched) run() {
-	// The previous park's gate list is stale the moment we are running
-	// again; clear it before any gated request can be consumed, so a
-	// concurrent canceller never pokes a recycled request.
-	s.ungate()
 	for {
 		if err := s.req.err; err != nil {
 			s.fail(err) // resumed mid-teardown
-			return
-		}
-		if s.cancelled() {
-			s.fail(ErrCancelled)
 			return
 		}
 		if s.pc < len(s.steps) {
 			st := s.steps[s.pc]
 			if st.gate != nil && st.gate.req != nil {
 				if _, done := st.gate.req.Test(); !done {
-					s.one[0] = st.gate.req
-					if s.park(s.one[:]) {
+					if s.park([]*core.Request{st.gate.req}) {
 						return
 					}
 					continue // the wait is over; re-check from the top
@@ -494,30 +462,20 @@ func (s *sched) run() {
 	}
 }
 
-// park suspends the schedule until every request in reqs has completed.
-// The gate list is published first, so a canceller can end the wait by
-// completing the gated operations as cancelled; the cancel may also have
-// arrived before that, so park looks once more and pokes them itself,
-// which bounds the wait either way. park returns true when the schedule
-// is genuinely parked: the executor must return, and the last
-// completion callback hands the schedule on. When everything completed
-// while parking it returns false; the +1 guard makes that decision
-// race-free — the callbacks and the final Add together reach zero
-// exactly once, wherever the completions land.
+// park suspends the schedule until every request in reqs has completed;
+// a cancellation ends the wait by failing them (Request.WaitCtx). park
+// returns true when the schedule is genuinely parked: the executor must
+// return, and the last completion callback hands the schedule on. When
+// everything completed while parking it returns false; the +1 guard
+// makes that decision race-free — the callbacks and the final Add
+// together reach zero exactly once, wherever the completions land.
 func (s *sched) park(reqs []*core.Request) bool {
 	inst := s.inst // past the final Add the schedule may run on, finish and be re-armed
-	s.gmu.Lock()
-	s.gated = reqs
-	s.gmu.Unlock()
 	s.waits.Store(int32(len(reqs)) + 1)
 	for _, r := range reqs {
 		r.OnDone(s.wake)
 	}
-	if s.cancelled() {
-		s.cancelGated()
-	}
 	if s.waits.Add(-1) == 0 {
-		s.ungate()
 		return false
 	}
 	s.parked(inst, len(reqs))
@@ -535,31 +493,6 @@ func (s *sched) resumed() {
 	s.c.vars().resumed.Inc()
 	s.c.P.Recorder().Instant(obs.EvCollResume, s.inst, 0)
 }
-
-// ungate retires the gate list of a park that is over.
-func (s *sched) ungate() {
-	s.gmu.Lock()
-	s.gated = nil
-	s.gmu.Unlock()
-}
-
-// cancelGated pokes a parked schedule's gated operations: still-
-// revocable ones complete as cancelled immediately; matched ones are
-// left to their imminent ordinary completion. Either way each gated
-// request's completion callback still fires, so the schedule wakes,
-// observes the cancellation and aborts. Holding gmu across the Cancel
-// calls pins the gate list: the executor clears it (under gmu) before
-// recycling any gated request, so a concurrent resume cannot recycle a
-// request out from under us.
-func (s *sched) cancelGated() {
-	s.gmu.Lock()
-	for _, r := range s.gated {
-		s.c.P.Cancel(r)
-	}
-	s.gmu.Unlock()
-}
-
-func (s *sched) cancelled() bool { return s.req.cancelled.Load() }
 
 // finish completes the activation's request and wakes whoever waits
 // for it. It is the runner's last touch of the schedule: a persistent one

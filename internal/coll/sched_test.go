@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -220,10 +221,11 @@ func TestWaitCtxAbsentPeerBarrier(t *testing.T) {
 }
 
 // TestWaitCtxCancelThenReuseSameComm: a non-root member cancels out of a
-// broadcast whose root is late; the late root still completes its half,
-// and the SAME communicator keeps working for both members afterwards —
-// the per-instance tags keep the abandoned instance's traffic from ever
-// matching later collectives.
+// broadcast whose root is late; the late root's call of the cancelled
+// instance fails with core.ErrInstanceCancelled, and the SAME
+// communicator keeps working for both members afterwards — the
+// per-instance tags keep the cancelled instance's record from ever
+// barring later collectives.
 func TestWaitCtxCancelThenReuseSameComm(t *testing.T) {
 	const n = 2
 	results := runGroupCtx(t, n, func(mk func(int32) *Comm) (any, error) {
@@ -239,11 +241,11 @@ func TestWaitCtxCancelThenReuseSameComm(t *testing.T) {
 				return nil, fmt.Errorf("WaitCtx on rootless bcast: %v, want deadline exceeded", err)
 			}
 		} else {
-			// The root arrives late — after rank 1 already abandoned the
-			// instance — and completes its half without a receiver.
+			// The root arrives late — after rank 1 already cancelled the
+			// instance — and its call fails.
 			time.Sleep(150 * time.Millisecond)
-			if _, err := c.Bcast(0, []byte("late")); err != nil {
-				return nil, err
+			if _, err := c.Bcast(0, []byte("late")); !errors.Is(err, core.ErrInstanceCancelled) {
+				return nil, fmt.Errorf("late root's Bcast of the cancelled instance: %v, want core.ErrInstanceCancelled", err)
 			}
 		}
 		// The same communicator must still carry ordinary collectives.
@@ -394,5 +396,55 @@ func TestParkedScheduleSeesEverySweep(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCancelledInstanceRecordLastsHalfAPeriod: a cancelled instance's
+// record (core.Proc.RevokeInstance) bars that instance's tags, and no
+// other's, until this member mints the number half a period past it —
+// by a skipped call in the one-shot space, by a Persist in the
+// persistent one — and not one call sooner. ForgetGroup drops it at
+// once.
+func TestCancelledInstanceRecordLastsHalfAPeriod(t *testing.T) {
+	p := core.NewProc(transport.NewShmJob(1, 0)[0], core.Config{})
+	defer p.Close()
+	c := &Comm{P: p, Ctx: 1, Rank: 0, Size: 1, World: func(r int) int { return r }}
+	barred := func(space int, inst uint32) bool {
+		req := p.Irecv(c.Ctx, 0, int32(space|int(inst%seqPeriod)<<core.TagFamBits|tagBcast))
+		_, done := req.Test()
+		if !done {
+			p.Cancel(req)
+		}
+		req.Recycle()
+		return done
+	}
+	const inst = 5
+	for _, sp := range []struct {
+		name  string
+		space int
+		seq   *atomic.Uint32
+		mint  func()
+	}{
+		{"one-shot", 0, &c.seq, c.SkipInstance},
+		{"persistent", tagPersistent, &c.pseq, func() { c.BarrierPlan().Persist() }},
+	} {
+		p.RevokeInstance(c.Ctx, int32(sp.space|inst<<core.TagFamBits|tagGather), false)
+		if !barred(sp.space, inst) || barred(sp.space, inst+1) || barred(tagPersistent-sp.space, inst) {
+			t.Fatalf("%s: the record bars the wrong instances", sp.name)
+		}
+		sp.seq.Store(inst + seqPeriod/2 - 1)
+		sp.mint()
+		if !barred(sp.space, inst) {
+			t.Fatalf("%s: the record was dropped a call before half a period", sp.name)
+		}
+		sp.mint()
+		if barred(sp.space, inst) {
+			t.Fatalf("%s: the record outlived the mint half a period on", sp.name)
+		}
+	}
+	p.RevokeInstance(c.Ctx, inst<<core.TagFamBits, false)
+	p.ForgetGroup(c.Ctx - 1)
+	if barred(0, inst) {
+		t.Fatal("ForgetGroup left the record")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -32,6 +33,14 @@ var ErrTruncated = errors.New("core: receive buffer too small, message truncated
 // every member the revocation reaches.
 var ErrCommRevoked = errors.New("core: communicator revoked")
 
+// ErrInstanceCancelled is the completion error of the operations of a
+// collective instance that a member cancelled (RevokeInstance): the
+// instance ends on every member the cancellation reaches — what is in
+// flight fails, what arrives is dropped, what is posted later fails at
+// once — while the communicator, and every other instance on it, carry
+// on.
+var ErrInstanceCancelled = errors.New("core: collective instance cancelled")
+
 // ErrWithdrawn is the completion error of a receive that matched a
 // rendezvous send whose sender gave it up — cancelled it, or had it
 // failed by a revocation — before the grant arrived, or before the
@@ -50,6 +59,33 @@ const RecoveryTag int32 = 1 << 30
 // isRecoveryTag reports whether t carries the repair exemption. Wildcard
 // tags are negative, so the bit test alone would misread them.
 func isRecoveryTag(t int32) bool { return t >= 0 && t&RecoveryTag != 0 }
+
+// TagFamBits is how many low bits of a collective tag name its family
+// within the collective instance; the bits above name the instance
+// (internal/coll composes its tags this way).
+const TagFamBits = 4
+
+// instanceOf is the collective instance tag belongs to: the tag with its
+// family bits cleared.
+func instanceOf(tag int32) int32 { return tag &^ (1<<TagFamBits - 1) }
+
+// revKey names what a revocation record bars: the collective instance
+// inst on context ctx, or, when inst is wholePair, the context pair at
+// ctx (ctx, ctx+1).
+type revKey struct{ ctx, inst int32 }
+
+// wholePair is the instance of a record that bars a whole pair: no tag's
+// instance, as its family bits are set.
+const wholePair int32 = -1
+
+// bars reports whether the record k bars an operation on ctx with tag.
+// Recovery-tagged traffic is never barred.
+func (k revKey) bars(ctx, tag int32) bool {
+	if k.inst == wholePair {
+		return (ctx == k.ctx || ctx == k.ctx+1) && !isRecoveryTag(tag)
+	}
+	return ctx == k.ctx && instanceOf(tag) == k.inst && !isRecoveryTag(tag)
+}
 
 // Config tunes a Proc.
 type Config struct {
@@ -158,9 +194,13 @@ type Proc struct {
 	// table, letting failPeer and the fail-fast paths attribute peer
 	// death on derived communicators, not just COMM_WORLD.
 	groups map[int32][]int
-	// revoked maps a context to its revocation error once any member
-	// revoked the owning communicator.
-	revoked map[int32]error
+	// revoked maps what a revocation bars — a context pair a member
+	// revoked (Revoke), a collective instance a member cancelled
+	// (RevokeInstance) — to the error it fails operations with.
+	revoked map[revKey]error
+	// instances counts revoked's instance records, for ForgetInstance to
+	// read without the lock.
+	instances atomic.Int32
 	// parentOf maps the base of a context pair the runtime derived for
 	// its own use (Derive) to the base of the pair it serves.
 	parentOf map[int32]int32
@@ -625,15 +665,23 @@ func (p *Proc) RegisterGroupCtx(ctx int32, world []int) {
 }
 
 // ForgetGroup drops what RegisterGroup, RegisterGroupCtx, Derive and a
-// revocation recorded for the context pair at base: the communicator is
-// freed. Operations still pending on it complete as before, except that
-// a peer's loss no longer fails those pinned to that peer.
+// revocation or an instance's cancellation recorded for the context pair
+// at base: the communicator is freed. Operations still pending on it
+// complete as before, except that a peer's loss no longer fails those
+// pinned to that peer.
 func (p *Proc) ForgetGroup(base int32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, ctx := range []int32{base, base + 1} {
 		delete(p.groups, ctx)
-		delete(p.revoked, ctx)
+	}
+	for k := range p.revoked {
+		if k.ctx == base || k.ctx == base+1 {
+			delete(p.revoked, k)
+			if k.inst != wholePair {
+				p.instances.Add(-1)
+			}
+		}
 	}
 	delete(p.parentOf, base)
 	p.groupsN.Set(int64(len(p.groups)))
@@ -668,8 +716,40 @@ func (p *Proc) PeerDown(w int) bool {
 // stay connected. Recovery-tagged traffic (Agree/Shrink) is exempt —
 // revocation must not poison the repair protocol itself.
 func (p *Proc) Revoke(base int32) {
+	p.revoke(revKey{base, wholePair}, true)
+}
+
+// RevokeInstance cancels the collective instance that tag names on the
+// collective context ctx: this member's operations of the instance fail
+// with ErrInstanceCancelled, its arrived messages are released, and its
+// later ones fail at once — and, when flood is set, a notice carries the
+// same to every live member of the group registered for ctx, which
+// re-floods it as Revoke's does. Recovery-tagged traffic is exempt, and
+// pairs derived from ctx's (Derive) are not touched. The record stays
+// until ForgetInstance or ForgetGroup drops it.
+func (p *Proc) RevokeInstance(ctx, tag int32, flood bool) {
+	p.revoke(revKey{ctx, instanceOf(tag)}, flood)
+}
+
+// ForgetInstance drops the record of the instance that tag names on ctx,
+// left by RevokeInstance or a peer's notice: its tags are about to be
+// reused. It takes no lock while the engine holds no instance record.
+func (p *Proc) ForgetInstance(ctx, tag int32) {
+	if p.instances.Load() != 0 {
+		p.mu.Lock()
+		if k := (revKey{ctx, instanceOf(tag)}); p.revoked[k] != nil {
+			delete(p.revoked, k)
+			p.instances.Add(-1)
+		}
+		p.mu.Unlock()
+	}
+}
+
+// revoke records k and runs its sweep (revokeLocked), then releases
+// what the sweep purged and ships its notices.
+func (p *Proc) revoke(k revKey, flood bool) {
 	p.mu.Lock()
-	outs, purged := p.revokeLocked(base)
+	outs, purged := p.revokeLocked(k, flood)
 	p.mu.Unlock()
 	release(purged)
 	p.ship(outs)
@@ -689,8 +769,8 @@ func (p *Proc) Derive(parent, child int32) {
 	p.parentOf[child] = parent
 	var outs []outFrame
 	var purged []transport.Frame
-	if p.revoked[parent] != nil {
-		outs, purged = p.revokeLocked(child)
+	if p.revoked[revKey{parent, wholePair}] != nil {
+		outs, purged = p.revokeLocked(revKey{child, wholePair}, true)
 	}
 	p.mu.Unlock()
 	release(purged)
@@ -711,16 +791,16 @@ func release(frames []transport.Frame) {
 func (p *Proc) ContextRevoked(base int32) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.revoked[base] != nil
+	return p.revoked[revKey{base, wholePair}] != nil
 }
 
 // ctxErrLocked returns the revocation error barring an operation on ctx
-// with tag, or nil.
+// with tag — its pair's, or its collective instance's — or nil.
 func (p *Proc) ctxErrLocked(ctx, tag int32) error {
-	if err := p.revoked[ctx]; err != nil && !isRecoveryTag(tag) {
-		return err
+	if len(p.revoked) == 0 || isRecoveryTag(tag) {
+		return nil
 	}
-	return nil
+	return cmp.Or(p.revoked[revKey{ctx, wholePair}], p.revoked[revKey{ctx, instanceOf(tag)}])
 }
 
 // ship sends engine-produced control frames without ever blocking the
@@ -771,31 +851,36 @@ func (p *Proc) drain() {
 	p.mu.Unlock()
 }
 
-// revokeLocked records the revocation of (base, base+1), fails every
-// pinned non-recovery operation, drops queued unexpected messages for
-// the pair, revokes the pairs derived from it (Derive), and returns the
-// flood of notices to transmit and the dropped messages' frames, for the
-// caller to release once the lock is dropped. Both are empty when the
-// pair was already revoked.
-func (p *Proc) revokeLocked(base int32) (outs []outFrame, purged []transport.Frame) {
-	if p.revoked[base] != nil {
+// revokeLocked records the revocation k, fails every pinned operation
+// it bars, drops queued unexpected messages it bars, revokes the pairs
+// derived from a revoked pair (Derive), and returns — when flood is set —
+// the notices to transmit, and the dropped messages' frames, for the
+// caller to release once the lock is dropped. Both are empty when k was
+// already recorded.
+func (p *Proc) revokeLocked(k revKey, flood bool) (outs []outFrame, purged []transport.Frame) {
+	if p.revoked[k] != nil {
 		return nil, nil
 	}
 	if p.revoked == nil {
-		p.revoked = make(map[int32]error)
+		p.revoked = make(map[revKey]error)
 	}
-	err := fmt.Errorf("%w (ctx %d)", ErrCommRevoked, base)
-	p.revoked[base] = err
-	p.revoked[base+1] = err
-	p.rec.Instant(obs.EvRevoke, uint32(base), 0)
+	var err error
+	if k.inst == wholePair {
+		err = fmt.Errorf("%w (ctx %d)", ErrCommRevoked, k.ctx)
+		p.revoked[revKey{k.ctx + 1, wholePair}] = err
+	} else {
+		err = fmt.Errorf("%w (ctx %d, tag %d)", ErrInstanceCancelled, k.ctx, k.inst)
+		p.instances.Add(1)
+	}
+	p.revoked[k] = err
+	p.rec.Instant(obs.EvRevoke, uint32(k.ctx), int64(k.inst))
 
-	barred := func(ctx, tag int32) bool { return (ctx == base || ctx == base+1) && !isRecoveryTag(tag) }
-	p.failWhereLocked(err, func(r *Request, _ bool) bool { return barred(r.ctx, r.tag) })
-	// Unexpected messages for the pair will never be matched; release
-	// their frames rather than hold them until Close.
+	p.failWhereLocked(err, func(r *Request, _ bool) bool { return k.bars(r.ctx, r.tag) })
+	// Unexpected messages it bars will never be matched; release their
+	// frames rather than hold them until Close.
 	kept := p.arrived[:0]
 	for _, m := range p.arrived {
-		if barred(m.env.ctx, m.env.tag) {
+		if k.bars(m.env.ctx, m.env.tag) {
 			purged = append(purged, m.frame)
 			continue
 		}
@@ -805,25 +890,27 @@ func (p *Proc) revokeLocked(base int32) (outs []outFrame, purged []transport.Fra
 	p.arrived = kept
 	p.unexpDepth.Set(int64(len(p.arrived)))
 
-	me := p.Rank()
-	members := p.groups[base]
-	if members == nil {
-		// No registered table (the world pair, or a comm built before
-		// registration): every rank is a potential member.
-		members = make([]int, p.Size())
-		for i := range members {
-			members[i] = i
+	if flood {
+		me := p.Rank()
+		members := p.groups[k.ctx]
+		if members == nil {
+			// No registered table (the world pair, or a comm built before
+			// registration): every rank is a potential member.
+			members = make([]int, p.Size())
+			for i := range members {
+				members[i] = i
+			}
 		}
-	}
-	for _, w := range members {
-		if w == me || p.peerDown[w] != nil {
-			continue
+		for _, w := range members {
+			if w == me || p.peerDown[w] != nil {
+				continue
+			}
+			outs = append(outs, outFrame{dst: int32(w), hdr: buildRevoke(int32(me), k.ctx, k.inst)})
 		}
-		outs = append(outs, outFrame{dst: int32(w), hdr: buildRevoke(int32(me), base)})
 	}
 	for child, parent := range p.parentOf {
-		if parent == base {
-			o, f := p.revokeLocked(child)
+		if k.inst == wholePair && parent == k.ctx {
+			o, f := p.revokeLocked(revKey{child, wholePair}, true)
 			outs, purged = append(outs, o...), append(purged, f...)
 		}
 	}
@@ -857,10 +944,10 @@ func (p *Proc) handleLocked(f *parsed, err error) (outs []outFrame, after []late
 		}
 		req := p.takeMatchLocked(f.env)
 		if req == nil {
-			if len(p.revoked) > 0 && p.ctxErrLocked(f.env.ctx, f.env.tag) != nil {
-				// Nothing can match a late arrival on a revoked pair:
-				// its frame goes back now, like those revokeLocked
-				// purged from the unexpected queue.
+			if p.ctxErrLocked(f.env.ctx, f.env.tag) != nil {
+				// Nothing can match a late arrival on a revoked pair or
+				// a cancelled instance: its frame goes back now, like
+				// those revokeLocked purged from the unexpected queue.
 				return nil, nil, nil
 			}
 			m := inMsgPool.Get().(*inMsg)
@@ -934,10 +1021,11 @@ func (p *Proc) handleLocked(f *parsed, err error) (outs []outFrame, after []late
 			p.completeLocked(req, nil, Status{Bytes: req.size})
 		}
 	case kRevoke:
-		// First receipt poisons the pair and re-floods the notice: the
-		// flood is what makes revocation reliable when the revoker dies
-		// mid-broadcast (every member that hears it tells everyone).
-		outs, purged = p.revokeLocked(f.env.ctx)
+		// First receipt poisons the pair, or ends the instance, and
+		// re-floods the notice: the flood is what makes revocation
+		// reliable when the revoker dies mid-broadcast (every member that
+		// hears it tells everyone).
+		outs, purged = p.revokeLocked(revKey{f.env.ctx, f.env.tag}, true)
 	}
 	return outs, after, purged
 }

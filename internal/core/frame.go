@@ -13,9 +13,10 @@
 // NoSource, which no frame carries: nothing but Settle, a revocation, a
 // peer-loss or close sweep, or Cancel completes it, and it is how a
 // member of an in-process island waits for the others (internal/coll).
-// A revoked context pair matches nothing but recovery-tagged traffic:
-// its pinned operations fail, its queued unexpected messages are
-// released, and so is a message that arrives on it later.
+// A revoked context pair, or a cancelled collective instance, matches
+// nothing but recovery-tagged traffic: its pinned operations fail, its
+// queued unexpected messages are released, and so is a message that
+// arrives on it later.
 package core
 
 import (
@@ -63,7 +64,7 @@ type envelope struct {
 //	kCts:              srcWorld(4) id(8) recvID(8)
 //	kData:             srcWorld(4) recvID(8) | payload
 //	kAck:              srcWorld(4) id(8)
-//	kRevoke:           srcWorld(4) ctx(4)
+//	kRevoke:           srcWorld(4) ctx(4) tag(4)
 //	kWithdrawn:        srcWorld(4) recvID(8)
 const envLen = 16
 
@@ -144,13 +145,15 @@ func buildAck(srcWorld int32, id uint64) []byte {
 	return f
 }
 
-// buildRevoke builds a revocation notice for the communicator whose
-// point-to-point context is ctx (the pair base).
-func buildRevoke(srcWorld, ctx int32) []byte {
-	f := transport.GetBuf(1 + 4 + 4)
+// buildRevoke builds a revocation notice: for the communicator whose
+// point-to-point context is ctx (the pair base) when tag is wholePair,
+// else for the collective instance tag names on ctx.
+func buildRevoke(srcWorld, ctx, tag int32) []byte {
+	f := transport.GetBuf(1 + 4 + 4 + 4)
 	f[0] = kRevoke
 	binary.LittleEndian.PutUint32(f[1:], uint32(srcWorld))
 	binary.LittleEndian.PutUint32(f[5:], uint32(ctx))
+	binary.LittleEndian.PutUint32(f[9:], uint32(tag))
 	return f
 }
 
@@ -242,11 +245,12 @@ func parseFrame(f transport.Frame) (parsed, error) {
 		p.env.srcWorld = int32(binary.LittleEndian.Uint32(body))
 		p.id = binary.LittleEndian.Uint64(body[4:])
 	case kRevoke:
-		if len(body) < 8 {
+		if len(body) < 12 {
 			return p, fmt.Errorf("core: short revoke frame (%d bytes)", len(hdr))
 		}
 		p.env.srcWorld = int32(binary.LittleEndian.Uint32(body))
 		p.env.ctx = int32(binary.LittleEndian.Uint32(body[4:]))
+		p.env.tag = int32(binary.LittleEndian.Uint32(body[8:]))
 	default:
 		return p, fmt.Errorf("core: unknown frame kind %d", p.kind)
 	}

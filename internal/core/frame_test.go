@@ -12,7 +12,7 @@ import (
 // table in frame.go).
 var hdrLen = map[byte]int{
 	kEager: envLen + 8, kEagerSync: envLen + 8, kRts: envLen + 8 + 4,
-	kCts: 4 + 8 + 8, kData: 4 + 8, kAck: 4 + 8, kRevoke: 4 + 4, kWithdrawn: 4 + 8,
+	kCts: 4 + 8 + 8, kData: 4 + 8, kAck: 4 + 8, kRevoke: 4 + 4 + 4, kWithdrawn: 4 + 8,
 }
 
 // FuzzParseFrame: whatever bytes a peer puts on the wire, parseFrame
@@ -26,7 +26,7 @@ func FuzzParseFrame(f *testing.F) {
 	e := envelope{srcWorld: 1, ctx: 2, srcGroup: 3, tag: 4}
 	for _, hdr := range [][]byte{
 		buildEagerHdr(true, e, 5), buildRts(e, 5, 6), buildCts(1, 5, 7), buildDataHdr(1, 7),
-		buildWithdrawn(1, 7), buildAck(1, 5), buildRevoke(1, 2),
+		buildWithdrawn(1, 7), buildAck(1, 5), buildRevoke(1, 2, wholePair), buildRevoke(1, 3, 16),
 	} {
 		f.Add(hdr, []byte(nil))
 		f.Add(hdr, []byte("delivered separately"))

@@ -25,6 +25,13 @@ func tablesEmpty(p *Proc) bool {
 	return len(p.posted)+len(p.pending) == 0
 }
 
+// barred reports whether p bars an operation on context 0 with tag.
+func barred(p *Proc, tag int) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.ctxErrLocked(0, int32(tag)) != nil
+}
+
 // drives reports whether req's owner is parked in Wait holding p's
 // progress role: whatever completes req must ring it.
 func drives(p *Proc, req *Request) bool {
@@ -54,8 +61,10 @@ func drives(p *Proc, req *Request) bool {
 // wait)") in Await on a predicate the operation's OnDone callback makes
 // true, as a caller in a collective schedule's Wait does — for a
 // one-shot or a persistent activation alike — over the receive or send
-// the schedule is gated on; the "cancel" sweep is then what WaitCtx
-// does to a cancelled schedule's gates.
+// the schedule is gated on. The "revoke instance" sweep is what WaitCtx
+// does to a cancelled schedule's instance (RevokeInstance): it takes
+// what a revocation of the pair takes, and a sweep of a sibling instance
+// on the same context takes nothing.
 func TestEverySweepReachesEveryTable(t *testing.T) {
 	const size = 128 << 10
 	errDied := errors.New("the endpoint died")
@@ -159,9 +168,9 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 			eventually(t, "the offer queued unexpected", func() bool { return c.q.PendingUnexpected() == 1 })
 			return req
 		}, size, true, true, true, false, true, false, func(t *testing.T, c *sweepCase, req *Request, taken bool) {
-			revoked := taken && errors.Is(req.Stat.Err, ErrCommRevoked)
+			revoked := taken && (errors.Is(req.Stat.Err, ErrCommRevoked) || errors.Is(req.Stat.Err, ErrInstanceCancelled))
 			if revoked {
-				eventually(t, "the revocation reaching the receiver", func() bool { return c.q.ContextRevoked(0) })
+				eventually(t, "the revocation reaching the receiver", func() bool { return barred(c.q, c.tag) })
 			}
 			st := waitStatus(t, c.q.IrecvInto(0, 0, int32(c.tag), c.into, 1))
 			switch {
@@ -173,7 +182,7 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 					t.Fatalf("spared offer completed with %+v", st)
 				}
 			case revoked: // the receiver purged it
-				if !errors.Is(st.Err, ErrCommRevoked) {
+				if st.Err == nil || !errors.Is(st.Err, errors.Unwrap(req.Stat.Err)) {
 					t.Fatalf("receive on the revoked receiver: %+v", st)
 				}
 			case !errors.Is(st.Err, ErrWithdrawn) || st.Bytes != 0:
@@ -242,6 +251,14 @@ func TestEverySweepReachesEveryTable(t *testing.T) {
 		}, func(err error) bool { return errors.Is(err, ErrCommRevoked) }, false, false},
 		{"revoke, recovery tag", int(RecoveryTag) | 8, func(p *Proc, _ int) bool {
 			p.Revoke(0)
+			return false
+		}, nil, false, false},
+		{"revoke instance", 8, func(p *Proc, _ int) bool {
+			p.RevokeInstance(0, 8, true)
+			return true
+		}, func(err error) bool { return errors.Is(err, ErrInstanceCancelled) }, false, false},
+		{"revoke a sibling instance", 8, func(p *Proc, _ int) bool {
+			p.RevokeInstance(0, 8+1<<TagFamBits, true)
 			return false
 		}, nil, false, false},
 		{"cancel", 8, nil, nil, false, false},

@@ -53,7 +53,7 @@ const (
 	EvRtsRecv        // instant; arg=src group rank, val=advertised bytes
 	EvCtsRecv        // instant; arg=send id (low 32)
 	EvPeerLost       // instant; arg=lost world rank
-	EvRevoke         // instant; arg=revoked context base
+	EvRevoke         // instant; arg=revoked context (a pair's base), val=cancelled instance's tag, -1 for the pair
 	// coll: schedule lifecycle, on whichever goroutine runs the schedule.
 	EvCollSched  // span; arg=collective instance; one per activation
 	EvCollPark   // instant; arg=instance, val=operations parked on

@@ -88,9 +88,11 @@ func scribble(bufs ...[]float64) {
 // TestAllreduceAbandonedByCancel: rank 3 is late, so ranks 0 and 1 get
 // through the first round of the reduce-scatter and stall in the second
 // with a window on loan to a partner that has not asked for it yet, and
-// rank 2 stalls in the first. Their contexts fire. The late rank then
-// makes its call, finds its partner's request to send withdrawn, and
-// fails instead of waiting for data nobody will send. The communicator
+// rank 2 stalls in the first. Their contexts fire: the first to fire
+// cancels the instance, so each of the three returns its deadline or,
+// when another's cancellation reached it first, ErrOther. The late rank
+// then makes its call and fails instead of waiting for data nobody will
+// send. The communicator
 // carries the next allreduce as if nothing had happened. The "chan" row
 // runs on a chan job sealed without islands; on a plain chan job (the
 // "island" row) the island takes the call instead: the three leave
@@ -136,7 +138,7 @@ func TestAllreduceAbandonedByCancel(t *testing.T) {
 					defer cancel()
 					lent := pv(env, "core.sends_lent")
 					err := iallreduce(ctx, w, send, recv)
-					if !errors.Is(err, context.DeadlineExceeded) {
+					if !errors.Is(err, context.DeadlineExceeded) && (island || !instanceCancelled(err)) {
 						return fmt.Errorf("rank %d: %v, want the deadline", w.Rank(), err)
 					}
 					// Ranks 0 and 1 lent a window in each of two rounds, rank 2 in one.

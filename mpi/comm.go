@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"cmp"
+	"errors"
 	"sync"
 
 	"gompi/internal/coll"
@@ -138,9 +139,11 @@ func (c *Comm) raise(err error) error {
 // collErr classifies a collective's failure in its schedule. On a
 // communicator the runtime owns (privateDup) it first revokes it: a
 // member that left the collective may owe its peers messages, and they
-// must not wait for them on a communicator nobody else can revoke.
+// must not wait for them on a communicator nobody else can revoke. A
+// cancelled instance needs no revocation: its cancellation has ended it
+// on every member already.
 func (c *Comm) collErr(err error) error {
-	if c.private {
+	if c.private && !errors.Is(err, core.ErrInstanceCancelled) {
 		c.env.proc.Revoke(c.ptpCtx)
 	}
 	return mapErr(err)

@@ -81,7 +81,6 @@ func TestErrorMappersAgreeOnFailures(t *testing.T) {
 // binding that have no errTable row, each with the reason it never
 // reaches mapErr.
 var tableExempt = map[string]string{
-	"coll.ErrCancelled":     "settle turns a cancelled schedule into ErrCollectiveCancelled, control flow that bypasses the error handler",
 	"shmipc.ErrUnsupported": "returned only while a job's devices are built, before any communicator exists",
 }
 

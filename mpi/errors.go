@@ -127,6 +127,9 @@ type errRow struct {
 var errTable = []errRow{
 	{core.ErrCommRevoked, ErrRevoked},
 	{core.ErrContextsExhausted, ErrComm},
+	// A cancelled collective instance: the communicator is not revoked,
+	// and a program that repairs on ErrRevoked must not repair here.
+	{core.ErrInstanceCancelled, ErrOther},
 	{core.ErrTruncated, ErrTruncate},
 	{core.ErrWithdrawn, ErrIntern},
 	{coll.ErrUndefined, ErrOp},

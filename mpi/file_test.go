@@ -286,8 +286,8 @@ func TestFileNonblockingCollective(t *testing.T) {
 
 // TestFileCollectiveCtxCancel checks that a collective file write
 // stalled on an absent peer unblocks promptly when its WaitCtx's
-// context fires, and the communicator recovers once the late member
-// catches up.
+// context fires, that the late member's matching call fails with
+// ErrOther, and that the file's next collective works for both.
 func TestFileCollectiveCtxCancel(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cancel.bin")
 	err := mpi.Run(2, func(env *mpi.Env) error {
@@ -315,9 +315,9 @@ func TestFileCollectiveCtxCancel(t *testing.T) {
 			}
 		} else {
 			time.Sleep(150 * time.Millisecond)
-			// The matching call for the one rank 0 abandoned...
-			if _, err := f.WriteAtAll(0, data, 0, len(data), mpi.BYTE); err != nil {
-				return err
+			// The matching call for the one rank 0 cancelled...
+			if _, err := f.WriteAtAll(0, data, 0, len(data), mpi.BYTE); mpi.ClassOf(err) != mpi.ErrOther {
+				return fmt.Errorf("late write of the cancelled instance: %v, want %v", err, mpi.ErrOther)
 			}
 			// ...and the recovery collective.
 			if _, err := f.WriteAtAll(4, data, 0, len(data), mpi.BYTE); err != nil {

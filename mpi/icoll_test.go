@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"gompi/internal/core"
 	"gompi/mpi"
 )
 
@@ -161,6 +163,13 @@ func foldsSince(env *mpi.Env, w *mpi.Intracomm, before uint64) (uint64, error) {
 	return uint64(sum[0]), err
 }
 
+// instanceCancelled reports whether err is a call's failure on a
+// collective instance that another member cancelled: ErrOther, carrying
+// core.ErrInstanceCancelled's text.
+func instanceCancelled(err error) bool {
+	return mpi.ClassOf(err) == mpi.ErrOther && strings.Contains(err.Error(), core.ErrInstanceCancelled.Error())
+}
+
 // pv reads one of the rank's performance variables by name; an unknown
 // name reads as 0.
 func pv(env *mpi.Env, name string) uint64 {
@@ -224,7 +233,8 @@ func TestCollectiveCtxVariantsComplete(t *testing.T) {
 
 // TestCollectiveWaitCtxCancelAndRecover: a collective stalled on a late
 // root returns ctx.Err() promptly; the cancelled member's buffer stays
-// untouched, and the same communicator keeps working for both members
+// untouched, the late root's call of the cancelled instance fails with
+// ErrOther, and the same communicator keeps working for both members
 // afterwards.
 func TestCollectiveWaitCtxCancelAndRecover(t *testing.T) {
 	err := mpi.Run(2, func(env *mpi.Env) error {
@@ -245,11 +255,11 @@ func TestCollectiveWaitCtxCancelAndRecover(t *testing.T) {
 				t.Errorf("cancelled Ibcast touched the buffer: %d", buf[0])
 			}
 		} else {
-			// The root shows up late, after rank 1 abandoned the
-			// instance, and completes its (send-only) half.
+			// The root shows up late, after rank 1 cancelled the
+			// instance, and its call fails.
 			time.Sleep(150 * time.Millisecond)
-			if err := w.Bcast([]int32{9}, 0, 1, mpi.INT, 0); err != nil {
-				return err
+			if err := w.Bcast([]int32{9}, 0, 1, mpi.INT, 0); !instanceCancelled(err) {
+				t.Errorf("late root's Bcast of the cancelled instance: %v, want ErrOther", err)
 			}
 		}
 		// Same communicator, next collectives: both members participate.
@@ -280,11 +290,12 @@ func TestCollectiveWaitCtxCancelAndRecover(t *testing.T) {
 // TestWaitCtxCollectiveAbsentPeerPooled: a cancellable collective is
 // IX + WaitCtx, so its schedule is parked on the shared progress pool,
 // and it is that park a fired context must end. With the peer absent,
-// Ibarrier and Iallreduce return ctx's error promptly from WaitCtx and
-// revoke the receive they were parked on (the engine counts the
-// cancellation) rather than leave it posted; the late peer's matching
-// calls then complete on their own, and the communicator still lines up
-// afterwards.
+// Ibarrier and Iallreduce return ctx's error promptly from WaitCtx: the
+// instance's revocation fails the receive or hold they were parked on
+// (nothing is cancelled one operation at a time, so core.cancelled stays
+// put). The late peer's Barrier then fails with ErrOther, while its
+// Allreduce, which the island takes, completes with the copy the
+// cancelled member left; and the communicator still lines up afterwards.
 func TestWaitCtxCollectiveAbsentPeerPooled(t *testing.T) {
 	err := mpi.Run(2, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -308,19 +319,17 @@ func TestWaitCtxCollectiveAbsentPeerPooled(t *testing.T) {
 				if waited := time.Since(start); waited > 5*time.Second {
 					t.Errorf("%s took %v, not prompt", name, waited)
 				}
-				if now := pv(env, "core.cancelled"); now != abandoned+1 {
-					t.Errorf("%s left its gated receive behind: %d receives cancelled, want %d", name, now, abandoned+1)
-				} else {
-					abandoned = now
+				if now := pv(env, "core.cancelled"); now != abandoned {
+					t.Errorf("%s: %d operations cancelled, want %d: the instance's revocation fails them", name, now, abandoned)
 				}
 			}
 		} else {
 			time.Sleep(200 * time.Millisecond)
-			if err := w.Barrier(); err != nil {
-				return err
+			if err := w.Barrier(); !instanceCancelled(err) {
+				t.Errorf("late Barrier of the cancelled instance: %v, want ErrOther", err)
 			}
-			if err := w.Allreduce(in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM); err != nil {
-				return err
+			if err := w.Allreduce(in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM); err != nil || out[0] != 3 {
+				t.Errorf("late Allreduce on the island: %v, %v, want 3", err, out[0])
 			}
 		}
 		if err := w.Allreduce(in, 0, out, 0, 1, mpi.DOUBLE, mpi.SUM); err != nil {
@@ -364,7 +373,8 @@ func TestBlockingCollectivesSpawnNoGoroutines(t *testing.T) {
 
 // TestWaitAfterCancelledWaitCtx: reaping a request that a WaitCtx
 // already cancelled reports ErrCollectiveCancelled — control flow, not
-// an internal MPI error — and never panics under ErrorsAreFatal.
+// an MPI error — and never panics under ErrorsAreFatal. The late root's
+// call of the cancelled instance fails with ErrOther.
 func TestWaitAfterCancelledWaitCtx(t *testing.T) {
 	err := mpi.Run(2, func(env *mpi.Env) error {
 		w := env.CommWorld()
@@ -390,8 +400,8 @@ func TestWaitAfterCancelledWaitCtx(t *testing.T) {
 			}
 		} else {
 			time.Sleep(120 * time.Millisecond)
-			if err := w.Bcast([]int32{1}, 0, 1, mpi.INT, 0); err != nil {
-				return err
+			if err := w.Bcast([]int32{1}, 0, 1, mpi.INT, 0); !instanceCancelled(err) {
+				t.Errorf("late root's Bcast of the cancelled instance: %v, want ErrOther", err)
 			}
 		}
 		return w.Barrier()

@@ -129,7 +129,8 @@ type poisonProbe struct{ N int64 }
 // TestPersistentPoisonedByFailedActivation: a persistent collective
 // whose schedule failed — here an activation cancelled by WaitCtx while
 // the peer had not started — never starts again: every later Start
-// reports the failure, a cancellation as ErrIntern. Only the schedule's
+// reports the failure, a cancellation as ErrOther, the class the peers'
+// activations of the cancelled instance fail with. Only the schedule's
 // own failure poisons: an activation whose deposit failed (an OBJECT
 // element of the wrong type) starts again normally, as does a
 // persistent receive after a truncated activation. And a Start made
@@ -157,8 +158,8 @@ func TestPersistentPoisonedByFailedActivation(t *testing.T) {
 				t.Errorf("WaitCtx with the peer absent: %v, want DeadlineExceeded", err)
 			}
 			for i := 1; i <= 2; i++ {
-				if err := red.Start(); mpi.ClassOf(err) != mpi.ErrIntern {
-					t.Errorf("Start %d after a cancelled activation: %v, want ErrIntern", i, err)
+				if err := red.Start(); !instanceCancelled(err) {
+					t.Errorf("Start %d after a cancelled activation: %v, want ErrOther", i, err)
 				}
 			}
 		}

@@ -322,8 +322,8 @@ func TestPersistentInitTakesCachedPlan(t *testing.T) {
 
 // TestPlanCacheCancelledActivation: a WaitCtx-cancelled collective's
 // plan leaves the cache; once the late member has made its matching
-// call, a clean call of the same shape builds afresh and completes on
-// every member.
+// call, which fails with ErrOther, a clean call of the same shape builds
+// afresh and completes on every member.
 func TestPlanCacheCancelledActivation(t *testing.T) {
 	eachDevice(t, 2, func(env *Env) error {
 		w := env.CommWorld()
@@ -343,8 +343,8 @@ func TestPlanCacheCancelledActivation(t *testing.T) {
 			}
 		} else {
 			time.Sleep(100 * time.Millisecond)
-			if err := w.Bcast([]int32{9}, 0, 1, INT, 0); err != nil {
-				return err
+			if err := w.Bcast([]int32{9}, 0, 1, INT, 0); ClassOf(err) != ErrOther {
+				return fmt.Errorf("late root's Bcast of the cancelled instance: %v, want %v", err, ErrOther)
 			}
 		}
 		for call := 0; call < 2; call++ {

@@ -10,11 +10,11 @@ import (
 	"gompi/internal/dtype"
 )
 
-// ErrCollectiveCancelled reports a collective whose schedule was torn
-// down by a WaitCtx cancellation: a later Wait/Test on the same request
-// returns it (it is control flow, not an MPI error, and never routes
-// through the communicator's error handler).
-var ErrCollectiveCancelled = coll.ErrCancelled
+// ErrCollectiveCancelled reports a collective that a WaitCtx on this
+// request cancelled: a later Wait/Test on the same request returns it
+// (it is control flow, not an MPI error, and never routes through the
+// communicator's error handler).
+var ErrCollectiveCancelled = errors.New("mpi: collective cancelled")
 
 // Request is a handle on a pending non-blocking operation — the paper's
 // one request class (§2.1), and MPI-4's. It carries either a
@@ -130,16 +130,13 @@ func (r *Request) finish() {
 }
 
 // settle finishes a collective, waiting for its schedule if need be: a
-// schedule a WaitCtx cancelled is control flow and bypasses the error
-// handler, any other failure is classified and raised, and a completed
-// schedule's result is deposited. Then the plan is done with the call
-// (collPlan.done). The status is the plan's transfer status (a file
-// collective's), else empty.
+// failure is classified and raised, and a completed schedule's result is
+// deposited. Then the plan is done with the call (collPlan.done). The
+// status is the plan's transfer status (a file collective's), else
+// empty.
 func (r *Request) settle() {
 	res, err := r.cr.Wait()
 	switch {
-	case errors.Is(err, coll.ErrCancelled):
-		r.err = ErrCollectiveCancelled
 	case err != nil:
 		r.err = r.comm.raise(r.comm.collErr(err))
 	case r.cp.fin != nil:
@@ -194,19 +191,14 @@ func (r *Request) Wait() (*Status, error) {
 // once it has matched it is past the point of no return and WaitCtx
 // behaves like Wait.
 //
-// A collective's schedule is cancelled at its next internal
-// send/receive boundary — so a collective stalled on an absent peer
-// unblocks promptly — and its receive buffers are left untouched; a
-// later Wait/Test returns ErrCollectiveCancelled. Cancellation abandons
-// this member's participation in that collective instance only;
-// per-instance tags keep later collectives on the same communicator
-// from ever matching its traffic. The MPI ordering rule still applies:
-// the communicator stays usable provided every member eventually makes
-// the same sequence of collective calls, cancelled or not — with one
-// caveat: a payload above the eager limit still owed to the cancelled
-// member stalls the late sender's rendezvous, so ranks mixing
-// cancellation into a communicator should use WaitCtx on every member
-// (see coll.Request.WaitCtx).
+// A collective is cancelled as a whole: its instance ends on every
+// member (coll.Request.WaitCtx), its receive buffers are left untouched,
+// and a later Wait/Test on this request returns ErrCollectiveCancelled.
+// The other members' calls still in the instance fail with ErrOther
+// (an island Allreduce completes without this member, which left a
+// copy), and the communicator carries the next collectives as before,
+// provided every member makes the same sequence of collective calls,
+// cancelled or not.
 func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
 	if !r.active() {
 		return nullStatus(), nil
@@ -220,6 +212,7 @@ func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
 	if r.cr != nil {
 		if _, err := r.cr.WaitCtx(ctx); err != nil && errors.Is(err, ctx.Err()) {
 			r.cp.done(false)
+			r.once.Do(func() { r.st, r.err = nullStatus(), ErrCollectiveCancelled })
 			return nullStatus(), err
 		}
 	}

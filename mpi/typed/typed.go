@@ -33,8 +33,8 @@
 // mpi.StartAll sets as they are. Cancellation goes through that one
 // request class: start the operation (Irecv, Ibcast, …) and wait with
 // Request.WaitCtx. Cancelling the context cancels a still-unmatched
-// receive or send in the sense of MPI_Cancel, and a collective at its
-// next send/receive boundary.
+// receive or send in the sense of MPI_Cancel, and ends a collective's
+// instance on every member (mpi.Request.WaitCtx).
 package typed
 
 import (
