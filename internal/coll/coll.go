@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"gompi/internal/core"
+	"gompi/internal/transport"
 )
 
 // Comm is the collective layer's view of a communicator: the rank's
@@ -155,8 +156,8 @@ func topMask(size int) int {
 // chain builders, threading mid-schedule values through pointers.
 //
 // Two conventions make the schedules parkable and re-runnable: waits
-// for messages go through recvStep/exchStep (post step + gated consume
-// step — the executor parks rather than blocks), and every piece of
+// for messages go through postRecv (post step + gated consume step —
+// the executor parks rather than blocks), and every piece of
 // mutable per-activation state is initialized in an onReset hook rather
 // than at build time, so a persistent schedule re-arms cleanly on each
 // Start, and a cached one on each call.
@@ -168,145 +169,189 @@ func (c *Comm) addBarrierSteps(s *sched) {
 	for k := 1; k < c.Size; k <<= 1 {
 		dst := (c.Rank + k) % c.Size
 		src := (c.Rank - k + c.Size) % c.Size
-		// The empty message is only read, so its frame goes back to the
-		// pool when the step ends.
-		s.postRecv(&fut{lend: true}, src, tagBarrier,
-			func() error { return s.isend(dst, tagBarrier, nil) },
+		s.postRecv(&fut{}, src, tagBarrier,
+			func() error { return s.post(dst, tagBarrier, nil, false) },
 			func([]byte) error { return nil })
 	}
 }
 
-// addBcastSteps schedules a binomial-tree broadcast: at completion
-// *data holds root's payload on every member.
-func (c *Comm) addBcastSteps(s *sched, root int, data *[]byte) {
+// Blocks is a caller's buffer as a data-movement schedule moves it,
+// block r being group rank r's (a buffer of one block has block 0
+// only). The schedule asks for a block each time it sends or receives
+// it, so nothing is staged between activations:
+//   - Wire returns block r's wire image for one message: lent, the
+//     owner's memory itself, which goes out on loan (isendLent) and is
+//     read until the send completes; else a frame the message takes
+//     over, pooled when it came from the frame pool.
+//   - Into returns the window block r lands in (a receive-into), nil
+//     where it goes to Put instead.
+//   - Put deposits a received block r, reading wire only during the
+//     call; the frame is released when it returns. A deposit that fails
+//     is the owner's to report: the schedule runs on, as every other
+//     member's does.
+type Blocks interface {
+	Wire(r int) (wire []byte, lent, pooled bool, err error)
+	Into(r int) []byte
+	Put(r int, wire []byte)
+}
+
+// slots is Blocks over byte slices, the buffer of the byte-level
+// collectives: block r is the slice at(r) points at, read when the
+// schedule gets to it. A block leaves as a private copy in a pooled
+// frame, as its owner keeps the slice, and a received block is copied
+// into a slice of its own.
+type slots func(r int) *[]byte
+
+// one is the slots of one block, *b; each of the blocks (*b)[r].
+func one(b *[]byte) slots { return func(int) *[]byte { return b } }
+
+func each(b *[][]byte) slots { return func(r int) *[]byte { return &(*b)[r] } }
+
+func (b slots) Wire(r int) ([]byte, bool, bool, error) {
+	src := *b(r)
+	out := transport.GetBuf(len(src))
+	copy(out, src)
+	return out, false, true, nil
+}
+
+func (slots) Into(int) []byte { return nil }
+
+func (b slots) Put(r int, wire []byte) { *b(r) = append([]byte(nil), wire...) }
+
+// sendBlock sends block r of b to dst: on loan, or in the frame b's
+// Wire gives the message.
+func (s *sched) sendBlock(dst, fam int, b Blocks, r int) error {
+	wire, lent, pooled, err := b.Wire(r)
+	switch {
+	case err != nil:
+		return err
+	case lent:
+		return s.isendLent(dst, fam, wire)
+	}
+	return s.post(dst, fam, wire, pooled)
+}
+
+// blockFut is the receive of block r of b: into the window b names for
+// it, else borrowed, for the consumer to hand to b.Put.
+func blockFut(b Blocks, r int) fut { return fut{into: func() []byte { return b.Into(r) }} }
+
+// recvBlock appends the receive of block r of b from src, posted before
+// send, if any, runs.
+func (s *sched) recvBlock(src, fam int, b Blocks, r int, send func() error) {
+	f := blockFut(b, r)
+	s.postRecv(&f, src, fam, send, func(wire []byte) error { b.Put(r, wire); return nil })
+}
+
+// copyBlock writes block r of from into block q of to, as a message
+// from this member to itself would.
+func copyBlock(from Blocks, r int, to Blocks, q int) error {
+	wire, _, pooled, err := from.Wire(r)
+	if err != nil {
+		return err
+	}
+	to.Put(q, wire)
+	if pooled {
+		transport.PutBuf(wire)
+	}
+	return nil
+}
+
+// addBcastSteps schedules a binomial-tree broadcast of root's block 0
+// of data into every member's: a member other than root receives it
+// from its parent, and every member then sends its own block on to its
+// children, taking it afresh (Blocks.Wire) for each — no member
+// forwards a message by reference.
+func (c *Comm) addBcastSteps(s *sched, root int, data Blocks) {
 	vr := rel(c.Rank, root, c.Size)
 	start := topMask(c.Size) >> 1
 	if vr != 0 {
 		low := vr & -vr // subtree parent sits at the lowest set bit
-		s.recvStep(unrel(vr-low, root, c.Size), tagBcast, func(got []byte) error {
-			*data = got
-			return nil
-		})
+		s.recvBlock(unrel(vr-low, root, c.Size), tagBcast, data, 0, nil)
 		start = low >> 1
 	}
 	for mask := start; mask > 0; mask >>= 1 {
-		if vr+mask >= c.Size {
-			continue
+		if vr+mask < c.Size {
+			dst := unrel(vr+mask, root, c.Size)
+			s.step(func() error { return s.sendBlock(dst, tagBcast, data, 0) })
 		}
-		mask := mask
-		s.step(func() error {
-			return s.isend(unrel(vr+mask, root, c.Size), tagBcast, *data)
-		})
 	}
 }
 
-// addGatherSteps schedules the gather of every member's block (*mine)
-// at root: each other member ships its block straight to root in one
-// message, and root posts one receive per member before it consumes
-// any, so no sender waits on root's progress through the others. At
-// completion *out (root only) holds the blocks indexed by group rank.
-// Every received block is root's own to write: a member ships a private
-// copy, because *mine is its caller's again once the member returns,
-// and the in-process devices hand frames over by reference.
-func (c *Comm) addGatherSteps(s *sched, root int, mine *[]byte, out *[][]byte) {
+// addGatherSteps schedules the gather of every member's block 0 of mine
+// into root's block r of out for member r: each other member sends its
+// block straight to root in one message, and root posts one receive per
+// member before it consumes any, so no sender waits on root's progress
+// through the others.
+func (c *Comm) addGatherSteps(s *sched, root int, mine, out Blocks) {
 	if c.Rank != root {
-		s.step(func() error { return s.isendCopy(root, tagGather, *mine) })
+		s.step(func() error { return s.sendBlock(root, tagGather, mine, 0) })
 		return
 	}
-	s.step(func() error {
-		*out = make([][]byte, c.Size)
-		(*out)[root] = *mine
-		return nil
-	})
+	s.step(func() error { return copyBlock(mine, 0, out, root) })
 	futs := make([]fut, c.Size)
 	for r := range futs {
 		if r != root {
+			futs[r] = blockFut(out, r)
 			s.irecvStep(&futs[r], r, tagGather, nil)
 		}
 	}
 	for r := range futs {
 		if r != root {
-			s.consumeStep(&futs[r], func(got []byte) error { (*out)[r] = got; return nil })
+			s.consumeStep(&futs[r], func(wire []byte) error { out.Put(r, wire); return nil })
 		}
 	}
 }
 
-// addScatterSteps schedules the scatter of *parts (indexed by group
-// rank, significant at root): root ships every other member a private
-// copy of its block in one message, and each member receives its block
-// in one; at completion *out holds this member's block. Blocks may have
-// different sizes, so the same schedule serves Scatterv. *parts is read
-// when the schedule runs (composed schedules construct it mid-run), so
-// that is when root checks its length.
-func (c *Comm) addScatterSteps(s *sched, root int, parts *[][]byte, out *[]byte) {
+// addScatterSteps schedules the scatter of root's block r of parts into
+// member r's block 0 of out, each block in one message from root.
+// Blocks may have different sizes, so the same schedule serves
+// Scatterv.
+func (c *Comm) addScatterSteps(s *sched, root int, parts, out Blocks) {
 	if c.Rank != root {
-		s.recvStep(root, tagScatter, func(got []byte) error { *out = got; return nil })
+		s.recvBlock(root, tagScatter, out, 0, nil)
 		return
 	}
 	s.step(func() error {
-		if len(*parts) != c.Size {
-			return fmt.Errorf("coll: scatter with %d parts for %d ranks", len(*parts), c.Size)
-		}
-		for r, b := range *parts {
+		for r := 0; r < c.Size; r++ {
 			if r == root {
-				*out = b
-			} else if err := s.isendCopy(r, tagScatter, b); err != nil {
+				continue
+			}
+			if err := s.sendBlock(r, tagScatter, parts, r); err != nil {
 				return err
 			}
 		}
-		return nil
+		return copyBlock(parts, root, out, 0)
 	})
 }
 
-// addAllgatherSteps schedules the ring allgather (p-1 shifted steps);
-// at completion *out holds every member's block (*mine is re-read each
-// activation). Blocks may differ in size, so this also serves
-// Allgatherv.
-func (c *Comm) addAllgatherSteps(s *sched, mine *[]byte, out *[][]byte) {
+// addAllgatherSteps schedules the ring allgather of every member's
+// block 0 of mine into every member's block r of out for member r: p-1
+// steps, each sending right the block that came from the left the step
+// before (this member's own, first), taken afresh from out. Blocks may
+// differ in size, so this also serves Allgatherv.
+func (c *Comm) addAllgatherSteps(s *sched, mine, out Blocks) {
 	right := (c.Rank + 1) % c.Size
 	left := (c.Rank - 1 + c.Size) % c.Size
-	var blocks [][]byte
-	var cur []byte
-	s.onReset(func() {
-		blocks = make([][]byte, c.Size)
-		blocks[c.Rank] = *mine
-		cur = *mine
-	})
+	s.step(func() error { return copyBlock(mine, 0, out, c.Rank) })
 	for st := 0; st < c.Size-1; st++ {
-		st := st
-		s.exchStep(right, left, tagAllgather,
-			func() ([]byte, error) { return cur, nil },
-			func(in []byte) error {
-				origin := (c.Rank - st - 1 + c.Size) % c.Size
-				blocks[origin] = in
-				cur = in
-				return nil
-			})
+		give := (c.Rank - st + c.Size) % c.Size
+		s.recvBlock(left, tagAllgather, out, (give-1+c.Size)%c.Size, func() error {
+			return s.sendBlock(right, tagAllgather, out, give)
+		})
 	}
-	s.step(func() error { *out = blocks; return nil })
 }
 
-// addAlltoallSteps schedules the pairwise-exchange alltoall: parts[j]
-// reaches member j; at completion *out holds the blocks received from
-// every member. Variable block sizes make it also serve Alltoallv.
-func (c *Comm) addAlltoallSteps(s *sched, parts [][]byte, out *[][]byte) {
-	c.addAlltoallStepsFam(s, tagAlltoall, parts, out)
-}
-
-// addAlltoallStepsFam is addAlltoallSteps under an explicit tag family.
-// parts contents are read lazily inside the steps, so a Plan may fill
-// the (pre-sized) slice from an earlier step of the same schedule.
-func (c *Comm) addAlltoallStepsFam(s *sched, family int, parts [][]byte, out *[][]byte) {
-	var res [][]byte
-	s.onReset(func() { res = make([][]byte, c.Size) })
+// addAlltoallSteps schedules the pairwise-exchange alltoall under the
+// tag family family: block j of parts reaches member j, into its block
+// r of out for this member r. Variable block sizes make it also serve
+// Alltoallv.
+func (c *Comm) addAlltoallSteps(s *sched, family int, parts, out Blocks) {
 	for st := 1; st < c.Size; st++ {
 		dst := (c.Rank + st) % c.Size
 		src := (c.Rank - st + c.Size) % c.Size
-		s.exchStep(dst, src, family,
-			func() ([]byte, error) { return parts[dst], nil },
-			func(in []byte) error { res[src] = in; return nil })
+		s.recvBlock(src, family, out, src, func() error { return s.sendBlock(dst, family, parts, dst) })
 	}
-	s.step(func() error { res[c.Rank] = parts[c.Rank]; *out = res; return nil })
+	s.step(func() error { return copyBlock(parts, c.Rank, out, c.Rank) })
 }
 
 // ---------------------------------------------------------------------
@@ -325,112 +370,97 @@ func (c *Comm) BarrierPlan() *Plan {
 	return p
 }
 
-// BcastPlan builds the broadcast of root's *data along a binomial tree;
-// the plan's result is data (*[]byte, see Wire), holding the payload on
-// every member (the root its own slice).
-func (c *Comm) BcastPlan(root int, data *[]byte) (*Plan, error) {
+// BcastPlan builds the broadcast of root's block 0 of data into every
+// member's along a binomial tree. The data-movement plans deliver into
+// their Blocks and publish no result.
+func (c *Comm) BcastPlan(root int, data Blocks) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
 	c.addBcastSteps(p.s, root, data)
-	p.Publish(func() any { return data })
 	return p, nil
 }
 
-// GatherPlan builds the gather of every member's *mine at root, each
-// block in one message from its owner; the plan's result is the blocks
-// indexed by group rank ([][]byte) at root, nil elsewhere.
-func (c *Comm) GatherPlan(root int, mine *[]byte) (*Plan, error) {
+// GatherPlan builds the gather of every member's block 0 of mine into
+// root's block r of out for member r, each block in one message from
+// its owner; out is root's only.
+func (c *Comm) GatherPlan(root int, mine, out Blocks) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	var blocks [][]byte
-	c.addGatherSteps(p.s, root, mine, &blocks)
-	p.Publish(func() any { return blocks })
+	c.addGatherSteps(p.s, root, mine, out)
 	return p, nil
 }
 
-// ScatterPlan builds the scatter of *parts (indexed by group rank,
-// significant at root only), each block in one message from root; the
-// plan's result is this member's block (*[]byte, see Wire); a root
-// whose *parts does not hold one block per member fails the
-// activation. Blocks may have different sizes, so the plan doubles as
+// ScatterPlan builds the scatter of root's block r of parts (root's
+// only) into member r's block 0 of out, each block in one message from
+// root. Blocks may have different sizes, so the plan doubles as
 // Scatterv.
-func (c *Comm) ScatterPlan(root int, parts *[][]byte) (*Plan, error) {
+func (c *Comm) ScatterPlan(root int, parts, out Blocks) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
 		return nil, err
 	}
-	var out []byte
-	c.addScatterSteps(p.s, root, parts, &out)
-	p.Publish(func() any { return &out })
+	c.addScatterSteps(p.s, root, parts, out)
 	return p, nil
 }
 
-// AllgatherPlan builds the ring allgather of every member's *mine; the
-// plan's result is every member's block ([][]byte). Blocks may differ
-// in size (Allgatherv).
-func (c *Comm) AllgatherPlan(mine *[]byte) *Plan {
+// AllgatherPlan builds the ring allgather of every member's block 0 of
+// mine into every member's block r of out for member r. Blocks may
+// differ in size (Allgatherv).
+func (c *Comm) AllgatherPlan(mine, out Blocks) *Plan {
 	p := c.NewPlan()
-	var blocks [][]byte
-	c.addAllgatherSteps(p.s, mine, &blocks)
-	p.Publish(func() any { return blocks })
+	c.addAllgatherSteps(p.s, mine, out)
 	return p
 }
 
-// AlltoallPlan builds the pairwise exchange: parts[j] reaches member j,
-// and the plan's result is the blocks received from every member
-// ([][]byte). parts must be sized to the communicator; its elements are
-// read when the schedule runs. Block sizes may vary (Alltoallv).
-func (c *Comm) AlltoallPlan(parts [][]byte) (*Plan, error) {
-	p := c.NewPlan() // mint the instance before validation
-	if len(parts) != c.Size {
-		return nil, fmt.Errorf("coll: alltoall with %d parts for %d ranks", len(parts), c.Size)
-	}
-	var out [][]byte
-	c.addAlltoallSteps(p.s, parts, &out)
-	p.Publish(func() any { return out })
-	return p, nil
+// AlltoallPlan builds the pairwise exchange: block j of parts reaches
+// member j, into its block r of out for this member r. Block sizes may
+// vary (Alltoallv).
+func (c *Comm) AlltoallPlan(parts, out Blocks) *Plan {
+	p := c.NewPlan()
+	c.addAlltoallSteps(p.s, tagAlltoall, parts, out)
+	return p
 }
 
-// runAs runs a freshly built plan on the calling goroutine and returns
-// its result as a T: the body of the byte-level blocking conveniences
-// below, which the runtime uses for its own agreements (communicator
-// construction, file open/close, dynamic-process joins, Finalize).
-func runAs[T any](p *Plan, err error) (res T, _ error) {
-	if err != nil {
-		return res, err
-	}
-	v, err := p.Run()
+// runPlan runs a freshly built plan on the calling goroutine: the body of
+// the byte-level blocking conveniences below, which the runtime uses
+// for its own agreements (communicator construction, file open/close,
+// dynamic-process joins, Finalize).
+func runPlan(p *Plan, err error) error {
 	if err == nil {
-		res, _ = v.(T)
+		_, err = p.Run()
 	}
-	return res, err
-}
-
-// Barrier blocks until every member has entered it.
-func (c *Comm) Barrier() error {
-	_, err := runAs[any](c.BarrierPlan(), nil)
 	return err
 }
 
+// Barrier blocks until every member has entered it.
+func (c *Comm) Barrier() error { return runPlan(c.BarrierPlan(), nil) }
+
 // Bcast distributes root's payload to every member and returns it.
 func (c *Comm) Bcast(root int, data []byte) ([]byte, error) {
-	res, err := runAs[any](c.BcastPlan(root, &data))
-	return Wire(res), err
+	err := runPlan(c.BcastPlan(root, one(&data)))
+	return data, err
 }
 
 // Gather collects every member's block at root, indexed by group rank;
 // other ranks get nil.
 func (c *Comm) Gather(root int, mine []byte) ([][]byte, error) {
-	return runAs[[][]byte](c.GatherPlan(root, &mine))
+	var out [][]byte
+	if c.Rank == root {
+		out = make([][]byte, c.Size)
+	}
+	err := runPlan(c.GatherPlan(root, one(&mine), each(&out)))
+	return out, err
 }
 
 // Allgather collects every member's block at every member.
 func (c *Comm) Allgather(mine []byte) ([][]byte, error) {
-	return runAs[[][]byte](c.AllgatherPlan(&mine), nil)
+	out := make([][]byte, c.Size)
+	err := runPlan(c.AllgatherPlan(one(&mine), each(&out)), nil)
+	return out, err
 }
 
 // AgreeContextBase agrees on a context-id base for a new communicator:

@@ -103,22 +103,32 @@ func (c *Comm) Iscan(mine any, op *Op) *Request { return start(c.scanPlanDense(f
 func (c *Comm) Iexscan(mine any, op *Op) *Request { return start(c.scanPlanDense(true, mine, op)) }
 
 func (c *Comm) Scatter(root int, parts [][]byte) ([]byte, error) {
-	res, err := runAs[any](c.ScatterPlan(root, &parts))
-	return Wire(res), err
+	var mine []byte
+	err := runPlan(c.ScatterPlan(root, each(&parts), one(&mine)))
+	return mine, err
 }
 
 func (c *Comm) Alltoall(parts [][]byte) ([][]byte, error) {
-	return runAs[[][]byte](c.AlltoallPlan(parts))
+	out := make([][]byte, c.Size)
+	err := runPlan(c.AlltoallPlan(each(&parts), each(&out)), nil)
+	return out, err
 }
 
 func (c *Comm) Ibarrier() *Request { return c.BarrierPlan().Start() }
 
+// Ibcast and Iallgather publish what they deliver, as a result.
 func (c *Comm) Ibcast(root int, data []byte) (*Request, error) {
-	p, err := c.BcastPlan(root, &data)
+	p, err := c.BcastPlan(root, one(&data))
 	if err != nil {
 		return nil, err
 	}
+	p.Publish(func() any { return &data })
 	return p.Start(), nil
 }
 
-func (c *Comm) Iallgather(mine []byte) *Request { return c.AllgatherPlan(&mine).Start() }
+func (c *Comm) Iallgather(mine []byte) *Request {
+	out := make([][]byte, c.Size)
+	p := c.AllgatherPlan(one(&mine), each(&out))
+	p.Publish(func() any { return out })
+	return p.Start()
+}

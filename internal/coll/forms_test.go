@@ -56,7 +56,8 @@ var planForms = []planForm{
 	{"Bcast", func(c *Comm) (*Plan, func(), error) {
 		root := c.Size - 1
 		var data []byte
-		p, err := c.BcastPlan(root, &data)
+		p, err := c.BcastPlan(root, one(&data))
+		p.Publish(func() any { return &data })
 		return p, func() {
 			data = nil
 			if c.Rank == root {
@@ -66,12 +67,16 @@ var planForms = []planForm{
 	}},
 	{"Gather", func(c *Comm) (*Plan, func(), error) {
 		var mine []byte
-		p, err := c.GatherPlan(c.Size/2, &mine)
+		out := make([][]byte, c.Size)
+		p, err := c.GatherPlan(c.Size/2, one(&mine), each(&out))
+		p.Publish(func() any { return out })
 		return p, func() { mine = pattern(c.Rank, 100+c.Rank) }, err
 	}},
 	{"Scatter", func(c *Comm) (*Plan, func(), error) {
 		var parts [][]byte
-		p, err := c.ScatterPlan(0, &parts)
+		var mine []byte
+		p, err := c.ScatterPlan(0, each(&parts), one(&mine))
+		p.Publish(func() any { return &mine })
 		return p, func() {
 			parts = make([][]byte, c.Size)
 			for r := range parts {
@@ -81,16 +86,20 @@ var planForms = []planForm{
 	}},
 	{"Allgather", func(c *Comm) (*Plan, func(), error) {
 		var mine []byte
-		return c.AllgatherPlan(&mine), func() { mine = pattern(c.Rank, 200+40*c.Rank) }, nil
+		out := make([][]byte, c.Size)
+		p := c.AllgatherPlan(one(&mine), each(&out))
+		p.Publish(func() any { return out })
+		return p, func() { mine = pattern(c.Rank, 200+40*c.Rank) }, nil
 	}},
 	{"Alltoall", func(c *Comm) (*Plan, func(), error) {
-		parts := make([][]byte, c.Size)
-		p, err := c.AlltoallPlan(parts)
+		parts, out := make([][]byte, c.Size), make([][]byte, c.Size)
+		p := c.AlltoallPlan(each(&parts), each(&out))
+		p.Publish(func() any { return out })
 		return p, func() {
 			for r := range parts {
 				parts[r] = pattern(c.Rank*c.Size+r, 250+4*r)
 			}
-		}, err
+		}, nil
 	}},
 	{"Reduce", reduction(40, func(c *Comm, acc *[]byte) (*Plan, error) {
 		return c.ReducePlan(c.Size-1, acc, Sum, dtype.I64)

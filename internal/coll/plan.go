@@ -72,7 +72,8 @@ func (p *Plan) Alltoall(parts [][]byte, out *[][]byte) error {
 	if len(parts) != p.c.Size {
 		return fmt.Errorf("coll: plan alltoall with %d parts for %d ranks", len(parts), p.c.Size)
 	}
-	p.c.addAlltoallStepsFam(p.s, p.nextFam(), parts, out)
+	p.s.onReset(func() { *out = make([][]byte, p.c.Size) })
+	p.c.addAlltoallSteps(p.s, p.nextFam(), each(&parts), each(out))
 	return nil
 }
 

@@ -138,15 +138,14 @@ func (c *Comm) addReduceSteps(s *sched, root int, f *folder, commutative bool) {
 // message, and folds them in strict rank order, as required for
 // non-commutative operations.
 func (c *Comm) addOrderedReduceSteps(s *sched, root int, f *folder) {
-	var blocks [][]byte
-	c.addGatherSteps(s, root, f.acc, &blocks)
+	blocks := make([][]byte, c.Size)
+	c.addGatherSteps(s, root, one(f.acc), each(&blocks))
 	if c.Rank != root {
 		return
 	}
 	s.step(func() error {
-		// Every block is this member's to overwrite — its own
-		// accumulator, or the private copy a member shipped it — so the
-		// running result moves from block to block.
+		// Every block is a copy of its own, this member's to overwrite,
+		// so the running result moves from block to block.
 		cur := blocks[0]
 		for _, next := range blocks[1:] {
 			var err error
@@ -202,14 +201,11 @@ func (c *Comm) addAllreduceSteps(s *sched, f *folder, commutative, pure bool, un
 		var wire []byte
 		s.step(func() error {
 			if c.Rank == 0 {
-				// Broadcast fans one buffer out by reference, and the
-				// accumulator is the caller's again once this schedule
-				// completes: ship a snapshot.
-				wire = append([]byte(nil), *f.acc...)
+				wire = *f.acc // the broadcast sends copies of it
 			}
 			return nil
 		})
-		c.addBcastSteps(s, 0, &wire)
+		c.addBcastSteps(s, 0, one(&wire))
 		s.step(func() error { return f.set(wire) })
 		return
 	}
@@ -585,7 +581,7 @@ func (c *Comm) ReduceScatterPlan(acc *[]byte, counts []int, op *Op, cls dtype.Cl
 		return err
 	})
 	var mine []byte
-	c.addScatterSteps(p.s, 0, &parts, &mine)
+	c.addScatterSteps(p.s, 0, each(&parts), one(&mine))
 	p.Publish(func() any { return &mine })
 	return p, nil
 }

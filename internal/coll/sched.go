@@ -118,33 +118,27 @@ func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 // fut is the seam between a step that posts a nonblocking receive and
 // the later step that consumes it: the posting step fills req, the
 // consuming step is gated on its completion and empties it again (so a
-// persistent schedule can refill it on the next activation).
+// persistent schedule can refill it on the next activation). The
+// consumer only reads a payload while its step runs: the frame stays
+// with the request and is released when the step ends — back to the
+// pool, or back to the partner that lent it, whose memory such a
+// receive may read in place (core.Proc.IrecvBorrow): the schedule, not
+// the user, bounds how long it is held. Nothing a schedule receives is
+// kept or forwarded by reference.
 type fut struct {
 	req *core.Request
-	// lend marks a payload its consumer only reads while the step runs:
-	// the frame stays with the request and is released when the step
-	// ends — back to the pool, or back to the partner that lent it, whose
-	// memory such a receive may read in place (core.Proc.IrecvBorrow):
-	// the schedule, not the user, bounds how long it is held. Otherwise
-	// ownership moves to the consumer, for algorithms that stash or
-	// forward what they receive.
-	lend bool
-	// into, when set, makes the receive a receive-into: the payload is
-	// deposited in that window (read at post time), which it must fill
-	// exactly, and the consumer is handed nothing.
-	into *bufSpan
+	// into, when set, names the window the payload lands in (a
+	// receive-into), read when the receive is posted: the payload must
+	// fill it exactly, and the consumer is handed nothing. A nil window
+	// leaves the payload to the consumer.
+	into func() []byte
+	win  []byte // the window the posted receive lands in, if any
 	// leave, when set, is told when a teardown finds req posted and
 	// never to be consumed: req is a hold (an island member's wait, see
 	// island.go), which the island must stop settling, and whose
 	// member's buffers it must stop reading, before the schedule
 	// completes.
 	leave func(req *core.Request)
-}
-
-// bufSpan is a span of a buffer bound by pointer.
-type bufSpan struct {
-	buf *[]byte
-	span
 }
 
 // span is a byte range of a schedule's accumulator. Schedules name
@@ -279,42 +273,18 @@ func (s *sched) publish(get func() any) {
 	s.step(func() error { s.res = get(); return nil })
 }
 
-// recvStep appends a post step and a gated consume step: the receive is
-// posted nonblockingly, and fn runs — with the payload, ownership
-// transferred out of the engine — only once it has completed, without
-// ever blocking an executor.
-func (s *sched) recvStep(src, fam int, fn func([]byte) error) {
-	s.postRecv(&fut{}, src, fam, nil, fn)
-}
-
-// foldRecvStep is recvStep for a reduction operand: fn reads the
-// payload in place, straight out of the frame it arrived in, and the
-// frame is recycled when fn returns.
+// foldRecvStep appends a post step and a gated consume step for a
+// reduction operand: the receive is posted nonblockingly, and fn reads
+// the payload in place, straight out of the frame it arrived in, only
+// once it has completed, without ever blocking an executor.
 func (s *sched) foldRecvStep(src, fam int, fn func([]byte) error) {
-	s.postRecv(&fut{lend: true}, src, fam, nil, fn)
-}
-
-// exchStep appends a concurrent exchange with two (possibly distinct)
-// partners, the building block of the symmetric algorithms: one step
-// posts the receive and then the send (payload computed at post time by
-// out), a gated step consumes the received payload. The receive goes
-// first so that a partner's message — or its rendezvous request — finds
-// it posted whenever this member got here first. The send's completion
-// is left to the drain.
-func (s *sched) exchStep(dst, src, fam int, out func() ([]byte, error), fn func([]byte) error) {
-	s.postRecv(&fut{}, src, fam, func() error {
-		b, err := out()
-		if err != nil {
-			return err
-		}
-		return s.isend(dst, fam, b)
-	}, fn)
+	s.postRecv(&fut{}, src, fam, nil, fn)
 }
 
 // foldExchStep is the reduction exchange with one partner: it ships a
 // private copy of *acc and lends the partner's operand to fn.
 func (s *sched) foldExchStep(peer, fam int, acc *[]byte, fn func([]byte) error) {
-	s.postRecv(&fut{lend: true}, peer, fam, func() error {
+	s.postRecv(&fut{}, peer, fam, func() error {
 		return s.isendCopy(peer, fam, *acc)
 	}, fn)
 }
@@ -323,7 +293,7 @@ func (s *sched) foldExchStep(peer, fam int, acc *[]byte, fn func([]byte) error) 
 // writes nor hands back to its caller while the partner holds it: give,
 // a window of *from, goes out on loan — no copy.
 func (s *sched) foldExchLentStep(peer, fam int, from *[]byte, give span, fn func([]byte) error) {
-	s.postRecv(&fut{lend: true}, peer, fam, func() error {
+	s.postRecv(&fut{}, peer, fam, func() error {
 		return s.isendLent(peer, fam, give.of(from))
 	}, fn)
 }
@@ -332,33 +302,36 @@ func (s *sched) foldExchLentStep(peer, fam int, from *[]byte, give span, fn func
 // the partner's message deposited straight into the window fill — the
 // allgather exchange; the two windows are disjoint.
 func (s *sched) fillExchLentStep(peer, fam int, acc *[]byte, give, fill span) {
-	s.postRecv(&fut{into: &bufSpan{acc, fill}}, peer, fam, func() error {
+	s.postRecv(&fut{into: func() []byte { return fill.of(acc) }}, peer, fam, func() error {
 		return s.isendLent(peer, fam, give.of(acc))
 	}, nil)
 }
 
 // postRecv appends the two steps behind the forms above: post the
-// receive, then, gated on it, consume it with fn.
+// receive, then, gated on it, consume it with fn. The receive goes
+// first so that a partner's message — or its rendezvous request — finds
+// it posted whenever this member got here first; the send's completion
+// is left to the drain.
 func (s *sched) postRecv(f *fut, src, fam int, send func() error, fn func([]byte) error) {
 	s.irecvStep(f, src, fam, send)
 	s.consumeStep(f, fn)
 }
 
 // irecvStep appends the post half of postRecv: post the receive — a
-// receive-into of f's window, a borrowing receive for a payload that is
-// only read, an ordinary one otherwise — then run send, if any. A
+// receive-into of f's window, else a borrowing one — then run send, if
+// any. A
 // schedule that waits for several partners at once appends all its
 // posts before the first consumeStep.
 func (s *sched) irecvStep(f *fut, src, fam int, send func() error) {
 	s.steps = append(s.steps, step{run: func() error {
 		tag := int32(s.tag(fam))
-		switch {
-		case f.into != nil:
-			f.req = s.c.P.IrecvInto(s.c.Ctx, int32(src), tag, f.into.of(f.into.buf), 1)
-		case f.lend:
+		if f.into != nil {
+			f.win = f.into()
+		}
+		if f.win != nil {
+			f.req = s.c.P.IrecvInto(s.c.Ctx, int32(src), tag, f.win, 1)
+		} else {
 			f.req = s.c.P.IrecvBorrow(s.c.Ctx, int32(src), tag)
-		default:
-			f.req = s.c.P.Irecv(s.c.Ctx, int32(src), tag)
 		}
 		if send == nil {
 			return nil
@@ -371,8 +344,8 @@ func (s *sched) irecvStep(f *fut, src, fam int, send func() error) {
 // receive, it hands the payload to fn.
 func (s *sched) consumeStep(f *fut, fn func([]byte) error) {
 	s.steps = append(s.steps, step{gate: f, run: func() error {
-		req := f.req
-		f.req = nil
+		req, win := f.req, f.win
+		f.req, f.win = nil, nil
 		st := &req.Stat
 		if rerr := st.Err; rerr != nil {
 			// A peer died, the communicator was revoked or the instance
@@ -381,24 +354,17 @@ func (s *sched) consumeStep(f *fut, fn func([]byte) error) {
 			req.Recycle()
 			return rerr
 		}
-		if f.into != nil {
+		if win != nil {
 			got := st.Bytes
 			req.Recycle()
-			if want := f.into.hi - f.into.lo; got != want {
+			if want := len(win); got != want {
 				return fmt.Errorf("coll: %d bytes arrived for a window of %d", got, want)
 			}
 			return nil
 		}
-		if f.lend {
-			err := fn(req.Payload)
-			req.Recycle() // releases the frame, or returns the loan
-			return err
-		}
-		// The consumer keeps the payload for an unbounded time, so take
-		// it out of the request before recycling.
-		b := req.TakePayload()
-		req.Recycle()
-		return fn(b)
+		err := fn(req.Payload)
+		req.Recycle() // releases the frame, or returns the loan
+		return err
 	}})
 }
 
@@ -572,15 +538,6 @@ func (s *sched) drop() {
 	s.pend = s.pend[:0]
 }
 
-// isend posts a standard-mode send on the schedule's context and tracks
-// it for the completion drain. b stays shared: algorithms fan one buffer
-// out to several destinations and forward received payloads, so it
-// cannot carry the exclusive-ownership recycle promise and must never
-// be written again.
-func (s *sched) isend(dst, fam int, b []byte) error {
-	return s.post(dst, fam, b, false)
-}
-
 // isendCopy sends a private copy of b, for a buffer the schedule goes on
 // writing while the message is in flight (the whole accumulator of a
 // tree reduction, a scan, or the odd-size pre/post fold: the chan and
@@ -604,6 +561,9 @@ func (s *sched) isendLent(dst, fam int, b []byte) error {
 	return s.track(req, err)
 }
 
+// post sends b, which the message takes over: recycle vouches that b
+// is a pooled frame nothing else refers to, which the reader returns to
+// the pool.
 func (s *sched) post(dst, fam int, b []byte, recycle bool) error {
 	return s.track(s.c.P.Isend(s.c.Ctx, s.c.Rank, s.c.World(dst), s.tag(fam), b, core.ModeStandard, recycle))
 }

@@ -357,6 +357,18 @@ func (c *Comm) pack(s section) (payload []byte, pooled bool, err error) {
 	return payload, pooled, nil
 }
 
+// wire is how a send section goes onto the wire, the one rule for a
+// message and for a collective's block: its own bytes, to go out on
+// loan (lent), where lendView applies; else packed once into a frame
+// drawn from the pool (pooled; see pack).
+func (c *Comm) wire(s section) (b []byte, lent, pooled bool, err error) {
+	if view, ok := c.lendView(s); ok {
+		return view, true, false, nil
+	}
+	b, pooled, err = c.pack(s)
+	return b, false, pooled, err
+}
+
 // lendView returns the raw-byte window of a send section that can go
 // out on loan instead of being packed: larger than the eager limit (an
 // eager message is buffered at the receiver, so it must own its bytes)
@@ -387,15 +399,17 @@ func (c *Comm) startSend(s section, dest, tag int, mode core.Mode, block bool) (
 	if dest == ProcNull {
 		return nil, nil
 	}
+	payload, lent, pooled, err := c.wire(s)
+	if err != nil {
+		return nil, err
+	}
 	var creq *core.Request
-	var err error
-	if view, ok := c.lendView(s); ok {
-		creq, err = c.env.proc.IsendLent(c.ptpCtx, c.rank, c.remote[dest], tag, view, mode)
-	} else if payload, pooled, perr := c.pack(s); perr != nil {
-		return nil, perr
-	} else if block {
+	switch {
+	case lent:
+		creq, err = c.env.proc.IsendLent(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode)
+	case block:
 		err = c.env.proc.Send(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode, pooled)
-	} else {
+	default:
 		creq, err = c.env.proc.Isend(c.ptpCtx, c.rank, c.remote[dest], tag, payload, mode, pooled)
 	}
 	if err != nil {

@@ -58,24 +58,27 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 	return c.checkRoot(root)
 }
 
-// collPlan is a built collective: its schedule in internal/coll plus
-// the two hooks that tie the schedule's wire-format inputs and result to
-// the buffers of the call it is bound to, args. refresh packs the send
-// side before every activation (nil when this rank sends nothing), fin
-// deposits the result into the receive side at completion (nil when
-// this rank receives nothing). The hooks read the call's sections
-// through args only, so one plan serves call after call: a one-shot
+// collPlan is a built collective: its schedule in internal/coll, bound
+// to the buffers of the call it serves, args. A data-movement schedule
+// reads and writes the call's sections itself, block by block (side);
+// a reduction's goes through two hooks: refresh loads the accumulator
+// before every activation, fin deposits the result at completion (fin
+// also reports a data-movement call's failed unpack). The schedule and
+// the hooks read the call's sections through args only, so one plan
+// serves call after call: a one-shot
 // call takes it from the communicator's cache (it is the coll.Plan's
 // Bound) and hands it back when done; a persistent request takes it out
 // of the cache and keeps it bound for its life. A file collective's
 // plan is built for its one call and never cached: st is its transfer
-// status, which its request completes with (fin sets a read's).
+// status, which its request completes with (fin sets a read's). fault
+// is a data-movement activation's first failed unpack (side).
 type collPlan struct {
 	plan    *coll.Plan
 	args    collArgs
 	refresh func() error
 	fin     func(res any) error
 	st      *Status
+	fault   error
 }
 
 // collArgs is the call a plan is bound to: its send and receive
@@ -186,29 +189,6 @@ func (c *Comm) startColl(p *collPlan, err error) (*Request, error) {
 // validation.
 func (c *Intracomm) SkipColl() { c.cl.SkipInstance() }
 
-// packInto returns the refresh hook of a collective that contributes
-// one section: it packs the section into *wire, the schedule's bound
-// input. The data-movement collectives (broadcast, gather, scatter,
-// allgather, alltoall) fan one buffer out to several peers by reference
-// and forward received payloads: such a slice cannot carry the
-// exclusive-ownership recycle promise, so these payloads stay on the
-// allocator. Reductions pack into an accumulator instead (accum.go).
-func packInto(wire *[]byte, s *section) func() error {
-	return func() (err error) {
-		*wire, err = s.packChecked(nil)
-		return err
-	}
-}
-
-// unpackInto returns the fin hook of a collective that delivers one
-// section: the schedule's result points at its wire image (coll.Wire).
-func unpackInto(s *section) func(res any) error {
-	return func(res any) error {
-		_, err := s.unpackChecked(coll.Wire(res))
-		return err
-	}
-}
-
 // blocks is a buffer cut into one section per rank: uniformly (rank r's
 // count items at offset + r*count*extent(d)) or, for the v-variants, by
 // an explicit layout of per-rank counts and displacements (in units of
@@ -251,29 +231,41 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 	return nil
 }
 
-// packBlocks returns the refresh hook of a collective that sends a
-// block to every rank: it packs each rank's section into parts, the
-// schedule's bound input.
-func packBlocks(b *blocks, parts [][]byte) func() error {
-	return func() (err error) {
-		for r := range parts {
-			if parts[r], err = b.at(r).packChecked(nil); err != nil {
-				return err
-			}
-		}
-		return nil
+// side is one side of a data-movement call, b, as p's schedule moves it
+// (coll.Blocks): a block goes onto the wire and off it by the rules of
+// a point-to-point message — lent or packed (Comm.wire), landed
+// (section.view) or else unpacked, where the first unpack to fail is
+// the call's error (p.fault, which fin reports), not the schedule's.
+// The schedule reads b when it sends or receives, so the plan's args
+// bind each call's sections.
+func (c *Intracomm) side(p *collPlan, b *blocks) coll.Blocks {
+	p.fin = func(any) error {
+		err := p.fault
+		p.fault = nil
+		return err
 	}
+	return wireSide{&c.Comm, b, &p.fault}
 }
 
-// deposit is the fin hook of a collective that receives a block from
-// every rank ([][]byte): each lands in its rank's section.
-func (b *blocks) deposit(res any) error {
-	for r, wire := range res.([][]byte) {
-		if _, err := b.at(r).unpackChecked(wire); err != nil {
-			return err
-		}
+type wireSide struct {
+	c     *Comm
+	b     *blocks
+	fault *error
+}
+
+func (w wireSide) Wire(r int) ([]byte, bool, bool, error) { return w.c.wire(w.b.at(r)) }
+
+func (w wireSide) Into(r int) []byte {
+	s := w.b.at(r)
+	n, _ := s.buf.Check(s.d.t)
+	view, _ := s.view(n)
+	return view
+}
+
+func (w wireSide) Put(r int, wire []byte) {
+	if _, err := w.b.at(r).unpackChecked(wire); *w.fault == nil {
+		*w.fault = err
 	}
-	return nil
 }
 
 // Barrier blocks until all members have entered it (MPI_Barrier).
@@ -320,13 +312,7 @@ func (c *Intracomm) planBcast(s section, root int) (*collPlan, error) {
 		return c.noColl(err)
 	}
 	return c.plan(&coll.Key{Kind: "bcast", Root: root}, collArgs{send: blocks{section: s}}, func(p *collPlan) (err error) {
-		var wire []byte
-		p.plan, err = c.cl.BcastPlan(root, &wire)
-		if c.rank == root {
-			p.refresh = packInto(&wire, &p.args.send.section)
-		} else {
-			p.fin = unpackInto(&p.args.send.section)
-		}
+		p.plan, err = c.cl.BcastPlan(root, c.side(p, &p.args.send))
 		return err
 	})
 }
@@ -383,12 +369,7 @@ func (c *Intracomm) planGather(send section, recv blocks, root int) (*collPlan, 
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
 	return c.plan(&coll.Key{Kind: "gather", Root: root}, args, func(p *collPlan) (err error) {
-		var mine []byte
-		p.plan, err = c.cl.GatherPlan(root, &mine)
-		p.refresh = packInto(&mine, &p.args.send.section)
-		if c.rank == root {
-			p.fin = p.args.recv.deposit
-		}
+		p.plan, err = c.cl.GatherPlan(root, c.side(p, &p.args.send), c.side(p, &p.args.recv))
 		return err
 	})
 }
@@ -443,13 +424,7 @@ func (c *Intracomm) planScatter(send blocks, recv section, root int) (*collPlan,
 	}
 	args := collArgs{send: send, recv: blocks{section: recv}}
 	return c.plan(&coll.Key{Kind: "scatter", Root: root}, args, func(p *collPlan) (err error) {
-		var parts [][]byte
-		if c.rank == root {
-			parts = make([][]byte, c.Size())
-			p.refresh = packBlocks(&p.args.send, parts)
-		}
-		p.plan, err = c.cl.ScatterPlan(root, &parts)
-		p.fin = unpackInto(&p.args.recv.section)
+		p.plan, err = c.cl.ScatterPlan(root, c.side(p, &p.args.send), c.side(p, &p.args.recv))
 		return err
 	})
 }
@@ -503,9 +478,7 @@ func (c *Intracomm) planAllgather(send section, recv blocks) (*collPlan, error) 
 	}
 	args := collArgs{send: blocks{section: send}, recv: recv}
 	return c.plan(&coll.Key{Kind: "allgather"}, args, func(p *collPlan) error {
-		var mine []byte
-		p.plan = c.cl.AllgatherPlan(&mine)
-		p.refresh, p.fin = packInto(&mine, &p.args.send.section), p.args.recv.deposit
+		p.plan = c.cl.AllgatherPlan(c.side(p, &p.args.send), c.side(p, &p.args.recv))
 		return nil
 	})
 }
@@ -557,11 +530,9 @@ func (c *Intracomm) planAlltoall(send, recv blocks) (*collPlan, error) {
 	if err := c.checkBlocks("Alltoallv", &recv); err != nil {
 		return c.noColl(err)
 	}
-	return c.plan(&coll.Key{Kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) (err error) {
-		parts := make([][]byte, c.Size())
-		p.plan, err = c.cl.AlltoallPlan(parts)
-		p.refresh, p.fin = packBlocks(&p.args.send, parts), p.args.recv.deposit
-		return err
+	return c.plan(&coll.Key{Kind: "alltoall"}, collArgs{send: send, recv: recv}, func(p *collPlan) error {
+		p.plan = c.cl.AlltoallPlan(c.side(p, &p.args.send), c.side(p, &p.args.recv))
+		return nil
 	})
 }
 

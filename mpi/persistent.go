@@ -17,10 +17,11 @@ import (
 // (coll.Plan.Persist), bound to the (fixed) user buffers for life.
 // persist's start closure is the request's one activation, as sendInit's
 // and RecvInit's are for point-to-point: every Start re-arms the plan
-// (coll.Plan.Rearm) and starts it through startColl, as IX does: the
-// refresh hook re-packs the buffers, the schedule's first steps run on
-// the caller, whoever waits for the activation runs the rest and the
-// fin hook deposits. Like every collective, *Init is a collective call:
+// (coll.Plan.Rearm) and starts it through startColl, as IX does: a
+// reduction's refresh hook re-loads its accumulator, the schedule's
+// first steps run on the caller (a data-movement schedule reads the
+// buffers as it sends), whoever waits for the activation runs the rest
+// and the fin hook completes it. Like every collective, *Init is a collective call:
 // all members must invoke the matching constructor in the same program
 // order, and a constructor that fails local validation consumes the
 // collective instance on the failing member so peers stay tag-aligned.
