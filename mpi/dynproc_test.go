@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"gompi/internal/leak"
 	"gompi/internal/obs"
 	"gompi/mpi"
 )
@@ -19,6 +20,10 @@ import (
 // environment scrubbing would strip it before the child starts.
 const spawnHelperEnv = "MPI_TEST_SPAWN_HELPER"
 
+// TestMain runs a spawned helper's side when the test binary is one,
+// and otherwise the package's tests, failing the package when they
+// leave a goroutine, a descriptor or a shared-memory segment behind
+// (leak.Main).
 func TestMain(m *testing.M) {
 	switch os.Getenv(spawnHelperEnv) {
 	case "1":
@@ -26,7 +31,7 @@ func TestMain(m *testing.M) {
 	case "eager":
 		os.Exit(eagerHelperMain())
 	}
-	os.Exit(m.Run())
+	os.Exit(leak.Main(m))
 }
 
 // eagerHelperMain is the child side of TestSpawnInheritsEagerLimit: it
