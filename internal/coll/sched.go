@@ -319,9 +319,8 @@ func (s *sched) postRecv(f *fut, src, fam int, send func() error, fn func([]byte
 
 // irecvStep appends the post half of postRecv: post the receive — a
 // receive-into of f's window, else a borrowing one — then run send, if
-// any. A
-// schedule that waits for several partners at once appends all its
-// posts before the first consumeStep.
+// any. A schedule that waits for several partners at once appends all
+// its posts before the first consumeStep.
 func (s *sched) irecvStep(f *fut, src, fam int, send func() error) {
 	s.steps = append(s.steps, step{run: func() error {
 		tag := int32(s.tag(fam))

@@ -30,8 +30,9 @@ import (
 // no goroutine behind. settled, which every rank calls once its part in
 // the abandoned collective is over, is where the frame pool is audited:
 // between job start and the moment the last rank has settled, every
-// buffer drawn has come back. (Not later: a barrier's empty frames are
-// left to the garbage collector by design, and Finalize runs one.)
+// buffer drawn has come back. (The job's Finalize, which runs a
+// barrier, returns its frames too, as every collective does:
+// TestEveryCollectiveReturnsItsFrames.)
 func abandonJob(t *testing.T, opt mpi.RunOptions, body func(env *mpi.Env, settled func() error) error) error {
 	t.Helper()
 	goroutines, pool := runtime.NumGoroutine(), transport.PoolStats()
@@ -377,13 +378,13 @@ func leaveDuringFold(t *testing.T, how string, np, count int, step time.Duration
 // with this epoch's requests queued everywhere, and the survivors fence
 // only once it is gone, so that on a medium that reports no loss (in
 // process there is no connection to break) their own sends to it are
-// what tell them. The frame pool is not audited: the blocks an exchange
-// delivers are the epoch's results and, like a barrier's, are left to
-// the garbage collector.
+// what tell them. Every rank settles at the end of its part, where the
+// frame pool is audited: an epoch's exchange returns every frame it
+// draws, its readers copying out the blocks they keep.
 func TestWinLeavesNothingBehind(t *testing.T) {
 	for _, device := range []string{"chan", "tcp"} {
 		t.Run(device+"/unfreed", func(t *testing.T) {
-			err := abandonJob(t, mpi.RunOptions{NP: 2, Device: device}, func(env *mpi.Env, _ func() error) error {
+			err := abandonJob(t, mpi.RunOptions{NP: 2, Device: device}, func(env *mpi.Env, settled func() error) error {
 				w := env.CommWorld()
 				base := make([]float64, 2)
 				win, err := w.CreateWin(base, mpi.DOUBLE)
@@ -399,7 +400,7 @@ func TestWinLeavesNothingBehind(t *testing.T) {
 				if want := float64(2 - w.Rank()); base[1-w.Rank()] != want {
 					return fmt.Errorf("rank %d: window %v, want %v in slot %d", w.Rank(), base, want, 1-w.Rank())
 				}
-				return nil
+				return settled()
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -415,7 +416,7 @@ func TestWinLeavesNothingBehind(t *testing.T) {
 				return dev
 			}
 			dead := make(chan struct{})
-			err := abandonJob(t, mpi.RunOptions{NP: np, Device: device, WrapDevice: wrap}, func(env *mpi.Env, _ func() error) error {
+			err := abandonJob(t, mpi.RunOptions{NP: np, Device: device, WrapDevice: wrap}, func(env *mpi.Env, settled func() error) error {
 				w := env.CommWorld()
 				rank := w.Rank()
 				base := make([]float64, np)
@@ -459,6 +460,9 @@ func TestWinLeavesNothingBehind(t *testing.T) {
 				}
 				if took := time.Since(start); took > 20*time.Second {
 					return fmt.Errorf("rank %d: the failed fence took %v to return", rank, took)
+				}
+				if err := settled(); err != nil {
+					return err
 				}
 				if rank == victim {
 					return errVictimDown
