@@ -257,7 +257,7 @@ func (w wireSide) Wire(r int) ([]byte, bool, bool, error) { return w.c.wire(w.b.
 
 func (w wireSide) Into(r int) []byte {
 	s := w.b.at(r)
-	n, _ := s.buf.Check(s.d.t)
+	n, _ := s.buf.Check(s.d.t) // planX has checked the section
 	view, _ := s.view(n)
 	return view
 }
