@@ -603,6 +603,10 @@ func (p *Proc) failAllLocked(err error) {
 	p.closed = true
 	p.fatal = err
 	p.failWhereLocked(err, func(*Request, bool) bool { return true })
+	// Close returns at once on a closed engine, so the progress
+	// goroutine must see fatal by itself: when a caller held the
+	// progress role, it is parked on its bell.
+	p.idleBell.Ring()
 }
 
 // lostSrcLocked returns the loss report of the rank a receive for group

@@ -67,7 +67,7 @@ type poolGate struct {
 }
 
 func newPoolGate(np int) *poolGate {
-	g := &poolGate{np: np, at: transport.PoolStats(), kept: map[string]int64{}, settled: 200 * time.Millisecond}
+	g := &poolGate{np: np, at: transport.PoolStats(), kept: map[string]int64{}, settled: time.Second}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
