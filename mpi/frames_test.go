@@ -57,17 +57,20 @@ func TestEveryCollectiveReturnsItsFrames(t *testing.T) {
 // still for a while, and then charges what is missing to the calls
 // made since.
 type poolGate struct {
-	mu      sync.Mutex
-	cond    *sync.Cond
-	np, in  int
-	round   int
-	at      transport.PoolSnapshot
-	kept    map[string]int64
-	settled time.Duration
+	mu     sync.Mutex
+	cond   *sync.Cond
+	np, in int
+	round  int
+	at     transport.PoolSnapshot
+	kept   map[string]int64
 }
 
+// gateStill is how long the pool's counts must stand still before the
+// audit charges what is missing.
+const gateStill = time.Second
+
 func newPoolGate(np int) *poolGate {
-	g := &poolGate{np: np, at: transport.PoolStats(), kept: map[string]int64{}, settled: time.Second}
+	g := &poolGate{np: np, at: transport.PoolStats(), kept: map[string]int64{}}
 	g.cond = sync.NewCond(&g.mu)
 	return g
 }
@@ -86,7 +89,7 @@ func (g *poolGate) pass(what string) {
 		return int64(s.Gets-g.at.Gets) - int64(s.Puts-g.at.Puts) - int64(s.Drops-g.at.Drops)
 	}
 	now := transport.PoolStats()
-	for still := time.Now(); missing(now) != 0 && time.Since(still) < g.settled; {
+	for still := time.Now(); missing(now) != 0 && time.Since(still) < gateStill; {
 		time.Sleep(time.Millisecond)
 		if next := transport.PoolStats(); next != now {
 			now, still = next, time.Now()
