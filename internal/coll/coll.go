@@ -372,7 +372,7 @@ func (c *Comm) BarrierPlan() *Plan {
 
 // BcastPlan builds the broadcast of root's block 0 of data into every
 // member's along a binomial tree. The data-movement plans deliver into
-// their Blocks and publish no result.
+// their Blocks.
 func (c *Comm) BcastPlan(root int, data Blocks) (*Plan, error) {
 	p := c.NewPlan() // mint the instance before validation
 	if err := c.check(root); err != nil {
@@ -431,7 +431,7 @@ func (c *Comm) AlltoallPlan(parts, out Blocks) *Plan {
 // dynamic-process joins, Finalize).
 func runPlan(p *Plan, err error) error {
 	if err == nil {
-		_, err = p.Run()
+		err = p.Run()
 	}
 	return err
 }

@@ -244,7 +244,7 @@ func TestBlocksAreTheCallersOnReturn(t *testing.T) {
 					check(bytes.Equal(got, block(c.Rank, size)), "the scattered block was written by root")
 
 					acc := block(c.Rank, size)
-					if _, err := run(c.ReducePlan(root, &acc, later, dtype.U8)); err != nil {
+					if err := runPlan(c.ReducePlan(root, &acc, later, dtype.U8)); err != nil {
 						return nil, err
 					}
 					if c.Rank != root {

@@ -10,12 +10,13 @@ import (
 )
 
 // planForm is one collective under test: build compiles its plan over
-// inputs bound by reference, and load (re)fills those inputs with this
+// inputs bound by reference, load (re)fills those inputs with this
 // member's deterministic contribution — before every activation, since
-// the reductions overwrite theirs with the result.
+// the reductions overwrite theirs with the result — and result reads
+// what an activation left where the plan delivers.
 type planForm struct {
 	name  string
-	build func(c *Comm) (p *Plan, load func(), err error)
+	build func(c *Comm) (p *Plan, load func(), result func() any, err error)
 }
 
 // pattern is n bytes that depend on the rank that contributes them.
@@ -37,12 +38,12 @@ func operand(rank, n int) []byte {
 }
 
 // reduction adapts the four reduction constructors, which share their
-// one input: the accumulator.
-func reduction(n int, plan func(c *Comm, acc *[]byte) (*Plan, error)) func(c *Comm) (*Plan, func(), error) {
-	return func(c *Comm) (*Plan, func(), error) {
+// one input, the accumulator, where they leave their result.
+func reduction(n int, plan func(c *Comm, acc *[]byte) (*Plan, error)) func(c *Comm) (*Plan, func(), func() any, error) {
+	return func(c *Comm) (*Plan, func(), func() any, error) {
 		var acc []byte
 		p, err := plan(c, &acc)
-		return p, func() { acc = operand(c.Rank, n) }, err
+		return p, func() { acc = operand(c.Rank, n) }, func() any { return acc }, err
 	}
 }
 
@@ -50,56 +51,51 @@ func reduction(n int, plan func(c *Comm, acc *[]byte) (*Plan, error)) func(c *Co
 // engine's 256-byte eager limit, so both protocols — and both allreduce
 // schedules — are driven.
 var planForms = []planForm{
-	{"Barrier", func(c *Comm) (*Plan, func(), error) {
-		return c.BarrierPlan(), func() {}, nil
+	{"Barrier", func(c *Comm) (*Plan, func(), func() any, error) {
+		return c.BarrierPlan(), func() {}, func() any { return nil }, nil
 	}},
-	{"Bcast", func(c *Comm) (*Plan, func(), error) {
+	{"Bcast", func(c *Comm) (*Plan, func(), func() any, error) {
 		root := c.Size - 1
 		var data []byte
 		p, err := c.BcastPlan(root, one(&data))
-		p.Publish(func() any { return &data })
 		return p, func() {
 			data = nil
 			if c.Rank == root {
 				data = pattern(root, 300)
 			}
-		}, err
+		}, func() any { return data }, err
 	}},
-	{"Gather", func(c *Comm) (*Plan, func(), error) {
+	{"Gather", func(c *Comm) (*Plan, func(), func() any, error) {
 		var mine []byte
 		out := make([][]byte, c.Size)
 		p, err := c.GatherPlan(c.Size/2, one(&mine), each(&out))
-		p.Publish(func() any { return out })
-		return p, func() { mine = pattern(c.Rank, 100+c.Rank) }, err
+		return p, func() { mine = pattern(c.Rank, 100+c.Rank) }, func() any { return out }, err
 	}},
-	{"Scatter", func(c *Comm) (*Plan, func(), error) {
+	{"Scatter", func(c *Comm) (*Plan, func(), func() any, error) {
 		var parts [][]byte
 		var mine []byte
 		p, err := c.ScatterPlan(0, each(&parts), one(&mine))
-		p.Publish(func() any { return &mine })
 		return p, func() {
 			parts = make([][]byte, c.Size)
 			for r := range parts {
 				parts[r] = pattern(r, 90+10*r)
 			}
-		}, err
+		}, func() any { return mine }, err
 	}},
-	{"Allgather", func(c *Comm) (*Plan, func(), error) {
+	{"Allgather", func(c *Comm) (*Plan, func(), func() any, error) {
 		var mine []byte
 		out := make([][]byte, c.Size)
 		p := c.AllgatherPlan(one(&mine), each(&out))
-		p.Publish(func() any { return out })
-		return p, func() { mine = pattern(c.Rank, 200+40*c.Rank) }, nil
+		return p, func() { mine = pattern(c.Rank, 200+40*c.Rank) }, func() any { return out }, nil
 	}},
-	{"Alltoall", func(c *Comm) (*Plan, func(), error) {
+	{"Alltoall", func(c *Comm) (*Plan, func(), func() any, error) {
 		parts, out := make([][]byte, c.Size), make([][]byte, c.Size)
 		p := c.AlltoallPlan(each(&parts), each(&out))
-		p.Publish(func() any { return out })
 		return p, func() {
 			for r := range parts {
 				parts[r] = pattern(c.Rank*c.Size+r, 250+4*r)
 			}
-		}, nil
+		}, func() any { return out }, nil
 	}},
 	{"Reduce", reduction(40, func(c *Comm, acc *[]byte) (*Plan, error) {
 		return c.ReducePlan(c.Size-1, acc, Sum, dtype.I64)
@@ -110,10 +106,10 @@ var planForms = []planForm{
 	// The contribution left where it lies (a buffer the schedule only
 	// reads), a length the halving splits unevenly; then (value, index)
 	// pairs, which no split may tear.
-	{"AllreduceFromSrc", func(c *Comm) (*Plan, func(), error) {
+	{"AllreduceFromSrc", func(c *Comm) (*Plan, func(), func() any, error) {
 		var acc, src []byte
 		p, err := c.AllreducePlan(&acc, &src, 97, 8, Sum, dtype.I64)
-		return p, func() { src, acc = operand(c.Rank, 97), make([]byte, 8*97) }, err
+		return p, func() { src, acc = operand(c.Rank, 97), make([]byte, 8*97) }, func() any { return acc }, err
 	}},
 	{"AllreducePairs", reduction(2*45, func(c *Comm, acc *[]byte) (*Plan, error) {
 		return c.AllreducePlan(acc, nil, 45, 16, MaxLoc, dtype.I64)
@@ -124,7 +120,7 @@ var planForms = []planForm{
 	{"Exscan", reduction(5, func(c *Comm, acc *[]byte) (*Plan, error) {
 		return c.ScanPlan(true, acc, Max, dtype.I64)
 	})},
-	{"ReduceScatter", func(c *Comm) (*Plan, func(), error) {
+	{"ReduceScatter", func(c *Comm) (*Plan, func(), func() any, error) {
 		counts := make([]int, c.Size)
 		total := 0
 		for r := range counts {
@@ -137,13 +133,10 @@ var planForms = []planForm{
 	}},
 }
 
-// snapshot deep-copies a plan result ([]byte, a reduction's *[]byte,
-// [][]byte or nil): results may alias inputs that the next activation
-// overwrites.
+// snapshot deep-copies a plan result ([]byte, [][]byte or nil): results
+// may alias inputs that the next activation overwrites.
 func snapshot(res any) any {
 	switch v := res.(type) {
-	case *[]byte:
-		return append([]byte{}, *v...)
 	case []byte:
 		return append([]byte{}, v...)
 	case [][]byte:
@@ -167,29 +160,27 @@ func TestPlanFormsAgree(t *testing.T) {
 			runGroup(t, n, func(c *Comm) (any, error) {
 				where := fmt.Sprintf("%s np=%d rank %d", f.name, n, c.Rank)
 
-				p, load, err := f.build(c)
+				p, load, result, err := f.build(c)
 				if err != nil {
 					return nil, fmt.Errorf("%s: %w", where, err)
 				}
 				load()
-				res, err := p.Run()
-				if err != nil {
+				if err := p.Run(); err != nil {
 					return nil, fmt.Errorf("%s Run: %w", where, err)
 				}
-				want := snapshot(res)
+				want := snapshot(result())
 
 				agree := func(form string, req *Request) error {
-					res, err := req.Wait()
-					if err != nil {
+					if err := req.Wait(); err != nil {
 						return fmt.Errorf("%s %s: %w", where, form, err)
 					}
-					if got := snapshot(res); !reflect.DeepEqual(got, want) {
+					if got := snapshot(result()); !reflect.DeepEqual(got, want) {
 						return fmt.Errorf("%s %s = %v, Run gave %v", where, form, got, want)
 					}
 					return nil
 				}
 
-				if p, load, err = f.build(c); err != nil {
+				if p, load, result, err = f.build(c); err != nil {
 					return nil, fmt.Errorf("%s: %w", where, err)
 				}
 				load()
@@ -197,7 +188,7 @@ func TestPlanFormsAgree(t *testing.T) {
 					return nil, err
 				}
 
-				if p, load, err = f.build(c); err != nil {
+				if p, load, result, err = f.build(c); err != nil {
 					return nil, fmt.Errorf("%s: %w", where, err)
 				}
 				p.Persist()

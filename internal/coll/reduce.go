@@ -489,8 +489,8 @@ func splitWire(wire []byte, counts []int, cls dtype.Class) ([][]byte, error) {
 // ---------------------------------------------------------------------
 
 // ReducePlan builds the reduction of every member's *acc toward root
-// with op over operands of class cls. The plan's result is acc at root
-// (*[]byte, see Wire), nil elsewhere.
+// with op over operands of class cls; the result is root's *acc. At
+// the other members *acc is left holding a partial fold.
 func (c *Comm) ReducePlan(root int, acc *[]byte, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	if err := c.check(root); err != nil {
@@ -501,17 +501,11 @@ func (c *Comm) ReducePlan(root int, acc *[]byte, op *Op, cls dtype.Class) (*Plan
 		return nil, err
 	}
 	c.addReduceSteps(p.s, root, f, op.Commutative)
-	p.Publish(func() any {
-		if c.Rank != root {
-			return nil
-		}
-		return acc
-	})
 	return p, nil
 }
 
 // AllreducePlan builds the all-reduction of every member's *acc; the
-// plan's result is acc (*[]byte, see Wire) on every member. The
+// result is every member's *acc. The
 // operand is units indivisible groups (items of the caller's datatype)
 // of unit wire bytes each — what a large reduction may be cut between —
 // and every activation's *acc must hold exactly that; pass unit 0 for
@@ -528,15 +522,14 @@ func (c *Comm) AllreducePlan(acc, src *[]byte, units, unit int, op *Op, cls dtyp
 	}
 	f.src = src
 	c.addAllreduceSteps(p.s, f, op.Commutative, op.user == nil, units, unit)
-	p.Publish(func() any { return acc })
 	return p, nil
 }
 
 // ScanPlan builds the inclusive (MPI_Scan) or exclusive (MPI_Exscan —
 // the MPI-2 extension the paper's §5.3 targets) prefix reduction in
-// rank order. The plan's result is acc (*[]byte, see Wire), holding
-// member r's fold over ranks 0..r, or 0..r-1 when exclusive — nil at
-// rank 0 then, whose result is undefined.
+// rank order. The result is *acc, holding member r's fold over ranks
+// 0..r, or 0..r-1 when exclusive — at rank 0 then, whose result is
+// undefined, *acc still holds its contribution.
 func (c *Comm) ScanPlan(exclusive bool, acc *[]byte, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	f, err := c.newFolder(acc, op, cls)
@@ -550,19 +543,13 @@ func (c *Comm) ScanPlan(exclusive bool, acc *[]byte, op *Op, cls dtype.Class) (*
 		family = tagExscan
 	}
 	c.addScanSteps(p.s, family, exclusive, f)
-	p.Publish(func() any {
-		if exclusive && c.Rank == 0 {
-			return nil
-		}
-		return acc
-	})
 	return p, nil
 }
 
 // ReduceScatterPlan builds the fold-then-scatter: *acc holds
-// sum(counts) elements, and the plan's result is member r's
-// counts[r]-element segment of the reduction (*[]byte, see Wire; at
-// rank 0 a window of its accumulator).
+// sum(counts) elements, and the result is *acc cut to member r's
+// counts[r]-element segment of the reduction, which the scatter lands
+// at its front (see segment).
 func (c *Comm) ReduceScatterPlan(acc *[]byte, counts []int, op *Op, cls dtype.Class) (*Plan, error) {
 	p := c.NewPlan()
 	if len(counts) != c.Size {
@@ -580,11 +567,31 @@ func (c *Comm) ReduceScatterPlan(acc *[]byte, counts []int, op *Op, cls dtype.Cl
 		}
 		return err
 	})
-	var mine []byte
-	c.addScatterSteps(p.s, 0, each(&parts), one(&mine))
-	p.Publish(func() any { return &mine })
+	c.addScatterSteps(p.s, 0, each(&parts), segment{acc, counts[c.Rank] * cls.WireSize()})
 	return p, nil
 }
+
+// segment is ReduceScatterPlan's receive side: its one block is the
+// front of the accumulator, which is cut to it. A fixed-size segment of
+// wire bytes lands there, the accumulator cut as the receive is posted
+// (what it held is folded and sent by then); any other — OBJECT's, an
+// empty one, root's own — is copied over it.
+type segment struct {
+	acc  *[]byte
+	wire int // its wire size; 0 for OBJECT, whose size is known once it arrives
+}
+
+func (g segment) Wire(int) ([]byte, bool, bool, error) { return one(g.acc).Wire(0) }
+
+func (g segment) Into(int) []byte {
+	if g.wire == 0 {
+		return nil
+	}
+	*g.acc = (*g.acc)[:g.wire]
+	return *g.acc
+}
+
+func (g segment) Put(_ int, wire []byte) { *g.acc = append((*g.acc)[:0], wire...) }
 
 // denseUnits is AllreducePlan's view of a dense slice of n elements:
 // elements fold independently, except MINLOC/MAXLOC's pairs.
@@ -650,7 +657,7 @@ func (c *Comm) Allreduce(mine any, op *Op) (any, error) {
 	}
 	d := p.Bound.(*operands)
 	d.acc, d.src = acc, src
-	_, err = p.Run()
+	err = p.Run()
 	acc, d.acc, d.src = d.acc, nil, nil
 	p.Done(err == nil)
 	if err != nil {

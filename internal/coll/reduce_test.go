@@ -318,7 +318,7 @@ func TestIslandFoldMisalignedViews(t *testing.T) {
 						return nil, err
 					}
 					before := c.vars().folds.Load()
-					if _, err := p.Run(); err != nil {
+					if err := p.Run(); err != nil {
 						return nil, err
 					}
 					folds.Add(c.vars().folds.Load() - before)

@@ -12,13 +12,14 @@ import (
 )
 
 // Request is a handle on one activation of a collective schedule. It
-// completes exactly once, with the algorithm's result (shape depends on
-// the collective) or an error; Wait, Test and WaitCtx may be called from
-// any goroutine, concurrently. Whoever waits runs the schedule: a caller
-// in Wait runs its steps whenever it is runnable and parks, holding the
-// rank's progress role, while it waits for a message; a schedule that
-// becomes runnable while nobody waits resumes on a goroutine of its own,
-// which ends at its next park.
+// completes exactly once, with its error alone: the result is wherever
+// the plan's builder bound it (a reduction's accumulator, a
+// data-movement plan's Blocks, a file read's ReadResult). Wait, Test
+// and WaitCtx may be called from any goroutine, concurrently. Whoever
+// waits runs the schedule: a caller in Wait runs its steps whenever it
+// is runnable and parks, holding the rank's progress role, while it
+// waits for a message; a schedule that becomes runnable while nobody
+// waits resumes on a goroutine of its own, which ends at its next park.
 type Request struct {
 	s   *sched
 	tag int32 // a tag of the activation's instance, for WaitCtx to revoke
@@ -29,21 +30,19 @@ type Request struct {
 	waiters int
 	ready   bool
 
-	// done is set under the engine lock once res and err are final; Test
-	// reads it without.
+	// done is set under the engine lock once err is final; Test reads
+	// it without.
 	done atomic.Bool
-	res  any
 	err  error
 }
 
-// Wait blocks until the collective completes on this member and returns
-// its result, running the schedule's steps itself whenever they are
-// runnable.
-func (r *Request) Wait() (any, error) { return r.wait(false) }
+// Wait blocks until the collective completes on this member, running
+// the schedule's steps itself whenever they are runnable.
+func (r *Request) Wait() error { return r.wait(false) }
 
 // wait is Wait for a caller that is already counted among the waiters
 // (joined) or not yet.
-func (r *Request) wait(joined bool) (any, error) {
+func (r *Request) wait(joined bool) error {
 	s := r.s
 	for {
 		run := false
@@ -60,19 +59,19 @@ func (r *Request) wait(joined bool) (any, error) {
 			return run
 		})
 		if !run {
-			return r.res, r.err
+			return r.err
 		}
 		s.run()
 	}
 }
 
-// Test reports whether the collective has completed, returning the
-// result if so.
-func (r *Request) Test() (any, bool, error) {
+// Test reports whether the collective has completed, and its error if
+// so.
+func (r *Request) Test() (bool, error) {
 	if !r.done.Load() {
-		return nil, false, nil
+		return false, nil
 	}
-	return r.res, true, r.err
+	return true, r.err
 }
 
 // WaitCtx is Wait, except that when ctx is done first the activation is
@@ -92,7 +91,7 @@ func (r *Request) Test() (any, bool, error) {
 // reuse the instance. An island fold (island.go) is cancelled on this
 // member alone: it leaves a copy of its contribution, and the others'
 // call completes without it waiting.
-func (r *Request) WaitCtx(ctx context.Context) (any, error) {
+func (r *Request) WaitCtx(ctx context.Context) error {
 	fired := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		// An activation that has completed is left alone. The sweep
@@ -103,16 +102,16 @@ func (r *Request) WaitCtx(ctx context.Context) (any, error) {
 		}
 		close(fired)
 	})
-	res, err := r.Wait()
+	err := r.Wait()
 	if !stop() {
 		<-fired
 	}
 	if errors.Is(err, core.ErrInstanceCancelled) && ctx.Err() != nil {
-		return nil, ctx.Err()
+		return ctx.Err()
 	}
 	// Completed normally despite the deadline, or failed for a reason of
 	// its own, which is not masked as a clean timeout.
-	return res, err
+	return err
 }
 
 // fut is the seam between a step that posts a nonblocking receive and
@@ -186,7 +185,6 @@ type sched struct {
 	// teardown, everything still posted. drop empties it and keeps its
 	// array for the next activation.
 	pend []*core.Request
-	res  any // published to req on successful completion
 
 	// Parking state: while the schedule is parked, waits counts the
 	// completions still owed before it becomes runnable again.
@@ -266,11 +264,6 @@ func (s *sched) rearm() {
 		s.inst = s.c.mint(&s.c.seq, 0)
 	}
 	s.pc = 0
-}
-
-// publish appends the final step that snapshots the algorithm's result.
-func (s *sched) publish(get func() any) {
-	s.step(func() error { s.res = get(); return nil })
 }
 
 // foldRecvStep appends a post step and a gated consume step for a
@@ -467,12 +460,9 @@ func (s *sched) finish(err error) {
 		s.armed = false
 		s.c.P.Recorder().End(obs.EvCollSched, s.inst, 0)
 	}
-	r, res := s.req, s.res
-	s.req, s.res = nil, nil // a cached plan pins no result past its activation
+	r := s.req
+	s.req = nil
 	s.c.P.Publish(func() {
-		if err == nil {
-			r.res = res
-		}
 		r.err = err
 		r.done.Store(true)
 	})

@@ -94,7 +94,7 @@ func TestOverlappingIbcastsSameFamily(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return [][]byte{Wire(got1), Wire(got2)}, nil
+			return [][]byte{got1.([]byte), got2.([]byte)}, nil
 		})
 		for r, res := range results {
 			got := res.([][]byte)
@@ -363,9 +363,9 @@ func TestParkedScheduleSeesEverySweep(t *testing.T) {
 				go func() {
 					var err error
 					if sw.name == "WaitCtx" {
-						_, err = req.WaitCtx(ctx)
+						err = req.WaitCtx(ctx)
 					} else {
-						_, err = req.Wait()
+						err = req.Wait()
 					}
 					waited <- err
 				}()

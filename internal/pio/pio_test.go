@@ -305,19 +305,18 @@ func TestTwoPhaseWriteReadRoundTrip(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.Run(); err != nil {
+		if err := p.Run(); err != nil {
 			return nil, err
 		}
 
-		p, err = f.ReadAllPlan(c, c.Rank*per, per)
+		var rr ReadResult
+		p, err = f.ReadAllPlan(c, c.Rank*per, per, &rr)
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run()
-		if err != nil {
+		if err := p.Run(); err != nil {
 			return nil, err
 		}
-		rr := res.(*ReadResult)
 		if rr.Got != per {
 			return nil, fmt.Errorf("rank %d: got %d bytes, want %d", c.Rank, rr.Got, per)
 		}
@@ -344,15 +343,14 @@ func TestTwoPhaseReadPastEOF(t *testing.T) {
 		if err := c.Barrier(); err != nil {
 			return nil, err
 		}
-		p, err := f.ReadAllPlan(c, c.Rank*64, 64)
+		var rr ReadResult
+		p, err := f.ReadAllPlan(c, c.Rank*64, 64, &rr)
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run()
-		if err != nil {
+		if err := p.Run(); err != nil {
 			return nil, err
 		}
-		rr := res.(*ReadResult)
 		want := 100 - c.Rank*64
 		if want < 0 {
 			want = 0
@@ -395,18 +393,17 @@ func TestTwoPhaseInterleavedStridedViews(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.Run(); err != nil {
+		if err := p.Run(); err != nil {
 			return nil, err
 		}
-		p, err = f.ReadAllPlan(c, 0, len(mine))
+		var rr ReadResult
+		p, err = f.ReadAllPlan(c, 0, len(mine), &rr)
 		if err != nil {
 			return nil, err
 		}
-		res, err := p.Run()
-		if err != nil {
+		if err := p.Run(); err != nil {
 			return nil, err
 		}
-		rr := res.(*ReadResult)
 		if rr.Got != len(wire) || !bytes.Equal(rr.Wire, wire) {
 			return nil, fmt.Errorf("rank %d: strided round trip mismatch (got %d)", c.Rank, rr.Got)
 		}

@@ -90,8 +90,8 @@ func forEachStripe(off int64, n int, stripe int64, size int, fn func(agg int, of
 // WriteAllPlan builds the two-phase collective write of wire (whole
 // view elements) at view element offset off: chunk routing at build
 // time, the data alltoall, then each aggregator's pwrite pass. The
-// plan publishes nil; the caller's own contribution is fully written
-// when the schedule completes without error.
+// caller's own contribution is fully written when the schedule
+// completes without error.
 func (f *File) WriteAllPlan(c *coll.Comm, off int, wire []byte) (*coll.Plan, error) {
 	p := c.NewPlan() // mint the collective instance before validation
 	if f.closed {
@@ -145,11 +145,10 @@ func (f *File) WriteAllPlan(c *coll.Comm, off int, wire []byte) (*coll.Plan, err
 		end(written)
 		return nil
 	})
-	p.Publish(func() any { return nil })
 	return p, nil
 }
 
-// ReadResult is the completion value of a ReadAllPlan schedule: the
+// ReadResult is what a ReadAllPlan schedule fills on completion: the
 // gathered wire bytes (zero-filled past end-of-file) and how many of
 // them the file actually held.
 type ReadResult struct {
@@ -159,9 +158,9 @@ type ReadResult struct {
 
 // ReadAllPlan builds the two-phase collective read of n view elements
 // at view element offset off: the request alltoall, each aggregator's
-// pread pass, the data alltoall back, then reassembly. The plan
-// publishes a *ReadResult.
-func (f *File) ReadAllPlan(c *coll.Comm, off, n int) (*coll.Plan, error) {
+// pread pass, the data alltoall back, then reassembly into res, which
+// the caller reads once the schedule completes without error.
+func (f *File) ReadAllPlan(c *coll.Comm, off, n int, res *ReadResult) (*coll.Plan, error) {
 	p := c.NewPlan() // mint the collective instance before validation
 	if f.closed {
 		return nil, ErrClosed
@@ -234,9 +233,8 @@ func (f *File) ReadAllPlan(c *coll.Comm, off, n int) (*coll.Plan, error) {
 	// view-order prefix of my spans clipped there. Reassembly runs as
 	// a step so a malformed reply fails the schedule rather than
 	// passing as an empty read.
-	res := &ReadResult{}
 	p.Step(func() error {
-		res.Wire = make([]byte, n*f.view.es)
+		*res = ReadResult{Wire: make([]byte, n*f.view.es)}
 		fileEnd := int64(-1) // -1: no shortfall seen
 		for agg, b := range gotData {
 			for i := 0; len(b) > 0; i++ {
@@ -275,7 +273,6 @@ func (f *File) ReadAllPlan(c *coll.Comm, off, n int) (*coll.Plan, error) {
 		}
 		return nil
 	})
-	p.Publish(func() any { return res })
 	return p, nil
 }
 

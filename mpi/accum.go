@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"gompi/internal/coll"
-	"gompi/internal/transport"
-)
+import "gompi/internal/transport"
 
 // accum is one reduction's accumulator: the single wire-format buffer
 // the collective layer folds into, loaded with this rank's contribution
@@ -89,15 +86,13 @@ func (a *accum) release() {
 	}
 }
 
-// fin is the completion deposit into the receive section: res is the
-// reduction plan's result (coll.Wire), nil where this rank has none.
-func (a *accum) fin(res any, into *section) error {
-	defer a.release()
-	wire := coll.Wire(res)
-	inPlace := a.direct && len(wire) == len(a.b) && (len(wire) == 0 || &wire[0] == &a.b[0])
-	if !a.recv || wire == nil || inPlace {
-		return nil
+// fin is the completion deposit of the result the reduction left in
+// the accumulator into the receive section: none where the rank
+// receives nothing or the accumulator is the section itself.
+func (a *accum) fin(into *section) (err error) {
+	if a.recv && !a.direct {
+		_, err = into.unpackChecked(a.b)
 	}
-	_, err := into.unpackChecked(wire)
+	a.release()
 	return err
 }

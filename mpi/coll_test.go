@@ -1,8 +1,10 @@
 package mpi_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -96,28 +98,35 @@ func TestMinMaxLocPublicAPI(t *testing.T) {
 }
 
 func TestReduceScatterPublicAPI(t *testing.T) {
-	err := mpi.Run(3, func(env *mpi.Env) error {
-		w := env.CommWorld()
-		counts := []int{2, 1, 1}
-		send := []int64{1, 2, 3, 4} // identical on every rank
-		recv := make([]int64, counts[w.Rank()])
-		if err := w.ReduceScatter(send, 0, recv, 0, counts, mpi.LONG, mpi.SUM); err != nil {
-			return err
-		}
-		base := 0
-		for r := 0; r < w.Rank(); r++ {
-			base += counts[r]
-		}
-		for i := range recv {
-			want := int64((base + i + 1) * 3)
-			if recv[i] != want {
-				t.Errorf("rank %d slot %d: got %d want %d", w.Rank(), i, recv[i], want)
+	// The last four rows give one member, or every member, the whole
+	// vector: its receive section is then the accumulator itself.
+	for _, counts := range [][]int{{2, 1, 1}, {0, 4, 0}, {4, 0, 0}, {0, 0, 4}, {0, 0, 0}} {
+		t.Run(fmt.Sprint(counts), func(t *testing.T) {
+			err := mpi.Run(3, func(env *mpi.Env) error {
+				w := env.CommWorld()
+				send := []int64{1, 2, 3, 4}[:counts[0]+counts[1]+counts[2]] // identical on every rank
+				recv := make([]int64, 1+counts[w.Rank()]+1)                 // the section sits between two sentinels
+				recv[0], recv[len(recv)-1] = -1, -1
+				if err := w.ReduceScatter(send, 0, recv, 1, counts, mpi.LONG, mpi.SUM); err != nil {
+					return err
+				}
+				base := 0
+				for r := 0; r < w.Rank(); r++ {
+					base += counts[r]
+				}
+				want := []int64{-1}
+				for i := range counts[w.Rank()] {
+					want = append(want, int64((base+i+1)*3))
+				}
+				if want = append(want, -1); !slices.Equal(recv, want) {
+					t.Errorf("rank %d: got %v want %v", w.Rank(), recv, want)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		})
 	}
 }
 

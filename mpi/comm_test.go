@@ -1,6 +1,7 @@
 package mpi_test
 
 import (
+	"slices"
 	"testing"
 
 	"gompi/mpi"
@@ -245,6 +246,15 @@ func TestIntercommDup(t *testing.T) {
 		}
 		if dup.RemoteSize() != ic.RemoteSize() || !dup.TestInter() {
 			t.Errorf("dup geometry: remote=%d inter=%v", dup.RemoteSize(), dup.TestInter())
+		}
+		// The remote group is the other side's world ranks, in their
+		// local rank order.
+		remote, err := mpi.TranslateRanks(dup.RemoteGroup(), []int{0, 1}, w.Group())
+		if err != nil {
+			return err
+		}
+		if want := []int{1 - side, 3 - side}; dup.RemoteGroup().Size() != 2 || !slices.Equal(remote, want) {
+			t.Errorf("rank %d: remote group %v of size %d, want %v", w.Rank(), remote, dup.RemoteGroup().Size(), want)
 		}
 		// Traffic on the dup is isolated from the original.
 		out := []int32{int32(w.Rank())}

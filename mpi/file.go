@@ -545,14 +545,14 @@ func (f *File) planReadAll(foff int64, s section) (*collPlan, error) {
 	if err != nil {
 		return f.comm.noColl(err)
 	}
-	plan, err := f.pf.ReadAllPlan(f.comm.cl, int(foff), n)
+	var rr pio.ReadResult
+	plan, err := f.pf.ReadAllPlan(f.comm.cl, int(foff), n, &rr)
 	if err != nil {
 		// The plan minted the instance before failing; no skip.
 		return nil, mapErr(err)
 	}
 	p := &collPlan{plan: plan}
-	p.fin = func(res any) (err error) {
-		rr := res.(*pio.ReadResult)
+	p.fin = func() (err error) {
 		p.st, err = f.depositRead(rr.Wire, rr.Got, s)
 		return err
 	}

@@ -173,6 +173,9 @@ func TestFileAmodeAndAccessErrors(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		if got := f.Amode(); got != mpi.ModeCreate|mpi.ModeWronly {
+			return fmt.Errorf("Amode %#x, opened with %#x", got, mpi.ModeCreate|mpi.ModeWronly)
+		}
 		buf := []byte{1}
 		if _, err := f.ReadAt(0, buf, 0, 1, mpi.BYTE); mpi.ClassOf(err) != mpi.ErrAccess {
 			return fmt.Errorf("read on write-only file: got %v, want MPI_ERR_ACCESS", err)
@@ -184,6 +187,9 @@ func TestFileAmodeAndAccessErrors(t *testing.T) {
 		f, err = w.OpenFile(path, mpi.ModeRdonly)
 		if err != nil {
 			return err
+		}
+		if got := f.Amode(); got != mpi.ModeRdonly {
+			return fmt.Errorf("Amode %#x, opened with %#x", got, mpi.ModeRdonly)
 		}
 		if _, err := f.WriteAt(0, buf, 0, 1, mpi.BYTE); mpi.ClassOf(err) != mpi.ErrAccess {
 			return fmt.Errorf("write on read-only file: got %v, want MPI_ERR_ACCESS", err)

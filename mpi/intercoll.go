@@ -94,7 +94,7 @@ func (ic *Intercomm) Allreduce(
 	}
 	p, err := ic.cl.ReducePlan(0, &acc, op.op, d.t.Class())
 	if err == nil {
-		_, err = p.Run()
+		err = p.Run()
 	}
 	if err != nil {
 		return ic.raise(mapErr(err))

@@ -60,23 +60,22 @@ func (c *Intracomm) collChecks(d *Datatype, root int) error {
 
 // collPlan is a built collective: its schedule in internal/coll, bound
 // to the buffers of the call it serves, args. A data-movement schedule
-// reads and writes the call's sections itself, block by block (side);
-// a reduction's goes through two hooks: refresh loads the accumulator
-// before every activation, fin deposits the result at completion (fin
-// also reports a data-movement call's failed unpack). The schedule and
-// the hooks read the call's sections through args only, so one plan
-// serves call after call: a one-shot
+// reads and writes the call's sections itself, block by block (side),
+// and fault is an activation's first failed unpack; a reduction's goes
+// through two hooks: refresh loads the accumulator before every
+// activation, fin deposits the result the schedule left in it at
+// completion. The schedule and the hooks read the call's sections
+// through args only, so one plan serves call after call: a one-shot
 // call takes it from the communicator's cache (it is the coll.Plan's
 // Bound) and hands it back when done; a persistent request takes it out
 // of the cache and keeps it bound for its life. A file collective's
 // plan is built for its one call and never cached: st is its transfer
-// status, which its request completes with (fin sets a read's). fault
-// is a data-movement activation's first failed unpack (side).
+// status, which its request completes with (fin sets a read's).
 type collPlan struct {
 	plan    *coll.Plan
 	args    collArgs
 	refresh func() error
-	fin     func(res any) error
+	fin     func() error
 	st      *Status
 	fault   error
 }
@@ -156,13 +155,22 @@ func (c *Intracomm) runColl(p *collPlan, err error) error {
 	if err := p.load(err); err != nil {
 		return c.raise(err)
 	}
-	res, err := p.plan.Run()
+	return p.end(&c.Comm, p.plan.Run())
+}
+
+// end completes a call or an activation whose schedule ended with err,
+// on the entry point that waited for it (runColl, Request.settle): a
+// failure is classified; a completed schedule's failed unpack (fault) is
+// reported, or its result deposited (fin); the plan is done with the
+// call, and whatever failed is raised.
+func (p *collPlan) end(c *Comm, err error) error {
 	if err != nil {
 		p.done(false)
 		return c.raise(c.collErr(err))
 	}
+	err, p.fault = p.fault, nil
 	if p.fin != nil {
-		err = p.fin(res)
+		err = p.fin()
 	}
 	p.done(true)
 	return c.raise(err)
@@ -235,15 +243,10 @@ func (c *Intracomm) checkBlocks(name string, b *blocks) error {
 // (coll.Blocks): a block goes onto the wire and off it by the rules of
 // a point-to-point message — lent or packed (Comm.wire), landed
 // (section.view) or else unpacked, where the first unpack to fail is
-// the call's error (p.fault, which fin reports), not the schedule's.
+// the call's error (p.fault, which end reports), not the schedule's.
 // The schedule reads b when it sends or receives, so the plan's args
 // bind each call's sections.
 func (c *Intracomm) side(p *collPlan, b *blocks) coll.Blocks {
-	p.fin = func(any) error {
-		err := p.fault
-		p.fault = nil
-		return err
-	}
 	return wireSide{&c.Comm, b, &p.fault}
 }
 
@@ -584,7 +587,7 @@ func (c *Intracomm) reduction(key *coll.Key, args collArgs, build func(acc *accu
 	return c.plan(key, args, func(p *collPlan) (err error) {
 		p.plan, err = build(&p.args.acc)
 		p.refresh = func() error { return p.args.acc.load(&p.args.send.section) }
-		p.fin = func(res any) error { return p.args.acc.fin(res, &p.args.recv.section) }
+		p.fin = func() error { return p.args.acc.fin(&p.args.recv.section) }
 		return err
 	})
 }

@@ -45,7 +45,7 @@ func (c *Intracomm) persist(p *collPlan, err error) (*PersistentRequest, error) 
 	var last *coll.Request
 	return &PersistentRequest{comm: &c.Comm, start: func() (*Request, error) {
 		if last != nil {
-			if _, done, err := last.Test(); !done {
+			if done, err := last.Test(); !done {
 				return nil, errf(ErrRequest, "Start on a still-active persistent request")
 			} else if err != nil {
 				return nil, c.raise(mapErr(fmt.Errorf("persistent collective poisoned by a failed activation: %w", err)))

@@ -135,17 +135,10 @@ func (r *Request) finish() {
 // status is the plan's transfer status (a file collective's), else
 // empty.
 func (r *Request) settle() {
-	res, err := r.cr.Wait()
-	switch {
-	case err != nil:
-		r.err = r.comm.raise(r.comm.collErr(err))
-	case r.cp.fin != nil:
-		r.err = r.comm.raise(r.cp.fin(res))
-	}
+	r.err = r.cp.end(r.comm, r.cr.Wait())
 	if r.st = r.cp.st; r.st == nil || r.err != nil {
 		r.st = nullStatus()
 	}
-	r.cp.done(err == nil)
 	r.cp = nil
 }
 
@@ -161,7 +154,7 @@ func (r *Request) done() bool {
 		_, ok := r.creq.Test()
 		return ok
 	case r.cr != nil:
-		_, ok, _ := r.cr.Test()
+		ok, _ := r.cr.Test()
 		return ok
 	}
 	return true
@@ -210,7 +203,7 @@ func (r *Request) WaitCtx(ctx context.Context) (*Status, error) {
 		}
 	}
 	if r.cr != nil {
-		if _, err := r.cr.WaitCtx(ctx); err != nil && errors.Is(err, ctx.Err()) {
+		if err := r.cr.WaitCtx(ctx); err != nil && errors.Is(err, ctx.Err()) {
 			r.cp.done(false)
 			r.once.Do(func() { r.st, r.err = nullStatus(), ErrCollectiveCancelled })
 			return nullStatus(), err

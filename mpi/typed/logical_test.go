@@ -78,3 +78,44 @@ func foldRow[T typed.Primitive](w *mpi.Intracomm, name string, op typed.Op[T], e
 	}
 	return nil
 }
+
+// TestOpRawIsTheClassicOp: Raw hands a typed operation to the classic
+// API — each predefined constructor's is the named classic operation,
+// and a typed user operation's folds a classic Allreduce.
+func TestOpRawIsTheClassicOp(t *testing.T) {
+	for _, c := range []struct {
+		got, want *mpi.Op
+	}{
+		{typed.Sum[int32]().Raw(), mpi.SUM},
+		{typed.Prod[float64]().Raw(), mpi.PROD},
+		{typed.Max[int16]().Raw(), mpi.MAX},
+		{typed.Min[byte]().Raw(), mpi.MIN},
+		{typed.LAnd[bool]().Raw(), mpi.LAND},
+		{typed.LOr[bool]().Raw(), mpi.LOR},
+		{typed.LXor[int64]().Raw(), mpi.LXOR},
+		{typed.BAnd[int32]().Raw(), mpi.BAND},
+		{typed.BOr[byte]().Raw(), mpi.BOR},
+		{typed.BXor[int16]().Raw(), mpi.BXOR},
+		{typed.Op[int32]{}.Raw(), nil},
+	} {
+		if c.got != c.want {
+			t.Errorf("Raw = %v, want %v", c.got, c.want)
+		}
+	}
+	maxAbs := typed.OpFunc(func(in, inout []int32) {
+		for i, v := range in {
+			inout[i] = max(inout[i], v, -v, -inout[i])
+		}
+	}, true)
+	run(t, 3, func(env *mpi.Env) error {
+		w := env.CommWorld()
+		send, got := []int32{int32(-3 * w.Rank())}, []int32{0}
+		if err := w.Allreduce(send, 0, got, 0, 1, mpi.INT, maxAbs.Raw()); err != nil {
+			return err
+		}
+		if got[0] != 6 {
+			return fmt.Errorf("rank %d: classic Allreduce over Raw folded %d, want 6", w.Rank(), got[0])
+		}
+		return nil
+	})
+}

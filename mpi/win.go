@@ -197,7 +197,7 @@ func (w *Win) Fence() error {
 	err := p.Alltoall(reqs, &got)
 	p.Step(func() error { targetErr = w.apply(got, replies); return nil })
 	if err = cmp.Or(err, p.Alltoall(replies, &back)); err == nil {
-		_, err = p.Run()
+		err = p.Run()
 	}
 	if err != nil {
 		return w.comm.raise(w.comm.collErr(err))
@@ -310,7 +310,8 @@ func (w *Win) applyAcc(code byte, payload []byte, sec section) error {
 		a.release()
 		return mapErr(err)
 	}
-	return a.fin(res, &sec)
+	a.b = res
+	return a.fin(&sec)
 }
 
 // Free tears the window down (MPI_Win_free): a Fence, which completes

@@ -284,8 +284,10 @@ func winEpoch(rng *rand.Rand, np, size int, model [][]int64) []winOp {
 // (SUM, MAX, REPLACE) over several targets, self included, with several
 // operations per target, and checks every window and every Get against
 // a sequential model of the same epochs. The origin sections sit at an
-// offset in their buffers. Two further rows: a Get from an OBJECT
-// window, and Puts issued by two goroutines of one rank at once.
+// offset in their buffers. Three further rows: a Get from an OBJECT
+// window, logical accumulates into a BOOLEAN window (a section whose
+// memory is not its wire image), and Puts issued by two goroutines of
+// one rank at once.
 func TestWinEpochMatchesModel(t *testing.T) {
 	const size, epochs = 12, 6
 	mpi.RegisterObject("")
@@ -391,7 +393,46 @@ func TestWinEpochMatchesModel(t *testing.T) {
 					if wantObj := []any{fmt.Sprintf("r%d.1", right), fmt.Sprintf("r%d.2", right), fmt.Sprintf("r%d.3", rank)}; !slices.Equal(got, wantObj) {
 						return fmt.Errorf("rank %d: OBJECT Gets read %v, want %v", rank, got, wantObj)
 					}
-					return owin.Free()
+					if err := owin.Free(); err != nil {
+						return err
+					}
+
+					// LAND, LOR and LXOR accumulates into a BOOLEAN window
+					// from every origin: element 0 ANDs in false from
+					// rank 1, element 1 ORs in true from the last rank,
+					// element 2 XORs in true np times, and rank 0 ORs
+					// {true, false} onto {false, true} at 3.
+					bools := []bool{true, false, false, false, true}
+					bwin, err := w.CreateWin(bools, mpi.BOOLEAN)
+					if err != nil {
+						return err
+					}
+					for target := range np {
+						for _, a := range []struct {
+							op   *mpi.Op
+							vals []bool
+							disp int
+						}{
+							{mpi.LAND, []bool{rank != 1}, 0},
+							{mpi.LOR, []bool{rank == np-1}, 1},
+							{mpi.LXOR, []bool{true}, 2},
+							{mpi.LOR, []bool{true, false}, 3},
+						} {
+							if a.disp == 3 && rank != 0 {
+								continue
+							}
+							if err := bwin.Accumulate(a.vals, 0, len(a.vals), mpi.BOOLEAN, target, a.disp, a.op); err != nil {
+								return err
+							}
+						}
+					}
+					if err := bwin.Fence(); err != nil {
+						return err
+					}
+					if wantBools := []bool{false, true, np%2 == 1, true, true}; !slices.Equal(bools, wantBools) {
+						return fmt.Errorf("rank %d: BOOLEAN window %v after logical accumulates, want %v", rank, bools, wantBools)
+					}
+					return bwin.Free()
 				})
 				if err != nil {
 					t.Fatal(err)
