@@ -434,7 +434,7 @@ func (c *Comm) addScanSteps(s *sched, family int, exclusive bool, f *folder) {
 	}
 	s.foldRecvStep(c.Rank-1, family, func(prefix []byte) error {
 		// The last rank's inclusive prefix is neither forwarded nor, in
-		// exclusive mode, published — skip the fold there.
+		// exclusive mode, its result — skip the fold there.
 		if !exclusive || !last {
 			if err := f.below(prefix); err != nil {
 				return err

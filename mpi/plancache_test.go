@@ -416,9 +416,9 @@ func TestPlanCacheFreedCommHoldsNothing(t *testing.T) {
 }
 
 // TestPlanCachePinsNoUserMemory: a plan back in the cache has dropped
-// the call's buffers — its bound sections, its accumulator (here the
-// receive section itself) and the schedule's published result — so the
-// collector takes a buffer whose last call is done. At 16 384 doubles
+// the call's buffers — its bound sections and its accumulator (here the
+// receive section itself) — so the collector takes a buffer whose last
+// call is done. At 16 384 doubles
 // (128 KiB) the halving schedule lends windows of the send buffer by
 // reference, and the partner's engine queues each as an unexpected
 // message until its receive comes: a queue that kept a taken message in

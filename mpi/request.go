@@ -129,11 +129,9 @@ func (r *Request) finish() {
 	})
 }
 
-// settle finishes a collective, waiting for its schedule if need be: a
-// failure is classified and raised, and a completed schedule's result is
-// deposited. Then the plan is done with the call (collPlan.done). The
-// status is the plan's transfer status (a file collective's), else
-// empty.
+// settle finishes a collective, waiting for its schedule if need be,
+// and ends the call (collPlan.end). The status is the plan's transfer
+// status (a file collective's), else empty.
 func (r *Request) settle() {
 	r.err = r.cp.end(r.comm, r.cr.Wait())
 	if r.st = r.cp.st; r.st == nil || r.err != nil {
